@@ -1,12 +1,14 @@
 # Build, verify, and benchmark the waitornot reproduction.
 #
 #   make ci        everything the repository gates on: build + vet +
-#                  tests under the coverage ratchet + the race-detector
+#                  tests under the coverage ratchet + the CLI smoke
+#                  over the one -scenario path + the race-detector
 #                  smoke over the parallel execution engine + the fuzz
 #                  smoke over the chain codec and mempool + the
 #                  campaign crash-recovery smoke (SIGKILL + resume) + a
 #                  bench-json smoke snapshot gated by bench-guard (the
 #                  hardware-aware parallel-speedup floor).
+#   make size      the two tracked size numbers (ROADMAP aim 2).
 
 GO ?= go
 
@@ -25,7 +27,7 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build vet test cover test-race fuzz-smoke campaign-smoke bench bench-json bench-guard profile ci
+.PHONY: build vet test cover cli-smoke test-race fuzz-smoke campaign-smoke bench bench-json bench-guard profile size ci
 
 build:
 	$(GO) build ./...
@@ -45,6 +47,16 @@ cover:
 	echo "total coverage $$total% (ratchet: >= $(COVER_MIN)%)"; \
 	awk -v got=$$total -v min=$(COVER_MIN) 'BEGIN { exit got+0 < min+0 ? 1 : 0 }' || \
 	    { echo "coverage ratchet failed: $$total% < $(COVER_MIN)%"; exit 1; }
+
+# CLI smoke: the one remaining way in, end to end — list the registry,
+# a single run, a replication sweep — and the retired -exp selector
+# must be a usage error (exit 2), not a silent default.
+cli-smoke:
+	$(GO) run ./cmd/repro -scenarios
+	$(GO) run ./cmd/repro -scenario paper-repro -fast -rounds 1 -quiet
+	$(GO) run ./cmd/repro -scenario stragglers -fast -rounds 1 -replications 2 -quiet
+	@$(GO) build -o .repro.smoke ./cmd/repro; ./.repro.smoke -exp all >/dev/null 2>&1; status=$$?; rm -f .repro.smoke; \
+	    [ $$status -eq 2 ] || { echo "cli-smoke: -exp all exited $$status, want 2"; exit 1; }
 
 # Fuzz smoke: a few seconds per fuzz target, enough to catch shallow
 # regressions in the chain codec, the mempool, the weight-payload
@@ -103,4 +115,10 @@ profile:
 	    -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
-ci: build vet cover test-race fuzz-smoke campaign-smoke bench-json bench-guard
+# The two numbers ROADMAP tracks for "least code": non-test Go lines
+# outside benchmark/, and the root package's exported funcs + types.
+size:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "root exported funcs+types: $$($(GO) doc -all . | grep -cE '^(func|type) ')"
+
+ci: build vet cover cli-smoke test-race fuzz-smoke campaign-smoke bench-json bench-guard

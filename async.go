@@ -80,16 +80,8 @@ func runAsyncExperiment(ctx context.Context, opts Options, sink event.Sink) (*As
 		PeerNames:       res.PeerNames,
 		InitialAccuracy: res.InitialAccuracy,
 		HorizonMs:       res.HorizonMs,
-		Chain: ChainSummary{
-			Blocks:         res.Chain.Blocks,
-			Txs:            res.Chain.Txs,
-			GasUsed:        res.Chain.GasUsed,
-			Bytes:          res.Chain.Bytes,
-			Submissions:    res.Chain.Submissions,
-			Decisions:      res.Chain.Decisions,
-			VerifyRejected: res.Chain.VerifyRejected,
-		},
-		Rounds: make([][]AsyncRoundInfo, len(res.Rounds)),
+		Chain:           ChainSummary(res.Chain),
+		Rounds:          make([][]AsyncRoundInfo, len(res.Rounds)),
 	}
 	for p, rounds := range res.Rounds {
 		for _, r := range rounds {

@@ -35,7 +35,7 @@ func TestAsyncEventOrderGolden(t *testing.T) {
 		opts := asyncOpts()
 		opts.Parallelism = parallelism
 		col := &collector{}
-		res, err := waitornot.New(opts, waitornot.WithAsync(), waitornot.WithObserver(col)).Run(context.Background())
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync), waitornot.WithObserver(col)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestAsyncEventOrderGolden(t *testing.T) {
 // TestAsyncTimeToAccuracyGolden pins the async report's tables —
 // per-peer schedule and time-to-accuracy — byte-for-byte.
 func TestAsyncTimeToAccuracyGolden(t *testing.T) {
-	res, err := waitornot.New(asyncOpts(), waitornot.WithAsync()).Run(context.Background())
+	res, err := waitornot.New(asyncOpts(), waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAsyncTimeToAccuracyGolden(t *testing.T) {
 // initial accuracy, never moves backwards in time, and
 // TimeToAccuracyMs agrees with it (including the -1 "never" case).
 func TestAsyncReportCoherence(t *testing.T) {
-	res, err := waitornot.New(asyncOpts(), waitornot.WithAsync()).Run(context.Background())
+	res, err := waitornot.New(asyncOpts(), waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestAsyncReportCoherence(t *testing.T) {
 // TestAsyncObserverDoesNotPerturb: attaching an observer changes no
 // result bit, matching the barriered kinds' contract.
 func TestAsyncObserverDoesNotPerturb(t *testing.T) {
-	bare, err := waitornot.New(asyncOpts(), waitornot.WithAsync()).Run(context.Background())
+	bare, err := waitornot.New(asyncOpts(), waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := waitornot.New(asyncOpts(), waitornot.WithAsync(),
+	observed, err := waitornot.New(asyncOpts(), waitornot.WithKind(waitornot.KindAsync),
 		waitornot.WithObserver(&collector{})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

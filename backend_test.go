@@ -19,10 +19,10 @@ import (
 // (the same baseline as the determinism suite — see internal/testutil).
 func backendOpts() waitornot.Options { return testutil.TinyOptions() }
 
-// TestPowBackendMatchesLegacyDefault pins that the legacy facade (no
-// backend named) and WithBackend("pow") produce byte-identical
-// RunDecentralized reports at Parallelism 1 and at NumCPU — i.e. the
-// default resolves to pow and the Experiment path adds nothing. Both
+// TestPowBackendMatchesLegacyDefault pins that a run with no backend
+// named and WithBackend("pow") produce byte-identical decentralized
+// reports at Parallelism 1 and at NumCPU — i.e. the default resolves
+// to pow. Both
 // sides intentionally run the in-tree code: equality against the
 // actual pre-ledger runner cannot be pinned portably (report bytes
 // embed trained float32 weights, which vary across architectures), so
@@ -32,10 +32,7 @@ func TestPowBackendMatchesLegacyDefault(t *testing.T) {
 	for _, parallelism := range []int{1, 0} {
 		opts := backendOpts()
 		opts.Parallelism = parallelism
-		legacy, err := waitornot.RunDecentralized(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		legacy := testutil.Run(t, opts).Decentralized
 		res, err := waitornot.New(opts, waitornot.WithBackend("pow")).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -55,17 +52,15 @@ func TestPowBackendMatchesLegacyDefault(t *testing.T) {
 // clean-data submission at this scale.
 func TestBackendsPreserveFLSemantics(t *testing.T) {
 	opts := backendOpts()
-	base, err := waitornot.RunDecentralized(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := testutil.Run(t, opts).Decentralized
 	for _, backend := range []string{"poa", "instant", "pbft"} {
 		o := opts
 		o.Backend = backend
-		rep, err := waitornot.RunDecentralized(o)
+		res, err := waitornot.New(o).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
+		rep := res.Decentralized
 		if !reflect.DeepEqual(base.Rounds, rep.Rounds) {
 			t.Fatalf("%s: per-round decisions diverged from pow", backend)
 		}
@@ -100,10 +95,11 @@ func TestPBFTVerificationFiltersPoison(t *testing.T) {
 	for _, backend := range []string{"pow", "poa", "pbft"} {
 		o := opts
 		o.Backend = backend
-		rep, err := waitornot.RunDecentralized(o)
+		res, err := waitornot.New(o).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
+		rep := res.Decentralized
 		reports[backend] = rep
 	}
 
@@ -165,10 +161,11 @@ func TestCommitLatencyShapesWaits(t *testing.T) {
 		opts.SkipComboTables = true
 		opts.Backend = backend
 		opts.CommitLatency = true
-		rep, err := waitornot.RunDecentralized(opts)
+		res, err := waitornot.New(opts).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
+		rep := res.Decentralized
 		waits[backend] = rep.Rounds[0][0].WaitMs
 	}
 	if !(waits["pow"] > waits["poa"] && waits["poa"] > waits["instant"]) {
@@ -209,10 +206,7 @@ func TestRegisterBackendSpec(t *testing.T) {
 	opts.SkipComboTables = true
 	opts.Backend = "pow-glacial-test"
 	opts.CommitLatency = true
-	rep, err := waitornot.RunDecentralized(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testutil.Run(t, opts).Decentralized
 	if got := rep.Rounds[0][0].WaitMs; got != 4000 {
 		t.Fatalf("variant wait = %v ms, want quantized to its 4000 ms interval", got)
 	}

@@ -5,7 +5,7 @@
 // The benchmarks run scaled-down versions of each experiment (so the
 // suite finishes in minutes on one core) and report the headline
 // quantities as custom metrics; cmd/repro regenerates the full-scale
-// rows, and EXPERIMENTS.md records paper-vs-measured values.
+// rows.
 package waitornot_test
 
 import (
@@ -23,6 +23,7 @@ import (
 	"waitornot/internal/ledger"
 	"waitornot/internal/nn"
 	"waitornot/internal/tensor"
+	"waitornot/internal/testutil"
 	"waitornot/internal/xrand"
 )
 
@@ -57,10 +58,7 @@ func BenchmarkTableI_Figure3_VanillaEffNet(b *testing.B) {
 
 func benchVanilla(b *testing.B, m waitornot.Model) {
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunVanilla(benchOpts(m))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, benchOpts(m), waitornot.WithKind(waitornot.KindVanilla)).Vanilla
 		last := len(rep.Consider[0]) - 1
 		b.ReportMetric(rep.Consider[0][last], "final-acc-consider")
 		b.ReportMetric(rep.NotConsider[0][last], "final-acc-not-consider")
@@ -82,10 +80,7 @@ func BenchmarkTableIV_ChainFLClientC(b *testing.B) { benchChainTable(b, 2) }
 
 func benchChainTable(b *testing.B, peer int) {
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunDecentralized(benchOpts(waitornot.SimpleNN))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, benchOpts(waitornot.SimpleNN)).Decentralized
 		rounds := rep.ComboAccuracy[peer]
 		lastRow := rounds[len(rounds)-1]
 		// Row order: solo, pairs..., all. Report solo vs all.
@@ -103,10 +98,7 @@ func BenchmarkFigure4_ChainFLSeries(b *testing.B) {
 	opts := benchOpts(waitornot.EffNetB0Sim)
 	opts.Rounds = 2
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunDecentralized(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, opts).Decentralized
 		row := rep.ComboAccuracy[0][len(rep.ComboAccuracy[0])-1]
 		b.ReportMetric(row[len(row)-1]-row[0], "acc-gap-all-vs-solo")
 		if i == 0 {
@@ -122,10 +114,7 @@ func BenchmarkWaitPolicy_SpeedVsPrecision(b *testing.B) {
 	opts := benchOpts(waitornot.SimpleNN)
 	opts.StragglerFactor = []float64{1, 1, 3}
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunTradeoff(opts, waitornot.DefaultPolicies(3))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Tradeoff
 		sync := rep.Outcomes[0]
 		async := rep.Outcomes[len(rep.Outcomes)-1]
 		b.ReportMetric(sync.MeanWaitMs/async.MeanWaitMs, "speedup-first1-vs-waitall")
@@ -261,10 +250,7 @@ func BenchmarkAblationSelectionSetSize(b *testing.B) {
 			opts := benchOpts(waitornot.SimpleNN)
 			opts.SelectionSize = size
 			for i := 0; i < b.N; i++ {
-				rep, err := waitornot.RunDecentralized(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
+				rep := testutil.Run(b, opts).Decentralized
 				last := rep.Rounds[0][len(rep.Rounds[0])-1]
 				b.ReportMetric(last.ChosenAccuracy, "final-acc")
 			}
@@ -282,10 +268,7 @@ func BenchmarkAblationFilterThreshold(b *testing.B) {
 			opts.PoisonFraction = 1
 			opts.FilterMaxBelowBest = margin
 			for i := 0; i < b.N; i++ {
-				rep, err := waitornot.RunDecentralized(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
+				rep := testutil.Run(b, opts).Decentralized
 				last := rep.Rounds[0][len(rep.Rounds[0])-1]
 				b.ReportMetric(last.ChosenAccuracy, "final-acc-healthy-peer")
 				b.ReportMetric(float64(len(last.Rejected)), "rejected")
@@ -636,9 +619,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 				opts.Backend = "instant"    // ...from consensus cost
 				benchParallelSpeedup(b, procs, func(parallelism int) {
 					opts.Parallelism = parallelism
-					if _, err := waitornot.RunDecentralized(opts); err != nil {
-						b.Fatal(err)
-					}
+					testutil.Run(b, opts)
 				})
 				b.ReportMetric(float64(peers), "peers")
 				b.ReportMetric(float64(procs), "procs")
@@ -664,10 +645,7 @@ func BenchmarkSubsampledFleet10k(b *testing.B) {
 	opts.SkipComboTables = true
 	opts.Backend = "instant"
 	for i := 0; i < b.N; i++ {
-		rep, err := waitornot.RunDecentralized(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, opts).Decentralized
 		b.ReportMetric(float64(len(rep.PeerNames)), "peers-materialized")
 		b.ReportMetric(float64(opts.Clients), "fleet-size")
 	}
@@ -680,9 +658,7 @@ func BenchmarkParallelTradeoffSweep(b *testing.B) {
 	opts.StragglerFactor = []float64{1, 1, 3}
 	benchParallelSpeedup(b, 3, func(parallelism int) {
 		opts.Parallelism = parallelism
-		if _, err := waitornot.RunTradeoff(opts, waitornot.DefaultPolicies(3)); err != nil {
-			b.Fatal(err)
-		}
+		testutil.Run(b, opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...))
 	})
 }
 
@@ -721,10 +697,7 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 	var syncVirtual, asyncVirtual float64
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		rep, err := waitornot.RunDecentralized(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, opts).Decentralized
 		syncWall += time.Since(start)
 		// The barriered run's virtual cost: every round lasts until its
 		// slowest peer fires.
@@ -741,7 +714,7 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 		syncVirtual += cum
 
 		start = time.Now()
-		res, err := waitornot.New(opts, waitornot.WithAsync()).Run(context.Background())
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -774,18 +747,13 @@ func BenchmarkShardedVsFlat(b *testing.B) {
 	var horizon, finalAcc float64
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := waitornot.RunDecentralized(opts); err != nil {
-			b.Fatal(err)
-		}
+		testutil.Run(b, opts)
 		flatWall += time.Since(start)
 
 		sharded := opts
 		sharded.Shards = 4
 		start = time.Now()
-		rep, err := waitornot.RunSharded(sharded)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := testutil.Run(b, sharded, waitornot.WithKind(waitornot.KindSharded)).Sharded
 		shardWall += time.Since(start)
 		horizon += rep.HorizonMs
 		finalAcc += rep.FinalAccuracy
@@ -829,10 +797,7 @@ func BenchmarkShardScaling(b *testing.B) {
 				lo, hi := 1.0, 0.0
 				for _, seed := range seeds {
 					opts.Seed = seed
-					rep, err := waitornot.RunSharded(opts)
-					if err != nil {
-						b.Fatal(err)
-					}
+					rep := testutil.Run(b, opts, waitornot.WithKind(waitornot.KindSharded)).Sharded
 					horizon += rep.HorizonMs / float64(len(seeds))
 					accMean += rep.FinalAccuracy / float64(len(seeds))
 					lo = min(lo, rep.FinalAccuracy)

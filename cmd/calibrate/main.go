@@ -2,8 +2,7 @@
 // SynthCIFAR and prints the accuracy trajectory in 5-epoch "rounds",
 // mirroring the paper's 10-round x 5-epoch protocol. It exists to tune
 // the synthetic data distribution so the two models land in the paper's
-// accuracy bands (SimpleNN ~0.60, EfficientNet-B0 ~0.85); EXPERIMENTS.md
-// records the chosen operating point.
+// accuracy bands (SimpleNN ~0.60, EfficientNet-B0 ~0.85).
 package main
 
 import (

@@ -5,10 +5,10 @@
 //
 // By default it runs a small decentralized experiment in-process and
 // inspects the resulting chain; -load reads a chain file written with
-// -save (gob format, see internal/chain.WriteChain).
+// -save (the WCHN binary format, see internal/chain.WriteChain).
 //
-//	chaininspect -rounds 2 -save chain.gob
-//	chaininspect -load chain.gob
+//	chaininspect -rounds 2 -save chain.bin
+//	chaininspect -load chain.bin
 package main
 
 import (

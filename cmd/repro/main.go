@@ -1,30 +1,25 @@
-// Command repro regenerates every table and figure of the paper's
-// evaluation at full scale:
+// Command repro regenerates the paper's evaluation and every workload
+// built on it. A run is selected one way — by registered scenario:
 //
-//	repro -exp table1            Table I + Figure 3 (Vanilla FL)
-//	repro -exp tables234         Tables II-IV + Figure 4 (blockchain FL)
-//	repro -exp tradeoff          the wait-or-not speed/precision study
-//	repro -exp netperf           §II-A2 throughput premises
-//	repro -exp all               everything
+//	repro -scenarios                    list registered scenarios
+//	repro -scenario vanilla-baseline    Table I + Figure 3 (Vanilla FL)
+//	repro -scenario paper-repro         Tables II-IV + Figure 4 (blockchain FL)
+//	repro -scenario stragglers          the wait-or-not speed/precision study
+//	repro -scenario async-free-run      un-barriered async aggregation
+//	repro -scenario sharded-hierarchy   the sharded topology sweep
+//	repro -netperf                      §II-A2 throughput premises + round latency by policy
 //
-// Beyond the paper grids, the scenario registry makes any registered
-// workload a one-liner (no flag wiring):
+// and executes through Experiment.Run / RunSweep / RunCampaign,
+// streaming per-round progress. Flags the user sets explicitly
+// (-model, -rounds, -seed, -backend, -client-fraction, -parallel)
+// override the scenario's registered configuration.
 //
-//	repro -scenarios             list registered scenarios
-//	repro -scenario async-ladder run one, streaming per-round progress
-//
-// Sharded hierarchy: -shards S partitions the fleet into S shards,
-// each aggregating on its own ledger, with periodic cross-shard merges
-// (-merge-every N, -merge-mode sync|async). -clients resizes the fleet
-// (default 4 per shard). Scenario names: sharded-hierarchy (topology
-// sweep), adaptive-shards (per-shard policy controller).
-//
-// Replication: -seeds 1,2,3 (or -replications N) switches to sweep
-// mode — every wait-policy × backend cell is replayed once per seed
-// and the tables report mean ± 95% CI instead of single-seed point
-// estimates. Without -scenario the sweep covers the trade-off study;
-// with -scenario it replicates that scenario (scenarios may also
-// declare their own seed list, e.g. replicated-tradeoff).
+// Replication: a scenario that declares seeds (replicated-tradeoff,
+// sharded-hierarchy, campaign-grid), or any scenario run with
+// -seeds 1,2,3 / -replications N, is a sweep — every cell is replayed
+// once per seed and the tables report mean ± 95% CI instead of
+// single-seed point estimates. -target-acc adds time-to-that-accuracy
+// as a cell metric.
 //
 // Campaigns: -campaign-dir DIR makes a sweep durable — every completed
 // cell is fsync'd to DIR/results.jsonl as it lands, so a run killed at
@@ -34,12 +29,11 @@
 // partial mean ± CI table over the cells landed so far, even while
 // another process is still appending.
 //
-// Model selection: -model simple|effnet|both. Add -fast for a reduced
-// (smoke-test) scale, and -csv to emit machine-readable grids as well.
-// -parallel N bounds the engine's worker pools (0 = all cores, 1 =
-// sequential); every setting produces bit-identical tables. Runs
-// cancel cleanly on interrupt (Ctrl-C): the engine stops at the next
-// round boundary.
+// Add -fast for a reduced (smoke-test) scale, and -csv to emit
+// machine-readable grids as well. -parallel N bounds the engine's
+// worker pools (0 = all cores, 1 = sequential); every setting produces
+// bit-identical tables. Runs cancel cleanly on interrupt (Ctrl-C): the
+// engine stops at the next round boundary.
 package main
 
 import (
@@ -56,486 +50,222 @@ import (
 	"waitornot"
 )
 
+// config is the parsed command line. set records which flags the user
+// passed explicitly: only those override a scenario's registered
+// configuration.
+type config struct {
+	scenario, backend, model, campaignDir          string
+	list, listBackends, netperf, calibrate, status bool
+	fast, csv, quiet, resume                       bool
+	rounds, parallel, replications                 int
+	seed                                           uint64
+	seeds                                          []uint64
+	timeBudget, targetAcc, clientFrac              float64
+	set                                            map[string]bool
+}
+
 func main() {
-	var (
-		exp         = flag.String("exp", "all", "experiment: table1|tables234|tradeoff|netperf|all")
-		scenario    = flag.String("scenario", "", "run a registered scenario by name (see -scenarios)")
-		list        = flag.Bool("scenarios", false, "list registered scenarios and exit")
-		backend     = flag.String("backend", "", "consensus backend for the decentralized rounds (see -backends; default pow)")
-		listBackend = flag.Bool("backends", false, "list registered consensus backends and exit")
-		model       = flag.String("model", "both", "model: simple|effnet|both")
-		rounds      = flag.Int("rounds", 10, "communication rounds")
-		seed        = flag.Uint64("seed", 1, "experiment seed")
-		fast        = flag.Bool("fast", false, "reduced scale for smoke testing")
-		csv         = flag.Bool("csv", false, "also print CSV grids")
-		parallel    = flag.Int("parallel", 0, "worker pool size (0 = all cores, 1 = sequential); results are bit-identical at any setting")
-		noStream    = flag.Bool("quiet", false, "suppress the streamed progress events in -scenario and sweep modes")
-		seedsFlag   = flag.String("seeds", "", "comma-separated seed list: replicate per seed and report mean ± 95% CI (sweep mode)")
-		repsFlag    = flag.Int("replications", 0, "replicate over N consecutive seeds from -seed (sweep mode; ignored when -seeds is set)")
-		asyncFlag   = flag.Bool("async", false, "run the asynchronous free run: no round barrier, staleness-weighted merging, accuracy vs virtual time")
-		calibrate   = flag.Bool("calibrate-pbft", false, "run the PBFT latency calibration grid (analytic model vs event-level simulation) and exit")
-		timeBudget  = flag.Float64("time-budget-ms", 0, "virtual-time horizon for -async (0 = run until every peer finishes its rounds)")
-		targetAcc   = flag.Float64("target-acc", 0, "with -seeds/-replications, also sweep time-to-this-accuracy per cell")
-		shards      = flag.Int("shards", 0, "run the sharded multi-aggregator hierarchy with this many shards (>= 2)")
-		clients     = flag.Int("clients", 0, "fleet size (0 = 3 clients, the paper's; for -shards, 0 = 4 clients per shard)")
-		clientFrac  = flag.Float64("client-fraction", 0, "train only this fraction of clients per round, in (0,1] (cross-device subsampling; 0 = every client every round)")
-		mergeEvery  = flag.Int("merge-every", 0, "cross-shard merge cadence in shard rounds for -shards (0 = every round)")
-		mergeMode   = flag.String("merge-mode", "sync", "cross-shard merge discipline for -shards: sync (barrier) or async (staleness-weighted, on arrival)")
-		campaignDir = flag.String("campaign-dir", "", "persist the sweep as a durable campaign in this directory (fsync'd JSONL per cell; resumable)")
-		resume      = flag.Bool("resume", false, "resume the campaign in -campaign-dir, recomputing only the cells missing from its log")
-		status      = flag.Bool("campaign-status", false, "print the campaign in -campaign-dir (progress + partial mean ± CI table) and exit")
-	)
+	var c config
+	flag.StringVar(&c.scenario, "scenario", "", "run a registered scenario by name (see -scenarios)")
+	flag.BoolVar(&c.list, "scenarios", false, "list registered scenarios and exit")
+	flag.BoolVar(&c.listBackends, "backends", false, "list registered consensus backends and exit")
+	flag.BoolVar(&c.netperf, "netperf", false, "print the network premises: throughput vs peers and block gas, round latency by wait policy")
+	flag.BoolVar(&c.calibrate, "calibrate-pbft", false, "run the PBFT latency calibration grid (analytic model vs event-level simulation) and exit")
+	flag.StringVar(&c.backend, "backend", "", "consensus backend override (see -backends)")
+	flag.StringVar(&c.model, "model", "", "model override: simple|effnet")
+	flag.IntVar(&c.rounds, "rounds", 10, "communication rounds override")
+	flag.Uint64Var(&c.seed, "seed", 1, "experiment seed")
+	flag.BoolVar(&c.fast, "fast", false, "reduced scale for smoke testing")
+	flag.BoolVar(&c.csv, "csv", false, "also print CSV grids")
+	flag.IntVar(&c.parallel, "parallel", 0, "worker pool size (0 = all cores, 1 = sequential); results are bit-identical at any setting")
+	flag.BoolVar(&c.quiet, "quiet", false, "suppress the streamed progress events")
+	seeds := flag.String("seeds", "", "comma-separated seed list: replicate per seed and report mean ± 95% CI (sweep mode)")
+	flag.IntVar(&c.replications, "replications", 0, "replicate over N consecutive seeds from -seed (sweep mode; ignored when -seeds is set)")
+	flag.Float64Var(&c.timeBudget, "time-budget-ms", 0, "virtual-time horizon for an async scenario (0 = run until every peer finishes its rounds)")
+	flag.Float64Var(&c.targetAcc, "target-acc", 0, "in sweep mode, also sweep time-to-this-accuracy per cell")
+	flag.Float64Var(&c.clientFrac, "client-fraction", 0, "train only this fraction of clients per round, in (0,1] (cross-device subsampling)")
+	flag.StringVar(&c.campaignDir, "campaign-dir", "", "persist the sweep as a durable campaign in this directory (fsync'd JSONL per cell; resumable)")
+	flag.BoolVar(&c.resume, "resume", false, "resume the campaign in -campaign-dir, recomputing only the cells missing from its log")
+	flag.BoolVar(&c.status, "campaign-status", false, "print the campaign in -campaign-dir (progress + partial mean ± CI table) and exit")
 	flag.Parse()
 
-	sweepSeeds, err := parseSeeds(*seedsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repro: bad -seeds: %v\n", err)
-		os.Exit(2)
+	c.set = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+	var err error
+	if c.seeds, err = parseSeeds(*seeds); err == nil {
+		err = c.validate()
 	}
-
-	// Validate flag combinations up front: one actionable line instead
-	// of a deep-stack error from whatever layer trips first.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	sweeping := len(sweepSeeds) > 0 || *repsFlag > 0
-	switch {
-	case set["exp"] && *scenario != "":
-		fatalUsage("-exp and -scenario are different run selectors; pick one")
-	case set["exp"] && *asyncFlag:
-		fatalUsage("-async replaces the -exp grids (it is its own experiment); drop -exp, or use -scenario async-free-run")
-	case set["exp"] && sweeping:
-		fatalUsage("-seeds/-replications replicate the trade-off study and cannot be combined with -exp (use -scenario to sweep another workload)")
-	case *asyncFlag && *scenario != "":
-		fatalUsage("-async and -scenario both select what runs; drop -async (async scenarios: async-free-run, hetero-compute)")
-	case set["time-budget-ms"] && !*asyncFlag && *scenario == "":
-		fatalUsage("-time-budget-ms only applies to -async (or an async -scenario)")
-	case *timeBudget < 0:
-		fatalUsage("-time-budget-ms must be >= 0")
-	case set["target-acc"] && !sweeping && *scenario == "":
-		// Scenarios may declare their own seed list; runScenario
-		// re-checks once that is known.
-		fatalUsage("-target-acc is a sweep metric; add -seeds or -replications")
-	case *targetAcc < 0 || *targetAcc > 1:
-		fatalUsage("-target-acc must be an accuracy in [0, 1]")
-	case set["exp"] && *shards > 0:
-		fatalUsage("-shards is its own experiment (the sharded hierarchy); drop -exp")
-	case *shards > 0 && *asyncFlag:
-		fatalUsage("-shards and -async both select what runs; for async cross-shard merging use -shards with -merge-mode async")
-	case *shards > 0 && *scenario != "":
-		fatalUsage("-shards and -scenario both select what runs; pick one (sharded scenarios: sharded-hierarchy, adaptive-shards)")
-	case *shards > 0 && sweeping:
-		fatalUsage("-shards does not combine with -seeds/-replications; use -scenario sharded-hierarchy for a replicated topology sweep")
-	case *shards == 1 || *shards < 0:
-		fatalUsage("-shards needs at least 2 shards (1 shard is the flat run; use -exp tables234)")
-	case (set["merge-every"] || set["merge-mode"]) && *shards == 0:
-		fatalUsage("-merge-every/-merge-mode only apply to the sharded hierarchy; add -shards")
-	case *mergeEvery < 0:
-		fatalUsage("-merge-every must be >= 0")
-	case *mergeMode != "sync" && *mergeMode != "async":
-		fatalUsage(fmt.Sprintf("unknown -merge-mode %q (want sync or async)", *mergeMode))
-	case set["clients"] && *shards == 0 && !set["client-fraction"]:
-		fatalUsage("-clients sizes the sharded fleet; add -shards, or -client-fraction for a subsampled flat fleet (the paper grids are fixed at 3 clients)")
-	case set["client-fraction"] && (*clientFrac <= 0 || *clientFrac > 1):
-		fatalUsage(fmt.Sprintf("-client-fraction %g outside (0, 1]", *clientFrac))
-	case set["client-fraction"] && *exp == "table1":
-		fatalUsage("-client-fraction subsamples the decentralized fleet; -exp table1 is the centralized run")
-	case set["clients"] && *clients < 2**shards:
-		fatalUsage(fmt.Sprintf("-clients %d leaves a shard with fewer than 2 clients across %d shards", *clients, *shards))
-	case *shards > 0 && *clients > 0 && *shards > *clients:
-		fatalUsage(fmt.Sprintf("-shards %d exceeds the %d-client fleet", *shards, *clients))
-	case *resume && *campaignDir == "":
-		fatalUsage("-resume continues a campaign; say which one with -campaign-dir")
-	case *status && *campaignDir == "":
-		fatalUsage("-campaign-status inspects a campaign; say which one with -campaign-dir")
-	case *status && *resume:
-		fatalUsage("-campaign-status only inspects; drop -resume (or drop -campaign-status to continue the run)")
-	case *status && (sweeping || *scenario != "" || set["exp"]):
-		fatalUsage("-campaign-status reads everything from the campaign directory; drop the run-selection flags")
-	case *campaignDir != "" && set["exp"]:
-		fatalUsage("a campaign persists a replication sweep; -exp grids are single runs (use -seeds/-replications, or a seeded -scenario)")
-	case *campaignDir != "" && *shards > 0:
-		fatalUsage("-shards is a single run; campaigns persist replication sweeps (use -scenario sharded-hierarchy with -campaign-dir)")
-	case *campaignDir != "" && !*status && !sweeping && *scenario == "":
-		fatalUsage("a campaign persists a replication sweep; add -seeds or -replications (or a -scenario that declares seeds)")
-	case *campaignDir != "" && !*status && *scenario == "" && *model == "both":
-		fatalUsage("a campaign directory holds one grid; pick -model simple or -model effnet")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repro:", err)
+		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *list {
+	switch {
+	case c.list:
 		fmt.Println("registered scenarios:")
 		for _, s := range waitornot.Scenarios() {
-			fmt.Printf("  %-18s %-14s %s\n", s.Name, "("+s.Kind.String()+")", s.Description)
+			fmt.Printf("  %-19s %-15s %s\n", s.Name, "("+s.Kind.String()+")", s.Description)
 		}
-		return
-	}
-	if *listBackend {
+	case c.listBackends:
 		fmt.Println("registered consensus backends:")
 		for _, b := range waitornot.Backends() {
 			fmt.Printf("  %-10s %s\n", b.Name, b.Description)
 		}
-		return
-	}
-	if *status {
-		st, err := waitornot.LoadCampaign(*campaignDir)
+	case c.status:
+		st, err := waitornot.LoadCampaign(c.campaignDir)
 		if err != nil {
 			fatal(err)
 		}
 		printCampaignStatus(st)
-		return
-	}
-	if *calibrate {
-		rep, err := waitornot.CalibratePBFT(waitornot.PBFTCalibrationConfig{
-			Seed:        *seed,
-			Parallelism: *parallel,
-		})
+	case c.calibrate:
+		rep, err := waitornot.CalibratePBFT(waitornot.PBFTCalibrationConfig{Seed: c.seed, Parallelism: c.parallel})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: calibration: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("calibration: %w", err))
 		}
 		fmt.Println(rep.Table())
 		fmt.Printf("worst cell: %.2f%% relative error (tolerance %.0f%%)\n", rep.MaxRelErr()*100, rep.Tolerance*100)
-		return
-	}
-	if *scenario != "" {
-		runScenario(ctx, *scenario, *model, *backend, *seed, *rounds, *parallel, *clientFrac, *fast, !*noStream, *csv,
-			sweepSeeds, *repsFlag, set["time-budget-ms"], *timeBudget, *targetAcc, *campaignDir, *resume)
-		return
-	}
-
-	models := map[string][]waitornot.Model{
-		"simple": {waitornot.SimpleNN},
-		"effnet": {waitornot.EffNetB0Sim},
-		"both":   {waitornot.SimpleNN, waitornot.EffNetB0Sim},
-	}[*model]
-	if models == nil {
-		fmt.Fprintf(os.Stderr, "unknown -model %q\n", *model)
-		os.Exit(2)
-	}
-
-	opts := waitornot.Options{
-		Clients:     3,
-		Rounds:      *rounds,
-		Seed:        *seed,
-		Parallelism: *parallel,
-		Backend:     *backend,
-	}
-	if *clients > 0 {
-		opts.Clients = *clients
-	}
-	if *clientFrac != 0 {
-		// Cross-device subsampling: only K = round(fraction*Clients)
-		// clients train per round, and the per-round combination tables
-		// (a cross-silo artifact) are skipped.
-		opts.ClientFraction = *clientFrac
-		opts.SkipComboTables = true
-	}
-	if *fast {
-		opts.TrainPerClient = 200
-		opts.SelectionSize = 80
-		opts.TestPerClient = 100
-	}
-
-	run := func(name string, fn func()) {
-		start := time.Now()
-		fmt.Printf("==> %s\n", name)
-		fn()
-		fmt.Printf("<== %s (%v)\n\n", name, time.Since(start).Round(time.Second))
-	}
-
-	// Every experiment goes through the Experiment API with the
-	// interrupt context, so Ctrl-C cancels a full-scale run at the
-	// next round boundary instead of being swallowed.
-	runExperiment := func(o waitornot.Options, m waitornot.Model, extra ...waitornot.Option) *waitornot.Results {
-		o.Model = m
-		res, err := waitornot.New(o, extra...).Run(ctx)
-		if err != nil {
-			exitIfCancelled(err)
-			fatal(err)
-		}
-		return res
-	}
-
-	// Sweep mode: -seeds / -replications replicate the trade-off study
-	// (the experiment whose numbers need error bars) per seed and
-	// report mean ± 95% CI per cell, streaming one SweepProgress line
-	// per completed replication. With -async the same ladder runs
-	// un-barriered (the async ladder); -target-acc adds the
-	// time-to-target-accuracy cell metric either way.
-	if sweeping {
-		kind := waitornot.KindTradeoff
-		label := "Replicated wait-or-not trade-off"
-		if *asyncFlag {
-			kind = waitornot.KindAsync
-			label = "Replicated asynchronous ladder"
-		}
-		run(label, func() {
-			for _, m := range models {
-				o := opts
-				o.Model = m
-				o.StragglerFactor = []float64{1, 1, 3}
-				if *asyncFlag {
-					o.CommitLatency = true
-					o.TimeBudgetMs = *timeBudget
-				}
-				expOpts := []waitornot.Option{
-					waitornot.WithKind(kind),
-					waitornot.WithPolicies(waitornot.DefaultPolicies(3)...),
-					waitornot.WithSeeds(sweepSeeds...),
-					waitornot.WithReplications(*repsFlag),
-					waitornot.WithTargetAccuracy(*targetAcc),
-				}
-				if !*noStream {
-					expOpts = append(expOpts, waitornot.WithObserverFunc(printEvent))
-				}
-				printSweep(ctx, waitornot.New(o, expOpts...), *csv, *campaignDir, *resume)
-			}
-		})
-		return
-	}
-
-	// -shards: the sharded multi-aggregator hierarchy — contiguous
-	// shards aggregating independently on their own ledgers, folded by
-	// periodic cross-shard merges on the shared virtual clock.
-	if *shards > 0 {
-		run("Sharded multi-aggregator hierarchy", func() {
-			for _, m := range models {
-				o := opts
-				o.Clients = *clients
-				if o.Clients == 0 {
-					o.Clients = 4 * *shards
-				}
-				o.MergeCadence = *mergeEvery
-				if *mergeMode == "async" {
-					o.MergeMode = waitornot.MergeAsync
-				}
-				o.CommitLatency = true
-				o.SkipComboTables = true
-				res := runExperiment(o, m, waitornot.WithShards(*shards))
-				printResults(res, m.String())
-				if *csv {
-					fmt.Println(res.Sharded.CSV())
-				}
-			}
-		})
-		return
-	}
-
-	// -async: the un-barriered free run — each peer aggregates the
-	// moment its policy fires on the shared virtual clock, and the
-	// report is accuracy vs virtual time.
-	if *asyncFlag {
-		run("Asynchronous free run", func() {
-			for _, m := range models {
-				o := opts
-				o.StragglerFactor = []float64{1, 1, 3}
-				o.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
-				o.CommitLatency = true
-				o.TimeBudgetMs = *timeBudget
-				res := runExperiment(o, m, waitornot.WithAsync())
-				printResults(res, m.String())
-				if *csv {
-					fmt.Println(res.Async.CSV())
-				}
-			}
-		})
-		return
-	}
-
-	doTable1 := func() {
-		for _, m := range models {
-			res := runExperiment(opts, m, waitornot.WithKind(waitornot.KindVanilla))
-			printResults(res, m.String())
-			if *csv {
-				fmt.Println(res.Vanilla.CSV())
-			}
-		}
-	}
-
-	doTables234 := func() {
-		for _, m := range models {
-			res := runExperiment(opts, m, waitornot.WithKind(waitornot.KindDecentralized))
-			printResults(res, m.String())
-		}
-	}
-
-	doTradeoff := func() {
-		for _, m := range models {
-			o := opts
-			// A 3x straggler makes the waiting question non-trivial, as
-			// in any real deployment with heterogeneous peers.
-			o.StragglerFactor = []float64{1, 1, 3}
-			res := runExperiment(o, m,
-				waitornot.WithKind(waitornot.KindTradeoff),
-				waitornot.WithPolicies(waitornot.DefaultPolicies(3)...))
-			printResults(res, m.String())
-			fmt.Println()
-		}
-		fmt.Println("virtual-clock round latency (8 peers, 3x straggler, 1000 rounds):")
-		policies := []waitornot.Policy{
-			{Kind: waitornot.WaitAll},
-			{Kind: waitornot.FirstK, K: 6},
-			{Kind: waitornot.FirstK, K: 4},
-			{Kind: waitornot.Timeout, TimeoutMs: 6000},
-		}
-		for _, st := range waitornot.RoundLatencyByPolicy(8, policies, *seed, *parallel) {
-			fmt.Printf("  %-16s mean wait %8.1f ms   mean models %5.2f   mean age %8.1f ms\n",
-				st.Policy, st.MeanWaitMs, st.MeanIncluded, st.MeanAgeMs)
-		}
-	}
-
-	doNetperf := func() {
-		fmt.Println("throughput vs co-located peers (shared-host model, §II-A2 / VFChain premise):")
-		for _, pt := range waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, *seed, *parallel) {
-			fmt.Printf("  %-10s %8.1f tx/s   mean commit latency %9.1f ms\n",
-				pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
-		}
-		fmt.Println("\nthroughput vs block gas limit (model-sized txs, refs [11,12]):")
-		// A SimpleNN submission is ~247 KB ≈ 4M calldata gas.
-		txGas := uint64(4_000_000)
-		limits := []uint64{4_000_000, 8_000_000, 16_000_000, 64_000_000, 256_000_000}
-		for _, pt := range waitornot.ThroughputVsBlockGas(limits, txGas, *seed, *parallel) {
-			fmt.Printf("  %-16s %8.1f tx/s   mean commit latency %9.1f ms\n",
-				pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
-		}
-	}
-
-	switch *exp {
-	case "table1", "fig3":
-		run("Table I / Figure 3 — Vanilla FL", doTable1)
-	case "tables234", "table2", "table3", "table4", "fig4":
-		run("Tables II-IV / Figure 4 — Blockchain-based FL", doTables234)
-	case "tradeoff":
-		run("Wait-or-not trade-off", doTradeoff)
-	case "netperf":
-		run("Network performance premises", doNetperf)
-	case "all":
-		run("Table I / Figure 3 — Vanilla FL", doTable1)
-		run("Tables II-IV / Figure 4 — Blockchain-based FL", doTables234)
-		run("Wait-or-not trade-off", doTradeoff)
-		run("Network performance premises", doNetperf)
+	case c.netperf:
+		printNetperf(c.seed, c.parallel)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -exp %q\n", *exp)
-		os.Exit(2)
+		runScenario(ctx, c)
 	}
 }
 
-// runScenario executes one registered scenario through the Experiment
+// validate checks the flag combination up front, so a bad command line
+// costs one actionable line (exit 2) instead of a deep-stack error from
+// whatever layer trips first.
+func (c config) validate() error {
+	selectors := 0
+	for _, on := range []bool{c.scenario != "", c.list, c.listBackends, c.netperf, c.calibrate, c.status} {
+		if on {
+			selectors++
+		}
+	}
+	switch {
+	case selectors != 1:
+		return errors.New("pick exactly one of -scenario NAME, -scenarios, -backends, -netperf, -calibrate-pbft, -campaign-status")
+	case (c.resume || c.status) && c.campaignDir == "":
+		return errors.New("-resume and -campaign-status act on a campaign; say which one with -campaign-dir")
+	case c.status && (c.resume || c.sweepFlags()):
+		return errors.New("-campaign-status only inspects, reading everything from the campaign directory; drop -resume/-seeds/-replications")
+	case c.scenario == "":
+		return nil
+	}
+
+	sc, ok := waitornot.LookupScenario(c.scenario)
+	sweepMode := c.sweepFlags() || len(sc.Seeds) > 0
+	switch {
+	case !ok:
+		return fmt.Errorf("unknown -scenario %q (registered: %s)", c.scenario, strings.Join(waitornot.ScenarioNames(), ", "))
+	case c.set["model"] && c.model != "simple" && c.model != "effnet":
+		return fmt.Errorf("unknown -model %q (want simple or effnet)", c.model)
+	case c.set["client-fraction"] && (c.clientFrac <= 0 || c.clientFrac > 1):
+		return fmt.Errorf("-client-fraction %g outside (0, 1]", c.clientFrac)
+	case c.set["time-budget-ms"] && (c.timeBudget < 0 || sc.Kind != waitornot.KindAsync):
+		return fmt.Errorf("-time-budget-ms wants a horizon >= 0 on an async scenario; got %g on %q (%s)", c.timeBudget, sc.Name, sc.Kind)
+	case c.sweepFlags() && sc.Kind == waitornot.KindVanilla:
+		return fmt.Errorf("scenario %q is the vanilla baseline: it has no wait/latency metrics to replicate; sweep a decentralized, trade-off, async, or sharded scenario", sc.Name)
+	case c.set["target-acc"] && (c.targetAcc < 0 || c.targetAcc > 1 || !sweepMode):
+		return fmt.Errorf("-target-acc is a sweep metric in [0, 1]; scenario %q needs -seeds or -replications for it", sc.Name)
+	case c.campaignDir != "" && !sweepMode:
+		return fmt.Errorf("a campaign persists a replication sweep; scenario %q declares no seeds — add -seeds or -replications", sc.Name)
+	case c.campaignDir != "" && c.resume != waitornot.CampaignExists(c.campaignDir):
+		// Starting over an existing campaign (or resuming a missing one)
+		// is almost certainly a typo in one of the two flags; insist the
+		// intent is spelled out before any work lands in the directory.
+		if c.resume {
+			return fmt.Errorf("%s holds no campaign to -resume; drop -resume to start one there", c.campaignDir)
+		}
+		return fmt.Errorf("%s already holds a campaign; add -resume to continue it, or point -campaign-dir at a fresh directory", c.campaignDir)
+	}
+	return nil
+}
+
+// sweepFlags reports whether the user asked for a replication sweep.
+func (c config) sweepFlags() bool { return len(c.seeds) > 0 || c.replications > 0 }
+
+// runScenario executes the registered scenario through the Experiment
 // API — streaming its typed progress events — and prints the report
 // matching the scenario's kind. A scenario that declares Seeds (or an
 // explicit -seeds/-replications flag) runs as a replication sweep.
-func runScenario(ctx context.Context, name, model, backend string, seed uint64, rounds, parallel int, clientFrac float64, fast, stream, csv bool, sweepSeeds []uint64, reps int, budgetSet bool, budget, targetAcc float64, campaignDir string, resume bool) {
-	sc, ok := waitornot.LookupScenario(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -scenario %q; registered:\n", name)
-		for _, s := range waitornot.Scenarios() {
-			fmt.Fprintf(os.Stderr, "  %-18s %s\n", s.Name, s.Description)
-		}
-		os.Exit(2)
+func runScenario(ctx context.Context, c config) {
+	sc, _ := waitornot.LookupScenario(c.scenario)
+	model := sc.Options.Model
+	if model == 0 {
+		model = waitornot.SimpleNN
 	}
-	if budgetSet && sc.Kind != waitornot.KindAsync {
-		fatalUsage(fmt.Sprintf("-time-budget-ms needs an async scenario; %q is %s", sc.Name, sc.Kind))
-	}
-	if (len(sweepSeeds) > 0 || reps > 0) && sc.Kind == waitornot.KindVanilla {
-		fatalUsage(fmt.Sprintf("scenario %q is the vanilla baseline: it has no wait/latency metrics to replicate; sweep a decentralized, trade-off, or async scenario", sc.Name))
-	}
-
-	modelLabel := sc.Options.Model
-	if modelLabel == 0 {
-		modelLabel = waitornot.SimpleNN
-	}
-	sweepMode := len(sc.Seeds) > 0
 	var overrides []waitornot.Option
 	// Flags the user set explicitly override the scenario's registered
 	// configuration; untouched flags leave it as registered.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seeds":
-			overrides = append(overrides, waitornot.WithSeeds(sweepSeeds...))
-			sweepMode = true
-		case "replications":
-			overrides = append(overrides, waitornot.WithSeeds(), waitornot.WithReplications(reps))
-			sweepMode = true
-		case "seed":
-			overrides = append(overrides, waitornot.WithSeed(seed))
-		case "rounds":
-			overrides = append(overrides, waitornot.WithRounds(rounds))
-		case "client-fraction":
-			overrides = append(overrides, waitornot.WithClientFraction(clientFrac))
-		case "parallel":
-			overrides = append(overrides, waitornot.WithParallelism(parallel))
-		case "backend":
-			// An explicit -backend wins over a scenario's backend
-			// ladder too: clear the ladder so the sweep runs on the
-			// requested substrate alone.
-			overrides = append(overrides, waitornot.WithBackend(backend), waitornot.WithBackends())
-		case "model":
-			switch model {
-			case "simple":
-				modelLabel = waitornot.SimpleNN
-			case "effnet":
-				modelLabel = waitornot.EffNetB0Sim
-			default:
-				fmt.Fprintln(os.Stderr, "-scenario runs one model; use -model simple or -model effnet")
-				os.Exit(2)
-			}
-			overrides = append(overrides, waitornot.WithModel(modelLabel))
-		}
-	})
-	if budgetSet {
-		overrides = append(overrides, waitornot.WithTimeBudget(budget))
+	if c.set["model"] {
+		model = map[string]waitornot.Model{"simple": waitornot.SimpleNN, "effnet": waitornot.EffNetB0Sim}[c.model]
+		overrides = append(overrides, waitornot.WithModel(model))
 	}
-	if targetAcc > 0 {
-		if !sweepMode {
-			fatalUsage(fmt.Sprintf("-target-acc is a sweep metric; scenario %q declares no seeds — add -seeds or -replications", sc.Name))
-		}
-		overrides = append(overrides, waitornot.WithTargetAccuracy(targetAcc))
+	if c.set["seed"] {
+		overrides = append(overrides, waitornot.WithSeed(c.seed))
 	}
-	if campaignDir != "" && !sweepMode {
-		fatalUsage(fmt.Sprintf("a campaign persists a replication sweep; scenario %q declares no seeds — add -seeds or -replications", sc.Name))
+	if c.set["rounds"] {
+		overrides = append(overrides, waitornot.WithRounds(c.rounds))
 	}
-	if fast {
+	if c.set["parallel"] {
+		overrides = append(overrides, waitornot.WithParallelism(c.parallel))
+	}
+	if c.set["client-fraction"] {
+		overrides = append(overrides, waitornot.WithClientFraction(c.clientFrac))
+	}
+	if c.set["backend"] {
+		// An explicit -backend wins over a scenario's backend ladder
+		// too: clear the ladder so the sweep runs on the requested
+		// substrate alone.
+		overrides = append(overrides, waitornot.WithBackend(c.backend), waitornot.WithBackends())
+	}
+	if c.replications > 0 {
+		overrides = append(overrides, waitornot.WithSeeds(), waitornot.WithReplications(c.replications))
+	}
+	if len(c.seeds) > 0 {
+		overrides = append(overrides, waitornot.WithSeeds(c.seeds...))
+	}
+	if c.set["time-budget-ms"] {
+		overrides = append(overrides, waitornot.WithTimeBudget(c.timeBudget))
+	}
+	if c.targetAcc > 0 {
+		overrides = append(overrides, waitornot.WithTargetAccuracy(c.targetAcc))
+	}
+	if c.fast {
 		overrides = append(overrides, waitornot.WithFastScale())
 	}
-	if stream {
+	if !c.quiet {
 		overrides = append(overrides, waitornot.WithObserverFunc(printEvent))
 	}
 
 	start := time.Now()
 	fmt.Printf("==> scenario %s — %s\n", sc.Name, sc.Description)
-	if sweepMode {
-		printSweep(ctx, sc.Experiment(overrides...), csv, campaignDir, resume)
+	if c.sweepFlags() || len(sc.Seeds) > 0 {
+		printSweep(ctx, sc.Experiment(overrides...), c.csv, c.campaignDir)
 	} else {
 		res, err := sc.Experiment(overrides...).Run(ctx)
 		if err != nil {
 			exitIfCancelled(err)
 			fatal(err)
 		}
-		printResults(res, modelLabel.String())
+		printResults(res, model.String(), c.csv)
 	}
 	fmt.Printf("<== scenario %s (%v)\n", sc.Name, time.Since(start).Round(time.Second))
 }
 
 // printSweep executes a replication sweep — as a durable campaign when
-// a directory is given — and prints the mean ± CI table (plus the cell
-// and raw-run CSVs when requested).
-func printSweep(ctx context.Context, exp *waitornot.Experiment, csv bool, campaignDir string, resume bool) {
+// a directory is given (created or resumed, whichever the directory
+// calls for) — and prints the mean ± CI table (plus the cell and
+// raw-run CSVs when requested).
+func printSweep(ctx context.Context, exp *waitornot.Experiment, csv bool, campaignDir string) {
 	var (
 		rep *waitornot.SweepReport
 		err error
 	)
 	if campaignDir != "" {
-		// Starting over an existing campaign (or resuming a missing one)
-		// is almost certainly a typo in one of the two flags; insist the
-		// intent is spelled out before any work lands in the directory.
-		switch exists := waitornot.CampaignExists(campaignDir); {
-		case exists && !resume:
-			fatalUsage(fmt.Sprintf("%s already holds a campaign; add -resume to continue it, or point -campaign-dir at a fresh directory", campaignDir))
-		case resume && !exists:
-			fatalUsage(fmt.Sprintf("%s holds no campaign to -resume; drop -resume to start one there", campaignDir))
-		}
 		rep, err = exp.RunCampaign(ctx, campaignDir)
 	} else {
 		rep, err = exp.RunSweep(ctx)
@@ -548,6 +278,36 @@ func printSweep(ctx context.Context, exp *waitornot.Experiment, csv bool, campai
 	if csv {
 		fmt.Println(rep.CSV())
 		fmt.Println(rep.RunsCSV())
+	}
+}
+
+// printNetperf prints the simulated network premises: the §II-A2
+// throughput sweeps and the virtual-clock round latency per wait
+// policy. No training runs.
+func printNetperf(seed uint64, parallel int) {
+	fmt.Println("throughput vs co-located peers (shared-host model, §II-A2 / VFChain premise):")
+	for _, pt := range waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed, parallel) {
+		fmt.Printf("  %-10s %8.1f tx/s   mean commit latency %9.1f ms\n",
+			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
+	}
+	fmt.Println("\nthroughput vs block gas limit (model-sized txs, refs [11,12]):")
+	// A SimpleNN submission is ~247 KB ≈ 4M calldata gas.
+	txGas := uint64(4_000_000)
+	limits := []uint64{4_000_000, 8_000_000, 16_000_000, 64_000_000, 256_000_000}
+	for _, pt := range waitornot.ThroughputVsBlockGas(limits, txGas, seed, parallel) {
+		fmt.Printf("  %-16s %8.1f tx/s   mean commit latency %9.1f ms\n",
+			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
+	}
+	fmt.Println("\nvirtual-clock round latency (8 peers, 3x straggler, 1000 rounds):")
+	policies := []waitornot.Policy{
+		{Kind: waitornot.WaitAll},
+		{Kind: waitornot.FirstK, K: 6},
+		{Kind: waitornot.FirstK, K: 4},
+		{Kind: waitornot.Timeout, TimeoutMs: 6000},
+	}
+	for _, st := range waitornot.RoundLatencyByPolicy(8, policies, seed, parallel) {
+		fmt.Printf("  %-16s mean wait %8.1f ms   mean models %5.2f   mean age %8.1f ms\n",
+			st.Policy, st.MeanWaitMs, st.MeanIncluded, st.MeanAgeMs)
 	}
 }
 
@@ -600,13 +360,18 @@ func exitIfCancelled(err error) {
 	}
 }
 
-// printResults renders whichever report the experiment kind produced.
-func printResults(res *waitornot.Results, model string) {
+// printResults renders whichever report the experiment kind produced,
+// followed by its CSV grid (for the kinds that have one) when csv is
+// set.
+func printResults(res *waitornot.Results, model string, csv bool) {
 	switch {
 	case res.Vanilla != nil:
 		fmt.Println(res.Vanilla.TableI(model))
 		fmt.Printf("consider-arm adopted combos per round: %v\n\n", res.Vanilla.ConsiderCombos)
 		fmt.Println(res.Vanilla.Figure3(model))
+		if csv {
+			fmt.Println(res.Vanilla.CSV())
+		}
 	case res.Decentralized != nil:
 		rep := res.Decentralized
 		if len(rep.ComboLabels) > 0 && len(rep.ComboLabels[0]) > 0 {
@@ -636,6 +401,9 @@ func printResults(res *waitornot.Results, model string) {
 		fmt.Printf("on-chain footprint: %d blocks, %d txs (%d submissions, %d decisions), %.2f MGas, %.2f MB\n\n",
 			rep.Chain.Blocks, rep.Chain.Txs, rep.Chain.Submissions, rep.Chain.Decisions,
 			float64(rep.Chain.GasUsed)/1e6, float64(rep.Chain.Bytes)/1e6)
+		if csv {
+			fmt.Println(rep.CSV())
+		}
 	case res.Sharded != nil:
 		rep := res.Sharded
 		fmt.Println(rep.Table())
@@ -648,6 +416,9 @@ func printResults(res *waitornot.Results, model string) {
 				float64(s.Chain.GasUsed)/1e6, float64(s.Chain.Bytes)/1e6)
 		}
 		fmt.Println()
+		if csv {
+			fmt.Println(rep.CSV())
+		}
 	}
 }
 
@@ -721,11 +492,4 @@ func printEvent(ev waitornot.Event) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "repro:", err)
 	os.Exit(1)
-}
-
-// fatalUsage rejects an invalid flag combination with one actionable
-// line and the conventional usage exit code.
-func fatalUsage(msg string) {
-	fmt.Fprintln(os.Stderr, "repro:", msg)
-	os.Exit(2)
 }

@@ -14,6 +14,67 @@ import (
 	"waitornot"
 )
 
+// TestValidate has one row per flag rule (both arms where a rule has
+// two), plus the accepted shapes around them.
+func TestValidate(t *testing.T) {
+	set := func(names ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
+		}
+		return m
+	}
+	held := t.TempDir()
+	exp := waitornot.New(tinyShardedOpts(), waitornot.WithKind(waitornot.KindTradeoff),
+		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}), waitornot.WithSeeds(7))
+	if _, err := exp.RunCampaign(context.Background(), held); err != nil {
+		t.Fatal(err)
+	}
+	fresh := t.TempDir() + "/fresh"
+
+	cases := []struct {
+		name    string
+		c       config
+		wantErr string // substring; "" = accepted
+	}{
+		{"no selector", config{}, "pick exactly one"},
+		{"two selectors", config{scenario: "paper-repro", netperf: true}, "pick exactly one"},
+		{"resume without dir", config{scenario: "replicated-tradeoff", resume: true}, "say which one with -campaign-dir"},
+		{"status without dir", config{status: true}, "say which one with -campaign-dir"},
+		{"status with resume", config{status: true, campaignDir: held, resume: true}, "only inspects"},
+		{"status with seeds", config{status: true, campaignDir: held, seeds: []uint64{1}}, "only inspects"},
+		{"unknown scenario", config{scenario: "no-such"}, `unknown -scenario "no-such"`},
+		{"bad model", config{scenario: "paper-repro", model: "both", set: set("model")}, `unknown -model "both"`},
+		{"client fraction out of range", config{scenario: "paper-repro", clientFrac: 1.5, set: set("client-fraction")}, "outside (0, 1]"},
+		{"negative time budget", config{scenario: "async-free-run", timeBudget: -1, set: set("time-budget-ms")}, "-time-budget-ms"},
+		{"time budget on a barriered scenario", config{scenario: "paper-repro", timeBudget: 500, set: set("time-budget-ms")}, "async scenario"},
+		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla baseline"},
+		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
+		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},
+		{"campaign without a sweep", config{scenario: "paper-repro", campaignDir: fresh}, "declares no seeds"},
+		{"existing campaign without resume", config{scenario: "replicated-tradeoff", campaignDir: held}, "add -resume"},
+		{"resume with no campaign", config{scenario: "replicated-tradeoff", campaignDir: fresh, resume: true}, "holds no campaign"},
+
+		{"list", config{list: true}, ""},
+		{"netperf", config{netperf: true}, ""},
+		{"status", config{status: true, campaignDir: held}, ""},
+		{"plain scenario", config{scenario: "paper-repro", model: "effnet", set: set("model")}, ""},
+		{"async with budget", config{scenario: "hetero-compute", timeBudget: 900, set: set("time-budget-ms")}, ""},
+		{"seeded scenario with target", config{scenario: "replicated-tradeoff", targetAcc: 0.5, set: set("target-acc")}, ""},
+		{"fresh campaign", config{scenario: "paper-repro", seeds: []uint64{1, 2}, campaignDir: fresh}, ""},
+		{"resumed campaign", config{scenario: "replicated-tradeoff", campaignDir: held, resume: true}, ""},
+	}
+	for _, tc := range cases {
+		err := tc.c.validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestParseSeeds(t *testing.T) {
 	if got, err := parseSeeds(""); err != nil || got != nil {
 		t.Fatalf("empty seeds = %v, %v", got, err)
@@ -82,8 +143,9 @@ func TestPrintShardedRun(t *testing.T) {
 			t.Fatalf("event stream missing %q:\n%s", want, stream)
 		}
 	}
-	out := captureStdout(t, func() { printResults(res, "simple") })
-	for _, want := range []string{"Sharded hierarchy", "Cross-shard merges", "sharded hierarchy: 2 shards", "shard 0 ledger", "shard 1 ledger"} {
+	out := captureStdout(t, func() { printResults(res, "simple", true) })
+	for _, want := range []string{"Sharded hierarchy", "Cross-shard merges", "sharded hierarchy: 2 shards", "shard 0 ledger", "shard 1 ledger",
+		strings.SplitN(res.Sharded.CSV(), "\n", 2)[0]} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sharded report output missing %q:\n%s", want, out)
 		}
@@ -109,7 +171,7 @@ func TestPrintDecentralizedRun(t *testing.T) {
 			t.Fatalf("event stream missing %q:\n%s", want, stream)
 		}
 	}
-	out := captureStdout(t, func() { printResults(res, "simple") })
+	out := captureStdout(t, func() { printResults(res, "simple", true) })
 	if !strings.Contains(out, "on-chain footprint") {
 		t.Fatalf("decentralized report output missing chain footprint:\n%s", out)
 	}
@@ -129,7 +191,7 @@ func TestPrintCampaign(t *testing.T) {
 		waitornot.WithSeeds(7, 8),
 		waitornot.WithObserverFunc(printEvent))
 	dir := t.TempDir() + "/campaign"
-	stream := captureStdout(t, func() { printSweep(context.Background(), exp, false, dir, false) })
+	stream := captureStdout(t, func() { printSweep(context.Background(), exp, false, dir) })
 	for _, want := range []string{"campaign", "landed", "mean ± 95% CI"} {
 		if !strings.Contains(stream, want) {
 			t.Fatalf("campaign output missing %q:\n%s", want, stream)
@@ -149,7 +211,7 @@ func TestPrintCampaign(t *testing.T) {
 
 	// -resume over the finished directory: pure restore, and the
 	// streamed lines say so.
-	stream = captureStdout(t, func() { printSweep(context.Background(), exp, true, dir, true) })
+	stream = captureStdout(t, func() { printSweep(context.Background(), exp, true, dir) })
 	for _, want := range []string{"restored", "4/4"} {
 		if !strings.Contains(stream, want) {
 			t.Fatalf("resume output missing %q:\n%s", want, stream)

@@ -31,16 +31,10 @@ func goldenEqual(t *testing.T, label string, a, b any) {
 func TestDecentralizedParallelMatchesSequential(t *testing.T) {
 	seqOpts := detOpts()
 	seqOpts.Parallelism = 1
-	seq, err := waitornot.RunDecentralized(seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := testutil.Run(t, seqOpts).Decentralized
 	parOpts := detOpts()
 	parOpts.Parallelism = 8
-	par, err := waitornot.RunDecentralized(parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := testutil.Run(t, parOpts).Decentralized
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel decentralized report differs from sequential")
 	}
@@ -84,16 +78,10 @@ func TestBFLResultParallelMatchesSequential(t *testing.T) {
 func TestVanillaParallelMatchesSequential(t *testing.T) {
 	seqOpts := detOpts()
 	seqOpts.Parallelism = 1
-	seq, err := waitornot.RunVanilla(seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := testutil.Run(t, seqOpts, waitornot.WithKind(waitornot.KindVanilla)).Vanilla
 	parOpts := detOpts()
 	parOpts.Parallelism = 8
-	par, err := waitornot.RunVanilla(parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := testutil.Run(t, parOpts, waitornot.WithKind(waitornot.KindVanilla)).Vanilla
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel vanilla report differs from sequential")
 	}
@@ -107,11 +95,7 @@ func TestTradeoffParallelMatchesSequential(t *testing.T) {
 		o := detOpts()
 		o.Parallelism = parallelism
 		o.StragglerFactor = []float64{1, 1, 4}
-		rep, err := waitornot.RunTradeoff(o, policies)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return testutil.Run(t, o, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(policies...)).Tradeoff
 	}
 	seq, par := run(1), run(8)
 	if !reflect.DeepEqual(seq, par) {

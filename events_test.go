@@ -82,10 +82,7 @@ func TestDecentralizedEventSequenceGolden(t *testing.T) {
 func TestObserverDoesNotPerturbResults(t *testing.T) {
 	opts := eventOpts()
 	opts.Parallelism = 8
-	bare, err := waitornot.RunDecentralized(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := testutil.Run(t, opts).Decentralized
 	observed, err := waitornot.New(opts, waitornot.WithObserver(&collector{})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

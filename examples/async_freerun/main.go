@@ -43,7 +43,7 @@ func main() {
 	}
 
 	res, err := waitornot.New(opts,
-		waitornot.WithAsync(),
+		waitornot.WithKind(waitornot.KindAsync),
 		waitornot.WithFastScale(),
 		waitornot.WithObserverFunc(func(ev waitornot.Event) {
 			switch e := ev.(type) {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,19 +31,20 @@ func main() {
 	}
 
 	fmt.Println("--- run 1: no filtering (poisoned C pollutes aggregations) ---")
-	unfiltered, err := waitornot.RunDecentralized(base)
+	unfiltered, err := waitornot.New(base).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	report(unfiltered)
+	report(unfiltered.Decentralized)
 
 	fmt.Println("\n--- run 2: selection-set filter on (threshold rejects abnormal models) ---")
 	filtered := base
 	filtered.FilterMaxBelowBest = 0.05
-	rep, err := waitornot.RunDecentralized(filtered)
+	res, err := waitornot.New(filtered).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := res.Decentralized
 	report(rep)
 
 	fmt.Println("\nEvery rejected update remains on chain as a signed transaction:")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,10 +25,11 @@ func main() {
 		TestPerClient:  300,
 		LearningRate:   0.01, // hotter than the full-scale calibration: tiny demo data
 	}
-	rep, err := waitornot.RunDecentralized(opts)
+	res, err := waitornot.New(opts).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := res.Decentralized
 
 	for p := range rep.PeerNames {
 		fmt.Println(rep.PeerTable(p, opts.Model.String()))

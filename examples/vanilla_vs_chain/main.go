@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,14 +27,16 @@ func main() {
 		LearningRate:   0.01, // hotter than the full-scale calibration: small demo data
 	}
 
-	vanilla, err := waitornot.RunVanilla(opts)
+	ctx := context.Background()
+	vres, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindVanilla)).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	chainRep, err := waitornot.RunDecentralized(opts)
+	cres, err := waitornot.New(opts).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
+	vanilla, chainRep := vres.Vanilla, cres.Decentralized
 
 	fmt.Println(vanilla.TableI(opts.Model.String()))
 	fmt.Println()

@@ -55,8 +55,7 @@ func (k Kind) String() string {
 // Experiment is the composable run description behind the public API:
 // Options plus functional options select what to run, how to observe
 // it, and which wait policies to sweep; Run(ctx) is the single entry
-// point. The one-shot facades (RunVanilla, RunDecentralized,
-// RunTradeoff) are thin wrappers over it.
+// point.
 //
 //	exp := waitornot.New(waitornot.Options{Model: waitornot.SimpleNN},
 //	    waitornot.WithKind(waitornot.KindTradeoff),
@@ -98,15 +97,6 @@ func New(opts Options, os ...Option) *Experiment {
 // WithKind selects the experiment family.
 func WithKind(k Kind) Option {
 	return func(e *Experiment) { e.kind = k }
-}
-
-// WithAsync switches the experiment to the asynchronous mode
-// (KindAsync): no global round barrier — each peer trains, waits only
-// as long as Options.Policy says, staleness-weight-merges what has
-// arrived, and immediately opens its next round on the shared virtual
-// clock.
-func WithAsync() Option {
-	return WithKind(KindAsync)
 }
 
 // WithShards switches the experiment to the sharded hierarchy
@@ -284,8 +274,9 @@ func (e *Experiment) applyScenario(s Scenario) {
 	e.scenario = s.Name
 	e.kind = s.Kind
 	e.opts = s.Options
-	e.policies = make([]Policy, len(s.Policies))
-	copy(e.policies, s.Policies)
+	// A scenario without a ladder leaves policies nil, which the
+	// sweeps and the adaptive controller read as "the default ladder".
+	e.policies = append([]Policy(nil), s.Policies...)
 	e.backends = nil
 	if len(s.Backends) > 0 {
 		e.backends = make([]string, len(s.Backends))

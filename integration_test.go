@@ -2,7 +2,6 @@ package waitornot_test
 
 import (
 	"testing"
-	"time"
 
 	"waitornot"
 	"waitornot/internal/bfl"
@@ -10,78 +9,8 @@ import (
 	"waitornot/internal/contract"
 	"waitornot/internal/keys"
 	"waitornot/internal/nn"
-	"waitornot/internal/p2p"
+	"waitornot/internal/testutil"
 )
-
-// TestPartitionForksThenHeals drives the live stack through a network
-// partition: two groups mine divergent chains, the partition heals, and
-// total-difficulty fork choice converges everyone onto one head.
-func TestPartitionForksThenHeals(t *testing.T) {
-	cfg := chain.DefaultConfig()
-	cfg.GenesisDifficulty = 1 << 17
-	cfg.MinDifficulty = 1 << 13
-	cfg.TargetIntervalMs = 150
-
-	vm := contract.NewVM(cfg.Gas)
-	net := p2p.NewNetwork(p2p.Config{Seed: 3, BaseLatency: time.Millisecond})
-	defer net.Close()
-
-	names := []string{"A", "B", "C", "D"}
-	ks := make([]*keys.Key, len(names))
-	alloc := map[keys.Address]uint64{}
-	for i := range ks {
-		ks[i] = keys.GenerateDeterministic(uint64(700 + i))
-		alloc[ks[i].Address()] = 1 << 62
-	}
-	peers := make([]*bfl.LivePeer, len(names))
-	for i, name := range names {
-		p, err := bfl.NewLivePeer(name, ks[i], cfg, alloc, vm, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-	}
-
-	// Partition before starting: {A,B} vs {C,D}.
-	net.SetPartition(map[string]int{"A": 0, "B": 0, "C": 1, "D": 1})
-	for _, p := range peers {
-		p.Start(true)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-
-	// Let both sides mine independently.
-	time.Sleep(2 * time.Second)
-	headA := peers[0].Chain.Head().Hash()
-	headC := peers[2].Chain.Head().Hash()
-	if peers[0].Chain.Height() == 0 || peers[2].Chain.Height() == 0 {
-		t.Fatal("partitioned groups did not mine")
-	}
-	if headA == headC {
-		t.Log("groups coincidentally share a head at partition end (unlikely but legal)")
-	}
-
-	// Heal and give the network time to exchange branches. Mining keeps
-	// running, which is fine — fork choice must still converge.
-	net.Heal()
-	// Nudge exchange: peers only push blocks as they seal them, so
-	// convergence happens with the next few seals on each side.
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		heads := map[chain.Hash]bool{}
-		for _, p := range peers {
-			heads[p.Chain.Head().Hash()] = true
-		}
-		if len(heads) == 1 {
-			return // converged
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatal("network did not converge after partition healed")
-}
 
 // TestDecentralizedChainPersistsAndReplays runs a real experiment,
 // serializes its chain, and replays it on a fresh chain instance with
@@ -151,14 +80,8 @@ func TestVanillaAndDecentralizedSameBand(t *testing.T) {
 		SelectionSize:  100,
 		TestPerClient:  200,
 	}
-	v, err := waitornot.RunVanilla(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := waitornot.RunDecentralized(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := testutil.Run(t, opts, waitornot.WithKind(waitornot.KindVanilla)).Vanilla
+	d := testutil.Run(t, opts).Decentralized
 	last := opts.Rounds - 1
 	for ci := range v.ClientNames {
 		vAcc := v.NotConsider[ci][last]
@@ -168,64 +91,4 @@ func TestVanillaAndDecentralizedSameBand(t *testing.T) {
 				ci, vAcc, dAcc)
 		}
 	}
-}
-
-// TestGossipLossStillConverges runs live peers over a lossy, duplicating
-// network; block relay redundancy must still converge the chain.
-func TestGossipLossStillConverges(t *testing.T) {
-	cfg := chain.DefaultConfig()
-	cfg.GenesisDifficulty = 1 << 17
-	cfg.MinDifficulty = 1 << 13
-	cfg.TargetIntervalMs = 150
-
-	vm := contract.NewVM(cfg.Gas)
-	net := p2p.NewNetwork(p2p.Config{
-		Seed:          11,
-		BaseLatency:   2 * time.Millisecond,
-		Jitter:        3 * time.Millisecond,
-		DropRate:      0.2,
-		DuplicateRate: 0.2,
-	})
-	defer net.Close()
-
-	ks := []*keys.Key{keys.GenerateDeterministic(801), keys.GenerateDeterministic(802), keys.GenerateDeterministic(803)}
-	alloc := map[keys.Address]uint64{}
-	for _, k := range ks {
-		alloc[k.Address()] = 1 << 62
-	}
-	var peers []*bfl.LivePeer
-	for i, name := range []string{"A", "B", "C"} {
-		p, err := bfl.NewLivePeer(name, ks[i], cfg, alloc, vm, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-		p.Start(true)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		minH, maxH := uint64(1<<62), uint64(0)
-		for _, p := range peers {
-			h := p.Chain.Height()
-			if h < minH {
-				minH = h
-			}
-			if h > maxH {
-				maxH = h
-			}
-		}
-		// Converged enough: everyone within 2 blocks of the leader and
-		// the chain is clearly advancing.
-		if minH >= 3 && maxH-minH <= 2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatal("lossy network never converged")
 }

@@ -3,15 +3,11 @@ package bfl
 import (
 	"reflect"
 	"testing"
-	"time"
 
-	"waitornot/internal/chain"
-	"waitornot/internal/contract"
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
-	"waitornot/internal/keys"
+	"waitornot/internal/ledger"
 	"waitornot/internal/nn"
-	"waitornot/internal/p2p"
 )
 
 // tinyConfig is a fast 3-peer, 2-round experiment.
@@ -205,79 +201,6 @@ func TestRunDecentralizedPoisonFiltered(t *testing.T) {
 	}
 }
 
-// TestLivePeersConverge runs three free-running miners and checks the
-// network converges on one canonical chain carrying a registration.
-func TestLivePeersConverge(t *testing.T) {
-	cfg := chain.DefaultConfig()
-	// Difficulty high enough that blocks take ~100ms+: with near-zero
-	// difficulty three racing miners fork hundreds of times per second
-	// and side-branch replays dominate, which is realistic for a broken
-	// difficulty choice but useless as a convergence test.
-	cfg.GenesisDifficulty = 1 << 18
-	cfg.MinDifficulty = 1 << 14
-	cfg.TargetIntervalMs = 200
-
-	vm := contract.NewVM(cfg.Gas)
-	net := p2p.NewNetwork(p2p.Config{Seed: 5, BaseLatency: time.Millisecond})
-	defer net.Close()
-
-	names := []string{"A", "B", "C"}
-	ks := make([]*keys.Key, 3)
-	alloc := map[keys.Address]uint64{}
-	for i := range ks {
-		ks[i] = keys.GenerateDeterministic(uint64(500 + i))
-		alloc[ks[i].Address()] = 1 << 62
-	}
-	peers := make([]*LivePeer, 3)
-	for i, name := range names {
-		p, err := NewLivePeer(name, ks[i], cfg, alloc, vm, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-	}
-	for _, p := range peers {
-		p.Start(true)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-
-	// Peer A registers itself; the tx must land on every peer's chain.
-	tx, err := chain.NewTx(ks[0], peers[0].NextNonce(), contract.RegistryAddress, 0,
-		contract.RegisterCallData("A"), cfg.Gas, 1_000_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := peers[0].SubmitTx(tx); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		allSee := true
-		for _, p := range peers {
-			if contract.NameOf(p.Chain.StateCopy(), ks[0].Address()) != "A" {
-				allSee = false
-				break
-			}
-		}
-		if allSee {
-			// Convergence: peers share the registration; heights move.
-			for _, p := range peers {
-				if p.Chain.Height() == 0 {
-					t.Fatal("a peer never advanced")
-				}
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("live peers did not converge on the registration within 15s")
-}
-
 func TestApplyPolicySelfAlwaysIncluded(t *testing.T) {
 	mk := func(name string) *fl.Update {
 		return &fl.Update{Client: name, Round: 1, Weights: []float32{1}, NumSamples: 1}
@@ -313,5 +236,43 @@ func TestApplyPolicyFirstKOrder(t *testing.T) {
 	}
 	if waitMs != 50 {
 		t.Fatalf("waitMs = %v", waitMs)
+	}
+}
+
+// TestAllSubmissionsRejectedFallsBackToOwnModel forces a round in which
+// pbft model verification rejects every submission: the rigged scorer
+// rates round 1's three candidates and their committed FedAvg 0.9, then
+// everything after 0.1 — more than the verification margin below the
+// committed reference. The run must complete with each peer aggregating
+// its own update alone, and the K rejections counted.
+func TestAllSubmissionsRejectedFallsBackToOwnModel(t *testing.T) {
+	const name = "pbft-all-rejected-test"
+	pbft, _ := ledger.Lookup("pbft")
+	ledger.MustRegister(name, "pbft with a rigged verifier (test only)", func(cfg ledger.Config) (ledger.Backend, error) {
+		calls := 0
+		cfg.Verify = func([]float32) float64 {
+			calls++
+			if calls <= cfg.Peers+1 {
+				return 0.9
+			}
+			return 0.1
+		}
+		return pbft(cfg)
+	})
+	cfg := tinyConfig()
+	cfg.Backend = name
+	cfg.EvalAllCombos = false
+	res, err := RunDecentralized(cfg)
+	if err != nil {
+		t.Fatalf("all-rejected round aborted the run: %v", err)
+	}
+	if res.Chain.VerifyRejected != cfg.Peers {
+		t.Fatalf("VerifyRejected = %d, want %d (every round-2 submission)", res.Chain.VerifyRejected, cfg.Peers)
+	}
+	for p, rounds := range res.Rounds {
+		if rounds[0].Included != cfg.Peers || rounds[1].Included != 1 {
+			t.Fatalf("peer %d included %d then %d models, want %d then 1 (own model only)",
+				p, rounds[0].Included, rounds[1].Included, cfg.Peers)
+		}
 	}
 }

@@ -3,13 +3,11 @@
 // contract on a PoW chain, personalize their aggregation with the core
 // engine, and record their decisions on-chain.
 //
-// Two harnesses are provided. RunDecentralized is the deterministic
-// experiment runner that regenerates Tables II-IV and the wait-policy
-// trade-off study: every peer runs a real chain and the real contracts,
-// with block production sequenced so results are bit-reproducible.
-// LivePeer (peer.go) is the free-running variant — concurrent mining,
-// gossip, fork racing — used by the examples and the dual-task
-// interference benchmark.
+// Run is the deterministic barriered runner that regenerates Tables
+// II-IV and the wait-policy trade-off study; RunAsync (async.go) is the
+// event-driven free run on the same virtual clock. Both commit through
+// a ledger.Backend, with block production sequenced so results are
+// bit-reproducible.
 package bfl
 
 import (
@@ -882,14 +880,13 @@ func commitRound(be ledger.Backend, sink event.Sink, round, leader, wantTxs int,
 // weight bytes are fetched from committed-tx calldata and verified.
 // The committed-tx hash index is incremental per peer view (new txs
 // are hashed once, not once per round); the decide pool is safe here
-// because each worker only touches its own peer's index.
+// because each worker only touches its own peer's index. A round whose
+// every submission failed ledger verification reads as the empty set —
+// the caller then aggregates the peer's own local update alone.
 func (e *engine) readUpdates(peer, round int) ([]*fl.Update, error) {
 	be := e.be
 	st := be.StateView(peer)
 	subs := contract.SubmissionsAt(st, uint64(round))
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("no submissions on chain")
-	}
 	idx := &e.txIdx[peer]
 	if idx.byHash == nil {
 		idx.byHash = make(map[chain.Hash]*chain.Transaction)

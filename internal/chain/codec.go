@@ -3,7 +3,6 @@ package chain
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -32,13 +31,10 @@ import (
 //	  payload u32 len | bytes
 //	  sig     [64]byte
 //
-// Version 2 replaced the original gob encoding: it is deterministic
-// (identical chains encode to identical bytes, which gob's type-
-// definition interleaving does not guarantee across streams), roughly
-// 40% smaller for model-payload blocks, and decodes without reflection.
-// ReadChain still accepts version-1 gob streams — anything not starting
-// with the magic — so fixtures and chains saved by older builds load
-// unchanged.
+// The format is deterministic (identical chains encode to identical
+// bytes) and decodes without reflection. It is the only format
+// ReadChain accepts: a stream that does not open with the magic is
+// rejected as corrupt.
 const (
 	chainMagic   = "WCHN"
 	chainVersion = 2
@@ -96,22 +92,19 @@ func WriteChain(w io.Writer, blocks []*Block) error {
 	return nil
 }
 
-// ReadChain deserializes blocks written by WriteChain. Streams that do
-// not start with the version-2 magic fall back to the legacy gob
-// decoder, so chains persisted before the binary codec keep loading.
+// ReadChain deserializes blocks written by WriteChain. Anything else —
+// a stream without the magic, an unknown version, a truncated or
+// oversized field — is rejected with an ErrCorruptChain-wrapped error.
 func ReadChain(r io.Reader) ([]*Block, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(chainMagic) + 1)
-	if err != nil || string(head[:len(chainMagic)]) != chainMagic {
-		return readChainGob(br)
+	d := &chainDecoder{r: bufio.NewReader(r)}
+	var head [len(chainMagic) + 1]byte
+	d.full(head[:])
+	if d.err != nil || string(head[:len(chainMagic)]) != chainMagic {
+		return nil, fmt.Errorf("%w: missing %q magic", ErrCorruptChain, chainMagic)
 	}
 	if head[len(chainMagic)] != chainVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptChain, head[len(chainMagic)])
 	}
-	if _, err := br.Discard(len(chainMagic) + 1); err != nil {
-		return nil, fmt.Errorf("chain: decode: %w", err)
-	}
-	d := &chainDecoder{r: br}
 	count := d.u32()
 	if count > codecMaxLen {
 		return nil, fmt.Errorf("%w: block count %d", ErrCorruptChain, count)
@@ -170,17 +163,8 @@ func ReadChain(r io.Reader) ([]*Block, error) {
 	return blocks, nil
 }
 
-// readChainGob decodes the legacy (pre-version-2) gob encoding.
-func readChainGob(r io.Reader) ([]*Block, error) {
-	var blocks []*Block
-	if err := gob.NewDecoder(r).Decode(&blocks); err != nil {
-		return nil, fmt.Errorf("chain: decode: %w", err)
-	}
-	return blocks, nil
-}
-
-// chainDecoder reads the fixed-width primitives of the version-2
-// format, latching the first error so call sites stay linear.
+// chainDecoder reads the fixed-width primitives of the wire format,
+// latching the first error so call sites stay linear.
 type chainDecoder struct {
 	r   *bufio.Reader
 	err error

@@ -1,9 +1,8 @@
 // Fuzz targets for the chain's attacker-facing surfaces: the
-// versioned binary persistence codec (arbitrary bytes from disk,
-// including legacy gob streams) and the mempool (arbitrary transaction
-// submissions from peers). Run continuously
-// with `go test -fuzz`, or as the short smoke `make fuzz-smoke` that
-// `make ci` gates on.
+// versioned binary persistence codec (arbitrary bytes from disk) and
+// the mempool (arbitrary transaction submissions from peers). Run
+// continuously with `go test -fuzz`, or as the short smoke
+// `make fuzz-smoke` that `make ci` gates on.
 package chain
 
 import (

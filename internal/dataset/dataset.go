@@ -64,7 +64,7 @@ type Config struct {
 
 // DefaultConfig returns the distribution used by the paper-reproduction
 // experiments (calibrated so SimpleNN lands in the paper's ~0.6 band and
-// EffNetSim in the ~0.85 band; see EXPERIMENTS.md).
+// EffNetSim in the ~0.85 band).
 func DefaultConfig() Config {
 	return Config{
 		Classes:          nn.NumClass,

@@ -17,9 +17,9 @@ type Hyper struct {
 	LocalEpochs int
 }
 
-// DefaultHyper returns the calibrated hyperparameters for a paper model
-// (see EXPERIMENTS.md for the calibration record). Both models train
-// five local epochs per round, the paper's protocol.
+// DefaultHyper returns the calibrated hyperparameters for a paper
+// model. Both models train five local epochs per round, the paper's
+// protocol.
 func DefaultHyper(id nn.ModelID) Hyper {
 	switch id {
 	case nn.ModelSimpleNN:

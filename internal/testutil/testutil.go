@@ -10,6 +10,7 @@ package testutil
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -99,4 +100,15 @@ func GoldenFile(t testing.TB, path string, got []byte) {
 		t.Fatalf("golden %s: output diverged from the pinned bytes\ngot:\n%s\nwant:\n%s\n(run with -update to accept the new output)",
 			path, got, want)
 	}
+}
+
+// Run executes opts (plus functional options) through Experiment.Run —
+// the one public entry point — and fails the test on error.
+func Run(t testing.TB, opts waitornot.Options, extra ...waitornot.Option) *waitornot.Results {
+	t.Helper()
+	res, err := waitornot.New(opts, extra...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

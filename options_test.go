@@ -75,15 +75,15 @@ func TestOptionsValidateAccepts(t *testing.T) {
 	}
 }
 
-// TestRunRejectsInvalidPolicies proves the facade entry points reject
-// bad policies instead of handing them to the engine.
+// TestRunRejectsInvalidPolicies proves Experiment.Run rejects bad
+// policies instead of handing them to the engine.
 func TestRunRejectsInvalidPolicies(t *testing.T) {
 	opts := Options{Policy: Policy{Kind: FirstK, K: 0}}
-	if _, err := RunDecentralized(opts); err == nil {
-		t.Fatal("RunDecentralized accepted first-0")
+	if _, err := New(opts).Run(context.Background()); err == nil {
+		t.Fatal("decentralized run accepted first-0")
 	}
-	if _, err := RunTradeoff(Options{}, []Policy{{Kind: Timeout}}); err == nil {
-		t.Fatal("RunTradeoff accepted a timeout policy with no deadline")
+	if _, err := New(Options{}, WithKind(KindTradeoff), WithPolicies(Policy{Kind: Timeout})).Run(context.Background()); err == nil {
+		t.Fatal("trade-off run accepted a timeout policy with no deadline")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"waitornot/internal/keys"
 	"waitornot/internal/ledger"
 	"waitornot/internal/nn"
+	"waitornot/internal/testutil"
 )
 
 func TestRaceSmokeDecentralized(t *testing.T) {
@@ -54,10 +55,7 @@ func TestRaceSmokeTradeoff(t *testing.T) {
 		StragglerFactor: []float64{1, 1, 3},
 		Parallelism:     8,
 	}
-	rep, err := waitornot.RunTradeoff(opts, waitornot.DefaultPolicies(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testutil.Run(t, opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Tradeoff
 	if len(rep.Outcomes) != 3 {
 		t.Fatalf("outcomes = %+v", rep.Outcomes)
 	}
@@ -74,9 +72,7 @@ func TestRaceSmokeVanilla(t *testing.T) {
 		TestPerClient:  30,
 		Parallelism:    8,
 	}
-	if _, err := waitornot.RunVanilla(opts); err != nil {
-		t.Fatal(err)
-	}
+	testutil.Run(t, opts, waitornot.WithKind(waitornot.KindVanilla))
 }
 
 // TestRaceSmokeObserver pushes the event layer through the concurrent
@@ -177,9 +173,7 @@ func TestRaceSmokeConsensusLadder(t *testing.T) {
 		Backend:         "instant",
 		Parallelism:     8,
 	}
-	if _, err := waitornot.RunDecentralized(opts); err != nil {
-		t.Fatal(err)
-	}
+	testutil.Run(t, opts)
 
 	opts.Clients = 3
 	opts.StragglerFactor = []float64{1, 1, 3}
@@ -219,9 +213,7 @@ func TestRaceSmokePBFT(t *testing.T) {
 		Backend:         "pbft",
 		Parallelism:     8,
 	}
-	if _, err := waitornot.RunDecentralized(opts); err != nil {
-		t.Fatal(err)
-	}
+	testutil.Run(t, opts)
 
 	opts.Clients = 3
 	opts.StragglerFactor = []float64{1, 1, 3}
@@ -334,7 +326,7 @@ func TestRaceSmokeAsync(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := waitornot.New(opts, waitornot.WithAsync(),
+			res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync),
 				waitornot.WithObserverFunc(func(waitornot.Event) {})).Run(context.Background())
 			if err != nil {
 				t.Error(err)
@@ -409,10 +401,7 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 		Backend:        "instant",
 		Parallelism:    8,
 	}
-	rep, err := waitornot.RunDecentralized(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testutil.Run(t, opts).Decentralized
 	total := 0
 	for _, rounds := range rep.Rounds {
 		total += len(rounds)
@@ -423,7 +412,7 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 
 	opts.CommitLatency = true
 	opts.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
-	res, err := waitornot.New(opts, waitornot.WithAsync()).Run(context.Background())
+	res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,17 +24,6 @@ type VanillaReport struct {
 	ConsiderCombos []string
 }
 
-// RunVanilla executes the centralized (Vanilla FL) experiment. It is
-// a thin wrapper over the Experiment API; use New(...).Run(ctx) for
-// cancellation and the streaming event layer.
-func RunVanilla(opts Options) (*VanillaReport, error) {
-	res, err := New(opts, WithKind(KindVanilla)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Vanilla, nil
-}
-
 // runVanillaExperiment is the engine-facing vanilla runner behind
 // Experiment.Run.
 func runVanillaExperiment(ctx context.Context, opts Options, sink event.Sink) (*VanillaReport, error) {
@@ -113,7 +102,9 @@ type RoundInfo struct {
 	Rejected       []string
 }
 
-// ChainSummary is the on-chain footprint of a decentralized run.
+// ChainSummary is the on-chain footprint of a decentralized run. Its
+// fields mirror bfl.ChainStats one for one, so the engine's value
+// converts directly: ChainSummary(res.Chain).
 type ChainSummary struct {
 	Blocks      int
 	Txs         int
@@ -143,17 +134,6 @@ type DecentralizedReport struct {
 	Chain ChainSummary
 }
 
-// RunDecentralized executes the blockchain-based FL experiment. It is
-// a thin wrapper over the Experiment API; use New(...).Run(ctx) for
-// cancellation and the streaming event layer.
-func RunDecentralized(opts Options) (*DecentralizedReport, error) {
-	res, err := New(opts, WithKind(KindDecentralized)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Decentralized, nil
-}
-
 // runDecentralizedExperiment is the engine-facing decentralized
 // runner behind Experiment.Run.
 func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Sink) (*DecentralizedReport, error) {
@@ -167,15 +147,7 @@ func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Si
 		PeerNames:     res.PeerNames,
 		ComboLabels:   res.ComboLabels,
 		ComboAccuracy: res.ComboAccuracy,
-		Chain: ChainSummary{
-			Blocks:         res.Chain.Blocks,
-			Txs:            res.Chain.Txs,
-			GasUsed:        res.Chain.GasUsed,
-			Bytes:          res.Chain.Bytes,
-			Submissions:    res.Chain.Submissions,
-			Decisions:      res.Chain.Decisions,
-			VerifyRejected: res.Chain.VerifyRejected,
-		},
+		Chain:         ChainSummary(res.Chain),
 	}
 	rep.Rounds = make([][]RoundInfo, len(res.Rounds))
 	for p, rounds := range res.Rounds {
@@ -196,7 +168,7 @@ func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Si
 // Headline reduces the report to the trade-off study's three headline
 // metrics: the mean adopted-model final-round accuracy across peers,
 // and the mean per-round aggregation wait and included-model count
-// across peers and rounds. The per-policy outcomes of RunTradeoff and
+// across peers and rounds. The per-policy outcomes of KindTradeoff and
 // the per-replication samples of RunSweep are both this reduction.
 func (r *DecentralizedReport) Headline() (finalAccuracy, meanWaitMs, meanIncluded float64) {
 	var acc, wait, included float64

@@ -287,6 +287,32 @@ func init() {
 		Policies: DefaultPolicies(4),
 	})
 	MustRegisterScenario(Scenario{
+		Name: "sharded-async-merge",
+		Description: "sharded hierarchy with asynchronous cross-shard merging: 8 peers, 2 shards, " +
+			"staleness-weighted merge on arrival every 2 shard rounds",
+		Kind: KindSharded,
+		Options: Options{
+			Clients:         8,
+			Shards:          2,
+			MergeCadence:    2,
+			MergeMode:       MergeAsync,
+			CommitLatency:   true,
+			SkipComboTables: true,
+		},
+	})
+	MustRegisterScenario(Scenario{
+		Name: "cross-device-fleet",
+		Description: "cross-device subsampling: 10,000 registered clients, 32 sampled per round " +
+			"(fraction 0.0032), instant ledger",
+		Kind: KindDecentralized,
+		Options: Options{
+			Clients:         10000,
+			ClientFraction:  0.0032,
+			Backend:         "instant",
+			SkipComboTables: true,
+		},
+	})
+	MustRegisterScenario(Scenario{
 		Name:        "async-ladder",
 		Description: "full wait-policy ladder under a 3x straggler: wait-all, first-k, timeout, k-or-timeout",
 		Kind:        KindTradeoff,

@@ -21,6 +21,9 @@ func TestBuiltinScenarioLibrary(t *testing.T) {
 		"async-free-run":   KindAsync,
 		"hetero-compute":   KindAsync,
 
+		"sharded-async-merge": KindSharded,
+		"cross-device-fleet":  KindDecentralized,
+
 		"replicated-tradeoff": KindTradeoff, // declares Seeds (a sweep)
 		"campaign-grid":       KindTradeoff, // declares Seeds + Backends (a durable sweep)
 	}
@@ -139,5 +142,18 @@ func TestWithScenarioOverrides(t *testing.T) {
 	}
 	if len(e.policies) != 3 {
 		t.Fatalf("policy ladder lost: %+v", e.policies)
+	}
+}
+
+// TestLadderlessScenarioSweepsDefaultLadder: a scenario that declares
+// no Policies sweeps DefaultPolicies (the replicated async ladder), not
+// an empty grid.
+func TestLadderlessScenarioSweepsDefaultLadder(t *testing.T) {
+	plan, err := New(Options{}, WithScenario("async-free-run"), WithReplications(2)).sweepPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.variants) != len(DefaultPolicies(3)) {
+		t.Fatalf("swept %d policies, want the default ladder of %d", len(plan.variants), len(DefaultPolicies(3)))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"waitornot/internal/bfl"
 	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/metrics"
@@ -103,17 +102,6 @@ type ShardedReport struct {
 	HorizonMs float64
 }
 
-// RunSharded executes the sharded multi-aggregator hierarchy. It is a
-// thin wrapper over the Experiment API; use New(...).Run(ctx) for
-// cancellation and the streaming event layer.
-func RunSharded(opts Options) (*ShardedReport, error) {
-	res, err := New(opts, WithKind(KindSharded)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Sharded, nil
-}
-
 // sharded lowers the public options to the engine's hierarchy config.
 // The adaptive ladder comes from the experiment's policies (nil =
 // DefaultPolicies for the smallest shard).
@@ -173,7 +161,7 @@ func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, 
 			Policies:      s.Policies,
 			FinalAccuracy: s.FinalAccuracy,
 			CumWaitMs:     s.CumWaitMs,
-			Chain:         chainSummary(s.Flat.Chain),
+			Chain:         ChainSummary(s.Flat.Chain),
 		}
 		for _, ra := range s.Rounds {
 			sum.Rounds = append(sum.Rounds, ShardRoundInfo{
@@ -212,20 +200,6 @@ func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, 
 		})
 	}
 	return rep, nil
-}
-
-// chainSummary lifts the engine's chain footprint into the public
-// report shape.
-func chainSummary(c bfl.ChainStats) ChainSummary {
-	return ChainSummary{
-		Blocks:         c.Blocks,
-		Txs:            c.Txs,
-		GasUsed:        c.GasUsed,
-		Bytes:          c.Bytes,
-		Submissions:    c.Submissions,
-		Decisions:      c.Decisions,
-		VerifyRejected: c.VerifyRejected,
-	}
 }
 
 // Headline reduces the report to the trade-off study's three headline

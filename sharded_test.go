@@ -103,10 +103,7 @@ func TestShardedDeterminism(t *testing.T) {
 // TestShardedTablesGolden pins the rendered report — per-shard round
 // table, merge table, CSV, and summary line — byte-for-byte.
 func TestShardedTablesGolden(t *testing.T) {
-	rep, err := waitornot.RunSharded(shardedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testutil.Run(t, shardedOpts(), waitornot.WithKind(waitornot.KindSharded)).Sharded
 	out := rep.Table() + "\n" + rep.MergeTable() + "\n" + rep.CSV() + "\n" + rep.Summary() + "\n"
 	testutil.GoldenFile(t, "testdata/sharded_table.golden", []byte(out))
 }
@@ -114,10 +111,7 @@ func TestShardedTablesGolden(t *testing.T) {
 // TestShardedObserverDoesNotPerturb: attaching an observer changes no
 // result bit, matching the other kinds' contract.
 func TestShardedObserverDoesNotPerturb(t *testing.T) {
-	bare, err := waitornot.RunSharded(shardedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := testutil.Run(t, shardedOpts(), waitornot.WithKind(waitornot.KindSharded)).Sharded
 	observed, err := waitornot.New(shardedOpts(), waitornot.WithShards(2),
 		waitornot.WithObserver(&collector{})).Run(context.Background())
 	if err != nil {
@@ -140,10 +134,7 @@ func TestShardedSingleShardMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := waitornot.RunDecentralized(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := testutil.Run(t, opts).Decentralized
 	if len(res.Sharded.Shards) != 1 {
 		t.Fatalf("expected 1 shard, got %d", len(res.Sharded.Shards))
 	}
@@ -222,10 +213,7 @@ func TestAdaptiveShardsBeatsWorstFixed(t *testing.T) {
 	for i, p := range ladder {
 		opts := base
 		opts.Policy = p
-		rep, err := waitornot.RunSharded(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := testutil.Run(t, opts, waitornot.WithKind(waitornot.KindSharded)).Sharded
 		fixed[i] = rep
 		if rep.FinalAccuracy < target {
 			target = rep.FinalAccuracy

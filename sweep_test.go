@@ -331,7 +331,7 @@ func TestSweepAsyncLadder(t *testing.T) {
 		o := opts
 		o.Parallelism = parallelism
 		rep, err := waitornot.New(o,
-			waitornot.WithAsync(),
+			waitornot.WithKind(waitornot.KindAsync),
 			waitornot.WithPolicies(sweepPolicies()...),
 			waitornot.WithSeeds(1, 2),
 			waitornot.WithTargetAccuracy(0.05)).RunSweep(context.Background())

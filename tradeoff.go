@@ -36,29 +36,20 @@ type TradeoffReport struct {
 	Outcomes []PolicyOutcome
 }
 
-// RunTradeoff runs the decentralized experiment once per policy
-// (identical data, seeds, and initial weights) and summarizes the
-// speed-vs-precision frontier. The per-policy runs are fully
-// independent — same seed, different wait policy — so they execute
-// concurrently under Options.Parallelism with outcomes landing in
-// policy order. The worker budget is split across nesting levels:
-// with P policies running concurrently, each nested experiment gets
-// roughly Parallelism/P workers for its own training pool, keeping
-// total concurrency near the knob rather than multiplying by it.
-func RunTradeoff(opts Options, policies []Policy) (*TradeoffReport, error) {
-	res, err := New(opts, WithKind(KindTradeoff), WithPolicies(policies...)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res.Tradeoff, nil
-}
-
 // runTradeoffExperiment is the engine-facing trade-off runner behind
-// Experiment.Run. Per-arm runs execute concurrently with their
-// round-level events suppressed (they would interleave
-// nondeterministically); instead one PolicyDone per arm streams
-// out, restored to sweep order by an orderedEmitter, so observers see
-// a deterministic stream without losing streaming entirely.
+// Experiment.Run: the decentralized experiment once per policy
+// (identical data, seeds, and initial weights), summarized as the
+// speed-vs-precision frontier. The per-arm runs are fully independent
+// — same seed, different wait policy — so they execute concurrently
+// under Options.Parallelism with outcomes landing in policy order. The
+// worker budget is split across nesting levels: with P arms running
+// concurrently, each nested experiment gets roughly Parallelism/P
+// workers for its own training pool, keeping total concurrency near
+// the knob rather than multiplying by it. Round-level events of the
+// arms are suppressed (they would interleave nondeterministically);
+// instead one PolicyDone per arm streams out, restored to sweep order
+// by an orderedEmitter, so observers see a deterministic stream
+// without losing streaming entirely.
 //
 // The sweep is the cross product backends × policies: when backends is
 // empty the single Options.Backend runs (the classic policy sweep,
@@ -248,6 +239,10 @@ func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64, parallelis
 	return out
 }
 
+// RoundLatencyStats is one policy's row of RoundLatencyByPolicy: mean
+// wait, participation and update age over the simulated rounds.
+type RoundLatencyStats = simnet.RoundStats
+
 // RoundLatencyByPolicy simulates many aggregation rounds per policy on
 // the virtual clock (no training), reporting wait time, participation,
 // and update staleness ("age of block"). Each policy's simulation is
@@ -255,7 +250,7 @@ func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64, parallelis
 // simulated concurrently with stats landing in policy order. The
 // optional trailing argument bounds the worker pool (see
 // ThroughputVsPeers).
-func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64, parallelism ...int) []simnet.RoundStats {
+func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64, parallelism ...int) []RoundLatencyStats {
 	cfg := simnet.RoundConfig{
 		Peers:           peers,
 		MeanTrainMs:     5000,

@@ -5,19 +5,25 @@
 // shares models over a permissionless proof-of-work chain, and
 // personalizes its own aggregation — waiting for all models, or not.
 //
-// The package is the public facade over the internal engine. Three
-// entry points cover the paper's evaluation:
+// The package is the public facade over the internal engine, and it
+// has one entry point: New(opts, ...).Run(ctx) executes an Experiment
+// (RunSweep / RunCampaign replicate it over seeds). WithKind selects
+// what runs; three kinds cover the paper's evaluation:
 //
-//   - RunVanilla — the centralized baseline (Table I / Figure 3):
+//   - KindVanilla — the centralized baseline (Table I / Figure 3):
 //     one aggregator, "consider" vs "not consider" aggregation.
-//   - RunDecentralized — the blockchain deployment (Tables II-IV /
+//   - KindDecentralized — the blockchain deployment (Tables II-IV /
 //     Figure 4): every peer mines, submits models through the
 //     aggregation contract, and adopts its best-scoring combination.
-//   - RunTradeoff — the headline question: how much time does
+//   - KindTradeoff — the headline question: how much time does
 //     asynchronous aggregation save, at what accuracy cost, under a
 //     set of wait policies.
 //
-// Everything is deterministic given Options.Seed.
+// KindAsync and KindSharded extend the same deployment to an
+// un-barriered schedule and a sharded hierarchy. The scenario registry
+// (LookupScenario, cmd/repro -scenario) names ready-made
+// configurations of all five. Everything is deterministic given
+// Options.Seed.
 package waitornot
 
 import (
@@ -209,7 +215,7 @@ type Options struct {
 	LocalEpochs int
 	// Parallelism bounds the engine's worker pools: per-peer local
 	// training, the combination searches, and the per-policy runs of
-	// RunTradeoff. 0 means runtime.NumCPU(); 1 restores the exact
+	// KindTradeoff. 0 means runtime.NumCPU(); 1 restores the exact
 	// sequential schedule. Results are bit-identical at every setting
 	// — the engine pre-derives every RNG stream and writes results to
 	// index-addressed slots (see internal/par).
@@ -301,8 +307,8 @@ type Options struct {
 
 // Validate rejects options the engine cannot honour: unknown models,
 // negative counts, poison fractions outside [0,1], and wait policies
-// with impossible parameters. Experiment.Run (and so every facade
-// entry point) calls it; exported for callers that want to fail fast.
+// with impossible parameters. Experiment.Run calls it; exported for
+// callers that want to fail fast.
 func (o Options) Validate() error {
 	if o.Clients < 0 {
 		return fmt.Errorf("waitornot: negative client count %d", o.Clients)

@@ -1,6 +1,7 @@
 package waitornot
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,10 +20,11 @@ func tinyOpts(m Model) Options {
 }
 
 func TestRunVanillaFacade(t *testing.T) {
-	rep, err := RunVanilla(tinyOpts(SimpleNN))
+	res, err := New(tinyOpts(SimpleNN), WithKind(KindVanilla)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Vanilla
 	if len(rep.ClientNames) != 3 || len(rep.Consider) != 3 || len(rep.NotConsider) != 3 {
 		t.Fatalf("report shape wrong: %+v", rep)
 	}
@@ -43,10 +45,11 @@ func TestRunVanillaFacade(t *testing.T) {
 }
 
 func TestRunDecentralizedFacade(t *testing.T) {
-	rep, err := RunDecentralized(tinyOpts(SimpleNN))
+	res, err := New(tinyOpts(SimpleNN)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Decentralized
 	if len(rep.PeerNames) != 3 {
 		t.Fatalf("peers = %v", rep.PeerNames)
 	}
@@ -71,10 +74,11 @@ func TestRunDecentralizedFacade(t *testing.T) {
 func TestRunTradeoffFacade(t *testing.T) {
 	opts := tinyOpts(SimpleNN)
 	opts.StragglerFactor = []float64{1, 1, 6}
-	rep, err := RunTradeoff(opts, DefaultPolicies(3))
+	res, err := New(opts, WithKind(KindTradeoff), WithPolicies(DefaultPolicies(3)...)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Tradeoff
 	if len(rep.Outcomes) != 3 {
 		t.Fatalf("outcomes = %+v", rep.Outcomes)
 	}
@@ -203,10 +207,10 @@ func TestRoundLatencyByPolicyFrontier(t *testing.T) {
 
 func TestInvalidModelRejected(t *testing.T) {
 	opts := tinyOpts(Model(99))
-	if _, err := RunVanilla(opts); err == nil {
+	if _, err := New(opts, WithKind(KindVanilla)).Run(context.Background()); err == nil {
 		t.Fatal("invalid model accepted by vanilla")
 	}
-	if _, err := RunDecentralized(opts); err == nil {
+	if _, err := New(opts).Run(context.Background()); err == nil {
 		t.Fatal("invalid model accepted by decentralized")
 	}
 }
