@@ -5,17 +5,13 @@
 #                  over the one -scenario path + the race-detector
 #                  smoke over the parallel execution engine + the fuzz
 #                  smoke over the chain codec and mempool + the
-#                  campaign crash-recovery smoke (SIGKILL + resume) + a
-#                  bench-json smoke snapshot gated by bench-guard (the
-#                  hardware-aware parallel-speedup floor).
+#                  campaign crash-recovery smoke (SIGKILL + resume).
+#   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
+#                  the basis for every performance claim.
+#   make bench     the go test -bench probes, one iteration each.
 #   make size      the two tracked size numbers (ROADMAP aim 2).
 
 GO ?= go
-
-# bench-json writes a dated perf snapshot so the repo's performance
-# trajectory accumulates as machine-readable files (one per day;
-# override BENCH_JSON to pick the path).
-BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 
 # The coverage ratchet: cover fails if total statement coverage drops
 # below this. The gating value is recorded in .github/workflows/ci.yml
@@ -27,7 +23,7 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build vet test cover cli-smoke test-race fuzz-smoke campaign-smoke bench bench-json bench-guard profile size ci
+.PHONY: build vet test cover cli-smoke test-race fuzz-smoke campaign-smoke bench benchmark profile size ci
 
 build:
 	$(GO) build ./...
@@ -84,27 +80,11 @@ test-race:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Perf snapshot: run the sequential-vs-parallel speedup suite, the
-# consensus-backend ladder, the ledger hot path at model scale, the
-# weight-codec alloc probe, the async-vs-sync schedule race, the
-# sharded-hierarchy scaling sweep, and the aggregation-step alloc
-# probe once and record name / ns-op / speedup-x as JSON (two steps so
-# a bench failure fails the target instead of vanishing into a pipe;
-# the intermediate is removed on success and failure alike).
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel|BenchmarkSubsampled|BenchmarkBackend|BenchmarkLedger|BenchmarkWeightCodec|BenchmarkAsync|BenchmarkShard|BenchmarkFedAvg|BenchmarkCampaign' -benchtime 1x . > .bench.out
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < .bench.out; \
-	    status=$$?; rm -f .bench.out; exit $$status
-
-# Perf tripwires, both read from the snapshot: (1) speedup — fail if
-# BenchmarkParallelScaling rows at >= 16 peers and >= 4 workers fall
-# below 1.5x, but only on rows whose worker count fits the recording
-# machine's cores (a 4-way pool on a 1-core runner is
-# oversubscription, not a regression; the guard passes vacuously there
-# and says so); (2) consensus overhead — fail if poa or pbft ns/op
-# exceeds 2.5x the instant backend's, the ledger hot-path ratchet.
-bench-guard:
-	$(GO) run ./cmd/benchguard -file $(BENCH_JSON)
+# The repo benchmark: four workloads, end-to-end metrics untraced and
+# per-layer metrics traced (benchmark/README.md). Compare two result
+# sets with `go run ./benchmark -compare a.json b.json`.
+benchmark:
+	$(GO) run ./benchmark
 
 # CPU + allocation profiles of the parallel scaling workload, for
 # chasing pool overhead and allocation churn (DESIGN.md §11 was found
@@ -121,4 +101,4 @@ size:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "root exported funcs+types: $$($(GO) doc -all . | grep -cE '^(func|type) ')"
 
-ci: build vet cover cli-smoke test-race fuzz-smoke campaign-smoke bench-json bench-guard
+ci: build vet cover cli-smoke test-race fuzz-smoke campaign-smoke

@@ -12,30 +12,14 @@ import (
 )
 
 // AsyncRoundInfo is one un-barriered aggregation of one peer in a
-// KindAsync run: the peer's own round counter, the round's timeline on
-// the shared virtual clock, and what the staleness-weighted merge
-// produced.
-type AsyncRoundInfo struct {
-	Round int
-	// OpenMs / ReadyMs / FiredMs: round opened (training started), own
-	// training completed, wait policy fired — virtual clock instants.
-	OpenMs  float64
-	ReadyMs float64
-	FiredMs float64
-	// WaitMs is the full round duration at this peer (FiredMs - OpenMs).
-	WaitMs float64
-	// Included counts the merged updates (the peer's own included);
-	// MeanStalenessMs is their mean age at merge time.
-	Included        int
-	MeanStalenessMs float64
-	// Accuracy is the merged model's accuracy on the peer's test set.
-	Accuracy float64
-	// Rejected lists clients screened out by the abnormal-model filter.
-	Rejected []string
-	// ClosedOut marks a horizon-forced merge (time budget or
-	// quiescence) rather than a policy firing.
-	ClosedOut bool
-}
+// KindAsync run — the engine's own record: the peer's round counter;
+// the round's timeline on the shared virtual clock (OpenMs training
+// started, ReadyMs own training completed, FiredMs wait policy fired,
+// WaitMs = FiredMs - OpenMs); what the staleness-weighted merge
+// produced (Included updates of MeanStalenessMs mean age, the merged
+// model's test Accuracy, the Rejected clients); and ClosedOut for a
+// horizon-forced merge rather than a policy firing.
+type AsyncRoundInfo = bfl.AsyncRound
 
 // TimelinePoint is one step of the fleet's accuracy-vs-virtual-time
 // curve: at AtMs, the mean over every peer's latest adopted model
@@ -76,30 +60,13 @@ func runAsyncExperiment(ctx context.Context, opts Options, sink event.Sink) (*As
 	if err != nil {
 		return nil, err
 	}
-	rep := &AsyncReport{
+	return &AsyncReport{
 		PeerNames:       res.PeerNames,
 		InitialAccuracy: res.InitialAccuracy,
+		Rounds:          res.Rounds,
+		Chain:           res.Chain,
 		HorizonMs:       res.HorizonMs,
-		Chain:           ChainSummary(res.Chain),
-		Rounds:          make([][]AsyncRoundInfo, len(res.Rounds)),
-	}
-	for p, rounds := range res.Rounds {
-		for _, r := range rounds {
-			rep.Rounds[p] = append(rep.Rounds[p], AsyncRoundInfo{
-				Round:           r.Round,
-				OpenMs:          r.OpenMs,
-				ReadyMs:         r.ReadyMs,
-				FiredMs:         r.FiredMs,
-				WaitMs:          r.WaitMs,
-				Included:        r.Included,
-				MeanStalenessMs: r.MeanStalenessMs,
-				Accuracy:        r.Accuracy,
-				Rejected:        r.Rejected,
-				ClosedOut:       r.ClosedOut,
-			})
-		}
-	}
-	return rep, nil
+	}, nil
 }
 
 // Headline reduces the report to the trade-off study's three headline

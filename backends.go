@@ -10,7 +10,7 @@ import (
 
 // The consensus-backend registry: the substrate FL rounds commit
 // through is a first-class experiment axis, mirroring the scenario
-// registry. Three backends ship built in —
+// registry. Four backends ship built in —
 //
 //   - "pow": the paper's substrate, a fixed-leader proof-of-work
 //     chain. The default; bit-identical to the original runner.
@@ -34,23 +34,13 @@ import (
 //	})
 //	res, err := waitornot.New(opts, waitornot.WithBackend("pow-slow")).Run(ctx)
 
-// BackendInfo describes one registered consensus backend.
-type BackendInfo struct {
-	// Name is the registry key, usable as Options.Backend.
-	Name string
-	// Description is a one-line summary for listings.
-	Description string
-}
+// BackendInfo describes one registered consensus backend: its Name
+// (the registry key, usable as Options.Backend) and a one-line
+// Description for listings.
+type BackendInfo = ledger.Info
 
 // Backends lists the registered consensus backends, sorted by name.
-func Backends() []BackendInfo {
-	infos := ledger.Backends()
-	out := make([]BackendInfo, len(infos))
-	for i, in := range infos {
-		out[i] = BackendInfo{Name: in.Name, Description: in.Description}
-	}
-	return out
-}
+func Backends() []BackendInfo { return ledger.Backends() }
 
 // BackendNames lists registered backend names, sorted.
 func BackendNames() []string { return ledger.Names() }

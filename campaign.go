@@ -24,25 +24,17 @@ import (
 // any worker count, so a campaign started sequentially may be resumed
 // on every core (the acceptance criterion of the resume tests).
 type campaignConfig struct {
-	Format   int               `json:"format"`
-	Kind     string            `json:"kind"`
-	Scenario string            `json:"scenario,omitempty"`
-	Options  Options           `json:"options"`
-	Variants []campaignVariant `json:"variants"`
-	Backends []string          `json:"backends"`
-	Seeds    []uint64          `json:"seeds"`
+	Format   int            `json:"format"`
+	Kind     string         `json:"kind"`
+	Scenario string         `json:"scenario,omitempty"`
+	Options  Options        `json:"options"`
+	Variants []sweepVariant `json:"variants"`
+	Backends []string       `json:"backends"`
+	Seeds    []uint64       `json:"seeds"`
 	// Ladder is the experiment's policy ladder; it rides into KindSharded
 	// cells through the adaptive controller, so it is result-relevant.
 	Ladder []Policy `json:"ladder,omitempty"`
 	Target float64  `json:"target_accuracy,omitempty"`
-}
-
-// campaignVariant is one resolved cell-axis value of the grid.
-type campaignVariant struct {
-	Label   string `json:"label"`
-	Policy  Policy `json:"policy"`
-	Shards  int    `json:"shards,omitempty"`
-	Cadence int    `json:"cadence,omitempty"`
 }
 
 // campaignConfig snapshots the plan.
@@ -52,17 +44,13 @@ func (p *sweepPlan) campaignConfig() campaignConfig {
 		Kind:     p.kind.String(),
 		Scenario: p.scenario,
 		Options:  p.opts,
+		Variants: p.variants,
 		Backends: p.backends,
 		Seeds:    p.seeds,
 		Ladder:   p.ladder,
 		Target:   p.target,
 	}
 	cfg.Options.Parallelism = 0
-	for _, v := range p.variants {
-		cfg.Variants = append(cfg.Variants, campaignVariant{
-			Label: v.label, Policy: v.policy, Shards: v.shards, Cadence: v.cadence,
-		})
-	}
 	return cfg
 }
 
@@ -71,20 +59,15 @@ func (p *sweepPlan) campaignConfig() campaignConfig {
 // additionally works for every kind but vanilla, which can never have
 // been persisted.
 func planFromConfig(cfg campaignConfig) *sweepPlan {
-	p := &sweepPlan{
+	return &sweepPlan{
 		scenario: cfg.Scenario,
 		opts:     cfg.Options,
 		seeds:    cfg.Seeds,
 		backends: cfg.Backends,
+		variants: cfg.Variants,
 		ladder:   cfg.Ladder,
 		target:   cfg.Target,
 	}
-	for _, v := range cfg.Variants {
-		p.variants = append(p.variants, sweepVariant{
-			label: v.Label, policy: v.Policy, shards: v.Shards, cadence: v.Cadence,
-		})
-	}
-	return p
 }
 
 // manifest builds the campaign manifest: the fingerprint is the
@@ -122,7 +105,7 @@ func (p *sweepPlan) cellID(i int) string {
 		Cadence     int    `json:"cadence,omitempty"`
 		Seed        uint64 `json:"seed"`
 		Replication int    `json:"replication"`
-	}{p.kind.String(), p.scenario, v.label, v.policy, backend, v.shards, v.cadence, seed, i}
+	}{p.kind.String(), p.scenario, v.Label, v.Policy, backend, v.Shards, v.Cadence, seed, i}
 	raw, err := json.Marshal(key)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail. Guard anyway.
@@ -200,9 +183,9 @@ func (e *Experiment) RunCampaign(ctx context.Context, dir string) (*SweepReport,
 			return nil, fmt.Errorf("waitornot: campaign %s: cell %d payload: %w", dir, r.Index, err)
 		}
 		seed, backend, v := plan.cell(r.Index)
-		if run.Seed != seed || run.Policy != v.label || run.Backend != backend {
+		if run.Seed != seed || run.Policy != v.Label || run.Backend != backend {
 			return nil, fmt.Errorf("waitornot: campaign %s: cell %d payload is (seed %d, %s, %q), the grid says (seed %d, %s, %q)",
-				dir, r.Index, run.Seed, run.Policy, run.Backend, seed, v.label, backend)
+				dir, r.Index, run.Seed, run.Policy, run.Backend, seed, v.Label, backend)
 		}
 		runs[r.Index], done[r.Index] = run, true
 	}

@@ -170,6 +170,8 @@ func (c config) validate() error {
 		return fmt.Errorf("scenario %q is the vanilla baseline: it has no wait/latency metrics to replicate; sweep a decentralized, trade-off, async, or sharded scenario", sc.Name)
 	case c.set["target-acc"] && (c.targetAcc < 0 || c.targetAcc > 1 || !sweepMode):
 		return fmt.Errorf("-target-acc is a sweep metric in [0, 1]; scenario %q needs -seeds or -replications for it", sc.Name)
+	case c.csv && !sweepMode && (sc.Kind == waitornot.KindDecentralized || sc.Kind == waitornot.KindTradeoff):
+		return fmt.Errorf("-csv has nothing to print for a single %s run: its report has no CSV grid; add -replications 1 for the sweep CSVs of scenario %q", sc.Kind, sc.Name)
 	case c.campaignDir != "" && !sweepMode:
 		return fmt.Errorf("a campaign persists a replication sweep; scenario %q declares no seeds — add -seeds or -replications", sc.Name)
 	case c.campaignDir != "" && c.resume != waitornot.CampaignExists(c.campaignDir):

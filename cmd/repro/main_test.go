@@ -51,6 +51,7 @@ func TestValidate(t *testing.T) {
 		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla baseline"},
 		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
 		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},
+		{"csv on a single run with no CSV grid", config{scenario: "stragglers", csv: true}, "-replications 1"},
 		{"campaign without a sweep", config{scenario: "paper-repro", campaignDir: fresh}, "declares no seeds"},
 		{"existing campaign without resume", config{scenario: "replicated-tradeoff", campaignDir: held}, "add -resume"},
 		{"resume with no campaign", config{scenario: "replicated-tradeoff", campaignDir: fresh, resume: true}, "holds no campaign"},

@@ -9,6 +9,7 @@
 package waitornot_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestBFLResultParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) *bfl.Result {
 		c := cfg
 		c.Parallelism = parallelism
-		res, err := bfl.RunDecentralized(c)
+		res, err := bfl.Run(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

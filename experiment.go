@@ -395,15 +395,7 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 		}
 		res.Decentralized = rep
 	case KindTradeoff:
-		policies := e.policies
-		if policies == nil {
-			n := e.opts.Clients
-			if n == 0 {
-				n = 3
-			}
-			policies = DefaultPolicies(n)
-		}
-		rep, err := runTradeoffExperiment(ctx, e.opts, policies, e.backends, sink)
+		rep, err := e.runTradeoff(ctx)
 		if err != nil {
 			return nil, err
 		}

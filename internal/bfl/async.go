@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"waitornot/internal/chain"
-	"waitornot/internal/contract"
 	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
-	"waitornot/internal/nn"
 	"waitornot/internal/simnet"
 	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
@@ -108,6 +106,8 @@ type asyncPeer struct {
 type asyncEngine struct {
 	*engine
 	ctx context.Context
+	// clock is the run's virtual-time event queue.
+	clock *vclock.Clock
 
 	peers     []*asyncPeer
 	res       *AsyncResult
@@ -116,9 +116,8 @@ type asyncEngine struct {
 	wallStart time.Time
 
 	// commitAt de-duplicates commit events per cadence boundary.
-	commitAt       map[float64]bool
-	commitCount    int
-	verifyRejected int
+	commitAt    map[float64]bool
+	commitCount int
 }
 
 // RunAsync executes the asynchronous experiment: no global barrier —
@@ -132,7 +131,11 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.register(); err != nil {
+	// Registration is the clock's first event, at the first cadence
+	// boundary; it commits whatever the time budget says.
+	clock := vclock.New()
+	clock.Schedule(e.clockStep, vclock.Global, func() error { return e.registerAt(e.clockStep) })
+	if err := clock.RunUntil(e.clockStep); err != nil {
 		return nil, err
 	}
 	// The free-running cohort: under ClientFraction the round-1 sample
@@ -141,15 +144,10 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 	// identities drawn from the registered fleet. Classic runs keep
 	// every peer.
 	cohort := e.roundParticipants(1)
-	if cohort == nil {
-		cohort = make([]int, len(e.peers))
-		for i := range cohort {
-			cohort[i] = i
-		}
-	}
 	a := &asyncEngine{
 		engine:   e,
 		ctx:      ctx,
+		clock:    clock,
 		budgetMs: e.cfg.TimeBudgetMs,
 		commitAt: map[float64]bool{},
 		res: &AsyncResult{
@@ -191,15 +189,14 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 	a.wallStart = time.Now()
 	for _, p := range a.peers {
 		p := p
-		e.clock.Schedule(e.clock.Now(), p.idx, func() error { return a.startRound(p) })
+		clock.Schedule(clock.Now(), p.idx, func() error { return a.startRound(p) })
 	}
 	if err := a.drain(); err != nil {
 		return nil, err
 	}
-	a.res.HorizonMs = e.clock.Now()
+	a.res.HorizonMs = clock.Now()
 	a.res.TrainWallTime = time.Since(a.wallStart)
-	a.res.Chain = chainStats(e.be)
-	a.res.Chain.VerifyRejected = a.verifyRejected
+	a.res.Chain = e.chainStats()
 	return a.res, nil
 }
 
@@ -271,21 +268,18 @@ func (a *asyncEngine) trainDone(p *asyncPeer, dur float64) error {
 		SimMs: dur, VirtualMs: p.readyMs,
 	})
 
-	blob := nn.EncodeWeights(up.Weights)
-	payload := contract.SubmitCallData(uint64(p.round), uint64(a.cfg.Model), uint64(up.NumSamples), blob)
-	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, a.cfg.Chain.Gas, 10_000_000, 1)
+	tx, size, err := a.submitTx(p.peerState, p.round, up)
 	if err != nil {
 		return err
 	}
-	p.nonce++
-	delay := a.cfg.BaseLatencyMs + float64(len(blob))/1024*a.cfg.PerKBMs
+	delay := a.cfg.BaseLatencyMs + float64(size)/1024*a.cfg.PerKBMs
 	if !a.cfg.Network.IsZero() {
 		delay += a.cfg.Network.Draw(p.rng)
 	}
 	completed := p.readyMs
 	round := p.round
 	a.clock.Schedule(a.wireArrival(p, delay), p.idx, func() error {
-		return a.submitted(p, tx, up, round, len(blob), completed)
+		return a.submitted(p, tx, up, round, size, completed)
 	})
 
 	// The wait opens now: probe immediately (a first-1 policy fires on
@@ -444,14 +438,11 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 	// Record the merge on-chain (the paper's non-repudiation trail),
 	// except at close-out: past the horizon nothing commits.
 	if !closeOut {
-		label := mergeLabel(kept)
-		var rh chain.Hash = nn.HashWeights(merged)
-		payload := contract.RecordCallData(uint64(p.round), label, rh, uint64(len(kept)))
-		tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, a.cfg.Chain.Gas, 1_000_000, 1)
+		label := clientLabel(len(kept), func(k int) string { return kept[k].Client })
+		tx, err := a.recordTx(p.peerState, p.round, label, merged, len(kept))
 		if err != nil {
 			return err
 		}
-		p.nonce++
 		round := p.round
 		a.clock.Schedule(a.wireArrival(p, a.cfg.BaseLatencyMs), p.idx, func() error {
 			if err := a.be.Submit(tx); err != nil {
@@ -506,37 +497,8 @@ func (a *asyncEngine) commitPending() error {
 	now := a.clock.Now()
 	leader := a.peers[a.commitCount%len(a.peers)].slot
 	a.commitCount++
-	c, err := a.be.Commit(leader, uint64(now))
-	if err != nil {
+	if _, err := a.commit(0, leader, now); err != nil {
 		return fmt.Errorf("bfl: commit at %gms: %w", now, err)
 	}
-	a.sink.Emit(event.BlockCommitted{
-		Backend:   a.be.Name(),
-		Height:    c.Height,
-		Txs:       c.Txs,
-		GasUsed:   c.GasUsed,
-		LatencyMs: c.LatencyMs,
-		VirtualMs: now,
-		Rejected:  len(c.Rejected),
-	})
-	a.verifyRejected += len(c.Rejected)
 	return nil
-}
-
-// mergeLabel renders the merged clients for the on-chain record
-// (sorted, comma-joined — the same shape as the combo labels).
-func mergeLabel(kept []*fl.Update) string {
-	names := make([]string, len(kept))
-	for i, u := range kept {
-		names[i] = u.Client
-	}
-	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package bfl
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func tinyConfig() Config {
 }
 
 func TestRunDecentralizedShape(t *testing.T) {
-	res, err := RunDecentralized(tinyConfig())
+	res, err := Run(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestRunDecentralizedShape(t *testing.T) {
 }
 
 func TestRunDecentralizedDeterministic(t *testing.T) {
-	a, err := RunDecentralized(tinyConfig())
+	a, err := Run(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDecentralized(tinyConfig())
+	b, err := Run(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +101,17 @@ func TestRunDecentralizedDeterministic(t *testing.T) {
 func TestRunDecentralizedValidates(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Peers = 1
-	if _, err := RunDecentralized(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("1 peer accepted")
 	}
 	cfg = tinyConfig()
 	cfg.StragglerFactor = []float64{1}
-	if _, err := RunDecentralized(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("straggler length mismatch accepted")
 	}
 	cfg = tinyConfig()
 	cfg.PoisonPeer = 99
-	if _, err := RunDecentralized(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("poison peer out of range accepted")
 	}
 }
@@ -119,12 +120,12 @@ func TestRunDecentralizedFirstKWaitsLess(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.EvalAllCombos = false
 	cfg.StragglerFactor = []float64{1, 1, 8} // C is a straggler
-	waitAll, err := RunDecentralized(cfg)
+	waitAll, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Policy = core.FirstK{K: 2}
-	firstK, err := RunDecentralized(cfg)
+	firstK, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestRunDecentralizedStragglerDominatesWaitAll(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.EvalAllCombos = false
 		cfg.StragglerFactor = factors
-		res, err := RunDecentralized(cfg)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestRunDecentralizedPoisonFiltered(t *testing.T) {
 		// random and the filter has nothing to separate. Train hot.
 		Hyper: fl.Hyper{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-3, BatchSize: 32, LocalEpochs: 5},
 	}
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestAllSubmissionsRejectedFallsBackToOwnModel(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Backend = name
 	cfg.EvalAllCombos = false
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("all-rejected round aborted the run: %v", err)
 	}

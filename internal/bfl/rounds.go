@@ -1,10 +1,12 @@
-// RoundEngine: the barriered round machinery with the clock factored
-// out. runDecentralized drives it from its own metronome clock; the
-// sharded orchestrator (internal/shard) drives many of them — one per
-// shard, each with its own ledger backend and wait policy — from one
-// shared vclock, passing explicit commit instants. Both paths execute
-// the identical round body (engine.runRound), which is what makes a
-// single-shard hierarchy bit-identical to the flat runner.
+// RoundEngine: the barriered round machinery, which owns no clock —
+// every commit instant is an argument. It has two drivers:
+// runDecentralized (runner.go) lays rounds at the backend's own
+// cadence, and the sharded orchestrator (internal/shard) drives many
+// engines — one per shard, each with its own ledger backend and wait
+// policy — from one shared vclock. Both are callers of the same
+// RegisterAt / RunRoundAt / Finish, so a single-shard hierarchy is
+// bit-identical to the flat run by construction, not by agreement
+// between two loops.
 package bfl
 
 import (
@@ -26,7 +28,7 @@ type RoundEngine struct {
 	e   *engine
 	res *Result
 	// wallStart stamps Result.TrainWallTime; set when registration
-	// completes, mirroring the flat runner's timer placement.
+	// completes, so set-up and registration stay out of it.
 	wallStart time.Time
 }
 
@@ -106,12 +108,6 @@ func (r *RoundEngine) RunRoundAt(ctx context.Context, round int, subTsMs, decTsM
 	// sampled), so each participant's freshest entry — appended by the
 	// runRound call above — is this round's record.
 	slots := r.e.roundParticipants(round)
-	if slots == nil {
-		slots = make([]int, len(r.e.peers))
-		for i := range slots {
-			slots[i] = i
-		}
-	}
 	sum := RoundSummary{Round: round}
 	for _, s := range slots {
 		rr := r.res.Rounds[s]
@@ -167,7 +163,6 @@ func (r *RoundEngine) AdoptAll(global []float32) error {
 // accumulated result. The engine must not be driven further.
 func (r *RoundEngine) Finish() *Result {
 	r.res.TrainWallTime = time.Since(r.wallStart)
-	r.res.Chain = chainStats(r.e.be)
-	r.res.Chain.VerifyRejected = r.e.verifyRejected
+	r.res.Chain = r.e.chainStats()
 	return r.res
 }

@@ -63,7 +63,7 @@ func TestRoundEngineMatchesFlat(t *testing.T) {
 	}
 	got := re.Finish()
 
-	want, err := RunDecentralized(cfg)
+	want, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,20 +3,26 @@
 // contract on a PoW chain, personalize their aggregation with the core
 // engine, and record their decisions on-chain.
 //
-// Run is the deterministic barriered runner that regenerates Tables
-// II-IV and the wait-policy trade-off study; RunAsync (async.go) is the
-// event-driven free run on the same virtual clock. Both commit through
-// a ledger.Backend, with block production sequenced so results are
+// One assembly (engine.setup: identities, data, ledger, peers — the
+// classic fleet and the subsampled cross-device fleet alike) feeds two
+// schedules. The barriered schedule is RoundEngine (rounds.go): one
+// round body driven with explicit commit instants; Run is its flat
+// driver, laying rounds at the backend's own cadence to regenerate
+// Tables II-IV and the wait-policy trade-off study, and internal/shard
+// drives many of them from one shared clock. RunAsync (async.go) is the
+// event-driven free run on a virtual clock of its own. Both commit
+// through a ledger.Backend via one commit step and one pair of
+// transaction builders, with block production sequenced so results are
 // bit-reproducible.
 package bfl
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"waitornot/internal/chain"
@@ -31,7 +37,6 @@ import (
 	"waitornot/internal/nn"
 	"waitornot/internal/par"
 	"waitornot/internal/simnet"
-	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
 )
 
@@ -329,18 +334,17 @@ func perSampleCostMs(id nn.ModelID) float64 {
 	}
 }
 
-// RunDecentralized executes the full blockchain-FL experiment.
-func RunDecentralized(cfg Config) (*Result, error) {
-	return Run(context.Background(), cfg)
-}
-
-// Run is RunDecentralized with cooperative cancellation: the context
-// is checked between rounds and between pool items (per-peer training
-// and per-peer decisions), and ctx.Err() is returned — with no partial
+// Run executes the full blockchain-FL experiment on the barriered
+// schedule, with cooperative cancellation: the context is checked
+// between rounds and between pool items (per-peer training and
+// per-peer decisions), and ctx.Err() is returned — with no partial
 // result — within one round boundary of cancellation.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	res, _, err := runDecentralized(ctx, cfg)
-	return res, err
+	r, err := runDecentralized(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Finish(), nil
 }
 
 // ResultWithChain couples an experiment result with the canonical chain
@@ -356,22 +360,46 @@ type ResultWithChain struct {
 // chain-backed backend (the pow default); block-free backends return
 // an error.
 func RunDecentralizedWithChain(cfg Config) (*ResultWithChain, error) {
-	res, be, err := runDecentralized(context.Background(), cfg)
+	r, err := runDecentralized(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	ch, ok := be.(ledger.Chainer)
+	ch, ok := r.e.be.(ledger.Chainer)
 	if !ok {
-		return nil, fmt.Errorf("bfl: backend %q keeps no block chain", be.Name())
+		return nil, fmt.Errorf("bfl: backend %q keeps no block chain", r.BackendName())
 	}
-	return &ResultWithChain{Result: res, CanonicalChain: ch.Chain(0).CanonicalChain()}, nil
+	return &ResultWithChain{Result: r.Finish(), CanonicalChain: ch.Chain(0).CanonicalChain()}, nil
+}
+
+// runDecentralized is the barriered schedule at the backend's own
+// cadence: a RoundEngine driven with explicit commit instants —
+// registration at one step, round r's submission and decision blocks
+// at 2r and 2r+1 steps (whole-ms floats, so the products equal the
+// repeated additions of a ticking clock bit-for-bit). The sharded
+// orchestrator drives the same engine from its shared clock; there is
+// no second copy of the loop to keep in agreement.
+func runDecentralized(ctx context.Context, cfg Config) (*RoundEngine, error) {
+	r, err := NewRoundEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	step := r.CommitStepMs()
+	if err := r.RegisterAt(step); err != nil {
+		return nil, err
+	}
+	for round := 1; round <= r.e.cfg.Rounds; round++ {
+		if _, err := r.RunRoundAt(ctx, round, float64(2*round)*step, float64(2*round+1)*step); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // engine is the assembled experiment: data sharded, peers built,
-// ledger backend up, and the shared virtual clock at zero. Both
-// schedules consume it — the barriered runner ticks the clock as a
-// commit-cadence metronome (runDecentralized), the asynchronous
-// runner drives it as a true event queue (runAsync).
+// ledger backend up. Both schedules consume it — the barriered
+// schedule takes explicit commit instants from whoever owns time
+// (RoundEngine), the asynchronous runner owns a virtual clock and
+// drives it as an event queue (RunAsync).
 type engine struct {
 	cfg  Config
 	sink event.Sink
@@ -384,29 +412,31 @@ type engine struct {
 
 	workers int
 
-	// clock is the virtual-time engine; clockStep the backend's commit
-	// cadence in ms (integral: the historical runner quantized it to
-	// whole ms, and bit-compatibility keeps that).
-	clock     *vclock.Clock
+	// clockStep is the backend's commit cadence in ms (integral: the
+	// historical runner quantized it to whole ms, and bit-compatibility
+	// keeps that).
 	clockStep float64
 
 	// verifyRejected accumulates ledger-verification rejections across
-	// the barriered rounds (pbft model screening).
+	// every commit of the run (pbft model screening).
 	verifyRejected int
 
 	// participants[round] (1-indexed) lists the slot indices sampled to
 	// train that round, ascending; nil when ClientFraction is unset
 	// (every peer, every round). Drawn once at setup.
 	participants [][]int
+	// everyone is every slot index, ascending: the participant set of a
+	// round with no schedule.
+	everyone []int
 	// txIdx[peer] incrementally indexes that peer's committed-tx view by
 	// hash, so each transaction is hashed once per view instead of once
 	// per round. Slot-addressed: the decide pool touches only its own
 	// peer's entry.
 	txIdx []txIndex
 
-	// blobScratch is the submission loop's reusable weight-encoding
-	// buffer (coordinator goroutine only): one allocation the first
-	// round, zero after.
+	// blobScratch is submitTx's reusable weight-encoding buffer
+	// (coordinator goroutine only): one allocation the first
+	// submission, zero after.
 	blobScratch []byte
 }
 
@@ -422,28 +452,28 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &engine{cfg: cfg, sink: cfg.Events, root: xrand.New(cfg.Seed), clock: vclock.New()}
+	e := &engine{cfg: cfg, sink: cfg.Events, root: xrand.New(cfg.Seed)}
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
 	e.txIdx = make([]txIndex, len(e.peers))
+	e.everyone = upTo(len(e.peers))
 	return e, nil
 }
 
-// register submits every peer's identity-registration transaction and
-// commits them as the first batch at the clock's first cadence tick
-// (round 0).
-func (e *engine) register() error {
-	now, err := e.clock.Advance(e.clockStep)
-	if err != nil {
-		return err
+// upTo returns the indices 0..n-1.
+func upTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	return e.registerAt(now)
+	return out
 }
 
-// registerAt is register with the commit timestamp supplied by the
-// caller — the sharded orchestrator owns the clock, so its engines
-// take explicit instants instead of advancing one themselves.
+// registerAt submits every peer's identity-registration transaction
+// and commits them as the first batch (round 0) at the instant the
+// caller supplies — whoever owns time owns the registration block's
+// timestamp.
 func (e *engine) registerAt(tsMs float64) error {
 	for _, p := range e.peers {
 		tx, err := chain.NewTx(p.key, p.nonce, contract.RegistryAddress, 0,
@@ -456,32 +486,62 @@ func (e *engine) registerAt(tsMs float64) error {
 			return fmt.Errorf("bfl: registration tx: %w", err)
 		}
 	}
-	if _, err := commitRound(e.be, e.sink, 0, 0, len(e.peers), uint64(tsMs)); err != nil {
+	if err := e.commitExactly(0, 0, len(e.peers), tsMs); err != nil {
 		return fmt.Errorf("bfl: registration block: %w", err)
 	}
 	return nil
 }
 
-// setup generates data, builds peers, and brings the ledger up. The
-// subsampled (cross-device) regime materializes only sampled peers and
-// lives in subsample.go; this body is the classic cross-silo path,
-// byte-for-byte the historical schedule.
+// setup generates data, builds peers, and brings the ledger up — one
+// assembly for both regimes. The classic cross-silo schedule is the
+// case "active cohort = every fleet index, no participant schedule";
+// under ClientFraction only the union of the pre-drawn per-round
+// samples is materialized and the ledger is sized to that cohort
+// (subsample.go). Identities — keys, names, data streams — are keyed by
+// fleet index, so the same device is the same device in either regime.
+// What still depends on the regime, observable from cfg.ClientFraction:
+// where a peer's training shard comes from, and whether the per-pair
+// combination grid (and its worker evaluators) exists.
 func (e *engine) setup() error {
-	if e.cfg.ClientFraction > 0 {
-		return e.setupSubsampled()
+	subsampled := e.cfg.ClientFraction > 0
+	if subsampled {
+		e.cfg.EvalAllCombos = false // per-pair grids are a cross-silo artifact
 	}
 	cfg, root := e.cfg, e.root
 
-	// --- Data ------------------------------------------------------------
-	pool := dataset.Generate(cfg.Data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
-	var shards []*dataset.Set
-	if cfg.DirichletAlpha > 0 {
-		shards = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
+	// --- Cohort: the ascending fleet indices to materialize --------------
+	var active []int
+	if subsampled {
+		k := subsampleK(cfg.ClientFraction, cfg.Peers)
+		active, e.participants = cohort(drawParticipants(root, cfg.Peers, k, cfg.Rounds))
 	} else {
-		shards = dataset.PartitionIID(pool, cfg.Peers, root.Derive("partition"))
+		active = upTo(cfg.Peers)
 	}
-	if cfg.PoisonPeer >= 0 && cfg.PoisonFrac > 0 {
-		shards[cfg.PoisonPeer] = dataset.PoisonLabelFlip(shards[cfg.PoisonPeer], cfg.PoisonFrac, root.Derive("poison"))
+
+	// --- Training shards ---------------------------------------------------
+	// Classic: partition one global pool. Subsampled: each sampled peer
+	// draws its own shard (with thousands of registered peers a global
+	// pool would swamp setup).
+	var shards []*dataset.Set
+	if !subsampled {
+		pool := dataset.Generate(cfg.Data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
+		if cfg.DirichletAlpha > 0 {
+			shards = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
+		} else {
+			shards = dataset.PartitionIID(pool, cfg.Peers, root.Derive("partition"))
+		}
+	}
+	trainShard := func(gi int, name string) *dataset.Set {
+		var s *dataset.Set
+		if subsampled {
+			s = dataset.Generate(cfg.Data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
+		} else {
+			s = shards[gi]
+		}
+		if gi == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
+			s = dataset.PoisonLabelFlip(s, cfg.PoisonFrac, root.Derive("poison"))
+		}
+		return s
 	}
 
 	// --- Initial weights (shared; pretrained for the complex model) ------
@@ -491,15 +551,15 @@ func (e *engine) setup() error {
 	}
 	initial := initModel.WeightVector()
 
-	// --- Ledger + peers ---------------------------------------------------
+	// --- Ledger, sized to the cohort ---------------------------------------
 	vm := contract.NewVM(cfg.Chain.Gas)
-	peerKeys := make([]*keys.Key, cfg.Peers)
-	alloc := make(map[keys.Address]uint64, cfg.Peers)
-	sealers := make([]keys.Address, cfg.Peers)
-	for i := range peerKeys {
-		peerKeys[i] = keys.GenerateDeterministic(cfg.Seed*1009 + uint64(i))
-		alloc[peerKeys[i].Address()] = 1 << 62
-		sealers[i] = peerKeys[i].Address()
+	peerKeys := make([]*keys.Key, len(active))
+	alloc := make(map[keys.Address]uint64, len(active))
+	sealers := make([]keys.Address, len(active))
+	for s, gi := range active {
+		peerKeys[s] = keys.GenerateDeterministic(cfg.Seed*1009 + uint64(gi))
+		alloc[peerKeys[s].Address()] = 1 << 62
+		sealers[s] = peerKeys[s].Address()
 	}
 	// Consortium verification set: an independent held-out sample the
 	// ledger's model verification (pbft) scores submissions on. Derive
@@ -514,7 +574,7 @@ func (e *engine) setup() error {
 		return verifyEval(w)
 	}
 	be, err := ledger.New(cfg.Backend, ledger.Config{
-		Peers:      cfg.Peers,
+		Peers:      len(active),
 		Chain:      cfg.Chain,
 		Alloc:      alloc,
 		Proc:       vm,
@@ -525,34 +585,47 @@ func (e *engine) setup() error {
 	if err != nil {
 		return err
 	}
+
+	// --- Peers ---------------------------------------------------------------
+	// Building peers is embarrassingly parallel: every stream below
+	// derives by label from the root (which is never advanced), and each
+	// item writes only its own slot, so the fleet is identical at any
+	// Parallelism.
 	workers := par.Workers(cfg.Parallelism)
 	// Worker-evaluator pools for the per-peer combination searches are
-	// capped by the number of combinations a peer ever enumerates.
-	comboWorkers := workers
-	if n := len(fl.PaperCombos(cfg.Peers, 0)); comboWorkers > n {
-		comboWorkers = n
+	// capped by the number of combinations a peer ever enumerates; the
+	// cross-device regime caps the search itself instead
+	// (maxSubsampleCombo) and keeps no pools.
+	comboWorkers := 0
+	if !subsampled {
+		comboWorkers = min(workers, len(fl.PaperCombos(cfg.Peers, 0)))
 	}
-	peers := make([]*peerState, cfg.Peers)
-	for i := range peers {
-		name := fl.ClientName(i)
+	peers := make([]*peerState, len(active))
+	if err := par.ForEach(workers, len(active), func(s int) error {
+		gi := active[s]
+		name := fl.ClientName(gi)
 		model := cfg.Model.Build(root.Derive("peer-model-" + name))
+		train := trainShard(gi, name)
 		sel := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("selection-"+name))
 		test := dataset.Generate(cfg.Data, cfg.TestPerPeer, root.Derive("test-"+name))
-		client := fl.NewClient(name, model, shards[i], sel, test, cfg.Hyper, root.Derive("train-"+name))
+		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
 		straggler := 1.0
 		if cfg.StragglerFactor != nil {
-			straggler = cfg.StragglerFactor[i]
+			straggler = cfg.StragglerFactor[gi]
 		}
 		p := &peerState{
 			name:       name,
-			key:        peerKeys[i],
+			key:        peerKeys[s],
 			client:     client,
 			adopted:    initial,
-			samples:    shards[i].Len(),
-			simTrainMs: float64(shards[i].Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
+			samples:    train.Len(),
+			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
 		}
 		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, client.SelectionEvaluator(), root.Derive("ties-"+name))
-		if comboWorkers > 1 {
+		switch {
+		case subsampled:
+			p.agg.MaxComboPeers = maxSubsampleCombo
+		case comboWorkers > 1:
 			// Independent scratch models let one peer's combination
 			// search fan out without touching the client's model.
 			p.agg.WorkerEvals = fl.SelectionEvaluators(cfg.Model, sel, comboWorkers)
@@ -561,17 +634,20 @@ func (e *engine) setup() error {
 				p.testAvgs = fl.NewAveragers(comboWorkers)
 			}
 		}
-		peers[i] = p
+		peers[s] = p
+		return nil
+	}); err != nil {
+		return err
 	}
 
-	// The clock advances at the backend's commit cadence, so block
-	// timestamps march at the interval the difficulty retarget rule
-	// targets — a backend variant with a slower interval stays at its
-	// difficulty equilibrium instead of climbing every block. For the
-	// default pow substrate the cadence IS the chain's target interval,
-	// preserving the historical schedule bit-for-bit; zero-latency
-	// backends (instant) keep the legacy clock. Quantized to whole ms
-	// exactly as the historical runner's uint64 clock was.
+	// The commit cadence is the backend's own, so block timestamps
+	// march at the interval the difficulty retarget rule targets — a
+	// backend variant with a slower interval stays at its difficulty
+	// equilibrium instead of climbing every block. For the default pow
+	// substrate the cadence IS the chain's target interval, preserving
+	// the historical schedule bit-for-bit; zero-latency backends
+	// (instant) keep the legacy interval. Quantized to whole ms exactly
+	// as the historical runner's uint64 clock was.
 	step := uint64(be.CommitLatencyMs())
 	if step == 0 {
 		step = cfg.Chain.TargetIntervalMs
@@ -615,55 +691,13 @@ func (e *engine) newResult() *Result {
 }
 
 // roundParticipants returns the ascending slot indices training in
-// round, or nil when subsampling is off (every peer, every round).
+// round: the pre-drawn K-of-N sample under ClientFraction, every slot
+// otherwise.
 func (e *engine) roundParticipants(round int) []int {
 	if e.participants == nil || round < 1 || round >= len(e.participants) {
-		return nil
+		return e.everyone
 	}
 	return e.participants[round]
-}
-
-// runDecentralized is the barriered schedule on the virtual clock:
-// every round, all peers train, the round's submissions commit at the
-// next cadence tick, every peer's policy fires on the shared arrival
-// model (core.FirePolicy), and the decisions commit at the tick after.
-// The round body itself lives in engine.runRound so the sharded
-// orchestrator can drive the identical machinery with timestamps from
-// its own shared clock.
-func runDecentralized(ctx context.Context, cfg Config) (*Result, ledger.Backend, error) {
-	e, err := newEngine(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := e.register(); err != nil {
-		return nil, nil, err
-	}
-	res := e.newResult()
-
-	trainStart := time.Now()
-	for round := 1; round <= e.cfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		// The barriered clock is a pure metronome (no queued events), so
-		// taking both cadence ticks up front yields the exact timestamps
-		// the historical schedule produced mid-round.
-		subTs, err := e.clock.Advance(e.clockStep)
-		if err != nil {
-			return nil, nil, err
-		}
-		decTs, err := e.clock.Advance(e.clockStep)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := e.runRound(ctx, res, round, subTs, decTs); err != nil {
-			return nil, nil, err
-		}
-	}
-	res.TrainWallTime = time.Since(trainStart)
-	res.Chain = chainStats(e.be)
-	res.Chain.VerifyRejected = e.verifyRejected
-	return res, e.be, nil
 }
 
 // runRound executes one full barriered round — train, submit, commit
@@ -678,17 +712,9 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	// round-local index back to the fleet slot (result rows, ledger
 	// views); peers is the participating subset in slot order.
 	slots := e.roundParticipants(round)
-	peers := e.peers
-	if slots != nil {
-		peers = make([]*peerState, len(slots))
-		for k, s := range slots {
-			peers[k] = e.peers[s]
-		}
-	} else {
-		slots = make([]int, len(peers))
-		for i := range slots {
-			slots[i] = i
-		}
+	peers := make([]*peerState, len(slots))
+	for k, s := range slots {
+		peers[k] = e.peers[s]
 	}
 	nPart := len(peers)
 
@@ -714,25 +740,19 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	// pending set and commit the round's submission block.
 	blobBytes := make([]int, nPart)
 	for i, p := range peers {
-		blob := nn.AppendWeights(e.blobScratch[:0], updates[i].Weights)
-		e.blobScratch = blob[:0]
-		blobBytes[i] = len(blob)
-		payload := contract.SubmitCallData(uint64(round), uint64(cfg.Model), uint64(updates[i].NumSamples), blob)
-		tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, cfg.Chain.Gas, 10_000_000, 1)
+		tx, size, err := e.submitTx(p, round, updates[i])
 		if err != nil {
 			return err
 		}
-		p.nonce++
+		blobBytes[i] = size
 		if err := be.Submit(tx); err != nil {
 			return fmt.Errorf("bfl: round %d submission tx: %w", round, err)
 		}
 	}
 	leader := (round - 1) % len(e.peers)
-	subCommit, err := commitRound(be, sink, round, leader, nPart, uint64(subTs))
-	if err != nil {
+	if err := e.commitExactly(round, leader, nPart, subTs); err != nil {
 		return fmt.Errorf("bfl: round %d submission block: %w", round, err)
 	}
-	e.verifyRejected += len(subCommit.Rejected)
 	for i, p := range peers {
 		sink.Emit(event.ModelSubmitted{Round: round, Peer: p.name, Bytes: blobBytes[i]})
 	}
@@ -773,7 +793,9 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		}
 		p.adopted = decision.Chosen.Weights
 
-		chosenLabel := comboLabel(decision.Chosen.Combo, decision.KeptClients)
+		chosenLabel := clientLabel(len(decision.Chosen.Combo), func(k int) string {
+			return decision.KeptClients[decision.Chosen.Combo[k]]
+		})
 		stats := RoundStats{
 			Round:          round,
 			Included:       len(included),
@@ -811,15 +833,8 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			res.ComboAccuracy[slots[i]] = append(res.ComboAccuracy[slots[i]], row)
 		}
 
-		var rh chain.Hash = nn.HashWeights(decision.Chosen.Weights)
-		payload := contract.RecordCallData(uint64(round), chosenLabel, rh, uint64(len(decision.Chosen.Combo)))
-		tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, cfg.Chain.Gas, 1_000_000, 1)
-		if err != nil {
-			return err
-		}
-		p.nonce++
-		decTxs[i] = tx
-		return nil
+		decTxs[i], err = e.recordTx(p, round, chosenLabel, decision.Chosen.Weights, len(decision.Chosen.Combo))
+		return err
 	}); err != nil {
 		return err
 	}
@@ -841,38 +856,74 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			return fmt.Errorf("bfl: round %d decision tx: %w", round, err)
 		}
 	}
-	decCommit, err := commitRound(be, sink, round, leader, nPart, uint64(decTs))
-	if err != nil {
+	if err := e.commitExactly(round, leader, nPart, decTs); err != nil {
 		return fmt.Errorf("bfl: round %d decision block: %w", round, err)
 	}
-	e.verifyRejected += len(decCommit.Rejected)
 	sink.Emit(event.RoundEnd{Round: round})
 	return nil
 }
 
-// commitRound commits everything pending as one batch, requires the
-// commit to have included exactly the round's transactions (the
-// deterministic runner never leaves a straggler pending), and emits
-// the BlockCommitted event.
-func commitRound(be ledger.Backend, sink event.Sink, round, leader, wantTxs int, timeMs uint64) (ledger.Commit, error) {
-	c, err := be.Commit(leader, timeMs)
+// commit seals everything pending as one batch at virtual instant atMs
+// — the one commit step both schedules share: the ledger commit, the
+// BlockCommitted event, and the run's verification-rejection counter.
+func (e *engine) commit(round, leader int, atMs float64) (ledger.Commit, error) {
+	c, err := e.be.Commit(leader, uint64(atMs))
 	if err != nil {
 		return c, err
 	}
-	if c.Txs != wantTxs {
-		return c, fmt.Errorf("committed %d of %d txs", c.Txs, wantTxs)
-	}
-	sink.Emit(event.BlockCommitted{
+	e.sink.Emit(event.BlockCommitted{
 		Round:     round,
-		Backend:   be.Name(),
+		Backend:   e.be.Name(),
 		Height:    c.Height,
 		Txs:       c.Txs,
 		GasUsed:   c.GasUsed,
 		LatencyMs: c.LatencyMs,
-		VirtualMs: float64(timeMs),
+		VirtualMs: atMs,
 		Rejected:  len(c.Rejected),
 	})
+	e.verifyRejected += len(c.Rejected)
 	return c, nil
+}
+
+// commitExactly is commit for the barriered schedule, which never
+// leaves a straggler pending: the batch must hold exactly the round's
+// transactions.
+func (e *engine) commitExactly(round, leader, wantTxs int, atMs float64) error {
+	c, err := e.commit(round, leader, atMs)
+	if err == nil && c.Txs != wantTxs {
+		err = fmt.Errorf("committed %d of %d txs", c.Txs, wantTxs)
+	}
+	return err
+}
+
+// submitTx signs peer p's model-submission transaction for round,
+// encoding the update through the engine's blob scratch (the calldata
+// copies it), and reports the encoded size. Coordinator goroutine only.
+func (e *engine) submitTx(p *peerState, round int, up *fl.Update) (*chain.Transaction, int, error) {
+	blob := nn.AppendWeights(e.blobScratch[:0], up.Weights)
+	e.blobScratch = blob[:0]
+	payload := contract.SubmitCallData(uint64(round), uint64(e.cfg.Model), uint64(up.NumSamples), blob)
+	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.cfg.Chain.Gas, 10_000_000, 1)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.nonce++
+	return tx, len(blob), nil
+}
+
+// recordTx signs peer p's aggregation-record transaction: the label of
+// the n updates it merged and the digest of the weights it adopted (the
+// paper's non-repudiation trail). Touches only p, so the decide pool
+// may call it per peer.
+func (e *engine) recordTx(p *peerState, round int, label string, adopted []float32, n int) (*chain.Transaction, error) {
+	var rh chain.Hash = nn.HashWeights(adopted)
+	payload := contract.RecordCallData(uint64(round), label, rh, uint64(n))
+	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.cfg.Chain.Gas, 1_000_000, 1)
+	if err != nil {
+		return nil, err
+	}
+	p.nonce++
+	return tx, nil
 }
 
 // readUpdates reconstructs the round's model updates from one peer's
@@ -976,34 +1027,28 @@ func applyPolicy(policy core.WaitPolicy, self string, selfTrainMs float64, updat
 	return included, firedAt
 }
 
-// comboLabel renders a combo's client names (sorted) using the decision's
-// kept-client ordering.
-func comboLabel(combo fl.Combo, keptClients []string) string {
-	parts := make([]string, 0, len(combo))
-	for _, idx := range combo {
-		parts = append(parts, keptClients[idx])
+// clientLabel renders a set of n client names the way the on-chain
+// record and the reports carry it: sorted, comma-joined.
+func clientLabel(n int, name func(i int) string) string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = name(i)
 	}
-	sort.Strings(parts)
-	var buf bytes.Buffer
-	for i, p := range parts {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteString(p)
-	}
-	return buf.String()
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }
 
-// chainStats summarizes the ledger's committed footprint.
-func chainStats(be ledger.Backend) ChainStats {
-	fp := be.Footprint()
+// chainStats summarizes the run's committed footprint.
+func (e *engine) chainStats() ChainStats {
+	fp := e.be.Footprint()
 	out := ChainStats{
-		Blocks:  fp.Blocks,
-		Txs:     fp.Txs,
-		GasUsed: fp.GasUsed,
-		Bytes:   fp.Bytes,
+		Blocks:         fp.Blocks,
+		Txs:            fp.Txs,
+		GasUsed:        fp.GasUsed,
+		Bytes:          fp.Bytes,
+		VerifyRejected: e.verifyRejected,
 	}
-	for _, tx := range be.CommittedTxs(0) {
+	for _, tx := range e.be.CommittedTxs(0) {
 		if method, _, err := contract.DecodeCall(tx.Payload); err == nil {
 			switch method {
 			case "submit":

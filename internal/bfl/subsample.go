@@ -12,14 +12,6 @@ import (
 	"math"
 	"sort"
 
-	"waitornot/internal/contract"
-	"waitornot/internal/core"
-	"waitornot/internal/dataset"
-	"waitornot/internal/fl"
-	"waitornot/internal/keys"
-	"waitornot/internal/ledger"
-	"waitornot/internal/nn"
-	"waitornot/internal/par"
 	"waitornot/internal/xrand"
 )
 
@@ -71,19 +63,13 @@ func drawParticipants(root *xrand.RNG, peers, k, rounds int) [][]int {
 	return out
 }
 
-// setupSubsampled is the cross-device counterpart of engine.setup: draw
-// the participant schedule, materialize only the union of participants,
-// and size the ledger to that cohort. Peer identities (keys, names, data
-// streams) are derived from the peer's fleet index, so the same device
-// is the same device whether or not the rest of the fleet is sampled.
-func (e *engine) setupSubsampled() error {
-	e.cfg.EvalAllCombos = false // per-pair grids are a cross-silo artifact
-	cfg, root := e.cfg, e.root
-
-	k := subsampleK(cfg.ClientFraction, cfg.Peers)
-	parts := drawParticipants(root, cfg.Peers, k, cfg.Rounds)
+// cohort resolves a participant schedule (fleet indices, 1-indexed by
+// round) into the cohort engine.setup materializes: the ascending union
+// of every round's participants, and the same schedule re-addressed by
+// slot — a peer's index in that union, and thus in the ledger's views
+// and sealers.
+func cohort(parts [][]int) (active []int, slots [][]int) {
 	seen := make(map[int]bool)
-	var active []int // ascending union of all rounds' participants
 	for _, ps := range parts {
 		for _, gi := range ps {
 			if !seen[gi] {
@@ -97,102 +83,15 @@ func (e *engine) setupSubsampled() error {
 	for s, gi := range active {
 		slotOf[gi] = s
 	}
-	e.participants = make([][]int, len(parts))
+	slots = make([][]int, len(parts))
 	for r, ps := range parts {
 		if ps == nil {
 			continue
 		}
-		slots := make([]int, len(ps))
+		slots[r] = make([]int, len(ps))
 		for i, gi := range ps {
-			slots[i] = slotOf[gi] // ps ascending => slots ascending
+			slots[r][i] = slotOf[gi] // ps ascending => slots ascending
 		}
-		e.participants[r] = slots
 	}
-
-	// Initial weights: same derivation labels as the classic path.
-	initModel := cfg.Model.Build(root.Derive("init"))
-	if cfg.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, cfg.Data, cfg.Pretrain, root.Derive("pretrain"))
-	}
-	initial := initModel.WeightVector()
-
-	// Ledger sized to the active cohort; identities keyed by fleet index.
-	vm := contract.NewVM(cfg.Chain.Gas)
-	peerKeys := make([]*keys.Key, len(active))
-	alloc := make(map[keys.Address]uint64, len(active))
-	sealers := make([]keys.Address, len(active))
-	for s, gi := range active {
-		peerKeys[s] = keys.GenerateDeterministic(cfg.Seed*1009 + uint64(gi))
-		alloc[peerKeys[s].Address()] = 1 << 62
-		sealers[s] = peerKeys[s].Address()
-	}
-	verifySet := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("ledger-verify"))
-	verifyEval := fl.NewAccuracyEvaluator(cfg.Model, verifySet)
-	verify := func(w []float32) float64 {
-		if len(w) != len(initial) {
-			return math.NaN()
-		}
-		return verifyEval(w)
-	}
-	be, err := ledger.New(cfg.Backend, ledger.Config{
-		Peers:      len(active),
-		Chain:      cfg.Chain,
-		Alloc:      alloc,
-		Proc:       vm,
-		Sealers:    sealers,
-		Validators: cfg.Validators,
-		Verify:     verify,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Each sampled peer draws its own training shard (there is no global
-	// pool to partition — with thousands of registered peers one would
-	// swamp setup). Building peers is embarrassingly parallel: every
-	// stream below derives by label from the root, and each item writes
-	// only its own slot, so the fleet is identical at any Parallelism.
-	workers := par.Workers(cfg.Parallelism)
-	peers := make([]*peerState, len(active))
-	if err := par.ForEach(workers, len(active), func(s int) error {
-		gi := active[s]
-		name := fl.ClientName(gi)
-		model := cfg.Model.Build(root.Derive("peer-model-" + name))
-		train := dataset.Generate(cfg.Data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
-		if gi == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
-			train = dataset.PoisonLabelFlip(train, cfg.PoisonFrac, root.Derive("poison"))
-		}
-		sel := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("selection-"+name))
-		test := dataset.Generate(cfg.Data, cfg.TestPerPeer, root.Derive("test-"+name))
-		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
-		straggler := 1.0
-		if cfg.StragglerFactor != nil {
-			straggler = cfg.StragglerFactor[gi]
-		}
-		p := &peerState{
-			name:       name,
-			key:        peerKeys[s],
-			client:     client,
-			adopted:    initial,
-			samples:    train.Len(),
-			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
-		}
-		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, client.SelectionEvaluator(), root.Derive("ties-"+name))
-		p.agg.MaxComboPeers = maxSubsampleCombo
-		peers[s] = p
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	step := uint64(be.CommitLatencyMs())
-	if step == 0 {
-		step = cfg.Chain.TargetIntervalMs
-	}
-	e.clockStep = float64(step)
-	e.be = be
-	e.peers = peers
-	e.initial = initial
-	e.workers = workers
-	return nil
+	return active, slots
 }

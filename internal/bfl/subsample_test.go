@@ -1,7 +1,9 @@
 package bfl
 
 import (
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -87,13 +89,13 @@ func TestClientFractionValidation(t *testing.T) {
 // subsampling: the full report is bit-identical at Parallelism 1 and a
 // multi-worker pool, and across repeated runs.
 func TestSubsampledReproducible(t *testing.T) {
-	seq, err := RunDecentralized(subCfg())
+	seq, err := Run(context.Background(), subCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := subCfg()
 	par.Parallelism = 4
-	pres, err := RunDecentralized(par)
+	pres, err := Run(context.Background(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestSubsampledReproducible(t *testing.T) {
 // and every materialized peer participated at least once.
 func TestSubsampledSchedule(t *testing.T) {
 	cfg := subCfg()
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestSubsampledLargeFleet(t *testing.T) {
 		Backend:        "instant",
 	}
 	start := time.Now()
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestClassicUnaffected(t *testing.T) {
 	cfg.ClientFraction = 0
 	cfg.Peers = 3
 	cfg.EvalAllCombos = true
-	res, err := RunDecentralized(cfg)
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,5 +217,56 @@ func TestClassicUnaffected(t *testing.T) {
 	}
 	if len(res.ComboLabels[0]) == 0 {
 		t.Error("classic run lost its combo labels")
+	}
+}
+
+// TestFullFractionFleetMatchesClassicIdentities: a ClientFraction=1
+// fleet materializes the same devices as the classic fleet — names,
+// keys, selection sets, test sets, initial weights — and differs in
+// exactly one thing, the documented one: each peer draws its own
+// training shard instead of taking a slice of one partitioned pool.
+// That difference is why "ClientFraction=1 ≡ classic" is not a property
+// of this system.
+func TestFullFractionFleetMatchesClassicIdentities(t *testing.T) {
+	cfg := subCfg()
+	cfg.Peers = 4
+	cfg.ClientFraction = 0
+	classic, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ClientFraction = 1
+	full, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.peers) != len(classic.peers) {
+		t.Fatalf("full-fraction fleet has %d peers, classic %d", len(full.peers), len(classic.peers))
+	}
+	if !reflect.DeepEqual(full.initial, classic.initial) {
+		t.Fatal("initial weights differ")
+	}
+	for r := 1; r <= cfg.Rounds; r++ {
+		if !reflect.DeepEqual(full.roundParticipants(r), classic.roundParticipants(r)) {
+			t.Fatalf("round %d: full-fraction participants %v, classic %v", r, full.roundParticipants(r), classic.roundParticipants(r))
+		}
+	}
+	for i, c := range classic.peers {
+		f := full.peers[i]
+		if f.name != c.name || f.key.Address() != c.key.Address() {
+			t.Fatalf("peer %d: identity (%s, %s) vs classic (%s, %s)", i, f.name, f.key.Address().Short(), c.name, c.key.Address().Short())
+		}
+		if !reflect.DeepEqual(f.client.Selection, c.client.Selection) {
+			t.Fatalf("peer %s: selection sets differ", c.name)
+		}
+		if !reflect.DeepEqual(f.client.Test, c.client.Test) {
+			t.Fatalf("peer %s: test sets differ", c.name)
+		}
+		if f.samples != c.samples || f.simTrainMs != c.simTrainMs {
+			t.Fatalf("peer %s: shard size / modeled duration (%d, %g) vs classic (%d, %g)", c.name, f.samples, f.simTrainMs, c.samples, c.simTrainMs)
+		}
+		if reflect.DeepEqual(f.client.Train, c.client.Train) {
+			t.Fatalf("peer %s: training shards are identical — the regimes' one difference is gone; update ROADMAP item 5 and Config.ClientFraction's doc", c.name)
+		}
 	}
 }

@@ -31,12 +31,12 @@ type instantBackend struct {
 	bytes     int
 }
 
-func newInstant(name string, cfg Config) (*instantBackend, error) {
+func newInstant(cfg Config) *instantBackend {
 	st := chain.NewState()
 	for a, v := range cfg.Alloc {
 		st.Account(a).Balance = v
 	}
-	return &instantBackend{name: name, cfg: cfg, state: st, frozen: st.Copy(), seen: map[chain.Hash]bool{}}, nil
+	return &instantBackend{name: cfg.nameOr("instant"), cfg: cfg, state: st, frozen: st.Copy(), seen: map[chain.Hash]bool{}}
 }
 
 func (be *instantBackend) Name() string { return be.name }

@@ -7,7 +7,7 @@
 // A Backend accepts signed transactions into a gossiped pending set
 // and commits everything pending in one batch at a logical timestamp;
 // peers then read contract state and committed transactions from their
-// own view. Three substrates ship built in:
+// own view. Four substrates ship built in:
 //
 //   - pow: the original fixed-leader proof-of-work path — every peer
 //     runs a full chain.Chain, the round leader drains its mempool,
@@ -46,6 +46,13 @@ import (
 // consensus parameters, the genesis allocation, the contract processor,
 // and each peer's sealing address (miner for pow, authority for poa).
 type Config struct {
+	// Name is the registry name the backend is being built under. New
+	// writes it (it is not a knob: whatever a caller put there is
+	// overwritten), so a backend carries its name from construction and
+	// a parameter variant registered on a base substrate reports the
+	// variant's name. A factory called directly leaves it empty and the
+	// substrate falls back to its own name.
+	Name string
 	// Peers is the number of participants holding a ledger view.
 	Peers int
 	// Chain fixes consensus parameters (gas schedule, block gas limit,
@@ -82,6 +89,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ledger: %d sealers for %d peers", len(c.Sealers), c.Peers)
 	}
 	return nil
+}
+
+// nameOr resolves the backend's name: the registry name New passed
+// down, or the substrate's own when the factory was called directly.
+func (c Config) nameOr(fallback string) string {
+	if c.Name != "" {
+		return c.Name
+	}
+	return fallback
 }
 
 // Commit summarizes one committed batch: one block for the chain-backed
@@ -150,7 +166,9 @@ type Backend interface {
 	// snapshot across peers instead of copying per call.
 	StateView(peer int) *chain.State
 	// CommittedTxs returns every committed transaction in canonical
-	// order, from peer's view.
+	// order, from peer's view. Read-only, and stable: a Commit extends
+	// the view by exactly the transactions it included and never
+	// rewrites what an earlier call returned.
 	CommittedTxs(peer int) []*chain.Transaction
 	// CommitLatencyMs is the modeled visibility delay of one commit —
 	// the block interval wait policies face when commit latency is
@@ -172,7 +190,9 @@ type Factory func(Config) (Backend, error)
 
 // Info describes a registered backend for listings.
 type Info struct {
-	Name        string
+	// Name is the registry key.
+	Name string
+	// Description is a one-line summary.
 	Description string
 }
 
@@ -243,10 +263,11 @@ func Backends() []Info {
 	return out
 }
 
-// New builds the named backend ("" selects Default). The returned
-// backend reports the registry name it was built under, so parameter
-// variants registered on a base substrate stay distinguishable in
-// events and reports.
+// New builds the named backend ("" selects Default), passing the
+// registry name down in Config.Name: a backend carries its name from
+// construction, so parameter variants registered on a base substrate
+// stay distinguishable in events and reports — and keep the base's
+// capabilities (Chainer) — without a forwarding wrapper.
 func New(name string, cfg Config) (Backend, error) {
 	if name == "" {
 		name = Default
@@ -261,39 +282,9 @@ func New(name string, cfg Config) (Backend, error) {
 	if !ok {
 		return nil, fmt.Errorf("ledger: unknown backend %q (registered: %v)", name, Names())
 	}
-	be, err := f(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if be.Name() != name {
-		return renamed(name, be), nil
-	}
-	return be, nil
+	cfg.Name = name
+	return f(cfg)
 }
-
-// renamed wraps a backend so Name() reports the registry name a
-// variant was built under, preserving the Chainer capability when the
-// underlying substrate has it.
-func renamed(name string, be Backend) Backend {
-	if ch, ok := be.(Chainer); ok {
-		return &renamedChainBackend{renamedBackend{Backend: be, name: name}, ch}
-	}
-	return &renamedBackend{Backend: be, name: name}
-}
-
-type renamedBackend struct {
-	Backend
-	name string
-}
-
-func (r *renamedBackend) Name() string { return r.name }
-
-type renamedChainBackend struct {
-	renamedBackend
-	ch Chainer
-}
-
-func (r *renamedChainBackend) Chain(peer int) *chain.Chain { return r.ch.Chain(peer) }
 
 // Default is the backend used when none is named: the original
 // proof-of-work path.
@@ -301,11 +292,11 @@ const Default = "pow"
 
 func init() {
 	MustRegister("pow", "fixed-leader proof-of-work chain (the paper's substrate; default)",
-		func(cfg Config) (Backend, error) { return newPoW("pow", cfg) })
+		func(cfg Config) (Backend, error) { return newPoW(cfg), nil })
 	MustRegister("poa", "round-robin authority sealing: real blocks, no mining loop",
-		func(cfg Config) (Backend, error) { return newPoA("poa", cfg) })
+		func(cfg Config) (Backend, error) { return newPoA(cfg), nil })
 	MustRegister("instant", "in-memory state machine, no block assembly (consensus-free limit)",
-		func(cfg Config) (Backend, error) { return newInstant("instant", cfg) })
+		func(cfg Config) (Backend, error) { return newInstant(cfg), nil })
 	MustRegister("pbft", "consortium PBFT: analytic 3-phase O(n²) latency model + model verification",
-		func(cfg Config) (Backend, error) { return newPBFT("pbft", cfg) })
+		func(cfg Config) (Backend, error) { return newPBFT(cfg) })
 }

@@ -141,6 +141,57 @@ func TestGossipAndMempoolDrain(t *testing.T) {
 	}
 }
 
+// TestCommittedTxsViewIsAppendOnly pins the CommittedTxs contract the
+// engine's incremental per-peer tx index (and the sealing core's
+// running list) relies on, on every built-in: a view taken before a
+// Commit is unchanged after it, and the next view extends it by
+// exactly the transactions that Commit included.
+func TestCommittedTxsViewIsAppendOnly(t *testing.T) {
+	for _, name := range []string{"pow", "poa", "pbft", "instant"} {
+		t.Run(name, func(t *testing.T) {
+			cfg, ks := testCfg(3)
+			be, err := ledger.New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var view []*chain.Transaction
+			for round := uint64(0); round < 3; round++ {
+				before := append([]*chain.Transaction(nil), view...)
+				// One, two, then three transactions per commit.
+				for i := uint64(0); i <= round; i++ {
+					if err := be.Submit(registerTx(t, cfg, ks[i], round-i, string(rune('A'+i)), 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c, err := be.Commit(int(round)%cfg.Peers, (round+1)*cfg.Chain.TargetIntervalMs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.Txs != int(round)+1 {
+					t.Fatalf("commit %d included %d txs, want %d", round, c.Txs, round+1)
+				}
+				for i := range before {
+					if view[i] != before[i] {
+						t.Fatalf("commit %d rewrote entry %d of a view taken before it", round, i)
+					}
+				}
+				for peer := 0; peer < cfg.Peers; peer++ {
+					next := be.CommittedTxs(peer)
+					if len(next) != len(before)+c.Txs {
+						t.Fatalf("commit %d: peer %d view grew %d -> %d, want +%d", round, peer, len(before), len(next), c.Txs)
+					}
+					for i := range before {
+						if next[i] != before[i] {
+							t.Fatalf("commit %d: peer %d view does not extend the previous one at %d", round, peer, i)
+						}
+					}
+				}
+				view = be.CommittedTxs(0)
+			}
+		})
+	}
+}
+
 // TestGasCapacityEviction pins block-capacity ordering for the
 // block-building backends: with room for one transaction per block,
 // the higher-priced transaction commits first and the other stays

@@ -26,9 +26,9 @@ const (
 	pbftVerifyMargin = 0.15
 )
 
-// pbftBackend is the consortium substrate: PoA-style sealing (real
-// blocks, replicated execution, no puzzle) with two PBFT-specific
-// behaviours on top.
+// pbftBackend is the consortium substrate: the sealing core (sealer.go
+// — real blocks, replicated execution, no puzzle) with two
+// PBFT-specific behaviours on top.
 //
 // First, CommitLatencyMs comes from an explicit analytic model
 // (internal/ledger/latmodel) instead of a hand-waved constant: three
@@ -49,19 +49,11 @@ const (
 // so every validator reaches the same verdict and replicated execution
 // stays deterministic.
 type pbftBackend struct {
-	name       string
-	cfg        Config
+	sealer
 	validators int
 	vproc      *verifyingProc
-	pools      []*chain.Mempool
-	states     []*chain.State
-	blocks     []*chain.Block // sealed ledger incl. genesis; identical at every peer
-	baseMs     float64        // 3-phase consensus latency, no payload/verification terms
-	refScore   float64        // committed model's validation score (NaN until a batch commits)
-	rejected   int            // cumulative verification rejections
-	bytes      int
-	gas        uint64
-	txs        int
+	baseMs     float64 // 3-phase consensus latency, no payload/verification terms
+	refScore   float64 // committed model's validation score (NaN until a batch commits)
 }
 
 // verifyingProc wraps the contract VM with the round's verification
@@ -80,7 +72,7 @@ func (p *verifyingProc) Execute(tx *chain.Transaction, st *chain.State) (uint64,
 	return p.inner.Execute(tx, st)
 }
 
-func newPBFT(name string, cfg Config) (*pbftBackend, error) {
+func newPBFT(cfg Config) (*pbftBackend, error) {
 	validators := cfg.Validators
 	if validators == 0 {
 		validators = pbftDefaultValidators
@@ -93,44 +85,13 @@ func newPBFT(name string, cfg Config) (*pbftBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ledger: pbft: %w", err)
 	}
-	be := &pbftBackend{
-		name:       name,
-		cfg:        cfg,
+	return &pbftBackend{
+		sealer:     newSealer("pbft", cfg),
 		validators: validators,
 		vproc:      &verifyingProc{inner: cfg.Proc},
-		pools:      make([]*chain.Mempool, cfg.Peers),
-		states:     make([]*chain.State, cfg.Peers),
 		baseMs:     baseMs,
 		refScore:   math.NaN(),
-	}
-	genesis := &chain.Block{Header: chain.Header{
-		GasLimit: cfg.Chain.BlockGasLimit,
-		TxRoot:   chain.MerkleRoot(nil),
-	}}
-	be.blocks = []*chain.Block{genesis}
-	be.bytes = genesis.Size()
-	for i := range be.states {
-		be.pools[i] = chain.NewMempool(cfg.Chain.Gas)
-		st := chain.NewState()
-		for a, v := range cfg.Alloc {
-			st.Account(a).Balance = v
-		}
-		be.states[i] = st
-	}
-	return be, nil
-}
-
-func (be *pbftBackend) Name() string { return be.name }
-
-// Submit gossips the transaction into every validator's mempool;
-// admission validation is consensus-independent, exactly as pow/poa.
-func (be *pbftBackend) Submit(tx *chain.Transaction) error {
-	for i, pool := range be.pools {
-		if err := pool.Add(tx); err != nil {
-			return fmt.Errorf("ledger: peer %d mempool: %w", i, err)
-		}
-	}
-	return nil
+	}, nil
 }
 
 // Commit runs one PBFT round: the leader verifies every pending model
@@ -139,18 +100,6 @@ func (be *pbftBackend) Submit(tx *chain.Transaction) error {
 // every validator, and reports the modeled three-phase latency for the
 // batch it actually carried.
 func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
-	parent := be.blocks[len(be.blocks)-1]
-	if timeMs < parent.Header.Time {
-		timeMs = parent.Header.Time
-	}
-	header := chain.Header{
-		ParentHash: parent.Hash(),
-		Number:     parent.Header.Number + 1,
-		Time:       timeMs,
-		Miner:      be.cfg.Sealers[leader],
-		GasLimit:   be.cfg.Chain.BlockGasLimit,
-	}
-
 	// Model verification over the leader's pending submissions (in
 	// pool order, which is deterministic): score each decodable weight
 	// vector on the validation set, reject below-margin outliers.
@@ -172,34 +121,15 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	}
 	defer func() { be.vproc.reject = nil }()
 
-	// Seal with the shared selection rule (scratch state, gas-price
-	// order, capacity-evicted txs stay pooled), then replicate.
-	scratch := be.states[leader].Copy()
-	included, gasUsed := chain.SelectTxs(be.cfg.Chain.Gas, scratch, header.Miner, be.vproc,
-		pending, header.GasLimit)
-	header.GasUsed = gasUsed
-	header.TxRoot = chain.MerkleRoot(included)
-	b := &chain.Block{Header: header, Txs: included}
-
-	for i, st := range be.states {
-		var got uint64
-		for _, tx := range included {
-			rec, err := chain.ApplyTx(be.cfg.Chain.Gas, st, tx, header.Miner, be.vproc)
-			if err != nil {
-				return Commit{}, fmt.Errorf("ledger: peer %d replay: %w", i, err)
-			}
-			got += rec.GasUsed
-		}
-		if got != gasUsed {
-			return Commit{}, fmt.Errorf("ledger: peer %d gas %d != sealed %d", i, got, gasUsed)
-		}
-		st.Account(header.Miner).Balance += be.cfg.Chain.BlockReward
+	b, err := be.seal(leader, timeMs, be.vproc, pending)
+	if err != nil {
+		return Commit{}, err
 	}
 
 	// Surface the verdicts for the batch the block actually carried,
 	// and advance the committed model to the accepted FedAvg.
-	inBlock := make(map[chain.Hash]bool, len(included))
-	for _, tx := range included {
+	inBlock := make(map[chain.Hash]bool, len(b.Txs))
+	for _, tx := range b.Txs {
 		inBlock[tx.Hash()] = true
 	}
 	var rejected []chain.Hash
@@ -217,7 +147,6 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 			rejected = append(rejected, h)
 		}
 	}
-	be.rejected += len(rejected)
 	if len(accepted) > 0 && be.cfg.Verify != nil {
 		// Advance the committed model and cache its score: the next
 		// batch must also beat it by the margin.
@@ -225,18 +154,12 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 		be.refScore = be.cfg.Verify(ref)
 	}
 
-	be.blocks = append(be.blocks, b)
-	be.bytes += b.Size()
-	be.gas += gasUsed
-	be.txs += len(included)
-	for _, pool := range be.pools {
-		pool.RemoveBlock(b)
-	}
-
-	latency, err := latmodel.PredictRoundLatencyMs(latmodel.Config{
+	c := commitOf(b)
+	c.Rejected = rejected
+	c.LatencyMs, err = latmodel.PredictRoundLatencyMs(latmodel.Config{
 		Validators:   be.validators,
 		PerHop:       be.cfg.Net,
-		PayloadBytes: b.Size(),
+		PayloadBytes: c.Bytes,
 		PerKBMs:      pbftPerKBMs,
 		Updates:      updates,
 		VerifyMs:     pbftVerifyMsPerUpdate,
@@ -244,38 +167,13 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	if err != nil {
 		return Commit{}, fmt.Errorf("ledger: pbft latency: %w", err)
 	}
-	return Commit{
-		Height:    header.Number,
-		Txs:       len(included),
-		GasUsed:   gasUsed,
-		Bytes:     b.Size(),
-		Hash:      b.Hash(),
-		LatencyMs: latency,
-		Rejected:  rejected,
-	}, nil
-}
-
-func (be *pbftBackend) Pending(peer int) int { return be.pools[peer].Len() }
-
-// StateView copies the peer's replicated state, as poa does.
-func (be *pbftBackend) StateView(peer int) *chain.State { return be.states[peer].Copy() }
-
-func (be *pbftBackend) CommittedTxs(int) []*chain.Transaction {
-	var out []*chain.Transaction
-	for _, b := range be.blocks {
-		out = append(out, b.Txs...)
-	}
-	return out
+	return c, nil
 }
 
 // CommitLatencyMs is the analytic three-phase consensus latency for an
 // empty round — the backend's commit cadence. Payload serialization
 // and verification costs ride on each Commit's own LatencyMs.
 func (be *pbftBackend) CommitLatencyMs() float64 { return be.baseMs }
-
-func (be *pbftBackend) Footprint() Footprint {
-	return Footprint{Blocks: len(be.blocks), Txs: be.txs, GasUsed: be.gas, Bytes: be.bytes}
-}
 
 // submissionWeights recognizes model-submission transactions and
 // decodes their weight vector. The second return is true for any

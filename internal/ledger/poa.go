@@ -1,11 +1,5 @@
 package ledger
 
-import (
-	"fmt"
-
-	"waitornot/internal/chain"
-)
-
 // poaSlotDiv divides the PoW target interval into the PoA sealing
 // slot: authorities seal on a fixed rotation without solving puzzles,
 // so the modeled commit latency is a fraction of the PoW interval —
@@ -13,141 +7,29 @@ import (
 // Analysis of Consortium Blockchained Federated Learning").
 const poaSlotDiv = 5
 
-// poaBackend seals real blocks — Merkle roots, gas accounting,
-// receipts via chain.ApplyTx, per-peer replicated execution — but with
-// round-robin authorities instead of proof-of-work: no mining loop, no
-// difficulty retargeting, no branch replay. Every peer still validates
-// and executes every block (the consortium cost model), so state views
-// stay per-peer.
+// poaBackend is the sealing core (sealer.go) with round-robin
+// authorities and a fixed slot latency: real blocks and per-peer
+// replicated execution, no proof-of-work.
 type poaBackend struct {
-	name   string
-	cfg    Config
-	pools  []*chain.Mempool
-	states []*chain.State
-	blocks []*chain.Block // sealed ledger incl. genesis; identical at every peer
-	bytes  int
-	gas    uint64
-	txs    int
+	sealer
 }
 
-func newPoA(name string, cfg Config) (*poaBackend, error) {
-	be := &poaBackend{
-		name:   name,
-		cfg:    cfg,
-		pools:  make([]*chain.Mempool, cfg.Peers),
-		states: make([]*chain.State, cfg.Peers),
-	}
-	genesis := &chain.Block{Header: chain.Header{
-		GasLimit: cfg.Chain.BlockGasLimit,
-		TxRoot:   chain.MerkleRoot(nil),
-	}}
-	be.blocks = []*chain.Block{genesis}
-	be.bytes = genesis.Size()
-	for i := range be.states {
-		be.pools[i] = chain.NewMempool(cfg.Chain.Gas)
-		st := chain.NewState()
-		for a, v := range cfg.Alloc {
-			st.Account(a).Balance = v
-		}
-		be.states[i] = st
-	}
-	return be, nil
-}
+func newPoA(cfg Config) *poaBackend { return &poaBackend{newSealer("poa", cfg)} }
 
-func (be *poaBackend) Name() string { return be.name }
-
-// Submit gossips the transaction into every peer's mempool, exactly as
-// the pow backend does — admission validation is consensus-independent.
-func (be *poaBackend) Submit(tx *chain.Transaction) error {
-	for i, pool := range be.pools {
-		if err := pool.Add(tx); err != nil {
-			return fmt.Errorf("ledger: peer %d mempool: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Commit has the leader authority drain its mempool under the block
-// gas cap (gas-price order, stateful rejects left pooled — the same
-// selection rule as PoW assembly), seal the block with no puzzle, and
-// replicate execution on every peer's state.
+// Commit has the leader authority seal its pending set into one block
+// replicated on every peer.
 func (be *poaBackend) Commit(leader int, timeMs uint64) (Commit, error) {
-	parent := be.blocks[len(be.blocks)-1]
-	if timeMs < parent.Header.Time {
-		timeMs = parent.Header.Time
+	b, err := be.seal(leader, timeMs, be.cfg.Proc, be.pools[leader].Pending())
+	if err != nil {
+		return Commit{}, err
 	}
-	header := chain.Header{
-		ParentHash: parent.Hash(),
-		Number:     parent.Header.Number + 1,
-		Time:       timeMs,
-		Miner:      be.cfg.Sealers[leader],
-		GasLimit:   be.cfg.Chain.BlockGasLimit,
-	}
-
-	// Select on a scratch copy of the leader's state with the same
-	// rule as PoW block assembly (chain.SelectTxs): capacity-evicted
-	// and inadmissible txs stay pooled.
-	scratch := be.states[leader].Copy()
-	included, gasUsed := chain.SelectTxs(be.cfg.Chain.Gas, scratch, header.Miner, be.cfg.Proc,
-		be.pools[leader].Pending(), header.GasLimit)
-	header.GasUsed = gasUsed
-	header.TxRoot = chain.MerkleRoot(included)
-	b := &chain.Block{Header: header, Txs: included}
-
-	// Replicated execution: every authority/peer validates the block
-	// by applying it to its own state (same receipts everywhere).
-	for i, st := range be.states {
-		var got uint64
-		for _, tx := range included {
-			rec, err := chain.ApplyTx(be.cfg.Chain.Gas, st, tx, header.Miner, be.cfg.Proc)
-			if err != nil {
-				return Commit{}, fmt.Errorf("ledger: peer %d replay: %w", i, err)
-			}
-			got += rec.GasUsed
-		}
-		if got != gasUsed {
-			return Commit{}, fmt.Errorf("ledger: peer %d gas %d != sealed %d", i, got, gasUsed)
-		}
-		st.Account(header.Miner).Balance += be.cfg.Chain.BlockReward
-	}
-
-	be.blocks = append(be.blocks, b)
-	be.bytes += b.Size()
-	be.gas += gasUsed
-	be.txs += len(included)
-	for _, pool := range be.pools {
-		pool.RemoveBlock(b)
-	}
-	return Commit{
-		Height:    header.Number,
-		Txs:       len(included),
-		GasUsed:   gasUsed,
-		Bytes:     b.Size(),
-		Hash:      b.Hash(),
-		LatencyMs: be.CommitLatencyMs(),
-	}, nil
-}
-
-func (be *poaBackend) Pending(peer int) int { return be.pools[peer].Len() }
-
-// StateView copies the peer's replicated state: each authority holds
-// (and keeps mutating) its own, so readers get an isolated snapshot.
-func (be *poaBackend) StateView(peer int) *chain.State { return be.states[peer].Copy() }
-
-func (be *poaBackend) CommittedTxs(int) []*chain.Transaction {
-	var out []*chain.Transaction
-	for _, b := range be.blocks {
-		out = append(out, b.Txs...)
-	}
-	return out
+	c := commitOf(b)
+	c.LatencyMs = be.CommitLatencyMs()
+	return c, nil
 }
 
 // CommitLatencyMs models authority sealing at a fixed slot a fraction
 // of the PoW interval: no puzzle to solve, just the rotation.
 func (be *poaBackend) CommitLatencyMs() float64 {
 	return float64(be.cfg.Chain.TargetIntervalMs) / poaSlotDiv
-}
-
-func (be *poaBackend) Footprint() Footprint {
-	return Footprint{Blocks: len(be.blocks), Txs: be.txs, GasUsed: be.gas, Bytes: be.bytes}
 }

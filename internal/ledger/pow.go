@@ -19,32 +19,23 @@ type powBackend struct {
 	pools  []*chain.Mempool
 }
 
-func newPoW(name string, cfg Config) (*powBackend, error) {
+func newPoW(cfg Config) *powBackend {
 	be := &powBackend{
-		name:   name,
+		name:   cfg.nameOr("pow"),
 		cfg:    cfg,
 		chains: make([]*chain.Chain, cfg.Peers),
-		pools:  make([]*chain.Mempool, cfg.Peers),
+		pools:  newPools(cfg),
 	}
 	for i := range be.chains {
 		be.chains[i] = chain.New(cfg.Chain, cfg.Alloc, cfg.Proc)
-		be.pools[i] = chain.NewMempool(cfg.Chain.Gas)
 	}
-	return be, nil
+	return be
 }
 
 func (be *powBackend) Name() string { return be.name }
 
-// Submit gossips the transaction into every peer's mempool (each node
-// validates on admission, as a real network would).
-func (be *powBackend) Submit(tx *chain.Transaction) error {
-	for i, pool := range be.pools {
-		if err := pool.Add(tx); err != nil {
-			return fmt.Errorf("ledger: peer %d mempool: %w", i, err)
-		}
-	}
-	return nil
-}
+// Submit gossips the transaction into every peer's mempool.
+func (be *powBackend) Submit(tx *chain.Transaction) error { return gossip(be.pools, tx) }
 
 // Commit drains the leader's mempool into a mined block and applies it
 // to every peer's chain. Transactions the block's gas capacity evicts
@@ -63,14 +54,9 @@ func (be *powBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	for _, pool := range be.pools {
 		pool.RemoveBlock(b)
 	}
-	return Commit{
-		Height:    b.Header.Number,
-		Txs:       len(b.Txs),
-		GasUsed:   b.Header.GasUsed,
-		Bytes:     b.Size(),
-		Hash:      b.Hash(),
-		LatencyMs: be.CommitLatencyMs(),
-	}, nil
+	c := commitOf(b)
+	c.LatencyMs = be.CommitLatencyMs()
+	return c, nil
 }
 
 func (be *powBackend) Pending(peer int) int { return be.pools[peer].Len() }

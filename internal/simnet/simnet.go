@@ -23,30 +23,6 @@ import (
 	"waitornot/internal/xrand"
 )
 
-// Sim is a virtual clock with an event queue — a thin façade over the
-// shared vclock engine (every Sim event is "peerless", so ordering is
-// (time, scheduling order), exactly the historical rule).
-type Sim struct {
-	c *vclock.Clock
-}
-
-// NewSim returns a simulator at time zero.
-func NewSim() *Sim { return &Sim{c: vclock.New()} }
-
-// Now returns the current virtual time in ms.
-func (s *Sim) Now() float64 { return s.c.Now() }
-
-// After schedules fn delay ms from now. Negative delays run "now".
-func (s *Sim) After(delay float64, fn func()) {
-	s.c.After(delay, vclock.Global, func() error { fn(); return nil })
-}
-
-// Run processes events until the queue empties or the clock passes
-// until (ms). Events scheduled at exactly until still run.
-func (s *Sim) Run(until float64) {
-	_ = s.c.RunUntil(until) // callbacks never error
-}
-
 // ThroughputConfig parameterizes the shared-host blockchain model.
 type ThroughputConfig struct {
 	// Peers is the number of blockchain nodes co-located on one host
@@ -92,7 +68,12 @@ func SimulateThroughput(cfg ThroughputConfig) Throughput {
 		panic(fmt.Sprintf("simnet: bad throughput config %+v", cfg))
 	}
 	rng := xrand.New(cfg.Seed).Derive("throughput")
-	sim := NewSim()
+	// Every event is peerless (vclock.Global), so ordering is (time,
+	// scheduling order).
+	clock := vclock.New()
+	after := func(delay float64, fn func()) {
+		clock.After(delay, vclock.Global, func() error { fn(); return nil })
+	}
 
 	// Validation: each peer re-executes every tx; peers progress at
 	// HostCores/Peers of a core. The slowest peer gates inclusion, and
@@ -114,20 +95,20 @@ func SimulateThroughput(cfg ThroughputConfig) Throughput {
 	var arrive func()
 	interArrivalMs := 1000.0 / cfg.OfferedTxPerSec
 	arrive = func() {
-		t := txRec{submitted: sim.Now()}
+		t := txRec{submitted: clock.Now()}
 		// Tx enters the validation pipeline (single shared queue).
-		start := sim.Now()
+		start := clock.Now()
 		if queueBusyAt > start {
 			start = queueBusyAt
 		}
 		finish := start + serviceMs
 		queueBusyAt = finish
-		sim.After(finish-sim.Now(), func() {
+		after(finish-clock.Now(), func() {
 			validated = append(validated, t)
 		})
-		sim.After(rng.ExpFloat64()*interArrivalMs, arrive)
+		after(rng.ExpFloat64()*interArrivalMs, arrive)
 	}
-	sim.After(rng.ExpFloat64()*interArrivalMs, arrive)
+	after(rng.ExpFloat64()*interArrivalMs, arrive)
 
 	// Block sealing.
 	var seal func()
@@ -137,16 +118,16 @@ func SimulateThroughput(cfg ThroughputConfig) Throughput {
 			n = capacity
 		}
 		for _, t := range validated[:n] {
-			latencySum += sim.Now() - t.submitted
+			latencySum += clock.Now() - t.submitted
 			committed++
 		}
 		validated = validated[n:]
 		blocks++
-		sim.After(rng.ExpFloat64()*cfg.BlockIntervalMs, seal)
+		after(rng.ExpFloat64()*cfg.BlockIntervalMs, seal)
 	}
-	sim.After(rng.ExpFloat64()*cfg.BlockIntervalMs, seal)
+	after(rng.ExpFloat64()*cfg.BlockIntervalMs, seal)
 
-	sim.Run(cfg.DurationMs)
+	_ = clock.RunUntil(cfg.DurationMs) // callbacks never error
 
 	out := Throughput{Peers: cfg.Peers, Blocks: blocks}
 	out.CommittedPerSec = float64(committed) / (cfg.DurationMs / 1000)

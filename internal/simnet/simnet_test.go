@@ -9,63 +9,6 @@ import (
 	"waitornot/internal/xrand"
 )
 
-func TestSimRunsEventsInOrder(t *testing.T) {
-	s := NewSim()
-	var got []int
-	s.After(30, func() { got = append(got, 3) })
-	s.After(10, func() { got = append(got, 1) })
-	s.After(20, func() { got = append(got, 2) })
-	s.Run(100)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("order = %v", got)
-	}
-	if s.Now() != 30 {
-		t.Fatalf("clock = %v", s.Now())
-	}
-}
-
-func TestSimTieBreakDeterministic(t *testing.T) {
-	s := NewSim()
-	var got []int
-	s.After(5, func() { got = append(got, 1) })
-	s.After(5, func() { got = append(got, 2) })
-	s.Run(10)
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ties must run in scheduling order: %v", got)
-	}
-}
-
-func TestSimRunStopsAtHorizon(t *testing.T) {
-	s := NewSim()
-	fired := false
-	s.After(50, func() { fired = true })
-	s.Run(40)
-	if fired {
-		t.Fatal("event past horizon ran")
-	}
-	s.Run(60)
-	if !fired {
-		t.Fatal("event within extended horizon did not run")
-	}
-}
-
-func TestSimNestedScheduling(t *testing.T) {
-	s := NewSim()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 5 {
-			s.After(10, tick)
-		}
-	}
-	s.After(0, tick)
-	s.Run(1000)
-	if count != 5 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func baseThroughput() ThroughputConfig {
 	// Validation (not block capacity) is the binding constraint across
 	// the peer sweep: capacity = HostCores/(TxExecMs*Peers) = 250/s at

@@ -15,7 +15,10 @@
 // iteration order on an output path.
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // z95 is the 0.975 quantile of the standard normal distribution: the
 // two-sided 95% interval half-width is z95 standard errors under the
@@ -106,15 +109,23 @@ func (w *Welford) Min() float64 { return w.min }
 func (w *Welford) Max() float64 { return w.max }
 
 // Summary is the frozen snapshot of an accumulator, in the shape
-// reports serialize.
+// reports serialize: the per-cell distribution of one sweep metric —
+// streaming moments over the cell's replications plus the half-width
+// of the normal-approximation 95% confidence interval for the mean (0
+// when the cell holds a single sample — never NaN). See DESIGN.md §5
+// for the statistics model.
 type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	Max  float64
-	CI95 float64
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	Std  float64 `json:"std"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+	CI95 float64 `json:"ci95"`
 }
+
+// String renders the summary the way the sweep table does: mean ±
+// 95% CI half-width at four decimals.
+func (s Summary) String() string { return fmt.Sprintf("%.4f ± %.4f", s.Mean, s.CI95) }
 
 // Summary freezes the accumulator.
 func (w *Welford) Summary() Summary {

@@ -13,11 +13,12 @@
 // pools with index-addressed slots, see internal/par), never between
 // them.
 //
-// The synchronous experiment runner consumes the clock as a metronome
-// (Advance at the commit cadence); the asynchronous runner consumes it
-// as a true event queue (Schedule/Run). Both share the one ordering
-// rule, so "sync" is literally the barriered special case of the same
-// timeline.
+// The asynchronous runner and the sharded orchestrator own a clock and
+// drive it as an event queue (Schedule/Run); the barriered round
+// engine (bfl.RoundEngine) owns none — it takes explicit commit
+// instants from whoever does, which is what lets one round body serve
+// the flat schedule and every shard. The throughput simulator
+// (internal/simnet) schedules its peerless events here too.
 package vclock
 
 import (
@@ -122,21 +123,6 @@ func (c *Clock) RunUntil(until float64) error {
 		}
 	}
 	return nil
-}
-
-// Advance runs every event due within the next delta ms, then moves the
-// clock to exactly now + delta and returns it — the metronome the
-// synchronous runner ticks its commit cadence with.
-func (c *Clock) Advance(delta float64) (float64, error) {
-	if delta < 0 {
-		return c.now, fmt.Errorf("vclock: negative advance %g", delta)
-	}
-	target := c.now + delta
-	if err := c.RunUntil(target); err != nil {
-		return c.now, err
-	}
-	c.now = target
-	return c.now, nil
 }
 
 // step pops and runs the single next event.

@@ -118,26 +118,3 @@ func TestRunUntilParksAtHorizon(t *testing.T) {
 		t.Fatalf("now=%g len=%d, want parked at 20 with 1 pending", c.Now(), c.Len())
 	}
 }
-
-// TestAdvanceMetronome: Advance runs due events and lands exactly on
-// the target — the synchronous runner's commit cadence.
-func TestAdvanceMetronome(t *testing.T) {
-	c := New()
-	ran := false
-	c.Schedule(150, 0, func() error { ran = true; return nil })
-	for i := 1; i <= 3; i++ {
-		now, err := c.Advance(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if now != float64(100*i) {
-			t.Fatalf("tick %d at %g, want %d", i, now, 100*i)
-		}
-	}
-	if !ran {
-		t.Fatal("due event skipped by Advance")
-	}
-	if _, err := c.Advance(-1); err == nil {
-		t.Fatal("negative advance must error")
-	}
-}

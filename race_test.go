@@ -34,7 +34,7 @@ func TestRaceSmokeDecentralized(t *testing.T) {
 		Filter:        core.Filter{MaxBelowBest: 0.5},
 		Parallelism:   8,
 	}
-	res, err := bfl.RunDecentralized(cfg)
+	res, err := bfl.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

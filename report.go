@@ -92,31 +92,20 @@ func (r *VanillaReport) CSV() string {
 	return tab.CSV()
 }
 
-// RoundInfo is one peer-round of the decentralized run.
-type RoundInfo struct {
-	Round          int
-	Included       int
-	WaitMs         float64
-	ChosenCombo    string
-	ChosenAccuracy float64
-	Rejected       []string
-}
+// RoundInfo is one peer-round of the decentralized run: the round
+// number, how many updates the wait policy admitted (Included), the
+// simulated wait until it fired (WaitMs), the adopted combination and
+// its test accuracy, and the clients the abnormal-model filter
+// rejected. It is the engine's own record — what a round record
+// contains is decided in one place.
+type RoundInfo = bfl.RoundStats
 
-// ChainSummary is the on-chain footprint of a decentralized run. Its
-// fields mirror bfl.ChainStats one for one, so the engine's value
-// converts directly: ChainSummary(res.Chain).
-type ChainSummary struct {
-	Blocks      int
-	Txs         int
-	GasUsed     uint64
-	Bytes       int
-	Submissions int
-	Decisions   int
-	// VerifyRejected counts submissions the backend's model
-	// verification excluded from aggregation (pbft; 0 elsewhere).
-	// They stay in Submissions — on the chain, not on the contract.
-	VerifyRejected int
-}
+// ChainSummary is the on-chain footprint of a decentralized run:
+// blocks, transactions (of which Submissions and Decisions), gas and
+// bytes. VerifyRejected counts submissions the backend's model
+// verification excluded from aggregation (pbft; 0 elsewhere) — they
+// stay in Submissions: on the chain, not on the contract.
+type ChainSummary = bfl.ChainStats
 
 // DecentralizedReport is the blockchain experiment's output
 // (Tables II-IV / Figure 4).
@@ -143,26 +132,13 @@ func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Si
 	if err != nil {
 		return nil, err
 	}
-	rep := &DecentralizedReport{
+	return &DecentralizedReport{
 		PeerNames:     res.PeerNames,
 		ComboLabels:   res.ComboLabels,
 		ComboAccuracy: res.ComboAccuracy,
-		Chain:         ChainSummary(res.Chain),
-	}
-	rep.Rounds = make([][]RoundInfo, len(res.Rounds))
-	for p, rounds := range res.Rounds {
-		for _, rs := range rounds {
-			rep.Rounds[p] = append(rep.Rounds[p], RoundInfo{
-				Round:          rs.Round,
-				Included:       rs.Included,
-				WaitMs:         rs.WaitMs,
-				ChosenCombo:    rs.ChosenCombo,
-				ChosenAccuracy: rs.ChosenAccuracy,
-				Rejected:       rs.Rejected,
-			})
-		}
-	}
-	return rep, nil
+		Rounds:        res.Rounds,
+		Chain:         res.Chain,
+	}, nil
 }
 
 // Headline reduces the report to the trade-off study's three headline

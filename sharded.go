@@ -12,39 +12,25 @@ import (
 )
 
 // MergeMode selects how a KindSharded run folds shard models into the
-// global model.
-type MergeMode int
+// global model; it renders as "sync" / "async".
+type MergeMode = shard.MergeMode
 
 const (
 	// MergeSync barriers every MergeCadence shard rounds: all shards
 	// publish, the models are FedAvg-folded, every shard adopts.
-	MergeSync MergeMode = iota
+	MergeSync = shard.MergeSync
 	// MergeAsync merges on each shard's arrival, staleness-weighted;
 	// only the arriving shard adopts — fast shards never wait.
-	MergeAsync
+	MergeAsync = shard.MergeAsync
 )
 
-// String implements fmt.Stringer ("sync" / "async").
-func (m MergeMode) String() string { return m.internal().String() }
-
-func (m MergeMode) internal() shard.MergeMode {
-	if m == MergeAsync {
-		return shard.MergeAsync
-	}
-	return shard.MergeSync
-}
-
 // ShardRoundInfo is one shard-level aggregation round of a KindSharded
-// run: the shard's slowest-peer policy wait, its cumulative wait, and
-// the round's decision-commit instant on the shared virtual clock.
-type ShardRoundInfo struct {
-	Round        int
-	Policy       string
-	MaxWaitMs    float64
-	CumWaitMs    float64
-	VirtualMs    float64
-	MeanIncluded float64
-}
+// run — the engine's own record: the wait policy it ran under, the
+// shard's slowest-peer policy wait (MaxWaitMs) and cumulative wait
+// (CumWaitMs), the round's decision-commit instant on the shared
+// virtual clock (VirtualMs), and the mean number of updates admitted
+// per peer.
+type ShardRoundInfo = shard.RoundAgg
 
 // ShardSummary is one shard's complete record: its slice of the fleet,
 // its ledger, its rounds, and its inner per-peer result.
@@ -71,21 +57,13 @@ type ShardSummary struct {
 	Chain ChainSummary
 }
 
-// MergePoint records one cross-shard merge: the global model's
-// accuracy on the evaluation set at the fleet's cumulative policy wait
-// (the trade-off study's time axis) and virtual instant.
-type MergePoint struct {
-	Epoch int
-	// Shard is the arriving shard for async merges, -1 for sync
-	// barriers.
-	Shard    int
-	Mode     string
-	Included int
-	Accuracy float64
-	WaitMs   float64
-	// VirtualMs is the merge instant on the shared clock.
-	VirtualMs float64
-}
+// MergePoint records one cross-shard merge — the engine's own record:
+// the global model's Accuracy on the evaluation set at the fleet's
+// cumulative policy wait (WaitMs, the trade-off study's time axis) and
+// virtual instant (VirtualMs). Shard is the arriving shard for async
+// merges, -1 for sync barriers; Included counts the shard models
+// folded in.
+type MergePoint = shard.Merge
 
 // ShardedReport is the sharded hierarchy's output: per-shard round
 // records and ledger footprints, the cross-shard merge trajectory, and
@@ -112,7 +90,7 @@ func (o Options) sharded(policies []Policy) shard.Config {
 		Shards:     o.Shards,
 		Backends:   o.ShardBackends,
 		MergeEvery: o.MergeCadence,
-		Mode:       o.MergeMode.internal(),
+		Mode:       o.MergeMode,
 		Adaptive:   o.AdaptiveShards,
 	}
 	cfg.Base.EvalAllCombos = false // combo tables are a flat-run concern
@@ -149,54 +127,22 @@ func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, 
 	rep := &ShardedReport{
 		InitialAccuracy: res.InitialAccuracy,
 		FinalAccuracy:   res.FinalAccuracy,
+		Merges:          res.Merges,
 		HorizonMs:       res.HorizonMs,
 	}
 	for _, s := range res.Shards {
-		sum := ShardSummary{
+		rep.Shards = append(rep.Shards, ShardSummary{
 			Index:         s.Index,
 			Peers:         s.Peers,
 			Backend:       s.Backend,
 			Seed:          s.Seed,
 			Samples:       s.Samples,
+			Rounds:        s.Rounds,
 			Policies:      s.Policies,
 			FinalAccuracy: s.FinalAccuracy,
 			CumWaitMs:     s.CumWaitMs,
-			Chain:         ChainSummary(s.Flat.Chain),
-		}
-		for _, ra := range s.Rounds {
-			sum.Rounds = append(sum.Rounds, ShardRoundInfo{
-				Round:        ra.Round,
-				Policy:       ra.Policy,
-				MaxWaitMs:    ra.MaxWaitMs,
-				CumWaitMs:    ra.CumWaitMs,
-				VirtualMs:    ra.VirtualMs,
-				MeanIncluded: ra.MeanIncluded,
-			})
-		}
-		sum.PeerRounds = make([][]RoundInfo, len(s.Flat.Rounds))
-		for p, rounds := range s.Flat.Rounds {
-			for _, rs := range rounds {
-				sum.PeerRounds[p] = append(sum.PeerRounds[p], RoundInfo{
-					Round:          rs.Round,
-					Included:       rs.Included,
-					WaitMs:         rs.WaitMs,
-					ChosenCombo:    rs.ChosenCombo,
-					ChosenAccuracy: rs.ChosenAccuracy,
-					Rejected:       rs.Rejected,
-				})
-			}
-		}
-		rep.Shards = append(rep.Shards, sum)
-	}
-	for _, m := range res.Merges {
-		rep.Merges = append(rep.Merges, MergePoint{
-			Epoch:     m.Epoch,
-			Shard:     m.Shard,
-			Mode:      m.Mode,
-			Included:  m.Included,
-			Accuracy:  m.Accuracy,
-			WaitMs:    m.WaitMs,
-			VirtualMs: m.VirtualMs,
+			PeerRounds:    s.Flat.Rounds,
+			Chain:         s.Flat.Chain,
 		})
 	}
 	return rep, nil

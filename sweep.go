@@ -63,30 +63,16 @@ func (so SweepOptions) seedList(base uint64) ([]uint64, error) {
 	return nil, fmt.Errorf("waitornot: a sweep needs seeds: use WithSeeds, WithReplications, or a scenario that declares Seeds")
 }
 
-// Summary is the per-cell distribution of one sweep metric: streaming
-// moments over the cell's replications plus the half-width of the
-// normal-approximation 95% confidence interval for the mean (0 when
-// the cell holds a single sample — never NaN). See DESIGN.md §5 for
-// the statistics model.
-type Summary struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	Std  float64 `json:"std"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-	CI95 float64 `json:"ci95"`
-}
+// Summary is the per-cell distribution of one sweep metric (N, Mean,
+// Std, Min, Max and the 95% confidence half-width CI95 over the cell's
+// replications) — the statistics engine's own snapshot type. Its
+// String() renders "mean ± CI95" at four decimals, the way the sweep
+// table does.
+type Summary = stats.Summary
 
-func summaryOf(w *stats.Welford) Summary {
-	s := w.Summary()
-	return Summary{N: s.N, Mean: s.Mean, Std: s.Std, Min: s.Min, Max: s.Max, CI95: s.CI95}
-}
-
-// String renders the summary the way the sweep table does: mean ±
-// 95% CI half-width at the given decimal precision.
-func (s Summary) String() string { return s.format(4) }
-
-func (s Summary) format(decimals int) string {
+// formatSummary renders mean ± 95% CI half-width at the given decimal
+// precision.
+func formatSummary(s Summary, decimals int) string {
 	return fmt.Sprintf("%.*f ± %.*f", decimals, s.Mean, decimals, s.CI95)
 }
 
@@ -172,13 +158,8 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 		return nil, err
 	}
 	total := plan.total()
-	emit := newOrderedEmitter(observerSink(e.observer))
-	runs, err := par.MapCtx(ctx, plan.workers, total, func(i int) (SweepRun, error) {
-		run, err := plan.run(ctx, i)
-		if err != nil {
-			return SweepRun{}, err
-		}
-		emit.emit(i, event.SweepProgress{
+	runs, err := plan.runAll(ctx, observerSink(e.observer), func(i int, run SweepRun) event.Event {
+		return event.SweepProgress{
 			Index:         i,
 			Total:         total,
 			Seed:          run.Seed,
@@ -187,8 +168,7 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 			FinalAccuracy: run.FinalAccuracy,
 			MeanWaitMs:    run.MeanWaitMs,
 			MeanIncluded:  run.MeanIncluded,
-		})
-		return run, nil
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -200,18 +180,22 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 // the classic kinds, a shard-count × merge-cadence combination for
 // KindSharded. The variant's label keys the cell (the grid and the
 // report's policy column), so classic sweeps keep their exact cell
-// names and byte-identical reports.
+// names and byte-identical reports. The JSON form is the campaign
+// manifest's (campaign.go): it is hashed into the fingerprint, so tags
+// and field order are part of the on-disk format.
 type sweepVariant struct {
-	label           string
-	policy          Policy
-	shards, cadence int
+	Label   string `json:"label"`
+	Policy  Policy `json:"policy"`
+	Shards  int    `json:"shards,omitempty"`
+	Cadence int    `json:"cadence,omitempty"`
 }
 
 // sweepPlan is a replication sweep resolved into its flat work list:
 // the seed-major, backend-major, variant-minor grid RunSweep schedules
 // through the worker pool. The campaign engine (RunCampaign) reuses
 // the same plan, so a persisted cell is keyed and computed exactly as
-// an in-memory one.
+// an in-memory one; so does a KindTradeoff Run (runTradeoff), which is
+// the plan over the single seed Options.Seed.
 type sweepPlan struct {
 	kind     Kind
 	scenario string
@@ -267,14 +251,14 @@ func (e *Experiment) sweepPlan() (*sweepPlan, error) {
 			if err := p.Validate(); err != nil {
 				return nil, err
 			}
-			variants = append(variants, sweepVariant{label: p.Name(), policy: p})
+			variants = append(variants, sweepVariant{Label: p.Name(), Policy: p})
 		}
 		backends = e.backends
 		if len(backends) == 0 {
 			backends = []string{e.opts.Backend}
 		}
 	case KindDecentralized:
-		variants = []sweepVariant{{label: e.opts.Policy.Name(), policy: e.opts.Policy}}
+		variants = []sweepVariant{{Label: e.opts.Policy.Name(), Policy: e.opts.Policy}}
 		backends = []string{e.opts.Backend}
 	case KindSharded:
 		// The sharded sweep's per-backend axes are topology, not wait
@@ -308,10 +292,10 @@ func (e *Experiment) sweepPlan() (*sweepPlan, error) {
 					return nil, fmt.Errorf("waitornot: sweep merge cadence %d < 1", m)
 				}
 				variants = append(variants, sweepVariant{
-					label:   fmt.Sprintf("S=%d/M=%d", s, m),
-					policy:  e.opts.Policy,
-					shards:  s,
-					cadence: m,
+					Label:   fmt.Sprintf("S=%d/M=%d", s, m),
+					Policy:  e.opts.Policy,
+					Shards:  s,
+					Cadence: m,
 				})
 			}
 		}
@@ -366,7 +350,7 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	o := p.opts
 	o.Seed = seed
 	o.Backend = b
-	o.Policy = v.policy
+	o.Policy = v.Policy
 	// Every report type exposes the same headline reduction; only
 	// the runner differs per kind.
 	var (
@@ -380,15 +364,15 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	case KindAsync:
 		rep, err = runAsyncExperiment(ctx, o, nil)
 	case KindSharded:
-		o.Shards = v.shards
-		o.MergeCadence = v.cadence
+		o.Shards = v.Shards
+		o.MergeCadence = v.Cadence
 		o.ShardBackends = nil // the backend axis assigns all shards at once
 		rep, err = runShardedExperiment(ctx, o, p.ladder, nil)
 	default:
 		rep, err = runDecentralizedExperiment(ctx, o, nil)
 	}
 	if err != nil {
-		return SweepRun{}, fmt.Errorf("seed %d cell %s backend %q: %w", seed, v.label, b, err)
+		return SweepRun{}, fmt.Errorf("seed %d cell %s backend %q: %w", seed, v.Label, b, err)
 	}
 	acc, wait, included := rep.Headline()
 	var tta *float64
@@ -398,13 +382,29 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	}
 	return SweepRun{
 		Seed:          seed,
-		Policy:        v.label,
+		Policy:        v.Label,
 		Backend:       b,
 		FinalAccuracy: acc,
 		MeanWaitMs:    wait,
 		MeanIncluded:  included,
 		TimeToAccMs:   tta,
 	}, nil
+}
+
+// runAll executes the whole work list through the deterministic worker
+// pool — the one "run cell i, emit in order" loop behind RunSweep and
+// the single-seed trade-off study — forwarding one progress event per
+// completed cell, restored to flat work-list order.
+func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, progress func(i int, run SweepRun) event.Event) ([]SweepRun, error) {
+	emit := newOrderedEmitter(sink)
+	return par.MapCtx(ctx, p.workers, p.total(), func(i int) (SweepRun, error) {
+		run, err := p.run(ctx, i)
+		if err != nil {
+			return SweepRun{}, err
+		}
+		emit.emit(i, progress(i, run))
+		return run, nil
+	})
 }
 
 // report assembles the SweepReport from the index-ordered run list.
@@ -429,20 +429,20 @@ func (p *sweepPlan) report(runs []SweepRun) *SweepReport {
 	rep := &SweepReport{Model: p.opts.Model, Scenario: p.scenario, Seeds: p.seeds, TargetAccuracy: p.target, Runs: runs}
 	for _, b := range p.backends {
 		for _, v := range p.variants {
-			cell := SweepCell{Policy: v.label, Backend: b}
+			cell := SweepCell{Policy: v.Label, Backend: b}
 			if w, ok := grid.Cell(cell.Policy, b, "accuracy"); ok {
-				cell.Accuracy = summaryOf(w)
+				cell.Accuracy = w.Summary()
 			}
 			if w, ok := grid.Cell(cell.Policy, b, "wait_ms"); ok {
-				cell.WaitMs = summaryOf(w)
+				cell.WaitMs = w.Summary()
 			}
 			if w, ok := grid.Cell(cell.Policy, b, "included"); ok {
-				cell.Included = summaryOf(w)
+				cell.Included = w.Summary()
 			}
 			if p.target > 0 {
 				s := Summary{}
 				if w, ok := grid.Cell(cell.Policy, b, "tta_ms"); ok {
-					s = summaryOf(w)
+					s = w.Summary()
 				}
 				cell.TimeToAcc = &s
 			}
@@ -483,11 +483,11 @@ func (r *SweepReport) Table() string {
 	tab := metrics.NewTable(title, header...)
 	for _, c := range r.Cells {
 		row := []string{c.Policy, fmt.Sprint(c.Accuracy.N),
-			c.Accuracy.format(4), c.WaitMs.format(1), c.Included.format(2)}
+			c.Accuracy.String(), formatSummary(c.WaitMs, 1), formatSummary(c.Included, 2)}
 		if r.TargetAccuracy > 0 {
 			tta, reached := "n/a", "0"
 			if c.TimeToAcc != nil && c.TimeToAcc.N > 0 {
-				tta = c.TimeToAcc.format(1)
+				tta = formatSummary(*c.TimeToAcc, 1)
 				reached = fmt.Sprintf("%d/%d", c.TimeToAcc.N, c.Accuracy.N)
 			} else if c.Accuracy.N > 0 {
 				reached = fmt.Sprintf("0/%d", c.Accuracy.N)

@@ -78,44 +78,60 @@ func TestSweepReportGolden(t *testing.T) {
 // TestSweepMatchesSoloRuns proves the acceptance criterion: every
 // replication of the sweep is bit-identical to a standalone
 // Experiment.Run at the same seed — the sweep adds statistics, never
-// noise.
+// noise. RunSweep and a KindTradeoff Run schedule the same grid, so the
+// independent reference is the single-run path: one KindDecentralized
+// run per (seed, backend, policy), reduced with Headline(), against
+// which both grid entry points are checked.
 func TestSweepMatchesSoloRuns(t *testing.T) {
 	rep := runGoldenSweep(t, 0)
 	if len(rep.Runs) != 3*2*2 {
 		t.Fatalf("got %d runs, want seeds × backends × policies = 12", len(rep.Runs))
 	}
+	backends := []string{"pow", "instant"}
+	next := 0 // rep.Runs is seed-major, backend-major, policy-minor
 	for _, seed := range []uint64{1, 2, 3} {
-		opts := sweepOpts()
-		solo, err := waitornot.New(opts,
+		grid, err := waitornot.New(sweepOpts(),
 			waitornot.WithKind(waitornot.KindTradeoff),
 			waitornot.WithPolicies(sweepPolicies()...),
-			waitornot.WithBackends("pow", "instant"),
+			waitornot.WithBackends(backends...),
 			waitornot.WithSeed(seed)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []waitornot.SweepRun
-		for _, r := range rep.Runs {
-			if r.Seed == seed {
-				got = append(got, r)
-			}
+		outcomes := grid.Tradeoff.Outcomes
+		if len(outcomes) != len(backends)*len(sweepPolicies()) {
+			t.Fatalf("seed %d: %d trade-off outcomes, want %d", seed, len(outcomes), len(backends)*len(sweepPolicies()))
 		}
-		outcomes := solo.Tradeoff.Outcomes
-		if len(got) != len(outcomes) {
-			t.Fatalf("seed %d: %d sweep runs vs %d solo outcomes", seed, len(got), len(outcomes))
-		}
-		for i, o := range outcomes {
-			r := got[i]
-			if r.Policy != o.Policy || r.Backend != o.Backend {
-				t.Fatalf("seed %d arm %d: sweep ran (%s, %s), solo ran (%s, %s)",
-					seed, i, r.Policy, r.Backend, o.Policy, o.Backend)
-			}
-			// Exact float equality: bit-identical, not merely close.
-			if r.FinalAccuracy != o.FinalAccuracy || r.MeanWaitMs != o.MeanWaitMs || r.MeanIncluded != o.MeanIncluded {
-				t.Fatalf("seed %d %s@%s: sweep (%v, %v, %v) != solo (%v, %v, %v)",
-					seed, r.Policy, r.Backend,
-					r.FinalAccuracy, r.MeanWaitMs, r.MeanIncluded,
-					o.FinalAccuracy, o.MeanWaitMs, o.MeanIncluded)
+		for bi, backend := range backends {
+			for pi, policy := range sweepPolicies() {
+				opts := sweepOpts()
+				opts.Policy = policy
+				opts.SkipComboTables = true
+				solo, err := waitornot.New(opts,
+					waitornot.WithBackend(backend),
+					waitornot.WithSeed(seed)).Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc, wait, included := solo.Decentralized.Headline()
+				r, o := rep.Runs[next], outcomes[bi*len(sweepPolicies())+pi]
+				next++
+				if r.Seed != seed || r.Policy != policy.Name() || r.Backend != backend {
+					t.Fatalf("sweep ran (seed %d, %s, %s), want (seed %d, %s, %s)",
+						r.Seed, r.Policy, r.Backend, seed, policy.Name(), backend)
+				}
+				if o.Policy != policy.Name() || o.Backend != backend {
+					t.Fatalf("seed %d: trade-off ran (%s, %s), want (%s, %s)", seed, o.Policy, o.Backend, policy.Name(), backend)
+				}
+				// Exact float equality: bit-identical, not merely close.
+				if r.FinalAccuracy != acc || r.MeanWaitMs != wait || r.MeanIncluded != included {
+					t.Fatalf("seed %d %s@%s: sweep (%v, %v, %v) != solo (%v, %v, %v)",
+						seed, r.Policy, r.Backend, r.FinalAccuracy, r.MeanWaitMs, r.MeanIncluded, acc, wait, included)
+				}
+				if o.FinalAccuracy != acc || o.MeanWaitMs != wait || o.MeanIncluded != included {
+					t.Fatalf("seed %d %s@%s: trade-off (%v, %v, %v) != solo (%v, %v, %v)",
+						seed, o.Policy, o.Backend, o.FinalAccuracy, o.MeanWaitMs, o.MeanIncluded, acc, wait, included)
+				}
 			}
 		}
 	}

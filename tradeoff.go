@@ -36,81 +36,52 @@ type TradeoffReport struct {
 	Outcomes []PolicyOutcome
 }
 
-// runTradeoffExperiment is the engine-facing trade-off runner behind
-// Experiment.Run: the decentralized experiment once per policy
-// (identical data, seeds, and initial weights), summarized as the
-// speed-vs-precision frontier. The per-arm runs are fully independent
-// — same seed, different wait policy — so they execute concurrently
-// under Options.Parallelism with outcomes landing in policy order. The
-// worker budget is split across nesting levels: with P arms running
-// concurrently, each nested experiment gets roughly Parallelism/P
-// workers for its own training pool, keeping total concurrency near
-// the knob rather than multiplying by it. Round-level events of the
-// arms are suppressed (they would interleave nondeterministically);
-// instead one PolicyDone per arm streams out, restored to sweep order
-// by an orderedEmitter, so observers see a deterministic stream
-// without losing streaming entirely.
+// runTradeoff is the trade-off runner behind Experiment.Run: the
+// decentralized experiment once per policy × backend (identical data,
+// seeds, and initial weights), summarized as the speed-vs-precision
+// frontier. A trade-off run is a one-seed sweep, so it resolves the
+// same sweepPlan RunSweep does — seeds = {Options.Seed}, the grid
+// backend-major × policy order, the worker budget split between the
+// concurrent arms and each arm's own training pool — and maps every
+// SweepRun to a PolicyOutcome. Round-level events of the arms are
+// suppressed (they would interleave nondeterministically); instead one
+// PolicyDone per arm streams out, restored to sweep order.
 //
-// The sweep is the cross product backends × policies: when backends is
-// empty the single Options.Backend runs (the classic policy sweep,
-// with outcomes' Backend left empty); otherwise each backend runs the
-// full policy ladder, backend-major, so the report reads as one
-// frontier per consensus substrate.
-func runTradeoffExperiment(ctx context.Context, opts Options, policies []Policy, backends []string, sink event.Sink) (*TradeoffReport, error) {
-	for _, p := range policies {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
+// An arm's Backend is its effective backend name: explicitly named
+// substrates label their outcomes even in a single-backend sweep; only
+// the unnamed default (Options.Backend left blank, no backend ladder)
+// stays blank.
+func (e *Experiment) runTradeoff(ctx context.Context) (*TradeoffReport, error) {
+	one := *e
+	one.sweep = SweepOptions{Seeds: []uint64{e.opts.withDefaults().Seed}}
+	plan, err := one.sweepPlan()
+	if err != nil {
+		return nil, err
 	}
-	if len(backends) == 0 {
-		backends = []string{opts.Backend}
-	}
-	opts = opts.withDefaults()
-	opts.SkipComboTables = true
-	arms := len(backends) * len(policies)
-	workers := par.Workers(opts.Parallelism)
-	if inner := workers / max(1, arms); inner >= 1 {
-		opts.Parallelism = inner
-	} else {
-		opts.Parallelism = 1
-	}
-	emit := newOrderedEmitter(sink)
-	outcomes, err := par.MapCtx(ctx, workers, arms, func(i int) (PolicyOutcome, error) {
-		b := backends[i/len(policies)]
-		p := policies[i%len(policies)]
-		o := opts
-		o.Backend = b
-		o.Policy = p
-		rep, err := runDecentralizedExperiment(ctx, o, nil)
-		if err != nil {
-			return PolicyOutcome{}, fmt.Errorf("policy %s backend %q: %w", p.Name(), b, err)
-		}
-		acc, wait, included := rep.Headline()
-		// b is the arm's effective backend name: explicitly named
-		// substrates label their outcomes even in a single-backend
-		// sweep; only the unnamed default stays blank (keeping the
-		// classic sweep's report and event stream unchanged).
-		out := PolicyOutcome{
-			Policy:        p.Name(),
-			Backend:       b,
-			FinalAccuracy: acc,
-			MeanWaitMs:    wait,
-			MeanIncluded:  included,
-		}
-		emit.emit(i, event.PolicyDone{
+	runs, err := plan.runAll(ctx, observerSink(e.observer), func(i int, run SweepRun) event.Event {
+		return event.PolicyDone{
 			Index:         i,
-			Policy:        out.Policy,
-			Backend:       out.Backend,
-			FinalAccuracy: out.FinalAccuracy,
-			MeanWaitMs:    out.MeanWaitMs,
-			MeanIncluded:  out.MeanIncluded,
-		})
-		return out, nil
+			Policy:        run.Policy,
+			Backend:       run.Backend,
+			FinalAccuracy: run.FinalAccuracy,
+			MeanWaitMs:    run.MeanWaitMs,
+			MeanIncluded:  run.MeanIncluded,
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &TradeoffReport{Model: opts.Model, Outcomes: outcomes}, nil
+	rep := &TradeoffReport{Model: plan.opts.Model, Outcomes: make([]PolicyOutcome, len(runs))}
+	for i, run := range runs {
+		rep.Outcomes[i] = PolicyOutcome{
+			Policy:        run.Policy,
+			Backend:       run.Backend,
+			FinalAccuracy: run.FinalAccuracy,
+			MeanWaitMs:    run.MeanWaitMs,
+			MeanIncluded:  run.MeanIncluded,
+		}
+	}
+	return rep, nil
 }
 
 // orderedEmitter restores sweep order to events produced by
