@@ -86,12 +86,13 @@ bench:
 benchmark:
 	$(GO) run ./benchmark
 
-# CPU + allocation profiles of the parallel scaling workload, for
-# chasing pool overhead and allocation churn (DESIGN.md §11 was found
-# this way: go tool pprof -top cpu.prof / -sample_index=alloc_space
-# mem.prof).
+# CPU + allocation profiles of the ledger hot path at model scale
+# (gossip validation, sealing, replicated contract execution, view
+# reads over SimpleNN-size submit txs) — the path DESIGN.md §12 was
+# tuned on: go tool pprof -top cpu.prof / -sample_index=alloc_space
+# mem.prof.
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelScaling/peers=4/procs=4' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkLedgerHotPath' -benchtime 20x \
 	    -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 

@@ -18,11 +18,11 @@ package bfl
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"waitornot/internal/chain"
@@ -434,6 +434,13 @@ type engine struct {
 	// peer's entry.
 	txIdx []txIndex
 
+	// roundWeights is the deciding round's decoded submissions, keyed by
+	// carrying transaction: decoded once, shared read-only by the decide
+	// pool (Decide, Filter.Apply and FedAvg only read Update.Weights),
+	// dropped at round end so retained heap does not grow.
+	roundMu      sync.Mutex
+	roundWeights map[*chain.Transaction][]float32
+
 	// blobScratch is submitTx's reusable weight-encoding buffer
 	// (coordinator goroutine only): one allocation the first
 	// submission, zero after.
@@ -765,6 +772,8 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	// its own state, and fills index-addressed slots, so the block
 	// assembled below is identical to the sequential run's.
 	decTxs := make([]*chain.Transaction, nPart)
+	e.roundWeights = make(map[*chain.Transaction][]float32, nPart)
+	defer func() { e.roundWeights = nil }()
 	remoteArrival := arrivalTimes(cfg, peers, updates, be.CommitLatencyMs())
 	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) error {
 		p := peers[i]
@@ -928,7 +937,9 @@ func (e *engine) recordTx(p *peerState, round int, label string, adopted []float
 
 // readUpdates reconstructs the round's model updates from one peer's
 // ledger view: contract records give digests + carrying-tx hashes; the
-// weight bytes are fetched from committed-tx calldata and verified.
+// weight bytes are fetched from committed-tx calldata and verified
+// against this view's digest. Parse, digest and decode run once per tx
+// (contract.CallOf, roundWeights): the Weights are shared, read-only.
 // The committed-tx hash index is incremental per peer view (new txs
 // are hashed once, not once per round); the decide pool is safe here
 // because each worker only touches its own peer's index. A round whose
@@ -953,15 +964,23 @@ func (e *engine) readUpdates(peer, round int) ([]*fl.Update, error) {
 		if !ok {
 			return nil, fmt.Errorf("submission tx %s not on canonical chain", sub.TxHash.Short())
 		}
-		method, args, err := contract.DecodeCall(tx.Payload)
-		if err != nil || method != "submit" || len(args) != 4 {
+		call, _ := contract.CallOf(tx)
+		blob, ok := call.SubmitBlob()
+		if !ok {
 			return nil, fmt.Errorf("carried payload malformed for %s", sub.TxHash.Short())
 		}
-		blob := args[3]
-		if sha256.Sum256(blob) != [32]byte(sub.WeightsHash) {
+		if call.BlobHash() != sub.WeightsHash {
 			return nil, fmt.Errorf("weights digest mismatch for %s", sub.TxHash.Short())
 		}
-		weights, err := nn.DecodeWeights(blob)
+		e.roundMu.Lock()
+		weights, ok := e.roundWeights[tx]
+		var err error
+		if !ok {
+			if weights, err = nn.DecodeWeights(blob); err == nil {
+				e.roundWeights[tx] = weights
+			}
+		}
+		e.roundMu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("weights blob corrupt for %s: %w", sub.TxHash.Short(), err)
 		}
@@ -1049,8 +1068,8 @@ func (e *engine) chainStats() ChainStats {
 		VerifyRejected: e.verifyRejected,
 	}
 	for _, tx := range e.be.CommittedTxs(0) {
-		if method, _, err := contract.DecodeCall(tx.Payload); err == nil {
-			switch method {
+		if call, err := contract.CallOf(tx); err == nil {
+			switch call.Method {
 			case "submit":
 				out.Submissions++
 			case "record":

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"waitornot/internal/contract"
+	"waitornot/internal/event"
 	"waitornot/internal/fl"
 	"waitornot/internal/nn"
 	"waitornot/internal/xrand"
@@ -107,6 +109,70 @@ func TestSubsampledReproducible(t *testing.T) {
 	pj, _ := json.Marshal(pres)
 	if string(sj) != string(pj) {
 		t.Fatalf("subsampled run differs between Parallelism 1 and 4:\nseq: %.400s\npar: %.400s", sj, pj)
+	}
+}
+
+// TestSharedDecodedUpdatesReadOnly covers the decide pool's shared
+// read path on the replicated substrate: in a 2-round poa K-of-N run,
+// each committed submission is decoded once per round and every
+// sampled peer aggregates from that one vector. At every round's end
+// each shared vector must still equal a fresh decode of its committed
+// blob (nobody scribbled), the set must be released after the round,
+// and the run must be bit-identical at Parallelism 1 and 8.
+func TestSharedDecodedUpdatesReadOnly(t *testing.T) {
+	run := func(parallelism int) []byte {
+		cfg := subCfg()
+		cfg.Peers, cfg.ClientFraction, cfg.Rounds = 12, 0.5, 2
+		cfg.Backend, cfg.CommitLatency, cfg.Parallelism = "poa", true, parallelism
+		var eng *engine
+		checked := 0
+		cfg.Events = func(ev event.Event) {
+			if _, ok := ev.(event.RoundEnd); !ok {
+				return
+			}
+			if len(eng.roundWeights) != 6 {
+				t.Errorf("round shared %d decoded vectors, want one per sampled peer (6)", len(eng.roundWeights))
+			}
+			for tx, shared := range eng.roundWeights {
+				call, _ := contract.CallOf(tx)
+				blob, ok := call.SubmitBlob()
+				if !ok {
+					t.Fatal("shared vector keyed by a non-submit tx")
+				}
+				fresh, err := nn.DecodeWeights(blob)
+				if err != nil || !reflect.DeepEqual(fresh, shared) {
+					t.Errorf("shared decoded vector of %s no longer matches its committed blob", tx.Hash().Short())
+				}
+				checked++
+			}
+		}
+		r, err := NewRoundEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng = r.e
+		step := r.CommitStepMs()
+		if err := r.RegisterAt(step); err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= cfg.Rounds; round++ {
+			if _, err := r.RunRoundAt(context.Background(), round, float64(2*round)*step, float64(2*round+1)*step); err != nil {
+				t.Fatal(err)
+			}
+			if eng.roundWeights != nil {
+				t.Fatal("the round's decoded set outlived the round")
+			}
+		}
+		if checked != 12 {
+			t.Fatalf("checked %d shared vectors, want 2 rounds x 6", checked)
+		}
+		res := r.Finish()
+		res.Config, res.TrainWallTime = Config{}, 0
+		out, _ := json.Marshal(res)
+		return out
+	}
+	if seq, par := run(1), run(8); string(seq) != string(par) {
+		t.Fatalf("poa K-of-N run differs between Parallelism 1 and 8:\nseq: %.400s\npar: %.400s", seq, par)
 	}
 }
 

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"testing"
@@ -112,6 +113,47 @@ func TestIntrinsicGasPricing(t *testing.T) {
 	want := gs.TxBase + 2*gs.PayloadZeroByte + 2*gs.PayloadNonZeroByte
 	if got := gs.Intrinsic(payload); got != want {
 		t.Fatalf("intrinsic = %d, want %d", got, want)
+	}
+}
+
+// intrinsicByteLoop is the reference pricing rule: charge the payload
+// byte by byte, the way Intrinsic was written before it counted zeros
+// in one vectorised pass. uint64 addition wraps, and so must Intrinsic.
+func intrinsicByteLoop(gs GasSchedule, payload []byte) uint64 {
+	gas := gs.TxBase
+	for _, b := range payload {
+		if b == 0 {
+			gas += gs.PayloadZeroByte
+		} else {
+			gas += gs.PayloadNonZeroByte
+		}
+	}
+	return gas
+}
+
+// TestIntrinsicMatchesByteLoop: for arbitrary payloads and arbitrary
+// schedules — including prices that overflow uint64 many times over —
+// the count-and-multiply Intrinsic is the byte loop's exact uint64.
+func TestIntrinsicMatchesByteLoop(t *testing.T) {
+	check := func(payload []byte, zeroEvery uint8, base, zero, nonZero uint64) bool {
+		// quick's slices are short and almost never hold a zero; weight
+		// blobs are long and often do.
+		payload = bytes.Repeat(payload, int(zeroEvery)%9+1)
+		if zeroEvery > 0 {
+			for i := 0; i < len(payload); i += int(zeroEvery) {
+				payload[i] = 0
+			}
+		}
+		gs := GasSchedule{TxBase: base, PayloadZeroByte: zero, PayloadNonZeroByte: nonZero}
+		return gs.Intrinsic(payload) == intrinsicByteLoop(gs, payload)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// Wrap-around, pinned: two bytes at 2^63 each sum to exactly 0.
+	wrap := GasSchedule{TxBase: 7, PayloadZeroByte: 1 << 63, PayloadNonZeroByte: 1<<63 + 1}
+	if got := wrap.Intrinsic([]byte{0, 0, 9}); got != 1<<63+8 || got != intrinsicByteLoop(wrap, []byte{0, 0, 9}) {
+		t.Fatalf("wrapped intrinsic = %d", got)
 	}
 }
 

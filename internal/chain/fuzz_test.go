@@ -85,8 +85,17 @@ func FuzzChainCodec(f *testing.F) {
 func FuzzMempoolSubmit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
+	f.Add(append(make([]byte, 33), 0xff, 0, 0, 0x80, 0, 1)) // zero runs: the intrinsic-gas case
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gs := DefaultGasSchedule()
+		// Admission prices every payload; the price must be the byte
+		// loop's, under the real schedule and one that wraps uint64.
+		wrap := GasSchedule{TxBase: ^uint64(0) - 3, PayloadZeroByte: 1<<63 + 4, PayloadNonZeroByte: ^uint64(0) / 3}
+		for _, s := range []GasSchedule{gs, wrap} {
+			if got, want := s.Intrinsic(data), intrinsicByteLoop(s, data); got != want {
+				t.Fatalf("Intrinsic = %d, byte loop = %d (schedule %+v)", got, want, s)
+			}
+		}
 		m := NewMempool(gs)
 		senders := []*keys.Key{
 			keys.GenerateDeterministic(1000),

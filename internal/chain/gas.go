@@ -1,5 +1,7 @@
 package chain
 
+import "bytes"
+
 // GasSchedule prices transaction execution. Values follow Ethereum's
 // shape: a flat per-transaction base plus per-byte calldata pricing, so
 // a transaction's cost tracks the model payload it carries — the "gas
@@ -33,15 +35,10 @@ func DefaultGasSchedule() GasSchedule {
 }
 
 // Intrinsic returns the gas consumed before any contract execution:
-// base cost plus calldata pricing of the payload.
+// base cost plus calldata pricing of the payload. Zero bytes are counted
+// vectorised and priced in one multiply — the same uint64, wrap-around
+// included, as charging byte by byte (every replica prices every tx).
 func (gs GasSchedule) Intrinsic(payload []byte) uint64 {
-	gas := gs.TxBase
-	for _, b := range payload {
-		if b == 0 {
-			gas += gs.PayloadZeroByte
-		} else {
-			gas += gs.PayloadNonZeroByte
-		}
-	}
-	return gas
+	zeros := uint64(bytes.Count(payload, []byte{0}))
+	return gs.TxBase + zeros*gs.PayloadZeroByte + (uint64(len(payload))-zeros)*gs.PayloadNonZeroByte
 }

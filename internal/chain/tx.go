@@ -74,34 +74,48 @@ type Transaction struct {
 	memo unsafe.Pointer
 }
 
-// txMemo is the per-transaction crypto memo: the signing digest (what
-// the sender signed) and the transaction hash (digest input + signature,
-// the id everything is keyed by).
+// txMemo is the per-transaction memo: the signing digest (what the
+// sender signed), the transaction hash (digest input + signature, the
+// id everything is keyed by), and the payload's decoding (see Decoded).
 type txMemo struct {
-	owner  *Transaction
-	digest [32]byte
-	hash   Hash
+	owner   *Transaction
+	digest  [32]byte
+	hash    Hash
+	decoded atomic.Value
 }
 
-// memoized returns the transaction's crypto memo, computing and caching
-// it on first use. The signing encoding is materialized once and hashed
-// twice (with and without the signature) instead of re-encoded on every
-// Hash/Verify call. Safe for concurrent use: the computation is pure, so
-// racing writers store identical values.
+// memoized returns the transaction's memo, computing and caching it on
+// first use. The signing encoding streams through SHA-256 once: the
+// digest is read off mid-stream (Sum leaves the state intact), then the
+// signature is appended for the hash — one pass over a model-size
+// payload and no materialized copy of it. Safe for concurrent use: the
+// computation is pure, so racing writers store identical values.
 func (tx *Transaction) memoized() *txMemo {
 	if m := (*txMemo)(atomic.LoadPointer(&tx.memo)); m != nil && m.owner == tx {
 		return m
 	}
-	var buf bytes.Buffer
-	buf.Grow(tx.signingSize())
-	tx.writeSigning(&buf)
-	m := &txMemo{owner: tx, digest: sha256.Sum256(buf.Bytes())}
+	m := &txMemo{owner: tx}
 	h := sha256.New()
-	h.Write(buf.Bytes())
+	tx.writeSigning(h)
+	h.Sum(m.digest[:0])
 	h.Write(tx.Sig[:])
 	h.Sum(m.hash[:0])
 	atomic.StorePointer(&tx.memo, unsafe.Pointer(m))
 	return m
+}
+
+// Decoded returns the Processor's decoding of the payload, computed by
+// decode (pure, non-nil result) on first use and kept on the
+// owner-checked memo: every replica executing tx shares one parse, it
+// dies with the transaction, and a struct copy misses and decodes its
+// own payload. Racing first calls keep one result.
+func (tx *Transaction) Decoded(decode func(payload []byte) any) any {
+	m := tx.memoized()
+	if v := m.decoded.Load(); v != nil {
+		return v
+	}
+	m.decoded.CompareAndSwap(nil, decode(tx.Payload))
+	return m.decoded.Load()
 }
 
 // SigningBytes returns the deterministic encoding of everything except
@@ -226,8 +240,8 @@ func (tx *Transaction) ValidateBasic(gs GasSchedule) error {
 	if err := tx.VerifySignature(); err != nil {
 		return err
 	}
-	if tx.GasLimit < gs.Intrinsic(tx.Payload) {
-		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasTooLow, tx.GasLimit, gs.Intrinsic(tx.Payload))
+	if intrinsic := gs.Intrinsic(tx.Payload); tx.GasLimit < intrinsic {
+		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasTooLow, tx.GasLimit, intrinsic)
 	}
 	return nil
 }

@@ -32,7 +32,9 @@ func TestSigningBytesMatchesMemoizedDigest(t *testing.T) {
 // inherit the cached verdict — it hashes differently, misses, and
 // fails the real ECDSA check. The copy also carries the original's
 // stale digest memo; the owner check must force a recompute rather
-// than let the tampered bytes ride a pre-tamper digest.
+// than let the tampered bytes ride a pre-tamper digest — and the same
+// owner check guards the decoded-payload slot (Decoded): a copy never
+// reads the original's decoding.
 func TestVerifyOnceCacheTamperRejected(t *testing.T) {
 	ks := testKeys(3)
 	base, err := NewTx(ks[0], 0, ks[1].Address(), 5, []byte("honest payload"), DefaultGasSchedule(), 1_000_000, 1)
@@ -43,6 +45,13 @@ func TestVerifyOnceCacheTamperRejected(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if err := base.VerifySignature(); err != nil {
 			t.Fatalf("honest tx rejected on pass %d: %v", i, err)
+		}
+	}
+	decodes := 0
+	decode := func(payload []byte) any { decodes++; return string(payload) }
+	for i := 0; i < 2; i++ {
+		if got := base.Decoded(decode); got != "honest payload" || decodes != 1 {
+			t.Fatalf("pass %d: Decoded = %q after %d decodes, want one shared decode", i, got, decodes)
 		}
 	}
 	mutations := []struct {
@@ -68,6 +77,15 @@ func TestVerifyOnceCacheTamperRejected(t *testing.T) {
 		if err := cp.VerifySignature(); err == nil {
 			t.Fatalf("%s-tampered copy of a cached-verified tx accepted", m.name)
 		}
+		// The copy dragged the memo pointer along; it must miss and
+		// decode its own payload, never serve the original's.
+		before := decodes
+		if got := cp.Decoded(decode); got != string(cp.Payload) || decodes != before+1 {
+			t.Fatalf("%s-tampered copy read a decoding it did not compute: %q", m.name, got)
+		}
+	}
+	if got := base.Decoded(decode); got != "honest payload" {
+		t.Fatalf("original's decoding corrupted by the tamper loop: %q", got)
 	}
 	// Tampering through copies never corrupts the original's verdict.
 	if err := base.VerifySignature(); err != nil {

@@ -10,9 +10,13 @@
 package contract
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
+
+	"waitornot/internal/chain"
 )
 
 // Call-data wire format:
@@ -73,6 +77,51 @@ func DecodeCall(payload []byte) (method string, args [][]byte, err error) {
 		return "", nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCallData, len(payload))
 	}
 	return method, args, nil
+}
+
+// Call is one transaction's decoded call data: method, arguments
+// (aliasing the payload: read-only) and, for a model submission, the
+// lazily computed digest of the weight blob. CallOf keeps it on the
+// transaction's owner-checked memo, so a payload is parsed and its blob
+// hashed once however many replicas execute it and peers read it back;
+// each still runs the call on, and checks the digest against, its own
+// state.
+type Call struct {
+	Method string
+	Args   [][]byte
+	err    error
+
+	blobOnce sync.Once
+	blobHash chain.Hash
+}
+
+// CallOf returns tx's decoded call and the error of a malformed payload.
+func CallOf(tx *chain.Transaction) (*Call, error) {
+	c := tx.Decoded(func(payload []byte) any {
+		c := &Call{}
+		c.Method, c.Args, c.err = DecodeCall(payload)
+		return c
+	}).(*Call)
+	return c, c.err
+}
+
+// SubmitBlob returns the weight blob of a well-formed submit(round,
+// modelID, numSamples, weights) call; ok is false for anything else.
+func (c *Call) SubmitBlob() (blob []byte, ok bool) {
+	if c.err != nil || c.Method != "submit" || len(c.Args) != 4 {
+		return nil, false
+	}
+	return c.Args[3], true
+}
+
+// BlobHash is the SHA-256 of SubmitBlob — the contract's
+// Submission.WeightsHash — computed on first use.
+func (c *Call) BlobHash() chain.Hash {
+	c.blobOnce.Do(func() {
+		blob, _ := c.SubmitBlob()
+		c.blobHash = sha256.Sum256(blob)
+	})
+	return c.blobHash
 }
 
 // U64 encodes a uint64 argument.

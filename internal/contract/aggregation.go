@@ -2,7 +2,6 @@ package contract
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -143,8 +142,9 @@ func decodeDecision(b []byte) (*Decision, error) {
 //	    per (round, sender); re-submission reverts.
 //	record(round u64, combo string, resultHash [32]byte, included u64)
 //	  — record the sender's adopted aggregation for the round.
-func (a *Aggregation) Call(ctx *Ctx, method string, args [][]byte) error {
-	switch method {
+func (a *Aggregation) Call(ctx *Ctx, call *Call) error {
+	args := call.Args
+	switch call.Method {
 	case "submit":
 		if len(args) != 4 {
 			return fmt.Errorf("%w: submit(round, modelID, numSamples, weights)", ErrBadArgs)
@@ -174,7 +174,7 @@ func (a *Aggregation) Call(ctx *Ctx, method string, args [][]byte) error {
 			Sender:      ctx.Tx.From,
 			ModelID:     modelID,
 			NumSamples:  numSamples,
-			WeightsHash: sha256.Sum256(weights),
+			WeightsHash: call.BlobHash(),
 			PayloadSize: uint64(len(weights)),
 			TxHash:      ctx.Tx.Hash(),
 		}
@@ -208,7 +208,7 @@ func (a *Aggregation) Call(ctx *Ctx, method string, args [][]byte) error {
 		return nil
 
 	default:
-		return fmt.Errorf("%w: %q", ErrUnknownMethod, method)
+		return fmt.Errorf("%w: %q", ErrUnknownMethod, call.Method)
 	}
 }
 
@@ -223,23 +223,31 @@ func RecordCallData(round uint64, combo string, resultHash chain.Hash, included 
 	return EncodeCall("record", U64(round), []byte(combo), resultHash[:], U64(included))
 }
 
+// roundKeys returns the storage keys under prefix for round, in address
+// order: filter first, sort only the matches — every peer lists every
+// round, so sorting all past rounds' keys would grow with rounds².
+func roundKeys(st *chain.State, prefix string, round uint64) []string {
+	zero := roundKey(prefix, round, keys.Address{})
+	prefix = zero[:len(zero)-keys.AddressLen]
+	var matches []string
+	for key := range st.Storage[AggregationAddress] {
+		if len(key) == len(zero) && key[:len(prefix)] == prefix {
+			matches = append(matches, key)
+		}
+	}
+	sort.Strings(matches)
+	return matches
+}
+
 // SubmissionsAt reads all submissions for a round from a state snapshot,
 // sorted by sender address.
 func SubmissionsAt(st *chain.State, round uint64) []*Submission {
 	var out []*Submission
-	var r [8]byte
-	binary.BigEndian.PutUint64(r[:], round)
-	prefix := subPrefix + string(r[:]) + "/"
-	for _, key := range st.Keys(AggregationAddress) {
-		if len(key) == len(prefix)+keys.AddressLen && key[:len(prefix)] == prefix {
-			if s, err := decodeSubmission(st.Get(AggregationAddress, key)); err == nil {
-				out = append(out, s)
-			}
+	for _, key := range roundKeys(st, subPrefix, round) {
+		if s, err := decodeSubmission(st.Get(AggregationAddress, key)); err == nil {
+			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].Sender[:], out[j].Sender[:]) < 0
-	})
 	return out
 }
 
@@ -247,18 +255,10 @@ func SubmissionsAt(st *chain.State, round uint64) []*Submission {
 // sorted by peer address.
 func DecisionsAt(st *chain.State, round uint64) []*Decision {
 	var out []*Decision
-	var r [8]byte
-	binary.BigEndian.PutUint64(r[:], round)
-	prefix := decPrefix + string(r[:]) + "/"
-	for _, key := range st.Keys(AggregationAddress) {
-		if len(key) == len(prefix)+keys.AddressLen && key[:len(prefix)] == prefix {
-			if d, err := decodeDecision(st.Get(AggregationAddress, key)); err == nil {
-				out = append(out, d)
-			}
+	for _, key := range roundKeys(st, decPrefix, round) {
+		if d, err := decodeDecision(st.Get(AggregationAddress, key)); err == nil {
+			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].Peer[:], out[j].Peer[:]) < 0
-	})
 	return out
 }

@@ -331,3 +331,134 @@ func TestEndToEndOnChain(t *testing.T) {
 		t.Fatal("weights not recoverable from calldata")
 	}
 }
+
+// signedSubmit builds a signed submit(round 1) transaction carrying blob.
+func signedSubmit(t *testing.T, k *keys.Key, blob []byte) *chain.Transaction {
+	t.Helper()
+	tx, err := chain.NewTx(k, 0, AggregationAddress, 0, SubmitCallData(1, 1, 42, blob), chain.DefaultGasSchedule(), 1_000_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// TestSubmitDecodedOncePerTransaction is replica independence: one
+// submit transaction executed against N fresh states yields N identical
+// Submission records — every replica runs the call against its own
+// state — from one parse and one digest of the weight blob. The
+// sentinel proves the "one": after the first replica, the memoized
+// digest is what later replicas record, not a fresh SHA-256.
+func TestSubmitDecodedOncePerTransaction(t *testing.T) {
+	vm := NewVM(chain.DefaultGasSchedule())
+	blob := bytes.Repeat([]byte{0, 1, 2, 3}, 4096)
+	tx := signedSubmit(t, keys.GenerateDeterministic(31), blob)
+	want := chain.Hash(sha256.Sum256(blob))
+
+	const replicas = 5
+	var first *Submission
+	for i := 0; i < replicas; i++ {
+		st := chain.NewState()
+		if _, _, err := vm.Execute(tx, st); err != nil {
+			t.Fatal(err)
+		}
+		subs := SubmissionsAt(st, 1)
+		if len(subs) != 1 || subs[0].WeightsHash != want || subs[0].TxHash != tx.Hash() {
+			t.Fatalf("replica %d recorded %+v", i, subs)
+		}
+		if first == nil {
+			first = subs[0]
+		} else if *subs[0] != *first {
+			t.Fatalf("replica %d's record differs from replica 0's", i)
+		}
+	}
+	call, err := CallOf(tx)
+	if again, _ := CallOf(tx); err != nil || again != call {
+		t.Fatal("CallOf did not return the transaction's one decoded record")
+	}
+	if got, ok := call.SubmitBlob(); !ok || &got[0] != &tx.Payload[len(tx.Payload)-len(blob)] {
+		t.Fatal("decoded blob does not alias the payload")
+	}
+	call.blobHash = chain.Hash{0xee} // in-package probe of the memo
+	st := chain.NewState()
+	if _, _, err := vm.Execute(tx, st); err != nil {
+		t.Fatal(err)
+	}
+	if got := SubmissionsAt(st, 1)[0].WeightsHash; got != (chain.Hash{0xee}) {
+		t.Fatalf("a later replica re-digested the blob: recorded %s", got.Short())
+	}
+}
+
+// TestTamperedSubmitCopyRecordsItsOwnDigest is the decoded-call memo's
+// soundness at payload level: a struct copy of an already-executed
+// submit transaction with one weight byte flipped drags the original's
+// memo along, must miss it, fail signature verification, and — if
+// executed directly through the VM anyway — record the copy's digest,
+// never the original's.
+func TestTamperedSubmitCopyRecordsItsOwnDigest(t *testing.T) {
+	vm := NewVM(chain.DefaultGasSchedule())
+	blob := bytes.Repeat([]byte{7, 0, 9}, 1000)
+	honest := signedSubmit(t, keys.GenerateDeterministic(32), blob)
+	if _, _, err := vm.Execute(honest, chain.NewState()); err != nil {
+		t.Fatal(err)
+	}
+	if err := honest.VerifySignature(); err != nil {
+		t.Fatal(err)
+	}
+
+	forged := *honest
+	forged.Payload = append([]byte(nil), honest.Payload...)
+	forged.Payload[len(forged.Payload)-1] ^= 0x01
+	if err := forged.VerifySignature(); err == nil {
+		t.Fatal("tampered copy of an executed submit tx passed signature verification")
+	}
+	st := chain.NewState()
+	if _, _, err := vm.Execute(&forged, st); err != nil {
+		t.Fatal(err)
+	}
+	tampered := append([]byte(nil), blob...)
+	tampered[len(tampered)-1] ^= 0x01
+	got := SubmissionsAt(st, 1)[0]
+	if got.WeightsHash != chain.Hash(sha256.Sum256(tampered)) {
+		t.Fatal("tampered copy did not record its own blob's digest")
+	}
+	if got.WeightsHash == chain.Hash(sha256.Sum256(blob)) || got.TxHash == honest.Hash() {
+		t.Fatal("tampered copy inherited the original's memo")
+	}
+	if c, _ := CallOf(honest); c.BlobHash() != chain.Hash(sha256.Sum256(blob)) {
+		t.Fatal("original's memo corrupted by the tampered copy")
+	}
+}
+
+// TestRoundReadsIgnoreOtherRounds pins SubmissionsAt/DecisionsAt's
+// prefix-filtered listing: address order, this round only, however
+// many other rounds' records the contract holds.
+func TestRoundReadsIgnoreOtherRounds(t *testing.T) {
+	vm := NewVM(chain.DefaultGasSchedule())
+	st := chain.NewState()
+	ks := []*keys.Key{keys.GenerateDeterministic(41), keys.GenerateDeterministic(42), keys.GenerateDeterministic(43)}
+	for round := uint64(1); round <= 4; round++ {
+		for _, k := range ks {
+			if _, _, err := execTx(t, vm, st, k, AggregationAddress, SubmitCallData(round, 1, 5, []byte{byte(round)})); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := execTx(t, vm, st, k, AggregationAddress, RecordCallData(round, "A", chain.Hash{byte(round)}, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	subs, decs := SubmissionsAt(st, 3), DecisionsAt(st, 3)
+	if len(subs) != len(ks) || len(decs) != len(ks) {
+		t.Fatalf("round 3 lists %d submissions, %d decisions, want %d each", len(subs), len(decs), len(ks))
+	}
+	for i := range subs {
+		if subs[i].Round != 3 || decs[i].Round != 3 || subs[i].Sender != decs[i].Peer {
+			t.Fatalf("entry %d is not round 3's: %+v / %+v", i, subs[i], decs[i])
+		}
+		if i > 0 && bytes.Compare(subs[i-1].Sender[:], subs[i].Sender[:]) >= 0 {
+			t.Fatal("submissions not in sender-address order")
+		}
+	}
+	if len(SubmissionsAt(st, 9)) != 0 || len(DecisionsAt(chain.NewState(), 1)) != 0 {
+		t.Fatal("an empty round must list nothing")
+	}
+}

@@ -24,8 +24,9 @@ const regPrefix = "participant/"
 // Call implements Contract. Methods:
 //
 //	register(name) — bind the sender's address to name.
-func (r *Registry) Call(ctx *Ctx, method string, args [][]byte) error {
-	switch method {
+func (r *Registry) Call(ctx *Ctx, call *Call) error {
+	args := call.Args
+	switch call.Method {
 	case "register":
 		if len(args) != 1 || len(args[0]) == 0 || len(args[0]) > 64 {
 			return fmt.Errorf("%w: register(name)", ErrBadArgs)
@@ -38,7 +39,7 @@ func (r *Registry) Call(ctx *Ctx, method string, args [][]byte) error {
 		ctx.Emit("Registered", append(append([]byte{}, ctx.Tx.From[:]...), args[0]...))
 		return nil
 	default:
-		return fmt.Errorf("%w: %q", ErrUnknownMethod, method)
+		return fmt.Errorf("%w: %q", ErrUnknownMethod, call.Method)
 	}
 }
 

@@ -59,9 +59,9 @@ func (c *Ctx) Emit(topic string, data []byte) {
 
 // Contract is a deployed contract's implementation.
 type Contract interface {
-	// Call dispatches one method invocation. Returning an error reverts
-	// the transaction's state changes (gas is still charged).
-	Call(ctx *Ctx, method string, args [][]byte) error
+	// Call dispatches one decoded method invocation. Returning an error
+	// reverts the transaction's state changes (gas is still charged).
+	Call(ctx *Ctx, call *Call) error
 }
 
 // VM dispatches transaction payloads to deployed contracts. It
@@ -93,13 +93,13 @@ func (vm *VM) Execute(tx *chain.Transaction, st *chain.State) (uint64, []chain.L
 	if !ok {
 		return 0, nil, nil
 	}
-	method, args, err := DecodeCall(tx.Payload)
+	call, err := CallOf(tx)
 	if err != nil {
 		return vm.gs.ContractOp, nil, err
 	}
 	ctx := &Ctx{State: st, Tx: tx, Self: tx.To, gs: vm.gs, gasUsed: vm.gs.ContractOp}
-	if err := c.Call(ctx, method, args); err != nil {
-		return ctx.gasUsed, nil, fmt.Errorf("%s: %w", method, err)
+	if err := c.Call(ctx, call); err != nil {
+		return ctx.gasUsed, nil, fmt.Errorf("%s: %w", call.Method, err)
 	}
 	return ctx.gasUsed, ctx.logs, nil
 }

@@ -183,11 +183,12 @@ func submissionWeights(tx *chain.Transaction) ([]float32, bool) {
 	if tx.To != contract.AggregationAddress {
 		return nil, false
 	}
-	method, args, err := contract.DecodeCall(tx.Payload)
-	if err != nil || method != "submit" || len(args) != 4 {
+	call, _ := contract.CallOf(tx)
+	blob, ok := call.SubmitBlob()
+	if !ok {
 		return nil, false
 	}
-	w, err := nn.DecodeWeights(args[3])
+	w, err := nn.DecodeWeights(blob)
 	if err != nil {
 		return nil, true
 	}

@@ -387,7 +387,9 @@ func TestRaceSmokeCampaign(t *testing.T) {
 // TestRaceSmokeSubsampled pushes the cross-device path through the
 // pool: a subsampled fleet (ClientFraction) whose cohort setup, per
 // participant training, and ragged result appends all run on 8
-// workers, both barriered and on the async free run.
+// workers, both barriered and on the async free run — and, on the
+// replicated poa substrate, the decide pool reading the round's shared
+// decoded updates (one vector per submission, read by all K peers).
 func TestRaceSmokeSubsampled(t *testing.T) {
 	opts := waitornot.Options{
 		Model:          waitornot.SimpleNN,
@@ -408,6 +410,17 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("participant-rounds = %d, want 2 rounds x K=5", total)
+	}
+
+	poa := opts
+	poa.Clients, poa.ClientFraction = 12, 0.5 // K = 6 of 12, every view replicated
+	poa.Backend, poa.CommitLatency = "poa", true
+	for _, rounds := range testutil.Run(t, poa).Decentralized.Rounds {
+		for _, r := range rounds {
+			if r.Included != 6 {
+				t.Fatalf("poa K-of-N round included %d updates, want all 6", r.Included)
+			}
+		}
 	}
 
 	opts.CommitLatency = true
