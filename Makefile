@@ -3,13 +3,16 @@
 #   make ci        everything the repository gates on: build + vet +
 #                  tests under the coverage ratchet + the CLI smoke
 #                  over the one -scenario path + the race-detector
-#                  smoke over the parallel execution engine + the fuzz
-#                  smoke over the chain codec and mempool + the
-#                  campaign crash-recovery smoke (SIGKILL + resume).
+#                  pass (test-race: all of internal/par, internal/chain
+#                  and internal/keys — the pool and the transaction
+#                  memo's atomics — plus the root TestRaceSmoke* runs;
+#                  nothing else runs under -race) + the fuzz smoke over
+#                  the chain codec and mempool + the campaign
+#                  crash-recovery smoke (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
 #                  the basis for every performance claim.
 #   make bench     the go test -bench probes, one iteration each.
-#   make size      the two tracked size numbers (ROADMAP aim 2).
+#   make size      the four tracked size numbers (ROADMAP aim 2).
 
 GO ?= go
 
@@ -70,11 +73,15 @@ fuzz-smoke:
 campaign-smoke:
 	$(GO) test -run 'TestCampaignSIGKILLRecovery|TestCampaignResumeAfterCancel|TestCampaignResumeTornTail' -count=1 .
 
-# Race smoke: the internal/par pool itself, plus short parallel runs
-# of the decentralized experiment, the trade-off sweep, and the
-# simulators (TestRaceSmoke* in race_test.go).
+# Race pass — exactly these paths run under the detector: the
+# internal/par pool, internal/chain and internal/keys in full (the
+# per-transaction memo — digest, hash, signature verdict, decoded call —
+# is lock-free atomics shared by every replica), plus short parallel
+# runs of the decentralized experiment, the trade-off sweep, shared
+# transactions across six ledgers, and the simulators (TestRaceSmoke*
+# in race_test.go).
 test-race:
-	$(GO) test -race ./internal/par/
+	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 bench:
@@ -96,10 +103,14 @@ profile:
 	    -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
-# The two numbers ROADMAP tracks for "least code": non-test Go lines
-# outside benchmark/, and the root package's exported funcs + types.
+# The numbers ROADMAP tracks for "least code": non-test Go lines
+# outside benchmark/, the root package's exported funcs + types,
+# cmd/repro's flags, and process-global caches (mutex-guarded package
+# state) left on the transaction path.
 size:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "root exported funcs+types: $$($(GO) doc -all . | grep -cE '^(func|type) ')"
+	@echo "cmd/repro flags: $$(grep -c 'flag\.[A-Z][A-Za-z0-9]*Var(\|flag\.String(' cmd/repro/main.go)"
+	@echo "process-global caches in internal/chain + internal/keys: $$(find internal/chain internal/keys -name '*.go' ! -name '*_test.go' | xargs cat | grep -c '^\s*sync\.RWMutex')"
 
 ci: build vet cover cli-smoke test-race fuzz-smoke campaign-smoke

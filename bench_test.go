@@ -10,8 +10,6 @@ package waitornot_test
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -362,106 +360,13 @@ func BenchmarkWeightCodec(b *testing.B) {
 	})
 }
 
-// benchBackendSetup builds a backend over 8 peers plus a signer that
-// mints one 1 KB payload transaction per peer per round (signing
-// happens outside the timer, so the measurement isolates the
-// consensus cost: gossip validation, block assembly, mining, and
-// per-peer execution).
-func benchBackendSetup(b *testing.B, name string) (ledger.Backend, func(round int) []*chain.Transaction) {
-	b.Helper()
-	const peers = 8
-	ccfg := chain.DefaultConfig()
-	ccfg.GenesisDifficulty = 64
-	ccfg.MinDifficulty = 16
-	ks := make([]*keys.Key, peers)
-	alloc := make(map[keys.Address]uint64, peers)
-	sealers := make([]keys.Address, peers)
-	for i := range ks {
-		ks[i] = keys.GenerateDeterministic(uint64(9000 + i))
-		alloc[ks[i].Address()] = 1 << 62
-		sealers[i] = ks[i].Address()
-	}
-	be, err := ledger.New(name, ledger.Config{
-		Peers: peers, Chain: ccfg, Alloc: alloc, Sealers: sealers,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 1024)
-	rng := xrand.New(77)
-	for i := range payload {
-		payload[i] = byte(rng.Intn(256))
-	}
-	to := keys.GenerateDeterministic(9999).Address()
-	mint := func(round int) []*chain.Transaction {
-		txs := make([]*chain.Transaction, peers)
-		for i, k := range ks {
-			tx, err := chain.NewTx(k, uint64(round), to, 1, payload, ccfg.Gas, 0, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			txs[i] = tx
-		}
-		return txs
-	}
-	return be, mint
-}
-
-// benchBackendRounds measures one backend's per-round ledger cost:
-// 8 peers each submit a signed 1 KB transaction, the round leader
-// commits, every peer's view advances.
-func benchBackendRounds(b *testing.B, name string) {
-	be, mint := benchBackendSetup(b, name)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		txs := mint(i)
-		b.StartTimer()
-		for _, tx := range txs {
-			if err := be.Submit(tx); err != nil {
-				b.Fatal(err)
-			}
-		}
-		c, err := be.Commit(i%8, uint64(i+1)*1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c.Txs != 8 {
-			b.Fatalf("committed %d of 8 txs", c.Txs)
-		}
-	}
-	fp := be.Footprint()
-	b.ReportMetric(float64(fp.GasUsed)/float64(b.N), "gas/round")
-	b.ReportMetric(float64(fp.Bytes)/float64(b.N), "ledger-bytes/round")
-}
-
-// BenchmarkBackendPoW measures the default substrate's per-round cost:
-// mempool gossip to 8 peers, proof-of-work assembly, and 8 chain
-// applications per block.
-func BenchmarkBackendPoW(b *testing.B) { benchBackendRounds(b, "pow") }
-
-// BenchmarkBackendPoA measures authority sealing: the same gossip and
-// per-peer execution, but no mining and no header replay.
-func BenchmarkBackendPoA(b *testing.B) { benchBackendRounds(b, "poa") }
-
-// BenchmarkBackendInstant measures the consensus-free limit: one
-// shared state machine, no blocks.
-func BenchmarkBackendInstant(b *testing.B) { benchBackendRounds(b, "instant") }
-
-// BenchmarkBackendPBFT measures the consortium backend: poa-style
-// sealing plus the per-commit verification scan over the pending set
-// (the bench payload is a plain transfer, so the scan finds no model
-// submissions to score) and the analytic latency evaluation.
-func BenchmarkBackendPBFT(b *testing.B) { benchBackendRounds(b, "pbft") }
-
 // BenchmarkLedgerHotPath pins the ledger hot path at model scale with
 // allocations visible: 8 peers each submit a real aggregation-contract
 // model payload (a SimpleNN-sized weight blob in contract.Submit call
 // data), the round leader seals, and every peer's committed view is
 // snapshotted and read back. The timer covers gossip validation,
 // sealing, per-peer contract execution, and the StateView copies — the
-// path the verify-once signature cache, memoized tx digests, and
+// path the verify-once signature verdict, memoized tx digests, and
 // storage-value interning serve. Encoding and signing stay outside the
 // timer (client cost; BenchmarkWeightCodec pins the encode path).
 // allocs/op is part of the pin: losing the interned state copies shows
@@ -538,38 +443,6 @@ func benchLedgerHotPath(b *testing.B, name string) {
 	}
 }
 
-// BenchmarkBackendInstantVsPoW times the same round on both ends of
-// the consensus ladder and reports the ratio — the per-round price of
-// proof-of-work consensus that the instant backend refunds.
-func BenchmarkBackendInstantVsPoW(b *testing.B) {
-	pow, mintPow := benchBackendSetup(b, "pow")
-	inst, mintInst := benchBackendSetup(b, "instant")
-	var powTotal, instTotal time.Duration
-	runRound := func(be ledger.Backend, txs []*chain.Transaction, round int) time.Duration {
-		start := time.Now()
-		for _, tx := range txs {
-			if err := be.Submit(tx); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := be.Commit(round%8, uint64(round+1)*1000); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		txsPow, txsInst := mintPow(i), mintInst(i)
-		b.StartTimer()
-		powTotal += runRound(pow, txsPow, i)
-		instTotal += runRound(inst, txsInst, i)
-	}
-	if instTotal > 0 {
-		b.ReportMetric(float64(powTotal)/float64(instTotal), "speedup-x")
-	}
-}
-
 // benchParallelSpeedup times fn sequentially (Parallelism 1) and with
 // the given worker count, reporting both and their ratio. The two runs
 // produce bit-identical results (see determinism_test.go); only the
@@ -588,44 +461,6 @@ func benchParallelSpeedup(b *testing.B, workers int, fn func(parallelism int)) {
 	b.ReportMetric(par.Seconds()/float64(b.N), "par-sec/op")
 	if par > 0 {
 		b.ReportMetric(float64(seq)/float64(par), "speedup-x")
-	}
-}
-
-// BenchmarkParallelScaling sweeps fleet size x GOMAXPROCS and reports
-// the sequential-vs-parallel speedup curve for the decentralized round
-// loop (training-dominated, embarrassingly parallel across peers).
-// Each sub-benchmark pins GOMAXPROCS to its procs value, times the
-// identical workload at Parallelism 1 and Parallelism procs, and
-// reports speedup-x plus the machine's core count — so a snapshot is
-// interpretable on any hardware: rows with procs <= cores carry real
-// scaling signal, rows with procs > cores measure pure pool overhead
-// (oversubscription on too few cores; expect ~1.0x, and see DESIGN.md
-// §11 for why the pre-chunking pool dipped *below* 1.0x there).
-// A probe, not a gate: performance claims rest on benchmark/.
-func BenchmarkParallelScaling(b *testing.B) {
-	cores := runtime.NumCPU()
-	for _, peers := range []int{4, 16} {
-		for _, procs := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("peers=%d/procs=%d", peers, procs), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				opts := benchOpts(waitornot.SimpleNN)
-				opts.Clients = peers
-				opts.Rounds = 2
-				opts.TrainPerClient = 120
-				opts.SelectionSize = 40
-				opts.TestPerClient = 50
-				opts.SkipComboTables = true // isolate training scaling
-				opts.Backend = "instant"    // ...from consensus cost
-				benchParallelSpeedup(b, procs, func(parallelism int) {
-					opts.Parallelism = parallelism
-					testutil.Run(b, opts)
-				})
-				b.ReportMetric(float64(peers), "peers")
-				b.ReportMetric(float64(procs), "procs")
-				b.ReportMetric(float64(cores), "cores")
-			})
-		}
 	}
 }
 
@@ -764,93 +599,5 @@ func BenchmarkShardedVsFlat(b *testing.B) {
 	b.ReportMetric(finalAcc/float64(b.N), "sharded-final-acc")
 	if shardWall > 0 {
 		b.ReportMetric(float64(flatWall)/float64(shardWall), "speedup-x")
-	}
-}
-
-// BenchmarkShardScaling sweeps the shard count over a fixed 16-peer
-// fleet (S=1 is the flat-equivalent baseline) and reports each
-// configuration's virtual completion time and global accuracy — the
-// partitioning trade-off at a glance.
-//
-// final-acc is averaged over three seeds. A single-seed sweep at this
-// scale (16 clients, 2 rounds, ~120 samples each) once recorded a
-// non-monotone curve (0.25 → 0.26 → 0.22 → 0.25 across S=1,2,4,8)
-// that looked like a partitioning bug; reseeding reshuffles the
-// ordering, so it is initialization noise on tiny shards, not a merge
-// defect. The seed-mean is the recorded metric; final-acc-spread
-// (max-min over seeds) makes the remaining noise floor visible in the
-// snapshot instead of masquerading as a scaling trend.
-func BenchmarkShardScaling(b *testing.B) {
-	seeds := []uint64{1, 2, 3}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) {
-			opts := benchOpts(waitornot.SimpleNN)
-			opts.Clients = 16
-			opts.Rounds = 2
-			opts.TrainPerClient = 120
-			opts.SkipComboTables = true
-			opts.CommitLatency = true
-			opts.Shards = shards
-
-			var horizon, accMean, accSpread float64
-			for i := 0; i < b.N; i++ {
-				lo, hi := 1.0, 0.0
-				for _, seed := range seeds {
-					opts.Seed = seed
-					rep := testutil.Run(b, opts, waitornot.WithKind(waitornot.KindSharded)).Sharded
-					horizon += rep.HorizonMs / float64(len(seeds))
-					accMean += rep.FinalAccuracy / float64(len(seeds))
-					lo = min(lo, rep.FinalAccuracy)
-					hi = max(hi, rep.FinalAccuracy)
-				}
-				accSpread += hi - lo
-			}
-			b.ReportMetric(horizon/float64(b.N), "virtual-ms")
-			b.ReportMetric(accMean/float64(b.N), "final-acc")
-			b.ReportMetric(accSpread/float64(b.N), "final-acc-spread")
-		})
-	}
-}
-
-// BenchmarkCampaignOverhead prices durability: the same 8-cell
-// replication sweep run in-memory (RunSweep) and as a persisted
-// campaign (RunCampaign into a fresh directory — one fsync'd JSONL
-// record per cell). overhead-pct is the campaign's extra wall-clock as
-// a percentage of the in-memory sweep; the persistence layer targets
-// under 5% on any workload big enough to be worth persisting.
-func BenchmarkCampaignOverhead(b *testing.B) {
-	opts := benchOpts(waitornot.SimpleNN)
-	opts.Rounds = 1
-	opts.SkipComboTables = true
-	opts.StragglerFactor = []float64{1, 1, 3}
-	opts.CommitLatency = true
-	opts.Parallelism = 1
-	exp := func() *waitornot.Experiment {
-		return waitornot.New(opts,
-			waitornot.WithKind(waitornot.KindTradeoff),
-			waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
-			waitornot.WithBackends("pow", "instant"),
-			waitornot.WithSeeds(1, 2))
-	}
-
-	var sweepWall, campaignWall time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := exp().RunSweep(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		sweepWall += time.Since(start)
-
-		dir := b.TempDir()
-		start = time.Now()
-		if _, err := exp().RunCampaign(context.Background(), dir); err != nil {
-			b.Fatal(err)
-		}
-		campaignWall += time.Since(start)
-	}
-	b.ReportMetric(sweepWall.Seconds()/float64(b.N), "sweep-sec/op")
-	b.ReportMetric(campaignWall.Seconds()/float64(b.N), "campaign-sec/op")
-	if sweepWall > 0 {
-		b.ReportMetric(100*(float64(campaignWall)-float64(sweepWall))/float64(sweepWall), "overhead-pct")
 	}
 }

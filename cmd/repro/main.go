@@ -128,7 +128,7 @@ func main() {
 		fmt.Println(rep.Table())
 		fmt.Printf("worst cell: %.2f%% relative error (tolerance %.0f%%)\n", rep.MaxRelErr()*100, rep.Tolerance*100)
 	case c.netperf:
-		printNetperf(c.seed, c.parallel)
+		printNetperf(c.seed)
 	default:
 		runScenario(ctx, c)
 	}
@@ -286,9 +286,9 @@ func printSweep(ctx context.Context, exp *waitornot.Experiment, csv bool, campai
 // printNetperf prints the simulated network premises: the §II-A2
 // throughput sweeps and the virtual-clock round latency per wait
 // policy. No training runs.
-func printNetperf(seed uint64, parallel int) {
+func printNetperf(seed uint64) {
 	fmt.Println("throughput vs co-located peers (shared-host model, §II-A2 / VFChain premise):")
-	for _, pt := range waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed, parallel) {
+	for _, pt := range waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed) {
 		fmt.Printf("  %-10s %8.1f tx/s   mean commit latency %9.1f ms\n",
 			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
 	}
@@ -296,7 +296,7 @@ func printNetperf(seed uint64, parallel int) {
 	// A SimpleNN submission is ~247 KB ≈ 4M calldata gas.
 	txGas := uint64(4_000_000)
 	limits := []uint64{4_000_000, 8_000_000, 16_000_000, 64_000_000, 256_000_000}
-	for _, pt := range waitornot.ThroughputVsBlockGas(limits, txGas, seed, parallel) {
+	for _, pt := range waitornot.ThroughputVsBlockGas(limits, txGas, seed) {
 		fmt.Printf("  %-16s %8.1f tx/s   mean commit latency %9.1f ms\n",
 			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
 	}
@@ -307,7 +307,7 @@ func printNetperf(seed uint64, parallel int) {
 		{Kind: waitornot.FirstK, K: 4},
 		{Kind: waitornot.Timeout, TimeoutMs: 6000},
 	}
-	for _, st := range waitornot.RoundLatencyByPolicy(8, policies, seed, parallel) {
+	for _, st := range waitornot.RoundLatencyByPolicy(8, policies, seed) {
 		fmt.Printf("  %-16s mean wait %8.1f ms   mean models %5.2f   mean age %8.1f ms\n",
 			st.Policy, st.MeanWaitMs, st.MeanIncluded, st.MeanAgeMs)
 	}

@@ -1,4 +1,4 @@
-// Command calibrate trains one of the paper's two models centrally on
+// Command tunedata trains one of the paper's two models centrally on
 // SynthCIFAR and prints the accuracy trajectory in 5-epoch "rounds",
 // mirroring the paper's 10-round x 5-epoch protocol. It exists to tune
 // the synthetic data distribution so the two models land in the paper's
@@ -52,7 +52,6 @@ func main() {
 		pretrain  = flag.Int("pretrain", 4000, "pretraining samples for effnet backbone")
 		preEpochs = flag.Int("preepochs", 4, "pretraining epochs")
 		preLR     = flag.Float64("prelr", 0.003, "pretraining learning rate")
-		parallel  = flag.Int("parallel", 0, "worker pool size for data generation and evaluation (0 = all cores, 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -82,13 +81,12 @@ func main() {
 	root := xrand.New(*seed)
 	// Each set draws from its own derived stream, so generating them
 	// concurrently is bit-identical to generating them one by one.
-	workers := par.Workers(*parallel)
 	var train, test *dataset.Set
 	gen := []func(){
 		func() { train = dataset.Generate(cfg, *nTrain, root.Derive("train")) },
 		func() { test = dataset.Generate(cfg, *nTest, root.Derive("test")) },
 	}
-	if err := par.ForEach(workers, len(gen), func(i int) error { gen[i](); return nil }); err != nil {
+	if err := par.ForEach(len(gen), len(gen), func(i int) error { gen[i](); return nil }); err != nil {
 		panic(err)
 	}
 
@@ -129,7 +127,7 @@ func main() {
 			func() { acc = testEval(weights) },
 			func() { trainAcc = trainEval(weights) },
 		}
-		if err := par.ForEach(workers, len(evals), func(i int) error { evals[i](); return nil }); err != nil {
+		if err := par.ForEach(len(evals), len(evals), func(i int) error { evals[i](); return nil }); err != nil {
 			panic(err)
 		}
 		fmt.Printf("round %2d: loss %.4f  test acc %.4f  train acc %.4f  (%v)\n",

@@ -177,7 +177,7 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 		// propagation plus (when modeled) commit latency — so updates
 		// one round old carry roughly half weight regardless of which
 		// term dominates the deployment.
-		a.halfLife = meanTrain/float64(len(a.peers)) + e.cfg.BaseLatencyMs
+		a.halfLife = meanTrain/float64(len(a.peers)) + baseLatencyMs
 		if !e.cfg.Network.IsZero() {
 			a.halfLife += e.cfg.Network.Mean
 		}
@@ -272,7 +272,7 @@ func (a *asyncEngine) trainDone(p *asyncPeer, dur float64) error {
 	if err != nil {
 		return err
 	}
-	delay := a.cfg.BaseLatencyMs + float64(size)/1024*a.cfg.PerKBMs
+	delay := baseLatencyMs + float64(size)/1024*perKBMs
 	if !a.cfg.Network.IsZero() {
 		delay += a.cfg.Network.Draw(p.rng)
 	}
@@ -444,7 +444,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 			return err
 		}
 		round := p.round
-		a.clock.Schedule(a.wireArrival(p, a.cfg.BaseLatencyMs), p.idx, func() error {
+		a.clock.Schedule(a.wireArrival(p, baseLatencyMs), p.idx, func() error {
 			if err := a.be.Submit(tx); err != nil {
 				return fmt.Errorf("bfl: %s round %d decision tx: %w", p.name, round, err)
 			}

@@ -50,8 +50,6 @@ type Config struct {
 	Rounds int
 	// Seed drives every random stream.
 	Seed uint64
-	// Data is the synthetic distribution (zero = dataset.DefaultConfig).
-	Data dataset.Config
 	// TrainPerPeer / SelectionSize / TestPerPeer size each peer's data.
 	TrainPerPeer  int
 	SelectionSize int
@@ -65,9 +63,6 @@ type Config struct {
 	Policy core.WaitPolicy
 	// Filter screens abnormal models before aggregation.
 	Filter core.Filter
-	// Chain overrides consensus parameters (zero = low-difficulty
-	// defaults suitable for in-process mining).
-	Chain chain.Config
 	// Backend names the consensus substrate rounds commit through
 	// ("" = ledger.Default, the proof-of-work path; see
 	// internal/ledger for the registry).
@@ -91,10 +86,6 @@ type Config struct {
 	// the arrival-time model (nil = all 1.0). Drives the wait-policy
 	// trade-off study.
 	StragglerFactor []float64
-	// BaseLatencyMs and PerKBMs parameterize the simulated network the
-	// arrival model uses.
-	BaseLatencyMs float64
-	PerKBMs       float64
 	// Compute, when set, draws a per-peer per-round multiplier on the
 	// modeled training duration (heterogeneous compute). The zero
 	// value keeps durations fixed at the calibrated model. Used by the
@@ -102,7 +93,7 @@ type Config struct {
 	// historical fixed model.
 	Compute simnet.Dist
 	// Network, when set, draws extra per-submission propagation delay
-	// in ms on top of BaseLatencyMs + size/bandwidth (network jitter).
+	// in ms on top of base latency + size/bandwidth (network jitter).
 	// Asynchronous engine only.
 	Network simnet.Dist
 	// TimeBudgetMs caps the asynchronous run's virtual horizon: peers
@@ -161,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.Rounds == 0 {
 		c.Rounds = 10
 	}
-	if c.Data.Classes == 0 {
-		c.Data = dataset.DefaultConfig()
-	}
 	if c.TrainPerPeer == 0 {
 		c.TrainPerPeer = 3000
 	}
@@ -181,17 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == nil {
 		c.Policy = core.WaitAll{}
-	}
-	if c.Chain == (chain.Config{}) {
-		c.Chain = chain.DefaultConfig()
-		c.Chain.GenesisDifficulty = 64
-		c.Chain.MinDifficulty = 16
-	}
-	if c.BaseLatencyMs == 0 {
-		c.BaseLatencyMs = 20
-	}
-	if c.PerKBMs == 0 {
-		c.PerKBMs = 0.08 // ~100 Mbit/s
 	}
 	if c.PoisonPeer == 0 && c.PoisonFrac == 0 {
 		c.PoisonPeer = -1
@@ -244,7 +221,23 @@ func (c Config) Validate() error {
 	if c.StalenessHalfLifeMs < 0 {
 		return fmt.Errorf("bfl: negative staleness half-life %g", c.StalenessHalfLifeMs)
 	}
-	return c.Data.Validate()
+	return nil
+}
+
+// The simulated network the arrival model uses: per-submission base
+// latency plus transfer time per KB (~100 Mbit/s).
+const (
+	baseLatencyMs = 20
+	perKBMs       = 0.08
+)
+
+// chainConfig is the consensus parameters every run uses: the chain
+// defaults at a difficulty low enough for in-process mining.
+func chainConfig() chain.Config {
+	c := chain.DefaultConfig()
+	c.GenesisDifficulty = 64
+	c.MinDifficulty = 16
+	return c
 }
 
 // RoundStats records one peer's aggregation round.
@@ -405,7 +398,9 @@ type engine struct {
 	sink event.Sink
 	root *xrand.RNG
 
-	be    ledger.Backend
+	be ledger.Backend
+	// gas prices every transaction the peers sign (chainConfig's).
+	gas   chain.GasSchedule
 	peers []*peerState
 	// initial is the shared starting weight vector every peer adopts.
 	initial []float32
@@ -484,7 +479,7 @@ func upTo(n int) []int {
 func (e *engine) registerAt(tsMs float64) error {
 	for _, p := range e.peers {
 		tx, err := chain.NewTx(p.key, p.nonce, contract.RegistryAddress, 0,
-			contract.RegisterCallData(p.name), e.cfg.Chain.Gas, 1_000_000, 1)
+			contract.RegisterCallData(p.name), e.gas, 1_000_000, 1)
 		if err != nil {
 			return err
 		}
@@ -515,6 +510,7 @@ func (e *engine) setup() error {
 		e.cfg.EvalAllCombos = false // per-pair grids are a cross-silo artifact
 	}
 	cfg, root := e.cfg, e.root
+	data, ccfg := dataset.DefaultConfig(), chainConfig()
 
 	// --- Cohort: the ascending fleet indices to materialize --------------
 	var active []int
@@ -531,7 +527,7 @@ func (e *engine) setup() error {
 	// pool would swamp setup).
 	var shards []*dataset.Set
 	if !subsampled {
-		pool := dataset.Generate(cfg.Data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
+		pool := dataset.Generate(data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
 		if cfg.DirichletAlpha > 0 {
 			shards = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
 		} else {
@@ -541,7 +537,7 @@ func (e *engine) setup() error {
 	trainShard := func(gi int, name string) *dataset.Set {
 		var s *dataset.Set
 		if subsampled {
-			s = dataset.Generate(cfg.Data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
+			s = dataset.Generate(data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
 		} else {
 			s = shards[gi]
 		}
@@ -554,12 +550,12 @@ func (e *engine) setup() error {
 	// --- Initial weights (shared; pretrained for the complex model) ------
 	initModel := cfg.Model.Build(root.Derive("init"))
 	if cfg.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, cfg.Data, cfg.Pretrain, root.Derive("pretrain"))
+		fl.Pretrain(initModel, data, cfg.Pretrain, root.Derive("pretrain"))
 	}
 	initial := initModel.WeightVector()
 
 	// --- Ledger, sized to the cohort ---------------------------------------
-	vm := contract.NewVM(cfg.Chain.Gas)
+	vm := contract.NewVM(ccfg.Gas)
 	peerKeys := make([]*keys.Key, len(active))
 	alloc := make(map[keys.Address]uint64, len(active))
 	sealers := make([]keys.Address, len(active))
@@ -569,20 +565,24 @@ func (e *engine) setup() error {
 		sealers[s] = peerKeys[s].Address()
 	}
 	// Consortium verification set: an independent held-out sample the
-	// ledger's model verification (pbft) scores submissions on. Derive
-	// does not advance the root stream, so building it unconditionally
-	// perturbs no other backend's results.
-	verifySet := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("ledger-verify"))
-	verifyEval := fl.NewAccuracyEvaluator(cfg.Model, verifySet)
+	// ledger's model verification scores submissions on, built on the
+	// first call because only pbft ever makes one. Derive does not
+	// advance the root stream, so when it is built perturbs nothing.
+	var verifyOnce sync.Once
+	var verifyEval fl.Evaluator
 	verify := func(w []float32) float64 {
 		if len(w) != len(initial) {
 			return math.NaN()
 		}
+		verifyOnce.Do(func() {
+			verifySet := dataset.Generate(data, cfg.SelectionSize, root.Derive("ledger-verify"))
+			verifyEval = fl.NewAccuracyEvaluator(cfg.Model, verifySet)
+		})
 		return verifyEval(w)
 	}
 	be, err := ledger.New(cfg.Backend, ledger.Config{
 		Peers:      len(active),
-		Chain:      cfg.Chain,
+		Chain:      ccfg,
 		Alloc:      alloc,
 		Proc:       vm,
 		Sealers:    sealers,
@@ -613,8 +613,8 @@ func (e *engine) setup() error {
 		name := fl.ClientName(gi)
 		model := cfg.Model.Build(root.Derive("peer-model-" + name))
 		train := trainShard(gi, name)
-		sel := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("selection-"+name))
-		test := dataset.Generate(cfg.Data, cfg.TestPerPeer, root.Derive("test-"+name))
+		sel := dataset.Generate(data, cfg.SelectionSize, root.Derive("selection-"+name))
+		test := dataset.Generate(data, cfg.TestPerPeer, root.Derive("test-"+name))
 		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
 		straggler := 1.0
 		if cfg.StragglerFactor != nil {
@@ -657,10 +657,11 @@ func (e *engine) setup() error {
 	// as the historical runner's uint64 clock was.
 	step := uint64(be.CommitLatencyMs())
 	if step == 0 {
-		step = cfg.Chain.TargetIntervalMs
+		step = ccfg.TargetIntervalMs
 	}
 	e.clockStep = float64(step)
 	e.be = be
+	e.gas = ccfg.Gas
 	e.peers = peers
 	e.initial = initial
 	e.workers = workers
@@ -912,7 +913,7 @@ func (e *engine) submitTx(p *peerState, round int, up *fl.Update) (*chain.Transa
 	blob := nn.AppendWeights(e.blobScratch[:0], up.Weights)
 	e.blobScratch = blob[:0]
 	payload := contract.SubmitCallData(uint64(round), uint64(e.cfg.Model), uint64(up.NumSamples), blob)
-	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.cfg.Chain.Gas, 10_000_000, 1)
+	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.gas, 10_000_000, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -927,7 +928,7 @@ func (e *engine) submitTx(p *peerState, round int, up *fl.Update) (*chain.Transa
 func (e *engine) recordTx(p *peerState, round int, label string, adopted []float32, n int) (*chain.Transaction, error) {
 	var rh chain.Hash = nn.HashWeights(adopted)
 	payload := contract.RecordCallData(uint64(round), label, rh, uint64(n))
-	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.cfg.Chain.Gas, 1_000_000, 1)
+	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.gas, 1_000_000, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -1008,7 +1009,7 @@ func arrivalTimes(cfg Config, peers []*peerState, updates []*fl.Update, commitIn
 	out := make(map[string]float64, len(peers))
 	for i, p := range peers {
 		blobKB := float64(nn.EncodedSize(len(updates[i].Weights))) / 1024
-		at := p.simTrainMs + cfg.BaseLatencyMs + blobKB*cfg.PerKBMs
+		at := p.simTrainMs + baseLatencyMs + blobKB*perKBMs
 		if cfg.CommitLatency {
 			at = simnet.CommitVisibilityMs(at, commitIntervalMs)
 		}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -76,12 +75,14 @@ type Transaction struct {
 
 // txMemo is the per-transaction memo: the signing digest (what the
 // sender signed), the transaction hash (digest input + signature, the
-// id everything is keyed by), and the payload's decoding (see Decoded).
+// id everything is keyed by), the signature verdict (see
+// VerifySignature), and the payload's decoding (see Decoded).
 type txMemo struct {
-	owner   *Transaction
-	digest  [32]byte
-	hash    Hash
-	decoded atomic.Value
+	owner    *Transaction
+	digest   [32]byte
+	hash     Hash
+	verified atomic.Bool
+	decoded  atomic.Value
 }
 
 // memoized returns the transaction's memo, computing and caching it on
@@ -185,49 +186,26 @@ var (
 	ErrGasTooLow = errors.New("chain: tx gas limit below intrinsic gas")
 )
 
-// verifiedTxs is the process-wide verify-once cache: the set of
-// transaction hashes whose sender binding and ECDSA signature have
-// already been checked. Verification is a pure function of the
-// transaction bytes, and the hash commits to every field including the
-// signature, so a hit is exactly as strong as re-verifying — N peer
-// replicas of a gossiped transaction pay for its cryptography once per
-// process instead of once per mempool. A tampered transaction hashes
-// differently (the memo is owner-checked, so even struct copies
-// recompute), misses, and fails the full check on every replica.
-//
-// The cache is bounded: at verifiedTxsMax entries it is reset wholesale
-// — correctness never depends on a hit, only speed.
-var verifiedTxs = struct {
-	sync.RWMutex
-	m map[Hash]struct{}
-}{m: make(map[Hash]struct{})}
-
-const verifiedTxsMax = 1 << 17
-
-// VerifySignature checks the sender binding and ECDSA signature,
-// consulting the process-wide verify-once cache first. Only successful
-// verifications are cached; failures re-run the full check (they are
-// cold paths by construction).
+// VerifySignature checks the sender binding and ECDSA signature, once
+// per transaction value: success is recorded on the owner-checked memo,
+// so the N replicas handed the same *Transaction pay for its
+// cryptography once. Verification is a pure function of the bytes the
+// memo hashed, so the recorded verdict is exactly as strong as
+// re-verifying; a struct copy (tampered or not) has a different owner,
+// misses, and runs the full check. Failures record nothing and re-run
+// the check on every call (they are cold paths by construction).
 func (tx *Transaction) VerifySignature() error {
-	h := tx.memoized().hash
-	verifiedTxs.RLock()
-	_, hit := verifiedTxs.m[h]
-	verifiedTxs.RUnlock()
-	if hit {
+	m := tx.memoized()
+	if m.verified.Load() {
 		return nil
 	}
 	if keys.PubToAddress(tx.PubKey) != tx.From {
 		return ErrBadFrom
 	}
-	if err := keys.VerifyDigest(tx.PubKey, tx.memoized().digest, tx.Sig); err != nil {
+	if err := keys.VerifyDigest(tx.PubKey, m.digest, tx.Sig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSig, err)
 	}
-	verifiedTxs.Lock()
-	if len(verifiedTxs.m) >= verifiedTxsMax {
-		verifiedTxs.m = make(map[Hash]struct{})
-	}
-	verifiedTxs.m[h] = struct{}{}
-	verifiedTxs.Unlock()
+	m.verified.Store(true)
 	return nil
 }
 

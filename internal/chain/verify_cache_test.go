@@ -25,23 +25,32 @@ func TestSigningBytesMatchesMemoizedDigest(t *testing.T) {
 	}
 }
 
-// TestVerifyOnceCacheTamperRejected pins the verify-once cache's
-// soundness argument: the cache is keyed by the full transaction hash,
-// which commits to every signed field and the signature itself, so a
-// tampered copy of an already-verified (cached) transaction can never
-// inherit the cached verdict — it hashes differently, misses, and
-// fails the real ECDSA check. The copy also carries the original's
-// stale digest memo; the owner check must force a recompute rather
-// than let the tampered bytes ride a pre-tamper digest — and the same
-// owner check guards the decoded-payload slot (Decoded): a copy never
-// reads the original's decoding.
+// TestVerifyOnceCacheTamperRejected pins the verify-once verdict's
+// soundness argument: the verdict lives on the owner-checked memo of
+// the transaction value that passed the ECDSA check, so a tampered copy
+// of an already-verified transaction can never inherit it — the copy
+// drags the memo pointer along, the owner check misses, the digest is
+// recomputed over the tampered bytes, and the real check fails, on
+// every call. The same owner check guards the decoded-payload slot
+// (Decoded): a copy never reads the original's decoding. And only a
+// passed check leaves a verdict: a transaction that fails keeps
+// failing through the same pointer.
 func TestVerifyOnceCacheTamperRejected(t *testing.T) {
 	ks := testKeys(3)
 	base, err := NewTx(ks[0], 0, ks[1].Address(), 5, []byte("honest payload"), DefaultGasSchedule(), 1_000_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First call verifies and caches; second call takes the hit path.
+	// A failed verification leaves no verdict: the same pointer fails
+	// on every call, never starting to pass.
+	bad := *base
+	bad.Sig[7] ^= 0x01
+	for i := 0; i < 4; i++ {
+		if err := bad.VerifySignature(); err == nil {
+			t.Fatalf("bad-signature tx accepted on call %d", i)
+		}
+	}
+	// First call verifies and records; second call takes the hit path.
 	for i := 0; i < 2; i++ {
 		if err := base.VerifySignature(); err != nil {
 			t.Fatalf("honest tx rejected on pass %d: %v", i, err)
@@ -74,8 +83,12 @@ func TestVerifyOnceCacheTamperRejected(t *testing.T) {
 	for _, m := range mutations {
 		cp := *base
 		m.mutate(&cp)
-		if err := cp.VerifySignature(); err == nil {
-			t.Fatalf("%s-tampered copy of a cached-verified tx accepted", m.name)
+		// The verdict is per owner: the copy fails, and keeps failing
+		// once it has a memo of its own.
+		for i := 0; i < 2; i++ {
+			if err := cp.VerifySignature(); err == nil {
+				t.Fatalf("%s-tampered copy of a verified tx accepted on call %d", m.name, i)
+			}
 		}
 		// The copy dragged the memo pointer along; it must miss and
 		// decode its own payload, never serve the original's.

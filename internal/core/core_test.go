@@ -202,80 +202,3 @@ func TestAggregatorTieBreakIsSeeded(t *testing.T) {
 		t.Fatal("tie-break never varies; random selection is not happening")
 	}
 }
-
-func TestCollectorFiresOnPolicy(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	c := NewCollector(3, FirstK{K: 2}, clock)
-	if c.Fired() {
-		t.Fatal("must not fire before updates")
-	}
-	if fired := c.Add(upd("A", 1)); fired {
-		t.Fatal("one update must not satisfy first-2")
-	}
-	now = now.Add(time.Second)
-	if fired := c.Add(upd("B", 2)); !fired {
-		t.Fatal("two updates must satisfy first-2")
-	}
-	select {
-	case <-c.Ready():
-	default:
-		t.Fatal("ready channel must be closed")
-	}
-	if got := c.WaitTime(); got != time.Second {
-		t.Fatalf("wait time %v, want 1s", got)
-	}
-	if got := len(c.Updates()); got != 2 {
-		t.Fatalf("%d updates", got)
-	}
-}
-
-func TestCollectorIgnoresDuplicates(t *testing.T) {
-	c := NewCollector(2, WaitAll{}, nil)
-	c.Add(upd("A", 1))
-	c.Add(upd("A", 99))
-	if c.Fired() {
-		t.Fatal("duplicate must not count twice")
-	}
-	ups := c.Updates()
-	if len(ups) != 1 || ups[0].Weights[0] != 1 {
-		t.Fatal("first update must win")
-	}
-}
-
-func TestCollectorTickDrivesTimeout(t *testing.T) {
-	now := time.Unix(100, 0)
-	clock := func() time.Time { return now }
-	c := NewCollector(3, Timeout{D: 5 * time.Second}, clock)
-	c.Add(upd("A", 1))
-	if c.Tick() {
-		t.Fatal("timeout must not fire early")
-	}
-	now = now.Add(6 * time.Second)
-	if !c.Tick() {
-		t.Fatal("timeout must fire after deadline")
-	}
-	if c.WaitTime() != 6*time.Second {
-		t.Fatalf("wait time %v", c.WaitTime())
-	}
-}
-
-func TestCollectorUpdatesSorted(t *testing.T) {
-	c := NewCollector(3, WaitAll{}, nil)
-	c.Add(upd("C", 3))
-	c.Add(upd("A", 1))
-	c.Add(upd("B", 2))
-	ups := c.Updates()
-	if ups[0].Client != "A" || ups[1].Client != "B" || ups[2].Client != "C" {
-		t.Fatalf("updates not sorted: %v %v %v", ups[0].Client, ups[1].Client, ups[2].Client)
-	}
-}
-
-func TestCollectorPanicsOnBadExpected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCollector(0, WaitAll{}, nil)
-}

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -249,7 +250,7 @@ func tinyVanillaConfig(model nn.ModelID) VanillaConfig {
 }
 
 func TestRunVanillaShapeAndRanges(t *testing.T) {
-	res, err := RunVanilla(tinyVanillaConfig(nn.ModelSimpleNN))
+	res, err := Run(context.Background(), tinyVanillaConfig(nn.ModelSimpleNN))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +284,11 @@ func TestRunVanillaShapeAndRanges(t *testing.T) {
 }
 
 func TestRunVanillaDeterministic(t *testing.T) {
-	a, err := RunVanilla(tinyVanillaConfig(nn.ModelSimpleNN))
+	a, err := Run(context.Background(), tinyVanillaConfig(nn.ModelSimpleNN))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunVanilla(tinyVanillaConfig(nn.ModelSimpleNN))
+	b, err := Run(context.Background(), tinyVanillaConfig(nn.ModelSimpleNN))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestRunVanillaDeterministic(t *testing.T) {
 func TestRunVanillaValidates(t *testing.T) {
 	cfg := tinyVanillaConfig(nn.ModelSimpleNN)
 	cfg.Clients = 1
-	if _, err := RunVanilla(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("1 client must be rejected")
 	}
 }

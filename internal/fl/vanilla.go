@@ -45,9 +45,6 @@ type VanillaConfig struct {
 	Rounds int
 	// Seed drives every random stream in the experiment.
 	Seed uint64
-	// Data is the synthetic data distribution; zero value means
-	// dataset.DefaultConfig.
-	Data dataset.Config
 	// TrainPerClient is each client's shard size.
 	TrainPerClient int
 	// SelectionSize is the aggregator's "default test set" size used by
@@ -88,9 +85,6 @@ func (c VanillaConfig) withDefaults() VanillaConfig {
 	if c.Rounds == 0 {
 		c.Rounds = 10
 	}
-	if c.Data.Classes == 0 {
-		c.Data = dataset.DefaultConfig()
-	}
 	if c.TrainPerClient == 0 {
 		c.TrainPerClient = 3000
 	}
@@ -121,7 +115,7 @@ func (c VanillaConfig) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("fl: need at least 1 round, got %d", c.Rounds)
 	}
-	return c.Data.Validate()
+	return nil
 }
 
 // ArmResult is one aggregation arm's outcome: per-client, per-round test
@@ -164,22 +158,22 @@ type environment struct {
 // setupEnvironment generates data and the (possibly pretrained) initial
 // global weights; both arms start from identical state.
 func setupEnvironment(cfg VanillaConfig) *environment {
-	root := xrand.New(cfg.Seed)
-	pool := dataset.Generate(cfg.Data, cfg.TrainPerClient*cfg.Clients, root.Derive("train-pool"))
+	root, data := xrand.New(cfg.Seed), dataset.DefaultConfig()
+	pool := dataset.Generate(data, cfg.TrainPerClient*cfg.Clients, root.Derive("train-pool"))
 	var shards []*dataset.Set
 	if cfg.DirichletAlpha > 0 {
 		shards = dataset.PartitionDirichlet(pool, cfg.Clients, cfg.DirichletAlpha, root.Derive("partition"))
 	} else {
 		shards = dataset.PartitionIID(pool, cfg.Clients, root.Derive("partition"))
 	}
-	selection := dataset.Generate(cfg.Data, cfg.SelectionSize, root.Derive("selection"))
+	selection := dataset.Generate(data, cfg.SelectionSize, root.Derive("selection"))
 	tests := make([]*dataset.Set, cfg.Clients)
 	for i := range tests {
-		tests[i] = dataset.Generate(cfg.Data, cfg.TestPerClient, root.Derive(fmt.Sprintf("test-%d", i)))
+		tests[i] = dataset.Generate(data, cfg.TestPerClient, root.Derive(fmt.Sprintf("test-%d", i)))
 	}
 	model := cfg.Model.Build(root.Derive("init"))
 	if cfg.Model == nn.ModelEffNetSim {
-		Pretrain(model, cfg.Data, cfg.Pretrain, root.Derive("pretrain"))
+		Pretrain(model, data, cfg.Pretrain, root.Derive("pretrain"))
 	}
 	return &environment{
 		cfg:       cfg,
@@ -318,15 +312,10 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 	return res, nil
 }
 
-// RunVanilla executes the full Table I experiment: both aggregation arms
-// over identical data and initial weights.
-func RunVanilla(cfg VanillaConfig) (*VanillaResult, error) {
-	return Run(context.Background(), cfg)
-}
-
-// Run is RunVanilla with cooperative cancellation: the context is
-// checked between rounds and between pool items, and ctx.Err() is
-// returned (with no partial result) once it fires.
+// Run executes the full Table I experiment: both aggregation arms over
+// identical data and initial weights. The context is checked between
+// rounds and between pool items, and ctx.Err() is returned (with no
+// partial result) once it fires.
 func Run(ctx context.Context, cfg VanillaConfig) (*VanillaResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 )
 
 // AddressLen is the byte length of an account address.
@@ -105,39 +104,14 @@ func Verify(pub []byte, payload []byte, sig Signature) error {
 	return VerifyDigest(pub, sha256.Sum256(payload), sig)
 }
 
-// parsedPubs caches SEC1 public-key unmarshals: a fleet of N peers
-// signs every transaction with the same N keys, so the curve-point
-// decode is paid once per key instead of once per verification. Parsed
-// keys are immutable, and the cache is bounded (reset wholesale at
-// capacity) — a miss only costs the unmarshal.
-var parsedPubs = struct {
-	sync.RWMutex
-	m map[string]*ecdsa.PublicKey
-}{m: make(map[string]*ecdsa.PublicKey)}
-
-const parsedPubsMax = 1 << 14
-
 // parsePub returns the ECDSA public key for an encoded SEC1 point, nil
 // if malformed.
 func parsePub(pub []byte) *ecdsa.PublicKey {
-	parsedPubs.RLock()
-	k, hit := parsedPubs.m[string(pub)]
-	parsedPubs.RUnlock()
-	if hit {
-		return k
-	}
 	x, y := elliptic.Unmarshal(elliptic.P256(), pub)
 	if x == nil {
 		return nil
 	}
-	k = &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	parsedPubs.Lock()
-	if len(parsedPubs.m) >= parsedPubsMax {
-		parsedPubs.m = make(map[string]*ecdsa.PublicKey)
-	}
-	parsedPubs.m[string(pub)] = k
-	parsedPubs.Unlock()
-	return k
+	return &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
 }
 
 // VerifyDigest checks sig over a precomputed SHA-256 digest.

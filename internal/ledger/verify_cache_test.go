@@ -7,12 +7,12 @@ import (
 	"waitornot/internal/ledger"
 )
 
-// TestTamperedTxRejectedOnEveryReplica proves the process-wide
-// verify-once signature cache cannot be laundered through gossip:
-// after an honest transaction has been verified — and its verdict
-// cached — on every replica of every backend, a copy with a tampered
-// payload (same signature, same sender) must still be rejected by
-// Submit and must never reach any peer's pending set. The same holds
+// TestTamperedTxRejectedOnEveryReplica proves the verify-once
+// signature verdict cannot be laundered through gossip: after an
+// honest transaction has been verified — and its verdict recorded on
+// the transaction — on every replica of every backend, a copy with a
+// tampered payload (same signature, same sender) must still be rejected
+// by Submit and must never reach any peer's pending set. The same holds
 // at payload level for the decoded-call memo: once a model submission
 // has been executed on every replica (payload parsed, weight blob
 // digested, both memoized on the transaction), a copy with one weight

@@ -334,79 +334,3 @@ func (p *MaxPool2D) Params() []*tensor.Dense { return nil }
 
 // Grads implements Layer.
 func (p *MaxPool2D) Grads() []*tensor.Dense { return nil }
-
-// Dropout zeroes a fraction P of activations during training, scaling
-// survivors by 1/(1-P) (inverted dropout). It is inert at inference.
-type Dropout struct {
-	P   float64
-	rng *xrand.RNG
-
-	mask []bool
-	y    *tensor.Dense
-	dx   *tensor.Dense
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// NewDropout builds a dropout layer with drop probability p drawing from
-// rng (the layer owns the stream; pass a derived stream).
-func NewDropout(p float64, rng *xrand.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %v out of [0,1)", p))
-	}
-	return &Dropout{P: p, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if !train || d.P == 0 {
-		// Identity at inference; mark mask nil so Backward passes through.
-		d.mask = nil
-		return x
-	}
-	if d.y == nil || d.y.Rows != x.Rows || d.y.Cols != x.Cols {
-		d.y = tensor.New(x.Rows, x.Cols)
-	}
-	if len(d.mask) != len(x.Data) {
-		d.mask = make([]bool, len(x.Data))
-	}
-	scale := float32(1 / (1 - d.P))
-	for i, v := range x.Data {
-		if d.rng.Float64() < d.P {
-			d.mask[i] = false
-			d.y.Data[i] = 0
-		} else {
-			d.mask[i] = true
-			d.y.Data[i] = v * scale
-		}
-	}
-	return d.y
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(dout *tensor.Dense) *tensor.Dense {
-	if d.mask == nil {
-		return dout
-	}
-	scale := float32(1 / (1 - d.P))
-	if d.dx == nil || d.dx.Rows != dout.Rows || d.dx.Cols != dout.Cols {
-		d.dx = tensor.New(dout.Rows, dout.Cols)
-	}
-	for i, v := range dout.Data {
-		if d.mask[i] {
-			d.dx.Data[i] = v * scale
-		} else {
-			d.dx.Data[i] = 0
-		}
-	}
-	return d.dx
-}
-
-// Params implements Layer.
-func (d *Dropout) Params() []*tensor.Dense { return nil }
-
-// Grads implements Layer.
-func (d *Dropout) Grads() []*tensor.Dense { return nil }

@@ -101,12 +101,13 @@ type Config struct {
 	Adaptive bool
 	// Policies is the controller's arm ladder (required when Adaptive).
 	Policies []core.WaitPolicy
-	// Epsilon is the controller's exploration rate (default 0.2).
-	Epsilon float64
 	// Events receives ShardRoundEnd / ShardModelCommitted / GlobalMerge
 	// in virtual-clock order (ties broken by shard index).
 	Events event.Sink
 }
+
+// epsilon is the adaptive controller's exploration rate.
+const epsilon = 0.2
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
@@ -114,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MergeEvery == 0 {
 		c.MergeEvery = 1
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.2
 	}
 	return c
 }
@@ -151,9 +149,6 @@ func (c Config) Validate() error {
 	}
 	if c.Adaptive && len(c.Policies) == 0 {
 		return fmt.Errorf("shard: adaptive controller needs a policy ladder")
-	}
-	if c.Epsilon < 0 || c.Epsilon > 1 {
-		return fmt.Errorf("shard: epsilon %g outside [0, 1]", c.Epsilon)
 	}
 	return nil
 }
@@ -415,10 +410,10 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 	defaulted := o.shards[0].eng.Config()
 	initModel := defaulted.Model.Build(root.Derive("init"))
 	if defaulted.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, defaulted.Data, defaulted.Pretrain, root.Derive("pretrain"))
+		fl.Pretrain(initModel, dataset.DefaultConfig(), defaulted.Pretrain, root.Derive("pretrain"))
 	}
 	o.initial = initModel.WeightVector()
-	evalSet := dataset.Generate(defaulted.Data, defaulted.TestPerPeer, root.Derive("shard-global-eval"))
+	evalSet := dataset.Generate(dataset.DefaultConfig(), defaulted.TestPerPeer, root.Derive("shard-global-eval"))
 	o.eval = fl.NewAccuracyEvaluator(defaulted.Model, evalSet)
 	o.res.InitialAccuracy = o.eval(o.initial)
 
@@ -446,7 +441,7 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 	if cfg.Adaptive {
 		for _, s := range o.shards {
 			rng := root.Derive(fmt.Sprintf("bandit-%d", s.idx))
-			o.bandits = append(o.bandits, newBandit(len(o.ladder), cfg.Epsilon, rng))
+			o.bandits = append(o.bandits, newBandit(len(o.ladder), epsilon, rng))
 		}
 		for _, s := range o.shards {
 			o.nextArm(s)

@@ -85,7 +85,6 @@ func TestValidateRejects(t *testing.T) {
 		{"bad mode", func(c *Config) { c.Mode = MergeMode(9) }},
 		{"negative cadence", func(c *Config) { c.MergeEvery = -1 }},
 		{"adaptive without ladder", func(c *Config) { c.Adaptive = true }},
-		{"epsilon out of range", func(c *Config) { c.Epsilon = 1.5 }},
 	}
 	for _, tc := range cases {
 		cfg := Config{Base: tinyBase(), Shards: 2}

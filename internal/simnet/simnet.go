@@ -44,10 +44,6 @@ type ThroughputConfig struct {
 	DurationMs float64
 	// Seed drives arrival/sealing jitter.
 	Seed uint64
-	// Parallelism bounds the sweep helpers' worker pool (0 = all
-	// cores, 1 = sequential). Individual simulations are single
-	// threaded and deterministic either way.
-	Parallelism int
 }
 
 // Throughput is one simulated operating point.
@@ -142,7 +138,7 @@ func SimulateThroughput(cfg ThroughputConfig) Throughput {
 // Operating points are independent simulations of the same seed, so
 // they run concurrently with results landing in peer-count order.
 func SweepPeers(base ThroughputConfig, peerCounts []int) []Throughput {
-	out, err := par.Map(par.Workers(base.Parallelism), len(peerCounts), func(i int) (Throughput, error) {
+	out, err := par.Map(par.Workers(0), len(peerCounts), func(i int) (Throughput, error) {
 		cfg := base
 		cfg.Peers = peerCounts[i]
 		return SimulateThroughput(cfg), nil
@@ -157,7 +153,7 @@ func SweepPeers(base ThroughputConfig, peerCounts []int) []Throughput {
 // the block-capacity experiment (refs [11], [12]). Points run
 // concurrently, landing in limit order (see SweepPeers).
 func SweepBlockGas(base ThroughputConfig, limits []uint64) []Throughput {
-	out, err := par.Map(par.Workers(base.Parallelism), len(limits), func(i int) (Throughput, error) {
+	out, err := par.Map(par.Workers(0), len(limits), func(i int) (Throughput, error) {
 		cfg := base
 		cfg.BlockGasLimit = limits[i]
 		return SimulateThroughput(cfg), nil

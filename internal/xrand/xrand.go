@@ -72,9 +72,6 @@ func (r *RNG) Intn(n int) int {
 	return int((r.Uint64() >> 11) % uint64(n))
 }
 
-// Int63 returns a non-negative random 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -131,15 +128,6 @@ func (r *RNG) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

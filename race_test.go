@@ -234,14 +234,14 @@ func TestRaceSmokePBFT(t *testing.T) {
 	}
 }
 
-// TestRaceSmokeVerifyCache hammers the process-wide verify-once
-// signature cache and the lazy per-transaction digest memo from every
-// direction at once: six goroutines run independent poa and pbft
-// ledgers over the SAME signed transactions, so the race detector sees
-// concurrent first-use memoization on shared *chain.Transaction
-// values, concurrent cache reads and inserts, and the parsed-pubkey
-// cache racing across backends — while every commit re-verifies the
-// batch on each backend's four replicas.
+// TestRaceSmokeVerifyCache hammers the per-transaction memo — digest,
+// hash, signature verdict, decoded payload: the whole verify-once
+// mechanism — from every direction at once: six goroutines run
+// independent poa and pbft ledgers over the SAME signed transactions,
+// so the race detector sees concurrent first-use memoization and
+// concurrent verdict reads and writes on shared *chain.Transaction
+// values, while every commit re-verifies the batch on each backend's
+// four replicas.
 func TestRaceSmokeVerifyCache(t *testing.T) {
 	const peers, rounds, replicas = 4, 3, 3
 	ccfg := chain.DefaultConfig()

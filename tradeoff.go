@@ -155,12 +155,9 @@ type NetworkPoint struct {
 }
 
 // ThroughputVsPeers reproduces the §II-A2 scaling premise: committed
-// transaction throughput as co-located peer count grows. The optional
-// trailing argument bounds the sweep's worker pool (omitted or 0 =
-// all cores, 1 = sequential); points are deterministic either way.
-func ThroughputVsPeers(peerCounts []int, seed uint64, parallelism ...int) []NetworkPoint {
+// transaction throughput as co-located peer count grows.
+func ThroughputVsPeers(peerCounts []int, seed uint64) []NetworkPoint {
 	base := simnet.ThroughputConfig{
-		Parallelism:     optionalParallelism(parallelism),
 		TxExecMs:        2,
 		HostCores:       2,
 		BlockIntervalMs: 1000,
@@ -184,11 +181,9 @@ func ThroughputVsPeers(peerCounts []int, seed uint64, parallelism ...int) []Netw
 
 // ThroughputVsBlockGas reproduces the block-capacity premise (refs
 // [11], [12]): throughput as the block gas limit varies relative to a
-// model-sized transaction. The optional trailing argument bounds the
-// sweep's worker pool (see ThroughputVsPeers).
-func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64, parallelism ...int) []NetworkPoint {
+// model-sized transaction.
+func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64) []NetworkPoint {
 	base := simnet.ThroughputConfig{
-		Parallelism:     optionalParallelism(parallelism),
 		Peers:           3,
 		TxExecMs:        0.5,
 		HostCores:       6,
@@ -218,10 +213,8 @@ type RoundLatencyStats = simnet.RoundStats
 // the virtual clock (no training), reporting wait time, participation,
 // and update staleness ("age of block"). Each policy's simulation is
 // an independent deterministic run of the same seed, so policies are
-// simulated concurrently with stats landing in policy order. The
-// optional trailing argument bounds the worker pool (see
-// ThroughputVsPeers).
-func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64, parallelism ...int) []RoundLatencyStats {
+// simulated concurrently with stats landing in policy order.
+func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64) []RoundLatencyStats {
 	cfg := simnet.RoundConfig{
 		Peers:           peers,
 		MeanTrainMs:     5000,
@@ -232,22 +225,13 @@ func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64, parallelism
 		Rounds:          1000,
 		Seed:            seed,
 	}
-	out, err := par.Map(par.Workers(optionalParallelism(parallelism)), len(policies), func(i int) (simnet.RoundStats, error) {
+	out, err := par.Map(par.Workers(0), len(policies), func(i int) (simnet.RoundStats, error) {
 		return simnet.SimulateRounds(cfg, policies[i].internal()), nil
 	})
 	if err != nil { // unreachable: the simulation never errors
 		panic(err)
 	}
 	return out
-}
-
-// optionalParallelism resolves a trailing optional parallelism
-// argument: absent means 0 (all cores).
-func optionalParallelism(p []int) int {
-	if len(p) == 0 {
-		return 0
-	}
-	return p[0]
 }
 
 // DefaultPolicies returns the policy ladder the trade-off study sweeps:
