@@ -12,14 +12,17 @@
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
 #                  the basis for every performance claim.
 #   make bench     the go test -bench probes, one iteration each.
-#   make size      the four tracked size numbers (ROADMAP aim 2).
+#   make size      the tracked size numbers (ROADMAP aim 2); the root
+#                  package's exported surface itself is pinned by
+#                  testdata/api.golden (TestPublicAPIGolden).
 
 GO ?= go
 
 # The coverage ratchet: cover fails if total statement coverage drops
-# below this. The gating value is recorded in .github/workflows/ci.yml
-# (env on the make step); raise it there as coverage grows.
-COVER_MIN ?= 77.5
+# below this. The same value is recorded in .github/workflows/ci.yml
+# (env on the make step); raise both as coverage grows — the measured
+# total minus 1.5 points (83.5% at PR 17).
+COVER_MIN ?= 82.0
 COVER_OUT ?= cover.out
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -104,12 +107,16 @@ profile:
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
 # The numbers ROADMAP tracks for "least code": non-test Go lines
-# outside benchmark/, the root package's exported funcs + types,
-# cmd/repro's flags, and process-global caches (mutex-guarded package
-# state) left on the transaction path.
+# outside benchmark/, the root package's exported funcs + types (the
+# line count of testdata/api.golden), its functional options and
+# Options fields (the run-description surface), cmd/repro's flags, and
+# process-global caches (mutex-guarded package state) left on the
+# transaction path.
 size:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "root exported funcs+types: $$($(GO) doc -all . | grep -cE '^(func|type) ')"
+	@echo "functional options: $$(cat *.go | grep -c '^func With')"
+	@echo "Options fields: $$($(GO) doc . Options | awk '/^type Options struct/,/^}/' | grep -cE '^	[A-Z][A-Za-z0-9]* ')"
 	@echo "cmd/repro flags: $$(grep -c 'flag\.[A-Z][A-Za-z0-9]*Var(\|flag\.String(' cmd/repro/main.go)"
 	@echo "process-global caches in internal/chain + internal/keys: $$(find internal/chain internal/keys -name '*.go' ! -name '*_test.go' | xargs cat | grep -c '^\s*sync\.RWMutex')"
 

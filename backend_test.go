@@ -198,7 +198,7 @@ func TestRegisterBackendSpec(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("registered variant missing from Backends(): %v", waitornot.BackendNames())
+		t.Fatalf("registered variant missing from Backends(): %v", waitornot.Backends())
 	}
 
 	opts := backendOpts()

@@ -26,7 +26,7 @@ import (
 // — and RegisterBackend adds named parameter variants (a slower PoW,
 // a capacity-constrained chain) without touching engine code:
 //
-//	waitornot.MustRegisterBackend(waitornot.BackendSpec{
+//	err := waitornot.RegisterBackend(waitornot.BackendSpec{
 //	    Name:            "pow-slow",
 //	    Description:     "PoW with a 5s block interval",
 //	    Base:            "pow",
@@ -41,9 +41,6 @@ type BackendInfo = ledger.Info
 
 // Backends lists the registered consensus backends, sorted by name.
 func Backends() []BackendInfo { return ledger.Backends() }
-
-// BackendNames lists registered backend names, sorted.
-func BackendNames() []string { return ledger.Names() }
 
 // BackendSpec registers a named consensus backend: an existing
 // substrate (Base) plus consensus-parameter overrides. Registered
@@ -94,14 +91,6 @@ func RegisterBackend(s BackendSpec) error {
 		}
 		return base(cfg)
 	})
-}
-
-// MustRegisterBackend is RegisterBackend, panicking on error — for
-// package init blocks.
-func MustRegisterBackend(s BackendSpec) {
-	if err := RegisterBackend(s); err != nil {
-		panic(err)
-	}
 }
 
 // apply layers the spec's overrides onto the chain parameters.

@@ -9,72 +9,14 @@ import (
 
 	"waitornot/internal/campaign"
 	"waitornot/internal/event"
-	"waitornot/internal/par"
 )
 
-// campaignConfig is the manifest's configuration snapshot: every knob
-// that can change a cell's result, and nothing that cannot. Its
-// compact JSON encoding is hashed into the campaign fingerprint, so
-// two processes agree on "same campaign" exactly when they would
-// compute the same grid; it is also stored verbatim in the manifest,
-// so status tooling (LoadCampaign, repro -campaign-status) can rebuild
-// the report grid without the process that started the campaign.
-//
-// Parallelism is zeroed before hashing: results are bit-identical at
-// any worker count, so a campaign started sequentially may be resumed
-// on every core (the acceptance criterion of the resume tests).
-type campaignConfig struct {
-	Format   int            `json:"format"`
-	Kind     string         `json:"kind"`
-	Scenario string         `json:"scenario,omitempty"`
-	Options  Options        `json:"options"`
-	Variants []sweepVariant `json:"variants"`
-	Backends []string       `json:"backends"`
-	Seeds    []uint64       `json:"seeds"`
-	// Ladder is the experiment's policy ladder; it rides into KindSharded
-	// cells through the adaptive controller, so it is result-relevant.
-	Ladder []Policy `json:"ladder,omitempty"`
-	Target float64  `json:"target_accuracy,omitempty"`
-}
-
-// campaignConfig snapshots the plan.
-func (p *sweepPlan) campaignConfig() campaignConfig {
-	cfg := campaignConfig{
-		Format:   campaign.FormatVersion,
-		Kind:     p.kind.String(),
-		Scenario: p.scenario,
-		Options:  p.opts,
-		Variants: p.variants,
-		Backends: p.backends,
-		Seeds:    p.seeds,
-		Ladder:   p.ladder,
-		Target:   p.target,
-	}
-	cfg.Options.Parallelism = 0
-	return cfg
-}
-
-// planFromConfig rebuilds the report-side of a plan from a stored
-// snapshot — enough for cell addressing and report assembly; run()
-// additionally works for every kind but vanilla, which can never have
-// been persisted.
-func planFromConfig(cfg campaignConfig) *sweepPlan {
-	return &sweepPlan{
-		scenario: cfg.Scenario,
-		opts:     cfg.Options,
-		seeds:    cfg.Seeds,
-		backends: cfg.Backends,
-		variants: cfg.Variants,
-		ladder:   cfg.Ladder,
-		target:   cfg.Target,
-	}
-}
-
-// manifest builds the campaign manifest: the fingerprint is the
-// SHA-256 of the compact configuration snapshot, which is also stored
-// so the directory stays self-describing.
+// manifest builds the campaign manifest: the plan's compact JSON is
+// the configuration snapshot, stored verbatim so the directory stays
+// self-describing, and its SHA-256 is the fingerprint resumes are
+// gated on.
 func (p *sweepPlan) manifest() (campaign.Manifest, error) {
-	raw, err := json.Marshal(p.campaignConfig())
+	raw, err := json.Marshal(p)
 	if err != nil {
 		return campaign.Manifest{}, fmt.Errorf("waitornot: snapshot campaign config: %w", err)
 	}
@@ -105,7 +47,7 @@ func (p *sweepPlan) cellID(i int) string {
 		Cadence     int    `json:"cadence,omitempty"`
 		Seed        uint64 `json:"seed"`
 		Replication int    `json:"replication"`
-	}{p.kind.String(), p.scenario, v.Label, v.Policy, backend, v.Shards, v.Cadence, seed, i}
+	}{p.Kind, p.Scenario, v.Label, v.Policy, backend, v.Shards, v.Cadence, seed, i}
 	raw, err := json.Marshal(key)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail. Guard anyway.
@@ -212,35 +154,31 @@ func (e *Experiment) RunCampaign(ctx context.Context, dir string) (*SweepReport,
 			todo = append(todo, i)
 		}
 	}
-	emit := newOrderedEmitter(sink)
-	err = par.ForEachCtx(ctx, plan.workers, len(todo), func(j int) error {
+	computed, err := plan.runAll(ctx, sink, todo, func(j int, run SweepRun) (event.Event, error) {
 		i := todo[j]
-		run, err := plan.run(ctx, i)
-		if err != nil {
-			return err
-		}
 		payload, err := json.Marshal(run)
 		if err != nil {
-			return fmt.Errorf("waitornot: campaign cell %d: %w", i, err)
+			return nil, fmt.Errorf("waitornot: campaign cell %d: %w", i, err)
 		}
 		// Durability before visibility: the record is fsync'd before the
 		// progress event fires, so an observer that has seen cell i can
 		// rely on a resume never recomputing it.
 		if err := log.Append(campaign.Record{Index: i, ID: plan.cellID(i), Payload: payload}); err != nil {
-			return err
+			return nil, err
 		}
-		runs[i] = run
-		emit.emit(j, event.CampaignProgress{
+		return event.CampaignProgress{
 			Index: i, Total: total, Done: restored + j + 1,
 			Seed: run.Seed, Policy: run.Policy, Backend: run.Backend,
 			FinalAccuracy: run.FinalAccuracy, MeanWaitMs: run.MeanWaitMs, MeanIncluded: run.MeanIncluded,
-		})
-		return nil
+		}, nil
 	})
 	if err != nil {
 		// Everything appended so far is durable; the caller resumes with
 		// another RunCampaign on the same dir.
 		return nil, err
+	}
+	for j, i := range todo {
+		runs[i] = computed[j]
 	}
 	return plan.report(runs), nil
 }
@@ -281,11 +219,10 @@ func LoadCampaign(dir string) (*CampaignState, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cfg campaignConfig
-	if err := json.Unmarshal(m.Config, &cfg); err != nil {
+	var plan sweepPlan
+	if err := json.Unmarshal(m.Config, &plan); err != nil {
 		return nil, fmt.Errorf("waitornot: campaign %s: corrupt config snapshot: %w", dir, err)
 	}
-	plan := planFromConfig(cfg)
 	total := plan.total()
 	if m.Total != total {
 		return nil, fmt.Errorf("waitornot: campaign %s: manifest says %d cells, its config derives %d", dir, m.Total, total)
@@ -310,12 +247,12 @@ func LoadCampaign(dir string) (*CampaignState, error) {
 	}
 	return &CampaignState{
 		Dir:         dir,
-		Kind:        cfg.Kind,
-		Scenario:    cfg.Scenario,
+		Kind:        plan.Kind,
+		Scenario:    plan.Scenario,
 		Fingerprint: m.Fingerprint,
 		Done:        len(landed),
 		Total:       total,
-		Seeds:       plan.seeds,
+		Seeds:       plan.Seeds,
 		Runs:        landed,
 		Partial:     plan.report(landed),
 	}, nil

@@ -195,28 +195,31 @@ func (c config) sweepFlags() bool { return len(c.seeds) > 0 || c.replications > 
 // explicit -seeds/-replications flag) runs as a replication sweep.
 func runScenario(ctx context.Context, c config) {
 	sc, _ := waitornot.LookupScenario(c.scenario)
+	// Flags the user set explicitly override the scenario's registered
+	// configuration; untouched flags leave it as registered. sc is a
+	// copy: a knob is a field of it.
+	if c.set["model"] {
+		sc.Options.Model = map[string]waitornot.Model{"simple": waitornot.SimpleNN, "effnet": waitornot.EffNetB0Sim}[c.model]
+	}
+	if c.set["rounds"] {
+		sc.Options.Rounds = c.rounds
+	}
+	if c.set["client-fraction"] {
+		sc.Options.ClientFraction = c.clientFrac
+	}
+	if c.set["time-budget-ms"] {
+		sc.Options.TimeBudgetMs = c.timeBudget
+	}
 	model := sc.Options.Model
 	if model == 0 {
 		model = waitornot.SimpleNN
 	}
 	var overrides []waitornot.Option
-	// Flags the user set explicitly override the scenario's registered
-	// configuration; untouched flags leave it as registered.
-	if c.set["model"] {
-		model = map[string]waitornot.Model{"simple": waitornot.SimpleNN, "effnet": waitornot.EffNetB0Sim}[c.model]
-		overrides = append(overrides, waitornot.WithModel(model))
-	}
 	if c.set["seed"] {
 		overrides = append(overrides, waitornot.WithSeed(c.seed))
 	}
-	if c.set["rounds"] {
-		overrides = append(overrides, waitornot.WithRounds(c.rounds))
-	}
 	if c.set["parallel"] {
 		overrides = append(overrides, waitornot.WithParallelism(c.parallel))
-	}
-	if c.set["client-fraction"] {
-		overrides = append(overrides, waitornot.WithClientFraction(c.clientFrac))
 	}
 	if c.set["backend"] {
 		// An explicit -backend wins over a scenario's backend ladder
@@ -229,9 +232,6 @@ func runScenario(ctx context.Context, c config) {
 	}
 	if len(c.seeds) > 0 {
 		overrides = append(overrides, waitornot.WithSeeds(c.seeds...))
-	}
-	if c.set["time-budget-ms"] {
-		overrides = append(overrides, waitornot.WithTimeBudget(c.timeBudget))
 	}
 	if c.targetAcc > 0 {
 		overrides = append(overrides, waitornot.WithTargetAccuracy(c.targetAcc))

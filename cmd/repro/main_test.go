@@ -133,7 +133,7 @@ func TestPrintShardedRun(t *testing.T) {
 	var res *waitornot.Results
 	stream := captureStdout(t, func() {
 		var err error
-		res, err = waitornot.New(tinyShardedOpts(), waitornot.WithShards(2),
+		res, err = waitornot.New(tinyShardedOpts(), waitornot.WithKind(waitornot.KindSharded),
 			waitornot.WithObserverFunc(printEvent)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)

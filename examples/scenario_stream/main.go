@@ -27,14 +27,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// The scenario registry replaces hand-rolled option wiring: load a
-	// named workload, overlay demo-friendly overrides, attach an
+	// The scenario registry replaces hand-rolled option wiring: look up
+	// a named workload, set demo-friendly fields on the copy, attach an
 	// observer, run. The event stream arrives in deterministic logical
 	// order at any Parallelism.
-	exp := waitornot.New(waitornot.Options{},
-		waitornot.WithScenario(name),
+	sc, ok := waitornot.LookupScenario(name)
+	if !ok {
+		log.Fatalf("unknown scenario %q (registered: %v)", name, waitornot.ScenarioNames())
+	}
+	sc.Options.Rounds = 3
+	exp := sc.Experiment(
 		waitornot.WithFastScale(),
-		waitornot.WithRounds(3),
 		waitornot.WithObserverFunc(func(ev waitornot.Event) {
 			switch e := ev.(type) {
 			case waitornot.RoundStart:

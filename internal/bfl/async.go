@@ -3,7 +3,6 @@ package bfl
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -380,21 +379,13 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 
 	fres := a.cfg.Filter.Apply(p.name, updates, p.agg.Eval)
 	kept := fres.Kept
-	coef := make([]float64, len(kept))
-	var staleSum, coefSum float64
+	keptAges := make([]float64, len(kept))
+	var staleSum float64
 	for i, u := range kept {
-		age := ages[u.Client]
-		coef[i] = float64(u.NumSamples) * math.Exp2(-age/a.halfLife)
-		staleSum += age
-		coefSum += coef[i]
+		keptAges[i] = ages[u.Client]
+		staleSum += keptAges[i]
 	}
-	if coefSum <= 0 {
-		// Every decay factor underflowed (ages vastly beyond the
-		// half-life): degrade gracefully to plain sample weighting.
-		for i, u := range kept {
-			coef[i] = float64(u.NumSamples)
-		}
-	}
+	coef := fl.StalenessWeights(kept, keptAges, a.halfLife)
 	// Merge into the peer's reused scratch. Adopting the alias is safe:
 	// the engine is single-threaded on the clock, and this peer's next
 	// fire — the only thing that overwrites its scratch — can only run

@@ -142,12 +142,16 @@ type Config struct {
 	Events event.Sink `json:"-"`
 }
 
+// DefaultPeers is the fleet size a zero Config.Peers stands for: the
+// paper's three fully coupled participants.
+const DefaultPeers = 3
+
 func (c Config) withDefaults() Config {
 	if c.Model == 0 {
 		c.Model = nn.ModelSimpleNN
 	}
 	if c.Peers == 0 {
-		c.Peers = 3
+		c.Peers = DefaultPeers
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 10
@@ -304,14 +308,16 @@ type peerState struct {
 	// simTrainMs is the deterministic training-duration model used for
 	// arrival times (samples x epochs x per-sample cost x straggler).
 	simTrainMs float64
-	// testEvals are worker evaluators over the peer's test set, used to
-	// score the Tables II-IV combination grid concurrently; testAvgs
-	// pairs them with per-worker scratch accumulators reused across
-	// rounds.
+	// testEvals are the worker evaluators over the peer's test set that
+	// score the Tables II-IV combination grid (set only when
+	// EvalAllCombos); testAvgs pairs them with per-worker scratch
+	// accumulators reused across rounds. One worker is the client's own
+	// model over avg — no extra scratch model at Parallelism 1.
 	testEvals []fl.Evaluator
 	testAvgs  []*fl.Averager
-	// avg is the sequential table path's scratch accumulator (table
-	// rows are evaluated and discarded, never retained).
+	// avg is the peer's own scratch accumulator: the one-worker table
+	// path and the asynchronous merge (rows and merges are adopted by
+	// copy or discarded, never retained).
 	avg fl.Averager
 }
 
@@ -640,6 +646,9 @@ func (e *engine) setup() error {
 				p.testEvals = fl.SelectionEvaluators(cfg.Model, test, comboWorkers)
 				p.testAvgs = fl.NewAveragers(comboWorkers)
 			}
+		case cfg.EvalAllCombos:
+			p.testEvals = []fl.Evaluator{client.TestAccuracy}
+			p.testAvgs = []*fl.Averager{&p.avg}
 		}
 		peers[s] = p
 		return nil
@@ -821,24 +830,13 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		// verification (which can exclude a peer's update from
 		// onChain), so every labeled row stays defined each round.
 		if cfg.EvalAllCombos {
-			combos := fl.PaperCombos(cfg.Peers, i)
-			row := make([]float64, 0, len(combos))
-			if len(p.testEvals) > 1 {
-				results, err := fl.EvaluateCombosWith(updates, combos, p.testEvals, p.testAvgs)
-				if err != nil {
-					return err
-				}
-				for _, r := range results {
-					row = append(row, r.Accuracy)
-				}
-			} else {
-				for _, combo := range combos {
-					w, err := p.avg.FedAvg(combo.Pick(updates))
-					if err != nil {
-						return err
-					}
-					row = append(row, p.client.TestAccuracy(w))
-				}
+			results, err := fl.EvaluateCombosWith(updates, fl.PaperCombos(cfg.Peers, i), p.testEvals, p.testAvgs)
+			if err != nil {
+				return err
+			}
+			row := make([]float64, len(results))
+			for c, r := range results {
+				row[c] = r.Accuracy
 			}
 			res.ComboAccuracy[slots[i]] = append(res.ComboAccuracy[slots[i]], row)
 		}

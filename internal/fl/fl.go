@@ -7,6 +7,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"waitornot/internal/dataset"
@@ -119,6 +120,26 @@ func WeightedFedAvg(updates []*Update, coef []float64) ([]float32, error) {
 	out := make([]float32, n)
 	weightedFedAvgInto(out, updates, coef, total)
 	return out, nil
+}
+
+// StalenessWeights is the asynchronous merges' weighting rule, for use
+// as WeightedFedAvg coefficients: update i counts for its sample count
+// decayed by half per halfLifeMs of age, samples × 2^(-age/halfLife).
+// When every decay factor underflows (ages vastly beyond the
+// half-life) the rule degrades gracefully to plain sample weighting.
+func StalenessWeights(updates []*Update, agesMs []float64, halfLifeMs float64) []float64 {
+	coef := make([]float64, len(updates))
+	var total float64
+	for i, u := range updates {
+		coef[i] = float64(u.NumSamples) * math.Exp2(-agesMs[i]/halfLifeMs)
+		total += coef[i]
+	}
+	if total <= 0 {
+		for i, u := range updates {
+			coef[i] = float64(u.NumSamples)
+		}
+	}
+	return coef
 }
 
 // Averager is a FedAvg accumulator that reuses one scratch weight

@@ -30,6 +30,19 @@ func TestFedAvgKnownValues(t *testing.T) {
 	}
 }
 
+// The async engines' shared rule: an update one half-life old counts
+// half, and when every factor underflows the weights fall back to
+// sample counts instead of an all-zero (unnormalizable) vector.
+func TestStalenessWeights(t *testing.T) {
+	ups := []*Update{upd("A", 10), upd("B", 30)}
+	if got := StalenessWeights(ups, []float64{0, 200}, 100); got[0] != 10 || got[1] != 7.5 {
+		t.Fatalf("weights = %v, want [10 7.5]", got)
+	}
+	if got := StalenessWeights(ups, []float64{1e9, 1e9}, 1); got[0] != 10 || got[1] != 30 {
+		t.Fatalf("underflowed weights = %v, want the sample counts [10 30]", got)
+	}
+}
+
 func TestFedAvgSingleIdentity(t *testing.T) {
 	w := []float32{1.5, -2, 0.25}
 	got, err := FedAvg([]*Update{upd("A", 7, w...)})

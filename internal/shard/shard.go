@@ -41,9 +41,9 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"waitornot/internal/bfl"
@@ -51,6 +51,7 @@ import (
 	"waitornot/internal/dataset"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
+	"waitornot/internal/ledger"
 	"waitornot/internal/nn"
 	"waitornot/internal/simnet"
 	"waitornot/internal/vclock"
@@ -109,15 +110,20 @@ type Config struct {
 // epsilon is the adaptive controller's exploration rate.
 const epsilon = 0.2
 
+// What a zero Config.Shards / Config.MergeEvery stands for.
+const (
+	DefaultShards     = 2
+	DefaultMergeEvery = 1
+)
+
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.MergeEvery == 0 {
-		c.MergeEvery = 1
-	}
+	c.Shards = cmp.Or(c.Shards, DefaultShards)
+	c.MergeEvery = cmp.Or(c.MergeEvery, DefaultMergeEvery)
 	return c
 }
+
+// fleet is the total peer count the hierarchy partitions.
+func (c Config) fleet() int { return cmp.Or(c.Base.Peers, bfl.DefaultPeers) }
 
 // Validate rejects impossible hierarchies (fleet-level checks; each
 // shard's sliced configuration is validated again at engine assembly).
@@ -126,20 +132,21 @@ func (c Config) Validate() error {
 	if err := c.Base.Validate(); err != nil {
 		return err
 	}
-	peers := c.Base.Peers
-	if peers == 0 {
-		peers = 3 // bfl default
-	}
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: need at least 1 shard, got %d", c.Shards)
 	}
-	if peers/c.Shards < 2 {
-		return fmt.Errorf("shard: %d peers across %d shards leaves a shard with fewer than 2 peers", peers, c.Shards)
+	if c.fleet()/c.Shards < 2 {
+		return fmt.Errorf("shard: %d peers across %d shards leaves a shard with fewer than 2 peers", c.fleet(), c.Shards)
 	}
 	switch len(c.Backends) {
 	case 0, 1, c.Shards:
 	default:
 		return fmt.Errorf("shard: %d backends for %d shards (want 0, 1, or %d)", len(c.Backends), c.Shards, c.Shards)
+	}
+	for _, name := range c.Backends {
+		if _, ok := ledger.Lookup(name); !ok {
+			return fmt.Errorf("shard: unknown shard backend %q (registered: %v)", name, ledger.Names())
+		}
 	}
 	if c.Mode != MergeSync && c.Mode != MergeAsync {
 		return fmt.Errorf("shard: unknown merge mode %d", c.Mode)
@@ -366,11 +373,7 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 	// shard inherits the fleet seed unchanged (flat equivalence);
 	// otherwise each shard trains on its own derived stream.
 	root := xrand.New(cfg.Base.Seed)
-	peers := cfg.Base.Peers
-	if peers == 0 {
-		peers = 3
-	}
-	sizes := partitionSizes(peers, cfg.Shards)
+	sizes := partitionSizes(cfg.fleet(), cfg.Shards)
 	offset := 0
 	for i, size := range sizes {
 		seed := cfg.Base.Seed
@@ -613,7 +616,7 @@ func (o *orchestrator) syncMerge(s *shardRun, now float64) error {
 
 func (o *orchestrator) asyncMerge(s *shardRun, now float64) error {
 	updates := make([]*fl.Update, 0, len(o.shards))
-	coef := make([]float64, 0, len(o.shards))
+	ages := make([]float64, 0, len(o.shards))
 	published := 0
 	for i, sh := range o.shards {
 		w, at := sh.model, sh.modelVc
@@ -623,17 +626,9 @@ func (o *orchestrator) asyncMerge(s *shardRun, now float64) error {
 			published++
 		}
 		updates = append(updates, &fl.Update{Client: fmt.Sprintf("shard-%d", i), Weights: w, NumSamples: sh.samples})
-		coef = append(coef, float64(sh.samples)*math.Exp2(-(now-at)/o.halfLife))
+		ages = append(ages, now-at)
 	}
-	total := 0.0
-	for _, c := range coef {
-		total += c
-	}
-	if total <= 0 { // staleness underflow: fall back to sample weights
-		for i, u := range updates {
-			coef[i] = float64(u.NumSamples)
-		}
-	}
+	coef := fl.StalenessWeights(updates, ages, o.halfLife)
 	global, err := fl.WeightedFedAvg(updates, coef)
 	if err != nil {
 		return err

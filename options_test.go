@@ -86,16 +86,3 @@ func TestRunRejectsInvalidPolicies(t *testing.T) {
 		t.Fatal("trade-off run accepted a timeout policy with no deadline")
 	}
 }
-
-// TestWithClientFractionSentinel proves the functional option records a
-// non-positive fraction as invalid instead of silently disabling
-// subsampling (0 is the "unset" zero value, so it cannot double as an
-// explicit argument).
-func TestWithClientFractionSentinel(t *testing.T) {
-	for _, f := range []float64{0, -0.3} {
-		exp := New(Options{}, WithClientFraction(f))
-		if _, err := exp.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "client fraction") {
-			t.Errorf("WithClientFraction(%g): want client-fraction error from Run, got %v", f, err)
-		}
-	}
-}

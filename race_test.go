@@ -455,7 +455,7 @@ func TestRaceSmokeSharded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := waitornot.New(opts, waitornot.WithShards(2),
+			res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded),
 				waitornot.WithObserverFunc(func(waitornot.Event) {})).Run(context.Background())
 			if err != nil {
 				t.Error(err)

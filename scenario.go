@@ -6,18 +6,23 @@ import (
 	"sync"
 )
 
-// Scenario is a named, registered experiment configuration: a Kind,
-// its Options, and (for KindTradeoff) the wait-policy ladder to sweep.
-// The registry turns the evaluation grids of the paper and of related
-// systems (sync vs async ladders, stragglers, poisoning, non-IID
-// splits) into one-liners:
+// Scenario is a complete run description: a Kind, its Options, and the
+// ladders and sweep axes the kind spans. Every knob is a field; a named
+// Scenario can be registered, which turns the evaluation grids of the
+// paper and of related systems (sync vs async ladders, stragglers,
+// poisoning, non-IID splits) into one-liners. To run a variation, take
+// the copy LookupScenario returns, set fields, and build the
+// experiment from it:
 //
 //	sc, _ := waitornot.LookupScenario("async-ladder")
+//	sc.Options.Rounds = 3
 //	res, err := sc.Experiment(waitornot.WithParallelism(4)).Run(ctx)
 //
-// or, from the CLI, `go run ./cmd/repro -scenario async-ladder`.
+// or, from the CLI, `go run ./cmd/repro -scenario async-ladder -rounds 3`.
 type Scenario struct {
-	// Name is the registry key (unique, non-empty).
+	// Name is the registry key (unique, non-empty when registered). It
+	// labels Results and SweepReports and is part of a campaign's
+	// identity.
 	Name string
 	// Description is a one-line summary for listings.
 	Description string
@@ -25,31 +30,35 @@ type Scenario struct {
 	Kind Kind
 	// Options is the base configuration.
 	Options Options
-	// Policies is the wait-policy ladder (KindTradeoff only; nil
-	// means DefaultPolicies for the client count).
+	// Policies is the wait-policy ladder: what KindTradeoff and KindAsync
+	// sweep, and what the adaptive KindSharded controller picks from.
+	// Empty means DefaultPolicies for the client count (KindSharded: for
+	// the smallest shard).
 	Policies []Policy
-	// Backends is the consensus-backend ladder (KindTradeoff only;
-	// nil means the single Options.Backend). With both ladders set the
-	// sweep is backends × policies, one frontier per substrate.
+	// Backends is the consensus-backend ladder (KindTradeoff, KindAsync,
+	// KindSharded; empty means the single Options.Backend). With both
+	// ladders set the sweep is backends × policies, one frontier per
+	// substrate.
 	Backends []string
 	// Seeds, when set, declares the scenario as a replicated sweep:
 	// RunSweep replays every policy × backend cell once per seed and
 	// reports mean ± 95% CI per cell. Run ignores it (a scenario stays
 	// runnable as a single-seed experiment at Options.Seed).
 	Seeds []uint64
-	// ShardCounts / MergeCadences are the KindSharded sweep axes (see
-	// WithShardCounts / WithMergeCadences): RunSweep spans backend ×
-	// shard count × merge cadence. Nil collapses each axis to the
-	// scenario's single configured value. Ignored by the other kinds.
+	// ShardCounts / MergeCadences are the KindSharded sweep axes:
+	// RunSweep spans backend × shard count × merge cadence, each cell
+	// labeled "S=<shards>/M=<cadence>" in the policy column. Empty
+	// collapses an axis to the single configured Options.Shards /
+	// Options.MergeCadence. Ignored by Run and the other kinds.
 	ShardCounts   []int
 	MergeCadences []int
 }
 
-// Experiment builds an Experiment from the scenario plus overrides
-// (applied after the scenario, so they win).
+// Experiment builds the Experiment that runs this scenario, plus
+// overrides. The experiment holds the scenario by value; its slices
+// are shared with the caller, not copied.
 func (s Scenario) Experiment(overrides ...Option) *Experiment {
-	e := New(s.Options)
-	e.applyScenario(s)
+	e := &Experiment{sc: s}
 	for _, o := range overrides {
 		o(e)
 	}
@@ -62,50 +71,27 @@ var (
 )
 
 // RegisterScenario adds a scenario to the registry. It rejects empty
-// or duplicate names and configurations that fail validation, so
-// every registered scenario is runnable.
+// or duplicate names and any description Run or RunSweep would refuse
+// — it resolves the scenario exactly as they do (over the scenario's
+// own seed when it declares none) — so every registered scenario is
+// runnable.
 func RegisterScenario(s Scenario) error {
 	if s.Name == "" {
 		return fmt.Errorf("waitornot: scenario needs a name")
 	}
+	e := s.Experiment()
+	e.replications = 1 // a scenario that declares no seeds resolves over its own
+	var err error
 	switch s.Kind {
-	case KindVanilla, KindDecentralized, KindTradeoff, KindAsync, KindSharded:
+	case KindVanilla: // never a sweep: nothing to resolve past the options
+		err = e.check()
+	case KindDecentralized, KindTradeoff, KindAsync, KindSharded:
+		_, err = e.sweepPlan()
 	default:
-		return fmt.Errorf("waitornot: scenario %q: unknown kind %v", s.Name, s.Kind)
+		err = fmt.Errorf("unknown kind %v", s.Kind)
 	}
-	if err := s.Options.Validate(); err != nil {
+	if err != nil {
 		return fmt.Errorf("waitornot: scenario %q: %w", s.Name, err)
-	}
-	for _, p := range s.Policies {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("waitornot: scenario %q: %w", s.Name, err)
-		}
-	}
-	for _, b := range s.Backends {
-		probe := s.Options
-		probe.Backend = b
-		if err := probe.Validate(); err != nil {
-			return fmt.Errorf("waitornot: scenario %q: %w", s.Name, err)
-		}
-	}
-	for _, n := range s.ShardCounts {
-		probe := s.Options
-		probe.Shards = n
-		if err := probe.Validate(); err != nil {
-			return fmt.Errorf("waitornot: scenario %q: %w", s.Name, err)
-		}
-	}
-	for _, m := range s.MergeCadences {
-		if m < 1 {
-			return fmt.Errorf("waitornot: scenario %q: merge cadence %d < 1", s.Name, m)
-		}
-	}
-	seen := map[uint64]bool{}
-	for _, seed := range s.Seeds {
-		if seen[seed] {
-			return fmt.Errorf("waitornot: scenario %q: duplicate sweep seed %d", s.Name, seed)
-		}
-		seen[seed] = true
 	}
 	scenarioMu.Lock()
 	defer scenarioMu.Unlock()

@@ -61,29 +61,33 @@ func TestBuiltinScenarioLibrary(t *testing.T) {
 // TestRegisterScenarioRejections: the registry refuses unnamed,
 // duplicate, and invalid scenarios so every listed name is runnable.
 func TestRegisterScenarioRejections(t *testing.T) {
-	if err := RegisterScenario(Scenario{Kind: KindVanilla}); err == nil {
-		t.Fatal("accepted a nameless scenario")
+	cases := []struct {
+		why string
+		s   Scenario
+	}{
+		{"a nameless scenario", Scenario{Kind: KindVanilla}},
+		{"a duplicate name", Scenario{Name: "paper-repro", Kind: KindVanilla}},
+		{"a zero kind", Scenario{Name: "x-bad-kind"}},
+		{"invalid options", Scenario{Name: "x-bad-opts", Kind: KindVanilla, Options: Options{Clients: -1}}},
+		{"an invalid policy ladder", Scenario{Name: "x-bad-policy", Kind: KindTradeoff, Policies: []Policy{{Kind: FirstK}}}},
+		{"an invalid adaptive ladder", Scenario{Name: "x-bad-ladder", Kind: KindSharded,
+			Options: Options{Clients: 4, AdaptiveShards: true}, Policies: []Policy{{Kind: Timeout}}}},
+		{"duplicate sweep seeds", Scenario{Name: "x-dup-seeds", Kind: KindTradeoff, Seeds: []uint64{3, 3}}},
+		{"an unknown backend in the ladder", Scenario{Name: "x-bad-backend", Kind: KindTradeoff, Backends: []string{"pow", "nope"}}},
+		// Refused by the engines, not by the public layer's own checks:
+		// only resolving the scenario the way a run does catches these.
+		{"a one-client fleet", Scenario{Name: "x-one-client", Kind: KindDecentralized, Options: Options{Clients: 1}}},
+		{"a zero shard count on the sweep axis", Scenario{Name: "x-zero-shards", Kind: KindSharded,
+			Options: Options{Clients: 4}, ShardCounts: []int{0}}},
+		{"a shard count the fleet cannot fill", Scenario{Name: "x-thin-shards", Kind: KindSharded,
+			Options: Options{Clients: 4}, ShardCounts: []int{2, 3}}},
+		{"a zero merge cadence on the sweep axis", Scenario{Name: "x-zero-cadence", Kind: KindSharded,
+			Options: Options{Clients: 4}, MergeCadences: []int{0}}},
 	}
-	if err := RegisterScenario(Scenario{Name: "paper-repro", Kind: KindVanilla}); err == nil {
-		t.Fatal("accepted a duplicate name")
-	}
-	if err := RegisterScenario(Scenario{Name: "x-bad-kind"}); err == nil {
-		t.Fatal("accepted a zero kind")
-	}
-	if err := RegisterScenario(Scenario{
-		Name: "x-bad-opts", Kind: KindVanilla, Options: Options{Clients: -1},
-	}); err == nil {
-		t.Fatal("accepted invalid options")
-	}
-	if err := RegisterScenario(Scenario{
-		Name: "x-bad-policy", Kind: KindTradeoff, Policies: []Policy{{Kind: FirstK}},
-	}); err == nil {
-		t.Fatal("accepted an invalid policy ladder")
-	}
-	if err := RegisterScenario(Scenario{
-		Name: "x-dup-seeds", Kind: KindTradeoff, Seeds: []uint64{3, 3},
-	}); err == nil {
-		t.Fatal("accepted duplicate sweep seeds")
+	for _, tc := range cases {
+		if err := RegisterScenario(tc.s); err == nil {
+			t.Errorf("accepted %s", tc.why)
+		}
 	}
 }
 
@@ -134,14 +138,14 @@ func TestWithScenarioOverrides(t *testing.T) {
 	if e.err != nil {
 		t.Fatal(e.err)
 	}
-	if e.kind != KindTradeoff || e.scenario != "stragglers" {
+	if e.sc.Kind != KindTradeoff || e.sc.Name != "stragglers" {
 		t.Fatalf("scenario not applied: %+v", e)
 	}
-	if e.opts.Seed != 99 || e.opts.Parallelism != 2 {
-		t.Fatalf("overrides lost: %+v", e.opts)
+	if e.sc.Options.Seed != 99 || e.sc.Options.Parallelism != 2 {
+		t.Fatalf("overrides lost: %+v", e.sc.Options)
 	}
-	if len(e.policies) != 3 {
-		t.Fatalf("policy ladder lost: %+v", e.policies)
+	if len(e.sc.Policies) != 3 {
+		t.Fatalf("policy ladder lost: %+v", e.sc.Policies)
 	}
 }
 
@@ -153,7 +157,7 @@ func TestLadderlessScenarioSweepsDefaultLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.variants) != len(DefaultPolicies(3)) {
-		t.Fatalf("swept %d policies, want the default ladder of %d", len(plan.variants), len(DefaultPolicies(3)))
+	if len(plan.Variants) != len(DefaultPolicies(3)) {
+		t.Fatalf("swept %d policies, want the default ladder of %d", len(plan.Variants), len(DefaultPolicies(3)))
 	}
 }

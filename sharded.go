@@ -81,10 +81,9 @@ type ShardedReport struct {
 }
 
 // sharded lowers the public options to the engine's hierarchy config.
-// The adaptive ladder comes from the experiment's policies (nil =
+// The adaptive ladder comes from the experiment's policies (empty =
 // DefaultPolicies for the smallest shard).
 func (o Options) sharded(policies []Policy) shard.Config {
-	o = o.withDefaults()
 	cfg := shard.Config{
 		Base:       o.decentralized(),
 		Shards:     o.Shards,
@@ -95,22 +94,13 @@ func (o Options) sharded(policies []Policy) shard.Config {
 	}
 	cfg.Base.EvalAllCombos = false // combo tables are a flat-run concern
 	if o.AdaptiveShards {
-		if policies == nil {
-			shards := cfg.Shards
-			if shards == 0 {
-				shards = 2
-			}
-			peers := cfg.Base.Peers
-			if peers == 0 {
-				peers = 3
-			}
-			policies = DefaultPolicies(peers / shards)
+		if len(policies) == 0 {
+			policies = DefaultPolicies(o.clients() / o.shards())
 		}
-		ladder := make([]core.WaitPolicy, len(policies))
+		cfg.Policies = make([]core.WaitPolicy, len(policies))
 		for i, p := range policies {
-			ladder[i] = p.internal()
+			cfg.Policies[i] = p.internal()
 		}
-		cfg.Policies = ladder
 	}
 	return cfg
 }

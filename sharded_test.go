@@ -48,7 +48,7 @@ func TestShardedEventOrderGolden(t *testing.T) {
 		opts := shardedOpts()
 		opts.Parallelism = parallelism
 		col := &collector{}
-		res, err := waitornot.New(opts, waitornot.WithShards(2), waitornot.WithObserver(col)).Run(context.Background())
+		res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded), waitornot.WithObserver(col)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestShardedDeterminism(t *testing.T) {
 				opts := shardedOpts()
 				opts.Parallelism = parallelism
 				tc.tweak(&opts)
-				res, err := waitornot.New(opts, waitornot.WithShards(2)).Run(context.Background())
+				res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +112,7 @@ func TestShardedTablesGolden(t *testing.T) {
 // result bit, matching the other kinds' contract.
 func TestShardedObserverDoesNotPerturb(t *testing.T) {
 	bare := testutil.Run(t, shardedOpts(), waitornot.WithKind(waitornot.KindSharded)).Sharded
-	observed, err := waitornot.New(shardedOpts(), waitornot.WithShards(2),
+	observed, err := waitornot.New(shardedOpts(), waitornot.WithKind(waitornot.KindSharded),
 		waitornot.WithObserver(&collector{})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,9 @@ func TestShardedSingleShardMatchesFlat(t *testing.T) {
 	opts.CommitLatency = true
 	opts.StragglerFactor = []float64{1, 1, 3}
 
-	res, err := waitornot.New(opts, waitornot.WithShards(1)).Run(context.Background())
+	single := opts
+	single.Shards = 1
+	res, err := waitornot.New(single, waitornot.WithKind(waitornot.KindSharded)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +158,14 @@ func TestShardedSingleShardMatchesFlat(t *testing.T) {
 func TestShardedSweepGrid(t *testing.T) {
 	opts := shardedOpts()
 	opts.Rounds = 1
-	rep, err := waitornot.New(opts,
-		waitornot.WithShards(2),
-		waitornot.WithShardCounts(2),
-		waitornot.WithMergeCadences(1, 2),
-		waitornot.WithBackends("pow", "instant"),
-		waitornot.WithSeeds(1, 2),
-	).RunSweep(context.Background())
+	rep, err := waitornot.Scenario{
+		Kind:          waitornot.KindSharded,
+		Options:       opts,
+		ShardCounts:   []int{2},
+		MergeCadences: []int{1, 2},
+		Backends:      []string{"pow", "instant"},
+		Seeds:         []uint64{1, 2},
+	}.Experiment().RunSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,7 @@ func TestAdaptiveShardsBeatsWorstFixed(t *testing.T) {
 
 	adaptive := base
 	adaptive.AdaptiveShards = true
-	res, err := waitornot.New(adaptive, waitornot.WithShards(2),
+	res, err := waitornot.New(adaptive, waitornot.WithKind(waitornot.KindSharded),
 		waitornot.WithPolicies(ladder...)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -4,57 +4,33 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
+	"waitornot/internal/campaign"
 	"waitornot/internal/event"
 	"waitornot/internal/metrics"
 	"waitornot/internal/par"
 	"waitornot/internal/stats"
 )
 
-// SweepOptions configure a replication sweep: the seeds RunSweep
-// replays every policy × backend cell over. Exactly one axis is
-// needed — an explicit seed list, or a replication count expanded to
-// consecutive seeds from Options.Seed.
-type SweepOptions struct {
-	// Seeds is the explicit seed list (one independent run per seed
-	// per cell). Duplicates are rejected: replaying a seed would
-	// double-count one deterministic outcome as two samples.
-	Seeds []uint64
-	// Replications, when Seeds is empty, expands to the seed list
-	// {Options.Seed, Options.Seed+1, ..., Options.Seed+Replications-1}.
-	Replications int
-	// TargetAccuracy, when positive, adds time-to-target-accuracy as a
-	// sweep metric: every replication also reports the virtual time at
-	// which the fleet's mean accuracy first reached this target, and
-	// cells summarize it as mean ± CI over the replications that got
-	// there. 0 keeps the classic three-metric sweep (and its exact
-	// report bytes).
-	TargetAccuracy float64
-	// ShardCounts / MergeCadences are the KindSharded sweep axes: each
-	// (backend × shard count × merge cadence) combination becomes one
-	// cell, labeled "S=<shards>/M=<cadence>" in the policy column.
-	// Empty axes collapse to the experiment's single configured value.
-	// Ignored by the other kinds.
-	ShardCounts   []int
-	MergeCadences []int
-}
-
-// seedList resolves the effective seed list, validating it.
-func (so SweepOptions) seedList(base uint64) ([]uint64, error) {
-	if len(so.Seeds) > 0 {
+// seedList resolves the seeds a sweep replicates over: the scenario's
+// explicit list (duplicates rejected: replaying a seed would
+// double-count one deterministic outcome as two samples), else
+// WithReplications expanded to consecutive seeds from Options.Seed.
+func (e *Experiment) seedList() ([]uint64, error) {
+	if len(e.sc.Seeds) > 0 {
 		seen := map[uint64]bool{}
-		for _, s := range so.Seeds {
+		for _, s := range e.sc.Seeds {
 			if seen[s] {
 				return nil, fmt.Errorf("waitornot: duplicate sweep seed %d (each replication must be an independent run)", s)
 			}
 			seen[s] = true
 		}
-		seeds := make([]uint64, len(so.Seeds))
-		copy(seeds, so.Seeds)
-		return seeds, nil
+		return slices.Clone(e.sc.Seeds), nil
 	}
-	if so.Replications > 0 {
-		seeds := make([]uint64, so.Replications)
+	if e.replications > 0 {
+		base := e.sc.Options.withDefaults().Seed
+		seeds := make([]uint64, e.replications)
 		for i := range seeds {
 			seeds[i] = base + uint64(i)
 		}
@@ -90,7 +66,7 @@ type SweepRun struct {
 	MeanWaitMs    float64 `json:"mean_wait_ms"`
 	MeanIncluded  float64 `json:"mean_included"`
 	// TimeToAccMs is the virtual time at which the run's mean accuracy
-	// first reached SweepOptions.TargetAccuracy: -1 when the run never
+	// first reached the sweep's target accuracy: -1 when the run never
 	// got there, nil when no target was set.
 	TimeToAccMs *float64 `json:"time_to_acc_ms,omitempty"`
 }
@@ -118,8 +94,8 @@ type SweepReport struct {
 	Model    Model    `json:"model"`
 	Scenario string   `json:"scenario,omitempty"`
 	Seeds    []uint64 `json:"seeds"`
-	// TargetAccuracy echoes SweepOptions.TargetAccuracy when the sweep
-	// tracked time-to-target.
+	// TargetAccuracy echoes WithTargetAccuracy when the sweep tracked
+	// time-to-target.
 	TargetAccuracy float64     `json:"target_accuracy,omitempty"`
 	Runs           []SweepRun  `json:"runs"`
 	Cells          []SweepCell `json:"cells"`
@@ -145,7 +121,7 @@ type SweepReport struct {
 // KindTradeoff sweeps the full policy × backend ladder per seed;
 // KindDecentralized sweeps the single configured policy and backend;
 // KindSharded sweeps hierarchy topology instead — backend × shard
-// count × merge cadence (WithShardCounts / WithMergeCadences), each
+// count × merge cadence (Scenario.ShardCounts / MergeCadences), each
 // cell labeled "S=<shards>/M=<cadence>". KindVanilla has no
 // wait/latency semantics and is rejected. Combo tables are always
 // skipped: the sweep consumes only headline metrics.
@@ -158,7 +134,7 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 		return nil, err
 	}
 	total := plan.total()
-	runs, err := plan.runAll(ctx, observerSink(e.observer), func(i int, run SweepRun) event.Event {
+	runs, err := plan.runAll(ctx, observerSink(e.observer), plan.all(), func(i int, run SweepRun) (event.Event, error) {
 		return event.SweepProgress{
 			Index:         i,
 			Total:         total,
@@ -168,7 +144,7 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 			FinalAccuracy: run.FinalAccuracy,
 			MeanWaitMs:    run.MeanWaitMs,
 			MeanIncluded:  run.MeanIncluded,
-		}
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -180,9 +156,7 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 // the classic kinds, a shard-count × merge-cadence combination for
 // KindSharded. The variant's label keys the cell (the grid and the
 // report's policy column), so classic sweeps keep their exact cell
-// names and byte-identical reports. The JSON form is the campaign
-// manifest's (campaign.go): it is hashed into the fingerprint, so tags
-// and field order are part of the on-disk format.
+// names and byte-identical reports.
 type sweepVariant struct {
 	Label   string `json:"label"`
 	Policy  Policy `json:"policy"`
@@ -190,156 +164,174 @@ type sweepVariant struct {
 	Cadence int    `json:"cadence,omitempty"`
 }
 
-// sweepPlan is a replication sweep resolved into its flat work list:
-// the seed-major, backend-major, variant-minor grid RunSweep schedules
-// through the worker pool. The campaign engine (RunCampaign) reuses
-// the same plan, so a persisted cell is keyed and computed exactly as
-// an in-memory one; so does a KindTradeoff Run (runTradeoff), which is
-// the plan over the single seed Options.Seed.
+// sweepPlan is a run description resolved into its flat work list: the
+// seed-major, backend-major, variant-minor grid RunSweep schedules
+// through the worker pool. RunCampaign persists the same plan, so a
+// stored cell is keyed and computed exactly as an in-memory one; a
+// KindTradeoff Run (runTradeoff) is the plan over the single seed
+// Options.Seed.
+//
+// The plan is also its own campaign snapshot: its compact JSON is what
+// the manifest stores and what the fingerprint hashes — every knob
+// that can change a cell's result, and nothing that cannot — so two
+// processes agree on "same campaign" exactly when they would compute
+// the same grid, and status tooling (LoadCampaign) rebuilds the grid
+// by unmarshaling it. Tags and field order are therefore on-disk
+// format (DESIGN §10; pinned by TestCampaignOnDiskFormatGolden).
 type sweepPlan struct {
-	kind     Kind
-	scenario string
-	// opts is the per-replication configuration: defaults applied,
-	// combo tables off, Parallelism rewritten to the inner per-run
-	// budget (total concurrency stays near the configured Parallelism).
-	opts     Options
-	seeds    []uint64
-	backends []string
-	variants []sweepVariant
-	// ladder is the experiment's policy ladder, which KindSharded
-	// replications pass through to the adaptive controller.
-	ladder []Policy
-	target float64
-	// workers is the outer worker-pool bound for scheduling cells.
-	workers int
+	Format   int    `json:"format"`
+	Kind     string `json:"kind"`
+	Scenario string `json:"scenario,omitempty"`
+	// Options is the per-replication configuration: defaults applied,
+	// combo tables off, Parallelism zeroed. Results are bit-identical at
+	// any worker count, so the worker budget is not identity — a
+	// campaign started sequentially may be resumed on every core — and
+	// lives in workers / inner below.
+	Options  Options        `json:"options"`
+	Variants []sweepVariant `json:"variants"`
+	Backends []string       `json:"backends"`
+	Seeds    []uint64       `json:"seeds"`
+	// Ladder is the experiment's policy ladder as declared; it rides
+	// into KindSharded cells through the adaptive controller, so it is
+	// result-relevant.
+	Ladder []Policy `json:"ladder,omitempty"`
+	Target float64  `json:"target_accuracy,omitempty"`
+
+	// workers bounds the outer pool that schedules cells; inner is each
+	// cell's own Parallelism, so total concurrency stays near the
+	// configured one. Scheduling only: never marshaled.
+	workers, inner int
 }
 
-// sweepPlan validates the experiment's sweep configuration and
-// resolves it into the flat work list.
+// sweepPlan is the single place a run description is resolved: it
+// checks the description, fills the ladders and axes a scenario left
+// to their defaults, and validates every cell's configuration through
+// the same Options.Validate a single run goes through — so whatever
+// resolves here runs, which is what RegisterScenario relies on.
 func (e *Experiment) sweepPlan() (*sweepPlan, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	if err := e.opts.Validate(); err != nil {
+	if err := e.check(); err != nil {
 		return nil, err
 	}
-	seeds, err := e.sweep.seedList(e.opts.withDefaults().Seed)
+	seeds, err := e.seedList()
 	if err != nil {
 		return nil, err
 	}
-	if t := e.sweep.TargetAccuracy; t < 0 || t > 1 {
+	if t := e.target; t < 0 || t > 1 {
 		return nil, fmt.Errorf("waitornot: target accuracy %g outside [0, 1]", t)
 	}
-	var (
-		variants []sweepVariant
-		backends []string
-	)
-	switch e.kind {
+	sc := e.sc
+	opts := sc.Options.withDefaults()
+	backends := sc.Backends
+	if len(backends) == 0 {
+		backends = []string{opts.Backend}
+	}
+	var variants []sweepVariant
+	switch sc.Kind {
 	case KindTradeoff, KindAsync:
 		// KindAsync sweeps the same policy × backend ladder, with each
 		// cell an un-barriered run — the "async ladder" the virtual
 		// clock unlocks.
-		policies := e.policies
-		if policies == nil {
-			n := e.opts.Clients
-			if n == 0 {
-				n = 3
-			}
-			policies = DefaultPolicies(n)
+		policies := sc.Policies
+		if len(policies) == 0 {
+			policies = DefaultPolicies(opts.clients())
 		}
 		for _, p := range policies {
-			if err := p.Validate(); err != nil {
-				return nil, err
-			}
 			variants = append(variants, sweepVariant{Label: p.Name(), Policy: p})
 		}
-		backends = e.backends
-		if len(backends) == 0 {
-			backends = []string{e.opts.Backend}
-		}
 	case KindDecentralized:
-		variants = []sweepVariant{{Label: e.opts.Policy.Name(), Policy: e.opts.Policy}}
-		backends = []string{e.opts.Backend}
+		variants = []sweepVariant{{Label: opts.Policy.Name(), Policy: opts.Policy}}
+		backends = []string{opts.Backend}
 	case KindSharded:
 		// The sharded sweep's per-backend axes are topology, not wait
 		// policy: shard count × merge cadence, each cell one hierarchy.
-		shardCounts := e.sweep.ShardCounts
+		// An axis entry names a value, so the Options reading of 0 as
+		// "the default" does not apply to it.
+		shardCounts, cadences := sc.ShardCounts, sc.MergeCadences
 		if len(shardCounts) == 0 {
-			n := e.opts.Shards
-			if n == 0 {
-				n = 2
-			}
-			shardCounts = []int{n}
+			shardCounts = []int{opts.shards()}
 		}
-		cadences := e.sweep.MergeCadences
 		if len(cadences) == 0 {
-			m := e.opts.MergeCadence
-			if m == 0 {
-				m = 1
-			}
-			cadences = []int{m}
-		}
-		clients := e.opts.Clients
-		if clients == 0 {
-			clients = 3
+			cadences = []int{opts.mergeCadence()}
 		}
 		for _, s := range shardCounts {
-			if s < 1 || clients/s < 2 {
-				return nil, fmt.Errorf("waitornot: sweep shard count %d leaves a shard with fewer than 2 of %d clients", s, clients)
-			}
 			for _, m := range cadences {
-				if m < 1 {
-					return nil, fmt.Errorf("waitornot: sweep merge cadence %d < 1", m)
+				if s < 1 || m < 1 {
+					return nil, fmt.Errorf("waitornot: sweep axes start at 1: shard count %d, merge cadence %d", s, m)
 				}
 				variants = append(variants, sweepVariant{
 					Label:   fmt.Sprintf("S=%d/M=%d", s, m),
-					Policy:  e.opts.Policy,
+					Policy:  opts.Policy,
 					Shards:  s,
 					Cadence: m,
 				})
 			}
 		}
-		backends = e.backends
-		if len(backends) == 0 {
-			backends = []string{e.opts.Backend}
-		}
 	default:
-		return nil, fmt.Errorf("waitornot: %v experiments cannot be swept (no wait/latency metrics); use KindTradeoff, KindAsync, KindSharded, or KindDecentralized", e.kind)
+		return nil, fmt.Errorf("waitornot: %v experiments cannot be swept (no wait/latency metrics); use KindTradeoff, KindAsync, KindSharded, or KindDecentralized", sc.Kind)
 	}
-	opts := e.opts.withDefaults()
-	opts.SkipComboTables = true
-	total := len(seeds) * len(backends) * len(variants)
 	workers := par.Workers(opts.Parallelism)
-	if inner := workers / max(1, total); inner >= 1 {
-		opts.Parallelism = inner
-	} else {
-		opts.Parallelism = 1
-	}
-	return &sweepPlan{
-		kind:     e.kind,
-		scenario: e.scenario,
-		opts:     opts,
-		seeds:    seeds,
-		backends: backends,
-		variants: variants,
-		ladder:   e.policies,
-		target:   e.sweep.TargetAccuracy,
+	opts.SkipComboTables = true
+	opts.Parallelism = 0
+	plan := &sweepPlan{
+		Format:   campaign.FormatVersion,
+		Kind:     sc.Kind.String(),
+		Scenario: sc.Name,
+		Options:  opts,
+		Variants: variants,
+		Backends: backends,
+		Seeds:    seeds,
+		Ladder:   sc.Policies,
+		Target:   e.target,
 		workers:  workers,
-	}, nil
+	}
+	plan.inner = max(1, workers/max(1, plan.total()))
+	for _, b := range backends {
+		for _, v := range variants {
+			if err := plan.options(opts.Seed, b, v).Validate(); err != nil {
+				return nil, fmt.Errorf("waitornot: sweep cell %s backend %q: %w", v.Label, b, err)
+			}
+		}
+	}
+	return plan, nil
 }
 
 // cells is the grid width: cells per seed.
-func (p *sweepPlan) cells() int { return len(p.backends) * len(p.variants) }
+func (p *sweepPlan) cells() int { return len(p.Backends) * len(p.Variants) }
 
 // total is the flat work-list length: one item per cell replication.
-func (p *sweepPlan) total() int { return len(p.seeds) * p.cells() }
+func (p *sweepPlan) total() int { return len(p.Seeds) * p.cells() }
+
+// all is the whole work list: every flat index, in order.
+func (p *sweepPlan) all() []int {
+	todo := make([]int, p.total())
+	for i := range todo {
+		todo[i] = i
+	}
+	return todo
+}
 
 // cell decomposes flat index i into its (seed, backend, variant)
 // coordinates — the seed-major, backend-major, variant-minor order the
 // work list streams in.
 func (p *sweepPlan) cell(i int) (seed uint64, backend string, v sweepVariant) {
 	cells := p.cells()
-	return p.seeds[i/cells], p.backends[(i%cells)/len(p.variants)], p.variants[i%len(p.variants)]
+	return p.Seeds[i/cells], p.Backends[(i%cells)/len(p.Variants)], p.Variants[i%len(p.Variants)]
+}
+
+// options is the configuration one cell runs: the plan's, at the cell's
+// coordinates and the inner worker budget.
+func (p *sweepPlan) options(seed uint64, backend string, v sweepVariant) Options {
+	o := p.Options
+	o.Parallelism = p.inner
+	o.Seed = seed
+	o.Backend = backend
+	o.Policy = v.Policy
+	if v.Shards > 0 {
+		o.Shards = v.Shards
+		o.MergeCadence = v.Cadence
+		o.ShardBackends = nil // the backend axis assigns all shards at once
+	}
+	return o
 }
 
 // run executes work item i: one independent deterministic run at the
@@ -347,10 +339,7 @@ func (p *sweepPlan) cell(i int) (seed uint64, backend string, v sweepVariant) {
 // that seed.
 func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	seed, b, v := p.cell(i)
-	o := p.opts
-	o.Seed = seed
-	o.Backend = b
-	o.Policy = v.Policy
+	o := p.options(seed, b, v)
 	// Every report type exposes the same headline reduction; only
 	// the runner differs per kind.
 	var (
@@ -360,14 +349,11 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 		}
 		err error
 	)
-	switch p.kind {
-	case KindAsync:
+	switch p.Kind {
+	case KindAsync.String():
 		rep, err = runAsyncExperiment(ctx, o, nil)
-	case KindSharded:
-		o.Shards = v.Shards
-		o.MergeCadence = v.Cadence
-		o.ShardBackends = nil // the backend axis assigns all shards at once
-		rep, err = runShardedExperiment(ctx, o, p.ladder, nil)
+	case KindSharded.String():
+		rep, err = runShardedExperiment(ctx, o, p.Ladder, nil)
 	default:
 		rep, err = runDecentralizedExperiment(ctx, o, nil)
 	}
@@ -376,8 +362,8 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	}
 	acc, wait, included := rep.Headline()
 	var tta *float64
-	if p.target > 0 {
-		v := rep.TimeToAccuracyMs(p.target)
+	if p.Target > 0 {
+		v := rep.TimeToAccuracyMs(p.Target)
 		tta = &v
 	}
 	return SweepRun{
@@ -391,18 +377,25 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	}, nil
 }
 
-// runAll executes the whole work list through the deterministic worker
-// pool — the one "run cell i, emit in order" loop behind RunSweep and
-// the single-seed trade-off study — forwarding one progress event per
-// completed cell, restored to flat work-list order.
-func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, progress func(i int, run SweepRun) event.Event) ([]SweepRun, error) {
+// runAll executes the work items todo (flat indices) through the
+// deterministic worker pool — the one "run cell, land it, emit in
+// order" loop behind RunSweep, RunCampaign and the single-seed
+// trade-off study. landed is called once per completed item with its
+// position j in todo; the event it returns is forwarded restored to
+// todo order, and an error from it (a campaign's failed append) stops
+// the run. The runs come back in todo order.
+func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, todo []int, landed func(j int, run SweepRun) (event.Event, error)) ([]SweepRun, error) {
 	emit := newOrderedEmitter(sink)
-	return par.MapCtx(ctx, p.workers, p.total(), func(i int) (SweepRun, error) {
-		run, err := p.run(ctx, i)
+	return par.MapCtx(ctx, p.workers, len(todo), func(j int) (SweepRun, error) {
+		run, err := p.run(ctx, todo[j])
 		if err != nil {
 			return SweepRun{}, err
 		}
-		emit.emit(i, progress(i, run))
+		ev, err := landed(j, run)
+		if err != nil {
+			return SweepRun{}, err
+		}
+		emit.emit(j, ev)
 		return run, nil
 	})
 }
@@ -426,9 +419,9 @@ func (p *sweepPlan) report(runs []SweepRun) *SweepReport {
 			grid.Observe(r.Policy, r.Backend, "tta_ms", *r.TimeToAccMs)
 		}
 	}
-	rep := &SweepReport{Model: p.opts.Model, Scenario: p.scenario, Seeds: p.seeds, TargetAccuracy: p.target, Runs: runs}
-	for _, b := range p.backends {
-		for _, v := range p.variants {
+	rep := &SweepReport{Model: p.Options.Model, Scenario: p.Scenario, Seeds: p.Seeds, TargetAccuracy: p.Target, Runs: runs}
+	for _, b := range p.Backends {
+		for _, v := range p.Variants {
 			cell := SweepCell{Policy: v.Label, Backend: b}
 			if w, ok := grid.Cell(cell.Policy, b, "accuracy"); ok {
 				cell.Accuracy = w.Summary()
@@ -439,7 +432,7 @@ func (p *sweepPlan) report(runs []SweepRun) *SweepReport {
 			if w, ok := grid.Cell(cell.Policy, b, "included"); ok {
 				cell.Included = w.Summary()
 			}
-			if p.target > 0 {
+			if p.Target > 0 {
 				s := Summary{}
 				if w, ok := grid.Cell(cell.Policy, b, "tta_ms"); ok {
 					s = w.Summary()

@@ -265,9 +265,9 @@ func TestReplicatedScenarioSweeps(t *testing.T) {
 	if len(sc.Seeds) != 5 {
 		t.Fatalf("scenario seeds = %v, want 5 of them", sc.Seeds)
 	}
+	sc.Options.Rounds = 1
 	rep, err := sc.Experiment(
 		waitornot.WithSeeds(11, 12),
-		waitornot.WithRounds(1),
 		waitornot.WithFastScale()).RunSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)

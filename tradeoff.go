@@ -53,12 +53,13 @@ type TradeoffReport struct {
 // stays blank.
 func (e *Experiment) runTradeoff(ctx context.Context) (*TradeoffReport, error) {
 	one := *e
-	one.sweep = SweepOptions{Seeds: []uint64{e.opts.withDefaults().Seed}}
+	one.sc.Seeds = []uint64{e.sc.Options.withDefaults().Seed}
+	one.target = 0 // a sweep metric; Run ignores it
 	plan, err := one.sweepPlan()
 	if err != nil {
 		return nil, err
 	}
-	runs, err := plan.runAll(ctx, observerSink(e.observer), func(i int, run SweepRun) event.Event {
+	runs, err := plan.runAll(ctx, observerSink(e.observer), plan.all(), func(i int, run SweepRun) (event.Event, error) {
 		return event.PolicyDone{
 			Index:         i,
 			Policy:        run.Policy,
@@ -66,12 +67,12 @@ func (e *Experiment) runTradeoff(ctx context.Context) (*TradeoffReport, error) {
 			FinalAccuracy: run.FinalAccuracy,
 			MeanWaitMs:    run.MeanWaitMs,
 			MeanIncluded:  run.MeanIncluded,
-		}
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &TradeoffReport{Model: plan.opts.Model, Outcomes: make([]PolicyOutcome, len(runs))}
+	rep := &TradeoffReport{Model: plan.Options.Model, Outcomes: make([]PolicyOutcome, len(runs))}
 	for i, run := range runs {
 		rep.Outcomes[i] = PolicyOutcome{
 			Policy:        run.Policy,

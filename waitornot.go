@@ -27,16 +27,15 @@
 package waitornot
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
 	"time"
 
 	"waitornot/internal/bfl"
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
-	"waitornot/internal/ledger"
-	"waitornot/internal/ledger/latmodel"
 	"waitornot/internal/nn"
+	"waitornot/internal/shard"
 	"waitornot/internal/simnet"
 )
 
@@ -163,9 +162,9 @@ const (
 )
 
 // Dist describes a positive random draw: per-round compute multipliers
-// (WithComputeDistribution) or extra network delay in ms
-// (WithNetworkDistribution). Draws come from deterministic per-peer
-// xrand streams, so runs stay bit-reproducible.
+// (Options.ComputeDist) or extra network delay in ms
+// (Options.NetworkDist). Draws come from deterministic per-peer xrand
+// streams, so runs stay bit-reproducible.
 type Dist struct {
 	Kind DistKind
 	// Mean is the central value: a multiplier for compute draws
@@ -282,7 +281,10 @@ type Options struct {
 	// MergeSync, the barrier).
 	MergeMode MergeMode
 	// AdaptiveShards enables the per-shard epsilon-greedy wait-policy
-	// controller (see WithAdaptiveShards).
+	// controller: at every merge epoch each shard scores the policy it
+	// just ran (accuracy gained per second of wait) and picks the next
+	// epoch's policy from the experiment's ladder (Scenario.Policies /
+	// WithPolicies; empty = DefaultPolicies for the smallest shard).
 	AdaptiveShards bool
 
 	// ComputeDist, when set, draws a per-peer per-round multiplier on
@@ -305,10 +307,13 @@ type Options struct {
 	StalenessHalfLifeMs float64
 }
 
-// Validate rejects options the engine cannot honour: unknown models,
-// negative counts, poison fractions outside [0,1], and wait policies
-// with impossible parameters. Experiment.Run calls it; exported for
-// callers that want to fail fast.
+// Validate rejects options a run cannot honour. The public layer checks
+// only the fields whose public form differs from the engine's — the
+// sign of the counts (0 means "the default" at this layer), the poison
+// range, the wait policy and the model — and leaves everything else to
+// the Validate of the engine configuration the options lower to, which
+// Run reaches anyway: a rule is written once, at the layer that
+// enforces it. Exported for callers that want to fail fast.
 func (o Options) Validate() error {
 	if o.Clients < 0 {
 		return fmt.Errorf("waitornot: negative client count %d", o.Clients)
@@ -316,78 +321,29 @@ func (o Options) Validate() error {
 	if o.Rounds < 0 {
 		return fmt.Errorf("waitornot: negative round count %d", o.Rounds)
 	}
+	if o.Shards < 0 {
+		return fmt.Errorf("waitornot: negative shard count %d", o.Shards)
+	}
 	if o.PoisonFraction < 0 || o.PoisonFraction > 1 {
 		return fmt.Errorf("waitornot: poison fraction %g outside [0, 1]", o.PoisonFraction)
-	}
-	if o.ClientFraction < 0 || o.ClientFraction > 1 {
-		return fmt.Errorf("waitornot: client fraction %g outside (0, 1]", o.ClientFraction)
-	}
-	if o.ClientFraction > 0 && o.DirichletAlpha > 0 {
-		return fmt.Errorf("waitornot: ClientFraction draws per-client shards; incompatible with DirichletAlpha's global-pool partition")
 	}
 	if err := o.Policy.Validate(); err != nil {
 		return err
 	}
-	if err := o.ComputeDist.Validate(); err != nil {
-		return fmt.Errorf("waitornot: compute distribution: %w", err)
-	}
-	if err := o.NetworkDist.Validate(); err != nil {
-		return fmt.Errorf("waitornot: network distribution: %w", err)
-	}
-	if o.TimeBudgetMs < 0 {
-		return fmt.Errorf("waitornot: negative time budget %g ms", o.TimeBudgetMs)
-	}
-	if o.StalenessHalfLifeMs < 0 {
-		return fmt.Errorf("waitornot: negative staleness half-life %g ms", o.StalenessHalfLifeMs)
-	}
-	if o.Backend != "" {
-		if _, ok := ledger.Lookup(o.Backend); !ok {
-			return fmt.Errorf("waitornot: unknown backend %q (registered: %s)",
-				o.Backend, strings.Join(ledger.Names(), ", "))
-		}
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("waitornot: negative shard count %d", o.Shards)
-	}
-	if o.MergeCadence < 0 {
-		return fmt.Errorf("waitornot: negative merge cadence %d", o.MergeCadence)
-	}
-	if o.MergeMode != MergeSync && o.MergeMode != MergeAsync {
-		return fmt.Errorf("waitornot: unknown merge mode %d", int(o.MergeMode))
+	if m := o.withDefaults().Model; m != SimpleNN && m != EffNetB0Sim {
+		return fmt.Errorf("waitornot: unknown model %v", m)
 	}
 	if o.Shards > 0 {
-		clients := o.Clients
-		if clients == 0 {
-			clients = 3
-		}
-		if clients/o.Shards < 2 {
-			return fmt.Errorf("waitornot: %d clients across %d shards leaves a shard with fewer than 2 clients",
-				clients, o.Shards)
-		}
-		switch len(o.ShardBackends) {
-		case 0, 1, o.Shards:
-		default:
-			return fmt.Errorf("waitornot: %d shard backends for %d shards (want 0, 1, or %d)",
-				len(o.ShardBackends), o.Shards, o.Shards)
-		}
-		for _, name := range o.ShardBackends {
-			if _, ok := ledger.Lookup(name); !ok {
-				return fmt.Errorf("waitornot: unknown shard backend %q (registered: %s)",
-					name, strings.Join(ledger.Names(), ", "))
-			}
-		}
+		return o.sharded(nil).Validate()
 	}
-	if o.Validators != 0 && o.Validators < latmodel.MinValidators {
-		return fmt.Errorf("waitornot: %d validators below the PBFT minimum %d (n = 3f+1 with f >= 1)",
-			o.Validators, latmodel.MinValidators)
-	}
-	o = o.withDefaults()
-	if o.Model != SimpleNN && o.Model != EffNetB0Sim {
-		return fmt.Errorf("waitornot: unknown model %v", o.Model)
-	}
-	return nil
+	return o.decentralized().Validate()
 }
 
+// withDefaults fills only what the public layer must decide itself.
+// Counts stay as the caller set them — the engines read 0 as their
+// default, and this struct is hashed into campaign fingerprints — so
+// code that needs the effective count asks clients / shards /
+// mergeCadence below.
 func (o Options) withDefaults() Options {
 	if o.Model == 0 {
 		o.Model = SimpleNN
@@ -400,6 +356,12 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// clients, shards and mergeCadence are the effective counts: the
+// caller's, or the engine default a zero stands for.
+func (o Options) clients() int      { return cmp.Or(o.Clients, bfl.DefaultPeers) }
+func (o Options) shards() int       { return cmp.Or(o.Shards, shard.DefaultShards) }
+func (o Options) mergeCadence() int { return cmp.Or(o.MergeCadence, shard.DefaultMergeEvery) }
 
 func (o Options) hyper() fl.Hyper {
 	if o.LearningRate == 0 && o.LocalEpochs == 0 {
