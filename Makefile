@@ -3,10 +3,11 @@
 #   make ci        everything the repository gates on: build + vet +
 #                  tests under the coverage ratchet + the CLI smoke
 #                  over the one -scenario path + the race-detector
-#                  pass (test-race: all of internal/par, internal/chain
-#                  and internal/keys — the pool and the transaction
-#                  memo's atomics — plus the root TestRaceSmoke* runs;
-#                  nothing else runs under -race) + the fuzz smoke over
+#                  pass (test-race: all of internal/par, internal/chain,
+#                  internal/keys and internal/ledger — the pool, the
+#                  transaction memo's atomics and the only block store —
+#                  plus the root TestRaceSmoke* runs; nothing else runs
+#                  under -race) + the fuzz smoke over
 #                  the chain codec and mempool + the campaign
 #                  crash-recovery smoke (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
@@ -14,7 +15,10 @@
 #   make bench     the go test -bench probes, one iteration each.
 #   make size      the tracked size numbers (ROADMAP aim 2); the root
 #                  package's exported surface itself is pinned by
-#                  testdata/api.golden (TestPublicAPIGolden).
+#                  testdata/api.golden (TestPublicAPIGolden), the
+#                  exported internal/ names no other product file uses
+#                  by testdata/testonly.golden
+#                  (TestNoNewTestOnlyProductCode).
 
 GO ?= go
 
@@ -79,12 +83,13 @@ campaign-smoke:
 # Race pass — exactly these paths run under the detector: the
 # internal/par pool, internal/chain and internal/keys in full (the
 # per-transaction memo — digest, hash, signature verdict, decoded call —
-# is lock-free atomics shared by every replica), plus short parallel
-# runs of the decentralized experiment, the trade-off sweep, shared
-# transactions across six ledgers, and the simulators (TestRaceSmoke*
-# in race_test.go).
+# is lock-free atomics shared by every replica), internal/ledger in
+# full (the only block store: its read views are called from the
+# parallel decide pool), plus short parallel runs of the decentralized
+# experiment, the trade-off sweep, shared transactions across six
+# ledgers, and the simulators (TestRaceSmoke* in race_test.go).
 test-race:
-	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/
+	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 bench:
@@ -109,9 +114,10 @@ profile:
 # The numbers ROADMAP tracks for "least code": non-test Go lines
 # outside benchmark/, the root package's exported funcs + types (the
 # line count of testdata/api.golden), its functional options and
-# Options fields (the run-description surface), cmd/repro's flags, and
+# Options fields (the run-description surface), cmd/repro's flags,
 # process-global caches (mutex-guarded package state) left on the
-# transaction path.
+# transaction path, and the exported internal/ names no other product
+# file uses (the line count of testdata/testonly.golden).
 size:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 	@echo "root exported funcs+types: $$($(GO) doc -all . | grep -cE '^(func|type) ')"
@@ -119,5 +125,6 @@ size:
 	@echo "Options fields: $$($(GO) doc . Options | awk '/^type Options struct/,/^}/' | grep -cE '^	[A-Z][A-Za-z0-9]* ')"
 	@echo "cmd/repro flags: $$(grep -c 'flag\.[A-Z][A-Za-z0-9]*Var(\|flag\.String(' cmd/repro/main.go)"
 	@echo "process-global caches in internal/chain + internal/keys: $$(find internal/chain internal/keys -name '*.go' ! -name '*_test.go' | xargs cat | grep -c '^\s*sync\.RWMutex')"
+	@echo "test-only exported identifiers under internal/: $$(wc -l < testdata/testonly.golden)"
 
 ci: build vet cover cli-smoke test-race fuzz-smoke campaign-smoke

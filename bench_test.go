@@ -181,8 +181,8 @@ func BenchmarkAsyncRoundLatencySim(b *testing.B) {
 func BenchmarkGasPerModelSize(b *testing.B) {
 	gs := chain.DefaultGasSchedule()
 	rng := xrand.New(1)
-	simple := nn.EncodeWeights(nn.NewSimpleNN(rng).WeightVector())
-	eff := nn.EncodeWeights(nn.NewEffNetSim(rng).WeightVector())
+	simple := nn.AppendWeights(nil, nn.NewSimpleNN(rng).WeightVector())
+	eff := nn.AppendWeights(nil, nn.NewEffNetSim(rng).WeightVector())
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink = gs.Intrinsic(simple) + gs.Intrinsic(eff)
@@ -200,8 +200,8 @@ func BenchmarkGasPerModelSize(b *testing.B) {
 func BenchmarkDualTaskInterference(b *testing.B) {
 	mineOnce := func() time.Duration {
 		start := time.Now()
-		h := chain.Header{Difficulty: 1 << 18}
-		chain.Mine(&h, uint64(start.UnixNano()), nil)
+		h := chain.Header{Difficulty: 1 << 18, Time: uint64(start.UnixNano())}
+		chain.Mine(&h)
 		return time.Since(start)
 	}
 	var idleTotal, busyTotal time.Duration
@@ -282,10 +282,8 @@ func BenchmarkAblationPoWDifficulty(b *testing.B) {
 	for _, bits := range []uint{12, 16, 20} {
 		b.Run("2e"+itoa(int(bits)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				h := chain.Header{Difficulty: 1 << bits, Nonce: 0, Number: uint64(i)}
-				if !chain.Mine(&h, uint64(i)<<32, nil) {
-					b.Fatal("mining failed")
-				}
+				h := chain.Header{Difficulty: 1 << bits, Number: uint64(i)}
+				chain.Mine(&h)
 			}
 		})
 	}
@@ -299,7 +297,7 @@ func BenchmarkFedAvgSimpleNN(b *testing.B) {
 	for i := range ups {
 		w := make([]float32, 61670)
 		for j := range w {
-			w[j] = rng.NormFloat32()
+			w[j] = float32(rng.NormFloat64())
 		}
 		ups[i] = &fl.Update{Client: fl.ClientName(i), Round: 1, Weights: w, NumSamples: 3000}
 	}
@@ -322,7 +320,7 @@ func BenchmarkModelSubmissionTx(b *testing.B) {
 	gs := chain.DefaultGasSchedule()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blob := nn.EncodeWeights(w)
+		blob := nn.AppendWeights(nil, w)
 		tx, err := chain.NewTx(k, uint64(i), to, 0, blob, gs, 0, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -402,7 +400,7 @@ func benchLedgerHotPath(b *testing.B, name string) {
 	for i := range weights {
 		w := make([]float32, 61670) // SimpleNN parameter count
 		for j := range w {
-			w[j] = rng.NormFloat32()
+			w[j] = float32(rng.NormFloat64())
 		}
 		weights[i] = w
 	}

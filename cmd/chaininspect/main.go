@@ -1,7 +1,11 @@
-// Command chaininspect dumps a blockchain produced by an experiment:
-// block headers, transactions (with decoded contract calls and
-// signature checks), per-round model submissions and aggregation
-// decisions, and gas/size accounting.
+// Command chaininspect dumps and audits a blockchain produced by an
+// experiment: block headers, transactions (with decoded contract calls
+// and signature checks), per-round model submissions and aggregation
+// decisions, gas/size accounting — and then the audit replay
+// (bfl.AuditChain): every block linked to its parent and checked under
+// the block rule, every transaction re-executed from calldata alone. It
+// ends with "chain valid: N blocks, M txs replayed", or names the first
+// offending block and the rule it broke and exits 1.
 //
 // By default it runs a small decentralized experiment in-process and
 // inspects the resulting chain; -load reads a chain file written with
@@ -14,7 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"waitornot/internal/bfl"
@@ -24,26 +28,36 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "chaininspect:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("chaininspect", flag.ContinueOnError)
 	var (
-		rounds = flag.Int("rounds", 2, "rounds for the generated experiment")
-		train  = flag.Int("train", 200, "training samples per peer")
-		seed   = flag.Uint64("seed", 1, "seed")
-		save   = flag.String("save", "", "write the canonical chain to this file")
-		load   = flag.String("load", "", "inspect a chain file instead of generating one")
-		full   = flag.Bool("txs", true, "print per-transaction detail")
+		rounds = fs.Int("rounds", 2, "rounds for the generated experiment")
+		train  = fs.Int("train", 200, "training samples per peer")
+		seed   = fs.Uint64("seed", 1, "seed")
+		save   = fs.String("save", "", "write the canonical chain to this file")
+		load   = fs.String("load", "", "inspect a chain file instead of generating one")
+		full   = fs.Bool("txs", true, "print per-transaction detail")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var blocks []*chain.Block
 	if *load != "" {
 		f, err := os.Open(*load)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		blocks, err = chain.ReadChain(f)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
 		res, err := bfl.RunDecentralizedWithChain(bfl.Config{
@@ -55,38 +69,44 @@ func main() {
 			TestPerPeer:   100,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		blocks = res.CanonicalChain
-		fmt.Printf("generated a %d-round decentralized run (%d peers)\n\n",
+		fmt.Fprintf(out, "generated a %d-round decentralized run (%d peers)\n\n",
 			*rounds, len(res.Result.PeerNames))
 	}
 
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := chain.WriteChain(f, blocks); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %d blocks to %s\n", len(blocks), *save)
+		fmt.Fprintf(out, "wrote %d blocks to %s\n", len(blocks), *save)
 	}
 
 	var totalGas uint64
 	totalBytes := 0
-	for _, b := range blocks {
+	txs := 0
+	for i, b := range blocks {
+		if b == nil {
+			fmt.Fprintf(out, "block #%d missing\n", i)
+			continue
+		}
 		h := b.Header
-		fmt.Printf("block #%d %s\n", h.Number, b.Hash().Short())
-		fmt.Printf("  parent %s  miner %s  difficulty %d  time %dms\n",
+		fmt.Fprintf(out, "block #%d %s\n", h.Number, b.Hash().Short())
+		fmt.Fprintf(out, "  parent %s  miner %s  difficulty %d  time %dms\n",
 			h.ParentHash.Short(), h.Miner.Short(), h.Difficulty, h.Time)
-		fmt.Printf("  txs %d  gas %d  size %d B  pow %v\n",
+		fmt.Fprintf(out, "  txs %d  gas %d  size %d B  pow %v\n",
 			len(b.Txs), h.GasUsed, b.Size(), chain.CheckPoW(&h))
 		totalGas += h.GasUsed
 		totalBytes += b.Size()
+		txs += len(b.Txs)
 		if !*full {
 			continue
 		}
@@ -110,9 +130,15 @@ func main() {
 					desc = method
 				}
 			}
-			fmt.Printf("    tx %d %s from %s nonce %d: %s [sig %s]\n",
+			fmt.Fprintf(out, "    tx %d %s from %s nonce %d: %s [sig %s]\n",
 				i, tx.Hash().Short(), tx.From.Short(), tx.Nonce, desc, sig)
 		}
 	}
-	fmt.Printf("\ntotals: %d blocks, %d gas, %.2f MB\n", len(blocks), totalGas, float64(totalBytes)/1e6)
+	fmt.Fprintf(out, "\ntotals: %d blocks, %d gas, %.2f MB\n", len(blocks), totalGas, float64(totalBytes)/1e6)
+
+	if _, err := bfl.AuditChain(blocks); err != nil {
+		return fmt.Errorf("chain INVALID: %w", err)
+	}
+	fmt.Fprintf(out, "chain valid: %d blocks, %d txs replayed\n", len(blocks), txs)
+	return nil
 }

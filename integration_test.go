@@ -1,20 +1,23 @@
 package waitornot_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"waitornot"
 	"waitornot/internal/bfl"
 	"waitornot/internal/chain"
 	"waitornot/internal/contract"
-	"waitornot/internal/keys"
 	"waitornot/internal/nn"
 	"waitornot/internal/testutil"
 )
 
 // TestDecentralizedChainPersistsAndReplays runs a real experiment,
-// serializes its chain, and replays it on a fresh chain instance with
-// full validation — the audit path cmd/chaininspect implements.
+// serializes its chain, and replays the decoded bytes under the block
+// rule with full validation — bfl.AuditChain, the audit path
+// cmd/chaininspect runs.
 func TestDecentralizedChainPersistsAndReplays(t *testing.T) {
 	res, err := bfl.RunDecentralizedWithChain(bfl.Config{
 		Model:         nn.ModelSimpleNN,
@@ -27,7 +30,14 @@ func TestDecentralizedChainPersistsAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := res.CanonicalChain
+	var file bytes.Buffer
+	if err := chain.WriteChain(&file, res.CanonicalChain); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := chain.ReadChain(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 1 genesis + 1 registration + 2 rounds x (submit block + decision block).
 	if len(blocks) != 6 {
 		t.Fatalf("canonical chain has %d blocks", len(blocks))
@@ -41,22 +51,10 @@ func TestDecentralizedChainPersistsAndReplays(t *testing.T) {
 		}
 	}
 	// Submissions are recoverable and verifiable from calldata alone.
-	cfg := chain.DefaultConfig()
-	cfg.GenesisDifficulty = 64
-	cfg.MinDifficulty = 16
-	alloc := map[keys.Address]uint64{}
-	for _, b := range blocks {
-		for _, tx := range b.Txs {
-			alloc[tx.From] = 1 << 62
-		}
+	st, err := bfl.AuditChain(blocks)
+	if err != nil {
+		t.Fatalf("replay rejected the chain: %v", err)
 	}
-	replay := chain.New(cfg, alloc, contract.NewVM(cfg.Gas))
-	for _, b := range blocks[1:] {
-		if _, err := replay.AddBlock(b); err != nil {
-			t.Fatalf("replay rejected block %d: %v", b.Header.Number, err)
-		}
-	}
-	st := replay.StateCopy()
 	subs := contract.SubmissionsAt(st, 1)
 	if len(subs) != 3 {
 		t.Fatalf("replayed chain has %d round-1 submissions", len(subs))
@@ -91,4 +89,35 @@ func TestVanillaAndDecentralizedSameBand(t *testing.T) {
 				ci, vAcc, dAcc)
 		}
 	}
+}
+
+// TestPowChainShapeGolden pins the default substrate's blocks by shape:
+// a 2-round pow run's chain as header fields and per-transaction
+// sender, nonce, destination, gas limit and payload digest. Transaction
+// and block hashes (and PoW nonces) are left out on purpose: signatures
+// draw fresh randomness, so those differ run to run while everything
+// pinned here is a pure function of the seed.
+func TestPowChainShapeGolden(t *testing.T) {
+	res, err := bfl.RunDecentralizedWithChain(bfl.Config{
+		Model:         nn.ModelSimpleNN,
+		Rounds:        2,
+		Seed:          21,
+		TrainPerPeer:  90,
+		SelectionSize: 40,
+		TestPerPeer:   50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, b := range res.CanonicalChain {
+		h := b.Header
+		fmt.Fprintf(&out, "block %d time %d miner %s difficulty %d gaslimit %d gasused %d txs %d\n",
+			h.Number, h.Time, h.Miner, h.Difficulty, h.GasLimit, h.GasUsed, len(b.Txs))
+		for _, tx := range b.Txs {
+			fmt.Fprintf(&out, "  tx from %s nonce %d to %s gaslimit %d payload %x\n",
+				tx.From, tx.Nonce, tx.To, tx.GasLimit, sha256.Sum256(tx.Payload))
+		}
+	}
+	testutil.GoldenFile(t, "testdata/pow_chain_shape.golden", out.Bytes())
 }

@@ -69,9 +69,6 @@ func (r *RoundEngine) CommitStepMs() float64 { return r.e.clockStep }
 // BackendName reports the resolved ledger backend.
 func (r *RoundEngine) BackendName() string { return r.e.be.Name() }
 
-// PeerNames lists the engine's peers in index order.
-func (r *RoundEngine) PeerNames() []string { return r.res.PeerNames }
-
 // TotalSamples is the fleet's summed training-shard size — the
 // engine's FedAvg weight in a cross-shard merge.
 func (r *RoundEngine) TotalSamples() int {

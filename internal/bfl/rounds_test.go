@@ -30,10 +30,11 @@ func TestRoundEngineMatchesFlat(t *testing.T) {
 	if step <= 0 {
 		t.Fatalf("CommitStepMs = %g, want > 0", step)
 	}
-	if len(re.PeerNames()) == 0 || len(re.PeerNames()) > cfg.Peers {
-		t.Fatalf("PeerNames = %d names for a %d-peer fleet", len(re.PeerNames()), cfg.Peers)
+	materialized := len(re.e.peers)
+	if materialized == 0 || materialized > cfg.Peers {
+		t.Fatalf("%d peers materialized for a %d-peer fleet", materialized, cfg.Peers)
 	}
-	if re.TotalSamples() != len(re.PeerNames())*cfg.TrainPerPeer {
+	if re.TotalSamples() != materialized*cfg.TrainPerPeer {
 		t.Fatalf("TotalSamples = %d, want %d per materialized peer", re.TotalSamples(), cfg.TrainPerPeer)
 	}
 
@@ -58,8 +59,8 @@ func TestRoundEngineMatchesFlat(t *testing.T) {
 	}
 
 	ups := re.Updates()
-	if len(ups) != len(re.PeerNames()) {
-		t.Fatalf("Updates = %d, want one per materialized peer (%d)", len(ups), len(re.PeerNames()))
+	if len(ups) != materialized {
+		t.Fatalf("Updates = %d, want one per materialized peer (%d)", len(ups), materialized)
 	}
 	got := re.Finish()
 

@@ -235,6 +235,9 @@ const (
 	perKBMs       = 0.08
 )
 
+// peerFunding is every peer's genesis balance: gas never runs out.
+const peerFunding = 1 << 62
+
 // chainConfig is the consensus parameters every run uses: the chain
 // defaults at a difficulty low enough for in-process mining.
 func chainConfig() chain.Config {
@@ -356,8 +359,8 @@ type ResultWithChain struct {
 
 // RunDecentralizedWithChain runs the experiment and also returns the
 // blocks, for inspection and persistence tooling. It requires a
-// chain-backed backend (the pow default); block-free backends return
-// an error.
+// block-sealing backend (pow, poa, pbft); instant keeps no blocks and
+// returns an error.
 func RunDecentralizedWithChain(cfg Config) (*ResultWithChain, error) {
 	r, err := runDecentralized(context.Background(), cfg)
 	if err != nil {
@@ -367,7 +370,39 @@ func RunDecentralizedWithChain(cfg Config) (*ResultWithChain, error) {
 	if !ok {
 		return nil, fmt.Errorf("bfl: backend %q keeps no block chain", r.BackendName())
 	}
-	return &ResultWithChain{Result: r.Finish(), CanonicalChain: ch.Chain(0).CanonicalChain()}, nil
+	return &ResultWithChain{Result: r.Finish(), CanonicalChain: ch.Chain(0)}, nil
+}
+
+// AuditChain is the audit replay of a saved pow chain, from its bytes
+// alone: block 0 must be the genesis of the consensus parameters every
+// run uses, and the block rule is folded over the rest — each block
+// linked to its parent, its puzzle and header checked, every
+// transaction re-executed on the contract VM — with every sender funded
+// the way setup funds a peer. It returns the replayed world state, or
+// an error naming the first offending block and the rule it broke.
+func AuditChain(blocks []*chain.Block) (*chain.State, error) {
+	ccfg := chainConfig()
+	for i, b := range blocks {
+		if b == nil {
+			return nil, fmt.Errorf("block %d: missing", i)
+		}
+	}
+	if len(blocks) == 0 || blocks[0].Header != chain.Genesis(ccfg).Header || len(blocks[0].Txs) != 0 {
+		return nil, fmt.Errorf("block 0: not the genesis of this chain configuration")
+	}
+	st := chain.NewState()
+	for _, b := range blocks {
+		for _, tx := range b.Txs {
+			st.Account(tx.From).Balance = peerFunding
+		}
+	}
+	vm := contract.NewVM(ccfg.Gas)
+	for i, b := range blocks[1:] {
+		if err := chain.ApplyBlock(ccfg, &blocks[i].Header, b, st, vm, chain.VerifyPoW); err != nil {
+			return nil, fmt.Errorf("block %d: %w", i+1, err)
+		}
+	}
+	return st, nil
 }
 
 // runDecentralized is the barriered schedule at the backend's own
@@ -567,7 +602,7 @@ func (e *engine) setup() error {
 	sealers := make([]keys.Address, len(active))
 	for s, gi := range active {
 		peerKeys[s] = keys.GenerateDeterministic(cfg.Seed*1009 + uint64(gi))
-		alloc[peerKeys[s].Address()] = 1 << 62
+		alloc[peerKeys[s].Address()] = peerFunding
 		sealers[s] = peerKeys[s].Address()
 	}
 	// Consortium verification set: an independent held-out sample the

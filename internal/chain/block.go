@@ -13,15 +13,15 @@ type Header struct {
 	ParentHash Hash
 	// Number is the block height (genesis = 0).
 	Number uint64
-	// Time is the block timestamp in milliseconds. Under the virtual
-	// clock harness it is simulated time; under the live harness, wall
-	// time.
+	// Time is the block timestamp in milliseconds of simulated time:
+	// the commit instant the runner's logical clock hands the leader.
 	Time uint64
 	// Miner receives the block reward and gas fees.
 	Miner keys.Address
-	// Difficulty is the PoW difficulty this block was mined at.
+	// Difficulty is the PoW difficulty this block was mined at (zero
+	// under authority sealing, which solves no puzzle).
 	Difficulty uint64
-	// Nonce is the PoW solution.
+	// Nonce is the PoW solution (zero under authority sealing).
 	Nonce uint64
 	// TxRoot is the Merkle root of the body's transaction hashes.
 	TxRoot Hash

@@ -1,12 +1,6 @@
 package chain
 
-import (
-	"fmt"
-	"math/big"
-	"sync"
-
-	"waitornot/internal/keys"
-)
+import "fmt"
 
 // Config fixes a chain's consensus parameters.
 type Config struct {
@@ -40,250 +34,65 @@ func DefaultConfig() Config {
 	}
 }
 
-// Chain is a block store with total-difficulty fork choice and full
-// validation/execution. It is safe for concurrent use.
-type Chain struct {
-	cfg  Config
-	proc Processor
-
-	mu       sync.RWMutex
-	blocks   map[Hash]*Block
-	td       map[Hash]*big.Int // total difficulty including the block
-	receipts map[Hash][]*Receipt
-	head     Hash
-	genesis  Hash
-	state    *State // post-state of head
-	alloc    map[keys.Address]uint64
-}
-
-// New creates a chain with the given genesis allocation. proc executes
-// contract payloads (NopProcessor for a plain chain).
-func New(cfg Config, alloc map[keys.Address]uint64, proc Processor) *Chain {
-	if proc == nil {
-		proc = NopProcessor{}
-	}
-	genesis := &Block{Header: Header{
+// Genesis returns the block every chain under cfg starts from: empty
+// body, the configured gas limit, and the difficulty the retarget rule
+// starts at (read by the proof-of-work puzzle only).
+func Genesis(cfg Config) *Block {
+	return &Block{Header: Header{
 		Difficulty: cfg.GenesisDifficulty,
 		GasLimit:   cfg.BlockGasLimit,
 		TxRoot:     MerkleRoot(nil),
 	}}
-	gh := genesis.Hash()
-	st := NewState()
-	allocCopy := make(map[keys.Address]uint64, len(alloc))
-	for a, v := range alloc {
-		st.Account(a).Balance = v
-		allocCopy[a] = v
-	}
-	return &Chain{
-		cfg:      cfg,
-		proc:     proc,
-		blocks:   map[Hash]*Block{gh: genesis},
-		td:       map[Hash]*big.Int{gh: new(big.Int).SetUint64(cfg.GenesisDifficulty)},
-		receipts: map[Hash][]*Receipt{gh: nil},
-		head:     gh,
-		genesis:  gh,
-		state:    st,
-		alloc:    allocCopy,
-	}
 }
 
-// Config returns the chain's consensus parameters.
-func (c *Chain) Config() Config { return c.cfg }
-
-// Genesis returns the genesis block.
-func (c *Chain) Genesis() *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.blocks[c.genesis]
-}
-
-// Head returns the current canonical head block.
-func (c *Chain) Head() *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.blocks[c.head]
-}
-
-// TotalDifficulty returns the head's cumulative difficulty.
-func (c *Chain) TotalDifficulty() *big.Int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return new(big.Int).Set(c.td[c.head])
-}
-
-// GetBlock returns a block by hash, or nil.
-func (c *Chain) GetBlock(h Hash) *Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.blocks[h]
-}
-
-// Receipts returns the receipts of a block by hash, or nil.
-func (c *Chain) Receipts(h Hash) []*Receipt {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.receipts[h]
-}
-
-// Height returns the canonical head's number.
-func (c *Chain) Height() uint64 { return c.Head().Header.Number }
-
-// StateCopy returns a deep copy of the head state (for mempool
-// validation and contract reads).
-func (c *Chain) StateCopy() *State {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.state.Copy()
-}
-
-// CanonicalChain returns the blocks from genesis to head, inclusive.
-func (c *Chain) CanonicalChain() []*Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.pathToLocked(c.head)
-}
-
-// pathToLocked returns genesis..target following parent links.
-func (c *Chain) pathToLocked(target Hash) []*Block {
-	var rev []*Block
-	for h := target; ; {
-		b := c.blocks[h]
-		if b == nil {
-			return nil
-		}
-		rev = append(rev, b)
-		if h == c.genesis {
-			break
-		}
-		h = b.Header.ParentHash
-	}
-	out := make([]*Block, len(rev))
-	for i, b := range rev {
-		out[len(rev)-1-i] = b
-	}
-	return out
-}
-
-// validateHeader checks a block's header against its parent.
-func (c *Chain) validateHeader(b *Block, parent *Block) error {
+// ApplyBlock is the block rule — the one definition of a valid block,
+// run by every replica of every block-sealing substrate on every block
+// and folded over a saved chain by the audit replay. It links b to
+// parent, checks the header against cfg and the body, and replays the
+// body on st, the parent's post-state, which becomes b's (miner reward
+// included). puzzle is the check the substrate's consensus family adds
+// on the header (VerifyPoW; nil under authority sealing). On error st
+// is left part-way through the block: a caller that goes on needs a
+// copy.
+func ApplyBlock(cfg Config, parent *Header, b *Block, st *State, proc Processor, puzzle func(cfg Config, parent, h *Header) error) error {
 	h := &b.Header
-	if h.Number != parent.Header.Number+1 {
-		return fmt.Errorf("%w: %d after %d", ErrBadNumber, h.Number, parent.Header.Number)
+	if h.ParentHash != parent.Hash() {
+		return fmt.Errorf("%w: %s", ErrBadParent, h.ParentHash.Short())
 	}
-	if h.Time < parent.Header.Time {
-		return fmt.Errorf("%w: %d < parent %d", ErrBadTime, h.Time, parent.Header.Time)
+	if h.Number != parent.Number+1 {
+		return fmt.Errorf("%w: %d after %d", ErrBadNumber, h.Number, parent.Number)
 	}
-	want := NextDifficulty(&parent.Header, h.Time, c.cfg.TargetIntervalMs, c.cfg.MinDifficulty)
-	if h.Difficulty != want {
-		return fmt.Errorf("%w: got %d, want %d", ErrWrongDifficulty, h.Difficulty, want)
+	if h.Time < parent.Time {
+		return fmt.Errorf("%w: %d < parent %d", ErrBadTime, h.Time, parent.Time)
 	}
-	if !CheckPoW(h) {
-		return ErrInvalidPoW
+	if puzzle != nil {
+		if err := puzzle(cfg, parent, h); err != nil {
+			return err
+		}
 	}
 	if h.TxRoot != MerkleRoot(b.Txs) {
 		return ErrBadTxRoot
 	}
-	if h.GasLimit > c.cfg.BlockGasLimit {
-		return fmt.Errorf("%w: header limit %d > config %d", ErrBlockGasExceed, h.GasLimit, c.cfg.BlockGasLimit)
+	if h.GasLimit > cfg.BlockGasLimit {
+		return fmt.Errorf("%w: header limit %d > config %d", ErrBlockGasExceed, h.GasLimit, cfg.BlockGasLimit)
 	}
-	return nil
-}
-
-// execute replays a block's transactions on top of the given state
-// (mutated in place) and returns the receipts.
-func (c *Chain) execute(b *Block, st *State) ([]*Receipt, error) {
 	var gasUsed uint64
-	receipts := make([]*Receipt, 0, len(b.Txs))
 	for i, tx := range b.Txs {
-		if err := tx.ValidateBasic(c.cfg.Gas); err != nil {
-			return nil, fmt.Errorf("tx %d: %w", i, err)
+		if err := tx.ValidateBasic(cfg.Gas); err != nil {
+			return fmt.Errorf("tx %d: %w", i, err)
 		}
-		rec, err := ApplyTx(c.cfg.Gas, st, tx, b.Header.Miner, c.proc)
+		rec, err := ApplyTx(cfg.Gas, st, tx, h.Miner, proc)
 		if err != nil {
-			return nil, fmt.Errorf("tx %d: %w", i, err)
+			return fmt.Errorf("tx %d: %w", i, err)
 		}
 		gasUsed += rec.GasUsed
-		if gasUsed > b.Header.GasLimit {
-			return nil, fmt.Errorf("%w: used %d > limit %d", ErrBlockGasExceed, gasUsed, b.Header.GasLimit)
-		}
-		receipts = append(receipts, rec)
-	}
-	if gasUsed != b.Header.GasUsed {
-		return nil, fmt.Errorf("%w: executed %d, declared %d", ErrBadGasUsed, gasUsed, b.Header.GasUsed)
-	}
-	st.Account(b.Header.Miner).Balance += c.cfg.BlockReward
-	return receipts, nil
-}
-
-// AddBlock validates and stores a block, updating the canonical head if
-// the block's branch has greater total difficulty (ties keep the current
-// head — first seen wins, as in Ethereum). It returns whether the head
-// changed.
-func (c *Chain) AddBlock(b *Block) (reorged bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	hash := b.Hash()
-	if _, known := c.blocks[hash]; known {
-		return false, ErrKnownBlock
-	}
-	parent, ok := c.blocks[b.Header.ParentHash]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownParent, b.Header.ParentHash.Short())
-	}
-	if err := c.validateHeader(b, parent); err != nil {
-		return false, err
-	}
-
-	// Execute on the parent's state: rebuild it by replaying the branch
-	// (cheap at experiment scale, immune to fork bookkeeping bugs).
-	parentState, err := c.stateAtLocked(b.Header.ParentHash)
-	if err != nil {
-		return false, err
-	}
-	receipts, err := c.execute(b, parentState)
-	if err != nil {
-		return false, err
-	}
-
-	c.blocks[hash] = b
-	c.receipts[hash] = receipts
-	td := new(big.Int).Add(c.td[b.Header.ParentHash], new(big.Int).SetUint64(b.Header.Difficulty))
-	c.td[hash] = td
-
-	if td.Cmp(c.td[c.head]) > 0 {
-		c.head = hash
-		c.state = parentState // now the post-state of b
-		return true, nil
-	}
-	return false, nil
-}
-
-// stateAtLocked rebuilds the world state after the given block by
-// replaying from genesis. The head state is served from cache.
-func (c *Chain) stateAtLocked(h Hash) (*State, error) {
-	if h == c.head {
-		return c.state.Copy(), nil
-	}
-	st := NewState()
-	for a, v := range c.alloc {
-		st.Account(a).Balance = v
-	}
-	path := c.pathToLocked(h)
-	if path == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownParent, h.Short())
-	}
-	for _, b := range path[1:] { // skip genesis
-		if _, err := c.execute(b, st); err != nil {
-			return nil, fmt.Errorf("replay %s: %w", b.Hash().Short(), err)
+		if gasUsed > h.GasLimit {
+			return fmt.Errorf("%w: used %d > limit %d", ErrBlockGasExceed, gasUsed, h.GasLimit)
 		}
 	}
-	return st, nil
-}
-
-// StateAt returns a copy of the world state after the given block.
-func (c *Chain) StateAt(h Hash) (*State, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stateAtLocked(h)
+	if gasUsed != h.GasUsed {
+		return fmt.Errorf("%w: executed %d, declared %d", ErrBadGasUsed, gasUsed, h.GasUsed)
+	}
+	st.Account(h.Miner).Balance += cfg.BlockReward
+	return nil
 }

@@ -34,20 +34,65 @@ func testAlloc(ks []*keys.Key) map[keys.Address]uint64 {
 	return alloc
 }
 
-func newTestChain(t *testing.T) (*Chain, []*keys.Key) {
-	t.Helper()
-	ks := testKeys(3)
-	return New(testConfig(), testAlloc(ks), nil), ks
+// testChain is the tests' stand-in for one replica, built from the
+// rule's primitives only: the blocks accepted so far and the head's
+// post-state.
+type testChain struct {
+	cfg    Config
+	blocks []*Block
+	state  *State
 }
 
-// mineNext assembles and mines a block with the given txs on c's head.
-func mineNext(t *testing.T, c *Chain, miner *keys.Key, txs []*Transaction) *Block {
-	t.Helper()
-	b := c.AssembleAndMine(miner.Address(), txs, c.Head().Header.Time+1500, 0, nil)
-	if b == nil {
-		t.Fatal("mining returned nil block")
+func newChain(cfg Config, ks []*keys.Key) *testChain {
+	st := NewState()
+	for a, v := range testAlloc(ks) {
+		st.Account(a).Balance = v
 	}
-	return b
+	return &testChain{cfg: cfg, blocks: []*Block{Genesis(cfg)}, state: st}
+}
+
+func newTestChain(t *testing.T) (*testChain, []*keys.Key) {
+	t.Helper()
+	ks := testKeys(3)
+	return newChain(testConfig(), ks), ks
+}
+
+func (c *testChain) head() *Block { return c.blocks[len(c.blocks)-1] }
+
+// mine is the leader's side: select from candidates on a scratch copy
+// of the head state, fill in the header, solve the PoW puzzle. The
+// block is not added.
+func (c *testChain) mine(miner keys.Address, candidates []*Transaction, timeMs uint64) *Block {
+	parent := &c.head().Header
+	h := Header{
+		ParentHash: parent.Hash(),
+		Number:     parent.Number + 1,
+		Time:       timeMs,
+		Miner:      miner,
+		GasLimit:   c.cfg.BlockGasLimit,
+	}
+	txs, gasUsed := SelectTxs(c.cfg.Gas, c.state.Copy(), miner, NopProcessor{}, candidates, h.GasLimit)
+	h.GasUsed = gasUsed
+	h.TxRoot = MerkleRoot(txs)
+	SolvePoW(c.cfg, parent, &h)
+	return &Block{Header: h, Txs: txs}
+}
+
+// add is a replica's side: the block rule on a copy of the head state,
+// so a rejected block leaves the chain as it was.
+func (c *testChain) add(b *Block) error {
+	st := c.state.Copy()
+	if err := ApplyBlock(c.cfg, &c.head().Header, b, st, NopProcessor{}, VerifyPoW); err != nil {
+		return err
+	}
+	c.blocks, c.state = append(c.blocks, b), st
+	return nil
+}
+
+// mineNext mines a block with the given txs on c's head.
+func mineNext(t *testing.T, c *testChain, miner *keys.Key, txs []*Transaction) *Block {
+	t.Helper()
+	return c.mine(miner.Address(), txs, c.head().Header.Time+1500)
 }
 
 func signedTx(t *testing.T, k *keys.Key, nonce uint64, to keys.Address, payload []byte) *Transaction {
@@ -60,16 +105,20 @@ func signedTx(t *testing.T, k *keys.Key, nonce uint64, to keys.Address, payload 
 }
 
 func TestGenesis(t *testing.T) {
-	c, _ := newTestChain(t)
-	g := c.Genesis()
-	if g.Header.Number != 0 {
-		t.Fatal("genesis number must be 0")
+	cfg := testConfig()
+	g := Genesis(cfg)
+	if g.Header.Number != 0 || len(g.Txs) != 0 || g.Header.TxRoot != MerkleRoot(nil) {
+		t.Fatal("genesis must be block 0 with an empty body")
 	}
-	if c.Head().Hash() != g.Hash() {
-		t.Fatal("head must start at genesis")
+	if g.Header.Difficulty != cfg.GenesisDifficulty || g.Header.GasLimit != cfg.BlockGasLimit {
+		t.Fatalf("genesis header %+v does not carry the config's difficulty and gas limit", g.Header)
 	}
-	if c.Height() != 0 {
-		t.Fatal("height must start at 0")
+	if Genesis(cfg).Hash() != g.Hash() {
+		t.Fatal("genesis must be a pure function of the config")
+	}
+	cfg.GenesisDifficulty++
+	if Genesis(cfg).Hash() == g.Hash() {
+		t.Fatal("a different config must give a different genesis")
 	}
 }
 
@@ -199,10 +248,8 @@ func TestMerkleRoot(t *testing.T) {
 }
 
 func TestPoWMineAndCheck(t *testing.T) {
-	h := Header{Difficulty: 16}
-	if !Mine(&h, 0, nil) {
-		t.Fatal("mining failed")
-	}
+	h := Header{Difficulty: 16, Nonce: 99}
+	Mine(&h)
 	if !CheckPoW(&h) {
 		t.Fatal("mined header fails CheckPoW")
 	}
@@ -210,15 +257,6 @@ func TestPoWMineAndCheck(t *testing.T) {
 	// Overwhelmingly likely to fail at difficulty 16 after nonce bump.
 	if CheckPoW(&h) {
 		t.Skip("lucky nonce collision; negligible probability")
-	}
-}
-
-func TestMineRespectsQuit(t *testing.T) {
-	quit := make(chan struct{})
-	close(quit)
-	h := Header{Difficulty: 1 << 62} // effectively unminable
-	if Mine(&h, 0, quit) {
-		t.Fatal("mining must abort when quit is closed")
 	}
 }
 
@@ -247,66 +285,128 @@ func TestAddBlockExtendsChain(t *testing.T) {
 	c, ks := newTestChain(t)
 	tx := signedTx(t, ks[0], 0, ks[1].Address(), []byte("hello"))
 	b := mineNext(t, c, ks[2], []*Transaction{tx})
-	reorged, err := c.AddBlock(b)
-	if err != nil {
+	if err := c.add(b); err != nil {
 		t.Fatal(err)
 	}
-	if !reorged {
-		t.Fatal("first block must advance head")
-	}
-	if c.Height() != 1 || c.Head().Hash() != b.Hash() {
-		t.Fatal("head not updated")
-	}
-	recs := c.Receipts(b.Hash())
-	if len(recs) != 1 || recs[0].Err != "" {
-		t.Fatalf("receipts = %+v", recs)
+	if len(b.Txs) != 1 || b.Header.GasUsed != c.cfg.Gas.Intrinsic(tx.Payload) {
+		t.Fatalf("block carries %d txs, %d gas", len(b.Txs), b.Header.GasUsed)
 	}
 	// Nonce advanced; miner paid fees + reward.
-	st := c.StateCopy()
-	if st.Account(ks[0].Address()).Nonce != 1 {
+	if c.state.Account(ks[0].Address()).Nonce != 1 {
 		t.Fatal("sender nonce not advanced")
 	}
-	minerBal := st.Account(ks[2].Address()).Balance
-	if minerBal <= 1<<62 {
-		t.Fatal("miner not rewarded")
+	if got, want := c.state.Account(ks[2].Address()).Balance, 1<<62+b.Header.GasUsed+c.cfg.BlockReward; got != want {
+		t.Fatalf("miner balance %d, want funding + fees + reward = %d", got, want)
+	}
+	// The next block links to it and is accepted in turn.
+	if err := c.add(mineNext(t, c, ks[2], nil)); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestAddBlockRejectsTampering is the block rule's tamper table: one
+// row per check, each rejected with its named error, the chain and its
+// state untouched.
 func TestAddBlockRejectsTampering(t *testing.T) {
-	c, ks := newTestChain(t)
-	tx := signedTx(t, ks[0], 0, ks[1].Address(), []byte("hello"))
-	good := mineNext(t, c, ks[2], []*Transaction{tx})
+	cfg := testConfig()
+	cfg.BlockGasLimit = 100_000
+	ks := testKeys(3)
+	c := newChain(cfg, ks)
+	if err := c.add(mineNext(t, c, ks[2], nil)); err != nil { // a parent with a nonzero time
+		t.Fatal(err)
+	}
+	// Two plain transfers at their intrinsic gas: 21000 each.
+	tx1, _ := NewTx(ks[0], 0, ks[1].Address(), 1, nil, cfg.Gas, 0, 1)
+	tx2, _ := NewTx(ks[1], 0, ks[0].Address(), 1, nil, cfg.Gas, 0, 1)
+	good := mineNext(t, c, ks[2], []*Transaction{tx1, tx2})
+	if len(good.Txs) != 2 {
+		t.Fatalf("good block carries %d txs", len(good.Txs))
+	}
+	// Rows that change a sealed field re-mine the header, so they reach
+	// the check they are about instead of stopping at the PoW check.
+	remine := func(b *Block) { Mine(&b.Header) }
 
-	cases := map[string]func(b *Block){
-		"wrong number": func(b *Block) { b.Header.Number = 5 },
-		"bad pow": func(b *Block) {
+	cases := []struct {
+		name    string
+		corrupt func(b *Block)
+		want    error
+	}{
+		{"wrong parent", func(b *Block) { b.Header.ParentHash = Hash{9}; remine(b) }, ErrBadParent},
+		{"wrong number", func(b *Block) { b.Header.Number = 5; remine(b) }, ErrBadNumber},
+		{"time before parent", func(b *Block) { b.Header.Time = c.head().Header.Time - 1; remine(b) }, ErrBadTime},
+		{"wrong difficulty", func(b *Block) { b.Header.Difficulty++; remine(b) }, ErrWrongDifficulty},
+		{"wrong nonce", func(b *Block) {
 			// Difficulty is tiny in tests, so a random nonce often still
 			// seals; search for one that genuinely fails PoW.
-			for b.Header.Nonce = good.Header.Nonce + 1; CheckPoW(&b.Header); b.Header.Nonce++ {
+			for b.Header.Nonce++; CheckPoW(&b.Header); b.Header.Nonce++ {
 			}
-		},
-		"bad tx root":  func(b *Block) { b.Header.TxRoot = Hash{1} },
-		"bad gas used": func(b *Block) { b.Header.GasUsed += 7 },
-		"bad time":     func(b *Block) { b.Header.Time = 0; b.Header.Difficulty = 0 },
-		"wrong parent": func(b *Block) { b.Header.ParentHash = Hash{9} },
-		"wrong retarget": func(b *Block) {
-			b.Header.Difficulty = good.Header.Difficulty + 1
-		},
+		}, ErrInvalidPoW},
+		{"wrong tx root", func(b *Block) { b.Header.TxRoot = Hash{1}; remine(b) }, ErrBadTxRoot},
+		{"dropped tx", func(b *Block) { b.Txs = b.Txs[:1] }, ErrBadTxRoot},
+		{"header gas limit above config", func(b *Block) { b.Header.GasLimit = cfg.BlockGasLimit + 1; remine(b) }, ErrBlockGasExceed},
+		{"wrong gas used", func(b *Block) { b.Header.GasUsed += 7; remine(b) }, ErrBadGasUsed},
+		{"forged tx signature", func(b *Block) {
+			forged := *b.Txs[1]
+			forged.Value++ // tamper after signing
+			b.Txs[1] = &forged
+			b.Header.TxRoot = MerkleRoot(b.Txs)
+			remine(b)
+		}, ErrBadSig},
+		{"tx set overflows the header gas limit", func(b *Block) { b.Header.GasLimit = 30_000; remine(b) }, ErrBlockGasExceed},
+		{"tx replayed out of nonce order", func(b *Block) {
+			b.Txs = []*Transaction{b.Txs[0], b.Txs[0]}
+			b.Header.TxRoot = MerkleRoot(b.Txs)
+			remine(b)
+		}, ErrBadNonce},
 	}
-	for name, corrupt := range cases {
+	before := c.state.Account(ks[0].Address()).Balance
+	for _, tc := range cases {
 		cp := *good
 		cp.Txs = append([]*Transaction(nil), good.Txs...)
-		corrupt(&cp)
-		if _, err := c.AddBlock(&cp); err == nil {
-			t.Errorf("%s: accepted", name)
+		tc.corrupt(&cp)
+		if err := c.add(&cp); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
+	if len(c.blocks) != 2 || c.state.Account(ks[0].Address()).Balance != before {
+		t.Fatal("a rejected block changed the chain")
+	}
 	// The untampered block still lands.
-	if _, err := c.AddBlock(good); err != nil {
+	if err := c.add(good); err != nil {
 		t.Fatalf("good block rejected: %v", err)
 	}
-	if _, err := c.AddBlock(good); !errors.Is(err, ErrKnownBlock) {
-		t.Fatal("duplicate must be rejected")
+	// Without a puzzle (authority sealing) the header's difficulty and
+	// nonce are nobody's business; everything else still is.
+	next := mineNext(t, c, ks[2], nil)
+	next.Header.Difficulty, next.Header.Nonce = 0, 0
+	if err := ApplyBlock(cfg, &c.head().Header, next, c.state.Copy(), NopProcessor{}, nil); err != nil {
+		t.Fatalf("puzzle-free block rejected: %v", err)
+	}
+	next.Header.GasUsed = 1
+	if err := ApplyBlock(cfg, &c.head().Header, next, c.state.Copy(), NopProcessor{}, nil); !errors.Is(err, ErrBadGasUsed) {
+		t.Fatalf("puzzle-free block with wrong gas used: err = %v", err)
+	}
+}
+
+// TestAddBlockDuplicateAndOrphans: with one head and no side branches
+// a block seen twice, a sibling of the head, and a block on an unknown
+// parent are all the same fault — they do not link to the head.
+func TestAddBlockDuplicateAndOrphans(t *testing.T) {
+	c, ks := newTestChain(t)
+	a1 := mineNext(t, c, ks[0], nil)
+	sibling := mineNext(t, c, ks[1], nil)
+	if err := c.add(a1); err != nil {
+		t.Fatal(err)
+	}
+	orphan := *a1
+	orphan.Header.ParentHash = Hash{0x42}
+	for name, b := range map[string]*Block{"duplicate": a1, "sibling": sibling, "orphan": &orphan} {
+		if err := c.add(b); !errors.Is(err, ErrBadParent) {
+			t.Fatalf("%s block error = %v, want ErrBadParent", name, err)
+		}
+	}
+	if c.head().Hash() != a1.Hash() {
+		t.Fatal("rejected blocks disturbed the head")
 	}
 }
 
@@ -314,91 +414,13 @@ func TestAddBlockRejectsForgedTx(t *testing.T) {
 	c, ks := newTestChain(t)
 	tx := signedTx(t, ks[0], 0, ks[1].Address(), []byte("hi"))
 	tx.Payload = []byte("ha") // tamper after signing
-	b := c.AssembleAndMine(ks[2].Address(), nil, c.Head().Header.Time+1500, 0, nil)
+	b := mineNext(t, c, ks[2], nil)
 	b.Txs = []*Transaction{tx}
 	b.Header.TxRoot = MerkleRoot(b.Txs)
 	b.Header.GasUsed = DefaultGasSchedule().Intrinsic(tx.Payload)
-	if !Mine(&b.Header, 0, nil) {
-		t.Fatal("re-mine failed")
-	}
-	if _, err := c.AddBlock(b); err == nil {
-		t.Fatal("block with forged tx accepted")
-	}
-}
-
-func TestForkChoiceTotalDifficulty(t *testing.T) {
-	c, ks := newTestChain(t)
-	// Branch A: one block on genesis.
-	a1 := mineNext(t, c, ks[0], nil)
-	if _, err := c.AddBlock(a1); err != nil {
-		t.Fatal(err)
-	}
-	// Branch B: two blocks on genesis, built on a second chain instance
-	// sharing the same genesis (same config + alloc).
-	c2 := New(testConfig(), testAlloc(ks), nil)
-	b1 := mineNext(t, c2, ks[1], nil)
-	if _, err := c2.AddBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	b2 := mineNext(t, c2, ks[1], nil)
-	if _, err := c2.AddBlock(b2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Feed branch B into c: b1 is a side branch first, then b2 reorgs.
-	if _, err := c.AddBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	if c.Head().Hash() == b1.Hash() {
-		t.Fatal("equal-height side branch must not displace head (unless heavier)")
-	}
-	reorged, err := c.AddBlock(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reorged || c.Head().Hash() != b2.Hash() {
-		t.Fatal("heavier branch must win")
-	}
-	if c.Height() != 2 {
-		t.Fatalf("height = %d", c.Height())
-	}
-	// Canonical chain is genesis -> b1 -> b2.
-	canon := c.CanonicalChain()
-	if len(canon) != 3 || canon[1].Hash() != b1.Hash() || canon[2].Hash() != b2.Hash() {
-		t.Fatal("canonical chain wrong after reorg")
-	}
-}
-
-func TestReorgReplaysState(t *testing.T) {
-	c, ks := newTestChain(t)
-	// Head branch: tx from ks[0].
-	tx := signedTx(t, ks[0], 0, ks[1].Address(), []byte("x"))
-	a1 := mineNext(t, c, ks[0], []*Transaction{tx})
-	if _, err := c.AddBlock(a1); err != nil {
-		t.Fatal(err)
-	}
-	if c.StateCopy().Account(ks[0].Address()).Nonce != 1 {
-		t.Fatal("tx not applied")
-	}
-	// Competing branch without the tx, two blocks long.
-	c2 := New(testConfig(), testAlloc(ks), nil)
-	b1 := mineNext(t, c2, ks[1], nil)
-	if _, err := c2.AddBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	b2 := mineNext(t, c2, ks[1], nil)
-	if _, err := c2.AddBlock(b2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddBlock(b2); err != nil {
-		t.Fatal(err)
-	}
-	// After the reorg the tx is no longer applied.
-	if got := c.StateCopy().Account(ks[0].Address()).Nonce; got != 0 {
-		t.Fatalf("reorged state kept old branch's nonce %d", got)
+	Mine(&b.Header)
+	if err := c.add(b); !errors.Is(err, ErrBadSig) {
+		t.Fatalf("block with forged tx: err = %v, want ErrBadSig", err)
 	}
 }
 
@@ -552,76 +574,32 @@ func TestAssembleAndMineSkipsInvalidTxs(t *testing.T) {
 	if len(b.Txs) != 1 || b.Txs[0].Hash() != good.Hash() {
 		t.Fatalf("block includes %d txs", len(b.Txs))
 	}
-	if _, err := c.AddBlock(b); err != nil {
+	if err := c.add(b); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBlockGasLimitEnforcedAtAssembly(t *testing.T) {
 	cfg := testConfig()
-	cfg.BlockGasLimit = 50_000 // fits one simple tx, not two
+	cfg.BlockGasLimit = 50_000 // fits two intrinsic-only txs, not three
 	ks := testKeys(3)
-	c := New(cfg, testAlloc(ks), nil)
-	tx1 := signedTx(t, ks[0], 0, ks[1].Address(), nil)
-	tx2 := signedTx(t, ks[1], 0, ks[0].Address(), nil)
-	// signedTx uses a 1M exec budget: shrink limits to intrinsic only.
-	tx1, _ = NewTx(ks[0], 0, ks[1].Address(), 0, nil, cfg.Gas, 0, 1)
-	tx2, _ = NewTx(ks[1], 0, ks[0].Address(), 0, nil, cfg.Gas, 0, 1)
-	b := c.AssembleAndMine(ks[2].Address(), []*Transaction{tx1, tx2}, 2000, 0, nil)
+	c := newChain(cfg, ks)
+	// signedTx uses a 1M exec budget: keep limits to intrinsic only.
+	tx1, _ := NewTx(ks[0], 0, ks[1].Address(), 0, nil, cfg.Gas, 0, 1)
+	tx2, _ := NewTx(ks[1], 0, ks[0].Address(), 0, nil, cfg.Gas, 0, 1)
+	b := c.mine(ks[2].Address(), []*Transaction{tx1, tx2}, 2000)
 	if len(b.Txs) != 2 {
 		// 2*21000 = 42000 <= 50000, so both fit.
 		t.Fatalf("expected both txs to fit, got %d", len(b.Txs))
 	}
 	cfg.BlockGasLimit = 30_000
-	c2 := New(cfg, testAlloc(ks), nil)
-	b2 := c2.AssembleAndMine(ks[2].Address(), []*Transaction{tx1, tx2}, 2000, 0, nil)
+	c2 := newChain(cfg, ks)
+	b2 := c2.mine(ks[2].Address(), []*Transaction{tx1, tx2}, 2000)
 	if len(b2.Txs) != 1 {
 		t.Fatalf("expected one tx at 30k gas, got %d", len(b2.Txs))
 	}
-	if _, err := c2.AddBlock(b2); err != nil {
+	if err := c2.add(b2); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStateAtHistoricalBlock(t *testing.T) {
-	c, ks := newTestChain(t)
-	b1 := mineNext(t, c, ks[0], []*Transaction{signedTx(t, ks[0], 0, ks[1].Address(), nil)})
-	if _, err := c.AddBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	b2 := mineNext(t, c, ks[0], []*Transaction{signedTx(t, ks[0], 1, ks[1].Address(), nil)})
-	if _, err := c.AddBlock(b2); err != nil {
-		t.Fatal(err)
-	}
-	st1, err := c.StateAt(b1.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Account(ks[0].Address()).Nonce != 1 {
-		t.Fatal("historical state wrong")
-	}
-	st2, err := c.StateAt(b2.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Account(ks[0].Address()).Nonce != 2 {
-		t.Fatal("head state wrong")
-	}
-}
-
-func TestTotalDifficultyMonotonic(t *testing.T) {
-	c, ks := newTestChain(t)
-	prev := c.TotalDifficulty()
-	for i := 0; i < 5; i++ {
-		b := mineNext(t, c, ks[0], nil)
-		if _, err := c.AddBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		td := c.TotalDifficulty()
-		if td.Cmp(prev) <= 0 {
-			t.Fatal("total difficulty must increase")
-		}
-		prev = td
 	}
 }
 

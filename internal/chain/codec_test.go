@@ -14,11 +14,11 @@ func TestWriteReadChainRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tx := signedTx(t, ks[0], uint64(i), ks[1].Address(), []byte{byte(i)})
 		b := mineNext(t, c, ks[2], []*Transaction{tx})
-		if _, err := c.AddBlock(b); err != nil {
+		if err := c.add(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocks := c.CanonicalChain()
+	blocks := c.blocks
 
 	var buf bytes.Buffer
 	if err := WriteChain(&buf, blocks); err != nil {
@@ -43,13 +43,16 @@ func TestWriteReadChainRoundTrip(t *testing.T) {
 	}
 
 	// A decoded chain replays on a fresh instance.
-	c2 := New(testConfig(), testAlloc(ks), nil)
-	for _, b := range got[1:] { // skip genesis
-		if _, err := c2.AddBlock(b); err != nil {
+	c2 := newChain(testConfig(), ks)
+	if got[0].Hash() != c2.head().Hash() {
+		t.Fatal("decoded genesis differs")
+	}
+	for _, b := range got[1:] {
+		if err := c2.add(b); err != nil {
 			t.Fatalf("replaying decoded chain: %v", err)
 		}
 	}
-	if c2.Head().Hash() != c.Head().Hash() {
+	if c2.head().Hash() != c.head().Hash() {
 		t.Fatal("replayed head differs")
 	}
 }
@@ -74,13 +77,13 @@ func TestChainCodecModelPayloadRoundTrip(t *testing.T) {
 		{math.SmallestNonzeroFloat32, -math.MaxFloat32, 1.5, -2.25},
 	}
 	for i, w := range vectors {
-		tx := signedTx(t, ks[0], uint64(i), ks[1].Address(), nn.EncodeWeights(w))
+		tx := signedTx(t, ks[0], uint64(i), ks[1].Address(), nn.AppendWeights(nil, w))
 		b := mineNext(t, c, ks[2], []*Transaction{tx})
-		if _, err := c.AddBlock(b); err != nil {
+		if err := c.add(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocks := c.CanonicalChain()
+	blocks := c.blocks
 
 	var buf bytes.Buffer
 	if err := WriteChain(&buf, blocks); err != nil {
@@ -93,7 +96,7 @@ func TestChainCodecModelPayloadRoundTrip(t *testing.T) {
 	}
 	for bi, w := range vectors {
 		payload := got[bi+1].Txs[0].Payload // block 0 is genesis
-		if !bytes.Equal(payload, nn.EncodeWeights(w)) {
+		if !bytes.Equal(payload, nn.AppendWeights(nil, w)) {
 			t.Fatalf("block %d: payload bytes changed in round trip", bi+1)
 		}
 		dec, err := nn.DecodeWeights(payload)
@@ -128,11 +131,11 @@ func TestReadChainCorruptStreams(t *testing.T) {
 	c, ks := newTestChain(t)
 	tx := signedTx(t, ks[0], 0, ks[1].Address(), []byte{1, 2, 3})
 	b := mineNext(t, c, ks[2], []*Transaction{tx})
-	if _, err := c.AddBlock(b); err != nil {
+	if err := c.add(b); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteChain(&buf, c.CanonicalChain()); err != nil {
+	if err := WriteChain(&buf, c.blocks); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

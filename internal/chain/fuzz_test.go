@@ -18,20 +18,16 @@ import (
 func corpusChainBytes(tb testing.TB) []byte {
 	tb.Helper()
 	ks := testKeys(2)
-	c := New(testConfig(), testAlloc(ks), nil)
+	c := newChain(testConfig(), ks)
 	tx, err := NewTx(ks[0], 0, ks[1].Address(), 5, []byte{1, 0, 2, 0xff}, DefaultGasSchedule(), 1_000_000, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b := c.AssembleAndMine(ks[0].Address(), []*Transaction{tx}, c.Head().Header.Time+1500, 0, nil)
-	if b == nil {
-		tb.Fatal("seed corpus: mining returned nil")
-	}
-	if _, err := c.AddBlock(b); err != nil {
+	if err := c.add(c.mine(ks[0].Address(), []*Transaction{tx}, 1500)); err != nil {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteChain(&buf, c.CanonicalChain()); err != nil {
+	if err := WriteChain(&buf, c.blocks); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

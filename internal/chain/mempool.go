@@ -95,46 +95,13 @@ func (m *Mempool) Pending() []*Transaction {
 	return out
 }
 
-// AssembleAndMine builds a block on the current head from the given
-// candidate transactions (normally Mempool.Pending), executes them to
-// determine gas usage, and performs proof-of-work. Transactions that
-// fail stateful validation (bad nonce, insufficient funds) are skipped,
-// not fatal. It returns nil if quit closes before a seal is found or no
-// head is available.
-//
-// The caller owns the race with the network: if another block lands on
-// the head while mining, the sealed block may no longer extend the
-// canonical chain and AddBlock will treat it as a side branch.
-func (c *Chain) AssembleAndMine(miner keys.Address, candidates []*Transaction, timeMs uint64, startNonce uint64, quit <-chan struct{}) *Block {
-	head := c.Head()
-	if timeMs < head.Header.Time {
-		timeMs = head.Header.Time
-	}
-	st := c.StateCopy()
-	header := Header{
-		ParentHash: head.Hash(),
-		Number:     head.Header.Number + 1,
-		Time:       timeMs,
-		Miner:      miner,
-		Difficulty: NextDifficulty(&head.Header, timeMs, c.cfg.TargetIntervalMs, c.cfg.MinDifficulty),
-		GasLimit:   c.cfg.BlockGasLimit,
-	}
-	included, gasUsed := SelectTxs(c.cfg.Gas, st, miner, c.proc, candidates, header.GasLimit)
-	header.GasUsed = gasUsed
-	header.TxRoot = MerkleRoot(included)
-	if !Mine(&header, startNonce, quit) {
-		return nil
-	}
-	return &Block{Header: header, Txs: included}
-}
-
-// SelectTxs is the block-building selection rule shared by every
-// sealing substrate (PoW assembly above, authority sealing in
-// internal/ledger): execute candidates in order against st (mutated in
-// place), skipping stateless-invalid transactions, transactions whose
-// worst-case gas would not fit under gasLimit, and stateful rejections
-// (bad nonce, insufficient funds — left for a later block). It returns
-// the included transactions and their total gas.
+// SelectTxs is the block-building selection rule of every sealing
+// substrate (the sealing core in internal/ledger): execute candidates
+// in order against st (mutated in place), skipping stateless-invalid
+// transactions, transactions whose worst-case gas would not fit under
+// gasLimit, and stateful rejections (bad nonce, insufficient funds —
+// left for a later block). It returns the included transactions and
+// their total gas.
 func SelectTxs(gs GasSchedule, st *State, miner keys.Address, proc Processor, candidates []*Transaction, gasLimit uint64) ([]*Transaction, uint64) {
 	var (
 		included []*Transaction

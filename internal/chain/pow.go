@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"math/big"
 )
 
@@ -22,28 +23,38 @@ func CheckPoW(h *Header) bool {
 	return new(big.Int).SetBytes(hash[:]).Cmp(powTarget(h.Difficulty)) < 0
 }
 
-// Mine searches nonces starting at startNonce until the header satisfies
-// its difficulty or quit is closed. It returns true on success with the
-// header's Nonce set; the header is left at the last tried nonce on
-// abort. The quit channel is polled every 64 attempts, so cancellation
-// latency is bounded.
-func Mine(h *Header, startNonce uint64, quit <-chan struct{}) bool {
+// Mine searches nonces from zero until the header satisfies its
+// difficulty, and leaves the solution in the header's Nonce.
+func Mine(h *Header) {
 	target := powTarget(h.Difficulty)
-	h.Nonce = startNonce
-	for i := 0; ; i++ {
-		if i%64 == 0 && quit != nil {
-			select {
-			case <-quit:
-				return false
-			default:
-			}
-		}
+	for h.Nonce = 0; ; h.Nonce++ {
 		hash := h.Hash()
 		if new(big.Int).SetBytes(hash[:]).Cmp(target) < 0 {
-			return true
+			return
 		}
-		h.Nonce++
 	}
+}
+
+// SolvePoW is the leader's half of the proof-of-work puzzle: stamp the
+// difficulty the retarget rule requires of parent's child on the
+// otherwise finished header h, then mine it.
+func SolvePoW(cfg Config, parent, h *Header) {
+	h.Difficulty = NextDifficulty(parent, h.Time, cfg.TargetIntervalMs, cfg.MinDifficulty)
+	Mine(h)
+}
+
+// VerifyPoW is every replica's half, the puzzle ApplyBlock runs on a
+// proof-of-work chain: h carries exactly the difficulty the retarget
+// rule requires, and its hash meets it.
+func VerifyPoW(cfg Config, parent, h *Header) error {
+	want := NextDifficulty(parent, h.Time, cfg.TargetIntervalMs, cfg.MinDifficulty)
+	if h.Difficulty != want {
+		return fmt.Errorf("%w: got %d, want %d", ErrWrongDifficulty, h.Difficulty, want)
+	}
+	if !CheckPoW(h) {
+		return ErrInvalidPoW
+	}
+	return nil
 }
 
 // NextDifficulty computes a child block's required difficulty from its

@@ -16,13 +16,13 @@ type Account struct {
 
 // State is the world state: account balances/nonces plus per-contract
 // key-value storage. It is a plain value store — copying it snapshots
-// the world, which the chain uses for fork handling and per-transaction
-// revert semantics.
+// the world, which block building (a scratch copy to select on) and
+// per-transaction revert semantics rely on.
 //
 // Storage values are interned: once a []byte is stored it is treated as
 // immutable, and Copy aliases it instead of duplicating the bytes. That
-// is what keeps per-transaction revert snapshots and per-peer StateCopy
-// views O(keys) instead of O(bytes) — N peer replicas of a committed
+// is what keeps per-transaction revert snapshots and per-peer StateView
+// copies O(keys) instead of O(bytes) — N peer replicas of a committed
 // model record share one buffer. The aliasing contract has two rules:
 // callers of Set hand over the slice and never mutate it afterwards,
 // and callers of Get treat the result as read-only (decode, don't
@@ -139,8 +139,7 @@ var (
 	ErrInsufficient    = errors.New("chain: insufficient balance for gas + value")
 	ErrGasLimitExceed  = errors.New("chain: tx exceeds its gas limit")
 	ErrBlockGasExceed  = errors.New("chain: block gas limit exceeded")
-	ErrUnknownParent   = errors.New("chain: unknown parent block")
-	ErrKnownBlock      = errors.New("chain: block already known")
+	ErrBadParent       = errors.New("chain: block does not link to its parent")
 	ErrInvalidPoW      = errors.New("chain: proof of work invalid")
 	ErrWrongDifficulty = errors.New("chain: difficulty does not match retarget rule")
 	ErrBadTxRoot       = errors.New("chain: tx merkle root mismatch")

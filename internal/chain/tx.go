@@ -1,19 +1,21 @@
-// Package chain implements the permissionless proof-of-work blockchain
-// the decentralized experiments run on: ECDSA-signed transactions,
-// blocks with Merkle transaction roots, PoW mining with difficulty
-// retargeting, account state with gas accounting, a mempool, and a chain
-// store with total-difficulty fork choice.
+// Package chain is the data and the rules of the blockchain the
+// decentralized experiments run on: ECDSA-signed transactions, blocks
+// with Merkle transaction roots, account state with gas accounting, a
+// mempool, the block rule that says what a valid block is (ApplyBlock),
+// the proof-of-work puzzle with difficulty retargeting, and the chain
+// file codec. It stores no blocks: the one block store is the sealing
+// core in internal/ledger, which runs these rules on every replica.
 //
 // It stands in for the paper's private Ethereum (Geth) deployment; see
 // DESIGN.md for the substitution argument. The consensus rules are a
-// simplified but faithful PoW subset: hash-below-target block sealing,
-// heaviest-chain selection, per-byte calldata gas (the paper's ref [12]
-// "gas conversion" making transaction cost track model size), and
-// intrinsic transaction gas.
+// simplified but faithful subset: hash-below-target block sealing,
+// per-byte calldata gas (the paper's ref [12] "gas conversion" making
+// transaction cost track model size), and intrinsic transaction gas.
+// There is no fork choice: the deterministic runner has one leader per
+// commit, so no two blocks ever compete for a parent.
 package chain
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -57,7 +59,8 @@ type Transaction struct {
 	// Payload is the contract call data (for model submissions, the
 	// encoded weight blob — the dominant cost, as in the paper).
 	Payload []byte
-	// Sig is the ECDSA signature over SigningBytes.
+	// Sig is the ECDSA signature over the signing encoding
+	// (writeSigning): everything but the signature itself.
 	Sig keys.Signature
 
 	// memo caches the transaction's signing digest and hash (a *txMemo,
@@ -119,17 +122,8 @@ func (tx *Transaction) Decoded(decode func(payload []byte) any) any {
 	return m.decoded.Load()
 }
 
-// SigningBytes returns the deterministic encoding of everything except
-// the signature — the message that is signed.
-func (tx *Transaction) SigningBytes() []byte {
-	var buf bytes.Buffer
-	buf.Grow(tx.signingSize())
-	tx.writeSigning(&buf)
-	return buf.Bytes()
-}
-
-// writeSigning streams the signing encoding into w (a bytes.Buffer or a
-// hash.Hash — neither returns write errors). Hot paths hash transactions
+// writeSigning streams the signing encoding into w (a hash.Hash, which
+// returns no write errors). Hot paths hash transactions
 // every round, so the encoding never materializes as a slice there.
 func (tx *Transaction) writeSigning(w io.Writer) {
 	w.Write(tx.From[:])

@@ -1,27 +1,33 @@
 package chain
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"testing"
 
 	"waitornot/internal/keys"
 )
 
-// TestSigningBytesMatchesMemoizedDigest pins the two digest paths to
-// each other: the streamed digest the memo caches must equal hashing
-// the materialized SigningBytes, so signing, verification, and any
-// external consumer of SigningBytes all agree on the message.
+// TestSigningBytesMatchesMemoizedDigest pins the streamed digest to the
+// bytes it streams: the digest the memo caches must equal hashing the
+// materialized signing encoding, whose length signingSize predicts, and
+// the signature must verify against it.
 func TestSigningBytesMatchesMemoizedDigest(t *testing.T) {
 	ks := testKeys(2)
 	tx, err := NewTx(ks[0], 3, ks[1].Address(), 7, []byte("payload"), DefaultGasSchedule(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sha256.Sum256(tx.SigningBytes()), tx.memoized().digest; got != want {
-		t.Fatal("SigningBytes digest diverges from the memoized streaming digest")
+	var signing bytes.Buffer
+	tx.writeSigning(&signing)
+	if signing.Len() != tx.signingSize() {
+		t.Fatalf("signing encoding is %d bytes, signingSize says %d", signing.Len(), tx.signingSize())
 	}
-	if err := keys.VerifyDigest(tx.PubKey, sha256.Sum256(tx.SigningBytes()), tx.Sig); err != nil {
-		t.Fatalf("signature does not verify against SigningBytes: %v", err)
+	if got, want := sha256.Sum256(signing.Bytes()), tx.memoized().digest; got != want {
+		t.Fatal("signing-bytes digest diverges from the memoized streaming digest")
+	}
+	if err := keys.VerifyDigest(tx.PubKey, sha256.Sum256(signing.Bytes()), tx.Sig); err != nil {
+		t.Fatalf("signature does not verify against the signing bytes: %v", err)
 	}
 }
 

@@ -213,7 +213,7 @@ func (a *Aggregation) Call(ctx *Ctx, call *Call) error {
 }
 
 // SubmitCallData builds the payload for submit(...). weights is the
-// encoded weight blob (nn.EncodeWeights output).
+// encoded weight blob (nn.AppendWeights output).
 func SubmitCallData(round, modelID, numSamples uint64, weights []byte) []byte {
 	return EncodeCall("submit", U64(round), U64(modelID), U64(numSamples), weights)
 }

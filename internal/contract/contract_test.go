@@ -286,8 +286,9 @@ func TestVMChargesGasForStorageAndLogs(t *testing.T) {
 	}
 }
 
-// TestEndToEndOnChain drives the contracts through the real chain: sign,
-// mine, execute, read back from the post-state.
+// TestEndToEndOnChain drives the contracts through the chain's rules:
+// sign, select, mine, validate and execute under the block rule, read
+// back from the post-state.
 func TestEndToEndOnChain(t *testing.T) {
 	gs := chain.DefaultGasSchedule()
 	vm := NewVM(gs)
@@ -296,7 +297,8 @@ func TestEndToEndOnChain(t *testing.T) {
 	cfg.MinDifficulty = 1
 	ka := keys.GenerateDeterministic(21)
 	km := keys.GenerateDeterministic(22)
-	c := chain.New(cfg, map[keys.Address]uint64{ka.Address(): 1 << 62}, vm)
+	st := chain.NewState()
+	st.Account(ka.Address()).Balance = 1 << 62
 
 	tx1, err := chain.NewTx(ka, 0, RegistryAddress, 0, RegisterCallData("A"), gs, 1_000_000, 1)
 	if err != nil {
@@ -306,14 +308,20 @@ func TestEndToEndOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := c.AssembleAndMine(km.Address(), []*chain.Transaction{tx1, tx2}, 1500, 0, nil)
-	if b == nil || len(b.Txs) != 2 {
-		t.Fatalf("assembled block wrong: %+v", b)
+	// The leader's side: select on a scratch state, seal, mine.
+	parent := &chain.Genesis(cfg).Header
+	h := chain.Header{ParentHash: parent.Hash(), Number: 1, Time: 1500, Miner: km.Address(), GasLimit: cfg.BlockGasLimit}
+	txs, gasUsed := chain.SelectTxs(gs, st.Copy(), h.Miner, vm, []*chain.Transaction{tx1, tx2}, h.GasLimit)
+	if len(txs) != 2 {
+		t.Fatalf("selected %d txs, want 2", len(txs))
 	}
-	if _, err := c.AddBlock(b); err != nil {
+	h.GasUsed, h.TxRoot = gasUsed, chain.MerkleRoot(txs)
+	chain.SolvePoW(cfg, parent, &h)
+	b := &chain.Block{Header: h, Txs: txs}
+	// A replica's side: the block rule.
+	if err := chain.ApplyBlock(cfg, parent, b, st, vm, chain.VerifyPoW); err != nil {
 		t.Fatal(err)
 	}
-	st := c.StateCopy()
 	if NameOf(st, ka.Address()) != "A" {
 		t.Fatal("registration not visible on chain")
 	}
@@ -322,8 +330,7 @@ func TestEndToEndOnChain(t *testing.T) {
 		t.Fatalf("submission not recorded: %+v", subs)
 	}
 	// The weights can be recovered from the carrying transaction.
-	carried := c.GetBlock(b.Hash()).Txs[1]
-	method, args, err := DecodeCall(carried.Payload)
+	method, args, err := DecodeCall(b.Txs[1].Payload)
 	if err != nil || method != "submit" {
 		t.Fatal("cannot decode carried payload")
 	}

@@ -124,31 +124,6 @@ func (s *Set) Subset(idx []int) *Set {
 	return out
 }
 
-// Split cuts the set at row n into two independent halves.
-func (s *Set) Split(n int) (*Set, *Set) {
-	if n < 0 || n > s.Len() {
-		panic(fmt.Sprintf("dataset: split point %d out of [0,%d]", n, s.Len()))
-	}
-	head := make([]int, n)
-	tail := make([]int, s.Len()-n)
-	for i := range head {
-		head[i] = i
-	}
-	for i := range tail {
-		tail[i] = n + i
-	}
-	return s.Subset(head), s.Subset(tail)
-}
-
-// ClassCounts returns a histogram of labels.
-func (s *Set) ClassCounts() []int {
-	counts := make([]int, s.Classes)
-	for _, y := range s.Y {
-		counts[y]++
-	}
-	return counts
-}
-
 // texture returns the PatchSize x PatchSize oriented sinusoidal texture
 // for a class. Textures are deterministic pure functions of
 // (class, family, size).

@@ -64,11 +64,20 @@ func TestGenerateShapeAndLabels(t *testing.T) {
 	}
 }
 
+// classCounts is a histogram of s's labels.
+func classCounts(s *Set) []int {
+	counts := make([]int, s.Classes)
+	for _, y := range s.Y {
+		counts[y]++
+	}
+	return counts
+}
+
 func TestGenerateBalancedClasses(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LabelNoise = 0
 	s := Generate(cfg, 1000, xrand.New(2))
-	counts := s.ClassCounts()
+	counts := classCounts(s)
 	for c, n := range counts {
 		if n != 100 {
 			t.Errorf("class %d has %d samples, want 100", c, n)
@@ -118,24 +127,6 @@ func TestSubsetIsDeepCopy(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	s := Generate(DefaultConfig(), 10, xrand.New(4))
-	head, tail := s.Split(3)
-	if head.Len() != 3 || tail.Len() != 7 {
-		t.Fatalf("split sizes %d/%d", head.Len(), tail.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if head.Y[i] != s.Y[i] {
-			t.Fatal("head rows wrong")
-		}
-	}
-	for i := 0; i < 7; i++ {
-		if tail.Y[i] != s.Y[3+i] {
-			t.Fatal("tail rows wrong")
-		}
-	}
-}
-
 func TestPartitionIID(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LabelNoise = 0
@@ -145,7 +136,7 @@ func TestPartitionIID(t *testing.T) {
 	for _, p := range parts {
 		total += p.Len()
 		// Each IID shard should be roughly class-balanced.
-		for c, n := range p.ClassCounts() {
+		for c, n := range classCounts(p) {
 			if n < 15 || n > 45 {
 				t.Errorf("shard class %d count %d far from 30", c, n)
 			}
@@ -181,7 +172,7 @@ func TestPartitionDirichletSkewIncreasesAsAlphaShrinks(t *testing.T) {
 		// Mean absolute deviation of class counts from perfectly even.
 		var dev float64
 		for _, p := range parts {
-			for _, n := range p.ClassCounts() {
+			for _, n := range classCounts(p) {
 				dev += math.Abs(float64(n) - 50)
 			}
 		}

@@ -318,19 +318,14 @@ type ComboResult struct {
 	Accuracy float64
 }
 
-// EvaluateCombos aggregates each combo with FedAvg and scores it with
-// eval, returning results in the combos' order (Weights left nil).
-func EvaluateCombos(updates []*Update, combos []Combo, eval Evaluator) ([]ComboResult, error) {
-	return EvaluateCombosWith(updates, combos, []Evaluator{eval}, nil)
-}
-
-// EvaluateCombosWith is EvaluateCombos with one evaluator per worker:
-// combos are scored concurrently on len(evals) workers, each worker
-// reusing its own evaluator's scratch model. Results land in a
+// EvaluateCombosWith aggregates each combo with FedAvg and scores it,
+// returning results in the combos' order, with one evaluator per
+// worker: combos are scored concurrently on len(evals) workers, each
+// worker reusing its own evaluator's scratch model. Results land in a
 // pre-sized slice indexed by combo position, and each evaluation is a
 // pure function of the weight vector, so the output is bit-identical
-// to the sequential EvaluateCombos regardless of scheduling. A single
-// evaluator degenerates to the exact sequential loop.
+// to the one-evaluator run regardless of scheduling. A single evaluator
+// degenerates to the exact sequential loop.
 //
 // avgs, when non-nil, must hold at least len(evals) accumulators; each
 // worker then aggregates into its own reused scratch instead of

@@ -78,7 +78,7 @@ func TestFedAvgPermutationInvariance(t *testing.T) {
 		for i := range ups {
 			w := make([]float32, 6)
 			for j := range w {
-				w[j] = rng.NormFloat32()
+				w[j] = float32(rng.NormFloat64())
 			}
 			ups[i] = upd(ClientName(i), 1+rng.Intn(100), w...)
 		}
@@ -114,7 +114,7 @@ func TestFedAvgConvexCombination(t *testing.T) {
 		rng := xrand.New(seed)
 		w := make([]float32, 5)
 		for j := range w {
-			w[j] = rng.NormFloat32()
+			w[j] = float32(rng.NormFloat64())
 		}
 		ups := []*Update{upd("A", 3, w...), upd("B", 9, w...), upd("C", 1, w...)}
 		avg, err := FedAvg(ups)
@@ -196,7 +196,7 @@ func TestEvaluateCombosAndBest(t *testing.T) {
 	// Score = the aggregated scalar itself: best combo is {C} alone... but
 	// BestCombo must consider all given combos.
 	eval := func(w []float32) float64 { return float64(w[0]) }
-	results, err := EvaluateCombos(ups, AllCombos(3), eval)
+	results, err := EvaluateCombosWith(ups, AllCombos(3), []Evaluator{eval}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 	}
 	combos := AllCombos(4)
 	eval := func(w []float32) float64 { return float64(w[0])*10 + float64(w[1]) }
-	seq, err := EvaluateCombos(ups, combos, eval)
+	seq, err := EvaluateCombosWith(ups, combos, []Evaluator{eval}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 )
 
@@ -39,19 +38,6 @@ type Key struct {
 	priv *ecdsa.PrivateKey
 	pub  []byte // uncompressed SEC1 encoding, cached
 	addr Address
-}
-
-// Generate creates a new P-256 key using the given entropy source
-// (crypto/rand.Reader in production; a deterministic reader in tests).
-func Generate(entropy io.Reader) (*Key, error) {
-	if entropy == nil {
-		entropy = rand.Reader
-	}
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), entropy)
-	if err != nil {
-		return nil, fmt.Errorf("keys: generate: %w", err)
-	}
-	return fromPrivate(priv), nil
 }
 
 func fromPrivate(priv *ecdsa.PrivateKey) *Key {

@@ -7,10 +7,7 @@ import (
 )
 
 func TestGenerateAndSignVerify(t *testing.T) {
-	k, err := Generate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := GenerateDeterministic(9)
 	payload := []byte("model submission round 3")
 	sig, err := k.Sign(payload)
 	if err != nil {

@@ -9,14 +9,14 @@
 // peers then read contract state and committed transactions from their
 // own view. Four substrates ship built in:
 //
-//   - pow: the original fixed-leader proof-of-work path — every peer
-//     runs a full chain.Chain, the round leader drains its mempool,
-//     mines, and the block gossips to every peer. The default, and
-//     bit-identical to the pre-ledger runner.
-//   - poa: round-robin authority sealing. Blocks exist (Merkle roots,
-//     gas accounting, per-peer replicated execution) but nobody solves
-//     a puzzle and nobody replays branches, so rounds are cheaper and
-//     the modeled commit interval is a fraction of PoW's.
+//   - pow: fixed-leader proof of work, the paper's substrate and the
+//     default. The round leader drains its mempool, stamps the retarget
+//     rule's difficulty and mines the header; every peer checks both
+//     before it executes the block.
+//   - poa: round-robin authority sealing. The same blocks (Merkle
+//     roots, gas accounting, per-peer replicated execution) with no
+//     puzzle to solve, so rounds are cheaper and the modeled commit
+//     interval is a fraction of PoW's.
 //   - instant: an in-memory state machine applying contract calls with
 //     no block assembly at all — the consensus-free limit, for huge
 //     peer-count sweeps. See DESIGN.md for why FL semantics survive.
@@ -25,6 +25,11 @@
 //     internal/ledger/latmodel, plus model verification that scores
 //     each submitted update against the committed model and excludes
 //     outliers from the aggregation batch (see pbft.go).
+//
+// pow, poa and pbft are one sealing core (sealer.go) — the only block
+// store in the tree — plus a latency rule and what each verifies: every
+// peer holds its own mempool and state and runs the one block rule,
+// chain.ApplyBlock, on every block before it is stored.
 //
 // Backends are constructed through a registry (Register / New /
 // Backends) mirroring the public scenario registry, so new substrates
@@ -178,11 +183,12 @@ type Backend interface {
 	Footprint() Footprint
 }
 
-// Chainer is implemented by backends whose ledger is a real
-// chain.Chain (pow); callers needing raw blocks type-assert for it.
+// Chainer is implemented by the backends that seal blocks (pow, poa,
+// pbft — not instant); callers needing raw blocks type-assert for it.
 type Chainer interface {
-	// Chain returns peer's chain instance.
-	Chain(peer int) *chain.Chain
+	// Chain returns the sealed blocks from peer's view, genesis first.
+	// Read-only: a Commit appends to it.
+	Chain(peer int) []*chain.Block
 }
 
 // Factory builds a backend from a config.

@@ -388,7 +388,7 @@ func TestVariantRename(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	head := ch.Chain(0).Head().Header
+	head := ch.Chain(0)[len(ch.Chain(0))-1].Header
 	if head.Difficulty != cfg.Chain.GenesisDifficulty {
 		t.Fatalf("difficulty drifted to %d at the variant's own cadence (genesis %d)",
 			head.Difficulty, cfg.Chain.GenesisDifficulty)

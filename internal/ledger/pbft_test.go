@@ -21,7 +21,7 @@ import (
 // contract carrying the encoded weight vector.
 func submitTx(t *testing.T, cfg ledger.Config, k *keys.Key, nonce, round uint64, w []float32) *chain.Transaction {
 	t.Helper()
-	return rawSubmitTx(t, cfg, k, nonce, round, nn.EncodeWeights(w))
+	return rawSubmitTx(t, cfg, k, nonce, round, nn.AppendWeights(nil, w))
 }
 
 // rawSubmitTx is submitTx with the weight blob supplied verbatim, for

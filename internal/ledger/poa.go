@@ -19,13 +19,7 @@ func newPoA(cfg Config) *poaBackend { return &poaBackend{newSealer("poa", cfg)} 
 // Commit has the leader authority seal its pending set into one block
 // replicated on every peer.
 func (be *poaBackend) Commit(leader int, timeMs uint64) (Commit, error) {
-	b, err := be.seal(leader, timeMs, be.cfg.Proc, be.pools[leader].Pending())
-	if err != nil {
-		return Commit{}, err
-	}
-	c := commitOf(b)
-	c.LatencyMs = be.CommitLatencyMs()
-	return c, nil
+	return be.commit(leader, timeMs, be.CommitLatencyMs())
 }
 
 // CommitLatencyMs models authority sealing at a fixed slot a fraction

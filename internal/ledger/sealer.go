@@ -6,19 +6,25 @@ import (
 	"waitornot/internal/chain"
 )
 
-// sealer is the authority-sealing core poa and pbft embed: per-peer
-// mempools and replicated states, the sealed block list, and the one
-// seal step that turns a leader's pending set into a block every peer
-// has executed. It seals real blocks — Merkle roots, gas accounting,
-// receipts via chain.ApplyTx — with no mining loop, no difficulty
-// retargeting and no branch replay. Every peer still validates and
-// executes every block (the consortium cost model), so state views
-// stay per-peer. What a substrate adds on top is its latency model
-// (poa: a fixed slot; pbft: the analytic three-phase model) and, for
-// pbft, the processor that carries the verification verdicts.
+// sealer is the sealing core pow, poa and pbft embed, and the only
+// block store: per-peer mempools and replicated states, the sealed
+// block list, and the one seal step that turns a leader's pending set
+// into a block every peer has validated and executed under the block
+// rule (chain.ApplyBlock) — Merkle roots, gas accounting, linkage to
+// the parent. One leader seals per commit, so there are no forks to
+// choose between and no branches to replay. What a substrate adds is
+// its latency model (pow: the target interval; poa: a fixed slot; pbft:
+// the analytic three-phase model), its puzzle (pow), and, for pbft, the
+// processor that carries the verification verdicts.
 type sealer struct {
-	name   string
-	cfg    Config
+	name string
+	cfg  Config
+	// solve and verify are the two halves of the substrate's puzzle:
+	// the leader solves it on the finished header, every replica
+	// verifies it before executing the block. pow sets them
+	// (chain.SolvePoW, chain.VerifyPoW); authority sealing has none.
+	solve  func(cfg chain.Config, parent, h *chain.Header)
+	verify func(cfg chain.Config, parent, h *chain.Header) error
 	pools  []*chain.Mempool
 	states []*chain.State
 	blocks []*chain.Block // sealed ledger incl. genesis; identical at every peer
@@ -32,19 +38,17 @@ type sealer struct {
 // newSealer builds the core under the registry name New passed down
 // (fallback: the substrate's own name, for factories called directly).
 func newSealer(fallback string, cfg Config) sealer {
-	genesis := &chain.Block{Header: chain.Header{
-		GasLimit: cfg.Chain.BlockGasLimit,
-		TxRoot:   chain.MerkleRoot(nil),
-	}}
+	genesis := chain.Genesis(cfg.Chain)
 	s := sealer{
 		name:   cfg.nameOr(fallback),
 		cfg:    cfg,
-		pools:  newPools(cfg),
+		pools:  make([]*chain.Mempool, cfg.Peers),
 		states: make([]*chain.State, cfg.Peers),
 		blocks: []*chain.Block{genesis},
 		bytes:  genesis.Size(),
 	}
 	for i := range s.states {
+		s.pools[i] = chain.NewMempool(cfg.Chain.Gas)
 		st := chain.NewState()
 		for a, v := range cfg.Alloc {
 			st.Account(a).Balance = v
@@ -54,20 +58,12 @@ func newSealer(fallback string, cfg Config) sealer {
 	return s
 }
 
-// newPools builds one empty mempool per peer.
-func newPools(cfg Config) []*chain.Mempool {
-	pools := make([]*chain.Mempool, cfg.Peers)
-	for i := range pools {
-		pools[i] = chain.NewMempool(cfg.Chain.Gas)
-	}
-	return pools
-}
+func (s *sealer) Name() string { return s.name }
 
-// gossip lands the transaction in every peer's mempool (each node
-// validates on admission, as a real network would) — admission is
-// consensus-independent, so pow and the sealing substrates share it.
-func gossip(pools []*chain.Mempool, tx *chain.Transaction) error {
-	for i, pool := range pools {
+// Submit gossips the transaction into every peer's mempool: each node
+// validates on admission, as a real network would.
+func (s *sealer) Submit(tx *chain.Transaction) error {
+	for i, pool := range s.pools {
 		if err := pool.Add(tx); err != nil {
 			return fmt.Errorf("ledger: peer %d mempool: %w", i, err)
 		}
@@ -75,24 +71,29 @@ func gossip(pools []*chain.Mempool, tx *chain.Transaction) error {
 	return nil
 }
 
-func (s *sealer) Name() string { return s.name }
-
-// Submit gossips the transaction into every peer's mempool.
-func (s *sealer) Submit(tx *chain.Transaction) error { return gossip(s.pools, tx) }
-
-// seal has the leader authority drain pending (its mempool in block-
-// building order) under the block gas cap — the same selection rule as
-// PoW assembly (chain.SelectTxs on a scratch copy of the leader's
-// state: capacity-evicted and inadmissible txs stay pooled) — seal the
-// block with no puzzle, and replicate execution on every peer's state.
+// seal is one commit: the leader assembles a block from pending (its
+// mempool in block-building order), every peer validates and executes
+// it, and it joins the ledger.
 func (s *sealer) seal(leader int, timeMs uint64, proc chain.Processor, pending []*chain.Transaction) (*chain.Block, error) {
-	parent := s.blocks[len(s.blocks)-1]
-	if timeMs < parent.Header.Time {
-		timeMs = parent.Header.Time
+	b := s.assemble(leader, timeMs, proc, pending)
+	if err := s.replicate(b, proc); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// assemble has the leader build the next block on the ledger's head:
+// drain pending under the block gas cap (chain.SelectTxs on a scratch
+// copy of the leader's state: capacity-evicted and inadmissible txs
+// stay pooled), fill in the header, and solve the substrate's puzzle.
+func (s *sealer) assemble(leader int, timeMs uint64, proc chain.Processor, pending []*chain.Transaction) *chain.Block {
+	parent := &s.blocks[len(s.blocks)-1].Header
+	if timeMs < parent.Time {
+		timeMs = parent.Time
 	}
 	header := chain.Header{
 		ParentHash: parent.Hash(),
-		Number:     parent.Header.Number + 1,
+		Number:     parent.Number + 1,
 		Time:       timeMs,
 		Miner:      s.cfg.Sealers[leader],
 		GasLimit:   s.cfg.Chain.BlockGasLimit,
@@ -101,33 +102,43 @@ func (s *sealer) seal(leader int, timeMs uint64, proc chain.Processor, pending [
 	included, gasUsed := chain.SelectTxs(s.cfg.Chain.Gas, scratch, header.Miner, proc, pending, header.GasLimit)
 	header.GasUsed = gasUsed
 	header.TxRoot = chain.MerkleRoot(included)
-	b := &chain.Block{Header: header, Txs: included}
-
-	// Replicated execution: every authority/peer validates the block
-	// by applying it to its own state (same receipts everywhere).
-	for i, st := range s.states {
-		var got uint64
-		for _, tx := range included {
-			rec, err := chain.ApplyTx(s.cfg.Chain.Gas, st, tx, header.Miner, proc)
-			if err != nil {
-				return nil, fmt.Errorf("ledger: peer %d replay: %w", i, err)
-			}
-			got += rec.GasUsed
-		}
-		if got != gasUsed {
-			return nil, fmt.Errorf("ledger: peer %d gas %d != sealed %d", i, got, gasUsed)
-		}
-		st.Account(header.Miner).Balance += s.cfg.Chain.BlockReward
+	if s.solve != nil {
+		s.solve(s.cfg.Chain, parent, &header)
 	}
+	return &chain.Block{Header: header, Txs: included}
+}
 
+// replicate is block gossip under the deterministic runner: every peer
+// — the leader included — runs the block rule on b against its own
+// state (same receipts everywhere), and only a block every peer
+// accepted is stored and cleared from the mempools.
+func (s *sealer) replicate(b *chain.Block, proc chain.Processor) error {
+	parent := &s.blocks[len(s.blocks)-1].Header
+	for i, st := range s.states {
+		if err := chain.ApplyBlock(s.cfg.Chain, parent, b, st, proc, s.verify); err != nil {
+			return fmt.Errorf("ledger: peer %d: %w", i, err)
+		}
+	}
 	s.blocks = append(s.blocks, b)
-	s.committed = append(s.committed, included...)
+	s.committed = append(s.committed, b.Txs...)
 	s.bytes += b.Size()
-	s.gas += gasUsed
+	s.gas += b.Header.GasUsed
 	for _, pool := range s.pools {
 		pool.RemoveBlock(b)
 	}
-	return b, nil
+	return nil
+}
+
+// commit is Commit for a substrate with a fixed modeled latency and
+// the configured processor (pow, poa): seal the leader's pending set.
+func (s *sealer) commit(leader int, timeMs uint64, latencyMs float64) (Commit, error) {
+	b, err := s.seal(leader, timeMs, s.cfg.Proc, s.pools[leader].Pending())
+	if err != nil {
+		return Commit{}, err
+	}
+	c := commitOf(b)
+	c.LatencyMs = latencyMs
+	return c, nil
 }
 
 // commitOf summarizes a sealed block; the substrate fills in its
@@ -153,3 +164,6 @@ func (s *sealer) CommittedTxs(int) []*chain.Transaction { return s.committed }
 func (s *sealer) Footprint() Footprint {
 	return Footprint{Blocks: len(s.blocks), Txs: len(s.committed), GasUsed: s.gas, Bytes: s.bytes}
 }
+
+// Chain implements Chainer: the sealed blocks, genesis first.
+func (s *sealer) Chain(int) []*chain.Block { return s.blocks }

@@ -54,29 +54,3 @@ func SoftmaxCrossEntropy(logits *tensor.Dense, labels []int) (float64, *tensor.D
 	}
 	return totalLoss / float64(n), grad
 }
-
-// Softmax returns row-wise softmax probabilities of logits.
-func Softmax(logits *tensor.Dense) *tensor.Dense {
-	out := tensor.New(logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		o := out.Row(i)
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - maxV))
-			o[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1.0 / sum)
-		for j := range o {
-			o[j] *= inv
-		}
-	}
-	return out
-}

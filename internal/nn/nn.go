@@ -94,13 +94,6 @@ func (m *Model) Grads() []*tensor.Dense {
 	return m.grads
 }
 
-// ZeroGrads clears all accumulated gradients.
-func (m *Model) ZeroGrads() {
-	for _, g := range m.Grads() {
-		g.Zero()
-	}
-}
-
 // NumParams returns the total learnable parameter count.
 func (m *Model) NumParams() int {
 	n := 0

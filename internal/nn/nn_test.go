@@ -22,7 +22,9 @@ func lossOf(m *Model, x *tensor.Dense, ys []int) float64 {
 // indexing, and scaling bugs.
 func checkGradients(t *testing.T, m *Model, x *tensor.Dense, ys []int) {
 	t.Helper()
-	m.ZeroGrads()
+	for _, g := range m.Grads() { // backward accumulates
+		g.Zero()
+	}
 	logits := m.Forward(x, true)
 	_, grad := SoftmaxCrossEntropy(logits, ys)
 	m.Backward(grad)
@@ -134,18 +136,26 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRowsSumToOne reads the softmax back out of the loss
+// gradient, (softmax - onehot)/N: every row is a probability
+// distribution.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := xrand.New(5)
 	logits := tensor.New(8, 10)
 	logits.Randomize(rng, 3)
-	p := Softmax(logits)
-	for i := 0; i < p.Rows; i++ {
+	labels := make([]int, logits.Rows)
+	_, grad := SoftmaxCrossEntropy(logits, labels)
+	for i := 0; i < grad.Rows; i++ {
 		var sum float64
-		for _, v := range p.Row(i) {
-			if v < 0 {
-				t.Fatal("negative probability")
+		for j, g := range grad.Row(i) {
+			p := float64(g) * float64(grad.Rows)
+			if j == labels[i] {
+				p++
 			}
-			sum += float64(v)
+			if p < -1e-6 {
+				t.Fatalf("row %d: negative probability %v", i, p)
+			}
+			sum += p
 		}
 		if math.Abs(sum-1) > 1e-5 {
 			t.Fatalf("row %d sums to %v", i, sum)
@@ -164,8 +174,10 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 		}
 		opt.Step([]*tensor.Dense{w}, []*tensor.Dense{g})
 	}
-	if n := tensor.Norm2(w.Data); n > 1e-3 {
-		t.Fatalf("did not converge, |w| = %v", n)
+	for _, v := range w.Data {
+		if math.Abs(float64(v)) > 1e-3 {
+			t.Fatalf("did not converge, w = %v", w.Data)
+		}
 	}
 }
 
@@ -191,7 +203,7 @@ func TestTrainEpochLearnsSeparableData(t *testing.T) {
 			if cls == 1 {
 				center = 1
 			}
-			x.Set(i, j, center+rng.NormFloat32()*0.3)
+			x.Set(i, j, center+float32(rng.NormFloat64())*0.3)
 		}
 	}
 	m := NewModel("t", NewDense(dim, 8, rng), NewReLU(), NewDense(8, 2, rng))
@@ -249,9 +261,9 @@ func TestEncodeDecodeWeights(t *testing.T) {
 	rng := xrand.New(10)
 	w := make([]float32, 1000)
 	for i := range w {
-		w[i] = rng.NormFloat32()
+		w[i] = float32(rng.NormFloat64())
 	}
-	blob := EncodeWeights(w)
+	blob := AppendWeights(nil, w)
 	if len(blob) != EncodedSize(len(w)) {
 		t.Fatalf("EncodedSize mismatch: %d vs %d", len(blob), EncodedSize(len(w)))
 	}
@@ -277,7 +289,7 @@ func TestDecodeWeightsRejectsCorruption(t *testing.T) {
 		"empty":        func([]byte) []byte { return nil },
 	}
 	for name, corrupt := range cases {
-		blob := corrupt(EncodeWeights(w))
+		blob := corrupt(AppendWeights(nil, w))
 		if _, err := DecodeWeights(blob); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
@@ -329,7 +341,6 @@ func TestEffNetSimGradients(t *testing.T) {
 	m := NewEffNetSim(rng)
 	x, ys := smallBatch(rng, 2, ImageLen, NumClass)
 
-	m.ZeroGrads()
 	logits := m.Forward(x, true)
 	_, grad := SoftmaxCrossEntropy(logits, ys)
 	m.Backward(grad)

@@ -29,13 +29,8 @@ const (
 // checksum validation.
 var ErrCorruptWeights = errors.New("nn: corrupt weight blob")
 
-// EncodeWeights serializes a flat weight vector to the wire format.
-func EncodeWeights(w []float32) []byte {
-	return AppendWeights(make([]byte, 0, EncodedSize(len(w))), w)
-}
-
-// AppendWeights appends the wire encoding of w to dst and returns the
-// extended slice — the zero-alloc path for hot loops that reuse a
+// AppendWeights appends the wire encoding of a flat weight vector to
+// dst and returns the extended slice — the zero-alloc path for hot loops that reuse a
 // scratch buffer (append into buf[:0] each round; the encoding only
 // allocates when dst lacks capacity).
 func AppendWeights(dst []byte, w []float32) []byte {
@@ -56,7 +51,7 @@ func AppendWeights(dst []byte, w []float32) []byte {
 
 // HashWeights returns the SHA-256 of the wire encoding of w — the
 // digest the aggregation contract records — without materializing the
-// blob. Equivalent to sha256.Sum256(EncodeWeights(w)).
+// blob. Equivalent to sha256.Sum256(AppendWeights(nil, w)).
 func HashWeights(w []float32) [32]byte {
 	h := sha256.New()
 	var hdr [weightHeader]byte
@@ -82,7 +77,7 @@ func HashWeights(w []float32) [32]byte {
 	return out
 }
 
-// DecodeWeights parses a blob produced by EncodeWeights, validating the
+// DecodeWeights parses a blob produced by AppendWeights, validating the
 // magic, version, length, and checksum.
 func DecodeWeights(b []byte) ([]float32, error) {
 	if len(b) < weightHeader+4 {

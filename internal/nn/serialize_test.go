@@ -27,16 +27,16 @@ func specialFloats() []float32 {
 // TestWeightsRoundTripExact is the codec's property test: random
 // vectors of every size class — plus the special values above — must
 // survive encode/decode with exact float32 equality (bit-for-bit, so
-// NaN payloads and -0 signs count), AppendWeights must agree with
-// EncodeWeights byte-for-byte, and HashWeights must equal hashing the
-// materialized encoding.
+// NaN payloads and -0 signs count), appending into a reused scratch
+// buffer must agree with a fresh encoding byte-for-byte, and
+// HashWeights must equal hashing the materialized encoding.
 func TestWeightsRoundTripExact(t *testing.T) {
 	rng := xrand.New(7)
 	cases := [][]float32{nil, {}, specialFloats()}
 	for _, n := range []int{1, 3, 64, 1023, 4096, 61670} {
 		w := make([]float32, n)
 		for i := range w {
-			w[i] = rng.NormFloat32()
+			w[i] = float32(rng.NormFloat64())
 		}
 		// Sprinkle specials through the random vector too.
 		for i, v := range specialFloats() {
@@ -46,13 +46,13 @@ func TestWeightsRoundTripExact(t *testing.T) {
 	}
 	scratch := make([]byte, 0, 8)
 	for ci, w := range cases {
-		blob := EncodeWeights(w)
+		blob := AppendWeights(nil, w)
 		if len(blob) != EncodedSize(len(w)) {
 			t.Fatalf("case %d: encoded %d bytes, EncodedSize says %d", ci, len(blob), EncodedSize(len(w)))
 		}
 		scratch = AppendWeights(scratch[:0], w)
 		if !bytes.Equal(scratch, blob) {
-			t.Fatalf("case %d: AppendWeights disagrees with EncodeWeights", ci)
+			t.Fatalf("case %d: AppendWeights into a reused buffer disagrees with a fresh encoding", ci)
 		}
 		if got, want := HashWeights(w), sha256.Sum256(blob); got != want {
 			t.Fatalf("case %d: HashWeights diverges from hashing the encoding", ci)
@@ -81,8 +81,8 @@ func TestWeightsRoundTripExact(t *testing.T) {
 func FuzzPayloadCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WFLWjunk"))
-	f.Add(EncodeWeights(nil))
-	f.Add(EncodeWeights(specialFloats()))
+	f.Add(AppendWeights(nil, nil))
+	f.Add(AppendWeights(nil, specialFloats()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWeights(data)
 		if err != nil {
@@ -91,7 +91,7 @@ func FuzzPayloadCodec(f *testing.F) {
 			}
 			return
 		}
-		re := EncodeWeights(w)
+		re := AppendWeights(nil, w)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical: %d in, %d out", len(data), len(re))
 		}

@@ -50,26 +50,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// Merge folds another accumulator into w (Chan et al.'s parallel
-// update), as if every observation of o had been Added to w. Merging
-// an empty accumulator is a no-op.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.n + o.n)
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/n
-	w.mean += d * float64(o.n) / n
-	w.min = math.Min(w.min, o.min)
-	w.max = math.Max(w.max, o.max)
-	w.n += o.n
-}
-
 // N returns the observation count.
 func (w *Welford) N() int { return w.n }
 
@@ -141,10 +121,9 @@ type Key struct {
 }
 
 // Grid is the sweep's cell table: one Welford accumulator per
-// policy × backend × metric, with cells ordered by first observation
-// so iteration is deterministic (maps alone would not be).
+// policy × backend × metric, read back by key (never iterated, so map
+// order reaches no output).
 type Grid struct {
-	order []Key
 	cells map[Key]*Welford
 }
 
@@ -159,7 +138,6 @@ func (g *Grid) Observe(policy, backend, metric string, v float64) {
 	if !ok {
 		w = &Welford{}
 		g.cells[k] = w
-		g.order = append(g.order, k)
 	}
 	w.Add(v)
 }
@@ -169,11 +147,4 @@ func (g *Grid) Observe(policy, backend, metric string, v float64) {
 func (g *Grid) Cell(policy, backend, metric string) (*Welford, bool) {
 	w, ok := g.cells[Key{Policy: policy, Backend: backend, Metric: metric}]
 	return w, ok
-}
-
-// Keys lists the populated cells in first-observation order.
-func (g *Grid) Keys() []Key {
-	out := make([]Key, len(g.order))
-	copy(out, g.order)
-	return out
 }

@@ -10,7 +10,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"waitornot/internal/xrand"
 )
@@ -48,24 +47,10 @@ func (m *Dense) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // Zero sets every element to 0.
 func (m *Dense) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Dense) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
 	}
 }
 
@@ -254,16 +239,8 @@ func AddRowVector(m *Dense, v []float32) {
 	}
 }
 
-// ColSums returns the per-column sums of m (length m.Cols).
-func ColSums(m *Dense) []float32 {
-	out := make([]float32, m.Cols)
-	AddColSums(m, out)
-	return out
-}
-
 // AddColSums accumulates the per-column sums of m into dst
-// (length m.Cols), in row order — with dst zeroed this matches ColSums
-// bit for bit, without the allocation.
+// (length m.Cols), in row order.
 func AddColSums(m *Dense, dst []float32) {
 	if len(dst) != m.Cols {
 		panic("tensor: AddColSums length mismatch")
@@ -284,32 +261,4 @@ func Axpy(alpha float32, x, y []float32) {
 	for i, v := range x {
 		y[i] += alpha * v
 	}
-}
-
-// Scale multiplies every element of x by alpha.
-func Scale(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of two equal-length slices.
-func Dot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
-	}
-	var sum float32
-	for i, v := range x {
-		sum += v * y[i]
-	}
-	return sum
-}
-
-// Norm2 returns the Euclidean norm of x computed in float64 for stability.
-func Norm2(x []float32) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += float64(v) * float64(v)
-	}
-	return math.Sqrt(sum)
 }

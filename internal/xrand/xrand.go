@@ -58,9 +58,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns the next 32 random bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -75,11 +72,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Float32 returns a uniformly distributed float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
 }
 
 // NormFloat64 returns a standard-normally distributed float64 using the
@@ -98,9 +90,6 @@ func (r *RNG) NormFloat64() float64 {
 	r.hasSpare = true
 	return mag * math.Cos(2*math.Pi*v)
 }
-
-// NormFloat32 returns a standard-normally distributed float32.
-func (r *RNG) NormFloat32() float32 { return float32(r.NormFloat64()) }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.
 func (r *RNG) ExpFloat64() float64 {

@@ -59,16 +59,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat32Range(t *testing.T) {
-	r := New(3)
-	for i := 0; i < 10000; i++ {
-		f := r.Float32()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of [0,1): %v", f)
-		}
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := New(11)
 	for _, n := range []int{1, 2, 3, 10, 1000} {
