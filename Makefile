@@ -1,6 +1,7 @@
 # Build, verify, and benchmark the waitornot reproduction.
 #
-#   make ci        everything the repository gates on: build + vet +
+#   make ci        everything the repository gates on: build + gofmt
+#                  over the tracked .go files + vet +
 #                  tests under the coverage ratchet + the CLI smoke
 #                  over the one -scenario path + the race-detector
 #                  pass (test-race: all of internal/par, internal/chain,
@@ -33,10 +34,16 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build vet test cover cli-smoke test-race fuzz-smoke campaign-smoke bench benchmark profile size ci
+.PHONY: build fmt-check vet test cover cli-smoke test-race fuzz-smoke campaign-smoke bench benchmark profile profile-train size ci
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt -l over the tracked .go files must print
+# nothing.
+fmt-check:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	    [ -z "$$out" ] || { echo "gofmt needed on:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -111,6 +118,14 @@ profile:
 	    -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
+# The same two profiles for one SimpleNN training minibatch (forward,
+# loss, backward, SGD step on one core) — the path DESIGN.md §13 was
+# tuned on.
+profile-train:
+	$(GO) test -run '^$$' -bench 'BenchmarkSimpleNNTrainBatch' -benchtime 300x -cpu 1 \
+	    -cpuprofile cpu.prof -memprofile mem.prof ./internal/nn/
+	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
+
 # The numbers ROADMAP tracks for "least code": non-test Go lines
 # outside benchmark/, the root package's exported funcs + types (the
 # line count of testdata/api.golden), its functional options and
@@ -127,4 +142,4 @@ size:
 	@echo "process-global caches in internal/chain + internal/keys: $$(find internal/chain internal/keys -name '*.go' ! -name '*_test.go' | xargs cat | grep -c '^\s*sync\.RWMutex')"
 	@echo "test-only exported identifiers under internal/: $$(wc -l < testdata/testonly.golden)"
 
-ci: build vet cover cli-smoke test-race fuzz-smoke campaign-smoke
+ci: build fmt-check vet cover cli-smoke test-race fuzz-smoke campaign-smoke

@@ -472,7 +472,7 @@ func BenchmarkSubsampledFleet10k(b *testing.B) {
 	opts.Clients = 10000
 	opts.ClientFraction = 0.0032 // K = 32
 	opts.Rounds = 2
-	opts.TrainPerClient = 30
+	opts.TrainPerClient = 32 // one full minibatch per sampled peer
 	opts.SelectionSize = 20
 	opts.TestPerClient = 20
 	opts.SkipComboTables = true

@@ -192,6 +192,11 @@ func (c Config) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("bfl: need at least 1 round")
 	}
+	if c.TrainPerPeer < c.Hyper.BatchSize {
+		// nn.TrainEpochScratch runs full minibatches only: a smaller
+		// shard would train nothing and report chance accuracy.
+		return fmt.Errorf("bfl: %d training samples per peer is less than one minibatch of %d", c.TrainPerPeer, c.Hyper.BatchSize)
+	}
 	if c.StragglerFactor != nil && len(c.StragglerFactor) != c.Peers {
 		return fmt.Errorf("bfl: %d straggler factors for %d peers", len(c.StragglerFactor), c.Peers)
 	}

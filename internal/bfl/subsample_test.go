@@ -234,7 +234,7 @@ func TestSubsampledSchedule(t *testing.T) {
 func TestSubsampledLargeFleet(t *testing.T) {
 	cfg := Config{
 		Peers: 10000, Rounds: 2, Seed: 3,
-		TrainPerPeer: 30, SelectionSize: 20, TestPerPeer: 20,
+		TrainPerPeer: 32, SelectionSize: 20, TestPerPeer: 20,
 		Hyper:          fl.DefaultHyper(nn.ModelSimpleNN),
 		ClientFraction: 0.0032, // K = 32
 		Backend:        "instant",

@@ -112,14 +112,22 @@ type Filter struct {
 type FilterResult struct {
 	Kept     []*fl.Update
 	Rejected []*fl.Update
-	// Scores maps client name to solo selection-set accuracy.
+	// Scores maps client name to solo selection-set accuracy. Nil when
+	// the filter is the zero value: a filter that cannot reject scores
+	// nothing.
 	Scores map[string]float64
 }
 
 // Apply scores every update solo with eval and partitions them into kept
 // and rejected. The peer's own update (self) is always kept — a peer
-// never distrusts its own training, mirroring the paper's setup.
+// never distrusts its own training, mirroring the paper's setup. With
+// both thresholds zero (the default) no score can change the partition,
+// so everything is kept and eval — one selection-set forward pass per
+// update — is not called.
 func (f Filter) Apply(self string, updates []*fl.Update, eval fl.Evaluator) *FilterResult {
+	if f.MinAccuracy == 0 && f.MaxBelowBest == 0 {
+		return &FilterResult{Kept: updates}
+	}
 	res := &FilterResult{Scores: make(map[string]float64, len(updates))}
 	best := 0.0
 	for _, u := range updates {

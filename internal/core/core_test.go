@@ -102,9 +102,53 @@ func TestFilterMaxBelowBest(t *testing.T) {
 }
 
 func TestFilterZeroValueKeepsAll(t *testing.T) {
-	res := Filter{}.Apply("A", []*fl.Update{upd("A", 0.0), upd("B", 0.0)}, scoreByFirstWeight)
-	if len(res.Kept) != 2 || len(res.Rejected) != 0 {
-		t.Fatal("zero filter must keep everything")
+	// nil evaluator: a filter that cannot reject must not score.
+	res := Filter{}.Apply("A", []*fl.Update{upd("A", 0.0), upd("B", 0.0)}, nil)
+	if len(res.Kept) != 2 || len(res.Rejected) != 0 || res.Scores != nil {
+		t.Fatalf("zero filter must keep everything and score nothing: %+v", res)
+	}
+}
+
+// TestDecideEvaluatorCalls counts selection-set evaluations per
+// decision (each is a forward pass over the selection set): only an
+// armed filter pays one per update on top of the combination search.
+func TestDecideEvaluatorCalls(t *testing.T) {
+	fleet := func(k int) []*fl.Update {
+		ups := make([]*fl.Update, k)
+		for i := range ups {
+			ups[i] = upd(string(rune('A'+i)), 0.5+float32(i)/64)
+		}
+		return ups
+	}
+	poisoned := fleet(3)
+	poisoned[1] = upd("B", 0.125) // more than 0.15 under C's 0.53
+	cases := []struct {
+		name     string
+		filter   Filter
+		updates  []*fl.Update
+		calls    int
+		rejected []string
+	}{
+		{"zero filter, K=3: the paper's five combos", Filter{}, fleet(3), len(fl.PaperCombos(3, 0)), nil},
+		{"zero filter, K=9 past MaxComboPeers: FedAvg of all", Filter{}, fleet(9), 1, nil},
+		{"armed filter, nothing rejected", Filter{MaxBelowBest: 0.15}, fleet(3), 3 + len(fl.PaperCombos(3, 0)), nil},
+		{"armed filter, B rejected", Filter{MaxBelowBest: 0.15}, poisoned, 3 + len(fl.PaperCombos(2, 0)), []string{"B"}},
+	}
+	for _, tc := range cases {
+		calls := 0
+		eval := func(w []float32) float64 { calls++; return scoreByFirstWeight(w) }
+		agg := NewAggregator("A", WaitAll{}, tc.filter, eval, xrand.New(1))
+		agg.MaxComboPeers = 8
+		d, err := agg.Decide(1, tc.updates, 0, len(tc.updates))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if calls != tc.calls {
+			t.Errorf("%s: %d evaluator calls, want %d", tc.name, calls, tc.calls)
+		}
+		if !reflect.DeepEqual(d.RejectedClients, tc.rejected) {
+			t.Errorf("%s: rejected %v, want %v", tc.name, d.RejectedClients, tc.rejected)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -321,6 +322,11 @@ func TestRunVanillaValidates(t *testing.T) {
 	cfg.Clients = 1
 	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("1 client must be rejected")
+	}
+	cfg = tinyVanillaConfig(nn.ModelSimpleNN)
+	cfg.TrainPerClient = 31
+	if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "31 training samples per client is less than one minibatch of 32") {
+		t.Fatalf("sub-batch shard: err = %v", err)
 	}
 }
 

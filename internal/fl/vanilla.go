@@ -115,6 +115,11 @@ func (c VanillaConfig) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("fl: need at least 1 round, got %d", c.Rounds)
 	}
+	if c.TrainPerClient < c.Hyper.BatchSize {
+		// nn.TrainEpochScratch runs full minibatches only: a smaller
+		// shard would train nothing and report chance accuracy.
+		return fmt.Errorf("fl: %d training samples per client is less than one minibatch of %d", c.TrainPerClient, c.Hyper.BatchSize)
+	}
 	return nil
 }
 

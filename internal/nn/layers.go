@@ -56,14 +56,16 @@ func (d *Dense) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(dout *tensor.Dense) *tensor.Dense {
+func (d *Dense) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 	// dW += xᵀ * dout ; dB += column sums ; dx = dout * Wᵀ.
 	// Gradients accumulate in place and dx reuses a persistent buffer:
 	// this runs once per minibatch, and fresh scratch matrices here
 	// used to dominate the training allocation profile.
 	tensor.MatMulTransAAdd(d.x, dout, d.dW)
 	tensor.AddColSums(dout, d.dB.Data)
-
+	if !needInput {
+		return nil
+	}
 	if d.dx == nil || d.dx.Rows != dout.Rows {
 		d.dx = tensor.New(dout.Rows, d.In)
 	}
@@ -111,7 +113,7 @@ func (r *ReLU) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(dout *tensor.Dense) *tensor.Dense {
+func (r *ReLU) Backward(dout *tensor.Dense, _ bool) *tensor.Dense {
 	if r.dx == nil || r.dx.Rows != dout.Rows || r.dx.Cols != dout.Cols {
 		r.dx = tensor.New(dout.Rows, dout.Cols)
 	}
@@ -206,17 +208,17 @@ func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
+func (c *Conv2D) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 	op := c.Geom.OutH() * c.Geom.OutW()
-	inLen := c.Geom.InC * c.Geom.InH * c.Geom.InW
-	if c.dx == nil || c.dx.Rows != dout.Rows {
-		c.dx = tensor.New(dout.Rows, inLen)
+	if needInput {
+		if c.dx == nil || c.dx.Rows != dout.Rows {
+			c.dx = tensor.New(dout.Rows, c.Geom.InC*c.Geom.InH*c.Geom.InW)
+		}
+		c.dx.Zero() // Col2Im accumulates into overlapping windows
+		if c.dcols == nil {
+			c.dcols = tensor.New(op, c.Geom.PatchLen())
+		}
 	}
-	c.dx.Zero() // Col2Im accumulates into overlapping windows
-	if c.dcols == nil {
-		c.dcols = tensor.New(op, c.Geom.PatchLen())
-	}
-	dx, dcols := c.dx, c.dcols
 	for s := 0; s < dout.Rows; s++ {
 		douts := tensor.FromSlice(c.OutC, op, dout.Row(s))
 		// Recompute the patch matrix; it is cheaper than caching one
@@ -231,11 +233,16 @@ func (c *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
 			}
 			c.dB.Data[ch] += sum
 		}
-		// dcols = doutsᵀ * W  (OP x OutC)*(OutC x P).
-		tensor.MatMulTransA(douts, c.W, dcols)
-		tensor.Col2Im(c.Geom, dcols, dx.Row(s))
+		if needInput {
+			// dcols = doutsᵀ * W  (OP x OutC)*(OutC x P).
+			tensor.MatMulTransA(douts, c.W, c.dcols)
+			tensor.Col2Im(c.Geom, c.dcols, c.dx.Row(s))
+		}
 	}
-	return dx
+	if !needInput {
+		return nil
+	}
+	return c.dx
 }
 
 // Params implements Layer.
@@ -312,7 +319,7 @@ func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 }
 
 // Backward implements Layer.
-func (p *MaxPool2D) Backward(dout *tensor.Dense) *tensor.Dense {
+func (p *MaxPool2D) Backward(dout *tensor.Dense, _ bool) *tensor.Dense {
 	outLen := p.OutLen()
 	if p.dx == nil || p.dx.Rows != dout.Rows {
 		p.dx = tensor.New(dout.Rows, p.C*p.H*p.W)

@@ -23,9 +23,9 @@ import (
 //
 // Forward consumes a batch (one sample per row) and returns the layer
 // output, caching whatever it needs for the matching Backward call.
-// Backward consumes dLoss/dOutput and returns dLoss/dInput, accumulating
-// parameter gradients into the tensors returned by Grads. A Forward must
-// precede each Backward.
+// Backward consumes dLoss/dOutput, accumulates parameter gradients into
+// the tensors returned by Grads, and — when the caller says it will read
+// it — returns dLoss/dInput. A Forward must precede each Backward.
 type Layer interface {
 	// Name identifies the layer in error messages and dumps.
 	Name() string
@@ -33,7 +33,10 @@ type Layer interface {
 	// behaviour such as dropout.
 	Forward(x *tensor.Dense, train bool) *tensor.Dense
 	// Backward propagates gradients; it must be called after Forward.
-	Backward(dout *tensor.Dense) *tensor.Dense
+	// With needInput false the caller promises not to read the result
+	// (it is unspecified, possibly nil) and the layer may skip computing
+	// dLoss/dInput; parameter gradients are the same bits either way.
+	Backward(dout *tensor.Dense, needInput bool) *tensor.Dense
 	// Params returns the learnable tensors (possibly empty).
 	Params() []*tensor.Dense
 	// Grads returns gradient tensors aligned with Params.
@@ -64,10 +67,13 @@ func (m *Model) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	return out
 }
 
-// Backward propagates a loss gradient through the stack.
+// Backward propagates a loss gradient through the stack. Nothing
+// precedes the first layer, so its input gradient — for SimpleNN's
+// dense(3072->20) the largest product of the whole pass — is not asked
+// for.
 func (m *Model) Backward(dout *tensor.Dense) {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dout = m.Layers[i].Backward(dout)
+		dout = m.Layers[i].Backward(dout, i > 0)
 	}
 }
 

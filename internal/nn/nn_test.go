@@ -108,7 +108,7 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 	if y.Cols != 1 || y.Data[0] != 5 {
 		t.Fatalf("maxpool got %v", y.Data)
 	}
-	dx := p.Backward(tensor.FromSlice(1, 1, []float32{7}))
+	dx := p.Backward(tensor.FromSlice(1, 1, []float32{7}), true)
 	want := []float32{0, 7, 0, 0}
 	for i, v := range want {
 		if dx.Data[i] != v {

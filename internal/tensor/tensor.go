@@ -1,6 +1,11 @@
 // Package tensor implements the dense float32 linear algebra the neural
-// network stack is built on: row-major matrices, a cache-blocked GEMM,
+// network stack is built on: row-major matrices, scalar GEMM kernels
+// (loops ordered to stream rows, four-wide over the reduction index),
 // im2col for convolutions, and elementwise kernels.
+//
+// Each kernel's per-element accumulation order is a contract: every
+// golden and result digest downstream depends on its roundings
+// (DESIGN.md §13; TestKernelsBitEqualReference pins them).
 //
 // float32 is used throughout because (a) model weights travel on-chain as
 // float32 exactly as they are trained, so training in the wire precision
@@ -175,54 +180,71 @@ func MatMulTransB(a, b, c *Dense) {
 // a is ra x ca and interpreted transposed, so shapes are
 // (k x n)ᵀ * (k x m) -> (n x m).
 func MatMulTransA(a, b, c *Dense) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%dx%d)T*(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
 	c.Zero()
-	k, n, m := a.Rows, a.Cols, b.Cols
-	for p := 0; p < k; p++ {
-		ap := a.Data[p*n : (p+1)*n]
-		bp := b.Data[p*m : (p+1)*m]
-		for i := 0; i < n; i++ {
-			av := ap[i]
-			if av == 0 {
-				continue
-			}
-			ci := c.Data[i*m : (i+1)*m]
-			for j := range ci {
-				ci[j] += av * bp[j]
-			}
-		}
-	}
+	MatMulTransAAdd(a, b, c)
 }
 
 // MatMulTransAAdd computes c += aᵀ * b without zeroing c first.
 // Shapes follow MatMulTransA: (k x n)ᵀ * (k x m) -> (n x m).
 //
-// When c starts zeroed this produces bit-identical results to
-// MatMulTransA-into-scratch followed by an Axpy into c, while skipping
-// the scratch matrix entirely — the backward pass of every dense layer
-// accumulates straight into its gradient through this kernel.
+// Every element of c takes its products one at a time in ascending p,
+// one rounding per add, and a p whose a value is exactly zero is
+// skipped (so 0*Inf never makes a NaN) — the bit contract every golden
+// rests on. Four consecutive p share one pass over a row of c: the
+// running sum stays in a register for four adds instead of going
+// through memory for each, and the adds are never regrouped. A row
+// whose four a values include a zero takes the one-p loop, which is
+// what keeps the skip.
+//
+// The backward pass of every dense layer accumulates straight into its
+// gradient through this kernel.
 func MatMulTransAAdd(a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd shape mismatch (%dx%d)T*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	k, n, m := a.Rows, a.Cols, b.Cols
-	for p := 0; p < k; p++ {
-		ap := a.Data[p*n : (p+1)*n]
-		bp := b.Data[p*m : (p+1)*m]
-		for i := 0; i < n; i++ {
-			av := ap[i]
-			if av == 0 {
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		ap0 := a.Data[p*n : (p+1)*n]
+		ap1 := a.Data[(p+1)*n : (p+2)*n]
+		ap2 := a.Data[(p+2)*n : (p+3)*n]
+		ap3 := a.Data[(p+3)*n : (p+4)*n]
+		b0 := b.Data[p*m : (p+1)*m]
+		b1 := b.Data[(p+1)*m : (p+2)*m]
+		b2 := b.Data[(p+2)*m : (p+3)*m]
+		b3 := b.Data[(p+3)*m : (p+4)*m]
+		for i, a0 := range ap0 {
+			a1, a2, a3 := ap1[i], ap2[i], ap3[i]
+			ci := c.Data[i*m : (i+1)*m]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				axpyNonZero(a0, b0, ci)
+				axpyNonZero(a1, b1, ci)
+				axpyNonZero(a2, b2, ci)
+				axpyNonZero(a3, b3, ci)
 				continue
 			}
-			ci := c.Data[i*m : (i+1)*m]
 			for j := range ci {
-				ci[j] += av * bp[j]
+				s := ci[j] + a0*b0[j]
+				s += a1 * b1[j]
+				s += a2 * b2[j]
+				s += a3 * b3[j]
+				ci[j] = s
 			}
 		}
+	}
+	for ; p < k; p++ {
+		bp := b.Data[p*m : (p+1)*m]
+		for i, av := range a.Data[p*n : (p+1)*n] {
+			axpyNonZero(av, bp, c.Data[i*m:(i+1)*m])
+		}
+	}
+}
+
+// axpyNonZero is y += alpha*x unless alpha is exactly zero.
+func axpyNonZero(alpha float32, x, y []float32) {
+	if alpha != 0 {
+		Axpy(alpha, x, y)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,162 @@ func TestMatMulTransA(t *testing.T) {
 	}
 	if !approxEqual(c, naiveMatMul(a, b), 1e-4) {
 		t.Fatal("MatMulTransA mismatch")
+	}
+}
+
+// The ref* loops are the kernels' bit contract (DESIGN.md §13), one
+// output element at a time: products join the sum in ascending p, each
+// add rounds once, and a p whose a value is exactly zero (either sign)
+// is skipped. A kernel may walk memory in any order that leaves every
+// element with this sequence of roundings.
+
+// refMatMulAdd is c += a*b.
+func refMatMulAdd(a, b, c *Dense) {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := c.At(i, j)
+			for p := 0; p < a.Cols; p++ {
+				av := a.At(i, p)
+				if av == 0 {
+					continue
+				}
+				s += av * b.At(p, j)
+			}
+			c.Set(i, j, s)
+		}
+	}
+}
+
+// refMatMulTransAAdd is c += aᵀ*b.
+func refMatMulTransAAdd(a, b, c *Dense) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := c.At(i, j)
+			for p := 0; p < a.Rows; p++ {
+				av := a.At(p, i)
+				if av == 0 {
+					continue
+				}
+				s += av * b.At(p, j)
+			}
+			c.Set(i, j, s)
+		}
+	}
+}
+
+// refMatMul is c = a*b in MatMul's documented grouping: each aligned
+// group of four p joins the sum as one pre-added term (skipped only
+// when all four a values are zero), the k%4 tail one p at a time.
+func refMatMul(a, b, c *Dense) {
+	k := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				a0, a1, a2, a3 := a.At(i, p), a.At(i, p+1), a.At(i, p+2), a.At(i, p+3)
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue
+				}
+				s += a0*b.At(p, j) + a1*b.At(p+1, j) + a2*b.At(p+2, j) + a3*b.At(p+3, j)
+			}
+			for ; p < k; p++ {
+				if av := a.At(i, p); av != 0 {
+					s += av * b.At(p, j)
+				}
+			}
+			c.Set(i, j, s)
+		}
+	}
+}
+
+// sameBits compares element bit patterns; any NaN matches any NaN
+// (which operand's payload survives an add is the instruction
+// selector's choice, not the accumulation order's).
+func sameBits(t *testing.T, label string, got, want *Dense) {
+	t.Helper()
+	for i := range want.Data {
+		g, w := got.Data[i], want.Data[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: element %d = %v (%#08x), reference %v (%#08x)",
+				label, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+// TestKernelsBitEqualReference pins every GEMM kernel's accumulation
+// order bit for bit, over shapes covering k%4 in {0,1,2,3}, the
+// first-layer weight-gradient shape (32x3072)ᵀ·(32x20), ReLU-style
+// sparse a, a non-zero initial c, and non-finite / signed-zero
+// operands (where a skipped zero is visible: 0*Inf would be NaN).
+func TestKernelsBitEqualReference(t *testing.T) {
+	rng := xrand.New(41)
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+	}
+	fills := []struct {
+		name string
+		fill func(m *Dense)
+	}{
+		{"dense", func(*Dense) {}},
+		{"sparse", func(m *Dense) { // ReLU output: about half exact zeros
+			for i, v := range m.Data {
+				if v < 0 {
+					m.Data[i] = 0
+				}
+			}
+		}},
+		{"special", func(m *Dense) {
+			for i := range m.Data {
+				if rng.Intn(4) == 0 {
+					m.Data[i] = special[rng.Intn(len(special))]
+				}
+			}
+		}},
+	}
+	// n x k times k x m (for the TransA kernels a is stored k x n).
+	shapes := []struct{ n, k, m int }{
+		{1, 1, 1}, {3, 4, 5}, {5, 5, 3}, {2, 6, 7}, {4, 7, 2}, {6, 8, 20},
+		{9, 13, 10}, {20, 32, 10}, {16, 27, 33}, {3072, 32, 20}, {32, 3072, 20},
+	}
+	for _, s := range shapes {
+		for _, fa := range fills {
+			for _, fb := range fills {
+				label := fmt.Sprintf("%dx%dx%d a=%s b=%s", s.n, s.k, s.m, fa.name, fb.name)
+				a, at := randomDense(rng, s.n, s.k), randomDense(rng, s.k, s.n)
+				b := randomDense(rng, s.k, s.m)
+				fa.fill(a)
+				fa.fill(at)
+				fb.fill(b)
+				c0 := randomDense(rng, s.n, s.m) // non-zero initial accumulator
+				fb.fill(c0)
+				got, want := New(s.n, s.m), New(s.n, s.m)
+
+				copy(got.Data, c0.Data) // stale contents must be overwritten
+				MatMul(a, b, got)
+				refMatMul(a, b, want)
+				sameBits(t, "MatMul "+label, got, want)
+
+				copy(got.Data, c0.Data)
+				copy(want.Data, c0.Data)
+				MatMulAdd(a, b, got)
+				refMatMulAdd(a, b, want)
+				sameBits(t, "MatMulAdd "+label, got, want)
+
+				copy(got.Data, c0.Data)
+				want.Zero()
+				MatMulTransA(at, b, got)
+				refMatMulTransAAdd(at, b, want)
+				sameBits(t, "MatMulTransA "+label, got, want)
+
+				copy(got.Data, c0.Data)
+				copy(want.Data, c0.Data)
+				MatMulTransAAdd(at, b, got)
+				refMatMulTransAAdd(at, b, want)
+				sameBits(t, "MatMulTransAAdd "+label, got, want)
+			}
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"client fraction negative", func(o *Options) { o.ClientFraction = -0.5 }, "client fraction"},
 		{"client fraction above one", func(o *Options) { o.ClientFraction = 1.01 }, "client fraction"},
 		{"client fraction with dirichlet", func(o *Options) { o.ClientFraction = 0.1; o.DirichletAlpha = 0.5 }, "DirichletAlpha"},
+		{"shard smaller than a minibatch", func(o *Options) { o.TrainPerClient = 20 }, "20 training samples per peer is less than one minibatch of 32"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,5 +85,18 @@ func TestRunRejectsInvalidPolicies(t *testing.T) {
 	}
 	if _, err := New(Options{}, WithKind(KindTradeoff), WithPolicies(Policy{Kind: Timeout})).Run(context.Background()); err == nil {
 		t.Fatal("trade-off run accepted a timeout policy with no deadline")
+	}
+}
+
+// TestRunRejectsSubBatchShards: a training shard under one minibatch
+// would train nothing (nn.TrainEpochScratch runs full batches only), so
+// every entry path refuses it instead of reporting chance accuracy.
+func TestRunRejectsSubBatchShards(t *testing.T) {
+	for _, kind := range []Kind{KindVanilla, KindDecentralized, KindAsync, KindSharded, KindTradeoff} {
+		opts := Options{Clients: 4, Rounds: 1, TrainPerClient: 20, SelectionSize: 8, TestPerClient: 8}
+		_, err := New(opts, WithKind(kind)).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "less than one minibatch of 32") {
+			t.Errorf("%v run with 20-sample shards: err = %v", kind, err)
+		}
 	}
 }
