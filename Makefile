@@ -5,10 +5,12 @@
 #                  tests under the coverage ratchet + the CLI smoke
 #                  over the one -scenario path + the race-detector
 #                  pass (test-race: all of internal/par, internal/chain,
-#                  internal/keys and internal/ledger — the pool, the
-#                  transaction memo's atomics and the only block store —
-#                  plus the root TestRaceSmoke* runs; nothing else runs
-#                  under -race) + the fuzz smoke over
+#                  internal/keys, internal/ledger and internal/fl — the
+#                  pool, the transaction memo's atomics, the only block
+#                  store, the combination-search workers and the
+#                  vanilla arm's pools — plus the root TestRaceSmoke*
+#                  runs; nothing else runs under -race) + the fuzz
+#                  smoke over
 #                  the chain codec and mempool + the campaign
 #                  crash-recovery smoke (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
@@ -92,11 +94,13 @@ campaign-smoke:
 # per-transaction memo — digest, hash, signature verdict, decoded call —
 # is lock-free atomics shared by every replica), internal/ledger in
 # full (the only block store: its read views are called from the
-# parallel decide pool), plus short parallel runs of the decentralized
-# experiment, the trade-off sweep, shared transactions across six
-# ledgers, and the simulators (TestRaceSmoke* in race_test.go).
+# parallel decide pool), internal/fl in full (the combination-search
+# worker pool and the vanilla arm's par pools; ~16 s with the build),
+# plus short parallel runs of the decentralized experiment, the
+# trade-off sweep, shared transactions across six ledgers, and the
+# simulators (TestRaceSmoke* in race_test.go).
 test-race:
-	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/
+	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 bench:

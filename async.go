@@ -30,25 +30,16 @@ type TimelinePoint struct {
 	MeanAccuracy float64
 }
 
-// AsyncReport is the asynchronous experiment's output: per-peer
-// aggregation schedules on the shared virtual clock, the fleet
-// timeline they induce, and the on-chain footprint. Where the
-// barriered kinds answer "what accuracy after N rounds", KindAsync
-// answers "what accuracy by time T" — the paper's wait-or-not question
-// asked on the axis it actually lives on.
-type AsyncReport struct {
-	PeerNames []string
-	// InitialAccuracy[peer] is the shared starting model's accuracy on
-	// that peer's test set (the t=0 point of the timeline).
-	InitialAccuracy []float64
-	// Rounds[peer] are that peer's aggregations in firing order; peers
-	// complete different numbers of rounds under a time budget.
-	Rounds [][]AsyncRoundInfo
-	// Chain summarizes the ledger footprint.
-	Chain ChainSummary
-	// HorizonMs is the virtual time the run ended at.
-	HorizonMs float64
-}
+// AsyncReport is the asynchronous experiment's output — the engine's
+// result itself: per-peer aggregation schedules on the shared virtual
+// clock (Rounds[peer], in firing order; peers complete different
+// numbers of rounds under a time budget), InitialAccuracy[peer] of the
+// shared starting model (the t=0 point of the timeline they induce),
+// the ledger footprint Chain, and HorizonMs, the virtual time the run
+// ended at. Where the barriered kinds answer "what accuracy after N
+// rounds", KindAsync answers "what accuracy by time T" — the paper's
+// wait-or-not question asked on the axis it actually lives on.
+type AsyncReport bfl.AsyncResult
 
 // runAsyncExperiment is the engine-facing async runner behind
 // Experiment.Run.
@@ -57,16 +48,7 @@ func runAsyncExperiment(ctx context.Context, opts Options, sink event.Sink) (*As
 	cfg.EvalAllCombos = false
 	cfg.Events = sink
 	res, err := bfl.RunAsync(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &AsyncReport{
-		PeerNames:       res.PeerNames,
-		InitialAccuracy: res.InitialAccuracy,
-		Rounds:          res.Rounds,
-		Chain:           res.Chain,
-		HorizonMs:       res.HorizonMs,
-	}, nil
+	return (*AsyncReport)(res), err
 }
 
 // Headline reduces the report to the trade-off study's three headline

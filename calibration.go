@@ -132,22 +132,6 @@ func (r *PBFTCalibrationReport) Table() string {
 	return tab.ASCII()
 }
 
-// distName labels a distribution family for calibration rows.
-func distName(k DistKind) string {
-	switch k {
-	case DistFixed:
-		return "fixed"
-	case DistUniform:
-		return "uniform"
-	case DistExponential:
-		return "exponential"
-	case DistLogNormal:
-		return "lognormal"
-	default:
-		return fmt.Sprintf("kind-%d", int(k))
-	}
-}
-
 // CalibratePBFT runs the PBFT latency calibration grid: for every
 // (distribution, committee) cell it evaluates the closed-form
 // prediction and the event-level vclock simulation, and reports both
@@ -174,7 +158,7 @@ func CalibratePBFT(cfg PBFTCalibrationConfig) (*PBFTCalibrationReport, error) {
 		c := cells[i]
 		model := latmodel.Config{
 			Validators:   c.n,
-			PerHop:       c.dist.internal(),
+			PerHop:       c.dist,
 			PayloadBytes: cfg.PayloadBytes,
 			PerKBMs:      cfg.PerKBMs,
 			Updates:      cfg.Updates,
@@ -182,7 +166,7 @@ func CalibratePBFT(cfg PBFTCalibrationConfig) (*PBFTCalibrationReport, error) {
 		}
 		predicted, err := latmodel.PredictRoundLatencyMs(model)
 		if err != nil {
-			return PBFTCalibrationRow{}, fmt.Errorf("waitornot: calibration cell %s/n=%d: %w", distName(c.dist.Kind), c.n, err)
+			return PBFTCalibrationRow{}, fmt.Errorf("waitornot: calibration cell %s/n=%d: %w", c.dist.Kind, c.n, err)
 		}
 		simulated, err := latmodel.SimulateRoundLatencyMs(latmodel.SimConfig{
 			Config: model,
@@ -192,10 +176,10 @@ func CalibratePBFT(cfg PBFTCalibrationConfig) (*PBFTCalibrationReport, error) {
 			Seed: cfg.Seed*1_000_003 + uint64(i)*7919,
 		})
 		if err != nil {
-			return PBFTCalibrationRow{}, fmt.Errorf("waitornot: calibration cell %s/n=%d: %w", distName(c.dist.Kind), c.n, err)
+			return PBFTCalibrationRow{}, fmt.Errorf("waitornot: calibration cell %s/n=%d: %w", c.dist.Kind, c.n, err)
 		}
 		return PBFTCalibrationRow{
-			Dist:        distName(c.dist.Kind),
+			Dist:        c.dist.Kind.String(),
 			Validators:  c.n,
 			Quorum:      latmodel.Quorum(c.n),
 			Messages:    latmodel.MessageCount(c.n),

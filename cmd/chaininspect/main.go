@@ -1,11 +1,13 @@
 // Command chaininspect dumps and audits a blockchain produced by an
 // experiment: block headers, transactions (with decoded contract calls
-// and signature checks), per-round model submissions and aggregation
-// decisions, gas/size accounting — and then the audit replay
+// and signature checks), gas/size accounting — then the audit replay
 // (bfl.AuditChain): every block linked to its parent and checked under
-// the block rule, every transaction re-executed from calldata alone. It
-// ends with "chain valid: N blocks, M txs replayed", or names the first
-// offending block and the rule it broke and exits 1.
+// the block rule, every transaction re-executed from calldata alone —
+// and the audit trail read back from the replayed contract state: the
+// registered participants, then per round who submitted which weights
+// and who adopted which combination with which result. It ends with
+// "chain valid: N blocks, M txs replayed", or names the first offending
+// block and the rule it broke and exits 1.
 //
 // By default it runs a small decentralized experiment in-process and
 // inspects the resulting chain; -load reads a chain file written with
@@ -136,8 +138,30 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\ntotals: %d blocks, %d gas, %.2f MB\n", len(blocks), totalGas, float64(totalBytes)/1e6)
 
-	if _, err := bfl.AuditChain(blocks); err != nil {
+	st, err := bfl.AuditChain(blocks)
+	if err != nil {
 		return fmt.Errorf("chain INVALID: %w", err)
+	}
+	// The non-repudiation trail, read back from the replayed contract
+	// state: who registered, who submitted which weights, who adopted
+	// which combination with which result.
+	fmt.Fprintf(out, "\naudit trail:\n")
+	for _, p := range contract.Participants(st) {
+		fmt.Fprintf(out, "  participant %s %s\n", p.Name, p.Addr.Short())
+	}
+	for round := uint64(1); ; round++ {
+		subs, decs := contract.SubmissionsAt(st, round), contract.DecisionsAt(st, round)
+		if len(subs)+len(decs) == 0 {
+			break
+		}
+		for _, s := range subs {
+			fmt.Fprintf(out, "  round %d submission %s: weights %s (%d B, %d samples) in tx %s\n",
+				round, contract.NameOf(st, s.Sender), s.WeightsHash.Short(), s.PayloadSize, s.NumSamples, s.TxHash.Short())
+		}
+		for _, d := range decs {
+			fmt.Fprintf(out, "  round %d decision %s: adopted %q (%d models), result %s\n",
+				round, contract.NameOf(st, d.Peer), d.Combo, d.NumIncluded, d.ResultHash.Short())
+		}
 	}
 	fmt.Fprintf(out, "chain valid: %d blocks, %d txs replayed\n", len(blocks), txs)
 	return nil

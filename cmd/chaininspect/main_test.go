@@ -26,8 +26,20 @@ func TestLoadAuditsTheChain(t *testing.T) {
 		t.Fatalf("honest chain rejected: %v", err)
 	}
 	// genesis + registration + round 1's submit and decision blocks, 3 txs each.
-	if !strings.Contains(out.String(), "chain valid: 4 blocks, 9 txs replayed") {
-		t.Fatalf("no audit verdict in:\n%s", out.String())
+	if !strings.HasSuffix(out.String(), "chain valid: 4 blocks, 9 txs replayed\n") {
+		t.Fatalf("no audit verdict at the end of:\n%s", out.String())
+	}
+	// The audit trail read back from the replayed state: every peer
+	// registered, submitted and recorded one decision in round 1.
+	for _, peer := range []string{"A", "B", "C"} {
+		for _, line := range []string{"participant " + peer + " ", "round 1 submission " + peer + ": ", "round 1 decision " + peer + ": adopted "} {
+			if n := strings.Count(out.String(), "  "+line); n != 1 {
+				t.Errorf("%d %q lines, want 1, in:\n%s", n, line, out.String())
+			}
+		}
+	}
+	if n := strings.Count(out.String(), " decision "); n != 3 {
+		t.Errorf("%d decision lines, want one per peer per round (3)", n)
 	}
 
 	tampered := func(name string, corrupt func(blocks []*chain.Block)) string {

@@ -65,8 +65,6 @@ func TestBFLResultParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Config = bfl.Config{}
-		res.TrainWallTime = 0
 		return res
 	}
 	seq, par := run(1), run(8)

@@ -93,10 +93,11 @@ func TestVanillaAndDecentralizedSameBand(t *testing.T) {
 
 // TestPowChainShapeGolden pins the default substrate's blocks by shape:
 // a 2-round pow run's chain as header fields and per-transaction
-// sender, nonce, destination, gas limit and payload digest. Transaction
-// and block hashes (and PoW nonces) are left out on purpose: signatures
-// draw fresh randomness, so those differ run to run while everything
-// pinned here is a pure function of the seed.
+// sender, nonce, destination, gas limit and payload digest — the part
+// of the chain that is a function of the seed whatever nonce the
+// signatures use. The rest (signatures, and so transaction and block
+// hashes and PoW nonces) is covered by
+// TestChainBytesAreAFunctionOfTheSeed.
 func TestPowChainShapeGolden(t *testing.T) {
 	res, err := bfl.RunDecentralizedWithChain(bfl.Config{
 		Model:         nn.ModelSimpleNN,
@@ -120,4 +121,36 @@ func TestPowChainShapeGolden(t *testing.T) {
 		}
 	}
 	testutil.GoldenFile(t, "testdata/pow_chain_shape.golden", out.Bytes())
+}
+
+// TestChainBytesAreAFunctionOfTheSeed: "deterministic given the seed"
+// holds for the chain itself, not only for the reports — signatures use
+// RFC 6979 nonces, so two runs at one seed serialize to the same bytes
+// (a chain file can be a golden) and a different seed does not.
+func TestChainBytesAreAFunctionOfTheSeed(t *testing.T) {
+	stream := func(seed uint64) []byte {
+		res, err := bfl.RunDecentralizedWithChain(bfl.Config{
+			Model:         nn.ModelSimpleNN,
+			Rounds:        1,
+			Seed:          seed,
+			TrainPerPeer:  64,
+			SelectionSize: 40,
+			TestPerPeer:   50,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := chain.WriteChain(&file, res.CanonicalChain); err != nil {
+			t.Fatal(err)
+		}
+		return file.Bytes()
+	}
+	first := stream(21)
+	if again := stream(21); !bytes.Equal(first, again) {
+		t.Fatalf("two runs at seed 21 wrote different chains (%d and %d bytes)", len(first), len(again))
+	}
+	if bytes.Equal(first, stream(22)) {
+		t.Fatal("seeds 21 and 22 wrote the same chain")
+	}
 }

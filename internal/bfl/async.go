@@ -45,7 +45,6 @@ type AsyncRound struct {
 
 // AsyncResult is the asynchronous experiment's complete output.
 type AsyncResult struct {
-	Config    Config
 	PeerNames []string
 	// InitialAccuracy[peer] is the shared starting model's accuracy on
 	// that peer's test set — the t=0 point of accuracy-vs-time curves.
@@ -58,8 +57,6 @@ type AsyncResult struct {
 	Chain ChainStats
 	// HorizonMs is the virtual time the run ended at.
 	HorizonMs float64
-	// TrainWallTime is the cumulative real training time.
-	TrainWallTime time.Duration
 }
 
 // asyncArrival is one remote update visible at a peer, not yet merged.
@@ -108,11 +105,10 @@ type asyncEngine struct {
 	// clock is the run's virtual-time event queue.
 	clock *vclock.Clock
 
-	peers     []*asyncPeer
-	res       *AsyncResult
-	halfLife  float64
-	budgetMs  float64
-	wallStart time.Time
+	peers    []*asyncPeer
+	res      *AsyncResult
+	halfLife float64
+	budgetMs float64
 
 	// commitAt de-duplicates commit events per cadence boundary.
 	commitAt    map[float64]bool
@@ -150,7 +146,6 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 		budgetMs: e.cfg.TimeBudgetMs,
 		commitAt: map[float64]bool{},
 		res: &AsyncResult{
-			Config:          e.cfg,
 			PeerNames:       make([]string, len(cohort)),
 			InitialAccuracy: make([]float64, len(cohort)),
 			Rounds:          make([][]AsyncRound, len(cohort)),
@@ -185,7 +180,6 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 		}
 	}
 
-	a.wallStart = time.Now()
 	for _, p := range a.peers {
 		p := p
 		clock.Schedule(clock.Now(), p.idx, func() error { return a.startRound(p) })
@@ -194,7 +188,6 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 		return nil, err
 	}
 	a.res.HorizonMs = clock.Now()
-	a.res.TrainWallTime = time.Since(a.wallStart)
 	a.res.Chain = e.chainStats()
 	return a.res, nil
 }

@@ -29,13 +29,6 @@ func tinyAsyncConfig() Config {
 	}
 }
 
-// normalizeAsync strips run metadata so results compare structurally.
-func normalizeAsync(r *AsyncResult) *AsyncResult {
-	r.Config = Config{}
-	r.TrainWallTime = 0
-	return r
-}
-
 // TestRunAsyncDeterministic: the free run is a pure function of its
 // configuration — two runs agree exactly, and the Parallelism knob
 // (meaningless to the sequential event loop) cannot perturb it.
@@ -47,7 +40,7 @@ func TestRunAsyncDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return normalizeAsync(res)
+		return res
 	}
 	a, b, c := run(1), run(1), run(8)
 	if !reflect.DeepEqual(a, b) {
@@ -212,14 +205,14 @@ func TestRunAsyncHeterogeneousDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(normalizeAsync(a), normalizeAsync(b)) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("heterogeneous async run not deterministic")
 	}
 	fixed, err := RunAsync(context.Background(), tinyAsyncConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(normalizeAsync(fixed).Rounds, a.Rounds) {
+	if reflect.DeepEqual(fixed.Rounds, a.Rounds) {
 		t.Fatal("distribution draws had no effect on the schedule")
 	}
 }

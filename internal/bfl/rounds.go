@@ -12,7 +12,6 @@ package bfl
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
@@ -27,9 +26,6 @@ import (
 type RoundEngine struct {
 	e   *engine
 	res *Result
-	// wallStart stamps Result.TrainWallTime; set when registration
-	// completes, so set-up and registration stay out of it.
-	wallStart time.Time
 }
 
 // RoundSummary condenses one committed round for a supervising
@@ -52,7 +48,7 @@ func NewRoundEngine(cfg Config) (*RoundEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RoundEngine{e: e, res: e.newResult(), wallStart: time.Now()}, nil
+	return &RoundEngine{e: e, res: e.newResult()}, nil
 }
 
 // Config returns the fully defaulted configuration.
@@ -81,13 +77,7 @@ func (r *RoundEngine) TotalSamples() int {
 
 // RegisterAt submits every peer's registration transaction and commits
 // the genesis batch at the given instant.
-func (r *RoundEngine) RegisterAt(tsMs float64) error {
-	if err := r.e.registerAt(tsMs); err != nil {
-		return err
-	}
-	r.wallStart = time.Now()
-	return nil
-}
+func (r *RoundEngine) RegisterAt(tsMs float64) error { return r.e.registerAt(tsMs) }
 
 // RunRoundAt executes one full barriered round — train, submit,
 // commit at subTsMs, policy-gated decisions, commit at decTsMs — and
@@ -156,10 +146,9 @@ func (r *RoundEngine) AdoptAll(global []float32) error {
 	return nil
 }
 
-// Finish stamps the chain footprint and wall time and returns the
-// accumulated result. The engine must not be driven further.
+// Finish stamps the chain footprint and returns the accumulated
+// result. The engine must not be driven further.
 func (r *RoundEngine) Finish() *Result {
-	r.res.TrainWallTime = time.Since(r.wallStart)
 	r.res.Chain = r.e.chainStats()
 	return r.res
 }

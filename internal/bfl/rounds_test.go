@@ -68,7 +68,6 @@ func TestRoundEngineMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.TrainWallTime, want.TrainWallTime = 0, 0
 	gj, _ := json.Marshal(got)
 	wj, _ := json.Marshal(want)
 	if string(gj) != string(wj) {

@@ -1,7 +1,8 @@
 // Package bfl assembles the full system: fully coupled blockchain-FL
 // peers that train locally, submit models through the aggregation
-// contract on a PoW chain, personalize their aggregation with the core
-// engine, and record their decisions on-chain.
+// contract on a ledger backend (pow, poa, pbft or instant), personalize
+// their aggregation with the core engine, and record their decisions
+// on-chain.
 //
 // One assembly (engine.setup: identities, data, ledger, peers — the
 // classic fleet and the subsampled cross-device fleet alike) feeds two
@@ -283,9 +284,9 @@ type ChainStats struct {
 	VerifyRejected int
 }
 
-// Result is the complete decentralized experiment output.
+// Result is the complete decentralized experiment output: only what
+// the run determines, so the public report is this type.
 type Result struct {
-	Config    Config
 	PeerNames []string
 	// ComboLabels[peer] are that peer's Table II-IV row labels, in order.
 	ComboLabels [][]string
@@ -296,8 +297,6 @@ type Result struct {
 	Rounds [][]RoundStats
 	// Chain is the footprint of peer 0's canonical chain.
 	Chain ChainStats
-	// TrainWallTime is the cumulative real training time.
-	TrainWallTime time.Duration
 }
 
 // peerState bundles one fully coupled participant in the deterministic
@@ -723,7 +722,6 @@ func (e *engine) newResult() *Result {
 	cfg := e.cfg
 	n := len(e.peers)
 	res := &Result{
-		Config:        cfg,
 		PeerNames:     make([]string, n),
 		ComboLabels:   make([][]string, n),
 		ComboAccuracy: make([][][]float64, n),

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Arrival is one update's visibility at an observing peer on the
 // virtual clock: the instant it can first be read, whether it is the
@@ -26,14 +29,27 @@ type Arrival struct {
 // returns how many arrivals were on hand when the policy fired (the
 // prefix arrivals[:included]) and the firing time.
 //
-// If the policy never fires on an arrival (e.g. a pure Timeout whose
-// horizon outlives the last arrival), everything is included at the
-// last arrival — the barriered runner has no later instant to act on.
-// The asynchronous engine never needs that fallback: deadlines are
-// real clock events there (see Deadliner).
+// A Deadliner fires at its deadline, not at the first arrival past it —
+// the asynchronous engine's deadline event, so "when a timeout fires"
+// has one definition: with the own update in hand, the policy is probed
+// at the deadline before any later arrival is handed to it. An arrival
+// at exactly the deadline is in hand; a peer whose own update lands
+// after the deadline fires at that landing.
+//
+// If the policy never fires (callers pass expected = len(arrivals), so
+// only a hand-built set can do that), everything is included at the
+// last arrival.
 func FirePolicy(policy WaitPolicy, arrivals []Arrival, expected int) (included int, firedAtMs float64) {
+	deadline, deadlineMs := time.Duration(0), math.Inf(1)
+	if d, ok := policy.(Deadliner); ok {
+		deadline = d.Deadline()
+		deadlineMs = float64(deadline) / float64(time.Millisecond)
+	}
 	haveSelf := false
 	for i, a := range arrivals {
+		if haveSelf && a.AtMs > deadlineMs && policy.Ready(i, expected, deadline) {
+			return i, deadlineMs
+		}
 		if a.Self {
 			haveSelf = true
 		}
@@ -49,9 +65,7 @@ func FirePolicy(policy WaitPolicy, arrivals []Arrival, expected int) (included i
 
 // Deadliner is implemented by wait policies that can fire on elapsed
 // time alone (Timeout, KOrTimeout). Event-driven engines schedule a
-// real clock event at the deadline instead of waiting for the next
-// arrival — which is how the virtual-time engine retires the
-// "policy never fired" fallback.
+// real clock event at the deadline; FirePolicy probes at it.
 type Deadliner interface {
 	// Deadline returns the elapsed-time horizon after which the policy
 	// fires with whatever has arrived.

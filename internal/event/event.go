@@ -168,15 +168,20 @@ type RoundEnd struct {
 func (RoundEnd) EventName() string { return "round-end" }
 
 // PolicyDone reports one completed wait policy in the trade-off study,
-// with its headline outcome. Index is the policy's position in the
-// sweep; events arrive in index order even when policies run
-// concurrently.
+// with its headline outcome — and is the outcome the trade-off report
+// keeps. Index is the policy's position in the sweep; events arrive in
+// index order even when policies run concurrently.
 type PolicyDone struct {
 	Index  int
 	Policy string
 	// Backend names the consensus substrate the arm ran on; empty when
 	// the sweep ran on the experiment's single default backend.
-	Backend       string
+	Backend string
+	// FinalAccuracy is the mean adopted-model test accuracy across
+	// peers in the final round; MeanWaitMs the mean per-round
+	// aggregation wait across peers and rounds (simulated arrival-time
+	// model); MeanIncluded the mean number of models aggregated per
+	// round.
 	FinalAccuracy float64
 	MeanWaitMs    float64
 	MeanIncluded  float64
@@ -240,7 +245,8 @@ func (CampaignProgress) EventName() string { return "campaign-progress" }
 // (CumWaitMs is the shard's cumulative wait so far), and the shard's
 // peers admitted MeanIncluded updates on average. Policy names the
 // wait policy the round ran under (the adaptive controller swaps it
-// per merge epoch).
+// per merge epoch). The sharded report's per-shard round record is this
+// value.
 type ShardRoundEnd struct {
 	Shard        int
 	Round        int
@@ -280,8 +286,9 @@ func (ShardModelCommitted) EventName() string { return "shard-model-committed" }
 // the arriving shard adopts). Shard is -1 for sync merges. Included
 // counts contributing shard models, Accuracy the global model on the
 // held-out evaluation set, WaitMs the fleet's cumulative policy-wait
-// at the merge (the trade-off study's time axis), VirtualMs the merge
-// instant on the shared clock.
+// at the merge (the trade-off study's time axis, max over shards,
+// monotone), VirtualMs the merge instant on the shared clock. The
+// sharded report's merge trajectory is a list of these values.
 type GlobalMerge struct {
 	Epoch     int
 	Shard     int

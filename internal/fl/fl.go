@@ -8,6 +8,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"waitornot/internal/dataset"
@@ -30,80 +31,13 @@ type Update struct {
 	NumSamples int
 }
 
-// checkFedAvg validates the updates and returns the weight length and
-// total sample count.
-func checkFedAvg(updates []*Update) (n, total int, err error) {
-	if len(updates) == 0 {
-		return 0, 0, fmt.Errorf("fl: FedAvg of zero updates")
-	}
-	n = len(updates[0].Weights)
-	for _, u := range updates {
-		if len(u.Weights) != n {
-			return 0, 0, fmt.Errorf("fl: update %q has %d weights, want %d", u.Client, len(u.Weights), n)
-		}
-		if u.NumSamples <= 0 {
-			return 0, 0, fmt.Errorf("fl: update %q has non-positive sample count %d", u.Client, u.NumSamples)
-		}
-		total += u.NumSamples
-	}
-	return n, total, nil
-}
-
-// fedAvgInto accumulates the sample-weighted average into out (assumed
-// zeroed, len n).
-func fedAvgInto(out []float32, updates []*Update, total int) {
-	for _, u := range updates {
-		coef := float32(float64(u.NumSamples) / float64(total))
-		tensor.Axpy(coef, u.Weights, out)
-	}
-}
-
 // FedAvg computes the sample-weighted average of the given updates'
 // weight vectors — McMahan et al.'s aggregation rule, the one the paper
 // uses. It returns an error if the updates are empty or have mismatched
 // lengths. The result is freshly allocated (safe to retain); hot loops
 // that aggregate every round should reuse an Averager instead.
 func FedAvg(updates []*Update) ([]float32, error) {
-	n, total, err := checkFedAvg(updates)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	fedAvgInto(out, updates, total)
-	return out, nil
-}
-
-// checkWeightedFedAvg validates updates and coefficients and returns
-// the weight length and coefficient sum.
-func checkWeightedFedAvg(updates []*Update, coef []float64) (n int, total float64, err error) {
-	if len(updates) == 0 {
-		return 0, 0, fmt.Errorf("fl: WeightedFedAvg of zero updates")
-	}
-	if len(coef) != len(updates) {
-		return 0, 0, fmt.Errorf("fl: %d coefficients for %d updates", len(coef), len(updates))
-	}
-	n = len(updates[0].Weights)
-	for i, u := range updates {
-		if len(u.Weights) != n {
-			return 0, 0, fmt.Errorf("fl: update %q has %d weights, want %d", u.Client, len(u.Weights), n)
-		}
-		if coef[i] < 0 {
-			return 0, 0, fmt.Errorf("fl: update %q has negative coefficient %g", u.Client, coef[i])
-		}
-		total += coef[i]
-	}
-	if total <= 0 {
-		return 0, 0, fmt.Errorf("fl: coefficients sum to %g, want positive", total)
-	}
-	return n, total, nil
-}
-
-// weightedFedAvgInto accumulates the normalized weighted average into
-// out (assumed zeroed, len n).
-func weightedFedAvgInto(out []float32, updates []*Update, coef []float64, total float64) {
-	for i, u := range updates {
-		tensor.Axpy(float32(coef[i]/total), u.Weights, out)
-	}
+	return new(Averager).FedAvg(updates)
 }
 
 // WeightedFedAvg averages the updates' weight vectors under explicit
@@ -113,13 +47,7 @@ func weightedFedAvgInto(out []float32, updates []*Update, coef []float64, total 
 // normalized internally. The result is freshly allocated (safe to
 // retain); see Averager for the scratch-reusing variant.
 func WeightedFedAvg(updates []*Update, coef []float64) ([]float32, error) {
-	n, total, err := checkWeightedFedAvg(updates, coef)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	weightedFedAvgInto(out, updates, coef, total)
-	return out, nil
+	return new(Averager).WeightedFedAvg(updates, coef)
 }
 
 // StalenessWeights is the asynchronous merges' weighting rule, for use
@@ -152,41 +80,56 @@ func StalenessWeights(updates []*Update, agesMs []float64, halfLifeMs float64) [
 // use — pools hold one Averager per worker.
 type Averager struct {
 	scratch []float32
+	coef    []float64
 }
 
-// buf returns the zeroed n-element scratch, growing it if needed.
-func (a *Averager) buf(n int) []float32 {
+// FedAvg is WeightedFedAvg under each update's sample count: the
+// integer total is exact in float64, so update i's coefficient is the
+// one division NumSamples_i / total either way.
+func (a *Averager) FedAvg(updates []*Update) ([]float32, error) {
+	a.coef = slices.Grow(a.coef[:0], len(updates))
+	for _, u := range updates {
+		if u.NumSamples <= 0 {
+			return nil, fmt.Errorf("fl: update %q has non-positive sample count %d", u.Client, u.NumSamples)
+		}
+		a.coef = append(a.coef, float64(u.NumSamples))
+	}
+	return a.WeightedFedAvg(updates, a.coef)
+}
+
+// WeightedFedAvg validates updates and coefficients and accumulates the
+// normalized weighted average into the reused scratch buffer.
+func (a *Averager) WeightedFedAvg(updates []*Update, coef []float64) ([]float32, error) {
+	if len(updates) == 0 {
+		return nil, fmt.Errorf("fl: FedAvg of zero updates")
+	}
+	if len(coef) != len(updates) {
+		return nil, fmt.Errorf("fl: %d coefficients for %d updates", len(coef), len(updates))
+	}
+	n := len(updates[0].Weights)
+	var total float64
+	for i, u := range updates {
+		if len(u.Weights) != n {
+			return nil, fmt.Errorf("fl: update %q has %d weights, want %d", u.Client, len(u.Weights), n)
+		}
+		if coef[i] < 0 {
+			return nil, fmt.Errorf("fl: update %q has negative coefficient %g", u.Client, coef[i])
+		}
+		total += coef[i]
+	}
+	if total <= 0 {
+		return nil, fmt.Errorf("fl: coefficients sum to %g, want positive", total)
+	}
 	if cap(a.scratch) < n {
 		a.scratch = make([]float32, n)
+	} else {
+		a.scratch = a.scratch[:n]
+		clear(a.scratch)
 	}
-	a.scratch = a.scratch[:n]
-	for i := range a.scratch {
-		a.scratch[i] = 0
+	for i, u := range updates {
+		tensor.Axpy(float32(coef[i]/total), u.Weights, a.scratch)
 	}
-	return a.scratch
-}
-
-// FedAvg is the package-level FedAvg into the reused scratch buffer.
-func (a *Averager) FedAvg(updates []*Update) ([]float32, error) {
-	n, total, err := checkFedAvg(updates)
-	if err != nil {
-		return nil, err
-	}
-	out := a.buf(n)
-	fedAvgInto(out, updates, total)
-	return out, nil
-}
-
-// WeightedFedAvg is the package-level WeightedFedAvg into the reused
-// scratch buffer.
-func (a *Averager) WeightedFedAvg(updates []*Update, coef []float64) ([]float32, error) {
-	n, total, err := checkWeightedFedAvg(updates, coef)
-	if err != nil {
-		return nil, err
-	}
-	out := a.buf(n)
-	weightedFedAvgInto(out, updates, coef, total)
-	return out, nil
+	return a.scratch, nil
 }
 
 // NewAveragers builds n independent scratch accumulators — one per

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"waitornot/internal/dataset"
+	"waitornot/internal/event"
 	"waitornot/internal/nn"
 	"waitornot/internal/xrand"
 )
@@ -264,36 +265,41 @@ func tinyVanillaConfig(model nn.ModelID) VanillaConfig {
 }
 
 func TestRunVanillaShapeAndRanges(t *testing.T) {
-	res, err := Run(context.Background(), tinyVanillaConfig(nn.ModelSimpleNN))
+	cfg := tinyVanillaConfig(nn.ModelSimpleNN)
+	var notConsiderCombos []string
+	cfg.Events = func(ev event.Event) {
+		if d, ok := ev.(event.AggregationDecided); ok && d.Arm == ModeNotConsider.String() {
+			notConsiderCombos = append(notConsiderCombos, d.ChosenCombo)
+		}
+	}
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.ClientNames) != 3 {
 		t.Fatalf("client names: %v", res.ClientNames)
 	}
-	for _, arm := range []*ArmResult{res.Consider, res.NotConsider} {
-		if len(arm.Accuracy) != 3 {
-			t.Fatalf("%v: %d clients", arm.Mode, len(arm.Accuracy))
+	for arm, accuracy := range map[string][][]float64{"consider": res.Consider, "not consider": res.NotConsider} {
+		if len(accuracy) != 3 {
+			t.Fatalf("%s: %d clients", arm, len(accuracy))
 		}
-		for _, series := range arm.Accuracy {
+		for _, series := range accuracy {
 			if len(series) != 2 {
-				t.Fatalf("%v: %d rounds", arm.Mode, len(series))
+				t.Fatalf("%s: %d rounds", arm, len(series))
 			}
 			for _, acc := range series {
 				if acc < 0 || acc > 1 {
-					t.Fatalf("%v: accuracy %v out of range", arm.Mode, acc)
+					t.Fatalf("%s: accuracy %v out of range", arm, acc)
 				}
 			}
 		}
-		if len(arm.ChosenCombos) != 2 {
-			t.Fatalf("%v: chosen combos %v", arm.Mode, arm.ChosenCombos)
-		}
+	}
+	if len(res.ConsiderCombos) != 2 {
+		t.Fatalf("consider: chosen combos %v", res.ConsiderCombos)
 	}
 	// Not-consider always aggregates everyone.
-	for _, combo := range res.NotConsider.ChosenCombos {
-		if combo != "A,B,C" {
-			t.Fatalf("not-consider chose %q", combo)
-		}
+	if !reflect.DeepEqual(notConsiderCombos, []string{"A,B,C", "A,B,C"}) {
+		t.Fatalf("not-consider chose %q", notConsiderCombos)
 	}
 }
 
@@ -306,14 +312,8 @@ func TestRunVanillaDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Consider.Accuracy, b.Consider.Accuracy) {
-		t.Fatal("consider arm not deterministic")
-	}
-	if !reflect.DeepEqual(a.NotConsider.Accuracy, b.NotConsider.Accuracy) {
-		t.Fatal("not-consider arm not deterministic")
-	}
-	if !reflect.DeepEqual(a.Consider.ChosenCombos, b.Consider.ChosenCombos) {
-		t.Fatal("chosen combos not deterministic")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two vanilla runs differ:\n%+v\n%+v", a, b)
 	}
 }
 

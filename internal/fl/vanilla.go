@@ -123,24 +123,28 @@ func (c VanillaConfig) Validate() error {
 	return nil
 }
 
-// ArmResult is one aggregation arm's outcome: per-client, per-round test
-// accuracy plus the combos the consider policy chose.
-type ArmResult struct {
-	Mode AggregationMode
-	// Accuracy[client][round-1] is the aggregated model's accuracy on
+// armResult is one aggregation arm's outcome: per-client, per-round test
+// accuracy plus the combos the aggregator chose.
+type armResult struct {
+	// accuracy[client][round-1] is the aggregated model's accuracy on
 	// that client's test set after the given round.
-	Accuracy [][]float64
-	// ChosenCombos[round-1] labels the combination the aggregator
+	accuracy [][]float64
+	// chosenCombos[round-1] labels the combination the aggregator
 	// adopted that round ("A,B,C" for not-consider always).
-	ChosenCombos []string
+	chosenCombos []string
 }
 
-// VanillaResult is the complete Table I experiment output.
+// VanillaResult is the complete Table I experiment output: only what
+// the run determines, so the public report is this type.
 type VanillaResult struct {
-	Config      VanillaConfig
 	ClientNames []string
-	Consider    *ArmResult
-	NotConsider *ArmResult
+	// Consider[client][round-1] / NotConsider[client][round-1] are test
+	// accuracies under the two aggregation types.
+	Consider    [][]float64
+	NotConsider [][]float64
+	// ConsiderCombos[round-1] is the combination the consider
+	// aggregator adopted each round.
+	ConsiderCombos []string
 }
 
 // ClientName returns the paper-style name of client i: "A", "B", ...
@@ -213,7 +217,7 @@ func (env *environment) buildClients(arm string) []*Client {
 // Events are emitted from this (the coordinator's) goroutine only, at
 // deterministic barriers, so the stream is identical at every
 // Parallelism.
-func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmResult, error) {
+func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*armResult, error) {
 	cfg := env.cfg
 	sink := cfg.Events
 	arm := mode.String()
@@ -226,13 +230,12 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 	aggAvgs := NewAveragers(workers)
 	combos := AllCombos(cfg.Clients)
 
-	res := &ArmResult{
-		Mode:         mode,
-		Accuracy:     make([][]float64, cfg.Clients),
-		ChosenCombos: make([]string, 0, cfg.Rounds),
+	res := &armResult{
+		accuracy:     make([][]float64, cfg.Clients),
+		chosenCombos: make([]string, 0, cfg.Rounds),
 	}
-	for i := range res.Accuracy {
-		res.Accuracy[i] = make([]float64, 0, cfg.Rounds)
+	for i := range res.accuracy {
+		res.accuracy[i] = make([]float64, 0, cfg.Rounds)
 	}
 	names := make([]string, cfg.Clients)
 	for i := range names {
@@ -272,7 +275,7 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 			for i := range all {
 				all[i] = i
 			}
-			res.ChosenCombos = append(res.ChosenCombos, all.Label(names))
+			res.chosenCombos = append(res.chosenCombos, all.Label(names))
 		case ModeConsider:
 			results, err := EvaluateCombosWith(updates, combos, aggEvals, aggAvgs)
 			if err != nil {
@@ -287,7 +290,7 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 				return nil, err
 			}
 			global = w
-			res.ChosenCombos = append(res.ChosenCombos, best.Combo.Label(names))
+			res.chosenCombos = append(res.chosenCombos, best.Combo.Label(names))
 		default:
 			return nil, fmt.Errorf("fl: unknown aggregation mode %v", mode)
 		}
@@ -301,7 +304,7 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 		}
 		var meanAcc float64
 		for i := range clients {
-			res.Accuracy[i] = append(res.Accuracy[i], accs[i])
+			res.accuracy[i] = append(res.accuracy[i], accs[i])
 			meanAcc += accs[i]
 		}
 		meanAcc /= float64(cfg.Clients)
@@ -309,7 +312,7 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*ArmR
 			Round:       round,
 			Arm:         arm,
 			Included:    cfg.Clients,
-			ChosenCombo: res.ChosenCombos[round-1],
+			ChosenCombo: res.chosenCombos[round-1],
 			Accuracy:    meanAcc,
 		})
 		sink.Emit(event.RoundEnd{Round: round, Arm: arm})
@@ -340,9 +343,9 @@ func Run(ctx context.Context, cfg VanillaConfig) (*VanillaResult, error) {
 		names[i] = ClientName(i)
 	}
 	return &VanillaResult{
-		Config:      cfg,
-		ClientNames: names,
-		Consider:    consider,
-		NotConsider: notConsider,
+		ClientNames:    names,
+		Consider:       consider.accuracy,
+		NotConsider:    notConsider.accuracy,
+		ConsiderCombos: consider.chosenCombos,
 	}, nil
 }

@@ -6,10 +6,11 @@
 package keys
 
 import (
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/sha256"
+	"encoding/asn1"
 	"errors"
 	"fmt"
 	"math/big"
@@ -71,14 +72,22 @@ func (k *Key) Sign(payload []byte) (Signature, error) {
 
 // SignDigest signs a precomputed SHA-256 digest. Callers that can stream
 // the message through a hasher avoid materializing the signing bytes.
+// The nonce is RFC 6979's — a function of (key, digest), which is what
+// a nil random source selects — so a signature, and with it every
+// transaction hash, Merkle root and block hash of a run, is a function
+// of the seed.
 func (k *Key) SignDigest(digest [32]byte) (Signature, error) {
-	r, s, err := ecdsa.Sign(rand.Reader, k.priv, digest[:])
+	der, err := k.priv.Sign(nil, digest[:], crypto.SHA256)
 	if err != nil {
 		return Signature{}, fmt.Errorf("keys: sign: %w", err)
 	}
+	var rs struct{ R, S *big.Int }
+	if _, err := asn1.Unmarshal(der, &rs); err != nil {
+		return Signature{}, fmt.Errorf("keys: sign: %w", err)
+	}
 	var sig Signature
-	r.FillBytes(sig[:32])
-	s.FillBytes(sig[32:])
+	rs.R.FillBytes(sig[:32])
+	rs.S.FillBytes(sig[32:])
 	return sig, nil
 }
 

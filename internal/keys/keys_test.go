@@ -16,6 +16,13 @@ func TestGenerateAndSignVerify(t *testing.T) {
 	if err := Verify(k.PublicKey(), payload, sig); err != nil {
 		t.Fatalf("valid signature rejected: %v", err)
 	}
+	// RFC 6979: the signature is a function of (key, payload).
+	if again, _ := k.Sign(payload); again != sig {
+		t.Fatal("signing the same payload twice gave two signatures")
+	}
+	if other, _ := k.Sign([]byte("another payload")); other == sig {
+		t.Fatal("two payloads share a signature")
+	}
 }
 
 func TestVerifyRejectsTamperedPayload(t *testing.T) {

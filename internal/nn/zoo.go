@@ -35,15 +35,16 @@ const (
 	ModelEffNetSim
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer with the public spellings: the root
+// package's Model is this type.
 func (id ModelID) String() string {
 	switch id {
 	case ModelSimpleNN:
 		return "SimpleNN"
 	case ModelEffNetSim:
-		return "EffNetSim"
+		return "EffNetB0Sim"
 	default:
-		return fmt.Sprintf("ModelID(%d)", int(id))
+		return fmt.Sprintf("Model(%d)", int(id))
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"time"
 
 	"waitornot/internal/bfl"
 	"waitornot/internal/core"
@@ -204,21 +203,9 @@ func (c Config) shardConfig(i, offset, size int, seed uint64) bfl.Config {
 	return sc
 }
 
-// RoundAgg condenses one shard round for the report layer.
-type RoundAgg struct {
-	Round int
-	// Policy names the wait policy the round ran under.
-	Policy string
-	// MaxWaitMs is the slowest peer's policy wait this round; CumWaitMs
-	// the shard's cumulative wait through this round.
-	MaxWaitMs float64
-	CumWaitMs float64
-	// VirtualMs is the round's decision-commit instant on the shared
-	// clock.
-	VirtualMs float64
-	// MeanIncluded is the mean number of updates admitted per peer.
-	MeanIncluded float64
-}
+// RoundAgg condenses one shard round for the report layer. It is the
+// ShardRoundEnd event the round emits: the record is built once.
+type RoundAgg = event.ShardRoundEnd
 
 // ShardResult is one shard's complete record.
 type ShardResult struct {
@@ -237,43 +224,27 @@ type ShardResult struct {
 	// evaluation set; CumWaitMs its total policy wait.
 	FinalAccuracy float64
 	CumWaitMs     float64
-	// Flat is the shard's inner per-peer result (rounds, chain
-	// footprint, wall time).
-	Flat *bfl.Result
+	// PeerRounds[peer][round-1] is the shard's inner per-peer record —
+	// the same shape a flat decentralized run reports.
+	PeerRounds [][]bfl.RoundStats
+	// Chain summarizes the shard's own ledger footprint.
+	Chain bfl.ChainStats
 }
 
-// Merge records one cross-shard merge.
-type Merge struct {
-	Epoch int
-	// Shard is the arriving shard (async) or -1 (sync barrier).
-	Shard int
-	Mode  string
-	// Included counts shard models folded in (async counts only shards
-	// that have published at least once).
-	Included int
-	// Accuracy is the merged global model on the evaluation set.
-	Accuracy float64
-	// WaitMs is the fleet's cumulative policy wait at the merge — the
-	// trade-off study's time axis (max over shards, monotone).
-	WaitMs float64
-	// VirtualMs is the merge instant on the shared clock.
-	VirtualMs float64
-}
+// Merge records one cross-shard merge: the GlobalMerge event it emits.
+type Merge = event.GlobalMerge
 
-// Result is the complete sharded-hierarchy output.
+// Result is the complete sharded-hierarchy output: only what the run
+// determines, so the public report is this type.
 type Result struct {
-	Shards []ShardResult
-	Merges []Merge
 	// InitialAccuracy is the shared starting model on the global
 	// evaluation set; FinalAccuracy the last merge's global model.
 	InitialAccuracy float64
 	FinalAccuracy   float64
-	// Global is the final global weight vector.
-	Global []float32
+	Shards          []ShardResult
+	Merges          []Merge
 	// HorizonMs is the virtual instant the last shard finished.
 	HorizonMs float64
-	// TrainWallTime is the real wall time of the whole hierarchy.
-	TrainWallTime time.Duration
 }
 
 // shardRun is one shard's live state on the orchestrator's clock.
@@ -321,8 +292,6 @@ type orchestrator struct {
 	halfLife float64
 
 	res        *Result
-	lastGlobal []float32
-	mergeAcc   float64
 	mergeCount int // sync barrier counter
 }
 
@@ -336,7 +305,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	for _, s := range o.shards {
 		if err := s.eng.RegisterAt(s.step); err != nil {
 			return nil, err
@@ -347,15 +315,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	o.res.HorizonMs = o.clock.Now()
-	o.res.FinalAccuracy = o.mergeAcc
-	o.res.Global = o.lastGlobal
 	for _, s := range o.shards {
 		s.result.FinalAccuracy = s.prevAcc
 		s.result.CumWaitMs = s.cumWait
-		s.result.Flat = s.eng.Finish()
+		flat := s.eng.Finish()
+		s.result.PeerRounds, s.result.Chain = flat.Rounds, flat.Chain
 		o.res.Shards = append(o.res.Shards, *s.result)
 	}
-	o.res.TrainWallTime = time.Since(start)
 	return o.res, nil
 }
 
@@ -485,15 +451,7 @@ func (o *orchestrator) runRound(s *shardRun, ts1, ts2 float64) error {
 	}
 	s.rounds = round
 	s.cumWait += sum.MaxWaitMs
-	s.result.Rounds = append(s.result.Rounds, RoundAgg{
-		Round:        round,
-		Policy:       s.policy,
-		MaxWaitMs:    sum.MaxWaitMs,
-		CumWaitMs:    s.cumWait,
-		VirtualMs:    ts2,
-		MeanIncluded: sum.MeanIncluded,
-	})
-	o.sink.Emit(event.ShardRoundEnd{
+	agg := RoundAgg{
 		Shard:        s.idx,
 		Round:        round,
 		Policy:       s.policy,
@@ -501,7 +459,9 @@ func (o *orchestrator) runRound(s *shardRun, ts1, ts2 float64) error {
 		CumWaitMs:    s.cumWait,
 		VirtualMs:    ts2,
 		MeanIncluded: sum.MeanIncluded,
-	})
+	}
+	s.result.Rounds = append(s.result.Rounds, agg)
+	o.sink.Emit(agg)
 	if round%o.cfg.MergeEvery != 0 && round != o.rounds {
 		o.scheduleRound(s)
 		return nil
@@ -569,6 +529,15 @@ func (o *orchestrator) resume(s *shardRun, now float64) {
 	o.scheduleRound(s)
 }
 
+// landMerge records one cross-shard merge — trajectory entry and event
+// are the same value — and its global model's accuracy, which the last
+// merge leaves as the run's final one.
+func (o *orchestrator) landMerge(m Merge) {
+	o.res.Merges = append(o.res.Merges, m)
+	o.res.FinalAccuracy = m.Accuracy
+	o.sink.Emit(m)
+}
+
 func (o *orchestrator) syncMerge(s *shardRun, now float64) error {
 	s.ready = true
 	for _, sh := range o.shards {
@@ -584,20 +553,16 @@ func (o *orchestrator) syncMerge(s *shardRun, now float64) error {
 	if err != nil {
 		return err
 	}
-	acc := o.eval(global)
 	o.mergeCount++
-	m := Merge{
+	o.landMerge(Merge{
 		Epoch:     o.mergeCount,
 		Shard:     -1,
 		Mode:      MergeSync.String(),
 		Included:  len(updates),
-		Accuracy:  acc,
+		Accuracy:  o.eval(global),
 		WaitMs:    o.fleetWaitMs(),
 		VirtualMs: now,
-	}
-	o.res.Merges = append(o.res.Merges, m)
-	o.sink.Emit(event.GlobalMerge{Epoch: m.Epoch, Shard: -1, Mode: m.Mode, Included: m.Included, Accuracy: acc, WaitMs: m.WaitMs, VirtualMs: now})
-	o.lastGlobal, o.mergeAcc = global, acc
+	})
 	for _, sh := range o.shards {
 		sh.ready = false
 		// A single shard makes the merge an identity observation: the
@@ -633,19 +598,15 @@ func (o *orchestrator) asyncMerge(s *shardRun, now float64) error {
 	if err != nil {
 		return err
 	}
-	acc := o.eval(global)
-	m := Merge{
+	o.landMerge(Merge{
 		Epoch:     s.epoch,
 		Shard:     s.idx,
 		Mode:      MergeAsync.String(),
 		Included:  published,
-		Accuracy:  acc,
+		Accuracy:  o.eval(global),
 		WaitMs:    o.fleetWaitMs(),
 		VirtualMs: now,
-	}
-	o.res.Merges = append(o.res.Merges, m)
-	o.sink.Emit(event.GlobalMerge{Epoch: m.Epoch, Shard: s.idx, Mode: m.Mode, Included: published, Accuracy: acc, WaitMs: m.WaitMs, VirtualMs: now})
-	o.lastGlobal, o.mergeAcc = global, acc
+	})
 	// Single-shard merges are identity observations (see syncMerge).
 	if len(o.shards) > 1 {
 		if err := s.eng.AdoptAll(global); err != nil {

@@ -157,8 +157,8 @@ func TestRunSyncShape(t *testing.T) {
 		if len(s.Rounds) != 3 {
 			t.Errorf("shard %d ran %d rounds", s.Index, len(s.Rounds))
 		}
-		if s.Flat == nil || len(s.Flat.Rounds) != 2 {
-			t.Errorf("shard %d flat result missing or wrong peer count", s.Index)
+		if len(s.PeerRounds) != 2 || s.Chain.Blocks == 0 {
+			t.Errorf("shard %d inner per-peer record or ledger footprint missing", s.Index)
 		}
 		if s.Samples != 120 { // 2 peers x 60
 			t.Errorf("shard %d samples = %d", s.Index, s.Samples)
@@ -167,13 +167,30 @@ func TestRunSyncShape(t *testing.T) {
 	if res.FinalAccuracy != res.Merges[len(res.Merges)-1].Accuracy {
 		t.Error("FinalAccuracy must be the last merge's accuracy")
 	}
-	if res.Global == nil || res.HorizonMs <= 0 {
-		t.Error("missing global model or horizon")
+	if res.HorizonMs <= 0 {
+		t.Error("missing horizon")
 	}
-	// Event census: 6 shard rounds, 4 shard models, 2 merges.
+	// Event census: 6 shard rounds, 4 shard models, 2 merges — and the
+	// report's records are the emitted events themselves.
 	count := map[string]int{}
+	var merges []Merge
+	rounds := make([][]RoundAgg, len(res.Shards))
 	for _, ev := range events {
 		count[ev.EventName()]++
+		switch ev := ev.(type) {
+		case event.GlobalMerge:
+			merges = append(merges, ev)
+		case event.ShardRoundEnd:
+			rounds[ev.Shard] = append(rounds[ev.Shard], ev)
+		}
+	}
+	if !reflect.DeepEqual(merges, res.Merges) {
+		t.Errorf("merge events %+v differ from the report's %+v", merges, res.Merges)
+	}
+	for i, s := range res.Shards {
+		if !reflect.DeepEqual(rounds[i], s.Rounds) {
+			t.Errorf("shard %d round events differ from the report's", i)
+		}
 	}
 	want := map[string]int{"shard-round-end": 6, "shard-model-committed": 4, "global-merge": 2}
 	if !reflect.DeepEqual(count, want) {
@@ -213,13 +230,6 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 			Adaptive: mode == MergeAsync, Policies: []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 1}}})
 		if err != nil {
 			t.Fatal(err)
-		}
-		res.TrainWallTime = 0
-		for i := range res.Shards {
-			res.Shards[i].Flat.TrainWallTime = 0
-			// The inner result embeds its Config, which records the
-			// Parallelism knob itself — not an output.
-			res.Shards[i].Flat.Config.Parallelism = 0
 		}
 		return res
 	}

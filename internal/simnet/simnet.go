@@ -291,6 +291,22 @@ const (
 	DistExponential
 )
 
+// String names the family ("fixed", "uniform", ...).
+func (k DistKind) String() string {
+	switch k {
+	case DistFixed:
+		return "fixed"
+	case DistUniform:
+		return "uniform"
+	case DistExponential:
+		return "exponential"
+	case DistLogNormal:
+		return "lognormal"
+	default:
+		return fmt.Sprintf("kind-%d", int(k))
+	}
+}
+
 // Dist is a deterministic positive-duration (or multiplier)
 // distribution: heterogeneous compute and network draws for the
 // virtual-time engine, seeded per peer through xrand streams.

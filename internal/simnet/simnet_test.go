@@ -106,13 +106,30 @@ func TestFirstKWaitsLessThanWaitAll(t *testing.T) {
 	}
 }
 
+// TestTimeoutPolicyCapsWait: a timeout fires at its deadline, so no
+// round waits past it — unless the observer's own training (what
+// first-1 waits for) outlives the deadline, and then only for that.
 func TestTimeoutPolicyCapsWait(t *testing.T) {
 	cfg := baseRound()
+	cfg.Rounds = 1
 	deadline := 6 * time.Second
-	stats := SimulateRounds(cfg, core.Timeout{D: deadline})
-	all := SimulateRounds(cfg, core.WaitAll{})
-	if stats.MeanWaitMs > all.MeanWaitMs {
-		t.Fatalf("timeout wait %v above wait-all %v", stats.MeanWaitMs, all.MeanWaitMs)
+	late := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		cfg.Seed = seed
+		wait := SimulateRounds(cfg, core.Timeout{D: deadline}).MeanWaitMs
+		own := SimulateRounds(cfg, core.FirstK{K: 1}).MeanWaitMs
+		if limit := max(float64(deadline.Milliseconds()), own); wait > limit {
+			t.Fatalf("seed %d: timeout waited %v, past max(deadline, own completion) = %v", seed, wait, limit)
+		}
+		if all := SimulateRounds(cfg, core.WaitAll{}).MeanWaitMs; wait > all {
+			t.Fatalf("seed %d: timeout wait %v above wait-all %v", seed, wait, all)
+		}
+		if own > float64(deadline.Milliseconds()) {
+			late++
+		}
+	}
+	if late == 0 || late == 300 {
+		t.Fatalf("own training outlived the deadline in %d of 300 rounds: both branches must occur", late)
 	}
 }
 

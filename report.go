@@ -12,17 +12,12 @@ import (
 )
 
 // VanillaReport is the centralized experiment's output (Table I /
-// Figure 3).
-type VanillaReport struct {
-	ClientNames []string
-	// Consider[client][round-1] / NotConsider[client][round-1] are test
-	// accuracies under the two aggregation types.
-	Consider    [][]float64
-	NotConsider [][]float64
-	// ConsiderCombos[round-1] is the combination the consider
-	// aggregator adopted each round.
-	ConsiderCombos []string
-}
+// Figure 3) — the engine's result itself: ClientNames;
+// Consider[client][round-1] / NotConsider[client][round-1], the test
+// accuracies under the two aggregation types; and
+// ConsiderCombos[round-1], the combination the consider aggregator
+// adopted each round.
+type VanillaReport fl.VanillaResult
 
 // runVanillaExperiment is the engine-facing vanilla runner behind
 // Experiment.Run.
@@ -30,15 +25,7 @@ func runVanillaExperiment(ctx context.Context, opts Options, sink event.Sink) (*
 	cfg := opts.vanilla()
 	cfg.Events = sink
 	res, err := fl.Run(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &VanillaReport{
-		ClientNames:    res.ClientNames,
-		Consider:       res.Consider.Accuracy,
-		NotConsider:    res.NotConsider.Accuracy,
-		ConsiderCombos: res.Consider.ChosenCombos,
-	}, nil
+	return (*VanillaReport)(res), err
 }
 
 // TableI renders the report in the layout of the paper's Table I.
@@ -108,20 +95,14 @@ type RoundInfo = bfl.RoundStats
 type ChainSummary = bfl.ChainStats
 
 // DecentralizedReport is the blockchain experiment's output
-// (Tables II-IV / Figure 4).
-type DecentralizedReport struct {
-	PeerNames []string
-	// ComboLabels[peer] are the table row labels from that peer's
-	// perspective; ComboAccuracy[peer][round-1][combo] are the test
-	// accuracies (empty when SkipComboTables).
-	ComboLabels   [][]string
-	ComboAccuracy [][][]float64
-	// Rounds[peer][round-1] records the aggregation that actually
-	// happened under the wait policy.
-	Rounds [][]RoundInfo
-	// Chain summarizes the canonical chain all peers converged on.
-	Chain ChainSummary
-}
+// (Tables II-IV / Figure 4) — the engine's result itself, under the
+// facade's name and renderers: PeerNames; ComboLabels[peer], the table
+// row labels from that peer's perspective, and
+// ComboAccuracy[peer][round-1][combo], their test accuracies (empty
+// when SkipComboTables); Rounds[peer][round-1], the aggregation that
+// actually happened under the wait policy; and Chain, the footprint of
+// the canonical chain all peers converged on.
+type DecentralizedReport bfl.Result
 
 // runDecentralizedExperiment is the engine-facing decentralized
 // runner behind Experiment.Run.
@@ -129,16 +110,7 @@ func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Si
 	cfg := opts.decentralized()
 	cfg.Events = sink
 	res, err := bfl.Run(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &DecentralizedReport{
-		PeerNames:     res.PeerNames,
-		ComboLabels:   res.ComboLabels,
-		ComboAccuracy: res.ComboAccuracy,
-		Rounds:        res.Rounds,
-		Chain:         res.Chain,
-	}, nil
+	return (*DecentralizedReport)(res), err
 }
 
 // Headline reduces the report to the trade-off study's three headline

@@ -25,60 +25,39 @@ const (
 )
 
 // ShardRoundInfo is one shard-level aggregation round of a KindSharded
-// run — the engine's own record: the wait policy it ran under, the
-// shard's slowest-peer policy wait (MaxWaitMs) and cumulative wait
-// (CumWaitMs), the round's decision-commit instant on the shared
-// virtual clock (VirtualMs), and the mean number of updates admitted
-// per peer.
+// run — the ShardRoundEnd event the round emitted: the wait policy it
+// ran under, the shard's slowest-peer policy wait (MaxWaitMs) and
+// cumulative wait (CumWaitMs), the round's decision-commit instant on
+// the shared virtual clock (VirtualMs), and the mean number of updates
+// admitted per peer.
 type ShardRoundInfo = shard.RoundAgg
 
-// ShardSummary is one shard's complete record: its slice of the fleet,
-// its ledger, its rounds, and its inner per-peer result.
-type ShardSummary struct {
-	Index   int
-	Peers   int
-	Backend string
-	Seed    uint64
-	// Samples is the shard's summed training-set size — its FedAvg
-	// weight in every cross-shard merge.
-	Samples int
-	Rounds  []ShardRoundInfo
-	// Policies lists the wait policy used in each merge epoch (a single
-	// entry when the adaptive controller is off).
-	Policies []string
-	// FinalAccuracy is the shard's last published model on the held-out
-	// global evaluation set; CumWaitMs its total policy wait.
-	FinalAccuracy float64
-	CumWaitMs     float64
-	// PeerRounds[peer][round-1] is the shard's inner per-peer record —
-	// the same shape a flat decentralized run reports.
-	PeerRounds [][]RoundInfo
-	// Chain summarizes the shard's own ledger footprint.
-	Chain ChainSummary
-}
+// ShardSummary is one shard's complete record — the engine's own: its
+// slice of the fleet (Index, Peers, Seed; Samples is its summed
+// training-set size, its FedAvg weight in every cross-shard merge), its
+// ledger (Backend, Chain), its Rounds, the wait policy of each merge
+// epoch (Policies; one entry when the adaptive controller is off), its
+// last published model's FinalAccuracy on the held-out global
+// evaluation set, its total policy wait CumWaitMs, and
+// PeerRounds[peer][round-1], the inner per-peer record in the shape a
+// flat decentralized run reports.
+type ShardSummary = shard.ShardResult
 
-// MergePoint records one cross-shard merge — the engine's own record:
-// the global model's Accuracy on the evaluation set at the fleet's
-// cumulative policy wait (WaitMs, the trade-off study's time axis) and
-// virtual instant (VirtualMs). Shard is the arriving shard for async
-// merges, -1 for sync barriers; Included counts the shard models
-// folded in.
+// MergePoint records one cross-shard merge — the GlobalMerge event it
+// emitted: the global model's Accuracy on the evaluation set at the
+// fleet's cumulative policy wait (WaitMs, the trade-off study's time
+// axis) and virtual instant (VirtualMs). Shard is the arriving shard
+// for async merges, -1 for sync barriers; Included counts the shard
+// models folded in.
 type MergePoint = shard.Merge
 
-// ShardedReport is the sharded hierarchy's output: per-shard round
-// records and ledger footprints, the cross-shard merge trajectory, and
-// the global model's accuracy curve on the fleet's wait axis.
-type ShardedReport struct {
-	// InitialAccuracy is the shared starting model on the global
-	// evaluation set (the t=0 point); FinalAccuracy the last merge's
-	// global model.
-	InitialAccuracy float64
-	FinalAccuracy   float64
-	Shards          []ShardSummary
-	Merges          []MergePoint
-	// HorizonMs is the virtual instant the last shard finished.
-	HorizonMs float64
-}
+// ShardedReport is the sharded hierarchy's output — the engine's result
+// itself: the shared starting model's InitialAccuracy on the global
+// evaluation set (the t=0 point) and the last merge's FinalAccuracy,
+// per-shard round records and ledger footprints (Shards), the
+// cross-shard merge trajectory (Merges), and HorizonMs, the virtual
+// instant the last shard finished.
+type ShardedReport shard.Result
 
 // sharded lowers the public options to the engine's hierarchy config.
 // The adaptive ladder comes from the experiment's policies (empty =
@@ -111,31 +90,7 @@ func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, 
 	cfg := opts.sharded(policies)
 	cfg.Events = sink
 	res, err := shard.Run(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep := &ShardedReport{
-		InitialAccuracy: res.InitialAccuracy,
-		FinalAccuracy:   res.FinalAccuracy,
-		Merges:          res.Merges,
-		HorizonMs:       res.HorizonMs,
-	}
-	for _, s := range res.Shards {
-		rep.Shards = append(rep.Shards, ShardSummary{
-			Index:         s.Index,
-			Peers:         s.Peers,
-			Backend:       s.Backend,
-			Seed:          s.Seed,
-			Samples:       s.Samples,
-			Rounds:        s.Rounds,
-			Policies:      s.Policies,
-			FinalAccuracy: s.FinalAccuracy,
-			CumWaitMs:     s.CumWaitMs,
-			PeerRounds:    s.Flat.Rounds,
-			Chain:         s.Flat.Chain,
-		})
-	}
-	return rep, nil
+	return (*ShardedReport)(res), err
 }
 
 // Headline reduces the report to the trade-off study's three headline

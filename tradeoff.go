@@ -12,22 +12,14 @@ import (
 	"waitornot/internal/simnet"
 )
 
-// PolicyOutcome summarizes one wait policy's run in the trade-off study.
-type PolicyOutcome struct {
-	Policy string
-	// Backend names the consensus substrate this arm committed
-	// through; empty when the experiment ran on the unnamed default
-	// (Options.Backend left blank, no backend ladder).
-	Backend string
-	// FinalAccuracy is the mean adopted-model test accuracy across
-	// peers in the final round.
-	FinalAccuracy float64
-	// MeanWaitMs is the mean per-round aggregation wait across peers
-	// and rounds (simulated arrival-time model).
-	MeanWaitMs float64
-	// MeanIncluded is the mean number of models aggregated per round.
-	MeanIncluded float64
-}
+// PolicyOutcome summarizes one wait policy's run in the trade-off study
+// — the PolicyDone event the arm emitted: its position in the sweep
+// (Index), the Policy and the consensus Backend it committed through
+// (empty on the unnamed default: Options.Backend left blank, no backend
+// ladder), the mean adopted-model test accuracy across peers in the
+// final round, and the mean per-round aggregation wait and
+// aggregated-model count across peers and rounds.
+type PolicyOutcome = event.PolicyDone
 
 // TradeoffReport answers the title question for one model: what does
 // each wait policy cost in accuracy, and what does it save in time.
@@ -43,9 +35,10 @@ type TradeoffReport struct {
 // same sweepPlan RunSweep does — seeds = {Options.Seed}, the grid
 // backend-major × policy order, the worker budget split between the
 // concurrent arms and each arm's own training pool — and maps every
-// SweepRun to a PolicyOutcome. Round-level events of the arms are
-// suppressed (they would interleave nondeterministically); instead one
-// PolicyDone per arm streams out, restored to sweep order.
+// SweepRun to a PolicyOutcome, built once: the value the report keeps
+// (index-addressed slots, one writer each) is the PolicyDone event that
+// streams out, restored to sweep order. Round-level events of the arms
+// are suppressed (they would interleave nondeterministically).
 //
 // An arm's Backend is its effective backend name: explicitly named
 // substrates label their outcomes even in a single-backend sweep; only
@@ -59,28 +52,20 @@ func (e *Experiment) runTradeoff(ctx context.Context) (*TradeoffReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs, err := plan.runAll(ctx, observerSink(e.observer), plan.all(), func(i int, run SweepRun) (event.Event, error) {
-		return event.PolicyDone{
+	rep := &TradeoffReport{Model: plan.Options.Model, Outcomes: make([]PolicyOutcome, plan.total())}
+	_, err = plan.runAll(ctx, observerSink(e.observer), plan.all(), func(i int, run SweepRun) (event.Event, error) {
+		rep.Outcomes[i] = PolicyOutcome{
 			Index:         i,
 			Policy:        run.Policy,
 			Backend:       run.Backend,
 			FinalAccuracy: run.FinalAccuracy,
 			MeanWaitMs:    run.MeanWaitMs,
 			MeanIncluded:  run.MeanIncluded,
-		}, nil
+		}
+		return rep.Outcomes[i], nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	rep := &TradeoffReport{Model: plan.Options.Model, Outcomes: make([]PolicyOutcome, len(runs))}
-	for i, run := range runs {
-		rep.Outcomes[i] = PolicyOutcome{
-			Policy:        run.Policy,
-			Backend:       run.Backend,
-			FinalAccuracy: run.FinalAccuracy,
-			MeanWaitMs:    run.MeanWaitMs,
-			MeanIncluded:  run.MeanIncluded,
-		}
 	}
 	return rep, nil
 }

@@ -39,40 +39,19 @@ import (
 	"waitornot/internal/simnet"
 )
 
-// Model selects one of the paper's two architectures.
-type Model int
+// Model selects one of the paper's two architectures — the engine's own
+// identifier, so the facade and the engines cannot disagree on it. It
+// renders as "SimpleNN" / "EffNetB0Sim".
+type Model = nn.ModelID
 
 // The two evaluated models.
 const (
 	// SimpleNN is the paper's from-scratch 62K-parameter MLP.
-	SimpleNN Model = iota + 1
+	SimpleNN = nn.ModelSimpleNN
 	// EffNetB0Sim is the compact pretrained CNN standing in for
 	// EfficientNet-B0 (see DESIGN.md for the substitution argument).
-	EffNetB0Sim
+	EffNetB0Sim = nn.ModelEffNetSim
 )
-
-// String implements fmt.Stringer.
-func (m Model) String() string {
-	switch m {
-	case SimpleNN:
-		return "SimpleNN"
-	case EffNetB0Sim:
-		return "EffNetB0Sim"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
-	}
-}
-
-func (m Model) internal() nn.ModelID {
-	switch m {
-	case SimpleNN:
-		return nn.ModelSimpleNN
-	case EffNetB0Sim:
-		return nn.ModelEffNetSim
-	default:
-		return 0
-	}
-}
 
 // PolicyKind names a wait-policy family.
 type PolicyKind int
@@ -144,42 +123,30 @@ func (p Policy) internal() core.WaitPolicy {
 
 // DistKind selects a duration-distribution family for heterogeneous
 // compute and network draws.
-type DistKind int
+type DistKind = simnet.DistKind
 
 // The distribution families.
 const (
 	// DistFixed always draws the mean (the zero value: no jitter).
-	DistFixed DistKind = iota
+	DistFixed = simnet.DistFixed
 	// DistUniform draws Mean * (1 ± Jitter), uniform.
-	DistUniform
+	DistUniform = simnet.DistUniform
 	// DistLogNormal draws a right-skewed value with mean Mean —
 	// occasional heavy stragglers, the empirical shape of shared
 	// infrastructure.
-	DistLogNormal
+	DistLogNormal = simnet.DistLogNormal
 	// DistExponential draws exponentially with mean Mean (memoryless
 	// network-style delays; Jitter is ignored).
-	DistExponential
+	DistExponential = simnet.DistExponential
 )
 
-// Dist describes a positive random draw: per-round compute multipliers
-// (Options.ComputeDist) or extra network delay in ms
-// (Options.NetworkDist). Draws come from deterministic per-peer xrand
-// streams, so runs stay bit-reproducible.
-type Dist struct {
-	Kind DistKind
-	// Mean is the central value: a multiplier for compute draws
-	// (1 = the calibrated duration), milliseconds for network draws.
-	Mean float64
-	// Jitter is the relative spread (DistUniform needs Jitter <= 1).
-	Jitter float64
-}
-
-func (d Dist) internal() simnet.Dist {
-	return simnet.Dist{Kind: simnet.DistKind(d.Kind), Mean: d.Mean, Jitter: d.Jitter}
-}
-
+// Dist describes a positive random draw — the engine's own type: Kind,
+// a Mean (a multiplier for Options.ComputeDist, 1 = the calibrated
+// duration; milliseconds for Options.NetworkDist) and a relative
+// Jitter (DistUniform needs Jitter <= 1). Draws come from
+// deterministic per-peer xrand streams, so runs stay bit-reproducible;
 // Validate rejects distributions that could draw non-positive values.
-func (d Dist) Validate() error { return d.internal().Validate() }
+type Dist = simnet.Dist
 
 // Options parameterizes an experiment. The zero value (plus a Model)
 // reproduces the paper's setup: 3 clients, 10 rounds, 5 local epochs,
@@ -367,7 +334,7 @@ func (o Options) hyper() fl.Hyper {
 	if o.LearningRate == 0 && o.LocalEpochs == 0 {
 		return fl.Hyper{} // engine default for the model
 	}
-	h := fl.DefaultHyper(o.Model.internal())
+	h := fl.DefaultHyper(o.Model)
 	if o.LearningRate > 0 {
 		h.LR = o.LearningRate
 	}
@@ -394,7 +361,7 @@ func (o Options) pretrain() fl.PretrainSpec {
 func (o Options) vanilla() fl.VanillaConfig {
 	o = o.withDefaults()
 	return fl.VanillaConfig{
-		Model:          o.Model.internal(),
+		Model:          o.Model,
 		Clients:        o.Clients,
 		Rounds:         o.Rounds,
 		Seed:           o.Seed,
@@ -411,7 +378,7 @@ func (o Options) vanilla() fl.VanillaConfig {
 func (o Options) decentralized() bfl.Config {
 	o = o.withDefaults()
 	return bfl.Config{
-		Model:           o.Model.internal(),
+		Model:           o.Model,
 		Peers:           o.Clients,
 		Rounds:          o.Rounds,
 		Seed:            o.Seed,
@@ -433,8 +400,8 @@ func (o Options) decentralized() bfl.Config {
 		CommitLatency:   o.CommitLatency,
 		Validators:      o.Validators,
 
-		Compute:             o.ComputeDist.internal(),
-		Network:             o.NetworkDist.internal(),
+		Compute:             o.ComputeDist,
+		Network:             o.NetworkDist,
 		TimeBudgetMs:        o.TimeBudgetMs,
 		StalenessHalfLifeMs: o.StalenessHalfLifeMs,
 	}
