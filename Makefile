@@ -6,11 +6,12 @@
 #                  over the one -scenario path + the race-detector
 #                  pass (test-race: all of internal/par, internal/chain,
 #                  internal/keys, internal/ledger and internal/fl — the
-#                  pool, the transaction memo's atomics, the only block
-#                  store, the combination-search workers and the
-#                  vanilla arm's pools — plus the root TestRaceSmoke*
-#                  runs; nothing else runs under -race) + the fuzz
-#                  smoke over
+#                  pool and the task set, the transaction memo's
+#                  atomics, the only block store, the combination-search
+#                  workers and the vanilla arm's pools — and the
+#                  internal/bfl Async tests (async training off the
+#                  clock), plus the root TestRaceSmoke* runs; nothing
+#                  else runs under -race) + the fuzz smoke over
 #                  the chain codec and mempool + the campaign
 #                  crash-recovery smoke (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
@@ -90,17 +91,23 @@ campaign-smoke:
 	$(GO) test -run 'TestCampaignSIGKILLRecovery|TestCampaignResumeAfterCancel|TestCampaignResumeTornTail' -count=1 .
 
 # Race pass — exactly these paths run under the detector: the
-# internal/par pool, internal/chain and internal/keys in full (the
+# internal/par pool and task set, internal/chain and internal/keys in full (the
 # per-transaction memo — digest, hash, signature verdict, decoded call —
 # is lock-free atomics shared by every replica), internal/ledger in
 # full (the only block store: its read views are called from the
 # parallel decide pool), internal/fl in full (the combination-search
 # worker pool and the vanilla arm's par pools; ~16 s with the build),
-# plus short parallel runs of the decentralized experiment, the
-# trade-off sweep, shared transactions across six ledgers, and the
-# simulators (TestRaceSmoke* in race_test.go).
+# the internal/bfl tests matching Async (async local training runs on
+# par.Tasks workers between a round's opening and completion events;
+# ~30 s — only these, because the whole package takes over two minutes
+# under -race and its other parallel paths are the pools covered
+# above), plus short parallel runs of the decentralized experiment,
+# the trade-off sweep, the async engine under a time budget, shared
+# transactions across six ledgers, and the simulators (TestRaceSmoke*
+# in race_test.go).
 test-race:
 	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/
+	$(GO) test -race -run 'Async' ./internal/bfl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 bench:

@@ -10,6 +10,7 @@ import (
 	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
+	"waitornot/internal/par"
 	"waitornot/internal/simnet"
 	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
@@ -79,11 +80,12 @@ type asyncPeer struct {
 	// untouched.
 	rng *xrand.RNG
 
-	round   int
-	openMs  float64
-	readyMs float64
-	own     *fl.Update
-	waiting bool
+	round    int
+	openMs   float64
+	readyMs  float64
+	training *par.Task // the open round's training: sets own, joined at trainDone
+	own      *fl.Update
+	waiting  bool
 	// lastTxAt is when the peer's most recent transaction reached the
 	// gossiped pending set. Each peer's transactions ride one ordered
 	// connection: a later-created transaction never overtakes an
@@ -96,14 +98,15 @@ type asyncPeer struct {
 // asyncEngine drives the un-barriered schedule: every training
 // completion, gossip hop, ledger commit, and policy deadline is an
 // event on the shared virtual clock, with (time, peer, seq) ordering
-// making the whole run a pure function of the configuration. The
-// engine executes events sequentially, so results are trivially
-// bit-identical at any Parallelism.
+// making the whole run a pure function of the configuration. Events
+// run one at a time; trainings run on tasks started and joined at fixed
+// events (DESIGN.md §7), so results are bit-identical at any Parallelism.
 type asyncEngine struct {
 	*engine
 	ctx context.Context
 	// clock is the run's virtual-time event queue.
 	clock *vclock.Clock
+	tasks *par.Tasks
 
 	peers    []*asyncPeer
 	res      *AsyncResult
@@ -143,6 +146,7 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 		engine:   e,
 		ctx:      ctx,
 		clock:    clock,
+		tasks:    par.NewTasks(e.cfg.Parallelism),
 		budgetMs: e.cfg.TimeBudgetMs,
 		commitAt: map[float64]bool{},
 		res: &AsyncResult{
@@ -151,6 +155,7 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 			Rounds:          make([][]AsyncRound, len(cohort)),
 		},
 	}
+	defer a.tasks.Close() // on every return: no training outlives the run
 	var meanTrain float64
 	for i, s := range cohort {
 		p := e.peers[s]
@@ -230,7 +235,8 @@ func (a *asyncEngine) pastBudget() bool {
 }
 
 // startRound opens the peer's next round: schedule its training
-// completion one compute draw away.
+// completion one compute draw away and start the training, whose inputs
+// are final now (DESIGN.md §7), unless that completion is past the budget.
 func (a *asyncEngine) startRound(p *asyncPeer) error {
 	if err := a.ctx.Err(); err != nil {
 		return err
@@ -238,22 +244,29 @@ func (a *asyncEngine) startRound(p *asyncPeer) error {
 	p.round++
 	p.openMs = a.clock.Now()
 	dur := p.simTrainMs * a.cfg.Compute.Draw(p.rng)
+	if done := p.openMs + dur; a.budgetMs <= 0 || done <= a.budgetMs {
+		p.training = a.tasks.Go(done, p.idx, func() (err error) {
+			if err = p.client.Adopt(p.adopted); err == nil {
+				p.own = p.client.LocalTrain(p.round)
+			}
+			return err
+		})
+	}
 	a.clock.After(dur, p.idx, func() error { return a.trainDone(p, dur) })
 	return nil
 }
 
-// trainDone performs the real local training (its cost is virtual; the
+// trainDone joins the round's local training (its cost is virtual; the
 // computation is real), submits the signed model transaction into the
 // gossip network, and starts the peer's wait.
 func (a *asyncEngine) trainDone(p *asyncPeer, dur float64) error {
 	if err := a.ctx.Err(); err != nil {
 		return err
 	}
-	if err := p.client.Adopt(p.adopted); err != nil {
+	if err := a.tasks.Wait(p.training); err != nil {
 		return err
 	}
-	up := p.client.LocalTrain(p.round)
-	p.own = up
+	up := p.own
 	p.readyMs = a.clock.Now()
 	a.sink.Emit(event.PeerTrained{
 		Round: p.round, Peer: p.name, Samples: up.NumSamples,
@@ -380,10 +393,9 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 	}
 	coef := fl.StalenessWeights(kept, keptAges, a.halfLife)
 	// Merge into the peer's reused scratch. Adopting the alias is safe:
-	// the engine is single-threaded on the clock, and this peer's next
-	// fire — the only thing that overwrites its scratch — can only run
-	// after the next round's Adopt has copied these weights into the
-	// client's model.
+	// the next round's training task reads it once, in Adopt, and this
+	// peer's next fire — the only thing that overwrites the scratch —
+	// runs on the clock only after trainDone has joined that task.
 	merged, err := p.avg.WeightedFedAvg(kept, coef)
 	if err != nil {
 		return fmt.Errorf("bfl: %s round %d merge: %w", p.name, p.round, err)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"waitornot/internal/core"
 	"waitornot/internal/event"
@@ -29,26 +31,70 @@ func tinyAsyncConfig() Config {
 	}
 }
 
+// budgetCutAsyncConfig runs the tiny fleet into a time budget that
+// falls while the straggler trains (720 ms a round): that round's
+// completion lies past the budget, so its training is never started.
+func budgetCutAsyncConfig() Config {
+	cfg := tinyAsyncConfig()
+	cfg.Rounds = 50
+	cfg.TimeBudgetMs = 3500
+	cfg.StragglerFactor = []float64{1, 1, 3000}
+	return cfg
+}
+
 // TestRunAsyncDeterministic: the free run is a pure function of its
-// configuration — two runs agree exactly, and the Parallelism knob
-// (meaningless to the sequential event loop) cannot perturb it.
+// configuration. Local training runs on the task set, started at each
+// round's opening event and joined at its completion event, so
+// Parallelism 1 (every training inside its join), 2 and 8 must agree
+// exactly — results and the recorded event stream — on fixed draws,
+// on lognormal/uniform draws, and with a budget that cuts rounds
+// mid-training.
 func TestRunAsyncDeterministic(t *testing.T) {
-	run := func(parallelism int) *AsyncResult {
-		cfg := tinyAsyncConfig()
-		cfg.Parallelism = parallelism
-		res, err := RunAsync(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
+	hetero := tinyAsyncConfig()
+	hetero.Compute = simnet.Dist{Kind: simnet.DistLogNormal, Mean: 1, Jitter: 0.5}
+	hetero.Network = simnet.Dist{Kind: simnet.DistUniform, Mean: 40, Jitter: 0.5}
+	for name, base := range map[string]Config{
+		"tiny": tinyAsyncConfig(), "draws": hetero, "budget-cut": budgetCutAsyncConfig(),
+	} {
+		run := func(parallelism int) (*AsyncResult, []event.Event) {
+			cfg := base
+			cfg.Parallelism = parallelism
+			var events []event.Event
+			cfg.Events = func(ev event.Event) { events = append(events, ev) }
+			res, err := RunAsync(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s at parallelism %d: %v", name, parallelism, err)
+			}
+			return res, events
 		}
-		return res
+		want, wantEvents := run(1)
+		for _, parallelism := range []int{2, 8} {
+			got, gotEvents := run(parallelism)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: result at parallelism %d differs from parallelism 1", name, parallelism)
+			}
+			if !reflect.DeepEqual(gotEvents, wantEvents) {
+				t.Fatalf("%s: event stream at parallelism %d differs from parallelism 1", name, parallelism)
+			}
+		}
+		if name == "budget-cut" && !cutMidTraining(want, base) {
+			t.Fatal("budget-cut: no round was open at the budget; the case tests nothing")
+		}
 	}
-	a, b, c := run(1), run(1), run(8)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two identical async runs diverged")
+}
+
+// cutMidTraining reports whether some peer opened a round the budget
+// ended before its training completed: its last record is a policy
+// firing before the budget with rounds left, so it opened another
+// round, which recorded nothing — not even a close-out.
+func cutMidTraining(res *AsyncResult, cfg Config) bool {
+	for _, rounds := range res.Rounds {
+		last := rounds[len(rounds)-1]
+		if !last.ClosedOut && last.Round < cfg.Rounds && last.FiredMs < cfg.TimeBudgetMs {
+			return true
+		}
 	}
-	if !reflect.DeepEqual(a, c) {
-		t.Fatal("async run depends on Parallelism")
-	}
+	return false
 }
 
 // TestRunAsyncShape: every peer completes its rounds, rounds carry a
@@ -99,9 +145,7 @@ func TestRunAsyncShape(t *testing.T) {
 // fires past the budget except the close-out merges at it, and peers
 // record fewer rounds than configured.
 func TestRunAsyncTimeBudget(t *testing.T) {
-	cfg := tinyAsyncConfig()
-	cfg.Rounds = 50
-	cfg.TimeBudgetMs = 3500
+	cfg := budgetCutAsyncConfig()
 	res, err := RunAsync(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,17 +220,51 @@ func TestRunAsyncInstantBackend(t *testing.T) {
 	}
 }
 
-// TestRunAsyncCancellation: a cancelled context surfaces within the
-// event loop, with no partial result.
+// TestRunAsyncCancellation: a context cancelled before the run, at the
+// first training completion or at the first merge surfaces within the
+// event loop with no partial result, and the trainings in flight at
+// that moment leave no goroutine behind.
 func TestRunAsyncCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := RunAsync(ctx, tinyAsyncConfig())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatalf("cancelled run returned a result: %+v", res)
+	for _, tc := range []struct {
+		name string
+		at   func(event.Event) bool // nil: cancel before the run
+	}{
+		{"before-run", nil},
+		{"first-PeerTrained", func(ev event.Event) bool { _, ok := ev.(event.PeerTrained); return ok }},
+		{"first-PeerAggregated", func(ev event.Event) bool { _, ok := ev.(event.PeerAggregated); return ok }},
+	} {
+		for _, parallelism := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg := tinyAsyncConfig()
+			cfg.Parallelism = parallelism
+			if tc.at == nil {
+				cancel()
+			} else {
+				cfg.Events = func(ev event.Event) {
+					if tc.at(ev) {
+						cancel()
+					}
+				}
+			}
+			before := runtime.NumGoroutine()
+			res, err := RunAsync(ctx, cfg)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s at parallelism %d: err = %v, want context.Canceled", tc.name, parallelism, err)
+			}
+			if res != nil {
+				t.Fatalf("%s at parallelism %d: cancelled run returned a result: %+v", tc.name, parallelism, res)
+			}
+			// A worker that has signalled Close may not have exited yet.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s at parallelism %d: %d goroutines after the run, %d before",
+						tc.name, parallelism, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
 

@@ -125,13 +125,13 @@ type Config struct {
 	// subsampling: every peer participates every round, the classic
 	// cross-silo schedule, bit-identical to before the knob existed.
 	ClientFraction float64
-	// Parallelism bounds the worker pool for per-peer local training,
-	// per-peer aggregation decisions, and the per-peer combination
-	// searches. 0 means runtime.NumCPU(); 1 restores the exact
-	// sequential schedule. Every peer trains from its own model and
-	// pre-derived RNG stream and every result lands in an
-	// index-addressed slot, so results are bit-identical at any
-	// setting (see internal/par).
+	// Parallelism bounds the worker pool for per-peer local training
+	// (async included), per-peer aggregation decisions, and the
+	// per-peer combination searches. 0 means runtime.NumCPU(); 1
+	// restores the exact sequential schedule. Every peer trains from
+	// its own model and pre-derived RNG stream and every result lands
+	// in an index-addressed slot or is joined at one fixed event, so
+	// results are bit-identical at any setting (see internal/par).
 	Parallelism int
 	// Events, when non-nil, receives the typed event stream (round
 	// boundaries, per-peer training, on-chain submissions, aggregation

@@ -1,6 +1,6 @@
 // Package par is the repository's deterministic parallel execution
 // engine: a bounded worker pool over an index space with
-// index-addressed result slots.
+// index-addressed result slots, plus Tasks (start now, join later).
 //
 // # Determinism contract
 //
@@ -28,10 +28,12 @@
 package par
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -230,4 +232,110 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 		return nil, err
 	}
 	return out, nil
+}
+
+// Tasks is a set of start-now, join-later tasks: when a task's inputs
+// are final at Go and untouched until Wait, running it early is
+// bit-identical to running it inside its Wait. One goroutine starts and
+// joins them; Workers(parallelism) workers claim them in (at, index)
+// order, its join order, and Wait runs an unclaimed task on the caller:
+// at most Workers(parallelism)+1 run at once, and at parallelism 1 none
+// before its Wait — the exact sequential schedule.
+type Tasks struct {
+	mu     sync.Mutex
+	ready  sync.Cond // a task was queued or the set closed
+	queue  []*Task   // started and unclaimed, in claim order
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// Task is one started task of a Tasks set.
+type Task struct {
+	at    float64
+	index int
+	fn    func() error
+	done  chan struct{}
+	err   error
+	panic *Panic
+}
+
+// NewTasks returns an empty set bounded by parallelism; Close it.
+func NewTasks(parallelism int) *Tasks {
+	s := &Tasks{}
+	s.ready.L = &s.mu
+	if w := Workers(parallelism); w > 1 {
+		s.wg.Add(w)
+		for range w {
+			go s.work()
+		}
+	}
+	return s
+}
+
+// Go starts fn as the task joined at (at, index).
+func (s *Tasks) Go(at float64, index int, fn func() error) *Task {
+	t := &Task{at: at, index: index, fn: fn, done: make(chan struct{})}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(s.queue, t, func(q, t *Task) int {
+		return cmp.Or(cmp.Compare(q.at, t.at), cmp.Compare(q.index, t.index))
+	})
+	s.queue = slices.Insert(s.queue, i, t)
+	s.ready.Signal()
+	return t
+}
+
+// Wait returns t's error once t has run, running it on the caller if
+// no worker has claimed it; t's panic is re-raised here as a *Panic.
+func (s *Tasks) Wait(t *Task) error {
+	s.mu.Lock()
+	i := slices.Index(s.queue, t)
+	if i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
+	}
+	s.mu.Unlock()
+	if i >= 0 {
+		t.run()
+	}
+	<-t.done
+	if t.panic != nil {
+		panic(t.panic)
+	}
+	return t.err
+}
+
+// Close drops the unclaimed tasks and waits for the running ones.
+func (s *Tasks) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.ready.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+func (s *Tasks) work() {
+	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.closed {
+		if len(s.queue) == 0 {
+			s.ready.Wait()
+			continue
+		}
+		t := s.queue[0]
+		s.queue = slices.Delete(s.queue, 0, 1)
+		s.mu.Unlock()
+		t.run()
+		s.mu.Lock()
+	}
+}
+
+func (t *Task) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			t.panic = &Panic{Index: t.index, Value: r, Stack: debug.Stack()}
+		}
+		close(t.done)
+	}()
+	t.err = t.fn()
 }

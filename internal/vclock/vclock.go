@@ -9,9 +9,9 @@
 // peer-index order, and two events of the same peer run in scheduling
 // order. That rule is what makes results bit-identical at any
 // Parallelism: the clock itself is single-threaded (callbacks run on
-// the caller of Run), so concurrency lives *inside* callbacks (worker
-// pools with index-addressed slots, see internal/par), never between
-// them.
+// the caller of Run), so concurrency lives inside callbacks (worker
+// pools with index-addressed slots, see internal/par) or in a task
+// that one callback starts and one later callback joins (par.Tasks).
 //
 // The asynchronous runner and the sharded orchestrator own a clock and
 // drive it as an event queue (Schedule/Run); the barriered round

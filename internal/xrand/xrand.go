@@ -86,9 +86,9 @@ func (r *RNG) NormFloat64() float64 {
 	u := 1.0 - r.Float64()
 	v := r.Float64()
 	mag := math.Sqrt(-2.0 * math.Log(u))
-	r.spare = mag * math.Sin(2*math.Pi*v)
-	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*v)
+	sin, cos := math.Sincos(2 * math.Pi * v) // bit-equal to Sin, Cos: TestNormFloat64SincosBitEqual
+	r.spare, r.hasSpare = mag*sin, true
+	return mag * cos
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.

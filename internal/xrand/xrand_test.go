@@ -114,6 +114,37 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestNormFloat64SincosBitEqual: NormFloat64's one math.Sincos call
+// draws exactly the bits of the separate math.Sin and math.Cos calls it
+// replaced, over 10^7 stream draws. Every dataset, and with it every
+// golden, is built from this stream.
+func TestNormFloat64SincosBitEqual(t *testing.T) {
+	const n = 10_000_000
+	// ref is NormFloat64's body before Sincos, on its own generator.
+	ref := New(2024)
+	var refSpare float64
+	refHas := false
+	refNorm := func() float64 {
+		if refHas {
+			refHas = false
+			return refSpare
+		}
+		u := 1.0 - ref.Float64()
+		v := ref.Float64()
+		mag := math.Sqrt(-2.0 * math.Log(u))
+		refSpare = mag * math.Sin(2*math.Pi*v)
+		refHas = true
+		return mag * math.Cos(2*math.Pi*v)
+	}
+	r := New(2024)
+	for i := 0; i < n; i++ {
+		if got, want := r.NormFloat64(), refNorm(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Sincos gives %v (%#x), Sin+Cos %v (%#x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(23)
 	const n = 200000

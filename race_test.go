@@ -303,23 +303,29 @@ func TestRaceSmokeVerifyCache(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRaceSmokeAsync runs the asynchronous engine alongside itself:
-// the event loop is single-threaded by design, but the race detector
-// still patrols the ledger reads, the observer sink, and the shared
-// scenario/backend registries it leans on.
+// TestRaceSmokeAsync runs the asynchronous engine alongside itself at
+// Parallelism 4: each peer's local training runs on a worker between
+// its round's opening and completion events while the clock goroutine
+// merges, signs and commits, and a time budget that lands mid-training
+// (the straggler trains 720 virtual ms a round) leaves a round never
+// started. The race detector patrols that hand-off as well as the
+// ledger reads, the observer sink, and the shared scenario/backend
+// registries.
 func TestRaceSmokeAsync(t *testing.T) {
 	opts := waitornot.Options{
 		Model:           waitornot.SimpleNN,
 		Clients:         3,
-		Rounds:          2,
+		Rounds:          4,
 		Seed:            9,
 		TrainPerClient:  60,
 		SelectionSize:   30,
 		TestPerClient:   30,
 		SkipComboTables: true,
-		StragglerFactor: []float64{1, 1, 3},
+		StragglerFactor: []float64{1, 1, 3000},
 		CommitLatency:   true,
 		Policy:          waitornot.Policy{Kind: waitornot.FirstK, K: 2},
+		TimeBudgetMs:    2500,
+		Parallelism:     4,
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
