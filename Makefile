@@ -12,8 +12,12 @@
 #                  internal/bfl Async tests (async training off the
 #                  clock), plus the root TestRaceSmoke* runs; nothing
 #                  else runs under -race) + the fuzz smoke over
-#                  the chain codec and mempool + the campaign
-#                  crash-recovery smoke (SIGKILL + resume).
+#                  the chain codec, mempool and kernel bodies + the
+#                  pure-Go kernel pin (internal/tensor and internal/nn
+#                  tested under GOARCH=386, which builds the Go loops
+#                  instead of the SSE2 bodies, and vetted under
+#                  GOARCH=arm64) + the campaign crash-recovery smoke
+#                  (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
 #                  the basis for every performance claim.
 #   make bench     the go test -bench probes, one iteration each.
@@ -37,7 +41,7 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build fmt-check vet test cover cli-smoke test-race fuzz-smoke campaign-smoke bench benchmark profile profile-train size ci
+.PHONY: build fmt-check vet test cover cli-smoke test-race fuzz-smoke generic-kernels campaign-smoke bench benchmark profile profile-train size ci
 
 build:
 	$(GO) build ./...
@@ -76,12 +80,22 @@ cli-smoke:
 
 # Fuzz smoke: a few seconds per fuzz target, enough to catch shallow
 # regressions in the chain codec, the mempool, the weight-payload
-# codec, and the pbft model verifier on every CI run.
+# codec, the pbft model verifier and the kernel bodies (bit-equal to
+# their scalar reference loops) on every CI run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainCodec -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolSubmit -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz FuzzPayloadCodec -fuzztime $(FUZZTIME) ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzPBFTVerify -fuzztime $(FUZZTIME) ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz FuzzKernelsBitEqual -fuzztime $(FUZZTIME) ./internal/tensor/
+
+# The pure-Go kernel loops every GOARCH but amd64 builds
+# (internal/tensor/kernels_generic.go) are run, not just compiled:
+# 386 binaries run on an amd64 host, and TestTrainedBitsGolden holds
+# them to the golden the SSE2 bodies meet. arm64 is vetted only.
+generic-kernels:
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
 
 # Campaign smoke: the crash-recovery acceptance test end to end — a
 # tiny campaign run in a child process, SIGKILLed the instant its log
@@ -153,4 +167,4 @@ size:
 	@echo "process-global caches in internal/chain + internal/keys: $$(find internal/chain internal/keys -name '*.go' ! -name '*_test.go' | xargs cat | grep -c '^\s*sync\.RWMutex')"
 	@echo "test-only exported identifiers under internal/: $$(wc -l < testdata/testonly.golden)"
 
-ci: build fmt-check vet cover cli-smoke test-race fuzz-smoke campaign-smoke
+ci: build fmt-check vet cover cli-smoke test-race fuzz-smoke generic-kernels campaign-smoke

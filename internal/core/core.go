@@ -280,10 +280,20 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 	if len(a.avgs) < len(evals) {
 		a.avgs = fl.NewAveragers(len(evals))
 	}
-	results, err := fl.EvaluateCombosWith(kept, combos, evals, a.avgs)
+	// An armed filter has scored combos[0] = {self} already: FedAvg of
+	// one update is +0 + 1·w, which differs from w only in the sign of
+	// zeros, and a forward pass cannot see that sign (every accumulator
+	// starts at +0; +0 + ±0 = +0 and x + ±0 = x for any other x).
+	var results []fl.ComboResult
+	if fres.Scores != nil {
+		results = []fl.ComboResult{{Combo: combos[0], Accuracy: fres.Scores[a.Self]}}
+		combos = combos[1:]
+	}
+	rest, err := fl.EvaluateCombosWith(kept, combos, evals, a.avgs)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s round %d: %w", a.Self, round, err)
 	}
+	results = append(results, rest...)
 
 	// Pick the best; break exact ties randomly, as the paper specifies.
 	bestAcc := results[0].Accuracy

@@ -111,7 +111,9 @@ func TestFilterZeroValueKeepsAll(t *testing.T) {
 
 // TestDecideEvaluatorCalls counts selection-set evaluations per
 // decision (each is a forward pass over the selection set): only an
-// armed filter pays one per update on top of the combination search.
+// armed filter pays one per update on top of the combination search,
+// and its score for the peer's own update stands in for the {self}
+// combo's, so that combo is not scored twice.
 func TestDecideEvaluatorCalls(t *testing.T) {
 	fleet := func(k int) []*fl.Update {
 		ups := make([]*fl.Update, k)
@@ -128,11 +130,12 @@ func TestDecideEvaluatorCalls(t *testing.T) {
 		updates  []*fl.Update
 		calls    int
 		rejected []string
+		combos   int
 	}{
-		{"zero filter, K=3: the paper's five combos", Filter{}, fleet(3), len(fl.PaperCombos(3, 0)), nil},
-		{"zero filter, K=9 past MaxComboPeers: FedAvg of all", Filter{}, fleet(9), 1, nil},
-		{"armed filter, nothing rejected", Filter{MaxBelowBest: 0.15}, fleet(3), 3 + len(fl.PaperCombos(3, 0)), nil},
-		{"armed filter, B rejected", Filter{MaxBelowBest: 0.15}, poisoned, 3 + len(fl.PaperCombos(2, 0)), []string{"B"}},
+		{"zero filter, K=3: the paper's five combos", Filter{}, fleet(3), len(fl.PaperCombos(3, 0)), nil, 5},
+		{"zero filter, K=9 past MaxComboPeers: FedAvg of all", Filter{}, fleet(9), 1, nil, 0},
+		{"armed filter, nothing rejected", Filter{MaxBelowBest: 0.15}, fleet(3), 3 + len(fl.PaperCombos(3, 0)) - 1, nil, 5},
+		{"armed filter, B rejected", Filter{MaxBelowBest: 0.15}, poisoned, 3 + len(fl.PaperCombos(2, 0)) - 1, []string{"B"}, 2},
 	}
 	for _, tc := range cases {
 		calls := 0
@@ -148,6 +151,15 @@ func TestDecideEvaluatorCalls(t *testing.T) {
 		}
 		if !reflect.DeepEqual(d.RejectedClients, tc.rejected) {
 			t.Errorf("%s: rejected %v, want %v", tc.name, d.RejectedClients, tc.rejected)
+		}
+		if len(d.ComboResults) != tc.combos {
+			t.Fatalf("%s: %d combo rows, want %d", tc.name, len(d.ComboResults), tc.combos)
+		}
+		if tc.combos > 0 {
+			self := d.ComboResults[0]
+			if !reflect.DeepEqual(self.Combo, fl.Combo{0}) || self.Accuracy != scoreByFirstWeight(tc.updates[0].Weights) {
+				t.Errorf("%s: first row %v scores %v, want {A} at A's own score", tc.name, self.Combo, self.Accuracy)
+			}
 		}
 	}
 }

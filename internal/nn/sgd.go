@@ -33,14 +33,7 @@ func (s *SGD) Step(params, grads []*tensor.Dense) {
 	mu := float32(s.Momentum)
 	wd := float32(s.WeightDecay)
 	for i, p := range params {
-		g := grads[i]
-		v := s.velocity[i]
-		for j := range p.Data {
-			gj := g.Data[j] + wd*p.Data[j]
-			v[j] = mu*v[j] - lr*gj
-			p.Data[j] += v[j]
-			g.Data[j] = 0
-		}
+		tensor.MomentumStep(lr, mu, wd, p.Data, grads[i].Data, s.velocity[i])
 	}
 }
 

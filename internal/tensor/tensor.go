@@ -1,11 +1,15 @@
 // Package tensor implements the dense float32 linear algebra the neural
-// network stack is built on: row-major matrices, scalar GEMM kernels
-// (loops ordered to stream rows, four-wide over the reduction index),
-// im2col for convolutions, and elementwise kernels.
+// network stack is built on: row-major matrices, GEMM kernels (loops
+// ordered to stream rows, four-wide over the reduction index), im2col
+// for convolutions, and elementwise kernels.
 //
 // Each kernel's per-element accumulation order is a contract: every
 // golden and result digest downstream depends on its roundings
-// (DESIGN.md §13; TestKernelsBitEqualReference pins them).
+// (DESIGN.md §13; TestKernelsBitEqualReference pins them). On amd64 the
+// innermost bodies — Axpy, MatMul's and MatMulTransAAdd's four-p terms,
+// MomentumStep — are SSE2 assembly (kernels_amd64.s) that runs four
+// output elements per instruction, each with exactly the roundings of
+// the scalar Go loop every other GOARCH builds (kernels_generic.go).
 //
 // float32 is used throughout because (a) model weights travel on-chain as
 // float32 exactly as they are trained, so training in the wire precision
@@ -79,72 +83,63 @@ func (m *Dense) Equal(o *Dense) bool {
 	return true
 }
 
-// shapeCheck panics unless a (ra x ca) times b (rb x cb) into c (rc x cc)
-// is a legal GEMM.
-func shapeCheck(op string, ra, ca, rb, cb, rc, cc int) {
-	if ca != rb || rc != ra || cc != cb {
+// shapeCheck panics unless a times b into c is a legal GEMM.
+func shapeCheck(op string, a, b, c *Dense) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
-			op, ra, ca, rb, cb, rc, cc))
+			op, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	checkData(op, a, b, c)
+}
+
+// checkData panics unless every operand holds exactly Rows*Cols
+// elements: a row slice may reach into spare capacity.
+func checkData(op string, ms ...*Dense) {
+	for _, m := range ms {
+		if len(m.Data) != m.Rows*m.Cols {
+			panic(fmt.Sprintf("tensor: %s operand %dx%d holds %d elements", op, m.Rows, m.Cols, len(m.Data)))
+		}
 	}
 }
 
 // MatMul computes c = a*b, overwriting c. Shapes must agree.
 //
 // The kernel uses i-k-j loop order with 4-wide k unrolling: for row-major
-// storage this streams both b and c sequentially, which is the dominant
-// factor for pure-Go throughput.
+// storage this streams both b and c sequentially, and the j direction is
+// four lanes wide on amd64.
 func MatMul(a, b, c *Dense) {
-	shapeCheck("MatMul", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
+	shapeCheck("MatMul", a, b, c)
 	n, k, m := a.Rows, a.Cols, b.Cols
+	if m == 0 {
+		return
+	}
 	for i := 0; i < n; i++ {
 		ci := c.Data[i*m : (i+1)*m]
-		for j := range ci {
-			ci[j] = 0
-		}
+		clear(ci)
 		ai := a.Data[i*k : (i+1)*k]
 		p := 0
 		for ; p+4 <= k; p += 4 {
 			a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-			b0 := b.Data[p*m : (p+1)*m]
-			b1 := b.Data[(p+1)*m : (p+2)*m]
-			b2 := b.Data[(p+2)*m : (p+3)*m]
-			b3 := b.Data[(p+3)*m : (p+4)*m]
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			for j := range ci {
-				ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			bp := b.Data[p*m : (p+4)*m] // checked: the kernel reads 4m floats here, m in ci
+			groupedSumKernel(a0, a1, a2, a3, &bp[0], m, &ci[0], m)
 		}
 		for ; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b.Data[p*m : (p+1)*m]
-			for j := range ci {
-				ci[j] += av * bp[j]
-			}
+			axpyNonZero(ai[p], b.Data[p*m:(p+1)*m], ci)
 		}
 	}
 }
 
 // MatMulAdd computes c += a*b without zeroing c first.
 func MatMulAdd(a, b, c *Dense) {
-	shapeCheck("MatMulAdd", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
+	shapeCheck("MatMulAdd", a, b, c)
 	n, k, m := a.Rows, a.Cols, b.Cols
 	for i := 0; i < n; i++ {
 		ci := c.Data[i*m : (i+1)*m]
-		ai := a.Data[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b.Data[p*m : (p+1)*m]
-			for j := range ci {
-				ci[j] += av * bp[j]
-			}
+		for p, av := range a.Data[i*k : (i+1)*k] {
+			axpyNonZero(av, b.Data[p*m:(p+1)*m], ci)
 		}
 	}
 }
@@ -192,9 +187,9 @@ func MatMulTransA(a, b, c *Dense) {
 // skipped (so 0*Inf never makes a NaN) — the bit contract every golden
 // rests on. Four consecutive p share one pass over a row of c: the
 // running sum stays in a register for four adds instead of going
-// through memory for each, and the adds are never regrouped. A row
-// whose four a values include a zero takes the one-p loop, which is
-// what keeps the skip.
+// through memory for each (four j at a time on amd64), and the adds are
+// never regrouped. A row whose four a values include a zero takes the
+// one-p loop, which is what keeps the skip.
 //
 // The backward pass of every dense layer accumulates straight into its
 // gradient through this kernel.
@@ -203,17 +198,19 @@ func MatMulTransAAdd(a, b, c *Dense) {
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd shape mismatch (%dx%d)T*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
+	checkData("MatMulTransAAdd", a, b, c)
 	k, n, m := a.Rows, a.Cols, b.Cols
+	if m == 0 {
+		return
+	}
 	p := 0
 	for ; p+4 <= k; p += 4 {
 		ap0 := a.Data[p*n : (p+1)*n]
 		ap1 := a.Data[(p+1)*n : (p+2)*n]
 		ap2 := a.Data[(p+2)*n : (p+3)*n]
 		ap3 := a.Data[(p+3)*n : (p+4)*n]
-		b0 := b.Data[p*m : (p+1)*m]
-		b1 := b.Data[(p+1)*m : (p+2)*m]
-		b2 := b.Data[(p+2)*m : (p+3)*m]
-		b3 := b.Data[(p+3)*m : (p+4)*m]
+		bp := b.Data[p*m : (p+4)*m] // checked: the kernel reads 4m floats here, m in ci
+		b0, b1, b2, b3 := bp[:m], bp[m:2*m], bp[2*m:3*m], bp[3*m:]
 		for i, a0 := range ap0 {
 			a1, a2, a3 := ap1[i], ap2[i], ap3[i]
 			ci := c.Data[i*m : (i+1)*m]
@@ -224,13 +221,7 @@ func MatMulTransAAdd(a, b, c *Dense) {
 				axpyNonZero(a3, b3, ci)
 				continue
 			}
-			for j := range ci {
-				s := ci[j] + a0*b0[j]
-				s += a1 * b1[j]
-				s += a2 * b2[j]
-				s += a3 * b3[j]
-				ci[j] = s
-			}
+			runningSumKernel(a0, a1, a2, a3, &bp[0], m, &ci[0], m)
 		}
 	}
 	for ; p < k; p++ {
@@ -275,12 +266,26 @@ func AddColSums(m *Dense, dst []float32) {
 	}
 }
 
-// Axpy computes y += alpha*x for equal-length slices.
+// Axpy computes y += alpha*x for equal-length slices. x and y must be
+// the same slice or not overlap: four elements are read before any is
+// written.
 func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
-	for i, v := range x {
-		y[i] += alpha * v
+	if len(x) > 0 {
+		axpyKernel(alpha, &x[0], &y[0], len(x))
+	}
+}
+
+// MomentumStep is one SGD step with classical momentum and L2 weight
+// decay over equal-length parameter, gradient and velocity slices:
+// gj := g[j] + wd*p[j]; v[j] = mu*v[j] - lr*gj; p[j] += v[j]; g[j] = 0.
+func MomentumStep(lr, mu, wd float32, p, g, v []float32) {
+	if len(g) != len(p) || len(v) != len(p) {
+		panic("tensor: MomentumStep length mismatch")
+	}
+	if len(p) > 0 {
+		momentumKernel(lr, mu, wd, &p[0], &g[0], &v[0], len(p))
 	}
 }

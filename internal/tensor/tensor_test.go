@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -194,13 +195,30 @@ func refMatMul(a, b, c *Dense) {
 	}
 }
 
+// refAxpy is y[i] += alpha*x[i], one element at a time.
+func refAxpy(alpha float32, x, y []float32) {
+	for i := range x {
+		y[i] += alpha * x[i]
+	}
+}
+
+// refMomentumStep is SGD's momentum update, one element at a time.
+func refMomentumStep(lr, mu, wd float32, p, g, v []float32) {
+	for j := range p {
+		gj := g[j] + wd*p[j]
+		v[j] = mu*v[j] - lr*gj
+		p[j] += v[j]
+		g[j] = 0
+	}
+}
+
 // sameBits compares element bit patterns; any NaN matches any NaN
 // (which operand's payload survives an add is the instruction
 // selector's choice, not the accumulation order's).
-func sameBits(t *testing.T, label string, got, want *Dense) {
+func sameBits(t *testing.T, label string, got, want []float32) {
 	t.Helper()
-	for i := range want.Data {
-		g, w := got.Data[i], want.Data[i]
+	for i := range want {
+		g, w := got[i], want[i]
 		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
 			t.Fatalf("%s: element %d = %v (%#08x), reference %v (%#08x)",
 				label, i, g, math.Float32bits(g), w, math.Float32bits(w))
@@ -208,17 +226,122 @@ func sameBits(t *testing.T, label string, got, want *Dense) {
 	}
 }
 
+// specialFloats are the operands where a kernel's order of operations
+// shows: signed zeros and the zero skip, NaN, infinities, and
+// subnormals (Go never sets FTZ/DAZ, so they must flow through the
+// packed and the scalar instructions alike).
+var specialFloats = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.SmallestNonzeroFloat32, -0x1p-130,
+}
+
+// guard fills the spare capacity behind an unaligned operand.
+const guard = float32(-1234.5)
+
+// unaligned copies x into a slice that starts off floats into a larger
+// allocation, so the kernels see every 16-byte phase; the capacity
+// past its end holds guard values.
+func unaligned(x []float32, off int) []float32 {
+	back := make([]float32, off+len(x)+5)
+	for i := range back {
+		back[i] = guard
+	}
+	v := back[off : off+len(x)]
+	copy(v, x)
+	return v
+}
+
+// unalignedDense is unaligned for a matrix.
+func unalignedDense(m *Dense, off int) *Dense {
+	return FromSlice(m.Rows, m.Cols, unaligned(m.Data, off))
+}
+
+// checkGuard fails if anything wrote past the end of an unaligned slice.
+func checkGuard(t *testing.T, label string, x []float32) {
+	t.Helper()
+	for i, v := range x[len(x):cap(x)] {
+		if v != guard {
+			t.Fatalf("%s: element %d past the end overwritten with %v", label, i, v)
+		}
+	}
+}
+
+// checkGEMMs runs every GEMM kernel on unaligned copies of a (n x k),
+// at (its k x n counterpart for the TransA kernels) and b (k x m),
+// into an unaligned c preloaded with c0, and compares each with its
+// reference loop.
+func checkGEMMs(t *testing.T, label string, a, at, b, c0 *Dense, off int) {
+	t.Helper()
+	a, at, b = unalignedDense(a, off), unalignedDense(at, (off+1)%4), unalignedDense(b, (off+2)%4)
+	got, want := unalignedDense(c0, (off+3)%4), New(c0.Rows, c0.Cols)
+	for _, k := range []struct {
+		name        string
+		accumulates bool // otherwise stale contents of c must be overwritten
+		run, ref    func(c *Dense)
+	}{
+		{"MatMul", false, func(c *Dense) { MatMul(a, b, c) }, func(c *Dense) { refMatMul(a, b, c) }},
+		{"MatMulAdd", true, func(c *Dense) { MatMulAdd(a, b, c) }, func(c *Dense) { refMatMulAdd(a, b, c) }},
+		{"MatMulTransA", false, func(c *Dense) { MatMulTransA(at, b, c) }, func(c *Dense) { refMatMulTransAAdd(at, b, c) }},
+		{"MatMulTransAAdd", true, func(c *Dense) { MatMulTransAAdd(at, b, c) }, func(c *Dense) { refMatMulTransAAdd(at, b, c) }},
+	} {
+		copy(got.Data, c0.Data)
+		want.Zero()
+		if k.accumulates {
+			copy(want.Data, c0.Data)
+		}
+		k.run(got)
+		k.ref(want)
+		sameBits(t, k.name+" "+label, got.Data, want.Data)
+		checkGuard(t, k.name+" "+label, got.Data)
+	}
+}
+
+// checkAxpy compares Axpy with refAxpy on unaligned operands, then
+// with the exact alias Axpy(alpha, y, y).
+func checkAxpy(t *testing.T, label string, alpha float32, x, y []float32, off int) {
+	t.Helper()
+	x = unaligned(x, off)
+	got, want := unaligned(y, (off+1)%4), slices.Clone(y)
+	Axpy(alpha, x, got)
+	refAxpy(alpha, x, want)
+	sameBits(t, "Axpy "+label, got, want)
+	checkGuard(t, "Axpy "+label, got)
+
+	copy(got, y)
+	copy(want, y)
+	Axpy(alpha, got, got)
+	refAxpy(alpha, want, want)
+	sameBits(t, "Axpy aliased "+label, got, want)
+	checkGuard(t, "Axpy aliased "+label, got)
+}
+
+// checkMomentum compares MomentumStep with refMomentumStep on unaligned
+// copies of p, g and v; all three are updated in place.
+func checkMomentum(t *testing.T, label string, lr, mu, wd float32, p, g, v []float32, off int) {
+	t.Helper()
+	gp, gg, gv := unaligned(p, off), unaligned(g, (off+1)%4), unaligned(v, (off+2)%4)
+	wp, wg, wv := slices.Clone(p), slices.Clone(g), slices.Clone(v)
+	MomentumStep(lr, mu, wd, gp, gg, gv)
+	refMomentumStep(lr, mu, wd, wp, wg, wv)
+	for _, s := range []struct {
+		name      string
+		got, want []float32
+	}{{"p", gp, wp}, {"g", gg, wg}, {"v", gv, wv}} {
+		sameBits(t, "MomentumStep "+s.name+" "+label, s.got, s.want)
+		checkGuard(t, "MomentumStep "+s.name+" "+label, s.got)
+	}
+}
+
 // TestKernelsBitEqualReference pins every GEMM kernel's accumulation
-// order bit for bit, over shapes covering k%4 in {0,1,2,3}, the
+// order bit for bit, over shapes covering k%4 and m%4 in {0,1,2,3}, the
 // first-layer weight-gradient shape (32x3072)ᵀ·(32x20), ReLU-style
-// sparse a, a non-zero initial c, and non-finite / signed-zero
-// operands (where a skipped zero is visible: 0*Inf would be NaN).
+// sparse a, a non-zero initial c, non-finite / signed-zero / subnormal
+// operands (where a skipped zero is visible: 0*Inf would be NaN) and
+// operands starting at every 16-byte phase; then Axpy and MomentumStep
+// over lengths 0-33 against their scalar loops.
 func TestKernelsBitEqualReference(t *testing.T) {
 	rng := xrand.New(41)
-	special := []float32{
-		0, float32(math.Copysign(0, -1)), float32(math.NaN()),
-		float32(math.Inf(1)), float32(math.Inf(-1)),
-	}
 	fills := []struct {
 		name string
 		fill func(m *Dense)
@@ -234,7 +357,7 @@ func TestKernelsBitEqualReference(t *testing.T) {
 		{"special", func(m *Dense) {
 			for i := range m.Data {
 				if rng.Intn(4) == 0 {
-					m.Data[i] = special[rng.Intn(len(special))]
+					m.Data[i] = specialFloats[rng.Intn(len(specialFloats))]
 				}
 			}
 		}},
@@ -244,10 +367,12 @@ func TestKernelsBitEqualReference(t *testing.T) {
 		{1, 1, 1}, {3, 4, 5}, {5, 5, 3}, {2, 6, 7}, {4, 7, 2}, {6, 8, 20},
 		{9, 13, 10}, {20, 32, 10}, {16, 27, 33}, {3072, 32, 20}, {32, 3072, 20},
 	}
+	off := 0 // operand offsets cycle through every 16-byte phase
 	for _, s := range shapes {
 		for _, fa := range fills {
 			for _, fb := range fills {
-				label := fmt.Sprintf("%dx%dx%d a=%s b=%s", s.n, s.k, s.m, fa.name, fb.name)
+				off = (off + 1) % 4
+				label := fmt.Sprintf("%dx%dx%d a=%s b=%s off=%d", s.n, s.k, s.m, fa.name, fb.name, off)
 				a, at := randomDense(rng, s.n, s.k), randomDense(rng, s.k, s.n)
 				b := randomDense(rng, s.k, s.m)
 				fa.fill(a)
@@ -255,31 +380,45 @@ func TestKernelsBitEqualReference(t *testing.T) {
 				fb.fill(b)
 				c0 := randomDense(rng, s.n, s.m) // non-zero initial accumulator
 				fb.fill(c0)
-				got, want := New(s.n, s.m), New(s.n, s.m)
-
-				copy(got.Data, c0.Data) // stale contents must be overwritten
-				MatMul(a, b, got)
-				refMatMul(a, b, want)
-				sameBits(t, "MatMul "+label, got, want)
-
-				copy(got.Data, c0.Data)
-				copy(want.Data, c0.Data)
-				MatMulAdd(a, b, got)
-				refMatMulAdd(a, b, want)
-				sameBits(t, "MatMulAdd "+label, got, want)
-
-				copy(got.Data, c0.Data)
-				want.Zero()
-				MatMulTransA(at, b, got)
-				refMatMulTransAAdd(at, b, want)
-				sameBits(t, "MatMulTransA "+label, got, want)
-
-				copy(got.Data, c0.Data)
-				copy(want.Data, c0.Data)
-				MatMulTransAAdd(at, b, got)
-				refMatMulTransAAdd(at, b, want)
-				sameBits(t, "MatMulTransAAdd "+label, got, want)
+				checkGEMMs(t, label, a, at, b, c0, off)
 			}
+		}
+	}
+
+	// Subnormals must also come out as values: under a flush-to-zero or
+	// denormals-are-zero mode the kernels and the reference loops would
+	// agree on 0 (and DAZ would make a float compare call them equal,
+	// hence the bits). Five elements reach the packed loop and the tail.
+	for _, c := range []struct{ alpha, x, want float32 }{
+		{1, math.SmallestNonzeroFloat32, math.SmallestNonzeroFloat32}, // DAZ reads x as 0
+		{0.5, 0x1p-126, 0x1p-127},                                     // FTZ flushes the product
+	} {
+		x, y := []float32{c.x, c.x, c.x, c.x, c.x}, make([]float32, 5)
+		Axpy(c.alpha, x, y)
+		for i, v := range y {
+			if math.Float32bits(v) != math.Float32bits(c.want) {
+				t.Fatalf("Axpy(%v, %#08x): element %d = %#08x, want the subnormal %#08x",
+					c.alpha, math.Float32bits(c.x), i, math.Float32bits(v), math.Float32bits(c.want))
+			}
+		}
+	}
+
+	vec := func(n int) []float32 {
+		m := randomDense(rng, 1, n)
+		fills[2].fill(m)
+		return m.Data
+	}
+	for n := 0; n <= 33; n++ {
+		alphas := []float32{0.5, -1, 0, float32(rng.NormFloat64())}
+		alphas = append(alphas, specialFloats...)
+		for _, alpha := range alphas {
+			off = (off + 1) % 4
+			checkAxpy(t, fmt.Sprintf("n=%d alpha=%v off=%d", n, alpha, off), alpha, vec(n), vec(n), off)
+		}
+		for _, h := range [][3]float32{{0.01, 0.9, 1e-3}, {0.05, 0, 0}, {1, 0.5, 2}} {
+			off = (off + 1) % 4
+			checkMomentum(t, fmt.Sprintf("n=%d lr=%v mu=%v wd=%v off=%d", n, h[0], h[1], h[2], off),
+				h[0], h[1], h[2], vec(n), vec(n), vec(n), off)
 		}
 	}
 }
