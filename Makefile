@@ -10,8 +10,10 @@
 #                  atomics, the only block store, the combination-search
 #                  workers and the vanilla arm's pools — and the
 #                  internal/bfl Async tests (async training off the
-#                  clock), plus the root TestRaceSmoke* runs; nothing
-#                  else runs under -race) + the fuzz smoke over
+#                  clock) and TestWorld (one World read by ten
+#                  concurrent runs), plus the root TestRaceSmoke* runs
+#                  (the sweep's shared per-seed worlds among them);
+#                  nothing else runs under -race) + the fuzz smoke over
 #                  the chain codec, mempool and kernel bodies + the
 #                  pure-Go kernel pin (internal/tensor and internal/nn
 #                  tested under GOARCH=386, which builds the Go loops
@@ -102,7 +104,7 @@ generic-kernels:
 # holds a durable record, then resumed and diffed byte-for-byte
 # against the uninterrupted sweep's tables (campaign_test.go).
 campaign-smoke:
-	$(GO) test -run 'TestCampaignSIGKILLRecovery|TestCampaignResumeAfterCancel|TestCampaignResumeTornTail' -count=1 .
+	$(GO) test -run 'TestCampaignSIGKILLRecovery|TestCampaignResumeAfterCancel|TestCampaignResumeMidSeed|TestCampaignResumeTornTail' -count=1 .
 
 # Race pass — exactly these paths run under the detector: the
 # internal/par pool and task set, internal/chain and internal/keys in full (the
@@ -112,16 +114,18 @@ campaign-smoke:
 # parallel decide pool), internal/fl in full (the combination-search
 # worker pool and the vanilla arm's par pools; ~16 s with the build),
 # the internal/bfl tests matching Async (async local training runs on
-# par.Tasks workers between a round's opening and completion events;
-# ~30 s — only these, because the whole package takes over two minutes
-# under -race and its other parallel paths are the pools covered
-# above), plus short parallel runs of the decentralized experiment,
-# the trade-off sweep, the async engine under a time budget, shared
+# par.Tasks workers between a round's opening and completion events)
+# and TestWorld (one World read by eight engines and two async runs at
+# once); ~30 s — only these, because the whole package takes over two
+# minutes under -race and its other parallel paths are the pools
+# covered above — plus short parallel runs of the decentralized
+# experiment, the trade-off sweep, a sweep whose cells share each
+# seed's world, the async engine under a time budget, shared
 # transactions across six ledgers, and the simulators (TestRaceSmoke*
 # in race_test.go).
 test-race:
 	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/
-	$(GO) test -race -run 'Async' ./internal/bfl/
+	$(GO) test -race -run 'Async|TestWorld' ./internal/bfl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 bench:

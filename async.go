@@ -42,11 +42,10 @@ type TimelinePoint struct {
 type AsyncReport bfl.AsyncResult
 
 // runAsyncExperiment is the engine-facing async runner behind
-// Experiment.Run.
-func runAsyncExperiment(ctx context.Context, opts Options, sink event.Sink) (*AsyncReport, error) {
+// Experiment.Run; world is as for runDecentralizedExperiment.
+func runAsyncExperiment(ctx context.Context, opts Options, sink event.Sink, world *bfl.World) (*AsyncReport, error) {
 	cfg := opts.decentralized()
-	cfg.EvalAllCombos = false
-	cfg.Events = sink
+	cfg.Events, cfg.World = sink, world
 	res, err := bfl.RunAsync(ctx, cfg)
 	return (*AsyncReport)(res), err
 }

@@ -151,6 +151,36 @@ func TestCampaignResumeAfterCancel(t *testing.T) {
 	}
 }
 
+// TestCampaignResumeMidSeed interrupts a sequential campaign after five
+// cells — one into seed 2's four — so the resume's work list starts
+// inside a seed and rebuilds that seed's shared world for its remaining
+// cells. The resumed log must be byte-identical to an uninterrupted
+// campaign's (both sequential, so records land in work-list order).
+func TestCampaignResumeMidSeed(t *testing.T) {
+	whole := t.TempDir()
+	if _, err := goldenCampaignExperiment(1).RunCampaign(context.Background(), whole); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if landed := interruptCampaign(t, dir, 1, 5); landed%4 == 0 {
+		t.Fatalf("interrupted after %d cells, a seed boundary; want mid-seed", landed)
+	}
+	if _, err := goldenCampaignExperiment(1).RunCampaign(context.Background(), dir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(whole, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("resumed log differs from the uninterrupted one:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestCampaignResumeTornTail: a crash mid-append leaves a partial
 // final line; the resume must drop it, recompute that cell, and still
 // produce byte-identical tables.

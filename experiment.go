@@ -257,11 +257,11 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	case KindVanilla:
 		res.Vanilla, err = runVanillaExperiment(ctx, opts, sink)
 	case KindDecentralized:
-		res.Decentralized, err = runDecentralizedExperiment(ctx, opts, sink)
+		res.Decentralized, err = runDecentralizedExperiment(ctx, opts, sink, nil)
 	case KindTradeoff:
 		res.Tradeoff, err = e.runTradeoff(ctx)
 	case KindAsync:
-		res.Async, err = runAsyncExperiment(ctx, opts, sink)
+		res.Async, err = runAsyncExperiment(ctx, opts, sink, nil)
 	case KindSharded:
 		res.Sharded, err = runShardedExperiment(ctx, opts, e.sc.Policies, sink)
 	default:

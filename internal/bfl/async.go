@@ -167,7 +167,7 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 			inbox:     map[string]asyncArrival{},
 		})
 		a.res.PeerNames[i] = p.name
-		a.res.InitialAccuracy[i] = p.client.TestAccuracy(e.initial)
+		a.res.InitialAccuracy[i] = p.client.TestAccuracy(e.w.initial)
 		meanTrain += p.simTrainMs
 	}
 	a.halfLife = e.cfg.StalenessHalfLifeMs

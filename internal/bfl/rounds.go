@@ -137,8 +137,8 @@ func (r *RoundEngine) Updates() []*fl.Update {
 // runner seeds all peers with one initial vector the same way); the
 // caller must not mutate it afterwards.
 func (r *RoundEngine) AdoptAll(global []float32) error {
-	if len(global) != len(r.e.initial) {
-		return fmt.Errorf("bfl: adopting %d weights into a %d-weight model", len(global), len(r.e.initial))
+	if len(global) != len(r.e.w.initial) {
+		return fmt.Errorf("bfl: adopting %d weights into a %d-weight model", len(global), len(r.e.w.initial))
 	}
 	for _, p := range r.e.peers {
 		p.adopted = global

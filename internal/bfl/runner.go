@@ -4,8 +4,8 @@
 // their aggregation with the core engine, and record their decisions
 // on-chain.
 //
-// One assembly (engine.setup: identities, data, ledger, peers — the
-// classic fleet and the subsampled cross-device fleet alike) feeds two
+// One assembly (engine.setup: identities, ledger, peers over a World's
+// data — the classic and the subsampled cross-device fleet alike) feeds two
 // schedules. The barriered schedule is RoundEngine (rounds.go): one
 // round body driven with explicit commit instants; Run is its flat
 // driver, laying rounds at the backend's own cadence to regenerate
@@ -20,7 +20,6 @@ package bfl
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +28,6 @@ import (
 	"waitornot/internal/chain"
 	"waitornot/internal/contract"
 	"waitornot/internal/core"
-	"waitornot/internal/dataset"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
 	"waitornot/internal/keys"
@@ -141,6 +139,10 @@ type Config struct {
 	// attaching a sink never changes results. Excluded from
 	// serialization: it is an observer, not configuration.
 	Events event.Sink `json:"-"`
+	// World, when non-nil, is the NewWorld the run reads its data and
+	// initial weights from, bit-identical to building its own (so a
+	// sweep builds one per seed). Excluded from serialization.
+	World *World `json:"-"`
 }
 
 // DefaultPeers is the fleet size a zero Config.Peers stands for: the
@@ -442,13 +444,12 @@ type engine struct {
 	cfg  Config
 	sink event.Sink
 	root *xrand.RNG
+	w    *World // the run's data, initial weights and participant schedule
 
 	be ledger.Backend
 	// gas prices every transaction the peers sign (chainConfig's).
 	gas   chain.GasSchedule
 	peers []*peerState
-	// initial is the shared starting weight vector every peer adopts.
-	initial []float32
 
 	workers int
 
@@ -461,12 +462,8 @@ type engine struct {
 	// every commit of the run (pbft model screening).
 	verifyRejected int
 
-	// participants[round] (1-indexed) lists the slot indices sampled to
-	// train that round, ascending; nil when ClientFraction is unset
-	// (every peer, every round). Drawn once at setup.
-	participants [][]int
 	// everyone is every slot index, ascending: the participant set of a
-	// round with no schedule.
+	// round with no schedule (World.participants).
 	everyone []int
 	// txIdx[peer] incrementally indexes that peer's committed-tx view by
 	// hash, so each transaction is hashed once per view instead of once
@@ -499,7 +496,11 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &engine{cfg: cfg, sink: cfg.Events, root: xrand.New(cfg.Seed)}
+	w, err := cfg.world()
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{cfg: cfg, sink: cfg.Events, root: xrand.New(cfg.Seed), w: w}
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
@@ -539,65 +540,23 @@ func (e *engine) registerAt(tsMs float64) error {
 	return nil
 }
 
-// setup generates data, builds peers, and brings the ledger up — one
-// assembly for both regimes. The classic cross-silo schedule is the
+// setup builds peers over the world's data and brings the ledger up —
+// one assembly for both regimes. The classic cross-silo schedule is the
 // case "active cohort = every fleet index, no participant schedule";
 // under ClientFraction only the union of the pre-drawn per-round
 // samples is materialized and the ledger is sized to that cohort
 // (subsample.go). Identities — keys, names, data streams — are keyed by
 // fleet index, so the same device is the same device in either regime.
-// What still depends on the regime, observable from cfg.ClientFraction:
-// where a peer's training shard comes from, and whether the per-pair
-// combination grid (and its worker evaluators) exists.
+// What else depends on the regime, observable from cfg.ClientFraction:
+// where a peer's training shard comes from (NewWorld), and whether the
+// per-pair combination grid (and its worker evaluators) exists.
 func (e *engine) setup() error {
 	subsampled := e.cfg.ClientFraction > 0
 	if subsampled {
 		e.cfg.EvalAllCombos = false // per-pair grids are a cross-silo artifact
 	}
-	cfg, root := e.cfg, e.root
-	data, ccfg := dataset.DefaultConfig(), chainConfig()
-
-	// --- Cohort: the ascending fleet indices to materialize --------------
-	var active []int
-	if subsampled {
-		k := subsampleK(cfg.ClientFraction, cfg.Peers)
-		active, e.participants = cohort(drawParticipants(root, cfg.Peers, k, cfg.Rounds))
-	} else {
-		active = upTo(cfg.Peers)
-	}
-
-	// --- Training shards ---------------------------------------------------
-	// Classic: partition one global pool. Subsampled: each sampled peer
-	// draws its own shard (with thousands of registered peers a global
-	// pool would swamp setup).
-	var shards []*dataset.Set
-	if !subsampled {
-		pool := dataset.Generate(data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
-		if cfg.DirichletAlpha > 0 {
-			shards = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
-		} else {
-			shards = dataset.PartitionIID(pool, cfg.Peers, root.Derive("partition"))
-		}
-	}
-	trainShard := func(gi int, name string) *dataset.Set {
-		var s *dataset.Set
-		if subsampled {
-			s = dataset.Generate(data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
-		} else {
-			s = shards[gi]
-		}
-		if gi == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
-			s = dataset.PoisonLabelFlip(s, cfg.PoisonFrac, root.Derive("poison"))
-		}
-		return s
-	}
-
-	// --- Initial weights (shared; pretrained for the complex model) ------
-	initModel := cfg.Model.Build(root.Derive("init"))
-	if cfg.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, data, cfg.Pretrain, root.Derive("pretrain"))
-	}
-	initial := initModel.WeightVector()
+	cfg, root, w := e.cfg, e.root, e.w
+	ccfg, active := chainConfig(), w.active
 
 	// --- Ledger, sized to the cohort ---------------------------------------
 	vm := contract.NewVM(ccfg.Gas)
@@ -609,22 +568,6 @@ func (e *engine) setup() error {
 		alloc[peerKeys[s].Address()] = peerFunding
 		sealers[s] = peerKeys[s].Address()
 	}
-	// Consortium verification set: an independent held-out sample the
-	// ledger's model verification scores submissions on, built on the
-	// first call because only pbft ever makes one. Derive does not
-	// advance the root stream, so when it is built perturbs nothing.
-	var verifyOnce sync.Once
-	var verifyEval fl.Evaluator
-	verify := func(w []float32) float64 {
-		if len(w) != len(initial) {
-			return math.NaN()
-		}
-		verifyOnce.Do(func() {
-			verifySet := dataset.Generate(data, cfg.SelectionSize, root.Derive("ledger-verify"))
-			verifyEval = fl.NewAccuracyEvaluator(cfg.Model, verifySet)
-		})
-		return verifyEval(w)
-	}
 	be, err := ledger.New(cfg.Backend, ledger.Config{
 		Peers:      len(active),
 		Chain:      ccfg,
@@ -632,7 +575,7 @@ func (e *engine) setup() error {
 		Proc:       vm,
 		Sealers:    sealers,
 		Validators: cfg.Validators,
-		Verify:     verify,
+		Verify:     w.verifier(),
 	})
 	if err != nil {
 		return err
@@ -657,9 +600,7 @@ func (e *engine) setup() error {
 		gi := active[s]
 		name := fl.ClientName(gi)
 		model := cfg.Model.Build(root.Derive("peer-model-" + name))
-		train := trainShard(gi, name)
-		sel := dataset.Generate(data, cfg.SelectionSize, root.Derive("selection-"+name))
-		test := dataset.Generate(data, cfg.TestPerPeer, root.Derive("test-"+name))
+		train, sel, test := w.train[s], w.sel[s], w.test[s]
 		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
 		straggler := 1.0
 		if cfg.StragglerFactor != nil {
@@ -669,7 +610,7 @@ func (e *engine) setup() error {
 			name:       name,
 			key:        peerKeys[s],
 			client:     client,
-			adopted:    initial,
+			adopted:    w.initial,
 			samples:    train.Len(),
 			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
 		}
@@ -711,7 +652,6 @@ func (e *engine) setup() error {
 	e.be = be
 	e.gas = ccfg.Gas
 	e.peers = peers
-	e.initial = initial
 	e.workers = workers
 	return nil
 }
@@ -732,7 +672,7 @@ func (e *engine) newResult() *Result {
 		names[i] = p.name
 		res.PeerNames[i] = p.name
 	}
-	if e.participants != nil {
+	if e.w.participants != nil {
 		// Subsampled fleets skip the per-pair combo grid: labels alone
 		// would be quadratic in Peers, and EvalAllCombos is disabled.
 		return res
@@ -749,10 +689,10 @@ func (e *engine) newResult() *Result {
 // round: the pre-drawn K-of-N sample under ClientFraction, every slot
 // otherwise.
 func (e *engine) roundParticipants(round int) []int {
-	if e.participants == nil || round < 1 || round >= len(e.participants) {
+	if e.w.participants == nil || round < 1 || round >= len(e.w.participants) {
 		return e.everyone
 	}
-	return e.participants[round]
+	return e.w.participants[round]
 }
 
 // runRound executes one full barriered round — train, submit, commit

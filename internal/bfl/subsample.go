@@ -64,7 +64,7 @@ func drawParticipants(root *xrand.RNG, peers, k, rounds int) [][]int {
 }
 
 // cohort resolves a participant schedule (fleet indices, 1-indexed by
-// round) into the cohort engine.setup materializes: the ascending union
+// round) into the cohort NewWorld materializes: the ascending union
 // of every round's participants, and the same schedule re-addressed by
 // slot — a peer's index in that union, and thus in the ledger's views
 // and sealers.

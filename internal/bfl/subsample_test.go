@@ -303,7 +303,7 @@ func TestFullFractionFleetMatchesClassicIdentities(t *testing.T) {
 	if len(full.peers) != len(classic.peers) {
 		t.Fatalf("full-fraction fleet has %d peers, classic %d", len(full.peers), len(classic.peers))
 	}
-	if !reflect.DeepEqual(full.initial, classic.initial) {
+	if !reflect.DeepEqual(full.w.initial, classic.w.initial) {
 		t.Fatal("initial weights differ")
 	}
 	for r := 1; r <= cfg.Rounds; r++ {

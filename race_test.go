@@ -152,6 +152,30 @@ func TestRaceSmokeSweep(t *testing.T) {
 	}
 }
 
+// TestRaceSmokeSweepSharedWorld runs concurrent sweep cells over one
+// shared world per seed: 2 seeds x 4 backends x 2 policies at
+// Parallelism 4, so up to four cells read a seed's data sets, initial
+// weights and (pbft) lazily built verification set at once, while
+// worlds are built and dropped across the seed boundary.
+func TestRaceSmokeSweepSharedWorld(t *testing.T) {
+	opts := testutil.TinyStreamOptions()
+	opts.Rounds = 1
+	opts.StragglerFactor = []float64{1, 1, 3}
+	opts.CommitLatency = true
+	opts.Parallelism = 4
+	rep, err := waitornot.New(opts,
+		waitornot.WithKind(waitornot.KindTradeoff),
+		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+		waitornot.WithBackends("pow", "poa", "pbft", "instant"),
+		waitornot.WithSeeds(9, 10)).RunSweep(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != 16 {
+		t.Fatalf("runs = %d, want 16", len(rep.Runs))
+	}
+}
+
 // TestRaceSmokeConsensusLadder pushes the ledger backends through the
 // genuinely concurrent paths. The instant backend is the only one
 // this PR gives cross-goroutine shared state (the frozen StateView

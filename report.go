@@ -105,10 +105,10 @@ type ChainSummary = bfl.ChainStats
 type DecentralizedReport bfl.Result
 
 // runDecentralizedExperiment is the engine-facing decentralized
-// runner behind Experiment.Run.
-func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Sink) (*DecentralizedReport, error) {
+// runner behind Experiment.Run; a non-nil world is bfl.Config.World.
+func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Sink, world *bfl.World) (*DecentralizedReport, error) {
 	cfg := opts.decentralized()
-	cfg.Events = sink
+	cfg.Events, cfg.World = sink, world
 	res, err := bfl.Run(ctx, cfg)
 	return (*DecentralizedReport)(res), err
 }

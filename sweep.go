@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
+	"waitornot/internal/bfl"
 	"waitornot/internal/campaign"
 	"waitornot/internal/event"
 	"waitornot/internal/metrics"
@@ -201,6 +204,20 @@ type sweepPlan struct {
 	// cell's own Parallelism, so total concurrency stays near the
 	// configured one. Scheduling only: never marshaled.
 	workers, inner int
+
+	// worlds[k], while runAll runs, holds Seeds[k]'s shared bfl.World,
+	// built by the seed's first cell from its options (a seed's cells
+	// differ only in policy and backend, which no world depends on) and
+	// dropped when its last cell lands; none for KindSharded.
+	worlds []seedWorld
+}
+
+// seedWorld is one seed's world and how many of its cells are left.
+type seedWorld struct {
+	once  sync.Once
+	world *bfl.World
+	err   error
+	left  atomic.Int32
 }
 
 // sweepPlan is the single place a run description is resolved: it
@@ -347,15 +364,22 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 			Headline() (float64, float64, float64)
 			TimeToAccuracyMs(float64) float64
 		}
+		w   *bfl.World // the seed's, shared; nil for KindSharded
 		err error
 	)
-	switch p.Kind {
-	case KindAsync.String():
-		rep, err = runAsyncExperiment(ctx, o, nil)
-	case KindSharded.String():
+	if p.Kind != KindSharded.String() {
+		sw := &p.worlds[i/p.cells()]
+		sw.once.Do(func() { sw.world, sw.err = bfl.NewWorld(o.decentralized()) })
+		w, err = sw.world, sw.err
+	}
+	switch {
+	case err != nil:
+	case p.Kind == KindAsync.String():
+		rep, err = runAsyncExperiment(ctx, o, nil, w)
+	case p.Kind == KindSharded.String():
 		rep, err = runShardedExperiment(ctx, o, p.Ladder, nil)
 	default:
-		rep, err = runDecentralizedExperiment(ctx, o, nil)
+		rep, err = runDecentralizedExperiment(ctx, o, nil, w)
 	}
 	if err != nil {
 		return SweepRun{}, fmt.Errorf("seed %d cell %s backend %q: %w", seed, v.Label, b, err)
@@ -385,11 +409,19 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 // todo order, and an error from it (a campaign's failed append) stops
 // the run. The runs come back in todo order.
 func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, todo []int, landed func(j int, run SweepRun) (event.Event, error)) ([]SweepRun, error) {
+	p.worlds = make([]seedWorld, len(p.Seeds))
+	defer func() { p.worlds = nil }()
+	for _, i := range todo {
+		p.worlds[i/p.cells()].left.Add(1)
+	}
 	emit := newOrderedEmitter(sink)
 	return par.MapCtx(ctx, p.workers, len(todo), func(j int) (SweepRun, error) {
 		run, err := p.run(ctx, todo[j])
 		if err != nil {
 			return SweepRun{}, err
+		}
+		if sw := &p.worlds[todo[j]/p.cells()]; sw.left.Add(-1) == 0 {
+			sw.world = nil // the seed's last cell has landed
 		}
 		ev, err := landed(j, run)
 		if err != nil {

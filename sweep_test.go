@@ -137,6 +137,71 @@ func TestSweepMatchesSoloRuns(t *testing.T) {
 	}
 }
 
+// TestSweepWorldFieldsMatchSoloRuns extends TestSweepMatchesSoloRuns
+// to the parts of a seed's shared world that the pow/instant golden
+// grid never reads: the lazily built pbft verification set, the
+// asynchronous engine, the participant schedule and poisoned shard of a
+// client-fraction fleet, and a Dirichlet partition. Every sweep run
+// must equal a standalone Experiment.Run of its cell, bit for bit, over
+// two seeds, so a world's lifetime crosses a seed boundary.
+func TestSweepWorldFieldsMatchSoloRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		kind     waitornot.Kind
+		backends []string
+		mutate   func(*waitornot.Options)
+	}{
+		{"pbft", waitornot.KindTradeoff, []string{"pbft"}, func(*waitornot.Options) {}},
+		{"async", waitornot.KindAsync, []string{"pow", "instant"}, func(*waitornot.Options) {}},
+		{"client-fraction+poison", waitornot.KindTradeoff, []string{"poa"}, func(o *waitornot.Options) {
+			o.Clients, o.ClientFraction, o.StragglerFactor = 6, 0.5, nil
+			o.PoisonClient, o.PoisonFraction = 1, 0.5
+		}},
+		{"dirichlet", waitornot.KindTradeoff, []string{"pow"}, func(o *waitornot.Options) { o.DirichletAlpha = 0.5 }},
+	} {
+		opts := sweepOpts()
+		opts.Rounds = 2
+		tc.mutate(&opts)
+		sweepOptions := opts
+		sweepOptions.Parallelism = 4
+		rep, err := waitornot.New(sweepOptions,
+			waitornot.WithKind(tc.kind),
+			waitornot.WithPolicies(sweepPolicies()...),
+			waitornot.WithBackends(tc.backends...),
+			waitornot.WithSeeds(1, 2)).RunSweep(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := 2 * len(tc.backends) * len(sweepPolicies()); len(rep.Runs) != want {
+			t.Fatalf("%s: %d runs, want %d", tc.name, len(rep.Runs), want)
+		}
+		for _, r := range rep.Runs {
+			o := opts
+			o.Seed, o.Backend = r.Seed, r.Backend
+			for _, p := range sweepPolicies() {
+				if p.Name() == r.Policy {
+					o.Policy = p
+				}
+			}
+			kind := tc.kind
+			if kind == waitornot.KindTradeoff {
+				kind = waitornot.KindDecentralized // the trade-off grid's single cell
+			}
+			solo := testutil.Run(t, o, waitornot.WithKind(kind))
+			var acc, wait, included float64
+			if solo.Async != nil {
+				acc, wait, included = solo.Async.Headline()
+			} else {
+				acc, wait, included = solo.Decentralized.Headline()
+			}
+			if r.FinalAccuracy != acc || r.MeanWaitMs != wait || r.MeanIncluded != included {
+				t.Fatalf("%s seed %d %s@%s: sweep (%v, %v, %v) != solo (%v, %v, %v)", tc.name,
+					r.Seed, r.Policy, r.Backend, r.FinalAccuracy, r.MeanWaitMs, r.MeanIncluded, acc, wait, included)
+			}
+		}
+	}
+}
+
 // TestSweepProgressStreamOrder: SweepProgress events arrive in flat
 // seed-major work-list order with correct Index/Total, even when the
 // replications run concurrently.
