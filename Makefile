@@ -5,10 +5,12 @@
 #                  tests under the coverage ratchet + the CLI smoke
 #                  over the one -scenario path + the race-detector
 #                  pass (test-race: all of internal/par, internal/chain,
-#                  internal/keys, internal/ledger and internal/fl — the
-#                  pool and the task set, the transaction memo's
-#                  atomics, the only block store, the combination-search
-#                  workers and the vanilla arm's pools — and the
+#                  internal/keys, internal/ledger, internal/fl,
+#                  internal/dataset and internal/xrand — the pool and the
+#                  task set, the transaction memo's atomics, the only
+#                  block store, the combination-search workers, the
+#                  vanilla arm's pools and the one-sample-per-item
+#                  generation pass with its stream jump-ahead — and the
 #                  internal/bfl Async tests (async training off the
 #                  clock) and TestWorld (one World read by ten
 #                  concurrent runs), plus the root TestRaceSmoke* runs
@@ -43,7 +45,7 @@ COVER_OUT ?= cover.out
 # `go test -fuzz <target> ./internal/chain/` open-ended).
 FUZZTIME ?= 5s
 
-.PHONY: build fmt-check vet test cover cli-smoke test-race fuzz-smoke generic-kernels campaign-smoke bench benchmark profile profile-train size ci
+.PHONY: build fmt-check vet test cover cli-smoke test-race fuzz-smoke generic-kernels campaign-smoke bench benchmark profile profile-train profile-setup size ci
 
 build:
 	$(GO) build ./...
@@ -113,6 +115,8 @@ campaign-smoke:
 # full (the only block store: its read views are called from the
 # parallel decide pool), internal/fl in full (the combination-search
 # worker pool and the vanilla arm's par pools; ~16 s with the build),
+# internal/dataset and internal/xrand in full (GenerateSets draws every
+# sample of every set as its own par item from a jumped-ahead stream),
 # the internal/bfl tests matching Async (async local training runs on
 # par.Tasks workers between a round's opening and completion events)
 # and TestWorld (one World read by eight engines and two async runs at
@@ -124,7 +128,8 @@ campaign-smoke:
 # transactions across six ledgers, and the simulators (TestRaceSmoke*
 # in race_test.go).
 test-race:
-	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/
+	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/ \
+	    ./internal/dataset/ ./internal/xrand/
 	$(GO) test -race -run 'Async|TestWorld' ./internal/bfl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
@@ -153,6 +158,15 @@ profile:
 profile-train:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimpleNNTrainBatch' -benchtime 300x -cpu 1 \
 	    -cpuprofile cpu.prof -memprofile mem.prof ./internal/nn/
+	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
+
+# The same two profiles for set-up: one bfl.NewWorld at the paper-sync
+# workload's sizes (3 peers, 600/60/160 samples) on one core and on
+# two, so the two ns/op lines give the generation pass's speed-up and
+# the profile dataset generation's share of set-up (DESIGN.md §5).
+profile-setup:
+	$(GO) test -run '^$$' -bench 'BenchmarkNewWorldPaperSync' -benchtime 20x -cpu 1,2 \
+	    -cpuprofile cpu.prof -memprofile mem.prof ./internal/bfl/
 	@echo "wrote cpu.prof, mem.prof — inspect with: $(GO) tool pprof -top cpu.prof"
 
 # The numbers ROADMAP tracks for "least code": non-test Go lines

@@ -9,7 +9,6 @@ import (
 	"waitornot/internal/dataset"
 	"waitornot/internal/fl"
 	"waitornot/internal/nn"
-	"waitornot/internal/par"
 	"waitornot/internal/xrand"
 )
 
@@ -57,36 +56,48 @@ func NewWorld(cfg Config) (*World, error) {
 	if subsampled {
 		k := subsampleK(cfg.ClientFraction, cfg.Peers)
 		w.active, w.participants = cohort(drawParticipants(root, cfg.Peers, k, cfg.Rounds))
-		w.train = make([]*dataset.Set, len(w.active))
 	} else {
 		w.active = upTo(cfg.Peers)
-		pool := dataset.Generate(data, cfg.TrainPerPeer*cfg.Peers, root.Derive("train-pool"))
-		if cfg.DirichletAlpha > 0 {
-			w.train = dataset.PartitionDirichlet(pool, cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
-		} else {
-			w.train = dataset.PartitionIID(pool, cfg.Peers, root.Derive("partition"))
-		}
 	}
-	initModel := cfg.Model.Build(root.Derive("init"))
-	if cfg.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, data, cfg.Pretrain, root.Derive("pretrain"))
-	}
-	w.initial = initModel.WeightVector()
 
-	// Streams derive by label, slots are per item: any Parallelism.
-	w.sel, w.test = make([]*dataset.Set, len(w.active)), make([]*dataset.Set, len(w.active))
-	return w, par.ForEach(par.Workers(cfg.Parallelism), len(w.active), func(s int) error {
-		name := fl.ClientName(w.active[s])
-		if subsampled {
-			w.train[s] = dataset.Generate(data, cfg.TrainPerPeer, root.Derive("peer-data-"+name))
+	// Every set is one draw of a single generation pass, so the samples
+	// of all of them share one worker pool: the train pool (or each
+	// peer's train set), then every selection set, then every test set.
+	var draws []dataset.Draw
+	perPeer := func(size int, prefix string) {
+		for _, a := range w.active {
+			draws = append(draws, dataset.Draw{N: size, RNG: root.Derive(prefix + fl.ClientName(a))})
 		}
-		if w.active[s] == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
+	}
+	if subsampled {
+		perPeer(cfg.TrainPerPeer, "peer-data-")
+	} else {
+		draws = append(draws, dataset.Draw{N: cfg.TrainPerPeer * cfg.Peers, RNG: root.Derive("train-pool")})
+	}
+	perPeer(cfg.SelectionSize, "selection-")
+	perPeer(cfg.TestPerPeer, "test-")
+	sets, n := dataset.GenerateSets(cfg.Parallelism, data, draws), len(w.active)
+	w.sel, w.test = sets[len(sets)-2*n:len(sets)-n], sets[len(sets)-n:]
+	switch {
+	case subsampled:
+		w.train = sets[:n]
+	case cfg.DirichletAlpha > 0:
+		w.train = dataset.PartitionDirichlet(sets[0], cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
+	default:
+		w.train = dataset.PartitionIID(sets[0], cfg.Peers, root.Derive("partition"))
+	}
+	for s, a := range w.active {
+		if a == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
 			w.train[s] = dataset.PoisonLabelFlip(w.train[s], cfg.PoisonFrac, root.Derive("poison"))
 		}
-		w.sel[s] = dataset.Generate(data, cfg.SelectionSize, root.Derive("selection-"+name))
-		w.test[s] = dataset.Generate(data, cfg.TestPerPeer, root.Derive("test-"+name))
-		return nil
-	})
+	}
+
+	initModel := cfg.Model.Build(root.Derive("init"))
+	if cfg.Model == nn.ModelEffNetSim {
+		fl.Pretrain(initModel, data, cfg.Pretrain, cfg.Parallelism, root.Derive("pretrain"))
+	}
+	w.initial = initModel.WeightVector()
+	return w, nil
 }
 
 // verifier is one run's model verification over the world's held-out

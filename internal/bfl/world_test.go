@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +50,21 @@ func worldDigest(w *World) [sha256.Size]byte {
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
+}
+
+// BenchmarkNewWorldPaperSync builds one world at the paper-sync
+// benchmark workload's sizes (3 peers, 600/60/160 samples, seed 1) on
+// GOMAXPROCS workers; `make profile-setup` runs it at -cpu 1,2.
+func BenchmarkNewWorldPaperSync(b *testing.B) {
+	cfg := tinyConfig()
+	cfg.Seed, cfg.TrainPerPeer, cfg.SelectionSize, cfg.TestPerPeer = 1, 600, 60, 160
+	cfg.Parallelism = runtime.GOMAXPROCS(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewWorld(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestWorldSharedAcrossEngines pins the World's read-only contract —

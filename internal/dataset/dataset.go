@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"waitornot/internal/nn"
+	"waitornot/internal/par"
 	"waitornot/internal/tensor"
 	"waitornot/internal/xrand"
 )
@@ -181,65 +182,134 @@ func (c Config) hue(class int) []float64 {
 // classes, drawing all randomness from rng. It panics on an invalid
 // config — generation parameters are programmer-chosen, not user input.
 func Generate(cfg Config, n int, rng *xrand.RNG) *Set {
+	return GenerateSets(1, cfg, []Draw{{N: n, RNG: rng}})[0]
+}
+
+// Draw is one set of a GenerateSets pass: N samples from RNG.
+type Draw struct {
+	N   int
+	RNG *xrand.RNG
+}
+
+// GenerateSets synthesizes one set per draw on at most workers
+// goroutines (par.Workers convention), one sample per work item. The
+// sets, and every draw's RNG end state, are bit-identical to calling
+// Generate for each draw in order: splitmix64 is random-access, so a
+// sequential offsets pass finds each sample's start state without
+// drawing the sample (DESIGN.md §5, "A data set is random-access").
+func GenerateSets(workers int, cfg Config, draws []Draw) []*Set {
+	return newPass(cfg, draws).run(workers)
+}
+
+// pass is one GenerateSets call after its offsets pass. A set's Y holds
+// each sample's shuffled class until the sample replaces it with its
+// label.
+type pass struct {
+	cfg                     Config
+	textures, hues, globals [][]float64 // by class, built once a pass
+	sets                    []*Set
+	// starts[d][i] is draw d's stream at the start of sample i;
+	// starts[d][N] its end state.
+	starts [][]xrand.RNG
+	items  []sampleRef // every sample of every draw, in order
+}
+
+type sampleRef struct{ draw, i int }
+
+// newPass shuffles each draw's classes on its RNG, records every
+// sample's start state by skipping exactly what sample draws (one
+// brightness, per channel one jitter and H·W pixel normals, two Intn,
+// and the label-noise Bool plus its Intn when it fires), and leaves each
+// draw's RNG at its end state.
+func newPass(cfg Config, draws []Draw) *pass {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// Pre-compute per-class assets.
-	textures := make([][]float64, cfg.Classes)
-	hues := make([][]float64, cfg.Classes)
-	globals := make([][]float64, cfg.Classes)
+	p := &pass{cfg: cfg, textures: make([][]float64, cfg.Classes), hues: make([][]float64, cfg.Classes),
+		globals: make([][]float64, cfg.Classes), sets: make([]*Set, len(draws)), starts: make([][]xrand.RNG, len(draws))}
 	for c := 0; c < cfg.Classes; c++ {
-		textures[c] = cfg.texture(c)
-		hues[c] = cfg.hue(c)
-		globals[c] = cfg.globalPattern(c)
+		p.textures[c], p.hues[c], p.globals[c] = cfg.texture(c), cfg.hue(c), cfg.globalPattern(c)
 	}
-
-	s := &Set{X: tensor.New(n, cfg.ImageLen()), Y: make([]int, n), Classes: cfg.Classes}
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = i % cfg.Classes // balanced...
+	normals := 1 + cfg.ImageC*(1+cfg.ImageH*cfg.ImageW)
+	for d, dr := range draws {
+		s := &Set{X: tensor.New(dr.N, cfg.ImageLen()), Y: make([]int, dr.N), Classes: cfg.Classes}
+		for i := range s.Y {
+			s.Y[i] = i % cfg.Classes // balanced...
+		}
+		dr.RNG.ShuffleInts(s.Y) // ...in random order
+		p.sets[d] = s
+		starts := make([]xrand.RNG, dr.N+1)
+		for i := range dr.N {
+			starts[i] = *dr.RNG
+			p.items = append(p.items, sampleRef{d, i})
+			dr.RNG.SkipNormals(normals)
+			dr.RNG.Skip(2)
+			if cfg.LabelNoise > 0 && dr.RNG.Bool(cfg.LabelNoise) {
+				dr.RNG.Skip(1)
+			}
+		}
+		starts[dr.N] = *dr.RNG
+		p.starts[d] = starts
 	}
-	rng.ShuffleInts(labels) // ...in random order
+	return p
+}
 
+// run draws every sample from its recorded start state. The drift guard
+// panics if a sample does not end where the offsets pass says the next
+// one starts, so the two can never silently disagree.
+func (p *pass) run(workers int) []*Set {
+	// No item returns an error; a drift panic is re-raised here.
+	_ = par.ForEach(workers, len(p.items), func(k int) error {
+		it := p.items[k]
+		rng := p.starts[it.draw][it.i]
+		s := p.sets[it.draw]
+		s.Y[it.i] = p.sample(s.X.Row(it.i), s.Y[it.i], &rng)
+		if rng != p.starts[it.draw][it.i+1] {
+			panic(fmt.Sprintf("dataset: draw %d sample %d drifted from the offsets pass", it.draw, it.i))
+		}
+		return nil
+	})
+	return p.sets
+}
+
+// sample draws one sample of class cls into row from rng and returns
+// its label. newPass mirrors its draws; keep the two in step.
+func (p *pass) sample(row []float32, cls int, rng *xrand.RNG) int {
+	cfg := p.cfg
 	plane := cfg.ImageH * cfg.ImageW
-	p := cfg.PatchSize
-	for i := 0; i < n; i++ {
-		cls := labels[i]
-		row := s.X.Row(i)
-		// Background noise + hue + brightness + channel jitter + the
-		// faint class-specific global pattern.
-		brightness := rng.NormFloat64() * cfg.BrightnessStd
-		glob := globals[cls]
-		for ch := 0; ch < cfg.ImageC; ch++ {
-			base := float32(hues[cls][ch]*cfg.HueAmp + brightness + rng.NormFloat64()*cfg.ChannelJitterStd)
-			pl := row[ch*plane : (ch+1)*plane]
-			for j := range pl {
-				pl[j] = base + float32(glob[j]*cfg.GlobalAmp) + float32(rng.NormFloat64()*cfg.NoiseStd)
-			}
+	patch := cfg.PatchSize
+	// Background noise + hue + brightness + channel jitter + the
+	// faint class-specific global pattern.
+	brightness := rng.NormFloat64() * cfg.BrightnessStd
+	glob := p.globals[cls]
+	for ch := 0; ch < cfg.ImageC; ch++ {
+		base := float32(p.hues[cls][ch]*cfg.HueAmp + brightness + rng.NormFloat64()*cfg.ChannelJitterStd)
+		pl := row[ch*plane : (ch+1)*plane]
+		for j := range pl {
+			pl[j] = base + float32(glob[j]*cfg.GlobalAmp) + float32(rng.NormFloat64()*cfg.NoiseStd)
 		}
-		// Stamp the class texture at a random position, on all channels
-		// (a luminance pattern, so color carries no extra patch info).
-		py := rng.Intn(cfg.ImageH - p + 1)
-		px := rng.Intn(cfg.ImageW - p + 1)
-		tex := textures[cls]
-		for ch := 0; ch < cfg.ImageC; ch++ {
-			pl := row[ch*plane : (ch+1)*plane]
-			for dy := 0; dy < p; dy++ {
-				base := (py+dy)*cfg.ImageW + px
-				trow := tex[dy*p:]
-				for dx := 0; dx < p; dx++ {
-					pl[base+dx] += float32(trow[dx] * cfg.PatchAmp)
-				}
-			}
-		}
-		// Label noise: resample uniformly with probability LabelNoise.
-		y := cls
-		if cfg.LabelNoise > 0 && rng.Bool(cfg.LabelNoise) {
-			y = rng.Intn(cfg.Classes)
-		}
-		s.Y[i] = y
 	}
-	return s
+	// Stamp the class texture at a random position, on all channels
+	// (a luminance pattern, so color carries no extra patch info).
+	py := rng.Intn(cfg.ImageH - patch + 1)
+	px := rng.Intn(cfg.ImageW - patch + 1)
+	tex := p.textures[cls]
+	for ch := 0; ch < cfg.ImageC; ch++ {
+		pl := row[ch*plane : (ch+1)*plane]
+		for dy := 0; dy < patch; dy++ {
+			base := (py+dy)*cfg.ImageW + px
+			trow := tex[dy*patch:]
+			for dx := 0; dx < patch; dx++ {
+				pl[base+dx] += float32(trow[dx] * cfg.PatchAmp)
+			}
+		}
+	}
+	// Label noise: resample uniformly with probability LabelNoise.
+	y := cls
+	if cfg.LabelNoise > 0 && rng.Bool(cfg.LabelNoise) {
+		y = rng.Intn(cfg.Classes)
+	}
+	return y
 }
 
 // PartitionIID deals the set round-robin into parts equal shards after a

@@ -1,9 +1,13 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"waitornot/internal/tensor"
 	"waitornot/internal/xrand"
 )
 
@@ -81,6 +85,104 @@ func TestGenerateBalancedClasses(t *testing.T) {
 	for c, n := range counts {
 		if n != 100 {
 			t.Errorf("class %d has %d samples, want 100", c, n)
+		}
+	}
+}
+
+// generateReference is Generate as one sequential stream: the labels'
+// shuffle, then every sample drawn after the one before it.
+func generateReference(cfg Config, n int, rng *xrand.RNG) *Set {
+	p := newPass(cfg, nil) // the class assets, no draws
+	s := &Set{X: tensor.New(n, cfg.ImageLen()), Y: make([]int, n), Classes: cfg.Classes}
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i % cfg.Classes
+	}
+	rng.ShuffleInts(labels)
+	for i := range n {
+		s.Y[i] = p.sample(s.X.Row(i), labels[i], rng)
+	}
+	return s
+}
+
+// oddConfig is a 1x5x5 geometry: 27 normals a sample, so every other
+// sample starts with a Box-Muller spare pending.
+func oddConfig() Config {
+	cfg := DefaultConfig()
+	cfg.ImageC, cfg.ImageH, cfg.ImageW, cfg.PatchSize, cfg.HueGroups = 1, 5, 5, 3, 5
+	return cfg
+}
+
+// TestGenerateSetsBitEqual: at any worker count, a GenerateSets pass is
+// the sequential stream of each draw in order — every sample's bits,
+// every label, and every draw's RNG end state — for an even and an odd
+// per-sample normal count, with and without label noise, and with empty,
+// one-sample and spare-pending draws.
+func TestGenerateSetsBitEqual(t *testing.T) {
+	for _, geo := range []struct {
+		name  string
+		cfg   Config
+		sizes []int
+	}{
+		{"3x32x32", DefaultConfig(), []int{7, 0, 1, 12, 2}},
+		{"1x5x5", oddConfig(), []int{100, 0, 1, 333, 7, 2}},
+	} {
+		for _, noise := range []float64{0, 0.03, 0.5} {
+			cfg := geo.cfg
+			cfg.LabelNoise = noise
+			streams := func() []*xrand.RNG {
+				out := make([]*xrand.RNG, len(geo.sizes))
+				for d := range out {
+					out[d] = xrand.New(uint64(d + 1)).Derive("draw")
+				}
+				out[len(out)-1].NormFloat64() // enter with a spare pending
+				return out
+			}
+			wantRNG := streams()
+			want := make([]*Set, len(geo.sizes))
+			for d, n := range geo.sizes {
+				want[d] = generateReference(cfg, n, wantRNG[d])
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				gotRNG := streams()
+				draws := make([]Draw, len(geo.sizes))
+				for d, n := range geo.sizes {
+					draws[d] = Draw{N: n, RNG: gotRNG[d]}
+				}
+				got := GenerateSets(workers, cfg, draws)
+				for d := range draws {
+					where := fmt.Sprintf("%s noise %v workers %d draw %d (N=%d)", geo.name, noise, workers, d, geo.sizes[d])
+					if !slices.EqualFunc(got[d].X.Data, want[d].X.Data, func(a, b float32) bool {
+						return math.Float32bits(a) == math.Float32bits(b)
+					}) {
+						t.Fatalf("%s: samples differ from the sequential stream", where)
+					}
+					if !slices.Equal(got[d].Y, want[d].Y) {
+						t.Fatalf("%s: labels differ from the sequential stream", where)
+					}
+					if g, w := *gotRNG[d], *wantRNG[d]; g != w || g.NormFloat64() != w.NormFloat64() {
+						t.Fatalf("%s: RNG end state differs from the sequential stream", where)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateSetsDriftGuard: a sample that does not end where the
+// offsets pass says the next one starts panics, naming the draw and the
+// sample, at any worker count.
+func TestGenerateSetsDriftGuard(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		p := newPass(oddConfig(), []Draw{{N: 3, RNG: xrand.New(1)}, {N: 5, RNG: xrand.New(2)}})
+		p.starts[1][3].Uint64() // desynchronise draw 1's sample 3
+		got := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			p.run(workers)
+			return ""
+		}()
+		if !strings.Contains(got, "draw 1 sample 2 drifted") {
+			t.Errorf("workers %d: panic %q, want one naming draw 1 sample 2", workers, got)
 		}
 	}
 }

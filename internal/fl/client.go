@@ -45,14 +45,16 @@ func DefaultPretrain() PretrainSpec { return PretrainSpec{Samples: 6000, Epochs:
 
 // Pretrain trains model on the texture-family-1 pretext distribution,
 // emulating transfer learning: the backbone sees closely related but not
-// identical features to the target task. The model is mutated in place.
-func Pretrain(model *nn.Model, cfg dataset.Config, spec PretrainSpec, rng *xrand.RNG) {
+// identical features to the target task. The model is mutated in place;
+// workers bounds the pretext set's generation, which is bit-identical at
+// any value.
+func Pretrain(model *nn.Model, cfg dataset.Config, spec PretrainSpec, workers int, rng *xrand.RNG) {
 	if spec.Samples <= 0 || spec.Epochs <= 0 {
 		return
 	}
 	preCfg := cfg
 	preCfg.TextureFamily = 1
-	set := dataset.Generate(preCfg, spec.Samples, rng.Derive("pretext-data"))
+	set := dataset.GenerateSets(workers, preCfg, []dataset.Draw{{N: spec.Samples, RNG: rng.Derive("pretext-data")}})[0]
 	opt := nn.NewSGD(spec.LR, 0.9, 1e-4)
 	for e := 0; e < spec.Epochs; e++ {
 		nn.TrainEpoch(model, opt, set.X, set.Y, 32, rng.Derive(fmt.Sprintf("pretext-epoch-%d", e)))

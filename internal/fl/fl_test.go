@@ -370,7 +370,7 @@ func TestPretrainChangesWeights(t *testing.T) {
 	root := xrand.New(9)
 	model := nn.NewEffNetSim(root.Derive("init"))
 	before := model.WeightVector()
-	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{Samples: 64, Epochs: 1, LR: 0.01}, root.Derive("pre"))
+	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{Samples: 64, Epochs: 1, LR: 0.01}, 2, root.Derive("pre"))
 	after := model.WeightVector()
 	same := true
 	for i := range before {
@@ -384,7 +384,7 @@ func TestPretrainChangesWeights(t *testing.T) {
 	}
 	// Zero spec is a no-op.
 	unchanged := model.WeightVector()
-	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{}, root.Derive("pre2"))
+	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{}, 2, root.Derive("pre2"))
 	now := model.WeightVector()
 	for i := range unchanged {
 		if unchanged[i] != now[i] {

@@ -168,27 +168,30 @@ type environment struct {
 // global weights; both arms start from identical state.
 func setupEnvironment(cfg VanillaConfig) *environment {
 	root, data := xrand.New(cfg.Seed), dataset.DefaultConfig()
-	pool := dataset.Generate(data, cfg.TrainPerClient*cfg.Clients, root.Derive("train-pool"))
+	// One generation pass: the pool, the selection set, the test sets.
+	draws := []dataset.Draw{
+		{N: cfg.TrainPerClient * cfg.Clients, RNG: root.Derive("train-pool")},
+		{N: cfg.SelectionSize, RNG: root.Derive("selection")},
+	}
+	for i := range cfg.Clients {
+		draws = append(draws, dataset.Draw{N: cfg.TestPerClient, RNG: root.Derive(fmt.Sprintf("test-%d", i))})
+	}
+	sets := dataset.GenerateSets(cfg.Parallelism, data, draws)
 	var shards []*dataset.Set
 	if cfg.DirichletAlpha > 0 {
-		shards = dataset.PartitionDirichlet(pool, cfg.Clients, cfg.DirichletAlpha, root.Derive("partition"))
+		shards = dataset.PartitionDirichlet(sets[0], cfg.Clients, cfg.DirichletAlpha, root.Derive("partition"))
 	} else {
-		shards = dataset.PartitionIID(pool, cfg.Clients, root.Derive("partition"))
-	}
-	selection := dataset.Generate(data, cfg.SelectionSize, root.Derive("selection"))
-	tests := make([]*dataset.Set, cfg.Clients)
-	for i := range tests {
-		tests[i] = dataset.Generate(data, cfg.TestPerClient, root.Derive(fmt.Sprintf("test-%d", i)))
+		shards = dataset.PartitionIID(sets[0], cfg.Clients, root.Derive("partition"))
 	}
 	model := cfg.Model.Build(root.Derive("init"))
 	if cfg.Model == nn.ModelEffNetSim {
-		Pretrain(model, data, cfg.Pretrain, root.Derive("pretrain"))
+		Pretrain(model, data, cfg.Pretrain, cfg.Parallelism, root.Derive("pretrain"))
 	}
 	return &environment{
 		cfg:       cfg,
 		shards:    shards,
-		selection: selection,
-		tests:     tests,
+		selection: sets[1],
+		tests:     sets[2:],
 		initial:   model.WeightVector(),
 	}
 }

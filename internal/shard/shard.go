@@ -379,10 +379,11 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 	defaulted := o.shards[0].eng.Config()
 	initModel := defaulted.Model.Build(root.Derive("init"))
 	if defaulted.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, dataset.DefaultConfig(), defaulted.Pretrain, root.Derive("pretrain"))
+		fl.Pretrain(initModel, dataset.DefaultConfig(), defaulted.Pretrain, defaulted.Parallelism, root.Derive("pretrain"))
 	}
 	o.initial = initModel.WeightVector()
-	evalSet := dataset.Generate(dataset.DefaultConfig(), defaulted.TestPerPeer, root.Derive("shard-global-eval"))
+	evalSet := dataset.GenerateSets(defaulted.Parallelism, dataset.DefaultConfig(),
+		[]dataset.Draw{{N: defaulted.TestPerPeer, RNG: root.Derive("shard-global-eval")}})[0]
 	o.eval = fl.NewAccuracyEvaluator(defaulted.Model, evalSet)
 	o.res.InitialAccuracy = o.eval(o.initial)
 

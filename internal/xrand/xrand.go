@@ -14,6 +14,10 @@ import "math"
 // RNG is a deterministic splitmix64 pseudo-random number generator.
 // It is NOT safe for concurrent use; derive one stream per goroutine
 // with Derive instead of sharing.
+//
+// An RNG value is its position in the stream: a consumed spare is zeroed
+// rather than left stale, so two copies at the same position are ==,
+// and a stored copy resumes the stream from there.
 type RNG struct {
 	state uint64
 
@@ -21,6 +25,10 @@ type RNG struct {
 	hasSpare bool
 	spare    float64
 }
+
+// gamma is splitmix64's state increment: after k draws the state is
+// s0 + k·gamma (mod 2^64).
+const gamma = 0x9e3779b97f4a7c15
 
 // New returns an RNG seeded with seed.
 func New(seed uint64) *RNG {
@@ -43,7 +51,7 @@ func (r *RNG) Derive(label string) *RNG {
 }
 
 func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+	z += gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -51,7 +59,7 @@ func mix(z uint64) uint64 {
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -79,8 +87,9 @@ func (r *RNG) Float64() float64 {
 // deterministic: exactly one Uint64 pair per two variates).
 func (r *RNG) NormFloat64() float64 {
 	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
+		s := r.spare
+		r.hasSpare, r.spare = false, 0
+		return s
 	}
 	// u in (0,1] so that Log never sees zero.
 	u := 1.0 - r.Float64()
@@ -89,6 +98,27 @@ func (r *RNG) NormFloat64() float64 {
 	sin, cos := math.Sincos(2 * math.Pi * v) // bit-equal to Sin, Cos: TestNormFloat64SincosBitEqual
 	r.spare, r.hasSpare = mag*sin, true
 	return mag * cos
+}
+
+// Skip advances the stream by exactly k >= 0 Uint64 draws in O(1).
+// Like Uint64, it leaves a pending NormFloat64 spare pending.
+func (r *RNG) Skip(k int) {
+	r.state += uint64(k) * gamma
+}
+
+// SkipNormals advances the stream by exactly n >= 0 NormFloat64 calls:
+// it consumes a pending spare first, skips whole Box-Muller pairs in
+// O(1), and for an odd remainder draws one pair so its spare is left
+// pending with the value those calls would leave.
+func (r *RNG) SkipNormals(n int) {
+	if n > 0 && r.hasSpare {
+		r.hasSpare, r.spare = false, 0
+		n--
+	}
+	r.Skip(2 * (n / 2))
+	if n%2 == 1 {
+		r.NormFloat64()
+	}
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.

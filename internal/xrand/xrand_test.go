@@ -145,6 +145,64 @@ func TestNormFloat64SincosBitEqual(t *testing.T) {
 	}
 }
 
+// sameFuture reports whether a and b are at the same stream position:
+// equal values, and the same next 100 normals and uniforms.
+func sameFuture(a, b RNG) bool {
+	if a != b {
+		return false
+	}
+	for i := 0; i < 100; i++ {
+		if math.Float64bits(a.NormFloat64()) != math.Float64bits(b.NormFloat64()) || a.Uint64() != b.Uint64() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSkipMatchesDraws: Skip(k) is exactly k Uint64 draws, for k whose
+// k·gamma wraps 2^64 many times over, with a pending spare left alone.
+func TestSkipMatchesDraws(t *testing.T) {
+	pick := New(99)
+	for trial := 0; trial < 200; trial++ {
+		k := pick.Intn(5000)
+		a := New(pick.Uint64())
+		if trial%2 == 1 {
+			a.NormFloat64() // leave a spare pending
+		}
+		b := *a
+		for i := 0; i < k; i++ {
+			a.Uint64()
+		}
+		b.Skip(k)
+		if !sameFuture(*a, b) {
+			t.Fatalf("trial %d: Skip(%d) is not %d Uint64 draws", trial, k, k)
+		}
+	}
+}
+
+// TestSkipNormalsMatchesDraws: SkipNormals(n) is exactly n NormFloat64
+// calls — same value, same spare, same next draws — from a fresh state
+// and from a pending spare, for even and odd n (3076 and 3077 are a
+// default SynthCIFAR sample's normal count and one more).
+func TestSkipNormalsMatchesDraws(t *testing.T) {
+	for _, pending := range []bool{false, true} {
+		for _, n := range []int{0, 1, 2, 3, 1024, 3076, 3077} {
+			a := New(uint64(7 + n))
+			if pending {
+				a.NormFloat64()
+			}
+			b := *a
+			for i := 0; i < n; i++ {
+				a.NormFloat64()
+			}
+			b.SkipNormals(n)
+			if !sameFuture(*a, b) {
+				t.Errorf("pending spare %v: SkipNormals(%d) is not %d NormFloat64 calls", pending, n, n)
+			}
+		}
+	}
+}
+
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(23)
 	const n = 200000

@@ -369,7 +369,13 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	)
 	if p.Kind != KindSharded.String() {
 		sw := &p.worlds[i/p.cells()]
-		sw.once.Do(func() { sw.world, sw.err = bfl.NewWorld(o.decentralized()) })
+		sw.once.Do(func() {
+			// The seed's other cells wait on this Once, so the build
+			// takes the plan's whole worker budget, not one cell's.
+			c := o.decentralized()
+			c.Parallelism = p.workers
+			sw.world, sw.err = bfl.NewWorld(c)
+		})
 		w, err = sw.world, sw.err
 	}
 	switch {
