@@ -1,9 +1,10 @@
 package waitornot
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"waitornot/internal/bfl"
@@ -20,15 +21,6 @@ import (
 // model's test Accuracy, the Rejected clients); and ClosedOut for a
 // horizon-forced merge rather than a policy firing.
 type AsyncRoundInfo = bfl.AsyncRound
-
-// TimelinePoint is one step of the fleet's accuracy-vs-virtual-time
-// curve: at AtMs, the mean over every peer's latest adopted model
-// accuracy (peers that have not aggregated yet contribute the shared
-// initial model's accuracy).
-type TimelinePoint struct {
-	AtMs         float64
-	MeanAccuracy float64
-}
 
 // AsyncReport is the asynchronous experiment's output — the engine's
 // result itself: per-peer aggregation schedules on the shared virtual
@@ -51,41 +43,25 @@ func runAsyncExperiment(ctx context.Context, opts Options, sink event.Sink, worl
 }
 
 // Headline reduces the report to the trade-off study's three headline
-// metrics — mean final adopted accuracy across peers, mean per-round
-// wait, mean merged-update count — making async cells directly
-// comparable to (and sweepable alongside) the barriered kinds.
+// metrics — the final fleet accuracy (the timeline's last point), mean
+// per-round wait, mean merged-update count — making async cells
+// directly comparable to (and sweepable alongside) the barriered kinds.
 func (r *AsyncReport) Headline() (finalAccuracy, meanWaitMs, meanIncluded float64) {
-	var acc, wait, included float64
-	var accN, n int
-	for peer := range r.Rounds {
-		rounds := r.Rounds[peer]
-		if len(rounds) == 0 {
-			acc += r.InitialAccuracy[peer]
-			accN++
-			continue
-		}
-		acc += rounds[len(rounds)-1].Accuracy
-		accN++
-		for _, ri := range rounds {
-			wait += ri.WaitMs
-			included += float64(ri.Included)
-			n++
-		}
-	}
-	if accN > 0 {
-		finalAccuracy = acc / float64(accN)
-	}
-	if n > 0 {
-		meanWaitMs = wait / float64(n)
-		meanIncluded = included / float64(n)
-	}
-	return finalAccuracy, meanWaitMs, meanIncluded
+	meanWaitMs, meanIncluded = headlineMeans(r.Rounds, func(ri AsyncRoundInfo) (float64, float64) {
+		return ri.WaitMs, float64(ri.Included)
+	})
+	return r.timeline().final(), meanWaitMs, meanIncluded
 }
 
-// Timeline walks every aggregation in virtual-time order and returns
-// the fleet's accuracy-vs-time curve, starting from the t=0 initial
-// point. Ties fire in peer order, matching the engine's event order.
-func (r *AsyncReport) Timeline() []TimelinePoint {
+// Timeline returns the fleet's accuracy-vs-virtual-time curve: at t=0
+// and after every aggregation, the mean of each peer's latest adopted
+// accuracy (the shared initial model's until the peer aggregates).
+func (r *AsyncReport) Timeline() []TimelinePoint { return r.timeline() }
+
+// timeline walks every aggregation in virtual-time order from the t=0
+// point (none for a report without peers); ties fire in peer order,
+// matching the engine's event order.
+func (r *AsyncReport) timeline() timeline {
 	type step struct {
 		at   float64
 		peer int
@@ -97,14 +73,12 @@ func (r *AsyncReport) Timeline() []TimelinePoint {
 			steps = append(steps, step{at: ri.FiredMs, peer: p, acc: ri.Accuracy})
 		}
 	}
-	sort.SliceStable(steps, func(i, j int) bool {
-		if steps[i].at != steps[j].at {
-			return steps[i].at < steps[j].at
-		}
-		return steps[i].peer < steps[j].peer
-	})
+	slices.SortStableFunc(steps, func(a, b step) int { return cmp.Or(cmp.Compare(a.at, b.at), a.peer-b.peer) })
 	latest := make([]float64, len(r.PeerNames))
 	copy(latest, r.InitialAccuracy)
+	if len(latest) == 0 {
+		return nil
+	}
 	mean := func() float64 {
 		var s float64
 		for _, a := range latest {
@@ -112,7 +86,7 @@ func (r *AsyncReport) Timeline() []TimelinePoint {
 		}
 		return s / float64(len(latest))
 	}
-	out := []TimelinePoint{{AtMs: 0, MeanAccuracy: mean()}}
+	out := timeline{{AtMs: 0, MeanAccuracy: mean()}}
 	for _, st := range steps {
 		latest[st.peer] = st.acc
 		out = append(out, TimelinePoint{AtMs: st.at, MeanAccuracy: mean()})
@@ -124,12 +98,7 @@ func (r *AsyncReport) Timeline() []TimelinePoint {
 // fleet's mean latest accuracy reaches target, or -1 if the run never
 // got there — the speed axis of the wait-or-not trade-off.
 func (r *AsyncReport) TimeToAccuracyMs(target float64) float64 {
-	for _, pt := range r.Timeline() {
-		if pt.MeanAccuracy >= target {
-			return pt.AtMs
-		}
-	}
-	return -1
+	return r.timeline().timeToAccuracyMs(target)
 }
 
 // Table renders each peer's aggregation schedule.
@@ -155,26 +124,11 @@ func (r *AsyncReport) Table() string {
 // target accuracy ("n/a" when the run never got there) — the
 // time-to-accuracy view of the async trade-off.
 func (r *AsyncReport) TimeToAccuracyTable(targets ...float64) string {
-	tab := metrics.NewTable("Time to target accuracy (virtual ms)", "target", "reached at (ms)")
-	for _, target := range targets {
-		at := r.TimeToAccuracyMs(target)
-		cell := "n/a"
-		if at >= 0 {
-			cell = fmt.Sprintf("%.1f", at)
-		}
-		tab.Add(metrics.Acc(target), cell)
-	}
-	return tab.ASCII()
+	return r.timeline().table(targets...)
 }
 
 // CSV renders the fleet timeline machine-readably.
-func (r *AsyncReport) CSV() string {
-	tab := metrics.NewTable("", "at_ms", "mean_accuracy")
-	for _, pt := range r.Timeline() {
-		tab.Add(fmt.Sprintf("%g", pt.AtMs), fmt.Sprintf("%g", pt.MeanAccuracy))
-	}
-	return tab.CSV()
-}
+func (r *AsyncReport) CSV() string { return r.timeline().csv() }
 
 // Summary renders a one-paragraph digest for CLI output.
 func (r *AsyncReport) Summary() string {

@@ -180,7 +180,7 @@ func (e *Experiment) RunCampaign(ctx context.Context, dir string) (*SweepReport,
 	for j, i := range todo {
 		runs[i] = computed[j]
 	}
-	return plan.report(runs), nil
+	return plan.report(runs, nil), nil
 }
 
 // CampaignState is a campaign directory's inspection view: identity,
@@ -239,21 +239,16 @@ func LoadCampaign(dir string) (*CampaignState, error) {
 		}
 		runs[r.Index], done[r.Index] = run, true
 	}
-	landed := make([]SweepRun, 0, len(records))
-	for i := 0; i < total; i++ {
-		if done[i] {
-			landed = append(landed, runs[i])
-		}
-	}
+	partial := plan.report(runs, done)
 	return &CampaignState{
 		Dir:         dir,
 		Kind:        plan.Kind,
 		Scenario:    plan.Scenario,
 		Fingerprint: m.Fingerprint,
-		Done:        len(landed),
+		Done:        len(partial.Runs),
 		Total:       total,
 		Seeds:       plan.Seeds,
-		Runs:        landed,
-		Partial:     plan.report(landed),
+		Runs:        partial.Runs,
+		Partial:     partial,
 	}, nil
 }

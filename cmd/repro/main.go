@@ -389,9 +389,7 @@ func printResults(res *waitornot.Results, model string, csv bool) {
 			fmt.Printf("combo tables skipped; headline (%s): final-acc %.4f, mean wait %.1f ms, mean included %.2f, %d peers trained\n\n",
 				model, acc, wait, included, len(rep.PeerNames))
 		}
-		fmt.Printf("on-chain footprint: %d blocks, %d txs (%d submissions, %d decisions), %.2f MGas, %.2f MB\n\n",
-			rep.Chain.Blocks, rep.Chain.Txs, rep.Chain.Submissions, rep.Chain.Decisions,
-			float64(rep.Chain.GasUsed)/1e6, float64(rep.Chain.Bytes)/1e6)
+		fmt.Printf("on-chain footprint: %s\n\n", footprint(rep.Chain))
 	case res.Tradeoff != nil:
 		fmt.Println(res.Tradeoff.Table())
 	case res.Async != nil:
@@ -400,9 +398,7 @@ func printResults(res *waitornot.Results, model string, csv bool) {
 		fmt.Println()
 		fmt.Println(rep.TimeToAccuracyTable(0.3, 0.5, 0.7, 0.8, 0.9))
 		fmt.Println(rep.Summary())
-		fmt.Printf("on-chain footprint: %d blocks, %d txs (%d submissions, %d decisions), %.2f MGas, %.2f MB\n\n",
-			rep.Chain.Blocks, rep.Chain.Txs, rep.Chain.Submissions, rep.Chain.Decisions,
-			float64(rep.Chain.GasUsed)/1e6, float64(rep.Chain.Bytes)/1e6)
+		fmt.Printf("on-chain footprint: %s\n\n", footprint(rep.Chain))
 		if csv {
 			fmt.Println(rep.CSV())
 		}
@@ -413,15 +409,19 @@ func printResults(res *waitornot.Results, model string, csv bool) {
 		fmt.Println(rep.MergeTable())
 		fmt.Println(rep.Summary())
 		for _, s := range rep.Shards {
-			fmt.Printf("shard %d ledger (%s): %d blocks, %d txs (%d submissions, %d decisions), %.2f MGas, %.2f MB\n",
-				s.Index, s.Backend, s.Chain.Blocks, s.Chain.Txs, s.Chain.Submissions, s.Chain.Decisions,
-				float64(s.Chain.GasUsed)/1e6, float64(s.Chain.Bytes)/1e6)
+			fmt.Printf("shard %d ledger (%s): %s\n", s.Index, s.Backend, footprint(s.Chain))
 		}
 		fmt.Println()
 		if csv {
 			fmt.Println(rep.CSV())
 		}
 	}
+}
+
+// footprint renders one ledger's on-chain footprint.
+func footprint(c waitornot.ChainSummary) string {
+	return fmt.Sprintf("%d blocks, %d txs (%d submissions, %d decisions), %.2f MGas, %.2f MB",
+		c.Blocks, c.Txs, c.Submissions, c.Decisions, float64(c.GasUsed)/1e6, float64(c.Bytes)/1e6)
 }
 
 // printEvent streams one progress line per experiment event.

@@ -178,6 +178,33 @@ func TestPrintDecentralizedRun(t *testing.T) {
 	}
 }
 
+// TestPrintAsyncRun covers the async printer: schedule, time-to-target
+// table, summary and footprint lines, and the timeline CSV.
+func TestPrintAsyncRun(t *testing.T) {
+	opts := tinyShardedOpts()
+	opts.Clients = 3
+	opts.StragglerFactor = []float64{1, 1, 3}
+	res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() { printResults(res, "simple", true) })
+	for _, want := range []string{"Asynchronous free run", "Time to target accuracy", "async horizon",
+		"on-chain footprint: " + footprint(res.Async.Chain) + "\n\n", "at_ms,mean_accuracy"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("async report output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFootprint pins the one chain-footprint line every printer uses.
+func TestFootprint(t *testing.T) {
+	got := footprint(waitornot.ChainSummary{Blocks: 4, Txs: 9, Submissions: 3, Decisions: 3, GasUsed: 1234567, Bytes: 2500000})
+	if want := "4 blocks, 9 txs (3 submissions, 3 decisions), 1.23 MGas, 2.50 MB"; got != want {
+		t.Fatalf("footprint = %q, want %q", got, want)
+	}
+}
+
 // TestPrintCampaign drives a tiny durable campaign through the CLI's
 // own surfaces: the CampaignProgress stream line, the campaign path of
 // printSweep, and the -campaign-status printer over the finished

@@ -57,17 +57,18 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 			hi = math.Max(hi, xs[i])
 		}
 		mean, std := twoPass(xs)
-		if w.N() != n {
-			t.Fatalf("trial %d: N = %d, want %d", trial, w.N(), n)
+		s := w.Summary()
+		if s.N != n {
+			t.Fatalf("trial %d: N = %d, want %d", trial, s.N, n)
 		}
-		if !close10(w.Mean(), mean) {
-			t.Fatalf("trial %d (n=%d): streaming mean %v != two-pass %v", trial, n, w.Mean(), mean)
+		if !close10(s.Mean, mean) {
+			t.Fatalf("trial %d (n=%d): streaming mean %v != two-pass %v", trial, n, s.Mean, mean)
 		}
-		if !close10(w.Std(), std) {
-			t.Fatalf("trial %d (n=%d): streaming std %v != two-pass %v", trial, n, w.Std(), std)
+		if !close10(s.Std, std) {
+			t.Fatalf("trial %d (n=%d): streaming std %v != two-pass %v", trial, n, s.Std, std)
 		}
-		if w.Min() != lo || w.Max() != hi {
-			t.Fatalf("trial %d: min/max = %v/%v, want %v/%v", trial, w.Min(), w.Max(), lo, hi)
+		if s.Min != lo || s.Max != hi {
+			t.Fatalf("trial %d: min/max = %v/%v, want %v/%v", trial, s.Min, s.Max, lo, hi)
 		}
 	}
 }
@@ -82,7 +83,7 @@ func TestCIWidthShrinksMonotonically(t *testing.T) {
 	for k := 1; k <= 200; k++ {
 		w.Add(5 + 1)
 		w.Add(5 - 1)
-		ci := w.CI95()
+		ci := w.Summary().CI95
 		if math.IsNaN(ci) || ci <= 0 {
 			t.Fatalf("k=%d: CI95 = %v, want positive and finite", k, ci)
 		}
@@ -121,32 +122,5 @@ func TestDegenerateCellsNaNFree(t *testing.T) {
 	s := one.Summary()
 	if s.N != 1 || s.Mean != 0.875 || s.Std != 0 || s.CI95 != 0 || s.Min != 0.875 || s.Max != 0.875 {
 		t.Fatalf("single-sample summary = %+v", s)
-	}
-}
-
-// TestGridOrderAndRouting: observations route to the right (policy,
-// backend, metric) cell whatever order they arrive in, and lookups of
-// unobserved cells miss cleanly.
-func TestGridOrderAndRouting(t *testing.T) {
-	g := NewGrid()
-	g.Observe("wait-all", "pow", "accuracy", 0.9)
-	g.Observe("wait-all", "pow", "wait_ms", 1000)
-	g.Observe("first-1", "instant", "accuracy", 0.8)
-	g.Observe("wait-all", "pow", "accuracy", 0.7)
-
-	for _, k := range []Key{
-		{"wait-all", "pow", "wait_ms"},
-		{"first-1", "instant", "accuracy"},
-	} {
-		if w, ok := g.Cell(k.Policy, k.Backend, k.Metric); !ok || w.N() != 1 {
-			t.Fatalf("cell %v = %+v ok=%v, want one observation", k, w, ok)
-		}
-	}
-	acc, ok := g.Cell("wait-all", "pow", "accuracy")
-	if !ok || acc.N() != 2 || !close10(acc.Mean(), 0.8) {
-		t.Fatalf("accuracy cell = %+v ok=%v", acc, ok)
-	}
-	if _, ok := g.Cell("wait-all", "pow", "no-such-metric"); ok {
-		t.Fatal("unobserved cell reported present")
 	}
 }

@@ -114,82 +114,57 @@ func runDecentralizedExperiment(ctx context.Context, opts Options, sink event.Si
 }
 
 // Headline reduces the report to the trade-off study's three headline
-// metrics: the mean adopted-model final-round accuracy across peers,
-// and the mean per-round aggregation wait and included-model count
-// across peers and rounds. The per-policy outcomes of KindTradeoff and
-// the per-replication samples of RunSweep are both this reduction.
+// metrics: the final fleet accuracy (the timeline's last point: the
+// mean over peers of each one's last adopted-model accuracy), and the
+// mean per-round wait and included-model count across peers and
+// rounds — the per-policy outcomes of KindTradeoff and RunSweep's
+// per-replication samples.
 func (r *DecentralizedReport) Headline() (finalAccuracy, meanWaitMs, meanIncluded float64) {
-	var acc, wait, included float64
-	var accN, waitN int
-	for peer := range r.Rounds {
-		rounds := r.Rounds[peer]
-		if len(rounds) == 0 {
-			continue
-		}
-		acc += rounds[len(rounds)-1].ChosenAccuracy
-		accN++
-		for _, ri := range rounds {
-			wait += ri.WaitMs
-			included += float64(ri.Included)
-			waitN++
-		}
-	}
-	// Degenerate reports (no peers, no rounds) reduce to zeros, never
-	// NaN: downstream tables and sweep cells must stay renderable.
-	if accN > 0 {
-		finalAccuracy = acc / float64(accN)
-	}
-	if waitN > 0 {
-		meanWaitMs = wait / float64(waitN)
-		meanIncluded = included / float64(waitN)
-	}
-	return finalAccuracy, meanWaitMs, meanIncluded
+	meanWaitMs, meanIncluded = headlineMeans(r.Rounds, func(ri RoundInfo) (float64, float64) {
+		return ri.WaitMs, float64(ri.Included)
+	})
+	return r.timeline().final(), meanWaitMs, meanIncluded
 }
 
 // TimeToAccuracyMs returns the cumulative virtual time at which the
 // fleet's mean adopted accuracy first reaches target, or -1 if it
-// never does. Rounds are barriered, so each costs the slowest peer's
-// wait: the cumulative clock after round r is the sum of the per-round
-// maxima — the synchronous counterpart of AsyncReport.TimeToAccuracyMs
-// and the speed axis time-to-target sweeps compare policies on.
-// Peer round lists are ragged under client subsampling (a peer's list
-// only grows in rounds it was sampled), so rounds are keyed by each
-// record's Round number and the mean is over that round's participants.
+// never does — the speed axis time-to-target sweeps compare on.
 func (r *DecentralizedReport) TimeToAccuracyMs(target float64) float64 {
-	maxRound := 0
-	for _, rounds := range r.Rounds {
-		for _, ri := range rounds {
-			if ri.Round > maxRound {
-				maxRound = ri.Round
-			}
-		}
-	}
-	if maxRound == 0 {
-		return -1
-	}
-	accSum := make([]float64, maxRound+1)
-	accN := make([]int, maxRound+1)
-	maxWait := make([]float64, maxRound+1)
-	for _, rounds := range r.Rounds {
-		for _, ri := range rounds {
-			accSum[ri.Round] += ri.ChosenAccuracy
-			accN[ri.Round]++
-			if ri.WaitMs > maxWait[ri.Round] {
-				maxWait[ri.Round] = ri.WaitMs
-			}
-		}
-	}
+	return r.timeline().timeToAccuracyMs(target)
+}
+
+// timeline is the barriered run's fleet-accuracy curve, one point per
+// round with records (no t=0 point: the report carries no initial
+// accuracy). A barriered round costs its slowest peer's wait, so x is
+// the running sum of the per-round maxima; y is the mean over peers
+// with a record so far of each one's latest adopted accuracy — a peer
+// a subsampled round skipped keeps its last adopted model.
+func (r *DecentralizedReport) timeline() timeline {
+	next := make([]int, len(r.Rounds)) // each peer's first record not yet adopted
+	latest := make([]float64, len(r.Rounds))
+	var out timeline
 	var cum float64
-	for rd := 1; rd <= maxRound; rd++ {
-		if accN[rd] == 0 {
-			continue
+	for rd, more := 1, true; more; rd++ {
+		var slowest, sum float64
+		adopted, n := false, 0
+		more = false
+		for p, rounds := range r.Rounds {
+			if i := next[p]; i < len(rounds) && rounds[i].Round <= rd {
+				latest[p], next[p], adopted = rounds[i].ChosenAccuracy, i+1, true
+				slowest = max(slowest, rounds[i].WaitMs)
+			}
+			if next[p] > 0 {
+				sum += latest[p]
+				n++
+			}
+			more = more || next[p] < len(rounds)
 		}
-		cum += maxWait[rd]
-		if accSum[rd]/float64(accN[rd]) >= target {
-			return cum
+		if adopted {
+			cum += slowest
+			out = append(out, TimelinePoint{AtMs: cum, MeanAccuracy: sum / float64(n)})
 		}
 	}
-	return -1
+	return out
 }
 
 // PeerTable renders one peer's combination table (the paper's Table II,

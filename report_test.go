@@ -16,19 +16,84 @@ func mkRound(round, included int, wait, acc float64) waitornot.RoundInfo {
 	return waitornot.RoundInfo{Round: round, Included: included, WaitMs: wait, ChosenAccuracy: acc}
 }
 
-// TestHeadlineEmptyReport: a report with no peers (or peers with no
-// rounds) reduces to zeros, never NaN.
+// TestHeadlineEmptyReport: a report of any kind with no peers (or
+// peers, shards, without rounds) reduces to zero headlines and -1
+// time-to-target, and renders its tables and CSV NaN-free.
 func TestHeadlineEmptyReport(t *testing.T) {
+	type report interface {
+		Headline() (float64, float64, float64)
+		TimeToAccuracyMs(float64) float64
+	}
+	type degenerate struct {
+		name     string
+		rep      report
+		rendered string // every table and CSV the kind renders
+	}
+	var cases []degenerate
 	for _, rep := range []*waitornot.DecentralizedReport{
 		{},
-		{PeerNames: []string{"A"}, Rounds: [][]waitornot.RoundInfo{{}}},
+		{PeerNames: []string{"A"}, ComboLabels: [][]string{{}}, ComboAccuracy: [][][]float64{{}},
+			Rounds: [][]waitornot.RoundInfo{{}}},
 	} {
-		acc, wait, included := rep.Headline()
+		cases = append(cases, degenerate{"decentralized", rep, rep.PeerTable(0, "SimpleNN") + rep.Figure4("SimpleNN")})
+	}
+	for _, rep := range []*waitornot.AsyncReport{
+		{},
+		{PeerNames: []string{"A", "B"}, Rounds: [][]waitornot.AsyncRoundInfo{{}, {}}},
+	} {
+		cases = append(cases, degenerate{"async", rep,
+			rep.Table() + rep.TimeToAccuracyTable(0.1, 0.5) + rep.Summary() + rep.CSV()})
+	}
+	for _, rep := range []*waitornot.ShardedReport{
+		{},
+		{Shards: []waitornot.ShardSummary{{Index: 0, Backend: "pow"}, {Index: 1, Backend: "pow"}}},
+	} {
+		cases = append(cases, degenerate{"sharded", rep, rep.Table() + rep.MergeTable() + rep.Summary() + rep.CSV()})
+	}
+	for _, tc := range cases {
+		acc, wait, included := tc.rep.Headline()
 		for _, v := range []float64{acc, wait, included} {
 			if math.IsNaN(v) || v != 0 {
-				t.Fatalf("degenerate headline = %g %g %g, want zeros", acc, wait, included)
+				t.Fatalf("%s: degenerate headline = %g %g %g, want zeros", tc.name, acc, wait, included)
 			}
 		}
+		if got := tc.rep.TimeToAccuracyMs(0.1); got != -1 {
+			t.Fatalf("%s: degenerate time-to-target = %g, want -1", tc.name, got)
+		}
+		if strings.Contains(tc.rendered, "NaN") {
+			t.Fatalf("%s: degenerate report rendered NaN:\n%s", tc.name, tc.rendered)
+		}
+	}
+	if got := strings.TrimSpace((&waitornot.AsyncReport{}).CSV()); got != "at_ms,mean_accuracy" {
+		t.Fatalf("empty async CSV = %q, want the header alone", got)
+	}
+}
+
+// TestTimeToAccuracyLatestPerPeer pins the barriered timeline's
+// reduction on a subsampled run: B sits out round 2, so that round's
+// participant mean (A alone, 0.8) and the fleet's latest-per-peer mean
+// (A's 0.8 with B's round-1 0.6, 0.7) disagree. The timeline — and so
+// time-to-target, like Headline — reads the latter.
+func TestTimeToAccuracyLatestPerPeer(t *testing.T) {
+	rep := &waitornot.DecentralizedReport{
+		PeerNames: []string{"A", "B"},
+		Rounds: [][]waitornot.RoundInfo{
+			{mkRound(1, 2, 100, 0.2), mkRound(2, 1, 50, 0.8)},
+			{mkRound(1, 2, 300, 0.6)},
+		},
+	}
+	if got := rep.TimeToAccuracyMs(0.75); got != -1 {
+		t.Fatalf("time to 0.75 = %g, want -1 (the fleet's latest-per-peer mean tops out at 0.7)", got)
+	}
+	if got := rep.TimeToAccuracyMs(0.65); got != 350 {
+		t.Fatalf("time to 0.65 = %g, want 350 (round 2, after 300 + 50 ms)", got)
+	}
+	if got := rep.TimeToAccuracyMs(0.4); got != 300 {
+		t.Fatalf("time to 0.4 = %g, want 300 (round 1's mean 0.4)", got)
+	}
+	acc, _, _ := rep.Headline()
+	if want := (0.8 + 0.6) / 2; acc != want {
+		t.Fatalf("headline accuracy = %g, want %g", acc, want)
 	}
 }
 

@@ -94,42 +94,37 @@ func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, 
 }
 
 // Headline reduces the report to the trade-off study's three headline
-// metrics — the final global accuracy, and the mean per-shard-round
-// policy wait and included-model count — making sharded cells directly
-// comparable to (and sweepable alongside) the other kinds.
+// metrics — the final global accuracy (the timeline's last point), and
+// the mean per-shard-round policy wait and included-model count —
+// making sharded cells directly comparable to (and sweepable alongside)
+// the other kinds.
 func (r *ShardedReport) Headline() (finalAccuracy, meanWaitMs, meanIncluded float64) {
-	finalAccuracy = r.FinalAccuracy
-	var wait, included float64
-	n := 0
-	for _, s := range r.Shards {
-		for _, ra := range s.Rounds {
-			wait += ra.MaxWaitMs
-			included += ra.MeanIncluded
-			n++
-		}
+	rows := make([][]ShardRoundInfo, len(r.Shards))
+	for i, s := range r.Shards {
+		rows[i] = s.Rounds
 	}
-	if n > 0 {
-		meanWaitMs = wait / float64(n)
-		meanIncluded = included / float64(n)
-	}
-	return finalAccuracy, meanWaitMs, meanIncluded
+	meanWaitMs, meanIncluded = headlineMeans(rows, func(ra ShardRoundInfo) (float64, float64) {
+		return ra.MaxWaitMs, ra.MeanIncluded
+	})
+	return r.timeline().final(), meanWaitMs, meanIncluded
 }
 
 // TimeToAccuracyMs returns the fleet's cumulative policy wait at which
-// the global model first reached target — walking the merge trajectory
-// from the t=0 initial point — or -1 if no merge got there. The wait
-// axis (not the raw virtual clock) is the trade-off study's time axis,
-// so sharded cells compare against flat policies on equal terms.
+// the global model first reached target, or -1 if no merge got there.
 func (r *ShardedReport) TimeToAccuracyMs(target float64) float64 {
-	if r.InitialAccuracy >= target {
-		return 0
-	}
+	return r.timeline().timeToAccuracyMs(target)
+}
+
+// timeline is the global model's curve on the fleet wait axis — the
+// trade-off study's time axis, not the raw virtual clock, so sharded
+// cells compare against flat policies on equal terms: the t=0 initial
+// point, then one point per merge.
+func (r *ShardedReport) timeline() timeline {
+	out := timeline{{AtMs: 0, MeanAccuracy: r.InitialAccuracy}}
 	for _, m := range r.Merges {
-		if m.Accuracy >= target {
-			return m.WaitMs
-		}
+		out = append(out, TimelinePoint{AtMs: m.WaitMs, MeanAccuracy: m.Accuracy})
 	}
-	return -1
+	return out
 }
 
 // Table renders every shard's round schedule.

@@ -152,14 +152,14 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.report(runs), nil
+	return plan.report(runs, nil), nil
 }
 
 // sweepVariant is one per-backend cell axis value: a wait policy for
 // the classic kinds, a shard-count × merge-cadence combination for
-// KindSharded. The variant's label keys the cell (the grid and the
-// report's policy column), so classic sweeps keep their exact cell
-// names and byte-identical reports.
+// KindSharded. The variant's label names the cell (the report's policy
+// column), so classic sweeps keep their exact cell names and
+// byte-identical reports.
 type sweepVariant struct {
 	Label   string `json:"label"`
 	Policy  Policy `json:"policy"`
@@ -302,8 +302,16 @@ func (e *Experiment) sweepPlan() (*sweepPlan, error) {
 		workers:  workers,
 	}
 	plan.inner = max(1, workers/max(1, plan.total()))
+	// A repeated ladder entry would be two cells under one label — one
+	// row, its replications counted twice (the seed rule, per axis) — so
+	// a cell's position and its label name one cell.
+	seen := map[[2]string]bool{}
 	for _, b := range backends {
 		for _, v := range variants {
+			if seen[[2]string{b, v.Label}] {
+				return nil, fmt.Errorf("waitornot: duplicate sweep cell %s backend %q (each ladder entry must name a distinct cell)", v.Label, b)
+			}
+			seen[[2]string{b, v.Label}] = true
 			if err := plan.options(opts.Seed, b, v).Validate(); err != nil {
 				return nil, fmt.Errorf("waitornot: sweep cell %s backend %q: %w", v.Label, b, err)
 			}
@@ -438,47 +446,46 @@ func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, todo []int, lan
 	})
 }
 
-// report assembles the SweepReport from the index-ordered run list.
-// Each cell's accumulator sees its samples in seed order no matter how
-// the pool scheduled (or a resumed campaign restored) the
-// replications, keeping the report bit-stable. A partial run list
-// (campaign status) yields the same bytes a complete sweep would for
-// the cells that have landed.
-func (p *sweepPlan) report(runs []SweepRun) *SweepReport {
-	grid := stats.NewGrid()
-	for _, r := range runs {
-		grid.Observe(r.Policy, r.Backend, "accuracy", r.FinalAccuracy)
-		grid.Observe(r.Policy, r.Backend, "wait_ms", r.MeanWaitMs)
-		grid.Observe(r.Policy, r.Backend, "included", r.MeanIncluded)
+// report assembles the SweepReport from the flat, index-ordered run
+// list: run i folds into cell i % cells, so each cell sees its samples
+// in seed order no matter how the pool scheduled (or a resumed campaign
+// restored) the replications, keeping the report bit-stable. A non-nil
+// done marks the runs that have landed (campaign status): Runs keeps
+// only those, and each cell renders the bytes a complete sweep would
+// for its landed replications (n=0 for none).
+func (p *sweepPlan) report(runs []SweepRun, done []bool) *SweepReport {
+	rep := &SweepReport{Model: p.Options.Model, Scenario: p.Scenario, Seeds: p.Seeds, TargetAccuracy: p.Target, Runs: runs}
+	if done != nil {
+		rep.Runs = make([]SweepRun, 0, len(runs))
+	}
+	type cellStats struct{ acc, wait, included, tta stats.Welford }
+	acc := make([]cellStats, p.cells())
+	for i, r := range runs {
+		if done != nil {
+			if !done[i] {
+				continue
+			}
+			rep.Runs = append(rep.Runs, r)
+		}
+		c := &acc[i%len(acc)]
+		c.acc.Add(r.FinalAccuracy)
+		c.wait.Add(r.MeanWaitMs)
+		c.included.Add(r.MeanIncluded)
 		// Time-to-target accumulates only over replications that
 		// reached the target: "never" is reported by the cell's N,
 		// not by poisoning the mean with sentinels.
 		if r.TimeToAccMs != nil && *r.TimeToAccMs >= 0 {
-			grid.Observe(r.Policy, r.Backend, "tta_ms", *r.TimeToAccMs)
+			c.tta.Add(*r.TimeToAccMs)
 		}
 	}
-	rep := &SweepReport{Model: p.Options.Model, Scenario: p.Scenario, Seeds: p.Seeds, TargetAccuracy: p.Target, Runs: runs}
-	for _, b := range p.Backends {
-		for _, v := range p.Variants {
-			cell := SweepCell{Policy: v.Label, Backend: b}
-			if w, ok := grid.Cell(cell.Policy, b, "accuracy"); ok {
-				cell.Accuracy = w.Summary()
-			}
-			if w, ok := grid.Cell(cell.Policy, b, "wait_ms"); ok {
-				cell.WaitMs = w.Summary()
-			}
-			if w, ok := grid.Cell(cell.Policy, b, "included"); ok {
-				cell.Included = w.Summary()
-			}
-			if p.Target > 0 {
-				s := Summary{}
-				if w, ok := grid.Cell(cell.Policy, b, "tta_ms"); ok {
-					s = w.Summary()
-				}
-				cell.TimeToAcc = &s
-			}
-			rep.Cells = append(rep.Cells, cell)
+	for i, c := range acc {
+		_, b, v := p.cell(i)
+		cell := SweepCell{Policy: v.Label, Backend: b, Accuracy: c.acc.Summary(), WaitMs: c.wait.Summary(), Included: c.included.Summary()}
+		if p.Target > 0 {
+			s := c.tta.Summary()
+			cell.TimeToAcc = &s
 		}
+		rep.Cells = append(rep.Cells, cell)
 	}
 	return rep
 }
@@ -487,12 +494,7 @@ func (p *sweepPlan) report(runs []SweepRun) *SweepReport {
 // table and CSV add the column only then, keeping the classic
 // single-substrate sweep's output shape unchanged).
 func (r *SweepReport) withBackendColumn() bool {
-	for _, c := range r.Cells {
-		if c.Backend != "" {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(r.Cells, func(c SweepCell) bool { return c.Backend != "" })
 }
 
 // Table renders the per-cell distributions as `mean ± 95% CI` — the

@@ -319,6 +319,39 @@ func TestSweepRejectsBadConfigurations(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsDuplicateLadderEntries: a ladder that repeats an
+// entry on any cell axis would give two cells one label and pool their
+// replications into one row at twice the N; the plan refuses it with
+// the reasoning it refuses a repeated seed.
+func TestSweepRejectsDuplicateLadderEntries(t *testing.T) {
+	waitAll, first1 := waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}
+	ladder := func(kind waitornot.Kind, extra ...waitornot.Option) *waitornot.Experiment {
+		return waitornot.New(sweepOpts(), append([]waitornot.Option{waitornot.WithKind(kind), waitornot.WithSeeds(1)}, extra...)...)
+	}
+	sharded := func(counts, cadences []int) *waitornot.Experiment {
+		opts := testutil.TinyStreamOptions()
+		opts.Clients = 4
+		return waitornot.Scenario{Kind: waitornot.KindSharded, Options: opts, Seeds: []uint64{1},
+			ShardCounts: counts, MergeCadences: cadences}.Experiment()
+	}
+	cases := []struct {
+		axis string
+		exp  *waitornot.Experiment
+		want string
+	}{
+		{"policy", ladder(waitornot.KindTradeoff, waitornot.WithPolicies(waitAll, first1, waitAll)), "duplicate sweep cell wait-all"},
+		{"async policy", ladder(waitornot.KindAsync, waitornot.WithPolicies(first1, first1)), "duplicate sweep cell first-1"},
+		{"backend", ladder(waitornot.KindTradeoff, waitornot.WithBackends("pow", "instant", "pow")), `duplicate sweep cell wait-all backend "pow"`},
+		{"shard count", sharded([]int{2, 2}, []int{1}), "duplicate sweep cell S=2/M=1"},
+		{"merge cadence", sharded([]int{2}, []int{1, 1}), "duplicate sweep cell S=2/M=1"},
+	}
+	for _, tc := range cases {
+		if _, err := tc.exp.RunSweep(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("repeated %s: err = %v, want %q", tc.axis, err, tc.want)
+		}
+	}
+}
+
 // TestReplicatedScenarioSweeps: the registered replicated-tradeoff
 // scenario declares its seed list, so Scenario.Experiment().RunSweep
 // is a one-liner; explicit WithSeeds overrides it.

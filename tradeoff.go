@@ -3,6 +3,7 @@ package waitornot
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"waitornot/internal/core"
@@ -107,13 +108,7 @@ func (oe *orderedEmitter) emit(i int, ev event.Event) {
 // Table renders the trade-off frontier. A backend column appears when
 // the sweep spanned consensus backends.
 func (r *TradeoffReport) Table() string {
-	withBackends := false
-	for _, o := range r.Outcomes {
-		if o.Backend != "" {
-			withBackends = true
-			break
-		}
-	}
+	withBackends := slices.ContainsFunc(r.Outcomes, func(o PolicyOutcome) bool { return o.Backend != "" })
 	title := fmt.Sprintf("Wait or not to wait (%s): speed vs precision per wait policy", r.Model)
 	header := []string{"policy", "final acc", "mean wait (ms)", "mean models"}
 	if withBackends {
