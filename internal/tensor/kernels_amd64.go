@@ -11,19 +11,23 @@ package tensor
 //go:noescape
 func axpyKernel(alpha float32, x, y *float32, n int)
 
-// groupedSumKernel is
-// c[j] += ((a0*b0[j] + a1*b1[j]) + a2*b2[j]) + a3*b3[j] for j < n, with
-// row bq starting at b + q*stride.
+// matMulRowKernel is one row of MatMul: c = a·b for a 1×k row a and a
+// k×m matrix b, k = len(a), m = len(c), len(b) >= k*m. Every c[j]
+// starts at +0; each aligned group of four p adds
+// ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j] unless its four a are
+// all ±0, and the k%4 tail adds a[p]·b[p][j] one p at a time unless
+// a[p] is ±0.
 //
 //go:noescape
-func groupedSumKernel(a0, a1, a2, a3 float32, b *float32, stride int, c *float32, n int)
+func matMulRowKernel(a, b, c []float32)
 
-// runningSumKernel is s := c[j] + a0*b0[j]; s += a1*b1[j];
-// s += a2*b2[j]; c[j] = s + a3*b3[j] for j < n, with row bq starting at
-// b + q*stride.
+// matMulTransARowKernel is one row of MatMulTransAAdd: c[j] +=
+// a[p*stride]·b[p*m+j] for p = 0..k-1 in ascending order, one rounding
+// per add, skipping every p whose a is ±0; m = len(c),
+// len(a) > (k-1)*stride and len(b) >= k*m.
 //
 //go:noescape
-func runningSumKernel(a0, a1, a2, a3 float32, b *float32, stride int, c *float32, n int)
+func matMulTransARowKernel(a []float32, stride, k int, b, c []float32)
 
 // momentumKernel is gj := grad[j] + wd*p[j]; v[j] = mu*v[j] - lr*gj;
 // p[j] += v[j]; grad[j] = 0 for j < n.

@@ -1,13 +1,13 @@
 #include "textflag.h"
 
-// Four-lane bodies of the axpy, GEMM and momentum kernels (DESIGN.md
-// §13, "Four lanes, the same roundings"). SSE2 only, the amd64
-// baseline: each lane is a different output element, every packed
+// Four-lane bodies of the axpy, GEMM-row and momentum kernels
+// (DESIGN.md §13, "Four lanes, the same roundings"). SSE2 only, the
+// amd64 baseline: each lane is a different output element, every packed
 // MULPS/ADDPS/SUBPS rounds each lane once exactly as the scalar
 // MULSS/ADDSS/SUBSS of the Go loops in kernels_generic.go do, and no
-// instruction fuses a multiply with an add. The n%4 tail runs the same
-// sequence on one lane. The Go wrappers in tensor.go check every bound
-// before a pointer gets here.
+// instruction fuses a multiply with an add. A leftover shorter than four
+// runs the same sequence on one lane. The Go wrappers in tensor.go check
+// every bound before a pointer gets here.
 
 // func axpyKernel(alpha float32, x, y *float32, n int)
 TEXT ·axpyKernel(SB), NOSPLIT, $0-32
@@ -46,140 +46,257 @@ one:
 done:
 	RET
 
-// func groupedSumKernel(a0, a1, a2, a3 float32, b *float32, stride int, c *float32, n int)
-//
-// c[j] += ((a0*b0[j] + a1*b1[j]) + a2*b2[j]) + a3*b3[j], row bq at b+q*stride.
-TEXT ·groupedSumKernel(SB), NOSPLIT, $0-48
-	MOVSS  a0+0(FP), X0
-	SHUFPS $0x00, X0, X0
-	MOVSS  a1+4(FP), X1
-	SHUFPS $0x00, X1, X1
-	MOVSS  a2+8(FP), X2
-	SHUFPS $0x00, X2, X2
-	MOVSS  a3+12(FP), X3
-	SHUFPS $0x00, X3, X3
-	MOVQ   b+16(FP), SI
-	MOVQ   stride+24(FP), DX
-	SHLQ   $2, DX
-	LEAQ   (SI)(DX*2), R8   // row 2; rows 1 and 3 are SI+DX and R8+DX
-	MOVQ   c+32(FP), DI
-	MOVQ   n+40(FP), CX
-	SUBQ   $4, CX
-	JLT    tail
+// Both row bodies walk c in tiles of 20 columns (five accumulators),
+// then 4, then 1, and keep a tile in X0-X4 for the whole reduction over
+// p. R11 points at the tile's columns in row p of b, DX is b's row
+// stride in bytes.
 
-loop:
-	MOVUPS (SI), X4
-	MULPS  X0, X4
-	MOVUPS (SI)(DX*1), X5
-	MULPS  X1, X5
-	MOVUPS (R8), X6
-	MULPS  X2, X6
-	MOVUPS (R8)(DX*1), X7
-	MULPS  X3, X7
-	ADDPS  X5, X4
-	ADDPS  X6, X4
-	ADDPS  X7, X4
-	MOVUPS (DI), X8
-	ADDPS  X4, X8
-	MOVUPS X8, (DI)
-	ADDQ   $16, SI
+// GROUP adds ((a0·b0 + a1·b1) + a2·b2) + a3·b3 into acc for the columns
+// at off, with a0..a3 broadcast in X5..X8 and rows p+2, p+3 of b at R12.
+#define GROUP(LOAD, MUL, ADD, off, acc) \
+	LOAD off(R11), X9; MUL X5, X9; \
+	LOAD off(R11)(DX*1), X10; MUL X6, X10; ADD X10, X9; \
+	LOAD off(R12), X10; MUL X7, X10; ADD X10, X9; \
+	LOAD off(R12)(DX*1), X10; MUL X8, X10; ADD X10, X9; \
+	ADD X9, acc
+
+// TERM adds a·b into acc for the columns at off, with a broadcast in X5.
+#define TERM(LOAD, MUL, ADD, off, acc) \
+	LOAD off(R11), X9; MUL X5, X9; ADD X9, acc
+
+// GROUPS opens the loop over the aligned groups of four p of the row
+// of a at SI: AX walks a, R11 walks b from the tile's columns at R8,
+// CX counts the groups.
+#define GROUPS(tail) \
+	MOVQ SI, AX; MOVQ R8, R11; MOVQ R9, CX; SHRQ $2, CX; JEQ tail
+
+// GROUP_HEAD jumps to next when the group's four a are all ±0 (their
+// bits with the sign masked off by R10 are zero), else broadcasts them
+// into X5..X8 and points R12 at row p+2 of b.
+#define GROUP_HEAD(next) \
+	MOVQ (AX), R12; ORQ 8(AX), R12; ANDQ R10, R12; JEQ next; \
+	MOVSS (AX), X5; SHUFPS $0x00, X5, X5; \
+	MOVSS 4(AX), X6; SHUFPS $0x00, X6, X6; \
+	MOVSS 8(AX), X7; SHUFPS $0x00, X7, X7; \
+	MOVSS 12(AX), X8; SHUFPS $0x00, X8, X8; \
+	LEAQ (R11)(DX*2), R12
+
+#define GROUP_NEXT(loop) \
+	ADDQ $16, AX; LEAQ (R11)(DX*4), R11; DECQ CX; JNE loop
+
+// ONE_HEAD loads the next single a into X5 (broadcast) unless it is ±0.
+#define ONE_HEAD(next) \
+	MOVL (AX), R12; ANDL $0x7fffffff, R12; JEQ next; \
+	MOVSS (AX), X5; SHUFPS $0x00, X5, X5
+
+// func matMulRowKernel(a, b, c []float32)
+//
+// c[j] = Σ over p of a[p]·b[p*len(c)+j] from +0: each aligned group of
+// four p joins as one pre-added term, skipped when its four a are all
+// ±0; the len(a)%4 tail one p at a time, skipping ±0.
+TEXT ·matMulRowKernel(SB), NOSPLIT, $0-72
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), R9
+	MOVQ b_base+24(FP), R8
+	MOVQ c_base+48(FP), DI
+	MOVQ c_len+56(FP), BX
+	MOVQ BX, DX
+	SHLQ $2, DX
+	MOVQ $0x7fffffff7fffffff, R10
+
+wide:
+	SUBQ  $20, BX
+	JLT   quad
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	GROUPS(wideTail)
+wideGroup:
+	GROUP_HEAD(wideNext)
+	GROUP(MOVUPS, MULPS, ADDPS, 0, X0)
+	GROUP(MOVUPS, MULPS, ADDPS, 16, X1)
+	GROUP(MOVUPS, MULPS, ADDPS, 32, X2)
+	GROUP(MOVUPS, MULPS, ADDPS, 48, X3)
+	GROUP(MOVUPS, MULPS, ADDPS, 64, X4)
+wideNext:
+	GROUP_NEXT(wideGroup)
+wideTail:
+	MOVQ R9, CX
+	ANDQ $3, CX
+	JEQ  wideStore
+wideOne:
+	ONE_HEAD(wideOneNext)
+	TERM(MOVUPS, MULPS, ADDPS, 0, X0)
+	TERM(MOVUPS, MULPS, ADDPS, 16, X1)
+	TERM(MOVUPS, MULPS, ADDPS, 32, X2)
+	TERM(MOVUPS, MULPS, ADDPS, 48, X3)
+	TERM(MOVUPS, MULPS, ADDPS, 64, X4)
+wideOneNext:
+	ADDQ $4, AX
+	ADDQ DX, R11
+	DECQ CX
+	JNE  wideOne
+wideStore:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	ADDQ   $80, R8
+	ADDQ   $80, DI
+	JMP    wide
+
+quad:
+	ADDQ $20, BX
+quadTile:
+	SUBQ  $4, BX
+	JLT   lane
+	XORPS X0, X0
+	GROUPS(quadTail)
+quadGroup:
+	GROUP_HEAD(quadNext)
+	GROUP(MOVUPS, MULPS, ADDPS, 0, X0)
+quadNext:
+	GROUP_NEXT(quadGroup)
+quadTail:
+	MOVQ R9, CX
+	ANDQ $3, CX
+	JEQ  quadStore
+quadOne:
+	ONE_HEAD(quadOneNext)
+	TERM(MOVUPS, MULPS, ADDPS, 0, X0)
+quadOneNext:
+	ADDQ $4, AX
+	ADDQ DX, R11
+	DECQ CX
+	JNE  quadOne
+quadStore:
+	MOVUPS X0, (DI)
 	ADDQ   $16, R8
 	ADDQ   $16, DI
-	SUBQ   $4, CX
-	JGE    loop
+	JMP    quadTile
 
-tail:
-	ADDQ $4, CX
+lane:
+	ADDQ $4, BX
 	JEQ  done
-one:
-	MOVSS (SI), X4
-	MULSS X0, X4
-	MOVSS (SI)(DX*1), X5
-	MULSS X1, X5
-	MOVSS (R8), X6
-	MULSS X2, X6
-	MOVSS (R8)(DX*1), X7
-	MULSS X3, X7
-	ADDSS X5, X4
-	ADDSS X6, X4
-	ADDSS X7, X4
-	MOVSS (DI), X8
-	ADDSS X4, X8
-	MOVSS X8, (DI)
-	ADDQ  $4, SI
+laneTile:
+	XORPS X0, X0
+	GROUPS(laneTail)
+laneGroup:
+	GROUP_HEAD(laneNext)
+	GROUP(MOVSS, MULSS, ADDSS, 0, X0)
+laneNext:
+	GROUP_NEXT(laneGroup)
+laneTail:
+	MOVQ R9, CX
+	ANDQ $3, CX
+	JEQ  laneStore
+laneOne:
+	ONE_HEAD(laneOneNext)
+	TERM(MOVSS, MULSS, ADDSS, 0, X0)
+laneOneNext:
+	ADDQ $4, AX
+	ADDQ DX, R11
+	DECQ CX
+	JNE  laneOne
+laneStore:
+	MOVSS X0, (DI)
 	ADDQ  $4, R8
 	ADDQ  $4, DI
-	DECQ  CX
-	JNE   one
+	DECQ  BX
+	JNE   laneTile
 done:
 	RET
 
-// func runningSumKernel(a0, a1, a2, a3 float32, b *float32, stride int, c *float32, n int)
-//
-// s := c[j] + a0*b0[j]; s += a1*b1[j]; s += a2*b2[j]; c[j] = s + a3*b3[j],
-// row bq at b+q*stride.
-TEXT ·runningSumKernel(SB), NOSPLIT, $0-48
-	MOVSS  a0+0(FP), X0
-	SHUFPS $0x00, X0, X0
-	MOVSS  a1+4(FP), X1
-	SHUFPS $0x00, X1, X1
-	MOVSS  a2+8(FP), X2
-	SHUFPS $0x00, X2, X2
-	MOVSS  a3+12(FP), X3
-	SHUFPS $0x00, X3, X3
-	MOVQ   b+16(FP), SI
-	MOVQ   stride+24(FP), DX
-	SHLQ   $2, DX
-	LEAQ   (SI)(DX*2), R8   // row 2; rows 1 and 3 are SI+DX and R8+DX
-	MOVQ   c+32(FP), DI
-	MOVQ   n+40(FP), CX
-	SUBQ   $4, CX
-	JLT    tail
+// STEPS opens the loop over p of the column of a at SI: AX walks a by
+// its stride R10, R11 walks b from the tile's columns at R8, CX counts
+// the p.
+#define STEPS(store) \
+	MOVQ SI, AX; MOVQ R8, R11; MOVQ R9, CX; TESTQ CX, CX; JEQ store
 
-loop:
-	MOVUPS (SI), X5
-	MULPS  X0, X5
-	MOVUPS (SI)(DX*1), X6
-	MULPS  X1, X6
-	MOVUPS (R8), X7
-	MULPS  X2, X7
-	MOVUPS (R8)(DX*1), X8
-	MULPS  X3, X8
-	MOVUPS (DI), X4
-	ADDPS  X5, X4
-	ADDPS  X6, X4
-	ADDPS  X7, X4
-	ADDPS  X8, X4
-	MOVUPS X4, (DI)
-	ADDQ   $16, SI
+#define STEP_NEXT(loop) \
+	ADDQ R10, AX; ADDQ DX, R11; DECQ CX; JNE loop
+
+// func matMulTransARowKernel(a []float32, stride, k int, b, c []float32)
+//
+// c[j] += a[p*stride]·b[p*len(c)+j] for p = 0, 1, …, k-1 in turn, one
+// rounding per add, skipping every p whose a is ±0.
+TEXT ·matMulTransARowKernel(SB), NOSPLIT, $0-88
+	MOVQ a_base+0(FP), SI
+	MOVQ stride+24(FP), R10
+	SHLQ $2, R10
+	MOVQ k+32(FP), R9
+	MOVQ b_base+40(FP), R8
+	MOVQ c_base+64(FP), DI
+	MOVQ c_len+72(FP), BX
+	MOVQ BX, DX
+	SHLQ $2, DX
+
+wide:
+	SUBQ   $20, BX
+	JLT    quad
+	MOVUPS 0(DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	MOVUPS 64(DI), X4
+	STEPS(wideStore)
+wideStep:
+	ONE_HEAD(wideNext)
+	TERM(MOVUPS, MULPS, ADDPS, 0, X0)
+	TERM(MOVUPS, MULPS, ADDPS, 16, X1)
+	TERM(MOVUPS, MULPS, ADDPS, 32, X2)
+	TERM(MOVUPS, MULPS, ADDPS, 48, X3)
+	TERM(MOVUPS, MULPS, ADDPS, 64, X4)
+wideNext:
+	STEP_NEXT(wideStep)
+wideStore:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	ADDQ   $80, R8
+	ADDQ   $80, DI
+	JMP    wide
+
+quad:
+	ADDQ $20, BX
+quadTile:
+	SUBQ   $4, BX
+	JLT    lane
+	MOVUPS (DI), X0
+	STEPS(quadStore)
+quadStep:
+	ONE_HEAD(quadNext)
+	TERM(MOVUPS, MULPS, ADDPS, 0, X0)
+quadNext:
+	STEP_NEXT(quadStep)
+quadStore:
+	MOVUPS X0, (DI)
 	ADDQ   $16, R8
 	ADDQ   $16, DI
-	SUBQ   $4, CX
-	JGE    loop
+	JMP    quadTile
 
-tail:
-	ADDQ $4, CX
+lane:
+	ADDQ $4, BX
 	JEQ  done
-one:
-	MOVSS (SI), X5
-	MULSS X0, X5
-	MOVSS (SI)(DX*1), X6
-	MULSS X1, X6
-	MOVSS (R8), X7
-	MULSS X2, X7
-	MOVSS (R8)(DX*1), X8
-	MULSS X3, X8
-	MOVSS (DI), X4
-	ADDSS X5, X4
-	ADDSS X6, X4
-	ADDSS X7, X4
-	ADDSS X8, X4
-	MOVSS X4, (DI)
-	ADDQ  $4, SI
+laneTile:
+	MOVSS (DI), X0
+	STEPS(laneStore)
+laneStep:
+	ONE_HEAD(laneNext)
+	TERM(MOVSS, MULSS, ADDSS, 0, X0)
+laneNext:
+	STEP_NEXT(laneStep)
+laneStore:
+	MOVSS X0, (DI)
 	ADDQ  $4, R8
 	ADDQ  $4, DI
-	DECQ  CX
-	JNE   one
+	DECQ  BX
+	JNE   laneTile
 done:
 	RET
 

@@ -15,23 +15,32 @@ func axpyKernel(alpha float32, x, y *float32, n int) {
 	}
 }
 
-func groupedSumKernel(a0, a1, a2, a3 float32, b *float32, stride int, c *float32, n int) {
-	b0, b1, b2, b3 := rows4(b, stride, n)
-	ci := unsafe.Slice(c, n)
-	for j := range ci {
-		ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+func matMulRowKernel(a, b, c []float32) {
+	m := len(c)
+	clear(c)
+	p := 0
+	for ; p+4 <= len(a); p += 4 {
+		a0, a1, a2, a3 := a[p], a[p+1], a[p+2], a[p+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		b0, b1, b2, b3 := b[p*m:(p+1)*m], b[(p+1)*m:(p+2)*m], b[(p+2)*m:(p+3)*m], b[(p+3)*m:(p+4)*m]
+		for j := range c {
+			c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
 	}
+	// The k%4 tail is a TransA row over a column of stride 1.
+	matMulTransARowKernel(a[p:], 1, len(a)-p, b[p*m:], c)
 }
 
-func runningSumKernel(a0, a1, a2, a3 float32, b *float32, stride int, c *float32, n int) {
-	b0, b1, b2, b3 := rows4(b, stride, n)
-	ci := unsafe.Slice(c, n)
-	for j := range ci {
-		s := ci[j] + a0*b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
-		ci[j] = s
+func matMulTransARowKernel(a []float32, stride, k int, b, c []float32) {
+	m := len(c)
+	for p := 0; p < k; p++ {
+		if av := a[p*stride]; av != 0 {
+			for j, bv := range b[p*m : (p+1)*m] {
+				c[j] += av * bv
+			}
+		}
 	}
 }
 
@@ -43,10 +52,4 @@ func momentumKernel(lr, mu, wd float32, p, grad, v *float32, n int) {
 		ps[j] += vs[j]
 		gs[j] = 0
 	}
-}
-
-// rows4 views the four n-long rows starting at b + q*stride.
-func rows4(b *float32, stride, n int) (b0, b1, b2, b3 []float32) {
-	all := unsafe.Slice(b, 3*stride+n)
-	return all[:n], all[stride : stride+n], all[2*stride : 2*stride+n], all[3*stride : 3*stride+n]
 }

@@ -39,6 +39,13 @@ func FuzzKernelsBitEqual(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{20, 32, 20, 3, 0x10, 0x80, 0x7f, 0xc0, 0, 0, 4, 1})
 	f.Add([]byte{1, 9, 33, 2, 0, 4, 8, 12, 16, 20, 24})
+	// One per tile mix of the row bodies: 20 wide, 20+4, 20+4+1, 2×20
+	// and 20+4·4+3 columns, each with a different k%4.
+	f.Add([]byte{2, 8, 20, 1, 0x10, 1, 2, 0x80, 4, 5})
+	f.Add([]byte{3, 9, 24, 2, 9, 0, 0, 0, 0x7f, 3, 6})
+	f.Add([]byte{1, 10, 25, 3, 1, 2, 0, 1, 0xc0, 4})
+	f.Add([]byte{2, 11, 40, 0, 5, 0, 9, 0x20, 0x81, 2, 7})
+	f.Add([]byte{4, 7, 39, 1, 0, 1, 2, 3, 4, 5, 6, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -57,6 +64,49 @@ func FuzzKernelsBitEqual(f *testing.F) {
 		checkAxpy(t, label, next(), fill(k, m).Data, fill(k, m).Data, off)
 		checkMomentum(t, label, next(), next(), next(), fill(n, m).Data, fill(n, m).Data, fill(n, m).Data, off)
 	})
+}
+
+// TestGEMMsStartAtPositiveZero: MatMul and MatMulTransB start every
+// accumulator at +0, never at c's old value or at the first term, so a
+// row of a that is all ±0 and a row whose every product is −0 both
+// write the bits 0x00000000. Aggregator.Decide's reuse of the filter
+// score relies on it (DESIGN.md §13): no forward pass may see the sign
+// of a zero weight.
+func TestGEMMsStartAtPositiveZero(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	negZeros := func(rows, cols int) *Dense {
+		d := New(rows, cols)
+		for i := range d.Data {
+			d.Data[i] = negZero
+		}
+		return d
+	}
+	for _, m := range []int{1, 3, 4, 20, 25, 41} {
+		for _, k := range []int{1, 4, 6, 8, 11} {
+			a := New(2, k) // row 0 alternates +0 and −0, row 1 is positive
+			for p := range k {
+				if p%2 == 1 {
+					a.Set(0, p, negZero)
+				}
+				a.Set(1, p, float32(p+1))
+			}
+			for _, g := range []struct {
+				name string
+				run  func(c *Dense)
+			}{
+				{"MatMul", func(c *Dense) { MatMul(a, negZeros(k, m), c) }},
+				{"MatMulTransB", func(c *Dense) { MatMulTransB(a, negZeros(m, k), c) }},
+			} {
+				c := negZeros(2, m) // stale −0 must be overwritten
+				g.run(c)
+				for i, v := range c.Data {
+					if bits := math.Float32bits(v); bits != 0 {
+						t.Fatalf("%s k=%d m=%d: element %d = %#08x, want +0", g.name, k, m, i, bits)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestKernelWrappersPanicOnShortOperands: the kernel bodies walk raw
@@ -85,17 +135,20 @@ func TestKernelWrappersPanicOnShortOperands(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		run  func(a, b, c *Dense)
-		a    *Dense // a 2x4 product, stored transposed for the TransA kernels
+		a, b [2]int // a 2x4 times a 4x5, each stored as its kernel reads it
 	}{
-		{"MatMul", MatMul, full(2, 4)},
-		{"MatMulAdd", MatMulAdd, full(2, 4)},
-		{"MatMulTransA", MatMulTransA, full(4, 2)},
-		{"MatMulTransAAdd", MatMulTransAAdd, full(4, 2)},
+		{"MatMul", MatMul, [2]int{2, 4}, [2]int{4, 5}},
+		{"MatMulAdd", MatMulAdd, [2]int{2, 4}, [2]int{4, 5}},
+		{"MatMulTransA", MatMulTransA, [2]int{4, 2}, [2]int{4, 5}},
+		{"MatMulTransAAdd", MatMulTransAAdd, [2]int{4, 2}, [2]int{4, 5}},
+		{"MatMulTransB", MatMulTransB, [2]int{2, 4}, [2]int{5, 4}},
 	} {
-		b, c := short(4, 5), short(2, 5)
+		a, b, c := short(g.a[0], g.a[1]), short(g.b[0], g.b[1]), short(2, 5)
+		fa, fb := full(g.a[0], g.a[1]), full(g.b[0], g.b[1])
 		ops = append(ops,
-			op{g.name + " short b", func() { g.run(g.a, b, full(2, 5)) }, b.Data},
-			op{g.name + " short c", func() { g.run(g.a, full(4, 5), c) }, c.Data})
+			op{g.name + " short a", func() { g.run(a, fb, full(2, 5)) }, a.Data},
+			op{g.name + " short b", func() { g.run(fa, b, full(2, 5)) }, b.Data},
+			op{g.name + " short c", func() { g.run(fa, fb, c) }, c.Data})
 	}
 	y, v := unaligned(vec(7), 0), unaligned(vec(7), 0)
 	ops = append(ops,

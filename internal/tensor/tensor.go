@@ -6,10 +6,11 @@
 // Each kernel's per-element accumulation order is a contract: every
 // golden and result digest downstream depends on its roundings
 // (DESIGN.md §13; TestKernelsBitEqualReference pins them). On amd64 the
-// innermost bodies — Axpy, MatMul's and MatMulTransAAdd's four-p terms,
-// MomentumStep — are SSE2 assembly (kernels_amd64.s) that runs four
-// output elements per instruction, each with exactly the roundings of
-// the scalar Go loop every other GOARCH builds (kernels_generic.go).
+// innermost bodies — Axpy, one whole row of MatMul and of
+// MatMulTransAAdd (zero skips included), MomentumStep — are SSE2
+// assembly (kernels_amd64.s) that runs four output elements per
+// instruction, each with exactly the roundings of the scalar Go loop
+// every other GOARCH builds (kernels_generic.go).
 //
 // float32 is used throughout because (a) model weights travel on-chain as
 // float32 exactly as they are trained, so training in the wire precision
@@ -104,31 +105,14 @@ func checkData(op string, ms ...*Dense) {
 
 // MatMul computes c = a*b, overwriting c. Shapes must agree.
 //
-// The kernel uses i-k-j loop order with 4-wide k unrolling: for row-major
-// storage this streams both b and c sequentially, and the j direction is
-// four lanes wide on amd64.
+// Each row of c is one call to a row body that streams the rows of b in
+// order, four p at a time, and keeps the row (20 columns at a time) in
+// registers for the whole reduction, four lanes wide on amd64.
 func MatMul(a, b, c *Dense) {
 	shapeCheck("MatMul", a, b, c)
-	n, k, m := a.Rows, a.Cols, b.Cols
-	if m == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		ci := c.Data[i*m : (i+1)*m]
-		clear(ci)
-		ai := a.Data[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			bp := b.Data[p*m : (p+4)*m] // checked: the kernel reads 4m floats here, m in ci
-			groupedSumKernel(a0, a1, a2, a3, &bp[0], m, &ci[0], m)
-		}
-		for ; p < k; p++ {
-			axpyNonZero(ai[p], b.Data[p*m:(p+1)*m], ci)
-		}
+	k, m := a.Cols, b.Cols
+	for i := range a.Rows {
+		matMulRowKernel(a.Data[i*k:(i+1)*k], b.Data, c.Data[i*m:(i+1)*m])
 	}
 }
 
@@ -139,7 +123,9 @@ func MatMulAdd(a, b, c *Dense) {
 	for i := 0; i < n; i++ {
 		ci := c.Data[i*m : (i+1)*m]
 		for p, av := range a.Data[i*k : (i+1)*k] {
-			axpyNonZero(av, b.Data[p*m:(p+1)*m], ci)
+			if av != 0 { // the zero skip: 0*Inf never makes a NaN
+				Axpy(av, b.Data[p*m:(p+1)*m], ci)
+			}
 		}
 	}
 }
@@ -152,6 +138,7 @@ func MatMulTransB(a, b, c *Dense) {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch (%dx%d)*(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
+	checkData("MatMulTransB", a, b, c)
 	n, k, m := a.Rows, a.Cols, b.Rows
 	for i := 0; i < n; i++ {
 		ai := a.Data[i*k : (i+1)*k]
@@ -185,11 +172,9 @@ func MatMulTransA(a, b, c *Dense) {
 // Every element of c takes its products one at a time in ascending p,
 // one rounding per add, and a p whose a value is exactly zero is
 // skipped (so 0*Inf never makes a NaN) — the bit contract every golden
-// rests on. Four consecutive p share one pass over a row of c: the
-// running sum stays in a register for four adds instead of going
-// through memory for each (four j at a time on amd64), and the adds are
-// never regrouped. A row whose four a values include a zero takes the
-// one-p loop, which is what keeps the skip.
+// rests on. Each row i of c is one call to a row body that reads column
+// i of a down its stride and keeps the row (20 columns at a time) in
+// registers for all k adds, four lanes wide on amd64.
 //
 // The backward pass of every dense layer accumulates straight into its
 // gradient through this kernel.
@@ -200,42 +185,12 @@ func MatMulTransAAdd(a, b, c *Dense) {
 	}
 	checkData("MatMulTransAAdd", a, b, c)
 	k, n, m := a.Rows, a.Cols, b.Cols
-	if m == 0 {
+	if k == 0 {
 		return
 	}
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		ap0 := a.Data[p*n : (p+1)*n]
-		ap1 := a.Data[(p+1)*n : (p+2)*n]
-		ap2 := a.Data[(p+2)*n : (p+3)*n]
-		ap3 := a.Data[(p+3)*n : (p+4)*n]
-		bp := b.Data[p*m : (p+4)*m] // checked: the kernel reads 4m floats here, m in ci
-		b0, b1, b2, b3 := bp[:m], bp[m:2*m], bp[2*m:3*m], bp[3*m:]
-		for i, a0 := range ap0 {
-			a1, a2, a3 := ap1[i], ap2[i], ap3[i]
-			ci := c.Data[i*m : (i+1)*m]
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				axpyNonZero(a0, b0, ci)
-				axpyNonZero(a1, b1, ci)
-				axpyNonZero(a2, b2, ci)
-				axpyNonZero(a3, b3, ci)
-				continue
-			}
-			runningSumKernel(a0, a1, a2, a3, &bp[0], m, &ci[0], m)
-		}
-	}
-	for ; p < k; p++ {
-		bp := b.Data[p*m : (p+1)*m]
-		for i, av := range a.Data[p*n : (p+1)*n] {
-			axpyNonZero(av, bp, c.Data[i*m:(i+1)*m])
-		}
-	}
-}
-
-// axpyNonZero is y += alpha*x unless alpha is exactly zero.
-func axpyNonZero(alpha float32, x, y []float32) {
-	if alpha != 0 {
-		Axpy(alpha, x, y)
+	for i := range n {
+		// a.Data[i:] holds column i down to row k-1: (k-1)*n < k*n-i.
+		matMulTransARowKernel(a.Data[i:], n, k, b.Data, c.Data[i*m:(i+1)*m])
 	}
 }
 

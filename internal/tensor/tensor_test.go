@@ -195,6 +195,37 @@ func refMatMul(a, b, c *Dense) {
 	}
 }
 
+// refMatMulTransB is c = a*btᵀ in MatMulTransB's grouping: from +0,
+// each aligned group of four p joins as one pre-added term with no zero
+// skip, the k%4 tail one p at a time.
+func refMatMulTransB(a, bt, c *Dense) {
+	k := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < bt.Rows; j++ {
+			var s float32
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				s += a.At(i, p)*bt.At(j, p) + a.At(i, p+1)*bt.At(j, p+1) + a.At(i, p+2)*bt.At(j, p+2) + a.At(i, p+3)*bt.At(j, p+3)
+			}
+			for ; p < k; p++ {
+				s += a.At(i, p) * bt.At(j, p)
+			}
+			c.Set(i, j, s)
+		}
+	}
+}
+
+// transpose returns mᵀ.
+func transpose(m *Dense) *Dense {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
 // refAxpy is y[i] += alpha*x[i], one element at a time.
 func refAxpy(alpha float32, x, y []float32) {
 	for i := range x {
@@ -268,11 +299,12 @@ func checkGuard(t *testing.T, label string, x []float32) {
 }
 
 // checkGEMMs runs every GEMM kernel on unaligned copies of a (n x k),
-// at (its k x n counterpart for the TransA kernels) and b (k x m),
-// into an unaligned c preloaded with c0, and compares each with its
-// reference loop.
+// at (its k x n counterpart for the TransA kernels) and b (k x m, and
+// its transpose for MatMulTransB), into an unaligned c preloaded with
+// c0, and compares each with its reference loop.
 func checkGEMMs(t *testing.T, label string, a, at, b, c0 *Dense, off int) {
 	t.Helper()
+	bt := unalignedDense(transpose(b), off)
 	a, at, b = unalignedDense(a, off), unalignedDense(at, (off+1)%4), unalignedDense(b, (off+2)%4)
 	got, want := unalignedDense(c0, (off+3)%4), New(c0.Rows, c0.Cols)
 	for _, k := range []struct {
@@ -284,6 +316,7 @@ func checkGEMMs(t *testing.T, label string, a, at, b, c0 *Dense, off int) {
 		{"MatMulAdd", true, func(c *Dense) { MatMulAdd(a, b, c) }, func(c *Dense) { refMatMulAdd(a, b, c) }},
 		{"MatMulTransA", false, func(c *Dense) { MatMulTransA(at, b, c) }, func(c *Dense) { refMatMulTransAAdd(at, b, c) }},
 		{"MatMulTransAAdd", true, func(c *Dense) { MatMulTransAAdd(at, b, c) }, func(c *Dense) { refMatMulTransAAdd(at, b, c) }},
+		{"MatMulTransB", false, func(c *Dense) { MatMulTransB(a, bt, c) }, func(c *Dense) { refMatMulTransB(a, bt, c) }},
 	} {
 		copy(got.Data, c0.Data)
 		want.Zero()
@@ -366,6 +399,13 @@ func TestKernelsBitEqualReference(t *testing.T) {
 	shapes := []struct{ n, k, m int }{
 		{1, 1, 1}, {3, 4, 5}, {5, 5, 3}, {2, 6, 7}, {4, 7, 2}, {6, 8, 20},
 		{9, 13, 10}, {20, 32, 10}, {16, 27, 33}, {3072, 32, 20}, {32, 3072, 20},
+	}
+	// Every tile mix of the row bodies (4; 20+4; 2×20; 2×20+1 columns)
+	// against every k%4.
+	for _, m := range []int{4, 24, 40, 41} {
+		for k := 8; k < 12; k++ {
+			shapes = append(shapes, struct{ n, k, m int }{3, k, m})
+		}
 	}
 	off := 0 // operand offsets cycle through every 16-byte phase
 	for _, s := range shapes {
@@ -591,6 +631,28 @@ func TestConvGeomValidate(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, g)
 		}
+	}
+}
+
+// SimpleNN's first layer on one minibatch, one row body each: the
+// forward product (32x3072)·(3072x20) and the weight gradient
+// (32x3072)ᵀ·(32x20). SetBytes is the flop count, so MB/s reads as
+// Mflop/s.
+func BenchmarkMatMulFirstLayer(b *testing.B) {
+	rng := xrand.New(1)
+	x, w, y := randomDense(rng, 32, 3072), randomDense(rng, 3072, 20), New(32, 20)
+	b.SetBytes(2 * 32 * 3072 * 20)
+	for b.Loop() {
+		MatMul(x, w, y)
+	}
+}
+
+func BenchmarkMatMulTransAAddFirstLayer(b *testing.B) {
+	rng := xrand.New(1)
+	x, dy, dw := randomDense(rng, 32, 3072), randomDense(rng, 32, 20), New(3072, 20)
+	b.SetBytes(2 * 32 * 3072 * 20)
+	for b.Loop() {
+		MatMulTransAAdd(x, dy, dw)
 	}
 }
 
