@@ -14,6 +14,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -70,9 +71,14 @@ func TestPublicAPIGolden(t *testing.T) {
 // file and the tests can be calling it. Matching is by bare name
 // (go/parser only, no type checking), so a name shared with anything
 // used elsewhere counts as used: the list under-reports, never
-// over-reports. internal/testutil is test scaffolding by charter and is
-// not scanned. The list is pinned in testdata/testonly.golden and
-// `make size` prints its length; a name not in the golden fails here,
+// over-reports. Two kinds of name count as used by rule: a method on
+// an unexported receiver (no other package can name the receiver; the
+// method is there for an interface it satisfies, like heap.Interface),
+// and a type spelled in the signature of an exported func or method of
+// its own file that is itself used elsewhere (callers hold its values
+// without naming it). internal/testutil is test scaffolding by charter
+// and is not scanned. The list is pinned in testdata/testonly.golden
+// and `make size` prints its length; a name not in the golden fails here,
 // with or without -update — delete the code with its tests, or give it
 // a caller. After deleting listed code:
 // go test -run TestNoNewTestOnlyProductCode -update .
@@ -80,6 +86,8 @@ func TestNoNewTestOnlyProductCode(t *testing.T) {
 	type decl struct{ file, label, name string }
 	var decls []decl
 	uses := map[string]map[string]bool{} // identifier -> files it appears in
+	// file -> identifier -> exported funcs whose signature spells it
+	inSignature := map[string]map[string][]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -116,19 +124,34 @@ func TestNoNewTestOnlyProductCode(t *testing.T) {
 				decls = append(decls, decl{path, dir + " " + kind + " " + recv + id.Name, id.Name})
 			}
 		}
+		inSignature[path] = map[string][]string{}
+		signature := func(d *ast.FuncDecl) {
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					inSignature[path][id.Name] = append(inSignature[path][id.Name], d.Name.Name)
+				}
+				return true
+			})
+		}
 		for _, dd := range file.Decls {
 			switch d := dd.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					add("func", d.Name, "")
+					if d.Name.IsExported() {
+						signature(d)
+					}
 					continue
 				}
 				recv := d.Recv.List[0].Type
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
-				if id, ok := recv.(*ast.Ident); ok {
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
 					add("method", d.Name, id.Name+".")
+					if d.Name.IsExported() {
+						signature(d)
+					}
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -148,15 +171,23 @@ func TestNoNewTestOnlyProductCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	usedElsewhere := func(name, file string) bool {
+		n := len(uses[name])
+		if uses[name][file] {
+			n--
+		}
+		return n > 0
+	}
 	var list []string
 	for _, d := range decls {
-		elsewhere := len(uses[d.name])
-		if uses[d.name][d.file] {
-			elsewhere--
+		if usedElsewhere(d.name, d.file) {
+			continue
 		}
-		if elsewhere == 0 {
-			list = append(list, d.label)
+		if strings.Contains(d.label, " type ") && slices.ContainsFunc(inSignature[d.file][d.name],
+			func(fn string) bool { return usedElsewhere(fn, d.file) }) {
+			continue
 		}
+		list = append(list, d.label)
 	}
 	sort.Strings(list)
 

@@ -128,7 +128,6 @@ func TestAsyncObserverDoesNotPerturb(t *testing.T) {
 func TestAsyncOptionsValidation(t *testing.T) {
 	bad := []waitornot.Options{
 		{TimeBudgetMs: -1},
-		{StalenessHalfLifeMs: -1},
 		{ComputeDist: waitornot.Dist{Kind: waitornot.DistUniform, Mean: 1, Jitter: 2}},
 		{NetworkDist: waitornot.Dist{Kind: waitornot.DistKind(99), Mean: 1}},
 		{ComputeDist: waitornot.Dist{Kind: waitornot.DistLogNormal, Mean: -3}},

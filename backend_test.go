@@ -232,15 +232,23 @@ func TestRegisterBackendSpec(t *testing.T) {
 			first, last, len(blocks)-1)
 	}
 
-	// Rejections: unknown base, empty and duplicate names.
-	if err := waitornot.RegisterBackend(waitornot.BackendSpec{Name: "x", Base: "no-such-base"}); err == nil {
-		t.Fatal("unknown base accepted")
+	// Rejections — unknown base, empty and duplicate names, a committee
+	// PBFT cannot run — leave nothing listed that Run cannot construct.
+	for _, spec := range []waitornot.BackendSpec{
+		{Name: "x", Base: "no-such-base"},
+		{Base: "pow"},
+		{Name: "pow-glacial-test", Base: "pow"},
+		{Name: "pbft-3-test", Base: "pbft", Validators: 3},
+		{Name: "pbft-negative-test", Base: "pbft", Validators: -1},
+	} {
+		if err := waitornot.RegisterBackend(spec); err == nil {
+			t.Fatalf("spec %+v accepted", spec)
+		}
 	}
-	if err := waitornot.RegisterBackend(waitornot.BackendSpec{Base: "pow"}); err == nil {
-		t.Fatal("nameless spec accepted")
-	}
-	if err := waitornot.RegisterBackend(waitornot.BackendSpec{Name: "pow-glacial-test", Base: "pow"}); err == nil {
-		t.Fatal("duplicate name accepted")
+	for _, b := range waitornot.Backends() {
+		if b.Name == "pbft-3-test" || b.Name == "pbft-negative-test" {
+			t.Fatalf("rejected spec listed: %v", waitornot.Backends())
+		}
 	}
 }
 

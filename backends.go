@@ -6,6 +6,7 @@ import (
 
 	"waitornot/internal/chain"
 	"waitornot/internal/ledger"
+	"waitornot/internal/ledger/latmodel"
 )
 
 // The consensus-backend registry: the substrate FL rounds commit
@@ -72,11 +73,15 @@ type BackendSpec struct {
 }
 
 // RegisterBackend adds the spec to the backend registry. It rejects
-// empty or duplicate names and unknown bases, so every listed backend
-// is constructible.
+// empty or duplicate names, unknown bases and a committee size PBFT
+// cannot run, so every listed backend is constructible.
 func RegisterBackend(s BackendSpec) error {
 	if s.Name == "" {
 		return fmt.Errorf("waitornot: backend spec needs a name")
+	}
+	if s.Validators != 0 && s.Validators < latmodel.MinValidators {
+		return fmt.Errorf("waitornot: backend %q: %d validators, want 0 (the base default) or at least %d (n = 3f+1 with f >= 1)",
+			s.Name, s.Validators, latmodel.MinValidators)
 	}
 	base, ok := ledger.Lookup(s.Base)
 	if !ok {

@@ -182,7 +182,7 @@ func BenchmarkGasPerModelSize(b *testing.B) {
 	gs := chain.DefaultGasSchedule()
 	rng := xrand.New(1)
 	simple := nn.AppendWeights(nil, nn.NewSimpleNN(rng).WeightVector())
-	eff := nn.AppendWeights(nil, nn.NewEffNetSim(rng).WeightVector())
+	eff := nn.AppendWeights(nil, nn.ModelEffNetSim.Build(rng).WeightVector())
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink = gs.Intrinsic(simple) + gs.Intrinsic(eff)

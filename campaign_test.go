@@ -434,3 +434,47 @@ func TestLoadCampaignRejectsCorruptManifest(t *testing.T) {
 		t.Fatalf("status counted the stray record: done = %d", st.Done)
 	}
 }
+
+// TestCampaignFormatV1Directory: a directory written before the Options
+// audit — format v1, with three more option keys in its snapshot —
+// still reads for the status view, and a resume refuses it with the
+// format message, not the fingerprint one.
+func TestCampaignFormatV1Directory(t *testing.T) {
+	dir := t.TempDir()
+	interruptCampaign(t, dir, 1, 3)
+	before, err := waitornot.LoadCampaign(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	config := m["config"].(map[string]any)
+	m["format"], config["format"] = 1, 1
+	options := config["options"].(map[string]any)
+	for _, key := range []string{"FilterMinAccuracy", "Validators", "StalenessHalfLifeMs"} {
+		options[key] = 0
+	}
+	edited, _ := json.Marshal(m)
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := waitornot.LoadCampaign(dir)
+	if err != nil {
+		t.Fatalf("v1 directory unreadable: %v", err)
+	}
+	if after.Done != before.Done || after.Partial.Table() != before.Partial.Table() {
+		t.Fatalf("v1 status differs:\n%s\nwant:\n%s", after.Partial.Table(), before.Partial.Table())
+	}
+	_, err = goldenCampaignExperiment(1).RunCampaign(context.Background(), dir)
+	if err == nil || !strings.Contains(err.Error(), "format v1, this build writes v2") {
+		t.Fatalf("v1 resume not refused by format: %v", err)
+	}
+}

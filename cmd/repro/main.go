@@ -147,6 +147,8 @@ func (c config) validate() error {
 	switch {
 	case selectors != 1:
 		return errors.New("pick exactly one of -scenario NAME, -scenarios, -backends, -netperf, -calibrate-pbft, -campaign-status")
+	case c.replications < 0:
+		return fmt.Errorf("-replications %d: want a count of consecutive seeds >= 1 (0, the default, runs no sweep)", c.replications)
 	case (c.resume || c.status) && c.campaignDir == "":
 		return errors.New("-resume and -campaign-status act on a campaign; say which one with -campaign-dir")
 	case c.status && (c.resume || c.sweepFlags()):

@@ -48,6 +48,7 @@ func TestValidate(t *testing.T) {
 		{"client fraction out of range", config{scenario: "paper-repro", clientFrac: 1.5, set: set("client-fraction")}, "outside (0, 1]"},
 		{"negative time budget", config{scenario: "async-free-run", timeBudget: -1, set: set("time-budget-ms")}, "-time-budget-ms"},
 		{"time budget on a barriered scenario", config{scenario: "paper-repro", timeBudget: 500, set: set("time-budget-ms")}, "async scenario"},
+		{"negative replications", config{scenario: "stragglers", replications: -1}, "-replications -1"},
 		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla baseline"},
 		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
 		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},

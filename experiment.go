@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Kind selects which of the paper's experiments an Experiment executes.
@@ -82,12 +81,12 @@ type Experiment struct {
 	// target adds time-to-target-accuracy as a sweep metric
 	// (WithTargetAccuracy); 0 keeps the classic three-metric sweep.
 	target float64
-	err    error // deferred construction error, reported by Run
 }
 
 // Option adjusts an Experiment. Options are applied in order; later
-// ones override earlier ones (and WithScenario replaces the whole
-// description, so pass it first). An option exists only for what gets
+// ones override earlier ones. A registered scenario is loaded with
+// LookupScenario and run through its Experiment method, which takes
+// these same options. An option exists only for what gets
 // layered on a finished description at run time (kind, seed and seeds,
 // backend and backends, parallelism, the -fast scale, an observer) or
 // has no Options field to live in; every other knob is a field — set
@@ -163,24 +162,6 @@ func WithTargetAccuracy(target float64) Option {
 	return func(e *Experiment) { e.target = target }
 }
 
-// WithScenario loads a registered scenario as the experiment's whole
-// description. Pass it first and layer overrides (WithSeed,
-// WithParallelism, ...) after it; to change any other knob, take the
-// copy LookupScenario returns, set the field, and call its Experiment
-// method instead. An unknown name is reported by Run, not here, so
-// construction stays fluent.
-func WithScenario(name string) Option {
-	return func(e *Experiment) {
-		s, ok := LookupScenario(name)
-		if !ok {
-			e.err = fmt.Errorf("waitornot: unknown scenario %q (registered: %s)",
-				name, strings.Join(ScenarioNames(), ", "))
-			return
-		}
-		e.sc = s
-	}
-}
-
 // WithSeed overrides the experiment seed.
 func WithSeed(seed uint64) Option {
 	return func(e *Experiment) { e.sc.Options.Seed = seed }
@@ -223,12 +204,9 @@ type Results struct {
 	Sharded *ShardedReport
 }
 
-// check is the validation every entry point starts with: the deferred
-// construction error, the Options, and the policy ladder as declared.
+// check is the validation every entry point starts with: the Options
+// and the policy ladder as declared.
 func (e *Experiment) check() error {
-	if e.err != nil {
-		return e.err
-	}
 	for _, p := range e.sc.Policies {
 		if err := p.Validate(); err != nil {
 			return err

@@ -170,19 +170,16 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 		a.res.InitialAccuracy[i] = p.client.TestAccuracy(e.w.initial)
 		meanTrain += p.simTrainMs
 	}
-	a.halfLife = e.cfg.StalenessHalfLifeMs
-	if a.halfLife == 0 {
-		// Default to the fleet's full round timescale — training plus
-		// propagation plus (when modeled) commit latency — so updates
-		// one round old carry roughly half weight regardless of which
-		// term dominates the deployment.
-		a.halfLife = meanTrain/float64(len(a.peers)) + baseLatencyMs
-		if !e.cfg.Network.IsZero() {
-			a.halfLife += e.cfg.Network.Mean
-		}
-		if e.cfg.CommitLatency {
-			a.halfLife += e.be.CommitLatencyMs()
-		}
+	// The staleness half-life is the fleet's full round timescale —
+	// training plus propagation plus (when modeled) commit latency — so
+	// updates one round old carry roughly half weight regardless of
+	// which term dominates the deployment.
+	a.halfLife = meanTrain/float64(len(a.peers)) + baseLatencyMs
+	if !e.cfg.Network.IsZero() {
+		a.halfLife += e.cfg.Network.Mean
+	}
+	if e.cfg.CommitLatency {
+		a.halfLife += e.be.CommitLatencyMs()
 	}
 
 	for _, p := range a.peers {

@@ -32,7 +32,6 @@ import (
 	"waitornot/internal/fl"
 	"waitornot/internal/keys"
 	"waitornot/internal/ledger"
-	"waitornot/internal/ledger/latmodel"
 	"waitornot/internal/nn"
 	"waitornot/internal/par"
 	"waitornot/internal/simnet"
@@ -63,14 +62,9 @@ type Config struct {
 	// Filter screens abnormal models before aggregation.
 	Filter core.Filter
 	// Backend names the consensus substrate rounds commit through
-	// ("" = ledger.Default, the proof-of-work path; see
+	// ("" = the ledger default, the proof-of-work path; see
 	// internal/ledger for the registry).
 	Backend string
-	// Validators is the modeled consensus-committee size for backends
-	// with an analytic latency model (pbft: n = 3f+1, minimum 4;
-	// 0 = backend default). A latency-model parameter, independent of
-	// Peers.
-	Validators int
 	// CommitLatency, when set, makes the arrival-time model quantize
 	// remote-update visibility to the backend's commit interval
 	// (simnet.CommitVisibilityMs) — wait policies then face realistic
@@ -100,11 +94,6 @@ type Config struct {
 	// aggregates what it has. 0 means no cap (run until every peer
 	// finishes Rounds aggregations). Ignored by the barriered runner.
 	TimeBudgetMs float64
-	// StalenessHalfLifeMs is the age at which an update's weight in
-	// the asynchronous staleness-weighted merge halves. 0 derives it
-	// from the fleet's mean modeled training duration. Asynchronous
-	// engine only.
-	StalenessHalfLifeMs float64
 	// PoisonPeer, if >= 0, label-flips PoisonFrac of that peer's shard
 	// (the abnormal-client scenario).
 	PoisonPeer int
@@ -217,10 +206,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("bfl: unknown backend %q (registered: %v)", c.Backend, ledger.Names())
 		}
 	}
-	if c.Validators != 0 && c.Validators < latmodel.MinValidators {
-		return fmt.Errorf("bfl: %d validators below the PBFT minimum %d (n = 3f+1 with f >= 1)",
-			c.Validators, latmodel.MinValidators)
-	}
 	if err := c.Compute.Validate(); err != nil {
 		return fmt.Errorf("bfl: compute distribution: %w", err)
 	}
@@ -229,9 +214,6 @@ func (c Config) Validate() error {
 	}
 	if c.TimeBudgetMs < 0 {
 		return fmt.Errorf("bfl: negative time budget %g", c.TimeBudgetMs)
-	}
-	if c.StalenessHalfLifeMs < 0 {
-		return fmt.Errorf("bfl: negative staleness half-life %g", c.StalenessHalfLifeMs)
 	}
 	return nil
 }
@@ -569,13 +551,12 @@ func (e *engine) setup() error {
 		sealers[s] = peerKeys[s].Address()
 	}
 	be, err := ledger.New(cfg.Backend, ledger.Config{
-		Peers:      len(active),
-		Chain:      ccfg,
-		Alloc:      alloc,
-		Proc:       vm,
-		Sealers:    sealers,
-		Validators: cfg.Validators,
-		Verify:     w.verifier(),
+		Peers:   len(active),
+		Chain:   ccfg,
+		Alloc:   alloc,
+		Proc:    vm,
+		Sealers: sealers,
+		Verify:  w.verifier(),
 	})
 	if err != nil {
 		return err

@@ -5,13 +5,13 @@
 //
 // # Durability contract
 //
-//   - A record returned by Resume or Read was durably committed: every
+//   - A record returned by Open or Read was durably committed: every
 //     Append writes one full line and fsyncs before returning, so a
 //     process killed at any instant loses at most the line it was
 //     mid-writing.
 //   - The log tolerates exactly that loss: a torn final line (partial
 //     write, no trailing newline, or trailing garbage from a crashed
-//     writer) is dropped — and truncated away on Resume so the next
+//     writer) is dropped — and truncated away on resume so the next
 //     Append starts on a clean line boundary. A malformed line
 //     anywhere *before* the tail is corruption and is reported as an
 //     error, never skipped silently.
@@ -21,13 +21,13 @@
 //
 // # Compatibility contract
 //
-// Resume refuses a directory whose manifest fingerprint differs from
-// the caller's: results from one configuration must never be folded
-// into another's tables. The fingerprint is the caller's hash of every
-// result-relevant knob (the waitornot layer hashes the full options
-// snapshot and sweep axes, excluding Parallelism — results are
-// bit-identical at any worker count, so a campaign may be resumed at
-// a different one).
+// Open refuses to resume a directory whose manifest fingerprint
+// differs from the caller's: results from one configuration must never
+// be folded into another's tables. The fingerprint is the caller's
+// hash of every result-relevant knob (the waitornot layer hashes the
+// full options snapshot and sweep axes, excluding Parallelism —
+// results are bit-identical at any worker count, so a campaign may be
+// resumed at a different one).
 package campaign
 
 import (
@@ -41,8 +41,8 @@ import (
 
 // FormatVersion is the on-disk format this package reads and writes.
 // Bump it on any incompatible change to the manifest or record schema;
-// Resume rejects mismatches.
-const FormatVersion = 1
+// a resume rejects mismatches.
+const FormatVersion = 2
 
 // manifestName and logName are the two files of a campaign directory.
 const (
@@ -136,12 +136,12 @@ func Create(dir string, m Manifest) (*Log, error) {
 	return &Log{f: f}, nil
 }
 
-// Resume reopens an existing campaign directory for the configuration
+// resume reopens an existing campaign directory for the configuration
 // described by m: the stored manifest must match m's format,
 // fingerprint, and grid size. It returns the durably committed records
 // (torn tail dropped and truncated away) and the log reopened for
 // append on a clean line boundary.
-func Resume(dir string, m Manifest) (*Log, []Record, error) {
+func resume(dir string, m Manifest) (*Log, []Record, error) {
 	stored, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, err
@@ -181,12 +181,12 @@ func Open(dir string, m Manifest) (*Log, []Record, error) {
 		log, err := Create(dir, m)
 		return log, nil, err
 	}
-	return Resume(dir, m)
+	return resume(dir, m)
 }
 
 // Read loads a campaign directory for inspection: the stored manifest
 // and every durably committed record, with the same torn-tail
-// tolerance as Resume but no truncation and no fingerprint check —
+// tolerance as a resume but no truncation and no fingerprint check —
 // the log may belong to a live, still-appending process.
 func Read(dir string) (Manifest, []Record, error) {
 	m, err := readManifest(dir)

@@ -40,7 +40,7 @@ func appendAll(t *testing.T, log *Log, n int) {
 }
 
 // TestCreateAppendResume is the round trip: records appended before a
-// close come back from Resume in append order, payloads intact.
+// close come back from resume in append order, payloads intact.
 func TestCreateAppendResume(t *testing.T) {
 	dir := t.TempDir()
 	if Exists(dir) {
@@ -58,7 +58,7 @@ func TestCreateAppendResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log2, records, err := Resume(dir, manifestFor(5))
+	log2, records, err := resume(dir, manifestFor(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCreateAppendResume(t *testing.T) {
 	if err := log2.Append(record(3)); err != nil {
 		t.Fatal(err)
 	}
-	_, records, err = Resume(dir, manifestFor(5))
+	_, records, err = resume(dir, manifestFor(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCreateRefusesExisting(t *testing.T) {
 }
 
 // TestTornTail: a final line cut mid-record is dropped, truncated away
-// on Resume, and the next Append lands cleanly after the survivors.
+// on resume, and the next Append lands cleanly after the survivors.
 func TestTornTail(t *testing.T) {
 	for _, cut := range []string{"no-newline", "garbage-line", "valid-json-no-newline"} {
 		t.Run(cut, func(t *testing.T) {
@@ -129,7 +129,7 @@ func TestTornTail(t *testing.T) {
 			}
 			tornSize := fileSize(t, path)
 
-			log2, records, err := Resume(dir, manifestFor(5))
+			log2, records, err := resume(dir, manifestFor(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			log2.Close()
-			_, records, err = Resume(dir, manifestFor(5))
+			_, records, err = resume(dir, manifestFor(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestMidFileCorruption(t *testing.T) {
 	full, _ := json.Marshal(record(2))
 	appendRaw(t, path, string(full)+"\n")
 
-	if _, _, err := Resume(dir, manifestFor(5)); err == nil || !strings.Contains(err.Error(), "corrupt record") {
+	if _, _, err := resume(dir, manifestFor(5)); err == nil || !strings.Contains(err.Error(), "corrupt record") {
 		t.Fatalf("mid-file corruption not reported: %v", err)
 	}
 	if _, _, err := Read(dir); err == nil {
@@ -190,16 +190,16 @@ func TestResumeRefusesMismatch(t *testing.T) {
 
 	other := manifestFor(5)
 	other.Fingerprint = "fp-other"
-	if _, _, err := Resume(dir, other); err == nil || !strings.Contains(err.Error(), "different configuration") {
+	if _, _, err := resume(dir, other); err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Fatalf("fingerprint mismatch not refused: %v", err)
 	}
 	bigger := manifestFor(6)
-	if _, _, err := Resume(dir, bigger); err == nil {
+	if _, _, err := resume(dir, bigger); err == nil {
 		t.Fatal("grid-size mismatch not refused")
 	}
 	newer := manifestFor(5)
 	newer.Format = FormatVersion + 1
-	if _, _, err := Resume(dir, newer); err == nil || !strings.Contains(err.Error(), "format") {
+	if _, _, err := resume(dir, newer); err == nil || !strings.Contains(err.Error(), "format") {
 		t.Fatalf("format mismatch not refused: %v", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestDuplicateRecordsKeepFirst(t *testing.T) {
 	}
 	log.Close()
 
-	_, records, err := Resume(dir, manifestFor(5))
+	_, records, err := resume(dir, manifestFor(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCorruptManifest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(dir, manifestFor(1)); err == nil || !strings.Contains(err.Error(), "corrupt manifest") {
+	if _, _, err := resume(dir, manifestFor(1)); err == nil || !strings.Contains(err.Error(), "corrupt manifest") {
 		t.Fatalf("corrupt manifest not refused on Resume: %v", err)
 	}
 	if _, _, err := Read(dir); err == nil {
@@ -353,7 +353,7 @@ func TestMismatchErrorTruncatesFingerprints(t *testing.T) {
 	log.Close()
 	other := manifestFor(2)
 	other.Fingerprint = strings.Repeat("b", 64)
-	_, _, err = Resume(dir, other)
+	_, _, err = resume(dir, other)
 	if err == nil || strings.Contains(err.Error(), long.Fingerprint) || !strings.Contains(err.Error(), "aaaaaaaaaaaa…") {
 		t.Fatalf("mismatch message should carry truncated fingerprints: %v", err)
 	}

@@ -263,20 +263,20 @@ func TestPoWMineAndCheck(t *testing.T) {
 func TestNextDifficulty(t *testing.T) {
 	parent := &Header{Difficulty: 6400, Time: 10_000}
 	// Fast block -> difficulty up.
-	if got := NextDifficulty(parent, 10_100, 1000, 1); got <= 6400 {
+	if got := nextDifficulty(parent, 10_100, 1000, 1); got <= 6400 {
 		t.Fatalf("fast block difficulty %d, want > 6400", got)
 	}
 	// Slow block -> difficulty down.
-	if got := NextDifficulty(parent, 13_000, 1000, 1); got >= 6400 {
+	if got := nextDifficulty(parent, 13_000, 1000, 1); got >= 6400 {
 		t.Fatalf("slow block difficulty %d, want < 6400", got)
 	}
 	// In-window -> unchanged.
-	if got := NextDifficulty(parent, 11_500, 1000, 1); got != 6400 {
+	if got := nextDifficulty(parent, 11_500, 1000, 1); got != 6400 {
 		t.Fatalf("in-window difficulty %d, want 6400", got)
 	}
 	// Floor.
 	tiny := &Header{Difficulty: 5, Time: 0}
-	if got := NextDifficulty(tiny, 10_000, 1000, 4); got < 4 {
+	if got := nextDifficulty(tiny, 10_000, 1000, 4); got < 4 {
 		t.Fatalf("difficulty %d below floor", got)
 	}
 }
@@ -545,7 +545,7 @@ func TestMempoolOrderingAndDedup(t *testing.T) {
 	if len(pending) != 2 || pending[0].GasPrice != 10 {
 		t.Fatal("pending not price-ordered")
 	}
-	mp.Remove([]Hash{dear.Hash()})
+	mp.remove([]Hash{dear.Hash()})
 	if mp.Len() != 1 {
 		t.Fatal("remove failed")
 	}

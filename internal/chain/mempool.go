@@ -50,9 +50,9 @@ func (m *Mempool) Len() int {
 	return len(m.txs)
 }
 
-// Remove drops the given transactions (by hash), typically after block
+// remove drops the given transactions (by hash), typically after block
 // inclusion.
-func (m *Mempool) Remove(hashes []Hash) {
+func (m *Mempool) remove(hashes []Hash) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, h := range hashes {
@@ -66,7 +66,7 @@ func (m *Mempool) RemoveBlock(b *Block) {
 	for i, tx := range b.Txs {
 		hashes[i] = tx.Hash()
 	}
-	m.Remove(hashes)
+	m.remove(hashes)
 }
 
 // Pending returns pooled transactions ordered by (gas price desc, sender,

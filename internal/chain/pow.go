@@ -39,7 +39,7 @@ func Mine(h *Header) {
 // difficulty the retarget rule requires of parent's child on the
 // otherwise finished header h, then mine it.
 func SolvePoW(cfg Config, parent, h *Header) {
-	h.Difficulty = NextDifficulty(parent, h.Time, cfg.TargetIntervalMs, cfg.MinDifficulty)
+	h.Difficulty = nextDifficulty(parent, h.Time, cfg.TargetIntervalMs, cfg.MinDifficulty)
 	Mine(h)
 }
 
@@ -47,7 +47,7 @@ func SolvePoW(cfg Config, parent, h *Header) {
 // proof-of-work chain: h carries exactly the difficulty the retarget
 // rule requires, and its hash meets it.
 func VerifyPoW(cfg Config, parent, h *Header) error {
-	want := NextDifficulty(parent, h.Time, cfg.TargetIntervalMs, cfg.MinDifficulty)
+	want := nextDifficulty(parent, h.Time, cfg.TargetIntervalMs, cfg.MinDifficulty)
 	if h.Difficulty != want {
 		return fmt.Errorf("%w: got %d, want %d", ErrWrongDifficulty, h.Difficulty, want)
 	}
@@ -57,11 +57,11 @@ func VerifyPoW(cfg Config, parent, h *Header) error {
 	return nil
 }
 
-// NextDifficulty computes a child block's required difficulty from its
+// nextDifficulty computes a child block's required difficulty from its
 // parent: a simplified Ethereum-homestead rule that nudges difficulty
 // up when blocks arrive faster than the target interval and down when
 // they arrive slower than twice the target, floored at min.
-func NextDifficulty(parent *Header, childTimeMs uint64, targetIntervalMs uint64, min uint64) uint64 {
+func nextDifficulty(parent *Header, childTimeMs uint64, targetIntervalMs uint64, min uint64) uint64 {
 	if min == 0 {
 		min = 1
 	}

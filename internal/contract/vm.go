@@ -77,13 +77,13 @@ var _ chain.Processor = (*VM)(nil)
 // aggregation) pre-deployed.
 func NewVM(gs chain.GasSchedule) *VM {
 	vm := &VM{gs: gs, contracts: make(map[keys.Address]Contract)}
-	vm.Deploy(RegistryAddress, &Registry{})
-	vm.Deploy(AggregationAddress, &Aggregation{})
+	vm.deploy(RegistryAddress, &Registry{})
+	vm.deploy(AggregationAddress, &Aggregation{})
 	return vm
 }
 
-// Deploy installs a contract at an address (genesis-time deployment).
-func (vm *VM) Deploy(addr keys.Address, c Contract) { vm.contracts[addr] = c }
+// deploy installs a contract at an address (genesis-time deployment).
+func (vm *VM) deploy(addr keys.Address, c Contract) { vm.contracts[addr] = c }
 
 // Execute implements chain.Processor: transactions to non-contract
 // addresses are plain transfers; transactions to contracts are decoded

@@ -99,11 +99,9 @@ func (p KOrTimeout) Ready(received, expected int, elapsed time.Duration) bool {
 // this as protection against poisoned (intended) or noisy (unintended)
 // models; abnormality need not imply malice.
 type Filter struct {
-	// MinAccuracy is the absolute floor (the paper's "pre-set
-	// threshold"); models scoring below it are ignored. Zero disables.
-	MinAccuracy float64
-	// MaxBelowBest, when positive, additionally rejects models scoring
-	// more than this margin below the best solo score of the round.
+	// MaxBelowBest, when positive, rejects models scoring more than
+	// this margin below the best solo score of the round. Zero
+	// disables.
 	MaxBelowBest float64
 }
 
@@ -121,11 +119,11 @@ type FilterResult struct {
 // Apply scores every update solo with eval and partitions them into kept
 // and rejected. The peer's own update (self) is always kept — a peer
 // never distrusts its own training, mirroring the paper's setup. With
-// both thresholds zero (the default) no score can change the partition,
+// a zero margin (the default) no score can change the partition,
 // so everything is kept and eval — one selection-set forward pass per
 // update — is not called.
 func (f Filter) Apply(self string, updates []*fl.Update, eval fl.Evaluator) *FilterResult {
-	if f.MinAccuracy == 0 && f.MaxBelowBest == 0 {
+	if f.MaxBelowBest == 0 {
 		return &FilterResult{Kept: updates}
 	}
 	res := &FilterResult{Scores: make(map[string]float64, len(updates))}
@@ -139,9 +137,7 @@ func (f Filter) Apply(self string, updates []*fl.Update, eval fl.Evaluator) *Fil
 	}
 	for _, u := range updates {
 		score := res.Scores[u.Client]
-		keep := u.Client == self ||
-			((f.MinAccuracy == 0 || score >= f.MinAccuracy) &&
-				(f.MaxBelowBest == 0 || score >= best-f.MaxBelowBest))
+		keep := u.Client == self || score >= best-f.MaxBelowBest
 		if keep {
 			res.Kept = append(res.Kept, u)
 		} else {

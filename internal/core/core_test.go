@@ -56,25 +56,10 @@ func upd(name string, w ...float32) *fl.Update {
 // a transparent stand-in for selection-set accuracy.
 func scoreByFirstWeight(w []float32) float64 { return float64(w[0]) }
 
-func TestFilterKeepsAboveThreshold(t *testing.T) {
-	f := Filter{MinAccuracy: 0.5}
-	// Values exactly representable in float32 so scores compare cleanly.
-	ups := []*fl.Update{upd("A", 0.75), upd("B", 0.25), upd("C", 0.625)}
-	res := f.Apply("A", ups, scoreByFirstWeight)
-	if len(res.Kept) != 2 || len(res.Rejected) != 1 {
-		t.Fatalf("kept %d rejected %d", len(res.Kept), len(res.Rejected))
-	}
-	if res.Rejected[0].Client != "B" {
-		t.Fatalf("rejected %s", res.Rejected[0].Client)
-	}
-	if res.Scores["B"] != 0.25 {
-		t.Fatalf("scores = %v", res.Scores)
-	}
-}
-
 func TestFilterAlwaysKeepsSelf(t *testing.T) {
-	f := Filter{MinAccuracy: 0.99}
-	ups := []*fl.Update{upd("A", 0.1), upd("B", 0.05)}
+	// A scores far more than the margin below the best (B), and stays.
+	f := Filter{MaxBelowBest: 0.125}
+	ups := []*fl.Update{upd("A", 0.125), upd("B", 0.75)}
 	res := f.Apply("A", ups, scoreByFirstWeight)
 	found := false
 	for _, u := range res.Kept {
@@ -98,6 +83,9 @@ func TestFilterMaxBelowBest(t *testing.T) {
 	sort.Strings(names)
 	if !reflect.DeepEqual(names, []string{"A", "B"}) {
 		t.Fatalf("kept %v, want A and B", names)
+	}
+	if res.Scores["C"] != 0.5 {
+		t.Fatalf("scores = %v", res.Scores)
 	}
 }
 
@@ -209,7 +197,7 @@ func TestAggregatorDecideDeterministicOrder(t *testing.T) {
 }
 
 func TestAggregatorFiltersAbnormal(t *testing.T) {
-	agg := NewAggregator("A", WaitAll{}, Filter{MinAccuracy: 0.3}, scoreByFirstWeight, xrand.New(1))
+	agg := NewAggregator("A", WaitAll{}, Filter{MaxBelowBest: 0.25}, scoreByFirstWeight, xrand.New(1))
 	ups := []*fl.Update{upd("A", 0.5), upd("B", 0.05), upd("C", 0.6)}
 	d, err := agg.Decide(1, ups, 0, 3)
 	if err != nil {

@@ -115,8 +115,8 @@ type Set struct {
 // Len returns the number of samples.
 func (s *Set) Len() int { return s.X.Rows }
 
-// Subset gathers the given row indices into a new independent Set.
-func (s *Set) Subset(idx []int) *Set {
+// subset gathers the given row indices into a new independent Set.
+func (s *Set) subset(idx []int) *Set {
 	out := &Set{X: tensor.New(len(idx), s.X.Cols), Y: make([]int, len(idx)), Classes: s.Classes}
 	for i, src := range idx {
 		copy(out.X.Row(i), s.X.Row(src))
@@ -325,7 +325,7 @@ func PartitionIID(s *Set, parts int, rng *xrand.RNG) []*Set {
 	}
 	out := make([]*Set, parts)
 	for i, idx := range idxs {
-		out[i] = s.Subset(idx)
+		out[i] = s.subset(idx)
 	}
 	return out
 }
@@ -367,7 +367,7 @@ func PartitionDirichlet(s *Set, parts int, alpha float64, rng *xrand.RNG) []*Set
 	out := make([]*Set, parts)
 	for i, idx := range idxs {
 		rng.ShuffleInts(idx)
-		out[i] = s.Subset(idx)
+		out[i] = s.subset(idx)
 	}
 	return out
 }
@@ -427,7 +427,7 @@ func gamma(rng *xrand.RNG, shape float64) float64 {
 // labels are rotated to (y+1) mod Classes — the classic label-flipping
 // poisoning attack used to exercise the paper's abnormal-model filtering.
 func PoisonLabelFlip(s *Set, frac float64, rng *xrand.RNG) *Set {
-	out := s.Subset(rangeInts(s.Len()))
+	out := s.subset(rangeInts(s.Len()))
 	for i := range out.Y {
 		if rng.Bool(frac) {
 			out.Y[i] = (out.Y[i] + 1) % out.Classes

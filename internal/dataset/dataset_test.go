@@ -221,7 +221,7 @@ func TestTextureFamiliesDiffer(t *testing.T) {
 
 func TestSubsetIsDeepCopy(t *testing.T) {
 	s := Generate(DefaultConfig(), 10, xrand.New(3))
-	sub := s.Subset([]int{0, 1})
+	sub := s.subset([]int{0, 1})
 	sub.X.Data[0] = 42
 	sub.Y[0] = 1
 	if s.X.Data[0] == 42 {

@@ -268,7 +268,7 @@ func TestRunVanillaShapeAndRanges(t *testing.T) {
 	cfg := tinyVanillaConfig(nn.ModelSimpleNN)
 	var notConsiderCombos []string
 	cfg.Events = func(ev event.Event) {
-		if d, ok := ev.(event.AggregationDecided); ok && d.Arm == ModeNotConsider.String() {
+		if d, ok := ev.(event.AggregationDecided); ok && d.Arm == modeNotConsider.String() {
 			notConsiderCombos = append(notConsiderCombos, d.ChosenCombo)
 		}
 	}
@@ -344,7 +344,7 @@ func TestClientLocalTrainProducesUpdate(t *testing.T) {
 	if u.Client != "A" || u.Round != 1 || u.NumSamples != 60 {
 		t.Fatalf("update metadata wrong: %+v", u)
 	}
-	if len(u.Weights) != model.NumParams() {
+	if len(u.Weights) != len(before) {
 		t.Fatalf("update has %d weights", len(u.Weights))
 	}
 	same := true
@@ -368,7 +368,7 @@ func TestClientLocalTrainProducesUpdate(t *testing.T) {
 
 func TestPretrainChangesWeights(t *testing.T) {
 	root := xrand.New(9)
-	model := nn.NewEffNetSim(root.Derive("init"))
+	model := nn.ModelEffNetSim.Build(root.Derive("init"))
 	before := model.WeightVector()
 	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{Samples: 64, Epochs: 1, LR: 0.01}, 2, root.Derive("pre"))
 	after := model.WeightVector()

@@ -11,27 +11,27 @@ import (
 	"waitornot/internal/xrand"
 )
 
-// AggregationMode selects the Vanilla aggregator's behaviour from the
+// aggregationMode selects the Vanilla aggregator's behaviour from the
 // paper: "not consider" averages every local update (plain FedAvg);
 // "consider" searches all model combinations on the aggregator's
 // selection set and adopts the best.
-type AggregationMode int
+type aggregationMode int
 
 // The two aggregation types of Table I / Figure 3.
 const (
-	ModeNotConsider AggregationMode = iota + 1
-	ModeConsider
+	modeNotConsider aggregationMode = iota + 1
+	modeConsider
 )
 
 // String implements fmt.Stringer.
-func (m AggregationMode) String() string {
+func (m aggregationMode) String() string {
 	switch m {
-	case ModeNotConsider:
+	case modeNotConsider:
 		return "not consider"
-	case ModeConsider:
+	case modeConsider:
 		return "consider"
 	default:
-		return fmt.Sprintf("AggregationMode(%d)", int(m))
+		return fmt.Sprintf("aggregationMode(%d)", int(m))
 	}
 }
 
@@ -220,7 +220,7 @@ func (env *environment) buildClients(arm string) []*Client {
 // Events are emitted from this (the coordinator's) goroutine only, at
 // deterministic barriers, so the stream is identical at every
 // Parallelism.
-func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*armResult, error) {
+func (env *environment) runArm(ctx context.Context, mode aggregationMode) (*armResult, error) {
 	cfg := env.cfg
 	sink := cfg.Events
 	arm := mode.String()
@@ -268,7 +268,7 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*armR
 			sink.Emit(event.PeerTrained{Round: round, Peer: names[i], Arm: arm, Samples: u.NumSamples})
 		}
 		switch mode {
-		case ModeNotConsider:
+		case modeNotConsider:
 			w, err := FedAvg(updates)
 			if err != nil {
 				return nil, err
@@ -279,7 +279,7 @@ func (env *environment) runArm(ctx context.Context, mode AggregationMode) (*armR
 				all[i] = i
 			}
 			res.chosenCombos = append(res.chosenCombos, all.Label(names))
-		case ModeConsider:
+		case modeConsider:
 			results, err := EvaluateCombosWith(updates, combos, aggEvals, aggAvgs)
 			if err != nil {
 				return nil, err
@@ -333,11 +333,11 @@ func Run(ctx context.Context, cfg VanillaConfig) (*VanillaResult, error) {
 		return nil, err
 	}
 	env := setupEnvironment(cfg)
-	consider, err := env.runArm(ctx, ModeConsider)
+	consider, err := env.runArm(ctx, modeConsider)
 	if err != nil {
 		return nil, err
 	}
-	notConsider, err := env.runArm(ctx, ModeNotConsider)
+	notConsider, err := env.runArm(ctx, modeNotConsider)
 	if err != nil {
 		return nil, err
 	}

@@ -44,10 +44,10 @@ import (
 // n = 3f+1 with f ≥ 1.
 const MinValidators = 4
 
-// DefaultPerHop is the per-message network delay used when a Config
+// defaultPerHop is the per-message network delay used when a Config
 // leaves PerHop zero: a 25 ms mean LAN/consortium hop with ±50%
 // uniform jitter.
-var DefaultPerHop = simnet.Dist{Kind: simnet.DistUniform, Mean: 25, Jitter: 0.5}
+var defaultPerHop = simnet.Dist{Kind: simnet.DistUniform, Mean: 25, Jitter: 0.5}
 
 // Config parameterizes one PBFT round's latency prediction.
 type Config struct {
@@ -55,7 +55,7 @@ type Config struct {
 	// with f = ⌊(n−1)/3⌋; n < MinValidators is rejected).
 	Validators int
 	// PerHop is the per-message one-way network delay distribution in
-	// ms (zero value = DefaultPerHop).
+	// ms (zero value = defaultPerHop).
 	PerHop simnet.Dist
 	// PayloadBytes is the proposed batch's encoded size: the primary
 	// serializes it once onto the wire before the pre-prepare hop.
@@ -72,7 +72,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.PerHop.IsZero() {
-		c.PerHop = DefaultPerHop
+		c.PerHop = defaultPerHop
 	}
 	return c
 }

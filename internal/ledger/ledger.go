@@ -269,14 +269,14 @@ func Backends() []Info {
 	return out
 }
 
-// New builds the named backend ("" selects Default), passing the
+// New builds the named backend ("" selects defaultBackend), passing the
 // registry name down in Config.Name: a backend carries its name from
 // construction, so parameter variants registered on a base substrate
 // stay distinguishable in events and reports — and keep the base's
 // capabilities (Chainer) — without a forwarding wrapper.
 func New(name string, cfg Config) (Backend, error) {
 	if name == "" {
-		name = Default
+		name = defaultBackend
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -292,9 +292,9 @@ func New(name string, cfg Config) (Backend, error) {
 	return f(cfg)
 }
 
-// Default is the backend used when none is named: the original
+// defaultBackend is the backend used when none is named: the original
 // proof-of-work path.
-const Default = "pow"
+const defaultBackend = "pow"
 
 func init() {
 	MustRegister("pow", "fixed-leader proof-of-work chain (the paper's substrate; default)",

@@ -63,8 +63,8 @@ func TestRegistryBuiltins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Name() != ledger.Default {
-		t.Fatalf("empty name built %q, want the %q default", be.Name(), ledger.Default)
+	if be.Name() != "pow" {
+		t.Fatalf("empty name built %q, want the pow default", be.Name())
 	}
 	if _, ok := be.(ledger.Chainer); !ok {
 		t.Fatal("pow backend must expose its chain")

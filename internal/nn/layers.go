@@ -168,8 +168,8 @@ func NewConv2D(g tensor.ConvGeom, outC int, rng *xrand.RNG) *Conv2D {
 	return c
 }
 
-// OutLen returns the flattened output sample length (OutC*OutH*OutW).
-func (c *Conv2D) OutLen() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
+// outLen returns the flattened output sample length (OutC*OutH*OutW).
+func (c *Conv2D) outLen() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
 
 // Name implements Layer.
 func (c *Conv2D) Name() string {
@@ -186,7 +186,7 @@ func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 	c.x = x
 	op := c.Geom.OutH() * c.Geom.OutW()
 	if c.y == nil || c.y.Rows != x.Rows {
-		c.y = tensor.New(x.Rows, c.OutLen())
+		c.y = tensor.New(x.Rows, c.outLen())
 	}
 	if c.cols == nil {
 		c.cols = tensor.New(op, c.Geom.PatchLen())
@@ -272,8 +272,8 @@ func NewMaxPool2D(c, h, w, size int) *MaxPool2D {
 	return &MaxPool2D{C: c, H: h, W: w, Size: size}
 }
 
-// OutLen returns the flattened output sample length.
-func (p *MaxPool2D) OutLen() int { return p.C * (p.H / p.Size) * (p.W / p.Size) }
+// outLen returns the flattened output sample length.
+func (p *MaxPool2D) outLen() int { return p.C * (p.H / p.Size) * (p.W / p.Size) }
 
 // Name implements Layer.
 func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool(%d)", p.Size) }
@@ -285,7 +285,7 @@ func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 		panic(fmt.Sprintf("nn: %s got input width %d, want %d", p.Name(), x.Cols, inLen))
 	}
 	oh, ow := p.H/p.Size, p.W/p.Size
-	outLen := p.OutLen()
+	outLen := p.outLen()
 	if p.y == nil || p.y.Rows != x.Rows {
 		p.y = tensor.New(x.Rows, outLen)
 		p.argmax = make([]int32, x.Rows*outLen)
@@ -320,7 +320,7 @@ func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dout *tensor.Dense, _ bool) *tensor.Dense {
-	outLen := p.OutLen()
+	outLen := p.outLen()
 	if p.dx == nil || p.dx.Rows != dout.Rows {
 		p.dx = tensor.New(dout.Rows, p.C*p.H*p.W)
 	}

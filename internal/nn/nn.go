@@ -100,8 +100,8 @@ func (m *Model) Grads() []*tensor.Dense {
 	return m.grads
 }
 
-// NumParams returns the total learnable parameter count.
-func (m *Model) NumParams() int {
+// numParams returns the total learnable parameter count.
+func (m *Model) numParams() int {
 	n := 0
 	for _, p := range m.Params() {
 		n += len(p.Data)
@@ -112,7 +112,7 @@ func (m *Model) NumParams() int {
 // WeightVector flattens all parameters into one newly allocated vector,
 // in deterministic layer order.
 func (m *Model) WeightVector() []float32 {
-	out := make([]float32, 0, m.NumParams())
+	out := make([]float32, 0, m.numParams())
 	for _, p := range m.Params() {
 		out = append(out, p.Data...)
 	}
@@ -122,8 +122,8 @@ func (m *Model) WeightVector() []float32 {
 // SetWeightVector restores parameters from a flat vector produced by
 // WeightVector on an identically shaped model.
 func (m *Model) SetWeightVector(w []float32) error {
-	if len(w) != m.NumParams() {
-		return fmt.Errorf("nn: weight vector length %d, model has %d parameters", len(w), m.NumParams())
+	if len(w) != m.numParams() {
+		return fmt.Errorf("nn: weight vector length %d, model has %d parameters", len(w), m.numParams())
 	}
 	off := 0
 	for _, p := range m.Params() {

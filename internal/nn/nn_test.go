@@ -299,12 +299,12 @@ func TestDecodeWeightsRejectsCorruption(t *testing.T) {
 func TestZooParameterCounts(t *testing.T) {
 	rng := xrand.New(11)
 	simple := NewSimpleNN(rng)
-	if n := simple.NumParams(); n != 61670 {
+	if n := simple.numParams(); n != 61670 {
 		t.Fatalf("SimpleNN has %d params, want 61670 (paper: ~62K)", n)
 	}
-	eff := NewEffNetSim(rng)
-	if n := eff.NumParams(); n <= simple.NumParams() {
-		t.Fatalf("EffNetSim (%d) must be larger than SimpleNN (%d)", n, simple.NumParams())
+	eff := newEffNetSim(rng)
+	if n := eff.numParams(); n <= simple.numParams() {
+		t.Fatalf("EffNetSim (%d) must be larger than SimpleNN (%d)", n, simple.numParams())
 	}
 }
 
@@ -338,7 +338,7 @@ func TestEffNetSimGradients(t *testing.T) {
 	// central differences are noisy; check directional agreement
 	// (cosine similarity) over sampled coordinates instead.
 	rng := xrand.New(15)
-	m := NewEffNetSim(rng)
+	m := newEffNetSim(rng)
 	x, ys := smallBatch(rng, 2, ImageLen, NumClass)
 
 	logits := m.Forward(x, true)

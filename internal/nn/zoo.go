@@ -58,7 +58,7 @@ func (id ModelID) Build(rng *xrand.RNG) *Model {
 	case ModelSimpleNN:
 		return NewSimpleNN(rng)
 	case ModelEffNetSim:
-		return NewEffNetSim(rng)
+		return newEffNetSim(rng)
 	default:
 		panic(fmt.Sprintf("nn: unknown model id %d", int(id)))
 	}
@@ -73,7 +73,7 @@ func NewSimpleNN(rng *xrand.RNG) *Model {
 	)
 }
 
-// NewEffNetSim builds the compact CNN standing in for EfficientNet-B0:
+// newEffNetSim builds the compact CNN standing in for EfficientNet-B0:
 //
 //	conv 3->16 5x5 stride 2  (32x32 -> 14x14)
 //	relu, maxpool 2          (14x14 -> 7x7)
@@ -84,7 +84,7 @@ func NewSimpleNN(rng *xrand.RNG) *Model {
 //
 // ~110K parameters; the convolutional backbone is what transfer
 // learning pretrains (see Pretrain in the dataset harness).
-func NewEffNetSim(rng *xrand.RNG) *Model {
+func newEffNetSim(rng *xrand.RNG) *Model {
 	conv1 := NewConv2D(tensor.ConvGeom{
 		InC: ImageC, InH: ImageH, InW: ImageW, KH: 5, KW: 5, Stride: 2,
 	}, 16, rng.Derive("conv1"))

@@ -85,7 +85,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // cancellation the caller must treat any partially filled output as
 // garbage, exactly as it would on an item error.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
+	return forEachWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
 }
 
 // ForEachWorker is ForEach with the worker's identity passed to fn:
@@ -95,12 +95,12 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 // fn must not let the worker id influence item i's result — only which
 // scratch arena computes it.
 func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, fn)
+	return forEachWorkerCtx(context.Background(), workers, n, fn)
 }
 
-// ForEachWorkerCtx is ForEachWorker with the cooperative-cancellation
+// forEachWorkerCtx is ForEachWorker with the cooperative-cancellation
 // semantics of ForEachCtx.
-func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
+func forEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}

@@ -394,18 +394,14 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 		s.prevAcc = o.res.InitialAccuracy
 	}
 
-	// Staleness half-life for async merges: explicit override, else the
-	// fleet-mean merge-epoch span (cadence x one round's two commits).
-	if cfg.Base.StalenessHalfLifeMs > 0 {
-		o.halfLife = cfg.Base.StalenessHalfLifeMs
-	} else {
-		for _, s := range o.shards {
-			o.halfLife += float64(cfg.MergeEvery) * 2 * s.step
-		}
-		o.halfLife /= float64(len(o.shards))
-		if o.halfLife <= 0 {
-			o.halfLife = 1
-		}
+	// Staleness half-life for async merges: the fleet-mean merge-epoch
+	// span (cadence x one round's two commits).
+	for _, s := range o.shards {
+		o.halfLife += float64(cfg.MergeEvery) * 2 * s.step
+	}
+	o.halfLife /= float64(len(o.shards))
+	if o.halfLife <= 0 {
+		o.halfLife = 1
 	}
 
 	if cfg.Adaptive {

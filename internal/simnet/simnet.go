@@ -54,12 +54,12 @@ type Throughput struct {
 	Blocks          int
 }
 
-// SimulateThroughput runs the shared-host model: transactions arrive
+// simulateThroughput runs the shared-host model: transactions arrive
 // Poisson at the offered rate, every peer must execute every
 // transaction before it counts as validated (CPU share = HostCores /
 // Peers), and a leader seals up to the block's gas capacity from the
 // validated queue at exponential intervals.
-func SimulateThroughput(cfg ThroughputConfig) Throughput {
+func simulateThroughput(cfg ThroughputConfig) Throughput {
 	if cfg.Peers <= 0 || cfg.TxExecMs <= 0 || cfg.BlockIntervalMs <= 0 || cfg.TxGas == 0 {
 		panic(fmt.Sprintf("simnet: bad throughput config %+v", cfg))
 	}
@@ -133,7 +133,7 @@ func SimulateThroughput(cfg ThroughputConfig) Throughput {
 	return out
 }
 
-// SweepPeers runs SimulateThroughput over several peer counts
+// SweepPeers runs simulateThroughput over several peer counts
 // (everything else fixed) — the VFChain-style scaling experiment.
 // Operating points are independent simulations of the same seed, so
 // they run concurrently with results landing in peer-count order.
@@ -141,7 +141,7 @@ func SweepPeers(base ThroughputConfig, peerCounts []int) []Throughput {
 	out, err := par.Map(par.Workers(0), len(peerCounts), func(i int) (Throughput, error) {
 		cfg := base
 		cfg.Peers = peerCounts[i]
-		return SimulateThroughput(cfg), nil
+		return simulateThroughput(cfg), nil
 	})
 	if err != nil { // unreachable: the simulation never errors
 		panic(err)
@@ -149,14 +149,14 @@ func SweepPeers(base ThroughputConfig, peerCounts []int) []Throughput {
 	return out
 }
 
-// SweepBlockGas runs SimulateThroughput over several block gas limits —
+// SweepBlockGas runs simulateThroughput over several block gas limits —
 // the block-capacity experiment (refs [11], [12]). Points run
 // concurrently, landing in limit order (see SweepPeers).
 func SweepBlockGas(base ThroughputConfig, limits []uint64) []Throughput {
 	out, err := par.Map(par.Workers(0), len(limits), func(i int) (Throughput, error) {
 		cfg := base
 		cfg.BlockGasLimit = limits[i]
-		return SimulateThroughput(cfg), nil
+		return simulateThroughput(cfg), nil
 	})
 	if err != nil { // unreachable: the simulation never errors
 		panic(err)

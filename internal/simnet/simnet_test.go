@@ -67,8 +67,8 @@ func TestThroughputBoundedByBlockCapacity(t *testing.T) {
 }
 
 func TestThroughputDeterministic(t *testing.T) {
-	a := SimulateThroughput(baseThroughput())
-	b := SimulateThroughput(baseThroughput())
+	a := simulateThroughput(baseThroughput())
+	b := simulateThroughput(baseThroughput())
 	if a != b {
 		t.Fatalf("simulation not deterministic: %+v vs %+v", a, b)
 	}
@@ -208,7 +208,7 @@ func TestThroughputPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SimulateThroughput(ThroughputConfig{})
+	simulateThroughput(ThroughputConfig{})
 }
 
 func TestRoundsLatencyReasonable(t *testing.T) {

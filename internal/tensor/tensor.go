@@ -48,8 +48,8 @@ func FromSlice(rows, cols int, data []float32) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns the element at (i, j).
-func (m *Dense) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
+// at returns the element at (i, j).
+func (m *Dense) at(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Set writes v at (i, j).
 func (m *Dense) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }

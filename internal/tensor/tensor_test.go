@@ -18,7 +18,7 @@ func naiveMatMul(a, b *Dense) *Dense {
 		for j := 0; j < b.Cols; j++ {
 			var sum float32
 			for p := 0; p < a.Cols; p++ {
-				sum += a.At(i, p) * b.At(p, j)
+				sum += a.at(i, p) * b.at(p, j)
 			}
 			c.Set(i, j, sum)
 		}
@@ -103,7 +103,7 @@ func TestMatMulTransB(t *testing.T) {
 	b := New(7, 9)
 	for i := 0; i < 9; i++ {
 		for j := 0; j < 7; j++ {
-			b.Set(j, i, bt.At(i, j))
+			b.Set(j, i, bt.at(i, j))
 		}
 	}
 	if !approxEqual(c, naiveMatMul(a, b), 1e-4) {
@@ -121,7 +121,7 @@ func TestMatMulTransA(t *testing.T) {
 	a := New(6, 7)
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 6; j++ {
-			a.Set(j, i, at.At(i, j))
+			a.Set(j, i, at.at(i, j))
 		}
 	}
 	if !approxEqual(c, naiveMatMul(a, b), 1e-4) {
@@ -139,13 +139,13 @@ func TestMatMulTransA(t *testing.T) {
 func refMatMulAdd(a, b, c *Dense) {
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
-			s := c.At(i, j)
+			s := c.at(i, j)
 			for p := 0; p < a.Cols; p++ {
-				av := a.At(i, p)
+				av := a.at(i, p)
 				if av == 0 {
 					continue
 				}
-				s += av * b.At(p, j)
+				s += av * b.at(p, j)
 			}
 			c.Set(i, j, s)
 		}
@@ -156,13 +156,13 @@ func refMatMulAdd(a, b, c *Dense) {
 func refMatMulTransAAdd(a, b, c *Dense) {
 	for i := 0; i < a.Cols; i++ {
 		for j := 0; j < b.Cols; j++ {
-			s := c.At(i, j)
+			s := c.at(i, j)
 			for p := 0; p < a.Rows; p++ {
-				av := a.At(p, i)
+				av := a.at(p, i)
 				if av == 0 {
 					continue
 				}
-				s += av * b.At(p, j)
+				s += av * b.at(p, j)
 			}
 			c.Set(i, j, s)
 		}
@@ -179,15 +179,15 @@ func refMatMul(a, b, c *Dense) {
 			var s float32
 			p := 0
 			for ; p+4 <= k; p += 4 {
-				a0, a1, a2, a3 := a.At(i, p), a.At(i, p+1), a.At(i, p+2), a.At(i, p+3)
+				a0, a1, a2, a3 := a.at(i, p), a.at(i, p+1), a.at(i, p+2), a.at(i, p+3)
 				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
-				s += a0*b.At(p, j) + a1*b.At(p+1, j) + a2*b.At(p+2, j) + a3*b.At(p+3, j)
+				s += a0*b.at(p, j) + a1*b.at(p+1, j) + a2*b.at(p+2, j) + a3*b.at(p+3, j)
 			}
 			for ; p < k; p++ {
-				if av := a.At(i, p); av != 0 {
-					s += av * b.At(p, j)
+				if av := a.at(i, p); av != 0 {
+					s += av * b.at(p, j)
 				}
 			}
 			c.Set(i, j, s)
@@ -205,10 +205,10 @@ func refMatMulTransB(a, bt, c *Dense) {
 			var s float32
 			p := 0
 			for ; p+4 <= k; p += 4 {
-				s += a.At(i, p)*bt.At(j, p) + a.At(i, p+1)*bt.At(j, p+1) + a.At(i, p+2)*bt.At(j, p+2) + a.At(i, p+3)*bt.At(j, p+3)
+				s += a.at(i, p)*bt.at(j, p) + a.at(i, p+1)*bt.at(j, p+1) + a.at(i, p+2)*bt.at(j, p+2) + a.at(i, p+3)*bt.at(j, p+3)
 			}
 			for ; p < k; p++ {
-				s += a.At(i, p) * bt.At(j, p)
+				s += a.at(i, p) * bt.at(j, p)
 			}
 			c.Set(i, j, s)
 		}
@@ -220,7 +220,7 @@ func transpose(m *Dense) *Dense {
 	t := New(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
+			t.Set(j, i, m.at(i, j))
 		}
 	}
 	return t

@@ -2,7 +2,6 @@ package waitornot
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -119,25 +118,15 @@ func TestScenarioExperimentRuns(t *testing.T) {
 	}
 }
 
-// TestWithScenarioUnknownName defers the error to Run, listing the
-// registered names.
-func TestWithScenarioUnknownName(t *testing.T) {
-	_, err := New(Options{}, WithScenario("no-such-scenario")).Run(context.Background())
-	if err == nil {
-		t.Fatal("unknown scenario accepted")
+// TestScenarioExperimentOverrides: options passed to a looked-up
+// scenario's Experiment win over its registered configuration, and the
+// rest of the description survives them.
+func TestScenarioExperimentOverrides(t *testing.T) {
+	s, ok := LookupScenario("stragglers")
+	if !ok {
+		t.Fatal("stragglers not registered")
 	}
-	if !strings.Contains(err.Error(), "no-such-scenario") || !strings.Contains(err.Error(), "paper-repro") {
-		t.Fatalf("error should name the miss and the registry: %v", err)
-	}
-}
-
-// TestWithScenarioOverrides: options after WithScenario win over the
-// scenario's registered configuration.
-func TestWithScenarioOverrides(t *testing.T) {
-	e := New(Options{}, WithScenario("stragglers"), WithSeed(99), WithParallelism(2))
-	if e.err != nil {
-		t.Fatal(e.err)
-	}
+	e := s.Experiment(WithSeed(99), WithParallelism(2))
 	if e.sc.Kind != KindTradeoff || e.sc.Name != "stragglers" {
 		t.Fatalf("scenario not applied: %+v", e)
 	}
@@ -153,7 +142,11 @@ func TestWithScenarioOverrides(t *testing.T) {
 // no Policies sweeps DefaultPolicies (the replicated async ladder), not
 // an empty grid.
 func TestLadderlessScenarioSweepsDefaultLadder(t *testing.T) {
-	plan, err := New(Options{}, WithScenario("async-free-run"), WithReplications(2)).sweepPlan()
+	s, ok := LookupScenario("async-free-run")
+	if !ok {
+		t.Fatal("async-free-run not registered")
+	}
+	plan, err := s.Experiment(WithReplications(2)).sweepPlan()
 	if err != nil {
 		t.Fatal(err)
 	}

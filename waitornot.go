@@ -189,9 +189,9 @@ type Options struct {
 
 	// Policy is the decentralized wait policy (default WaitAll).
 	Policy Policy
-	// FilterMinAccuracy / FilterMaxBelowBest screen abnormal models
-	// before aggregation (0 disables).
-	FilterMinAccuracy  float64
+	// FilterMaxBelowBest screens abnormal models before aggregation:
+	// a shared model scoring more than this margin below the round's
+	// best solo score is ignored (0 disables).
 	FilterMaxBelowBest float64
 	// StragglerFactor scales each peer's simulated training duration
 	// (nil = homogeneous peers).
@@ -226,11 +226,6 @@ type Options struct {
 	// wait policies face realistic block-interval delays. Off by
 	// default, preserving the historical arrival model.
 	CommitLatency bool
-	// Validators sizes the modeled consensus committee for backends
-	// with an analytic latency model ("pbft": n = 3f+1, minimum 4;
-	// 0 = backend default). It is independent of Clients — the
-	// committee is a latency-model parameter, not a participant count.
-	Validators int
 
 	// Shards partitions the fleet into this many contiguous shards for
 	// KindSharded, each running its own aggregation loop against its
@@ -268,10 +263,6 @@ type Options struct {
 	// what it has. 0 = no cap (run until every peer finishes Rounds
 	// aggregations).
 	TimeBudgetMs float64
-	// StalenessHalfLifeMs tunes the asynchronous merge: an update's
-	// weight halves per this many ms of age. 0 derives it from the
-	// fleet's mean modeled training duration.
-	StalenessHalfLifeMs float64
 }
 
 // Validate rejects options a run cannot honour. The public layer checks
@@ -389,7 +380,7 @@ func (o Options) decentralized() bfl.Config {
 		Pretrain:        o.pretrain(),
 		Hyper:           o.hyper(),
 		Policy:          o.Policy.internal(),
-		Filter:          core.Filter{MinAccuracy: o.FilterMinAccuracy, MaxBelowBest: o.FilterMaxBelowBest},
+		Filter:          core.Filter{MaxBelowBest: o.FilterMaxBelowBest},
 		EvalAllCombos:   !o.SkipComboTables,
 		StragglerFactor: o.StragglerFactor,
 		PoisonPeer:      o.PoisonClient,
@@ -398,11 +389,9 @@ func (o Options) decentralized() bfl.Config {
 		Parallelism:     o.Parallelism,
 		Backend:         o.Backend,
 		CommitLatency:   o.CommitLatency,
-		Validators:      o.Validators,
 
-		Compute:             o.ComputeDist,
-		Network:             o.NetworkDist,
-		TimeBudgetMs:        o.TimeBudgetMs,
-		StalenessHalfLifeMs: o.StalenessHalfLifeMs,
+		Compute:      o.ComputeDist,
+		Network:      o.NetworkDist,
+		TimeBudgetMs: o.TimeBudgetMs,
 	}
 }
