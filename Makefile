@@ -16,18 +16,20 @@
 #                  concurrent runs), plus the root TestRaceSmoke* runs
 #                  (the sweep's shared per-seed worlds among them);
 #                  nothing else runs under -race) + the fuzz smoke over
-#                  the chain codec, mempool and kernel bodies + the
-#                  pure-Go kernel pin (internal/tensor and internal/nn
-#                  tested under GOARCH=386, which builds the Go loops
-#                  instead of the SSE2 bodies, and vetted under
-#                  GOARCH=arm64) + the campaign crash-recovery smoke
-#                  (SIGKILL + resume).
+#                  the chain codec, mempool, kernel bodies and the
+#                  Box-Muller body + the pure-Go kernel pin
+#                  (internal/tensor, internal/nn, internal/xrand and
+#                  internal/dataset tested under GOARCH=386, which
+#                  builds the Go loops instead of the SSE2 bodies, and
+#                  vetted under GOARCH=arm64) + the campaign
+#                  crash-recovery smoke (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
 #                  the basis for every performance claim.
 #   make bench     the go test -bench probes, one iteration each.
 #   make size      the tracked size numbers (ROADMAP aim 2), failing
 #                  when the non-test Go lines outside benchmark/ exceed
-#                  the SIZE_MAX ratchet (in ci); the root
+#                  the SIZE_MAX ratchet (in ci) — the assembly lines
+#                  under internal/ are printed, not gated; the root
 #                  package's exported surface itself is pinned by
 #                  testdata/api.golden (TestPublicAPIGolden), the
 #                  exported internal/ names no other product file uses
@@ -47,7 +49,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14863
+SIZE_MAX ?= 14942
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -93,22 +95,26 @@ cli-smoke:
 
 # Fuzz smoke: a few seconds per fuzz target, enough to catch shallow
 # regressions in the chain codec, the mempool, the weight-payload
-# codec, the pbft model verifier and the kernel bodies (bit-equal to
-# their scalar reference loops) on every CI run.
+# codec, the pbft model verifier, the kernel bodies (bit-equal to
+# their scalar reference loops) and the Box-Muller body (Normals
+# bit-equal to NormFloat64 calls) on every CI run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainCodec -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz FuzzMempoolSubmit -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz FuzzPayloadCodec -fuzztime $(FUZZTIME) ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzPBFTVerify -fuzztime $(FUZZTIME) ./internal/ledger/
 	$(GO) test -run '^$$' -fuzz FuzzKernelsBitEqual -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzNormalsBitEqual -fuzztime $(FUZZTIME) ./internal/xrand/
 
-# The pure-Go kernel loops every GOARCH but amd64 builds
-# (internal/tensor/kernels_generic.go) are run, not just compiled:
-# 386 binaries run on an amd64 host, and TestTrainedBitsGolden holds
-# them to the golden the SSE2 bodies meet. arm64 is vetted only.
+# The pure-Go loops every GOARCH but amd64 builds
+# (internal/tensor/kernels_generic.go, internal/xrand/normals_generic.go)
+# are run, not just compiled: 386 binaries run on an amd64 host,
+# TestTrainedBitsGolden holds the kernel loops to the golden the SSE2
+# bodies meet, and TestNormalsBitEqual and TestGenerateSetsBitEqual hold
+# Normals to the NormFloat64 stream. arm64 is vetted only.
 generic-kernels:
-	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/
-	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/ ./internal/xrand/ ./internal/dataset/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/xrand/ ./internal/dataset/
 
 # Campaign smoke: the crash-recovery acceptance test end to end — a
 # tiny campaign run in a child process, SIGKILLed the instant its log
@@ -185,9 +191,11 @@ profile-setup:
 # run-description surface), cmd/repro's flags, process-global caches
 # (mutex-guarded package state) left on the transaction path, and the
 # exported internal/ names no other product file uses (the line count
-# of testdata/testonly.golden).
+# of testdata/testonly.golden). The assembly lines under internal/ are
+# printed next to them but not gated: the ratchet counts .go files only.
 size:
 	@echo "non-test Go lines outside benchmark/: $$($(SIZE_LINES))"
+	@echo "assembly lines under internal/ (not gated): $$(find internal -name '*.s' | xargs cat | wc -l)"
 	@echo "root exported funcs+types: $$($(GO) doc -all . | grep -cE '^(func|type) ')"
 	@echo "functional options: $$(cat *.go | grep -c '^func With')"
 	@echo "Options fields: $$($(GO) doc . Options | awk '/^type Options struct/,/^}/' | grep -cE '^	[A-Z][A-Za-z0-9]* ')"

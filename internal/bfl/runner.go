@@ -580,7 +580,10 @@ func (e *engine) setup() error {
 	if err := par.ForEach(workers, len(active), func(s int) error {
 		gi := active[s]
 		name := fl.ClientName(gi)
-		model := cfg.Model.Build(root.Derive("peer-model-" + name))
+		// Zero weights, never read: a client's model is read only by
+		// LocalTrain, which both engines run right after Adopt, and by
+		// its evaluators, which SetWeightVector first.
+		model := cfg.Model.Build(nil)
 		train, sel, test := w.train[s], w.sel[s], w.test[s]
 		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
 		straggler := 1.0

@@ -282,11 +282,17 @@ func (p *pass) sample(row []float32, cls int, rng *xrand.RNG) int {
 	// faint class-specific global pattern.
 	brightness := rng.NormFloat64() * cfg.BrightnessStd
 	glob := p.globals[cls]
+	var noise [128]float64
 	for ch := 0; ch < cfg.ImageC; ch++ {
 		base := float32(p.hues[cls][ch]*cfg.HueAmp + brightness + rng.NormFloat64()*cfg.ChannelJitterStd)
 		pl := row[ch*plane : (ch+1)*plane]
-		for j := range pl {
-			pl[j] = base + float32(glob[j]*cfg.GlobalAmp) + float32(rng.NormFloat64()*cfg.NoiseStd)
+		for j0 := 0; j0 < len(pl); j0 += len(noise) {
+			nz := noise[:min(len(noise), len(pl)-j0)]
+			rng.Normals(nz)
+			for k, z := range nz {
+				j := j0 + k
+				pl[j] = base + float32(glob[j]*cfg.GlobalAmp) + float32(z*cfg.NoiseStd)
+			}
 		}
 	}
 	// Stamp the class texture at a random position, on all channels

@@ -15,7 +15,6 @@ import (
 	"waitornot/internal/nn"
 	"waitornot/internal/par"
 	"waitornot/internal/tensor"
-	"waitornot/internal/xrand"
 )
 
 // Update is one client's local model for one communication round.
@@ -241,7 +240,8 @@ type Evaluator func(weights []float32) float64
 // scratch model is reused across calls; the evaluator is not safe for
 // concurrent use.
 func NewAccuracyEvaluator(id nn.ModelID, s *dataset.Set) Evaluator {
-	scratch := id.Build(xrand.New(0))
+	// Zero weights, never read: every call overwrites them first.
+	scratch := id.Build(nil)
 	return func(weights []float32) float64 {
 		if err := scratch.SetWeightVector(weights); err != nil {
 			panic(err)

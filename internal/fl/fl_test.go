@@ -403,6 +403,27 @@ func TestNewAccuracyEvaluatorBounds(t *testing.T) {
 	}
 }
 
+// TestNewAccuracyEvaluatorScratchUnread: the evaluator's nil-built
+// scratch model scores every weight vector exactly as a scratch model
+// built from a seeded RNG does, because each call overwrites it.
+func TestNewAccuracyEvaluatorScratchUnread(t *testing.T) {
+	root := xrand.New(12)
+	s := dataset.Generate(dataset.DefaultConfig(), 64, root)
+	for _, id := range []nn.ModelID{nn.ModelSimpleNN, nn.ModelEffNetSim} {
+		eval := NewAccuracyEvaluator(id, s)
+		seeded := id.Build(xrand.New(0))
+		for _, label := range []string{"a", "b"} {
+			w := id.Build(root.Derive(label)).WeightVector()
+			if err := seeded.SetWeightVector(w); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := eval(w), nn.Evaluate(seeded, s.X, s.Y, 64); got != want {
+				t.Fatalf("%s %s: nil-built scratch scores %v, seeded scratch %v", id, label, got, want)
+			}
+		}
+	}
+}
+
 // TestEvaluateCombosWithMatchesSequential: the concurrent combination
 // search must produce results identical to the sequential one, in the
 // same order, for any worker count.

@@ -203,7 +203,8 @@ func (env *environment) buildClients(arm string) []*Client {
 	clients := make([]*Client, env.cfg.Clients)
 	for i := range clients {
 		name := ClientName(i)
-		model := env.cfg.Model.Build(root.Derive("client-model-" + name))
+		// Zero weights, never read: Adopt below overwrites them.
+		model := env.cfg.Model.Build(nil)
 		c := NewClient(name, model, env.shards[i], env.selection, env.tests[i],
 			env.cfg.Hyper, root.Derive(fmt.Sprintf("arm-%s-client-%s", arm, name)))
 		if err := c.Adopt(env.initial); err != nil {

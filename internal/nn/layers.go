@@ -21,7 +21,8 @@ type Dense struct {
 
 var _ Layer = (*Dense)(nil)
 
-// NewDense builds a Dense layer with He-initialized weights.
+// NewDense builds a Dense layer with He-initialized weights, or zero
+// weights for a nil rng.
 func NewDense(in, out int, rng *xrand.RNG) *Dense {
 	d := &Dense{
 		In: in, Out: out,
@@ -30,7 +31,9 @@ func NewDense(in, out int, rng *xrand.RNG) *Dense {
 		dW: tensor.New(in, out),
 		dB: tensor.New(1, out),
 	}
-	d.W.Randomize(rng, heStd(in))
+	if rng != nil {
+		d.W.Randomize(rng, heStd(in))
+	}
 	return d
 }
 
@@ -150,7 +153,8 @@ type Conv2D struct {
 
 var _ Layer = (*Conv2D)(nil)
 
-// NewConv2D builds a convolution layer with He-initialized weights.
+// NewConv2D builds a convolution layer with He-initialized weights, or
+// zero weights for a nil rng.
 // It panics on degenerate geometry — layer construction is programmer
 // error territory, not runtime input.
 func NewConv2D(g tensor.ConvGeom, outC int, rng *xrand.RNG) *Conv2D {
@@ -164,7 +168,9 @@ func NewConv2D(g tensor.ConvGeom, outC int, rng *xrand.RNG) *Conv2D {
 		dW: tensor.New(outC, g.PatchLen()),
 		dB: tensor.New(1, outC),
 	}
-	c.W.Randomize(rng, heStd(g.PatchLen()))
+	if rng != nil {
+		c.W.Randomize(rng, heStd(g.PatchLen()))
+	}
 	return c
 }
 

@@ -321,6 +321,23 @@ func TestZooForwardShapes(t *testing.T) {
 	}
 }
 
+// TestBuildNilZeroWeights: Build(nil) is the seeded build's shape with
+// every weight zero, so it drew no He initialization.
+func TestBuildNilZeroWeights(t *testing.T) {
+	for _, id := range []ModelID{ModelSimpleNN, ModelEffNetSim} {
+		want := len(id.Build(xrand.New(3)).WeightVector())
+		w := id.Build(nil).WeightVector()
+		if len(w) != want {
+			t.Fatalf("%s: Build(nil) has %d weights, the seeded build %d", id, len(w), want)
+		}
+		for i, v := range w {
+			if v != 0 || math.Signbit(float64(v)) {
+				t.Fatalf("%s: Build(nil) weight %d is %v, want +0", id, i, v)
+			}
+		}
+	}
+}
+
 func TestModelIDValid(t *testing.T) {
 	if !ModelSimpleNN.Valid() || !ModelEffNetSim.Valid() {
 		t.Fatal("paper models must be valid")

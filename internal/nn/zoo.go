@@ -52,7 +52,9 @@ func (id ModelID) String() string {
 func (id ModelID) Valid() bool { return id == ModelSimpleNN || id == ModelEffNetSim }
 
 // Build constructs a freshly initialized instance of the architecture,
-// drawing initial weights from rng.
+// drawing initial weights from rng. Build(nil) draws nothing and leaves
+// every weight zero, for a model whose weights are overwritten
+// (SetWeightVector, Client.Adopt) before their first read.
 func (id ModelID) Build(rng *xrand.RNG) *Model {
 	switch id {
 	case ModelSimpleNN:
@@ -64,12 +66,20 @@ func (id ModelID) Build(rng *xrand.RNG) *Model {
 	}
 }
 
+// derive is rng.Derive(label); a nil rng (a zero-weight build) stays nil.
+func derive(rng *xrand.RNG, label string) *xrand.RNG {
+	if rng == nil {
+		return nil
+	}
+	return rng.Derive(label)
+}
+
 // NewSimpleNN builds the paper's simple model: a one-hidden-layer MLP.
 func NewSimpleNN(rng *xrand.RNG) *Model {
 	return NewModel("SimpleNN",
-		NewDense(ImageLen, hiddenMLP, rng.Derive("fc1")),
+		NewDense(ImageLen, hiddenMLP, derive(rng, "fc1")),
 		NewReLU(),
-		NewDense(hiddenMLP, NumClass, rng.Derive("fc2")),
+		NewDense(hiddenMLP, NumClass, derive(rng, "fc2")),
 	)
 }
 
@@ -87,19 +97,19 @@ func NewSimpleNN(rng *xrand.RNG) *Model {
 func newEffNetSim(rng *xrand.RNG) *Model {
 	conv1 := NewConv2D(tensor.ConvGeom{
 		InC: ImageC, InH: ImageH, InW: ImageW, KH: 5, KW: 5, Stride: 2,
-	}, 16, rng.Derive("conv1"))
+	}, 16, derive(rng, "conv1"))
 	pool1 := NewMaxPool2D(16, 14, 14, 2)
 	conv2 := NewConv2D(tensor.ConvGeom{
 		InC: 16, InH: 7, InW: 7, KH: 3, KW: 3, Stride: 1,
-	}, 32, rng.Derive("conv2"))
+	}, 32, derive(rng, "conv2"))
 	return NewModel("EffNetSim",
 		conv1,
 		NewReLU(),
 		pool1,
 		conv2,
 		NewReLU(),
-		NewDense(32*5*5, 128, rng.Derive("fc1")),
+		NewDense(32*5*5, 128, derive(rng, "fc1")),
 		NewReLU(),
-		NewDense(128, NumClass, rng.Derive("fc2")),
+		NewDense(128, NumClass, derive(rng, "fc2")),
 	)
 }

@@ -66,8 +66,13 @@ func (m *Dense) Zero() {
 
 // Randomize fills the matrix with N(0, std) samples from rng.
 func (m *Dense) Randomize(rng *xrand.RNG, std float64) {
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64() * std)
+	var z [128]float64
+	for i0 := 0; i0 < len(m.Data); i0 += len(z) {
+		zs := z[:min(len(z), len(m.Data)-i0)]
+		rng.Normals(zs)
+		for k, v := range zs {
+			m.Data[i0+k] = float32(v * std)
+		}
 	}
 }
 

@@ -1,0 +1,30 @@
+package xrand
+
+// Normals fills dst with the values of len(dst) NormFloat64 calls and
+// leaves r where those calls would: a pending spare becomes dst[0], and
+// an odd remainder leaves its spare pending. The whole pairs between are
+// drawn as (u, v) into dst and transformed in place by boxMullerPairs
+// (DESIGN.md §5, "Two pairs per pass").
+func (r *RNG) Normals(dst []float64) {
+	if len(dst) > 0 && r.hasSpare {
+		dst[0] = r.NormFloat64()
+		dst = dst[1:]
+	}
+	pairs := dst[:len(dst)&^1]
+	for i := 0; i+1 < len(pairs); i += 2 {
+		pairs[i] = 1.0 - r.Float64()
+		pairs[i+1] = r.Float64()
+	}
+	boxMullerPairs(pairs)
+	if len(dst) > len(pairs) {
+		dst[len(pairs)] = r.NormFloat64()
+	}
+}
+
+// boxMullerPairs replaces each pair (p[2i], p[2i+1]) = (u, v) with the
+// two normals NormFloat64 makes of it, bit for bit, in SSE2 assembly
+// (normals_amd64.s). u must lie in [2^-53, 1] and v in [0, 1), as
+// NormFloat64 draws them.
+//
+//go:noescape
+func boxMullerPairs(p []float64)

@@ -71,9 +71,9 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
 	}
-	// Lemire's multiply-shift rejection-free variant is overkill here;
-	// plain modulo bias is < 2^-32 for the small n used in experiments,
-	// but use 64-bit multiply-shift anyway since it is branch-free.
+	// The top 53 bits modulo n: a residue below 2^53 mod n is drawn
+	// once more often than the rest, a bias of at most n/2^53. Every
+	// stream (and every golden) is built on this exact reduction.
 	return int((r.Uint64() >> 11) % uint64(n))
 }
 
@@ -101,16 +101,23 @@ func (r *RNG) NormFloat64() float64 {
 }
 
 // Skip advances the stream by exactly k >= 0 Uint64 draws in O(1).
-// Like Uint64, it leaves a pending NormFloat64 spare pending.
+// Like Uint64, it leaves a pending NormFloat64 spare pending. It panics
+// if k < 0: the stream is not rewound.
 func (r *RNG) Skip(k int) {
+	if k < 0 {
+		panic("xrand: Skip called with k < 0")
+	}
 	r.state += uint64(k) * gamma
 }
 
 // SkipNormals advances the stream by exactly n >= 0 NormFloat64 calls:
 // it consumes a pending spare first, skips whole Box-Muller pairs in
 // O(1), and for an odd remainder draws one pair so its spare is left
-// pending with the value those calls would leave.
+// pending with the value those calls would leave. It panics if n < 0.
 func (r *RNG) SkipNormals(n int) {
+	if n < 0 {
+		panic("xrand: SkipNormals called with n < 0")
+	}
 	if n > 0 && r.hasSpare {
 		r.hasSpare, r.spare = false, 0
 		n--

@@ -203,6 +203,26 @@ func TestSkipNormalsMatchesDraws(t *testing.T) {
 	}
 }
 
+// TestSkipPanicsOnNegative: a negative count is a programming error, as
+// Intn(0) is. SkipNormals(-3) used to rewind two Uint64 draws, which is
+// not the inverse of three normals.
+func TestSkipPanicsOnNegative(t *testing.T) {
+	for name, skip := range map[string]func(*RNG){
+		"Skip(-1)":        func(r *RNG) { r.Skip(-1) },
+		"SkipNormals(-1)": func(r *RNG) { r.SkipNormals(-1) },
+		"SkipNormals(-3)": func(r *RNG) { r.SkipNormals(-3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			skip(New(1))
+		}()
+	}
+}
+
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(23)
 	const n = 200000
@@ -287,4 +307,14 @@ func BenchmarkNormFloat64(b *testing.B) {
 		sink = r.NormFloat64()
 	}
 	_ = sink
+}
+
+// BenchmarkNormals: one 1,024-wide plane of normals; compare with 1,024
+// times BenchmarkNormFloat64.
+func BenchmarkNormals(b *testing.B) {
+	r := New(1)
+	dst := make([]float64, 1024)
+	for b.Loop() {
+		r.Normals(dst)
+	}
 }
