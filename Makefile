@@ -8,12 +8,12 @@
 #                  internal/keys, internal/ledger, internal/fl,
 #                  internal/dataset and internal/xrand — the pool and the
 #                  task set, the transaction memo's atomics, the only
-#                  block store, the combination-search workers, the
-#                  vanilla arm's pools and the one-sample-per-item
-#                  generation pass with its stream jump-ahead — and the
-#                  internal/bfl Async tests (async training off the
-#                  clock) and TestWorld (one World read by ten
-#                  concurrent runs), plus the root TestRaceSmoke* runs
+#                  block store, the combination-search workers and the
+#                  one-sample-per-item generation pass with its stream
+#                  jump-ahead — and the internal/bfl Async tests (async
+#                  training off the clock), TestWorld (one World read
+#                  by eleven concurrent runs) and TestRunVanilla (the
+#                  vanilla arm's pools), plus the root TestRaceSmoke* runs
 #                  (the sweep's shared per-seed worlds among them);
 #                  nothing else runs under -race) + the fuzz smoke over
 #                  the chain codec, mempool, kernel bodies and the
@@ -49,7 +49,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14942
+SIZE_MAX ?= 14751
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -84,11 +84,13 @@ cover:
 	    { echo "coverage ratchet failed: $$total% < $(COVER_MIN)%"; exit 1; }
 
 # CLI smoke: the one remaining way in, end to end — list the registry,
-# a single run, a replication sweep — and the retired -exp selector
-# must be a usage error (exit 2), not a silent default.
+# a single decentralized run, the vanilla baseline, a replication
+# sweep — and the retired -exp selector must be a usage error (exit 2),
+# not a silent default.
 cli-smoke:
 	$(GO) run ./cmd/repro -scenarios
 	$(GO) run ./cmd/repro -scenario paper-repro -fast -rounds 1 -quiet
+	$(GO) run ./cmd/repro -scenario vanilla-baseline -fast -rounds 1 -quiet
 	$(GO) run ./cmd/repro -scenario stragglers -fast -rounds 1 -replications 2 -quiet
 	@$(GO) build -o .repro.smoke ./cmd/repro; ./.repro.smoke -exp all >/dev/null 2>&1; status=$$?; rm -f .repro.smoke; \
 	    [ $$status -eq 2 ] || { echo "cli-smoke: -exp all exited $$status, want 2"; exit 1; }
@@ -129,15 +131,16 @@ campaign-smoke:
 # is lock-free atomics shared by every replica), internal/ledger in
 # full (the only block store: its read views are called from the
 # parallel decide pool), internal/fl in full (the combination-search
-# worker pool and the vanilla arm's par pools; ~16 s with the build),
-# internal/dataset and internal/xrand in full (GenerateSets draws every
-# sample of every set as its own par item from a jumped-ahead stream),
-# the internal/bfl tests matching Async (async local training runs on
-# par.Tasks workers between a round's opening and completion events)
-# and TestWorld (one World read by eight engines and two async runs at
-# once); ~30 s — only these, because the whole package takes over two
-# minutes under -race and its other parallel paths are the pools
-# covered above — plus short parallel runs of the decentralized
+# worker pool; ~16 s with the build), internal/dataset and
+# internal/xrand in full (GenerateSets draws every sample of every set
+# as its own par item from a jumped-ahead stream), the internal/bfl
+# tests matching Async (async local training runs on par.Tasks workers
+# between a round's opening and completion events), TestWorld (one
+# World read by eight engines, two async runs and the vanilla baseline
+# at once) and TestRunVanilla (the vanilla arm's par pools); ~30 s —
+# only these, because the whole package takes over two minutes under
+# -race and its other parallel paths are the pools covered above —
+# plus short parallel runs of the decentralized
 # experiment, the trade-off sweep, a sweep whose cells share each
 # seed's world, the async engine under a time budget, shared
 # transactions across six ledgers, and the simulators (TestRaceSmoke*
@@ -145,7 +148,7 @@ campaign-smoke:
 test-race:
 	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/ \
 	    ./internal/dataset/ ./internal/xrand/
-	$(GO) test -race -run 'Async|TestWorld' ./internal/bfl/
+	$(GO) test -race -run 'Async|TestWorld|TestRunVanilla' ./internal/bfl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 bench:

@@ -2,7 +2,10 @@
 // federated workload twice — once through a centralized aggregator
 // (Vanilla FL, Table I) and once fully decentralized over the
 // blockchain (Tables II-IV) — and compares final accuracies, showing
-// the two settings land in the same band.
+// the two settings land in the same band. The comparison is paired:
+// both runs read one seed's world, so every client has the same
+// training shard, test set, initial weights and local training stream
+// in both, and only the aggregation differs.
 //
 //	go run ./examples/vanilla_vs_chain
 package main

@@ -91,6 +91,47 @@ func TestVanillaAndDecentralizedSameBand(t *testing.T) {
 	}
 }
 
+// TestVanillaIsWaitAllAtRoundOne is "wait-for-all ≡ vanilla FedAvg" in
+// the form that holds: the vanilla baseline and a decentralized run of
+// the same Options read one world, so at round 1 — before any peer has
+// adopted a combination of its own — every client's "not consider"
+// accuracy is its decentralized table's full-set row, bit for bit, on
+// every backend. The "consider" arm trains the same streams, so its
+// round-1 choice scores exactly that combination's row too (when it is
+// the full set, the two arms agree).
+func TestVanillaIsWaitAllAtRoundOne(t *testing.T) {
+	for _, seed := range []uint64{1, 7} {
+		opts := waitornot.Options{
+			Model:          waitornot.SimpleNN,
+			Clients:        3,
+			Rounds:         2,
+			Seed:           seed,
+			TrainPerClient: 300,
+			SelectionSize:  60,
+			TestPerClient:  400,
+			LearningRate:   0.02,
+		}
+		v := testutil.Run(t, opts, waitornot.WithKind(waitornot.KindVanilla)).Vanilla
+		for _, backend := range []string{"pow", "poa", "pbft", "instant"} {
+			opts.Backend = backend
+			d := testutil.Run(t, opts).Decentralized
+			for ci := range v.ClientNames {
+				row := d.ComboAccuracy[ci][0]
+				if got, want := v.NotConsider[ci][0], row[len(row)-1]; got != want {
+					t.Errorf("seed %d %s client %d: vanilla not-consider %v, decentralized full set %v",
+						seed, backend, ci, got, want)
+				}
+				for c, label := range d.ComboLabels[ci] {
+					if label == v.ConsiderCombos[0] && v.Consider[ci][0] != row[c] {
+						t.Errorf("seed %d %s client %d: vanilla consider adopted %s at %v, decentralized row %v",
+							seed, backend, ci, label, v.Consider[ci][0], row[c])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPowChainShapeGolden pins the default substrate's blocks by shape:
 // a 2-round pow run's chain as header fields and per-transaction
 // sender, nonce, destination, gas limit and payload digest — the part

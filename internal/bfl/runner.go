@@ -14,7 +14,8 @@
 // event-driven free run on a virtual clock of its own. Both commit
 // through a ledger.Backend via one commit step and one pair of
 // transaction builders, with block production sequenced so results are
-// bit-reproducible.
+// bit-reproducible. RunVanilla (vanilla.go) is the centralized baseline
+// over the same World: one aggregator, no ledger.
 package bfl
 
 import (

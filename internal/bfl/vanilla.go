@@ -1,0 +1,158 @@
+package bfl
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"waitornot/internal/event"
+	"waitornot/internal/fl"
+	"waitornot/internal/par"
+	"waitornot/internal/xrand"
+)
+
+// VanillaResult is the centralized baseline's output (Table I /
+// Figure 3): only what the run determines, so the public report is
+// this type.
+type VanillaResult struct {
+	ClientNames []string
+	// Consider[client][round-1] / NotConsider[client][round-1] are test
+	// accuracies under the two aggregation types.
+	Consider    [][]float64
+	NotConsider [][]float64
+	// ConsiderCombos[round-1] is the combination the consider
+	// aggregator adopted each round.
+	ConsiderCombos []string
+}
+
+// RunVanilla executes the centralized baseline on the world a
+// decentralized run of cfg reads: client i trains on the world's shard
+// i (the poisoned copy included) from its peer's training stream, is
+// tested on the world's test set i, and starts from the world's
+// initial weights. One central aggregator merges every round's updates
+// under the paper's two aggregation types, one arm each: "consider"
+// scores every combination on the world's held-out set and adopts the
+// best, "not consider" is plain FedAvg of everyone. Both arms train the
+// same streams, so they are paired, and at round 1 "not consider" is
+// the decentralized run's full-set combination. The fields that shape
+// only a decentralized round (policy, filter, backend, stragglers,
+// timing) play no part; ClientFraction is an error, since the baseline
+// trains every client every round. The context is checked between
+// rounds and between pool items, and ctx.Err() is returned (with no
+// partial result) once it fires.
+func RunVanilla(ctx context.Context, cfg Config) (*VanillaResult, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.ClientFraction > 0 {
+		return nil, fmt.Errorf("bfl: the vanilla baseline trains every client every round; ClientFraction %g subsamples only the decentralized engines", cfg.ClientFraction)
+	}
+	w, err := cfg.world()
+	if err != nil {
+		return nil, err
+	}
+	res := &VanillaResult{ClientNames: make([]string, cfg.Peers)}
+	for i := range res.ClientNames {
+		res.ClientNames[i] = fl.ClientName(i)
+	}
+	if res.Consider, res.ConsiderCombos, err = runArm(ctx, cfg, w, res.ClientNames, true); err != nil {
+		return nil, err
+	}
+	if res.NotConsider, _, err = runArm(ctx, cfg, w, res.ClientNames, false); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runArm executes one aggregation arm, returning each client's test
+// accuracy per round (accuracy[client][round-1]) and the combination
+// the aggregator adopted each round. Events are emitted from this (the
+// coordinator's) goroutine only, at deterministic barriers, so the
+// stream is identical at every Parallelism.
+func runArm(ctx context.Context, cfg Config, w *World, names []string, consider bool) (accuracy [][]float64, chosen []string, err error) {
+	arm := "not consider"
+	if consider {
+		arm = "consider"
+	}
+	sink, workers, root := cfg.Events, par.Workers(cfg.Parallelism), xrand.New(cfg.Seed)
+	clients := make([]*fl.Client, len(names))
+	accuracy = make([][]float64, len(names))
+	for i, name := range names {
+		// Zero weights, never read: every round Adopts first.
+		clients[i] = fl.NewClient(name, cfg.Model.Build(nil), w.train[i], w.sel[i], w.test[i], cfg.Hyper, root.Derive("train-"+name))
+	}
+	// The consider search scores through per-worker scratch evaluators
+	// and accumulators reused across rounds, so the 2^n-1 combination
+	// aggregations allocate nothing.
+	var combos []fl.Combo
+	var aggEvals []fl.Evaluator
+	var aggAvgs []*fl.Averager
+	if consider {
+		combos = fl.AllCombos(len(names))
+		aggEvals, aggAvgs = fl.SelectionEvaluators(cfg.Model, w.heldOutSet(), workers), fl.NewAveragers(workers)
+	}
+	everyone := strings.Join(names, ",")
+
+	global := w.initial
+	for round := 1; round <= cfg.Rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		sink.Emit(event.RoundStart{Round: round, Arm: arm})
+		// Each client trains from its own model, shard, and derived RNG
+		// stream, so the round parallelizes with bit-identical results.
+		updates := make([]*fl.Update, len(clients))
+		err := par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
+			if err := clients[i].Adopt(global); err != nil {
+				return err
+			}
+			updates[i] = clients[i].LocalTrain(round)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, u := range updates {
+			sink.Emit(event.PeerTrained{Round: round, Peer: names[i], Arm: arm, Samples: u.NumSamples})
+		}
+		label := everyone
+		if consider {
+			results, err := fl.EvaluateCombosWith(updates, combos, aggEvals, aggAvgs)
+			if err != nil {
+				return nil, nil, err
+			}
+			best := fl.BestCombo(results).Combo
+			// The search scores through reused scratch; the winner is
+			// materialized (retained as next round's global) with the
+			// allocating FedAvg — bit-identical accumulation.
+			updates, label = best.Pick(updates), best.Label(names)
+		}
+		if global, err = fl.FedAvg(updates); err != nil {
+			return nil, nil, err
+		}
+		chosen = append(chosen, label)
+		accs := make([]float64, len(clients))
+		err = par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
+			accs[i] = clients[i].TestAccuracy(global)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		var meanAcc float64
+		for i, a := range accs {
+			accuracy[i] = append(accuracy[i], a)
+			meanAcc += a
+		}
+		sink.Emit(event.AggregationDecided{
+			Round:       round,
+			Arm:         arm,
+			Included:    len(clients),
+			ChosenCombo: label,
+			Accuracy:    meanAcc / float64(len(clients)),
+		})
+		sink.Emit(event.RoundEnd{Round: round, Arm: arm})
+	}
+	return accuracy, chosen, nil
+}

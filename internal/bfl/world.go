@@ -14,8 +14,8 @@ import (
 
 // World is what set-up derives from the seed by label, whatever the
 // policy and backend: the participant schedule, each slot's data sets,
-// the initial weights and the pbft verification set. Runs handed one
-// through Config.World only read it, so it may back many runs at once.
+// the initial weights and the held-out set. Runs handed one through
+// Config.World only read it, so it may back many runs at once.
 type World struct {
 	cfg Config // the defaulted configuration it was built from
 	// active are the fleet indices materialized, ascending;
@@ -24,8 +24,8 @@ type World struct {
 	participants     [][]int
 	train, sel, test []*dataset.Set // by slot
 	initial          []float32
-	verifyOnce       sync.Once
-	verify           *dataset.Set
+	heldOutOnce      sync.Once
+	heldOut          *dataset.Set
 }
 
 // world is the defaulted configuration's World: its own, or the one it
@@ -100,9 +100,19 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// verifier is one run's model verification over the world's held-out
-// set, with its own evaluator (the scratch model is not shareable);
-// both are built on first use, since only pbft verifies (in Commit).
+// heldOutSet is the world's held-out set of SelectionSize samples,
+// drawn on first use under the "ledger-verify" label: only pbft's model
+// verification and the vanilla baseline's central aggregator read it.
+func (w *World) heldOutSet() *dataset.Set {
+	w.heldOutOnce.Do(func() {
+		w.heldOut = dataset.Generate(dataset.DefaultConfig(), w.cfg.SelectionSize, xrand.New(w.cfg.Seed).Derive("ledger-verify"))
+	})
+	return w.heldOut
+}
+
+// verifier is one run's model verification over the held-out set, with
+// its own evaluator (the scratch model is not shareable); both are
+// built on first use, since only pbft verifies (in Commit).
 func (w *World) verifier() func([]float32) float64 {
 	var eval fl.Evaluator
 	return func(weights []float32) float64 {
@@ -110,10 +120,7 @@ func (w *World) verifier() func([]float32) float64 {
 			return math.NaN()
 		}
 		if eval == nil {
-			w.verifyOnce.Do(func() {
-				w.verify = dataset.Generate(dataset.DefaultConfig(), w.cfg.SelectionSize, xrand.New(w.cfg.Seed).Derive("ledger-verify"))
-			})
-			eval = fl.NewAccuracyEvaluator(w.cfg.Model, w.verify)
+			eval = fl.NewAccuracyEvaluator(w.cfg.Model, w.heldOutSet())
 		}
 		return eval(weights)
 	}

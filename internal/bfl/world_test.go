@@ -29,7 +29,7 @@ func worldConfig() Config {
 
 // worldDigest is a SHA-256 over every buffer the world holds: each
 // set's samples and labels, the initial weights and, once built, the
-// verification set.
+// held-out set.
 func worldDigest(w *World) [sha256.Size]byte {
 	h := sha256.New()
 	put := func(s *dataset.Set) {
@@ -44,8 +44,8 @@ func worldDigest(w *World) [sha256.Size]byte {
 		put(w.test[s])
 	}
 	binary.Write(h, binary.LittleEndian, w.initial)
-	if w.verify != nil {
-		put(w.verify)
+	if w.heldOut != nil {
+		put(w.heldOut)
 	}
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
@@ -71,9 +71,10 @@ func BenchmarkNewWorldPaperSync(b *testing.B) {
 // the fourth read-only share, after interned state values, contract.Call
 // argument slices and engine.roundWeights, that a checked aliasing mode
 // has to cover. One world backs eight barriered engines (every backend
-// under wait-all and first-2) and two asynchronous runs, all at once at
-// Parallelism 4: every result must equal the same configuration run
-// with no world, and not one byte of the world may change. A world
+// under wait-all and first-2), two asynchronous runs and the vanilla
+// baseline, all at once at Parallelism 4: every result must equal the
+// same configuration run with no world, and not one byte of the world
+// may change. A world
 // handed to a configuration it was not built from is an error naming
 // the field.
 func TestWorldSharedAcrossEngines(t *testing.T) {
@@ -82,12 +83,12 @@ func TestWorldSharedAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.verifier()(w.initial) // builds the verification set the pbft runs read, hashed from here on
+	w.heldOutSet() // built here, so the pbft and vanilla runs below read it and it is hashed
 	before := worldDigest(w)
 
 	type arm struct {
-		cfg   Config
-		async bool
+		cfg  Config
+		kind string // "" (barriered), "async" or "vanilla"
 	}
 	var arms []arm
 	for _, backend := range []string{"pow", "poa", "pbft", "instant"} {
@@ -100,12 +101,16 @@ func TestWorldSharedAcrossEngines(t *testing.T) {
 	for _, backend := range []string{"pow", "instant"} {
 		cfg := base
 		cfg.Backend, cfg.Policy = backend, core.FirstK{K: 2}
-		arms = append(arms, arm{cfg: cfg, async: true})
+		arms = append(arms, arm{cfg: cfg, kind: "async"})
 	}
+	arms = append(arms, arm{cfg: arms[0].cfg, kind: "vanilla"})
 	run := func(a arm, world *World) (any, error) {
 		a.cfg.World = world
-		if a.async {
+		switch a.kind {
+		case "async":
 			return RunAsync(context.Background(), a.cfg)
+		case "vanilla":
+			return RunVanilla(context.Background(), a.cfg)
 		}
 		return Run(context.Background(), a.cfg)
 	}
@@ -123,15 +128,15 @@ func TestWorldSharedAcrossEngines(t *testing.T) {
 	wg.Wait()
 	for i, a := range arms {
 		if errs[i] != nil {
-			t.Fatalf("%s/%s (async %v) on the shared world: %v", a.cfg.Backend, a.cfg.Policy.Name(), a.async, errs[i])
+			t.Fatalf("%s/%s (%q) on the shared world: %v", a.cfg.Backend, a.cfg.Policy.Name(), a.kind, errs[i])
 		}
 		solo, err := run(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(shared[i], solo) {
-			t.Errorf("%s/%s (async %v): the run on the shared world differs from the solo run",
-				a.cfg.Backend, a.cfg.Policy.Name(), a.async)
+			t.Errorf("%s/%s (%q): the run on the shared world differs from the solo run",
+				a.cfg.Backend, a.cfg.Policy.Name(), a.kind)
 		}
 	}
 	if worldDigest(w) != before {

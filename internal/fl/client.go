@@ -61,6 +61,14 @@ func Pretrain(model *nn.Model, cfg dataset.Config, spec PretrainSpec, workers in
 	}
 }
 
+// ClientName returns the paper-style name of client i: "A", "B", ...
+func ClientName(i int) string {
+	if i < 26 {
+		return string(rune('A' + i))
+	}
+	return fmt.Sprintf("P%d", i)
+}
+
 // Client is one federated participant: a model, its training shard, a
 // small selection set used to score candidate aggregations, and a test
 // set used for reporting.

@@ -1,8 +1,8 @@
-// Package fl implements the federated-learning layer shared by the
-// centralized (Vanilla) and decentralized (blockchain-based) experiments:
-// model updates, FedAvg, the paper's model-combination enumeration, the
-// "consider" / "not consider" aggregation policies, and local client
-// training.
+// Package fl holds the federated-learning primitives both experiments in
+// internal/bfl are built from — the centralized baseline (RunVanilla)
+// and the decentralized blockchain deployment: model updates, FedAvg,
+// the paper's model-combination enumeration and search, accuracy
+// evaluators, and local client training.
 package fl
 
 import (

@@ -1,15 +1,12 @@
 package fl
 
 import (
-	"context"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"waitornot/internal/dataset"
-	"waitornot/internal/event"
 	"waitornot/internal/nn"
 	"waitornot/internal/xrand"
 )
@@ -248,85 +245,6 @@ func TestClientName(t *testing.T) {
 	}
 	if ClientName(30) != "P30" {
 		t.Fatalf("overflow name = %q", ClientName(30))
-	}
-}
-
-func tinyVanillaConfig(model nn.ModelID) VanillaConfig {
-	return VanillaConfig{
-		Model:          model,
-		Clients:        3,
-		Rounds:         2,
-		Seed:           42,
-		TrainPerClient: 90,
-		SelectionSize:  50,
-		TestPerClient:  60,
-		Pretrain:       PretrainSpec{Samples: 100, Epochs: 1, LR: 3e-3},
-	}
-}
-
-func TestRunVanillaShapeAndRanges(t *testing.T) {
-	cfg := tinyVanillaConfig(nn.ModelSimpleNN)
-	var notConsiderCombos []string
-	cfg.Events = func(ev event.Event) {
-		if d, ok := ev.(event.AggregationDecided); ok && d.Arm == modeNotConsider.String() {
-			notConsiderCombos = append(notConsiderCombos, d.ChosenCombo)
-		}
-	}
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ClientNames) != 3 {
-		t.Fatalf("client names: %v", res.ClientNames)
-	}
-	for arm, accuracy := range map[string][][]float64{"consider": res.Consider, "not consider": res.NotConsider} {
-		if len(accuracy) != 3 {
-			t.Fatalf("%s: %d clients", arm, len(accuracy))
-		}
-		for _, series := range accuracy {
-			if len(series) != 2 {
-				t.Fatalf("%s: %d rounds", arm, len(series))
-			}
-			for _, acc := range series {
-				if acc < 0 || acc > 1 {
-					t.Fatalf("%s: accuracy %v out of range", arm, acc)
-				}
-			}
-		}
-	}
-	if len(res.ConsiderCombos) != 2 {
-		t.Fatalf("consider: chosen combos %v", res.ConsiderCombos)
-	}
-	// Not-consider always aggregates everyone.
-	if !reflect.DeepEqual(notConsiderCombos, []string{"A,B,C", "A,B,C"}) {
-		t.Fatalf("not-consider chose %q", notConsiderCombos)
-	}
-}
-
-func TestRunVanillaDeterministic(t *testing.T) {
-	a, err := Run(context.Background(), tinyVanillaConfig(nn.ModelSimpleNN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), tinyVanillaConfig(nn.ModelSimpleNN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two vanilla runs differ:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestRunVanillaValidates(t *testing.T) {
-	cfg := tinyVanillaConfig(nn.ModelSimpleNN)
-	cfg.Clients = 1
-	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Fatal("1 client must be rejected")
-	}
-	cfg = tinyVanillaConfig(nn.ModelSimpleNN)
-	cfg.TrainPerClient = 31
-	if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "31 training samples per client is less than one minibatch of 32") {
-		t.Fatalf("sub-batch shard: err = %v", err)
 	}
 }
 

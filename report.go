@@ -7,24 +7,24 @@ import (
 
 	"waitornot/internal/bfl"
 	"waitornot/internal/event"
-	"waitornot/internal/fl"
 	"waitornot/internal/metrics"
 )
 
 // VanillaReport is the centralized experiment's output (Table I /
-// Figure 3) — the engine's result itself: ClientNames;
+// Figure 3) — the engine's result itself, read from the same world as
+// the decentralized run of the same Options: ClientNames;
 // Consider[client][round-1] / NotConsider[client][round-1], the test
 // accuracies under the two aggregation types; and
 // ConsiderCombos[round-1], the combination the consider aggregator
 // adopted each round.
-type VanillaReport fl.VanillaResult
+type VanillaReport bfl.VanillaResult
 
 // runVanillaExperiment is the engine-facing vanilla runner behind
 // Experiment.Run.
 func runVanillaExperiment(ctx context.Context, opts Options, sink event.Sink) (*VanillaReport, error) {
-	cfg := opts.vanilla()
+	cfg := opts.decentralized()
 	cfg.Events = sink
-	res, err := fl.Run(ctx, cfg)
+	res, err := bfl.RunVanilla(ctx, cfg)
 	return (*VanillaReport)(res), err
 }
 

@@ -200,7 +200,8 @@ type Options struct {
 	// evaluation (Tables II-IV data) for faster runs.
 	SkipComboTables bool
 	// PoisonClient, if >= 0, label-flips PoisonFraction of that
-	// client's shard. Default -1 (disabled).
+	// client's shard, in every kind: the vanilla baseline trains on the
+	// same shards as the decentralized run. Default -1 (disabled).
 	PoisonClient   int
 	PoisonFraction float64
 	// ClientFraction, when in (0, 1], trains only a K-of-N subsample of
@@ -212,7 +213,8 @@ type Options struct {
 	// shard, and the per-round combination tables are disabled. 0 keeps
 	// the classic cross-silo schedule (every client, every round),
 	// bit-identical to runs before this knob existed. Incompatible with
-	// DirichletAlpha, which partitions one global pool.
+	// DirichletAlpha, which partitions one global pool, and with
+	// KindVanilla, whose baseline trains every client every round.
 	ClientFraction float64
 
 	// Backend names the consensus substrate the decentralized rounds
@@ -347,23 +349,6 @@ func (o Options) pretrain() fl.PretrainSpec {
 		spec.Epochs = o.PretrainEpochs
 	}
 	return spec
-}
-
-func (o Options) vanilla() fl.VanillaConfig {
-	o = o.withDefaults()
-	return fl.VanillaConfig{
-		Model:          o.Model,
-		Clients:        o.Clients,
-		Rounds:         o.Rounds,
-		Seed:           o.Seed,
-		TrainPerClient: o.TrainPerClient,
-		SelectionSize:  o.SelectionSize,
-		TestPerClient:  o.TestPerClient,
-		DirichletAlpha: o.DirichletAlpha,
-		Pretrain:       o.pretrain(),
-		Hyper:          o.hyper(),
-		Parallelism:    o.Parallelism,
-	}
 }
 
 func (o Options) decentralized() bfl.Config {

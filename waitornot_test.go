@@ -2,6 +2,7 @@ package waitornot
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,33 @@ func TestRunVanillaFacade(t *testing.T) {
 	csv := rep.CSV()
 	if !strings.Contains(csv, "client,mode,round,accuracy") {
 		t.Fatalf("CSV header missing:\n%s", csv)
+	}
+}
+
+// TestVanillaReadsThePoisonedShard: the vanilla baseline trains on the
+// world's shards, so a fully label-flipped client changes its table.
+func TestVanillaReadsThePoisonedShard(t *testing.T) {
+	run := func(opts Options) *VanillaReport {
+		res, err := New(opts, WithKind(KindVanilla)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Vanilla
+	}
+	clean, poisoned := tinyOpts(SimpleNN), tinyOpts(SimpleNN)
+	poisoned.PoisonClient, poisoned.PoisonFraction = 2, 1
+	if reflect.DeepEqual(run(clean), run(poisoned)) {
+		t.Fatal("a vanilla run with client 2 label-flipped equals the clean run")
+	}
+}
+
+// TestVanillaRejectsClientFraction: the baseline trains every client
+// every round, so a K-of-N subsample is an error, not a silent no-op.
+func TestVanillaRejectsClientFraction(t *testing.T) {
+	opts := tinyOpts(SimpleNN)
+	opts.ClientFraction = 0.5
+	if _, err := New(opts, WithKind(KindVanilla)).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "vanilla baseline") {
+		t.Fatalf("vanilla with ClientFraction 0.5: err = %v, want an error naming the vanilla baseline", err)
 	}
 }
 
