@@ -460,11 +460,6 @@ type engine struct {
 	// dropped at round end so retained heap does not grow.
 	roundMu      sync.Mutex
 	roundWeights map[*chain.Transaction][]float32
-
-	// blobScratch is submitTx's reusable weight-encoding buffer
-	// (coordinator goroutine only): one allocation the first
-	// submission, zero after.
-	blobScratch []byte
 }
 
 // txIndex is one peer view's committed-transaction hash index.
@@ -717,14 +712,18 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	}
 
 	// 2. Submit signed model transactions; gossip into every peer's
-	// pending set and commit the round's submission block.
+	// pending set and commit the round's submission block. Peers encode
+	// and sign concurrently; the gossip stays serial, in slot order.
+	subTxs := make([]*chain.Transaction, nPart)
 	blobBytes := make([]int, nPart)
-	for i, p := range peers {
-		tx, size, err := e.submitTx(p, round, updates[i])
-		if err != nil {
-			return err
-		}
-		blobBytes[i] = size
+	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) error {
+		var err error
+		subTxs[i], blobBytes[i], err = e.submitTx(peers[i], round, updates[i])
+		return err
+	}); err != nil {
+		return err
+	}
+	for _, tx := range subTxs {
 		if err := be.Submit(tx); err != nil {
 			return fmt.Errorf("bfl: round %d submission tx: %w", round, err)
 		}
@@ -867,19 +866,14 @@ func (e *engine) commitExactly(round, leader, wantTxs int, atMs float64) error {
 	return err
 }
 
-// submitTx signs peer p's model-submission transaction for round,
-// encoding the update through the engine's blob scratch (the calldata
-// copies it), and reports the encoded size. Coordinator goroutine only.
+// submitTx signs peer p's model-submission transaction for round, the
+// update encoded straight into the calldata, and reports the encoded
+// size. Touches only p, so the submit pool may call it per peer.
 func (e *engine) submitTx(p *peerState, round int, up *fl.Update) (*chain.Transaction, int, error) {
-	blob := nn.AppendWeights(e.blobScratch[:0], up.Weights)
-	e.blobScratch = blob[:0]
-	payload := contract.SubmitCallData(uint64(round), uint64(e.cfg.Model), uint64(up.NumSamples), blob)
-	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.gas, 10_000_000, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.nonce++
-	return tx, len(blob), nil
+	size := nn.EncodedSize(len(up.Weights))
+	head := contract.SubmitCallHead(uint64(round), uint64(e.cfg.Model), uint64(up.NumSamples), size)
+	tx, err := e.signTx(p, nn.AppendWeights(head, up.Weights), 10_000_000)
+	return tx, size, err
 }
 
 // recordTx signs peer p's aggregation-record transaction: the label of
@@ -888,8 +882,18 @@ func (e *engine) submitTx(p *peerState, round int, up *fl.Update) (*chain.Transa
 // may call it per peer.
 func (e *engine) recordTx(p *peerState, round int, label string, adopted []float32, n int) (*chain.Transaction, error) {
 	var rh chain.Hash = nn.HashWeights(adopted)
-	payload := contract.RecordCallData(uint64(round), label, rh, uint64(n))
-	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.gas, 1_000_000, 1)
+	return e.signTx(p, contract.RecordCallData(uint64(round), label, rh, uint64(n)), 1_000_000)
+}
+
+// signTx signs peer p's next call to the aggregation contract and runs
+// its stateless checks where the caller runs, so a pool worker pays for
+// the first signature check and hash, not the mempool admission on the
+// coordinator that follows.
+func (e *engine) signTx(p *peerState, payload []byte, execBudget uint64) (*chain.Transaction, error) {
+	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.gas, execBudget, 1)
+	if err == nil {
+		err = tx.ValidateBasic(e.gas)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -460,6 +460,29 @@ func TestApplyTxRules(t *testing.T) {
 	if gained != 1234+gs.TxBase {
 		t.Fatalf("destination gained %d", gained)
 	}
+
+	// The worst-case cost, gas limit × price + value, must not wrap:
+	// each row's wrapped cost fits its balance, and a wrapping check
+	// admits the transaction (and mints the value).
+	for i, c := range []struct {
+		name                         string
+		balance, limit, price, value uint64
+	}{
+		{"gas cost wraps", 0, 1 << 63, 2, 0},
+		{"value wraps", 1 << 20, 51_000, 1, 1<<64 - 30_000},
+		{"gas cost plus value carries", 0, 1 << 62, 2, 1 << 63},
+	} {
+		from := keys.GenerateDeterministic(2000 + uint64(i)).Address()
+		st.Account(from).Balance = c.balance
+		to := st.Account(ks[1].Address()).Balance
+		tx := &Transaction{From: from, To: ks[1].Address(), GasLimit: c.limit, GasPrice: c.price, Value: c.value}
+		if _, err := ApplyTx(gs, st, tx, ks[1].Address(), NopProcessor{}); !errors.Is(err, ErrInsufficient) {
+			t.Errorf("%s: want ErrInsufficient, got %v", c.name, err)
+		}
+		if st.Account(from).Balance != c.balance || st.Account(ks[1].Address()).Balance != to {
+			t.Errorf("%s: balances moved", c.name)
+		}
+	}
 }
 
 type failingProcessor struct{}
@@ -600,6 +623,25 @@ func TestBlockGasLimitEnforcedAtAssembly(t *testing.T) {
 	}
 	if err := c2.add(b2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectTxsWorstCaseFitDoesNotWrap: a gas limit that wraps the
+// running total past 2⁶⁴ does not fit, however small the wrapped sum.
+func TestSelectTxsWorstCaseFitDoesNotWrap(t *testing.T) {
+	gs := DefaultGasSchedule()
+	ks := testKeys(3)
+	st := NewState()
+	st.Account(ks[0].Address()).Balance = 1 << 40
+	st.Account(ks[1].Address()).Balance = ^uint64(0)
+	first, _ := NewTx(ks[0], 0, ks[2].Address(), 0, nil, gs, 0, 1)
+	huge := &Transaction{To: ks[2].Address(), GasLimit: 1<<64 - 10_000, GasPrice: 1}
+	if err := huge.Sign(ks[1]); err != nil {
+		t.Fatal(err)
+	}
+	included, used := SelectTxs(gs, st, ks[2].Address(), NopProcessor{}, []*Transaction{first, huge}, 1<<62)
+	if len(included) != 1 || included[0] != first || used != gs.TxBase {
+		t.Fatalf("included %d txs using %d gas, want only the first", len(included), used)
 	}
 }
 

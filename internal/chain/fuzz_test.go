@@ -85,11 +85,18 @@ func FuzzMempoolSubmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gs := DefaultGasSchedule()
 		// Admission prices every payload; the price must be the byte
-		// loop's, under the real schedule and one that wraps uint64.
+		// loop's, under the real schedule and one that wraps uint64 —
+		// from the bytes (Intrinsic) and from the memo alike.
 		wrap := GasSchedule{TxBase: ^uint64(0) - 3, PayloadZeroByte: 1<<63 + 4, PayloadNonZeroByte: ^uint64(0) / 3}
+		// Admission and execution price from the memo's zero count.
+		memo := &Transaction{Payload: data}
 		for _, s := range []GasSchedule{gs, wrap} {
-			if got, want := s.Intrinsic(data), intrinsicByteLoop(s, data); got != want {
+			want := intrinsicByteLoop(s, data)
+			if got := s.Intrinsic(data); got != want {
 				t.Fatalf("Intrinsic = %d, byte loop = %d (schedule %+v)", got, want, s)
+			}
+			if got := memo.intrinsic(s); got != want {
+				t.Fatalf("memo intrinsic = %d, byte loop = %d (schedule %+v)", got, want, s)
 			}
 		}
 		m := NewMempool(gs)

@@ -37,8 +37,13 @@ func DefaultGasSchedule() GasSchedule {
 // Intrinsic returns the gas consumed before any contract execution:
 // base cost plus calldata pricing of the payload. Zero bytes are counted
 // vectorised and priced in one multiply — the same uint64, wrap-around
-// included, as charging byte by byte (every replica prices every tx).
+// included, as charging byte by byte. Admission and execution price a
+// signed transaction from its memo's count instead (Transaction.intrinsic).
 func (gs GasSchedule) Intrinsic(payload []byte) uint64 {
-	zeros := uint64(bytes.Count(payload, []byte{0}))
-	return gs.TxBase + zeros*gs.PayloadZeroByte + (uint64(len(payload))-zeros)*gs.PayloadNonZeroByte
+	return gs.price(uint64(len(payload)), uint64(bytes.Count(payload, []byte{0})))
+}
+
+// price is the intrinsic gas of an n-byte payload holding zeros zero bytes.
+func (gs GasSchedule) price(n, zeros uint64) uint64 {
+	return gs.TxBase + zeros*gs.PayloadZeroByte + (n-zeros)*gs.PayloadNonZeroByte
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -111,7 +112,7 @@ func SelectTxs(gs GasSchedule, st *State, miner keys.Address, proc Processor, ca
 		if err := tx.ValidateBasic(gs); err != nil {
 			continue
 		}
-		if gasUsed+tx.GasLimit > gasLimit {
+		if fit, carry := bits.Add64(gasUsed, tx.GasLimit, 0); carry != 0 || fit > gasLimit {
 			continue // would not fit even in the worst case
 		}
 		rec, err := ApplyTx(gs, st, tx, miner, proc)

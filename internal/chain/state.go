@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"waitornot/internal/keys"
@@ -17,20 +18,41 @@ type Account struct {
 // State is the world state: account balances/nonces plus per-contract
 // key-value storage. It is a plain value store — copying it snapshots
 // the world, which block building (a scratch copy to select on) and
-// per-transaction revert semantics rely on.
+// per-peer read views rely on. A transaction does not copy it: while
+// ApplyTx runs a payload, each Set and each Account access (the only
+// ways a Processor writes) is journaled, and a failed execution replays
+// the journal backwards — a transaction costs its writes.
 //
 // Storage values are interned: once a []byte is stored it is treated as
-// immutable, and Copy aliases it instead of duplicating the bytes. That
-// is what keeps per-transaction revert snapshots and per-peer StateView
-// copies O(keys) instead of O(bytes) — N peer replicas of a committed
-// model record share one buffer. The aliasing contract has two rules:
-// callers of Set hand over the slice and never mutate it afterwards,
-// and callers of Get treat the result as read-only (decode, don't
-// scribble). Every writer in the tree stores freshly encoded buffers,
-// and every reader decodes.
+// immutable, and Copy (and the journal) alias it instead of duplicating
+// the bytes. That is what keeps per-peer StateView copies O(keys)
+// instead of O(bytes) — N peer replicas of a committed model record
+// share one buffer. The aliasing contract has two rules: callers of Set
+// hand over the slice and never mutate it afterwards, and callers of
+// Get treat the result as read-only (decode, don't scribble). Every
+// writer in the tree stores freshly encoded buffers, and every reader
+// decodes.
 type State struct {
 	Accounts map[keys.Address]*Account
 	Storage  map[keys.Address]map[string][]byte
+
+	// journal, non-nil only while ApplyTx executes a payload, collects
+	// the undo entries of the writes made so far.
+	journal *[]undo
+}
+
+// undo is one journal entry: replaying it puts back what one write
+// changed. An account entry has acc set (oldAcc is its value before the
+// access, unless it did not exist); a newMap entry drops the contract
+// map the write created; otherwise it restores key's old value, or its
+// absence.
+type undo struct {
+	addr            keys.Address
+	acc             *Account
+	oldAcc          Account
+	key             string
+	old             []byte
+	newMap, existed bool
 }
 
 // NewState returns an empty state.
@@ -69,6 +91,9 @@ func (s *State) Account(addr keys.Address) *Account {
 		acc = &Account{}
 		s.Accounts[addr] = acc
 	}
+	if s.journal != nil {
+		*s.journal = append(*s.journal, undo{addr: addr, acc: acc, oldAcc: *acc, existed: ok})
+	}
 	return acc
 }
 
@@ -84,7 +109,35 @@ func (s *State) Set(contract keys.Address, key string, value []byte) {
 		kv = make(map[string][]byte)
 		s.Storage[contract] = kv
 	}
+	if s.journal != nil {
+		if !ok {
+			*s.journal = append(*s.journal, undo{addr: contract, newMap: true})
+		}
+		old, existed := kv[key]
+		*s.journal = append(*s.journal, undo{addr: contract, key: key, old: old, existed: existed})
+	}
 	kv[key] = value
+}
+
+// rollback replays j backwards, undoing its writes in place: accounts
+// keep their pointers, and no key or contract map the writes created
+// survives.
+func (s *State) rollback(j []undo) {
+	for i := len(j) - 1; i >= 0; i-- {
+		u := &j[i]
+		switch {
+		case u.acc != nil && u.existed:
+			*u.acc = u.oldAcc
+		case u.acc != nil:
+			delete(s.Accounts, u.addr)
+		case u.newMap:
+			delete(s.Storage, u.addr)
+		case u.existed:
+			s.Storage[u.addr][u.key] = u.old
+		default:
+			delete(s.Storage[u.addr], u.key)
+		}
+	}
 }
 
 // Keys returns a contract's storage keys in sorted order (deterministic
@@ -152,7 +205,7 @@ var (
 // miner. It returns the receipt, or an error if the transaction is
 // inadmissible (bad nonce/funds/gas), in which case st is unchanged.
 func ApplyTx(gs GasSchedule, st *State, tx *Transaction, miner keys.Address, proc Processor) (*Receipt, error) {
-	intrinsic := gs.Intrinsic(tx.Payload)
+	intrinsic := tx.intrinsic(gs)
 	if tx.GasLimit < intrinsic {
 		return nil, fmt.Errorf("%w: intrinsic %d > limit %d", ErrGasTooLow, intrinsic, tx.GasLimit)
 	}
@@ -160,23 +213,27 @@ func ApplyTx(gs GasSchedule, st *State, tx *Transaction, miner keys.Address, pro
 	if sender.Nonce != tx.Nonce {
 		return nil, fmt.Errorf("%w: account %d, tx %d", ErrBadNonce, sender.Nonce, tx.Nonce)
 	}
-	maxCost := tx.GasLimit*tx.GasPrice + tx.Value
-	if sender.Balance < maxCost {
-		return nil, fmt.Errorf("%w: balance %d < max cost %d", ErrInsufficient, sender.Balance, maxCost)
+	// The worst case, gas limit × price + value, in full: no balance
+	// covers a cost past 2⁶⁴.
+	hi, gasCost := bits.Mul64(tx.GasLimit, tx.GasPrice)
+	maxCost, carry := bits.Add64(gasCost, tx.Value, 0)
+	if hi != 0 || carry != 0 || sender.Balance < maxCost {
+		return nil, fmt.Errorf("%w: balance %d < max cost %d×%d+%d", ErrInsufficient, sender.Balance, tx.GasLimit, tx.GasPrice, tx.Value)
 	}
 
-	// Execute the payload against a snapshot so reverts roll back.
-	snapshot := st.Copy()
+	// Execute the payload under the journal so a revert rolls it back.
+	var journal []undo
+	st.journal = &journal
 	execGas, logs, execErr := proc.Execute(tx, st)
+	st.journal = nil
 	gasUsed := intrinsic + execGas
 	if gasUsed > tx.GasLimit {
 		execErr = fmt.Errorf("%w: used %d", ErrGasLimitExceed, gasUsed)
 		gasUsed = tx.GasLimit
 	}
 	if execErr != nil {
-		// Revert all state changes; charge gas below on the snapshot.
-		*st = *snapshot
-		sender = st.Account(tx.From)
+		// Revert all state changes; charge gas below on the pre-state.
+		st.rollback(journal)
 		logs = nil
 	}
 

@@ -16,6 +16,7 @@
 package chain
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -78,12 +79,14 @@ type Transaction struct {
 
 // txMemo is the per-transaction memo: the signing digest (what the
 // sender signed), the transaction hash (digest input + signature, the
-// id everything is keyed by), the signature verdict (see
-// VerifySignature), and the payload's decoding (see Decoded).
+// id everything is keyed by), the payload's zero-byte count (what
+// intrinsic gas prices), the signature verdict (see VerifySignature),
+// and the payload's decoding (see Decoded).
 type txMemo struct {
 	owner    *Transaction
 	digest   [32]byte
 	hash     Hash
+	zeros    uint64
 	verified atomic.Bool
 	decoded  atomic.Value
 }
@@ -104,8 +107,15 @@ func (tx *Transaction) memoized() *txMemo {
 	h.Sum(m.digest[:0])
 	h.Write(tx.Sig[:])
 	h.Sum(m.hash[:0])
+	m.zeros = uint64(bytes.Count(tx.Payload, []byte{0}))
 	atomic.StorePointer(&tx.memo, unsafe.Pointer(m))
 	return m
+}
+
+// intrinsic is gs.Intrinsic(tx.Payload), priced from the memo's
+// zero-byte count (a struct copy misses and counts its own bytes).
+func (tx *Transaction) intrinsic(gs GasSchedule) uint64 {
+	return gs.price(uint64(len(tx.Payload)), tx.memoized().zeros)
 }
 
 // Decoded returns the Processor's decoding of the payload, computed by
@@ -212,7 +222,7 @@ func (tx *Transaction) ValidateBasic(gs GasSchedule) error {
 	if err := tx.VerifySignature(); err != nil {
 		return err
 	}
-	if intrinsic := gs.Intrinsic(tx.Payload); tx.GasLimit < intrinsic {
+	if intrinsic := tx.intrinsic(gs); tx.GasLimit < intrinsic {
 		return fmt.Errorf("%w: limit %d < intrinsic %d", ErrGasTooLow, tx.GasLimit, intrinsic)
 	}
 	return nil

@@ -3,6 +3,7 @@ package chain
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"testing"
 
 	"waitornot/internal/keys"
@@ -112,5 +113,51 @@ func TestVerifyOnceCacheTamperRejected(t *testing.T) {
 	}
 	if keys.PubToAddress(base.PubKey) != base.From {
 		t.Fatal("honest tx mutated by the tamper loop")
+	}
+}
+
+// TestIntrinsicMemoStructCopyPricesOwnBytes: intrinsic gas is priced
+// from the owner-checked memo, so a struct copy of a memoized
+// transaction with one payload byte flipped between zero and non-zero
+// (and re-signed, so only the price can tell) prices its own bytes in
+// both ValidateBasic and ApplyTx — never the original's count.
+func TestIntrinsicMemoStructCopyPricesOwnBytes(t *testing.T) {
+	gs := DefaultGasSchedule()
+	ks := testKeys(2)
+	step := gs.PayloadNonZeroByte - gs.PayloadZeroByte
+	for _, flip := range []struct {
+		name     string
+		from, to byte
+	}{{"zero to non-zero", 0, 7}, {"non-zero to zero", 7, 0}} {
+		// The gas limit is exactly the original's intrinsic gas.
+		orig, err := NewTx(ks[0], 0, ks[1].Address(), 0, []byte{1, flip.from, 2}, gs, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := orig.ValidateBasic(gs); err != nil { // memoizes
+			t.Fatal(err)
+		}
+		cp := *orig
+		cp.Payload = []byte{1, flip.to, 2}
+		if err := cp.Sign(ks[0]); err != nil {
+			t.Fatal(err)
+		}
+		st := NewState()
+		st.Account(ks[0].Address()).Balance = 1 << 30
+		err = cp.ValidateBasic(gs)
+		rec, applyErr := ApplyTx(gs, st, &cp, ks[1].Address(), NopProcessor{})
+		if flip.to != 0 {
+			// One more non-zero byte: the copy no longer affords its gas.
+			if !errors.Is(err, ErrGasTooLow) || !errors.Is(applyErr, ErrGasTooLow) {
+				t.Errorf("%s: ValidateBasic %v, ApplyTx %v; want ErrGasTooLow from both", flip.name, err, applyErr)
+			}
+			continue
+		}
+		if err != nil || applyErr != nil {
+			t.Fatalf("%s: ValidateBasic %v, ApplyTx %v", flip.name, err, applyErr)
+		}
+		if want := orig.GasLimit - step; rec.GasUsed != want {
+			t.Errorf("%s: copy charged %d gas, its own bytes price %d", flip.name, rec.GasUsed, want)
+		}
 	}
 }

@@ -60,7 +60,8 @@ func DecodeCall(payload []byte) (method string, args [][]byte, err error) {
 	payload = payload[mlen:]
 	argc := int(binary.LittleEndian.Uint16(payload))
 	payload = payload[2:]
-	args = make([][]byte, 0, argc)
+	// Each argument takes at least 4 bytes: cap what a hostile count reserves.
+	args = make([][]byte, 0, min(argc, len(payload)/4))
 	for i := 0; i < argc; i++ {
 		if len(payload) < 4 {
 			return "", nil, fmt.Errorf("%w: truncated arg count", ErrBadCallData)

@@ -218,6 +218,16 @@ func SubmitCallData(round, modelID, numSamples uint64, weights []byte) []byte {
 	return EncodeCall("submit", U64(round), U64(modelID), U64(numSamples), weights)
 }
 
+// SubmitCallHead is SubmitCallData up to the blob's length word, with
+// room for the blobLen bytes still to come: nn.AppendWeights onto it
+// encodes the weights straight into the calldata, with no copy.
+func SubmitCallHead(round, modelID, numSamples uint64, blobLen int) []byte {
+	head := SubmitCallData(round, modelID, numSamples, nil)
+	out := append(make([]byte, 0, len(head)+blobLen), head...)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], uint32(blobLen))
+	return out
+}
+
 // RecordCallData builds the payload for record(...).
 func RecordCallData(round uint64, combo string, resultHash chain.Hash, included uint64) []byte {
 	return EncodeCall("record", U64(round), []byte(combo), resultHash[:], U64(included))
