@@ -8,6 +8,7 @@ package waitornot_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -436,10 +437,21 @@ func TestLoadCampaignRejectsCorruptManifest(t *testing.T) {
 }
 
 // TestCampaignFormatV1Directory: a directory written before the Options
-// audit — format v1, with three more option keys in its snapshot —
-// still reads for the status view, and a resume refuses it with the
-// format message, not the fingerprint one.
+// audit — format v1, with three more option keys in its snapshot.
 func TestCampaignFormatV1Directory(t *testing.T) {
+	refuseOldFormat(t, 1, "FilterMinAccuracy", "Validators", "StalenessHalfLifeMs")
+}
+
+// TestCampaignFormatV2Directory: a directory written before a shard
+// became a block of the fleet's one world — format v2, whose sharded
+// cells trained on per-shard populations.
+func TestCampaignFormatV2Directory(t *testing.T) { refuseOldFormat(t, 2) }
+
+// refuseOldFormat rewrites a campaign directory to an older format —
+// the option keys that format had added to its snapshot — and checks it
+// still reads for the status view while a resume refuses it with the
+// format message, not the fingerprint one.
+func refuseOldFormat(t *testing.T, format int, extraKeys ...string) {
 	dir := t.TempDir()
 	interruptCampaign(t, dir, 1, 3)
 	before, err := waitornot.LoadCampaign(dir)
@@ -456,9 +468,9 @@ func TestCampaignFormatV1Directory(t *testing.T) {
 		t.Fatal(err)
 	}
 	config := m["config"].(map[string]any)
-	m["format"], config["format"] = 1, 1
+	m["format"], config["format"] = format, format
 	options := config["options"].(map[string]any)
-	for _, key := range []string{"FilterMinAccuracy", "Validators", "StalenessHalfLifeMs"} {
+	for _, key := range extraKeys {
 		options[key] = 0
 	}
 	edited, _ := json.Marshal(m)
@@ -468,13 +480,13 @@ func TestCampaignFormatV1Directory(t *testing.T) {
 
 	after, err := waitornot.LoadCampaign(dir)
 	if err != nil {
-		t.Fatalf("v1 directory unreadable: %v", err)
+		t.Fatalf("v%d directory unreadable: %v", format, err)
 	}
 	if after.Done != before.Done || after.Partial.Table() != before.Partial.Table() {
-		t.Fatalf("v1 status differs:\n%s\nwant:\n%s", after.Partial.Table(), before.Partial.Table())
+		t.Fatalf("v%d status differs:\n%s\nwant:\n%s", format, after.Partial.Table(), before.Partial.Table())
 	}
 	_, err = goldenCampaignExperiment(1).RunCampaign(context.Background(), dir)
-	if err == nil || !strings.Contains(err.Error(), "format v1, this build writes v2") {
-		t.Fatalf("v1 resume not refused by format: %v", err)
+	if want := fmt.Sprintf("format v%d, this build writes v3", format); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v%d resume not refused by format: %v", format, err)
 	}
 }

@@ -168,6 +168,8 @@ func (c config) validate() error {
 		return fmt.Errorf("-client-fraction %g outside (0, 1]", c.clientFrac)
 	case c.set["client-fraction"] && sc.Kind == waitornot.KindVanilla:
 		return fmt.Errorf("-client-fraction subsamples the decentralized engines; scenario %q is the vanilla baseline, which trains every client every round", sc.Name)
+	case c.set["client-fraction"] && sc.Kind == waitornot.KindSharded:
+		return fmt.Errorf("-client-fraction subsamples the flat engines; scenario %q is a sharded hierarchy, whose shards run fixed blocks of the fleet", sc.Name)
 	case c.set["time-budget-ms"] && (c.timeBudget < 0 || sc.Kind != waitornot.KindAsync):
 		return fmt.Errorf("-time-budget-ms wants a horizon >= 0 on an async scenario; got %g on %q (%s)", c.timeBudget, sc.Name, sc.Kind)
 	case c.sweepFlags() && sc.Kind == waitornot.KindVanilla:

@@ -47,6 +47,7 @@ func TestValidate(t *testing.T) {
 		{"bad model", config{scenario: "paper-repro", model: "both", set: set("model")}, `unknown -model "both"`},
 		{"client fraction out of range", config{scenario: "paper-repro", clientFrac: 1.5, set: set("client-fraction")}, "outside (0, 1]"},
 		{"client fraction on the vanilla baseline", config{scenario: "vanilla-baseline", clientFrac: 0.5, set: set("client-fraction")}, "vanilla baseline"},
+		{"client fraction on a sharded hierarchy", config{scenario: "sharded-async-merge", clientFrac: 0.5, set: set("client-fraction")}, "sharded hierarchy"},
 		{"negative time budget", config{scenario: "async-free-run", timeBudget: -1, set: set("time-budget-ms")}, "-time-budget-ms"},
 		{"time budget on a barriered scenario", config{scenario: "paper-repro", timeBudget: 500, set: set("time-budget-ms")}, "async scenario"},
 		{"negative replications", config{scenario: "stragglers", replications: -1}, "-replications -1"},

@@ -241,7 +241,7 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	case KindAsync:
 		res.Async, err = runAsyncExperiment(ctx, opts, sink, nil)
 	case KindSharded:
-		res.Sharded, err = runShardedExperiment(ctx, opts, e.sc.Policies, sink)
+		res.Sharded, err = runShardedExperiment(ctx, opts, e.sc.Policies, sink, nil)
 	default:
 		err = fmt.Errorf("waitornot: unknown experiment kind %v", e.sc.Kind)
 	}

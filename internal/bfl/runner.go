@@ -131,7 +131,8 @@ type Config struct {
 	Events event.Sink `json:"-"`
 	// World, when non-nil, is the NewWorld the run reads its data and
 	// initial weights from, bit-identical to building its own (so a
-	// sweep builds one per seed). Excluded from serialization.
+	// sweep builds one per seed), or a shard's Block of one. Excluded
+	// from serialization.
 	World *World `json:"-"`
 }
 
@@ -474,7 +475,7 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := cfg.world()
+	w, err := cfg.ResolveWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -570,7 +571,7 @@ func (e *engine) setup() error {
 	// (maxSubsampleCombo) and keeps no pools.
 	comboWorkers := 0
 	if !subsampled {
-		comboWorkers = min(workers, len(fl.PaperCombos(cfg.Peers, 0)))
+		comboWorkers = min(workers, len(fl.PaperCombos(len(active), 0)))
 	}
 	peers := make([]*peerState, len(active))
 	if err := par.ForEach(workers, len(active), func(s int) error {
@@ -639,7 +640,6 @@ func (e *engine) setup() error {
 // newResult builds the per-peer result scaffolding (names, combo row
 // labels, empty round slices) for an assembled engine.
 func (e *engine) newResult() *Result {
-	cfg := e.cfg
 	n := len(e.peers)
 	res := &Result{
 		PeerNames:     make([]string, n),
@@ -658,7 +658,7 @@ func (e *engine) newResult() *Result {
 		return res
 	}
 	for i := range e.peers {
-		for _, combo := range fl.PaperCombos(cfg.Peers, i) {
+		for _, combo := range fl.PaperCombos(n, i) {
 			res.ComboLabels[i] = append(res.ComboLabels[i], combo.Label(names))
 		}
 	}
@@ -792,7 +792,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		// verification (which can exclude a peer's update from
 		// onChain), so every labeled row stays defined each round.
 		if cfg.EvalAllCombos {
-			results, err := fl.EvaluateCombosWith(updates, fl.PaperCombos(cfg.Peers, i), p.testEvals, p.testAvgs)
+			results, err := fl.EvaluateCombosWith(updates, fl.PaperCombos(len(e.peers), i), p.testEvals, p.testAvgs)
 			if err != nil {
 				return err
 			}

@@ -48,7 +48,7 @@ func RunVanilla(ctx context.Context, cfg Config) (*VanillaResult, error) {
 	if cfg.ClientFraction > 0 {
 		return nil, fmt.Errorf("bfl: the vanilla baseline trains every client every round; ClientFraction %g subsamples only the decentralized engines", cfg.ClientFraction)
 	}
-	w, err := cfg.world()
+	w, err := cfg.ResolveWorld()
 	if err != nil {
 		return nil, err
 	}

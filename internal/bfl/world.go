@@ -28,14 +28,14 @@ type World struct {
 	heldOut          *dataset.Set
 }
 
-// world is the defaulted configuration's World: its own, or the one it
+// ResolveWorld is the World a run of c reads: its own, or the one it
 // was handed unless that was built with another value of a field a
 // World is a function of (the list below).
-func (c Config) world() (*World, error) {
+func (c Config) ResolveWorld() (*World, error) {
 	if c.World == nil {
 		return NewWorld(c)
 	}
-	a, b := reflect.ValueOf(c.World.cfg), reflect.ValueOf(c)
+	a, b := reflect.ValueOf(c.World.cfg), reflect.ValueOf(c.withDefaults())
 	for _, f := range []string{"Seed", "Model", "Peers", "Rounds", "TrainPerPeer", "SelectionSize",
 		"TestPerPeer", "DirichletAlpha", "Pretrain", "PoisonPeer", "PoisonFrac", "ClientFraction"} {
 		if x, y := a.FieldByName(f).Interface(), b.FieldByName(f).Interface(); x != y {
@@ -99,6 +99,18 @@ func NewWorld(cfg Config) (*World, error) {
 	w.initial = initModel.WeightVector()
 	return w, nil
 }
+
+// Block is the view of slots [lo, hi) of an unsubsampled world — their
+// fleet indices and data sets — sharing its initial weights. A run handed
+// one builds only those peers, each keyed, named and seeded by fleet index.
+func (w *World) Block(lo, hi int) *World {
+	return &World{cfg: w.cfg, active: w.active[lo:hi], train: w.train[lo:hi],
+		sel: w.sel[lo:hi], test: w.test[lo:hi], initial: w.initial}
+}
+
+// Initial is the world's initial weight vector, shared: callers must
+// not mutate it.
+func (w *World) Initial() []float32 { return w.initial }
 
 // heldOutSet is the world's held-out set of SelectionSize samples,
 // drawn on first use under the "ledger-verify" label: only pbft's model

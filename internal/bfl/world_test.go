@@ -167,3 +167,29 @@ func TestWorldSharedAcrossEngines(t *testing.T) {
 		}
 	}
 }
+
+// TestWorldBlock: blocks are views, not copies — side by side they are
+// the world's fleet indices and data sets, and each shares its initial
+// weights.
+func TestWorldBlock(t *testing.T) {
+	w, err := NewWorld(worldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got World
+	for _, b := range []*World{w.Block(0, 1), w.Block(1, 3)} {
+		got.active = append(got.active, b.active...)
+		got.train, got.sel, got.test = append(got.train, b.train...), append(got.sel, b.sel...), append(got.test, b.test...)
+		if &b.Initial()[0] != &w.initial[0] {
+			t.Fatal("a block copied the initial weights")
+		}
+	}
+	if !reflect.DeepEqual(got.active, w.active) {
+		t.Fatalf("blocks [0,1) and [1,3) hold fleet indices %v, want %v", got.active, w.active)
+	}
+	for s := range w.active {
+		if got.train[s] != w.train[s] || got.sel[s] != w.sel[s] || got.test[s] != w.test[s] {
+			t.Fatalf("slot %d's sets were copied or moved", s)
+		}
+	}
+}

@@ -40,9 +40,10 @@ import (
 )
 
 // FormatVersion is the on-disk format this package reads and writes.
-// Bump it on any incompatible change to the manifest or record schema;
-// a resume rejects mismatches.
-const FormatVersion = 2
+// Bump it on any incompatible change to the manifest or record schema,
+// or to what a configuration computes (v3: a sharded cell's shards
+// split one world); a resume rejects mismatches.
+const FormatVersion = 3
 
 // manifestName and logName are the two files of a campaign directory.
 const (

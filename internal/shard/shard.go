@@ -1,9 +1,11 @@
 // Package shard implements the sharded multi-aggregator hierarchy: the
-// peer fleet is partitioned into contiguous shards, each running its
-// own barriered aggregation loop (bfl.RoundEngine) against its own
-// ledger backend with its own wait policy and commit cadence, and a
-// cross-shard merge stage periodically folds the shard models into one
-// global model.
+// fleet's one bfl.World is partitioned into contiguous blocks of peers,
+// each shard running its own barriered aggregation loop
+// (bfl.RoundEngine) over its block against its own ledger backend with
+// its own wait policy and commit cadence, and a cross-shard merge stage
+// periodically folds the shard models into one global model. Every
+// shard count splits the same population, so shard-count cells of one
+// seed differ in topology only.
 //
 // # One clock, many ledgers
 //
@@ -51,7 +53,6 @@ import (
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
 	"waitornot/internal/ledger"
-	"waitornot/internal/nn"
 	"waitornot/internal/simnet"
 	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
@@ -79,10 +80,11 @@ func (m MergeMode) String() string {
 
 // Config parameterizes a sharded hierarchy run.
 type Config struct {
-	// Base is the fleet-level experiment configuration: Base.Peers is
-	// the TOTAL fleet size, partitioned contiguously across shards
-	// (shard i gets peers [offset, offset+size)); Base.StragglerFactor
-	// and Base.PoisonPeer are indexed fleet-wide and sliced per shard.
+	// Base is the fleet-level experiment configuration, and every
+	// shard's: Base.Peers is the TOTAL fleet size, and each shard runs
+	// a contiguous block [lo, hi) of the world Base describes (or of
+	// Base.World, when set). Peer names, keys, training streams,
+	// Base.StragglerFactor and Base.PoisonPeer stay indexed fleet-wide.
 	Base bfl.Config
 	// Shards is the number of shards (default 2). Every shard needs at
 	// least 2 peers.
@@ -124,12 +126,14 @@ func (c Config) withDefaults() Config {
 // fleet is the total peer count the hierarchy partitions.
 func (c Config) fleet() int { return cmp.Or(c.Base.Peers, bfl.DefaultPeers) }
 
-// Validate rejects impossible hierarchies (fleet-level checks; each
-// shard's sliced configuration is validated again at engine assembly).
+// Validate rejects impossible hierarchies.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if err := c.Base.Validate(); err != nil {
 		return err
+	}
+	if c.Base.ClientFraction > 0 {
+		return fmt.Errorf("shard: a shard runs a fixed block of the fleet; ClientFraction %g subsamples only the flat engines", c.Base.ClientFraction)
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: need at least 1 shard, got %d", c.Shards)
@@ -172,14 +176,12 @@ func partitionSizes(n, s int) []int {
 	return sizes
 }
 
-// shardConfig slices the fleet configuration down to shard i's block.
-// With a single shard the fleet config passes through untouched (same
-// seed, same streams) — that is what makes S=1 bit-identical to the
-// flat runner.
-func (c Config) shardConfig(i, offset, size int, seed uint64) bfl.Config {
+// shardConfig is shard i's engine configuration: the fleet's, over its
+// block view of the world. A single shard's block is the whole world —
+// that is what makes S=1 bit-identical to the flat runner.
+func (c Config) shardConfig(i int, view *bfl.World) bfl.Config {
 	sc := c.Base
-	sc.Peers = size
-	sc.Seed = seed
+	sc.World = view
 	sc.Events = nil // shard-level events tell the story; inner rounds are silent
 	sc.EvalAllCombos = false
 	switch len(c.Backends) {
@@ -188,17 +190,6 @@ func (c Config) shardConfig(i, offset, size int, seed uint64) bfl.Config {
 	case 0:
 	default:
 		sc.Backend = c.Backends[i]
-	}
-	if c.Base.StragglerFactor != nil {
-		sc.StragglerFactor = append([]float64(nil), c.Base.StragglerFactor[offset:offset+size]...)
-	}
-	if c.Base.PoisonPeer >= 0 {
-		if c.Base.PoisonPeer >= offset && c.Base.PoisonPeer < offset+size {
-			sc.PoisonPeer = c.Base.PoisonPeer - offset
-		} else {
-			sc.PoisonPeer = -1
-			sc.PoisonFrac = 0
-		}
 	}
 	return sc
 }
@@ -212,7 +203,9 @@ type ShardResult struct {
 	Index   int
 	Peers   int
 	Backend string
-	Seed    uint64
+	// Seed is the fleet seed, the same for every shard: a shard is a
+	// block of the one world that seed builds.
+	Seed uint64
 	// Samples is the shard's summed training-shard size — its FedAvg
 	// weight in every cross-shard merge.
 	Samples int
@@ -263,7 +256,6 @@ type shardRun struct {
 	// model until the first epoch closes).
 	model   []float32
 	modelVc float64
-	samples int
 
 	// ready marks a sync-mode shard parked at the barrier.
 	ready bool
@@ -295,7 +287,8 @@ type orchestrator struct {
 	mergeCount int // sync barrier counter
 }
 
-// Run executes the sharded hierarchy to completion.
+// Run executes the sharded hierarchy to completion, over
+// cfg.Base.World when one is set.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -326,77 +319,58 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
-	o := &orchestrator{
-		cfg:    cfg,
-		ctx:    ctx,
-		clock:  vclock.New(),
-		sink:   cfg.Events,
-		ladder: cfg.Policies,
-		res:    &Result{},
+	// One world at the fleet seed (checked against Base before any block
+	// is cut from it), and one engine per contiguous block of it.
+	world, err := cfg.Base.ResolveWorld()
+	if err != nil {
+		return nil, err
 	}
-
-	// Assemble the shard engines over the contiguous partition. A lone
-	// shard inherits the fleet seed unchanged (flat equivalence);
-	// otherwise each shard trains on its own derived stream.
-	root := xrand.New(cfg.Base.Seed)
-	sizes := partitionSizes(cfg.fleet(), cfg.Shards)
-	offset := 0
-	for i, size := range sizes {
-		seed := cfg.Base.Seed
-		if cfg.Shards > 1 {
-			seed = root.Derive(fmt.Sprintf("shard-%d", i)).Uint64()
-		}
-		sc := cfg.shardConfig(i, offset, size, seed)
-		eng, err := bfl.NewRoundEngine(sc)
+	o := &orchestrator{
+		cfg:     cfg,
+		ctx:     ctx,
+		clock:   vclock.New(),
+		sink:    cfg.Events,
+		initial: world.Initial(),
+		ladder:  cfg.Policies,
+		res:     &Result{},
+	}
+	root, lo := xrand.New(cfg.Base.Seed), 0
+	for i, size := range partitionSizes(cfg.fleet(), cfg.Shards) {
+		eng, err := bfl.NewRoundEngine(cfg.shardConfig(i, world.Block(lo, lo+size)))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s := &shardRun{
-			idx:  i,
-			eng:  eng,
-			step: eng.CommitStepMs(),
+			idx:    i,
+			eng:    eng,
+			step:   eng.CommitStepMs(),
+			lastTs: eng.CommitStepMs(), // registration commits at one step
+			policy: eng.Config().Policy.Name(),
 			result: &ShardResult{
 				Index:   i,
 				Peers:   size,
 				Backend: eng.BackendName(),
-				Seed:    seed,
+				Seed:    cfg.Base.Seed,
+				Samples: eng.TotalSamples(),
 			},
-			samples: eng.TotalSamples(),
 		}
-		s.lastTs = s.step // registration commits at one step
-		s.result.Samples = s.samples
-		s.policy = eng.Config().Policy.Name()
 		o.shards = append(o.shards, s)
-		offset += size
+		lo += size
 	}
-	o.rounds = o.shards[0].eng.Config().Rounds
 
-	// Shared starting point and held-out global evaluation set, both on
-	// streams derived from the fleet seed. The init/pretrain labels
-	// reproduce the flat runner's initial model exactly, so pushing it
-	// down is a no-op for a single shard; the eval label is unused
-	// elsewhere, so building the set perturbs nothing.
+	// The global evaluation set is drawn on its own label of the fleet
+	// seed, used nowhere else, so building it perturbs nothing.
 	defaulted := o.shards[0].eng.Config()
-	initModel := defaulted.Model.Build(root.Derive("init"))
-	if defaulted.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, dataset.DefaultConfig(), defaulted.Pretrain, defaulted.Parallelism, root.Derive("pretrain"))
-	}
-	o.initial = initModel.WeightVector()
+	o.rounds = defaulted.Rounds
 	evalSet := dataset.GenerateSets(defaulted.Parallelism, dataset.DefaultConfig(),
 		[]dataset.Draw{{N: defaulted.TestPerPeer, RNG: root.Derive("shard-global-eval")}})[0]
 	o.eval = fl.NewAccuracyEvaluator(defaulted.Model, evalSet)
 	o.res.InitialAccuracy = o.eval(o.initial)
 
-	for _, s := range o.shards {
-		if err := s.eng.AdoptAll(o.initial); err != nil {
-			return nil, err
-		}
-		s.prevAcc = o.res.InitialAccuracy
-	}
-
 	// Staleness half-life for async merges: the fleet-mean merge-epoch
 	// span (cadence x one round's two commits).
 	for _, s := range o.shards {
+		s.prevAcc = o.res.InitialAccuracy
 		o.halfLife += float64(cfg.MergeEvery) * 2 * s.step
 	}
 	o.halfLife /= float64(len(o.shards))
@@ -408,8 +382,6 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 		for _, s := range o.shards {
 			rng := root.Derive(fmt.Sprintf("bandit-%d", s.idx))
 			o.bandits = append(o.bandits, newBandit(len(o.ladder), epsilon, rng))
-		}
-		for _, s := range o.shards {
 			o.nextArm(s)
 		}
 	} else {
@@ -481,7 +453,7 @@ func (o *orchestrator) epochEnd(s *shardRun, now float64) error {
 		Epoch:     s.epoch,
 		Round:     s.rounds,
 		Policy:    s.policy,
-		Samples:   s.samples,
+		Samples:   s.result.Samples,
 		Accuracy:  acc,
 		VirtualMs: now,
 		CumWaitMs: s.cumWait,
@@ -544,7 +516,7 @@ func (o *orchestrator) syncMerge(s *shardRun, now float64) error {
 	}
 	updates := make([]*fl.Update, len(o.shards))
 	for i, sh := range o.shards {
-		updates[i] = &fl.Update{Client: fmt.Sprintf("shard-%d", i), Weights: sh.model, NumSamples: sh.samples}
+		updates[i] = &fl.Update{Client: fmt.Sprintf("shard-%d", i), Weights: sh.model, NumSamples: sh.result.Samples}
 	}
 	global, err := fl.FedAvg(updates)
 	if err != nil {
@@ -587,7 +559,7 @@ func (o *orchestrator) asyncMerge(s *shardRun, now float64) error {
 		} else {
 			published++
 		}
-		updates = append(updates, &fl.Update{Client: fmt.Sprintf("shard-%d", i), Weights: w, NumSamples: sh.samples})
+		updates = append(updates, &fl.Update{Client: fmt.Sprintf("shard-%d", i), Weights: w, NumSamples: sh.result.Samples})
 		ages = append(ages, now-at)
 	}
 	coef := fl.StalenessWeights(updates, ages, o.halfLife)

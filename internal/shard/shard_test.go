@@ -3,12 +3,16 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"waitornot/internal/bfl"
 	"waitornot/internal/core"
 	"waitornot/internal/event"
+	"waitornot/internal/fl"
 	"waitornot/internal/xrand"
 )
 
@@ -42,36 +46,184 @@ func TestPartitionSizes(t *testing.T) {
 	}
 }
 
+// roundOne runs shard i's engine for one round over view, returning
+// its peers' training events and adopted models.
+func roundOne(t *testing.T, cfg Config, i int, view *bfl.World) ([]event.PeerTrained, []*fl.Update) {
+	t.Helper()
+	sc := cfg.shardConfig(i, view)
+	var trained []event.PeerTrained
+	sc.Events = func(ev event.Event) {
+		if pt, ok := ev.(event.PeerTrained); ok {
+			trained = append(trained, pt)
+		}
+	}
+	eng, err := bfl.NewRoundEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := eng.CommitStepMs()
+	if err := eng.RegisterAt(step); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunRoundAt(context.Background(), 1, 2*step, 3*step); err != nil {
+		t.Fatal(err)
+	}
+	return trained, eng.Updates()
+}
+
+// TestShardConfigSlicing: a shard's configuration is the fleet's over
+// its block — its own backend, silenced inner events and combos — and
+// everything per-peer stays fleet-indexed: shard 1 runs fleet peers 2
+// and 3 (C and D) at straggler factors 3 and 4, and fleet poison peer 2's
+// label flip lands in shard 1's block only.
 func TestShardConfigSlicing(t *testing.T) {
 	base := tinyBase()
 	base.StragglerFactor = []float64{1, 2, 3, 4}
 	base.PoisonPeer = 2
 	base.PoisonFrac = 0.5
 	cfg := Config{Base: base, Shards: 2, Backends: []string{"instant", "poa"}}
-
-	s0 := cfg.shardConfig(0, 0, 2, 11)
-	if s0.Peers != 2 || s0.Seed != 11 || s0.Backend != "instant" {
-		t.Fatalf("shard 0 config: %+v", s0)
+	clean := cfg
+	clean.Base.PoisonPeer, clean.Base.PoisonFrac = -1, 0
+	world, err := bfl.NewWorld(base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s0.StragglerFactor, []float64{1, 2}) {
-		t.Errorf("shard 0 stragglers = %v", s0.StragglerFactor)
-	}
-	if s0.PoisonPeer != -1 || s0.PoisonFrac != 0 {
-		t.Errorf("poison leaked into shard 0: peer=%d frac=%g", s0.PoisonPeer, s0.PoisonFrac)
-	}
-	if s0.EvalAllCombos || s0.Events != nil {
-		t.Error("shard config must silence combos and inner events")
+	cleanWorld, err := bfl.NewWorld(clean.Base)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	s1 := cfg.shardConfig(1, 2, 2, 13)
-	if s1.Backend != "poa" {
-		t.Errorf("shard 1 backend = %q", s1.Backend)
+	for i, backend := range []string{"instant", "poa"} {
+		view := world.Block(2*i, 2*i+2)
+		sc := cfg.shardConfig(i, view)
+		if sc.Backend != backend || sc.World != view || sc.Peers != 4 || sc.Seed != 7 {
+			t.Fatalf("shard %d config: backend %q peers %d seed %d", i, sc.Backend, sc.Peers, sc.Seed)
+		}
+		if sc.EvalAllCombos || sc.Events != nil {
+			t.Error("shard config must silence combos and inner events")
+		}
+		trained, poisoned := roundOne(t, cfg, i, view)
+		_, unpoisoned := roundOne(t, clean, i, cleanWorld.Block(2*i, 2*i+2))
+		for k, pt := range trained {
+			gi := 2*i + k
+			if want := fl.ClientName(gi); pt.Peer != want || poisoned[k].Client != want {
+				t.Fatalf("shard %d slot %d runs %q, want %q", i, k, pt.Peer, want)
+			}
+			// SimMs is samples x epochs x per-sample cost x the peer's
+			// straggler factor; the first three are the same per sample.
+			unit := trained[0].SimMs / float64(trained[0].Samples) / base.StragglerFactor[2*i]
+			if got := pt.SimMs / float64(pt.Samples) / base.StragglerFactor[gi]; math.Abs(got-unit) > 1e-12*unit {
+				t.Errorf("%s trains at %g ms per sample-factor, want %g", pt.Peer, got, unit)
+			}
+			// C trains on flipped labels; D's model may mix C's update
+			// in, and shard 0 must not see the poison at all.
+			moved := !reflect.DeepEqual(poisoned[k].Weights, unpoisoned[k].Weights)
+			if (gi == 2 && !moved) || (i == 0 && moved) {
+				t.Errorf("%s: poison moved its model = %v", pt.Peer, moved)
+			}
+		}
 	}
-	if !reflect.DeepEqual(s1.StragglerFactor, []float64{3, 4}) {
-		t.Errorf("shard 1 stragglers = %v", s1.StragglerFactor)
+}
+
+// TestShardsSplitOnePopulation is the hierarchy's invariant: at one
+// seed, whatever the shard count, the shards' peers in shard order are
+// the flat fleet's peers, each with its training set, and a shard at
+// S=2 holds exactly the samples of the two S=4 shards it splits into.
+func TestShardsSplitOnePopulation(t *testing.T) {
+	base := tinyBase()
+	base.Peers = 8
+	base.DirichletAlpha = 0.5
+	flat, err := bfl.NewRoundEngine(base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s1.PoisonPeer != 0 || s1.PoisonFrac != 0.5 {
-		t.Errorf("fleet poison peer 2 should map to shard-local 0: peer=%d frac=%g", s1.PoisonPeer, s1.PoisonFrac)
+	samples := map[int][]int{}
+	for _, shards := range []int{1, 2, 4} {
+		o, err := newOrchestrator(context.Background(), Config{Base: base, Shards: shards}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peers []string
+		var sizes []int
+		for _, s := range o.shards {
+			for _, u := range s.eng.Updates() {
+				peers, sizes = append(peers, u.Client), append(sizes, u.NumSamples)
+			}
+			samples[shards] = append(samples[shards], s.result.Samples)
+		}
+		var wantPeers []string
+		var wantSizes []int
+		for _, u := range flat.Updates() {
+			wantPeers, wantSizes = append(wantPeers, u.Client), append(wantSizes, u.NumSamples)
+		}
+		if !reflect.DeepEqual(peers, wantPeers) || !reflect.DeepEqual(sizes, wantSizes) {
+			t.Fatalf("S=%d: peers %v with %v samples, want %v with %v", shards, peers, sizes, wantPeers, wantSizes)
+		}
+	}
+	for i, n := range samples[2] {
+		if want := samples[4][2*i] + samples[4][2*i+1]; n != want {
+			t.Errorf("S=2 shard %d holds %d samples, want S=4 shards %d+%d = %d", i, n, 2*i, 2*i+1, want)
+		}
+	}
+}
+
+// TestRunsShareOneWorld: a sharded run only reads the world it is
+// handed, so S=2 and S=4 can run on one world at once, and each equals
+// the run that builds its own.
+func TestRunsShareOneWorld(t *testing.T) {
+	base := tinyBase()
+	base.Peers = 8
+	base.Parallelism = 4
+	world, err := bfl.NewWorld(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []int{2, 4}
+	got, errs := make([]*Result, len(counts)), make([]error, len(counts))
+	var wg sync.WaitGroup
+	for i, shards := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := Config{Base: base, Shards: shards}
+			cfg.Base.World = world
+			got[i], errs[i] = Run(context.Background(), cfg)
+		}()
+	}
+	wg.Wait()
+	for i, shards := range counts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := Run(context.Background(), Config{Base: base, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("S=%d on a shared world differs from its own-world run", shards)
+		}
+	}
+}
+
+// TestMismatchedWorldIsAnError: a world built for another fleet is
+// refused by name before any block is cut from it.
+func TestMismatchedWorldIsAnError(t *testing.T) {
+	for field, mut := range map[string]func(*bfl.Config){
+		"Peers": func(c *bfl.Config) { c.Peers = 6 },
+		"Seed":  func(c *bfl.Config) { c.Seed = 8 },
+	} {
+		other := tinyBase()
+		mut(&other)
+		world, err := bfl.NewWorld(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := tinyBase()
+		base.Peers = 8
+		base.World = world
+		if _, err := Run(context.Background(), Config{Base: base, Shards: 4}); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("world built for another %s: err = %v", field, err)
+		}
 	}
 }
 
@@ -85,6 +237,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad mode", func(c *Config) { c.Mode = MergeMode(9) }},
 		{"negative cadence", func(c *Config) { c.MergeEvery = -1 }},
 		{"adaptive without ladder", func(c *Config) { c.Adaptive = true }},
+		{"client fraction", func(c *Config) { c.Base.ClientFraction = 0.5 }},
 	}
 	for _, tc := range cases {
 		cfg := Config{Base: tinyBase(), Shards: 2}

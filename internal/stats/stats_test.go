@@ -9,6 +9,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"waitornot/internal/xrand"
 )
 
 // twoPass computes mean and sample standard deviation the classic way,
@@ -76,7 +78,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 // TestCIWidthShrinksMonotonically: replicating observations with a
 // fixed spread (alternating ±1 around the mean keeps the sample std
 // pinned near 1), the 95% CI half-width after each pair is exactly
-// z/sqrt(2k-1) — strictly decreasing in the replication count.
+// t(2k-1)/sqrt(2k-1) — strictly decreasing in the replication count.
 func TestCIWidthShrinksMonotonically(t *testing.T) {
 	var w Welford
 	prev := math.Inf(1)
@@ -90,11 +92,50 @@ func TestCIWidthShrinksMonotonically(t *testing.T) {
 		if ci >= prev {
 			t.Fatalf("k=%d: CI95 %v did not shrink from %v", k, ci, prev)
 		}
-		want := z95 / math.Sqrt(float64(2*k-1))
+		want := t975(2*k-1) / math.Sqrt(float64(2*k-1))
 		if !close10(ci, want) {
-			t.Fatalf("k=%d: CI95 = %v, want z/sqrt(2k-1) = %v", k, ci, want)
+			t.Fatalf("k=%d: CI95 = %v, want t(2k-1)/sqrt(2k-1) = %v", k, ci, want)
 		}
 		prev = ci
+	}
+}
+
+// TestT975MatchesTables: the quantile is exact at one and two degrees
+// of freedom and within 0.12% of the tabulated values from three on.
+func TestT975MatchesTables(t *testing.T) {
+	for nu, want := range map[int]float64{
+		1: 12.706204736174698, 2: 4.302652729749464, 3: 3.182446305284263, 4: 2.776445105197799,
+		5: 2.570581835636314, 9: 2.262157162798205, 29: 2.045229642132703,
+	} {
+		tol := 1e-12
+		if nu >= 3 {
+			tol = 1.21e-3
+		}
+		if got := t975(nu); math.Abs(got-want) > tol*want {
+			t.Errorf("t975(%d) = %.6f, want %.6f", nu, got, want)
+		}
+	}
+}
+
+// TestCICoverage: for normal samples of n = 3, 5 and 10, the 95%
+// interval covers the true mean in 95% ± 1% of 20,000 cells.
+func TestCICoverage(t *testing.T) {
+	rng := xrand.New(11)
+	for _, n := range []int{3, 5, 10} {
+		const cells = 20000
+		covered := 0
+		for c := 0; c < cells; c++ {
+			var w Welford
+			for i := 0; i < n; i++ {
+				w.Add(rng.NormFloat64())
+			}
+			if s := w.Summary(); math.Abs(s.Mean) <= s.CI95 {
+				covered++
+			}
+		}
+		if got := float64(covered) / cells; math.Abs(got-0.95) > 0.01 {
+			t.Errorf("n=%d: 95%% interval covered %.4f of %d cells", n, got, cells)
+		}
 	}
 }
 

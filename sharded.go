@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"waitornot/internal/bfl"
 	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/metrics"
@@ -33,8 +34,9 @@ const (
 type ShardRoundInfo = shard.RoundAgg
 
 // ShardSummary is one shard's complete record — the engine's own: its
-// slice of the fleet (Index, Peers, Seed; Samples is its summed
-// training-set size, its FedAvg weight in every cross-shard merge), its
+// block of the fleet's one world (Index, Peers; Seed is the fleet
+// seed; Samples is its summed training-set size, its FedAvg weight in
+// every cross-shard merge), its
 // ledger (Backend, Chain), its Rounds, the wait policy of each merge
 // epoch (Policies; one entry when the adaptive controller is off), its
 // last published model's FinalAccuracy on the held-out global
@@ -85,10 +87,10 @@ func (o Options) sharded(policies []Policy) shard.Config {
 }
 
 // runShardedExperiment is the engine-facing sharded runner behind
-// Experiment.Run.
-func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, sink event.Sink) (*ShardedReport, error) {
+// Experiment.Run; a non-nil world is the fleet's bfl.Config.World.
+func runShardedExperiment(ctx context.Context, opts Options, policies []Policy, sink event.Sink, world *bfl.World) (*ShardedReport, error) {
 	cfg := opts.sharded(policies)
-	cfg.Events = sink
+	cfg.Events, cfg.Base.World = sink, world
 	res, err := shard.Run(ctx, cfg)
 	return (*ShardedReport)(res), err
 }

@@ -266,6 +266,7 @@ func TestShardedOptionsValidate(t *testing.T) {
 		{"per-shard backends", func(o *waitornot.Options) { o.ShardBackends = []string{"poa", "instant"} }, true},
 		{"negative cadence", func(o *waitornot.Options) { o.MergeCadence = -1 }, false},
 		{"unknown merge mode", func(o *waitornot.Options) { o.MergeMode = waitornot.MergeMode(9) }, false},
+		{"client fraction", func(o *waitornot.Options) { o.ClientFraction = 0.5 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -207,8 +207,9 @@ type sweepPlan struct {
 
 	// worlds[k], while runAll runs, holds Seeds[k]'s shared bfl.World,
 	// built by the seed's first cell from its options (a seed's cells
-	// differ only in policy and backend, which no world depends on) and
-	// dropped when its last cell lands; none for KindSharded.
+	// differ only in policy, backend, shard count and merge cadence,
+	// which no world depends on: a shard runs a block of it) and
+	// dropped when its last cell lands.
 	worlds []seedWorld
 }
 
@@ -365,33 +366,27 @@ func (p *sweepPlan) options(seed uint64, backend string, v sweepVariant) Options
 func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 	seed, b, v := p.cell(i)
 	o := p.options(seed, b, v)
+	sw := &p.worlds[i/p.cells()]
+	sw.once.Do(func() {
+		// The seed's other cells wait on this Once, so the build takes
+		// the plan's whole worker budget, not one cell's.
+		c := o.decentralized()
+		c.Parallelism = p.workers
+		sw.world, sw.err = bfl.NewWorld(c)
+	})
+	w, err := sw.world, sw.err // the seed's, shared
 	// Every report type exposes the same headline reduction; only
 	// the runner differs per kind.
-	var (
-		rep interface {
-			Headline() (float64, float64, float64)
-			TimeToAccuracyMs(float64) float64
-		}
-		w   *bfl.World // the seed's, shared; nil for KindSharded
-		err error
-	)
-	if p.Kind != KindSharded.String() {
-		sw := &p.worlds[i/p.cells()]
-		sw.once.Do(func() {
-			// The seed's other cells wait on this Once, so the build
-			// takes the plan's whole worker budget, not one cell's.
-			c := o.decentralized()
-			c.Parallelism = p.workers
-			sw.world, sw.err = bfl.NewWorld(c)
-		})
-		w, err = sw.world, sw.err
+	var rep interface {
+		Headline() (float64, float64, float64)
+		TimeToAccuracyMs(float64) float64
 	}
 	switch {
 	case err != nil:
 	case p.Kind == KindAsync.String():
 		rep, err = runAsyncExperiment(ctx, o, nil, w)
 	case p.Kind == KindSharded.String():
-		rep, err = runShardedExperiment(ctx, o, p.Ladder, nil)
+		rep, err = runShardedExperiment(ctx, o, p.Ladder, nil, w)
 	default:
 		rep, err = runDecentralizedExperiment(ctx, o, nil, w)
 	}
