@@ -361,10 +361,10 @@ func BenchmarkWeightCodec(b *testing.B) {
 // BenchmarkLedgerHotPath pins the ledger hot path at model scale with
 // allocations visible: 8 peers each submit a real aggregation-contract
 // model payload (a SimpleNN-sized weight blob in contract.Submit call
-// data), the round leader seals, and every peer's committed view is
-// snapshotted and read back. The timer covers gossip validation,
-// sealing, per-peer contract execution, and the StateView copies — the
-// path the verify-once signature verdict, memoized tx digests, and
+// data), the round leader seals, and every peer reads the committed
+// view back. The timer covers mempool admission, sealing, contract
+// execution, and the state copies a commit makes — the path the
+// verify-once signature verdict, memoized tx digests, and
 // storage-value interning serve. Encoding and signing stay outside the
 // timer (client cost; BenchmarkWeightCodec pins the encode path).
 // allocs/op is part of the pin: losing the interned state copies shows

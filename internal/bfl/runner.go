@@ -21,9 +21,9 @@ package bfl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"waitornot/internal/chain"
@@ -449,21 +449,18 @@ type engine struct {
 	// everyone is every slot index, ascending: the participant set of a
 	// round with no schedule (World.participants).
 	everyone []int
-	// txIdx[peer] incrementally indexes that peer's committed-tx view by
-	// hash, so each transaction is hashed once per view instead of once
-	// per round. Slot-addressed: the decide pool touches only its own
-	// peer's entry.
-	txIdx []txIndex
+	// txIdx incrementally indexes the committed transactions by hash,
+	// so each one is hashed once per run instead of once per round.
+	txIdx txIndex
 
-	// roundWeights is the deciding round's decoded submissions, keyed by
-	// carrying transaction: decoded once, shared read-only by the decide
-	// pool (Decide, Filter.Apply and FedAvg only read Update.Weights),
-	// dropped at round end so retained heap does not grow.
-	roundMu      sync.Mutex
-	roundWeights map[*chain.Transaction][]float32
+	// roundUpdates is the deciding round's submissions read back from
+	// the chain: decoded once, shared read-only by the decide pool
+	// (Decide, Filter.Apply and FedAvg only read them), dropped at round
+	// end so retained heap does not grow.
+	roundUpdates []*fl.Update
 }
 
-// txIndex is one peer view's committed-transaction hash index.
+// txIndex is the committed-transaction hash index.
 type txIndex struct {
 	scanned int
 	byHash  map[chain.Hash]*chain.Transaction
@@ -483,7 +480,7 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
-	e.txIdx = make([]txIndex, len(e.peers))
+	e.txIdx.byHash = make(map[chain.Hash]*chain.Transaction)
 	e.everyone = upTo(len(e.peers))
 	return e, nil
 }
@@ -736,35 +733,30 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		sink.Emit(event.ModelSubmitted{Round: round, Peer: p.name, Bytes: blobBytes[i]})
 	}
 
-	// 3. Each peer reads the round's submissions from its own chain
-	// view, reconstructs updates, applies its wait policy over the
-	// arrival-time model, decides, and records the decision. Peers
-	// decide concurrently: every peer reads its own chain (chain
-	// reads are lock-protected and side-effect free), mutates only
-	// its own state, and fills index-addressed slots, so the block
-	// assembled below is identical to the sequential run's.
+	// 3. The round's submissions are read back from the chain once —
+	// every peer reads the same one — and each peer applies its wait
+	// policy over the arrival-time model, decides, and records the
+	// decision. Peers decide concurrently: each reads the shared
+	// updates without writing them, mutates only its own state, and
+	// fills index-addressed slots, so the block assembled below is
+	// identical to the sequential run's.
+	shared, err := e.readUpdates(round)
+	if err != nil {
+		return fmt.Errorf("bfl: round %d: %w", round, err)
+	}
+	e.roundUpdates = shared
+	defer func() { e.roundUpdates = nil }()
 	decTxs := make([]*chain.Transaction, nPart)
-	e.roundWeights = make(map[*chain.Transaction][]float32, nPart)
-	defer func() { e.roundWeights = nil }()
 	remoteArrival := arrivalTimes(cfg, peers, updates, be.CommitLatencyMs())
 	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) error {
 		p := peers[i]
-		onChain, err := e.readUpdates(slots[i], round)
-		if err != nil {
-			return fmt.Errorf("bfl: %s round %d: %w", p.name, round, err)
-		}
 		// A peer whose own submission the backend's verification
 		// rejected still aggregates with its local update — a peer
-		// never discards its own model (and Decide requires it).
-		selfOnChain := false
-		for _, u := range onChain {
-			if u.Client == p.name {
-				selfOnChain = true
-				break
-			}
-		}
-		if !selfOnChain {
-			onChain = append(onChain, updates[i])
+		// never discards its own model (and Decide requires it). It
+		// adds it to a copy: the shared slice is read-only.
+		onChain := shared
+		if !slices.ContainsFunc(shared, func(u *fl.Update) bool { return u.Client == p.name }) {
+			onChain = append(slices.Clip(shared), updates[i])
 			sort.Slice(onChain, func(a, b int) bool { return onChain[a].Client < onChain[b].Client })
 		}
 		included, waitMs := applyPolicy(cfg.Policy, p.name, p.simTrainMs, onChain, remoteArrival)
@@ -901,25 +893,21 @@ func (e *engine) signTx(p *peerState, payload []byte, execBudget uint64) (*chain
 	return tx, nil
 }
 
-// readUpdates reconstructs the round's model updates from one peer's
-// ledger view: contract records give digests + carrying-tx hashes; the
-// weight bytes are fetched from committed-tx calldata and verified
-// against this view's digest. Parse, digest and decode run once per tx
-// (contract.CallOf, roundWeights): the Weights are shared, read-only.
-// The committed-tx hash index is incremental per peer view (new txs
-// are hashed once, not once per round); the decide pool is safe here
-// because each worker only touches its own peer's index. A round whose
-// every submission failed ledger verification reads as the empty set —
-// the caller then aggregates the peer's own local update alone.
-func (e *engine) readUpdates(peer, round int) ([]*fl.Update, error) {
+// readUpdates reconstructs the round's model updates from the ledger:
+// contract records give digests + carrying-tx hashes; the weight bytes
+// are fetched from committed-tx calldata and verified against the
+// recorded digest. Every peer reads the same chain, so the coordinator
+// reads it once per round and the decide pool shares the result. The
+// committed-tx hash index is incremental (new txs are hashed once, not
+// once per round). A round whose every submission failed ledger
+// verification reads as the empty set — each peer then aggregates its
+// own local update alone.
+func (e *engine) readUpdates(round int) ([]*fl.Update, error) {
 	be := e.be
-	st := be.StateView(peer)
+	st := be.StateView(0)
 	subs := contract.SubmissionsAt(st, uint64(round))
-	idx := &e.txIdx[peer]
-	if idx.byHash == nil {
-		idx.byHash = make(map[chain.Hash]*chain.Transaction)
-	}
-	txs := be.CommittedTxs(peer)
+	idx := &e.txIdx
+	txs := be.CommittedTxs(0)
 	for ; idx.scanned < len(txs); idx.scanned++ {
 		tx := txs[idx.scanned]
 		idx.byHash[tx.Hash()] = tx
@@ -938,15 +926,7 @@ func (e *engine) readUpdates(peer, round int) ([]*fl.Update, error) {
 		if call.BlobHash() != sub.WeightsHash {
 			return nil, fmt.Errorf("weights digest mismatch for %s", sub.TxHash.Short())
 		}
-		e.roundMu.Lock()
-		weights, ok := e.roundWeights[tx]
-		var err error
-		if !ok {
-			if weights, err = nn.DecodeWeights(blob); err == nil {
-				e.roundWeights[tx] = weights
-			}
-		}
-		e.roundMu.Unlock()
+		weights, err := nn.DecodeWeights(blob)
 		if err != nil {
 			return nil, fmt.Errorf("weights blob corrupt for %s: %w", sub.TxHash.Short(), err)
 		}

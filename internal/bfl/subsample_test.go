@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"waitornot/internal/chain"
 	"waitornot/internal/contract"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
@@ -109,12 +111,12 @@ func TestSubsampledReproducible(t *testing.T) {
 }
 
 // TestSharedDecodedUpdatesReadOnly covers the decide pool's shared
-// read path on the replicated substrate: in a 2-round poa K-of-N run,
-// each committed submission is decoded once per round and every
-// sampled peer aggregates from that one vector. At every round's end
-// each shared vector must still equal a fresh decode of its committed
-// blob (nobody scribbled), the set must be released after the round,
-// and the run must be bit-identical at Parallelism 1 and 8.
+// read path on the sealing core: in a 2-round poa K-of-N run, the
+// round's submissions are read back and decoded once, and every sampled
+// peer aggregates from that one slice. At every round's end each shared
+// vector must still equal a fresh decode of its committed blob (nobody
+// scribbled), the slice must be released after the round, and the run
+// must be bit-identical at Parallelism 1 and 8.
 func TestSharedDecodedUpdatesReadOnly(t *testing.T) {
 	run := func(parallelism int) []byte {
 		cfg := subCfg()
@@ -123,21 +125,31 @@ func TestSharedDecodedUpdatesReadOnly(t *testing.T) {
 		var eng *engine
 		checked := 0
 		cfg.Events = func(ev event.Event) {
-			if _, ok := ev.(event.RoundEnd); !ok {
+			end, ok := ev.(event.RoundEnd)
+			if !ok {
 				return
 			}
-			if len(eng.roundWeights) != 6 {
-				t.Errorf("round shared %d decoded vectors, want one per sampled peer (6)", len(eng.roundWeights))
+			if len(eng.roundUpdates) != 6 {
+				t.Errorf("round shared %d decoded vectors, want one per sampled peer (6)", len(eng.roundUpdates))
 			}
-			for tx, shared := range eng.roundWeights {
-				call, _ := contract.CallOf(tx)
+			shared := make(map[string][]float32, len(eng.roundUpdates))
+			for _, u := range eng.roundUpdates {
+				shared[u.Client] = u.Weights
+			}
+			st, committed := eng.be.StateView(0), eng.be.CommittedTxs(0)
+			for _, sub := range contract.SubmissionsAt(st, uint64(end.Round)) {
+				i := slices.IndexFunc(committed, func(tx *chain.Transaction) bool { return tx.Hash() == sub.TxHash })
+				if i < 0 {
+					t.Fatalf("submission %s is not committed", sub.TxHash.Short())
+				}
+				call, _ := contract.CallOf(committed[i])
 				blob, ok := call.SubmitBlob()
 				if !ok {
-					t.Fatal("shared vector keyed by a non-submit tx")
+					t.Fatal("submission record names a non-submit tx")
 				}
 				fresh, err := nn.DecodeWeights(blob)
-				if err != nil || !reflect.DeepEqual(fresh, shared) {
-					t.Errorf("shared decoded vector of %s no longer matches its committed blob", tx.Hash().Short())
+				if w, ok := shared[contract.NameOf(st, sub.Sender)]; !ok || err != nil || !reflect.DeepEqual(fresh, w) {
+					t.Errorf("shared decoded vector of %s no longer matches its committed blob", sub.TxHash.Short())
 				}
 				checked++
 			}
@@ -155,7 +167,7 @@ func TestSharedDecodedUpdatesReadOnly(t *testing.T) {
 			if _, err := r.RunRoundAt(context.Background(), round, float64(2*round)*step, float64(2*round+1)*step); err != nil {
 				t.Fatal(err)
 			}
-			if eng.roundWeights != nil {
+			if eng.roundUpdates != nil {
 				t.Fatal("the round's decoded set outlived the round")
 			}
 		}

@@ -69,7 +69,7 @@ func BenchmarkNewWorldPaperSync(b *testing.B) {
 
 // TestWorldSharedAcrossEngines pins the World's read-only contract —
 // the fourth read-only share, after interned state values, contract.Call
-// argument slices and engine.roundWeights, that a checked aliasing mode
+// argument slices and engine.roundUpdates, that a checked aliasing mode
 // has to cover. One world backs eight barriered engines (every backend
 // under wait-all and first-2), two asynchronous runs and the vanilla
 // baseline, all at once at Parallelism 4: every result must equal the

@@ -46,7 +46,7 @@ func Genesis(cfg Config) *Block {
 }
 
 // ApplyBlock is the block rule — the one definition of a valid block,
-// run by every replica of every block-sealing substrate on every block
+// run by every block-sealing substrate on every block it stores
 // and folded over a saved chain by the audit replay. It links b to
 // parent, checks the header against cfg and the body, and replays the
 // body on st, the parent's post-state, which becomes b's (miner reward

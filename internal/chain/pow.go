@@ -43,7 +43,7 @@ func SolvePoW(cfg Config, parent, h *Header) {
 	Mine(h)
 }
 
-// VerifyPoW is every replica's half, the puzzle ApplyBlock runs on a
+// VerifyPoW is the verifier's half, the puzzle ApplyBlock runs on a
 // proof-of-work chain: h carries exactly the difficulty the retarget
 // rule requires, and its hash meets it.
 func VerifyPoW(cfg Config, parent, h *Header) error {

@@ -18,16 +18,17 @@ type Account struct {
 // State is the world state: account balances/nonces plus per-contract
 // key-value storage. It is a plain value store — copying it snapshots
 // the world, which block building (a scratch copy to select on) and
-// per-peer read views rely on. A transaction does not copy it: while
+// block execution (a copy published only once the block is accepted)
+// rely on. A transaction does not copy it: while
 // ApplyTx runs a payload, each Set and each Account access (the only
 // ways a Processor writes) is journaled, and a failed execution replays
 // the journal backwards — a transaction costs its writes.
 //
 // Storage values are interned: once a []byte is stored it is treated as
 // immutable, and Copy (and the journal) alias it instead of duplicating
-// the bytes. That is what keeps per-peer StateView copies O(keys)
-// instead of O(bytes) — N peer replicas of a committed model record
-// share one buffer. The aliasing contract has two rules: callers of Set
+// the bytes. That is what keeps the per-commit copy O(keys) instead of
+// O(bytes) — every committed state since a model record was written
+// shares its one buffer. The aliasing contract has two rules: callers of Set
 // hand over the slice and never mutate it afterwards, and callers of
 // Get treat the result as read-only (decode, don't scribble). Every
 // writer in the tree stores freshly encoded buffers, and every reader

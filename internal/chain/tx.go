@@ -4,7 +4,7 @@
 // mempool, the block rule that says what a valid block is (ApplyBlock),
 // the proof-of-work puzzle with difficulty retargeting, and the chain
 // file codec. It stores no blocks: the one block store is the sealing
-// core in internal/ledger, which runs these rules on every replica.
+// core in internal/ledger, which runs these rules on every block.
 //
 // It stands in for the paper's private Ethereum (Geth) deployment; see
 // DESIGN.md for the substitution argument. The consensus rules are a
@@ -66,9 +66,9 @@ type Transaction struct {
 
 	// memo caches the transaction's signing digest and hash (a *txMemo,
 	// accessed atomically). Transactions are immutable once signed, so
-	// replicated execution across N peer views re-derives identical
-	// digests N times without it; with it, each transaction is encoded
-	// and hashed once per process. The memo records the *Transaction it
+	// admission, block building and block execution would re-derive
+	// identical digests without it; with it, each transaction is
+	// encoded and hashed once per process. The memo records the *Transaction it
 	// was computed for, so a struct copy (which drags the field along)
 	// misses and recomputes — tampering with a copied transaction can
 	// never reuse the original's digest. Mutating a transaction through
@@ -120,7 +120,7 @@ func (tx *Transaction) intrinsic(gs GasSchedule) uint64 {
 
 // Decoded returns the Processor's decoding of the payload, computed by
 // decode (pure, non-nil result) on first use and kept on the
-// owner-checked memo: every replica executing tx shares one parse, it
+// owner-checked memo: every execution of tx shares one parse, it
 // dies with the transaction, and a struct copy misses and decodes its
 // own payload. Racing first calls keep one result.
 func (tx *Transaction) Decoded(decode func(payload []byte) any) any {
@@ -164,8 +164,8 @@ func (tx *Transaction) signingDigest() [32]byte {
 
 // Hash returns the transaction id: the SHA-256 of the signed encoding.
 // The value is memoized on first use (transactions are immutable after
-// signing), so mempool ordering, Merkle roots, receipts, and per-peer
-// replicated execution all share one hashing pass.
+// signing), so mempool ordering, Merkle roots, receipts, and block
+// execution all share one hashing pass.
 func (tx *Transaction) Hash() Hash {
 	return tx.memoized().hash
 }
@@ -192,8 +192,8 @@ var (
 
 // VerifySignature checks the sender binding and ECDSA signature, once
 // per transaction value: success is recorded on the owner-checked memo,
-// so the N replicas handed the same *Transaction pay for its
-// cryptography once. Verification is a pure function of the bytes the
+// so every check of the same *Transaction — admission, block building,
+// block execution — pays for its cryptography once. Verification is a pure function of the bytes the
 // memo hashed, so the recorded verdict is exactly as strong as
 // re-verifying; a struct copy (tampered or not) has a different owner,
 // misses, and runs the full check. Failures record nothing and re-run

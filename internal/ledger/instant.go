@@ -1,28 +1,20 @@
 package ledger
 
-import (
-	"fmt"
+import "waitornot/internal/chain"
 
-	"waitornot/internal/chain"
-)
-
-// instantBackend is the consensus-free limit: one shared in-memory
-// state machine applies contract calls directly, with no block
-// assembly, no per-peer replication, and zero modeled commit latency.
-// Signatures, nonces, gas accounting, and contract semantics are all
-// still enforced through chain.ApplyTx — only the consensus cost
-// (mining, per-peer re-execution, header plumbing) is gone, which is
-// what makes huge peer-count sweeps affordable. See DESIGN.md for the
-// argument that FL results are preserved.
+// instantBackend is the consensus-free limit: one in-memory state
+// machine applies contract calls directly, with no block assembly and
+// zero modeled commit latency. Signatures, nonces, gas accounting, and
+// contract semantics are all still enforced through chain.ApplyTx —
+// only the consensus cost (mining, block validation, header plumbing)
+// is gone, which is what makes huge peer-count sweeps affordable. See
+// DESIGN.md for the argument that FL results are preserved.
 type instantBackend struct {
-	name  string
-	cfg   Config
-	state *chain.State
-
-	// frozen is the post-commit snapshot every peer's StateView
-	// shares: one copy per commit, not one per reader, which is what
-	// keeps huge peer-count sweeps cheap.
-	frozen    *chain.State
+	name string
+	cfg  Config
+	// state is the committed state, shared by every reader: a commit
+	// applies to a copy and publishes it, as the sealing core does.
+	state     *chain.State
 	pending   []*chain.Transaction
 	seen      map[chain.Hash]bool
 	committed []*chain.Transaction
@@ -32,11 +24,7 @@ type instantBackend struct {
 }
 
 func newInstant(cfg Config) *instantBackend {
-	st := chain.NewState()
-	for a, v := range cfg.Alloc {
-		st.Account(a).Balance = v
-	}
-	return &instantBackend{name: cfg.nameOr("instant"), cfg: cfg, state: st, frozen: st.Copy(), seen: map[chain.Hash]bool{}}
+	return &instantBackend{name: cfg.nameOr("instant"), cfg: cfg, state: cfg.genesisState(), seen: map[chain.Hash]bool{}}
 }
 
 func (be *instantBackend) Name() string { return be.name }
@@ -56,20 +44,22 @@ func (be *instantBackend) Submit(tx *chain.Transaction) error {
 	return nil
 }
 
-// Commit applies every pending call to the shared state machine in
-// submission order. Inadmissible transactions (bad nonce, funds) are
-// dropped, not retried — there is no later block to wait for.
+// Commit applies every pending call, in submission order, to a copy
+// of the committed state and publishes it. Inadmissible transactions
+// (bad nonce, funds) are dropped, not retried — there is no later
+// block to wait for.
 func (be *instantBackend) Commit(leader int, _ uint64) (Commit, error) {
-	if leader < 0 || leader >= be.cfg.Peers {
-		return Commit{}, fmt.Errorf("ledger: leader %d out of range", leader)
+	if err := be.cfg.checkLeader(leader); err != nil {
+		return Commit{}, err
 	}
+	next := be.state.Copy()
 	var (
 		applied int
 		gasUsed uint64
 		size    int
 	)
 	for _, tx := range be.pending {
-		rec, err := chain.ApplyTx(be.cfg.Chain.Gas, be.state, tx, be.cfg.Sealers[leader], be.cfg.Proc)
+		rec, err := chain.ApplyTx(be.cfg.Chain.Gas, next, tx, be.cfg.Sealers[leader], be.cfg.Proc)
 		if err != nil {
 			delete(be.seen, tx.Hash())
 			continue
@@ -79,11 +69,11 @@ func (be *instantBackend) Commit(leader int, _ uint64) (Commit, error) {
 		applied++
 		be.committed = append(be.committed, tx)
 	}
+	be.state = next
 	be.pending = be.pending[:0]
 	be.batches++
 	be.gas += gasUsed
 	be.bytes += size
-	be.frozen = be.state.Copy()
 	return Commit{
 		Height:  uint64(be.batches),
 		Txs:     applied,
@@ -94,11 +84,8 @@ func (be *instantBackend) Commit(leader int, _ uint64) (Commit, error) {
 
 func (be *instantBackend) Pending(int) int { return len(be.pending) }
 
-// StateView returns the shared post-commit snapshot — every peer sees
-// the same world the moment a batch applies, so one copy serves all
-// concurrent readers (the view is read-only per the interface
-// contract).
-func (be *instantBackend) StateView(int) *chain.State { return be.frozen }
+// StateView returns the committed state every peer shares.
+func (be *instantBackend) StateView(int) *chain.State { return be.state }
 
 func (be *instantBackend) CommittedTxs(int) []*chain.Transaction { return be.committed }
 

@@ -6,15 +6,19 @@
 //
 // A Backend accepts signed transactions into a gossiped pending set
 // and commits everything pending in one batch at a logical timestamp;
-// peers then read contract state and committed transactions from their
-// own view. Four substrates ship built in:
+// peers then read contract state and committed transactions from it.
+// The runner is deterministic and one leader seals each commit, so
+// every peer's copy of the chain would hold the same bytes: a backend
+// keeps one chain, one state and one pending set, and charges
+// replication per validator in virtual time (its commit latency), not
+// as host work. Four substrates ship built in:
 //
 //   - pow: fixed-leader proof of work, the paper's substrate and the
 //     default. The round leader drains its mempool, stamps the retarget
-//     rule's difficulty and mines the header; every peer checks both
-//     before it executes the block.
+//     rule's difficulty and mines the header; both are checked before
+//     the block executes.
 //   - poa: round-robin authority sealing. The same blocks (Merkle
-//     roots, gas accounting, per-peer replicated execution) with no
+//     roots, gas accounting, execution under the block rule) with no
 //     puzzle to solve, so rounds are cheaper and the modeled commit
 //     interval is a fraction of PoW's.
 //   - instant: an in-memory state machine applying contract calls with
@@ -27,9 +31,9 @@
 //     outliers from the aggregation batch (see pbft.go).
 //
 // pow, poa and pbft are one sealing core (sealer.go) — the only block
-// store in the tree — plus a latency rule and what each verifies: every
-// peer holds its own mempool and state and runs the one block rule,
-// chain.ApplyBlock, on every block before it is stored.
+// store in the tree — plus a latency rule and what each verifies: one
+// mempool, one committed state, and the one block rule,
+// chain.ApplyBlock, run on every block before it is stored.
 //
 // Backends are constructed through a registry (Register / New /
 // Backends) mirroring the public scenario registry, so new substrates
@@ -72,7 +76,7 @@ type Config struct {
 	// Validators is the modeled consensus-committee size for backends
 	// with an analytic latency model (pbft: n = 3f+1, minimum 4;
 	// 0 = backend default). Independent of Peers — the committee is a
-	// latency-model parameter, state replication stays per-peer.
+	// latency-model parameter; the ledger keeps one state either way.
 	Validators int
 	// Net is the per-message network delay distribution (ms) the
 	// analytic latency model integrates over (zero = backend default).
@@ -94,6 +98,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ledger: %d sealers for %d peers", len(c.Sealers), c.Peers)
 	}
 	return nil
+}
+
+// checkLeader rejects a sealing peer outside the config's peers.
+func (c Config) checkLeader(leader int) error {
+	if leader < 0 || leader >= c.Peers {
+		return fmt.Errorf("ledger: leader %d out of range", leader)
+	}
+	return nil
+}
+
+// genesisState is the state the genesis allocation funds.
+func (c Config) genesisState() *chain.State {
+	st := chain.NewState()
+	for a, v := range c.Alloc {
+		st.Account(a).Balance = v
+	}
+	return st
 }
 
 // nameOr resolves the backend's name: the registry name New passed
@@ -145,12 +166,13 @@ type Footprint struct {
 }
 
 // Backend is a consensus substrate under the deterministic runner: a
-// gossiped pending set, batch commits at logical timestamps, and
-// per-peer read views. Implementations need not be safe for concurrent
-// mutation — the runner submits and commits from the coordinator
-// goroutine — but the read methods (StateView, CommittedTxs) must be
-// safe to call concurrently with each other, because peers decide in
-// parallel.
+// gossiped pending set, batch commits at logical timestamps, and one
+// chain every peer reads. Implementations need not be safe for
+// concurrent mutation — the runner submits and commits from the
+// coordinator goroutine — but the read methods (StateView,
+// CommittedTxs) must be safe to call concurrently with each other.
+// The peer parameters name whose view is read; every view is the
+// same one.
 type Backend interface {
 	// Name returns the registry name the backend was built under.
 	Name() string
@@ -166,9 +188,9 @@ type Backend interface {
 	// but not yet committed — capacity-evicted stragglers included).
 	Pending(peer int) int
 	// StateView returns peer's post-commit contract state for reading.
-	// The view is stable until the next Commit but must be treated as
-	// read-only: backends with one logical view (instant) share a
-	// snapshot across peers instead of copying per call.
+	// Every peer shares one state, never written after a Commit
+	// publishes it: a view stays valid across later commits and must be
+	// treated as read-only.
 	StateView(peer int) *chain.State
 	// CommittedTxs returns every committed transaction in canonical
 	// order, from peer's view. Read-only, and stable: a Commit extends

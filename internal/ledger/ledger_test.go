@@ -142,7 +142,7 @@ func TestGossipAndMempoolDrain(t *testing.T) {
 }
 
 // TestCommittedTxsViewIsAppendOnly pins the CommittedTxs contract the
-// engine's incremental per-peer tx index (and the sealing core's
+// engine's incremental tx index (and the sealing core's
 // running list) relies on, on every built-in: a view taken before a
 // Commit is unchanged after it, and the next view extends it by
 // exactly the transactions that Commit included.

@@ -27,7 +27,7 @@ const (
 )
 
 // pbftBackend is the consortium substrate: the sealing core (sealer.go
-// — real blocks, replicated execution, no puzzle) with two
+// — real blocks, execution under the block rule, no puzzle) with two
 // PBFT-specific behaviours on top.
 //
 // First, CommitLatencyMs comes from an explicit analytic model
@@ -46,8 +46,8 @@ const (
 // stays — but its contract effect is suppressed, so the update never
 // enters any peer's aggregation batch. Rejections surface on the
 // Commit. Verification is a pure function of (batch, committed model),
-// so every validator reaches the same verdict and replicated execution
-// stays deterministic.
+// so every validator reaches the same verdict and execution stays
+// deterministic.
 type pbftBackend struct {
 	sealer
 	validators int
@@ -96,14 +96,14 @@ func newPBFT(cfg Config) (*pbftBackend, error) {
 
 // Commit runs one PBFT round: the leader verifies every pending model
 // submission against the committed model, seals the batch (rejected
-// submissions included as contract no-ops), replicates execution on
-// every validator, and reports the modeled three-phase latency for the
+// submissions included as contract no-ops), executes it under the
+// block rule, and reports the modeled three-phase latency for the
 // batch it actually carried.
 func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	// Model verification over the leader's pending submissions (in
 	// pool order, which is deterministic): score each decodable weight
 	// vector on the validation set, reject below-margin outliers.
-	pending := be.pools[leader].Pending()
+	pending := be.pool.Pending()
 	var subTxs []*chain.Transaction
 	var batch [][]float32
 	for _, tx := range pending {

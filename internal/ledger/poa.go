@@ -8,16 +8,15 @@ package ledger
 const poaSlotDiv = 5
 
 // poaBackend is the sealing core (sealer.go) with round-robin
-// authorities and a fixed slot latency: real blocks and per-peer
-// replicated execution, no proof-of-work.
+// authorities and a fixed slot latency: real blocks executed under the
+// block rule, no proof-of-work.
 type poaBackend struct {
 	sealer
 }
 
 func newPoA(cfg Config) *poaBackend { return &poaBackend{newSealer("poa", cfg)} }
 
-// Commit has the leader authority seal its pending set into one block
-// replicated on every peer.
+// Commit has the leader authority seal its pending set into one block.
 func (be *poaBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	return be.commit(leader, timeMs, be.CommitLatencyMs())
 }

@@ -5,8 +5,8 @@ import "waitornot/internal/chain"
 // powBackend is the sealing core (sealer.go) plus a puzzle — the
 // paper's substrate and the default: the round leader stamps the
 // retarget rule's difficulty on the block it assembled and mines the
-// header before any peer sees it, and every peer checks the difficulty
-// rule and the proof of work before it executes the block.
+// header before any peer sees it, and the difficulty rule and the proof
+// of work are checked before the block executes.
 type powBackend struct {
 	sealer
 }
@@ -17,8 +17,7 @@ func newPoW(cfg Config) *powBackend {
 	return be
 }
 
-// Commit has the leader mine its pending set into one block replicated
-// on every peer.
+// Commit has the leader mine its pending set into one block.
 func (be *powBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	return be.commit(leader, timeMs, be.CommitLatencyMs())
 }

@@ -7,27 +7,33 @@ import (
 )
 
 // sealer is the sealing core pow, poa and pbft embed, and the only
-// block store: per-peer mempools and replicated states, the sealed
+// block store: the one mempool, the one committed state, the sealed
 // block list, and the one seal step that turns a leader's pending set
-// into a block every peer has validated and executed under the block
-// rule (chain.ApplyBlock) — Merkle roots, gas accounting, linkage to
-// the parent. One leader seals per commit, so there are no forks to
-// choose between and no branches to replay. What a substrate adds is
-// its latency model (pow: the target interval; poa: a fixed slot; pbft:
-// the analytic three-phase model), its puzzle (pow), and, for pbft, the
-// processor that carries the verification verdicts.
+// into a block validated and executed under the block rule
+// (chain.ApplyBlock) — Merkle roots, gas accounting, linkage to the
+// parent. One leader seals per commit under a deterministic runner,
+// so every peer's copy of the chain would be the same bytes: the core
+// keeps one (replication is charged in virtual time by the latency
+// rule), with no forks to choose between and no branches to replay.
+// What a substrate adds is its latency model (pow: the target
+// interval; poa: a fixed slot; pbft: the analytic three-phase model),
+// its puzzle (pow), and, for pbft, the processor that carries the
+// verification verdicts.
 type sealer struct {
 	name string
 	cfg  Config
 	// solve and verify are the two halves of the substrate's puzzle:
-	// the leader solves it on the finished header, every replica
-	// verifies it before executing the block. pow sets them
-	// (chain.SolvePoW, chain.VerifyPoW); authority sealing has none.
+	// the leader solves it on the finished header, and it is verified
+	// before the block executes. pow sets them (chain.SolvePoW,
+	// chain.VerifyPoW); authority sealing has none.
 	solve  func(cfg chain.Config, parent, h *chain.Header)
 	verify func(cfg chain.Config, parent, h *chain.Header) error
-	pools  []*chain.Mempool
-	states []*chain.State
-	blocks []*chain.Block // sealed ledger incl. genesis; identical at every peer
+	pool   *chain.Mempool
+	// state is the committed state. A block executes on a copy that
+	// replaces it only once accepted, so a published state is never
+	// written again and every reader may share it.
+	state  *chain.State
+	blocks []*chain.Block // sealed ledger incl. genesis
 	// committed is every sealed transaction in canonical order, grown
 	// by append so a view handed out earlier is never rewritten.
 	committed []*chain.Transaction
@@ -39,42 +45,33 @@ type sealer struct {
 // (fallback: the substrate's own name, for factories called directly).
 func newSealer(fallback string, cfg Config) sealer {
 	genesis := chain.Genesis(cfg.Chain)
-	s := sealer{
+	return sealer{
 		name:   cfg.nameOr(fallback),
 		cfg:    cfg,
-		pools:  make([]*chain.Mempool, cfg.Peers),
-		states: make([]*chain.State, cfg.Peers),
+		pool:   chain.NewMempool(cfg.Chain.Gas),
+		state:  cfg.genesisState(),
 		blocks: []*chain.Block{genesis},
 		bytes:  genesis.Size(),
 	}
-	for i := range s.states {
-		s.pools[i] = chain.NewMempool(cfg.Chain.Gas)
-		st := chain.NewState()
-		for a, v := range cfg.Alloc {
-			st.Account(a).Balance = v
-		}
-		s.states[i] = st
-	}
-	return s
 }
 
 func (s *sealer) Name() string { return s.name }
 
-// Submit gossips the transaction into every peer's mempool: each node
-// validates on admission, as a real network would.
+// Submit validates the transaction on admission and pools it.
 func (s *sealer) Submit(tx *chain.Transaction) error {
-	for i, pool := range s.pools {
-		if err := pool.Add(tx); err != nil {
-			return fmt.Errorf("ledger: peer %d mempool: %w", i, err)
-		}
+	if err := s.pool.Add(tx); err != nil {
+		return fmt.Errorf("ledger: mempool: %w", err)
 	}
 	return nil
 }
 
-// seal is one commit: the leader assembles a block from pending (its
-// mempool in block-building order), every peer validates and executes
-// it, and it joins the ledger.
+// seal is one commit: the leader assembles a block from pending (the
+// mempool in block-building order), the block rule validates and
+// executes it, and it joins the ledger.
 func (s *sealer) seal(leader int, timeMs uint64, proc chain.Processor, pending []*chain.Transaction) (*chain.Block, error) {
+	if err := s.cfg.checkLeader(leader); err != nil {
+		return nil, err
+	}
 	b := s.assemble(leader, timeMs, proc, pending)
 	if err := s.replicate(b, proc); err != nil {
 		return nil, err
@@ -84,7 +81,7 @@ func (s *sealer) seal(leader int, timeMs uint64, proc chain.Processor, pending [
 
 // assemble has the leader build the next block on the ledger's head:
 // drain pending under the block gas cap (chain.SelectTxs on a scratch
-// copy of the leader's state: capacity-evicted and inadmissible txs
+// copy of the committed state: capacity-evicted and inadmissible txs
 // stay pooled), fill in the header, and solve the substrate's puzzle.
 func (s *sealer) assemble(leader int, timeMs uint64, proc chain.Processor, pending []*chain.Transaction) *chain.Block {
 	parent := &s.blocks[len(s.blocks)-1].Header
@@ -98,7 +95,7 @@ func (s *sealer) assemble(leader int, timeMs uint64, proc chain.Processor, pendi
 		Miner:      s.cfg.Sealers[leader],
 		GasLimit:   s.cfg.Chain.BlockGasLimit,
 	}
-	scratch := s.states[leader].Copy()
+	scratch := s.state.Copy()
 	included, gasUsed := chain.SelectTxs(s.cfg.Chain.Gas, scratch, header.Miner, proc, pending, header.GasLimit)
 	header.GasUsed = gasUsed
 	header.TxRoot = chain.MerkleRoot(included)
@@ -108,31 +105,29 @@ func (s *sealer) assemble(leader int, timeMs uint64, proc chain.Processor, pendi
 	return &chain.Block{Header: header, Txs: included}
 }
 
-// replicate is block gossip under the deterministic runner: every peer
-// — the leader included — runs the block rule on b against its own
-// state (same receipts everywhere), and only a block every peer
-// accepted is stored and cleared from the mempools.
+// replicate is block gossip under the deterministic runner: the block
+// rule runs on b against a copy of the committed state, and only an
+// accepted block publishes that copy, is stored and is cleared from
+// the mempool. A refused block leaves the committed state untouched.
 func (s *sealer) replicate(b *chain.Block, proc chain.Processor) error {
 	parent := &s.blocks[len(s.blocks)-1].Header
-	for i, st := range s.states {
-		if err := chain.ApplyBlock(s.cfg.Chain, parent, b, st, proc, s.verify); err != nil {
-			return fmt.Errorf("ledger: peer %d: %w", i, err)
-		}
+	next := s.state.Copy()
+	if err := chain.ApplyBlock(s.cfg.Chain, parent, b, next, proc, s.verify); err != nil {
+		return fmt.Errorf("ledger: %w", err)
 	}
+	s.state = next
 	s.blocks = append(s.blocks, b)
 	s.committed = append(s.committed, b.Txs...)
 	s.bytes += b.Size()
 	s.gas += b.Header.GasUsed
-	for _, pool := range s.pools {
-		pool.RemoveBlock(b)
-	}
+	s.pool.RemoveBlock(b)
 	return nil
 }
 
 // commit is Commit for a substrate with a fixed modeled latency and
 // the configured processor (pow, poa): seal the leader's pending set.
 func (s *sealer) commit(leader int, timeMs uint64, latencyMs float64) (Commit, error) {
-	b, err := s.seal(leader, timeMs, s.cfg.Proc, s.pools[leader].Pending())
+	b, err := s.seal(leader, timeMs, s.cfg.Proc, s.pool.Pending())
 	if err != nil {
 		return Commit{}, err
 	}
@@ -153,11 +148,11 @@ func commitOf(b *chain.Block) Commit {
 	}
 }
 
-func (s *sealer) Pending(peer int) int { return s.pools[peer].Len() }
+func (s *sealer) Pending(int) int { return s.pool.Len() }
 
-// StateView copies the peer's replicated state: each authority holds
-// (and keeps mutating) its own, so readers get an isolated snapshot.
-func (s *sealer) StateView(peer int) *chain.State { return s.states[peer].Copy() }
+// StateView returns the committed state itself: a commit publishes a
+// new state rather than writing this one, so every reader shares it.
+func (s *sealer) StateView(int) *chain.State { return s.state }
 
 func (s *sealer) CommittedTxs(int) []*chain.Transaction { return s.committed }
 

@@ -1,9 +1,11 @@
-// White-box tests for the sealing core: what a replica does with a
-// block between the leader assembling it and the ledger storing it.
+// White-box tests for the sealing core: what the replicate step does
+// with a block between the leader assembling it and the ledger storing
+// it.
 package ledger
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -65,8 +67,10 @@ func transferPair(t *testing.T, be Backend, cfg Config, ks []*keys.Key, nonce ui
 // where Commit runs it: on pow, poa and pbft the leader assembles an
 // honest block, one field is corrupted in flight, and the replicate
 // step must refuse it with the rule's named error — nothing stored,
-// nothing cleared from the mempools. Difficulty and nonce are pow's
-// puzzle, so those rows run on pow only.
+// nothing cleared from the mempool, and no peer's state moved (a row
+// that fails after executing transactions must not leave them
+// applied). Difficulty and nonce are pow's puzzle, so those rows run
+// on pow only.
 func TestReplicasRejectTamperedBlocks(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -114,7 +118,11 @@ func TestReplicasRejectTamperedBlocks(t *testing.T) {
 				transferPair(t, be, cfg, ks, 0)
 				s, proc := coreOf(t, be)
 				parent := &s.blocks[len(s.blocks)-1].Header
-				b := s.assemble(1, 2000, proc, s.pools[1].Pending())
+				before := make([]map[keys.Address]*chain.Account, cfg.Peers)
+				for p := range before {
+					before[p] = be.StateView(p).Copy().Accounts
+				}
+				b := s.assemble(1, 2000, proc, s.pool.Pending())
 				if len(b.Txs) != 2 {
 					t.Fatalf("assembled %d txs, want 2", len(b.Txs))
 				}
@@ -128,6 +136,37 @@ func TestReplicasRejectTamperedBlocks(t *testing.T) {
 				}
 				if len(s.blocks) != 2 || len(s.committed) != 0 || be.Pending(2) != 2 {
 					t.Fatalf("a refused block was stored: %d blocks, %d committed txs, %d pending", len(s.blocks), len(s.committed), be.Pending(2))
+				}
+				for p := range before {
+					if !reflect.DeepEqual(be.StateView(p).Accounts, before[p]) {
+						t.Fatalf("a refused block moved peer %d's state", p)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCommitRejectsOutOfRangeLeader: a leader outside the peers is an
+// error on every backend, not a panic, and the commit it was refused
+// for leaves the pending transactions and the ledger as they were.
+func TestCommitRejectsOutOfRangeLeader(t *testing.T) {
+	for _, name := range []string{"pow", "poa", "pbft", "instant"} {
+		cfg, ks := sealerCfg()
+		for _, leader := range []int{-1, cfg.Peers} {
+			t.Run(fmt.Sprintf("%s/leader %d", name, leader), func(t *testing.T) {
+				be, err := New(name, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				transferPair(t, be, cfg, ks, 0)
+				before := be.Footprint()
+				_, err = be.Commit(leader, 1000)
+				if want := fmt.Sprintf("ledger: leader %d out of range", leader); err == nil || err.Error() != want {
+					t.Fatalf("Commit(%d): err = %v, want %q", leader, err, want)
+				}
+				if be.Pending(0) != 2 || be.Footprint() != before {
+					t.Fatalf("a refused commit changed the ledger: %d pending, footprint %+v, was %+v", be.Pending(0), be.Footprint(), before)
 				}
 			})
 		}

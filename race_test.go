@@ -177,13 +177,11 @@ func TestRaceSmokeSweepSharedWorld(t *testing.T) {
 }
 
 // TestRaceSmokeConsensusLadder pushes the ledger backends through the
-// genuinely concurrent paths. The instant backend is the only one
-// this PR gives cross-goroutine shared state (the frozen StateView
-// snapshot and the committed-tx slice), so first a 4-peer instant run
-// at Parallelism 8 makes the parallel decision workers read that
-// shared view concurrently; then a backends × policies sweep with
-// enough worker budget for inner parallelism >= 2 exercises the cross
-// product itself.
+// genuinely concurrent paths. First a 4-peer instant run at
+// Parallelism 8 makes the parallel decision workers share the round's
+// updates read back from the one committed state; then a backends ×
+// policies sweep with enough worker budget for inner parallelism >= 2
+// exercises the cross product itself.
 func TestRaceSmokeConsensusLadder(t *testing.T) {
 	opts := waitornot.Options{
 		Model:           waitornot.SimpleNN,
@@ -264,8 +262,7 @@ func TestRaceSmokePBFT(t *testing.T) {
 // independent poa and pbft ledgers over the SAME signed transactions,
 // so the race detector sees concurrent first-use memoization and
 // concurrent verdict reads and writes on shared *chain.Transaction
-// values, while every commit re-verifies the batch on each backend's
-// four replicas.
+// values, while every commit re-verifies the batch it seals.
 func TestRaceSmokeVerifyCache(t *testing.T) {
 	const peers, rounds, replicas = 4, 3, 3
 	ccfg := chain.DefaultConfig()
@@ -418,8 +415,8 @@ func TestRaceSmokeCampaign(t *testing.T) {
 // pool: a subsampled fleet (ClientFraction) whose cohort setup, per
 // participant training, and ragged result appends all run on 8
 // workers, both barriered and on the async free run — and, on the
-// replicated poa substrate, the decide pool reading the round's shared
-// decoded updates (one vector per submission, read by all K peers).
+// poa sealing core, the decide pool reading the round's shared decoded
+// updates (one vector per submission, read by all K peers).
 func TestRaceSmokeSubsampled(t *testing.T) {
 	opts := waitornot.Options{
 		Model:          waitornot.SimpleNN,
@@ -443,7 +440,7 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 	}
 
 	poa := opts
-	poa.Clients, poa.ClientFraction = 12, 0.5 // K = 6 of 12, every view replicated
+	poa.Clients, poa.ClientFraction = 12, 0.5 // K = 6 of 12 on the sealing core
 	poa.Backend, poa.CommitLatency = "poa", true
 	for _, rounds := range testutil.Run(t, poa).Decentralized.Rounds {
 		for _, r := range rounds {
