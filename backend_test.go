@@ -8,6 +8,7 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"waitornot"
@@ -179,16 +180,23 @@ func TestCommitLatencyShapesWaits(t *testing.T) {
 	}
 }
 
-// TestRegisterBackendSpec drives the public registry: a pow variant
-// with a slower block interval becomes selectable by name, shows up in
-// listings, and its interval reaches the wait policies.
-func TestRegisterBackendSpec(t *testing.T) {
-	if err := waitornot.RegisterBackend(waitornot.BackendSpec{
+// registerGlacial registers TestRegisterBackendSpec's variant once per
+// process: the registry is process-global, so a second pass of the test
+// (go test -count=2) sees the name already taken.
+var registerGlacial = sync.OnceValue(func() error {
+	return waitornot.RegisterBackend(waitornot.BackendSpec{
 		Name:            "pow-glacial-test",
 		Description:     "PoW at a 4s block interval",
 		Base:            "pow",
 		BlockIntervalMs: 4000,
-	}); err != nil {
+	})
+})
+
+// TestRegisterBackendSpec drives the public registry: a pow variant
+// with a slower block interval becomes selectable by name, shows up in
+// listings, and its interval reaches the wait policies.
+func TestRegisterBackendSpec(t *testing.T) {
+	if err := registerGlacial(); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -289,7 +297,7 @@ func TestConsensusLadderScenario(t *testing.T) {
 	if res.Tradeoff == nil || res.Scenario != "consensus-ladder" {
 		t.Fatalf("results = %+v", res)
 	}
-	outcomes := res.Tradeoff.Outcomes
+	outcomes := res.Tradeoff.Runs
 	if len(outcomes) != len(s.Backends)*len(s.Policies) {
 		t.Fatalf("got %d outcomes, want backends x policies = %d", len(outcomes), len(s.Backends)*len(s.Policies))
 	}

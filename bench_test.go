@@ -113,8 +113,8 @@ func BenchmarkWaitPolicy_SpeedVsPrecision(b *testing.B) {
 	opts.StragglerFactor = []float64{1, 1, 3}
 	for i := 0; i < b.N; i++ {
 		rep := testutil.Run(b, opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Tradeoff
-		sync := rep.Outcomes[0]
-		async := rep.Outcomes[len(rep.Outcomes)-1]
+		sync := rep.Runs[0]
+		async := rep.Runs[len(rep.Runs)-1]
 		b.ReportMetric(sync.MeanWaitMs/async.MeanWaitMs, "speedup-first1-vs-waitall")
 		b.ReportMetric(sync.FinalAccuracy-async.FinalAccuracy, "acc-cost-first1")
 		if i == 0 {

@@ -176,7 +176,7 @@ func (c config) validate() error {
 		return fmt.Errorf("scenario %q is the vanilla baseline: it has no wait/latency metrics to replicate; sweep a decentralized, trade-off, async, or sharded scenario", sc.Name)
 	case c.set["target-acc"] && (c.targetAcc < 0 || c.targetAcc > 1 || !sweepMode):
 		return fmt.Errorf("-target-acc is a sweep metric in [0, 1]; scenario %q needs -seeds or -replications for it", sc.Name)
-	case c.csv && !sweepMode && (sc.Kind == waitornot.KindDecentralized || sc.Kind == waitornot.KindTradeoff):
+	case c.csv && !sweepMode && sc.Kind == waitornot.KindDecentralized:
 		return fmt.Errorf("-csv has nothing to print for a single %s run: its report has no CSV grid; add -replications 1 for the sweep CSVs of scenario %q", sc.Kind, sc.Name)
 	case c.campaignDir != "" && !sweepMode:
 		return fmt.Errorf("a campaign persists a replication sweep; scenario %q declares no seeds — add -seeds or -replications", sc.Name)
@@ -282,6 +282,13 @@ func printSweep(ctx context.Context, exp *waitornot.Experiment, csv bool, campai
 		exitIfCancelled(err)
 		fatal(err)
 	}
+	printSweepReport(rep, csv)
+}
+
+// printSweepReport prints a sweep's mean ± CI table — a trade-off run's
+// one-seed sweep included — plus the cell and raw-run CSVs when csv is
+// set.
+func printSweepReport(rep *waitornot.SweepReport, csv bool) {
 	fmt.Println(rep.Table())
 	if csv {
 		fmt.Println(rep.CSV())
@@ -397,7 +404,7 @@ func printResults(res *waitornot.Results, model string, csv bool) {
 		}
 		fmt.Printf("on-chain footprint: %s\n\n", footprint(rep.Chain))
 	case res.Tradeoff != nil:
-		fmt.Println(res.Tradeoff.Table())
+		printSweepReport(res.Tradeoff, csv)
 	case res.Async != nil:
 		rep := res.Async
 		fmt.Println(rep.Table())
@@ -460,9 +467,6 @@ func printEvent(ev waitornot.Event) {
 			e.Peer, e.Round, e.VirtualMs, e.Included, e.MeanStalenessMs, e.Accuracy)
 	case waitornot.RoundEnd:
 		fmt.Printf("-- round %d done%s\n", e.Round, arm(e.Arm))
-	case waitornot.PolicyDone:
-		fmt.Printf("   policy     %-18s acc %.4f  wait %8.1f ms  models %.2f\n",
-			e.Policy, e.FinalAccuracy, e.MeanWaitMs, e.MeanIncluded)
 	case waitornot.ShardRoundEnd:
 		fmt.Printf("   shard %d    r%d @ %.0f ms [%s]: wait %.1f ms, %.2f models\n",
 			e.Shard, e.Round, e.VirtualMs, e.Policy, e.MaxWaitMs, e.MeanIncluded)

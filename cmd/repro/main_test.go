@@ -54,7 +54,7 @@ func TestValidate(t *testing.T) {
 		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla baseline"},
 		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
 		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},
-		{"csv on a single run with no CSV grid", config{scenario: "stragglers", csv: true}, "-replications 1"},
+		{"csv on a single run with no CSV grid", config{scenario: "paper-repro", csv: true}, "-replications 1"},
 		{"campaign without a sweep", config{scenario: "paper-repro", campaignDir: fresh}, "declares no seeds"},
 		{"existing campaign without resume", config{scenario: "replicated-tradeoff", campaignDir: held}, "add -resume"},
 		{"resume with no campaign", config{scenario: "replicated-tradeoff", campaignDir: fresh, resume: true}, "holds no campaign"},
@@ -63,6 +63,7 @@ func TestValidate(t *testing.T) {
 		{"netperf", config{netperf: true}, ""},
 		{"status", config{status: true, campaignDir: held}, ""},
 		{"plain scenario", config{scenario: "paper-repro", model: "effnet", set: set("model")}, ""},
+		{"csv on a single trade-off run", config{scenario: "stragglers", csv: true}, ""},
 		{"async with budget", config{scenario: "hetero-compute", timeBudget: 900, set: set("time-budget-ms")}, ""},
 		{"seeded scenario with target", config{scenario: "replicated-tradeoff", targetAcc: 0.5, set: set("target-acc")}, ""},
 		{"fresh campaign", config{scenario: "paper-repro", seeds: []uint64{1, 2}, campaignDir: fresh}, ""},
@@ -264,7 +265,6 @@ func TestPrintEventFormats(t *testing.T) {
 		{waitornot.AggregationDecided{Included: 2, ChosenCombo: "AB"}, "aggregated aggregator: 2 models"},
 		{waitornot.PeerAggregated{Peer: "C", Round: 2, Included: 2}, "merged     C r2"},
 		{waitornot.RoundEnd{Round: 1}, "-- round 1 done"},
-		{waitornot.PolicyDone{Policy: "first-2"}, "policy     first-2"},
 		{waitornot.ShardRoundEnd{Shard: 1, Round: 2, Policy: "wait-all"}, "shard 1"},
 		{waitornot.ShardModelCommitted{Shard: 0, Epoch: 1}, "published  shard 0 epoch 1"},
 		{waitornot.GlobalMerge{Epoch: 1, Mode: "sync", Shard: -1}, "merged     epoch 1 (sync, barrier)"},

@@ -90,7 +90,7 @@ func TestVanillaParallelMatchesSequential(t *testing.T) {
 func TestTradeoffParallelMatchesSequential(t *testing.T) {
 	policies := waitornot.DefaultPolicies(3)
 	policies = append(policies, waitornot.Policy{Kind: waitornot.KOrTimeout, K: 2, TimeoutMs: 200})
-	run := func(parallelism int) *waitornot.TradeoffReport {
+	run := func(parallelism int) *waitornot.SweepReport {
 		o := detOpts()
 		o.Parallelism = parallelism
 		o.StragglerFactor = []float64{1, 1, 4}

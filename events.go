@@ -22,10 +22,10 @@ import "waitornot/internal/event"
 //
 // The vanilla experiment emits the same skeleton once per aggregation
 // arm (Arm = "consider" / "not consider") with a single central
-// AggregationDecided per round; the trade-off study emits one
-// PolicyDone per policy, in sweep order; a replication sweep
-// (RunSweep) emits one SweepProgress per completed replication, in
-// flat seed-major work-list order.
+// AggregationDecided per round; a replication sweep (RunSweep) emits
+// one SweepProgress per completed replication, in flat seed-major
+// work-list order — and so does the trade-off study, a one-seed sweep:
+// one per policy × backend arm, in grid order.
 //
 // A sharded run (KindSharded) emits shard-level events instead of the
 // per-round skeleton: one ShardRoundEnd per shard round, one
@@ -53,10 +53,9 @@ type (
 	PeerAggregated = event.PeerAggregated
 	// RoundEnd closes a communication round.
 	RoundEnd = event.RoundEnd
-	// PolicyDone reports one completed policy of the trade-off sweep.
-	PolicyDone = event.PolicyDone
-	// SweepProgress reports one completed replication of a multi-seed
-	// sweep (RunSweep), in deterministic flat work-list order.
+	// SweepProgress reports one completed replication of a sweep
+	// (RunSweep, or a KindTradeoff Run's one-seed sweep), in
+	// deterministic flat work-list order.
 	SweepProgress = event.SweepProgress
 	// CampaignProgress reports one landed cell of a durable campaign
 	// (RunCampaign): restored from the persisted log or freshly

@@ -120,9 +120,10 @@ func TestVanillaEventStreamArms(t *testing.T) {
 	}
 }
 
-// TestTradeoffPolicyDoneOrder runs the sweep concurrently and checks
-// PolicyDone events still arrive in sweep order, once per policy.
-func TestTradeoffPolicyDoneOrder(t *testing.T) {
+// TestTradeoffSweepProgressOrder runs the trade-off study — a one-seed
+// sweep — concurrently and checks its SweepProgress events still arrive
+// in grid order, once per policy.
+func TestTradeoffSweepProgressOrder(t *testing.T) {
 	opts := eventOpts()
 	opts.Parallelism = 8
 	opts.StragglerFactor = []float64{1, 1, 4}
@@ -133,10 +134,10 @@ func TestTradeoffPolicyDoneOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tradeoff.Outcomes) != 3 {
-		t.Fatalf("outcomes = %+v", res.Tradeoff.Outcomes)
+	if len(res.Tradeoff.Runs) != 3 {
+		t.Fatalf("runs = %+v", res.Tradeoff.Runs)
 	}
-	want := []string{"policy-done 0 wait-all", "policy-done 1 first-2", "policy-done 2 first-1"}
+	want := []string{"sweep-progress 1/3 seed=7 wait-all", "sweep-progress 2/3 seed=7 first-2", "sweep-progress 3/3 seed=7 first-1"}
 	if !reflect.DeepEqual(col.events, want) {
 		t.Fatalf("policy stream diverged\ngot:  %q\nwant: %q", col.events, want)
 	}
@@ -191,11 +192,11 @@ func TestRunPreCancelled(t *testing.T) {
 func TestTradeoffCancellation(t *testing.T) {
 	opts := eventOpts()
 	opts.StragglerFactor = []float64{1, 1, 4}
-	opts.Parallelism = 1 // sequential sweep: cancel after the first PolicyDone
+	opts.Parallelism = 1 // sequential sweep: cancel after the first SweepProgress
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := waitornot.ObserverFunc(func(ev waitornot.Event) {
-		if _, ok := ev.(waitornot.PolicyDone); ok {
+		if _, ok := ev.(waitornot.SweepProgress); ok {
 			cancel()
 		}
 	})

@@ -49,7 +49,7 @@ func main() {
 			case waitornot.AggregationDecided:
 				fmt.Printf("   %s aggregated %d models -> {%s} acc %.4f\n",
 					e.Peer, e.Included, e.ChosenCombo, e.Accuracy)
-			case waitornot.PolicyDone:
+			case waitornot.SweepProgress:
 				fmt.Printf("   policy %s: acc %.4f, mean wait %.1f ms\n",
 					e.Policy, e.FinalAccuracy, e.MeanWaitMs)
 			}

@@ -196,8 +196,9 @@ type Results struct {
 	Vanilla *VanillaReport
 	// Decentralized is set for KindDecentralized.
 	Decentralized *DecentralizedReport
-	// Tradeoff is set for KindTradeoff.
-	Tradeoff *TradeoffReport
+	// Tradeoff is set for KindTradeoff: the one-seed sweep at
+	// Options.Seed, one cell per policy × backend arm.
+	Tradeoff *SweepReport
 	// Async is set for KindAsync.
 	Async *AsyncReport
 	// Sharded is set for KindSharded.
@@ -237,7 +238,14 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	case KindDecentralized:
 		res.Decentralized, err = runDecentralizedExperiment(ctx, opts, sink, nil)
 	case KindTradeoff:
-		res.Tradeoff, err = e.runTradeoff(ctx)
+		// A trade-off run is a one-seed sweep: the decentralized
+		// experiment once per policy × backend arm on one world,
+		// streaming one SweepProgress per arm in grid order. The target
+		// accuracy is a sweep metric Run ignores.
+		one := *e
+		one.sc.Seeds = []uint64{opts.withDefaults().Seed}
+		one.target = 0
+		res.Tradeoff, err = one.RunSweep(ctx)
 	case KindAsync:
 		res.Async, err = runAsyncExperiment(ctx, opts, sink, nil)
 	case KindSharded:

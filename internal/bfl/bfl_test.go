@@ -3,6 +3,7 @@ package bfl
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"waitornot/internal/core"
@@ -240,6 +241,12 @@ func TestApplyPolicyFirstKOrder(t *testing.T) {
 	}
 }
 
+// registerAllRejected registers the rigged backend of
+// TestAllSubmissionsRejectedFallsBackToOwnModel once per process: the
+// registry is process-global, so a second pass of the test
+// (go test -count=2) would find the name already taken.
+var registerAllRejected sync.Once
+
 // TestAllSubmissionsRejectedFallsBackToOwnModel forces a round in which
 // pbft model verification rejects every submission: the rigged scorer
 // rates round 1's three candidates and their committed FedAvg 0.9, then
@@ -248,17 +255,19 @@ func TestApplyPolicyFirstKOrder(t *testing.T) {
 // its own update alone, and the K rejections counted.
 func TestAllSubmissionsRejectedFallsBackToOwnModel(t *testing.T) {
 	const name = "pbft-all-rejected-test"
-	pbft, _ := ledger.Lookup("pbft")
-	ledger.MustRegister(name, "pbft with a rigged verifier (test only)", func(cfg ledger.Config) (ledger.Backend, error) {
-		calls := 0
-		cfg.Verify = func([]float32) float64 {
-			calls++
-			if calls <= cfg.Peers+1 {
-				return 0.9
+	registerAllRejected.Do(func() {
+		pbft, _ := ledger.Lookup("pbft")
+		ledger.MustRegister(name, "pbft with a rigged verifier (test only)", func(cfg ledger.Config) (ledger.Backend, error) {
+			calls := 0
+			cfg.Verify = func([]float32) float64 {
+				calls++
+				if calls <= cfg.Peers+1 {
+					return 0.9
+				}
+				return 0.1
 			}
-			return 0.1
-		}
-		return pbft(cfg)
+			return pbft(cfg)
+		})
 	})
 	cfg := tinyConfig()
 	cfg.Backend = name

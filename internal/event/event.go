@@ -1,7 +1,7 @@
 // Package event defines the typed event stream the experiment engines
 // emit while they run: round boundaries, per-peer training and
-// submission milestones, aggregation decisions, and per-policy
-// completions in the trade-off study.
+// submission milestones, aggregation decisions, and per-replication
+// completions in sweeps (the trade-off study among them).
 //
 // # Determinism contract
 //
@@ -14,7 +14,7 @@
 //     Engines achieve this by emitting only from the coordinator
 //     goroutine at deterministic barriers (after a worker pool drains,
 //     in index order), or through an order-restoring buffer when a
-//     stage streams (the trade-off study's PolicyDone events).
+//     stage streams (a sweep's SweepProgress events).
 //   - Sink invocations are serialized: a sink is never called
 //     concurrently with itself.
 //   - A sink observes the run; it cannot perturb it. Attaching a sink
@@ -167,35 +167,13 @@ type RoundEnd struct {
 // EventName implements Event.
 func (RoundEnd) EventName() string { return "round-end" }
 
-// PolicyDone reports one completed wait policy in the trade-off study,
-// with its headline outcome — and is the outcome the trade-off report
-// keeps. Index is the policy's position in the sweep; events arrive in
-// index order even when policies run concurrently.
-type PolicyDone struct {
-	Index  int
-	Policy string
-	// Backend names the consensus substrate the arm ran on; empty when
-	// the sweep ran on the experiment's single default backend.
-	Backend string
-	// FinalAccuracy is the mean adopted-model test accuracy across
-	// peers in the final round; MeanWaitMs the mean per-round
-	// aggregation wait across peers and rounds (simulated arrival-time
-	// model); MeanIncluded the mean number of models aggregated per
-	// round.
-	FinalAccuracy float64
-	MeanWaitMs    float64
-	MeanIncluded  float64
-}
-
-// EventName implements Event.
-func (PolicyDone) EventName() string { return "policy-done" }
-
-// SweepProgress reports one completed replication of a multi-seed
-// sweep: the run at (Seed, Policy, Backend) finished with the headline
-// metrics below. Index is the replication's position in the flat
-// seed-major work list and Total the sweep size; events arrive in
-// index order even when replications run concurrently, so Index/Total
-// double as a deterministic progress meter.
+// SweepProgress reports one completed replication of a sweep — a
+// trade-off study is a one-seed sweep, one replication per arm: the
+// run at (Seed, Policy, Backend) finished with the headline metrics
+// below. Index is the replication's position in the flat seed-major
+// work list and Total the sweep size; events arrive in index order
+// even when replications run concurrently, so Index/Total double as a
+// deterministic progress meter.
 type SweepProgress struct {
 	Index  int
 	Total  int
@@ -323,11 +301,6 @@ func String(ev Event) string {
 		return fmt.Sprintf("%s %s r%d t=%.0f n=%d", e.EventName(), e.Peer, e.Round, e.VirtualMs, e.Included)
 	case RoundEnd:
 		return fmt.Sprintf("%s r%d%s", e.EventName(), e.Round, armSuffix(e.Arm))
-	case PolicyDone:
-		if e.Backend != "" {
-			return fmt.Sprintf("%s %d %s@%s", e.EventName(), e.Index, e.Policy, e.Backend)
-		}
-		return fmt.Sprintf("%s %d %s", e.EventName(), e.Index, e.Policy)
 	case SweepProgress:
 		if e.Backend != "" {
 			return fmt.Sprintf("%s %d/%d seed=%d %s@%s", e.EventName(), e.Index+1, e.Total, e.Seed, e.Policy, e.Backend)

@@ -12,7 +12,6 @@ func TestEventNamesStable(t *testing.T) {
 		"aggregation-decided":   AggregationDecided{},
 		"peer-aggregated":       PeerAggregated{},
 		"round-end":             RoundEnd{},
-		"policy-done":           PolicyDone{},
 		"sweep-progress":        SweepProgress{},
 		"campaign-progress":     CampaignProgress{},
 		"shard-round-end":       ShardRoundEnd{},
@@ -41,7 +40,6 @@ func TestString(t *testing.T) {
 		"model-submitted r3 B":         ModelSubmitted{Round: 3, Peer: "B"},
 		"aggregation-decided r1 C n=3": AggregationDecided{Round: 1, Peer: "C", Included: 3},
 		"round-end r4":                 RoundEnd{Round: 4},
-		"policy-done 1 first-2":        PolicyDone{Index: 1, Policy: "first-2"},
 		"sweep-progress 2/6 seed=3 wait-all": SweepProgress{
 			Index: 1, Total: 6, Seed: 3, Policy: "wait-all"},
 		"sweep-progress 6/12 seed=2 first-1@pow": SweepProgress{
@@ -49,7 +47,6 @@ func TestString(t *testing.T) {
 		"block-committed r2 pow h5 n=3":       BlockCommitted{Round: 2, Backend: "pow", Height: 5, Txs: 3},
 		"block-committed r2 pow h5 n=3 rej=1": BlockCommitted{Round: 2, Backend: "pow", Height: 5, Txs: 3, Rejected: 1},
 		"peer-aggregated A r2 t=120 n=2":      PeerAggregated{Peer: "A", Round: 2, VirtualMs: 120, Included: 2},
-		"policy-done 1 first-2@poa":           PolicyDone{Index: 1, Policy: "first-2", Backend: "poa"},
 		"campaign-progress 3/12 cell=7 seed=2 first-1@pow": CampaignProgress{
 			Done: 3, Total: 12, Index: 7, Seed: 2, Policy: "first-1", Backend: "pow"},
 		"campaign-progress 1/12 cell=0 seed=1 wait-all (restored)": CampaignProgress{

@@ -2,6 +2,7 @@ package ledger_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"waitornot/internal/chain"
@@ -350,15 +351,22 @@ func TestInstantMatchesContractState(t *testing.T) {
 	}
 }
 
+// registerVariant registers TestVariantRename's variant once per
+// process: the registry is process-global, so a second pass of the test
+// (go test -count=2) sees the name already taken.
+var registerVariant = sync.OnceValue(func() error {
+	base, _ := ledger.Lookup("pow")
+	return ledger.Register("pow-test-variant", "pow at a 5s interval", func(cfg ledger.Config) (ledger.Backend, error) {
+		cfg.Chain.TargetIntervalMs = 5000
+		return base(cfg)
+	})
+})
+
 // TestVariantRename: a factory registered under a new name reports
 // that name from the built backend, keeping the Chainer capability of
 // its base.
 func TestVariantRename(t *testing.T) {
-	base, _ := ledger.Lookup("pow")
-	if err := ledger.Register("pow-test-variant", "pow at a 5s interval", func(cfg ledger.Config) (ledger.Backend, error) {
-		cfg.Chain.TargetIntervalMs = 5000
-		return base(cfg)
-	}); err != nil {
+	if err := registerVariant(); err != nil {
 		t.Fatal(err)
 	}
 	cfg, _ := testCfg(2)

@@ -56,8 +56,8 @@ func TestRaceSmokeTradeoff(t *testing.T) {
 		Parallelism:     8,
 	}
 	rep := testutil.Run(t, opts, waitornot.WithKind(waitornot.KindTradeoff), waitornot.WithPolicies(waitornot.DefaultPolicies(3)...)).Tradeoff
-	if len(rep.Outcomes) != 3 {
-		t.Fatalf("outcomes = %+v", rep.Outcomes)
+	if len(rep.Runs) != 3 {
+		t.Fatalf("runs = %+v", rep.Runs)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestRaceSmokeVanilla(t *testing.T) {
 
 // TestRaceSmokeObserver pushes the event layer through the concurrent
 // paths: round events from the parallel decentralized run and the
-// order-restoring PolicyDone emitter of the concurrent trade-off
+// order-restoring SweepProgress emitter of the concurrent trade-off
 // sweep, with an observer attached and a live context.
 func TestRaceSmokeObserver(t *testing.T) {
 	opts := waitornot.Options{
@@ -212,8 +212,8 @@ func TestRaceSmokeConsensusLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tradeoff.Outcomes) != 6 {
-		t.Fatalf("outcomes = %d, want 6", len(res.Tradeoff.Outcomes))
+	if len(res.Tradeoff.Runs) != 6 {
+		t.Fatalf("runs = %d, want 6", len(res.Tradeoff.Runs))
 	}
 }
 
@@ -251,8 +251,8 @@ func TestRaceSmokePBFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tradeoff.Outcomes) != 8 {
-		t.Fatalf("outcomes = %d, want 8", len(res.Tradeoff.Outcomes))
+	if len(res.Tradeoff.Runs) != 8 {
+		t.Fatalf("runs = %d, want 8", len(res.Tradeoff.Runs))
 	}
 }
 

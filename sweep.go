@@ -91,8 +91,9 @@ type SweepCell struct {
 // SweepReport is a replication sweep's output: the raw per-replication
 // runs (seed-major, then backend-major, then policy order — the flat
 // work-list order SweepProgress events stream in) and the per-cell
-// distributions (backend-major × policy order, matching
-// TradeoffReport.Outcomes).
+// distributions (backend-major × policy order). A KindTradeoff Run
+// reports the one-seed sweep at Options.Seed: Runs and Cells then hold
+// the same grid.
 type SweepReport struct {
 	Model    Model    `json:"model"`
 	Scenario string   `json:"scenario,omitempty"`
@@ -171,8 +172,7 @@ type sweepVariant struct {
 // seed-major, backend-major, variant-minor grid RunSweep schedules
 // through the worker pool. RunCampaign persists the same plan, so a
 // stored cell is keyed and computed exactly as an in-memory one; a
-// KindTradeoff Run (runTradeoff) is the plan over the single seed
-// Options.Seed.
+// KindTradeoff Run is the plan over the single seed Options.Seed.
 //
 // The plan is also its own campaign snapshot: its compact JSON is what
 // the manifest stores and what the fingerprint hashes — every knob
@@ -412,11 +412,11 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 
 // runAll executes the work items todo (flat indices) through the
 // deterministic worker pool — the one "run cell, land it, emit in
-// order" loop behind RunSweep, RunCampaign and the single-seed
-// trade-off study. landed is called once per completed item with its
-// position j in todo; the event it returns is forwarded restored to
-// todo order, and an error from it (a campaign's failed append) stops
-// the run. The runs come back in todo order.
+// order" loop behind RunSweep (a KindTradeoff Run's one-seed sweep
+// included) and RunCampaign. landed is called once per completed item
+// with its position j in todo; the event it returns is forwarded
+// restored to todo order, and an error from it (a campaign's failed
+// append) stops the run. The runs come back in todo order.
 func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, todo []int, landed func(j int, run SweepRun) (event.Event, error)) ([]SweepRun, error) {
 	p.worlds = make([]seedWorld, len(p.Seeds))
 	defer func() { p.worlds = nil }()
@@ -492,20 +492,25 @@ func (r *SweepReport) withBackendColumn() bool {
 	return slices.ContainsFunc(r.Cells, func(c SweepCell) bool { return c.Backend != "" })
 }
 
-// Table renders the per-cell distributions as `mean ± 95% CI` — the
-// replicated form of TradeoffReport.Table. A backend column appears
-// when the sweep spanned consensus backends.
+// Table renders the per-cell distributions as `mean ± 95% CI` (a
+// one-seed sweep, such as a KindTradeoff Run, shows each arm's value
+// with a zero half-width). A backend column appears when the sweep
+// spanned consensus backends.
 func (r *SweepReport) Table() string {
 	withBackends := r.withBackendColumn()
-	title := fmt.Sprintf("Wait or not to wait (%s): speed vs precision per wait policy, mean ± 95%% CI over %d seeds",
-		r.Model, len(r.Seeds))
+	seeds := fmt.Sprintf("%d seeds", len(r.Seeds))
+	if len(r.Seeds) == 1 {
+		seeds = "1 seed"
+	}
+	title := fmt.Sprintf("Wait or not to wait (%s): speed vs precision per wait policy, mean ± 95%% CI over %s",
+		r.Model, seeds)
 	header := []string{"policy", "n", "final acc", "mean wait (ms)", "mean models"}
 	if r.TargetAccuracy > 0 {
 		header = append(header, fmt.Sprintf("t to %.0f%% acc (ms)", r.TargetAccuracy*100), "reached")
 	}
 	if withBackends {
-		title = fmt.Sprintf("Wait or not to wait (%s): speed vs precision per backend and wait policy, mean ± 95%% CI over %d seeds",
-			r.Model, len(r.Seeds))
+		title = fmt.Sprintf("Wait or not to wait (%s): speed vs precision per backend and wait policy, mean ± 95%% CI over %s",
+			r.Model, seeds)
 		header = append([]string{"backend"}, header...)
 	}
 	tab := metrics.NewTable(title, header...)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,7 +99,19 @@ func TestSweepMatchesSoloRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outcomes := grid.Tradeoff.Outcomes
+		// A trade-off Run is the one-seed sweep over the same grid.
+		one, err := waitornot.New(sweepOpts(),
+			waitornot.WithKind(waitornot.KindTradeoff),
+			waitornot.WithPolicies(sweepPolicies()...),
+			waitornot.WithBackends(backends...),
+			waitornot.WithSeeds(seed)).RunSweep(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(grid.Tradeoff, one) {
+			t.Fatalf("seed %d: trade-off Run %+v != one-seed RunSweep %+v", seed, grid.Tradeoff, one)
+		}
+		outcomes := grid.Tradeoff.Runs
 		if len(outcomes) != len(backends)*len(sweepPolicies()) {
 			t.Fatalf("seed %d: %d trade-off outcomes, want %d", seed, len(outcomes), len(backends)*len(sweepPolicies()))
 		}

@@ -107,12 +107,12 @@ func TestRunTradeoffFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Tradeoff
-	if len(rep.Outcomes) != 3 {
-		t.Fatalf("outcomes = %+v", rep.Outcomes)
+	if len(rep.Runs) != 3 {
+		t.Fatalf("runs = %+v", rep.Runs)
 	}
 	// Synchronous waits longest and uses the most models.
-	sync := rep.Outcomes[0]
-	async := rep.Outcomes[len(rep.Outcomes)-1]
+	sync := rep.Runs[0]
+	async := rep.Runs[len(rep.Runs)-1]
 	if sync.Policy != "wait-all" {
 		t.Fatalf("first policy = %s", sync.Policy)
 	}
