@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"waitornot/internal/campaign"
-	"waitornot/internal/event"
 )
 
 // manifest builds the campaign manifest: the plan's compact JSON is
@@ -80,107 +79,42 @@ func CampaignExists(dir string) bool { return campaign.Exists(dir) }
 // excluded); a mismatch is an error, never a silent merge of two
 // different grids.
 //
-// Observers receive one CampaignProgress per landed cell: restored
-// cells first in work-list order, then computed cells in work-list
-// order, each computed cell's event firing only after its record is
-// durably on disk. Cancellation keeps everything already appended: a
+// Observers receive one SweepProgress per landed cell: restored cells
+// (Restored set) first in work-list order, then computed cells in
+// work-list order, each computed cell's event firing only after its
+// record is durably on disk. Done counts every landed cell, earlier
+// sessions' included. Cancellation keeps everything already appended: a
 // ctx-cancelled (or SIGKILLed) campaign resumes where it stopped.
 func (e *Experiment) RunCampaign(ctx context.Context, dir string) (*SweepReport, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("waitornot: a campaign needs a directory to persist into")
 	}
-	plan, err := e.sweepPlan()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m, err := plan.manifest()
-	if err != nil {
-		return nil, err
-	}
-	log, records, err := campaign.Open(dir, m)
-	if err != nil {
-		return nil, err
-	}
-	defer log.Close()
+	return e.runSweep(ctx, dir)
+}
 
-	total := plan.total()
-	runs := make([]SweepRun, total)
-	done := make([]bool, total)
-	for _, r := range records {
-		if r.Index < 0 || r.Index >= total {
-			return nil, fmt.Errorf("waitornot: campaign %s: record for cell %d outside the %d-cell grid", dir, r.Index, total)
-		}
-		if want := plan.cellID(r.Index); r.ID != want {
-			return nil, fmt.Errorf("waitornot: campaign %s: cell %d has ID %s, this configuration derives %s (the log belongs to a different grid)",
-				dir, r.Index, r.ID, want)
-		}
-		if done[r.Index] {
-			continue
-		}
-		var run SweepRun
-		if err := json.Unmarshal(r.Payload, &run); err != nil {
-			return nil, fmt.Errorf("waitornot: campaign %s: cell %d payload: %w", dir, r.Index, err)
-		}
-		seed, backend, v := plan.cell(r.Index)
-		if run.Seed != seed || run.Policy != v.Label || run.Backend != backend {
-			return nil, fmt.Errorf("waitornot: campaign %s: cell %d payload is (seed %d, %s, %q), the grid says (seed %d, %s, %q)",
-				dir, r.Index, run.Seed, run.Policy, run.Backend, seed, v.Label, backend)
-		}
-		runs[r.Index], done[r.Index] = run, true
+// restore checks one logged record against the grid and returns its
+// run: the index must lie in the grid, the ID must be the one the plan
+// derives for that index, and the payload must be a run at that cell's
+// coordinates. A resume and the status view both read the log through
+// it, so the status view never shows a cell a resume would refuse.
+func (p *sweepPlan) restore(dir string, r campaign.Record) (SweepRun, error) {
+	if total := p.total(); r.Index < 0 || r.Index >= total {
+		return SweepRun{}, fmt.Errorf("waitornot: campaign %s: record for cell %d outside the %d-cell grid", dir, r.Index, total)
 	}
-
-	// Restored cells stream first, in work-list order: the campaign's
-	// cross-session progress meter picks up exactly where it stopped.
-	sink := observerSink(e.observer)
-	restored := 0
-	for i := 0; i < total; i++ {
-		if !done[i] {
-			continue
-		}
-		restored++
-		sink.Emit(event.CampaignProgress{
-			Index: i, Total: total, Done: restored, Restored: true,
-			Seed: runs[i].Seed, Policy: runs[i].Policy, Backend: runs[i].Backend,
-			FinalAccuracy: runs[i].FinalAccuracy, MeanWaitMs: runs[i].MeanWaitMs, MeanIncluded: runs[i].MeanIncluded,
-		})
+	if want := p.cellID(r.Index); r.ID != want {
+		return SweepRun{}, fmt.Errorf("waitornot: campaign %s: cell %d has ID %s, this configuration derives %s (the log belongs to a different grid)",
+			dir, r.Index, r.ID, want)
 	}
-
-	todo := make([]int, 0, total-restored)
-	for i, ok := range done {
-		if !ok {
-			todo = append(todo, i)
-		}
+	var run SweepRun
+	if err := json.Unmarshal(r.Payload, &run); err != nil {
+		return SweepRun{}, fmt.Errorf("waitornot: campaign %s: cell %d payload: %w", dir, r.Index, err)
 	}
-	computed, err := plan.runAll(ctx, sink, todo, func(j int, run SweepRun) (event.Event, error) {
-		i := todo[j]
-		payload, err := json.Marshal(run)
-		if err != nil {
-			return nil, fmt.Errorf("waitornot: campaign cell %d: %w", i, err)
-		}
-		// Durability before visibility: the record is fsync'd before the
-		// progress event fires, so an observer that has seen cell i can
-		// rely on a resume never recomputing it.
-		if err := log.Append(campaign.Record{Index: i, ID: plan.cellID(i), Payload: payload}); err != nil {
-			return nil, err
-		}
-		return event.CampaignProgress{
-			Index: i, Total: total, Done: restored + j + 1,
-			Seed: run.Seed, Policy: run.Policy, Backend: run.Backend,
-			FinalAccuracy: run.FinalAccuracy, MeanWaitMs: run.MeanWaitMs, MeanIncluded: run.MeanIncluded,
-		}, nil
-	})
-	if err != nil {
-		// Everything appended so far is durable; the caller resumes with
-		// another RunCampaign on the same dir.
-		return nil, err
+	seed, backend, v := p.cell(r.Index)
+	if run.Seed != seed || run.Policy != v.Label || run.Backend != backend {
+		return SweepRun{}, fmt.Errorf("waitornot: campaign %s: cell %d payload is (seed %d, %s, %q), the grid says (seed %d, %s, %q)",
+			dir, r.Index, run.Seed, run.Policy, run.Backend, seed, v.Label, backend)
 	}
-	for j, i := range todo {
-		runs[i] = computed[j]
-	}
-	return plan.report(runs, nil), nil
+	return run, nil
 }
 
 // CampaignState is a campaign directory's inspection view: identity,
@@ -190,22 +124,20 @@ func (e *Experiment) RunCampaign(ctx context.Context, dir string) (*SweepReport,
 type CampaignState struct {
 	// Dir is the campaign directory.
 	Dir string
-	// Kind / Scenario identify the persisted workload.
-	Kind     string
-	Scenario string
+	// Kind identifies the persisted workload (Partial.Scenario names
+	// its scenario).
+	Kind string
 	// Fingerprint is the configuration hash resumes are gated on.
 	Fingerprint string
 	// Done / Total count landed cells vs the full grid.
 	Done  int
 	Total int
-	// Seeds is the campaign's full replication axis.
-	Seeds []uint64
-	// Runs are the landed cells in flat work-list order.
-	Runs []SweepRun
 	// Partial is the mean ± CI report over the landed cells: the same
 	// accumulation (and the same bytes per cell) the finished campaign
-	// will produce, with not-yet-landed cells at n=0. Its Table() is
-	// the live view repro -campaign-status prints.
+	// will produce, with not-yet-landed cells at n=0. Its Seeds are the
+	// campaign's full replication axis, its Runs the landed cells in
+	// flat work-list order, and its Table() the live view repro
+	// -campaign-status prints.
 	Partial *SweepReport
 }
 
@@ -214,6 +146,9 @@ type CampaignState struct {
 // log (torn tail tolerated, never modified) fills in the landed cells,
 // and the partial mean ± CI report is assembled from them in flat
 // work-list order — deterministic for a given set of landed cells.
+// Each record passes the checks a resume makes, so a log a resume
+// would refuse is an error here too; only a record outside the grid is
+// skipped rather than fatal.
 func LoadCampaign(dir string) (*CampaignState, error) {
 	m, records, err := campaign.Read(dir)
 	if err != nil {
@@ -230,12 +165,12 @@ func LoadCampaign(dir string) (*CampaignState, error) {
 	runs := make([]SweepRun, total)
 	done := make([]bool, total)
 	for _, r := range records {
-		if r.Index < 0 || r.Index >= total || done[r.Index] {
+		if r.Index < 0 || r.Index >= total {
 			continue
 		}
-		var run SweepRun
-		if err := json.Unmarshal(r.Payload, &run); err != nil {
-			return nil, fmt.Errorf("waitornot: campaign %s: cell %d payload: %w", dir, r.Index, err)
+		run, err := plan.restore(dir, r)
+		if err != nil {
+			return nil, err
 		}
 		runs[r.Index], done[r.Index] = run, true
 	}
@@ -243,12 +178,9 @@ func LoadCampaign(dir string) (*CampaignState, error) {
 	return &CampaignState{
 		Dir:         dir,
 		Kind:        plan.Kind,
-		Scenario:    plan.Scenario,
 		Fingerprint: m.Fingerprint,
 		Done:        len(partial.Runs),
 		Total:       total,
-		Seeds:       plan.Seeds,
-		Runs:        partial.Runs,
 		Partial:     partial,
 	}, nil
 }

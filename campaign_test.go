@@ -85,7 +85,7 @@ type campaignCounter struct {
 }
 
 func (c *campaignCounter) OnEvent(ev waitornot.Event) {
-	e, ok := ev.(waitornot.CampaignProgress)
+	e, ok := ev.(waitornot.SweepProgress)
 	if !ok {
 		return
 	}
@@ -240,8 +240,8 @@ func TestLoadCampaignPartial(t *testing.T) {
 	if st.Kind != "trade-off study" && st.Kind != waitornot.KindTradeoff.String() {
 		t.Fatalf("status kind = %q", st.Kind)
 	}
-	if len(st.Runs) != st.Done || st.Partial == nil || len(st.Partial.Runs) != st.Done {
-		t.Fatalf("status runs = %d, partial runs = %d, done = %d", len(st.Runs), len(st.Partial.Runs), st.Done)
+	if st.Partial == nil || len(st.Partial.Runs) != st.Done {
+		t.Fatalf("partial runs = %d, done = %d", len(st.Partial.Runs), st.Done)
 	}
 	if st.Partial.Table() == "" {
 		t.Fatal("partial table empty")
@@ -255,8 +255,8 @@ func TestLoadCampaignPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 12 || len(st.Runs) != 12 {
-		t.Fatalf("finished status %d/%d with %d runs", st.Done, st.Total, len(st.Runs))
+	if st.Done != 12 || len(st.Partial.Runs) != 12 {
+		t.Fatalf("finished status %d/%d with %d runs", st.Done, st.Total, len(st.Partial.Runs))
 	}
 	sameReport(t, "finished status", st.Partial, rep)
 	if !waitornot.CampaignExists(dir) || waitornot.CampaignExists(t.TempDir()) {
@@ -353,26 +353,39 @@ func rewriteRecord(t *testing.T, dir string, mutate func(rec map[string]any)) {
 // TestCampaignRejectsTamperedLog: every identity field of a persisted
 // record is validated on resume — an index outside the grid, an ID the
 // configuration does not derive, or a payload whose coordinates
-// contradict the work list all refuse to fold in.
+// contradict the work list all refuse to fold in. The status view
+// reads the log through the same checks and refuses the same records,
+// with the same messages; only an index outside the grid is skipped
+// there (TestLoadCampaignRejectsCorruptManifest).
 func TestCampaignRejectsTamperedLog(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(rec map[string]any)
-		want   string
+		name       string
+		mutate     func(rec map[string]any)
+		want       string
+		resumeOnly bool
 	}{
-		{"index-out-of-range", func(rec map[string]any) { rec["index"] = 99 }, "outside the"},
-		{"foreign-id", func(rec map[string]any) { rec["id"] = strings.Repeat("d", 32) }, "different grid"},
-		{"payload-not-a-run", func(rec map[string]any) { rec["payload"] = "zzz" }, "payload"},
+		{"index-out-of-range", func(rec map[string]any) { rec["index"] = 99 }, "outside the", true},
+		{"foreign-id", func(rec map[string]any) { rec["id"] = strings.Repeat("d", 32) }, "different grid", false},
+		{"payload-not-a-run", func(rec map[string]any) { rec["payload"] = "zzz" }, "payload", false},
 		{"payload-wrong-cell", func(rec map[string]any) {
 			payload := rec["payload"].(map[string]any)
 			payload["seed"] = 77
-		}, "the grid says"},
+		}, "the grid says", false},
+		{"payload-wrong-policy", func(rec map[string]any) {
+			payload := rec["payload"].(map[string]any)
+			payload["policy"] = "first-9"
+		}, "the grid says", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			interruptCampaign(t, dir, 1, 2)
 			rewriteRecord(t, dir, tc.mutate)
+			if !tc.resumeOnly {
+				if _, err := waitornot.LoadCampaign(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("tampered log (%s) shown by the status view: %v", tc.name, err)
+				}
+			}
 			_, err := goldenCampaignExperiment(1).RunCampaign(context.Background(), dir)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("tampered log (%s) not refused: %v", tc.name, err)

@@ -330,8 +330,8 @@ func printNetperf(seed uint64) {
 // partial mean ± CI table over whatever cells have landed so far.
 func printCampaignStatus(st *waitornot.CampaignState) {
 	workload := st.Kind
-	if st.Scenario != "" {
-		workload += "  (scenario " + st.Scenario + ")"
+	if st.Partial.Scenario != "" {
+		workload += "  (scenario " + st.Partial.Scenario + ")"
 	}
 	pct := 0.0
 	if st.Total > 0 {
@@ -340,7 +340,7 @@ func printCampaignStatus(st *waitornot.CampaignState) {
 	fmt.Printf("campaign %s\n", st.Dir)
 	fmt.Printf("  workload     %s\n", workload)
 	fmt.Printf("  fingerprint  %.12s…\n", st.Fingerprint)
-	fmt.Printf("  seeds        %v\n", st.Seeds)
+	fmt.Printf("  seeds        %v\n", st.Partial.Seeds)
 	fmt.Printf("  progress     %d/%d cells (%.0f%%)\n\n", st.Done, st.Total, pct)
 	if st.Done == 0 {
 		fmt.Println("no cells landed yet; partial tables appear after the first record")
@@ -485,19 +485,12 @@ func printEvent(ev waitornot.Event) {
 		if e.Backend != "" {
 			cell += "@" + e.Backend
 		}
-		fmt.Printf("   replication %3d/%d  seed %-4d %-26s acc %.4f  wait %8.1f ms  models %.2f\n",
-			e.Index+1, e.Total, e.Seed, cell, e.FinalAccuracy, e.MeanWaitMs, e.MeanIncluded)
-	case waitornot.CampaignProgress:
-		cell := e.Policy
-		if e.Backend != "" {
-			cell += "@" + e.Backend
-		}
-		src := "landed"
+		restored := ""
 		if e.Restored {
-			src = "restored"
+			restored = " (restored)"
 		}
-		fmt.Printf("   campaign   %3d/%d  %-8s cell %-3d seed %-4d %-26s acc %.4f  wait %8.1f ms\n",
-			e.Done, e.Total, src, e.Index, e.Seed, cell, e.FinalAccuracy, e.MeanWaitMs)
+		fmt.Printf("   replication %3d/%d  seed %-4d %-26s acc %.4f  wait %8.1f ms  models %.2f%s\n",
+			e.Index+1, e.Total, e.Seed, cell, e.FinalAccuracy, e.MeanWaitMs, e.MeanIncluded, restored)
 	}
 }
 

@@ -210,7 +210,7 @@ func TestFootprint(t *testing.T) {
 }
 
 // TestPrintCampaign drives a tiny durable campaign through the CLI's
-// own surfaces: the CampaignProgress stream line, the campaign path of
+// own surfaces: the SweepProgress stream line, the campaign path of
 // printSweep, and the -campaign-status printer over the finished
 // directory.
 func TestPrintCampaign(t *testing.T) {
@@ -224,10 +224,13 @@ func TestPrintCampaign(t *testing.T) {
 		waitornot.WithObserverFunc(printEvent))
 	dir := t.TempDir() + "/campaign"
 	stream := captureStdout(t, func() { printSweep(context.Background(), exp, false, dir) })
-	for _, want := range []string{"campaign", "landed", "mean ± 95% CI"} {
+	for _, want := range []string{"replication", "4/4", "mean ± 95% CI"} {
 		if !strings.Contains(stream, want) {
 			t.Fatalf("campaign output missing %q:\n%s", want, stream)
 		}
+	}
+	if strings.Contains(stream, "(restored)") {
+		t.Fatalf("fresh campaign streamed a restored cell:\n%s", stream)
 	}
 
 	st, err := waitornot.LoadCampaign(dir)
@@ -244,7 +247,7 @@ func TestPrintCampaign(t *testing.T) {
 	// -resume over the finished directory: pure restore, and the
 	// streamed lines say so.
 	stream = captureStdout(t, func() { printSweep(context.Background(), exp, true, dir) })
-	for _, want := range []string{"restored", "4/4"} {
+	for _, want := range []string{"(restored)", "4/4"} {
 		if !strings.Contains(stream, want) {
 			t.Fatalf("resume output missing %q:\n%s", want, stream)
 		}
@@ -270,8 +273,8 @@ func TestPrintEventFormats(t *testing.T) {
 		{waitornot.GlobalMerge{Epoch: 1, Mode: "sync", Shard: -1}, "merged     epoch 1 (sync, barrier)"},
 		{waitornot.GlobalMerge{Epoch: 2, Mode: "async", Shard: 1}, "merged     epoch 2 (async, shard 1)"},
 		{waitornot.SweepProgress{Index: 0, Total: 4, Seed: 1, Policy: "wait-all", Backend: "pow"}, "replication   1/4  seed 1    wait-all@pow"},
-		{waitornot.CampaignProgress{Done: 2, Total: 4, Index: 1, Seed: 1, Policy: "first-1"}, "campaign     2/4  landed"},
-		{waitornot.CampaignProgress{Done: 1, Total: 4, Restored: true, Policy: "wait-all"}, "restored"},
+		{waitornot.SweepProgress{Done: 2, Total: 4, Index: 1, Seed: 1, Policy: "first-1"}, "replication   2/4  seed 1    first-1"},
+		{waitornot.SweepProgress{Done: 1, Total: 4, Restored: true, Policy: "wait-all"}, "(restored)"},
 	}
 	for _, tc := range cases {
 		out := captureStdout(t, func() { printEvent(tc.ev) })
@@ -284,8 +287,8 @@ func TestPrintEventFormats(t *testing.T) {
 // TestPrintCampaignStatusEmpty: a campaign with nothing landed prints
 // the progress header and says so instead of an empty table.
 func TestPrintCampaignStatusEmpty(t *testing.T) {
-	st := &waitornot.CampaignState{Dir: "/tmp/x", Kind: "trade-off study", Scenario: "campaign-grid",
-		Fingerprint: strings.Repeat("a", 64), Total: 12, Seeds: []uint64{1, 2, 3}}
+	st := &waitornot.CampaignState{Dir: "/tmp/x", Kind: "trade-off study", Fingerprint: strings.Repeat("a", 64), Total: 12,
+		Partial: &waitornot.SweepReport{Scenario: "campaign-grid", Seeds: []uint64{1, 2, 3}}}
 	out := captureStdout(t, func() { printCampaignStatus(st) })
 	for _, want := range []string{"progress     0/12 cells (0%)", "no cells landed yet", "scenario campaign-grid"} {
 		if !strings.Contains(out, want) {

@@ -25,7 +25,10 @@ import "waitornot/internal/event"
 // AggregationDecided per round; a replication sweep (RunSweep) emits
 // one SweepProgress per completed replication, in flat seed-major
 // work-list order — and so does the trade-off study, a one-seed sweep:
-// one per policy × backend arm, in grid order.
+// one per policy × backend arm, in grid order. A campaign (RunCampaign)
+// is a sweep with a log and emits the same event: first one per cell
+// restored from the log (Restored set), then one per computed cell,
+// each fired after its record is on disk.
 //
 // A sharded run (KindSharded) emits shard-level events instead of the
 // per-round skeleton: one ShardRoundEnd per shard round, one
@@ -53,15 +56,12 @@ type (
 	PeerAggregated = event.PeerAggregated
 	// RoundEnd closes a communication round.
 	RoundEnd = event.RoundEnd
-	// SweepProgress reports one completed replication of a sweep
-	// (RunSweep, or a KindTradeoff Run's one-seed sweep), in
-	// deterministic flat work-list order.
+	// SweepProgress reports one landed replication of a sweep
+	// (RunSweep, RunCampaign, or a KindTradeoff Run's one-seed sweep),
+	// in deterministic flat work-list order. In a campaign, Restored
+	// marks a cell read back from the log and Done/Total is the
+	// cross-restart progress meter.
 	SweepProgress = event.SweepProgress
-	// CampaignProgress reports one landed cell of a durable campaign
-	// (RunCampaign): restored from the persisted log or freshly
-	// computed and durably appended before the event fired. Done/Total
-	// is the campaign's cross-restart progress meter.
-	CampaignProgress = event.CampaignProgress
 	// ShardRoundEnd reports one completed shard-local round in a
 	// KindSharded run.
 	ShardRoundEnd = event.ShardRoundEnd

@@ -46,7 +46,7 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	landed := 0
 	_, err = experiment(waitornot.ObserverFunc(func(ev waitornot.Event) {
-		if e, ok := ev.(waitornot.CampaignProgress); ok && !e.Restored {
+		if e, ok := ev.(waitornot.SweepProgress); ok && !e.Restored {
 			landed++
 			fmt.Printf("  landed   %2d/%d  seed %d  %-10s %-8s\n", e.Done, e.Total, e.Seed, e.Policy, e.Backend)
 			if landed == 5 {
@@ -70,7 +70,7 @@ func main() {
 
 	// Pass 2: resume. Restored cells stream first; only the rest run.
 	rep, err := experiment(waitornot.ObserverFunc(func(ev waitornot.Event) {
-		if e, ok := ev.(waitornot.CampaignProgress); ok {
+		if e, ok := ev.(waitornot.SweepProgress); ok {
 			src := "computed"
 			if e.Restored {
 				src = "restored"

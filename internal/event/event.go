@@ -167,18 +167,25 @@ type RoundEnd struct {
 // EventName implements Event.
 func (RoundEnd) EventName() string { return "round-end" }
 
-// SweepProgress reports one completed replication of a sweep — a
+// SweepProgress reports one landed replication of a sweep — a
 // trade-off study is a one-seed sweep, one replication per arm: the
 // run at (Seed, Policy, Backend) finished with the headline metrics
 // below. Index is the replication's position in the flat seed-major
-// work list and Total the sweep size; events arrive in index order
-// even when replications run concurrently, so Index/Total double as a
-// deterministic progress meter.
+// work list and Total the sweep size. Done counts landed replications:
+// Index+1 in a sweep that keeps no log; in a durable campaign
+// (RunCampaign) it includes every earlier session's cells, so
+// Done/Total is the campaign's progress meter across process restarts.
+// Restored marks a cell read back from the campaign's log (no compute
+// spent). Restored cells stream first in index order, then computed
+// cells in work-list order, even when replications run concurrently,
+// so the stream is deterministic at any Parallelism.
 type SweepProgress struct {
-	Index  int
-	Total  int
-	Seed   uint64
-	Policy string
+	Index    int
+	Total    int
+	Done     int
+	Restored bool
+	Seed     uint64
+	Policy   string
 	// Backend names the consensus substrate the replication ran on;
 	// empty when the sweep ran on the unnamed default.
 	Backend       string
@@ -189,33 +196,6 @@ type SweepProgress struct {
 
 // EventName implements Event.
 func (SweepProgress) EventName() string { return "sweep-progress" }
-
-// CampaignProgress reports one landed cell of a durable campaign
-// (RunCampaign): cell Index of the flat work list is done, either
-// restored from the campaign's persisted log (Restored — no compute
-// spent) or freshly computed and durably appended before this event
-// fired. Done counts landed cells including every prior session's, so
-// Done/Total is the campaign's true progress meter across process
-// restarts. Restored cells stream first in index order, then computed
-// cells in work-list order, making the stream deterministic at any
-// Parallelism.
-type CampaignProgress struct {
-	Index    int
-	Total    int
-	Done     int
-	Restored bool
-	Seed     uint64
-	Policy   string
-	// Backend names the consensus substrate the cell ran on; empty
-	// when the campaign ran on the unnamed default.
-	Backend       string
-	FinalAccuracy float64
-	MeanWaitMs    float64
-	MeanIncluded  float64
-}
-
-// EventName implements Event.
-func (CampaignProgress) EventName() string { return "campaign-progress" }
 
 // ShardRoundEnd reports one completed shard-local aggregation round in
 // the sharded hierarchy: shard Shard finished its round Round at
@@ -302,16 +282,11 @@ func String(ev Event) string {
 	case RoundEnd:
 		return fmt.Sprintf("%s r%d%s", e.EventName(), e.Round, armSuffix(e.Arm))
 	case SweepProgress:
-		if e.Backend != "" {
-			return fmt.Sprintf("%s %d/%d seed=%d %s@%s", e.EventName(), e.Index+1, e.Total, e.Seed, e.Policy, e.Backend)
-		}
-		return fmt.Sprintf("%s %d/%d seed=%d %s", e.EventName(), e.Index+1, e.Total, e.Seed, e.Policy)
-	case CampaignProgress:
 		cell := e.Policy
 		if e.Backend != "" {
 			cell += "@" + e.Backend
 		}
-		s := fmt.Sprintf("%s %d/%d cell=%d seed=%d %s", e.EventName(), e.Done, e.Total, e.Index, e.Seed, cell)
+		s := fmt.Sprintf("%s %d/%d seed=%d %s", e.EventName(), e.Index+1, e.Total, e.Seed, cell)
 		if e.Restored {
 			s += " (restored)"
 		}

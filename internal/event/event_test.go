@@ -13,7 +13,6 @@ func TestEventNamesStable(t *testing.T) {
 		"peer-aggregated":       PeerAggregated{},
 		"round-end":             RoundEnd{},
 		"sweep-progress":        SweepProgress{},
-		"campaign-progress":     CampaignProgress{},
 		"shard-round-end":       ShardRoundEnd{},
 		"shard-model-committed": ShardModelCommitted{},
 		"global-merge":          GlobalMerge{},
@@ -47,10 +46,12 @@ func TestString(t *testing.T) {
 		"block-committed r2 pow h5 n=3":       BlockCommitted{Round: 2, Backend: "pow", Height: 5, Txs: 3},
 		"block-committed r2 pow h5 n=3 rej=1": BlockCommitted{Round: 2, Backend: "pow", Height: 5, Txs: 3, Rejected: 1},
 		"peer-aggregated A r2 t=120 n=2":      PeerAggregated{Peer: "A", Round: 2, VirtualMs: 120, Included: 2},
-		"campaign-progress 3/12 cell=7 seed=2 first-1@pow": CampaignProgress{
+		"sweep-progress 8/12 seed=2 first-1@pow": SweepProgress{
 			Done: 3, Total: 12, Index: 7, Seed: 2, Policy: "first-1", Backend: "pow"},
-		"campaign-progress 1/12 cell=0 seed=1 wait-all (restored)": CampaignProgress{
+		"sweep-progress 1/12 seed=1 wait-all (restored)": SweepProgress{
 			Done: 1, Total: 12, Index: 0, Seed: 1, Policy: "wait-all", Restored: true},
+		"sweep-progress 3/12 seed=1 first-1@pow (restored)": SweepProgress{
+			Done: 2, Total: 12, Index: 2, Seed: 1, Policy: "first-1", Backend: "pow", Restored: true},
 		"shard-round-end s1 r3 t=900 wait=41.1 n=2.00": ShardRoundEnd{
 			Shard: 1, Round: 3, VirtualMs: 900, MaxWaitMs: 41.1, MeanIncluded: 2},
 		"shard-model-committed s0 e2 r4 acc=0.2500": ShardModelCommitted{

@@ -48,7 +48,6 @@ import (
 
 	"waitornot/internal/chain"
 	"waitornot/internal/keys"
-	"waitornot/internal/simnet"
 )
 
 // Config is everything a backend factory needs: the participant count,
@@ -78,9 +77,6 @@ type Config struct {
 	// 0 = backend default). Independent of Peers — the committee is a
 	// latency-model parameter; the ledger keeps one state either way.
 	Validators int
-	// Net is the per-message network delay distribution (ms) the
-	// analytic latency model integrates over (zero = backend default).
-	Net simnet.Dist
 	// Verify scores a submitted model's weight vector on the
 	// consortium's validation set — higher is better, NaN means the
 	// vector cannot be scored. Backends with model verification (pbft)

@@ -32,8 +32,8 @@ const (
 //
 // First, CommitLatencyMs comes from an explicit analytic model
 // (internal/ledger/latmodel) instead of a hand-waved constant: three
-// quorum-barriered phases of O(n²) messages over the configured per-hop
-// delay distribution, per "Latency Analysis of Consortium Blockchained
+// quorum-barriered phases of O(n²) messages over latmodel's default
+// per-hop delay distribution, per "Latency Analysis of Consortium Blockchained
 // Federated Learning" (Ren & Yan 2021). The calibration suite pins the
 // model against an event-level simulation of the same protocol.
 //
@@ -77,7 +77,7 @@ func newPBFT(cfg Config) (*pbftBackend, error) {
 	if validators == 0 {
 		validators = pbftDefaultValidators
 	}
-	model := latmodel.Config{Validators: validators, PerHop: cfg.Net}
+	model := latmodel.Config{Validators: validators}
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("ledger: pbft: %w", err)
 	}
@@ -158,7 +158,6 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	c.Rejected = rejected
 	c.LatencyMs, err = latmodel.PredictRoundLatencyMs(latmodel.Config{
 		Validators:   be.validators,
-		PerHop:       be.cfg.Net,
 		PayloadBytes: c.Bytes,
 		PerKBMs:      pbftPerKBMs,
 		Updates:      updates,

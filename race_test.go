@@ -370,7 +370,7 @@ func TestRaceSmokeAsync(t *testing.T) {
 // TestRaceSmokeCampaign pushes the durable campaign through its
 // genuinely concurrent paths: worker-pool cells racing to Append on
 // the shared log (mutex-serialized fsync'd writes in completion
-// order), the order-restoring CampaignProgress emitter, and the
+// order), the order-restoring SweepProgress emitter, and the
 // restore path folding persisted records back in under a second,
 // resumed run.
 func TestRaceSmokeCampaign(t *testing.T) {

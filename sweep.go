@@ -130,6 +130,17 @@ type SweepReport struct {
 // wait/latency semantics and is rejected. Combo tables are always
 // skipped: the sweep consumes only headline metrics.
 func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
+	return e.runSweep(ctx, "")
+}
+
+// runSweep is the one sweep loop behind RunSweep and RunCampaign: a
+// campaign is a sweep with a log. With dir == "" it keeps no log. With
+// a directory it opens the campaign there, restores the cells its log
+// holds (each checked against the grid) and streams them first, then
+// computes the rest, appending each computed cell to the log before
+// that cell's event fires. Restored and computed runs fold into the
+// report in flat work-list order, so the bytes are the same either way.
+func (e *Experiment) runSweep(ctx context.Context, dir string) (*SweepReport, error) {
 	plan, err := e.sweepPlan()
 	if err != nil {
 		return nil, err
@@ -138,20 +149,71 @@ func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 		return nil, err
 	}
 	total := plan.total()
-	runs, err := plan.runAll(ctx, observerSink(e.observer), plan.all(), func(i int, run SweepRun) (event.Event, error) {
+	runs := make([]SweepRun, total)
+	done := make([]bool, total)
+	var log *campaign.Log
+	if dir != "" {
+		m, err := plan.manifest()
+		if err != nil {
+			return nil, err
+		}
+		var records []campaign.Record
+		if log, records, err = campaign.Open(dir, m); err != nil {
+			return nil, err
+		}
+		defer log.Close()
+		for _, r := range records {
+			run, err := plan.restore(dir, r)
+			if err != nil {
+				return nil, err
+			}
+			runs[r.Index], done[r.Index] = run, true
+		}
+	}
+
+	sink := observerSink(e.observer)
+	progress := func(i, landed int, fromLog bool, run SweepRun) event.Event {
 		return event.SweepProgress{
-			Index:         i,
-			Total:         total,
-			Seed:          run.Seed,
-			Policy:        run.Policy,
-			Backend:       run.Backend,
-			FinalAccuracy: run.FinalAccuracy,
-			MeanWaitMs:    run.MeanWaitMs,
-			MeanIncluded:  run.MeanIncluded,
-		}, nil
+			Index: i, Total: total, Done: landed, Restored: fromLog,
+			Seed: run.Seed, Policy: run.Policy, Backend: run.Backend,
+			FinalAccuracy: run.FinalAccuracy, MeanWaitMs: run.MeanWaitMs, MeanIncluded: run.MeanIncluded,
+		}
+	}
+	// Restored cells stream first, in work-list order: a campaign's
+	// cross-session progress meter picks up exactly where it stopped.
+	restored := 0
+	todo := make([]int, 0, total)
+	for i, ok := range done {
+		if !ok {
+			todo = append(todo, i)
+			continue
+		}
+		restored++
+		sink.Emit(progress(i, restored, true, runs[i]))
+	}
+	computed, err := plan.runAll(ctx, sink, todo, func(j int, run SweepRun) (event.Event, error) {
+		i := todo[j]
+		if log != nil {
+			payload, err := json.Marshal(run)
+			if err != nil {
+				return nil, fmt.Errorf("waitornot: campaign cell %d: %w", i, err)
+			}
+			// Durability before visibility: the record is fsync'd before
+			// the progress event fires, so an observer that has seen cell
+			// i can rely on a resume never recomputing it.
+			if err := log.Append(campaign.Record{Index: i, ID: plan.cellID(i), Payload: payload}); err != nil {
+				return nil, err
+			}
+		}
+		return progress(i, restored+j+1, false, run), nil
 	})
 	if err != nil {
+		// Everything appended so far is durable; another RunCampaign on
+		// the same dir resumes from it.
 		return nil, err
+	}
+	for j, i := range todo {
+		runs[i] = computed[j]
 	}
 	return plan.report(runs, nil), nil
 }
@@ -327,15 +389,6 @@ func (p *sweepPlan) cells() int { return len(p.Backends) * len(p.Variants) }
 // total is the flat work-list length: one item per cell replication.
 func (p *sweepPlan) total() int { return len(p.Seeds) * p.cells() }
 
-// all is the whole work list: every flat index, in order.
-func (p *sweepPlan) all() []int {
-	todo := make([]int, p.total())
-	for i := range todo {
-		todo[i] = i
-	}
-	return todo
-}
-
 // cell decomposes flat index i into its (seed, backend, variant)
 // coordinates — the seed-major, backend-major, variant-minor order the
 // work list streams in.
@@ -411,12 +464,11 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 }
 
 // runAll executes the work items todo (flat indices) through the
-// deterministic worker pool — the one "run cell, land it, emit in
-// order" loop behind RunSweep (a KindTradeoff Run's one-seed sweep
-// included) and RunCampaign. landed is called once per completed item
-// with its position j in todo; the event it returns is forwarded
-// restored to todo order, and an error from it (a campaign's failed
-// append) stops the run. The runs come back in todo order.
+// deterministic worker pool — the "run cell, land it, emit in order"
+// step of runSweep. landed is called once per completed item with its
+// position j in todo; the event it returns is forwarded restored to
+// todo order, and an error from it (a campaign's failed append) stops
+// the run. The runs come back in todo order.
 func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, todo []int, landed func(j int, run SweepRun) (event.Event, error)) ([]SweepRun, error) {
 	p.worlds = make([]seedWorld, len(p.Seeds))
 	defer func() { p.worlds = nil }()

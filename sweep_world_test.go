@@ -28,6 +28,15 @@ func worldSweep(t *testing.T, parallelism int) *sweepPlan {
 	return plan
 }
 
+// allCells is the plan's whole work list: every flat index, in order.
+func allCells(plan *sweepPlan) []int {
+	todo := make([]int, plan.total())
+	for i := range todo {
+		todo[i] = i
+	}
+	return todo
+}
+
 // progress is RunSweep's landed callback, reduced to what these tests read.
 func progress(_ int, run SweepRun) (event.Event, error) {
 	return event.SweepProgress{Seed: run.Seed, Policy: run.Policy, Backend: run.Backend}, nil
@@ -46,7 +55,7 @@ func TestSweepCancelDropsWorlds(t *testing.T) {
 				cancel()
 			}
 		})
-		runs, err := plan.runAll(ctx, sink, plan.all(), progress)
+		runs, err := plan.runAll(ctx, sink, allCells(plan), progress)
 		cancel()
 		if !errors.Is(err, context.Canceled) || runs != nil {
 			t.Fatalf("parallelism %d: runs=%v err=%v, want nil + context.Canceled", parallelism, runs, err)
@@ -70,7 +79,7 @@ func TestSweepCancelDropsWorlds(t *testing.T) {
 func TestSweepDropsEachWorldWithItsLastCell(t *testing.T) {
 	plan := worldSweep(t, 1)
 	cells := plan.cells()
-	_, err := plan.runAll(context.Background(), nil, plan.all(), func(j int, run SweepRun) (event.Event, error) {
+	_, err := plan.runAll(context.Background(), nil, allCells(plan), func(j int, run SweepRun) (event.Event, error) {
 		built := 0
 		for k := range plan.worlds {
 			if plan.worlds[k].world != nil {
