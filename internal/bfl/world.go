@@ -61,8 +61,9 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 
 	// Every set is one draw of a single generation pass, so the samples
-	// of all of them share one worker pool: the train pool (or each
-	// peer's train set), then every selection set, then every test set.
+	// of all of them share one worker pool: each peer's train set (the
+	// train pool laid out as its shards, or drawn per peer), then every
+	// selection set, then every test set.
 	var draws []dataset.Draw
 	perPeer := func(size int, prefix string) {
 		for _, a := range w.active {
@@ -72,21 +73,18 @@ func NewWorld(cfg Config) (*World, error) {
 	if subsampled {
 		perPeer(cfg.TrainPerPeer, "peer-data-")
 	} else {
-		draws = append(draws, dataset.Draw{N: cfg.TrainPerPeer * cfg.Peers, RNG: root.Derive("train-pool")})
+		draws = append(draws, dataset.Draw{N: cfg.TrainPerPeer * cfg.Peers, RNG: root.Derive("train-pool"),
+			Split: &dataset.Split{Parts: cfg.Peers, Alpha: cfg.DirichletAlpha, RNG: root.Derive("partition")}})
 	}
 	perPeer(cfg.SelectionSize, "selection-")
 	perPeer(cfg.TestPerPeer, "test-")
 	sets, n := dataset.GenerateSets(cfg.Parallelism, data, draws), len(w.active)
-	w.sel, w.test = sets[len(sets)-2*n:len(sets)-n], sets[len(sets)-n:]
-	switch {
-	case subsampled:
-		w.train = sets[:n]
-	case cfg.DirichletAlpha > 0:
-		w.train = dataset.PartitionDirichlet(sets[0], cfg.Peers, cfg.DirichletAlpha, root.Derive("partition"))
-	default:
-		w.train = dataset.PartitionIID(sets[0], cfg.Peers, root.Derive("partition"))
-	}
+	w.train, w.sel, w.test = sets[:n], sets[n:2*n], sets[2*n:]
 	for s, a := range w.active {
+		if w.train[s].Len() < cfg.Hyper.BatchSize {
+			return nil, fmt.Errorf("bfl: peer %s's training shard holds %d samples, less than one minibatch of %d",
+				fl.ClientName(a), w.train[s].Len(), cfg.Hyper.BatchSize)
+		}
 		if a == cfg.PoisonPeer && cfg.PoisonFrac > 0 {
 			w.train[s] = dataset.PoisonLabelFlip(w.train[s], cfg.PoisonFrac, root.Derive("poison"))
 		}

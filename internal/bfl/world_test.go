@@ -14,8 +14,8 @@ import (
 	"waitornot/internal/dataset"
 )
 
-// worldConfig is tinyConfig with a poisoned peer (the world holds the
-// label-flipped copy) and the commit-latency arrival model, so the
+// worldConfig is tinyConfig with a poisoned peer (the world holds its
+// label-flipped labels) and the commit-latency arrival model, so the
 // wait policies below differ.
 func worldConfig() Config {
 	cfg := tinyConfig()
@@ -191,5 +191,22 @@ func TestWorldBlock(t *testing.T) {
 		if got.train[s] != w.train[s] || got.sel[s] != w.sel[s] || got.test[s] != w.test[s] {
 			t.Fatalf("slot %d's sets were copied or moved", s)
 		}
+	}
+}
+
+// TestNewWorldRefusesAShardUnderOneMinibatch: a Dirichlet split that
+// deals a peer fewer samples than one minibatch is a set-up error naming
+// the peer and both numbers — at seed 7, 8 peers × 60 samples and α 0.5
+// deal peer C 22 — not a peer that silently trains nothing.
+func TestNewWorldRefusesAShardUnderOneMinibatch(t *testing.T) {
+	cfg := Config{Peers: 8, Rounds: 3, Seed: 7, TrainPerPeer: 60, SelectionSize: 30, TestPerPeer: 30,
+		Backend: "instant", DirichletAlpha: 0.5}
+	_, err := NewWorld(cfg)
+	if err == nil || !strings.Contains(err.Error(), "peer C's training shard holds 22 samples, less than one minibatch of 32") {
+		t.Fatalf("NewWorld: %v, want peer C's 22-sample shard refused", err)
+	}
+	cfg.TrainPerPeer = 80
+	if _, err := NewWorld(cfg); err != nil {
+		t.Fatalf("at 80 samples a peer: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package dataset synthesizes the CIFAR-10 stand-in ("SynthCIFAR") used
-// throughout the reproduction, and provides the partitioning utilities
-// federated experiments need.
+// throughout the reproduction, laid out as the training shards federated
+// experiments need.
 //
 // CIFAR-10 itself cannot be shipped (the build is offline), so the
 // generator is engineered to reproduce the property of CIFAR-10 that the
@@ -17,6 +17,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"waitornot/internal/nn"
 	"waitornot/internal/par"
@@ -115,16 +116,6 @@ type Set struct {
 // Len returns the number of samples.
 func (s *Set) Len() int { return s.X.Rows }
 
-// subset gathers the given row indices into a new independent Set.
-func (s *Set) subset(idx []int) *Set {
-	out := &Set{X: tensor.New(len(idx), s.X.Cols), Y: make([]int, len(idx)), Classes: s.Classes}
-	for i, src := range idx {
-		copy(out.X.Row(i), s.X.Row(src))
-		out.Y[i] = s.Y[src]
-	}
-	return out
-}
-
 // texture returns the PatchSize x PatchSize oriented sinusoidal texture
 // for a class. Textures are deterministic pure functions of
 // (class, family, size).
@@ -185,91 +176,134 @@ func Generate(cfg Config, n int, rng *xrand.RNG) *Set {
 	return GenerateSets(1, cfg, []Draw{{N: n, RNG: rng}})[0]
 }
 
-// Draw is one set of a GenerateSets pass: N samples from RNG.
+// Draw is one set of a GenerateSets pass: N samples from RNG, laid out
+// as Split's shards when it is set.
 type Draw struct {
-	N   int
-	RNG *xrand.RNG
+	N     int
+	RNG   *xrand.RNG
+	Split *Split
 }
 
-// GenerateSets synthesizes one set per draw on at most workers
-// goroutines (par.Workers convention), one sample per work item. The
-// sets, and every draw's RNG end state, are bit-identical to calling
-// Generate for each draw in order: splitmix64 is random-access, so a
-// sequential offsets pass finds each sample's start state without
-// drawing the sample (DESIGN.md §5, "A data set is random-access").
+// Split deals a draw's samples into Parts training shards, drawing from
+// RNG: IID (a shuffle dealt round-robin) when Alpha is 0, else per-class
+// Dirichlet(Alpha) proportions — the standard federated non-IID
+// protocol. Small Alpha yields highly skewed shards; Alpha -> inf
+// approaches IID.
+type Split struct {
+	Parts int
+	Alpha float64
+	RNG   *xrand.RNG
+}
+
+// GenerateSets synthesizes the sets of every draw on at most workers
+// goroutines (par.Workers convention), one sample per work item, and
+// returns them in draw order: one set per draw, or a split draw's
+// shards. A set, and every draw's RNG end state, is bit-identical to
+// calling Generate for each draw in order; a shard holds the rows its
+// split deals it, each written once, in place (DESIGN.md §5, "A data
+// set is random-access" and "A sample is written once").
 func GenerateSets(workers int, cfg Config, draws []Draw) []*Set {
 	return newPass(cfg, draws).run(workers)
 }
 
-// pass is one GenerateSets call after its offsets pass. A set's Y holds
-// each sample's shuffled class until the sample replaces it with its
-// label.
+// pass is one GenerateSets call after its offsets pass.
 type pass struct {
 	cfg                     Config
 	textures, hues, globals [][]float64 // by class, built once a pass
-	sets                    []*Set
-	// starts[d][i] is draw d's stream at the start of sample i;
-	// starts[d][N] its end state.
-	starts [][]xrand.RNG
-	items  []sampleRef // every sample of every draw, in order
+	draws                   []drawPass
+	items                   []sampleRef // every sample of every draw, in order
 }
 
-type sampleRef struct{ draw, i int }
+// drawPass is one draw after the offsets pass: sample i is of class
+// classes[i], set.Y already holds every row's final label, and shard k
+// is rows [bounds[k], bounds[k+1]). starts[i] is the draw's stream at
+// the start of sample i, starts[N] its end state.
+type drawPass struct {
+	set             *Set
+	classes, bounds []int
+	starts          []xrand.RNG
+}
+
+// sampleRef is sample i of a draw, written to row of its set.
+type sampleRef struct{ draw, i, row int }
 
 // newPass shuffles each draw's classes on its RNG, records every
-// sample's start state by skipping exactly what sample draws (one
-// brightness, per channel one jitter and H·W pixel normals, two Intn,
-// and the label-noise Bool plus its Intn when it fires), and leaves each
-// draw's RNG at its end state.
+// sample's start state and final label by skipping exactly what sample
+// draws (one brightness, per channel one jitter and H·W pixel normals,
+// two Intn) and drawing the rest (the label-noise Bool, plus its Intn
+// when it fires), lays the draw out, and leaves each draw's RNG at its
+// end state.
 func newPass(cfg Config, draws []Draw) *pass {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	p := &pass{cfg: cfg, textures: make([][]float64, cfg.Classes), hues: make([][]float64, cfg.Classes),
-		globals: make([][]float64, cfg.Classes), sets: make([]*Set, len(draws)), starts: make([][]xrand.RNG, len(draws))}
+		globals: make([][]float64, cfg.Classes), draws: make([]drawPass, len(draws))}
 	for c := 0; c < cfg.Classes; c++ {
 		p.textures[c], p.hues[c], p.globals[c] = cfg.texture(c), cfg.hue(c), cfg.globalPattern(c)
 	}
 	normals := 1 + cfg.ImageC*(1+cfg.ImageH*cfg.ImageW)
 	for d, dr := range draws {
-		s := &Set{X: tensor.New(dr.N, cfg.ImageLen()), Y: make([]int, dr.N), Classes: cfg.Classes}
-		for i := range s.Y {
-			s.Y[i] = i % cfg.Classes // balanced...
+		dp := drawPass{classes: make([]int, dr.N), bounds: []int{0, dr.N}, starts: make([]xrand.RNG, dr.N+1)}
+		for i := range dp.classes {
+			dp.classes[i] = i % cfg.Classes // balanced...
 		}
-		dr.RNG.ShuffleInts(s.Y) // ...in random order
-		p.sets[d] = s
-		starts := make([]xrand.RNG, dr.N+1)
-		for i := range dr.N {
-			starts[i] = *dr.RNG
-			p.items = append(p.items, sampleRef{d, i})
+		dr.RNG.ShuffleInts(dp.classes) // ...in random order
+		labels, base := make([]int, dr.N), len(p.items)
+		for i, cls := range dp.classes {
+			dp.starts[i] = *dr.RNG
+			p.items = append(p.items, sampleRef{d, i, i})
 			dr.RNG.SkipNormals(normals)
 			dr.RNG.Skip(2)
+			labels[i] = cls
 			if cfg.LabelNoise > 0 && dr.RNG.Bool(cfg.LabelNoise) {
-				dr.RNG.Skip(1)
+				labels[i] = dr.RNG.Intn(cfg.Classes)
 			}
 		}
-		starts[dr.N] = *dr.RNG
-		p.starts[d] = starts
+		dp.starts[dr.N] = *dr.RNG
+		dp.set = &Set{X: tensor.New(dr.N, cfg.ImageLen()), Y: labels, Classes: cfg.Classes}
+		if dr.Split != nil { // deal the samples into the shards' rows
+			dp.bounds, dp.set.Y = []int{0}, make([]int, dr.N)
+			row := 0
+			for _, idx := range dr.Split.deal(labels, cfg.Classes) {
+				for _, i := range idx {
+					p.items[base+i].row, dp.set.Y[row] = row, labels[i]
+					row++
+				}
+				dp.bounds = append(dp.bounds, row)
+			}
+		}
+		p.draws[d] = dp
 	}
 	return p
 }
 
-// run draws every sample from its recorded start state. The drift guard
-// panics if a sample does not end where the offsets pass says the next
-// one starts, so the two can never silently disagree.
+// run draws every sample from its recorded start state into its row.
+// The drift guard panics if a sample does not end where the offsets
+// pass says the next one starts, or with another label than it
+// recorded, so the two can never silently disagree.
 func (p *pass) run(workers int) []*Set {
 	// No item returns an error; a drift panic is re-raised here.
 	_ = par.ForEach(workers, len(p.items), func(k int) error {
 		it := p.items[k]
-		rng := p.starts[it.draw][it.i]
-		s := p.sets[it.draw]
-		s.Y[it.i] = p.sample(s.X.Row(it.i), s.Y[it.i], &rng)
-		if rng != p.starts[it.draw][it.i+1] {
+		dp := &p.draws[it.draw]
+		rng := dp.starts[it.i]
+		y := p.sample(dp.set.X.Row(it.row), dp.classes[it.i], &rng)
+		if rng != dp.starts[it.i+1] || y != dp.set.Y[it.row] {
 			panic(fmt.Sprintf("dataset: draw %d sample %d drifted from the offsets pass", it.draw, it.i))
 		}
 		return nil
 	})
-	return p.sets
+	var out []*Set
+	for _, dp := range p.draws {
+		c := dp.set.X.Cols
+		for k := range len(dp.bounds) - 1 {
+			lo, hi := dp.bounds[k], dp.bounds[k+1]
+			out = append(out, &Set{X: tensor.FromSlice(hi-lo, c, dp.set.X.Data[lo*c:hi*c:hi*c]),
+				Y: dp.set.Y[lo:hi:hi], Classes: dp.set.Classes})
+		}
+	}
+	return out
 }
 
 // sample draws one sample of class cls into row from rng and returns
@@ -318,64 +352,40 @@ func (p *pass) sample(row []float32, cls int, rng *xrand.RNG) int {
 	return y
 }
 
-// PartitionIID deals the set round-robin into parts equal shards after a
-// shuffle, giving each shard the same distribution.
-func PartitionIID(s *Set, parts int, rng *xrand.RNG) []*Set {
-	if parts <= 0 {
-		panic("dataset: non-positive part count")
+// deal returns each shard's sample indices, in row order.
+func (s *Split) deal(labels []int, classes int) [][]int {
+	if s.Parts <= 0 || s.Alpha < 0 {
+		panic(fmt.Sprintf("dataset: split into %d parts at alpha %v", s.Parts, s.Alpha))
 	}
-	perm := rng.Perm(s.Len())
-	idxs := make([][]int, parts)
-	for i, src := range perm {
-		idxs[i%parts] = append(idxs[i%parts], src)
+	shards := make([][]int, s.Parts)
+	if s.Alpha == 0 {
+		for i, src := range s.RNG.Perm(len(labels)) {
+			shards[i%s.Parts] = append(shards[i%s.Parts], src)
+		}
+		return shards
 	}
-	out := make([]*Set, parts)
-	for i, idx := range idxs {
-		out[i] = s.subset(idx)
-	}
-	return out
-}
-
-// PartitionDirichlet splits the set with per-class Dirichlet(alpha)
-// proportions across parts — the standard federated non-IID benchmark
-// protocol. Small alpha yields highly skewed shards; alpha -> inf
-// approaches IID.
-func PartitionDirichlet(s *Set, parts int, alpha float64, rng *xrand.RNG) []*Set {
-	if parts <= 0 {
-		panic("dataset: non-positive part count")
-	}
-	if alpha <= 0 {
-		panic("dataset: Dirichlet alpha must be positive")
-	}
-	// Gather indices per class, shuffled.
-	byClass := make([][]int, s.Classes)
-	for i, y := range s.Y {
+	// Each class's samples, shuffled, are cut at its proportions.
+	byClass := make([][]int, classes)
+	for i, y := range labels {
 		byClass[y] = append(byClass[y], i)
 	}
-	idxs := make([][]int, parts)
 	for _, members := range byClass {
-		rng.ShuffleInts(members)
-		props := dirichlet(rng, alpha, parts)
-		// Convert proportions to contiguous cut points.
+		s.RNG.ShuffleInts(members)
+		props := dirichlet(s.RNG, s.Alpha, s.Parts)
 		start := 0
-		for pi := 0; pi < parts; pi++ {
-			count := int(props[pi]*float64(len(members)) + 0.5)
-			if pi == parts-1 {
+		for k, prop := range props {
+			count := min(int(prop*float64(len(members))+0.5), len(members)-start)
+			if k == s.Parts-1 {
 				count = len(members) - start
 			}
-			if start+count > len(members) {
-				count = len(members) - start
-			}
-			idxs[pi] = append(idxs[pi], members[start:start+count]...)
+			shards[k] = append(shards[k], members[start:start+count]...)
 			start += count
 		}
 	}
-	out := make([]*Set, parts)
-	for i, idx := range idxs {
-		rng.ShuffleInts(idx)
-		out[i] = s.subset(idx)
+	for _, idx := range shards {
+		s.RNG.ShuffleInts(idx)
 	}
-	return out
+	return shards
 }
 
 // dirichlet samples a symmetric Dirichlet(alpha) vector of length n via
@@ -429,23 +439,16 @@ func gamma(rng *xrand.RNG, shape float64) float64 {
 	}
 }
 
-// PoisonLabelFlip returns a copy of s in which a fraction frac of the
-// labels are rotated to (y+1) mod Classes — the classic label-flipping
-// poisoning attack used to exercise the paper's abnormal-model filtering.
+// PoisonLabelFlip returns s with a fraction frac of its labels rotated
+// to (y+1) mod Classes — the classic label-flipping poisoning attack used
+// to exercise the paper's abnormal-model filtering. Only the labels are
+// copied; the samples are shared with s.
 func PoisonLabelFlip(s *Set, frac float64, rng *xrand.RNG) *Set {
-	out := s.subset(rangeInts(s.Len()))
+	out := &Set{X: s.X, Y: slices.Clone(s.Y), Classes: s.Classes}
 	for i := range out.Y {
 		if rng.Bool(frac) {
 			out.Y[i] = (out.Y[i] + 1) % out.Classes
 		}
-	}
-	return out
-}
-
-func rangeInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
 	}
 	return out
 }

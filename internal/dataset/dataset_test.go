@@ -175,7 +175,7 @@ func TestGenerateSetsBitEqual(t *testing.T) {
 func TestGenerateSetsDriftGuard(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		p := newPass(oddConfig(), []Draw{{N: 3, RNG: xrand.New(1)}, {N: 5, RNG: xrand.New(2)}})
-		p.starts[1][3].Uint64() // desynchronise draw 1's sample 3
+		p.draws[1].starts[3].Uint64() // desynchronise draw 1's sample 3
 		got := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
 			p.run(workers)
@@ -219,21 +219,15 @@ func TestTextureFamiliesDiffer(t *testing.T) {
 	}
 }
 
-func TestSubsetIsDeepCopy(t *testing.T) {
-	s := Generate(DefaultConfig(), 10, xrand.New(3))
-	sub := s.subset([]int{0, 1})
-	sub.X.Data[0] = 42
-	sub.Y[0] = 1
-	if s.X.Data[0] == 42 {
-		t.Fatal("subset aliases parent storage")
-	}
+// splitSets generates n samples from seed gen laid out by sp.
+func splitSets(cfg Config, n int, gen uint64, sp Split) []*Set {
+	return GenerateSets(1, cfg, []Draw{{N: n, RNG: xrand.New(gen), Split: &sp}})
 }
 
 func TestPartitionIID(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LabelNoise = 0
-	s := Generate(cfg, 900, xrand.New(5))
-	parts := PartitionIID(s, 3, xrand.New(6))
+	parts := splitSets(cfg, 900, 5, Split{Parts: 3, RNG: xrand.New(6)})
 	total := 0
 	for _, p := range parts {
 		total += p.Len()
@@ -252,9 +246,8 @@ func TestPartitionIID(t *testing.T) {
 func TestPartitionDirichletCoversAll(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LabelNoise = 0
-	s := Generate(cfg, 600, xrand.New(7))
 	for _, alpha := range []float64{0.1, 1, 100} {
-		parts := PartitionDirichlet(s, 3, alpha, xrand.New(8))
+		parts := splitSets(cfg, 600, 7, Split{Parts: 3, Alpha: alpha, RNG: xrand.New(8)})
 		total := 0
 		for _, p := range parts {
 			total += p.Len()
@@ -268,9 +261,8 @@ func TestPartitionDirichletCoversAll(t *testing.T) {
 func TestPartitionDirichletSkewIncreasesAsAlphaShrinks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LabelNoise = 0
-	s := Generate(cfg, 2000, xrand.New(9))
 	skew := func(alpha float64) float64 {
-		parts := PartitionDirichlet(s, 4, alpha, xrand.New(10))
+		parts := splitSets(cfg, 2000, 9, Split{Parts: 4, Alpha: alpha, RNG: xrand.New(10)})
 		// Mean absolute deviation of class counts from perfectly even.
 		var dev float64
 		for _, p := range parts {
@@ -285,11 +277,152 @@ func TestPartitionDirichletSkewIncreasesAsAlphaShrinks(t *testing.T) {
 	}
 }
 
+// oldPartition is the oracle for a split's layout: the index lists by
+// which the copying partition gathered a generated pool into shards,
+// from the pool's final labels — a shuffle dealt round-robin at alpha
+// 0, else per-class Dirichlet(alpha) cuts with each shard shuffled.
+func oldPartition(labels []int, classes, parts int, alpha float64, rng *xrand.RNG) [][]int {
+	idxs := make([][]int, parts)
+	if alpha == 0 {
+		for i, src := range rng.Perm(len(labels)) {
+			idxs[i%parts] = append(idxs[i%parts], src)
+		}
+		return idxs
+	}
+	byClass := make([][]int, classes)
+	for i, y := range labels {
+		byClass[y] = append(byClass[y], i)
+	}
+	for _, members := range byClass {
+		rng.ShuffleInts(members)
+		props := dirichlet(rng, alpha, parts)
+		start := 0
+		for pi := 0; pi < parts; pi++ {
+			count := int(props[pi]*float64(len(members)) + 0.5)
+			if pi == parts-1 {
+				count = len(members) - start
+			}
+			if start+count > len(members) {
+				count = len(members) - start
+			}
+			idxs[pi] = append(idxs[pi], members[start:start+count]...)
+			start += count
+		}
+	}
+	for _, idx := range idxs {
+		rng.ShuffleInts(idx)
+	}
+	return idxs
+}
+
+// gather copies the given rows of s into a new Set, as the copying
+// partition did.
+func gather(s *Set, idx []int) *Set {
+	out := &Set{X: tensor.New(len(idx), s.X.Cols), Y: make([]int, len(idx)), Classes: s.Classes}
+	for i, src := range idx {
+		copy(out.X.Row(i), s.X.Row(src))
+		out.Y[i] = s.Y[src]
+	}
+	return out
+}
+
+// TestShardLayoutMatchesGather: a split draw's shards, written in place,
+// are bit-equal to generating the pool and gathering its rows by the
+// old index lists — IID and Dirichlet, with and without label noise, at
+// 1 and 8 workers — between unsplit draws that keep their bits, and
+// every shard is capped at its own rows, so appending to one cannot
+// write into the next.
+func TestShardLayoutMatchesGather(t *testing.T) {
+	const n, parts = 150, 4
+	for _, alpha := range []float64{0, 0.5} {
+		for _, noise := range []float64{0, 0.03} {
+			cfg := DefaultConfig()
+			cfg.LabelNoise = noise
+			pool := Generate(cfg, n, xrand.New(1))
+			var want []*Set
+			for _, idx := range oldPartition(pool.Y, cfg.Classes, parts, alpha, xrand.New(2)) {
+				want = append(want, gather(pool, idx))
+			}
+			before, after := Generate(cfg, 9, xrand.New(3)), Generate(cfg, 5, xrand.New(4))
+			want = append(append([]*Set{before}, want...), after)
+			for _, workers := range []int{1, 8} {
+				got := GenerateSets(workers, cfg, []Draw{{N: 9, RNG: xrand.New(3)},
+					{N: n, RNG: xrand.New(1), Split: &Split{Parts: parts, Alpha: alpha, RNG: xrand.New(2)}},
+					{N: 5, RNG: xrand.New(4)}})
+				if len(got) != len(want) {
+					t.Fatalf("alpha %v noise %v workers %d: %d sets, want %d", alpha, noise, workers, len(got), len(want))
+				}
+				for k, g := range got {
+					where := fmt.Sprintf("alpha %v noise %v workers %d set %d", alpha, noise, workers, k)
+					if !slices.EqualFunc(g.X.Data, want[k].X.Data, func(a, b float32) bool {
+						return math.Float32bits(a) == math.Float32bits(b)
+					}) || g.X.Rows != want[k].X.Rows {
+						t.Fatalf("%s: samples differ from the gathered pool", where)
+					}
+					if !slices.Equal(g.Y, want[k].Y) {
+						t.Fatalf("%s: labels differ from the gathered pool", where)
+					}
+					if cap(g.X.Data) != len(g.X.Data) || cap(g.Y) != len(g.Y) {
+						t.Fatalf("%s: cap %d/%d past len %d/%d", where, cap(g.X.Data), cap(g.Y), len(g.X.Data), len(g.Y))
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzShardLayout: a split draw's layout maps samples one-to-one onto
+// rows, its shard bounds cover [0, n) in order, and each shard holds
+// exactly the samples of the old partition's index list, in its order.
+func FuzzShardLayout(f *testing.F) {
+	f.Add(uint16(60), uint8(8), 0.5, uint64(7))
+	f.Add(uint16(900), uint8(3), 0.0, uint64(6))
+	f.Add(uint16(0), uint8(1), 100.0, uint64(1))
+	f.Add(uint16(5), uint8(9), 0.1, uint64(2))
+	f.Fuzz(func(t *testing.T, n16 uint16, parts8 uint8, alpha float64, seed uint64) {
+		n, parts := int(n16%3000), int(parts8%64)+1
+		if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
+			t.Skip()
+		}
+		alpha = math.Mod(math.Abs(alpha), 1000)
+		cfg := oddConfig()
+		cfg.LabelNoise = 0.5 // labels far from balanced
+		p := newPass(cfg, []Draw{{N: n, RNG: xrand.New(seed), Split: &Split{Parts: parts, Alpha: alpha, RNG: xrand.New(seed).Derive("split")}}})
+		dp, rows := p.draws[0], make([]int, n)
+		for _, it := range p.items {
+			rows[it.i] = it.row
+		}
+		if len(dp.bounds) != parts+1 || dp.bounds[0] != 0 || dp.bounds[parts] != n {
+			t.Fatalf("bounds %v do not cover [0, %d) in %d shards", dp.bounds, n, parts)
+		}
+		labels, seen := make([]int, n), make([]bool, n)
+		for i, r := range rows {
+			if r < 0 || r >= n || seen[r] {
+				t.Fatalf("sample %d maps to row %d, out of range or taken", i, r)
+			}
+			seen[r], labels[i] = true, dp.set.Y[r]
+		}
+		for k, idx := range oldPartition(labels, cfg.Classes, parts, alpha, xrand.New(seed).Derive("split")) {
+			if lo, hi := dp.bounds[k], dp.bounds[k+1]; hi-lo != len(idx) {
+				t.Fatalf("shard %d holds rows [%d, %d), the old partition %d samples", k, lo, hi, len(idx))
+			}
+			for j, i := range idx {
+				if rows[i] != dp.bounds[k]+j {
+					t.Fatalf("shard %d sample %d (pool %d) at row %d, want %d", k, j, i, rows[i], dp.bounds[k]+j)
+				}
+			}
+		}
+	})
+}
+
 func TestPoisonLabelFlip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LabelNoise = 0
 	s := Generate(cfg, 1000, xrand.New(11))
 	poisoned := PoisonLabelFlip(s, 0.5, xrand.New(12))
+	if poisoned.X != s.X {
+		t.Fatal("the poisoned set must share the samples and copy only the labels")
+	}
 	flipped := 0
 	for i := range s.Y {
 		if s.Y[i] != poisoned.Y[i] {

@@ -26,15 +26,24 @@ var _ Layer = (*Dense)(nil)
 func NewDense(in, out int, rng *xrand.RNG) *Dense {
 	d := &Dense{
 		In: in, Out: out,
-		W:  tensor.New(in, out),
-		B:  tensor.New(1, out),
-		dW: tensor.New(in, out),
-		dB: tensor.New(1, out),
+		W: tensor.New(in, out),
+		B: tensor.New(1, out),
 	}
 	if rng != nil {
 		d.W.Randomize(rng, heStd(in))
 	}
 	return d
+}
+
+// buffer returns *t, first allocating it rows x cols when it is nil or
+// another shape. Every layer output, scratch matrix and gradient is
+// allocated on first use, so a model that only evaluates holds no
+// gradients.
+func buffer(t **tensor.Dense, rows, cols int) *tensor.Dense {
+	if *t == nil || (*t).Rows != rows || (*t).Cols != cols {
+		*t = tensor.New(rows, cols)
+	}
+	return *t
 }
 
 func heStd(fanIn int) float64 {
@@ -50,9 +59,7 @@ func (d *Dense) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 		panic(fmt.Sprintf("nn: %s got input width %d", d.Name(), x.Cols))
 	}
 	d.x = x
-	if d.y == nil || d.y.Rows != x.Rows {
-		d.y = tensor.New(x.Rows, d.Out)
-	}
+	buffer(&d.y, x.Rows, d.Out)
 	tensor.MatMul(x, d.W, d.y)
 	tensor.AddRowVector(d.y, d.B.Data)
 	return d.y
@@ -64,15 +71,12 @@ func (d *Dense) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 	// Gradients accumulate in place and dx reuses a persistent buffer:
 	// this runs once per minibatch, and fresh scratch matrices here
 	// used to dominate the training allocation profile.
-	tensor.MatMulTransAAdd(d.x, dout, d.dW)
-	tensor.AddColSums(dout, d.dB.Data)
+	tensor.MatMulTransAAdd(d.x, dout, buffer(&d.dW, d.In, d.Out))
+	tensor.AddColSums(dout, buffer(&d.dB, 1, d.Out).Data)
 	if !needInput {
 		return nil
 	}
-	if d.dx == nil || d.dx.Rows != dout.Rows {
-		d.dx = tensor.New(dout.Rows, d.In)
-	}
-	tensor.MatMulTransB(dout, d.W, d.dx)
+	tensor.MatMulTransB(dout, d.W, buffer(&d.dx, dout.Rows, d.In))
 	return d.dx
 }
 
@@ -80,7 +84,9 @@ func (d *Dense) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 func (d *Dense) Params() []*tensor.Dense { return []*tensor.Dense{d.W, d.B} }
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Dense { return []*tensor.Dense{d.dW, d.dB} }
+func (d *Dense) Grads() []*tensor.Dense {
+	return []*tensor.Dense{buffer(&d.dW, d.In, d.Out), buffer(&d.dB, 1, d.Out)}
+}
 
 // ReLU is the elementwise rectifier.
 type ReLU struct {
@@ -117,9 +123,7 @@ func (r *ReLU) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Dense, _ bool) *tensor.Dense {
-	if r.dx == nil || r.dx.Rows != dout.Rows || r.dx.Cols != dout.Cols {
-		r.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	buffer(&r.dx, dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
 		if r.mask[i] {
 			r.dx.Data[i] = v
@@ -163,10 +167,8 @@ func NewConv2D(g tensor.ConvGeom, outC int, rng *xrand.RNG) *Conv2D {
 	}
 	c := &Conv2D{
 		Geom: g, OutC: outC,
-		W:  tensor.New(outC, g.PatchLen()),
-		B:  tensor.New(1, outC),
-		dW: tensor.New(outC, g.PatchLen()),
-		dB: tensor.New(1, outC),
+		W: tensor.New(outC, g.PatchLen()),
+		B: tensor.New(1, outC),
 	}
 	if rng != nil {
 		c.W.Randomize(rng, heStd(g.PatchLen()))
@@ -191,12 +193,8 @@ func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 	}
 	c.x = x
 	op := c.Geom.OutH() * c.Geom.OutW()
-	if c.y == nil || c.y.Rows != x.Rows {
-		c.y = tensor.New(x.Rows, c.outLen())
-	}
-	if c.cols == nil {
-		c.cols = tensor.New(op, c.Geom.PatchLen())
-	}
+	buffer(&c.y, x.Rows, c.outLen())
+	buffer(&c.cols, op, c.Geom.PatchLen())
 	for s := 0; s < x.Rows; s++ {
 		tensor.Im2Col(c.Geom, x.Row(s), c.cols)
 		// ys = W * colsᵀ gives OutC x OP, which flattens directly to CHW.
@@ -216,14 +214,11 @@ func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 	op := c.Geom.OutH() * c.Geom.OutW()
+	dW, dB := buffer(&c.dW, c.OutC, c.Geom.PatchLen()), buffer(&c.dB, 1, c.OutC)
 	if needInput {
-		if c.dx == nil || c.dx.Rows != dout.Rows {
-			c.dx = tensor.New(dout.Rows, c.Geom.InC*c.Geom.InH*c.Geom.InW)
-		}
-		c.dx.Zero() // Col2Im accumulates into overlapping windows
-		if c.dcols == nil {
-			c.dcols = tensor.New(op, c.Geom.PatchLen())
-		}
+		// Col2Im accumulates into overlapping windows.
+		buffer(&c.dx, dout.Rows, c.Geom.InC*c.Geom.InH*c.Geom.InW).Zero()
+		buffer(&c.dcols, op, c.Geom.PatchLen())
 	}
 	for s := 0; s < dout.Rows; s++ {
 		douts := tensor.FromSlice(c.OutC, op, dout.Row(s))
@@ -231,13 +226,13 @@ func (c *Conv2D) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 		// per sample across the batch.
 		tensor.Im2Col(c.Geom, c.x.Row(s), c.cols)
 		// dW += douts * cols  (OutC x OP)*(OP x P).
-		tensor.MatMulAdd(douts, c.cols, c.dW)
+		tensor.MatMulAdd(douts, c.cols, dW)
 		for ch := 0; ch < c.OutC; ch++ {
 			var sum float32
 			for _, v := range douts.Row(ch) {
 				sum += v
 			}
-			c.dB.Data[ch] += sum
+			dB.Data[ch] += sum
 		}
 		if needInput {
 			// dcols = doutsᵀ * W  (OP x OutC)*(OutC x P).
@@ -255,7 +250,9 @@ func (c *Conv2D) Backward(dout *tensor.Dense, needInput bool) *tensor.Dense {
 func (c *Conv2D) Params() []*tensor.Dense { return []*tensor.Dense{c.W, c.B} }
 
 // Grads implements Layer.
-func (c *Conv2D) Grads() []*tensor.Dense { return []*tensor.Dense{c.dW, c.dB} }
+func (c *Conv2D) Grads() []*tensor.Dense {
+	return []*tensor.Dense{buffer(&c.dW, c.OutC, c.Geom.PatchLen()), buffer(&c.dB, 1, c.OutC)}
+}
 
 // MaxPool2D is a non-overlapping Size x Size max pool over flattened-CHW
 // rows.
@@ -327,11 +324,8 @@ func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dout *tensor.Dense, _ bool) *tensor.Dense {
 	outLen := p.outLen()
-	if p.dx == nil || p.dx.Rows != dout.Rows {
-		p.dx = tensor.New(dout.Rows, p.C*p.H*p.W)
-	}
-	p.dx.Zero() // gradients scatter-add through argmax
-	dx := p.dx
+	dx := buffer(&p.dx, dout.Rows, p.C*p.H*p.W)
+	dx.Zero() // gradients scatter-add through argmax
 	for s := 0; s < dout.Rows; s++ {
 		am := p.argmax[s*outLen : (s+1)*outLen]
 		din := dx.Row(s)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"waitornot/internal/tensor"
@@ -333,6 +334,38 @@ func TestBuildNilZeroWeights(t *testing.T) {
 		for i, v := range w {
 			if v != 0 || math.Signbit(float64(v)) {
 				t.Fatalf("%s: Build(nil) weight %d is %v, want +0", id, i, v)
+			}
+		}
+	}
+}
+
+// TestEvaluationHoldsNoGradients: a model built with Build(nil) that
+// only runs Predict allocates its weights and its activations, and no
+// gradients; the first Grads call allocates them, zeroed and shaped
+// like the weights.
+func TestEvaluationHoldsNoGradients(t *testing.T) {
+	for _, id := range []ModelID{ModelSimpleNN, ModelEffNetSim} {
+		x := tensor.New(2, ImageLen)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := id.Build(nil)
+		m.Predict(x)
+		runtime.ReadMemStats(&after)
+		// Two samples' activations are under half the weights of either
+		// model; gradients would add the weights again.
+		weights, got := uint64(4*m.numParams()), after.TotalAlloc-before.TotalAlloc
+		if got < weights || got >= weights+weights/2 {
+			t.Errorf("%s: Build(nil) + Predict allocated %d bytes, want weights (%d) and activations only", id, got, weights)
+		}
+		params := m.Params()
+		for i, g := range m.Grads() {
+			if g.Rows != params[i].Rows || g.Cols != params[i].Cols {
+				t.Fatalf("%s: gradient %d is %dx%d, its weights %dx%d", id, i, g.Rows, g.Cols, params[i].Rows, params[i].Cols)
+			}
+			for _, v := range g.Data {
+				if v != 0 {
+					t.Fatalf("%s: gradient %d not zero before any Backward", id, i)
+				}
 			}
 		}
 	}

@@ -20,9 +20,7 @@ func (s *EpochScratch) ready(n, batchSize, cols int) {
 	if len(s.perm) != n {
 		s.perm = make([]int, n)
 	}
-	if s.batchX == nil || s.batchX.Rows != batchSize || s.batchX.Cols != cols {
-		s.batchX = tensor.New(batchSize, cols)
-	}
+	buffer(&s.batchX, batchSize, cols)
 	if len(s.batchY) != batchSize {
 		s.batchY = make([]int, batchSize)
 	}

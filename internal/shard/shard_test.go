@@ -129,9 +129,13 @@ func TestShardConfigSlicing(t *testing.T) {
 // seed, whatever the shard count, the shards' peers in shard order are
 // the flat fleet's peers, each with its training set, and a shard at
 // S=2 holds exactly the samples of the two S=4 shards it splits into.
+// 80 samples a peer keep every Dirichlet shard at or above one minibatch
+// (the smallest holds 55); at 60, NewWorld refuses the fleet
+// (TestNewWorldRefusesAShardUnderOneMinibatch in internal/bfl).
 func TestShardsSplitOnePopulation(t *testing.T) {
 	base := tinyBase()
 	base.Peers = 8
+	base.TrainPerPeer = 80
 	base.DirichletAlpha = 0.5
 	flat, err := bfl.NewRoundEngine(base)
 	if err != nil {
