@@ -27,19 +27,22 @@ import (
 
 // benchOpts is the scaled experiment every heavy benchmark uses.
 func benchOpts(m waitornot.Model) waitornot.Options {
-	return waitornot.Options{
-		Model:           m,
-		Clients:         3,
-		Rounds:          3,
-		Seed:            1,
-		TrainPerClient:  200,
-		SelectionSize:   80,
-		TestPerClient:   100,
-		PretrainSamples: 600, // keep the EffNet warm start cheap in benches
-		PretrainEpochs:  2,
-		LearningRate:    0.01, // hotter than full-scale calibration so the
+	o := waitornot.Options{
+		Model:          m,
+		Clients:        3,
+		Rounds:         3,
+		Seed:           1,
+		TrainPerClient: 200,
+		SelectionSize:  80,
+		TestPerClient:  100,
+		LearningRate:   0.01, // hotter than full-scale calibration so the
 		// tiny bench shards produce separable accuracies
 	}
+	if m == waitornot.EffNetB0Sim {
+		// Keep the warm start cheap in benches; SimpleNN has none.
+		o.PretrainSamples, o.PretrainEpochs = 600, 2
+	}
+	return o
 }
 
 // BenchmarkTableI_Figure3_VanillaSimpleNN regenerates the Table I /

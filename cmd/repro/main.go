@@ -10,9 +10,10 @@
 //	repro -netperf                      §II-A2 throughput premises + round latency by policy
 //
 // and executes through Experiment.Run / RunSweep / RunCampaign,
-// streaming per-round progress. Flags the user sets explicitly
-// (-model, -rounds, -seed, -backend, -client-fraction, -parallel)
-// override the scenario's registered configuration.
+// streaming per-round progress. Flags the user sets explicitly (-model,
+// -rounds, -seed, -backend, -client-fraction, -time-budget-ms,
+// -parallel) override the scenario's registered configuration; one the
+// scenario's kind does not read is the library's error (exit 2).
 //
 // Replication: a scenario that declares seeds (replicated-tradeoff,
 // sharded-hierarchy, campaign-grid), or any scenario run with
@@ -37,6 +38,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -136,7 +138,8 @@ func main() {
 
 // validate checks the flag combination up front, so a bad command line
 // costs one actionable line (exit 2) instead of a deep-stack error from
-// whatever layer trips first.
+// whatever layer trips first. The library checks the rest: the run,
+// built as runScenario builds it, is resolved on a cancelled context.
 func (c config) validate() error {
 	selectors := 0
 	for _, on := range []bool{c.scenario != "", c.list, c.listBackends, c.netperf, c.calibrate, c.status} {
@@ -164,16 +167,6 @@ func (c config) validate() error {
 		return fmt.Errorf("unknown -scenario %q (registered: %s)", c.scenario, strings.Join(waitornot.ScenarioNames(), ", "))
 	case c.set["model"] && c.model != "simple" && c.model != "effnet":
 		return fmt.Errorf("unknown -model %q (want simple or effnet)", c.model)
-	case c.set["client-fraction"] && (c.clientFrac <= 0 || c.clientFrac > 1):
-		return fmt.Errorf("-client-fraction %g outside (0, 1]", c.clientFrac)
-	case c.set["client-fraction"] && sc.Kind == waitornot.KindVanilla:
-		return fmt.Errorf("-client-fraction subsamples the decentralized engines; scenario %q is the vanilla baseline, which trains every client every round", sc.Name)
-	case c.set["client-fraction"] && sc.Kind == waitornot.KindSharded:
-		return fmt.Errorf("-client-fraction subsamples the flat engines; scenario %q is a sharded hierarchy, whose shards run fixed blocks of the fleet", sc.Name)
-	case c.set["time-budget-ms"] && (c.timeBudget < 0 || sc.Kind != waitornot.KindAsync):
-		return fmt.Errorf("-time-budget-ms wants a horizon >= 0 on an async scenario; got %g on %q (%s)", c.timeBudget, sc.Name, sc.Kind)
-	case c.sweepFlags() && sc.Kind == waitornot.KindVanilla:
-		return fmt.Errorf("scenario %q is the vanilla baseline: it has no wait/latency metrics to replicate; sweep a decentralized, trade-off, async, or sharded scenario", sc.Name)
 	case c.set["target-acc"] && (c.targetAcc < 0 || c.targetAcc > 1 || !sweepMode):
 		return fmt.Errorf("-target-acc is a sweep metric in [0, 1]; scenario %q needs -seeds or -replications for it", sc.Name)
 	case c.csv && !sweepMode && sc.Kind == waitornot.KindDecentralized:
@@ -189,21 +182,22 @@ func (c config) validate() error {
 		}
 		return fmt.Errorf("%s already holds a campaign; add -resume to continue it, or point -campaign-dir at a fresh directory", c.campaignDir)
 	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, exp := c.experiment()
+	if _, _, err := c.run(cancelled, exp, sweepMode); !errors.Is(err, context.Canceled) {
+		return err
+	}
 	return nil
 }
 
 // sweepFlags reports whether the user asked for a replication sweep.
 func (c config) sweepFlags() bool { return len(c.seeds) > 0 || c.replications > 0 }
 
-// runScenario executes the registered scenario through the Experiment
-// API — streaming its typed progress events — and prints the report
-// matching the scenario's kind. A scenario that declares Seeds (or an
-// explicit -seeds/-replications flag) runs as a replication sweep.
-func runScenario(ctx context.Context, c config) {
+// experiment builds the run the command line describes: the registered
+// scenario, each flag the user set overriding it (a knob is a field).
+func (c config) experiment() (waitornot.Scenario, *waitornot.Experiment) {
 	sc, _ := waitornot.LookupScenario(c.scenario)
-	// Flags the user set explicitly override the scenario's registered
-	// configuration; untouched flags leave it as registered. sc is a
-	// copy: a knob is a field of it.
 	if c.set["model"] {
 		sc.Options.Model = map[string]waitornot.Model{"simple": waitornot.SimpleNN, "effnet": waitornot.EffNetB0Sim}[c.model]
 	}
@@ -215,10 +209,6 @@ func runScenario(ctx context.Context, c config) {
 	}
 	if c.set["time-budget-ms"] {
 		sc.Options.TimeBudgetMs = c.timeBudget
-	}
-	model := sc.Options.Model
-	if model == 0 {
-		model = waitornot.SimpleNN
 	}
 	var overrides []waitornot.Option
 	if c.set["seed"] {
@@ -248,41 +238,44 @@ func runScenario(ctx context.Context, c config) {
 	if !c.quiet {
 		overrides = append(overrides, waitornot.WithObserverFunc(printEvent))
 	}
-
-	start := time.Now()
-	fmt.Printf("==> scenario %s — %s\n", sc.Name, sc.Description)
-	if c.sweepFlags() || len(sc.Seeds) > 0 {
-		printSweep(ctx, sc.Experiment(overrides...), c.csv, c.campaignDir)
-	} else {
-		res, err := sc.Experiment(overrides...).Run(ctx)
-		if err != nil {
-			exitIfCancelled(err)
-			fatal(err)
-		}
-		printResults(res, model.String(), c.csv)
-	}
-	fmt.Printf("<== scenario %s (%v)\n", sc.Name, time.Since(start).Round(time.Second))
+	return sc, sc.Experiment(overrides...)
 }
 
-// printSweep executes a replication sweep — as a durable campaign when
-// a directory is given (created or resumed, whichever the directory
-// calls for) — and prints the mean ± CI table (plus the cell and
-// raw-run CSVs when requested).
-func printSweep(ctx context.Context, exp *waitornot.Experiment, csv bool, campaignDir string) {
-	var (
-		rep *waitornot.SweepReport
-		err error
-	)
-	if campaignDir != "" {
-		rep, err = exp.RunCampaign(ctx, campaignDir)
-	} else {
-		rep, err = exp.RunSweep(ctx)
+// run executes exp as a single run or, when sweep is set, a replication
+// sweep (a durable campaign when -campaign-dir names one).
+func (c config) run(ctx context.Context, exp *waitornot.Experiment, sweep bool) (*waitornot.Results, *waitornot.SweepReport, error) {
+	switch {
+	case !sweep:
+		res, err := exp.Run(ctx)
+		return res, nil, err
+	case c.campaignDir != "":
+		rep, err := exp.RunCampaign(ctx, c.campaignDir)
+		return nil, rep, err
+	default:
+		rep, err := exp.RunSweep(ctx)
+		return nil, rep, err
 	}
-	if err != nil {
+}
+
+// runScenario executes the registered scenario through the Experiment
+// API — streaming its typed progress events — and prints the report
+// matching the scenario's kind. A scenario that declares Seeds (or an
+// explicit -seeds/-replications flag) runs as a replication sweep.
+func runScenario(ctx context.Context, c config) {
+	sc, exp := c.experiment()
+	start := time.Now()
+	fmt.Printf("==> scenario %s — %s\n", sc.Name, sc.Description)
+	res, rep, err := c.run(ctx, exp, c.sweepFlags() || len(sc.Seeds) > 0)
+	switch {
+	case err != nil:
 		exitIfCancelled(err)
 		fatal(err)
+	case rep != nil:
+		printSweepReport(rep, c.csv)
+	default:
+		printResults(res, cmp.Or(sc.Options.Model, waitornot.SimpleNN).String(), c.csv)
 	}
-	printSweepReport(rep, csv)
+	fmt.Printf("<== scenario %s (%v)\n", sc.Name, time.Since(start).Round(time.Second))
 }
 
 // printSweepReport prints a sweep's mean ± CI table — a trade-off run's

@@ -15,7 +15,9 @@ import (
 )
 
 // TestValidate has one row per flag rule (both arms where a rule has
-// two), plus the accepted shapes around them.
+// two), plus the accepted shapes around them. Rows past the flags only
+// the command line reads carry the library's own error: validate
+// resolves the run the flags describe.
 func TestValidate(t *testing.T) {
 	set := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -46,12 +48,13 @@ func TestValidate(t *testing.T) {
 		{"unknown scenario", config{scenario: "no-such"}, `unknown -scenario "no-such"`},
 		{"bad model", config{scenario: "paper-repro", model: "both", set: set("model")}, `unknown -model "both"`},
 		{"client fraction out of range", config{scenario: "paper-repro", clientFrac: 1.5, set: set("client-fraction")}, "outside (0, 1]"},
-		{"client fraction on the vanilla baseline", config{scenario: "vanilla-baseline", clientFrac: 0.5, set: set("client-fraction")}, "vanilla baseline"},
-		{"client fraction on a sharded hierarchy", config{scenario: "sharded-async-merge", clientFrac: 0.5, set: set("client-fraction")}, "sharded hierarchy"},
-		{"negative time budget", config{scenario: "async-free-run", timeBudget: -1, set: set("time-budget-ms")}, "-time-budget-ms"},
-		{"time budget on a barriered scenario", config{scenario: "paper-repro", timeBudget: 500, set: set("time-budget-ms")}, "async scenario"},
+		{"client fraction on the vanilla baseline", config{scenario: "vanilla-baseline", clientFrac: 0.5, set: set("client-fraction")}, "Options.ClientFraction is an error on vanilla experiments"},
+		{"client fraction on a sharded hierarchy", config{scenario: "sharded-async-merge", clientFrac: 0.5, set: set("client-fraction")}, "Options.ClientFraction is an error on sharded experiments"},
+		{"negative time budget", config{scenario: "async-free-run", timeBudget: -1, set: set("time-budget-ms")}, "negative time budget -1"},
+		{"time budget on a barriered scenario", config{scenario: "paper-repro", timeBudget: 500, set: set("time-budget-ms")}, "Options.TimeBudgetMs is an error on decentralized experiments"},
+		{"backend on the vanilla baseline", config{scenario: "vanilla-baseline", backend: "poa", set: set("backend")}, "Options.Backend is an error on vanilla experiments"},
 		{"negative replications", config{scenario: "stragglers", replications: -1}, "-replications -1"},
-		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla baseline"},
+		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla experiments cannot be swept"},
 		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
 		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},
 		{"csv on a single run with no CSV grid", config{scenario: "paper-repro", csv: true}, "-replications 1"},
@@ -211,8 +214,8 @@ func TestFootprint(t *testing.T) {
 
 // TestPrintCampaign drives a tiny durable campaign through the CLI's
 // own surfaces: the SweepProgress stream line, the campaign path of
-// printSweep, and the -campaign-status printer over the finished
-// directory.
+// run and the sweep printer, and the -campaign-status printer over the
+// finished directory.
 func TestPrintCampaign(t *testing.T) {
 	o := tinyShardedOpts()
 	o.Clients = 3
@@ -223,7 +226,14 @@ func TestPrintCampaign(t *testing.T) {
 		waitornot.WithSeeds(7, 8),
 		waitornot.WithObserverFunc(printEvent))
 	dir := t.TempDir() + "/campaign"
-	stream := captureStdout(t, func() { printSweep(context.Background(), exp, false, dir) })
+	printSweep := func() {
+		_, rep, err := config{campaignDir: dir}.run(context.Background(), exp, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		printSweepReport(rep, false)
+	}
+	stream := captureStdout(t, printSweep)
 	for _, want := range []string{"replication", "4/4", "mean ± 95% CI"} {
 		if !strings.Contains(stream, want) {
 			t.Fatalf("campaign output missing %q:\n%s", want, stream)
@@ -246,7 +256,7 @@ func TestPrintCampaign(t *testing.T) {
 
 	// -resume over the finished directory: pure restore, and the
 	// streamed lines say so.
-	stream = captureStdout(t, func() { printSweep(context.Background(), exp, true, dir) })
+	stream = captureStdout(t, printSweep)
 	for _, want := range []string{"(restored)", "4/4"} {
 		if !strings.Contains(stream, want) {
 			t.Fatalf("resume output missing %q:\n%s", want, stream)

@@ -3,7 +3,9 @@ package waitornot
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
+	"strings"
 )
 
 // Kind selects which of the paper's experiments an Experiment executes.
@@ -34,22 +36,16 @@ const (
 	KindSharded
 )
 
+// kindNames spell the kinds as String renders them and `kinds` tags
+// name them.
+var kindNames = [...]string{KindVanilla: "vanilla", KindDecentralized: "decentralized", KindTradeoff: "tradeoff", KindAsync: "async", KindSharded: "sharded"}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindVanilla:
-		return "vanilla"
-	case KindDecentralized:
-		return "decentralized"
-	case KindTradeoff:
-		return "tradeoff"
-	case KindAsync:
-		return "async"
-	case KindSharded:
-		return "sharded"
-	default:
+	if k < KindVanilla || k > KindSharded {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // Experiment is a run description ready to execute: the Scenario it
@@ -116,9 +112,9 @@ func WithObserverFunc(fn func(Event)) Option {
 }
 
 // WithPolicies sets the wait-policy ladder (Scenario.Policies): what a
-// KindTradeoff or KindAsync experiment sweeps and what the adaptive
-// KindSharded controller picks from. Zero policies restore the default
-// ladder.
+// KindTradeoff or KindAsync experiment sweeps, what a KindDecentralized
+// RunSweep sweeps, and what the adaptive KindSharded controller picks
+// from. Zero policies restore the default ladder.
 func WithPolicies(ps ...Policy) Option {
 	return func(e *Experiment) { e.sc.Policies = slices.Clone(ps) }
 }
@@ -205,15 +201,32 @@ type Results struct {
 	Sharded *ShardedReport
 }
 
-// check is the validation every entry point starts with: the Options
-// and the policy ladder as declared.
+// check is the validation every entry point starts with: a known kind,
+// no field set that the kind does not read, and the Options and the
+// policy ladder as declared.
 func (e *Experiment) check() error {
+	if e.sc.Kind < KindVanilla || e.sc.Kind > KindSharded {
+		return fmt.Errorf("waitornot: unknown experiment kind %v", e.sc.Kind)
+	}
+	for _, v := range []reflect.Value{reflect.ValueOf(e.sc), reflect.ValueOf(e.sc.Options)} {
+		for i := range v.NumField() {
+			f, fv := v.Type().Field(i), v.Field(i)
+			kinds, tagged := f.Tag.Lookup("kinds")
+			set := !fv.IsZero() && (fv.Kind() != reflect.Slice || fv.Len() > 0) // a ladder reads its length
+			if tagged && set && !slices.Contains(strings.Fields(kinds), e.sc.Kind.String()) {
+				return fmt.Errorf("waitornot: %s.%s is an error on %v experiments, which do not read it (read by: %s)", v.Type().Name(), f.Name, e.sc.Kind, kinds)
+			}
+		}
+	}
 	for _, p := range e.sc.Policies {
 		if err := p.Validate(); err != nil {
 			return err
 		}
 	}
-	return e.sc.Options.Validate()
+	if err := e.sc.Options.Validate(); err != nil || e.sc.Kind != KindSharded {
+		return err
+	}
+	return e.sc.Options.sharded(e.sc.Policies).Validate() // the hierarchy, at a default shard count too
 }
 
 // Run executes the experiment. The context cancels cooperatively: the
@@ -226,7 +239,7 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	if err := e.check(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil && e.sc.Kind != KindTradeoff { // a sweep checks its plan first
 		return nil, err
 	}
 	opts, sink := e.sc.Options, observerSink(e.observer)
@@ -250,8 +263,6 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 		res.Async, err = runAsyncExperiment(ctx, opts, sink, nil)
 	case KindSharded:
 		res.Sharded, err = runShardedExperiment(ctx, opts, e.sc.Policies, sink, nil)
-	default:
-		err = fmt.Errorf("waitornot: unknown experiment kind %v", e.sc.Kind)
 	}
 	if err != nil {
 		return nil, err

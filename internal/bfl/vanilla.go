@@ -2,7 +2,6 @@ package bfl
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"waitornot/internal/event"
@@ -36,17 +35,15 @@ type VanillaResult struct {
 // same streams, so they are paired, and at round 1 "not consider" is
 // the decentralized run's full-set combination. The fields that shape
 // only a decentralized round (policy, filter, backend, stragglers,
-// timing) play no part; ClientFraction is an error, since the baseline
-// trains every client every round. The context is checked between
-// rounds and between pool items, and ctx.Err() is returned (with no
-// partial result) once it fires.
+// timing, client subsampling) play no part: the baseline trains every
+// client every round, and the public layer refuses those fields on a
+// vanilla experiment. The context is checked between rounds and
+// between pool items, and ctx.Err() is returned (with no partial
+// result) once it fires.
 func RunVanilla(ctx context.Context, cfg Config) (*VanillaResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.ClientFraction > 0 {
-		return nil, fmt.Errorf("bfl: the vanilla baseline trains every client every round; ClientFraction %g subsamples only the decentralized engines", cfg.ClientFraction)
 	}
 	w, err := cfg.ResolveWorld()
 	if err != nil {

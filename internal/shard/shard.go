@@ -132,9 +132,6 @@ func (c Config) Validate() error {
 	if err := c.Base.Validate(); err != nil {
 		return err
 	}
-	if c.Base.ClientFraction > 0 {
-		return fmt.Errorf("shard: a shard runs a fixed block of the fleet; ClientFraction %g subsamples only the flat engines", c.Base.ClientFraction)
-	}
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: need at least 1 shard, got %d", c.Shards)
 	}

@@ -19,6 +19,7 @@ import (
 //	res, err := sc.Experiment(waitornot.WithParallelism(4)).Run(ctx)
 //
 // or, from the CLI, `go run ./cmd/repro -scenario async-ladder -rounds 3`.
+// As on Options, a field tagged `kinds:"..."` is an error on other kinds.
 type Scenario struct {
 	// Name is the registry key (unique, non-empty when registered). It
 	// labels Results and SweepReports and is part of a campaign's
@@ -30,28 +31,30 @@ type Scenario struct {
 	Kind Kind
 	// Options is the base configuration.
 	Options Options
-	// Policies is the wait-policy ladder: what KindTradeoff and KindAsync
-	// sweep, and what the adaptive KindSharded controller picks from.
-	// Empty means DefaultPolicies for the client count (KindSharded: for
-	// the smallest shard).
-	Policies []Policy
-	// Backends is the consensus-backend ladder (KindTradeoff, KindAsync,
-	// KindSharded; empty means the single Options.Backend). With both
-	// ladders set the sweep is backends × policies, one frontier per
-	// substrate.
-	Backends []string
+	// Policies is the wait-policy ladder: what a KindTradeoff or
+	// KindAsync experiment sweeps and what the adaptive KindSharded
+	// controller picks from. Empty means DefaultPolicies for the client
+	// count (KindSharded: for the smallest shard). A KindDecentralized
+	// RunSweep sweeps it too (empty: the one Options.Policy); its Run
+	// stays the single run at Options.Policy (DESIGN §2).
+	Policies []Policy `kinds:"decentralized tradeoff async sharded"`
+	// Backends is the consensus-backend ladder (empty means the single
+	// Options.Backend). With both ladders set the sweep is backends ×
+	// policies, one frontier per substrate. As with Policies, a
+	// KindDecentralized Run stays the single run at Options.Backend.
+	Backends []string `kinds:"decentralized tradeoff async sharded"`
 	// Seeds, when set, declares the scenario as a replicated sweep:
 	// RunSweep replays every policy × backend cell once per seed and
 	// reports mean ± 95% CI per cell. Run ignores it (a scenario stays
 	// runnable as a single-seed experiment at Options.Seed).
-	Seeds []uint64
+	Seeds []uint64 `kinds:"decentralized tradeoff async sharded"`
 	// ShardCounts / MergeCadences are the KindSharded sweep axes:
 	// RunSweep spans backend × shard count × merge cadence, each cell
 	// labeled "S=<shards>/M=<cadence>" in the policy column. Empty
 	// collapses an axis to the single configured Options.Shards /
-	// Options.MergeCadence. Ignored by Run and the other kinds.
-	ShardCounts   []int
-	MergeCadences []int
+	// Options.MergeCadence. Ignored by Run.
+	ShardCounts   []int `kinds:"sharded"`
+	MergeCadences []int `kinds:"sharded"`
 }
 
 // Experiment builds the Experiment that runs this scenario, plus
@@ -81,14 +84,9 @@ func RegisterScenario(s Scenario) error {
 	}
 	e := s.Experiment()
 	e.replications = 1 // a scenario that declares no seeds resolves over its own
-	var err error
-	switch s.Kind {
-	case KindVanilla: // never a sweep: nothing to resolve past the options
-		err = e.check()
-	case KindDecentralized, KindTradeoff, KindAsync, KindSharded:
+	err := e.check()
+	if err == nil && s.Kind != KindVanilla { // vanilla is never a sweep
 		_, err = e.sweepPlan()
-	default:
-		err = fmt.Errorf("unknown kind %v", s.Kind)
 	}
 	if err != nil {
 		return fmt.Errorf("waitornot: scenario %q: %w", s.Name, err)

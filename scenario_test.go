@@ -67,6 +67,7 @@ func TestRegisterScenarioRejections(t *testing.T) {
 		{"a nameless scenario", Scenario{Kind: KindVanilla}},
 		{"a duplicate name", Scenario{Name: "paper-repro", Kind: KindVanilla}},
 		{"a zero kind", Scenario{Name: "x-bad-kind"}},
+		{"a kind past the last", Scenario{Name: "x-bad-kind-6", Kind: KindSharded + 1}},
 		{"invalid options", Scenario{Name: "x-bad-opts", Kind: KindVanilla, Options: Options{Clients: -1}}},
 		{"an invalid policy ladder", Scenario{Name: "x-bad-policy", Kind: KindTradeoff, Policies: []Policy{{Kind: FirstK}}}},
 		{"an invalid adaptive ladder", Scenario{Name: "x-bad-ladder", Kind: KindSharded,

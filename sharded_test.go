@@ -8,6 +8,7 @@ package waitornot_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -251,8 +252,11 @@ func TestAdaptiveShardsBeatsWorstFixed(t *testing.T) {
 }
 
 // TestShardedOptionsValidate: the sharded knobs are validated up
-// front, matching the CLI's fail-fast contract.
+// front, matching the CLI's fail-fast contract: a sharded experiment
+// refuses them before it reads its (here already cancelled) context.
 func TestShardedOptionsValidate(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := []struct {
 		name  string
 		tweak func(*waitornot.Options)
@@ -272,7 +276,10 @@ func TestShardedOptionsValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := shardedOpts()
 			tc.tweak(&opts)
-			err := opts.Validate()
+			_, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindSharded)).Run(cancelled)
+			if errors.Is(err, context.Canceled) {
+				err = nil
+			}
 			if tc.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}

@@ -122,13 +122,13 @@ type SweepReport struct {
 // work-list order; per-round events are suppressed (they would
 // interleave across concurrent replications).
 //
-// KindTradeoff sweeps the full policy × backend ladder per seed;
-// KindDecentralized sweeps the single configured policy and backend;
-// KindSharded sweeps hierarchy topology instead — backend × shard
-// count × merge cadence (Scenario.ShardCounts / MergeCadences), each
-// cell labeled "S=<shards>/M=<cadence>". KindVanilla has no
-// wait/latency semantics and is rejected. Combo tables are always
-// skipped: the sweep consumes only headline metrics.
+// KindTradeoff, KindAsync and KindDecentralized sweep the policy ×
+// backend ladder per seed (an empty decentralized ladder is the single
+// configured policy and backend); KindSharded sweeps hierarchy topology
+// instead — backend × shard count × merge cadence (Scenario.ShardCounts
+// / MergeCadences), each cell labeled "S=<shards>/M=<cadence>".
+// KindVanilla has no wait/latency semantics and is rejected. Combo
+// tables are always skipped: the sweep consumes only headline metrics.
 func (e *Experiment) RunSweep(ctx context.Context) (*SweepReport, error) {
 	return e.runSweep(ctx, "")
 }
@@ -307,20 +307,20 @@ func (e *Experiment) sweepPlan() (*sweepPlan, error) {
 	}
 	var variants []sweepVariant
 	switch sc.Kind {
-	case KindTradeoff, KindAsync:
+	case KindDecentralized, KindTradeoff, KindAsync:
 		// KindAsync sweeps the same policy × backend ladder, with each
 		// cell an un-barriered run — the "async ladder" the virtual
-		// clock unlocks.
+		// clock unlocks. Without a ladder, a decentralized sweep runs
+		// its one configured policy, the others the default ladder.
 		policies := sc.Policies
-		if len(policies) == 0 {
+		if len(policies) == 0 && sc.Kind == KindDecentralized {
+			policies = []Policy{opts.Policy}
+		} else if len(policies) == 0 {
 			policies = DefaultPolicies(opts.clients())
 		}
 		for _, p := range policies {
 			variants = append(variants, sweepVariant{Label: p.Name(), Policy: p})
 		}
-	case KindDecentralized:
-		variants = []sweepVariant{{Label: opts.Policy.Name(), Policy: opts.Policy}}
-		backends = []string{opts.Backend}
 	case KindSharded:
 		// The sharded sweep's per-backend axes are topology, not wait
 		// policy: shard count × merge cadence, each cell one hierarchy.
@@ -346,7 +346,7 @@ func (e *Experiment) sweepPlan() (*sweepPlan, error) {
 				})
 			}
 		}
-	default:
+	default: // KindVanilla: check has refused every unknown kind
 		return nil, fmt.Errorf("waitornot: %v experiments cannot be swept (no wait/latency metrics); use KindTradeoff, KindAsync, KindSharded, or KindDecentralized", sc.Kind)
 	}
 	workers := par.Workers(opts.Parallelism)

@@ -215,6 +215,36 @@ func TestSweepWorldFieldsMatchSoloRuns(t *testing.T) {
 	}
 }
 
+// TestDecentralizedSweepReadsItsLadders: a KindDecentralized RunSweep
+// sweeps its policy × backend ladder — the grid a KindTradeoff sweep of
+// the same ladders runs, run for run and bit for bit — while its Run
+// stays the single run at Options.Policy and Options.Backend, ladders
+// or not.
+func TestDecentralizedSweepReadsItsLadders(t *testing.T) {
+	ladders := []waitornot.Option{
+		waitornot.WithBackends("poa", "instant"),
+		waitornot.WithPolicies(waitornot.DefaultPolicies(3)...),
+	}
+	sweep := func(kind waitornot.Kind) *waitornot.SweepReport {
+		rep, err := waitornot.New(sweepOpts(), append(ladders, waitornot.WithKind(kind), waitornot.WithSeeds(1, 2))...).RunSweep(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	got, grid := sweep(waitornot.KindDecentralized), sweep(waitornot.KindTradeoff)
+	if len(got.Runs) != 12 || len(got.Cells) != 6 {
+		t.Fatalf("decentralized 2 x 3 ladder over 2 seeds: %d runs, %d cells, want 12 and 6", len(got.Runs), len(got.Cells))
+	}
+	if !reflect.DeepEqual(got, grid) {
+		t.Fatalf("decentralized sweep %+v != trade-off grid %+v", got, grid)
+	}
+	single := testutil.Run(t, sweepOpts())
+	if withLadders := testutil.Run(t, sweepOpts(), ladders...); !reflect.DeepEqual(withLadders, single) {
+		t.Fatal("a decentralized Run with ladders is not the single run at Options.Policy and Options.Backend")
+	}
+}
+
 // TestSweepProgressStreamOrder: SweepProgress events arrive in flat
 // seed-major work-list order with correct Index/Total, even when the
 // replications run concurrently.

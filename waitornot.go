@@ -150,7 +150,9 @@ type Dist = simnet.Dist
 
 // Options parameterizes an experiment. The zero value (plus a Model)
 // reproduces the paper's setup: 3 clients, 10 rounds, 5 local epochs,
-// calibrated data sizes.
+// calibrated data sizes. A field tagged `kinds:"..."` is read only by
+// the kinds it names and set on any other kind is an error, never a
+// knob with no effect; an untagged field is read by every kind.
 type Options struct {
 	// Model is the architecture (default SimpleNN).
 	Model Model
@@ -168,8 +170,8 @@ type Options struct {
 	// DirichletAlpha > 0 partitions shards non-IID.
 	DirichletAlpha float64
 	// PretrainSamples / PretrainEpochs override the EffNetB0Sim
-	// transfer-learning warm start (0 = calibrated defaults). Ignored
-	// for SimpleNN.
+	// transfer-learning warm start (0 = calibrated defaults). An error
+	// with SimpleNN, which has no warm start.
 	PretrainSamples int
 	PretrainEpochs  int
 	// LearningRate overrides the calibrated local-training rate
@@ -180,24 +182,26 @@ type Options struct {
 	// paper's protocol).
 	LocalEpochs int
 	// Parallelism bounds the engine's worker pools: per-peer local
-	// training, the combination searches, and the per-policy runs of
-	// KindTradeoff. 0 means runtime.NumCPU(); 1 restores the exact
+	// training, the combination searches, and the cells of a sweep.
+	// 0 means runtime.NumCPU(); 1 restores the exact
 	// sequential schedule. Results are bit-identical at every setting
 	// — the engine pre-derives every RNG stream and writes results to
 	// index-addressed slots (see internal/par).
 	Parallelism int
 
-	// Policy is the decentralized wait policy (default WaitAll).
-	Policy Policy
+	// Policy is the peers' wait policy (default WaitAll); a trade-off
+	// run takes its policies from Scenario.Policies.
+	Policy Policy `kinds:"decentralized async sharded"`
 	// FilterMaxBelowBest screens abnormal models before aggregation:
 	// a shared model scoring more than this margin below the round's
 	// best solo score is ignored (0 disables).
-	FilterMaxBelowBest float64
+	FilterMaxBelowBest float64 `kinds:"decentralized tradeoff async sharded"`
 	// StragglerFactor scales each peer's simulated training duration
 	// (nil = homogeneous peers).
-	StragglerFactor []float64
+	StragglerFactor []float64 `kinds:"decentralized tradeoff async sharded"`
 	// SkipComboTables disables the per-round all-combination test
-	// evaluation (Tables II-IV data) for faster runs.
+	// evaluation (Tables II-IV data) for faster runs; met on every kind
+	// (DESIGN §2).
 	SkipComboTables bool
 	// PoisonClient, if >= 0, label-flips PoisonFraction of that
 	// client's shard, in every kind: the vanilla baseline trains on the
@@ -213,66 +217,65 @@ type Options struct {
 	// shard, and the per-round combination tables are disabled. 0 keeps
 	// the classic cross-silo schedule (every client, every round),
 	// bit-identical to runs before this knob existed. Incompatible with
-	// DirichletAlpha, which partitions one global pool, and with
-	// KindVanilla, whose baseline trains every client every round.
-	ClientFraction float64
+	// DirichletAlpha, which partitions one global pool; an error on
+	// other kinds.
+	ClientFraction float64 `kinds:"decentralized tradeoff async"`
 
 	// Backend names the consensus substrate the decentralized rounds
 	// commit through: "pow" (the default — the paper's proof-of-work
 	// chain), "poa" (round-robin authority sealing), "instant" (an
 	// in-memory state machine with no block assembly), or any name
 	// added with RegisterBackend. See Backends() for the registry.
-	Backend string
+	Backend string `kinds:"decentralized tradeoff async sharded"`
 	// CommitLatency, when set, quantizes remote-update visibility to
 	// the backend's commit interval (the simnet visibility rule), so
 	// wait policies face realistic block-interval delays. Off by
 	// default, preserving the historical arrival model.
-	CommitLatency bool
+	CommitLatency bool `kinds:"decentralized tradeoff async sharded"`
 
-	// Shards partitions the fleet into this many contiguous shards for
-	// KindSharded, each running its own aggregation loop against its
-	// own ledger (0 = the engine default of 2 when the kind is
-	// sharded). Every shard needs at least 2 clients.
-	Shards int
+	// Shards partitions the fleet into this many contiguous shards,
+	// each running its own aggregation loop against its own ledger
+	// (0 = 2; an error on other kinds). Every shard needs 2 clients.
+	Shards int `kinds:"sharded"`
 	// ShardBackends assigns each shard's consensus backend: empty =
 	// every shard on Backend, one entry = every shard on it, Shards
 	// entries = per-shard assignment.
-	ShardBackends []string
+	ShardBackends []string `kinds:"sharded"`
 	// MergeCadence is the cross-shard merge period in shard rounds
 	// (0 = 1; the final round always merges).
-	MergeCadence int
+	MergeCadence int `kinds:"sharded"`
 	// MergeMode selects the cross-shard merge discipline (default
 	// MergeSync, the barrier).
-	MergeMode MergeMode
+	MergeMode MergeMode `kinds:"sharded"`
 	// AdaptiveShards enables the per-shard epsilon-greedy wait-policy
 	// controller: at every merge epoch each shard scores the policy it
 	// just ran (accuracy gained per second of wait) and picks the next
 	// epoch's policy from the experiment's ladder (Scenario.Policies /
 	// WithPolicies; empty = DefaultPolicies for the smallest shard).
-	AdaptiveShards bool
+	AdaptiveShards bool `kinds:"sharded"`
 
 	// ComputeDist, when set, draws a per-peer per-round multiplier on
 	// the modeled training duration (heterogeneous compute) from this
-	// distribution. KindAsync only; the barriered kinds keep the fixed
-	// calibrated model.
-	ComputeDist Dist
+	// distribution; an error on other kinds, which keep the fixed model.
+	ComputeDist Dist `kinds:"async"`
 	// NetworkDist, when set, draws extra per-submission propagation
 	// delay in ms on top of the base latency + bandwidth model
-	// (network jitter). KindAsync only.
-	NetworkDist Dist
-	// TimeBudgetMs caps a KindAsync run's virtual horizon: peers stop
-	// opening rounds past it, and a peer still waiting there merges
-	// what it has. 0 = no cap (run until every peer finishes Rounds
-	// aggregations).
-	TimeBudgetMs float64
+	// (network jitter); an error on other kinds.
+	NetworkDist Dist `kinds:"async"`
+	// TimeBudgetMs caps the run's virtual horizon: peers stop opening
+	// rounds past it, and a peer still waiting there merges what it
+	// has. 0 = no cap (run until every peer finishes Rounds
+	// aggregations); an error on other kinds.
+	TimeBudgetMs float64 `kinds:"async"`
 }
 
 // Validate rejects options a run cannot honour. The public layer checks
 // only the fields whose public form differs from the engine's — the
 // sign of the counts (0 means "the default" at this layer), the poison
-// range, the wait policy and the model — and leaves everything else to
-// the Validate of the engine configuration the options lower to, which
-// Run reaches anyway: a rule is written once, at the layer that
+// range, the wait policy, the model and its warm start — and leaves
+// everything else to the Validate of the engine configuration the
+// options lower to, which Run reaches anyway, and the `kinds` tags to
+// the experiment's check: a rule is written once, at the layer that
 // enforces it. Exported for callers that want to fail fast.
 func (o Options) Validate() error {
 	if o.Clients < 0 {
@@ -281,19 +284,19 @@ func (o Options) Validate() error {
 	if o.Rounds < 0 {
 		return fmt.Errorf("waitornot: negative round count %d", o.Rounds)
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("waitornot: negative shard count %d", o.Shards)
-	}
 	if o.PoisonFraction < 0 || o.PoisonFraction > 1 {
 		return fmt.Errorf("waitornot: poison fraction %g outside [0, 1]", o.PoisonFraction)
 	}
 	if err := o.Policy.Validate(); err != nil {
 		return err
 	}
-	if m := o.withDefaults().Model; m != SimpleNN && m != EffNetB0Sim {
+	switch m := o.withDefaults().Model; {
+	case m != SimpleNN && m != EffNetB0Sim:
 		return fmt.Errorf("waitornot: unknown model %v", m)
+	case m == SimpleNN && o.PretrainSamples|o.PretrainEpochs != 0:
+		return fmt.Errorf("waitornot: Options.PretrainSamples and PretrainEpochs are an error with %v, which has no warm start", m)
 	}
-	if o.Shards > 0 {
+	if o.Shards != 0 {
 		return o.sharded(nil).Validate()
 	}
 	return o.decentralized().Validate()

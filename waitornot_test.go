@@ -67,8 +67,8 @@ func TestVanillaReadsThePoisonedShard(t *testing.T) {
 func TestVanillaRejectsClientFraction(t *testing.T) {
 	opts := tinyOpts(SimpleNN)
 	opts.ClientFraction = 0.5
-	if _, err := New(opts, WithKind(KindVanilla)).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "vanilla baseline") {
-		t.Fatalf("vanilla with ClientFraction 0.5: err = %v, want an error naming the vanilla baseline", err)
+	if _, err := New(opts, WithKind(KindVanilla)).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "Options.ClientFraction is an error on vanilla experiments") {
+		t.Fatalf("vanilla with ClientFraction 0.5: err = %v, want an error naming the field and the vanilla kind", err)
 	}
 }
 
