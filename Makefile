@@ -61,7 +61,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14666
+SIZE_MAX ?= 14786
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -173,7 +173,10 @@ campaign-smoke:
 # transaction on the pool: a poa run at Parallelism 1 and 8) and
 # TestSharedDecodedUpdatesReadOnly (the decide pool reading the
 # round's one read-back update slice, poa K-of-N at Parallelism 1 and
-# 8 — the only test that runs that path at Parallelism 8; ~3 s); ~20 s on 2 cores —
+# 8 — the only test that runs that path at Parallelism 8; ~3 s) and
+# TestMemo* (twelve 2-round ladder runs sharing one world's memo on
+# two workers, round 2's trainings hits; a failing and a cancelled
+# shared computation; ~15 s); ~40 s on 2 cores —
 # only these, because the whole package takes over two minutes under
 # -race and its other parallel paths are the pools covered above —
 # plus short parallel runs of the decentralized
@@ -184,7 +187,7 @@ campaign-smoke:
 test-race:
 	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/ \
 	    ./internal/dataset/ ./internal/xrand/ ./internal/shard/
-	$(GO) test -race -run 'Async|TestWorld|TestRunVanilla|TestSubmitPool|TestSharedDecodedUpdatesReadOnly' ./internal/bfl/
+	$(GO) test -race -run 'Async|TestWorld|TestRunVanilla|TestSubmitPool|TestSharedDecodedUpdatesReadOnly|TestMemo' ./internal/bfl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 # Rerun pass: every test under internal/ and cmd/, and the root

@@ -218,6 +218,9 @@ func (e *Experiment) check() error {
 			}
 		}
 	}
+	if e.sc.Kind == KindSharded && len(e.sc.Policies) > 0 && !e.sc.Options.AdaptiveShards {
+		return fmt.Errorf("waitornot: Scenario.Policies is an error on sharded experiments without Options.AdaptiveShards, which do not read it")
+	}
 	for _, p := range e.sc.Policies {
 		if err := p.Validate(); err != nil {
 			return err

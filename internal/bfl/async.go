@@ -3,6 +3,7 @@ package bfl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -123,12 +124,13 @@ type asyncEngine struct {
 // merges what has arrived with staleness-weighted averaging, and
 // immediately opens its next round. Reports are accuracy-vs-virtual-
 // time rather than accuracy-vs-round.
-func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
+func RunAsync(ctx context.Context, cfg Config) (_ *AsyncResult, err error) {
 	cfg.EvalAllCombos = false // the async engine has no combination grid
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer e.leave(&err)
 	// Registration is the clock's first event, at the first cadence
 	// boundary; it commits whatever the time budget says.
 	clock := vclock.New()
@@ -167,7 +169,7 @@ func RunAsync(ctx context.Context, cfg Config) (*AsyncResult, error) {
 			inbox:     map[string]asyncArrival{},
 		})
 		a.res.PeerNames[i] = p.name
-		a.res.InitialAccuracy[i] = p.client.TestAccuracy(e.w.initial)
+		a.res.InitialAccuracy[i] = p.testAcc(e.w.initial)
 		meanTrain += p.simTrainMs
 	}
 	// The staleness half-life is the fleet's full round timescale —
@@ -243,9 +245,7 @@ func (a *asyncEngine) startRound(p *asyncPeer) error {
 	dur := p.simTrainMs * a.cfg.Compute.Draw(p.rng)
 	if done := p.openMs + dur; a.budgetMs <= 0 || done <= a.budgetMs {
 		p.training = a.tasks.Go(done, p.idx, func() (err error) {
-			if err = p.client.Adopt(p.adopted); err == nil {
-				p.own = p.client.LocalTrain(p.round)
-			}
+			p.own, err = a.train(p.peerState, p.round)
 			return err
 		})
 	}
@@ -398,7 +398,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 		return fmt.Errorf("bfl: %s round %d merge: %w", p.name, p.round, err)
 	}
 	p.adopted = merged
-	acc := p.client.TestAccuracy(merged)
+	acc := p.testAcc(merged)
 
 	var rejected []string
 	for _, u := range fres.Rejected {
@@ -417,6 +417,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 		ClosedOut:       closeOut,
 	}
 	a.res.Rounds[p.idx] = append(a.res.Rounds[p.idx], st)
+	a.passMemo(len(slices.MinFunc(a.res.Rounds, func(x, y []AsyncRound) int { return len(x) - len(y) }))) // all peers fired these
 	a.sink.Emit(event.PeerAggregated{
 		Round: p.round, Peer: p.name, VirtualMs: now,
 		WaitMs: st.WaitMs, Included: st.Included,

@@ -1,0 +1,326 @@
+package bfl
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"waitornot/internal/core"
+	"waitornot/internal/event"
+	"waitornot/internal/fl"
+	"waitornot/internal/nn"
+	"waitornot/internal/par"
+)
+
+// ladderConfigs is the ladder-sweep benchmark workload's grid at one
+// seed, as its sweep runs each cell: 4 backends × 3 wait policies, 3
+// peers with a 3x straggler, 2 rounds, commit latency on, one worker.
+func ladderConfigs(seed uint64) []Config {
+	h := fl.DefaultHyper(nn.ModelSimpleNN)
+	h.LR, h.LocalEpochs = 0.03, 2
+	var out []Config
+	for _, b := range []string{"pow", "poa", "pbft", "instant"} {
+		for _, p := range []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 2}, core.FirstK{K: 1}} {
+			out = append(out, Config{Peers: 3, Rounds: 2, Seed: seed, TrainPerPeer: 100, SelectionSize: 120,
+				TestPerPeer: 100, Hyper: h, Policy: p, Backend: b, CommitLatency: true,
+				StragglerFactor: []float64{1, 1, 3}, Parallelism: 1})
+		}
+	}
+	return out
+}
+
+// runShared runs every configuration on one world Shared by all of
+// them, on workers goroutines as a sweep schedules its cells; observe
+// sees run i's events.
+func runShared(ctx context.Context, w *World, cfgs []Config, workers int, observe func(i int, ev event.Event)) ([]*Result, []error) {
+	w.Share(len(cfgs))
+	out, errs := make([]*Result, len(cfgs)), make([]error, len(cfgs))
+	par.ForEach(workers, len(cfgs), func(i int) error {
+		c := cfgs[i]
+		c.World, c.Events = w, func(ev event.Event) { observe(i, ev) }
+		out[i], errs[i] = Run(ctx, c)
+		return nil
+	})
+	return out, errs
+}
+
+// within fails the test unless f returns within d.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("did not return within %v", d)
+	}
+}
+
+// memoEmpty reports whether the memo holds no round's table.
+func memoEmpty(m *memo) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, tab := range m.rounds {
+		if tab != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoTrainsEachModelOnce: at the ladder-sweep shape, seed 1, the
+// twelve runs sharing a world make 72 trainings and 264 scorings
+// between them, of which 9 and 51 are distinct — and the memo computes
+// exactly those, on two workers. Each shared trained update is
+// bit-equal, at every run's round end and so at its round's release,
+// to what was inserted (hashed when its run's training pool finished);
+// every run is deeply equal to the same configuration run alone; and
+// the memo is empty once the last run lands.
+func TestMemoTrainsEachModelOnce(t *testing.T) {
+	cfgs := ladderConfigs(1)
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[*memoEntry]bool{}         // every entry seen
+	inserted := map[*memoEntry][32]byte{} // each training's weights when first seen
+	observe := func(_ int, ev event.Event) {
+		var round int
+		switch ev := ev.(type) {
+		case event.PeerTrained:
+			round = ev.Round
+		case event.RoundEnd:
+			round = ev.Round
+		default:
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		w.memo.mu.Lock()
+		defer w.memo.mu.Unlock()
+		for k, en := range w.memo.rounds[round] {
+			select {
+			case <-en.done:
+			default:
+				continue // another run is computing it
+			}
+			seen[en] = true
+			if k.hyper == (fl.Hyper{}) {
+				continue // a scoring
+			}
+			h := nn.HashWeights(en.up.Weights)
+			if was, ok := inserted[en]; !ok {
+				inserted[en] = h
+			} else if h != was {
+				t.Errorf("round %d: %s's shared trained update changed after insertion", round, en.up.Client)
+			}
+		}
+	}
+	shared, errs := runShared(context.Background(), w, cfgs, 2, observe)
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("%s/%s: %v", cfg.Backend, cfg.Policy.Name(), errs[i])
+		}
+		solo, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shared[i], solo) {
+			t.Errorf("%s/%s: the run sharing the memo differs from the run alone", cfg.Backend, cfg.Policy.Name())
+		}
+	}
+	if !memoEmpty(w.memo) {
+		t.Error("the memo holds entries after the last run landed")
+	}
+	trained := len(inserted)
+	if scored := len(seen) - trained; trained != 9 || scored != 51 {
+		t.Errorf("computed %d trainings and %d scorings, want the 9 and 51 distinct ones", trained, scored)
+	}
+}
+
+// TestMemoReleasesPassedRounds: three runs on one worker, in order, so
+// that the last one is the last to pass every round. Round q's table is
+// there until the last run has passed q and gone the moment it has.
+func TestMemoReleasesPassedRounds(t *testing.T) {
+	cfgs := ladderConfigs(1)[:3]
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(cfgs) - 1
+	held := func(q int) bool {
+		w.memo.mu.Lock()
+		defer w.memo.mu.Unlock()
+		return w.memo.rounds[q] != nil
+	}
+	_, errs := runShared(context.Background(), w, cfgs, 1, func(i int, ev event.Event) {
+		switch ev := ev.(type) {
+		case event.RoundStart:
+			for q := 1; q < ev.Round; q++ {
+				if held(q) != (i < last) {
+					t.Errorf("run %d at round %d: round %d held = %v, want %v", i, ev.Round, q, held(q), i < last)
+				}
+			}
+		case event.RoundEnd:
+			if !held(ev.Round) {
+				t.Errorf("run %d: round %d released before the run passed it", i, ev.Round)
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !memoEmpty(w.memo) {
+		t.Fatal("the memo holds entries after the last run landed")
+	}
+}
+
+// TestMemoFailureReachesWaiters: a computation that fails — with an
+// error or a panic — in the run computing it is the error of a run
+// needing the same entry, training and scoring alike, and that run
+// returns.
+func TestMemoFailureReachesWaiters(t *testing.T) {
+	base := ladderConfigs(1)[0]
+	for _, tc := range []struct {
+		name  string
+		async bool
+		fill  func(*memoEntry)
+		want  string
+	}{
+		{"training error", false, func(en *memoEntry) { en.err = errors.New("refused") }, "refused"},
+		{"training panic", false, func(*memoEntry) { panic("boom") }, "round 1 failed in another run"},
+		{"scoring panic", true, func(*memoEntry) { panic("boom") }, "round 0 failed in another run"},
+	} {
+		w, err := NewWorld(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Share(2)
+		// The other run: the entry the waiter needs first — slot 0's
+		// round-1 training from the initial weights, or (async) its
+		// initial test accuracy — fails once the waiter has started.
+		round, key := 1, memoKey{set: w.train[0], hyper: base.withDefaults().Hyper}
+		if tc.async {
+			round, key = 0, memoKey{set: w.test[0]}
+		}
+		inserted, started, computed := make(chan struct{}), make(chan struct{}), make(chan any, 1)
+		go func() {
+			defer func() { computed <- recover() }()
+			w.memo.do(round, key, w.initial, func(en *memoEntry) {
+				close(inserted)
+				<-started
+				tc.fill(en)
+			})
+		}()
+		<-inserted
+		cfg := base
+		cfg.World = w
+		var once sync.Once
+		cfg.Events = func(event.Event) { once.Do(func() { close(started) }) }
+		within(t, 30*time.Second, func() {
+			if tc.async {
+				_, err = RunAsync(context.Background(), cfg)
+			} else {
+				_, err = Run(context.Background(), cfg)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: the waiting run returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if v := <-computed; (v != nil) != strings.Contains(tc.name, "panic") {
+			t.Errorf("%s: the computing run recovered %v", tc.name, v)
+		}
+	}
+
+	// A failed score met inside the decide pool: one run fills the
+	// memo, its round-1 selection scores are then marked failed, and a
+	// second run needing them returns the failure as its error.
+	w, err := NewWorld(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Share(3)
+	cfg := base
+	cfg.World = w
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	w.memo.mu.Lock()
+	for k, en := range w.memo.rounds[1] {
+		if k.set == w.sel[0] {
+			en.err = errors.New("scored nothing")
+		}
+	}
+	w.memo.mu.Unlock()
+	within(t, 30*time.Second, func() { _, err = Run(context.Background(), cfg) })
+	if err == nil || !strings.Contains(err.Error(), "scored nothing") {
+		t.Errorf("decide pool: the waiting run returned %v, want the failed score's error", err)
+	}
+}
+
+// TestMemoCancelledMidRound: twelve runs sharing the memo, all started
+// at once; the first to submit in round 2, where trainings hit, cancels
+// the context. Every run returns, and the memo is released.
+func TestMemoCancelledMidRound(t *testing.T) {
+	cfgs := ladderConfigs(1)
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var errs []error
+	within(t, 60*time.Second, func() {
+		_, errs = runShared(ctx, w, cfgs, len(cfgs), func(_ int, ev event.Event) {
+			if sub, ok := ev.(event.ModelSubmitted); ok && sub.Round == 2 {
+				cancel()
+			}
+		})
+	})
+	cancelled := 0
+	for _, err := range errs {
+		if errors.Is(err, context.Canceled) {
+			cancelled++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no run saw the cancellation")
+	}
+	if !memoEmpty(w.memo) {
+		t.Fatal("the memo holds entries after every run returned")
+	}
+}
+
+// TestMemoKeysHyperparameters: a world does not fix the training
+// hyperparameters, so two runs sharing one at two learning rates train
+// apart, each deeply equal to its run alone.
+func TestMemoKeysHyperparameters(t *testing.T) {
+	cfgs := ladderConfigs(1)[:2]
+	cfgs[1].Policy, cfgs[1].Hyper.LR = cfgs[0].Policy, 0.01
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, errs := runShared(context.Background(), w, cfgs, 2, func(int, event.Event) {})
+	for i, cfg := range cfgs {
+		solo, err := Run(context.Background(), cfg)
+		if errs[i] != nil || err != nil {
+			t.Fatal(errs[i], err)
+		}
+		if !reflect.DeepEqual(shared[i], solo) {
+			t.Errorf("learning rate %g: the run sharing the memo differs from the run alone", cfg.Hyper.LR)
+		}
+	}
+}

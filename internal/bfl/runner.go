@@ -24,6 +24,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"waitornot/internal/chain"
@@ -311,7 +312,8 @@ type peerState struct {
 	// avg is the peer's own scratch accumulator: the one-worker table
 	// path and the asynchronous merge (rows and merges are adopted by
 	// copy or discarded, never retained).
-	avg fl.Averager
+	avg     fl.Averager
+	testAcc fl.Evaluator // scores weights on the peer's test set
 }
 
 // perSampleCostMs approximates one training pass's cost, used only by
@@ -402,11 +404,12 @@ func AuditChain(blocks []*chain.Block) (*chain.State, error) {
 // repeated additions of a ticking clock bit-for-bit). The sharded
 // orchestrator drives the same engine from its shared clock; there is
 // no second copy of the loop to keep in agreement.
-func runDecentralized(ctx context.Context, cfg Config) (*RoundEngine, error) {
+func runDecentralized(ctx context.Context, cfg Config) (_ *RoundEngine, err error) {
 	r, err := NewRoundEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer r.e.leave(&err)
 	step := r.CommitStepMs()
 	if err := r.RegisterAt(step); err != nil {
 		return nil, err
@@ -458,6 +461,8 @@ type engine struct {
 	// (Decide, Filter.Apply and FedAvg only read them), dropped at round
 	// end so retained heap does not grow.
 	roundUpdates []*fl.Update
+	memoNext     int                   // the first round of the world's memo not passed
+	failed       atomic.Pointer[error] // a failed shared score met
 }
 
 // txIndex is the committed-transaction hash index.
@@ -492,6 +497,54 @@ func upTo(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// train is peer p's local training of round from its adopted weights.
+func (e *engine) train(p *peerState, round int) (*fl.Update, error) {
+	en := e.w.memo.do(round, memoKey{set: p.client.Train, hyper: e.cfg.Hyper}, p.adopted, func(en *memoEntry) {
+		err := p.client.Adopt(p.adopted)
+		if err == nil {
+			en.up = p.client.LocalTrain(round)
+		}
+		en.err = err
+	})
+	return en.up, en.err
+}
+
+// scorer is eval over k's set, filed under the first round this run has
+// not passed. A failed shared score aborts the run; leave returns it.
+func (e *engine) scorer(k memoKey, eval fl.Evaluator) fl.Evaluator {
+	return func(weights []float32) float64 {
+		en := e.w.memo.do(e.memoNext, k, weights, func(en *memoEntry) { en.acc, en.err = eval(weights), nil })
+		if en.err != nil {
+			e.failed.Store(&en.err)
+			panic(en.err)
+		}
+		return en.acc
+	}
+}
+
+// passMemo passes the rounds up to r, releasing those all runs passed.
+func (e *engine) passMemo(r int) {
+	for m := e.w.memo; m != nil && e.memoNext <= r; e.memoNext++ {
+		m.mu.Lock()
+		if m.passed[e.memoNext]++; m.passed[e.memoNext] == m.runs {
+			m.rounds[e.memoNext] = nil
+		}
+		m.mu.Unlock()
+	}
+}
+
+// leave, deferred by a run, passes every round, finished or failed, and
+// returns a failed shared score as the run's error.
+func (e *engine) leave(err *error) {
+	e.passMemo(e.cfg.Rounds)
+	if r := recover(); r != nil {
+		if e.failed.Load() == nil {
+			panic(r)
+		}
+		*err = *e.failed.Load()
+	}
 }
 
 // registerAt submits every peer's identity-registration transaction
@@ -592,7 +645,8 @@ func (e *engine) setup() error {
 			samples:    train.Len(),
 			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
 		}
-		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, client.SelectionEvaluator(), root.Derive("ties-"+name))
+		p.testAcc = e.scorer(memoKey{set: test}, client.TestAccuracy)
+		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(memoKey{set: sel}, client.SelectionEvaluator()), root.Derive("ties-"+name))
 		switch {
 		case subsampled:
 			p.agg.MaxComboPeers = maxSubsampleCombo
@@ -600,6 +654,9 @@ func (e *engine) setup() error {
 			// Independent scratch models let one peer's combination
 			// search fan out without touching the client's model.
 			p.agg.WorkerEvals = fl.SelectionEvaluators(cfg.Model, sel, comboWorkers)
+			for k, ev := range p.agg.WorkerEvals {
+				p.agg.WorkerEvals[k] = e.scorer(memoKey{set: sel}, ev)
+			}
 			if cfg.EvalAllCombos {
 				p.testEvals = fl.SelectionEvaluators(cfg.Model, test, comboWorkers)
 				p.testAvgs = fl.NewAveragers(comboWorkers)
@@ -690,17 +747,15 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	}
 	nPart := len(peers)
 
+	e.passMemo(round - 1) // scores are filed under round from here
 	sink.Emit(event.RoundStart{Round: round})
 	// 1. Local training (each peer from its adopted weights). Peers
 	// train concurrently: each owns its model and RNG stream, and
 	// each writes only its own result slot.
 	updates := make([]*fl.Update, nPart)
-	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) error {
-		if err := peers[i].client.Adopt(peers[i].adopted); err != nil {
-			return err
-		}
-		updates[i] = peers[i].client.LocalTrain(round)
-		return nil
+	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) (err error) {
+		updates[i], err = e.train(peers[i], round)
+		return err
 	}); err != nil {
 		return err
 	}
@@ -774,7 +829,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			Included:       len(included),
 			WaitMs:         waitMs,
 			ChosenCombo:    chosenLabel,
-			ChosenAccuracy: p.client.TestAccuracy(decision.Chosen.Weights),
+			ChosenAccuracy: p.testAcc(decision.Chosen.Weights),
 			Rejected:       decision.RejectedClients,
 		}
 		res.Rounds[slots[i]] = append(res.Rounds[slots[i]], stats)

@@ -26,6 +26,7 @@ type World struct {
 	initial          []float32
 	heldOutOnce      sync.Once
 	heldOut          *dataset.Set
+	memo             *memo // set by Share; nil: every run computes its own
 }
 
 // ResolveWorld is the World a run of c reads: its own, or the one it
@@ -96,6 +97,64 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w.initial = initModel.WeightVector()
 	return w, nil
+}
+
+// Share readies the world for n runs at once: above one, they train
+// each (shard, hyperparameters, weights) and score each (set, weights)
+// once a round, sharing the result (DESIGN §5). Blocks share nothing.
+func (w *World) Share(n int) {
+	if n > 1 {
+		w.memo = &memo{runs: n, rounds: make([]map[memoKey]*memoEntry, w.cfg.Rounds+1), passed: make([]int, w.cfg.Rounds+1)}
+	}
+}
+
+// memo is a shared world's single-flight store, a table per round.
+type memo struct {
+	mu     sync.Mutex
+	runs   int
+	rounds []map[memoKey]*memoEntry
+	passed []int
+}
+
+// memoKey is a training on a shard (hyper set) or a scoring on a set.
+type memoKey struct {
+	set     *dataset.Set
+	hyper   fl.Hyper
+	weights [32]byte
+}
+
+// memoEntry is a result once done is closed; up is shared read-only.
+type memoEntry struct {
+	done chan struct{}
+	up   *fl.Update
+	acc  float64
+	err  error
+}
+
+// do is round's entry for k at weights, filled by the first caller
+// while the others wait (a fill that panics leaves them an error).
+func (m *memo) do(round int, k memoKey, weights []float32, fill func(*memoEntry)) *memoEntry {
+	en := &memoEntry{}
+	if m == nil {
+		fill(en)
+		return en
+	}
+	k.weights = nn.HashWeights(weights)
+	m.mu.Lock()
+	if m.rounds[round] == nil {
+		m.rounds[round] = map[memoKey]*memoEntry{}
+	}
+	if had := m.rounds[round][k]; had != nil {
+		m.mu.Unlock()
+		<-had.done
+		return had
+	}
+	en.done, m.rounds[round][k] = make(chan struct{}), en
+	m.mu.Unlock()
+	defer close(en.done)
+	en.err = fmt.Errorf("bfl: a shared computation of round %d failed in another run", round)
+	fill(en) // clears err
+	return en
 }
 
 // Block is the view of slots [lo, hi) of an unsubsampled world — their

@@ -118,6 +118,11 @@ func TestEveryFieldHasItsKinds(t *testing.T) {
 			}
 			for _, k := range allKinds {
 				sc := Scenario{Kind: k, Options: Options{Clients: 4}}
+				// A sharded run reads its ladder only through the
+				// adaptive controller (the row in
+				// TestDescriptionCheckedBeforeTheContext refuses it
+				// without).
+				sc.Options.AdaptiveShards = k == KindSharded && name == "Scenario.Policies"
 				v := reflect.ValueOf(&sc).Elem()
 				if top == reflect.TypeFor[Options]() {
 					v = v.FieldByName("Options")
@@ -197,6 +202,8 @@ func TestDescriptionCheckedBeforeTheContext(t *testing.T) {
 		{"Options.ClientFraction", Scenario{Kind: KindVanilla, Options: Options{ClientFraction: 0.5}}},
 		{"Options.ClientFraction", Scenario{Kind: KindSharded, Options: Options{Clients: 4, ClientFraction: 0.5}}},
 		{"Scenario.Policies", Scenario{Kind: KindVanilla, Policies: DefaultPolicies(3)}},
+		// Only the adaptive controller reads a sharded run's ladder.
+		{"Scenario.Policies", Scenario{Kind: KindSharded, Options: Options{Clients: 4}, Policies: DefaultPolicies(2)}},
 		{"Scenario.Backends", Scenario{Kind: KindVanilla, Backends: []string{"poa"}}},
 		{"Scenario.Seeds", Scenario{Kind: KindVanilla, Seeds: []uint64{1, 2}}},
 	}

@@ -32,11 +32,11 @@ type Scenario struct {
 	// Options is the base configuration.
 	Options Options
 	// Policies is the wait-policy ladder: what a KindTradeoff or
-	// KindAsync experiment sweeps and what the adaptive KindSharded
-	// controller picks from. Empty means DefaultPolicies for the client
-	// count (KindSharded: for the smallest shard). A KindDecentralized
-	// RunSweep sweeps it too (empty: the one Options.Policy); its Run
-	// stays the single run at Options.Policy (DESIGN §2).
+	// KindAsync experiment sweeps and what the KindSharded adaptive
+	// controller picks from (an error without AdaptiveShards). Empty
+	// means DefaultPolicies for the client count (KindSharded: the
+	// smallest shard). A KindDecentralized RunSweep sweeps it too
+	// (empty: the one Options.Policy), which its Run runs alone.
 	Policies []Policy `kinds:"decentralized tradeoff async sharded"`
 	// Backends is the consensus-backend ladder (empty means the single
 	// Options.Backend). With both ladders set the sweep is backends ×

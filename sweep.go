@@ -425,7 +425,9 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 		// the plan's whole worker budget, not one cell's.
 		c := o.decentralized()
 		c.Parallelism = p.workers
-		sw.world, sw.err = bfl.NewWorld(c)
+		if sw.world, sw.err = bfl.NewWorld(c); sw.err == nil {
+			sw.world.Share(int(sw.left.Load())) // the seed's cells this sweep runs
+		}
 	})
 	w, err := sw.world, sw.err // the seed's, shared
 	// Every report type exposes the same headline reduction; only

@@ -150,6 +150,39 @@ func TestSweepMatchesSoloRuns(t *testing.T) {
 	}
 }
 
+// TestLadderSweepMatchesSoloRuns: a decentralized sweep over 4
+// backends × 3 policies, 2 rounds, at seeds 1 and 7 — each seed's cells
+// sharing one world whose memo serves the trainings and scorings they
+// have in common — is, run for run, deeply equal to each cell's
+// standalone Run, which shares nothing.
+func TestLadderSweepMatchesSoloRuns(t *testing.T) {
+	opts := sweepOpts()
+	opts.Rounds, opts.Parallelism = 2, 2
+	backends, policies := []string{"pow", "poa", "pbft", "instant"}, waitornot.DefaultPolicies(3)
+	rep, err := waitornot.New(opts,
+		waitornot.WithPolicies(policies...),
+		waitornot.WithBackends(backends...),
+		waitornot.WithSeeds(1, 7)).RunSweep(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []waitornot.SweepRun // seed-major, backend-major, policy-minor
+	for _, seed := range []uint64{1, 7} {
+		for _, b := range backends {
+			for _, p := range policies {
+				o := opts
+				o.Seed, o.Backend, o.Policy = seed, b, p
+				acc, wait, included := testutil.Run(t, o).Decentralized.Headline()
+				want = append(want, waitornot.SweepRun{Seed: seed, Policy: p.Name(), Backend: b,
+					FinalAccuracy: acc, MeanWaitMs: wait, MeanIncluded: included})
+			}
+		}
+	}
+	if !reflect.DeepEqual(rep.Runs, want) {
+		t.Fatalf("sweep runs %+v\nwant the standalone runs %+v", rep.Runs, want)
+	}
+}
+
 // TestSweepWorldFieldsMatchSoloRuns extends TestSweepMatchesSoloRuns
 // to the parts of a seed's shared world that the pow/instant golden
 // grid never reads: the lazily built pbft verification set, the
