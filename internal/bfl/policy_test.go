@@ -6,10 +6,28 @@ import (
 
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
+	"waitornot/internal/simnet"
 )
 
 func mkUpdate(name string) *fl.Update {
 	return &fl.Update{Client: name, Round: 1, Weights: []float32{1}, NumSamples: 1}
+}
+
+// walkObserver is runRound's observer step over hand-set arrivals: ups
+// in client-name order as the chain reads them back, self's update in
+// hand at selfTrainMs, each remote one readable at remote[name] (no
+// commit interval), walked by simnet.WalkRound.
+func walkObserver(policy core.WaitPolicy, self string, selfTrainMs float64, ups []*fl.Update, remote map[string]float64) ([]*fl.Update, float64) {
+	sends := make([]simnet.Send, len(ups))
+	for i, u := range ups {
+		sends[i] = simnet.Send{TrainedMs: selfTrainMs, SentMs: remote[u.Client], Own: u.Client == self}
+	}
+	at, firedAt := simnet.WalkRound(policy, sends, 0)
+	included := make([]*fl.Update, len(at))
+	for i, j := range at {
+		included[i] = ups[j]
+	}
+	return included, firedAt
 }
 
 // TestApplyPolicyTiedArrivals pins the tie-break: updates arriving at
@@ -18,7 +36,7 @@ func mkUpdate(name string) *fl.Update {
 func TestApplyPolicyTiedArrivals(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B"), mkUpdate("C")}
 	arrivals := map[string]float64{"B": 100, "C": 100} // exact tie
-	included, waitMs := applyPolicy(core.FirstK{K: 2}, "A", 10, ups, arrivals)
+	included, waitMs := walkObserver(core.FirstK{K: 2}, "A", 10, ups, arrivals)
 	if len(included) != 2 {
 		t.Fatalf("included %d updates", len(included))
 	}
@@ -30,7 +48,7 @@ func TestApplyPolicyTiedArrivals(t *testing.T) {
 	}
 	// The mirror tie: swap which remote sorts first and the winner flips.
 	arrivals = map[string]float64{"B": 200, "C": 100}
-	included, _ = applyPolicy(core.FirstK{K: 2}, "A", 10, ups, arrivals)
+	included, _ = walkObserver(core.FirstK{K: 2}, "A", 10, ups, arrivals)
 	if included[1].Client != "C" {
 		t.Fatalf("expected C to win the earlier slot, got %s", included[1].Client)
 	}
@@ -42,7 +60,7 @@ func TestApplyPolicyTiedArrivals(t *testing.T) {
 func TestApplyPolicySelfTiedWithRemote(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B")}
 	arrivals := map[string]float64{"B": 50}
-	included, waitMs := applyPolicy(core.FirstK{K: 1}, "A", 50, ups, arrivals)
+	included, waitMs := walkObserver(core.FirstK{K: 1}, "A", 50, ups, arrivals)
 	hasSelf := false
 	for _, u := range included {
 		if u.Client == "A" {
@@ -68,7 +86,7 @@ func TestApplyPolicyTimeoutBeforeRemotes(t *testing.T) {
 	policy := core.Timeout{D: 50 * time.Millisecond}
 	// Self completes at 100ms, already past the 50ms deadline: the
 	// round closes immediately with just the peer's own model.
-	included, waitMs := applyPolicy(policy, "A", 100, ups, arrivals)
+	included, waitMs := walkObserver(policy, "A", 100, ups, arrivals)
 	if len(included) != 1 || included[0].Client != "A" {
 		names := make([]string, len(included))
 		for i, u := range included {
@@ -87,7 +105,7 @@ func TestApplyPolicyTimeoutBeyondLastArrival(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B")}
 	arrivals := map[string]float64{"B": 80}
 	policy := core.Timeout{D: time.Hour}
-	included, waitMs := applyPolicy(policy, "A", 10, ups, arrivals)
+	included, waitMs := walkObserver(policy, "A", 10, ups, arrivals)
 	if len(included) != 2 {
 		t.Fatalf("included %d; want all", len(included))
 	}
@@ -102,7 +120,7 @@ func TestApplyPolicyTimeoutBeyondLastArrival(t *testing.T) {
 func TestApplyPolicySelfArrivesLastStillKept(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B"), mkUpdate("C")}
 	arrivals := map[string]float64{"B": 5, "C": 6}
-	included, waitMs := applyPolicy(core.FirstK{K: 2}, "A", 300, ups, arrivals)
+	included, waitMs := walkObserver(core.FirstK{K: 2}, "A", 300, ups, arrivals)
 	hasSelf := false
 	for _, u := range included {
 		if u.Client == "A" {

@@ -82,14 +82,13 @@ type Config struct {
 	// trade-off study.
 	StragglerFactor []float64
 	// Compute, when set, draws a per-peer per-round multiplier on the
-	// modeled training duration (heterogeneous compute). The zero
-	// value keeps durations fixed at the calibrated model. Used by the
-	// asynchronous engine (RunAsync); the barriered runner keeps its
-	// historical fixed model.
+	// modeled training duration (heterogeneous compute), on both
+	// schedules. The zero value keeps durations fixed at the calibrated
+	// model and draws nothing.
 	Compute simnet.Dist
 	// Network, when set, draws extra per-submission propagation delay
-	// in ms on top of base latency + size/bandwidth (network jitter).
-	// Asynchronous engine only.
+	// in ms on top of base latency + size/bandwidth (network jitter),
+	// on both schedules.
 	Network simnet.Dist
 	// TimeBudgetMs caps the asynchronous run's virtual horizon: peers
 	// stop opening new rounds past it and any peer still waiting
@@ -299,9 +298,12 @@ type peerState struct {
 	// samples is the peer's training-shard size, fixed at setup — the
 	// FedAvg weight of everything this peer contributes upward.
 	samples int
-	// simTrainMs is the deterministic training-duration model used for
+	// simTrainMs is the calibrated training-duration model used for
 	// arrival times (samples x epochs x per-sample cost x straggler).
 	simTrainMs float64
+	// arrive draws the barriered round's Compute and Network samples
+	// (nil when neither distribution is set).
+	arrive *xrand.RNG
 	// testEvals are the worker evaluators over the peer's test set that
 	// score the Tables II-IV combination grid (set only when
 	// EvalAllCombos); testAvgs pairs them with per-worker scratch
@@ -645,6 +647,9 @@ func (e *engine) setup() error {
 			samples:    train.Len(),
 			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
 		}
+		if !cfg.Compute.IsZero() || !cfg.Network.IsZero() {
+			p.arrive = root.Derive("arrive-" + name)
+		}
 		p.testAcc = e.scorer(memoKey{set: test}, client.TestAccuracy)
 		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(memoKey{set: sel}, client.SelectionEvaluator()), root.Derive("ties-"+name))
 		switch {
@@ -759,8 +764,9 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	}); err != nil {
 		return err
 	}
+	sent := e.drawArrivals(peers, updates)
 	for i, p := range peers {
-		sink.Emit(event.PeerTrained{Round: round, Peer: p.name, Samples: updates[i].NumSamples, SimMs: p.simTrainMs})
+		sink.Emit(event.PeerTrained{Round: round, Peer: p.name, Samples: updates[i].NumSamples, SimMs: sent[p.name].TrainedMs})
 	}
 
 	// 2. Submit signed model transactions; gossip into every peer's
@@ -802,7 +808,10 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	e.roundUpdates = shared
 	defer func() { e.roundUpdates = nil }()
 	decTxs := make([]*chain.Transaction, nPart)
-	remoteArrival := arrivalTimes(cfg, peers, updates, be.CommitLatencyMs())
+	intervalMs := 0.0
+	if cfg.CommitLatency {
+		intervalMs = be.CommitLatencyMs()
+	}
 	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) error {
 		p := peers[i]
 		// A peer whose own submission the backend's verification
@@ -814,7 +823,16 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			onChain = append(slices.Clip(shared), updates[i])
 			sort.Slice(onChain, func(a, b int) bool { return onChain[a].Client < onChain[b].Client })
 		}
-		included, waitMs := applyPolicy(cfg.Policy, p.name, p.simTrainMs, onChain, remoteArrival)
+		sends := make([]simnet.Send, len(onChain))
+		for k, u := range onChain {
+			sends[k] = sent[u.Client]
+			sends[k].Own = u.Client == p.name
+		}
+		at, waitMs := simnet.WalkRound(cfg.Policy, sends, intervalMs)
+		included := make([]*fl.Update, len(at))
+		for k, j := range at {
+			included[k] = onChain[j]
+		}
 		decision, err := p.agg.Decide(round, included, time.Duration(waitMs*float64(time.Millisecond)), nPart)
 		if err != nil {
 			return fmt.Errorf("bfl: %s round %d: %w", p.name, round, err)
@@ -1000,51 +1018,23 @@ func (e *engine) readUpdates(round int) ([]*fl.Update, error) {
 	return out, nil
 }
 
-// arrivalTimes computes the deterministic arrival-time model: each
-// peer's update becomes visible at train-duration + network delay —
-// and, when CommitLatency modeling is on, not before the ledger's next
-// commit boundary (the simnet visibility rule), so wait policies face
-// the block-interval delays the backend implies.
-func arrivalTimes(cfg Config, peers []*peerState, updates []*fl.Update, commitIntervalMs float64) map[string]float64 {
-	out := make(map[string]float64, len(peers))
+// drawArrivals draws the round's arrival model on the coordinator, in
+// slot order, keyed by peer name: each participant's training duration
+// (the calibrated one times a Compute draw) and send time, (trained +
+// base latency) + size·perKB plus a Network draw. A run with neither
+// distribution set draws nothing.
+func (e *engine) drawArrivals(peers []*peerState, updates []*fl.Update) map[string]simnet.Send {
+	out := make(map[string]simnet.Send, len(peers))
 	for i, p := range peers {
+		trained := p.simTrainMs * e.cfg.Compute.Draw(p.arrive)
 		blobKB := float64(nn.EncodedSize(len(updates[i].Weights))) / 1024
-		at := p.simTrainMs + baseLatencyMs + blobKB*perKBMs
-		if cfg.CommitLatency {
-			at = simnet.CommitVisibilityMs(at, commitIntervalMs)
+		sentMs := trained + baseLatencyMs + blobKB*perKBMs
+		if !e.cfg.Network.IsZero() {
+			sentMs += e.cfg.Network.Draw(p.arrive)
 		}
-		out[p.name] = at
+		out[p.name] = simnet.Send{TrainedMs: trained, SentMs: sentMs}
 	}
 	return out
-}
-
-// applyPolicy builds the observer's arrival view — its own update at
-// training completion (no network hop), remote updates at their
-// modeled visibility — and fires the shared core.FirePolicy rule over
-// it, returning the included subset and the firing time. A peer's own
-// update is always part of the aggregation, matching the paper: a
-// peer never discards its own local model.
-func applyPolicy(policy core.WaitPolicy, self string, selfTrainMs float64, updates []*fl.Update, remoteArrival map[string]float64) ([]*fl.Update, float64) {
-	arrivals := make([]core.Arrival, len(updates))
-	for i, u := range updates {
-		at := remoteArrival[u.Client]
-		if u.Client == self {
-			at = selfTrainMs
-		}
-		arrivals[i] = core.Arrival{AtMs: at, Index: i, Self: u.Client == self}
-	}
-	sort.Slice(arrivals, func(i, j int) bool {
-		if arrivals[i].AtMs != arrivals[j].AtMs {
-			return arrivals[i].AtMs < arrivals[j].AtMs
-		}
-		return updates[arrivals[i].Index].Client < updates[arrivals[j].Index].Client
-	})
-	n, firedAt := core.FirePolicy(policy, arrivals, len(updates))
-	included := make([]*fl.Update, n)
-	for i, a := range arrivals[:n] {
-		included[i] = updates[a.Index]
-	}
-	return included, firedAt
 }
 
 // clientLabel renders a set of n client names the way the on-chain

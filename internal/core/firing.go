@@ -22,8 +22,9 @@ type Arrival struct {
 	Self bool
 }
 
-// FirePolicy is the single firing rule both the experiment runner and
-// the round simulator consume: walk arrivals — which the caller has
+// FirePolicy is the single firing rule, called by simnet.WalkRound,
+// the one arrival walk of the barriered round and the round-latency
+// table: walk arrivals — which the caller has
 // sorted by (AtMs, deterministic tie-break) — and probe the wait
 // policy at each arrival once the observer's own update exists. It
 // returns how many arrivals were on hand when the policy fired (the

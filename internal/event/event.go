@@ -59,12 +59,13 @@ type RoundStart struct {
 func (RoundStart) EventName() string { return "round-start" }
 
 // PeerTrained reports that one participant finished local training for
-// the round. SimMs is the deterministic simulated training duration
-// used by the arrival-time model (0 in the vanilla experiment, which
-// has no arrival model). VirtualMs is the completion instant on the
-// shared virtual clock (populated by the asynchronous engine, where
-// peers run un-barriered; 0 in the barriered runner, whose arrival
-// model restarts each round).
+// the round. SimMs is the simulated training duration the arrival
+// model drew for the round: the calibrated one times a compute draw,
+// or the calibrated one itself with no compute distribution (0 in the
+// vanilla experiment, which has no arrival model). VirtualMs is the
+// completion instant on the shared virtual clock (populated by the
+// asynchronous engine, where peers run un-barriered; 0 in the
+// barriered runner, whose arrival model restarts each round).
 type PeerTrained struct {
 	Round     int
 	Peer      string

@@ -1,9 +1,9 @@
 // Package simnet is a deterministic discrete-event simulator for the
 // blockchain performance questions the paper leans on (§II-A2): how
 // throughput scales with participant count on a resource-shared testbed,
-// how block capacity bounds throughput, how long aggregation rounds wait
-// under different wait policies, and the "age of block" freshness metric
-// from the related work it cites.
+// how block capacity bounds throughput, and — through WalkRound, the
+// arrival walk every barriered round fires its wait policy over — how
+// long aggregation rounds wait under different wait policies.
 //
 // Absolute milliseconds are not the point — the testbed is gone — but
 // the shapes (halving throughput when peers double on one host, the
@@ -13,9 +13,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"waitornot/internal/core"
 	"waitornot/internal/par"
@@ -164,107 +165,53 @@ func SweepBlockGas(base ThroughputConfig, limits []uint64) []Throughput {
 	return out
 }
 
-// RoundConfig parameterizes the aggregation-round latency model.
-type RoundConfig struct {
-	// Peers is the participant count.
-	Peers int
-	// MeanTrainMs and TrainJitter (fraction) shape per-peer training
-	// durations: d = MeanTrainMs * (1 +- uniform(TrainJitter)).
-	MeanTrainMs float64
-	TrainJitter float64
-	// StragglerFactor multiplies one designated straggler's duration
-	// (1.0 = none).
-	StragglerFactor float64
-	// BlockIntervalMs quantizes visibility: an update becomes visible
-	// to others at the next block boundary after it is submitted.
-	BlockIntervalMs float64
-	// NetworkMs is the submission propagation delay.
-	NetworkMs float64
-	// Rounds is how many independent rounds to simulate.
-	Rounds int
-	// Seed drives the jitter.
-	Seed uint64
+// Send is one update of a round as an observing peer's walk sees it.
+type Send struct {
+	// TrainedMs is when its training completed: the observer holds its
+	// own update from then on.
+	TrainedMs float64
+	// SentMs is when it left its peer, completion plus propagation: a
+	// remote update is readable at the commit boundary after it.
+	SentMs float64
+	// Own marks the observer's own update.
+	Own bool
 }
 
-// RoundStats aggregates simulated rounds for one policy.
-type RoundStats struct {
-	Policy string
-	// MeanWaitMs is the mean time from round start until the policy
-	// fires at the observing peer.
-	MeanWaitMs float64
-	// MeanIncluded is the mean number of models aggregated.
-	MeanIncluded float64
-	// MeanAgeMs is the mean "age of block" of included updates: how
-	// stale an update is (visibility time minus its training
-	// completion) when aggregation happens.
-	MeanAgeMs float64
-}
-
-// SimulateRounds measures aggregation wait time under a wait policy,
-// from peer 0's perspective, over many simulated rounds.
-func SimulateRounds(cfg RoundConfig, policy core.WaitPolicy) RoundStats {
-	if cfg.Peers <= 0 || cfg.Rounds <= 0 || cfg.MeanTrainMs <= 0 {
-		panic(fmt.Sprintf("simnet: bad round config %+v", cfg))
-	}
-	if cfg.StragglerFactor <= 0 {
-		cfg.StragglerFactor = 1
-	}
-	rng := xrand.New(cfg.Seed).Derive("rounds")
-	var waitSum, includedSum, ageSum float64
-	var ageCount int
-	for r := 0; r < cfg.Rounds; r++ {
-		// Training completion per peer.
-		complete := make([]float64, cfg.Peers)
-		for i := range complete {
-			jitter := 1 + cfg.TrainJitter*(2*rng.Float64()-1)
-			complete[i] = cfg.MeanTrainMs * jitter
-			if i == cfg.Peers-1 {
-				complete[i] *= cfg.StragglerFactor
-			}
+// WalkRound is the one arrival walk of a barriered round, shared by the
+// experiment runner and the round-latency table. It places each update
+// where the observer can first read it — its own at TrainedMs, a remote
+// one at CommitVisibilityMs(SentMs, intervalMs), where an interval of 0
+// (latency not modeled, or an instant backend) makes it readable when
+// sent — sorts them by (time, index) and fires policy over them with
+// core.FirePolicy. It returns the indices of the included updates in
+// arrival order, and the firing time.
+func WalkRound(policy core.WaitPolicy, sends []Send, intervalMs float64) ([]int, float64) {
+	arrivals := make([]core.Arrival, len(sends))
+	for i, s := range sends {
+		at := s.TrainedMs
+		if !s.Own {
+			at = CommitVisibilityMs(s.SentMs, intervalMs)
 		}
-		// Visibility at the observer: own model at completion; others
-		// at the first block boundary after completion + network. The
-		// firing rule itself is shared with the experiment runner
-		// (core.FirePolicy), so both face identical wait semantics.
-		arrivals := make([]core.Arrival, cfg.Peers)
-		for i := range arrivals {
-			at := complete[i]
-			if i != 0 {
-				at = CommitVisibilityMs(complete[i]+cfg.NetworkMs, cfg.BlockIntervalMs)
-			}
-			arrivals[i] = core.Arrival{AtMs: at, Index: i, Self: i == 0}
-		}
-		sort.SliceStable(arrivals, func(i, j int) bool {
-			if arrivals[i].AtMs != arrivals[j].AtMs {
-				return arrivals[i].AtMs < arrivals[j].AtMs
-			}
-			return arrivals[i].Index < arrivals[j].Index
-		})
-		included, fireAt := core.FirePolicy(policy, arrivals, cfg.Peers)
-		waitSum += fireAt
-		includedSum += float64(included)
-		for _, a := range arrivals[:included] {
-			ageSum += fireAt - complete[a.Index]
-			ageCount++
-		}
+		arrivals[i] = core.Arrival{AtMs: at, Index: i, Self: s.Own}
 	}
-	out := RoundStats{
-		Policy:       policy.Name(),
-		MeanWaitMs:   waitSum / float64(cfg.Rounds),
-		MeanIncluded: includedSum / float64(cfg.Rounds),
+	slices.SortFunc(arrivals, func(a, b core.Arrival) int {
+		return cmp.Or(cmp.Compare(a.AtMs, b.AtMs), cmp.Compare(a.Index, b.Index))
+	})
+	n, firedAt := core.FirePolicy(policy, arrivals, len(sends))
+	included := make([]int, n)
+	for i, a := range arrivals[:n] {
+		included[i] = a.Index
 	}
-	if ageCount > 0 {
-		out.MeanAgeMs = ageSum / float64(ageCount)
-	}
-	return out
+	return included, firedAt
 }
 
 // CommitVisibilityMs quantizes an update's visibility to the ledger's
 // commit interval: an update submitted at submittedMs becomes readable
 // at the first block boundary strictly after it, or immediately when
-// the interval is zero (the instant backend). This is the commit-
-// latency hook the experiment runner shares with the round simulator,
-// so wait policies face the same block-interval delays in both.
+// the interval is zero (the instant backend). WalkRound, the
+// asynchronous engine's deliveries and the sharded merge clock all
+// quantize by it, so wait policies face the same block-interval delays
+// on every schedule.
 func CommitVisibilityMs(submittedMs, intervalMs float64) float64 {
 	if intervalMs <= 0 {
 		return submittedMs

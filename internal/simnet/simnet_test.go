@@ -74,8 +74,59 @@ func TestThroughputDeterministic(t *testing.T) {
 	}
 }
 
-func baseRound() RoundConfig {
-	return RoundConfig{
+// roundConfig parameterizes the test-local round loop: per-peer
+// training MeanTrainMs * (1 ± uniform(TrainJitter)), the last peer's
+// times StragglerFactor, each update sent NetworkMs after its training
+// and visible at the next BlockIntervalMs boundary.
+type roundConfig struct {
+	Peers           int
+	MeanTrainMs     float64
+	TrainJitter     float64
+	StragglerFactor float64
+	BlockIntervalMs float64
+	NetworkMs       float64
+	Rounds          int
+	Seed            uint64
+}
+
+// roundStats is one policy's means over the loop's rounds, observed by
+// peer 0: firing time, included count, and age of the included updates
+// (firing time minus training completion).
+type roundStats struct {
+	MeanWaitMs, MeanIncluded, MeanAgeMs float64
+}
+
+// simulateRounds walks cfg.Rounds independent rounds through WalkRound.
+func simulateRounds(cfg roundConfig, policy core.WaitPolicy) roundStats {
+	rng := xrand.New(cfg.Seed).Derive("rounds")
+	jitter := Dist{Kind: DistUniform, Mean: 1, Jitter: cfg.TrainJitter}
+	sends := make([]Send, cfg.Peers)
+	var st roundStats
+	var aged int
+	for range cfg.Rounds {
+		for i := range sends {
+			done := cfg.MeanTrainMs * jitter.Draw(rng)
+			if i == cfg.Peers-1 {
+				done *= cfg.StragglerFactor
+			}
+			sends[i] = Send{TrainedMs: done, SentMs: done + cfg.NetworkMs, Own: i == 0}
+		}
+		included, firedAt := WalkRound(policy, sends, cfg.BlockIntervalMs)
+		st.MeanWaitMs += firedAt
+		st.MeanIncluded += float64(len(included))
+		for _, i := range included {
+			st.MeanAgeMs += firedAt - sends[i].TrainedMs
+			aged++
+		}
+	}
+	st.MeanWaitMs /= float64(cfg.Rounds)
+	st.MeanIncluded /= float64(cfg.Rounds)
+	st.MeanAgeMs /= float64(aged)
+	return st
+}
+
+func baseRound() roundConfig {
+	return roundConfig{
 		Peers:           8,
 		MeanTrainMs:     5000,
 		TrainJitter:     0.3,
@@ -89,8 +140,8 @@ func baseRound() RoundConfig {
 
 func TestFirstKWaitsLessThanWaitAll(t *testing.T) {
 	cfg := baseRound()
-	all := SimulateRounds(cfg, core.WaitAll{})
-	half := SimulateRounds(cfg, core.FirstK{K: 4})
+	all := simulateRounds(cfg, core.WaitAll{})
+	half := simulateRounds(cfg, core.FirstK{K: 4})
 	if half.MeanWaitMs >= all.MeanWaitMs {
 		t.Fatalf("first-4 wait %v >= wait-all %v", half.MeanWaitMs, all.MeanWaitMs)
 	}
@@ -116,12 +167,12 @@ func TestTimeoutPolicyCapsWait(t *testing.T) {
 	late := 0
 	for seed := uint64(1); seed <= 300; seed++ {
 		cfg.Seed = seed
-		wait := SimulateRounds(cfg, core.Timeout{D: deadline}).MeanWaitMs
-		own := SimulateRounds(cfg, core.FirstK{K: 1}).MeanWaitMs
+		wait := simulateRounds(cfg, core.Timeout{D: deadline}).MeanWaitMs
+		own := simulateRounds(cfg, core.FirstK{K: 1}).MeanWaitMs
 		if limit := max(float64(deadline.Milliseconds()), own); wait > limit {
 			t.Fatalf("seed %d: timeout waited %v, past max(deadline, own completion) = %v", seed, wait, limit)
 		}
-		if all := SimulateRounds(cfg, core.WaitAll{}).MeanWaitMs; wait > all {
+		if all := simulateRounds(cfg, core.WaitAll{}).MeanWaitMs; wait > all {
 			t.Fatalf("seed %d: timeout wait %v above wait-all %v", seed, wait, all)
 		}
 		if own > float64(deadline.Milliseconds()) {
@@ -141,16 +192,16 @@ func TestAgeGrowsWithBlockInterval(t *testing.T) {
 	fast.BlockIntervalMs = 100
 	slow := cfg
 	slow.BlockIntervalMs = 5000
-	ageFast := SimulateRounds(fast, core.WaitAll{}).MeanAgeMs
-	ageSlow := SimulateRounds(slow, core.WaitAll{}).MeanAgeMs
+	ageFast := simulateRounds(fast, core.WaitAll{}).MeanAgeMs
+	ageSlow := simulateRounds(slow, core.WaitAll{}).MeanAgeMs
 	if ageSlow <= ageFast {
 		t.Fatalf("age of block must grow with interval: %v vs %v", ageFast, ageSlow)
 	}
 }
 
 func TestSimulateRoundsDeterministic(t *testing.T) {
-	a := SimulateRounds(baseRound(), core.FirstK{K: 3})
-	b := SimulateRounds(baseRound(), core.FirstK{K: 3})
+	a := simulateRounds(baseRound(), core.FirstK{K: 3})
+	b := simulateRounds(baseRound(), core.FirstK{K: 3})
 	if a != b {
 		t.Fatalf("rounds not deterministic: %+v vs %+v", a, b)
 	}
@@ -213,7 +264,7 @@ func TestThroughputPanicsOnBadConfig(t *testing.T) {
 
 func TestRoundsLatencyReasonable(t *testing.T) {
 	cfg := baseRound()
-	stats := SimulateRounds(cfg, core.WaitAll{})
+	stats := simulateRounds(cfg, core.WaitAll{})
 	// Wait must be at least the straggler's mean training time and
 	// finite.
 	if stats.MeanWaitMs < cfg.MeanTrainMs || math.IsNaN(stats.MeanWaitMs) {

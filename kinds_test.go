@@ -62,8 +62,8 @@ func fieldReaders() map[string][]Kind {
 		"Options.MergeCadence":    sharded,
 		"Options.MergeMode":       sharded,
 		"Options.AdaptiveShards":  sharded,
-		"Options.ComputeDist":     async,
-		"Options.NetworkDist":     async,
+		"Options.ComputeDist":     notVanilla,
+		"Options.NetworkDist":     notVanilla,
 		"Options.TimeBudgetMs":    async,
 	}
 }
@@ -141,6 +141,29 @@ func TestEveryFieldHasItsKinds(t *testing.T) {
 	}
 }
 
+// TestArrivalDistsAreRead measures the widened rows: ComputeDist and
+// NetworkDist change what every barriered kind reports, on the flat
+// run, the trade-off grid and the sharded hierarchy alike.
+func TestArrivalDistsAreRead(t *testing.T) {
+	for _, k := range []Kind{KindDecentralized, KindTradeoff, KindSharded} {
+		opts := tinyOpts(SimpleNN)
+		opts.Clients, opts.SkipComboTables = 4, true
+		fixed, err := New(opts, WithKind(k)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.ComputeDist = Dist{Kind: DistLogNormal, Mean: 1, Jitter: 0.6}
+		opts.NetworkDist = Dist{Kind: DistExponential, Mean: 30}
+		drawn, err := New(opts, WithKind(k)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(fixed, drawn) {
+			t.Errorf("%v: the distributions changed nothing", k)
+		}
+	}
+}
+
 // TestDescriptionCheckedBeforeTheContext is what cmd/repro's validate
 // relies on. On a context that is already cancelled, Run, RunSweep and
 // RunCampaign return a bad description's own error, naming the field
@@ -183,8 +206,8 @@ func TestDescriptionCheckedBeforeTheContext(t *testing.T) {
 		// Fields step in struct order, so the four knobs of a paper
 		// schedule that ignored them name the first: MergeCadence.
 		{"Options.MergeCadence", Scenario{Kind: KindDecentralized, Options: fourKnobs}},
-		{"Options.ComputeDist", Scenario{Kind: KindSharded, Options: Options{Clients: 4, ComputeDist: fourKnobs.ComputeDist}}},
-		{"Options.NetworkDist", Scenario{Kind: KindSharded, Options: Options{Clients: 4, NetworkDist: fourKnobs.NetworkDist}}},
+		{"Options.ComputeDist", Scenario{Kind: KindVanilla, Options: Options{ComputeDist: fourKnobs.ComputeDist}}},
+		{"Options.NetworkDist", Scenario{Kind: KindVanilla, Options: Options{NetworkDist: fourKnobs.NetworkDist}}},
 		{"Options.TimeBudgetMs", Scenario{Kind: KindTradeoff, Options: Options{TimeBudgetMs: 500}}},
 		{"Options.Shards", Scenario{Kind: KindDecentralized, Options: Options{Clients: 4, Shards: 2}}},
 		{"Options.ShardBackends", Scenario{Kind: KindAsync, Options: Options{ShardBackends: []string{"poa"}}}},

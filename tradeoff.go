@@ -8,6 +8,7 @@ import (
 	"waitornot/internal/event"
 	"waitornot/internal/par"
 	"waitornot/internal/simnet"
+	"waitornot/internal/xrand"
 )
 
 // orderedEmitter restores sweep order to events produced by
@@ -103,30 +104,62 @@ func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64) []NetworkP
 	return out
 }
 
-// RoundLatencyStats is one policy's row of RoundLatencyByPolicy: mean
-// wait, participation and update age over the simulated rounds.
-type RoundLatencyStats = simnet.RoundStats
+// RoundLatencyStats is one policy's row of RoundLatencyByPolicy.
+type RoundLatencyStats struct {
+	Policy string
+	// MeanWaitMs is the mean time from round start until the policy
+	// fires at the observing peer.
+	MeanWaitMs float64
+	// MeanIncluded is the mean number of models aggregated.
+	MeanIncluded float64
+	// MeanAgeMs is the mean "age of block" of the included updates: the
+	// firing time minus their training completion.
+	MeanAgeMs float64
+}
 
-// RoundLatencyByPolicy simulates many aggregation rounds per policy on
-// the virtual clock (no training), reporting wait time, participation,
-// and update staleness ("age of block"). Each policy's simulation is
-// an independent deterministic run of the same seed, so policies are
-// simulated concurrently with stats landing in policy order.
+// RoundLatencyByPolicy walks 1000 rounds per policy on the virtual
+// clock (no training) from peer 0's view, reporting wait time,
+// participation, and update staleness ("age of block"). Each round
+// draws every peer's training time, 5000 ms ± 30% uniform with the
+// last peer a 3x straggler, sends each update 50 ms later, and makes
+// it visible on a 500 ms block interval (simnet.WalkRound). Each
+// policy's walk is an independent deterministic run of the same seed,
+// so policies are walked concurrently with stats landing in policy
+// order.
 func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64) []RoundLatencyStats {
-	cfg := simnet.RoundConfig{
-		Peers:           peers,
-		MeanTrainMs:     5000,
-		TrainJitter:     0.3,
-		StragglerFactor: 3,
-		BlockIntervalMs: 500,
-		NetworkMs:       50,
-		Rounds:          1000,
-		Seed:            seed,
-	}
-	out, err := par.Map(par.Workers(0), len(policies), func(i int) (simnet.RoundStats, error) {
-		return simnet.SimulateRounds(cfg, policies[i].internal()), nil
+	const rounds, trainMs, straggler, networkMs, blockMs = 1000, 5000, 3, 50, 500
+	jitter := simnet.Dist{Kind: simnet.DistUniform, Mean: 1, Jitter: 0.3}
+	out, err := par.Map(par.Workers(0), len(policies), func(i int) (RoundLatencyStats, error) {
+		policy := policies[i].internal()
+		rng := xrand.New(seed).Derive("rounds")
+		sends := make([]simnet.Send, peers)
+		st := RoundLatencyStats{Policy: policy.Name()}
+		var ageSum float64
+		var aged int
+		for range rounds {
+			for k := range sends {
+				done := trainMs * jitter.Draw(rng)
+				if k == peers-1 {
+					done *= straggler
+				}
+				sends[k] = simnet.Send{TrainedMs: done, SentMs: done + networkMs, Own: k == 0}
+			}
+			included, firedAt := simnet.WalkRound(policy, sends, blockMs)
+			st.MeanWaitMs += firedAt
+			st.MeanIncluded += float64(len(included))
+			for _, k := range included {
+				ageSum += firedAt - sends[k].TrainedMs
+				aged++
+			}
+		}
+		st.MeanWaitMs /= rounds
+		st.MeanIncluded /= rounds
+		if aged > 0 {
+			st.MeanAgeMs = ageSum / float64(aged)
+		}
+		return st, nil
 	})
-	if err != nil { // unreachable: the simulation never errors
+	if err != nil { // unreachable: the walk never errors
 		panic(err)
 	}
 	return out

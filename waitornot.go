@@ -256,12 +256,13 @@ type Options struct {
 
 	// ComputeDist, when set, draws a per-peer per-round multiplier on
 	// the modeled training duration (heterogeneous compute) from this
-	// distribution; an error on other kinds, which keep the fixed model.
-	ComputeDist Dist `kinds:"async"`
+	// distribution, on the barriered and the asynchronous schedule
+	// alike; an error on vanilla, which has no arrival model.
+	ComputeDist Dist `kinds:"decentralized tradeoff async sharded"`
 	// NetworkDist, when set, draws extra per-submission propagation
 	// delay in ms on top of the base latency + bandwidth model
-	// (network jitter); an error on other kinds.
-	NetworkDist Dist `kinds:"async"`
+	// (network jitter); an error on vanilla.
+	NetworkDist Dist `kinds:"decentralized tradeoff async sharded"`
 	// TimeBudgetMs caps the run's virtual horizon: peers stop opening
 	// rounds past it, and a peer still waiting there merges what it
 	// has. 0 = no cap (run until every peer finishes Rounds
