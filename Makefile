@@ -63,7 +63,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14759
+SIZE_MAX ?= 14393
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -102,8 +102,9 @@ cover:
 # sweep, and the same sweep as a campaign through the binary: run into
 # a fresh directory, -campaign-status over it (must show 6/6), -resume
 # over the finished directory (must stream "(restored)"), each exiting
-# 0 — and the retired -exp selector must be a usage error (exit 2), not
-# a silent default.
+# 0 — and the retired -exp selector and -calibrate-pbft flag must each
+# be a usage error (exit 2), not a silent default (the PBFT calibration
+# grid is a test now: go test -run Calibration ./internal/ledger/latmodel).
 CAMPAIGN_SMOKE = -scenario stragglers -fast -rounds 1 -replications 2
 
 cli-smoke:
@@ -117,8 +118,10 @@ cli-smoke:
 	    $$tmp/repro $(CAMPAIGN_SMOKE) -campaign-dir $$tmp/c -resume >$$tmp/resume && grep -q '(restored)' $$tmp/resume || ok=$$?; \
 	    cat $$tmp/status $$tmp/resume 2>/dev/null; rm -rf $$tmp; \
 	    [ $$ok -eq 0 ] || { echo "cli-smoke: campaign, -campaign-status (6/6) or -resume ((restored)) failed"; exit 1; }
-	@$(GO) build -o .repro.smoke ./cmd/repro; ./.repro.smoke -exp all >/dev/null 2>&1; status=$$?; rm -f .repro.smoke; \
-	    [ $$status -eq 2 ] || { echo "cli-smoke: -exp all exited $$status, want 2"; exit 1; }
+	@$(GO) build -o .repro.smoke ./cmd/repro; ./.repro.smoke -exp all >/dev/null 2>&1; status=$$?; \
+	    ./.repro.smoke -calibrate-pbft >/dev/null 2>&1; calib=$$?; rm -f .repro.smoke; \
+	    [ $$status -eq 2 ] || { echo "cli-smoke: -exp all exited $$status, want 2"; exit 1; }; \
+	    [ $$calib -eq 2 ] || { echo "cli-smoke: -calibrate-pbft exited $$calib, want 2"; exit 1; }
 
 # Fuzz smoke: a few seconds per fuzz target, enough to catch shallow
 # regressions in the chain codec, the mempool (and intrinsic gas priced

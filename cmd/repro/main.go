@@ -56,14 +56,14 @@ import (
 // passed explicitly: only those override a scenario's registered
 // configuration.
 type config struct {
-	scenario, backend, model, campaignDir          string
-	list, listBackends, netperf, calibrate, status bool
-	fast, csv, quiet, resume                       bool
-	rounds, parallel, replications                 int
-	seed                                           uint64
-	seeds                                          []uint64
-	timeBudget, targetAcc, clientFrac              float64
-	set                                            map[string]bool
+	scenario, backend, model, campaignDir string
+	list, listBackends, netperf, status   bool
+	fast, csv, quiet, resume              bool
+	rounds, parallel, replications        int
+	seed                                  uint64
+	seeds                                 []uint64
+	timeBudget, targetAcc, clientFrac     float64
+	set                                   map[string]bool
 }
 
 func main() {
@@ -72,7 +72,6 @@ func main() {
 	flag.BoolVar(&c.list, "scenarios", false, "list registered scenarios and exit")
 	flag.BoolVar(&c.listBackends, "backends", false, "list registered consensus backends and exit")
 	flag.BoolVar(&c.netperf, "netperf", false, "print the network premises: throughput vs peers and block gas, round latency by wait policy")
-	flag.BoolVar(&c.calibrate, "calibrate-pbft", false, "run the PBFT latency calibration grid (analytic model vs event-level simulation) and exit")
 	flag.StringVar(&c.backend, "backend", "", "consensus backend override (see -backends)")
 	flag.StringVar(&c.model, "model", "", "model override: simple|effnet")
 	flag.IntVar(&c.rounds, "rounds", 10, "communication rounds override")
@@ -122,13 +121,6 @@ func main() {
 			fatal(err)
 		}
 		printCampaignStatus(st)
-	case c.calibrate:
-		rep, err := waitornot.CalibratePBFT(waitornot.PBFTCalibrationConfig{Seed: c.seed, Parallelism: c.parallel})
-		if err != nil {
-			fatal(fmt.Errorf("calibration: %w", err))
-		}
-		fmt.Println(rep.Table())
-		fmt.Printf("worst cell: %.2f%% relative error (tolerance %.0f%%)\n", rep.MaxRelErr()*100, rep.Tolerance*100)
 	case c.netperf:
 		printNetperf(c.seed)
 	default:
@@ -142,14 +134,14 @@ func main() {
 // built as runScenario builds it, is resolved on a cancelled context.
 func (c config) validate() error {
 	selectors := 0
-	for _, on := range []bool{c.scenario != "", c.list, c.listBackends, c.netperf, c.calibrate, c.status} {
+	for _, on := range []bool{c.scenario != "", c.list, c.listBackends, c.netperf, c.status} {
 		if on {
 			selectors++
 		}
 	}
 	switch {
 	case selectors != 1:
-		return errors.New("pick exactly one of -scenario NAME, -scenarios, -backends, -netperf, -calibrate-pbft, -campaign-status")
+		return errors.New("pick exactly one of -scenario NAME, -scenarios, -backends, -netperf, -campaign-status")
 	case c.replications < 0:
 		return fmt.Errorf("-replications %d: want a count of consecutive seeds >= 1 (0, the default, runs no sweep)", c.replications)
 	case (c.resume || c.status) && c.campaignDir == "":

@@ -1,8 +1,7 @@
 // Package latmodel is the analytic PBFT round-latency model behind the
-// pbft consensus backend — the closed-form side of the calibration pair
-// (cf. "Latency Analysis of Consortium Blockchained Federated
-// Learning", Ren & Yan 2021). A PBFT round among n = 3f+1 validators
-// exchanges O(n²) messages in three phases:
+// pbft consensus backend (cf. "Latency Analysis of Consortium
+// Blockchained Federated Learning", Ren & Yan 2021). A PBFT round among
+// n = 3f+1 validators exchanges O(n²) messages in three phases:
 //
 //	pre-prepare: the primary broadcasts the proposed batch (n−1 msgs)
 //	prepare:     every replica broadcasts its endorsement ((n−1)² msgs)
@@ -18,9 +17,10 @@
 //
 // where D(k:N) is the k-th smallest of N iid per-hop delays. The
 // model deliberately barriers phases at the quorum instant (replicas
-// start the next phase together) — the same semantics the event-level
-// simulation in sim.go implements, so prediction and simulation agree
-// up to sampling error; the calibration suite pins that agreement.
+// start the next phase together) — the same semantics as the
+// event-level simulation in the package's tests, so prediction and
+// simulation agree up to sampling error; TestPBFTCalibrationGolden pins
+// that agreement.
 //
 // E[D(k:N)] has a closed form per simnet.Dist family:
 //
@@ -77,9 +77,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate rejects committees PBFT cannot run: n < 4 has no faulty
+// validate rejects committees PBFT cannot run: n < 4 has no faulty
 // quorum (n = 3f+1 needs f ≥ 1), and the model needs sane costs.
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	if c.Validators < MinValidators {
 		return fmt.Errorf("latmodel: PBFT needs at least %d validators (n = 3f+1 with f >= 1), got %d",
 			MinValidators, c.Validators)
@@ -100,27 +100,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MaxFaulty is f, the byzantine faults a committee of n tolerates.
-func MaxFaulty(n int) int { return (n - 1) / 3 }
-
-// Quorum is the matching-message quorum 2f+1.
-func Quorum(n int) int { return 2*MaxFaulty(n) + 1 }
-
-// MessageCount is the total messages one PBFT round exchanges:
-// (n−1) pre-prepares + (n−1)² prepares + n(n−1) commits = (n−1)·2n.
-func MessageCount(n int) int { return (n - 1) * 2 * n }
+// maxFaulty is f, the byzantine faults a committee of n tolerates.
+func maxFaulty(n int) int { return (n - 1) / 3 }
 
 // PredictRoundLatencyMs is the closed-form expected PBFT round latency
 // in ms for the configured committee, per-hop distribution, and
 // payload: verification + payload serialization + three quorum-
 // barriered phases.
 func PredictRoundLatencyMs(cfg Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
 	cfg = cfg.withDefaults()
 	n := cfg.Validators
-	hop, err := expectedOrderStat(cfg.PerHop, 2*MaxFaulty(n), n-1)
+	hop, err := expectedOrderStat(cfg.PerHop, 2*maxFaulty(n), n-1)
 	if err != nil {
 		return 0, err
 	}

@@ -35,21 +35,21 @@ func distFamilies() map[string]simnet.Dist {
 func TestQuorumMathPinned(t *testing.T) {
 	for f := 1; f <= 10; f++ {
 		n := 3*f + 1
-		if got := MaxFaulty(n); got != f {
-			t.Errorf("MaxFaulty(%d) = %d, want %d", n, got, f)
+		if got := maxFaulty(n); got != f {
+			t.Errorf("maxFaulty(%d) = %d, want %d", n, got, f)
 		}
-		if got, want := Quorum(n), 2*f+1; got != want {
-			t.Errorf("Quorum(%d) = %d, want %d", n, got, want)
+		if got, want := quorum(n), 2*f+1; got != want {
+			t.Errorf("quorum(%d) = %d, want %d", n, got, want)
 		}
-		if got, want := MessageCount(n), (n-1)+(n-1)*(n-1)+n*(n-1); got != want {
-			t.Errorf("MessageCount(%d) = %d, want (n−1)+(n−1)²+n(n−1) = %d", n, got, want)
+		if got, want := messageCount(n), (n-1)+(n-1)*(n-1)+n*(n-1); got != want {
+			t.Errorf("messageCount(%d) = %d, want (n−1)+(n−1)²+n(n−1) = %d", n, got, want)
 		}
 	}
 	// Off-ladder committees floor to the largest covered f: n = 5, 6
 	// tolerate no more faults than n = 4.
 	for n, f := range map[int]int{4: 1, 5: 1, 6: 1, 7: 2, 100: 33} {
-		if got := MaxFaulty(n); got != f {
-			t.Errorf("MaxFaulty(%d) = %d, want %d", n, got, f)
+		if got := maxFaulty(n); got != f {
+			t.Errorf("maxFaulty(%d) = %d, want %d", n, got, f)
 		}
 	}
 }
@@ -97,24 +97,24 @@ func TestLatencyMonotoneInPerHop(t *testing.T) {
 	}
 }
 
-// TestDegenerateCommitteesRejected: n < 4 has no faulty quorum; both
-// Validate and the prediction must reject it with an error naming the
-// constraint, not panic or extrapolate.
+// TestDegenerateCommitteesRejected: n < 4 has no faulty quorum; validate,
+// the prediction and the simulation must reject it with an error naming
+// the constraint, not panic or extrapolate.
 func TestDegenerateCommitteesRejected(t *testing.T) {
 	for _, n := range []int{-1, 0, 1, 2, 3} {
 		cfg := Config{Validators: n}
-		err := cfg.Validate()
+		err := cfg.validate()
 		if err == nil {
-			t.Fatalf("Validate accepted a committee of %d", n)
+			t.Fatalf("validate accepted a committee of %d", n)
 		}
 		if !strings.Contains(err.Error(), "at least 4 validators") {
-			t.Fatalf("Validate(%d) error should state the minimum: %v", n, err)
+			t.Fatalf("validate(%d) error should state the minimum: %v", n, err)
 		}
 		if _, err := PredictRoundLatencyMs(cfg); err == nil {
 			t.Fatalf("PredictRoundLatencyMs accepted a committee of %d", n)
 		}
-		if _, err := SimulateRoundLatencyMs(SimConfig{Config: cfg}); err == nil {
-			t.Fatalf("SimulateRoundLatencyMs accepted a committee of %d", n)
+		if _, err := simulateRoundLatencyMs(simConfig{Config: cfg}); err == nil {
+			t.Fatalf("simulateRoundLatencyMs accepted a committee of %d", n)
 		}
 	}
 }
@@ -130,8 +130,8 @@ func TestConfigValidateRejectsBadCosts(t *testing.T) {
 		{Validators: 4, PerHop: simnet.Dist{Kind: simnet.DistUniform, Mean: 10, Jitter: 1.5}},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, cfg)
+		if err := cfg.validate(); err == nil {
+			t.Errorf("case %d: validate accepted %+v", i, cfg)
 		}
 	}
 }
@@ -159,35 +159,5 @@ func TestPredictDeterministicTerms(t *testing.T) {
 	}
 	if want := 30.0 + 15 + 8; ms != want {
 		t.Fatalf("loaded round = %g ms, want %g (consensus 30 + verify 15 + payload 8)", ms, want)
-	}
-}
-
-// TestSimulationSeedStability: same seed, same mean; different seeds,
-// (almost surely) different means — the simulation is deterministic
-// per seed, not secretly shared-state.
-func TestSimulationSeedStability(t *testing.T) {
-	cfg := SimConfig{
-		Config: Config{Validators: 7, PerHop: simnet.Dist{Kind: simnet.DistUniform, Mean: 20, Jitter: 0.5}},
-		Rounds: 50,
-		Seed:   1,
-	}
-	a, err := SimulateRoundLatencyMs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateRoundLatencyMs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("same seed gave different means: %g vs %g", a, b)
-	}
-	cfg.Seed = 2
-	c, err := SimulateRoundLatencyMs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatalf("independent seeds gave identical means: %g", c)
 	}
 }

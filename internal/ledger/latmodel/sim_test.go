@@ -1,43 +1,48 @@
+// The event-level PBFT round simulation: the oracle the closed form in
+// latmodel.go is checked against (TestPBFTCalibrationGolden). It is
+// test code because nothing but that check reads it.
 package latmodel
 
 import (
 	"fmt"
+	"testing"
 
+	"waitornot/internal/simnet"
 	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
 )
 
-// SimConfig parameterizes the event-level PBFT latency simulation that
+// simConfig parameterizes the event-level PBFT latency simulation that
 // validates the closed form: the same round model, but with every
 // message an explicit vclock event whose delay is drawn from PerHop.
-type SimConfig struct {
+type simConfig struct {
 	Config
 	// Rounds is how many independent rounds to simulate and average
-	// (0 = DefaultSimRounds).
+	// (0 = defaultSimRounds).
 	Rounds int
 	// Seed drives the per-hop draws.
 	Seed uint64
 }
 
-// DefaultSimRounds keeps the sampling error of the simulated mean a
-// comfortable factor under the calibration tolerance.
-const DefaultSimRounds = 400
+// defaultSimRounds keeps the sampling error of the simulated mean a
+// comfortable factor under calibrationTolerance.
+const defaultSimRounds = 400
 
-// SimulateRoundLatencyMs runs the event-level PBFT round simulation on
+// simulateRoundLatencyMs runs the event-level PBFT round simulation on
 // a virtual clock and returns the mean round latency over cfg.Rounds
 // independent rounds: every protocol message is a scheduled event with
 // its own per-hop delay draw, and each phase barriers at the instant
 // the observer's 2f-th remote message arrives — the semantics the
 // closed form in PredictRoundLatencyMs integrates exactly.
-func SimulateRoundLatencyMs(cfg SimConfig) (float64, error) {
-	if err := cfg.Config.Validate(); err != nil {
+func simulateRoundLatencyMs(cfg simConfig) (float64, error) {
+	if err := cfg.Config.validate(); err != nil {
 		return 0, err
 	}
 	if cfg.Rounds < 0 {
 		return 0, fmt.Errorf("latmodel: negative simulation rounds %d", cfg.Rounds)
 	}
 	if cfg.Rounds == 0 {
-		cfg.Rounds = DefaultSimRounds
+		cfg.Rounds = defaultSimRounds
 	}
 	cfg.Config = cfg.Config.withDefaults()
 	rng := xrand.New(cfg.Seed).Derive("pbft-sim")
@@ -67,7 +72,7 @@ func SimulateRoundLatencyMs(cfg SimConfig) (float64, error) {
 // scheduled — the O(n²) traffic exists), they just don't gate.
 func simulateOneRound(cfg Config, rng *xrand.RNG) (float64, error) {
 	n := cfg.Validators
-	need := 2 * MaxFaulty(n)
+	need := 2 * maxFaulty(n)
 	clock := vclock.New()
 	draw := func() float64 { return cfg.PerHop.Draw(rng) }
 
@@ -141,4 +146,34 @@ func simulateOneRound(cfg Config, rng *xrand.RNG) (float64, error) {
 		return 0, fmt.Errorf("latmodel: simulated round never reached commit quorum (n=%d)", n)
 	}
 	return done, nil
+}
+
+// TestSimulationSeedStability: same seed, same mean; different seeds,
+// (almost surely) different means — the simulation is deterministic
+// per seed, not secretly shared-state.
+func TestSimulationSeedStability(t *testing.T) {
+	cfg := simConfig{
+		Config: Config{Validators: 7, PerHop: simnet.Dist{Kind: simnet.DistUniform, Mean: 20, Jitter: 0.5}},
+		Rounds: 50,
+		Seed:   1,
+	}
+	a, err := simulateRoundLatencyMs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := simulateRoundLatencyMs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("same seed gave different means: %g vs %g", a, b)
+	}
+	cfg.Seed = 2
+	c, err := simulateRoundLatencyMs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a {
+		t.Fatalf("independent seeds gave identical means: %g", c)
+	}
 }

@@ -34,8 +34,9 @@ const (
 // (internal/ledger/latmodel) instead of a hand-waved constant: three
 // quorum-barriered phases of O(n²) messages over latmodel's default
 // per-hop delay distribution, per "Latency Analysis of Consortium Blockchained
-// Federated Learning" (Ren & Yan 2021). The calibration suite pins the
-// model against an event-level simulation of the same protocol.
+// Federated Learning" (Ren & Yan 2021). latmodel's
+// TestPBFTCalibrationGolden pins the model against an event-level
+// simulation of the same protocol.
 //
 // Second, model verification: before proposing, the validators score
 // every submitted model update on the consortium's validation set
@@ -77,11 +78,7 @@ func newPBFT(cfg Config) (*pbftBackend, error) {
 	if validators == 0 {
 		validators = pbftDefaultValidators
 	}
-	model := latmodel.Config{Validators: validators}
-	if err := model.Validate(); err != nil {
-		return nil, fmt.Errorf("ledger: pbft: %w", err)
-	}
-	baseMs, err := latmodel.PredictRoundLatencyMs(model)
+	baseMs, err := latmodel.PredictRoundLatencyMs(latmodel.Config{Validators: validators})
 	if err != nil {
 		return nil, fmt.Errorf("ledger: pbft: %w", err)
 	}
