@@ -1,12 +1,18 @@
 // Consensus-backend tests at the public API level: the pow backend
 // must reproduce the legacy default bit-identically, every backend
 // must preserve FL semantics, commit-latency modeling must shape wait
-// times by substrate, and the registry must accept parameter variants.
+// times by substrate, the registry must accept parameter variants, and
+// a pbft committee of any size must commit at the calibrated model's
+// latency.
 package waitornot_test
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -177,6 +183,121 @@ func TestCommitLatencyShapesWaits(t *testing.T) {
 	}
 	if waits["poa"] != 200 {
 		t.Fatalf("poa wait-all wait = %v ms, want quantized to the 200 ms sealing slot", waits["poa"])
+	}
+}
+
+// pbftCommittees records which pbft committee variants this process
+// has registered: the registry is process-global, so a second pass of
+// a test (go test -count=2) must not register a name twice.
+var (
+	pbftCommitteesMu sync.Mutex
+	pbftCommittees   = map[int]error{}
+)
+
+// pbftCommitteeWait registers a pbft variant with an n-validator
+// committee through the public BackendSpec, runs one wait-all round
+// with commit latency modeled, and returns the wait every peer saw:
+// the backend's empty-round commit latency.
+func pbftCommitteeWait(t *testing.T, n int) float64 {
+	t.Helper()
+	name := fmt.Sprintf("pbft-committee-%d-test", n)
+	pbftCommitteesMu.Lock()
+	err, done := pbftCommittees[n]
+	if !done {
+		err = waitornot.RegisterBackend(waitornot.BackendSpec{
+			Name:        name,
+			Description: fmt.Sprintf("PBFT with a %d-validator committee", n),
+			Base:        "pbft",
+			Validators:  n,
+		})
+		pbftCommittees[n] = err
+	}
+	pbftCommitteesMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := backendOpts()
+	opts.Rounds = 1
+	opts.SkipComboTables = true
+	opts.Backend = name
+	opts.CommitLatency = true
+	rep := testutil.Run(t, opts).Decentralized
+	wait := rep.Rounds[0][0].WaitMs
+	for p := range rep.Rounds {
+		if got := rep.Rounds[p][0].WaitMs; got != wait {
+			t.Fatalf("n=%d: peer %d waited %v ms, peer 0 %v ms; wait-all peers share the commit", n, p, got, wait)
+		}
+	}
+	return wait
+}
+
+// TestPBFTCalibrationGolden ties the pbft backend a run uses to the
+// calibration golden that internal/ledger/latmodel's
+// TestPBFTCalibrationGolden pins. Every one of the golden's 24 cells
+// holds the analytic model within 5% of the event-level simulation.
+// On each committee of its uniform rows (the backend's default per-hop
+// family, 25 ms ± 50%), a pbft variant of that committee makes
+// wait-all peers wait the model's empty-round latency, and that plus
+// the grid's loaded-round terms is the golden's predicted column.
+func TestPBFTCalibrationGolden(t *testing.T) {
+	const golden = "internal/ledger/latmodel/testdata/pbft_calibration.golden"
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Title, header and rule, then one row per (family, committee).
+	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	if got, want := len(lines), 3+4*6; got != want {
+		t.Fatalf("%s: %d lines, want %d", golden, got, want)
+	}
+	// Each grid cell carries 3 updates verified at the backend's 5 ms
+	// apiece and 741,000 payload bytes serialized at its 0.08 ms/KB.
+	const loadedMs = 3*5 + 741_000.0/1024*0.08
+	var committees []int
+	for _, line := range lines[3:] {
+		f := strings.Fields(line)
+		if len(f) != 7 {
+			t.Fatalf("%s: malformed row %q", golden, line)
+		}
+		relErr, err := strconv.ParseFloat(strings.TrimSuffix(f[6], "%"), 64)
+		if err != nil || relErr > 5 {
+			t.Errorf("%s: row %q: rel err %s, want at most 5%% (%v)", golden, line, f[6], err)
+		}
+		if f[0] != "uniform" {
+			continue
+		}
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatalf("%s: row %q: %v", golden, line, err)
+		}
+		wait := pbftCommitteeWait(t, n)
+		if got := fmt.Sprintf("%.2f", wait+loadedMs); got != f[4] {
+			t.Errorf("n=%d: wait %v ms + loaded %v ms = %s ms, golden predicts %s ms", n, wait, loadedMs, got, f[4])
+		}
+		committees = append(committees, n)
+	}
+	if want := []int{4, 7, 10, 13, 16, 31}; !slices.Equal(committees, want) {
+		t.Fatalf("%s: uniform committees %v, want %v", golden, committees, want)
+	}
+}
+
+// TestPBFTCalibrationCustomGrid takes the model off the calibration
+// grid: committees the golden does not pin, sizes that are not 3f+1
+// among them, still reach the round as the closed form exactly. Each
+// of the three phases waits for the 2f-th of n-1 uniform 25 ms ± 50%
+// hops, whose expectation is 12.5 + 25·2f/n ms. A committee of 3
+// tolerates no fault and is refused.
+func TestPBFTCalibrationCustomGrid(t *testing.T) {
+	for _, n := range []int{5, 6, 8, 22} {
+		f := (n - 1) / 3
+		want := 3 * (12.5 + 25*float64(2*f)/float64(n))
+		if got := pbftCommitteeWait(t, n); got != want {
+			t.Errorf("n=%d: wait-all wait %v ms, want the closed form's %v ms", n, got, want)
+		}
+	}
+	err := waitornot.RegisterBackend(waitornot.BackendSpec{Name: "pbft-committee-3-test", Base: "pbft", Validators: 3})
+	if err == nil || !strings.Contains(err.Error(), "at least 4") {
+		t.Fatalf("committee of 3: err %v, want a refusal naming the minimum of 4", err)
 	}
 }
 
