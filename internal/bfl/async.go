@@ -169,7 +169,7 @@ func RunAsync(ctx context.Context, cfg Config) (_ *AsyncResult, err error) {
 			inbox:     map[string]asyncArrival{},
 		})
 		a.res.PeerNames[i] = p.name
-		a.res.InitialAccuracy[i] = p.testAcc(e.w.initial)
+		a.res.InitialAccuracy[i] = p.testAcc(e.w.initialKey, e.w.initial)
 		meanTrain += p.simTrainMs
 	}
 	// The staleness half-life is the fleet's full round timescale —
@@ -397,8 +397,8 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 	if err != nil {
 		return fmt.Errorf("bfl: %s round %d merge: %w", p.name, p.round, err)
 	}
-	p.adopted = merged
-	acc := p.testAcc(merged)
+	p.adopted, p.adoptedKey = merged, fl.MergeKey(kept, coef)
+	acc := p.testAcc(p.adoptedKey, merged)
 
 	var rejected []string
 	for _, u := range fres.Rejected {

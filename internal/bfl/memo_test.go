@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"waitornot/internal/core"
+	"waitornot/internal/dataset"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
 	"waitornot/internal/nn"
@@ -209,9 +210,9 @@ func TestMemoFailureReachesWaiters(t *testing.T) {
 		// The other run: the entry the waiter needs first — slot 0's
 		// round-1 training from the initial weights, or (async) its
 		// initial test accuracy — fails once the waiter has started.
-		round, key := 1, memoKey{set: w.train[0], hyper: base.withDefaults().Hyper}
+		round, key := 1, memoKey{set: w.train[0], hyper: base.withDefaults().Hyper, weights: w.initialKey}
 		if tc.async {
-			round, key = 0, memoKey{set: w.test[0]}
+			round, key = 0, memoKey{set: w.test[0], weights: w.initialKey}
 		}
 		inserted, started, computed := make(chan struct{}), make(chan struct{}), make(chan any, 1)
 		go func() {
@@ -321,6 +322,93 @@ func TestMemoKeysHyperparameters(t *testing.T) {
 		}
 		if !reflect.DeepEqual(shared[i], solo) {
 			t.Errorf("learning rate %g: the run sharing the memo differs from the run alone", cfg.Hyper.LR)
+		}
+	}
+}
+
+// TestMemoKeysNeverConfuse: a provenance key never names two weight
+// vectors. The ladder-sweep grid at seed 1, and the same grid run async
+// with the filter armed (update keys in the filter, staleness
+// coefficients in every merge key), each on one shared world: every
+// vector looked up under one key hashes alike, so every hit under the
+// key is a hit under the weights' hash too, and on these grids the
+// converse holds as well. An unshared world names nothing, so a run on
+// it builds no key.
+func TestMemoKeysNeverConfuse(t *testing.T) {
+	filtered := ladderConfigs(1)
+	for i := range filtered {
+		filtered[i].Filter = core.Filter{MaxBelowBest: 0.2}
+	}
+	for _, grid := range []struct {
+		name  string
+		cfgs  []Config
+		async bool
+	}{{"barriered", ladderConfigs(1), false}, {"async", filtered, true}} {
+		w, err := NewWorld(grid.cfgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Share(1); w.initialKey != (fl.Key{}) || w.memo != nil {
+			t.Fatal("an unshared world names its initial weights")
+		}
+		w.Share(len(grid.cfgs))
+		// hashKey is what the memo keyed a lookup by before provenance.
+		type hashKey struct {
+			set   *dataset.Set
+			hyper fl.Hyper
+			hash  [32]byte
+		}
+		var mu sync.Mutex
+		hashOf := map[memoKey][32]byte{}
+		byKey, byHash := map[int]map[memoKey]bool{}, map[int]map[hashKey]bool{}
+		lookups, hits := 0, 0
+		w.memo.seen = func(round int, k memoKey, weights []float32) {
+			h := nn.HashWeights(weights)
+			mu.Lock()
+			defer mu.Unlock()
+			if was, ok := hashOf[k]; ok && was != h {
+				t.Errorf("%s round %d: one key names two weight vectors", grid.name, round)
+			}
+			hashOf[k] = h
+			if byKey[round] == nil {
+				byKey[round], byHash[round] = map[memoKey]bool{}, map[hashKey]bool{}
+			}
+			hk := hashKey{k.set, k.hyper, h}
+			if lookups++; byKey[round][k] {
+				hits++
+				if !byHash[round][hk] {
+					t.Errorf("%s round %d: a hit under the key misses under the weights' hash", grid.name, round)
+				}
+			}
+			byKey[round][k], byHash[round][hk] = true, true
+		}
+		par.ForEach(2, len(grid.cfgs), func(i int) error {
+			c := grid.cfgs[i]
+			c.World = w
+			var err error
+			if grid.async {
+				_, err = RunAsync(context.Background(), c)
+			} else {
+				_, err = Run(context.Background(), c)
+			}
+			if err != nil {
+				t.Errorf("%s %s/%s: %v", grid.name, c.Backend, c.Policy.Name(), err)
+			}
+			return nil
+		})
+		missed := 0
+		for r := range byKey {
+			missed += len(byKey[r]) - len(byHash[r])
+		}
+		t.Logf("%s: %d lookups, %d hits", grid.name, lookups, hits)
+		if hits == 0 {
+			t.Errorf("%s: no lookup hit, so nothing was checked", grid.name)
+		}
+		if missed != 0 {
+			t.Errorf("%s: %d lookups miss under the key that hit under the weights' hash", grid.name, missed)
+		}
+		if !memoEmpty(w.memo) {
+			t.Errorf("%s: the memo holds entries after the last run landed", grid.name)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (r *RoundEngine) AdoptAll(global []float32) error {
 		return fmt.Errorf("bfl: adopting %d weights into a %d-weight model", len(global), len(r.e.w.initial))
 	}
 	for _, p := range r.e.peers {
-		p.adopted = global
+		p.adopted, p.adoptedKey = global, fl.Key{}
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ package bfl
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sort"
@@ -30,6 +31,7 @@ import (
 	"waitornot/internal/chain"
 	"waitornot/internal/contract"
 	"waitornot/internal/core"
+	"waitornot/internal/dataset"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
 	"waitornot/internal/keys"
@@ -293,8 +295,10 @@ type peerState struct {
 	client *fl.Client
 	agg    *core.Aggregator
 	nonce  uint64
-	// adopted is the weight vector training starts from next round.
-	adopted []float32
+	// adopted is the weight vector training starts from next round,
+	// adoptedKey its provenance key.
+	adopted    []float32
+	adoptedKey fl.Key
 	// samples is the peer's training-shard size, fixed at setup — the
 	// FedAvg weight of everything this peer contributes upward.
 	samples int
@@ -502,22 +506,28 @@ func upTo(n int) []int {
 }
 
 // train is peer p's local training of round from its adopted weights.
+// The update's key digests what the training is a function of (peer,
+// Hyper, round, adopted key); unnamed adopted weights train unnamed.
 func (e *engine) train(p *peerState, round int) (*fl.Update, error) {
-	en := e.w.memo.do(round, memoKey{set: p.client.Train, hyper: e.cfg.Hyper}, p.adopted, func(en *memoEntry) {
+	from := p.adoptedKey
+	en := e.w.memo.do(round, memoKey{set: p.client.Train, hyper: e.cfg.Hyper, weights: from}, p.adopted, func(en *memoEntry) {
 		err := p.client.Adopt(p.adopted)
 		if err == nil {
 			en.up = p.client.LocalTrain(round)
+			if from != (fl.Key{}) {
+				en.up.Key = sha256.Sum256(fmt.Appendf(from[:], "%s %v %d", p.name, e.cfg.Hyper, round))
+			}
 		}
 		en.err = err
 	})
 	return en.up, en.err
 }
 
-// scorer is eval over k's set, filed under the first round this run has
+// scorer is eval over set, filed under the first round this run has
 // not passed. A failed shared score aborts the run; leave returns it.
-func (e *engine) scorer(k memoKey, eval fl.Evaluator) fl.Evaluator {
-	return func(weights []float32) float64 {
-		en := e.w.memo.do(e.memoNext, k, weights, func(en *memoEntry) { en.acc, en.err = eval(weights), nil })
+func (e *engine) scorer(set *dataset.Set, eval fl.Evaluator) fl.Evaluator {
+	return func(key fl.Key, weights []float32) float64 {
+		en := e.w.memo.do(e.memoNext, memoKey{set: set, weights: key}, weights, func(en *memoEntry) { en.acc, en.err = eval(key, weights), nil })
 		if en.err != nil {
 			e.failed.Store(&en.err)
 			panic(en.err)
@@ -644,14 +654,15 @@ func (e *engine) setup() error {
 			key:        peerKeys[s],
 			client:     client,
 			adopted:    w.initial,
+			adoptedKey: w.initialKey,
 			samples:    train.Len(),
 			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
 		}
 		if !cfg.Compute.IsZero() || !cfg.Network.IsZero() {
 			p.arrive = root.Derive("arrive-" + name)
 		}
-		p.testAcc = e.scorer(memoKey{set: test}, client.TestAccuracy)
-		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(memoKey{set: sel}, client.SelectionEvaluator()), root.Derive("ties-"+name))
+		p.testAcc = e.scorer(test, client.TestAccuracy)
+		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(sel, client.SelectionEvaluator()), root.Derive("ties-"+name))
 		switch {
 		case subsampled:
 			p.agg.MaxComboPeers = maxSubsampleCombo
@@ -660,7 +671,7 @@ func (e *engine) setup() error {
 			// search fan out without touching the client's model.
 			p.agg.WorkerEvals = fl.SelectionEvaluators(cfg.Model, sel, comboWorkers)
 			for k, ev := range p.agg.WorkerEvals {
-				p.agg.WorkerEvals[k] = e.scorer(memoKey{set: sel}, ev)
+				p.agg.WorkerEvals[k] = e.scorer(sel, ev)
 			}
 			if cfg.EvalAllCombos {
 				p.testEvals = fl.SelectionEvaluators(cfg.Model, test, comboWorkers)
@@ -801,7 +812,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	// updates without writing them, mutates only its own state, and
 	// fills index-addressed slots, so the block assembled below is
 	// identical to the sequential run's.
-	shared, err := e.readUpdates(round)
+	shared, err := e.readUpdates(round, updates)
 	if err != nil {
 		return fmt.Errorf("bfl: round %d: %w", round, err)
 	}
@@ -837,7 +848,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		if err != nil {
 			return fmt.Errorf("bfl: %s round %d: %w", p.name, round, err)
 		}
-		p.adopted = decision.Chosen.Weights
+		p.adopted, p.adoptedKey = decision.Chosen.Weights, decision.Chosen.Key
 
 		chosenLabel := clientLabel(len(decision.Chosen.Combo), func(k int) string {
 			return decision.KeptClients[decision.Chosen.Combo[k]]
@@ -847,7 +858,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			Included:       len(included),
 			WaitMs:         waitMs,
 			ChosenCombo:    chosenLabel,
-			ChosenAccuracy: p.testAcc(decision.Chosen.Weights),
+			ChosenAccuracy: p.testAcc(decision.Chosen.Key, decision.Chosen.Weights),
 			Rejected:       decision.RejectedClients,
 		}
 		res.Rounds[slots[i]] = append(res.Rounds[slots[i]], stats)
@@ -969,13 +980,14 @@ func (e *engine) signTx(p *peerState, payload []byte, execBudget uint64) (*chain
 // readUpdates reconstructs the round's model updates from the ledger:
 // contract records give digests + carrying-tx hashes; the weight bytes
 // are fetched from committed-tx calldata and verified against the
-// recorded digest. Every peer reads the same chain, so the coordinator
-// reads it once per round and the decide pool shares the result. The
-// committed-tx hash index is incremental (new txs are hashed once, not
-// once per round). A round whose every submission failed ledger
-// verification reads as the empty set — each peer then aggregates its
-// own local update alone.
-func (e *engine) readUpdates(round int) ([]*fl.Update, error) {
+// recorded digest, which pins them to the sender's submitted update,
+// so they take its key from trained. Every peer reads the same chain,
+// so the coordinator reads it once per round and the decide pool
+// shares the result. The committed-tx hash index is incremental (new
+// txs are hashed once, not once per round). A round whose every
+// submission failed ledger verification reads as the empty set — each
+// peer then aggregates its own local update alone.
+func (e *engine) readUpdates(round int, trained []*fl.Update) ([]*fl.Update, error) {
 	be := e.be
 	st := be.StateView(0)
 	subs := contract.SubmissionsAt(st, uint64(round))
@@ -1007,12 +1019,11 @@ func (e *engine) readUpdates(round int) ([]*fl.Update, error) {
 		if name == "" {
 			name = sub.Sender.Short()
 		}
-		out = append(out, &fl.Update{
-			Client:     name,
-			Round:      round,
-			Weights:    weights,
-			NumSamples: int(sub.NumSamples),
-		})
+		u := &fl.Update{Client: name, Round: round, Weights: weights, NumSamples: int(sub.NumSamples)}
+		if i := slices.IndexFunc(trained, func(t *fl.Update) bool { return t.Client == name }); i >= 0 {
+			u.Key = trained[i].Key
+		}
+		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
 	return out, nil

@@ -131,7 +131,7 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 		chosen = append(chosen, label)
 		accs := make([]float64, len(clients))
 		err = par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
-			accs[i] = clients[i].TestAccuracy(global)
+			accs[i] = clients[i].TestAccuracy(fl.Key{}, global)
 			return nil
 		})
 		if err != nil {

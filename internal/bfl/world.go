@@ -24,6 +24,7 @@ type World struct {
 	participants     [][]int
 	train, sel, test []*dataset.Set // by slot
 	initial          []float32
+	initialKey       fl.Key // names initial once shared; zero: no key is built
 	heldOutOnce      sync.Once
 	heldOut          *dataset.Set
 	memo             *memo // set by Share; nil: every run computes its own
@@ -101,9 +102,11 @@ func NewWorld(cfg Config) (*World, error) {
 
 // Share readies the world for n runs at once: above one, they train
 // each (shard, hyperparameters, weights) and score each (set, weights)
-// once a round, sharing the result (DESIGN §5). Blocks share nothing.
+// once a round, sharing the result, the weights named by provenance key
+// (DESIGN §5). Blocks share nothing.
 func (w *World) Share(n int) {
 	if n > 1 {
+		w.initialKey = fl.Key{1}
 		w.memo = &memo{runs: n, rounds: make([]map[memoKey]*memoEntry, w.cfg.Rounds+1), passed: make([]int, w.cfg.Rounds+1)}
 	}
 }
@@ -114,13 +117,15 @@ type memo struct {
 	runs   int
 	rounds []map[memoKey]*memoEntry
 	passed []int
+	seen   func(round int, k memoKey, weights []float32) // a test's view of each lookup
 }
 
-// memoKey is a training on a shard (hyper set) or a scoring on a set.
+// memoKey is a training on a shard (hyper set) or a scoring on a set,
+// of the weights its provenance key names.
 type memoKey struct {
 	set     *dataset.Set
 	hyper   fl.Hyper
-	weights [32]byte
+	weights fl.Key
 }
 
 // memoEntry is a result once done is closed; up is shared read-only.
@@ -131,15 +136,18 @@ type memoEntry struct {
 	err  error
 }
 
-// do is round's entry for k at weights, filled by the first caller
-// while the others wait (a fill that panics leaves them an error).
+// do is round's entry for k, the weights it names, filled by the first
+// caller while the others wait (a fill that panics leaves them an
+// error). Unnamed weights are only filled.
 func (m *memo) do(round int, k memoKey, weights []float32, fill func(*memoEntry)) *memoEntry {
 	en := &memoEntry{}
-	if m == nil {
+	if m == nil || k.weights == (fl.Key{}) {
 		fill(en)
 		return en
 	}
-	k.weights = nn.HashWeights(weights)
+	if m.seen != nil {
+		m.seen(round, k, weights)
+	}
 	m.mu.Lock()
 	if m.rounds[round] == nil {
 		m.rounds[round] = map[memoKey]*memoEntry{}
@@ -191,6 +199,6 @@ func (w *World) verifier() func([]float32) float64 {
 		if eval == nil {
 			eval = fl.NewAccuracyEvaluator(w.cfg.Model, w.heldOutSet())
 		}
-		return eval(weights)
+		return eval(fl.Key{}, weights)
 	}
 }

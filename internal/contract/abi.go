@@ -66,9 +66,9 @@ func DecodeCall(payload []byte) (method string, args [][]byte, err error) {
 		if len(payload) < 4 {
 			return "", nil, fmt.Errorf("%w: truncated arg count", ErrBadCallData)
 		}
-		alen := int(binary.LittleEndian.Uint32(payload))
+		alen := binary.LittleEndian.Uint32(payload) // not int: negative on 32-bit
 		payload = payload[4:]
-		if len(payload) < alen {
+		if uint64(len(payload)) < uint64(alen) {
 			return "", nil, fmt.Errorf("%w: truncated arg %d", ErrBadCallData, i)
 		}
 		args = append(args, payload[:alen])

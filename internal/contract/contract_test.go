@@ -3,6 +3,7 @@ package contract
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -241,8 +242,27 @@ func TestDecisionEncodingRoundTrip(t *testing.T) {
 	if *got != *d {
 		t.Fatalf("round trip: %+v != %+v", got, d)
 	}
-	if _, err := decodeDecision(nil); err == nil {
-		t.Fatal("nil decision accepted")
+	// Hostile combo lengths: clen+40 wraps near 2^64, which once passed
+	// the bounds check and panicked slicing the combo.
+	withComboLen := func(clen uint64) []byte {
+		b := d.encode()
+		binary.LittleEndian.PutUint64(b[8+keys.AddressLen:], clen)
+		return b
+	}
+	enc := d.encode()
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"nil", nil},
+		{"truncated", enc[:len(enc)-1]},
+		{"combo one byte too long", withComboLen(uint64(len(d.Combo)) + 1)},
+		{"combo length 2^64-21", withComboLen(^uint64(0) - 20)},
+		{"combo length 2^64-1", withComboLen(^uint64(0))},
+	} {
+		if _, err := decodeDecision(tc.b); !errors.Is(err, ErrBadCallData) {
+			t.Errorf("%s: decodeDecision returned %v, want ErrBadCallData", tc.name, err)
+		}
 	}
 }
 

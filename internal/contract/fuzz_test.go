@@ -14,6 +14,8 @@ func FuzzDecodeCall(f *testing.F) {
 	f.Add([]byte{0, 0, 0xff, 0xff, 0, 0})
 	f.Add(EncodeCall("submit", U64(1), U64(2), U64(3), []byte("weights")))
 	f.Add(RecordCallData(4, "A+B", [32]byte{9}, 2))
+	// One argument of 2^31 bytes: a negative int length on 32-bit.
+	f.Add([]byte{1, 0, 'm', 1, 0, 0, 0, 0, 0x80, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		method, args, err := DecodeCall(payload)
 		if err != nil {

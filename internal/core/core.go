@@ -129,7 +129,7 @@ func (f Filter) Apply(self string, updates []*fl.Update, eval fl.Evaluator) *Fil
 	res := &FilterResult{Scores: make(map[string]float64, len(updates))}
 	best := 0.0
 	for _, u := range updates {
-		score := eval(u.Weights)
+		score := eval(u.Key, u.Weights)
 		res.Scores[u.Client] = score
 		if score > best {
 			best = score
@@ -167,7 +167,7 @@ type Decision struct {
 	// Weights stay nil.
 	ComboResults []fl.ComboResult
 	// Chosen is the adopted combination, with its weight vector
-	// materialized (freshly allocated — callers retain it).
+	// materialized (freshly allocated — callers retain it) and keyed.
 	Chosen fl.ComboResult
 }
 
@@ -179,7 +179,9 @@ type Aggregator struct {
 	Policy WaitPolicy
 	// Filter screens abnormal models; zero value keeps everything.
 	Filter Filter
-	// Eval scores weight vectors on the peer's selection set.
+	// Eval scores weight vectors on the peer's selection set, each
+	// under its key: an update's in the filter, the combination's
+	// (fl.MergeKey) in the search and for the chosen model.
 	Eval fl.Evaluator
 	// WorkerEvals, when set, evaluates candidate combinations
 	// concurrently — one independent evaluator (own scratch model)
@@ -254,13 +256,14 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 		if err != nil {
 			return nil, fmt.Errorf("core: %s round %d: %w", a.Self, round, err)
 		}
+		k := fl.MergeKey(kept, nil)
 		d := &Decision{
 			Round:       round,
 			KeptClients: keptNames,
 			Waited:      len(updates),
 			Expected:    expected,
 			WaitTime:    waited,
-			Chosen:      fl.ComboResult{Combo: all, Accuracy: a.Eval(w), Weights: w},
+			Chosen:      fl.ComboResult{Combo: all, Accuracy: a.Eval(k, w), Weights: w, Key: k},
 		}
 		for _, u := range fres.Rejected {
 			d.RejectedClients = append(d.RejectedClients, u.Client)
@@ -313,11 +316,12 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 	// bit-identical — but freshly allocated, because the decision (and
 	// the peer that adopts it) retains it across rounds.
 	chosen := results[choice]
-	w, err := fl.FedAvg(chosen.Combo.Pick(kept))
+	picked := chosen.Combo.Pick(kept)
+	w, err := fl.FedAvg(picked)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s round %d: %w", a.Self, round, err)
 	}
-	chosen.Weights = w
+	chosen.Weights, chosen.Key = w, fl.MergeKey(picked, nil)
 
 	d := &Decision{
 		Round:        round,

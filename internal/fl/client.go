@@ -122,10 +122,10 @@ func (c *Client) LocalTrain(round int) *Update {
 	}
 }
 
-// TestAccuracy reports the model's accuracy on the client's test set
-// after loading weights (the client's own model is used as scratch space
-// and left holding weights).
-func (c *Client) TestAccuracy(weights []float32) float64 {
+// TestAccuracy, an Evaluator, reports the model's accuracy on the
+// client's test set after loading weights (the client's own model is
+// used as scratch space and left holding weights).
+func (c *Client) TestAccuracy(_ Key, weights []float32) float64 {
 	if err := c.Model.SetWeightVector(weights); err != nil {
 		panic(err)
 	}
@@ -135,7 +135,7 @@ func (c *Client) TestAccuracy(weights []float32) float64 {
 // SelectionEvaluator returns an Evaluator over the client's selection
 // set, reusing the client's model as scratch space.
 func (c *Client) SelectionEvaluator() Evaluator {
-	return func(weights []float32) float64 {
+	return func(_ Key, weights []float32) float64 {
 		if err := c.Model.SetWeightVector(weights); err != nil {
 			panic(err)
 		}

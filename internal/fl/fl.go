@@ -6,6 +6,8 @@
 package fl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -28,6 +30,38 @@ type Update struct {
 	// NumSamples is the size of the client's training shard; FedAvg
 	// weights contributions by it.
 	NumSamples int
+	// Key names Weights by provenance (zero: unnamed).
+	Key Key
+}
+
+// Key names a weight vector by what it was built from, not by its
+// bits: two vectors with one nonzero Key are bit-identical. The zero
+// Key names nothing, so nothing is shared under it.
+type Key [32]byte
+
+// MergeKey is the Key of the average of updates under coef (nil: their
+// sample counts, as FedAvg): a digest of each member's Key and the bits
+// of the factor WeightedFedAvg scales it by, in order — what the sum's
+// bits are a function of. Zero when any member is unnamed.
+func MergeKey(updates []*Update, coef []float64) Key {
+	c := func(i int) float64 {
+		if coef == nil {
+			return float64(updates[i].NumSamples)
+		}
+		return coef[i]
+	}
+	var total float64
+	for i, u := range updates {
+		if u.Key == (Key{}) {
+			return Key{}
+		}
+		total += c(i)
+	}
+	buf := make([]byte, 0, 36*len(updates))
+	for i, u := range updates {
+		buf = binary.LittleEndian.AppendUint32(append(buf, u.Key[:]...), math.Float32bits(float32(c(i)/total)))
+	}
+	return sha256.Sum256(buf)
 }
 
 // FedAvg computes the sample-weighted average of the given updates'
@@ -232,8 +266,9 @@ func (c Combo) Pick(updates []*Update) []*Update {
 }
 
 // Evaluator scores a weight vector, typically classification accuracy on
-// a held-out selection set. Higher is better.
-type Evaluator func(weights []float32) float64
+// a held-out selection set. Higher is better. key names the weights
+// (zero: unnamed); only a memoizing evaluator reads it.
+type Evaluator func(key Key, weights []float32) float64
 
 // NewAccuracyEvaluator returns an Evaluator that loads weights into a
 // scratch model instance and reports accuracy on the given set. The
@@ -242,7 +277,7 @@ type Evaluator func(weights []float32) float64
 func NewAccuracyEvaluator(id nn.ModelID, s *dataset.Set) Evaluator {
 	// Zero weights, never read: every call overwrites them first.
 	scratch := id.Build(nil)
-	return func(weights []float32) float64 {
+	return func(_ Key, weights []float32) float64 {
 		if err := scratch.SetWeightVector(weights); err != nil {
 			panic(err)
 		}
@@ -258,6 +293,7 @@ func NewAccuracyEvaluator(id nn.ModelID, s *dataset.Set) Evaluator {
 type ComboResult struct {
 	Combo    Combo
 	Weights  []float32
+	Key      Key // names Weights, once materialized
 	Accuracy float64
 }
 
@@ -288,11 +324,12 @@ func EvaluateCombosWith(updates []*Update, combos []Combo, evals []Evaluator, av
 	out := make([]ComboResult, len(combos))
 	err := par.ForEachWorker(len(evals), len(combos), func(worker, i int) error {
 		c := combos[i]
-		w, err := avgs[worker].FedAvg(c.Pick(updates))
+		picked := c.Pick(updates)
+		w, err := avgs[worker].FedAvg(picked)
 		if err != nil {
 			return fmt.Errorf("fl: combo %v: %w", c, err)
 		}
-		out[i] = ComboResult{Combo: c, Accuracy: evals[worker](w)}
+		out[i] = ComboResult{Combo: c, Accuracy: evals[worker](MergeKey(picked, nil), w)}
 		return nil
 	})
 	if err != nil {

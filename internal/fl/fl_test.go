@@ -194,7 +194,7 @@ func TestEvaluateCombosAndBest(t *testing.T) {
 	ups := []*Update{upd("A", 1, 0), upd("B", 1, 10), upd("C", 1, 20)}
 	// Score = the aggregated scalar itself: best combo is {C} alone... but
 	// BestCombo must consider all given combos.
-	eval := func(w []float32) float64 { return float64(w[0]) }
+	eval := func(_ Key, w []float32) float64 { return float64(w[0]) }
 	results, err := EvaluateCombosWith(ups, AllCombos(3), []Evaluator{eval}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -276,10 +276,10 @@ func TestClientLocalTrainProducesUpdate(t *testing.T) {
 		t.Fatal("training did not change weights")
 	}
 	// Evaluators stay in [0,1].
-	if acc := c.SelectionEvaluator()(u.Weights); acc < 0 || acc > 1 {
+	if acc := c.SelectionEvaluator()(Key{}, u.Weights); acc < 0 || acc > 1 {
 		t.Fatalf("selection accuracy %v", acc)
 	}
-	if acc := c.TestAccuracy(u.Weights); acc < 0 || acc > 1 {
+	if acc := c.TestAccuracy(Key{}, u.Weights); acc < 0 || acc > 1 {
 		t.Fatalf("test accuracy %v", acc)
 	}
 }
@@ -316,7 +316,7 @@ func TestNewAccuracyEvaluatorBounds(t *testing.T) {
 	s := dataset.Generate(dataset.DefaultConfig(), 40, root)
 	eval := NewAccuracyEvaluator(nn.ModelSimpleNN, s)
 	w := nn.NewSimpleNN(root.Derive("m")).WeightVector()
-	if acc := eval(w); acc < 0 || acc > 1 {
+	if acc := eval(Key{}, w); acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %v", acc)
 	}
 }
@@ -335,7 +335,7 @@ func TestNewAccuracyEvaluatorScratchUnread(t *testing.T) {
 			if err := seeded.SetWeightVector(w); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := eval(w), nn.Evaluate(seeded, s.X, s.Y, 64); got != want {
+			if got, want := eval(Key{}, w), nn.Evaluate(seeded, s.X, s.Y, 64); got != want {
 				t.Fatalf("%s %s: nil-built scratch scores %v, seeded scratch %v", id, label, got, want)
 			}
 		}
@@ -351,7 +351,7 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 		upd("C", 3, 2, 2), upd("D", 1, 3, 1),
 	}
 	combos := AllCombos(4)
-	eval := func(w []float32) float64 { return float64(w[0])*10 + float64(w[1]) }
+	eval := func(_ Key, w []float32) float64 { return float64(w[0])*10 + float64(w[1]) }
 	seq, err := EvaluateCombosWith(ups, combos, []Evaluator{eval}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 
 func TestEvaluateCombosWithErrors(t *testing.T) {
 	ups := []*Update{upd("A", 1, 1, 0), upd("B", 0, 0, 1)} // B invalid
-	eval := func(w []float32) float64 { return 0 }
+	eval := func(_ Key, w []float32) float64 { return 0 }
 	if _, err := EvaluateCombosWith(ups, AllCombos(2), nil, nil); err == nil {
 		t.Fatal("zero evaluators accepted")
 	}
@@ -393,13 +393,44 @@ func TestSelectionEvaluatorsIndependent(t *testing.T) {
 		t.Fatalf("got %d evaluators", len(evals))
 	}
 	w := nn.ModelSimpleNN.Build(xrand.New(5)).WeightVector()
-	want := evals[0](w)
+	want := evals[0](Key{}, w)
 	for i, e := range evals {
-		if got := e(w); got != want {
+		if got := e(Key{}, w); got != want {
 			t.Fatalf("evaluator %d disagrees: %v vs %v", i, got, want)
 		}
 	}
 	if got := SelectionEvaluators(nn.ModelSimpleNN, set, 0); len(got) != 1 {
 		t.Fatalf("n<1 must clamp to one evaluator, got %d", len(got))
+	}
+}
+
+// TestMergeKey: a merge is named by its members' keys and the factors
+// WeightedFedAvg scales them by, in order — so coefficients that
+// normalize alike name one merge — and is unnamed with any member.
+func TestMergeKey(t *testing.T) {
+	a, b := upd("A", 1, 0), upd("B", 3, 0)
+	a.Key, b.Key = Key{1}, Key{2}
+	ab := MergeKey([]*Update{a, b}, nil)
+	if ab == (Key{}) {
+		t.Fatal("named members merge unnamed")
+	}
+	if got := MergeKey([]*Update{a, b}, []float64{2, 6}); got != ab {
+		t.Error("coefficients normalizing to the sample weights name another merge")
+	}
+	for name, k := range map[string]Key{
+		"reordered":      MergeKey([]*Update{b, a}, nil),
+		"other factors":  MergeKey([]*Update{a, b}, []float64{1, 1}),
+		"one member":     MergeKey([]*Update{a}, nil),
+		"a member's key": a.Key,
+	} {
+		if k == ab {
+			t.Errorf("%s: names the same merge", name)
+		}
+	}
+	if MergeKey([]*Update{a}, nil) == a.Key {
+		t.Error("a one-update merge is named as the update: FedAvg({u}) may differ from u in the sign of zeros")
+	}
+	if got := MergeKey([]*Update{a, upd("C", 1, 0)}, nil); got != (Key{}) {
+		t.Error("a merge with an unnamed member is named")
 	}
 }

@@ -89,12 +89,13 @@ func DecodeWeights(b []byte) ([]float32, error) {
 	if v := binary.LittleEndian.Uint16(b[4:]); v != weightVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptWeights, v)
 	}
-	count := int(binary.LittleEndian.Uint32(b[6:]))
-	if len(b) != weightHeader+4*count+4 {
+	// In uint64: 4*count wraps a 32-bit int.
+	count := binary.LittleEndian.Uint32(b[6:])
+	if uint64(len(b)) != weightHeader+4*uint64(count)+4 {
 		return nil, fmt.Errorf("%w: length %d does not match count %d", ErrCorruptWeights, len(b), count)
 	}
-	want := binary.LittleEndian.Uint32(b[weightHeader+4*count:])
-	if got := crc32.ChecksumIEEE(b[:weightHeader+4*count]); got != want {
+	want := binary.LittleEndian.Uint32(b[len(b)-4:])
+	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptWeights)
 	}
 	w := make([]float32, count)

@@ -3,7 +3,9 @@ package nn
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -83,6 +85,11 @@ func FuzzPayloadCodec(f *testing.F) {
 	f.Add([]byte("WFLWjunk"))
 	f.Add(AppendWeights(nil, nil))
 	f.Add(AppendWeights(nil, specialFloats()))
+	// 14 bytes claiming 2^30 weights under a valid checksum: 4*count
+	// wraps to 0 in a 32-bit int, which once passed the length check.
+	hostile := AppendWeights(nil, nil)[:weightHeader]
+	binary.LittleEndian.PutUint32(hostile[6:], 1<<30)
+	f.Add(binary.LittleEndian.AppendUint32(hostile, crc32.ChecksumIEEE(hostile)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWeights(data)
 		if err != nil {
