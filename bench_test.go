@@ -130,7 +130,10 @@ func BenchmarkWaitPolicy_SpeedVsPrecision(b *testing.B) {
 // throughput roughly halves when co-located peers double.
 func BenchmarkThroughputVsParticipants(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := waitornot.ThroughputVsPeers([]int{4, 8, 16, 32}, 1)
+		pts, err := waitornot.ThroughputVsPeers([]int{4, 8, 16, 32}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(pts[0].CommittedPerSec/pts[1].CommittedPerSec, "halving-ratio-4to8")
 		b.ReportMetric(pts[len(pts)-1].CommittedPerSec, "tx-per-sec-32peers")
 		if i == 0 {
@@ -148,7 +151,10 @@ func BenchmarkBlockGasLimitVsThroughput(b *testing.B) {
 	txGas := uint64(4_000_000) // ~a SimpleNN submission
 	limits := []uint64{4_000_000, 16_000_000, 64_000_000, 256_000_000}
 	for i := 0; i < b.N; i++ {
-		pts := waitornot.ThroughputVsBlockGas(limits, txGas, 1)
+		pts, err := waitornot.ThroughputVsBlockGas(limits, txGas, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(pts[len(pts)-1].CommittedPerSec/pts[0].CommittedPerSec, "capacity-gain")
 		if i == 0 {
 			for _, p := range pts {
@@ -168,7 +174,10 @@ func BenchmarkAsyncRoundLatencySim(b *testing.B) {
 		{Kind: waitornot.Timeout, TimeoutMs: 6000},
 	}
 	for i := 0; i < b.N; i++ {
-		stats := waitornot.RoundLatencyByPolicy(8, policies, 1)
+		stats, err := waitornot.RoundLatencyByPolicy(8, policies, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(stats[0].MeanWaitMs/stats[1].MeanWaitMs, "speedup-first4")
 		if i == 0 {
 			for _, st := range stats {

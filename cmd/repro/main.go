@@ -122,7 +122,9 @@ func main() {
 		}
 		printCampaignStatus(st)
 	case c.netperf:
-		printNetperf(c.seed)
+		if err := printNetperf(c.seed); err != nil {
+			fatal(err)
+		}
 	default:
 		runScenario(ctx, c)
 	}
@@ -142,6 +144,8 @@ func (c config) validate() error {
 	switch {
 	case selectors != 1:
 		return errors.New("pick exactly one of -scenario NAME, -scenarios, -backends, -netperf, -campaign-status")
+	case c.set["rounds"] && c.rounds < 1:
+		return fmt.Errorf("-rounds %d: want at least 1 round (leave it unset for the scenario's own)", c.rounds)
 	case c.replications < 0:
 		return fmt.Errorf("-replications %d: want a count of consecutive seeds >= 1 (0, the default, runs no sweep)", c.replications)
 	case (c.resume || c.status) && c.campaignDir == "":
@@ -159,7 +163,7 @@ func (c config) validate() error {
 		return fmt.Errorf("unknown -scenario %q (registered: %s)", c.scenario, strings.Join(waitornot.ScenarioNames(), ", "))
 	case c.set["model"] && c.model != "simple" && c.model != "effnet":
 		return fmt.Errorf("unknown -model %q (want simple or effnet)", c.model)
-	case c.set["target-acc"] && (c.targetAcc < 0 || c.targetAcc > 1 || !sweepMode):
+	case c.set["target-acc"] && (!(c.targetAcc >= 0 && c.targetAcc <= 1) || !sweepMode):
 		return fmt.Errorf("-target-acc is a sweep metric in [0, 1]; scenario %q needs -seeds or -replications for it", sc.Name)
 	case c.csv && !sweepMode && sc.Kind == waitornot.KindDecentralized:
 		return fmt.Errorf("-csv has nothing to print for a single %s run: its report has no CSV grid; add -replications 1 for the sweep CSVs of scenario %q", sc.Kind, sc.Name)
@@ -284,9 +288,13 @@ func printSweepReport(rep *waitornot.SweepReport, csv bool) {
 // printNetperf prints the simulated network premises: the §II-A2
 // throughput sweeps and the virtual-clock round latency per wait
 // policy. No training runs.
-func printNetperf(seed uint64) {
+func printNetperf(seed uint64) error {
 	fmt.Println("throughput vs co-located peers (shared-host model, §II-A2 / VFChain premise):")
-	for _, pt := range waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed) {
+	pts, err := waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed)
+	if err != nil {
+		return err
+	}
+	for _, pt := range pts {
 		fmt.Printf("  %-10s %8.1f tx/s   mean commit latency %9.1f ms\n",
 			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
 	}
@@ -294,7 +302,10 @@ func printNetperf(seed uint64) {
 	// A SimpleNN submission is ~247 KB ≈ 4M calldata gas.
 	txGas := uint64(4_000_000)
 	limits := []uint64{4_000_000, 8_000_000, 16_000_000, 64_000_000, 256_000_000}
-	for _, pt := range waitornot.ThroughputVsBlockGas(limits, txGas, seed) {
+	if pts, err = waitornot.ThroughputVsBlockGas(limits, txGas, seed); err != nil {
+		return err
+	}
+	for _, pt := range pts {
 		fmt.Printf("  %-16s %8.1f tx/s   mean commit latency %9.1f ms\n",
 			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
 	}
@@ -305,10 +316,12 @@ func printNetperf(seed uint64) {
 		{Kind: waitornot.FirstK, K: 4},
 		{Kind: waitornot.Timeout, TimeoutMs: 6000},
 	}
-	for _, st := range waitornot.RoundLatencyByPolicy(8, policies, seed) {
+	stats, err := waitornot.RoundLatencyByPolicy(8, policies, seed)
+	for _, st := range stats {
 		fmt.Printf("  %-16s mean wait %8.1f ms   mean models %5.2f   mean age %8.1f ms\n",
 			st.Policy, st.MeanWaitMs, st.MeanIncluded, st.MeanAgeMs)
 	}
+	return err
 }
 
 // printCampaignStatus renders a campaign directory's progress and the

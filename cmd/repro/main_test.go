@@ -7,6 +7,7 @@ package main
 import (
 	"context"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -53,9 +54,11 @@ func TestValidate(t *testing.T) {
 		{"negative time budget", config{scenario: "async-free-run", timeBudget: -1, set: set("time-budget-ms")}, "negative time budget -1"},
 		{"time budget on a barriered scenario", config{scenario: "paper-repro", timeBudget: 500, set: set("time-budget-ms")}, "Options.TimeBudgetMs is an error on decentralized experiments"},
 		{"backend on the vanilla baseline", config{scenario: "vanilla-baseline", backend: "poa", set: set("backend")}, "Options.Backend is an error on vanilla experiments"},
+		{"zero rounds", config{scenario: "vanilla-baseline", rounds: 0, set: set("rounds")}, "-rounds 0"},
 		{"negative replications", config{scenario: "stragglers", replications: -1}, "-replications -1"},
 		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla experiments cannot be swept"},
 		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
+		{"target-acc NaN", config{scenario: "replicated-tradeoff", targetAcc: math.NaN(), set: set("target-acc")}, "-target-acc"},
 		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},
 		{"csv on a single run with no CSV grid", config{scenario: "paper-repro", csv: true}, "-replications 1"},
 		{"campaign without a sweep", config{scenario: "paper-repro", campaignDir: fresh}, "declares no seeds"},

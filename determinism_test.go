@@ -108,8 +108,11 @@ func TestTradeoffParallelMatchesSequential(t *testing.T) {
 // TestSweepsParallelDeterministic pins the always-parallel sweep
 // helpers: repeated calls must reproduce the same points exactly.
 func TestSweepsParallelDeterministic(t *testing.T) {
-	a := waitornot.ThroughputVsPeers([]int{4, 8, 16}, 3)
-	b := waitornot.ThroughputVsPeers([]int{4, 8, 16}, 3)
+	a, errA := waitornot.ThroughputVsPeers([]int{4, 8, 16}, 3)
+	b, errB := waitornot.ThroughputVsPeers([]int{4, 8, 16}, 3)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("ThroughputVsPeers not reproducible")
 	}
@@ -118,8 +121,11 @@ func TestSweepsParallelDeterministic(t *testing.T) {
 		{Kind: waitornot.FirstK, K: 2},
 		{Kind: waitornot.Timeout, TimeoutMs: 4000},
 	}
-	s1 := waitornot.RoundLatencyByPolicy(4, policies, 3)
-	s2 := waitornot.RoundLatencyByPolicy(4, policies, 3)
+	s1, errA := waitornot.RoundLatencyByPolicy(4, policies, 3)
+	s2, errB := waitornot.RoundLatencyByPolicy(4, policies, 3)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatal("RoundLatencyByPolicy not reproducible")
 	}
@@ -152,7 +158,11 @@ func TestRoundLatencyByPolicyGolden(t *testing.T) {
 		seed     uint64
 		policies []waitornot.Policy
 	}{{8, 1, netperf}, {8, 7, netperf}, {4, 1, frontier}} {
-		for _, st := range waitornot.RoundLatencyByPolicy(set.peers, set.policies, set.seed) {
+		stats, err := waitornot.RoundLatencyByPolicy(set.peers, set.policies, set.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
 			fmt.Fprintf(&b, "peers %d seed %d %v\n", set.peers, set.seed, st)
 		}
 	}

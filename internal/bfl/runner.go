@@ -22,6 +22,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -196,8 +197,19 @@ func (c Config) Validate() error {
 	if c.StragglerFactor != nil && len(c.StragglerFactor) != c.Peers {
 		return fmt.Errorf("bfl: %d straggler factors for %d peers", len(c.StragglerFactor), c.Peers)
 	}
-	if c.ClientFraction < 0 || c.ClientFraction > 1 {
+	for i, f := range c.StragglerFactor {
+		if !(f > 0 && f <= math.MaxFloat64) {
+			return fmt.Errorf("bfl: peer %d's straggler factor %g is not finite and positive", i, f)
+		}
+	}
+	if !(c.ClientFraction >= 0 && c.ClientFraction <= 1) {
 		return fmt.Errorf("bfl: client fraction %g outside (0, 1]", c.ClientFraction)
+	}
+	if !(c.DirichletAlpha >= 0 && c.DirichletAlpha <= math.MaxFloat64) {
+		return fmt.Errorf("bfl: Dirichlet alpha %g is not finite and non-negative", c.DirichletAlpha)
+	}
+	if !(c.Filter.MaxBelowBest >= 0) {
+		return fmt.Errorf("bfl: filter margin %g is negative or NaN", c.Filter.MaxBelowBest)
 	}
 	if c.ClientFraction > 0 && c.DirichletAlpha > 0 {
 		return fmt.Errorf("bfl: DirichletAlpha partitions one global pool; incompatible with ClientFraction's per-peer shards")
@@ -216,7 +228,7 @@ func (c Config) Validate() error {
 	if err := c.Network.Validate(); err != nil {
 		return fmt.Errorf("bfl: network distribution: %w", err)
 	}
-	if c.TimeBudgetMs < 0 {
+	if !(c.TimeBudgetMs >= 0) {
 		return fmt.Errorf("bfl: negative time budget %g", c.TimeBudgetMs)
 	}
 	return nil

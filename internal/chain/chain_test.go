@@ -561,7 +561,7 @@ func TestMempoolOrderingAndDedup(t *testing.T) {
 	if err := mp.Add(dear); err != nil {
 		t.Fatal(err)
 	}
-	if err := mp.Add(cheap); !errors.Is(err, ErrMempoolDuplicate) {
+	if err := mp.Add(cheap); !errors.Is(err, errMempoolDuplicate) {
 		t.Fatal("duplicate accepted")
 	}
 	pending := mp.Pending()

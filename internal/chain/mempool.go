@@ -11,8 +11,8 @@ import (
 	"waitornot/internal/keys"
 )
 
-// ErrMempoolDuplicate is returned when a transaction is already pooled.
-var ErrMempoolDuplicate = errors.New("chain: tx already in mempool")
+// errMempoolDuplicate is returned when a transaction is already pooled.
+var errMempoolDuplicate = errors.New("chain: tx already in mempool")
 
 // Mempool holds pending transactions awaiting inclusion. It performs
 // stateless validation on admission; stateful checks happen at block
@@ -38,7 +38,7 @@ func (m *Mempool) Add(tx *Transaction) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.txs[h]; dup {
-		return ErrMempoolDuplicate
+		return errMempoolDuplicate
 	}
 	m.txs[h] = tx
 	return nil

@@ -11,29 +11,28 @@
 // every peer's copy of the chain would hold the same bytes: a backend
 // keeps one chain, one state and one pending set, and charges
 // replication per validator in virtual time (its commit latency), not
-// as host work. Four substrates ship built in:
+// as host work.
 //
-//   - pow: fixed-leader proof of work, the paper's substrate and the
-//     default. The round leader drains its mempool, stamps the retarget
-//     rule's difficulty and mines the header; both are checked before
-//     the block executes.
-//   - poa: round-robin authority sealing. The same blocks (Merkle
-//     roots, gas accounting, execution under the block rule) with no
-//     puzzle to solve, so rounds are cheaper and the modeled commit
-//     interval is a fraction of PoW's.
-//   - instant: an in-memory state machine applying contract calls with
-//     no block assembly at all — the consensus-free limit, for huge
-//     peer-count sweeps. See DESIGN.md for why FL semantics survive.
-//   - pbft: consortium PBFT — PoA-style sealing whose commit latency
-//     comes from the analytic three-phase O(n²) model in
+// All four built-in substrates are one book (book.go: the mempool, the
+// committed state, the committed list and the gas and byte counters)
+// plus one commit rule each:
+//
+//   - pow: the sealing core (sealer.go, the only block store) at the
+//     target interval, with a puzzle — the paper's substrate and the
+//     default. The round leader seals its pending set under the block
+//     rule, chain.ApplyBlock, after stamping the retarget rule's
+//     difficulty and mining the header; both are checked before the
+//     block executes.
+//   - poa: the same core with no puzzle and a fixed slot a fraction of
+//     PoW's interval — round-robin authority sealing.
+//   - pbft: the same core at the analytic three-phase O(n²) latency of
 //     internal/ledger/latmodel, plus model verification that scores
 //     each submitted update against the committed model and excludes
 //     outliers from the aggregation batch (see pbft.go).
-//
-// pow, poa and pbft are one sealing core (sealer.go) — the only block
-// store in the tree — plus a latency rule and what each verifies: one
-// mempool, one committed state, and the one block rule,
-// chain.ApplyBlock, run on every block before it is stored.
+//   - instant: no blocks at all — each commit applies the pending set,
+//     in pool order, to the state at zero latency: the consensus-free
+//     limit, for huge peer-count sweeps. See DESIGN.md for why FL
+//     semantics survive.
 //
 // Backends are constructed through a registry (Register / New /
 // Backends) mirroring the public scenario registry, so new substrates
@@ -175,10 +174,10 @@ type Backend interface {
 	// Submit validates a signed transaction and gossips it into every
 	// peer's pending set.
 	Submit(tx *chain.Transaction) error
-	// Commit seals everything pending (up to gas capacity, in
-	// gas-price order for the chain-backed substrates) into one batch
-	// at logical time timeMs, applied to every peer's view. leader
-	// selects the sealing peer.
+	// Commit seals everything pending, in the pool's gas-price order
+	// (up to gas capacity for the chain-backed substrates), into one
+	// batch at logical time timeMs, applied to every peer's view.
+	// leader selects the sealing peer.
 	Commit(leader int, timeMs uint64) (Commit, error)
 	// Pending reports peer's pending-set size (transactions submitted
 	// but not yet committed — capacity-evicted stragglers included).
@@ -314,13 +313,29 @@ func New(name string, cfg Config) (Backend, error) {
 // proof-of-work path.
 const defaultBackend = "pow"
 
+// poaSlotDiv divides the PoW target interval into the PoA sealing
+// slot: authorities seal on a fixed rotation without solving puzzles,
+// so the modeled commit latency is a fraction of the PoW interval —
+// the consortium middle rung of the consensus ladder (cf. "Latency
+// Analysis of Consortium Blockchained Federated Learning").
+const poaSlotDiv = 5
+
 func init() {
+	// pow models visibility as one full target interval: under
+	// memoryless sealing the expected wait from submission to the next
+	// sealed block is the interval itself.
 	MustRegister("pow", "fixed-leader proof-of-work chain (the paper's substrate; default)",
-		func(cfg Config) (Backend, error) { return newPoW(cfg), nil })
+		func(cfg Config) (Backend, error) {
+			s := newSealer("pow", cfg, float64(cfg.Chain.TargetIntervalMs))
+			s.solve, s.verify = chain.SolvePoW, chain.VerifyPoW
+			return s, nil
+		})
 	MustRegister("poa", "round-robin authority sealing: real blocks, no mining loop",
-		func(cfg Config) (Backend, error) { return newPoA(cfg), nil })
+		func(cfg Config) (Backend, error) {
+			return newSealer("poa", cfg, float64(cfg.Chain.TargetIntervalMs)/poaSlotDiv), nil
+		})
 	MustRegister("instant", "in-memory state machine, no block assembly (consensus-free limit)",
-		func(cfg Config) (Backend, error) { return newInstant(cfg), nil })
+		func(cfg Config) (Backend, error) { return &instantBackend{book: newBook("instant", cfg)}, nil })
 	MustRegister("pbft", "consortium PBFT: analytic 3-phase O(n²) latency model + model verification",
 		func(cfg Config) (Backend, error) { return newPBFT(cfg) })
 }

@@ -126,10 +126,9 @@ func TestGossipAndMempoolDrain(t *testing.T) {
 					}
 				}
 			}
-			// Resubmitting a committed transaction is a duplicate at
-			// the ledger (pow/poa dedup in the pool; instant in its
-			// seen set) or a stateless-nonce admit that the next
-			// commit rejects — either way it must not commit twice.
+			// Resubmitting a committed transaction passes the pool's
+			// stateless checks, and the next commit refuses its stale
+			// nonce: it must not commit twice.
 			_ = be.Submit(registerTx(t, cfg, ks[0], 0, "A", 1))
 			c2, err := be.Commit(1, 2*cfg.Chain.TargetIntervalMs)
 			if err != nil {
@@ -348,6 +347,71 @@ func TestInstantMatchesContractState(t *testing.T) {
 	}
 	if fp := inst.Footprint(); fp.Txs != 3 || fp.Blocks != 1 || fp.GasUsed != ci.GasUsed {
 		t.Fatalf("instant footprint %+v inconsistent with commit %+v", fp, ci)
+	}
+}
+
+// TestCommitOrderIsNotAResult: on every built-in, the order
+// transactions were submitted in never reaches a result. Two fresh
+// ledgers take the same three registrations and then the same three
+// model submissions, one in key order and one reversed, and must agree
+// on every Commit, on the committed state, on the footprint and on the
+// committed list's order.
+func TestCommitOrderIsNotAResult(t *testing.T) {
+	for _, name := range []string{"pow", "poa", "pbft", "instant"} {
+		t.Run(name, func(t *testing.T) {
+			cfg, ks := testCfg(3)
+			batches := [][]*chain.Transaction{nil, nil}
+			for i, k := range ks {
+				batches[0] = append(batches[0], registerTx(t, cfg, k, 0, string(rune('A'+i)), 1))
+				batches[1] = append(batches[1], submitTx(t, cfg, k, 1, 1, []float32{float32(i), 1, 2}))
+			}
+			var bes [2]ledger.Backend
+			var commits [2][]ledger.Commit
+			for side := range bes {
+				be, err := ledger.New(name, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round, batch := range batches {
+					for i := range batch {
+						if side == 1 {
+							i = len(batch) - 1 - i
+						}
+						if err := be.Submit(batch[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					c, err := be.Commit(round, uint64(round+1)*cfg.Chain.TargetIntervalMs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					commits[side] = append(commits[side], c)
+				}
+				bes[side] = be
+			}
+			a, b := bes[0], bes[1]
+			if !reflect.DeepEqual(commits[0], commits[1]) {
+				t.Fatalf("commits differ by submission order:\n%+v\n%+v", commits[0], commits[1])
+			}
+			if commits[0][1].Txs != 3 {
+				t.Fatalf("submission commit included %d txs, want 3", commits[0][1].Txs)
+			}
+			if !reflect.DeepEqual(a.StateView(0).Storage, b.StateView(0).Storage) || !reflect.DeepEqual(a.StateView(0).Accounts, b.StateView(0).Accounts) {
+				t.Fatal("committed state differs by submission order")
+			}
+			if a.Footprint() != b.Footprint() {
+				t.Fatalf("footprints differ by submission order: %+v vs %+v", a.Footprint(), b.Footprint())
+			}
+			ta, tb := a.CommittedTxs(0), b.CommittedTxs(0)
+			if len(ta) != len(tb) {
+				t.Fatalf("committed %d vs %d txs", len(ta), len(tb))
+			}
+			for i := range ta {
+				if ta[i].Hash() != tb[i].Hash() {
+					t.Fatalf("committed tx %d differs by submission order", i)
+				}
+			}
+		})
 	}
 }
 

@@ -50,10 +50,9 @@ const (
 // so every validator reaches the same verdict and execution stays
 // deterministic.
 type pbftBackend struct {
-	sealer
+	*sealer
 	validators int
 	vproc      *verifyingProc
-	baseMs     float64 // 3-phase consensus latency, no payload/verification terms
 	refScore   float64 // committed model's validation score (NaN until a batch commits)
 }
 
@@ -82,11 +81,11 @@ func newPBFT(cfg Config) (*pbftBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ledger: pbft: %w", err)
 	}
+	// The cadence is an empty round's; each Commit adds its own costs.
 	return &pbftBackend{
-		sealer:     newSealer("pbft", cfg),
+		sealer:     newSealer("pbft", cfg, baseMs),
 		validators: validators,
 		vproc:      &verifyingProc{inner: cfg.Proc},
-		baseMs:     baseMs,
 		refScore:   math.NaN(),
 	}, nil
 }
@@ -165,11 +164,6 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	}
 	return c, nil
 }
-
-// CommitLatencyMs is the analytic three-phase consensus latency for an
-// empty round — the backend's commit cadence. Payload serialization
-// and verification costs ride on each Commit's own LatencyMs.
-func (be *pbftBackend) CommitLatencyMs() float64 { return be.baseMs }
 
 // submissionWeights recognizes model-submission transactions and
 // decodes their weight vector. The second return is true for any

@@ -6,63 +6,48 @@ import (
 	"waitornot/internal/chain"
 )
 
-// sealer is the sealing core pow, poa and pbft embed, and the only
-// block store: the one mempool, the one committed state, the sealed
-// block list, and the one seal step that turns a leader's pending set
-// into a block validated and executed under the block rule
+// sealer is the sealing core, and pow, poa and pbft are values of it:
+// the book plus the sealed block list (the only block store), a modeled
+// commit latency and an optional puzzle, set by the registry
+// (ledger.go). A commit is one seal step that turns a leader's pending
+// set into a block validated and executed under the block rule
 // (chain.ApplyBlock) — Merkle roots, gas accounting, linkage to the
-// parent. One leader seals per commit under a deterministic runner,
-// so every peer's copy of the chain would be the same bytes: the core
+// parent. One leader seals per commit under a deterministic runner, so
+// every peer's copy of the chain would be the same bytes: the core
 // keeps one (replication is charged in virtual time by the latency
 // rule), with no forks to choose between and no branches to replay.
-// What a substrate adds is its latency model (pow: the target
-// interval; poa: a fixed slot; pbft: the analytic three-phase model),
-// its puzzle (pow), and, for pbft, the processor that carries the
-// verification verdicts.
+// pbft wraps the core for the processor that carries its verdicts.
 type sealer struct {
-	name string
-	cfg  Config
+	book
+	blocks []*chain.Block // sealed ledger incl. genesis
+	// latencyMs is CommitLatencyMs, the substrate's modeled interval.
+	latencyMs float64
 	// solve and verify are the two halves of the substrate's puzzle:
 	// the leader solves it on the finished header, and it is verified
 	// before the block executes. pow sets them (chain.SolvePoW,
 	// chain.VerifyPoW); authority sealing has none.
 	solve  func(cfg chain.Config, parent, h *chain.Header)
 	verify func(cfg chain.Config, parent, h *chain.Header) error
-	pool   *chain.Mempool
-	// state is the committed state. A block executes on a copy that
-	// replaces it only once accepted, so a published state is never
-	// written again and every reader may share it.
-	state  *chain.State
-	blocks []*chain.Block // sealed ledger incl. genesis
-	// committed is every sealed transaction in canonical order, grown
-	// by append so a view handed out earlier is never rewritten.
-	committed []*chain.Transaction
-	bytes     int
-	gas       uint64
 }
 
-// newSealer builds the core under the registry name New passed down
-// (fallback: the substrate's own name, for factories called directly).
-func newSealer(fallback string, cfg Config) sealer {
+// newSealer builds the core on a fresh book, genesis sealed.
+func newSealer(fallback string, cfg Config, latencyMs float64) *sealer {
 	genesis := chain.Genesis(cfg.Chain)
-	return sealer{
-		name:   cfg.nameOr(fallback),
-		cfg:    cfg,
-		pool:   chain.NewMempool(cfg.Chain.Gas),
-		state:  cfg.genesisState(),
-		blocks: []*chain.Block{genesis},
-		bytes:  genesis.Size(),
-	}
+	s := &sealer{book: newBook(fallback, cfg), blocks: []*chain.Block{genesis}, latencyMs: latencyMs}
+	s.bytes = genesis.Size()
+	return s
 }
 
-func (s *sealer) Name() string { return s.name }
-
-// Submit validates the transaction on admission and pools it.
-func (s *sealer) Submit(tx *chain.Transaction) error {
-	if err := s.pool.Add(tx); err != nil {
-		return fmt.Errorf("ledger: mempool: %w", err)
+// Commit has the leader seal its pending set into one block under the
+// configured processor.
+func (s *sealer) Commit(leader int, timeMs uint64) (Commit, error) {
+	b, err := s.seal(leader, timeMs, s.cfg.Proc, s.pool.Pending())
+	if err != nil {
+		return Commit{}, err
 	}
-	return nil
+	c := commitOf(b)
+	c.LatencyMs = s.latencyMs
+	return c, nil
 }
 
 // seal is one commit: the leader assembles a block from pending (the
@@ -115,25 +100,10 @@ func (s *sealer) replicate(b *chain.Block, proc chain.Processor) error {
 	if err := chain.ApplyBlock(s.cfg.Chain, parent, b, next, proc, s.verify); err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	s.state = next
+	s.publish(next, b.Txs, b.Header.GasUsed, b.Size())
 	s.blocks = append(s.blocks, b)
-	s.committed = append(s.committed, b.Txs...)
-	s.bytes += b.Size()
-	s.gas += b.Header.GasUsed
 	s.pool.RemoveBlock(b)
 	return nil
-}
-
-// commit is Commit for a substrate with a fixed modeled latency and
-// the configured processor (pow, poa): seal the leader's pending set.
-func (s *sealer) commit(leader int, timeMs uint64, latencyMs float64) (Commit, error) {
-	b, err := s.seal(leader, timeMs, s.cfg.Proc, s.pool.Pending())
-	if err != nil {
-		return Commit{}, err
-	}
-	c := commitOf(b)
-	c.LatencyMs = latencyMs
-	return c, nil
 }
 
 // commitOf summarizes a sealed block; the substrate fills in its
@@ -148,17 +118,10 @@ func commitOf(b *chain.Block) Commit {
 	}
 }
 
-func (s *sealer) Pending(int) int { return s.pool.Len() }
+// CommitLatencyMs is the substrate's modeled commit interval.
+func (s *sealer) CommitLatencyMs() float64 { return s.latencyMs }
 
-// StateView returns the committed state itself: a commit publishes a
-// new state rather than writing this one, so every reader shares it.
-func (s *sealer) StateView(int) *chain.State { return s.state }
-
-func (s *sealer) CommittedTxs(int) []*chain.Transaction { return s.committed }
-
-func (s *sealer) Footprint() Footprint {
-	return Footprint{Blocks: len(s.blocks), Txs: len(s.committed), GasUsed: s.gas, Bytes: s.bytes}
-}
+func (s *sealer) Footprint() Footprint { return s.footprint(len(s.blocks)) }
 
 // Chain implements Chainer: the sealed blocks, genesis first.
 func (s *sealer) Chain(int) []*chain.Block { return s.blocks }

@@ -37,12 +37,10 @@ func sealerCfg() (Config, []*keys.Key) {
 func coreOf(t *testing.T, be Backend) (*sealer, chain.Processor) {
 	t.Helper()
 	switch b := be.(type) {
-	case *powBackend:
-		return &b.sealer, b.cfg.Proc
-	case *poaBackend:
-		return &b.sealer, b.cfg.Proc
+	case *sealer:
+		return b, b.cfg.Proc
 	case *pbftBackend:
-		return &b.sealer, b.vproc
+		return b.sealer, b.vproc
 	}
 	t.Fatalf("%T is not on the sealing core", be)
 	return nil, nil

@@ -270,17 +270,21 @@ type Dist struct {
 // IsZero reports whether the distribution is unset.
 func (d Dist) IsZero() bool { return d == Dist{} }
 
-// Validate rejects distributions that could draw non-positive
-// durations or that name no family.
+// Validate's range, in which every draw is finite and positive: xrand's
+// normals stay within ±8.6, so a lognormal factor lies in [e^-43, e^27].
+const distMinMean, distMaxMean, distMaxJitter = 1e-9, 1e12, 4
+
+// Validate rejects distributions that could draw non-positive or
+// non-finite values or that name no family.
 func (d Dist) Validate() error {
 	if d.IsZero() {
 		return nil
 	}
-	if d.Mean <= 0 {
-		return fmt.Errorf("simnet: distribution mean %g must be positive", d.Mean)
+	if !(d.Mean >= distMinMean && d.Mean <= distMaxMean) {
+		return fmt.Errorf("simnet: distribution mean %g outside [%g, %g]", d.Mean, distMinMean, distMaxMean)
 	}
-	if d.Jitter < 0 {
-		return fmt.Errorf("simnet: distribution jitter %g must be non-negative", d.Jitter)
+	if !(d.Jitter >= 0 && d.Jitter <= distMaxJitter) {
+		return fmt.Errorf("simnet: distribution jitter %g outside [0, %g]", d.Jitter, float64(distMaxJitter))
 	}
 	switch d.Kind {
 	case DistFixed, DistLogNormal, DistExponential:

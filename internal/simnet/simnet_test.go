@@ -240,6 +240,11 @@ func TestDistValidate(t *testing.T) {
 		{Kind: DistUniform, Mean: 1, Jitter: 1.5},
 		{Kind: DistKind(99), Mean: 1},
 		{Kind: DistLogNormal, Mean: 1, Jitter: -0.1},
+		{Kind: DistLogNormal, Mean: math.NaN()},
+		{Kind: DistUniform, Mean: 1, Jitter: math.NaN()},
+		{Kind: DistExponential, Mean: math.Inf(1)},
+		{Kind: DistFixed, Mean: 1e-300},
+		{Kind: DistLogNormal, Mean: 1, Jitter: 1e13},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v validated, want error", bad)
@@ -251,6 +256,29 @@ func TestDistValidate(t *testing.T) {
 	if err := (Dist{Kind: DistLogNormal, Mean: 1, Jitter: 0.5}).Validate(); err != nil {
 		t.Fatalf("lognormal must validate: %v", err)
 	}
+}
+
+// FuzzDistValidate: any Dist Validate accepts draws finite, positive
+// values for any seed.
+func FuzzDistValidate(f *testing.F) {
+	f.Add(int(DistLogNormal), 1.0, 0.6, uint64(1))
+	f.Add(int(DistLogNormal), math.NaN(), 0.5, uint64(1))
+	f.Add(int(DistUniform), 40.0, math.NaN(), uint64(1))
+	f.Add(int(DistExponential), math.Inf(1), 0.0, uint64(1))
+	f.Add(int(DistLogNormal), 1.0, 1e13, uint64(1))
+	f.Add(int(DistFixed), 1e13, 0.0, uint64(1))
+	f.Fuzz(func(t *testing.T, kind int, mean, jitter float64, seed uint64) {
+		d := Dist{Kind: DistKind(kind), Mean: mean, Jitter: jitter}
+		if d.Validate() != nil {
+			return
+		}
+		rng := xrand.New(seed).Derive("fuzz")
+		for range 64 {
+			if v := d.Draw(rng); !(v > 0 && v <= math.MaxFloat64) {
+				t.Fatalf("%+v drew %g", d, v)
+			}
+		}
+	})
 }
 
 func TestThroughputPanicsOnBadConfig(t *testing.T) {

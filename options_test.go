@@ -2,6 +2,7 @@ package waitornot
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,23 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"timeout with negative deadline", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: -5} }, "TimeoutMs > 0"},
 		{"k-or-timeout with zero k", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, TimeoutMs: 100} }, "K >= 1"},
 		{"k-or-timeout without deadline", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, K: 2} }, "TimeoutMs > 0"},
+		{"timeout NaN", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: math.NaN()} }, "TimeoutMs > 0"},
+		{"timeout +Inf", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: math.Inf(1)} }, "TimeoutMs > 0"},
+		{"timeout past a time.Duration", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: 1e13} }, "time.Duration"},
+		{"k-or-timeout NaN", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, K: 2, TimeoutMs: math.NaN()} }, "TimeoutMs > 0"},
+		{"poison fraction NaN", func(o *Options) { o.PoisonClient = 1; o.PoisonFraction = math.NaN() }, "poison"},
+		{"learning rate NaN", func(o *Options) { o.LearningRate = math.NaN() }, "learning rate"},
+		{"learning rate negative", func(o *Options) { o.LearningRate = -0.1 }, "learning rate"},
+		{"filter margin NaN", func(o *Options) { o.FilterMaxBelowBest = math.NaN() }, "filter margin"},
+		{"filter margin negative", func(o *Options) { o.FilterMaxBelowBest = -0.1 }, "filter margin"},
+		{"straggler factor NaN", func(o *Options) { o.StragglerFactor = []float64{1, 1, math.NaN()} }, "straggler factor"},
+		{"straggler factor negative", func(o *Options) { o.StragglerFactor = []float64{1, -2, 1} }, "straggler factor"},
+		{"compute mean NaN", func(o *Options) { o.ComputeDist = Dist{Kind: DistLogNormal, Mean: math.NaN()} }, "distribution mean"},
+		{"network jitter NaN", func(o *Options) { o.NetworkDist = Dist{Kind: DistUniform, Mean: 40, Jitter: math.NaN()} }, "distribution jitter"},
+		{"time budget NaN", func(o *Options) { o.TimeBudgetMs = math.NaN() }, "time budget"},
+		{"client fraction NaN", func(o *Options) { o.ClientFraction = math.NaN() }, "client fraction"},
+		{"dirichlet alpha NaN", func(o *Options) { o.DirichletAlpha = math.NaN() }, "Dirichlet alpha"},
+		{"dirichlet alpha negative", func(o *Options) { o.DirichletAlpha = -1 }, "Dirichlet alpha"},
 		{"unknown policy kind", func(o *Options) { o.Policy = Policy{Kind: PolicyKind(99)} }, "policy kind"},
 		{"unknown model", func(o *Options) { o.Model = Model(99) }, "model"},
 		{"client fraction negative", func(o *Options) { o.ClientFraction = -0.5 }, "client fraction"},

@@ -108,9 +108,15 @@ func TestRaceSmokeObserver(t *testing.T) {
 }
 
 func TestRaceSmokeSweeps(t *testing.T) {
-	waitornot.ThroughputVsPeers([]int{2, 4, 8}, 9)
-	waitornot.ThroughputVsBlockGas([]uint64{1_000_000, 10_000_000}, 100_000, 9)
-	waitornot.RoundLatencyByPolicy(6, waitornot.DefaultPolicies(6), 9)
+	if _, err := waitornot.ThroughputVsPeers([]int{2, 4, 8}, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waitornot.ThroughputVsBlockGas([]uint64{1_000_000, 10_000_000}, 100_000, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waitornot.RoundLatencyByPolicy(6, waitornot.DefaultPolicies(6), 9); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRaceSmokeSweep pushes the replication sweep through its

@@ -296,7 +296,7 @@ func (e *Experiment) sweepPlan() (*sweepPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := e.target; t < 0 || t > 1 {
+	if t := e.target; !(t >= 0 && t <= 1) {
 		return nil, fmt.Errorf("waitornot: target accuracy %g outside [0, 1]", t)
 	}
 	sc := e.sc

@@ -54,8 +54,13 @@ type NetworkPoint struct {
 }
 
 // ThroughputVsPeers reproduces the §II-A2 scaling premise: committed
-// transaction throughput as co-located peer count grows.
-func ThroughputVsPeers(peerCounts []int, seed uint64) []NetworkPoint {
+// transaction throughput as co-located peer count (at least 1) grows.
+func ThroughputVsPeers(peerCounts []int, seed uint64) ([]NetworkPoint, error) {
+	for _, n := range peerCounts {
+		if n < 1 {
+			return nil, fmt.Errorf("waitornot: throughput needs at least 1 peer, got %d", n)
+		}
+	}
 	base := simnet.ThroughputConfig{
 		TxExecMs:        2,
 		HostCores:       2,
@@ -75,13 +80,16 @@ func ThroughputVsPeers(peerCounts []int, seed uint64) []NetworkPoint {
 			MeanLatencyMs:   p.MeanLatencyMs,
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ThroughputVsBlockGas reproduces the block-capacity premise (refs
 // [11], [12]): throughput as the block gas limit varies relative to a
-// model-sized transaction.
-func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64) []NetworkPoint {
+// model-sized transaction. A zero txGas is an error.
+func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64) ([]NetworkPoint, error) {
+	if txGas == 0 {
+		return nil, fmt.Errorf("waitornot: throughput needs a transaction gas above 0")
+	}
 	base := simnet.ThroughputConfig{
 		Peers:           3,
 		TxExecMs:        0.5,
@@ -101,7 +109,7 @@ func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64) []NetworkP
 			MeanLatencyMs:   p.MeanLatencyMs,
 		}
 	}
-	return out
+	return out, nil
 }
 
 // RoundLatencyStats is one policy's row of RoundLatencyByPolicy.
@@ -125,11 +133,18 @@ type RoundLatencyStats struct {
 // it visible on a 500 ms block interval (simnet.WalkRound). Each
 // policy's walk is an independent deterministic run of the same seed,
 // so policies are walked concurrently with stats landing in policy
-// order.
-func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64) []RoundLatencyStats {
+// order. Fewer than 1 peer, or a policy Policy.Validate refuses, is an
+// error.
+func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64) ([]RoundLatencyStats, error) {
+	if peers < 1 {
+		return nil, fmt.Errorf("waitornot: round latency needs at least 1 peer, got %d", peers)
+	}
 	const rounds, trainMs, straggler, networkMs, blockMs = 1000, 5000, 3, 50, 500
 	jitter := simnet.Dist{Kind: simnet.DistUniform, Mean: 1, Jitter: 0.3}
-	out, err := par.Map(par.Workers(0), len(policies), func(i int) (RoundLatencyStats, error) {
+	return par.Map(par.Workers(0), len(policies), func(i int) (RoundLatencyStats, error) {
+		if err := policies[i].Validate(); err != nil {
+			return RoundLatencyStats{}, err
+		}
 		policy := policies[i].internal()
 		rng := xrand.New(seed).Derive("rounds")
 		sends := make([]simnet.Send, peers)
@@ -159,10 +174,6 @@ func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64) []RoundLate
 		}
 		return st, nil
 	})
-	if err != nil { // unreachable: the walk never errors
-		panic(err)
-	}
-	return out
 }
 
 // DefaultPolicies returns the policy ladder the trade-off study sweeps:

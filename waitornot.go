@@ -29,6 +29,7 @@ package waitornot
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"time"
 
 	"waitornot/internal/bfl"
@@ -81,8 +82,8 @@ type Policy struct {
 func (p Policy) Name() string { return p.internal().Name() }
 
 // Validate rejects policies the engine cannot honour: FirstK and
-// KOrTimeout need K >= 1, Timeout and KOrTimeout need a positive
-// deadline. The zero Policy is valid (it means WaitAll).
+// KOrTimeout need K >= 1, Timeout and KOrTimeout a positive deadline
+// within a time.Duration. The zero Policy is valid (it means WaitAll).
 func (p Policy) Validate() error {
 	switch p.Kind {
 	case 0, WaitAll:
@@ -92,15 +93,15 @@ func (p Policy) Validate() error {
 			return fmt.Errorf("waitornot: first-k policy needs K >= 1, got %d", p.K)
 		}
 	case Timeout:
-		if p.TimeoutMs <= 0 {
-			return fmt.Errorf("waitornot: timeout policy needs TimeoutMs > 0, got %g", p.TimeoutMs)
+		if !(p.TimeoutMs > 0 && p.TimeoutMs*float64(time.Millisecond) < 1<<63) {
+			return fmt.Errorf("waitornot: timeout policy needs TimeoutMs > 0 within a time.Duration, got %g", p.TimeoutMs)
 		}
 	case KOrTimeout:
 		if p.K < 1 {
 			return fmt.Errorf("waitornot: k-or-timeout policy needs K >= 1, got %d", p.K)
 		}
-		if p.TimeoutMs <= 0 {
-			return fmt.Errorf("waitornot: k-or-timeout policy needs TimeoutMs > 0, got %g", p.TimeoutMs)
+		if !(p.TimeoutMs > 0 && p.TimeoutMs*float64(time.Millisecond) < 1<<63) {
+			return fmt.Errorf("waitornot: k-or-timeout policy needs TimeoutMs > 0 within a time.Duration, got %g", p.TimeoutMs)
 		}
 	default:
 		return fmt.Errorf("waitornot: unknown policy kind %d", int(p.Kind))
@@ -285,8 +286,11 @@ func (o Options) Validate() error {
 	if o.Rounds < 0 {
 		return fmt.Errorf("waitornot: negative round count %d", o.Rounds)
 	}
-	if o.PoisonFraction < 0 || o.PoisonFraction > 1 {
+	if !(o.PoisonFraction >= 0 && o.PoisonFraction <= 1) {
 		return fmt.Errorf("waitornot: poison fraction %g outside [0, 1]", o.PoisonFraction)
+	}
+	if !(o.LearningRate >= 0 && o.LearningRate <= math.MaxFloat64) {
+		return fmt.Errorf("waitornot: learning rate %g is not finite and non-negative", o.LearningRate)
 	}
 	if err := o.Policy.Validate(); err != nil {
 		return err

@@ -2,6 +2,7 @@ package waitornot
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,19 +129,42 @@ func TestRunTradeoffFacade(t *testing.T) {
 }
 
 func TestThroughputSweepsShapes(t *testing.T) {
-	pts := ThroughputVsPeers([]int{4, 8}, 1)
+	pts, err := ThroughputVsPeers([]int{4, 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 || pts[0].CommittedPerSec <= pts[1].CommittedPerSec {
 		t.Fatalf("peer sweep shape wrong: %+v", pts)
 	}
-	gas := ThroughputVsBlockGas([]uint64{1_000_000, 100_000_000}, 100_000, 1)
+	gas, err := ThroughputVsBlockGas([]uint64{1_000_000, 100_000_000}, 100_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(gas) != 2 || gas[0].CommittedPerSec >= gas[1].CommittedPerSec {
 		t.Fatalf("gas sweep shape wrong: %+v", gas)
 	}
 }
 
+// TestNetperfRefusesDegenerateInput: the -netperf functions return an
+// error, never a panic, for inputs the simulations cannot run.
+func TestNetperfRefusesDegenerateInput(t *testing.T) {
+	if _, err := ThroughputVsPeers([]int{4, 0}, 1); err == nil {
+		t.Fatal("ThroughputVsPeers accepted 0 peers")
+	}
+	if _, err := ThroughputVsBlockGas([]uint64{1_000_000}, 0, 1); err == nil {
+		t.Fatal("ThroughputVsBlockGas accepted a zero transaction gas")
+	}
+	if _, err := RoundLatencyByPolicy(0, []Policy{{Kind: WaitAll}}, 1); err == nil {
+		t.Fatal("RoundLatencyByPolicy accepted 0 peers")
+	}
+	if _, err := RoundLatencyByPolicy(4, []Policy{{Kind: Timeout, TimeoutMs: math.NaN()}}, 1); err == nil {
+		t.Fatal("RoundLatencyByPolicy accepted a NaN deadline")
+	}
+}
+
 func TestRoundLatencyByPolicy(t *testing.T) {
-	stats := RoundLatencyByPolicy(8, []Policy{{Kind: WaitAll}, {Kind: FirstK, K: 4}}, 1)
-	if len(stats) != 2 {
+	stats, err := RoundLatencyByPolicy(8, []Policy{{Kind: WaitAll}, {Kind: FirstK, K: 4}}, 1)
+	if err != nil || len(stats) != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if stats[1].MeanWaitMs >= stats[0].MeanWaitMs {
@@ -202,7 +226,10 @@ func TestRoundLatencyByPolicyFrontier(t *testing.T) {
 		{Kind: Timeout, TimeoutMs: 4000},
 		{Kind: KOrTimeout, K: 3, TimeoutMs: 4000},
 	}
-	stats := RoundLatencyByPolicy(4, policies, 1)
+	stats, err := RoundLatencyByPolicy(4, policies, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(stats) != len(policies) {
 		t.Fatalf("got %d stats for %d policies", len(stats), len(policies))
 	}
