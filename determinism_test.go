@@ -168,3 +168,26 @@ func TestRoundLatencyByPolicyGolden(t *testing.T) {
 	}
 	testutil.GoldenFile(t, "testdata/round_latency.golden", []byte(b.String()))
 }
+
+// TestThroughputGolden pins -netperf's two throughput sweeps at full
+// precision, at the CLI's peer counts, block gas limits and 4M-gas
+// transaction, over seeds 1 and 7. Each point is one event simulation
+// on the virtual clock, so a change to its draws, their order or the
+// sealing rule moves a row here.
+func TestThroughputGolden(t *testing.T) {
+	var b strings.Builder
+	for _, seed := range []uint64{1, 7} {
+		peers, err := waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gas, err := waitornot.ThroughputVsBlockGas([]uint64{4_000_000, 8_000_000, 16_000_000, 64_000_000, 256_000_000}, 4_000_000, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range append(peers, gas...) {
+			fmt.Fprintf(&b, "seed %d %v\n", seed, pt)
+		}
+	}
+	testutil.GoldenFile(t, "testdata/throughput.golden", []byte(b.String()))
+}
