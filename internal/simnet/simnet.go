@@ -19,7 +19,6 @@ import (
 	"slices"
 
 	"waitornot/internal/core"
-	"waitornot/internal/par"
 	"waitornot/internal/vclock"
 	"waitornot/internal/xrand"
 )
@@ -55,12 +54,12 @@ type Throughput struct {
 	Blocks          int
 }
 
-// simulateThroughput runs the shared-host model: transactions arrive
+// SimulateThroughput runs the shared-host model: transactions arrive
 // Poisson at the offered rate, every peer must execute every
 // transaction before it counts as validated (CPU share = HostCores /
 // Peers), and a leader seals up to the block's gas capacity from the
 // validated queue at exponential intervals.
-func simulateThroughput(cfg ThroughputConfig) Throughput {
+func SimulateThroughput(cfg ThroughputConfig) Throughput {
 	if cfg.Peers <= 0 || cfg.TxExecMs <= 0 || cfg.BlockIntervalMs <= 0 || cfg.TxGas == 0 {
 		panic(fmt.Sprintf("simnet: bad throughput config %+v", cfg))
 	}
@@ -130,37 +129,6 @@ func simulateThroughput(cfg ThroughputConfig) Throughput {
 	out.CommittedPerSec = float64(committed) / (cfg.DurationMs / 1000)
 	if committed > 0 {
 		out.MeanLatencyMs = latencySum / float64(committed)
-	}
-	return out
-}
-
-// SweepPeers runs simulateThroughput over several peer counts
-// (everything else fixed) — the VFChain-style scaling experiment.
-// Operating points are independent simulations of the same seed, so
-// they run concurrently with results landing in peer-count order.
-func SweepPeers(base ThroughputConfig, peerCounts []int) []Throughput {
-	out, err := par.Map(par.Workers(0), len(peerCounts), func(i int) (Throughput, error) {
-		cfg := base
-		cfg.Peers = peerCounts[i]
-		return simulateThroughput(cfg), nil
-	})
-	if err != nil { // unreachable: the simulation never errors
-		panic(err)
-	}
-	return out
-}
-
-// SweepBlockGas runs simulateThroughput over several block gas limits —
-// the block-capacity experiment (refs [11], [12]). Points run
-// concurrently, landing in limit order (see SweepPeers).
-func SweepBlockGas(base ThroughputConfig, limits []uint64) []Throughput {
-	out, err := par.Map(par.Workers(0), len(limits), func(i int) (Throughput, error) {
-		cfg := base
-		cfg.BlockGasLimit = limits[i]
-		return simulateThroughput(cfg), nil
-	})
-	if err != nil { // unreachable: the simulation never errors
-		panic(err)
 	}
 	return out
 }

@@ -31,7 +31,12 @@ func TestThroughputHalvesWhenPeersDouble(t *testing.T) {
 	// participants roughly halves throughput. In the saturated regime
 	// the pipeline rate is HostCores/(TxExecMs*Peers), so the ratio
 	// should be ~2x.
-	pts := SweepPeers(baseThroughput(), []int{4, 8, 16})
+	var pts []Throughput
+	for _, n := range []int{4, 8, 16} {
+		cfg := baseThroughput()
+		cfg.Peers = n
+		pts = append(pts, SimulateThroughput(cfg))
+	}
 	if pts[0].CommittedPerSec <= pts[1].CommittedPerSec || pts[1].CommittedPerSec <= pts[2].CommittedPerSec {
 		t.Fatalf("throughput not decreasing: %+v", pts)
 	}
@@ -53,7 +58,11 @@ func TestThroughputBoundedByBlockCapacity(t *testing.T) {
 	cfg.Peers = 1
 	cfg.TxExecMs = 0.1 // validation is not the bottleneck
 	// Capacity 10 tx/block at 1 block/s -> ~10 tx/s despite 400 offered.
-	pts := SweepBlockGas(cfg, []uint64{1_000_000, 10_000_000, 100_000_000})
+	var pts []Throughput
+	for _, limit := range []uint64{1_000_000, 10_000_000, 100_000_000} {
+		cfg.BlockGasLimit = limit
+		pts = append(pts, SimulateThroughput(cfg))
+	}
 	if pts[0].CommittedPerSec > 12 {
 		t.Fatalf("tiny blocks commit %v tx/s, expected <= ~10", pts[0].CommittedPerSec)
 	}
@@ -67,8 +76,8 @@ func TestThroughputBoundedByBlockCapacity(t *testing.T) {
 }
 
 func TestThroughputDeterministic(t *testing.T) {
-	a := simulateThroughput(baseThroughput())
-	b := simulateThroughput(baseThroughput())
+	a := SimulateThroughput(baseThroughput())
+	b := SimulateThroughput(baseThroughput())
 	if a != b {
 		t.Fatalf("simulation not deterministic: %+v vs %+v", a, b)
 	}
@@ -287,7 +296,7 @@ func TestThroughputPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	simulateThroughput(ThroughputConfig{})
+	SimulateThroughput(ThroughputConfig{})
 }
 
 func TestRoundsLatencyReasonable(t *testing.T) {

@@ -71,16 +71,10 @@ func ThroughputVsPeers(peerCounts []int, seed uint64) ([]NetworkPoint, error) {
 		DurationMs:      120_000,
 		Seed:            seed,
 	}
-	pts := simnet.SweepPeers(base, peerCounts)
-	out := make([]NetworkPoint, len(pts))
-	for i, p := range pts {
-		out[i] = NetworkPoint{
-			Label:           fmt.Sprintf("%d peers", p.Peers),
-			CommittedPerSec: p.CommittedPerSec,
-			MeanLatencyMs:   p.MeanLatencyMs,
-		}
-	}
-	return out, nil
+	return sweepThroughput(base, len(peerCounts), func(cfg *simnet.ThroughputConfig, i int) string {
+		cfg.Peers = peerCounts[i]
+		return fmt.Sprintf("%d peers", cfg.Peers)
+	})
 }
 
 // ThroughputVsBlockGas reproduces the block-capacity premise (refs
@@ -100,16 +94,22 @@ func ThroughputVsBlockGas(limits []uint64, txGas uint64, seed uint64) ([]Network
 		DurationMs:      120_000,
 		Seed:            seed,
 	}
-	pts := simnet.SweepBlockGas(base, limits)
-	out := make([]NetworkPoint, len(pts))
-	for i, p := range pts {
-		out[i] = NetworkPoint{
-			Label:           fmt.Sprintf("gas %d", limits[i]),
-			CommittedPerSec: p.CommittedPerSec,
-			MeanLatencyMs:   p.MeanLatencyMs,
-		}
-	}
-	return out, nil
+	return sweepThroughput(base, len(limits), func(cfg *simnet.ThroughputConfig, i int) string {
+		cfg.BlockGasLimit = limits[i]
+		return fmt.Sprintf("gas %d", cfg.BlockGasLimit)
+	})
+}
+
+// sweepThroughput simulates n variations of base, point i's set by vary
+// (which returns its label). The points are independent simulations,
+// so they run concurrently, landing in order.
+func sweepThroughput(base simnet.ThroughputConfig, n int, vary func(cfg *simnet.ThroughputConfig, i int) string) ([]NetworkPoint, error) {
+	return par.Map(par.Workers(0), n, func(i int) (NetworkPoint, error) {
+		cfg := base
+		label := vary(&cfg, i)
+		p := simnet.SimulateThroughput(cfg)
+		return NetworkPoint{Label: label, CommittedPerSec: p.CommittedPerSec, MeanLatencyMs: p.MeanLatencyMs}, nil
+	})
 }
 
 // RoundLatencyStats is one policy's row of RoundLatencyByPolicy.
