@@ -320,16 +320,8 @@ type peerState struct {
 	// arrive draws the barriered round's Compute and Network samples
 	// (nil when neither distribution is set).
 	arrive *xrand.RNG
-	// testEvals are the worker evaluators over the peer's test set that
-	// score the Tables II-IV combination grid (set only when
-	// EvalAllCombos); testAvgs pairs them with per-worker scratch
-	// accumulators reused across rounds. One worker is the client's own
-	// model over avg — no extra scratch model at Parallelism 1.
-	testEvals []fl.Evaluator
-	testAvgs  []*fl.Averager
-	// avg is the peer's own scratch accumulator: the one-worker table
-	// path and the asynchronous merge (rows and merges are adopted by
-	// copy or discarded, never retained).
+	// avg is the asynchronous merge's accumulator: p.adopted aliases
+	// its result until the next merge.
 	avg     fl.Averager
 	testAcc fl.Evaluator // scores weights on the peer's test set
 }
@@ -627,7 +619,7 @@ func (e *engine) setup() error {
 		Alloc:   alloc,
 		Proc:    vm,
 		Sealers: sealers,
-		Verify:  w.verifier(),
+		Verify:  w.verify,
 	})
 	if err != nil {
 		return err
@@ -639,21 +631,12 @@ func (e *engine) setup() error {
 	// item writes only its own slot, so the fleet is identical at any
 	// Parallelism.
 	workers := par.Workers(cfg.Parallelism)
-	// Worker-evaluator pools for the per-peer combination searches are
-	// capped by the number of combinations a peer ever enumerates; the
-	// cross-device regime caps the search itself instead
-	// (maxSubsampleCombo) and keeps no pools.
-	comboWorkers := 0
-	if !subsampled {
-		comboWorkers = min(workers, len(fl.PaperCombos(len(active), 0)))
-	}
 	peers := make([]*peerState, len(active))
 	if err := par.ForEach(workers, len(active), func(s int) error {
 		gi := active[s]
 		name := fl.ClientName(gi)
 		// Zero weights, never read: a client's model is read only by
-		// LocalTrain, which both engines run right after Adopt, and by
-		// its evaluators, which SetWeightVector first.
+		// LocalTrain, which both engines run right after Adopt.
 		model := cfg.Model.Build(nil)
 		train, sel, test := w.train[s], w.sel[s], w.test[s]
 		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
@@ -673,25 +656,11 @@ func (e *engine) setup() error {
 		if !cfg.Compute.IsZero() || !cfg.Network.IsZero() {
 			p.arrive = root.Derive("arrive-" + name)
 		}
-		p.testAcc = e.scorer(test, client.TestAccuracy)
-		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(sel, client.SelectionEvaluator()), root.Derive("ties-"+name))
-		switch {
-		case subsampled:
+		p.testAcc = e.scorer(test, w.scratch.Evaluator(test))
+		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(sel, w.scratch.Evaluator(sel)), root.Derive("ties-"+name))
+		p.agg.Workers, p.agg.Scratch = workers, w.scratch
+		if subsampled {
 			p.agg.MaxComboPeers = maxSubsampleCombo
-		case comboWorkers > 1:
-			// Independent scratch models let one peer's combination
-			// search fan out without touching the client's model.
-			p.agg.WorkerEvals = fl.SelectionEvaluators(cfg.Model, sel, comboWorkers)
-			for k, ev := range p.agg.WorkerEvals {
-				p.agg.WorkerEvals[k] = e.scorer(sel, ev)
-			}
-			if cfg.EvalAllCombos {
-				p.testEvals = fl.SelectionEvaluators(cfg.Model, test, comboWorkers)
-				p.testAvgs = fl.NewAveragers(comboWorkers)
-			}
-		case cfg.EvalAllCombos:
-			p.testEvals = []fl.Evaluator{client.TestAccuracy}
-			p.testAvgs = []*fl.Averager{&p.avg}
 		}
 		peers[s] = p
 		return nil
@@ -880,7 +849,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 		// verification (which can exclude a peer's update from
 		// onChain), so every labeled row stays defined each round.
 		if cfg.EvalAllCombos {
-			results, err := fl.EvaluateCombosWith(updates, fl.PaperCombos(len(e.peers), i), p.testEvals, p.testAvgs)
+			results, err := e.w.scratch.EvaluateCombos(updates, fl.PaperCombos(len(e.peers), i), e.w.scratch.Evaluator(p.client.Test), workers)
 			if err != nil {
 				return err
 			}

@@ -79,15 +79,13 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 		// Zero weights, never read: every round Adopts first.
 		clients[i] = fl.NewClient(name, cfg.Model.Build(nil), w.train[i], w.sel[i], w.test[i], cfg.Hyper, root.Derive("train-"+name))
 	}
-	// The consider search scores through per-worker scratch evaluators
-	// and accumulators reused across rounds, so the 2^n-1 combination
-	// aggregations allocate nothing.
+	// The consider search scores on the held-out set through the
+	// world's scratch, so the 2^n-1 combination aggregations allocate
+	// nothing.
 	var combos []fl.Combo
-	var aggEvals []fl.Evaluator
-	var aggAvgs []*fl.Averager
+	var heldOut fl.Evaluator
 	if consider {
-		combos = fl.AllCombos(len(names))
-		aggEvals, aggAvgs = fl.SelectionEvaluators(cfg.Model, w.heldOutSet(), workers), fl.NewAveragers(workers)
+		combos, heldOut = fl.AllCombos(len(names)), w.scratch.Evaluator(w.heldOutSet())
 	}
 	everyone := strings.Join(names, ",")
 
@@ -115,7 +113,7 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 		}
 		label := everyone
 		if consider {
-			results, err := fl.EvaluateCombosWith(updates, combos, aggEvals, aggAvgs)
+			results, err := w.scratch.EvaluateCombos(updates, combos, heldOut, workers)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -131,7 +129,7 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 		chosen = append(chosen, label)
 		accs := make([]float64, len(clients))
 		err = par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
-			accs[i] = clients[i].TestAccuracy(fl.Key{}, global)
+			accs[i] = w.scratch.Evaluator(clients[i].Test)(fl.Key{}, global)
 			return nil
 		})
 		if err != nil {

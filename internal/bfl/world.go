@@ -27,7 +27,8 @@ type World struct {
 	initialKey       fl.Key // names initial once shared; zero: no key is built
 	heldOutOnce      sync.Once
 	heldOut          *dataset.Set
-	memo             *memo // set by Share; nil: every run computes its own
+	memo             *memo       // set by Share; nil: every run computes its own
+	scratch          *fl.Scratch // lent to every scorer of every run and Block
 }
 
 // ResolveWorld is the World a run of c reads: its own, or the one it
@@ -54,7 +55,7 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	root, data := xrand.New(cfg.Seed), dataset.DefaultConfig()
-	w, subsampled := &World{cfg: cfg}, cfg.ClientFraction > 0
+	w, subsampled := &World{cfg: cfg, scratch: fl.NewScratch(cfg.Model)}, cfg.ClientFraction > 0
 	if subsampled {
 		k := subsampleK(cfg.ClientFraction, cfg.Peers)
 		w.active, w.participants = cohort(drawParticipants(root, cfg.Peers, k, cfg.Rounds))
@@ -166,11 +167,12 @@ func (m *memo) do(round int, k memoKey, weights []float32, fill func(*memoEntry)
 }
 
 // Block is the view of slots [lo, hi) of an unsubsampled world — their
-// fleet indices and data sets — sharing its initial weights. A run handed
-// one builds only those peers, each keyed, named and seeded by fleet index.
+// fleet indices and data sets — sharing its initial weights and
+// scratch. A run handed one builds only those peers, each keyed, named
+// and seeded by fleet index.
 func (w *World) Block(lo, hi int) *World {
 	return &World{cfg: w.cfg, active: w.active[lo:hi], train: w.train[lo:hi],
-		sel: w.sel[lo:hi], test: w.test[lo:hi], initial: w.initial}
+		sel: w.sel[lo:hi], test: w.test[lo:hi], initial: w.initial, scratch: w.scratch}
 }
 
 // Initial is the world's initial weight vector, shared: callers must
@@ -187,18 +189,12 @@ func (w *World) heldOutSet() *dataset.Set {
 	return w.heldOut
 }
 
-// verifier is one run's model verification over the held-out set, with
-// its own evaluator (the scratch model is not shareable); both are
-// built on first use, since only pbft verifies (in Commit).
-func (w *World) verifier() func([]float32) float64 {
-	var eval fl.Evaluator
-	return func(weights []float32) float64 {
-		if len(weights) != len(w.initial) {
-			return math.NaN()
-		}
-		if eval == nil {
-			eval = fl.NewAccuracyEvaluator(w.cfg.Model, w.heldOutSet())
-		}
-		return eval(fl.Key{}, weights)
+// verify is pbft's model verification: accuracy on the held-out set
+// (NaN for a vector of another length), the set drawn on first use,
+// since only pbft verifies (in Commit).
+func (w *World) verify(weights []float32) float64 {
+	if len(weights) != len(w.initial) {
+		return math.NaN()
 	}
+	return w.scratch.Evaluator(w.heldOutSet())(fl.Key{}, weights)
 }

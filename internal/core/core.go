@@ -183,12 +183,13 @@ type Aggregator struct {
 	// under its key: an update's in the filter, the combination's
 	// (fl.MergeKey) in the search and for the chosen model.
 	Eval fl.Evaluator
-	// WorkerEvals, when set, evaluates candidate combinations
-	// concurrently — one independent evaluator (own scratch model)
-	// per worker. Each evaluator must be pure given a weight vector
-	// and agree with Eval, so decisions are bit-identical to the
-	// sequential search. Nil or length 1 keeps the sequential path.
-	WorkerEvals []fl.Evaluator
+	// Workers, above 1, fans the combination search out on that many
+	// goroutines, and Eval must then be safe for concurrent use. Eval
+	// is pure given a weight vector, so decisions are bit-identical at
+	// any value; 0 and 1 are the sequential search.
+	Workers int
+	// Scratch lends the search its averagers; nil: Decide builds one.
+	Scratch *fl.Scratch
 	// MaxComboPeers, when > 0, caps the personalized combination
 	// search: if more than this many updates survive the filter, the
 	// aggregator skips enumeration (quadratic in the kept count) and
@@ -197,11 +198,6 @@ type Aggregator struct {
 	// round, the paper's per-pair table search is neither meaningful
 	// nor tractable. 0 (the default) always runs the full search.
 	MaxComboPeers int
-
-	// avgs are the per-worker scratch accumulators the combination
-	// search aggregates through, reused across rounds (lazily sized to
-	// the evaluator pool).
-	avgs []*fl.Averager
 
 	rng *xrand.RNG
 }
@@ -272,12 +268,8 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 	}
 
 	combos := fl.PaperCombos(len(kept), selfIdx)
-	evals := a.WorkerEvals
-	if len(evals) == 0 {
-		evals = []fl.Evaluator{a.Eval}
-	}
-	if len(a.avgs) < len(evals) {
-		a.avgs = fl.NewAveragers(len(evals))
+	if a.Scratch == nil {
+		a.Scratch = new(fl.Scratch)
 	}
 	// An armed filter has scored combos[0] = {self} already: FedAvg of
 	// one update is +0 + 1·w, which differs from w only in the sign of
@@ -288,7 +280,7 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 		results = []fl.ComboResult{{Combo: combos[0], Accuracy: fres.Scores[a.Self]}}
 		combos = combos[1:]
 	}
-	rest, err := fl.EvaluateCombosWith(kept, combos, evals, a.avgs)
+	rest, err := a.Scratch.EvaluateCombos(kept, combos, a.Eval, max(a.Workers, 1))
 	if err != nil {
 		return nil, fmt.Errorf("core: %s round %d: %w", a.Self, round, err)
 	}

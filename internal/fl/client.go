@@ -122,16 +122,6 @@ func (c *Client) LocalTrain(round int) *Update {
 	}
 }
 
-// TestAccuracy, an Evaluator, reports the model's accuracy on the
-// client's test set after loading weights (the client's own model is
-// used as scratch space and left holding weights).
-func (c *Client) TestAccuracy(_ Key, weights []float32) float64 {
-	if err := c.Model.SetWeightVector(weights); err != nil {
-		panic(err)
-	}
-	return nn.Evaluate(c.Model, c.Test.X, c.Test.Y, 64)
-}
-
 // SelectionEvaluator returns an Evaluator over the client's selection
 // set, reusing the client's model as scratch space.
 func (c *Client) SelectionEvaluator() Evaluator {

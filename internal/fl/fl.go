@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"waitornot/internal/dataset"
 	"waitornot/internal/nn"
@@ -110,7 +111,7 @@ func StalenessWeights(updates []*Update, agesMs []float64, halfLifeMs float64) [
 // call on the same Averager, and callers that retain a result (e.g. to
 // adopt it as a model) must copy it or use the allocating package
 // functions. The zero value is ready to use. Not safe for concurrent
-// use — pools hold one Averager per worker.
+// use — a Scratch lends one per combination.
 type Averager struct {
 	scratch []float32
 	coef    []float64
@@ -163,19 +164,6 @@ func (a *Averager) WeightedFedAvg(updates []*Update, coef []float64) ([]float32,
 		tensor.Axpy(float32(coef[i]/total), u.Weights, a.scratch)
 	}
 	return a.scratch, nil
-}
-
-// NewAveragers builds n independent scratch accumulators — one per
-// worker of an EvaluateCombosWith pool. n < 1 is treated as 1.
-func NewAveragers(n int) []*Averager {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]*Averager, n)
-	for i := range out {
-		out[i] = &Averager{}
-	}
-	return out
 }
 
 // Combo is a set of client indices whose updates are aggregated together.
@@ -270,23 +258,61 @@ func (c Combo) Pick(updates []*Update) []*Update {
 // (zero: unnamed); only a memoizing evaluator reads it.
 type Evaluator func(key Key, weights []float32) float64
 
-// NewAccuracyEvaluator returns an Evaluator that loads weights into a
-// scratch model instance and reports accuracy on the given set. The
-// scratch model is reused across calls; the evaluator is not safe for
-// concurrent use.
-func NewAccuracyEvaluator(id nn.ModelID, s *dataset.Set) Evaluator {
-	// Zero weights, never read: every call overwrites them first.
-	scratch := id.Build(nil)
+// Scratch lends the models and averagers that scoring weights takes,
+// for one architecture: a mutex-guarded free list, shared by every
+// scorer of a world. It builds a model or an averager only when all of
+// them are lent out, so n concurrent callers build at most n. A score
+// is a pure function of the weights and the set, so which scratch a
+// call borrows moves no bit. The zero Scratch lends averagers only.
+type Scratch struct {
+	id     nn.ModelID
+	models freeList[*nn.Model]
+	avgs   freeList[*Averager]
+}
+
+// NewScratch is an empty Scratch for architecture id.
+func NewScratch(id nn.ModelID) *Scratch { return &Scratch{id: id} }
+
+// Evaluator is accuracy on s, each call loading the weights into a
+// borrowed model. It is safe for concurrent use.
+func (sc *Scratch) Evaluator(s *dataset.Set) Evaluator {
 	return func(_ Key, weights []float32) float64 {
-		if err := scratch.SetWeightVector(weights); err != nil {
+		// Zero weights, never read: every call overwrites them first.
+		m := sc.models.take(func() *nn.Model { return sc.id.Build(nil) })
+		defer sc.models.give(m)
+		if err := m.SetWeightVector(weights); err != nil {
 			panic(err)
 		}
-		return nn.Evaluate(scratch, s.X, s.Y, 64)
+		return nn.Evaluate(m, s.X, s.Y, 64)
 	}
 }
 
+// freeList lends values, building one only when none is free.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+func (l *freeList[T]) take(build func() T) T {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		v := l.free[n-1]
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return v
+	}
+	l.mu.Unlock()
+	return build()
+}
+
+func (l *freeList[T]) give(v T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
+}
+
 // ComboResult records one evaluated combination. The combination
-// searches score combos through per-worker scratch accumulators and
+// searches score combos through borrowed scratch accumulators and
 // leave Weights nil — only a chosen combination's weights are
 // materialized (recomputed with the allocating FedAvg, which is
 // bit-identical: same inputs, same accumulation order).
@@ -297,59 +323,24 @@ type ComboResult struct {
 	Accuracy float64
 }
 
-// EvaluateCombosWith aggregates each combo with FedAvg and scores it,
-// returning results in the combos' order, with one evaluator per
-// worker: combos are scored concurrently on len(evals) workers, each
-// worker reusing its own evaluator's scratch model. Results land in a
-// pre-sized slice indexed by combo position, and each evaluation is a
-// pure function of the weight vector, so the output is bit-identical
-// to the one-evaluator run regardless of scheduling. A single evaluator
-// degenerates to the exact sequential loop.
-//
-// avgs, when non-nil, must hold at least len(evals) accumulators; each
-// worker then aggregates into its own reused scratch instead of
-// allocating one weight vector per combo (the round-loop hot path).
-// Nil avgs allocates a private pool for the call. Either way the
-// returned results carry accuracies only (Weights nil).
-func EvaluateCombosWith(updates []*Update, combos []Combo, evals []Evaluator, avgs []*Averager) ([]ComboResult, error) {
-	if len(evals) == 0 {
-		return nil, fmt.Errorf("fl: EvaluateCombosWith needs at least one evaluator")
-	}
-	if avgs == nil {
-		avgs = NewAveragers(len(evals))
-	}
-	if len(avgs) < len(evals) {
-		return nil, fmt.Errorf("fl: %d averagers for %d evaluator workers", len(avgs), len(evals))
-	}
-	out := make([]ComboResult, len(combos))
-	err := par.ForEachWorker(len(evals), len(combos), func(worker, i int) error {
+// EvaluateCombos aggregates each combo with FedAvg, in an averager
+// borrowed per combination, and scores it with eval on up to workers
+// goroutines (eval must then be safe for concurrent use). Results land
+// in the combos' order and carry accuracies only (Weights nil). Each
+// score is a pure function of the combination's weights, so the
+// results are bit-identical at any worker count.
+func (sc *Scratch) EvaluateCombos(updates []*Update, combos []Combo, eval Evaluator, workers int) ([]ComboResult, error) {
+	return par.Map(workers, len(combos), func(i int) (ComboResult, error) {
 		c := combos[i]
 		picked := c.Pick(updates)
-		w, err := avgs[worker].FedAvg(picked)
+		a := sc.avgs.take(func() *Averager { return new(Averager) })
+		defer sc.avgs.give(a)
+		w, err := a.FedAvg(picked)
 		if err != nil {
-			return fmt.Errorf("fl: combo %v: %w", c, err)
+			return ComboResult{}, fmt.Errorf("fl: combo %v: %w", c, err)
 		}
-		out[i] = ComboResult{Combo: c, Accuracy: evals[worker](MergeKey(picked, nil), w)}
-		return nil
+		return ComboResult{Combo: c, Accuracy: eval(MergeKey(picked, nil), w)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SelectionEvaluators builds n independent accuracy evaluators over the
-// same selection set, one scratch model each — the worker pool
-// EvaluateCombosWith expects. n < 1 is treated as 1.
-func SelectionEvaluators(id nn.ModelID, s *dataset.Set, n int) []Evaluator {
-	if n < 1 {
-		n = 1
-	}
-	evals := make([]Evaluator, n)
-	for i := range evals {
-		evals[i] = NewAccuracyEvaluator(id, s)
-	}
-	return evals
 }
 
 // BestCombo returns the highest-accuracy result; ties go to the earliest

@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -195,7 +196,7 @@ func TestEvaluateCombosAndBest(t *testing.T) {
 	// Score = the aggregated scalar itself: best combo is {C} alone... but
 	// BestCombo must consider all given combos.
 	eval := func(_ Key, w []float32) float64 { return float64(w[0]) }
-	results, err := EvaluateCombosWith(ups, AllCombos(3), []Evaluator{eval}, nil)
+	results, err := new(Scratch).EvaluateCombos(ups, AllCombos(3), eval, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +280,6 @@ func TestClientLocalTrainProducesUpdate(t *testing.T) {
 	if acc := c.SelectionEvaluator()(Key{}, u.Weights); acc < 0 || acc > 1 {
 		t.Fatalf("selection accuracy %v", acc)
 	}
-	if acc := c.TestAccuracy(Key{}, u.Weights); acc < 0 || acc > 1 {
-		t.Fatalf("test accuracy %v", acc)
-	}
 }
 
 func TestPretrainChangesWeights(t *testing.T) {
@@ -314,21 +312,21 @@ func TestPretrainChangesWeights(t *testing.T) {
 func TestNewAccuracyEvaluatorBounds(t *testing.T) {
 	root := xrand.New(11)
 	s := dataset.Generate(dataset.DefaultConfig(), 40, root)
-	eval := NewAccuracyEvaluator(nn.ModelSimpleNN, s)
+	eval := NewScratch(nn.ModelSimpleNN).Evaluator(s)
 	w := nn.NewSimpleNN(root.Derive("m")).WeightVector()
 	if acc := eval(Key{}, w); acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %v", acc)
 	}
 }
 
-// TestNewAccuracyEvaluatorScratchUnread: the evaluator's nil-built
-// scratch model scores every weight vector exactly as a scratch model
-// built from a seeded RNG does, because each call overwrites it.
+// TestNewAccuracyEvaluatorScratchUnread: a Scratch's nil-built models
+// score every weight vector exactly as a model built from a seeded RNG
+// does, because each call overwrites the one it borrows.
 func TestNewAccuracyEvaluatorScratchUnread(t *testing.T) {
 	root := xrand.New(12)
 	s := dataset.Generate(dataset.DefaultConfig(), 64, root)
 	for _, id := range []nn.ModelID{nn.ModelSimpleNN, nn.ModelEffNetSim} {
-		eval := NewAccuracyEvaluator(id, s)
+		eval := NewScratch(id).Evaluator(s)
 		seeded := id.Build(xrand.New(0))
 		for _, label := range []string{"a", "b"} {
 			w := id.Build(root.Derive(label)).WeightVector()
@@ -344,7 +342,7 @@ func TestNewAccuracyEvaluatorScratchUnread(t *testing.T) {
 
 // TestEvaluateCombosWithMatchesSequential: the concurrent combination
 // search must produce results identical to the sequential one, in the
-// same order, for any worker count.
+// same order, for any worker count, through one Scratch.
 func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 	ups := []*Update{
 		upd("A", 1, 1, 0), upd("B", 2, 0, 1),
@@ -352,16 +350,13 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 	}
 	combos := AllCombos(4)
 	eval := func(_ Key, w []float32) float64 { return float64(w[0])*10 + float64(w[1]) }
-	seq, err := EvaluateCombosWith(ups, combos, []Evaluator{eval}, nil)
+	sc := new(Scratch)
+	seq, err := sc.EvaluateCombos(ups, combos, eval, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		evals := make([]Evaluator, workers)
-		for i := range evals {
-			evals[i] = eval
-		}
-		got, err := EvaluateCombosWith(ups, combos, evals, NewAveragers(workers))
+		got, err := sc.EvaluateCombos(ups, combos, eval, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,38 +364,66 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: parallel combo results differ from sequential", workers)
 		}
 	}
+	if n := len(sc.avgs.free); n > 16 {
+		t.Fatalf("%d averagers built for at most 16 concurrent combinations", n)
+	}
 }
 
 func TestEvaluateCombosWithErrors(t *testing.T) {
 	ups := []*Update{upd("A", 1, 1, 0), upd("B", 0, 0, 1)} // B invalid
 	eval := func(_ Key, w []float32) float64 { return 0 }
-	if _, err := EvaluateCombosWith(ups, AllCombos(2), nil, nil); err == nil {
-		t.Fatal("zero evaluators accepted")
-	}
-	evals := []Evaluator{eval, eval}
-	if _, err := EvaluateCombosWith(ups, AllCombos(2), evals, nil); err == nil {
-		t.Fatal("invalid update not surfaced by parallel search")
+	for _, workers := range []int{1, 2} {
+		if _, err := new(Scratch).EvaluateCombos(ups, AllCombos(2), eval, workers); err == nil {
+			t.Fatalf("workers=%d: invalid update not surfaced by the search", workers)
+		}
 	}
 }
 
-// TestSelectionEvaluatorsIndependent: every evaluator in the pool owns
-// its own scratch model, agrees with its siblings, and is pure.
-func TestSelectionEvaluatorsIndependent(t *testing.T) {
-	cfg := dataset.DefaultConfig()
-	set := dataset.Generate(cfg, 40, xrand.New(2))
-	evals := SelectionEvaluators(nn.ModelSimpleNN, set, 3)
-	if len(evals) != 3 {
-		t.Fatalf("got %d evaluators", len(evals))
+// TestScratchLendsAtMostN: n goroutines scoring through one Scratch at
+// once build at most n models, every score equals a sequential pass's
+// over a fresh Scratch, and the sequential pass builds one.
+func TestScratchLendsAtMostN(t *testing.T) {
+	root := xrand.New(2)
+	sets := []*dataset.Set{
+		dataset.Generate(dataset.DefaultConfig(), 40, root.Derive("a")),
+		dataset.Generate(dataset.DefaultConfig(), 40, root.Derive("b")),
 	}
-	w := nn.ModelSimpleNN.Build(xrand.New(5)).WeightVector()
-	want := evals[0](Key{}, w)
-	for i, e := range evals {
-		if got := e(Key{}, w); got != want {
-			t.Fatalf("evaluator %d disagrees: %v vs %v", i, got, want)
+	var weights [][]float32
+	for _, label := range []string{"w0", "w1", "w2"} {
+		weights = append(weights, nn.ModelSimpleNN.Build(root.Derive(label)).WeightVector())
+	}
+	seqScratch := NewScratch(nn.ModelSimpleNN)
+	want := make([][]float64, len(sets))
+	for s, set := range sets {
+		for _, w := range weights {
+			want[s] = append(want[s], seqScratch.Evaluator(set)(Key{}, w))
 		}
 	}
-	if got := SelectionEvaluators(nn.ModelSimpleNN, set, 0); len(got) != 1 {
-		t.Fatalf("n<1 must clamp to one evaluator, got %d", len(got))
+	if n := len(seqScratch.models.free); n != 1 {
+		t.Fatalf("a sequential pass built %d models, want 1", n)
+	}
+	const n = 4
+	sc := NewScratch(nn.ModelSimpleNN)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for s, set := range sets {
+					eval := sc.Evaluator(set)
+					for k, w := range weights {
+						if got := eval(Key{}, w); got != want[s][k] {
+							t.Errorf("goroutine %d set %d weights %d: scored %v, sequential pass %v", g, s, k, got, want[s][k])
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if built := len(sc.models.free); built < 1 || built > n {
+		t.Fatalf("%d goroutines built %d models", n, built)
 	}
 }
 

@@ -22,9 +22,10 @@
 //
 // Callers remain responsible for making fn(i) independent of fn(j):
 // the idiom across this repository is to pre-seed each item with its
-// own xrand stream (derived by label, not by draw order) and give each
-// worker its own scratch model, so running items concurrently is
-// bit-identical to running them one by one.
+// own xrand stream (derived by label, not by draw order) and have each
+// item borrow its scratch (a model, an accumulator) from a free list
+// (fl.Scratch), so running items concurrently is bit-identical to
+// running them one by one.
 package par
 
 import (
@@ -73,7 +74,7 @@ func Workers(n int) int {
 // still run (their effects are discarded by the caller along with the
 // error); only the reported error matches the sequential run.
 func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachWorker(workers, n, func(_, i int) error { return fn(i) })
+	return ForEachCtx(context.Background(), workers, n, fn)
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: workers check
@@ -85,22 +86,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // cancellation the caller must treat any partially filled output as
 // garbage, exactly as it would on an item error.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return forEachWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the worker's identity passed to fn:
-// worker is a stable id in [0, min(workers, n)). It exists so callers
-// can give each worker private scratch state (a scratch model, a
-// reusable buffer) allocated once per worker instead of once per item.
-// fn must not let the worker id influence item i's result — only which
-// scratch arena computes it.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return forEachWorkerCtx(context.Background(), workers, n, fn)
-}
-
-// forEachWorkerCtx is ForEachWorker with the cooperative-cancellation
-// semantics of ForEachCtx.
-func forEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -127,7 +112,7 @@ func forEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				// Claim a contiguous batch of indices per atomic op so
@@ -143,10 +128,10 @@ func forEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 					end = n
 				}
 				for i := start; i < end && ctx.Err() == nil; i++ {
-					runItem(worker, i, fn, errs, panics)
+					runItem(i, fn, errs, panics)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -181,7 +166,7 @@ func chunkSize(n, workers int) int {
 // runSequential executes one item on the caller's goroutine, wrapping
 // a panic in *Panic so sequential and parallel runs raise the same
 // type (the stack is the caller's own here, so it is left nil).
-func runSequential(i int, fn func(worker, i int) error) error {
+func runSequential(i int, fn func(i int) error) error {
 	defer func() {
 		if r := recover(); r != nil {
 			if p, ok := r.(*Panic); ok {
@@ -190,18 +175,18 @@ func runSequential(i int, fn func(worker, i int) error) error {
 			panic(&Panic{Index: i, Value: r, Stack: debug.Stack()})
 		}
 	}()
-	return fn(0, i)
+	return fn(i)
 }
 
 // runItem executes one work item, capturing a panic into its slot so
 // the pool can keep draining and the caller sees the lowest index.
-func runItem(worker, i int, fn func(worker, i int) error, errs []error, panics []*Panic) {
+func runItem(i int, fn func(i int) error, errs []error, panics []*Panic) {
 	defer func() {
 		if r := recover(); r != nil {
 			panics[i] = &Panic{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	errs[i] = fn(worker, i)
+	errs[i] = fn(i)
 }
 
 // Map runs fn(i) for every i in [0, n) on at most workers goroutines

@@ -127,24 +127,6 @@ func TestForEachPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerIDsAreBounded(t *testing.T) {
-	workers, n := 4, 100
-	var maxSeen atomic.Int64
-	if err := ForEachWorker(workers, n, func(worker, i int) error {
-		if worker < 0 || worker >= workers {
-			return fmt.Errorf("worker id %d out of range", worker)
-		}
-		for {
-			cur := maxSeen.Load()
-			if int64(worker) <= cur || maxSeen.CompareAndSwap(cur, int64(worker)) {
-				return nil
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMapIndexAddressed(t *testing.T) {
 	for _, workers := range []int{1, 2, 16} {
 		out, err := Map(workers, 40, func(i int) (int, error) { return i * i, nil })

@@ -361,7 +361,7 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 	o.rounds = defaulted.Rounds
 	evalSet := dataset.GenerateSets(defaulted.Parallelism, dataset.DefaultConfig(),
 		[]dataset.Draw{{N: defaulted.TestPerPeer, RNG: root.Derive("shard-global-eval")}})[0]
-	o.eval = fl.NewAccuracyEvaluator(defaulted.Model, evalSet)
+	o.eval = fl.NewScratch(defaulted.Model).Evaluator(evalSet)
 	o.res.InitialAccuracy = o.eval(fl.Key{}, o.initial)
 
 	// Staleness half-life for async merges: the fleet-mean merge-epoch
