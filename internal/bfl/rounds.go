@@ -37,8 +37,6 @@ type RoundSummary struct {
 	MaxWaitMs float64
 	// MeanIncluded is the mean number of updates admitted per peer.
 	MeanIncluded float64
-	// MeanAccuracy is the mean adopted-model test accuracy across peers.
-	MeanAccuracy float64
 }
 
 // NewRoundEngine assembles the experiment (data shards, peers, keys,
@@ -103,10 +101,8 @@ func (r *RoundEngine) RunRoundAt(ctx context.Context, round int, subTsMs, decTsM
 			sum.MaxWaitMs = st.WaitMs
 		}
 		sum.MeanIncluded += float64(st.Included)
-		sum.MeanAccuracy += st.ChosenAccuracy
 	}
 	sum.MeanIncluded /= float64(len(slots))
-	sum.MeanAccuracy /= float64(len(slots))
 	return sum, nil
 }
 
