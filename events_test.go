@@ -7,6 +7,7 @@ package waitornot_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -205,5 +206,49 @@ func TestTradeoffCancellation(t *testing.T) {
 		waitornot.WithObserver(obs)).Run(ctx)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("res=%v err=%v, want nil + context.Canceled", res, err)
+	}
+}
+
+// TestCancelAtEveryStageBoundary cancels from the observer at the first
+// event of each type a 3-round decentralized or sharded run emits, at
+// Parallelism 1 and 4: every stage boundary must end the run with
+// context.Canceled and no report.
+func TestCancelAtEveryStageBoundary(t *testing.T) {
+	sharded := shardedOpts()
+	sharded.Rounds = 3
+	decentralized := eventOpts()
+	decentralized.Rounds = 3
+	for _, tc := range []struct {
+		kind   waitornot.Kind
+		opts   waitornot.Options
+		events []string
+	}{
+		{waitornot.KindDecentralized, decentralized, []string{"round-start", "peer-trained", "model-submitted", "block-committed", "aggregation-decided", "round-end"}},
+		{waitornot.KindSharded, sharded, []string{"shard-round-end", "shard-model-committed", "global-merge"}},
+	} {
+		for _, name := range tc.events {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%v/%s/parallel-%d", tc.kind, name, workers), func(t *testing.T) {
+					opts := tc.opts
+					opts.Parallelism = workers
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					fired := false
+					obs := waitornot.ObserverFunc(func(ev waitornot.Event) {
+						if ev.EventName() == name {
+							fired = true
+							cancel()
+						}
+					})
+					res, err := waitornot.New(opts, waitornot.WithKind(tc.kind), waitornot.WithObserver(obs)).Run(ctx)
+					if !fired {
+						t.Fatalf("the run emitted no %s event", name)
+					}
+					if !errors.Is(err, context.Canceled) || res != nil {
+						t.Fatalf("res=%v err=%v, want nil + context.Canceled", res, err)
+					}
+				})
+			}
+		}
 	}
 }
