@@ -94,7 +94,8 @@ func WriteChain(w io.Writer, blocks []*Block) error {
 
 // ReadChain deserializes blocks written by WriteChain. Anything else —
 // a stream without the magic, an unknown version, a truncated or
-// oversized field — is rejected with an ErrCorruptChain-wrapped error.
+// oversized field, bytes after the last block — is rejected with an
+// ErrCorruptChain-wrapped error.
 func ReadChain(r io.Reader) ([]*Block, error) {
 	d := &chainDecoder{r: bufio.NewReader(r)}
 	var head [len(chainMagic) + 1]byte
@@ -159,6 +160,11 @@ func ReadChain(r io.Reader) ([]*Block, error) {
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("chain: decode: %w", d.err)
+	}
+	if _, err := d.r.ReadByte(); err == nil {
+		return nil, fmt.Errorf("%w: bytes after block %d", ErrCorruptChain, count)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptChain, err)
 	}
 	return blocks, nil
 }

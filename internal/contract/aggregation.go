@@ -124,8 +124,8 @@ func decodeDecision(b []byte) (*Decision, error) {
 	b = b[keys.AddressLen:]
 	clen := binary.LittleEndian.Uint64(b)
 	b = b[8:]
-	if clen > uint64(len(b)-32-8) { // not clen+40: it wraps near 2^64
-		return nil, fmt.Errorf("%w: decision combo truncated", ErrBadCallData)
+	if clen != uint64(len(b)-32-8) { // not clen+40: it wraps near 2^64
+		return nil, fmt.Errorf("%w: decision combo length %d, want %d", ErrBadCallData, clen, len(b)-32-8)
 	}
 	d.Combo = string(b[:clen])
 	b = b[clen:]
