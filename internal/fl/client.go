@@ -123,7 +123,8 @@ func (c *Client) LocalTrain(round int) *Update {
 }
 
 // SelectionEvaluator returns an Evaluator over the client's selection
-// set, reusing the client's model as scratch space.
+// set, reusing the client's model as scratch space: not safe for
+// concurrent use, and no run calls it (runs score through a Scratch).
 func (c *Client) SelectionEvaluator() Evaluator {
 	return func(_ Key, weights []float32) float64 {
 		if err := c.Model.SetWeightVector(weights); err != nil {

@@ -110,7 +110,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	chunk := chunkSize(n, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
