@@ -14,7 +14,7 @@ import (
 
 // heteroConfig is tinyConfig on poa with lognormal compute: the
 // barriered schedule with drawn arrivals.
-func heteroConfig(seed uint64, policy core.WaitPolicy, parallelism int) Config {
+func heteroConfig(seed uint64, policy core.Policy, parallelism int) Config {
 	cfg := tinyConfig()
 	cfg.EvalAllCombos = false
 	cfg.Seed, cfg.Policy, cfg.Parallelism = seed, policy, parallelism
@@ -42,7 +42,7 @@ func meanWait(res *Result) float64 {
 // run is identical at Parallelism 1 and 8: the draws are taken on the
 // coordinator, in slot order, from per-peer streams.
 func TestBarrieredHeterogeneity(t *testing.T) {
-	for _, policy := range []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 2}} {
+	for _, policy := range []core.Policy{core.Policy{}, core.Policy{K: 2}} {
 		var wait stats.Welford
 		for seed := uint64(1); seed <= 3; seed++ {
 			seq, err := Run(context.Background(), heteroConfig(seed, policy, 1))
@@ -70,7 +70,7 @@ func TestBarrieredHeterogeneity(t *testing.T) {
 // includes at least as many updates as first-2 or a timeout, and waits
 // at least as long, for every peer in every round.
 func TestMoreWaitingNeverIncludesFewer(t *testing.T) {
-	policies := []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 2}, core.Timeout{D: 50 * time.Millisecond}}
+	policies := []core.Policy{core.Policy{}, core.Policy{K: 2}, core.Policy{Deadline: 50 * time.Millisecond}}
 	cut := make([]int, len(policies)) // rounds a policy included fewer than wait-all
 	for seed := uint64(1); seed <= 3; seed++ {
 		runs := make([]*Result, len(policies))
@@ -122,7 +122,7 @@ func TestPeerTrainedReportsTheDraw(t *testing.T) {
 		}
 		return out
 	}
-	fixed := heteroConfig(1, nil, 0)
+	fixed := heteroConfig(1, core.Policy{}, 0)
 	fixed.Compute = simnet.Dist{}
 	e, err := newEngine(fixed)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestPeerTrainedReportsTheDraw(t *testing.T) {
 		}
 	}
 	seen := map[float64]bool{}
-	drawn := trained(heteroConfig(1, nil, 0))
+	drawn := trained(heteroConfig(1, core.Policy{}, 0))
 	for _, pt := range drawn {
 		seen[pt.SimMs] = true
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"waitornot/internal/chain"
-	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
 	"waitornot/internal/par"
@@ -290,8 +289,8 @@ func (a *asyncEngine) trainDone(p *asyncPeer, dur float64) error {
 	if a.probe(p) {
 		return a.fire(p, false)
 	}
-	if d, ok := a.cfg.Policy.(core.Deadliner); ok {
-		at := p.openMs + float64(d.Deadline())/float64(time.Millisecond)
+	if d := a.cfg.Policy.Deadline; d > 0 {
+		at := p.openMs + float64(d)/float64(time.Millisecond)
 		if at > a.clock.Now() {
 			a.clock.Schedule(at, p.idx, func() error {
 				if p.waiting && p.round == round && a.probe(p) {

@@ -25,7 +25,7 @@ func tinyAsyncConfig() Config {
 		TrainPerPeer:    60,
 		SelectionSize:   30,
 		TestPerPeer:     30,
-		Policy:          core.FirstK{K: 2},
+		Policy:          core.Policy{K: 2},
 		StragglerFactor: []float64{1, 1, 3},
 		CommitLatency:   true,
 	}
@@ -179,7 +179,7 @@ func TestRunAsyncTimeoutDeadline(t *testing.T) {
 	cfg := tinyAsyncConfig()
 	cfg.CommitLatency = false
 	cfg.StragglerFactor = []float64{1, 1, 400}
-	cfg.Policy = core.Timeout{D: 90 * 1e6} // 90ms
+	cfg.Policy = core.Policy{Deadline: 90 * 1e6} // 90ms
 	cfg.Rounds = 1
 	res, err := RunAsync(context.Background(), cfg)
 	if err != nil {

@@ -125,7 +125,7 @@ func TestRunDecentralizedFirstKWaitsLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Policy = core.FirstK{K: 2}
+	cfg.Policy = core.Policy{K: 2}
 	firstK, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestApplyPolicySelfAlwaysIncluded(t *testing.T) {
 	ups := []*fl.Update{mk("A"), mk("B"), mk("C")}
 	arrivals := map[string]float64{"A": 100, "B": 10, "C": 20}
 	// A's own training finishes last; even FirstK{1} must wait for A.
-	included, waitMs := walkObserver(core.FirstK{K: 1}, "A", 100, ups, arrivals)
+	included, waitMs := walkObserver(core.Policy{K: 1}, "A", 100, ups, arrivals)
 	names := make(map[string]bool)
 	for _, u := range included {
 		names[u.Client] = true
@@ -229,7 +229,7 @@ func TestApplyPolicyFirstKOrder(t *testing.T) {
 	}
 	ups := []*fl.Update{mk("A"), mk("B"), mk("C")}
 	arrivals := map[string]float64{"B": 50, "C": 500}
-	included, waitMs := walkObserver(core.FirstK{K: 2}, "A", 10, ups, arrivals)
+	included, waitMs := walkObserver(core.Policy{K: 2}, "A", 10, ups, arrivals)
 	if len(included) != 2 {
 		t.Fatalf("included %d", len(included))
 	}

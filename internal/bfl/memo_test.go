@@ -25,7 +25,7 @@ func ladderConfigs(seed uint64) []Config {
 	h.LR, h.LocalEpochs = 0.03, 2
 	var out []Config
 	for _, b := range []string{"pow", "poa", "pbft", "instant"} {
-		for _, p := range []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 2}, core.FirstK{K: 1}} {
+		for _, p := range []core.Policy{core.Policy{}, core.Policy{K: 2}, core.Policy{K: 1}} {
 			out = append(out, Config{Peers: 3, Rounds: 2, Seed: seed, TrainPerPeer: 100, SelectionSize: 120,
 				TestPerPeer: 100, Hyper: h, Policy: p, Backend: b, CommitLatency: true,
 				StragglerFactor: []float64{1, 1, 3}, Parallelism: 1})

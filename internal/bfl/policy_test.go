@@ -17,7 +17,7 @@ func mkUpdate(name string) *fl.Update {
 // in client-name order as the chain reads them back, self's update in
 // hand at selfTrainMs, each remote one readable at remote[name] (no
 // commit interval), walked by simnet.WalkRound.
-func walkObserver(policy core.WaitPolicy, self string, selfTrainMs float64, ups []*fl.Update, remote map[string]float64) ([]*fl.Update, float64) {
+func walkObserver(policy core.Policy, self string, selfTrainMs float64, ups []*fl.Update, remote map[string]float64) ([]*fl.Update, float64) {
 	sends := make([]simnet.Send, len(ups))
 	for i, u := range ups {
 		sends[i] = simnet.Send{TrainedMs: selfTrainMs, SentMs: remote[u.Client], Own: u.Client == self}
@@ -36,7 +36,7 @@ func walkObserver(policy core.WaitPolicy, self string, selfTrainMs float64, ups 
 func TestApplyPolicyTiedArrivals(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B"), mkUpdate("C")}
 	arrivals := map[string]float64{"B": 100, "C": 100} // exact tie
-	included, waitMs := walkObserver(core.FirstK{K: 2}, "A", 10, ups, arrivals)
+	included, waitMs := walkObserver(core.Policy{K: 2}, "A", 10, ups, arrivals)
 	if len(included) != 2 {
 		t.Fatalf("included %d updates", len(included))
 	}
@@ -48,7 +48,7 @@ func TestApplyPolicyTiedArrivals(t *testing.T) {
 	}
 	// The mirror tie: swap which remote sorts first and the winner flips.
 	arrivals = map[string]float64{"B": 200, "C": 100}
-	included, _ = walkObserver(core.FirstK{K: 2}, "A", 10, ups, arrivals)
+	included, _ = walkObserver(core.Policy{K: 2}, "A", 10, ups, arrivals)
 	if included[1].Client != "C" {
 		t.Fatalf("expected C to win the earlier slot, got %s", included[1].Client)
 	}
@@ -60,7 +60,7 @@ func TestApplyPolicyTiedArrivals(t *testing.T) {
 func TestApplyPolicySelfTiedWithRemote(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B")}
 	arrivals := map[string]float64{"B": 50}
-	included, waitMs := walkObserver(core.FirstK{K: 1}, "A", 50, ups, arrivals)
+	included, waitMs := walkObserver(core.Policy{K: 1}, "A", 50, ups, arrivals)
 	hasSelf := false
 	for _, u := range included {
 		if u.Client == "A" {
@@ -83,7 +83,7 @@ func TestApplyPolicySelfTiedWithRemote(t *testing.T) {
 func TestApplyPolicyTimeoutBeforeRemotes(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B"), mkUpdate("C")}
 	arrivals := map[string]float64{"B": 500, "C": 900}
-	policy := core.Timeout{D: 50 * time.Millisecond}
+	policy := core.Policy{Deadline: 50 * time.Millisecond}
 	// Self completes at 100ms, already past the 50ms deadline: the
 	// round closes immediately with just the peer's own model.
 	included, waitMs := walkObserver(policy, "A", 100, ups, arrivals)
@@ -104,7 +104,7 @@ func TestApplyPolicyTimeoutBeforeRemotes(t *testing.T) {
 func TestApplyPolicyTimeoutBeyondLastArrival(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B")}
 	arrivals := map[string]float64{"B": 80}
-	policy := core.Timeout{D: time.Hour}
+	policy := core.Policy{Deadline: time.Hour}
 	included, waitMs := walkObserver(policy, "A", 10, ups, arrivals)
 	if len(included) != 2 {
 		t.Fatalf("included %d; want all", len(included))
@@ -120,7 +120,7 @@ func TestApplyPolicyTimeoutBeyondLastArrival(t *testing.T) {
 func TestApplyPolicySelfArrivesLastStillKept(t *testing.T) {
 	ups := []*fl.Update{mkUpdate("A"), mkUpdate("B"), mkUpdate("C")}
 	arrivals := map[string]float64{"B": 5, "C": 6}
-	included, waitMs := walkObserver(core.FirstK{K: 2}, "A", 300, ups, arrivals)
+	included, waitMs := walkObserver(core.Policy{K: 2}, "A", 300, ups, arrivals)
 	hasSelf := false
 	for _, u := range included {
 		if u.Client == "A" {

@@ -110,10 +110,7 @@ func (r *RoundEngine) RunRoundAt(ctx context.Context, round int, subTsMs, decTsM
 // round on — the adaptive shard controller's lever. (Policies gate
 // which arrivals a round admits before aggregation; the aggregation
 // itself is policy-free, so mid-run swaps are safe.)
-func (r *RoundEngine) SetPolicy(p core.WaitPolicy) {
-	if p == nil {
-		p = core.WaitAll{}
-	}
+func (r *RoundEngine) SetPolicy(p core.Policy) {
 	r.e.cfg.Policy = p
 }
 

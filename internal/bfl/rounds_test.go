@@ -86,7 +86,7 @@ func TestRoundEngineLevers(t *testing.T) {
 	if err := re.RegisterAt(step); err != nil {
 		t.Fatal(err)
 	}
-	re.SetPolicy(core.FirstK{K: 1})
+	re.SetPolicy(core.Policy{K: 1})
 	sum, err := re.RunRoundAt(context.Background(), 1, 2*step, 3*step)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRoundEngineLevers(t *testing.T) {
 		}
 	}
 
-	re.SetPolicy(nil) // reset lever: nil means wait-all
+	re.SetPolicy(core.Policy{}) // reset lever: the zero policy waits for all
 	if _, err := re.RunRoundAt(context.Background(), 2, 4*step, 5*step); err != nil {
 		t.Fatal(err)
 	}

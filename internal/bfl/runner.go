@@ -62,8 +62,8 @@ type Config struct {
 	// Hyper / Pretrain override training configuration.
 	Hyper    fl.Hyper
 	Pretrain fl.PretrainSpec
-	// Policy is each peer's wait policy (default: core.WaitAll).
-	Policy core.WaitPolicy
+	// Policy is each peer's wait policy (the zero value waits for all).
+	Policy core.Policy
 	// Filter screens abnormal models before aggregation.
 	Filter core.Filter
 	// Backend names the consensus substrate rounds commit through
@@ -167,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Pretrain == (fl.PretrainSpec{}) && c.Model == nn.ModelEffNetSim {
 		c.Pretrain = fl.DefaultPretrain()
-	}
-	if c.Policy == nil {
-		c.Policy = core.WaitAll{}
 	}
 	if c.PoisonPeer == 0 && c.PoisonFrac == 0 {
 		c.PoisonPeer = -1

@@ -92,7 +92,7 @@ func TestWorldSharedAcrossEngines(t *testing.T) {
 	}
 	var arms []arm
 	for _, backend := range []string{"pow", "poa", "pbft", "instant"} {
-		for _, policy := range []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 2}} {
+		for _, policy := range []core.Policy{core.Policy{}, core.Policy{K: 2}} {
 			cfg := base
 			cfg.Backend, cfg.Policy = backend, policy
 			arms = append(arms, arm{cfg: cfg})
@@ -100,7 +100,7 @@ func TestWorldSharedAcrossEngines(t *testing.T) {
 	}
 	for _, backend := range []string{"pow", "instant"} {
 		cfg := base
-		cfg.Backend, cfg.Policy = backend, core.FirstK{K: 2}
+		cfg.Backend, cfg.Policy = backend, core.Policy{K: 2}
 		arms = append(arms, arm{cfg: cfg, kind: "async"})
 	}
 	arms = append(arms, arm{cfg: arms[0].cfg, kind: "vanilla"})

@@ -4,7 +4,7 @@
 //
 // Every peer is simultaneously trainer and aggregator. Each round a peer
 // receives other peers' model updates (via the blockchain), decides how
-// long to wait (the WaitPolicy — the paper's title question), filters
+// long to wait (the Policy — the paper's title question), filters
 // abnormal models against a local selection set (the paper's "pre-set
 // threshold"), enumerates candidate model combinations, and adopts the
 // combination that scores best locally. The engine is deliberately pure:
@@ -22,76 +22,45 @@ import (
 	"waitornot/internal/xrand"
 )
 
-// WaitPolicy answers the paper's question — wait, or not? — for one
-// aggregation round. Implementations must be pure functions of their
-// arguments so decisions are reproducible.
-type WaitPolicy interface {
-	// Name labels the policy in results ("wait-all", "first-2", ...).
-	Name() string
-	// Ready reports whether aggregation should proceed now, given how
-	// many of the expected updates have been received (the peer's own
-	// update included) and how long the round has been open.
-	Ready(received, expected int, elapsed time.Duration) bool
-}
-
-// WaitAll is the synchronous baseline: wait for every participant
-// (the paper's "not to wait" alternative is any policy below).
-type WaitAll struct{}
-
-// Name implements WaitPolicy.
-func (WaitAll) Name() string { return "wait-all" }
-
-// Ready implements WaitPolicy.
-func (WaitAll) Ready(received, expected int, _ time.Duration) bool {
-	return received >= expected
-}
-
-// FirstK aggregates as soon as K updates (including the peer's own) have
-// arrived — the paper's asynchronous aggregation with a configurable
-// level of participation.
-type FirstK struct{ K int }
-
-// Name implements WaitPolicy.
-func (p FirstK) Name() string { return fmt.Sprintf("first-%d", p.K) }
-
-// Ready implements WaitPolicy.
-func (p FirstK) Ready(received, expected int, _ time.Duration) bool {
-	k := p.K
-	if k > expected {
-		k = expected
-	}
-	return received >= k
-}
-
-// Timeout aggregates with whatever has arrived once D has elapsed, or
-// immediately when everyone has reported.
-type Timeout struct{ D time.Duration }
-
-// Name implements WaitPolicy.
-func (p Timeout) Name() string { return fmt.Sprintf("timeout-%s", p.D) }
-
-// Ready implements WaitPolicy.
-func (p Timeout) Ready(received, expected int, elapsed time.Duration) bool {
-	if received >= expected {
-		return true
-	}
-	return received >= 1 && elapsed >= p.D
-}
-
-// KOrTimeout proceeds at K updates or after D, whichever comes first
-// (always waiting for at least the peer's own update).
-type KOrTimeout struct {
+// Policy answers the paper's question — wait, or not? — for one
+// aggregation round as a block rule's two numbers: a count of updates
+// and a timer. The zero Policy waits for every participant.
+type Policy struct {
+	// K fires at min(K, expected) updates, the peer's own included —
+	// the paper's asynchronous aggregation; 0 means every participant.
 	K int
-	D time.Duration
+	// Deadline fires with whatever has arrived, at least the peer's own
+	// update, once the round has been open this long; 0 means none.
+	Deadline time.Duration
 }
 
-// Name implements WaitPolicy.
-func (p KOrTimeout) Name() string { return fmt.Sprintf("first-%d-or-%s", p.K, p.D) }
+// WaitAll is the synchronous baseline: the zero Policy.
+type WaitAll = Policy
 
-// Ready implements WaitPolicy.
-func (p KOrTimeout) Ready(received, expected int, elapsed time.Duration) bool {
-	return (FirstK{p.K}).Ready(received, expected, elapsed) ||
-		(Timeout{p.D}).Ready(received, expected, elapsed)
+// Name labels the policy in results: "wait-all", "first-K",
+// "timeout-D" or "first-K-or-D".
+func (p Policy) Name() string {
+	switch {
+	case p.Deadline == 0 && p.K == 0:
+		return "wait-all"
+	case p.Deadline == 0:
+		return fmt.Sprintf("first-%d", p.K)
+	case p.K == 0:
+		return fmt.Sprintf("timeout-%s", p.Deadline)
+	}
+	return fmt.Sprintf("first-%d-or-%s", p.K, p.Deadline)
+}
+
+// Ready reports whether aggregation should proceed now, given how many
+// of the expected updates have been received (the peer's own update
+// included) and how long the round has been open. It is a pure
+// function of its arguments, so decisions are reproducible.
+func (p Policy) Ready(received, expected int, elapsed time.Duration) bool {
+	k := expected
+	if p.K > 0 && p.K < expected {
+		k = p.K
+	}
+	return received >= k || p.Deadline > 0 && received >= 1 && elapsed >= p.Deadline
 }
 
 // Filter rejects abnormal shared models before aggregation, using each
@@ -175,8 +144,6 @@ type Decision struct {
 type Aggregator struct {
 	// Self is this peer's client name.
 	Self string
-	// Policy decides when to stop waiting.
-	Policy WaitPolicy
 	// Filter screens abnormal models; zero value keeps everything.
 	Filter Filter
 	// Eval scores weight vectors on the peer's selection set, each
@@ -204,12 +171,10 @@ type Aggregator struct {
 
 // NewAggregator builds an engine. rng drives tie-breaking between
 // equally scoring combinations (the paper: "the device selects one of
-// them randomly").
-func NewAggregator(self string, policy WaitPolicy, filter Filter, eval fl.Evaluator, rng *xrand.RNG) *Aggregator {
-	if policy == nil {
-		policy = WaitAll{}
-	}
-	return &Aggregator{Self: self, Policy: policy, Filter: filter, Eval: eval, rng: rng}
+// them randomly"). The policy argument is unread: the caller fires the
+// wait policy before Decide, which aggregates whatever it is handed.
+func NewAggregator(self string, _ Policy, filter Filter, eval fl.Evaluator, rng *xrand.RNG) *Aggregator {
+	return &Aggregator{Self: self, Filter: filter, Eval: eval, rng: rng}
 }
 
 // Decide filters the available updates, enumerates the paper's model

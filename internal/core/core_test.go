@@ -13,25 +13,25 @@ import (
 func TestWaitPolicies(t *testing.T) {
 	cases := []struct {
 		name     string
-		policy   WaitPolicy
+		policy   Policy
 		received int
 		expected int
 		elapsed  time.Duration
 		want     bool
 	}{
-		{"wait-all not done", WaitAll{}, 2, 3, time.Hour, false},
-		{"wait-all done", WaitAll{}, 3, 3, 0, true},
-		{"wait-all overshoot", WaitAll{}, 4, 3, 0, true},
-		{"first-2 one", FirstK{K: 2}, 1, 3, time.Hour, false},
-		{"first-2 two", FirstK{K: 2}, 2, 3, 0, true},
-		{"first-k clamps to expected", FirstK{K: 9}, 3, 3, 0, true},
-		{"timeout waits", Timeout{D: time.Second}, 1, 3, 500 * time.Millisecond, false},
-		{"timeout fires", Timeout{D: time.Second}, 1, 3, time.Second, true},
-		{"timeout needs one update", Timeout{D: time.Second}, 0, 3, time.Hour, false},
-		{"timeout all arrived", Timeout{D: time.Hour}, 3, 3, 0, true},
-		{"k-or-timeout by k", KOrTimeout{K: 2, D: time.Hour}, 2, 3, 0, true},
-		{"k-or-timeout by time", KOrTimeout{K: 3, D: time.Second}, 1, 3, 2 * time.Second, true},
-		{"k-or-timeout neither", KOrTimeout{K: 3, D: time.Hour}, 1, 3, time.Second, false},
+		{"wait-all not done", Policy{}, 2, 3, time.Hour, false},
+		{"wait-all done", Policy{}, 3, 3, 0, true},
+		{"wait-all overshoot", Policy{}, 4, 3, 0, true},
+		{"first-2 one", Policy{K: 2}, 1, 3, time.Hour, false},
+		{"first-2 two", Policy{K: 2}, 2, 3, 0, true},
+		{"first-k clamps to expected", Policy{K: 9}, 3, 3, 0, true},
+		{"timeout waits", Policy{Deadline: time.Second}, 1, 3, 500 * time.Millisecond, false},
+		{"timeout fires", Policy{Deadline: time.Second}, 1, 3, time.Second, true},
+		{"timeout needs one update", Policy{Deadline: time.Second}, 0, 3, time.Hour, false},
+		{"timeout all arrived", Policy{Deadline: time.Hour}, 3, 3, 0, true},
+		{"k-or-timeout by k", Policy{K: 2, Deadline: time.Hour}, 2, 3, 0, true},
+		{"k-or-timeout by time", Policy{K: 3, Deadline: time.Second}, 1, 3, 2 * time.Second, true},
+		{"k-or-timeout neither", Policy{K: 3, Deadline: time.Hour}, 1, 3, time.Second, false},
 	}
 	for _, tc := range cases {
 		if got := tc.policy.Ready(tc.received, tc.expected, tc.elapsed); got != tc.want {
@@ -41,9 +41,14 @@ func TestWaitPolicies(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []WaitPolicy{WaitAll{}, FirstK{K: 2}, Timeout{D: time.Second}, KOrTimeout{K: 2, D: time.Second}} {
-		if p.Name() == "" {
-			t.Errorf("%T has empty name", p)
+	for p, want := range map[Policy]string{
+		{}:                      "wait-all",
+		{K: 2}:                  "first-2",
+		{Deadline: time.Second}: "timeout-1s",
+		{K: 2, Deadline: 1500 * time.Millisecond}: "first-2-or-1.5s",
+	} {
+		if got := p.Name(); got != want {
+			t.Errorf("%+v.Name() = %q, want %q", p, got, want)
 		}
 	}
 }
@@ -128,7 +133,7 @@ func TestDecideEvaluatorCalls(t *testing.T) {
 	for _, tc := range cases {
 		calls := 0
 		eval := func(k fl.Key, w []float32) float64 { calls++; return scoreByFirstWeight(k, w) }
-		agg := NewAggregator("A", WaitAll{}, tc.filter, eval, xrand.New(1))
+		agg := NewAggregator("A", Policy{}, tc.filter, eval, xrand.New(1))
 		agg.MaxComboPeers = 8
 		d, err := agg.Decide(1, tc.updates, 0, len(tc.updates))
 		if err != nil {
@@ -158,7 +163,7 @@ func TestAggregatorDecidePicksBestCombo(t *testing.T) {
 	// combo overall is {C} from A's PaperCombos? A's combos: {A}, {A,B},
 	// {A,C}, {B,C}, {A,B,C}. Averages: 0.1, 0.3, 0.5, 0.7, 0.5. Best is
 	// {B,C} = 0.7.
-	agg := NewAggregator("A", WaitAll{}, Filter{}, scoreByFirstWeight, xrand.New(1))
+	agg := NewAggregator("A", Policy{}, Filter{}, scoreByFirstWeight, xrand.New(1))
 	ups := []*fl.Update{upd("A", 0.1), upd("B", 0.5), upd("C", 0.9)}
 	d, err := agg.Decide(1, ups, time.Second, 3)
 	if err != nil {
@@ -177,7 +182,7 @@ func TestAggregatorDecidePicksBestCombo(t *testing.T) {
 
 func TestAggregatorDecideDeterministicOrder(t *testing.T) {
 	// Arrival order must not affect the decision.
-	agg := NewAggregator("B", WaitAll{}, Filter{}, scoreByFirstWeight, xrand.New(1))
+	agg := NewAggregator("B", Policy{}, Filter{}, scoreByFirstWeight, xrand.New(1))
 	ups1 := []*fl.Update{upd("A", 0.2), upd("B", 0.4), upd("C", 0.6)}
 	ups2 := []*fl.Update{upd("C", 0.6), upd("A", 0.2), upd("B", 0.4)}
 	d1, err := agg.Decide(1, ups1, 0, 3)
@@ -197,7 +202,7 @@ func TestAggregatorDecideDeterministicOrder(t *testing.T) {
 }
 
 func TestAggregatorFiltersAbnormal(t *testing.T) {
-	agg := NewAggregator("A", WaitAll{}, Filter{MaxBelowBest: 0.25}, scoreByFirstWeight, xrand.New(1))
+	agg := NewAggregator("A", Policy{}, Filter{MaxBelowBest: 0.25}, scoreByFirstWeight, xrand.New(1))
 	ups := []*fl.Update{upd("A", 0.5), upd("B", 0.05), upd("C", 0.6)}
 	d, err := agg.Decide(1, ups, 0, 3)
 	if err != nil {
@@ -213,7 +218,7 @@ func TestAggregatorFiltersAbnormal(t *testing.T) {
 }
 
 func TestAggregatorErrsWithoutOwnUpdate(t *testing.T) {
-	agg := NewAggregator("Z", WaitAll{}, Filter{}, scoreByFirstWeight, xrand.New(1))
+	agg := NewAggregator("Z", Policy{}, Filter{}, scoreByFirstWeight, xrand.New(1))
 	if _, err := agg.Decide(1, []*fl.Update{upd("A", 0.5)}, 0, 3); err == nil {
 		t.Fatal("expected error when self update missing")
 	}
@@ -226,7 +231,7 @@ func TestAggregatorTieBreakIsSeeded(t *testing.T) {
 	// All updates identical -> every combo scores the same -> the rng
 	// decides; the same seed must give the same choice.
 	pick := func(seed uint64) string {
-		agg := NewAggregator("A", WaitAll{}, Filter{}, scoreByFirstWeight, xrand.New(seed))
+		agg := NewAggregator("A", Policy{}, Filter{}, scoreByFirstWeight, xrand.New(seed))
 		ups := []*fl.Update{upd("A", 0.5), upd("B", 0.5), upd("C", 0.5)}
 		d, err := agg.Decide(1, ups, 0, 3)
 		if err != nil {

@@ -102,7 +102,7 @@ type Config struct {
 	// controller over Policies.
 	Adaptive bool
 	// Policies is the controller's arm ladder (required when Adaptive).
-	Policies []core.WaitPolicy
+	Policies []core.Policy
 	// Events receives ShardRoundEnd / ShardModelCommitted / GlobalMerge
 	// in virtual-clock order (ties broken by shard index).
 	Events event.Sink
@@ -276,7 +276,7 @@ type orchestrator struct {
 	initial []float32
 	rounds  int // per-shard round budget (Base.Rounds, defaulted)
 
-	ladder   []core.WaitPolicy
+	ladder   []core.Policy
 	bandits  []*bandit
 	halfLife float64
 

@@ -383,7 +383,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 		base := tinyBase()
 		base.Parallelism = parallelism
 		res, err := Run(context.Background(), Config{Base: base, Shards: 2, Mode: mode,
-			Adaptive: mode == MergeAsync, Policies: []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 1}}})
+			Adaptive: mode == MergeAsync, Policies: []core.Policy{core.Policy{}, core.Policy{K: 1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestAdaptivePoliciesRecorded(t *testing.T) {
 	base.Rounds = 4
 	res, err := Run(context.Background(), Config{
 		Base: base, Shards: 2, MergeEvery: 1, Adaptive: true,
-		Policies: []core.WaitPolicy{core.WaitAll{}, core.FirstK{K: 1}},
+		Policies: []core.Policy{core.Policy{}, core.Policy{K: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"waitornot/internal/core"
 	"waitornot/internal/vclock"
@@ -146,31 +147,50 @@ type Send struct {
 }
 
 // WalkRound is the one arrival walk of a barriered round, shared by the
-// experiment runner and the round-latency table. It places each update
-// where the observer can first read it — its own at TrainedMs, a remote
-// one at CommitVisibilityMs(SentMs, intervalMs), where an interval of 0
-// (latency not modeled, or an instant backend) makes it readable when
-// sent — sorts them by (time, index) and fires policy over them with
-// core.FirePolicy. It returns the indices of the included updates in
-// arrival order, and the firing time.
-func WalkRound(policy core.WaitPolicy, sends []Send, intervalMs float64) ([]int, float64) {
-	arrivals := make([]core.Arrival, len(sends))
+// experiment runner and the round-latency table, and the one firing
+// rule. It places each update where the observer can first read it —
+// its own at TrainedMs, a remote one at CommitVisibilityMs(SentMs,
+// intervalMs), where an interval of 0 (latency not modeled, or an
+// instant backend) makes it readable when sent — sorts them by (time,
+// index), and probes policy at each arrival once the observer's own
+// update is in hand: a peer always aggregates its own model. It
+// returns the indices of the included updates in arrival order, and
+// the firing time.
+//
+// A policy with a Deadline fires at the deadline, not at the first
+// arrival past it — the asynchronous engine's deadline event, so "when
+// a timeout fires" has one definition: with the own update in hand,
+// the policy is probed at the deadline before any later arrival is
+// handed to it. An arrival at exactly the deadline is in hand; a peer
+// whose own update lands after the deadline fires at that landing.
+//
+// If the policy never fires (only a set without the observer's own
+// update can do that), everything is included at the last arrival.
+func WalkRound(policy core.Policy, sends []Send, intervalMs float64) ([]int, float64) {
+	at := make([]float64, len(sends))
+	order := make([]int, len(sends))
 	for i, s := range sends {
-		at := s.TrainedMs
+		at[i], order[i] = s.TrainedMs, i
 		if !s.Own {
-			at = CommitVisibilityMs(s.SentMs, intervalMs)
+			at[i] = CommitVisibilityMs(s.SentMs, intervalMs)
 		}
-		arrivals[i] = core.Arrival{AtMs: at, Index: i, Self: s.Own}
 	}
-	slices.SortFunc(arrivals, func(a, b core.Arrival) int {
-		return cmp.Or(cmp.Compare(a.AtMs, b.AtMs), cmp.Compare(a.Index, b.Index))
-	})
-	n, firedAt := core.FirePolicy(policy, arrivals, len(sends))
-	included := make([]int, n)
-	for i, a := range arrivals[:n] {
-		included[i] = a.Index
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(at[a], at[b]), cmp.Compare(a, b)) })
+	deadlineMs := math.Inf(1)
+	if policy.Deadline > 0 {
+		deadlineMs = float64(policy.Deadline) / float64(time.Millisecond)
 	}
-	return included, firedAt
+	haveSelf := false
+	for n, i := range order {
+		if haveSelf && at[i] > deadlineMs && policy.Ready(n, len(sends), policy.Deadline) {
+			return order[:n], deadlineMs
+		}
+		haveSelf = haveSelf || sends[i].Own
+		if haveSelf && policy.Ready(n+1, len(sends), time.Duration(at[i]*float64(time.Millisecond))) {
+			return order[:n+1], at[i]
+		}
+	}
+	return order, at[order[len(order)-1]]
 }
 
 // CommitVisibilityMs quantizes an update's visibility to the ledger's

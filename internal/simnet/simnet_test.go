@@ -106,7 +106,7 @@ type roundStats struct {
 }
 
 // simulateRounds walks cfg.Rounds independent rounds through WalkRound.
-func simulateRounds(cfg roundConfig, policy core.WaitPolicy) roundStats {
+func simulateRounds(cfg roundConfig, policy core.Policy) roundStats {
 	rng := xrand.New(cfg.Seed).Derive("rounds")
 	jitter := Dist{Kind: DistUniform, Mean: 1, Jitter: cfg.TrainJitter}
 	sends := make([]Send, cfg.Peers)
@@ -149,8 +149,8 @@ func baseRound() roundConfig {
 
 func TestFirstKWaitsLessThanWaitAll(t *testing.T) {
 	cfg := baseRound()
-	all := simulateRounds(cfg, core.WaitAll{})
-	half := simulateRounds(cfg, core.FirstK{K: 4})
+	all := simulateRounds(cfg, core.Policy{})
+	half := simulateRounds(cfg, core.Policy{K: 4})
 	if half.MeanWaitMs >= all.MeanWaitMs {
 		t.Fatalf("first-4 wait %v >= wait-all %v", half.MeanWaitMs, all.MeanWaitMs)
 	}
@@ -176,12 +176,12 @@ func TestTimeoutPolicyCapsWait(t *testing.T) {
 	late := 0
 	for seed := uint64(1); seed <= 300; seed++ {
 		cfg.Seed = seed
-		wait := simulateRounds(cfg, core.Timeout{D: deadline}).MeanWaitMs
-		own := simulateRounds(cfg, core.FirstK{K: 1}).MeanWaitMs
+		wait := simulateRounds(cfg, core.Policy{Deadline: deadline}).MeanWaitMs
+		own := simulateRounds(cfg, core.Policy{K: 1}).MeanWaitMs
 		if limit := max(float64(deadline.Milliseconds()), own); wait > limit {
 			t.Fatalf("seed %d: timeout waited %v, past max(deadline, own completion) = %v", seed, wait, limit)
 		}
-		if all := simulateRounds(cfg, core.WaitAll{}).MeanWaitMs; wait > all {
+		if all := simulateRounds(cfg, core.Policy{}).MeanWaitMs; wait > all {
 			t.Fatalf("seed %d: timeout wait %v above wait-all %v", seed, wait, all)
 		}
 		if own > float64(deadline.Milliseconds()) {
@@ -201,16 +201,16 @@ func TestAgeGrowsWithBlockInterval(t *testing.T) {
 	fast.BlockIntervalMs = 100
 	slow := cfg
 	slow.BlockIntervalMs = 5000
-	ageFast := simulateRounds(fast, core.WaitAll{}).MeanAgeMs
-	ageSlow := simulateRounds(slow, core.WaitAll{}).MeanAgeMs
+	ageFast := simulateRounds(fast, core.Policy{}).MeanAgeMs
+	ageSlow := simulateRounds(slow, core.Policy{}).MeanAgeMs
 	if ageSlow <= ageFast {
 		t.Fatalf("age of block must grow with interval: %v vs %v", ageFast, ageSlow)
 	}
 }
 
 func TestSimulateRoundsDeterministic(t *testing.T) {
-	a := simulateRounds(baseRound(), core.FirstK{K: 3})
-	b := simulateRounds(baseRound(), core.FirstK{K: 3})
+	a := simulateRounds(baseRound(), core.Policy{K: 3})
+	b := simulateRounds(baseRound(), core.Policy{K: 3})
 	if a != b {
 		t.Fatalf("rounds not deterministic: %+v vs %+v", a, b)
 	}
@@ -301,7 +301,7 @@ func TestThroughputPanicsOnBadConfig(t *testing.T) {
 
 func TestRoundsLatencyReasonable(t *testing.T) {
 	cfg := baseRound()
-	stats := simulateRounds(cfg, core.WaitAll{})
+	stats := simulateRounds(cfg, core.Policy{})
 	// Wait must be at least the straggler's mean training time and
 	// finite.
 	if stats.MeanWaitMs < cfg.MeanTrainMs || math.IsNaN(stats.MeanWaitMs) {

@@ -28,6 +28,7 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"k-or-timeout without deadline", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, K: 2} }, "TimeoutMs > 0"},
 		{"timeout NaN", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: math.NaN()} }, "TimeoutMs > 0"},
 		{"timeout +Inf", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: math.Inf(1)} }, "TimeoutMs > 0"},
+		{"timeout under a nanosecond", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: 1e-7} }, "1ns"},
 		{"timeout past a time.Duration", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: 1e13} }, "time.Duration"},
 		{"k-or-timeout NaN", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, K: 2, TimeoutMs: math.NaN()} }, "TimeoutMs > 0"},
 		{"poison fraction NaN", func(o *Options) { o.PoisonClient = 1; o.PoisonFraction = math.NaN() }, "poison"},

@@ -78,7 +78,7 @@ func (o Options) sharded(policies []Policy) shard.Config {
 		if len(policies) == 0 {
 			policies = DefaultPolicies(o.clients() / o.shards())
 		}
-		cfg.Policies = make([]core.WaitPolicy, len(policies))
+		cfg.Policies = make([]core.Policy, len(policies))
 		for i, p := range policies {
 			cfg.Policies[i] = p.internal()
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/par"
 	"waitornot/internal/simnet"
@@ -185,5 +184,3 @@ func DefaultPolicies(peers int) []Policy {
 	}
 	return ps
 }
-
-var _ core.WaitPolicy = core.WaitAll{} // compile-time: facade stays in sync with engine

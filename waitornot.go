@@ -82,8 +82,9 @@ type Policy struct {
 func (p Policy) Name() string { return p.internal().Name() }
 
 // Validate rejects policies the engine cannot honour: FirstK and
-// KOrTimeout need K >= 1, Timeout and KOrTimeout a positive deadline
-// within a time.Duration. The zero Policy is valid (it means WaitAll).
+// KOrTimeout need K >= 1, Timeout and KOrTimeout a deadline of at
+// least 1ns within a time.Duration. The zero Policy is valid (it
+// means WaitAll).
 func (p Policy) Validate() error {
 	switch p.Kind {
 	case 0, WaitAll:
@@ -93,15 +94,15 @@ func (p Policy) Validate() error {
 			return fmt.Errorf("waitornot: first-k policy needs K >= 1, got %d", p.K)
 		}
 	case Timeout:
-		if !(p.TimeoutMs > 0 && p.TimeoutMs*float64(time.Millisecond) < 1<<63) {
-			return fmt.Errorf("waitornot: timeout policy needs TimeoutMs > 0 within a time.Duration, got %g", p.TimeoutMs)
+		if !deadlineOK(p.TimeoutMs) {
+			return fmt.Errorf("waitornot: timeout policy needs TimeoutMs > 0 of at least 1ns within a time.Duration, got %g", p.TimeoutMs)
 		}
 	case KOrTimeout:
 		if p.K < 1 {
 			return fmt.Errorf("waitornot: k-or-timeout policy needs K >= 1, got %d", p.K)
 		}
-		if !(p.TimeoutMs > 0 && p.TimeoutMs*float64(time.Millisecond) < 1<<63) {
-			return fmt.Errorf("waitornot: k-or-timeout policy needs TimeoutMs > 0 within a time.Duration, got %g", p.TimeoutMs)
+		if !deadlineOK(p.TimeoutMs) {
+			return fmt.Errorf("waitornot: k-or-timeout policy needs TimeoutMs > 0 of at least 1ns within a time.Duration, got %g", p.TimeoutMs)
 		}
 	default:
 		return fmt.Errorf("waitornot: unknown policy kind %d", int(p.Kind))
@@ -109,17 +110,24 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-func (p Policy) internal() core.WaitPolicy {
-	switch p.Kind {
-	case FirstK:
-		return core.FirstK{K: p.K}
-	case Timeout:
-		return core.Timeout{D: time.Duration(p.TimeoutMs * float64(time.Millisecond))}
-	case KOrTimeout:
-		return core.KOrTimeout{K: p.K, D: time.Duration(p.TimeoutMs * float64(time.Millisecond))}
-	default:
-		return core.WaitAll{}
+// deadlineOK reports whether TimeoutMs lowers to a positive
+// time.Duration: a shorter one would truncate to no deadline at all.
+func deadlineOK(ms float64) bool {
+	ns := ms * float64(time.Millisecond)
+	return ns >= 1 && ns < 1<<63
+}
+
+// internal lowers the policy to the engine's two numbers: K for
+// FirstK and KOrTimeout, the deadline for Timeout and KOrTimeout.
+func (p Policy) internal() core.Policy {
+	var ep core.Policy
+	if p.Kind == FirstK || p.Kind == KOrTimeout {
+		ep.K = p.K
 	}
+	if p.Kind == Timeout || p.Kind == KOrTimeout {
+		ep.Deadline = time.Duration(p.TimeoutMs * float64(time.Millisecond))
+	}
+	return ep
 }
 
 // DistKind selects a duration-distribution family for heterogeneous
