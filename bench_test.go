@@ -233,12 +233,13 @@ func BenchmarkDualTaskInterference(b *testing.B) {
 			for j := range y {
 				y[j] = rng.Intn(nn.NumClass)
 			}
+			var scratch nn.EpochScratch
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					nn.TrainEpoch(m, opt, x, y, 32, rng)
+					nn.TrainEpochScratch(m, opt, x, y, 32, rng, &scratch)
 				}
 			}
 		}()

@@ -56,8 +56,9 @@ func Pretrain(model *nn.Model, cfg dataset.Config, spec PretrainSpec, workers in
 	preCfg.TextureFamily = 1
 	set := dataset.GenerateSets(workers, preCfg, []dataset.Draw{{N: spec.Samples, RNG: rng.Derive("pretext-data")}})[0]
 	opt := nn.NewSGD(spec.LR, 0.9, 1e-4)
+	var scratch nn.EpochScratch
 	for e := 0; e < spec.Epochs; e++ {
-		nn.TrainEpoch(model, opt, set.X, set.Y, 32, rng.Derive(fmt.Sprintf("pretext-epoch-%d", e)))
+		nn.TrainEpochScratch(model, opt, set.X, set.Y, 32, rng.Derive(fmt.Sprintf("pretext-epoch-%d", e)), &scratch)
 	}
 }
 

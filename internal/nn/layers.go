@@ -35,15 +35,28 @@ func NewDense(in, out int, rng *xrand.RNG) *Dense {
 	return d
 }
 
-// buffer returns *t, first allocating it rows x cols when it is nil or
-// another shape. Every layer output, scratch matrix and gradient is
-// allocated on first use, so a model that only evaluates holds no
-// gradients.
+// buffer returns *t shaped rows x cols, allocating only when it is nil
+// or its storage is short: a smaller batch (an evaluation's ragged
+// tail) reshapes the same storage in place. Every kernel writing a
+// buffer overwrites it or zeroes it first, so stale elements never
+// show. Every layer output, scratch matrix and gradient is allocated on
+// first use, so a model that only evaluates holds no gradients.
 func buffer(t **tensor.Dense, rows, cols int) *tensor.Dense {
-	if *t == nil || (*t).Rows != rows || (*t).Cols != cols {
-		*t = tensor.New(rows, cols)
+	if *t == nil {
+		*t = new(tensor.Dense)
 	}
-	return *t
+	m := *t
+	m.Rows, m.Cols, m.Data = rows, cols, resize(m.Data, rows*cols)
+	return m
+}
+
+// resize returns s at length n, reallocating only when its capacity is
+// short — the one reuse rule of every layer and epoch buffer.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func heStd(fanIn int) float64 {
@@ -54,7 +67,7 @@ func heStd(fanIn int) float64 {
 func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out) }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
+func (d *Dense) Forward(x *tensor.Dense) *tensor.Dense {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s got input width %d", d.Name(), x.Cols))
 	}
@@ -104,11 +117,9 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Name() string { return "relu" }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
-	if r.y == nil || r.y.Rows != x.Rows || r.y.Cols != x.Cols {
-		r.y = tensor.New(x.Rows, x.Cols)
-		r.mask = make([]bool, len(x.Data))
-	}
+func (r *ReLU) Forward(x *tensor.Dense) *tensor.Dense {
+	buffer(&r.y, x.Rows, x.Cols)
+	r.mask = resize(r.mask, len(x.Data))
 	for i, v := range x.Data {
 		if v > 0 {
 			r.y.Data[i] = v
@@ -186,7 +197,7 @@ func (c *Conv2D) Name() string {
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
+func (c *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
 	inLen := c.Geom.InC * c.Geom.InH * c.Geom.InW
 	if x.Cols != inLen {
 		panic(fmt.Sprintf("nn: %s got input width %d, want %d", c.Name(), x.Cols, inLen))
@@ -282,17 +293,15 @@ func (p *MaxPool2D) outLen() int { return p.C * (p.H / p.Size) * (p.W / p.Size) 
 func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool(%d)", p.Size) }
 
 // Forward implements Layer.
-func (p *MaxPool2D) Forward(x *tensor.Dense, _ bool) *tensor.Dense {
+func (p *MaxPool2D) Forward(x *tensor.Dense) *tensor.Dense {
 	inLen := p.C * p.H * p.W
 	if x.Cols != inLen {
 		panic(fmt.Sprintf("nn: %s got input width %d, want %d", p.Name(), x.Cols, inLen))
 	}
 	oh, ow := p.H/p.Size, p.W/p.Size
 	outLen := p.outLen()
-	if p.y == nil || p.y.Rows != x.Rows {
-		p.y = tensor.New(x.Rows, outLen)
-		p.argmax = make([]int32, x.Rows*outLen)
-	}
+	buffer(&p.y, x.Rows, outLen)
+	p.argmax = resize(p.argmax, x.Rows*outLen)
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
 		out := p.y.Row(s)

@@ -29,9 +29,8 @@ import (
 type Layer interface {
 	// Name identifies the layer in error messages and dumps.
 	Name() string
-	// Forward runs the layer on a batch. train enables train-only
-	// behaviour such as dropout.
-	Forward(x *tensor.Dense, train bool) *tensor.Dense
+	// Forward runs the layer on a batch.
+	Forward(x *tensor.Dense) *tensor.Dense
 	// Backward propagates gradients; it must be called after Forward.
 	// With needInput false the caller promises not to read the result
 	// (it is unspecified, possibly nil) and the layer may skip computing
@@ -59,10 +58,10 @@ func NewModel(name string, layers ...Layer) *Model {
 }
 
 // Forward runs the whole stack on a batch.
-func (m *Model) Forward(x *tensor.Dense, train bool) *tensor.Dense {
+func (m *Model) Forward(x *tensor.Dense) *tensor.Dense {
 	out := x
 	for _, l := range m.Layers {
-		out = l.Forward(out, train)
+		out = l.Forward(out)
 	}
 	return out
 }
@@ -136,7 +135,7 @@ func (m *Model) SetWeightVector(w []float32) error {
 // Predict returns the argmax class for each row of the logits produced
 // by a forward pass over x.
 func (m *Model) Predict(x *tensor.Dense) []int {
-	logits := m.Forward(x, false)
+	logits := m.Forward(x)
 	out := make([]int, logits.Rows)
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)

@@ -12,7 +12,7 @@ import (
 // lossOf runs a forward pass and returns the scalar loss — helper for
 // numerical gradient checking.
 func lossOf(m *Model, x *tensor.Dense, ys []int) float64 {
-	logits := m.Forward(x, true)
+	logits := m.Forward(x)
 	loss, _ := SoftmaxCrossEntropy(logits, ys)
 	return loss
 }
@@ -26,7 +26,7 @@ func checkGradients(t *testing.T, m *Model, x *tensor.Dense, ys []int) {
 	for _, g := range m.Grads() { // backward accumulates
 		g.Zero()
 	}
-	logits := m.Forward(x, true)
+	logits := m.Forward(x)
 	_, grad := SoftmaxCrossEntropy(logits, ys)
 	m.Backward(grad)
 
@@ -105,7 +105,7 @@ func TestMaxPoolGradients(t *testing.T) {
 func TestMaxPoolForwardKnown(t *testing.T) {
 	p := NewMaxPool2D(1, 2, 2, 2)
 	x := tensor.FromSlice(1, 4, []float32{1, 5, 2, 3})
-	y := p.Forward(x, false)
+	y := p.Forward(x)
 	if y.Cols != 1 || y.Data[0] != 5 {
 		t.Fatalf("maxpool got %v", y.Data)
 	}
@@ -209,10 +209,11 @@ func TestTrainEpochLearnsSeparableData(t *testing.T) {
 	}
 	m := NewModel("t", NewDense(dim, 8, rng), NewReLU(), NewDense(8, 2, rng))
 	opt := NewSGD(0.1, 0.9, 0)
-	first := TrainEpoch(m, opt, x, ys, 16, rng)
+	var scratch EpochScratch
+	first := TrainEpochScratch(m, opt, x, ys, 16, rng, &scratch)
 	var last float64
 	for e := 0; e < 10; e++ {
-		last = TrainEpoch(m, opt, x, ys, 16, rng)
+		last = TrainEpochScratch(m, opt, x, ys, 16, rng, &scratch)
 	}
 	if last >= first {
 		t.Fatalf("loss did not decrease: %v -> %v", first, last)
@@ -235,6 +236,25 @@ func TestEvaluateEmptyAndPartialBatch(t *testing.T) {
 	}
 }
 
+// TestEvaluateRaggedBatchReusesBuffers: a ragged final batch reshapes
+// the layers' buffers in place, so after warm-up SimpleNN's Evaluate
+// over 120 rows (batches of 64 and 56) allocates no more than over 128
+// rows (two full batches).
+func TestEvaluateRaggedBatchReusesBuffers(t *testing.T) {
+	rng := xrand.New(9)
+	m := NewSimpleNN(rng.Derive("model"))
+	x, ys := smallBatch(rng, 128, ImageLen, NumClass)
+	allocs := func(rows int) float64 {
+		view := tensor.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
+		Evaluate(m, view, ys[:rows], 64) // warm-up
+		return testing.AllocsPerRun(20, func() { Evaluate(m, view, ys[:rows], 64) })
+	}
+	full := allocs(128)
+	if ragged := allocs(120); ragged > full {
+		t.Fatalf("Evaluate over 120 rows: %v allocs a call, over 128 rows: %v", ragged, full)
+	}
+}
+
 func TestWeightVectorRoundTrip(t *testing.T) {
 	rng := xrand.New(8)
 	a := NewSimpleNN(rng.Derive("a"))
@@ -243,8 +263,8 @@ func TestWeightVectorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, _ := smallBatch(rng, 2, ImageLen, NumClass)
-	ya := a.Forward(x, false)
-	yb := b.Forward(x, false)
+	ya := a.Forward(x)
+	yb := b.Forward(x)
 	if !ya.Equal(yb) {
 		t.Fatal("models differ after weight copy")
 	}
@@ -315,7 +335,7 @@ func TestZooForwardShapes(t *testing.T) {
 	x.Randomize(rng, 1)
 	for _, id := range []ModelID{ModelSimpleNN, ModelEffNetSim} {
 		m := id.Build(rng.Derive(id.String()))
-		y := m.Forward(x, false)
+		y := m.Forward(x)
 		if y.Rows != 2 || y.Cols != NumClass {
 			t.Fatalf("%s output %dx%d", id, y.Rows, y.Cols)
 		}
@@ -391,7 +411,7 @@ func TestEffNetSimGradients(t *testing.T) {
 	m := newEffNetSim(rng)
 	x, ys := smallBatch(rng, 2, ImageLen, NumClass)
 
-	logits := m.Forward(x, true)
+	logits := m.Forward(x)
 	_, grad := SoftmaxCrossEntropy(logits, ys)
 	m.Backward(grad)
 
@@ -430,7 +450,7 @@ func benchTrain(b *testing.B, id ModelID) {
 	x, ys := smallBatch(rng, 32, ImageLen, NumClass)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logits := m.Forward(x, true)
+		logits := m.Forward(x)
 		_, grad := SoftmaxCrossEntropy(logits, ys)
 		m.Backward(grad)
 		opt.Step(m.Params(), m.Grads())

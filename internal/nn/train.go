@@ -7,8 +7,8 @@ import (
 	"waitornot/internal/xrand"
 )
 
-// EpochScratch holds the shuffling and minibatch buffers TrainEpoch
-// needs, so callers that train every round can reuse them instead of
+// EpochScratch holds the shuffling and minibatch buffers an epoch
+// needs, so callers that train every round reuse them instead of
 // reallocating per epoch. The zero value is ready to use.
 type EpochScratch struct {
 	perm   []int
@@ -17,24 +17,16 @@ type EpochScratch struct {
 }
 
 func (s *EpochScratch) ready(n, batchSize, cols int) {
-	if len(s.perm) != n {
-		s.perm = make([]int, n)
-	}
+	s.perm = resize(s.perm, n)
 	buffer(&s.batchX, batchSize, cols)
-	if len(s.batchY) != batchSize {
-		s.batchY = make([]int, batchSize)
-	}
+	s.batchY = resize(s.batchY, batchSize)
 }
 
-// TrainEpoch runs one epoch of minibatch SGD over (xs, ys), shuffling
-// with rng, and returns the mean loss. xs has one sample per row; ys are
-// integer labels aligned with xs rows.
-func TrainEpoch(m *Model, opt *SGD, xs *tensor.Dense, ys []int, batchSize int, rng *xrand.RNG) float64 {
-	return TrainEpochScratch(m, opt, xs, ys, batchSize, rng, &EpochScratch{})
-}
-
-// TrainEpochScratch is TrainEpoch with caller-owned scratch buffers; it
-// draws the same random stream and produces bit-identical results.
+// TrainEpochScratch runs one epoch of minibatch SGD over (xs, ys),
+// shuffling with rng, and returns the mean loss. xs has one sample per
+// row; ys are integer labels aligned with xs rows. The scratch buffers
+// are the caller's: any scratch, fresh or reused, gives bit-identical
+// results.
 func TrainEpochScratch(m *Model, opt *SGD, xs *tensor.Dense, ys []int, batchSize int, rng *xrand.RNG, scratch *EpochScratch) float64 {
 	n := xs.Rows
 	if n != len(ys) {
@@ -56,7 +48,7 @@ func TrainEpochScratch(m *Model, opt *SGD, xs *tensor.Dense, ys []int, batchSize
 			copy(batchX.Row(bi), xs.Row(src))
 			batchY[bi] = ys[src]
 		}
-		logits := m.Forward(batchX, true)
+		logits := m.Forward(batchX)
 		loss, grad := SoftmaxCrossEntropy(logits, batchY)
 		m.Backward(grad)
 		opt.Step(m.Params(), m.Grads())

@@ -66,7 +66,7 @@ func TestBackwardSkipsOnlyTheInputGradient(t *testing.T) {
 		set := dataset.Generate(dataset.DefaultConfig(), 8, rng.Derive("data"))
 		grads := func(backward func(m *nn.Model, dout *tensor.Dense)) []float32 {
 			m := id.Build(rng.Derive("init"))
-			_, dout := nn.SoftmaxCrossEntropy(m.Forward(set.X, true), set.Y)
+			_, dout := nn.SoftmaxCrossEntropy(m.Forward(set.X), set.Y)
 			backward(m, dout)
 			var flat []float32
 			for _, g := range m.Grads() {

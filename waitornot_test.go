@@ -100,6 +100,30 @@ func TestRunDecentralizedFacade(t *testing.T) {
 	}
 }
 
+// TestFirstNIsWaitAll: a first-K policy with K at or above the
+// participant count waits for every participant, so a 3-peer
+// decentralized run and an async one under first-3 and first-5 report
+// bit for bit what wait-all reports.
+func TestFirstNIsWaitAll(t *testing.T) {
+	for _, kind := range []Kind{KindDecentralized, KindAsync} {
+		run := func(p Policy) *Results {
+			opts := tinyOpts(SimpleNN)
+			opts.Policy = p
+			res, err := New(opts, WithKind(kind)).Run(context.Background())
+			if err != nil {
+				t.Fatalf("%v %s: %v", kind, p.Name(), err)
+			}
+			return res
+		}
+		all := run(Policy{Kind: WaitAll})
+		for _, k := range []int{3, 5} {
+			if got := run(Policy{Kind: FirstK, K: k}); !reflect.DeepEqual(got, all) {
+				t.Errorf("%v: first-%d report differs from wait-all's", kind, k)
+			}
+		}
+	}
+}
+
 func TestRunTradeoffFacade(t *testing.T) {
 	opts := tinyOpts(SimpleNN)
 	opts.StragglerFactor = []float64{1, 1, 6}
