@@ -164,30 +164,6 @@ func BenchmarkBlockGasLimitVsThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncRoundLatencySim regenerates the virtual-clock round
-// latency comparison (sync vs async aggregation, age-of-block) at 8
-// peers with a 3x straggler.
-func BenchmarkAsyncRoundLatencySim(b *testing.B) {
-	policies := []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 4},
-		{Kind: waitornot.Timeout, TimeoutMs: 6000},
-	}
-	for i := 0; i < b.N; i++ {
-		stats, err := waitornot.RoundLatencyByPolicy(8, policies, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stats[0].MeanWaitMs/stats[1].MeanWaitMs, "speedup-first4")
-		if i == 0 {
-			for _, st := range stats {
-				b.Logf("%-16s wait %8.1f ms  models %5.2f  age %8.1f ms",
-					st.Policy, st.MeanWaitMs, st.MeanIncluded, st.MeanAgeMs)
-			}
-		}
-	}
-}
-
 // BenchmarkGasPerModelSize measures the paper's gas-conversion premise
 // directly: intrinsic transaction gas for each model's weight payload.
 func BenchmarkGasPerModelSize(b *testing.B) {

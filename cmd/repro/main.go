@@ -7,7 +7,7 @@
 //	repro -scenario stragglers          the wait-or-not speed/precision study
 //	repro -scenario async-free-run      un-barriered async aggregation
 //	repro -scenario sharded-hierarchy   the sharded topology sweep
-//	repro -netperf                      §II-A2 throughput premises + round latency by policy
+//	repro -netperf                      §II-A2 throughput premises + the wait, term by term
 //
 // and executes through Experiment.Run / RunSweep / RunCampaign,
 // streaming per-round progress. Flags the user sets explicitly (-model,
@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -71,7 +72,7 @@ func main() {
 	flag.StringVar(&c.scenario, "scenario", "", "run a registered scenario by name (see -scenarios)")
 	flag.BoolVar(&c.list, "scenarios", false, "list registered scenarios and exit")
 	flag.BoolVar(&c.listBackends, "backends", false, "list registered consensus backends and exit")
-	flag.BoolVar(&c.netperf, "netperf", false, "print the network premises: throughput vs peers and block gas, round latency by wait policy")
+	flag.BoolVar(&c.netperf, "netperf", false, "print the network premises (throughput vs peers and block gas) and consensus-ladder's wait split into compute, propagate, commit and idle terms (2-round -fast runs)")
 	flag.StringVar(&c.backend, "backend", "", "consensus backend override (see -backends)")
 	flag.StringVar(&c.model, "model", "", "model override: simple|effnet")
 	flag.IntVar(&c.rounds, "rounds", 10, "communication rounds override")
@@ -122,7 +123,8 @@ func main() {
 		}
 		printCampaignStatus(st)
 	case c.netperf:
-		if err := printNetperf(c.seed); err != nil {
+		if err := printNetperf(ctx, os.Stdout, c.seed); err != nil {
+			exitIfCancelled(err)
 			fatal(err)
 		}
 	default:
@@ -285,20 +287,19 @@ func printSweepReport(rep *waitornot.SweepReport, csv bool) {
 	}
 }
 
-// printNetperf prints the simulated network premises: the §II-A2
-// throughput sweeps and the virtual-clock round latency per wait
-// policy. No training runs.
-func printNetperf(seed uint64) error {
-	fmt.Println("throughput vs co-located peers (shared-host model, §II-A2 / VFChain premise):")
+// printNetperf prints the simulated network premises — the §II-A2
+// throughput sweeps, which train nothing — and waitTerms' table.
+func printNetperf(ctx context.Context, w io.Writer, seed uint64) error {
+	fmt.Fprintln(w, "throughput vs co-located peers (shared-host model, §II-A2 / VFChain premise):")
 	pts, err := waitornot.ThroughputVsPeers([]int{4, 8, 16, 32, 64}, seed)
 	if err != nil {
 		return err
 	}
 	for _, pt := range pts {
-		fmt.Printf("  %-10s %8.1f tx/s   mean commit latency %9.1f ms\n",
+		fmt.Fprintf(w, "  %-10s %8.1f tx/s   mean commit latency %9.1f ms\n",
 			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
 	}
-	fmt.Println("\nthroughput vs block gas limit (model-sized txs, refs [11,12]):")
+	fmt.Fprintln(w, "\nthroughput vs block gas limit (model-sized txs, refs [11,12]):")
 	// A SimpleNN submission is ~247 KB ≈ 4M calldata gas.
 	txGas := uint64(4_000_000)
 	limits := []uint64{4_000_000, 8_000_000, 16_000_000, 64_000_000, 256_000_000}
@@ -306,22 +307,63 @@ func printNetperf(seed uint64) error {
 		return err
 	}
 	for _, pt := range pts {
-		fmt.Printf("  %-16s %8.1f tx/s   mean commit latency %9.1f ms\n",
+		fmt.Fprintf(w, "  %-16s %8.1f tx/s   mean commit latency %9.1f ms\n",
 			pt.Label, pt.CommittedPerSec, pt.MeanLatencyMs)
 	}
-	fmt.Println("\nvirtual-clock round latency (8 peers, 3x straggler, 1000 rounds):")
-	policies := []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 6},
-		{Kind: waitornot.FirstK, K: 4},
-		{Kind: waitornot.Timeout, TimeoutMs: 6000},
-	}
-	stats, err := waitornot.RoundLatencyByPolicy(8, policies, seed)
-	for _, st := range stats {
-		fmt.Printf("  %-16s mean wait %8.1f ms   mean models %5.2f   mean age %8.1f ms\n",
-			st.Policy, st.MeanWaitMs, st.MeanIncluded, st.MeanAgeMs)
-	}
+	_, err = waitTerms(ctx, w, seed)
 	return err
+}
+
+// waitTermsRounds is the round count of waitTerms' runs: consensus-ladder
+// draws no compute or network distribution, so every round's terms are
+// the same.
+const waitTermsRounds = 2
+
+// waitTermRow is one (backend, policy) cell of consensus-ladder: the
+// means over every (peer, round) of RoundInfo's ComputeMs, PropagateMs,
+// CommitMs, IdleMs and WaitMs. Means, not medians, because they add:
+// the four terms sum to the wait, which is the sweep's for the cell.
+type waitTermRow struct {
+	Backend, Policy string
+	Ms              [5]float64
+}
+
+// waitTerms runs every cell of consensus-ladder alone, as a
+// decentralized run at -fast scale and seed without combination tables,
+// and writes the table of its rows to w.
+func waitTerms(ctx context.Context, w io.Writer, seed uint64) ([]waitTermRow, error) {
+	fmt.Fprintf(w, "\nwait terms of consensus-ladder (-fast, %d rounds; mean ms over every peer and round):\n", waitTermsRounds)
+	fmt.Fprintf(w, "  %-8s %-10s %10s %10s %10s %10s %10s\n", "backend", "policy", "compute", "propagate", "commit", "idle", "wait")
+	sc, _ := waitornot.LookupScenario("consensus-ladder")
+	var rows []waitTermRow
+	for _, backend := range sc.Backends {
+		for _, policy := range sc.Policies {
+			cell := waitornot.Scenario{Kind: waitornot.KindDecentralized, Options: sc.Options}
+			cell.Options.Backend, cell.Options.Policy = backend, policy
+			cell.Options.Rounds, cell.Options.SkipComboTables = waitTermsRounds, true
+			res, err := cell.Experiment(waitornot.WithFastScale(), waitornot.WithSeed(seed)).Run(ctx)
+			if err != nil {
+				return nil, err
+			}
+			row, n := waitTermRow{Backend: backend, Policy: policy.Name()}, 0.0
+			for _, peer := range res.Decentralized.Rounds {
+				for _, ri := range peer {
+					for k, ms := range [5]float64{ri.ComputeMs, ri.PropagateMs, ri.CommitMs, ri.IdleMs, ri.WaitMs} {
+						row.Ms[k] += ms
+					}
+					n++
+				}
+			}
+			fmt.Fprintf(w, "  %-8s %-10s", backend, row.Policy)
+			for k := range row.Ms {
+				row.Ms[k] /= n
+				fmt.Fprintf(w, " %10.1f", row.Ms[k])
+			}
+			fmt.Fprintln(w)
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
 }
 
 // printCampaignStatus renders a campaign directory's progress and the

@@ -6,6 +6,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"waitornot"
+	"waitornot/internal/testutil"
 )
 
 // TestValidate has one row per flag rule (both arms where a rule has
@@ -308,4 +310,37 @@ func TestPrintCampaignStatusEmpty(t *testing.T) {
 			t.Fatalf("empty status missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestWaitTermsGolden pins -netperf's wait-terms table over seeds 1 and
+// 7, and holds each cell to the scenario's sweep at the same seed: its
+// mean wait is the replication's MeanWaitMs exactly (a replication is
+// a standalone run), and its four term means sum to that wait.
+func TestWaitTermsGolden(t *testing.T) {
+	ctx := context.Background()
+	sc, _ := waitornot.LookupScenario("consensus-ladder")
+	sc.Options.Rounds = waitTermsRounds
+	var b strings.Builder
+	for _, seed := range []uint64{1, 7} {
+		fmt.Fprintf(&b, "seed %d", seed)
+		rows, err := waitTerms(ctx, &b, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sc.Experiment(waitornot.WithFastScale(), waitornot.WithSeeds(seed)).RunSweep(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Runs) != len(rows) {
+			t.Fatalf("seed %d: %d table rows, %d sweep runs", seed, len(rows), len(rep.Runs))
+		}
+		for i, run := range rep.Runs {
+			r, wait := rows[i], rows[i].Ms[4]
+			sum := r.Ms[0] + r.Ms[1] + r.Ms[2] + r.Ms[3]
+			if run.Backend != r.Backend || run.Policy != r.Policy || run.MeanWaitMs != wait || math.Abs(sum-wait) > 1e-9*wait {
+				t.Fatalf("seed %d: row %+v (terms sum to %g), sweep run %s %s waits %g", seed, r, sum, run.Backend, run.Policy, run.MeanWaitMs)
+			}
+		}
+	}
+	testutil.GoldenFile(t, "testdata/wait_terms.golden", []byte(b.String()))
 }

@@ -116,57 +116,6 @@ func TestSweepsParallelDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("ThroughputVsPeers not reproducible")
 	}
-	policies := []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 2},
-		{Kind: waitornot.Timeout, TimeoutMs: 4000},
-	}
-	s1, errA := waitornot.RoundLatencyByPolicy(4, policies, 3)
-	s2, errB := waitornot.RoundLatencyByPolicy(4, policies, 3)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("RoundLatencyByPolicy not reproducible")
-	}
-	if s1[0].Policy != "wait-all" || s1[1].Policy != "first-2" {
-		t.Fatalf("stats landed out of policy order: %+v", s1)
-	}
-}
-
-// TestRoundLatencyByPolicyGolden pins -netperf's round table at full
-// precision: its four policies at 8 peers over seeds 1 and 7, and the
-// 4-peer frontier set of TestRoundLatencyByPolicyFrontier. The table
-// is a walk over drawn arrivals, so any change to the draws, their
-// order or the firing rule moves a row here.
-func TestRoundLatencyByPolicyGolden(t *testing.T) {
-	netperf := []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 6},
-		{Kind: waitornot.FirstK, K: 4},
-		{Kind: waitornot.Timeout, TimeoutMs: 6000},
-	}
-	frontier := []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 2},
-		{Kind: waitornot.Timeout, TimeoutMs: 4000},
-		{Kind: waitornot.KOrTimeout, K: 3, TimeoutMs: 4000},
-	}
-	var b strings.Builder
-	for _, set := range []struct {
-		peers    int
-		seed     uint64
-		policies []waitornot.Policy
-	}{{8, 1, netperf}, {8, 7, netperf}, {4, 1, frontier}} {
-		stats, err := waitornot.RoundLatencyByPolicy(set.peers, set.policies, set.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range stats {
-			fmt.Fprintf(&b, "peers %d seed %d %v\n", set.peers, set.seed, st)
-		}
-	}
-	testutil.GoldenFile(t, "testdata/round_latency.golden", []byte(b.String()))
 }
 
 // TestThroughputGolden pins -netperf's two throughput sweeps at full

@@ -257,6 +257,9 @@ type RoundStats struct {
 	Included int
 	// WaitMs is the simulated time from round start to policy firing.
 	WaitMs float64
+	// ComputeMs, PropagateMs, CommitMs and IdleMs split WaitMs into the
+	// terms of the update that fired the policy (simnet.WaitTerms).
+	ComputeMs, PropagateMs, CommitMs, IdleMs float64
 	// ChosenCombo labels the adopted combination.
 	ChosenCombo string
 	// ChosenAccuracy is the adopted model's accuracy on the peer's
@@ -839,6 +842,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			ChosenAccuracy: p.testAcc(decision.Chosen.Key, decision.Chosen.Weights),
 			Rejected:       decision.RejectedClients,
 		}
+		stats.ComputeMs, stats.PropagateMs, stats.CommitMs, stats.IdleMs = simnet.WaitTerms(sends[at[len(at)-1]], intervalMs, waitMs)
 		res.Rounds[slots[i]] = append(res.Rounds[slots[i]], stats)
 
 		// Table rows: evaluate every paper combo over the full

@@ -132,20 +132,14 @@ func (m *Model) SetWeightVector(w []float32) error {
 	return nil
 }
 
-// Predict returns the argmax class for each row of the logits produced
-// by a forward pass over x.
-func (m *Model) Predict(x *tensor.Dense) []int {
-	logits := m.Forward(x)
-	out := make([]int, logits.Rows)
-	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		best, bestV := 0, row[0]
-		for j, v := range row[1:] {
-			if v > bestV {
-				best, bestV = j+1, v
-			}
+// argmax is the class a row of logits predicts: the index of its
+// largest value, the first on a tie.
+func argmax(row []float32) int {
+	best, bestV := 0, row[0]
+	for j, v := range row[1:] {
+		if v > bestV {
+			best, bestV = j+1, v
 		}
-		out[i] = best
 	}
-	return out
+	return best
 }

@@ -71,16 +71,15 @@ func Evaluate(m *Model, xs *tensor.Dense, ys []int, batchSize int) float64 {
 	if batchSize <= 0 || batchSize > n {
 		batchSize = n
 	}
-	correct := 0
+	// One view header serves every batch: the layers keep their input
+	// for backward, so each fresh header would escape.
+	correct, view := 0, &tensor.Dense{Cols: xs.Cols}
 	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		view := tensor.FromSlice(end-start, xs.Cols, xs.Data[start*xs.Cols:end*xs.Cols])
-		preds := m.Predict(view)
-		for i, p := range preds {
-			if p == ys[start+i] {
+		end := min(start+batchSize, n)
+		view.Rows, view.Data = end-start, xs.Data[start*xs.Cols:end*xs.Cols]
+		logits := m.Forward(view)
+		for i := range view.Rows {
+			if argmax(logits.Row(i)) == ys[start+i] {
 				correct++
 			}
 		}

@@ -2,8 +2,8 @@
 // blockchain performance questions the paper leans on (§II-A2): how
 // throughput scales with participant count on a resource-shared testbed,
 // how block capacity bounds throughput, and — through WalkRound, the
-// arrival walk every barriered round fires its wait policy over — how
-// long aggregation rounds wait under different wait policies.
+// arrival walk every barriered round fires its wait policy over, and
+// WaitTerms — how long aggregation rounds wait, and on what.
 //
 // Absolute milliseconds are not the point — the testbed is gone — but
 // the shapes (halving throughput when peers double on one host, the
@@ -146,16 +146,15 @@ type Send struct {
 	Own bool
 }
 
-// WalkRound is the one arrival walk of a barriered round, shared by the
-// experiment runner and the round-latency table, and the one firing
-// rule. It places each update where the observer can first read it —
-// its own at TrainedMs, a remote one at CommitVisibilityMs(SentMs,
-// intervalMs), where an interval of 0 (latency not modeled, or an
-// instant backend) makes it readable when sent — sorts them by (time,
-// index), and probes policy at each arrival once the observer's own
-// update is in hand: a peer always aggregates its own model. It
-// returns the indices of the included updates in arrival order, and
-// the firing time.
+// WalkRound is the one arrival walk of a barriered round and the one
+// firing rule. It places each update where the observer can first read
+// it (visibleMs; an interval of 0 — latency not modeled, or an instant
+// backend — makes a remote update readable when sent), sorts them by
+// (time, index), and probes policy at each arrival once the observer's
+// own update is in hand: a peer always aggregates its own model. It
+// returns the indices of the included updates in arrival order — the
+// last is the one that fired the policy (WaitTerms) — and the firing
+// time.
 //
 // A policy with a Deadline fires at the deadline, not at the first
 // arrival past it — the asynchronous engine's deadline event, so "when
@@ -170,10 +169,7 @@ func WalkRound(policy core.Policy, sends []Send, intervalMs float64) ([]int, flo
 	at := make([]float64, len(sends))
 	order := make([]int, len(sends))
 	for i, s := range sends {
-		at[i], order[i] = s.TrainedMs, i
-		if !s.Own {
-			at[i] = CommitVisibilityMs(s.SentMs, intervalMs)
-		}
+		at[i], order[i] = s.visibleMs(intervalMs), i
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(at[a], at[b]), cmp.Compare(a, b)) })
 	deadlineMs := math.Inf(1)
@@ -191,6 +187,28 @@ func WalkRound(policy core.Policy, sends []Send, intervalMs float64) ([]int, flo
 		}
 	}
 	return order, at[order[len(order)-1]]
+}
+
+// visibleMs is when the observer can first read s: its own update at
+// TrainedMs, a remote one at CommitVisibilityMs(SentMs, intervalMs).
+func (s Send) visibleMs(intervalMs float64) float64 {
+	if s.Own {
+		return s.TrainedMs
+	}
+	return CommitVisibilityMs(s.SentMs, intervalMs)
+}
+
+// WaitTerms splits firedMs into four terms of s, the last index
+// WalkRound returned at the same intervalMs: its training, its send
+// after that (0 for the own update), the wait from the send to its
+// visibility (0 for the own update and at an interval of 0), and the
+// firing past that, non-zero only when a deadline fired.
+func WaitTerms(s Send, intervalMs, firedMs float64) (computeMs, propagateMs, commitMs, idleMs float64) {
+	visible := s.visibleMs(intervalMs)
+	if !s.Own {
+		propagateMs, commitMs = s.SentMs-s.TrainedMs, visible-s.SentMs
+	}
+	return s.TrainedMs, propagateMs, commitMs, firedMs - visible
 }
 
 // CommitVisibilityMs quantizes an update's visibility to the ledger's

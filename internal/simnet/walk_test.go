@@ -1,8 +1,8 @@
 package simnet
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -90,10 +90,11 @@ func TestWalkRoundTimeoutAtDeadline(t *testing.T) {
 }
 
 // eventWalk is the firing rule as the asynchronous engine runs it: one
-// clock event per arrival, one deadline event ordered after
+// clock event per arrival, at the update's visibility on a commit
+// interval of intervalMs, one deadline event ordered after
 // same-instant arrivals, the policy probed only once the own update
 // exists. WalkRound must agree with it on every schedule.
-func eventWalk(policy core.Policy, sends []Send) (included int, firedAtMs float64) {
+func eventWalk(policy core.Policy, sends []Send, intervalMs float64) (included int, firedAtMs float64) {
 	clock := vclock.New()
 	received, haveSelf, fired := 0, false, false
 	probe := func() error {
@@ -103,8 +104,11 @@ func eventWalk(policy core.Policy, sends []Send) (included int, firedAtMs float6
 		}
 		return nil
 	}
+	last := 0.0
 	for _, s := range sends {
-		clock.Schedule(s.SentMs, 0, func() error {
+		at := s.visibleMs(intervalMs)
+		last = max(last, at)
+		clock.Schedule(at, 0, func() error {
 			if fired {
 				return nil
 			}
@@ -120,45 +124,65 @@ func eventWalk(policy core.Policy, sends []Send) (included int, firedAtMs float6
 		panic(err)
 	}
 	if !fired {
-		return len(sends), sends[len(sends)-1].SentMs
+		return len(sends), last
 	}
 	return included, firedAtMs
 }
 
-// randomSchedule draws up to 8 sends on a 1 ms grid narrow enough that
-// ties occur, sorted, with the own update at a random rank.
+// randomSchedule draws up to 8 updates trained on a 1 ms grid narrow
+// enough that ties occur, each sent 0-4 ms after its training, with
+// the own update at a random rank.
 func randomSchedule(rng *xrand.RNG) []Send {
 	sends := make([]Send, 1+rng.Intn(8))
 	for i := range sends {
-		sends[i].SentMs = float64(rng.Intn(20))
-	}
-	sort.Slice(sends, func(i, j int) bool { return sends[i].SentMs < sends[j].SentMs })
-	for i := range sends {
-		sends[i].TrainedMs = sends[i].SentMs
+		sends[i].TrainedMs = float64(rng.Intn(20))
+		sends[i].SentMs = sends[i].TrainedMs + float64(rng.Intn(5))
 	}
 	sends[rng.Intn(len(sends))].Own = true
 	return sends
 }
 
 // TestWalkRoundMatchesEventWalk is the differential test ROADMAP item
-// 1(a) asks for: over random schedules and every K/Deadline
-// combination (wait-all, first-K, timeout, K-or-timeout) with random K
-// and D, the analytic walk and the clock-event walk fire with the same
-// prefix at the same instant.
+// 1(a) asks for: over random schedules, commit intervals of 0-5 ms and
+// every K/Deadline combination (wait-all, first-K, timeout,
+// K-or-timeout) with random K and D, the analytic walk and the
+// clock-event walk fire with the same prefix at the same instant. The
+// WaitTerms of the last included update are each >= 0 and sum to the
+// firing time, and the idle term is non-zero only when the deadline
+// fired the policy.
 func TestWalkRoundMatchesEventWalk(t *testing.T) {
 	rng := xrand.New(20)
+	idle, commit := 0, 0
 	for trial := 0; trial < 1000; trial++ {
 		sends := randomSchedule(rng)
 		n := len(sends)
 		k, d := 1+rng.Intn(n+1), time.Duration(1+rng.Intn(24))*time.Millisecond
+		intervalMs := float64(max(0, rng.Intn(11)-5))
 		for _, policy := range []core.Policy{{}, {K: k}, {Deadline: d}, {K: k, Deadline: d}} {
-			gotN, gotAt := walk(policy, sends)
-			wantN, wantAt := eventWalk(policy, sends)
-			if gotN != wantN || gotAt != wantAt {
-				t.Fatalf("trial %d %s over %+v: WalkRound fired with %d at %g, the event walk with %d at %g",
-					trial, policy.Name(), sends, gotN, gotAt, wantN, wantAt)
+			included, gotAt := WalkRound(policy, sends, intervalMs)
+			wantN, wantAt := eventWalk(policy, sends, intervalMs)
+			if len(included) != wantN || gotAt != wantAt {
+				t.Fatalf("trial %d %s over %+v at interval %g: WalkRound fired with %d at %g, the event walk with %d at %g",
+					trial, policy.Name(), sends, intervalMs, len(included), gotAt, wantN, wantAt)
+			}
+			c, p, cm, id := WaitTerms(sends[included[len(included)-1]], intervalMs, gotAt)
+			if c < 0 || p < 0 || cm < 0 || id < 0 || math.Abs(c+p+cm+id-gotAt) > 1e-9*gotAt {
+				t.Fatalf("trial %d %s over %+v at interval %g: terms %g+%g+%g+%g, fired at %g",
+					trial, policy.Name(), sends, intervalMs, c, p, cm, id, gotAt)
+			}
+			if id > 0 && gotAt != float64(policy.Deadline)/float64(time.Millisecond) {
+				t.Fatalf("trial %d %s over %+v: idle %g ms, fired at %g, not at the deadline", trial, policy.Name(), sends, id, gotAt)
+			}
+			if id > 0 {
+				idle++
+			}
+			if cm > 0 {
+				commit++
 			}
 		}
+	}
+	if idle == 0 || commit == 0 {
+		t.Fatalf("%d walks idled and %d waited for a commit: the terms went unchecked", idle, commit)
 	}
 }
 

@@ -81,10 +81,12 @@ func (r *VanillaReport) CSV() string {
 
 // RoundInfo is one peer-round of the decentralized run: the round
 // number, how many updates the wait policy admitted (Included), the
-// simulated wait until it fired (WaitMs), the adopted combination and
-// its test accuracy, and the clients the abnormal-model filter
-// rejected. It is the engine's own record — what a round record
-// contains is decided in one place.
+// simulated wait until it fired (WaitMs) and its four terms for the
+// update that fired it (ComputeMs, PropagateMs, CommitMs, IdleMs,
+// which sum to WaitMs), the adopted combination and its test accuracy,
+// and the clients the abnormal-model filter rejected. It is the
+// engine's own record — what a round record contains is decided in one
+// place.
 type RoundInfo = bfl.RoundStats
 
 // ChainSummary is the on-chain footprint of a decentralized run:

@@ -6,10 +6,12 @@ package waitornot_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"waitornot"
+	"waitornot/internal/testutil"
 )
 
 func mkRound(round, included int, wait, acc float64) waitornot.RoundInfo {
@@ -196,5 +198,63 @@ func TestAsyncHeadlineDegenerate(t *testing.T) {
 	}
 	if got := rep.TimeToAccuracyMs(0.25); got != -1 {
 		t.Fatalf("time to 0.25 = %g, want -1", got)
+	}
+}
+
+// TestWaitTermsSumToWait: on every backend, with heterogeneous
+// arrivals (lognormal compute, exponential network delay, a 3x
+// straggler) and timeout policies, with CommitLatency on and off, each
+// (peer, round) splits its wait into four terms >= 0 that sum to
+// WaitMs, only a deadline idles, and without CommitLatency none of the
+// wait is commit. Some rows idle at a deadline and some wait for a
+// block, so the check is not vacuous.
+func TestWaitTermsSumToWait(t *testing.T) {
+	opts := waitornot.Options{
+		Model:           waitornot.SimpleNN,
+		Clients:         3,
+		Rounds:          2,
+		TrainPerClient:  40,
+		SelectionSize:   20,
+		TestPerClient:   20,
+		LearningRate:    0.01,
+		SkipComboTables: true,
+		StragglerFactor: []float64{1, 1, 3},
+		ComputeDist:     waitornot.Dist{Kind: waitornot.DistLogNormal, Mean: 1, Jitter: 0.8},
+		NetworkDist:     waitornot.Dist{Kind: waitornot.DistExponential, Mean: 30},
+	}
+	policies := []waitornot.Policy{
+		{Kind: waitornot.Timeout, TimeoutMs: 50},
+		{Kind: waitornot.KOrTimeout, K: 2, TimeoutMs: 1500},
+	}
+	rows, idle, commit := 0, 0, 0
+	for _, seed := range []uint64{1, 2, 3} {
+		for _, backend := range []string{"pow", "poa", "pbft", "instant"} {
+			for _, policy := range policies {
+				for _, latency := range []bool{false, true} {
+					o := opts
+					o.Seed, o.Backend, o.Policy, o.CommitLatency = seed, backend, policy, latency
+					for _, peer := range testutil.Run(t, o).Decentralized.Rounds {
+						for _, ri := range peer {
+							terms := []float64{ri.ComputeMs, ri.PropagateMs, ri.CommitMs, ri.IdleMs}
+							sum := ri.ComputeMs + ri.PropagateMs + ri.CommitMs + ri.IdleMs
+							idleAtDeadline := ri.IdleMs == 0 || ri.WaitMs == policy.TimeoutMs
+							if slices.Min(terms) < 0 || math.Abs(sum-ri.WaitMs) > 1e-9*ri.WaitMs || !latency && ri.CommitMs != 0 || !idleAtDeadline {
+								t.Fatalf("seed %d %s %s latency %v: terms %v sum to %g, wait %g", seed, backend, policy.Name(), latency, terms, sum, ri.WaitMs)
+							}
+							rows++
+							if ri.IdleMs > 0 {
+								idle++
+							}
+							if ri.CommitMs > 0 {
+								commit++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if idle == 0 || commit == 0 {
+		t.Fatalf("of %d rows, %d idled and %d waited for a block: the terms went unchecked", rows, idle, commit)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"waitornot/internal/event"
 	"waitornot/internal/par"
 	"waitornot/internal/simnet"
-	"waitornot/internal/xrand"
 )
 
 // orderedEmitter restores sweep order to events produced by
@@ -108,70 +107,6 @@ func sweepThroughput(base simnet.ThroughputConfig, n int, vary func(cfg *simnet.
 		label := vary(&cfg, i)
 		p := simnet.SimulateThroughput(cfg)
 		return NetworkPoint{Label: label, CommittedPerSec: p.CommittedPerSec, MeanLatencyMs: p.MeanLatencyMs}, nil
-	})
-}
-
-// RoundLatencyStats is one policy's row of RoundLatencyByPolicy.
-type RoundLatencyStats struct {
-	Policy string
-	// MeanWaitMs is the mean time from round start until the policy
-	// fires at the observing peer.
-	MeanWaitMs float64
-	// MeanIncluded is the mean number of models aggregated.
-	MeanIncluded float64
-	// MeanAgeMs is the mean "age of block" of the included updates: the
-	// firing time minus their training completion.
-	MeanAgeMs float64
-}
-
-// RoundLatencyByPolicy walks 1000 rounds per policy on the virtual
-// clock (no training) from peer 0's view, reporting wait time,
-// participation, and update staleness ("age of block"). Each round
-// draws every peer's training time, 5000 ms ± 30% uniform with the
-// last peer a 3x straggler, sends each update 50 ms later, and makes
-// it visible on a 500 ms block interval (simnet.WalkRound). Each
-// policy's walk is an independent deterministic run of the same seed,
-// so policies are walked concurrently with stats landing in policy
-// order. Fewer than 1 peer, or a policy Policy.Validate refuses, is an
-// error.
-func RoundLatencyByPolicy(peers int, policies []Policy, seed uint64) ([]RoundLatencyStats, error) {
-	if peers < 1 {
-		return nil, fmt.Errorf("waitornot: round latency needs at least 1 peer, got %d", peers)
-	}
-	const rounds, trainMs, straggler, networkMs, blockMs = 1000, 5000, 3, 50, 500
-	jitter := simnet.Dist{Kind: simnet.DistUniform, Mean: 1, Jitter: 0.3}
-	return par.Map(par.Workers(0), len(policies), func(i int) (RoundLatencyStats, error) {
-		if err := policies[i].Validate(); err != nil {
-			return RoundLatencyStats{}, err
-		}
-		policy := policies[i].internal()
-		rng := xrand.New(seed).Derive("rounds")
-		sends := make([]simnet.Send, peers)
-		st := RoundLatencyStats{Policy: policy.Name()}
-		var ageSum float64
-		var aged int
-		for range rounds {
-			for k := range sends {
-				done := trainMs * jitter.Draw(rng)
-				if k == peers-1 {
-					done *= straggler
-				}
-				sends[k] = simnet.Send{TrainedMs: done, SentMs: done + networkMs, Own: k == 0}
-			}
-			included, firedAt := simnet.WalkRound(policy, sends, blockMs)
-			st.MeanWaitMs += firedAt
-			st.MeanIncluded += float64(len(included))
-			for _, k := range included {
-				ageSum += firedAt - sends[k].TrainedMs
-				aged++
-			}
-		}
-		st.MeanWaitMs /= rounds
-		st.MeanIncluded /= rounds
-		if aged > 0 {
-			st.MeanAgeMs = ageSum / float64(aged)
-		}
-		return st, nil
 	})
 }
 

@@ -2,7 +2,6 @@ package waitornot
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,22 +177,6 @@ func TestNetperfRefusesDegenerateInput(t *testing.T) {
 	if _, err := ThroughputVsBlockGas([]uint64{1_000_000}, 0, 1); err == nil {
 		t.Fatal("ThroughputVsBlockGas accepted a zero transaction gas")
 	}
-	if _, err := RoundLatencyByPolicy(0, []Policy{{Kind: WaitAll}}, 1); err == nil {
-		t.Fatal("RoundLatencyByPolicy accepted 0 peers")
-	}
-	if _, err := RoundLatencyByPolicy(4, []Policy{{Kind: Timeout, TimeoutMs: math.NaN()}}, 1); err == nil {
-		t.Fatal("RoundLatencyByPolicy accepted a NaN deadline")
-	}
-}
-
-func TestRoundLatencyByPolicy(t *testing.T) {
-	stats, err := RoundLatencyByPolicy(8, []Policy{{Kind: WaitAll}, {Kind: FirstK, K: 4}}, 1)
-	if err != nil || len(stats) != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats[1].MeanWaitMs >= stats[0].MeanWaitMs {
-		t.Fatalf("first-4 wait %v >= wait-all %v", stats[1].MeanWaitMs, stats[0].MeanWaitMs)
-	}
 }
 
 func TestPolicyNamesAndModelStrings(t *testing.T) {
@@ -240,47 +223,6 @@ func TestDefaultPoliciesLadderSizes(t *testing.T) {
 		if ps[i].Kind != FirstK || ps[i].K != want {
 			t.Fatalf("rung %d = %+v, want first-%d", i, ps[i], want)
 		}
-	}
-}
-
-func TestRoundLatencyByPolicyFrontier(t *testing.T) {
-	policies := []Policy{
-		{Kind: WaitAll},
-		{Kind: FirstK, K: 2},
-		{Kind: Timeout, TimeoutMs: 4000},
-		{Kind: KOrTimeout, K: 3, TimeoutMs: 4000},
-	}
-	stats, err := RoundLatencyByPolicy(4, policies, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != len(policies) {
-		t.Fatalf("got %d stats for %d policies", len(stats), len(policies))
-	}
-	// Stats land in policy order regardless of the concurrent sweep.
-	for i, p := range policies {
-		if stats[i].Policy != p.Name() {
-			t.Fatalf("stats[%d] = %q, want %q", i, stats[i].Policy, p.Name())
-		}
-	}
-	waitAll := stats[0]
-	if waitAll.MeanIncluded != 4 {
-		t.Fatalf("wait-all included %.2f of 4 models", waitAll.MeanIncluded)
-	}
-	for i, st := range stats {
-		if st.MeanWaitMs <= 0 || st.MeanIncluded < 1 || st.MeanIncluded > 4 || st.MeanAgeMs < 0 {
-			t.Fatalf("stats[%d] out of range: %+v", i, st)
-		}
-		// No policy can admit more models or (up to block quantization)
-		// wait longer than full synchrony.
-		if st.MeanIncluded > waitAll.MeanIncluded || st.MeanWaitMs > waitAll.MeanWaitMs {
-			t.Fatalf("policy %s beats wait-all on inclusion/wait: %+v vs %+v", st.Policy, st, waitAll)
-		}
-	}
-	// The bounded-timeout policy must save time over full synchrony
-	// with a 3x straggler in play.
-	if stats[2].MeanWaitMs >= stats[0].MeanWaitMs {
-		t.Fatalf("timeout wait %.1f not below wait-all %.1f", stats[2].MeanWaitMs, stats[0].MeanWaitMs)
 	}
 }
 
