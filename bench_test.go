@@ -38,10 +38,6 @@ func benchOpts(m waitornot.Model) waitornot.Options {
 		LearningRate:   0.01, // hotter than full-scale calibration so the
 		// tiny bench shards produce separable accuracies
 	}
-	if m == waitornot.EffNetB0Sim {
-		// Keep the warm start cheap in benches; SimpleNN has none.
-		o.PretrainSamples, o.PretrainEpochs = 600, 2
-	}
 	return o
 }
 

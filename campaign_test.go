@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"waitornot"
+	"waitornot/internal/campaign"
 	"waitornot/internal/testutil"
 )
 
@@ -450,15 +451,26 @@ func TestLoadCampaignRejectsCorruptManifest(t *testing.T) {
 }
 
 // TestCampaignFormatV1Directory: a directory written before the Options
-// audit — format v1, with three more option keys in its snapshot.
+// audit — format v1, with three more option keys in its snapshot than
+// v2 and the two warm-start keys every format before v4 had.
 func TestCampaignFormatV1Directory(t *testing.T) {
-	refuseOldFormat(t, 1, "FilterMinAccuracy", "Validators", "StalenessHalfLifeMs")
+	refuseOldFormat(t, 1, "FilterMinAccuracy", "Validators", "StalenessHalfLifeMs", "PretrainSamples", "PretrainEpochs")
 }
 
 // TestCampaignFormatV2Directory: a directory written before a shard
 // became a block of the fleet's one world — format v2, whose sharded
-// cells trained on per-shard populations.
-func TestCampaignFormatV2Directory(t *testing.T) { refuseOldFormat(t, 2) }
+// cells trained on per-shard populations (and whose snapshot still
+// had the two warm-start keys).
+func TestCampaignFormatV2Directory(t *testing.T) {
+	refuseOldFormat(t, 2, "PretrainSamples", "PretrainEpochs")
+}
+
+// TestCampaignFormatV3Directory: a directory written before the
+// warm-start options went — format v3, with their two keys in its
+// snapshot.
+func TestCampaignFormatV3Directory(t *testing.T) {
+	refuseOldFormat(t, 3, "PretrainSamples", "PretrainEpochs")
+}
 
 // refuseOldFormat rewrites a campaign directory to an older format —
 // the option keys that format had added to its snapshot — and checks it
@@ -499,7 +511,7 @@ func refuseOldFormat(t *testing.T, format int, extraKeys ...string) {
 		t.Fatalf("v%d status differs:\n%s\nwant:\n%s", format, after.Partial.Table(), before.Partial.Table())
 	}
 	_, err = goldenCampaignExperiment(1).RunCampaign(context.Background(), dir)
-	if want := fmt.Sprintf("format v%d, this build writes v3", format); err == nil || !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("format v%d, this build writes v%d", format, campaign.FormatVersion); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("v%d resume not refused by format: %v", format, err)
 	}
 }

@@ -15,12 +15,11 @@
 // -parallel) override the scenario's registered configuration; one the
 // scenario's kind does not read is the library's error (exit 2).
 //
-// Replication: a scenario that declares seeds (replicated-tradeoff,
-// sharded-hierarchy, campaign-grid), or any scenario run with
-// -seeds 1,2,3 / -replications N, is a sweep — every cell is replayed
-// once per seed and the tables report mean ± 95% CI instead of
-// single-seed point estimates. -target-acc adds time-to-that-accuracy
-// as a cell metric.
+// Replication: a scenario that declares seeds (sharded-hierarchy), or
+// any scenario run with -seeds 1,2,3 / -replications N, is a sweep —
+// every cell is replayed once per seed and the tables report mean ±
+// 95% CI instead of single-seed point estimates. -target-acc adds
+// time-to-that-accuracy as a cell metric.
 //
 // Campaigns: -campaign-dir DIR makes a sweep durable — every completed
 // cell is fsync'd to DIR/results.jsonl as it lands, so a run killed at

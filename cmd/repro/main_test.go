@@ -44,7 +44,7 @@ func TestValidate(t *testing.T) {
 	}{
 		{"no selector", config{}, "pick exactly one"},
 		{"two selectors", config{scenario: "paper-repro", netperf: true}, "pick exactly one"},
-		{"resume without dir", config{scenario: "replicated-tradeoff", resume: true}, "say which one with -campaign-dir"},
+		{"resume without dir", config{scenario: "stragglers", seeds: []uint64{1, 2}, resume: true}, "say which one with -campaign-dir"},
 		{"status without dir", config{status: true}, "say which one with -campaign-dir"},
 		{"status with resume", config{status: true, campaignDir: held, resume: true}, "only inspects"},
 		{"status with seeds", config{status: true, campaignDir: held, seeds: []uint64{1}}, "only inspects"},
@@ -59,13 +59,13 @@ func TestValidate(t *testing.T) {
 		{"zero rounds", config{scenario: "vanilla-baseline", rounds: 0, set: set("rounds")}, "-rounds 0"},
 		{"negative replications", config{scenario: "stragglers", replications: -1}, "-replications -1"},
 		{"sweeping the vanilla baseline", config{scenario: "vanilla-baseline", replications: 2}, "vanilla experiments cannot be swept"},
-		{"target-acc out of range", config{scenario: "replicated-tradeoff", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
-		{"target-acc NaN", config{scenario: "replicated-tradeoff", targetAcc: math.NaN(), set: set("target-acc")}, "-target-acc"},
+		{"target-acc out of range", config{scenario: "sharded-hierarchy", targetAcc: 1.2, set: set("target-acc")}, "-target-acc"},
+		{"target-acc NaN", config{scenario: "sharded-hierarchy", targetAcc: math.NaN(), set: set("target-acc")}, "-target-acc"},
 		{"target-acc without a sweep", config{scenario: "paper-repro", targetAcc: 0.5, set: set("target-acc")}, "needs -seeds or -replications"},
 		{"csv on a single run with no CSV grid", config{scenario: "paper-repro", csv: true}, "-replications 1"},
 		{"campaign without a sweep", config{scenario: "paper-repro", campaignDir: fresh}, "declares no seeds"},
-		{"existing campaign without resume", config{scenario: "replicated-tradeoff", campaignDir: held}, "add -resume"},
-		{"resume with no campaign", config{scenario: "replicated-tradeoff", campaignDir: fresh, resume: true}, "holds no campaign"},
+		{"existing campaign without resume", config{scenario: "sharded-hierarchy", campaignDir: held}, "add -resume"},
+		{"resume with no campaign", config{scenario: "sharded-hierarchy", campaignDir: fresh, resume: true}, "holds no campaign"},
 
 		{"list", config{list: true}, ""},
 		{"netperf", config{netperf: true}, ""},
@@ -73,9 +73,9 @@ func TestValidate(t *testing.T) {
 		{"plain scenario", config{scenario: "paper-repro", model: "effnet", set: set("model")}, ""},
 		{"csv on a single trade-off run", config{scenario: "stragglers", csv: true}, ""},
 		{"async with budget", config{scenario: "hetero-compute", timeBudget: 900, set: set("time-budget-ms")}, ""},
-		{"seeded scenario with target", config{scenario: "replicated-tradeoff", targetAcc: 0.5, set: set("target-acc")}, ""},
+		{"seeded scenario with target", config{scenario: "sharded-hierarchy", targetAcc: 0.5, set: set("target-acc")}, ""},
 		{"fresh campaign", config{scenario: "paper-repro", seeds: []uint64{1, 2}, campaignDir: fresh}, ""},
-		{"resumed campaign", config{scenario: "replicated-tradeoff", campaignDir: held, resume: true}, ""},
+		{"resumed campaign", config{scenario: "sharded-hierarchy", campaignDir: held, resume: true}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.c.validate()
@@ -303,9 +303,9 @@ func TestPrintEventFormats(t *testing.T) {
 // the progress header and says so instead of an empty table.
 func TestPrintCampaignStatusEmpty(t *testing.T) {
 	st := &waitornot.CampaignState{Dir: "/tmp/x", Kind: "trade-off study", Fingerprint: strings.Repeat("a", 64), Total: 12,
-		Partial: &waitornot.SweepReport{Scenario: "campaign-grid", Seeds: []uint64{1, 2, 3}}}
+		Partial: &waitornot.SweepReport{Scenario: "consensus-ladder", Seeds: []uint64{1, 2, 3}}}
 	out := captureStdout(t, func() { printCampaignStatus(st) })
-	for _, want := range []string{"progress     0/12 cells (0%)", "no cells landed yet", "scenario campaign-grid"} {
+	for _, want := range []string{"progress     0/12 cells (0%)", "no cells landed yet", "scenario consensus-ladder"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("empty status missing %q:\n%s", want, out)
 		}

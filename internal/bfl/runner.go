@@ -59,9 +59,8 @@ type Config struct {
 	TestPerPeer   int
 	// DirichletAlpha > 0 makes shards non-IID.
 	DirichletAlpha float64
-	// Hyper / Pretrain override training configuration.
-	Hyper    fl.Hyper
-	Pretrain fl.PretrainSpec
+	// Hyper overrides the training configuration.
+	Hyper fl.Hyper
 	// Policy is each peer's wait policy (the zero value waits for all).
 	Policy core.Policy
 	// Filter screens abnormal models before aggregation.
@@ -164,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hyper == (fl.Hyper{}) {
 		c.Hyper = fl.DefaultHyper(c.Model)
-	}
-	if c.Pretrain == (fl.PretrainSpec{}) && c.Model == nn.ModelEffNetSim {
-		c.Pretrain = fl.DefaultPretrain()
 	}
 	if c.PoisonPeer == 0 && c.PoisonFrac == 0 {
 		c.PoisonPeer = -1

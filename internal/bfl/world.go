@@ -40,7 +40,7 @@ func (c Config) ResolveWorld() (*World, error) {
 	}
 	a, b := reflect.ValueOf(c.World.cfg), reflect.ValueOf(c.withDefaults())
 	for _, f := range []string{"Seed", "Model", "Peers", "Rounds", "TrainPerPeer", "SelectionSize",
-		"TestPerPeer", "DirichletAlpha", "Pretrain", "PoisonPeer", "PoisonFrac", "ClientFraction"} {
+		"TestPerPeer", "DirichletAlpha", "PoisonPeer", "PoisonFrac", "ClientFraction"} {
 		if x, y := a.FieldByName(f).Interface(), b.FieldByName(f).Interface(); x != y {
 			return nil, fmt.Errorf("bfl: world built for %s %v, config has %v", f, x, y)
 		}
@@ -95,7 +95,7 @@ func NewWorld(cfg Config) (*World, error) {
 
 	initModel := cfg.Model.Build(root.Derive("init"))
 	if cfg.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, data, cfg.Pretrain, cfg.Parallelism, root.Derive("pretrain"))
+		fl.Pretrain(initModel, data, fl.DefaultPretrain(), cfg.Parallelism, root.Derive("pretrain"))
 	}
 	w.initial = initModel.WeightVector()
 	return w, nil

@@ -42,8 +42,9 @@ import (
 // FormatVersion is the on-disk format this package reads and writes.
 // Bump it on any incompatible change to the manifest or record schema,
 // or to what a configuration computes (v3: a sharded cell's shards
-// split one world); a resume rejects mismatches.
-const FormatVersion = 3
+// split one world; v4: the snapshot's options lost the two warm-start
+// keys); a resume rejects mismatches.
+const FormatVersion = 4
 
 // manifestName and logName are the two files of a campaign directory.
 const (

@@ -39,13 +39,9 @@ func fieldReaders() map[string][]Kind {
 		"Options.SelectionSize":  all,
 		"Options.TestPerClient":  all,
 		"Options.DirichletAlpha": all,
-		// The warm start depends on the model, not the kind: an error
-		// with SimpleNN (TestOptionsValidateRejections).
-		"Options.PretrainSamples": all,
-		"Options.PretrainEpochs":  all,
-		"Options.LearningRate":    all,
-		"Options.LocalEpochs":     all,
-		"Options.Parallelism":     all,
+		"Options.LearningRate":   all,
+		"Options.LocalEpochs":    all,
+		"Options.Parallelism":    all,
 		// A trade-off run takes its policies from the ladder.
 		"Options.Policy":             {KindDecentralized, KindAsync, KindSharded},
 		"Options.FilterMaxBelowBest": notVanilla,
@@ -242,11 +238,11 @@ func TestDescriptionCheckedBeforeTheContext(t *testing.T) {
 			t.Errorf("RegisterScenario with %s on %v: err = %v, want %q", tc.field, tc.sc.Kind, err, want)
 		}
 	}
-	// The model row, an invalid value, a duplicated ladder entry (which
-	// only the trade-off run's sweep plan sees) and a hierarchy at the
-	// default shard count take the same path.
+	// An unknown model, an invalid value, a duplicated ladder entry
+	// (which only the trade-off run's sweep plan sees) and a hierarchy at
+	// the default shard count take the same path.
 	for _, sc := range []Scenario{
-		{Kind: KindDecentralized, Options: Options{PretrainSamples: 600}},
+		{Kind: KindDecentralized, Options: Options{Model: Model(99)}},
 		{Kind: KindAsync, Options: Options{ClientFraction: 1.5}},
 		{Kind: KindTradeoff, Policies: []Policy{{Kind: WaitAll}, {Kind: WaitAll}}},
 		{Kind: KindSharded, Options: Options{Clients: 3}},

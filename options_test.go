@@ -50,8 +50,6 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"client fraction above one", func(o *Options) { o.ClientFraction = 1.01 }, "client fraction"},
 		{"client fraction with dirichlet", func(o *Options) { o.ClientFraction = 0.1; o.DirichletAlpha = 0.5 }, "DirichletAlpha"},
 		{"shard smaller than a minibatch", func(o *Options) { o.TrainPerClient = 20 }, "20 training samples per peer is less than one minibatch of 32"},
-		{"warm start samples without the warm-start model", func(o *Options) { o.PretrainSamples = 600 }, "PretrainSamples and PretrainEpochs are an error with SimpleNN"},
-		{"warm start epochs without the warm-start model", func(o *Options) { o.Model = 0; o.PretrainEpochs = 2 }, "PretrainSamples and PretrainEpochs are an error with SimpleNN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,7 +85,6 @@ func TestOptionsValidateAccepts(t *testing.T) {
 		{"client fraction unset", Options{ClientFraction: 0}},
 		{"client fraction full", Options{ClientFraction: 1}},
 		{"cross-device fleet", Options{Clients: 1000, ClientFraction: 0.01}},
-		{"warm start on the warm-start model", Options{Model: EffNetB0Sim, PretrainSamples: 600, PretrainEpochs: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -179,28 +179,6 @@ func init() {
 		Policies:    DefaultPolicies(3),
 	})
 	MustRegisterScenario(Scenario{
-		Name: "replicated-tradeoff",
-		Description: "the stragglers trade-off replicated over 5 seeds: " +
-			"mean ± 95% CI per wait policy (run with -seeds/-replications to resize)",
-		Kind:     KindTradeoff,
-		Options:  Options{StragglerFactor: []float64{1, 1, 3}},
-		Policies: DefaultPolicies(3),
-		Seeds:    []uint64{1, 2, 3, 4, 5},
-	})
-	MustRegisterScenario(Scenario{
-		Name: "campaign-grid",
-		Description: "the full policy x backend grid over 5 seeds, sized for durable " +
-			"campaigns: run with -campaign-dir to persist, kill, and -resume",
-		Kind: KindTradeoff,
-		Options: Options{
-			StragglerFactor: []float64{1, 1, 3},
-			CommitLatency:   true,
-		},
-		Policies: DefaultPolicies(3),
-		Backends: []string{"pow", "poa", "pbft", "instant"},
-		Seeds:    []uint64{1, 2, 3, 4, 5},
-	})
-	MustRegisterScenario(Scenario{
 		Name: "consensus-ladder",
 		Description: "backends x wait policies: pow vs poa vs pbft vs instant commit " +
 			"latency under the full wait ladder with a 3x straggler",
@@ -227,7 +205,8 @@ func init() {
 	MustRegisterScenario(Scenario{
 		Name: "hetero-compute",
 		Description: "heterogeneous fleet, async: lognormal compute stragglers and uniform " +
-			"network jitter drawn per round on the virtual clock",
+			"network jitter drawn per round on the virtual clock (at -fast the jitter lands " +
+			"inside pow's 1 s commit interval and changes no aggregation)",
 		Kind: KindAsync,
 		Options: Options{
 			Policy:          Policy{Kind: KOrTimeout, K: 2, TimeoutMs: 1500},
@@ -297,10 +276,12 @@ func init() {
 		},
 	})
 	MustRegisterScenario(Scenario{
-		Name:        "async-ladder",
-		Description: "full wait-policy ladder under a 3x straggler: wait-all, first-k, timeout, k-or-timeout",
-		Kind:        KindTradeoff,
-		Options:     Options{StragglerFactor: []float64{1, 1, 3}},
+		Name: "async-ladder",
+		Description: "full wait-policy ladder under a 3x straggler: wait-all, first-k, timeout, k-or-timeout " +
+			"(the 60 ms deadline fires at the default data size, not at -fast; first-2-or-60ms " +
+			"reads as first-2 at both)",
+		Kind:    KindTradeoff,
+		Options: Options{StragglerFactor: []float64{1, 1, 3}},
 		Policies: append(DefaultPolicies(3),
 			Policy{Kind: Timeout, TimeoutMs: 60},
 			Policy{Kind: KOrTimeout, K: 2, TimeoutMs: 60},

@@ -22,9 +22,6 @@ func TestBuiltinScenarioLibrary(t *testing.T) {
 
 		"sharded-async-merge": KindSharded,
 		"cross-device-fleet":  KindDecentralized,
-
-		"replicated-tradeoff": KindTradeoff, // declares Seeds (a sweep)
-		"campaign-grid":       KindTradeoff, // declares Seeds + Backends (a durable sweep)
 	}
 	for name, kind := range wantKinds {
 		s, ok := LookupScenario(name)
@@ -92,8 +89,8 @@ func TestRegisterScenarioRejections(t *testing.T) {
 }
 
 // TestScenarioExperimentRuns drives a registered scenario end-to-end
-// at test scale through Scenario.Experiment, proving the registry →
-// experiment → report path.
+// at test scale through Scenario.Experiment, proving the registry ->
+// experiment -> report path.
 func TestScenarioExperimentRuns(t *testing.T) {
 	s, ok := LookupScenario("non-iid")
 	if !ok {

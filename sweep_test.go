@@ -428,32 +428,32 @@ func TestSweepRejectsDuplicateLadderEntries(t *testing.T) {
 	}
 }
 
-// TestReplicatedScenarioSweeps: the registered replicated-tradeoff
+// TestReplicatedScenarioSweeps: the registered sharded-hierarchy
 // scenario declares its seed list, so Scenario.Experiment().RunSweep
 // is a one-liner; explicit WithSeeds overrides it.
 func TestReplicatedScenarioSweeps(t *testing.T) {
-	sc, ok := waitornot.LookupScenario("replicated-tradeoff")
+	sc, ok := waitornot.LookupScenario("sharded-hierarchy")
 	if !ok {
-		t.Fatal("replicated-tradeoff not registered")
+		t.Fatal("sharded-hierarchy not registered")
 	}
-	if len(sc.Seeds) != 5 {
-		t.Fatalf("scenario seeds = %v, want 5 of them", sc.Seeds)
+	if len(sc.Seeds) != 3 {
+		t.Fatalf("scenario seeds = %v, want 3 of them", sc.Seeds)
 	}
 	sc.Options.Rounds = 1
-	rep, err := sc.Experiment(
-		waitornot.WithSeeds(11, 12),
-		waitornot.WithFastScale()).RunSweep(context.Background())
+	sc.Options.TrainPerClient, sc.Options.SelectionSize, sc.Options.TestPerClient = 64, 16, 16
+	sc.ShardCounts, sc.MergeCadences = []int{2}, []int{1}
+	rep, err := sc.Experiment(waitornot.WithSeeds(11, 12)).RunSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Seeds) != 2 || rep.Seeds[0] != 11 || rep.Seeds[1] != 12 {
 		t.Fatalf("override seeds = %v, want [11 12]", rep.Seeds)
 	}
-	if rep.Scenario != "replicated-tradeoff" {
+	if rep.Scenario != "sharded-hierarchy" {
 		t.Fatalf("scenario label = %q", rep.Scenario)
 	}
-	if len(rep.Cells) != len(sc.Policies) {
-		t.Fatalf("cells = %d, want one per policy = %d", len(rep.Cells), len(sc.Policies))
+	if len(rep.Cells) != len(sc.Backends) {
+		t.Fatalf("cells = %d, want one per backend = %d", len(rep.Cells), len(sc.Backends))
 	}
 }
 

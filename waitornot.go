@@ -178,11 +178,6 @@ type Options struct {
 	TestPerClient  int
 	// DirichletAlpha > 0 partitions shards non-IID.
 	DirichletAlpha float64
-	// PretrainSamples / PretrainEpochs override the EffNetB0Sim
-	// transfer-learning warm start (0 = calibrated defaults). An error
-	// with SimpleNN, which has no warm start.
-	PretrainSamples int
-	PretrainEpochs  int
 	// LearningRate overrides the calibrated local-training rate
 	// (0 = paper-calibrated default). Small demos with few samples and
 	// rounds want a hotter rate than the full-scale calibration.
@@ -282,11 +277,11 @@ type Options struct {
 // Validate rejects options a run cannot honour. The public layer checks
 // only the fields whose public form differs from the engine's — the
 // sign of the counts (0 means "the default" at this layer), the poison
-// range, the wait policy, the model and its warm start — and leaves
-// everything else to the Validate of the engine configuration the
-// options lower to, which Run reaches anyway, and the `kinds` tags to
-// the experiment's check: a rule is written once, at the layer that
-// enforces it. Exported for callers that want to fail fast.
+// range, the wait policy and the model — and leaves everything else
+// to the Validate of the engine configuration the options lower to,
+// which Run reaches anyway, and the `kinds` tags to the experiment's
+// check: a rule is written once, at the layer that enforces it.
+// Exported for callers that want to fail fast.
 func (o Options) Validate() error {
 	if o.Clients < 0 {
 		return fmt.Errorf("waitornot: negative client count %d", o.Clients)
@@ -303,11 +298,8 @@ func (o Options) Validate() error {
 	if err := o.Policy.Validate(); err != nil {
 		return err
 	}
-	switch m := o.withDefaults().Model; {
-	case m != SimpleNN && m != EffNetB0Sim:
+	if m := o.withDefaults().Model; m != SimpleNN && m != EffNetB0Sim {
 		return fmt.Errorf("waitornot: unknown model %v", m)
-	case m == SimpleNN && o.PretrainSamples|o.PretrainEpochs != 0:
-		return fmt.Errorf("waitornot: Options.PretrainSamples and PretrainEpochs are an error with %v, which has no warm start", m)
 	}
 	if o.Shards != 0 {
 		return o.sharded(nil).Validate()
@@ -353,20 +345,6 @@ func (o Options) hyper() fl.Hyper {
 	return h
 }
 
-func (o Options) pretrain() fl.PretrainSpec {
-	if o.PretrainSamples == 0 && o.PretrainEpochs == 0 {
-		return fl.PretrainSpec{} // engine default
-	}
-	spec := fl.DefaultPretrain()
-	if o.PretrainSamples > 0 {
-		spec.Samples = o.PretrainSamples
-	}
-	if o.PretrainEpochs > 0 {
-		spec.Epochs = o.PretrainEpochs
-	}
-	return spec
-}
-
 func (o Options) decentralized() bfl.Config {
 	o = o.withDefaults()
 	return bfl.Config{
@@ -378,7 +356,6 @@ func (o Options) decentralized() bfl.Config {
 		SelectionSize:   o.SelectionSize,
 		TestPerPeer:     o.TestPerClient,
 		DirichletAlpha:  o.DirichletAlpha,
-		Pretrain:        o.pretrain(),
 		Hyper:           o.hyper(),
 		Policy:          o.Policy.internal(),
 		Filter:          core.Filter{MaxBelowBest: o.FilterMaxBelowBest},
