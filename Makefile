@@ -28,9 +28,9 @@
 #                  the chain codec, mempool, journal revert, contract
 #                  calldata codec, kernel bodies, the
 #                  Box-Muller body, the training-shard layout and the
-#                  validation contract (a policy or distribution
-#                  Validate accepts runs finite: FuzzPolicyValidate,
-#                  FuzzDistValidate) +
+#                  validation contract (a policy Validate accepts
+#                  fires monotonically, a distribution it accepts runs
+#                  finite: FuzzPolicyValidate, FuzzDistValidate) +
 #                  the rerun pass (test-rerun: the
 #                  tests of internal/ and cmd/ and the root registry
 #                  tests run twice in one process, so a test that
@@ -69,7 +69,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14179
+SIZE_MAX ?= 14138
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs

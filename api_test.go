@@ -22,9 +22,9 @@ import (
 	"waitornot/internal/testutil"
 )
 
-// TestPublicAPIGolden lists the root package's exported funcs, types
-// and methods (on exported types), sorted. After a deliberate surface
-// change: go test -run TestPublicAPIGolden -update .
+// TestPublicAPIGolden lists the root package's exported consts, vars,
+// funcs, types and methods (on exported types), sorted. After a
+// deliberate surface change: go test -run TestPublicAPIGolden -update .
 func TestPublicAPIGolden(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -53,8 +53,17 @@ func TestPublicAPIGolden(t *testing.T) {
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-						names = append(names, "type "+ts.Name.Name)
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							names = append(names, "type "+sp.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							if id.IsExported() {
+								names = append(names, d.Tok.String()+" "+id.Name)
+							}
+						}
 					}
 				}
 			}

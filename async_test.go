@@ -19,7 +19,7 @@ import (
 // non-trivial, first-2 keeps the run short.
 func asyncOpts() waitornot.Options {
 	opts := testutil.TinyStreamOptions()
-	opts.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
+	opts.Policy = waitornot.Policy{K: 2}
 	opts.StragglerFactor = []float64{1, 1, 3}
 	opts.CommitLatency = true
 	return opts

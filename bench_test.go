@@ -508,7 +508,7 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 	opts := benchOpts(waitornot.SimpleNN)
 	opts.SkipComboTables = true
 	opts.StragglerFactor = []float64{1, 1, 3}
-	opts.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
+	opts.Policy = waitornot.Policy{K: 2}
 	opts.CommitLatency = true
 
 	var syncWall, asyncWall time.Duration

@@ -148,7 +148,9 @@ type CampaignState struct {
 // work-list order — deterministic for a given set of landed cells.
 // Each record passes the checks a resume makes, so a log a resume
 // would refuse is an error here too; only a record outside the grid is
-// skipped rather than fatal.
+// skipped rather than fatal. An older format's snapshot is read as far
+// as it parses; when its cell IDs do not re-derive, the error names
+// both formats rather than a different grid.
 func LoadCampaign(dir string) (*CampaignState, error) {
 	m, records, err := campaign.Read(dir)
 	if err != nil {
@@ -167,6 +169,10 @@ func LoadCampaign(dir string) (*CampaignState, error) {
 	for _, r := range records {
 		if r.Index < 0 || r.Index >= total {
 			continue
+		}
+		if m.Format != campaign.FormatVersion && r.ID != plan.cellID(r.Index) {
+			return nil, fmt.Errorf("waitornot: campaign %s is format v%d, this build derives v%d cell IDs: cell %d's ID %s does not re-derive (read it with the build that wrote it)",
+				dir, m.Format, campaign.FormatVersion, r.Index, r.ID)
 		}
 		run, err := plan.restore(dir, r)
 		if err != nil {

@@ -452,9 +452,10 @@ func TestLoadCampaignRejectsCorruptManifest(t *testing.T) {
 
 // TestCampaignFormatV1Directory: a directory written before the Options
 // audit — format v1, with three more option keys in its snapshot than
-// v2 and the two warm-start keys every format before v4 had.
+// v2, the two warm-start keys every format before v4 had, and the
+// policy kind and float-ms timeout every format before v5 had.
 func TestCampaignFormatV1Directory(t *testing.T) {
-	refuseOldFormat(t, 1, "FilterMinAccuracy", "Validators", "StalenessHalfLifeMs", "PretrainSamples", "PretrainEpochs")
+	refuseOldFormat(t, 1, "FilterMinAccuracy", "Validators", "StalenessHalfLifeMs", "PretrainSamples", "PretrainEpochs", "Kind", "TimeoutMs")
 }
 
 // TestCampaignFormatV2Directory: a directory written before a shard
@@ -462,27 +463,53 @@ func TestCampaignFormatV1Directory(t *testing.T) {
 // cells trained on per-shard populations (and whose snapshot still
 // had the two warm-start keys).
 func TestCampaignFormatV2Directory(t *testing.T) {
-	refuseOldFormat(t, 2, "PretrainSamples", "PretrainEpochs")
+	refuseOldFormat(t, 2, "PretrainSamples", "PretrainEpochs", "Kind", "TimeoutMs")
 }
 
 // TestCampaignFormatV3Directory: a directory written before the
 // warm-start options went — format v3, with their two keys in its
 // snapshot.
 func TestCampaignFormatV3Directory(t *testing.T) {
-	refuseOldFormat(t, 3, "PretrainSamples", "PretrainEpochs")
+	refuseOldFormat(t, 3, "PretrainSamples", "PretrainEpochs", "Kind", "TimeoutMs")
 }
 
-// refuseOldFormat rewrites a campaign directory to an older format —
-// the option keys that format had added to its snapshot — and checks it
-// still reads for the status view while a resume refuses it with the
-// format message, not the fingerprint one.
-func refuseOldFormat(t *testing.T, format int, extraKeys ...string) {
-	dir := t.TempDir()
-	interruptCampaign(t, dir, 1, 3)
-	before, err := waitornot.LoadCampaign(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestCampaignFormatV4Directory: a directory written before a policy
+// became the engine's {K, Deadline} — format v4, whose policy objects
+// carried a kind and a float-ms timeout instead of a Deadline.
+func TestCampaignFormatV4Directory(t *testing.T) {
+	refuseOldFormat(t, 4, "Kind", "TimeoutMs")
+}
+
+// TestCampaignOldFormatIDsNameBothFormats: a v4 log's cell IDs hash its
+// policies' old JSON, so under v5 they do not re-derive. The status
+// view then names both formats, not a different grid; a current-format
+// log with the same stray ID keeps the different-grid message.
+func TestCampaignOldFormatIDsNameBothFormats(t *testing.T) {
+	for _, format := range []int{campaign.FormatVersion - 1, campaign.FormatVersion} {
+		dir := t.TempDir()
+		interruptCampaign(t, dir, 1, 3)
+		editManifest(t, dir, func(m map[string]any) {
+			m["format"], m["config"].(map[string]any)["format"] = format, format
+		})
+		rewriteRecord(t, dir, func(rec map[string]any) { rec["id"] = strings.Repeat("0", 32) })
+		_, err := waitornot.LoadCampaign(dir)
+		want := fmt.Sprintf("format v%d, this build derives v%d cell IDs", format, campaign.FormatVersion)
+		if format == campaign.FormatVersion {
+			want = "the log belongs to a different grid"
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d log with a stray ID: err = %v, want %q", format, err, want)
+		}
 	}
+}
+
+// oldPolicyKeys are the keys a policy object had before format v5; it
+// had no Deadline.
+var oldPolicyKeys = map[string]bool{"Kind": true, "TimeoutMs": true}
+
+// editManifest rewrites dir's manifest.json through mutate.
+func editManifest(t *testing.T, dir string, mutate func(m map[string]any)) {
+	t.Helper()
 	path := filepath.Join(dir, "manifest.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -492,16 +519,45 @@ func refuseOldFormat(t *testing.T, format int, extraKeys ...string) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	config := m["config"].(map[string]any)
-	m["format"], config["format"] = format, format
-	options := config["options"].(map[string]any)
-	for _, key := range extraKeys {
-		options[key] = 0
-	}
+	mutate(m)
 	edited, _ := json.Marshal(m)
 	if err := os.WriteFile(path, edited, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refuseOldFormat rewrites a campaign directory to an older format —
+// the keys that format had added to its snapshot, on the options or,
+// for oldPolicyKeys, on every policy object — and checks it still
+// reads for the status view while a resume refuses it with the format
+// message, not the fingerprint one.
+func refuseOldFormat(t *testing.T, format int, extraKeys ...string) {
+	dir := t.TempDir()
+	interruptCampaign(t, dir, 1, 3)
+	before, err := waitornot.LoadCampaign(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	editManifest(t, dir, func(m map[string]any) {
+		config := m["config"].(map[string]any)
+		m["format"], config["format"] = format, format
+		options := config["options"].(map[string]any)
+		policies := []any{options["Policy"]}
+		policies = append(policies, config["ladder"].([]any)...)
+		for _, v := range config["variants"].([]any) {
+			policies = append(policies, v.(map[string]any)["policy"])
+		}
+		for _, key := range extraKeys {
+			if !oldPolicyKeys[key] {
+				options[key] = 0
+				continue
+			}
+			for _, p := range policies {
+				p.(map[string]any)[key] = 0
+				delete(p.(map[string]any), "Deadline")
+			}
+		}
+	})
 
 	after, err := waitornot.LoadCampaign(dir)
 	if err != nil {

@@ -178,9 +178,9 @@ func TestClaims(t *testing.T) {
 			"every rung that stops early waits less and includes fewer models than wait-all, both deadline rungs " +
 				"included; the ladder spans all four policy families (default data, 1 round, seed 1)",
 			func(t *testing.T, sc Scenario) {
-				families := map[PolicyKind]bool{}
+				families := map[[2]bool]bool{} // (counts, has a timer)
 				for _, p := range sc.Policies {
-					families[p.Kind] = true
+					families[[2]bool{p.K > 0, p.Deadline > 0}] = true
 				}
 				if len(families) != 4 {
 					t.Fatalf("the ladder spans %d policy families: %+v", len(families), sc.Policies)

@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -31,7 +30,7 @@ func TestValidate(t *testing.T) {
 	}
 	held := t.TempDir()
 	exp := waitornot.New(tinyShardedOpts(), waitornot.WithKind(waitornot.KindTradeoff),
-		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}), waitornot.WithSeeds(7))
+		waitornot.WithPolicies(waitornot.Policy{}), waitornot.WithSeeds(7))
 	if _, err := exp.RunCampaign(context.Background(), held); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,7 @@ func TestPrintCampaign(t *testing.T) {
 	o.StragglerFactor = []float64{1, 1, 3}
 	exp := waitornot.New(o,
 		waitornot.WithKind(waitornot.KindTradeoff),
-		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+		waitornot.WithPolicies(waitornot.Policy{}, waitornot.Policy{K: 1}),
 		waitornot.WithSeeds(7, 8),
 		waitornot.WithObserverFunc(printEvent))
 	dir := t.TempDir() + "/campaign"
@@ -312,34 +311,34 @@ func TestPrintCampaignStatusEmpty(t *testing.T) {
 	}
 }
 
-// TestWaitTermsGolden pins -netperf's wait-terms table over seeds 1 and
-// 7, and holds each cell to the scenario's sweep at the same seed: its
-// mean wait is the replication's MeanWaitMs exactly (a replication is
-// a standalone run), and its four term means sum to that wait.
+// TestWaitTermsGolden pins -netperf's wait-terms table at seed 1, and
+// holds each cell to the scenario's sweep at that seed: its mean wait
+// is the replication's MeanWaitMs exactly (a replication is a
+// standalone run), and its four term means sum to that wait. One seed
+// suffices: consensus-ladder draws no compute or network distribution,
+// so every term is a function of the sizes, not of the seed.
 func TestWaitTermsGolden(t *testing.T) {
 	ctx := context.Background()
 	sc, _ := waitornot.LookupScenario("consensus-ladder")
 	sc.Options.Rounds = waitTermsRounds
 	var b strings.Builder
-	for _, seed := range []uint64{1, 7} {
-		fmt.Fprintf(&b, "seed %d", seed)
-		rows, err := waitTerms(ctx, &b, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sc.Experiment(waitornot.WithFastScale(), waitornot.WithSeeds(seed)).RunSweep(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Runs) != len(rows) {
-			t.Fatalf("seed %d: %d table rows, %d sweep runs", seed, len(rows), len(rep.Runs))
-		}
-		for i, run := range rep.Runs {
-			r, wait := rows[i], rows[i].Ms[4]
-			sum := r.Ms[0] + r.Ms[1] + r.Ms[2] + r.Ms[3]
-			if run.Backend != r.Backend || run.Policy != r.Policy || run.MeanWaitMs != wait || math.Abs(sum-wait) > 1e-9*wait {
-				t.Fatalf("seed %d: row %+v (terms sum to %g), sweep run %s %s waits %g", seed, r, sum, run.Backend, run.Policy, run.MeanWaitMs)
-			}
+	b.WriteString("seed 1")
+	rows, err := waitTerms(ctx, &b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sc.Experiment(waitornot.WithFastScale(), waitornot.WithSeeds(1)).RunSweep(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != len(rows) {
+		t.Fatalf("%d table rows, %d sweep runs", len(rows), len(rep.Runs))
+	}
+	for i, run := range rep.Runs {
+		r, wait := rows[i], rows[i].Ms[4]
+		sum := r.Ms[0] + r.Ms[1] + r.Ms[2] + r.Ms[3]
+		if run.Backend != r.Backend || run.Policy != r.Policy || run.MeanWaitMs != wait || math.Abs(sum-wait) > 1e-9*wait {
+			t.Fatalf("row %+v (terms sum to %g), sweep run %s %s waits %g", r, sum, run.Backend, run.Policy, run.MeanWaitMs)
 		}
 	}
 	testutil.GoldenFile(t, "testdata/wait_terms.golden", []byte(b.String()))

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"waitornot"
 	"waitornot/internal/bfl"
@@ -91,7 +92,7 @@ func TestVanillaParallelMatchesSequential(t *testing.T) {
 
 func TestTradeoffParallelMatchesSequential(t *testing.T) {
 	policies := waitornot.DefaultPolicies(3)
-	policies = append(policies, waitornot.Policy{Kind: waitornot.KOrTimeout, K: 2, TimeoutMs: 200})
+	policies = append(policies, waitornot.Policy{K: 2, Deadline: 200 * time.Millisecond})
 	run := func(parallelism int) *waitornot.SweepReport {
 		o := detOpts()
 		o.Parallelism = parallelism

@@ -187,6 +187,12 @@ func (c Config) Validate() error {
 		// shard would train nothing and report chance accuracy.
 		return fmt.Errorf("bfl: %d training samples per peer is less than one minibatch of %d", c.TrainPerPeer, c.Hyper.BatchSize)
 	}
+	if c.SelectionSize < 0 {
+		return fmt.Errorf("bfl: negative selection size %d", c.SelectionSize)
+	}
+	if c.TestPerPeer < 0 {
+		return fmt.Errorf("bfl: negative count of %d test samples per peer", c.TestPerPeer)
+	}
 	if c.StragglerFactor != nil && len(c.StragglerFactor) != c.Peers {
 		return fmt.Errorf("bfl: %d straggler factors for %d peers", len(c.StragglerFactor), c.Peers)
 	}
@@ -214,6 +220,9 @@ func (c Config) Validate() error {
 		if _, ok := ledger.Lookup(c.Backend); !ok {
 			return fmt.Errorf("bfl: unknown backend %q (registered: %v)", c.Backend, ledger.Names())
 		}
+	}
+	if err := c.Policy.Validate(); err != nil {
+		return fmt.Errorf("bfl: wait policy: %w", err)
 	}
 	if err := c.Compute.Validate(); err != nil {
 		return fmt.Errorf("bfl: compute distribution: %w", err)

@@ -43,8 +43,9 @@ import (
 // Bump it on any incompatible change to the manifest or record schema,
 // or to what a configuration computes (v3: a sharded cell's shards
 // split one world; v4: the snapshot's options lost the two warm-start
-// keys); a resume rejects mismatches.
-const FormatVersion = 4
+// keys; v5: a policy is {K, Deadline}, no longer {Kind, K, TimeoutMs},
+// in the snapshot and in every cell ID); a resume rejects mismatches.
+const FormatVersion = 5
 
 // manifestName and logName are the two files of a campaign directory.
 const (

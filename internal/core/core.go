@@ -51,6 +51,19 @@ func (p Policy) Name() string {
 	return fmt.Sprintf("first-%d-or-%s", p.K, p.Deadline)
 }
 
+// Validate rejects a policy with a negative count or deadline: the
+// engine would read either as "not set", a second spelling of a value
+// that already has one.
+func (p Policy) Validate() error {
+	if p.K < 0 {
+		return fmt.Errorf("core: policy K %d is negative", p.K)
+	}
+	if p.Deadline < 0 {
+		return fmt.Errorf("core: policy deadline %v is negative", p.Deadline)
+	}
+	return nil
+}
+
 // Ready reports whether aggregation should proceed now, given how many
 // of the expected updates have been received (the peer's own update
 // included) and how long the round has been open. It is a pure

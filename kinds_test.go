@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 var allKinds = []Kind{KindVanilla, KindDecentralized, KindTradeoff, KindAsync, KindSharded}
@@ -212,8 +213,8 @@ func TestDescriptionCheckedBeforeTheContext(t *testing.T) {
 		{"Options.AdaptiveShards", Scenario{Kind: KindAsync, Options: Options{AdaptiveShards: true}}},
 		{"Scenario.ShardCounts", Scenario{Kind: KindTradeoff, ShardCounts: []int{2}}},
 		{"Scenario.MergeCadences", Scenario{Kind: KindDecentralized, MergeCadences: []int{1}}},
-		{"Options.Policy", Scenario{Kind: KindTradeoff, Options: Options{Policy: Policy{Kind: FirstK, K: 1}}}},
-		{"Options.Policy", Scenario{Kind: KindVanilla, Options: Options{Policy: Policy{Kind: WaitAll}}}},
+		{"Options.Policy", Scenario{Kind: KindTradeoff, Options: Options{Policy: Policy{K: 1}}}},
+		{"Options.Policy", Scenario{Kind: KindVanilla, Options: Options{Policy: Policy{Deadline: time.Second}}}},
 		{"Options.Backend", Scenario{Kind: KindVanilla, Options: Options{Backend: "poa"}}},
 		{"Options.CommitLatency", Scenario{Kind: KindVanilla, Options: Options{CommitLatency: true}}},
 		{"Options.StragglerFactor", Scenario{Kind: KindVanilla, Options: Options{StragglerFactor: []float64{1, 1, 3}}}},
@@ -244,7 +245,7 @@ func TestDescriptionCheckedBeforeTheContext(t *testing.T) {
 	for _, sc := range []Scenario{
 		{Kind: KindDecentralized, Options: Options{Model: Model(99)}},
 		{Kind: KindAsync, Options: Options{ClientFraction: 1.5}},
-		{Kind: KindTradeoff, Policies: []Policy{{Kind: WaitAll}, {Kind: WaitAll}}},
+		{Kind: KindTradeoff, Policies: []Policy{{}, {}}},
 		{Kind: KindSharded, Options: Options{Clients: 3}},
 	} {
 		for i, err := range entryErrors(t, sc, true) {

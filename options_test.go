@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestOptionsValidateRejections is the table of configurations
@@ -20,17 +21,13 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"negative rounds", func(o *Options) { o.Rounds = -3 }, "round"},
 		{"poison fraction above one", func(o *Options) { o.PoisonClient = 1; o.PoisonFraction = 1.5 }, "poison"},
 		{"poison fraction negative", func(o *Options) { o.PoisonClient = 1; o.PoisonFraction = -0.1 }, "poison"},
-		{"first-k with zero k", func(o *Options) { o.Policy = Policy{Kind: FirstK} }, "K >= 1"},
-		{"first-k with negative k", func(o *Options) { o.Policy = Policy{Kind: FirstK, K: -2} }, "K >= 1"},
-		{"timeout without deadline", func(o *Options) { o.Policy = Policy{Kind: Timeout} }, "TimeoutMs > 0"},
-		{"timeout with negative deadline", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: -5} }, "TimeoutMs > 0"},
-		{"k-or-timeout with zero k", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, TimeoutMs: 100} }, "K >= 1"},
-		{"k-or-timeout without deadline", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, K: 2} }, "TimeoutMs > 0"},
-		{"timeout NaN", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: math.NaN()} }, "TimeoutMs > 0"},
-		{"timeout +Inf", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: math.Inf(1)} }, "TimeoutMs > 0"},
-		{"timeout under a nanosecond", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: 1e-7} }, "1ns"},
-		{"timeout past a time.Duration", func(o *Options) { o.Policy = Policy{Kind: Timeout, TimeoutMs: 1e13} }, "time.Duration"},
-		{"k-or-timeout NaN", func(o *Options) { o.Policy = Policy{Kind: KOrTimeout, K: 2, TimeoutMs: math.NaN()} }, "TimeoutMs > 0"},
+		{"negative local epochs", func(o *Options) { o.LocalEpochs = -1 }, "local epoch"},
+		{"negative selection size", func(o *Options) { o.SelectionSize = -1 }, "selection size"},
+		{"negative test size", func(o *Options) { o.TestPerClient = -1 }, "test samples"},
+		{"first-k with negative k", func(o *Options) { o.Policy = Policy{K: -2} }, "policy K -2 is negative"},
+		{"k-or-timeout with negative k", func(o *Options) { o.Policy = Policy{K: -1, Deadline: time.Second} }, "policy K -1 is negative"},
+		{"timeout with negative deadline", func(o *Options) { o.Policy = Policy{Deadline: -5 * time.Millisecond} }, "policy deadline -5ms is negative"},
+		{"k-or-timeout with negative deadline", func(o *Options) { o.Policy = Policy{K: 2, Deadline: -1} }, "policy deadline -1ns is negative"},
 		{"poison fraction NaN", func(o *Options) { o.PoisonClient = 1; o.PoisonFraction = math.NaN() }, "poison"},
 		{"learning rate NaN", func(o *Options) { o.LearningRate = math.NaN() }, "learning rate"},
 		{"learning rate negative", func(o *Options) { o.LearningRate = -0.1 }, "learning rate"},
@@ -44,7 +41,6 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"client fraction NaN", func(o *Options) { o.ClientFraction = math.NaN() }, "client fraction"},
 		{"dirichlet alpha NaN", func(o *Options) { o.DirichletAlpha = math.NaN() }, "Dirichlet alpha"},
 		{"dirichlet alpha negative", func(o *Options) { o.DirichletAlpha = -1 }, "Dirichlet alpha"},
-		{"unknown policy kind", func(o *Options) { o.Policy = Policy{Kind: PolicyKind(99)} }, "policy kind"},
 		{"unknown model", func(o *Options) { o.Model = Model(99) }, "model"},
 		{"client fraction negative", func(o *Options) { o.ClientFraction = -0.5 }, "client fraction"},
 		{"client fraction above one", func(o *Options) { o.ClientFraction = 1.01 }, "client fraction"},
@@ -76,10 +72,10 @@ func TestOptionsValidateAccepts(t *testing.T) {
 	}{
 		{"zero value", Options{}},
 		{"paper setup", Options{Model: SimpleNN, Clients: 3, Rounds: 10}},
-		{"wait-all", Options{Policy: Policy{Kind: WaitAll}}},
-		{"first-k", Options{Policy: Policy{Kind: FirstK, K: 1}}},
-		{"timeout", Options{Policy: Policy{Kind: Timeout, TimeoutMs: 0.5}}},
-		{"k-or-timeout", Options{Policy: Policy{Kind: KOrTimeout, K: 2, TimeoutMs: 100}}},
+		{"wait-all", Options{Policy: Policy{}}},
+		{"first-k", Options{Policy: Policy{K: 1}}},
+		{"timeout", Options{Policy: Policy{Deadline: 500 * time.Microsecond}}},
+		{"k-or-timeout", Options{Policy: Policy{K: 2, Deadline: 100 * time.Millisecond}}},
 		{"poison fraction zero", Options{PoisonClient: 1, PoisonFraction: 0}},
 		{"poison fraction one", Options{PoisonClient: 1, PoisonFraction: 1}},
 		{"client fraction unset", Options{ClientFraction: 0}},
@@ -98,12 +94,12 @@ func TestOptionsValidateAccepts(t *testing.T) {
 // TestRunRejectsInvalidPolicies proves Experiment.Run rejects bad
 // policies instead of handing them to the engine.
 func TestRunRejectsInvalidPolicies(t *testing.T) {
-	opts := Options{Policy: Policy{Kind: FirstK, K: 0}}
+	opts := Options{Policy: Policy{K: -1}}
 	if _, err := New(opts).Run(context.Background()); err == nil {
-		t.Fatal("decentralized run accepted first-0")
+		t.Fatal("decentralized run accepted K = -1")
 	}
-	if _, err := New(Options{}, WithKind(KindTradeoff), WithPolicies(Policy{Kind: Timeout})).Run(context.Background()); err == nil {
-		t.Fatal("trade-off run accepted a timeout policy with no deadline")
+	if _, err := New(Options{}, WithKind(KindTradeoff), WithPolicies(Policy{Deadline: -time.Millisecond})).Run(context.Background()); err == nil {
+		t.Fatal("trade-off run accepted a negative deadline")
 	}
 }
 

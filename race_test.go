@@ -140,7 +140,7 @@ func TestRaceSmokeSweep(t *testing.T) {
 	var events int
 	rep, err := waitornot.New(opts,
 		waitornot.WithKind(waitornot.KindTradeoff),
-		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+		waitornot.WithPolicies(waitornot.Policy{}, waitornot.Policy{K: 1}),
 		waitornot.WithBackends("pow", "instant"),
 		waitornot.WithSeeds(9, 10),
 		waitornot.WithObserverFunc(func(waitornot.Event) { events++ })).RunSweep(context.Background())
@@ -168,7 +168,7 @@ func TestRaceSmokeSweepSharedWorld(t *testing.T) {
 	opts.Parallelism = 4
 	rep, err := waitornot.New(opts,
 		waitornot.WithKind(waitornot.KindTradeoff),
-		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+		waitornot.WithPolicies(waitornot.Policy{}, waitornot.Policy{K: 1}),
 		waitornot.WithBackends("pow", "poa", "pbft", "instant"),
 		waitornot.WithSeeds(9, 10)).RunSweep(context.Background())
 	if err != nil {
@@ -210,7 +210,7 @@ func TestRaceSmokeConsensusLadder(t *testing.T) {
 	opts.Parallelism = 12
 	res, err := waitornot.New(opts,
 		waitornot.WithKind(waitornot.KindTradeoff),
-		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+		waitornot.WithPolicies(waitornot.Policy{}, waitornot.Policy{K: 1}),
 		waitornot.WithBackends("pow", "poa", "instant")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestRaceSmokePBFT(t *testing.T) {
 	opts.Parallelism = 16
 	res, err := waitornot.New(opts,
 		waitornot.WithKind(waitornot.KindTradeoff),
-		waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+		waitornot.WithPolicies(waitornot.Policy{}, waitornot.Policy{K: 1}),
 		waitornot.WithBackends("pow", "poa", "pbft", "instant")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestRaceSmokeAsync(t *testing.T) {
 		SkipComboTables: true,
 		StragglerFactor: []float64{1, 1, 3000},
 		CommitLatency:   true,
-		Policy:          waitornot.Policy{Kind: waitornot.FirstK, K: 2},
+		Policy:          waitornot.Policy{K: 2},
 		TimeBudgetMs:    2500,
 		Parallelism:     4,
 	}
@@ -395,7 +395,7 @@ func TestRaceSmokeCampaign(t *testing.T) {
 	exp := func() *waitornot.Experiment {
 		return waitornot.New(opts,
 			waitornot.WithKind(waitornot.KindTradeoff),
-			waitornot.WithPolicies(waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}),
+			waitornot.WithPolicies(waitornot.Policy{}, waitornot.Policy{K: 1}),
 			waitornot.WithBackends("pow", "instant"),
 			waitornot.WithSeeds(9, 10),
 			waitornot.WithObserverFunc(func(waitornot.Event) {}))
@@ -454,7 +454,7 @@ func TestRaceSmokeSubsampled(t *testing.T) {
 	}
 
 	opts.CommitLatency = true
-	opts.Policy = waitornot.Policy{Kind: waitornot.FirstK, K: 2}
+	opts.Policy = waitornot.Policy{K: 2}
 	res, err := waitornot.New(opts, waitornot.WithKind(waitornot.KindAsync)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

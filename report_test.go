@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"waitornot"
 	"waitornot/internal/testutil"
@@ -223,8 +224,8 @@ func TestWaitTermsSumToWait(t *testing.T) {
 		NetworkDist:     waitornot.Dist{Kind: waitornot.DistExponential, Mean: 30},
 	}
 	policies := []waitornot.Policy{
-		{Kind: waitornot.Timeout, TimeoutMs: 50},
-		{Kind: waitornot.KOrTimeout, K: 2, TimeoutMs: 1500},
+		{Deadline: 50 * time.Millisecond},
+		{K: 2, Deadline: 1500 * time.Millisecond},
 	}
 	rows, idle, commit := 0, 0, 0
 	for _, seed := range []uint64{1, 2, 3} {
@@ -237,7 +238,7 @@ func TestWaitTermsSumToWait(t *testing.T) {
 						for _, ri := range peer {
 							terms := []float64{ri.ComputeMs, ri.PropagateMs, ri.CommitMs, ri.IdleMs}
 							sum := ri.ComputeMs + ri.PropagateMs + ri.CommitMs + ri.IdleMs
-							idleAtDeadline := ri.IdleMs == 0 || ri.WaitMs == policy.TimeoutMs
+							idleAtDeadline := ri.IdleMs == 0 || ri.WaitMs == float64(policy.Deadline)/float64(time.Millisecond)
 							if slices.Min(terms) < 0 || math.Abs(sum-ri.WaitMs) > 1e-9*ri.WaitMs || !latency && ri.CommitMs != 0 || !idleAtDeadline {
 								t.Fatalf("seed %d %s %s latency %v: terms %v sum to %g, wait %g", seed, backend, policy.Name(), latency, terms, sum, ri.WaitMs)
 							}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Scenario is a complete run description: a Kind, its Options, and the
@@ -196,7 +197,7 @@ func init() {
 			"first-2 firing, staleness-weighted merging, accuracy vs virtual time",
 		Kind: KindAsync,
 		Options: Options{
-			Policy:          Policy{Kind: FirstK, K: 2},
+			Policy:          Policy{K: 2},
 			StragglerFactor: []float64{1, 1, 3},
 			CommitLatency:   true,
 			SkipComboTables: true,
@@ -209,7 +210,7 @@ func init() {
 			"inside pow's 1 s commit interval and changes no aggregation)",
 		Kind: KindAsync,
 		Options: Options{
-			Policy:          Policy{Kind: KOrTimeout, K: 2, TimeoutMs: 1500},
+			Policy:          Policy{K: 2, Deadline: 1500 * time.Millisecond},
 			ComputeDist:     Dist{Kind: DistLogNormal, Mean: 1, Jitter: 0.6},
 			NetworkDist:     Dist{Kind: DistUniform, Mean: 40, Jitter: 0.75},
 			CommitLatency:   true,
@@ -283,8 +284,8 @@ func init() {
 		Kind:    KindTradeoff,
 		Options: Options{StragglerFactor: []float64{1, 1, 3}},
 		Policies: append(DefaultPolicies(3),
-			Policy{Kind: Timeout, TimeoutMs: 60},
-			Policy{Kind: KOrTimeout, K: 2, TimeoutMs: 60},
+			Policy{Deadline: 60 * time.Millisecond},
+			Policy{K: 2, Deadline: 60 * time.Millisecond},
 		),
 	})
 }

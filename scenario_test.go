@@ -45,11 +45,11 @@ func TestBuiltinScenarioLibrary(t *testing.T) {
 	}
 	// The async ladder must actually span the policy families.
 	ladder, _ := LookupScenario("async-ladder")
-	kinds := map[PolicyKind]bool{}
+	families := map[[2]bool]bool{} // (counts, has a timer)
 	for _, p := range ladder.Policies {
-		kinds[p.Kind] = true
+		families[[2]bool{p.K > 0, p.Deadline > 0}] = true
 	}
-	if !kinds[WaitAll] || !kinds[FirstK] || !kinds[Timeout] || !kinds[KOrTimeout] {
+	if len(families) != 4 {
 		t.Fatalf("async-ladder misses a policy family: %+v", ladder.Policies)
 	}
 }
@@ -66,9 +66,9 @@ func TestRegisterScenarioRejections(t *testing.T) {
 		{"a zero kind", Scenario{Name: "x-bad-kind"}},
 		{"a kind past the last", Scenario{Name: "x-bad-kind-6", Kind: KindSharded + 1}},
 		{"invalid options", Scenario{Name: "x-bad-opts", Kind: KindVanilla, Options: Options{Clients: -1}}},
-		{"an invalid policy ladder", Scenario{Name: "x-bad-policy", Kind: KindTradeoff, Policies: []Policy{{Kind: FirstK}}}},
+		{"an invalid policy ladder", Scenario{Name: "x-bad-policy", Kind: KindTradeoff, Policies: []Policy{{K: -1}}}},
 		{"an invalid adaptive ladder", Scenario{Name: "x-bad-ladder", Kind: KindSharded,
-			Options: Options{Clients: 4, AdaptiveShards: true}, Policies: []Policy{{Kind: Timeout}}}},
+			Options: Options{Clients: 4, AdaptiveShards: true}, Policies: []Policy{{Deadline: -1}}}},
 		{"duplicate sweep seeds", Scenario{Name: "x-dup-seeds", Kind: KindTradeoff, Seeds: []uint64{3, 3}}},
 		{"an unknown backend in the ladder", Scenario{Name: "x-bad-backend", Kind: KindTradeoff, Backends: []string{"pow", "nope"}}},
 		// Refused by the engines, not by the public layer's own checks:

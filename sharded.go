@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"waitornot/internal/bfl"
-	"waitornot/internal/core"
 	"waitornot/internal/event"
 	"waitornot/internal/metrics"
 	"waitornot/internal/shard"
@@ -78,10 +77,7 @@ func (o Options) sharded(policies []Policy) shard.Config {
 		if len(policies) == 0 {
 			policies = DefaultPolicies(o.clients() / o.shards())
 		}
-		cfg.Policies = make([]core.Policy, len(policies))
-		for i, p := range policies {
-			cfg.Policies[i] = p.internal()
-		}
+		cfg.Policies = policies
 	}
 	return cfg
 }

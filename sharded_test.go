@@ -208,8 +208,8 @@ func TestAdaptiveShardsBeatsWorstFixed(t *testing.T) {
 	base := shardedOpts()
 	base.Rounds = 4
 	ladder := []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 1},
+		{},
+		{K: 1},
 	}
 
 	target := 1.0

@@ -32,8 +32,8 @@ func sweepOpts() waitornot.Options {
 // sweepPolicies is the golden sweep's two-policy ladder.
 func sweepPolicies() []waitornot.Policy {
 	return []waitornot.Policy{
-		{Kind: waitornot.WaitAll},
-		{Kind: waitornot.FirstK, K: 1},
+		{},
+		{K: 1},
 	}
 }
 
@@ -400,7 +400,7 @@ func TestSweepRejectsBadConfigurations(t *testing.T) {
 // replications into one row at twice the N; the plan refuses it with
 // the reasoning it refuses a repeated seed.
 func TestSweepRejectsDuplicateLadderEntries(t *testing.T) {
-	waitAll, first1 := waitornot.Policy{Kind: waitornot.WaitAll}, waitornot.Policy{Kind: waitornot.FirstK, K: 1}
+	waitAll, first1 := waitornot.Policy{}, waitornot.Policy{K: 1}
 	ladder := func(kind waitornot.Kind, extra ...waitornot.Option) *waitornot.Experiment {
 		return waitornot.New(sweepOpts(), append([]waitornot.Option{waitornot.WithKind(kind), waitornot.WithSeeds(1)}, extra...)...)
 	}

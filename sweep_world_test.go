@@ -19,7 +19,7 @@ func worldSweep(t *testing.T, parallelism int) *sweepPlan {
 	opts.Parallelism = parallelism
 	plan, err := New(opts,
 		WithKind(KindTradeoff),
-		WithPolicies(Policy{Kind: WaitAll}, Policy{Kind: FirstK, K: 1}),
+		WithPolicies(Policy{}, Policy{K: 1}),
 		WithBackends("pow", "instant"),
 		WithSeeds(1, 2, 3)).sweepPlan()
 	if err != nil {

@@ -113,9 +113,9 @@ func sweepThroughput(base simnet.ThroughputConfig, n int, vary func(cfg *simnet.
 // DefaultPolicies returns the policy ladder the trade-off study sweeps:
 // fully synchronous down to fully asynchronous.
 func DefaultPolicies(peers int) []Policy {
-	ps := []Policy{{Kind: WaitAll}}
+	ps := []Policy{{}}
 	for k := peers - 1; k >= 1; k-- {
-		ps = append(ps, Policy{Kind: FirstK, K: k})
+		ps = append(ps, Policy{K: k})
 	}
 	return ps
 }

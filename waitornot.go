@@ -30,7 +30,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"time"
 
 	"waitornot/internal/bfl"
 	"waitornot/internal/core"
@@ -54,81 +53,15 @@ const (
 	EffNetB0Sim = nn.ModelEffNetSim
 )
 
-// PolicyKind names a wait-policy family.
-type PolicyKind int
-
-// The wait policies of the trade-off study.
-const (
-	// WaitAll waits for every participant (synchronous aggregation).
-	WaitAll PolicyKind = iota + 1
-	// FirstK aggregates after the first K models arrive.
-	FirstK
-	// Timeout aggregates whatever has arrived after a deadline.
-	Timeout
-	// KOrTimeout fires at K models or the deadline, whichever first.
-	KOrTimeout
-)
-
-// Policy selects when a peer stops waiting for other peers' models.
-type Policy struct {
-	Kind PolicyKind
-	// K applies to FirstK / KOrTimeout.
-	K int
-	// TimeoutMs applies to Timeout / KOrTimeout.
-	TimeoutMs float64
-}
-
-// Name renders the policy for reports.
-func (p Policy) Name() string { return p.internal().Name() }
-
-// Validate rejects policies the engine cannot honour: FirstK and
-// KOrTimeout need K >= 1, Timeout and KOrTimeout a deadline of at
-// least 1ns within a time.Duration. The zero Policy is valid (it
-// means WaitAll).
-func (p Policy) Validate() error {
-	switch p.Kind {
-	case 0, WaitAll:
-		return nil
-	case FirstK:
-		if p.K < 1 {
-			return fmt.Errorf("waitornot: first-k policy needs K >= 1, got %d", p.K)
-		}
-	case Timeout:
-		if !deadlineOK(p.TimeoutMs) {
-			return fmt.Errorf("waitornot: timeout policy needs TimeoutMs > 0 of at least 1ns within a time.Duration, got %g", p.TimeoutMs)
-		}
-	case KOrTimeout:
-		if p.K < 1 {
-			return fmt.Errorf("waitornot: k-or-timeout policy needs K >= 1, got %d", p.K)
-		}
-		if !deadlineOK(p.TimeoutMs) {
-			return fmt.Errorf("waitornot: k-or-timeout policy needs TimeoutMs > 0 of at least 1ns within a time.Duration, got %g", p.TimeoutMs)
-		}
-	default:
-		return fmt.Errorf("waitornot: unknown policy kind %d", int(p.Kind))
-	}
-	return nil
-}
-
-// deadlineOK reports whether TimeoutMs lowers to a positive
-// time.Duration: a shorter one would truncate to no deadline at all.
-func deadlineOK(ms float64) bool {
-	ns := ms * float64(time.Millisecond)
-	return ns >= 1 && ns < 1<<63
-}
-
-// internal lowers the policy to the engine's two numbers: K for
-// FirstK and KOrTimeout, the deadline for Timeout and KOrTimeout.
-func (p Policy) internal() core.Policy {
-	var ep core.Policy
-	if p.Kind == FirstK || p.Kind == KOrTimeout {
-		ep.K = p.K
-	}
-	if p.Kind == Timeout || p.Kind == KOrTimeout {
-		ep.Deadline = time.Duration(p.TimeoutMs * float64(time.Millisecond))
-	}
-	return ep
-}
+// Policy selects when a peer stops waiting for other peers' models —
+// the engine's own value, two numbers a block rule can state: K = 0
+// waits for every participant (synchronous aggregation), K >= 1 fires
+// at the first K models, the peer's own included; Deadline = 0 sets no
+// timer, a positive Deadline fires with whatever has arrived once the
+// round has been open that long. Both set fire at whichever comes
+// first. The zero Policy waits for all; Name renders "wait-all",
+// "first-K", "timeout-D" or "first-K-or-D".
+type Policy = core.Policy
 
 // DistKind selects a duration-distribution family for heterogeneous
 // compute and network draws.
@@ -193,7 +126,7 @@ type Options struct {
 	// index-addressed slots (see internal/par).
 	Parallelism int
 
-	// Policy is the peers' wait policy (default WaitAll); a trade-off
+	// Policy is the peers' wait policy (default: wait for all); a trade-off
 	// run takes its policies from Scenario.Policies.
 	Policy Policy `kinds:"decentralized async sharded"`
 	// FilterMaxBelowBest screens abnormal models before aggregation:
@@ -277,7 +210,7 @@ type Options struct {
 // Validate rejects options a run cannot honour. The public layer checks
 // only the fields whose public form differs from the engine's — the
 // sign of the counts (0 means "the default" at this layer), the poison
-// range, the wait policy and the model — and leaves everything else
+// range and the model — and leaves everything else
 // to the Validate of the engine configuration the options lower to,
 // which Run reaches anyway, and the `kinds` tags to the experiment's
 // check: a rule is written once, at the layer that enforces it.
@@ -289,14 +222,14 @@ func (o Options) Validate() error {
 	if o.Rounds < 0 {
 		return fmt.Errorf("waitornot: negative round count %d", o.Rounds)
 	}
+	if o.LocalEpochs < 0 {
+		return fmt.Errorf("waitornot: negative local epoch count %d", o.LocalEpochs)
+	}
 	if !(o.PoisonFraction >= 0 && o.PoisonFraction <= 1) {
 		return fmt.Errorf("waitornot: poison fraction %g outside [0, 1]", o.PoisonFraction)
 	}
 	if !(o.LearningRate >= 0 && o.LearningRate <= math.MaxFloat64) {
 		return fmt.Errorf("waitornot: learning rate %g is not finite and non-negative", o.LearningRate)
-	}
-	if err := o.Policy.Validate(); err != nil {
-		return err
 	}
 	if m := o.withDefaults().Model; m != SimpleNN && m != EffNetB0Sim {
 		return fmt.Errorf("waitornot: unknown model %v", m)
@@ -357,7 +290,7 @@ func (o Options) decentralized() bfl.Config {
 		TestPerPeer:     o.TestPerClient,
 		DirichletAlpha:  o.DirichletAlpha,
 		Hyper:           o.hyper(),
-		Policy:          o.Policy.internal(),
+		Policy:          o.Policy,
 		Filter:          core.Filter{MaxBelowBest: o.FilterMaxBelowBest},
 		EvalAllCombos:   !o.SkipComboTables,
 		StragglerFactor: o.StragglerFactor,

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyOpts keeps facade tests fast.
@@ -114,9 +115,9 @@ func TestFirstNIsWaitAll(t *testing.T) {
 			}
 			return res
 		}
-		all := run(Policy{Kind: WaitAll})
+		all := run(Policy{})
 		for _, k := range []int{3, 5} {
-			if got := run(Policy{Kind: FirstK, K: k}); !reflect.DeepEqual(got, all) {
+			if got := run(Policy{K: k}); !reflect.DeepEqual(got, all) {
 				t.Errorf("%v: first-%d report differs from wait-all's", kind, k)
 			}
 		}
@@ -183,23 +184,23 @@ func TestPolicyNamesAndModelStrings(t *testing.T) {
 	if SimpleNN.String() != "SimpleNN" || EffNetB0Sim.String() != "EffNetB0Sim" {
 		t.Fatal("model strings wrong")
 	}
-	if (Policy{Kind: WaitAll}).Name() != "wait-all" {
+	if (Policy{}).Name() != "wait-all" {
 		t.Fatal("wait-all name wrong")
 	}
-	if (Policy{Kind: FirstK, K: 2}).Name() != "first-2" {
+	if (Policy{K: 2}).Name() != "first-2" {
 		t.Fatal("first-k name wrong")
 	}
-	if !strings.Contains((Policy{Kind: Timeout, TimeoutMs: 1000}).Name(), "timeout") {
+	if !strings.Contains((Policy{Deadline: 1000 * time.Millisecond}).Name(), "timeout") {
 		t.Fatal("timeout name wrong")
 	}
-	if !strings.Contains((Policy{Kind: KOrTimeout, K: 2, TimeoutMs: 1000}).Name(), "first-2-or") {
+	if !strings.Contains((Policy{K: 2, Deadline: 1000 * time.Millisecond}).Name(), "first-2-or") {
 		t.Fatal("k-or-timeout name wrong")
 	}
 }
 
 func TestDefaultPoliciesLadder(t *testing.T) {
 	ps := DefaultPolicies(3)
-	if len(ps) != 3 || ps[0].Kind != WaitAll || ps[1].K != 2 || ps[2].K != 1 {
+	if len(ps) != 3 || ps[0] != (Policy{}) || ps[1] != (Policy{K: 2}) || ps[2] != (Policy{K: 1}) {
 		t.Fatalf("ladder = %+v", ps)
 	}
 }
@@ -207,7 +208,7 @@ func TestDefaultPoliciesLadder(t *testing.T) {
 func TestDefaultPoliciesLadderSizes(t *testing.T) {
 	// Two peers: synchronous plus fully asynchronous, nothing between.
 	ps := DefaultPolicies(2)
-	if len(ps) != 2 || ps[0].Kind != WaitAll || ps[1].Kind != FirstK || ps[1].K != 1 {
+	if len(ps) != 2 || ps[0] != (Policy{}) || ps[1] != (Policy{K: 1}) {
 		t.Fatalf("2-peer ladder = %+v", ps)
 	}
 	// Five peers: wait-all then first-4 down to first-1, strictly
@@ -216,11 +217,11 @@ func TestDefaultPoliciesLadderSizes(t *testing.T) {
 	if len(ps) != 5 {
 		t.Fatalf("5-peer ladder has %d rungs", len(ps))
 	}
-	if ps[0].Kind != WaitAll || ps[0].Name() != "wait-all" {
+	if ps[0] != (Policy{}) || ps[0].Name() != "wait-all" {
 		t.Fatalf("ladder must start synchronous, got %+v", ps[0])
 	}
 	for i, want := 1, 4; want >= 1; i, want = i+1, want-1 {
-		if ps[i].Kind != FirstK || ps[i].K != want {
+		if ps[i] != (Policy{K: want}) {
 			t.Fatalf("rung %d = %+v, want first-%d", i, ps[i], want)
 		}
 	}
