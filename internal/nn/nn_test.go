@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"waitornot/internal/tensor"
 	"waitornot/internal/xrand"
@@ -449,7 +450,31 @@ func TestEffNetSimGradients(t *testing.T) {
 	}
 }
 
-func BenchmarkSimpleNNTrainBatch(b *testing.B)  { benchTrain(b, ModelSimpleNN) }
+// tensorAVX512 is tensor's unexported body switch, flipped here so one
+// run times a minibatch on both kernel bodies.
+//
+//go:linkname tensorAVX512 waitornot/internal/tensor.avx512
+var tensorAVX512 bool
+
+// BenchmarkSimpleNNTrainBatch times one minibatch on the SSE2 bodies
+// and on the AVX-512 ones; the second skips on a CPU without AVX-512F.
+func BenchmarkSimpleNNTrainBatch(b *testing.B) {
+	probed := tensorAVX512
+	defer func() { tensorAVX512 = probed }()
+	for _, body := range []struct {
+		name string
+		wide bool
+	}{{"sse2", false}, {"avx512", true}} {
+		b.Run(body.name, func(b *testing.B) {
+			if body.wide && !probed {
+				b.Skipf("no AVX-512 body on %s/%s: the CPU lacks AVX-512F or its OS state, or the build has only the Go loops", runtime.GOOS, runtime.GOARCH)
+			}
+			tensorAVX512 = body.wide
+			benchTrain(b, ModelSimpleNN)
+		})
+	}
+}
+
 func BenchmarkEffNetSimTrainBatch(b *testing.B) { benchTrain(b, ModelEffNetSim) }
 
 func benchTrain(b *testing.B, id ModelID) {

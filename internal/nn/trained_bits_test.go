@@ -33,7 +33,7 @@ var goldenStream = map[nn.ModelID]string{nn.ModelSimpleNN: "SimpleNN", nn.ModelE
 
 func TestTrainedBitsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
-		// amd64 runs the SSE2 kernel bodies, 386 the scalar Go loops:
+		// amd64 runs the SSE2 or AVX-512 kernel bodies, 386 the scalar Go loops:
 		// one golden holds both. Other targets may fuse multiply-adds.
 		t.Skip("goldens hold on amd64 and 386; other targets may fuse multiply-adds")
 	}

@@ -1,9 +1,13 @@
 package tensor
 
-// The four kernel bodies, in SSE2 assembly (kernels_amd64.s); the
-// pure-Go loops they replace are kernels_generic.go, built on every
+// The kernel bodies, in SSE2 and AVX-512 assembly (kernels_amd64.s);
+// the pure-Go loops they replace are kernels_generic.go, built on every
 // other GOARCH. Each walks n elements behind raw pointers, so only the
 // bounds-checking wrappers in tensor.go call them.
+
+// avx512Usable reports whether the CPU has AVX-512F and the OS saves
+// its register state.
+func avx512Usable() bool
 
 // axpyKernel is y[i] += alpha*x[i] for i < n. x and y must be the same
 // pointer or address disjoint ranges.
@@ -28,6 +32,17 @@ func matMulRowKernel(a, b, c []float32)
 //
 //go:noescape
 func matMulTransARowKernel(a []float32, stride, k int, b, c []float32)
+
+// The pair kernels, AVX-512 only, are the two row kernels on two rows
+// at once: c holds both, m = len(c)/2. matMulRowPairKernel's a holds
+// both rows of a (k = len(a)/2); matMulTransARowPairKernel reads
+// columns a[0:] and a[1:].
+//
+//go:noescape
+func matMulRowPairKernel(a, b, c []float32)
+
+//go:noescape
+func matMulTransARowPairKernel(a []float32, stride, k int, b, c []float32)
 
 // momentumKernel is gj := grad[j] + wd*p[j]; v[j] = mu*v[j] - lr*gj;
 // p[j] += v[j]; grad[j] = 0 for j < n.

@@ -33,6 +33,20 @@ func matMulRowKernel(a, b, c []float32) {
 	matMulTransARowKernel(a[p:], 1, len(a)-p, b[p*m:], c)
 }
 
+// There is no AVX-512 body here, so avx512 stays false and the pair
+// kernels, each its two rows in turn, never run.
+func avx512Usable() bool { return false }
+
+func matMulRowPairKernel(a, b, c []float32) {
+	matMulRowKernel(a[:len(a)/2], b, c[:len(c)/2])
+	matMulRowKernel(a[len(a)/2:], b, c[len(c)/2:])
+}
+
+func matMulTransARowPairKernel(a []float32, stride, k int, b, c []float32) {
+	matMulTransARowKernel(a, stride, k, b, c[:len(c)/2])
+	matMulTransARowKernel(a[1:], stride, k, b, c[len(c)/2:])
+}
+
 func matMulTransARowKernel(a []float32, stride, k int, b, c []float32) {
 	m := len(c)
 	for p := 0; p < k; p++ {

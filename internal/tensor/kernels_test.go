@@ -3,8 +3,32 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 )
+
+// hasAVX512 is the probe's answer, read before any test flips avx512.
+var hasAVX512 = avx512
+
+// bodies names the kernel bodies by the value of avx512 that selects
+// them; "sse2" is the Go loops on every GOARCH but amd64.
+var bodies = []struct {
+	name string
+	wide bool
+}{{"sse2", false}, {"avx512", true}}
+
+// useBody selects one body for the rest of tb, and the probe's choice
+// again at its cleanup. Where the probe found no AVX-512F, the avx512
+// body skips.
+func useBody(tb testing.TB, wide bool) {
+	if wide && !hasAVX512 {
+		tb.Skipf("no AVX-512 body on %s/%s: the CPU lacks AVX-512F or its OS state, or the build has only the Go loops", runtime.GOOS, runtime.GOARCH)
+	}
+	avx512 = wide
+	tb.Cleanup(func() { avx512 = hasAVX512 })
+}
 
 // fuzzFloats returns a generator that cycles through data: each value
 // spends one selector byte on a special operand (specialFloats), a
@@ -33,8 +57,8 @@ func fuzzFloats(data []byte) func() float32 {
 }
 
 // FuzzKernelsBitEqual: on fuzzed shapes up to 40, operand offsets and
-// values, every kernel matches its scalar reference loop bit for bit
-// and writes nothing past its output.
+// values, every kernel, on each body this CPU runs, matches its scalar
+// reference loop bit for bit and writes nothing past its output.
 func FuzzKernelsBitEqual(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{20, 32, 20, 3, 0x10, 0x80, 0x7f, 0xc0, 0, 0, 4, 1})
@@ -59,10 +83,20 @@ func FuzzKernelsBitEqual(f *testing.F) {
 			}
 			return d
 		}
-		label := fmt.Sprintf("%dx%dx%d off=%d", n, k, m, off)
-		checkGEMMs(t, label, fill(n, k), fill(k, n), fill(k, m), fill(n, m), off)
-		checkAxpy(t, label, next(), fill(k, m).Data, fill(k, m).Data, off)
-		checkMomentum(t, label, next(), next(), next(), fill(n, m).Data, fill(n, m).Data, fill(n, m).Data, off)
+		a, at, b, c0 := fill(n, k), fill(k, n), fill(k, m), fill(n, m)
+		alpha, x, y := next(), fill(k, m).Data, fill(k, m).Data
+		lr, mu, wd, p, g, v := next(), next(), next(), fill(n, m).Data, fill(n, m).Data, fill(n, m).Data
+		defer func() { avx512 = hasAVX512 }()
+		for _, body := range bodies {
+			if body.wide && !hasAVX512 {
+				continue // no AVX-512 body here; TestKernelsBitEqualReference logs the skip
+			}
+			avx512 = body.wide
+			label := fmt.Sprintf("%s %dx%dx%d off=%d", body.name, n, k, m, off)
+			checkGEMMs(t, label, a, at, b, c0, off)
+			checkAxpy(t, label, alpha, x, y, off)
+			checkMomentum(t, label, lr, mu, wd, p, g, v, off)
+		}
 	})
 }
 
@@ -73,6 +107,17 @@ func FuzzKernelsBitEqual(f *testing.F) {
 // score relies on it (DESIGN.md §13): no forward pass may see the sign
 // of a zero weight.
 func TestGEMMsStartAtPositiveZero(t *testing.T) {
+	for _, body := range bodies {
+		t.Run(body.name, func(t *testing.T) {
+			useBody(t, body.wide)
+			checkPositiveZeroStart(t)
+		})
+	}
+}
+
+// checkPositiveZeroStart is TestGEMMsStartAtPositiveZero on the body
+// selected: a has two rows, one pass of a paired body.
+func checkPositiveZeroStart(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	negZeros := func(rows, cols int) *Dense {
 		d := New(rows, cols)
@@ -168,4 +213,28 @@ func TestKernelWrappersPanicOnShortOperands(t *testing.T) {
 		}()
 		checkGuard(t, o.name, o.watch)
 	}
+}
+
+// TestAVX512ProbeMatchesCPUInfo: on Linux, avx512Usable agrees with the
+// avx512f flag the kernel lists in /proc/cpuinfo, which it sets only
+// for a CPU that has AVX-512F when it also saves the ZMM state.
+func TestAVX512ProbeMatchesCPUInfo(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("no /proc/cpuinfo avx512f flag to compare on %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("cannot read /proc/cpuinfo: %v", err)
+	}
+	listed := false
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			listed = strings.Contains(flags+" ", " avx512f ")
+			break
+		}
+	}
+	if got := avx512Usable(); got != listed {
+		t.Fatalf("avx512Usable() = %v, /proc/cpuinfo lists avx512f: %v", got, listed)
+	}
+	t.Logf("AVX-512F: %v", listed)
 }

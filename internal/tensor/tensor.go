@@ -7,10 +7,10 @@
 // golden and result digest downstream depends on its roundings
 // (DESIGN.md §13; TestKernelsBitEqualReference pins them). On amd64 the
 // innermost bodies — Axpy, one whole row of MatMul and of
-// MatMulTransAAdd (zero skips included), MomentumStep — are SSE2
-// assembly (kernels_amd64.s) that runs four output elements per
-// instruction, each with exactly the roundings of the scalar Go loop
-// every other GOARCH builds (kernels_generic.go).
+// MatMulTransAAdd (zero skips included), MomentumStep — are assembly
+// (kernels_amd64.s) that runs four output elements per SSE2 instruction,
+// sixteen per AVX-512F one where the CPU has it, each with exactly the
+// roundings of the scalar Go loop every other GOARCH builds.
 //
 // float32 is used throughout because (a) model weights travel on-chain as
 // float32 exactly as they are trained, so training in the wire precision
@@ -23,6 +23,9 @@ import (
 
 	"waitornot/internal/xrand"
 )
+
+// avx512 selects the AVX-512 bodies, here and in kernels_amd64.s; tests flip it.
+var avx512 = avx512Usable()
 
 // Dense is a row-major matrix of float32. A Dense with Rows == 1 doubles
 // as a vector. The zero value is an empty matrix; use New to allocate.
@@ -112,11 +115,15 @@ func checkData(op string, ms ...*Dense) {
 //
 // Each row of c is one call to a row body that streams the rows of b in
 // order, four p at a time, and keeps the row (20 columns at a time) in
-// registers for the whole reduction, four lanes wide on amd64.
+// registers for the whole reduction; with avx512 a call takes two rows.
 func MatMul(a, b, c *Dense) {
 	shapeCheck("MatMul", a, b, c)
 	k, m := a.Cols, b.Cols
-	for i := range a.Rows {
+	i := 0
+	for ; avx512 && i+2 <= a.Rows; i += 2 {
+		matMulRowPairKernel(a.Data[i*k:(i+2)*k], b.Data, c.Data[i*m:(i+2)*m])
+	}
+	for ; i < a.Rows; i++ {
 		matMulRowKernel(a.Data[i*k:(i+1)*k], b.Data, c.Data[i*m:(i+1)*m])
 	}
 }
@@ -179,7 +186,7 @@ func MatMulTransA(a, b, c *Dense) {
 // skipped (so 0*Inf never makes a NaN) — the bit contract every golden
 // rests on. Each row i of c is one call to a row body that reads column
 // i of a down its stride and keeps the row (20 columns at a time) in
-// registers for all k adds, four lanes wide on amd64.
+// registers for all k adds; with avx512 a call takes rows i and i+1.
 //
 // The backward pass of every dense layer accumulates straight into its
 // gradient through this kernel.
@@ -193,8 +200,12 @@ func MatMulTransAAdd(a, b, c *Dense) {
 	if k == 0 {
 		return
 	}
-	for i := range n {
-		// a.Data[i:] holds column i down to row k-1: (k-1)*n < k*n-i.
+	// a.Data[i:] holds column i (and i+1 < n) down to row k-1.
+	i := 0
+	for ; avx512 && i+2 <= n; i += 2 {
+		matMulTransARowPairKernel(a.Data[i:], n, k, b.Data, c.Data[i*m:(i+2)*m])
+	}
+	for ; i < n; i++ {
 		matMulTransARowKernel(a.Data[i:], n, k, b.Data, c.Data[i*m:(i+1)*m])
 	}
 }

@@ -372,8 +372,20 @@ func checkMomentum(t *testing.T, label string, lr, mu, wd float32, p, g, v []flo
 // sparse a, a non-zero initial c, non-finite / signed-zero / subnormal
 // operands (where a skipped zero is visible: 0*Inf would be NaN) and
 // operands starting at every 16-byte phase; then Axpy and MomentumStep
-// over lengths 0-33 against their scalar loops.
+// over lengths 0-70 against their scalar loops. Each body this CPU runs
+// is a subtest; odd n leaves a row outside the paired bodies' pairs.
 func TestKernelsBitEqualReference(t *testing.T) {
+	for _, body := range bodies {
+		t.Run(body.name, func(t *testing.T) {
+			useBody(t, body.wide)
+			checkKernelsBitEqualReference(t)
+		})
+	}
+}
+
+// checkKernelsBitEqualReference is TestKernelsBitEqualReference on the
+// body selected.
+func checkKernelsBitEqualReference(t *testing.T) {
 	rng := xrand.New(41)
 	fills := []struct {
 		name string
@@ -394,15 +406,25 @@ func TestKernelsBitEqualReference(t *testing.T) {
 				}
 			}
 		}},
+		{"staggered", func(m *Dense) { // zero groups in one row of a pair, zero p in one column
+			for r := range m.Rows {
+				for c := range m.Cols {
+					if (r%2 == 0 && c < m.Cols/2) || (c%2 == 1 && r >= m.Rows/2) {
+						m.Set(r, c, 0)
+					}
+				}
+			}
+		}},
 	}
 	// n x k times k x m (for the TransA kernels a is stored k x n).
 	shapes := []struct{ n, k, m int }{
 		{1, 1, 1}, {3, 4, 5}, {5, 5, 3}, {2, 6, 7}, {4, 7, 2}, {6, 8, 20},
 		{9, 13, 10}, {20, 32, 10}, {16, 27, 33}, {3072, 32, 20}, {32, 3072, 20},
 	}
-	// Every tile mix of the row bodies (4; 20+4; 2×20; 2×20+1 columns)
-	// against every k%4.
-	for _, m := range []int{4, 24, 40, 41} {
+	// Every tile mix of the row bodies (4; 20; 20+4; 2×20; 2×20+1;
+	// 6×20+2×4 columns) against every k%4, on three rows: a pair and a
+	// leftover row.
+	for _, m := range []int{4, 20, 24, 40, 41, 128} {
 		for k := 8; k < 12; k++ {
 			shapes = append(shapes, struct{ n, k, m int }{3, k, m})
 		}
@@ -448,7 +470,7 @@ func TestKernelsBitEqualReference(t *testing.T) {
 		fills[2].fill(m)
 		return m.Data
 	}
-	for n := 0; n <= 33; n++ {
+	for n := 0; n <= 70; n++ {
 		alphas := []float32{0.5, -1, 0, float32(rng.NormFloat64())}
 		alphas = append(alphas, specialFloats...)
 		for _, alpha := range alphas {
@@ -637,22 +659,30 @@ func TestConvGeomValidate(t *testing.T) {
 // SimpleNN's first layer on one minibatch, one row body each: the
 // forward product (32x3072)·(3072x20) and the weight gradient
 // (32x3072)ᵀ·(32x20). SetBytes is the flop count, so MB/s reads as
-// Mflop/s.
+// Mflop/s. Each runs on both bodies, sse2 and avx512, so one run shows
+// their ratio.
 func BenchmarkMatMulFirstLayer(b *testing.B) {
 	rng := xrand.New(1)
 	x, w, y := randomDense(rng, 32, 3072), randomDense(rng, 3072, 20), New(32, 20)
-	b.SetBytes(2 * 32 * 3072 * 20)
-	for b.Loop() {
-		MatMul(x, w, y)
-	}
+	benchBodies(b, 2*32*3072*20, func() { MatMul(x, w, y) })
 }
 
 func BenchmarkMatMulTransAAddFirstLayer(b *testing.B) {
 	rng := xrand.New(1)
 	x, dy, dw := randomDense(rng, 32, 3072), randomDense(rng, 32, 20), New(3072, 20)
-	b.SetBytes(2 * 32 * 3072 * 20)
-	for b.Loop() {
-		MatMulTransAAdd(x, dy, dw)
+	benchBodies(b, 2*32*3072*20, func() { MatMulTransAAdd(x, dy, dw) })
+}
+
+// benchBodies times op on each kernel body, reporting flops as bytes.
+func benchBodies(b *testing.B, flops int64, op func()) {
+	for _, body := range bodies {
+		b.Run(body.name, func(b *testing.B) {
+			useBody(b, body.wide)
+			b.SetBytes(flops)
+			for b.Loop() {
+				op()
+			}
+		})
 	}
 }
 
