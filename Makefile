@@ -61,15 +61,15 @@ GO ?= go
 # The coverage ratchet: cover fails if total statement coverage drops
 # below this. The same value is recorded in .github/workflows/ci.yml
 # (env on the make step); raise both as coverage grows — the measured
-# total minus 1.5 points (83.5% at PR 17).
-COVER_MIN ?= 82.0
+# total minus 1.5 points (87.2% when it was last raised).
+COVER_MIN ?= 85.7
 COVER_OUT ?= cover.out
 
 # The size ratchet: size fails if the non-test Go lines outside
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14178
+SIZE_MAX ?= 14182
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"waitornot/internal/bfl"
 	"waitornot/internal/stats"
 )
 
@@ -29,9 +31,15 @@ func TestClaims(t *testing.T) {
 	claims := map[string]claim{
 		"paper-repro": {KindDecentralized,
 			"Tables II-IV: every round each peer scores the 5 combinations its table lists, adopts one of them, " +
-				"and reports that row's test accuracy (probe scale, 2 rounds, seeds 1-3; SimpleNN only: an " +
-				"EffNetB0Sim run pays a 6000 x 5 warm start, too slow for this table)",
+				"and reports that row's test accuracy (probe scale, 2 rounds, seeds 1-3, SimpleNN); and the " +
+				"complex model involves more training models in the aggregation: the mean adopted combination " +
+				"size is larger for EffNetB0Sim than for SimpleNN on every seed (-fast scale, 2 rounds, " +
+				"seeds 1-3, the three EffNetB0Sim worlds built from one backbone; the seeds read 2.333, 2.167, " +
+				"2.167 against 1.833 each. The per-seed direction is this backbone's: five other backbone " +
+				"draws each read a larger 3-seed mean, 1.889-2.111, and four of them tied or reversed on one " +
+				"or two seeds)",
 			func(t *testing.T, sc Scenario) {
+				adopted(t, sc)
 				probeScale(&sc, 2)
 				for seed := uint64(1); seed <= 3; seed++ {
 					d := runClaim(t, sc, WithSeed(seed)).Decentralized
@@ -343,6 +351,48 @@ func TestClaims(t *testing.T) {
 			c.check(t, sc)
 		})
 	}
+}
+
+// adopted holds paper-repro's second claim: at -fast scale, 2 rounds,
+// seeds 1-3, the mean number of models in the combination a peer
+// adopts (over peers and rounds) is larger for EffNetB0Sim than for
+// SimpleNN on every seed. The EffNetB0Sim worlds are handed one
+// backbone the way a sweep's are, so the row pays one warm start.
+func adopted(t *testing.T, sc Scenario) {
+	sc.Options.Rounds, sc.Options.SkipComboTables = 2, true
+	backbone := sync.OnceValue(func() []float32 { return bfl.Backbone(0) })
+	size := func(model Model, seed uint64) float64 {
+		o := sc.Experiment(WithFastScale(), WithSeed(seed)).sc.Options
+		o.Model = model
+		c := o.decentralized()
+		c.Backbone = backbone
+		w, err := bfl.NewWorld(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := runDecentralizedExperiment(context.Background(), o, nil, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var members, n float64
+		for _, rounds := range d.Rounds {
+			for _, rs := range rounds {
+				members, n = members+float64(len(strings.Split(rs.ChosenCombo, ","))), n+1
+			}
+		}
+		return members / n
+	}
+	var simple, eff stats.Welford
+	for seed := uint64(1); seed <= 3; seed++ {
+		s, e := size(SimpleNN, seed), size(EffNetB0Sim, seed)
+		simple.Add(s)
+		eff.Add(e)
+		t.Logf("seed %d: EffNetB0Sim adopts %.3f models on average, SimpleNN %.3f", seed, e, s)
+		if e <= s {
+			t.Errorf("seed %d: EffNetB0Sim adopts no more models than SimpleNN", seed)
+		}
+	}
+	t.Logf("mean adopted combination size: SimpleNN %v, EffNetB0Sim %v", simple.Summary(), eff.Summary())
 }
 
 // probeScale sizes a scenario like the benchmark's paper-sync: a fifth

@@ -136,6 +136,8 @@ type Config struct {
 	// sweep builds one per seed), or a shard's Block of one. Excluded
 	// from serialization.
 	World *World `json:"-"`
+	// Backbone, when non-nil, supplies NewWorld with EffNetSim's Backbone.
+	Backbone func() []float32 `json:"-"`
 }
 
 // DefaultPeers is the fleet size a zero Config.Peers stands for: the
@@ -319,8 +321,8 @@ type peerState struct {
 	// samples is the peer's training-shard size, fixed at setup — the
 	// FedAvg weight of everything this peer contributes upward.
 	samples int
-	// simTrainMs is the calibrated training-duration model used for
-	// arrival times (samples x epochs x per-sample cost x straggler).
+	// simTrainMs is the training-duration model used for arrival
+	// times (samples x epochs x multiply-adds / rate x straggler).
 	simTrainMs float64
 	// arrive draws the barriered round's Compute and Network samples
 	// (nil when neither distribution is set).
@@ -331,17 +333,9 @@ type peerState struct {
 	testAcc fl.Evaluator // scores weights on the peer's test set
 }
 
-// perSampleCostMs approximates one training pass's cost, used only by
-// the deterministic arrival-time model (real wall time is reported
-// separately).
-func perSampleCostMs(id nn.ModelID) float64 {
-	switch id {
-	case nn.ModelEffNetSim:
-		return 0.0028
-	default:
-		return 0.0008
-	}
-}
+// mulAddsPerMs is the modeled training rate: a sample costs its forward
+// multiply-adds, SimpleNN's 61,640 being 0.0008 ms (DESIGN §1).
+const mulAddsPerMs = 77_050_000
 
 // Run executes the full blockchain-FL experiment on the barriered
 // schedule, with cooperative cancellation: the context is checked
@@ -656,7 +650,7 @@ func (e *engine) setup() error {
 			adopted:    w.initial,
 			adoptedKey: w.initialKey,
 			samples:    train.Len(),
-			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * perSampleCostMs(cfg.Model) * straggler,
+			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * (float64(model.MulAdds()) / mulAddsPerMs) * straggler,
 		}
 		if !cfg.Compute.IsZero() || !cfg.Network.IsZero() {
 			p.arrive = root.Derive("arrive-" + name)

@@ -93,12 +93,40 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 	}
 
-	initModel := cfg.Model.Build(root.Derive("init"))
-	if cfg.Model == nn.ModelEffNetSim {
-		fl.Pretrain(initModel, data, fl.DefaultPretrain(), cfg.Parallelism, root.Derive("pretrain"))
+	switch {
+	case cfg.Model != nn.ModelEffNetSim:
+		w.initial = cfg.Model.Build(root.Derive("init")).WeightVector()
+	case cfg.Backbone != nil:
+		w.initial = cfg.Backbone()
+	default:
+		w.initial = Backbone(cfg.Parallelism)
 	}
-	w.initial = initModel.WeightVector()
 	return w, nil
+}
+
+// EffNetSim's warm start: pretext samples, epochs and learning rate.
+const (
+	pretrainSamples = 6000
+	pretrainEpochs  = 5
+	pretrainLR      = 3e-3
+)
+
+// Backbone is EffNetSim's initial weights, as the paper's runs all start
+// from one pretrained EfficientNet-B0: built from a stream no seed reads
+// into, pretrained on texture family 1 (features related to the task's,
+// not identical). workers bounds only set-up; no bit depends on it.
+func Backbone(workers int) []float32 {
+	root := xrand.New(0).Derive("backbone")
+	model, rng := nn.ModelEffNetSim.Build(root.Derive("init")), root.Derive("pretrain")
+	cfg := dataset.DefaultConfig()
+	cfg.TextureFamily = 1
+	set := dataset.GenerateSets(workers, cfg, []dataset.Draw{{N: pretrainSamples, RNG: rng.Derive("pretext-data")}})[0]
+	opt := nn.NewSGD(pretrainLR, 0.9, 1e-4)
+	var scratch nn.EpochScratch
+	for e := 0; e < pretrainEpochs; e++ {
+		nn.TrainEpochScratch(model, opt, set.X, set.Y, 32, rng.Derive(fmt.Sprintf("pretext-epoch-%d", e)), &scratch)
+	}
+	return model.WeightVector()
 }
 
 // Share readies the world for n runs at once: above one, they train

@@ -4,14 +4,19 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"waitornot/internal/core"
 	"waitornot/internal/dataset"
+	"waitornot/internal/nn"
+	"waitornot/internal/par"
+	"waitornot/internal/xrand"
 )
 
 // worldConfig is tinyConfig with a poisoned peer (the world holds its
@@ -208,5 +213,102 @@ func TestNewWorldRefusesAShardUnderOneMinibatch(t *testing.T) {
 	cfg.TrainPerPeer = 80
 	if _, err := NewWorld(cfg); err != nil {
 		t.Fatalf("at 80 samples a peer: %v", err)
+	}
+}
+
+// TestEffNetWorldsShareOneBackbone: EffNetSim's initial weights are the
+// one pretrained backbone — worlds built on their own at seeds 1 and 2
+// (and at 1 and 2 workers) hold it bit for bit, and it is not the
+// un-pretrained build of its stream — while SimpleNN's initial weights
+// still differ by seed. The two EffNetSim worlds each pay the 6000 × 5
+// warm start, side by side.
+func TestEffNetWorldsShareOneBackbone(t *testing.T) {
+	initial := func(model nn.ModelID, seeds ...uint64) [][]float32 {
+		out := make([][]float32, len(seeds))
+		if err := par.ForEach(len(seeds), len(seeds), func(i int) error {
+			cfg := tinyConfig()
+			cfg.Model, cfg.Seed, cfg.Parallelism = model, seeds[i], i+1
+			w, err := NewWorld(cfg)
+			if err == nil {
+				out[i] = w.Initial()
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if s := initial(nn.ModelSimpleNN, 1, 2); slices.Equal(s[0], s[1]) {
+		t.Fatal("SimpleNN worlds at seeds 1 and 2 start from the same weights")
+	}
+	e := initial(nn.ModelEffNetSim, 1, 2)
+	if !slices.Equal(e[0], e[1]) {
+		t.Fatal("EffNetSim worlds at seeds 1 and 2 start from different weights")
+	}
+	if slices.Equal(e[0], nn.ModelEffNetSim.Build(xrand.New(0).Derive("backbone").Derive("init")).WeightVector()) {
+		t.Fatal("the backbone is its un-pretrained build")
+	}
+}
+
+// TestHandedBackboneIsTheInitialWeights: an EffNetSim world handed a
+// backbone starts from that very vector, and a SimpleNN world never
+// asks for one.
+func TestHandedBackboneIsTheInitialWeights(t *testing.T) {
+	backbone := make([]float32, len(nn.ModelEffNetSim.Build(nil).WeightVector()))
+	for i := range backbone {
+		backbone[i] = float32(i)
+	}
+	cfg := tinyConfig()
+	cfg.Model, cfg.Backbone = nn.ModelEffNetSim, func() []float32 { return backbone }
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &w.Initial()[0] != &backbone[0] {
+		t.Fatal("the world does not start from the handed-down backbone")
+	}
+	cfg.Model, cfg.Backbone = nn.ModelSimpleNN, func() []float32 {
+		t.Fatal("a SimpleNN world asked for the backbone")
+		return nil
+	}
+	if w, err = NewWorld(cfg); err != nil {
+		t.Fatal(err)
+	}
+	own, err := NewWorld(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(w.Initial(), own.Initial()) {
+		t.Fatal("a handed-down backbone moved SimpleNN's initial weights")
+	}
+}
+
+// TestTrainingCostIsMulAdds: a peer's modeled training time is samples
+// × epochs × multiply-adds / mulAddsPerMs — SimpleNN's 0.0008 ms a
+// sample bit for bit, and EffNetSim's larger in the ratio of their
+// multiply-adds.
+func TestTrainingCostIsMulAdds(t *testing.T) {
+	simTrainMs := func(model nn.ModelID) []float64 {
+		cfg := tinyConfig()
+		cfg.Model, cfg.StragglerFactor = model, []float64{1, 1, 3}
+		cfg.Backbone = func() []float32 { return make([]float32, len(nn.ModelEffNetSim.Build(nil).WeightVector())) }
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(e.peers))
+		for i, p := range e.peers {
+			out[i] = p.simTrainMs
+		}
+		return out
+	}
+	simple, eff := simTrainMs(nn.ModelSimpleNN), simTrainMs(nn.ModelEffNetSim)
+	for i, straggler := range []float64{1, 1, 3} {
+		if want := float64(90*5) * 0.0008 * straggler; simple[i] != want {
+			t.Errorf("SimpleNN peer %d: %v ms, want %v", i, simple[i], want)
+		}
+		if r := eff[i] / simple[i]; math.Abs(r-454_080.0/61_640) > 1e-12 {
+			t.Errorf("peer %d: EffNetSim costs %v× SimpleNN, want 454080/61640", i, r)
+		}
 	}
 }

@@ -31,37 +31,6 @@ func DefaultHyper(id nn.ModelID) Hyper {
 	}
 }
 
-// PretrainSpec describes the transfer-learning warm start applied to
-// EffNetSim before federated fine-tuning (the paper modifies a pretrained
-// EfficientNet-B0's final layer).
-type PretrainSpec struct {
-	Samples int
-	Epochs  int
-	LR      float64
-}
-
-// DefaultPretrain returns the calibrated pretraining recipe.
-func DefaultPretrain() PretrainSpec { return PretrainSpec{Samples: 6000, Epochs: 5, LR: 3e-3} }
-
-// Pretrain trains model on the texture-family-1 pretext distribution,
-// emulating transfer learning: the backbone sees closely related but not
-// identical features to the target task. The model is mutated in place;
-// workers bounds the pretext set's generation, which is bit-identical at
-// any value.
-func Pretrain(model *nn.Model, cfg dataset.Config, spec PretrainSpec, workers int, rng *xrand.RNG) {
-	if spec.Samples <= 0 || spec.Epochs <= 0 {
-		return
-	}
-	preCfg := cfg
-	preCfg.TextureFamily = 1
-	set := dataset.GenerateSets(workers, preCfg, []dataset.Draw{{N: spec.Samples, RNG: rng.Derive("pretext-data")}})[0]
-	opt := nn.NewSGD(spec.LR, 0.9, 1e-4)
-	var scratch nn.EpochScratch
-	for e := 0; e < spec.Epochs; e++ {
-		nn.TrainEpochScratch(model, opt, set.X, set.Y, 32, rng.Derive(fmt.Sprintf("pretext-epoch-%d", e)), &scratch)
-	}
-}
-
 // ClientName returns the paper-style name of client i: "A", "B", ...
 func ClientName(i int) string {
 	if i < 26 {

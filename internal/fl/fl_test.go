@@ -282,33 +282,6 @@ func TestClientLocalTrainProducesUpdate(t *testing.T) {
 	}
 }
 
-func TestPretrainChangesWeights(t *testing.T) {
-	root := xrand.New(9)
-	model := nn.ModelEffNetSim.Build(root.Derive("init"))
-	before := model.WeightVector()
-	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{Samples: 64, Epochs: 1, LR: 0.01}, 2, root.Derive("pre"))
-	after := model.WeightVector()
-	same := true
-	for i := range before {
-		if before[i] != after[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("pretraining must change weights")
-	}
-	// Zero spec is a no-op.
-	unchanged := model.WeightVector()
-	Pretrain(model, dataset.DefaultConfig(), PretrainSpec{}, 2, root.Derive("pre2"))
-	now := model.WeightVector()
-	for i := range unchanged {
-		if unchanged[i] != now[i] {
-			t.Fatal("zero pretrain spec must be a no-op")
-		}
-	}
-}
-
 func TestNewAccuracyEvaluatorBounds(t *testing.T) {
 	root := xrand.New(11)
 	s := dataset.Generate(dataset.DefaultConfig(), 40, root)

@@ -45,16 +45,28 @@ type Layer interface {
 // Model is a sequential stack of layers. The layer topology is fixed at
 // construction; Params/Grads results are cached on first use.
 type Model struct {
-	// Name labels the architecture (e.g. "SimpleNN").
-	ModelName string
-	Layers    []Layer
+	Layers []Layer
 
 	params, grads []*tensor.Dense // cached flattened views, built lazily
 }
 
 // NewModel builds a sequential model from layers.
-func NewModel(name string, layers ...Layer) *Model {
-	return &Model{ModelName: name, Layers: layers}
+func NewModel(layers ...Layer) *Model {
+	return &Model{Layers: layers}
+}
+
+// MulAdds is the model's forward multiply-adds per sample: In × Out a
+// Dense layer, output size × kernel volume a Conv2D.
+func (m *Model) MulAdds() (n int) {
+	for _, l := range m.Layers {
+		switch l := l.(type) {
+		case *Dense:
+			n += l.In * l.Out
+		case *Conv2D:
+			n += l.outLen() * l.Geom.InC * l.Geom.KH * l.Geom.KW
+		}
+	}
+	return n
 }
 
 // Forward runs the whole stack on a batch.

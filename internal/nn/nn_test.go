@@ -70,7 +70,7 @@ func smallBatch(rng *xrand.RNG, n, dim, classes int) (*tensor.Dense, []int) {
 
 func TestDenseGradients(t *testing.T) {
 	rng := xrand.New(1)
-	m := NewModel("t", NewDense(6, 5, rng), NewReLU(), NewDense(5, 3, rng))
+	m := NewModel(NewDense(6, 5, rng), NewReLU(), NewDense(5, 3, rng))
 	x, ys := smallBatch(rng, 4, 6, 3)
 	checkGradients(t, m, x, ys)
 }
@@ -78,7 +78,7 @@ func TestDenseGradients(t *testing.T) {
 func TestConvGradients(t *testing.T) {
 	rng := xrand.New(2)
 	conv := NewConv2D(tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1}, 3, rng)
-	m := NewModel("t", conv, NewReLU(), NewDense(3*4*4, 3, rng))
+	m := NewModel(conv, NewReLU(), NewDense(3*4*4, 3, rng))
 	x, ys := smallBatch(rng, 3, 2*6*6, 3)
 	checkGradients(t, m, x, ys)
 }
@@ -87,14 +87,14 @@ func TestConvStridePadGradients(t *testing.T) {
 	rng := xrand.New(3)
 	conv := NewConv2D(tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 2, rng)
 	// out: (8+2-3)/2+1 = 4
-	m := NewModel("t", conv, NewDense(2*4*4, 2, rng))
+	m := NewModel(conv, NewDense(2*4*4, 2, rng))
 	x, ys := smallBatch(rng, 2, 64, 2)
 	checkGradients(t, m, x, ys)
 }
 
 func TestMaxPoolGradients(t *testing.T) {
 	rng := xrand.New(4)
-	m := NewModel("t",
+	m := NewModel(
 		NewDense(16, 16, rng), // gives pool a non-trivial upstream
 		NewMaxPool2D(1, 4, 4, 2),
 		NewDense(4, 3, rng),
@@ -208,7 +208,7 @@ func TestTrainEpochLearnsSeparableData(t *testing.T) {
 			x.Set(i, j, center+float32(rng.NormFloat64())*0.3)
 		}
 	}
-	m := NewModel("t", NewDense(dim, 8, rng), NewReLU(), NewDense(8, 2, rng))
+	m := NewModel(NewDense(dim, 8, rng), NewReLU(), NewDense(8, 2, rng))
 	opt := NewSGD(0.1, 0.9, 0)
 	var scratch EpochScratch
 	first := TrainEpochScratch(m, opt, x, ys, 16, rng, &scratch)
@@ -226,7 +226,7 @@ func TestTrainEpochLearnsSeparableData(t *testing.T) {
 
 func TestEvaluateEmptyAndPartialBatch(t *testing.T) {
 	rng := xrand.New(7)
-	m := NewModel("t", NewDense(4, 2, rng))
+	m := NewModel(NewDense(4, 2, rng))
 	if acc := Evaluate(m, tensor.New(0, 4), nil, 8); acc != 0 {
 		t.Fatalf("empty eval = %v", acc)
 	}
@@ -336,6 +336,17 @@ func TestZooParameterCounts(t *testing.T) {
 	eff := newEffNetSim(rng)
 	if n := eff.numParams(); n <= simple.numParams() {
 		t.Fatalf("EffNetSim (%d) must be larger than SimpleNN (%d)", n, simple.numParams())
+	}
+}
+
+// TestZooMulAdds: a sample's forward pass is 3072·20 + 20·10
+// multiply-adds through SimpleNN, and 16·14·14·75 + 32·5·5·144 +
+// 800·128 + 128·10 through EffNetSim.
+func TestZooMulAdds(t *testing.T) {
+	for id, want := range map[ModelID]int{ModelSimpleNN: 61_640, ModelEffNetSim: 454_080} {
+		if got := id.Build(nil).MulAdds(); got != want {
+			t.Errorf("%v: %d multiply-adds per sample, want %d", id, got, want)
+		}
 	}
 }
 

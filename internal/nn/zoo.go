@@ -76,7 +76,7 @@ func derive(rng *xrand.RNG, label string) *xrand.RNG {
 
 // NewSimpleNN builds the paper's simple model: a one-hidden-layer MLP.
 func NewSimpleNN(rng *xrand.RNG) *Model {
-	return NewModel("SimpleNN",
+	return NewModel(
 		NewDense(ImageLen, hiddenMLP, derive(rng, "fc1")),
 		NewReLU(),
 		NewDense(hiddenMLP, NumClass, derive(rng, "fc2")),
@@ -93,7 +93,7 @@ func NewSimpleNN(rng *xrand.RNG) *Model {
 //	dense 128 -> 10
 //
 // ~110K parameters; the convolutional backbone is what transfer
-// learning pretrains (see Pretrain in the dataset harness).
+// learning pretrains (fl.Backbone).
 func newEffNetSim(rng *xrand.RNG) *Model {
 	conv1 := NewConv2D(tensor.ConvGeom{
 		InC: ImageC, InH: ImageH, InW: ImageW, KH: 5, KW: 5, Stride: 2,
@@ -102,7 +102,7 @@ func newEffNetSim(rng *xrand.RNG) *Model {
 	conv2 := NewConv2D(tensor.ConvGeom{
 		InC: 16, InH: 7, InW: 7, KH: 3, KW: 3, Stride: 1,
 	}, 32, derive(rng, "conv2"))
-	return NewModel("EffNetSim",
+	return NewModel(
 		conv1,
 		NewReLU(),
 		pool1,

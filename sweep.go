@@ -415,8 +415,8 @@ func (p *sweepPlan) options(seed uint64, backend string, v sweepVariant) Options
 
 // run executes work item i: one independent deterministic run at the
 // cell's coordinates, bit-identical to a standalone Experiment.Run at
-// that seed.
-func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
+// that seed. A world it builds takes EffNetB0Sim's weights from backbone.
+func (p *sweepPlan) run(ctx context.Context, i int, backbone func() []float32) (SweepRun, error) {
 	seed, b, v := p.cell(i)
 	o := p.options(seed, b, v)
 	sw := &p.worlds[i/p.cells()]
@@ -424,7 +424,7 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 		// The seed's other cells wait on this Once, so the build takes
 		// the plan's whole worker budget, not one cell's.
 		c := o.decentralized()
-		c.Parallelism = p.workers
+		c.Parallelism, c.Backbone = p.workers, backbone
 		if sw.world, sw.err = bfl.NewWorld(c); sw.err == nil {
 			sw.world.Share(int(sw.left.Load())) // the seed's cells this sweep runs
 		}
@@ -474,12 +474,13 @@ func (p *sweepPlan) run(ctx context.Context, i int) (SweepRun, error) {
 func (p *sweepPlan) runAll(ctx context.Context, sink event.Sink, todo []int, landed func(j int, run SweepRun) (event.Event, error)) ([]SweepRun, error) {
 	p.worlds = make([]seedWorld, len(p.Seeds))
 	defer func() { p.worlds = nil }()
+	backbone := sync.OnceValue(func() []float32 { return bfl.Backbone(p.workers) }) // one warm start a run
 	for _, i := range todo {
 		p.worlds[i/p.cells()].left.Add(1)
 	}
 	emit := newOrderedEmitter(sink)
 	return par.MapCtx(ctx, p.workers, len(todo), func(j int) (SweepRun, error) {
-		run, err := p.run(ctx, todo[j])
+		run, err := p.run(ctx, todo[j], backbone)
 		if err != nil {
 			return SweepRun{}, err
 		}
