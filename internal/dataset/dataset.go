@@ -142,10 +142,10 @@ func (c Config) texture(class int) []float64 {
 	return out
 }
 
-// globalPattern returns the faint full-image sinusoid of a class,
-// deterministic per (class, family, geometry).
-func (c Config) globalPattern(class int) []float64 {
-	out := make([]float64, c.ImageH*c.ImageW)
+// globalPattern returns the faint full-image sinusoid of a class times
+// GlobalAmp, rounded to float32, per (class, family, geometry).
+func (c Config) globalPattern(class int) []float32 {
+	out := make([]float32, c.ImageH*c.ImageW)
 	angle := math.Pi * (float64(class) + 0.37 + 0.18*float64(c.TextureFamily)) / float64(c.Classes)
 	freq := 3.0 + float64(class%4)
 	kx := math.Cos(angle) * freq * 2 * math.Pi / float64(c.ImageW)
@@ -153,7 +153,7 @@ func (c Config) globalPattern(class int) []float64 {
 	phase := 1.3 * float64(class)
 	for y := 0; y < c.ImageH; y++ {
 		for x := 0; x < c.ImageW; x++ {
-			out[y*c.ImageW+x] = math.Sin(kx*float64(x) + ky*float64(y) + phase)
+			out[y*c.ImageW+x] = float32(math.Sin(kx*float64(x)+ky*float64(y)+phase) * c.GlobalAmp)
 		}
 	}
 	return out
@@ -208,10 +208,11 @@ func GenerateSets(workers int, cfg Config, draws []Draw) []*Set {
 
 // pass is one GenerateSets call after its offsets pass.
 type pass struct {
-	cfg                     Config
-	textures, hues, globals [][]float64 // by class, built once a pass
-	draws                   []drawPass
-	items                   []sampleRef // every sample of every draw, in order
+	cfg            Config
+	textures, hues [][]float64 // by class, built once a pass
+	globals        [][]float32 // by class: each pixel's pattern term
+	draws          []drawPass
+	items          []sampleRef // every sample of every draw, in order
 }
 
 // drawPass is one draw after the offsets pass: sample i is of class
@@ -238,7 +239,7 @@ func newPass(cfg Config, draws []Draw) *pass {
 		panic(err)
 	}
 	p := &pass{cfg: cfg, textures: make([][]float64, cfg.Classes), hues: make([][]float64, cfg.Classes),
-		globals: make([][]float64, cfg.Classes), draws: make([]drawPass, len(draws))}
+		globals: make([][]float32, cfg.Classes), draws: make([]drawPass, len(draws))}
 	for c := 0; c < cfg.Classes; c++ {
 		p.textures[c], p.hues[c], p.globals[c] = cfg.texture(c), cfg.hue(c), cfg.globalPattern(c)
 	}
@@ -325,7 +326,7 @@ func (p *pass) sample(row []float32, cls int, rng *xrand.RNG) int {
 			rng.Normals(nz)
 			for k, z := range nz {
 				j := j0 + k
-				pl[j] = base + float32(glob[j]*cfg.GlobalAmp) + float32(z*cfg.NoiseStd)
+				pl[j] = base + glob[j] + float32(z*cfg.NoiseStd)
 			}
 		}
 	}

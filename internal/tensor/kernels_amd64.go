@@ -5,10 +5,6 @@ package tensor
 // other GOARCH. Each walks n elements behind raw pointers, so only the
 // bounds-checking wrappers in tensor.go call them.
 
-// avx512Usable reports whether the CPU has AVX-512F and the OS saves
-// its register state.
-func avx512Usable() bool
-
 // axpyKernel is y[i] += alpha*x[i] for i < n. x and y must be the same
 // pointer or address disjoint ranges.
 //

@@ -3,7 +3,7 @@
 // Four- and sixteen-lane bodies of the axpy, GEMM-row and momentum
 // kernels (DESIGN.md §13, "Four lanes, the same roundings" and "Sixteen
 // lanes where the CPU has them"). The SSE2 bodies run on every amd64;
-// where the init-time probe (avx512Usable) found AVX-512F with its
+// where the init-time probe (internal/cpu) found AVX-512F with its
 // register state enabled, avx512 is set and the paired row bodies, and
 // a 16-lane loop in front of axpy's and momentum's SSE2 loops, use
 // VEX/EVEX instructions. Each lane is a different output element: every
@@ -12,34 +12,6 @@
 // do, and no instruction fuses a multiply with an add. A leftover
 // shorter than four runs the same sequence on one lane. The Go wrappers
 // in tensor.go check every bound before a pointer gets here.
-
-// func avx512Usable() bool
-//
-// CPUID leaf 7 reports AVX512F and XCR0 enables the SSE, AVX, opmask
-// and both ZMM states (bits 1, 2, 5, 6, 7), so the OS saves them.
-TEXT ·avx512Usable(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	XORL  AX, AX
-	CPUID
-	CMPL  AX, $7
-	JLT   no
-	MOVL  $1, AX
-	CPUID
-	BTL   $27, CX // OSXSAVE: XGETBV is available
-	JCC   no
-	XORL  CX, CX
-	XGETBV
-	ANDL  $0xe6, AX
-	CMPL  AX, $0xe6
-	JNE   no
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	BTL   $16, BX // AVX512F
-	JCC   no
-	MOVB  $1, ret+0(FP)
-no:
-	RET
 
 // func axpyKernel(alpha float32, x, y *float32, n int)
 TEXT ·axpyKernel(SB), NOSPLIT, $0-32

@@ -33,10 +33,7 @@ func matMulRowKernel(a, b, c []float32) {
 	matMulTransARowKernel(a[p:], 1, len(a)-p, b[p*m:], c)
 }
 
-// There is no AVX-512 body here, so avx512 stays false and the pair
-// kernels, each its two rows in turn, never run.
-func avx512Usable() bool { return false }
-
+// cpu.AVX512F is false here, so these pair kernels never run.
 func matMulRowPairKernel(a, b, c []float32) {
 	matMulRowKernel(a[:len(a)/2], b, c[:len(c)/2])
 	matMulRowKernel(a[len(a)/2:], b, c[len(c)/2:])

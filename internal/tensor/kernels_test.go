@@ -3,9 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -213,28 +211,4 @@ func TestKernelWrappersPanicOnShortOperands(t *testing.T) {
 		}()
 		checkGuard(t, o.name, o.watch)
 	}
-}
-
-// TestAVX512ProbeMatchesCPUInfo: on Linux, avx512Usable agrees with the
-// avx512f flag the kernel lists in /proc/cpuinfo, which it sets only
-// for a CPU that has AVX-512F when it also saves the ZMM state.
-func TestAVX512ProbeMatchesCPUInfo(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skipf("no /proc/cpuinfo avx512f flag to compare on %s/%s", runtime.GOOS, runtime.GOARCH)
-	}
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("cannot read /proc/cpuinfo: %v", err)
-	}
-	listed := false
-	for _, line := range strings.Split(string(info), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			listed = strings.Contains(flags+" ", " avx512f ")
-			break
-		}
-	}
-	if got := avx512Usable(); got != listed {
-		t.Fatalf("avx512Usable() = %v, /proc/cpuinfo lists avx512f: %v", got, listed)
-	}
-	t.Logf("AVX-512F: %v", listed)
 }

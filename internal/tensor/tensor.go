@@ -21,11 +21,12 @@ package tensor
 import (
 	"fmt"
 
+	"waitornot/internal/cpu"
 	"waitornot/internal/xrand"
 )
 
 // avx512 selects the AVX-512 bodies, here and in kernels_amd64.s; tests flip it.
-var avx512 = avx512Usable()
+var avx512 = cpu.AVX512F
 
 // Dense is a row-major matrix of float32. A Dense with Rows == 1 doubles
 // as a vector. The zero value is an empty matrix; use New to allocate.

@@ -15,8 +15,8 @@
 //     polynomials as through Sincos's x == 0 return. Its octant
 //     branches become integer masks on the octant j.
 //
-// SSE2 only, the amd64 baseline: no FMA, no VEX, no CPUID, and MXCSR
-// left at Go's default (round to nearest, no flush-to-zero).
+// PAIRS is SSE2 only, the amd64 baseline: no FMA, no VEX, no CPUID,
+// and MXCSR left at Go's default (round to nearest, no flush-to-zero).
 
 // The constants, each in both lanes of a 16-byte row. The float rows
 // carry the bits of the constants named in log_amd64.s and sin.go.
@@ -59,7 +59,13 @@ ROW(0x210, 0x0000000100000001) // int32 1
 ROW(0x220, 0xfffffffefffffffe) // int32 ^1
 ROW(0x230, 0x0000000200000002) // int32 2
 ROW(0x240, 0x0000000400000004) // int32 4
-GLOBL bm<>(SB), RODATA|NOPTR, $0x250
+ROW(0x250, 0xbf58476d1ce4e5b9) // splitmix64's first multiplier
+ROW(0x260, 0x94d049bb133111eb) // its second
+ROW(0x270, 0x9e3779b97f4a7c15) // gamma, its state increment
+ROW(0x280, 0xe3779b97f4a7c150) // 16·gamma, one pass of eight pairs
+ROW(0x290, 0x3ca0000000000000) // 2^-53
+ROW(0x2a0, 0x8000000000000000) // the sign bit
+GLOBL bm<>(SB), RODATA|NOPTR, $0x2b0
 
 #define MANT   bm<>+0x000(SB)
 #define HALF   bm<>+0x010(SB)
@@ -88,6 +94,12 @@ GLOBL bm<>(SB), RODATA|NOPTR, $0x250
 #define INOT1  bm<>+0x220(SB)
 #define I2     bm<>+0x230(SB)
 #define I4     bm<>+0x240(SB)
+#define MIX1   bm<>+0x250(SB)
+#define MIX2   bm<>+0x260(SB)
+#define GAMMA  bm<>+0x270(SB)
+#define GAMMA16 bm<>+0x280(SB)
+#define TWOM53 bm<>+0x290(SB)
+#define SIGN   bm<>+0x2a0(SB)
 
 // POLY leaves ((((((c0*zz)+c1)*zz+c2)*zz+c3)*zz+c4)*zz+c5) in acc, with
 // zz in X7, in sincos.go's order of operations.
@@ -205,4 +217,186 @@ tail:
 	MOVUPD X0, (SI)
 
 done:
+	RET
+
+// Eight-lane body of Normals (DESIGN.md §5, "Eight pairs per pass"),
+// for a CPU with AVX512F and AVX512DQ. Lane i of a ZMM register holds
+// pair i of a group of eight, and PAIRS8 is PAIRS op for op on eight
+// lanes: the same packed operations in the same order, each rounding
+// once per lane, no FMA, no embedded rounding, and the octant masks as
+// opmask registers. Every AVX-512 path ends in VZEROUPPER.
+
+// The eight-lane rows, one qword a lane: the splitmix64 state offset
+// of lane i's u draw, (2i+1)·gamma (its v draw's is one gamma more),
+// and the VPERMT2PD indices that interleave eight cosines (0-7) and
+// eight sines (8-15) into pairs, and split pairs into u and v.
+#define LANES(off, b0, b1, b2, b3, b4, b5, b6, b7) \
+	DATA lanes<>+off(SB)/8, $b0; DATA lanes<>+(off+8)(SB)/8, $b1; \
+	DATA lanes<>+(off+16)(SB)/8, $b2; DATA lanes<>+(off+24)(SB)/8, $b3; \
+	DATA lanes<>+(off+32)(SB)/8, $b4; DATA lanes<>+(off+40)(SB)/8, $b5; \
+	DATA lanes<>+(off+48)(SB)/8, $b6; DATA lanes<>+(off+56)(SB)/8, $b7
+
+LANES(0x000, 0x9e3779b97f4a7c15, 0xdaa66d2c7ddf743f, 0x1715609f7c746c69, 0x538454127b096493, 0x8ff34785799e5cbd, 0xcc623af8783354e7, 0x08d12e6b76c84d11, 0x454021de755d453b)
+LANES(0x040, 0, 8, 1, 9, 2, 10, 3, 11)
+LANES(0x080, 4, 12, 5, 13, 6, 14, 7, 15)
+LANES(0x0c0, 0, 2, 4, 6, 8, 10, 12, 14)
+LANES(0x100, 1, 3, 5, 7, 9, 11, 13, 15)
+GLOBL lanes<>(SB), RODATA|NOPTR, $0x140
+
+#define OFFU  lanes<>+0x000(SB)
+#define PAIR0 lanes<>+0x040(SB)
+#define PAIR1 lanes<>+0x080(SB)
+#define SPLTU lanes<>+0x0c0(SB)
+#define SPLTV lanes<>+0x100(SB)
+
+// UNIFORM turns eight splitmix64 states in z into the eight Float64
+// values their Uint64 draws give: the mix by VPMULLQ (the low 64 bits
+// of the product, Go's wrapping multiply) and float64(z>>11)·2^-53 by
+// VCVTUQQ2PD and VMULPD, both exact. Clobbers t.
+#define UNIFORM(z, t) \
+	VPSRLQ $30, z, t; VPXORQ t, z, z; VPMULLQ.BCST MIX1, z, z; \
+	VPSRLQ $27, z, t; VPXORQ t, z, z; VPMULLQ.BCST MIX2, z, z; \
+	VPSRLQ $31, z, t; VPXORQ t, z, z; \
+	VPSRLQ $11, z, z; VCVTUQQ2PD z, z; VMULPD.BCST TWOM53, z, z
+
+// POLY8 is POLY on eight lanes, zz in Z7.
+#define POLY8(C, acc) \
+	VMULPD.BCST C(0), Z7, acc; VADDPD.BCST C(1), acc, acc; \
+	VMULPD Z7, acc, acc; VADDPD.BCST C(2), acc, acc; VMULPD Z7, acc, acc; VADDPD.BCST C(3), acc, acc; \
+	VMULPD Z7, acc, acc; VADDPD.BCST C(4), acc, acc; VMULPD Z7, acc, acc; VADDPD.BCST C(5), acc, acc
+
+// PAIRS8 transforms eight pairs, u in Z2 and v in Z3, into mag·cos in
+// Z11 and mag·sin in Z13. Clobbers Z2-Z13 and K1-K3.
+#define PAIRS8 \
+	/* --- Log(u), archLog's sequence --- */ \
+	/* f1, ki := Frexp(u): f1 in Z4, k = float64(ki) in Z5. */ \
+	VPANDQ.BCST MANT, Z2, Z4; VPORQ.BCST HALF, Z4, Z4; \
+	VPSRLQ $52, Z2, Z5; VPMOVQD Z5, Y5; VPSUBD.BCST BIAS, Z5, Z5; VCVTDQ2PD Y5, Z5; \
+	/* if !(HSqrt2 < f1) { k -= 1; f1 *= 2 }: f1 not greater, in K1. */ \
+	VCMPPD.BCST $0x0a, HSQRT2, Z4, K1; \
+	VSUBPD.BCST ONE, Z5, K1, Z5; VMULPD.BCST TWO, Z4, K1, Z4; \
+	/* f := f1 - 1; s := f / (2 + f); s2 := s*s; s4 := s2*s2 */ \
+	VSUBPD.BCST ONE, Z4, Z4; \
+	VADDPD.BCST TWO, Z4, Z6; VDIVPD Z6, Z4, Z7; \
+	VMULPD Z7, Z7, Z8; VMULPD Z8, Z8, Z9; \
+	/* t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7))) in Z8 */ \
+	VMULPD.BCST L7, Z9, Z10; VADDPD.BCST L5, Z10, Z10; VMULPD Z9, Z10, Z10; \
+	VADDPD.BCST L3, Z10, Z10; VMULPD Z9, Z10, Z10; VADDPD.BCST L1, Z10, Z10; VMULPD Z10, Z8, Z8; \
+	/* t2 := s4 * (L2 + s4*(L4+s4*L6)) in Z9; R := t1 + t2 in Z8 */ \
+	VMULPD.BCST L6, Z9, Z10; VADDPD.BCST L4, Z10, Z10; VMULPD Z9, Z10, Z10; \
+	VADDPD.BCST L2, Z10, Z10; VMULPD Z10, Z9, Z9; \
+	VADDPD Z9, Z8, Z8; \
+	/* hfsq := 0.5 * f * f in Z6 */ \
+	VMULPD.BCST HALF, Z4, Z6; VMULPD Z4, Z6, Z6; \
+	/* k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f) in Z5 */ \
+	VADDPD Z6, Z8, Z8; VMULPD Z8, Z7, Z7; \
+	VMULPD.BCST LN2LO, Z5, Z10; VADDPD Z10, Z7, Z7; \
+	VSUBPD Z7, Z6, Z6; VSUBPD Z4, Z6, Z6; \
+	VMULPD.BCST LN2HI, Z5, Z5; VSUBPD Z6, Z5, Z5; \
+	/* mag := Sqrt(-2.0 * Log(u)) in Z5 */ \
+	VMULPD.BCST MINUS2, Z5, Z5; VSQRTPD Z5, Z5; \
+	\
+	/* --- Sincos(2*Pi*v), sincos.go's x >= 0 path --- */ \
+	/* j := uint64(x * (4/Pi)); odd j and its y move up one. */ \
+	VMULPD.BCST TWOPI, Z3, Z3; \
+	VMULPD.BCST FOPI, Z3, Z4; VCVTTPD2DQ Z4, Y4; \
+	VPADDD.BCST I1, Z4, Z4; VPANDD.BCST INOT1, Z4, Z4; \
+	VCVTDQ2PD Y4, Z6; \
+	/* z := ((x - y*PI4A) - y*PI4B) - y*PI4C in Z3 */ \
+	VMULPD.BCST PI4A, Z6, Z7; VSUBPD Z7, Z3, Z3; \
+	VMULPD.BCST PI4B, Z6, Z7; VSUBPD Z7, Z3, Z3; \
+	VMULPD.BCST PI4C, Z6, Z6; VSUBPD Z6, Z3, Z3; \
+	/* zz := z * z in Z7 */ \
+	VMULPD Z3, Z3, Z7; \
+	/* cos := 1.0 - 0.5*zz + zz*zz*poly in Z10 */ \
+	POLY8(COS, Z8); \
+	VMULPD Z7, Z7, Z9; VMULPD Z9, Z8, Z8; \
+	VMULPD.BCST HALF, Z7, Z9; \
+	VBROADCASTSD ONE, Z10; VSUBPD Z9, Z10, Z10; VADDPD Z8, Z10, Z10; \
+	/* sin := z + z*zz*poly in Z8 */ \
+	POLY8(SIN, Z8); \
+	VMULPD Z3, Z7, Z7; VMULPD Z7, Z8, Z8; VADDPD Z3, Z8, Z8; \
+	\
+	/* --- the octant, j&7 in {0, 2, 4, 6}, as opmasks --- */ \
+	/* Lane i's j is dword i of Z4, so bit i of a dword test is lane i's. */ \
+	/* swap (bit 1) in K1, sinSign (bit 2) in K2, cosSign (bit 1 ^ bit 2) in K3 */ \
+	VPTESTMD.BCST I2, Z4, K1; VPTESTMD.BCST I4, Z4, K2; KXORW K1, K2, K3; \
+	/* sin, cos = cos, sin on swap lanes: Z13 = sin, Z11 = cos */ \
+	VBLENDMPD Z10, Z8, K1, Z13; VBLENDMPD Z8, Z10, K1, Z11; \
+	/* the signs, then mag*cos and mag*sin */ \
+	VPXORQ.BCST SIGN, Z11, K3, Z11; VPXORQ.BCST SIGN, Z13, K2, Z13; \
+	VMULPD Z5, Z11, Z11; VMULPD Z5, Z13, Z13
+
+// STORE8 interleaves Z11 and Z13 into eight (mag·cos, mag·sin) pairs
+// at (SI), with the indices in Z21 and Z22. Clobbers Z11 and Z12.
+#define STORE8 \
+	VMOVAPD Z11, Z12; VPERMT2PD Z13, Z21, Z12; VPERMT2PD Z13, Z22, Z11; \
+	VMOVUPD Z12, (SI); VMOVUPD Z11, 64(SI)
+
+// func normals8(p []float64, state *uint64) int
+TEXT ·normals8(SB), NOSPLIT, $0-40
+	MOVQ         p_base+0(FP), SI
+	MOVQ         p_len+8(FP), CX
+	ANDQ         $-16, CX
+	MOVQ         CX, ret+32(FP)
+	JEQ          done8
+	MOVQ         state+24(FP), DI
+	MOVQ         (DI), AX
+	VPBROADCASTQ AX, Z16
+	VPADDQ       OFFU, Z16, Z16
+	VPBROADCASTQ GAMMA16, Z19
+	VBROADCASTSD ONE, Z20
+	VMOVDQU64    PAIR0, Z21
+	VMOVDQU64    PAIR1, Z22
+	MOVQ         CX, DX
+	IMULQ        GAMMA, DX
+	ADDQ         DX, AX
+	MOVQ         AX, (DI) // *state += n·gamma: one Uint64 draw a normal
+
+loop8:
+	// Lane i draws s + (2i+1)·gamma for u and one gamma more for v.
+	VMOVDQA64   Z16, Z2
+	VPADDQ.BCST GAMMA, Z16, Z3
+	VPADDQ      Z19, Z16, Z16
+	UNIFORM(Z2, Z4)
+	UNIFORM(Z3, Z5)
+	VSUBPD      Z2, Z20, Z2
+	PAIRS8
+	STORE8
+	ADDQ        $128, SI
+	SUBQ        $16, CX
+	JNE         loop8
+	VZEROUPPER
+
+done8:
+	RET
+
+// func boxMuller8(p []float64)
+//
+// PAIRS8 alone, on the (u, v) pairs in p (len(p) a multiple of 16):
+// the tests' way to put a chosen pair in a chosen lane.
+TEXT ·boxMuller8(SB), NOSPLIT, $0-24
+	MOVQ      p_base+0(FP), SI
+	MOVQ      p_len+8(FP), CX
+	VMOVDQU64 PAIR0, Z21
+	VMOVDQU64 PAIR1, Z22
+	VMOVDQU64 SPLTU, Z23
+	VMOVDQU64 SPLTV, Z24
+	SUBQ      $16, CX
+	JLT       doneT
+
+loopT:
+	VMOVUPD   (SI), Z2
+	VMOVUPD   64(SI), Z4
+	VMOVAPD   Z2, Z3
+	VPERMT2PD Z4, Z23, Z2
+	VPERMT2PD Z4, Z24, Z3
+	PAIRS8
+	STORE8
+	ADDQ      $128, SI
+	SUBQ      $16, CX
+	JGE       loopT
+
+doneT:
+	VZEROUPPER
 	RET

@@ -9,7 +9,11 @@
 // math/rand's source — has a stable, documented algorithm we control.
 package xrand
 
-import "math"
+import (
+	"math"
+
+	"waitornot/internal/cpu"
+)
 
 // RNG is a deterministic splitmix64 pseudo-random number generator.
 // It is NOT safe for concurrent use; derive one stream per goroutine
@@ -25,6 +29,9 @@ type RNG struct {
 	hasSpare bool
 	spare    float64
 }
+
+// avx512 selects Normals' AVX-512 body (normals_amd64.go); tests flip it.
+var avx512 = cpu.AVX512DQ
 
 // gamma is splitmix64's state increment: after k draws the state is
 // s0 + k·gamma (mod 2^64).
@@ -59,11 +66,9 @@ func mix(z uint64) uint64 {
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
+	z := mix(r.state)
 	r.state += gamma
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.

@@ -183,23 +183,30 @@ func TestSkipMatchesDraws(t *testing.T) {
 // TestSkipNormalsMatchesDraws: SkipNormals(n) is exactly n NormFloat64
 // calls — same value, same spare, same next draws — from a fresh state
 // and from a pending spare, for even and odd n (3076 and 3077 are a
-// default SynthCIFAR sample's normal count and one more).
+// default SynthCIFAR sample's normal count and one more), and leaves
+// the RNG where Normals of length n does on each body.
 func TestSkipNormalsMatchesDraws(t *testing.T) {
-	for _, pending := range []bool{false, true} {
-		for _, n := range []int{0, 1, 2, 3, 1024, 3076, 3077} {
-			a := New(uint64(7 + n))
-			if pending {
-				a.NormFloat64()
+	for _, body := range bodies {
+		t.Run(body.name, func(t *testing.T) {
+			useBody(t, body.wide)
+			for _, pending := range []bool{false, true} {
+				for _, n := range []int{0, 1, 2, 3, 1024, 3076, 3077} {
+					a := New(uint64(7 + n))
+					if pending {
+						a.NormFloat64()
+					}
+					b, c := *a, *a
+					for i := 0; i < n; i++ {
+						a.NormFloat64()
+					}
+					b.SkipNormals(n)
+					c.Normals(make([]float64, n))
+					if !sameFuture(*a, b) || !sameFuture(b, c) {
+						t.Errorf("pending spare %v: SkipNormals(%d), %d NormFloat64 calls and Normals of %d end apart", pending, n, n, n)
+					}
+				}
 			}
-			b := *a
-			for i := 0; i < n; i++ {
-				a.NormFloat64()
-			}
-			b.SkipNormals(n)
-			if !sameFuture(*a, b) {
-				t.Errorf("pending spare %v: SkipNormals(%d) is not %d NormFloat64 calls", pending, n, n)
-			}
-		}
+		})
 	}
 }
 
@@ -309,12 +316,17 @@ func BenchmarkNormFloat64(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkNormals: one 1,024-wide plane of normals; compare with 1,024
-// times BenchmarkNormFloat64.
+// BenchmarkNormals: one 1,024-wide plane of normals on each body;
+// compare with 1,024 times BenchmarkNormFloat64.
 func BenchmarkNormals(b *testing.B) {
-	r := New(1)
-	dst := make([]float64, 1024)
-	for b.Loop() {
-		r.Normals(dst)
+	for _, body := range bodies {
+		b.Run(body.name, func(b *testing.B) {
+			useBody(b, body.wide)
+			r := New(1)
+			dst := make([]float64, 1024)
+			for b.Loop() {
+				r.Normals(dst)
+			}
+		})
 	}
 }
