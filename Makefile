@@ -42,7 +42,10 @@
 #                  of the assembly, and vetted under GOARCH=arm64;
 #                  internal/contract and
 #                  internal/chain tested under 386 too, for their
-#                  decoders' 32-bit lengths) + the campaign
+#                  decoders' 32-bit lengths; the root package's
+#                  Example and ExampleScenario_Experiment under 386
+#                  too, so their pinned tables hold on the Go loops)
+#                  + the campaign
 #                  crash-recovery smoke (SIGKILL + resume).
 #   make benchmark the repo benchmark (BENCHMARK.json; ~4 min, not in ci):
 #                  the basis for every performance claim.
@@ -62,15 +65,15 @@ GO ?= go
 # The coverage ratchet: cover fails if total statement coverage drops
 # below this. The same value is recorded in .github/workflows/ci.yml
 # (env on the make step); raise both as coverage grows — the measured
-# total minus 1.5 points (87.2% when it was last raised).
-COVER_MIN ?= 85.7
+# total minus 1.5 points (89.3% when it was last raised).
+COVER_MIN ?= 87.8
 COVER_OUT ?= cover.out
 
 # The size ratchet: size fails if the non-test Go lines outside
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 14202
+SIZE_MAX ?= 13857
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -164,11 +167,16 @@ fuzz-smoke:
 # internal/chain run there too: their decoders (and nn's weight codec)
 # read hostile lengths, which a 32-bit int can wrap or turn negative;
 # TestDecodersRefuseHostileLengths (internal/contract) sweeps every
-# prefix and hostile length field of all five.
+# prefix and hostile length field of all five. The two cheapest root
+# Examples run there as well (Example, the paper's Tables II-IV, and
+# ExampleScenario_Experiment; ~11 s more on 2 vCPUs, their 386 build
+# included): their Output blocks, which amd64 meets on the SSE2 and
+# AVX-512 bodies, then hold end to end on the Go loops.
 # arm64 is vetted only.
 generic-kernels:
 	GOARCH=386 $(GO) test ./internal/cpu/ ./internal/tensor/ ./internal/nn/ ./internal/xrand/ ./internal/dataset/ \
 	    ./internal/contract/ ./internal/chain/
+	GOARCH=386 $(GO) test -run '^(Example|ExampleScenario_Experiment)$$' .
 	GOARCH=arm64 $(GO) vet ./internal/cpu/ ./internal/tensor/ ./internal/nn/ ./internal/xrand/ ./internal/dataset/
 
 # Campaign smoke: the crash-recovery acceptance test end to end — a
