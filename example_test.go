@@ -5,19 +5,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"waitornot"
 )
-
-// printTable prints a report table the way an Output block holds it:
-// the comment text drops each line's trailing spaces, so the padding
-// after the last column goes, and so does the table's closing newline.
-func printTable(table string) {
-	for _, line := range strings.Split(strings.TrimSuffix(table, "\n"), "\n") {
-		fmt.Println(strings.TrimRight(line, " "))
-	}
-}
 
 // Example runs a small fully coupled blockchain-FL experiment: three
 // peers train a SimpleNN, share models over the PoW chain, and each
@@ -42,7 +32,7 @@ func Example() {
 	rep := res.Decentralized
 
 	for p := range rep.PeerNames {
-		printTable(rep.PeerTable(p, opts.Model.String()))
+		fmt.Print(rep.PeerTable(p, opts.Model.String()))
 		fmt.Println()
 	}
 	for p, name := range rep.PeerNames {
@@ -119,9 +109,9 @@ func ExampleVanillaReport_TableI() {
 	}
 	vanilla, chainRep := vres.Vanilla, cres.Decentralized
 
-	printTable(vanilla.TableI(opts.Model.String()))
+	fmt.Print(vanilla.TableI(opts.Model.String()))
 	fmt.Println()
-	printTable(chainRep.PeerTable(0, opts.Model.String()))
+	fmt.Print(chainRep.PeerTable(0, opts.Model.String()))
 	fmt.Println()
 
 	last := opts.Rounds - 1
@@ -366,7 +356,7 @@ func ExampleExperiment_RunCampaign() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncampaign status: %d/%d cells on disk — partial table:\n\n", st.Done, st.Total)
-	printTable(st.Partial.Table())
+	fmt.Print(st.Partial.Table())
 	fmt.Println()
 
 	// Pass 2: resume. Restored cells stream first; only the rest run.
@@ -383,7 +373,7 @@ func ExampleExperiment_RunCampaign() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	printTable(rep.Table())
+	fmt.Print(rep.Table())
 
 	// Output:
 	//   landed    1/18  seed 1  wait-all   pow

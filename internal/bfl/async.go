@@ -195,36 +195,26 @@ func RunAsync(ctx context.Context, cfg Config) (_ *AsyncResult, err error) {
 	return a.res, nil
 }
 
-// drain pumps the clock to completion: run to the budget (or to
-// quiescence), then close out any peer still waiting at the horizon.
-// Close-out merges never open follow-up rounds — the horizon is the
-// end of the run — so the loop converges immediately after one
-// close-out pass; it only repeats to flush events a close-out may
-// have left due (none today, cheap insurance tomorrow).
+// drain pumps the clock to completion — to the budget, or to
+// quiescence — then closes out every peer still waiting at the horizon.
+// A close-out schedules nothing (no record transaction, no next round),
+// so one pass ends the run.
 func (a *asyncEngine) drain() error {
-	for {
-		var err error
-		if a.budgetMs > 0 {
-			err = a.clock.RunUntil(a.budgetMs)
-		} else {
-			err = a.clock.Run()
-		}
-		if err != nil {
-			return err
-		}
-		closed := false
-		for _, p := range a.peers {
-			if p.waiting {
-				if err := a.fire(p, true); err != nil {
-					return err
-				}
-				closed = true
+	run := a.clock.Run
+	if a.budgetMs > 0 {
+		run = func() error { return a.clock.RunUntil(a.budgetMs) }
+	}
+	if err := run(); err != nil {
+		return err
+	}
+	for _, p := range a.peers {
+		if p.waiting {
+			if err := a.fire(p, true); err != nil {
+				return err
 			}
 		}
-		if !closed {
-			return nil
-		}
 	}
+	return nil
 }
 
 // pastBudget reports whether the clock has reached the time budget.

@@ -28,7 +28,7 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// ASCII renders the table with aligned columns.
+// ASCII renders the table with aligned columns, the last one unpadded.
 func (t *Table) ASCII() string {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
@@ -55,11 +55,14 @@ func (t *Table) ASCII() string {
 		}
 		b.WriteByte('\n')
 	}
-	line(t.Header)
 	sep := make([]string, len(t.Header))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
+	if n := len(widths); n > 0 {
+		widths[n-1] = 0
+	}
+	line(t.Header)
 	line(sep)
 	for _, row := range t.Rows {
 		line(row)

@@ -18,11 +18,17 @@ func TestTableASCIIAlignsColumns(t *testing.T) {
 	if len(lines) != 5 {
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
-	// Column 2 starts at the same offset on every data line.
+	// Column 2 starts at the same offset on every data line, and no
+	// line ends in padding.
 	idx := strings.Index(lines[1], "value")
 	for _, l := range lines[3:] {
 		if len(l) < idx {
 			t.Fatalf("row too short: %q", l)
+		}
+	}
+	for _, l := range lines {
+		if strings.HasSuffix(l, " ") {
+			t.Fatalf("line ends in a space: %q", l)
 		}
 	}
 }
