@@ -406,7 +406,6 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 		ClosedOut:       closeOut,
 	}
 	a.res.Rounds[p.idx] = append(a.res.Rounds[p.idx], st)
-	a.passMemo(len(slices.MinFunc(a.res.Rounds, func(x, y []AsyncRound) int { return len(x) - len(y) }))) // all peers fired these
 	a.sink.Emit(event.PeerAggregated{
 		Round: p.round, Peer: p.name, VirtualMs: now,
 		WaitMs: st.WaitMs, Included: st.Included,
@@ -422,7 +421,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 	// except at close-out: past the horizon nothing commits.
 	if !closeOut {
 		label := clientLabel(len(kept), func(k int) string { return kept[k].Client })
-		tx, err := a.recordTx(p.peerState, p.round, label, merged, len(kept))
+		tx, err := a.recordTx(p.peerState, p.round, label, p.adoptedKey, merged, len(kept))
 		if err != nil {
 			return err
 		}
@@ -435,6 +434,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 		})
 	}
 
+	a.passMemo(len(slices.MinFunc(a.res.Rounds, func(x, y []AsyncRound) int { return len(x) - len(y) }))) // all peers fired these, after the record filed under p.round
 	if p.round < a.cfg.Rounds && !closeOut && !a.pastBudget() {
 		a.clock.Schedule(now, p.idx, func() error { return a.startRound(p) })
 	}

@@ -2,17 +2,23 @@ package bfl
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"waitornot/internal/chain"
+	"waitornot/internal/contract"
 	"waitornot/internal/core"
 	"waitornot/internal/dataset"
 	"waitornot/internal/event"
 	"waitornot/internal/fl"
+	"waitornot/internal/keys"
+	"waitornot/internal/ledger"
 	"waitornot/internal/nn"
 	"waitornot/internal/par"
 )
@@ -108,6 +114,9 @@ func TestMemoTrainsEachModelOnce(t *testing.T) {
 		w.memo.mu.Lock()
 		defer w.memo.mu.Unlock()
 		for k, en := range w.memo.rounds[round] {
+			if k.set == nil {
+				continue // a transaction, digest or decoding: TestMemoSignsEachTransactionOnce
+			}
 			select {
 			case <-en.done:
 			default:
@@ -411,4 +420,137 @@ func TestMemoKeysNeverConfuse(t *testing.T) {
 			t.Errorf("%s: the memo holds entries after the last run landed", grid.name)
 		}
 	}
+}
+
+// TestMemoSignsEachTransactionOnce: the ladder-sweep grid at seed 1 on
+// one shared world signs each transaction once. For registrations,
+// submissions and records alike, the memo signs exactly one
+// transaction per distinct (signer, nonce, payload) the runs commit —
+// 9 submissions for the grid's 72 — and runs hand each other the same
+// *chain.Transaction. Every run commits exactly what it signs alone:
+// each committed transaction hashes as the one its solo run freshly
+// signed at the same place, and each chain, block by block, is the
+// solo run's. A struct copy of a shared submission with one payload
+// byte flipped is still refused by a run that committed the original,
+// whose own verdict stands.
+func TestMemoSignsEachTransactionOnce(t *testing.T) {
+	cfgs := ladderConfigs(1)
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Share(len(cfgs))
+	var mu sync.Mutex
+	signed := map[*memoEntry]memoKey{} // every signing seen in the memo
+	shared := make([]*RoundEngine, len(cfgs))
+	par.ForEach(2, len(cfgs), func(i int) error {
+		c := cfgs[i]
+		c.World = w
+		c.Events = func(ev event.Event) {
+			// A run has not passed a round whose blocks it is committing.
+			b, ok := ev.(event.BlockCommitted)
+			if !ok {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			w.memo.mu.Lock()
+			defer w.memo.mu.Unlock()
+			for k, en := range w.memo.rounds[b.Round] {
+				if k.from != (keys.Address{}) {
+					signed[en] = k
+				}
+			}
+		}
+		var err error
+		if shared[i], err = runDecentralized(context.Background(), c); err != nil {
+			t.Errorf("%s/%s: %v", c.Backend, c.Policy.Name(), err)
+		}
+		return nil
+	})
+	if t.Failed() {
+		return
+	}
+
+	type triple struct {
+		from    keys.Address
+		nonce   uint64
+		payload [32]byte
+	}
+	distinct := map[string]map[triple]bool{}
+	pointers := map[string]map[*chain.Transaction]bool{}
+	for i, cfg := range cfgs {
+		solo, err := runDecentralized(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := shared[i].e.be.CommittedTxs(0), solo.e.be.CommittedTxs(0)
+		if len(got) != len(want) {
+			t.Fatalf("%s/%s: %d transactions committed, %d alone", cfg.Backend, cfg.Policy.Name(), len(got), len(want))
+		}
+		for j, tx := range got {
+			if tx.Hash() != want[j].Hash() {
+				t.Errorf("%s/%s: transaction %d differs from the one the run signs alone", cfg.Backend, cfg.Policy.Name(), j)
+			}
+			call, err := contract.CallOf(tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if distinct[call.Method] == nil {
+				distinct[call.Method], pointers[call.Method] = map[triple]bool{}, map[*chain.Transaction]bool{}
+			}
+			distinct[call.Method][triple{tx.From, tx.Nonce, sha256.Sum256(tx.Payload)}] = true
+			pointers[call.Method][tx] = true
+		}
+		if ch, ok := shared[i].e.be.(ledger.Chainer); ok {
+			mine, alone := ch.Chain(0), solo.e.be.(ledger.Chainer).Chain(0)
+			for j := range max(len(mine), len(alone)) {
+				if j >= len(mine) || j >= len(alone) || mine[j].Hash() != alone[j].Hash() {
+					t.Errorf("%s/%s: block %d differs from the run's alone", cfg.Backend, cfg.Policy.Name(), j)
+					break
+				}
+			}
+		}
+	}
+	kinds := map[string]int{}
+	for _, k := range signed {
+		switch {
+		case k.nonce == 0:
+			kinds["register"]++
+		case k.label == "":
+			kinds["submit"]++
+		default:
+			kinds["record"]++
+		}
+	}
+	for _, m := range []string{"register", "submit", "record"} {
+		t.Logf("%s: %d signed, %d distinct, %d committed pointers", m, kinds[m], len(distinct[m]), len(pointers[m]))
+		if kinds[m] != len(distinct[m]) || len(pointers[m]) != len(distinct[m]) {
+			t.Errorf("%s: %d signed and %d transactions shared for %d distinct (signer, nonce, payload)",
+				m, kinds[m], len(pointers[m]), len(distinct[m]))
+		}
+	}
+	if kinds["submit"] != 9 {
+		t.Errorf("%d submissions signed, want the grid's 9 distinct updates", kinds["submit"])
+	}
+
+	// The tampered copy: the original's memo rides along in the struct,
+	// but its owner is the original, so the copy is checked afresh.
+	be := shared[len(shared)-1].e.be
+	for _, tx := range be.CommittedTxs(0) {
+		if call, _ := contract.CallOf(tx); call.Method != "submit" || !slices.Contains(shared[0].e.be.CommittedTxs(0), tx) {
+			continue
+		}
+		forged := *tx
+		forged.Payload = slices.Clone(tx.Payload)
+		forged.Payload[len(forged.Payload)-1] ^= 1
+		if err := be.Submit(&forged); !errors.Is(err, chain.ErrBadSig) {
+			t.Errorf("a shared submission with one payload byte flipped was admitted: %v", err)
+		}
+		if err := tx.VerifySignature(); err != nil {
+			t.Errorf("the original's verdict changed: %v", err)
+		}
+		return
+	}
+	t.Fatal("no submission is shared between the first and the last run")
 }

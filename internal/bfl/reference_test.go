@@ -150,7 +150,7 @@ func (r *reference) round(round int) {
 
 	// 2. pbft's admission: score on the held-out set, reject what falls
 	// more than the margin below the best of the batch and the committed
-	// model, and commit the accepted batch's average.
+	// model, and commit the accepted batch's unweighted float64 mean.
 	onChain := make([]bool, len(slots))
 	for k := range onChain {
 		onChain[k] = true
@@ -173,7 +173,7 @@ func (r *reference) round(round int) {
 			}
 		}
 		if len(accepted) > 0 {
-			r.committed = refAccuracy(cfg.Model, held, refFedAvg(accepted))
+			r.committed = refAccuracy(cfg.Model, held, refMean(accepted))
 		}
 	}
 
@@ -318,6 +318,20 @@ func refFedAvg(ups []*fl.Update) []float32 {
 	return w
 }
 
+// refMean is pbft's committed model (DESIGN §8): each weight the
+// float64 sum over ups divided by their count, whatever their samples.
+func refMean(ups []*fl.Update) []float32 {
+	out := make([]float32, len(ups[0].Weights))
+	for j := range out {
+		var sum float64
+		for _, u := range ups {
+			sum += float64(u.Weights[j])
+		}
+		out[j] = float32(sum / float64(len(ups)))
+	}
+	return out
+}
+
 // refAccuracy is weights' accuracy on s, in a model built for the call.
 func refAccuracy(id nn.ModelID, s *dataset.Set, weights []float32) float64 {
 	m := id.Build(nil)
@@ -424,7 +438,8 @@ const refDeadline = 41 * time.Millisecond
 // refGrid is one seed's cells: 4 backends × 4 policies on an IID world
 // with commit latency off, the same on a Dirichlet(0.5) world whose
 // peer C is fully label-flipped (filter 0.15, commit latency on, a
-// network jitter), a second learning rate on the IID world, and a
+// network jitter), a second learning rate on the IID world, a filter
+// of 0.02 on the skewed world (so that every seed rejects), and a
 // fleet-poa-shaped subsampled poa fleet. Each world is Shared by its
 // cells; a reference serves every cell it is the same run for.
 func refGrid(t *testing.T, seed uint64) []*refCell {
@@ -443,6 +458,7 @@ func refGrid(t *testing.T, seed uint64) []*refCell {
 		w     *World
 		p     core.Policy
 		h     fl.Hyper
+		f     core.Filter
 		every float64
 		admit bool
 	}
@@ -452,7 +468,7 @@ func refGrid(t *testing.T, seed uint64) []*refCell {
 			return f
 		}
 		f := sync.OnceValue(func() *reference { return newReference(k.w, cfg, k.every, k.admit).run() })
-		if pk := (refKey{k.w, k.p, k.h, k.every, true}); refs[pk] != nil && k.every == 0 {
+		if pk := (refKey{k.w, k.p, k.h, k.f, k.every, true}); refs[pk] != nil && k.every == 0 {
 			// Without commit latency pbft's run is this one unless it
 			// rejected something: one reference serves both.
 			pf, own := refs[pk], f
@@ -482,7 +498,8 @@ func refGrid(t *testing.T, seed uint64) []*refCell {
 			}
 		}
 		for _, c := range extra {
-			mine = append(mine, &refCell{name: fmt.Sprintf("%s/%s/%s/lr=%g", name, c.Backend, c.Policy.Name(), c.Hyper.LR), cfg: c})
+			mine = append(mine, &refCell{name: fmt.Sprintf("%s/%s/%s/lr=%g/filter=%g", name, c.Backend, c.Policy.Name(),
+				c.Hyper.LR, c.Filter.MaxBelowBest), cfg: c})
 		}
 		w.Share(len(mine))
 		for _, pbftFirst := range []bool{true, false} {
@@ -495,15 +512,17 @@ func refGrid(t *testing.T, seed uint64) []*refCell {
 				if c.cfg.CommitLatency {
 					every = refInterval[c.cfg.Backend]
 				}
-				c.ref = refOf(refKey{w: w, p: c.cfg.Policy, h: c.cfg.Hyper, every: every, admit: c.cfg.Backend == "pbft"}, c.cfg)
+				c.ref = refOf(refKey{w: w, p: c.cfg.Policy, h: c.cfg.Hyper, f: c.cfg.Filter, every: every, admit: c.cfg.Backend == "pbft"}, c.cfg)
 			}
 		}
 		cells = append(cells, mine...)
 	}
 	slow := iid
 	slow.Backend, slow.Hyper.LR = "pow", 0.01
+	tight := skewed
+	tight.Backend, tight.Filter.MaxBelowBest = "pow", 0.02
 	half("iid", iid, slow)
-	half("skewed", skewed)
+	half("skewed", skewed, tight)
 
 	w, err := NewWorld(fleet)
 	if err != nil {
@@ -521,7 +540,8 @@ func refGrid(t *testing.T, seed uint64) []*refCell {
 // seed's cells run two at a time on their shared worlds while the
 // references read the same worlds. The grid must hold at least one of
 // each event the rules have a branch for, so the test cannot pass on a
-// happy path alone.
+// happy path alone, and each seed a filter rejection, so that one
+// seed's subtree runs the reject path too.
 func TestReferenceRound(t *testing.T) {
 	var total refTally
 	ran := 0
@@ -537,6 +557,7 @@ func TestReferenceRound(t *testing.T) {
 				return nil
 			})
 			counted := map[*reference]bool{}
+			var tally refTally
 			for _, c := range cells {
 				if c.err != nil {
 					t.Errorf("%s: %v", c.name, c.err)
@@ -545,7 +566,7 @@ func TestReferenceRound(t *testing.T) {
 				ref := c.ref()
 				if !counted[ref] {
 					counted[ref] = true
-					total.add(ref.tally)
+					tally.add(ref.tally)
 				}
 				for r, want := range ref.rounds {
 					if d := want.diff(c.got[r]); d != "" {
@@ -554,6 +575,11 @@ func TestReferenceRound(t *testing.T) {
 					}
 				}
 			}
+			t.Logf("seed %d: %+v", seed, tally)
+			if tally.filtered == 0 {
+				t.Error("the seed's cells hold no filter rejection")
+			}
+			total.add(tally)
 		})
 	}
 	t.Logf("grid: %+v", total)

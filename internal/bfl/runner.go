@@ -568,12 +568,11 @@ func (e *engine) leave(err *error) {
 // timestamp.
 func (e *engine) registerAt(tsMs float64) error {
 	for _, p := range e.peers {
-		tx, err := chain.NewTx(p.key, p.nonce, contract.RegistryAddress, 0,
-			contract.RegisterCallData(p.name), e.gas, 1_000_000, 1)
+		tx, err := e.signTx(p, 0, memoKey{weights: e.w.initialKey}, contract.RegistryAddress, 1_000_000,
+			func() ([]byte, error) { return contract.RegisterCallData(p.name), nil })
 		if err != nil {
 			return err
 		}
-		p.nonce++
 		if err := e.be.Submit(tx); err != nil {
 			return fmt.Errorf("bfl: registration tx: %w", err)
 		}
@@ -860,7 +859,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			res.ComboAccuracy[slots[i]] = append(res.ComboAccuracy[slots[i]], row)
 		}
 
-		decTxs[i], err = e.recordTx(p, round, chosenLabel, decision.Chosen.Weights, len(decision.Chosen.Combo))
+		decTxs[i], err = e.recordTx(p, round, chosenLabel, decision.Chosen.Key, decision.Chosen.Weights, len(decision.Chosen.Combo))
 		return err
 	}); err != nil {
 		return err
@@ -928,34 +927,47 @@ func (e *engine) commitExactly(round, leader, wantTxs int, atMs float64) error {
 // size. Touches only p, so the submit pool may call it per peer.
 func (e *engine) submitTx(p *peerState, round int, up *fl.Update) (*chain.Transaction, int, error) {
 	size := nn.EncodedSize(len(up.Weights))
-	head := contract.SubmitCallHead(uint64(round), uint64(e.cfg.Model), uint64(up.NumSamples), size)
-	tx, err := e.signTx(p, nn.AppendWeights(head, up.Weights), 10_000_000)
+	tx, err := e.signTx(p, round, memoKey{weights: up.Key}, contract.AggregationAddress, 10_000_000, func() ([]byte, error) {
+		head := contract.SubmitCallHead(uint64(round), uint64(e.cfg.Model), uint64(up.NumSamples), size)
+		return nn.AppendWeights(head, up.Weights), nil
+	})
 	return tx, size, err
 }
 
 // recordTx signs peer p's aggregation-record transaction: the label of
-// the n updates it merged and the digest of the weights it adopted (the
-// paper's non-repudiation trail). Touches only p, so the decide pool
-// may call it per peer.
-func (e *engine) recordTx(p *peerState, round int, label string, adopted []float32, n int) (*chain.Transaction, error) {
-	var rh chain.Hash = nn.HashWeights(adopted)
-	return e.signTx(p, contract.RecordCallData(uint64(round), label, rh, uint64(n)), 1_000_000)
+// the n updates it merged and the digest of the weights it adopted,
+// named by key (the paper's non-repudiation trail). Touches only p, so
+// the decide pool may call it per peer.
+func (e *engine) recordTx(p *peerState, round int, label string, key fl.Key, adopted []float32, n int) (*chain.Transaction, error) {
+	return e.signTx(p, round, memoKey{weights: key, label: label, n: n}, contract.AggregationAddress, 1_000_000, func() ([]byte, error) {
+		rh := e.w.memo.do(round, memoKey{weights: key}, nil, func(en *memoEntry) { en.sum, en.err = nn.HashWeights(adopted), nil })
+		return contract.RecordCallData(uint64(round), label, rh.sum, uint64(n)), rh.err
+	})
 }
 
-// signTx signs peer p's next call to the aggregation contract and runs
-// its stateless checks where the caller runs, so a pool worker pays for
-// the first signature check and hash, not the mempool admission on the
-// coordinator that follows.
-func (e *engine) signTx(p *peerState, payload []byte, execBudget uint64) (*chain.Transaction, error) {
-	tx, err := chain.NewTx(p.key, p.nonce, contract.AggregationAddress, 0, payload, e.gas, execBudget, 1)
-	if err == nil {
-		err = tx.ValidateBasic(e.gas)
-	}
-	if err != nil {
-		return nil, err
+// signTx signs peer p's next transaction, a call to the contract at to
+// carrying what payload builds, and runs its stateless checks where the
+// caller runs, so a pool worker pays for the first signature check and
+// hash, not the mempool admission on the coordinator that follows. Runs
+// sharing a world sign it once: with p's address and nonce, k names the
+// payload, filed under round (DESIGN §5).
+func (e *engine) signTx(p *peerState, round int, k memoKey, to keys.Address, execBudget uint64, payload func() ([]byte, error)) (*chain.Transaction, error) {
+	k.from, k.nonce = p.key.Address(), p.nonce
+	en := e.w.memo.do(round, k, nil, func(en *memoEntry) {
+		data, err := payload()
+		if err == nil {
+			en.tx, err = chain.NewTx(p.key, p.nonce, to, 0, data, e.gas, execBudget, 1)
+		}
+		if err == nil {
+			err = en.tx.ValidateBasic(e.gas)
+		}
+		en.err = err
+	})
+	if en.err != nil {
+		return nil, en.err
 	}
 	p.nonce++
-	return tx, nil
+	return en.tx, nil
 }
 
 // readUpdates reconstructs the round's model updates from the ledger:
@@ -964,7 +976,8 @@ func (e *engine) signTx(p *peerState, payload []byte, execBudget uint64) (*chain
 // recorded digest, which pins them to the sender's submitted update,
 // so they take its key from trained. Every peer reads the same chain,
 // so the coordinator reads it once per round and the decide pool
-// shares the result. The committed-tx hash index is incremental (new
+// shares the result; runs sharing a world, and so a committed tx,
+// decode it once. The committed-tx hash index is incremental (new
 // txs are hashed once, not once per round). A round whose every
 // submission failed ledger verification reads as the empty set — each
 // peer then aggregates its own local update alone.
@@ -992,18 +1005,22 @@ func (e *engine) readUpdates(round int, trained []*fl.Update) ([]*fl.Update, err
 		if call.BlobHash() != sub.WeightsHash {
 			return nil, fmt.Errorf("weights digest mismatch for %s", sub.TxHash.Short())
 		}
-		weights, err := nn.DecodeWeights(blob)
-		if err != nil {
-			return nil, fmt.Errorf("weights blob corrupt for %s: %w", sub.TxHash.Short(), err)
-		}
 		name := contract.NameOf(st, sub.Sender)
 		if name == "" {
 			name = sub.Sender.Short()
 		}
-		u := &fl.Update{Client: name, Round: round, Weights: weights, NumSamples: int(sub.NumSamples)}
+		u := &fl.Update{Client: name, Round: round, NumSamples: int(sub.NumSamples)}
 		if i := slices.IndexFunc(trained, func(t *fl.Update) bool { return t.Client == name }); i >= 0 {
 			u.Key = trained[i].Key
 		}
+		en := e.w.memo.do(round, memoKey{weights: u.Key, tx: tx}, nil, func(en *memoEntry) {
+			en.up = &fl.Update{}
+			en.up.Weights, en.err = nn.DecodeWeights(blob)
+		})
+		if en.err != nil {
+			return nil, fmt.Errorf("weights blob corrupt for %s: %w", sub.TxHash.Short(), en.err)
+		}
+		u.Weights = en.up.Weights
 		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })

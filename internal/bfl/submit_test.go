@@ -17,7 +17,7 @@ import (
 // empty model, one weight and a SimpleNN-size vector, in one buffer
 // with no spare capacity, signed so that it passes ValidateBasic.
 func TestSubmitTxEncodesCallDataDirectly(t *testing.T) {
-	e := &engine{cfg: Config{Model: nn.ModelSimpleNN}, gas: chain.DefaultGasSchedule()}
+	e := &engine{cfg: Config{Model: nn.ModelSimpleNN}, gas: chain.DefaultGasSchedule(), w: &World{}}
 	p := &peerState{key: keys.GenerateDeterministic(5)}
 	for _, n := range []int{0, 1, 61_670} {
 		w := make([]float32, n)

@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"sync"
 
+	"waitornot/internal/chain"
 	"waitornot/internal/dataset"
 	"waitornot/internal/fl"
+	"waitornot/internal/keys"
 	"waitornot/internal/nn"
 	"waitornot/internal/xrand"
 )
@@ -146,22 +148,35 @@ type memo struct {
 	runs   int
 	rounds []map[memoKey]*memoEntry
 	passed []int
-	seen   func(round int, k memoKey, weights []float32) // a test's view of each lookup
+	seen   func(round int, k memoKey, weights []float32) // a test's view of each lookup of weights
 }
 
 // memoKey is a training on a shard (hyper set) or a scoring on a set,
-// of the weights its provenance key names.
+// of the weights its provenance key names. Without a set it is a
+// product of the chain side, whose bytes the key fixes (DESIGN §5):
+// the transaction from signs at nonce (a registration naming the
+// initial weights, a submission the update it carries, or a record of
+// label, n and the weights adopted), the digest of the named weights,
+// or the decoding of a committed tx.
 type memoKey struct {
 	set     *dataset.Set
 	hyper   fl.Hyper
 	weights fl.Key
+	from    keys.Address
+	nonce   uint64
+	label   string
+	n       int
+	tx      *chain.Transaction
 }
 
-// memoEntry is a result once done is closed; up is shared read-only.
+// memoEntry is a result once done is closed; up and tx are shared
+// read-only.
 type memoEntry struct {
 	done chan struct{}
 	up   *fl.Update
 	acc  float64
+	tx   *chain.Transaction
+	sum  chain.Hash
 	err  error
 }
 
@@ -174,7 +189,7 @@ func (m *memo) do(round int, k memoKey, weights []float32, fill func(*memoEntry)
 		fill(en)
 		return en
 	}
-	if m.seen != nil {
+	if m.seen != nil && k.set != nil {
 		m.seen(round, k, weights)
 	}
 	m.mu.Lock()

@@ -317,7 +317,10 @@ func (p *pass) sample(row []float32, cls int, rng *xrand.RNG) int {
 	// faint class-specific global pattern.
 	brightness := rng.NormFloat64() * cfg.BrightnessStd
 	glob := p.globals[cls]
-	var noise [128]float64
+	// A whole plane per Normals call, so that a plane starting with a
+	// spare pending sends only its last 0–7 pairs past the eight-pair
+	// groups (DESIGN §5, "Eight pairs per pass").
+	var noise [nn.ImageH * nn.ImageW]float64
 	for ch := 0; ch < cfg.ImageC; ch++ {
 		base := float32(p.hues[cls][ch]*cfg.HueAmp + brightness + rng.NormFloat64()*cfg.ChannelJitterStd)
 		pl := row[ch*plane : (ch+1)*plane]

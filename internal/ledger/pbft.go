@@ -41,8 +41,8 @@ const (
 // Second, model verification: before proposing, the validators score
 // every submitted model update on the consortium's validation set
 // (Config.Verify) and reject any scoring more than a fixed margin
-// below the best of the batch and the committed model (the FedAvg of
-// the last accepted batch), as in Ren & Yan. A rejected submission
+// below the best of the batch and the committed model (the unweighted
+// mean of the last accepted batch), as in Ren & Yan. A rejected submission
 // still commits as a transaction — nonces advance, the audit trail
 // stays — but its contract effect is suppressed, so the update never
 // enters any peer's aggregation batch. Rejections surface on the
@@ -123,7 +123,7 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	}
 
 	// Surface the verdicts for the batch the block actually carried,
-	// and advance the committed model to the accepted FedAvg.
+	// and advance the committed model to the accepted batch's mean.
 	inBlock := make(map[chain.Hash]bool, len(b.Txs))
 	for _, tx := range b.Txs {
 		inBlock[tx.Hash()] = true

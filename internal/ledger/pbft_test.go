@@ -7,6 +7,7 @@ package ledger_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestPBFTLatencyDefaults(t *testing.T) {
 // a below-margin outlier is rejected (on the Commit and absent from
 // every peer's contract state) yet its transaction commits, so the
 // sender's next submission — scored against the committed batch's
-// FedAvg — goes through at the advanced nonce; and the carried
+// mean — goes through at the advanced nonce; and the carried
 // reference score rejects a later sole-member batch that regresses.
 func TestPBFTVerificationGate(t *testing.T) {
 	cfg, ks := testCfg(3)
@@ -131,7 +132,7 @@ func TestPBFTVerificationGate(t *testing.T) {
 	}
 
 	// Round 1: the rejected sender's nonce advanced with its no-op, so
-	// nonce 1 is next; 0.8 clears the committed FedAvg's ~0.85 by the
+	// nonce 1 is next; 0.8 clears the committed mean's ~0.85 by the
 	// margin.
 	if err := be.Submit(submitTx(t, cfg, ks[2], 1, 1, []float32{0.8, 1})); err != nil {
 		t.Fatal(err)
@@ -161,6 +162,56 @@ func TestPBFTVerificationGate(t *testing.T) {
 	}
 	if len(submittersAt(be, 0, 2)) != 0 {
 		t.Fatal("rejected regression reached the contract")
+	}
+}
+
+// TestPBFTCommitsTheBatchMean: a batch advances the committed model to
+// its unweighted mean — each weight the float64 sum over the accepted
+// vectors divided by their count, whatever their sample counts — and
+// the committed score is Verify of that mean: scored 0.85, it rejects a
+// later 0.69 that the sample-weighted FedAvg's 0.825 would admit.
+func TestPBFTCommitsTheBatchMean(t *testing.T) {
+	cfg, ks := testCfg(2)
+	var scored [][]float32
+	cfg.Verify = func(w []float32) float64 {
+		scored = append(scored, slices.Clone(w))
+		return float64(w[0])
+	}
+	be, err := ledger.New("pbft", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(k *keys.Key, nonce, round, samples uint64, w []float32) *chain.Transaction {
+		tx, err := chain.NewTx(k, nonce, contract.AggregationAddress, 0,
+			contract.SubmitCallData(round, 1, samples, nn.AppendWeights(nil, w)), cfg.Chain.Gas, 1_000_000, 1)
+		if err == nil {
+			err = be.Submit(tx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	batch := [][]float32{{0.9, 0.2}, {0.8, 0.7}}
+	submit(ks[0], 0, 0, 10, batch[0])
+	submit(ks[1], 0, 0, 30, batch[1])
+	if c, err := be.Commit(0, cfg.Chain.TargetIntervalMs); err != nil || len(c.Rejected) != 0 {
+		t.Fatalf("commit: %v, rejected %v", err, c.Rejected)
+	}
+	mean := make([]float32, 2)
+	for j := range mean {
+		mean[j] = float32((float64(batch[0][j]) + float64(batch[1][j])) / 2)
+	}
+	if got := scored[len(scored)-1]; !slices.Equal(got, mean) {
+		t.Fatalf("the committed model scored is %v, want the batch mean %v", got, mean)
+	}
+	late := submit(ks[0], 1, 1, 10, []float32{0.69, 0})
+	c, err := be.Commit(1, 2*cfg.Chain.TargetIntervalMs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Rejected) != 1 || c.Rejected[0] != late.Hash() {
+		t.Fatalf("Rejected = %v, want the 0.69 submission held to Verify(mean) = 0.85", c.Rejected)
 	}
 }
 
