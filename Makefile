@@ -19,10 +19,12 @@
 #                  vanilla arm's borrowed scratch), TestSubmitPool (the
 #                  submit stage's encode/sign pool),
 #                  TestSharedDecodedUpdatesReadOnly (the decide pool
-#                  sharing the round's read-back updates), TestMemo
-#                  (twelve ladder runs on one world's memo, sharing
-#                  their trainings, scores, signed transactions and
-#                  read-backs),
+#                  sharing the round's read-back updates),
+#                  TestSharedAdoptedVectorsReadOnly (twelve ladder runs
+#                  adopting one shared vector per round and merge key),
+#                  TestMemo (twelve ladder runs on one world's memo,
+#                  sharing their trainings, scores, signed transactions,
+#                  read-backs and pbft's verification scores),
 #                  TestBarrieredHeterogeneity (the round's arrival
 #                  draws at Parallelism 1 and 8) and
 #                  TestReferenceRound/seed-1 (one seed's 35 cells, two
@@ -81,7 +83,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 13885
+SIZE_MAX ?= 13963
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs
@@ -232,7 +234,7 @@ campaign-smoke:
 test-race:
 	$(GO) test -race ./internal/par/ ./internal/chain/ ./internal/keys/ ./internal/ledger/ ./internal/fl/ \
 	    ./internal/dataset/ ./internal/xrand/ ./internal/shard/
-	$(GO) test -race -run 'Async|TestWorld|TestRunVanilla|TestSubmitPool|TestSharedDecodedUpdatesReadOnly|TestMemo|TestBarrieredHeterogeneity|TestReferenceRound/seed-1' ./internal/bfl/
+	$(GO) test -race -run 'Async|TestWorld|TestRunVanilla|TestSubmitPool|TestSharedDecodedUpdatesReadOnly|TestSharedAdoptedVectorsReadOnly|TestMemo|TestBarrieredHeterogeneity|TestReferenceRound/seed-1' ./internal/bfl/
 	$(GO) test -race -run 'TestRaceSmoke' .
 
 # Rerun pass: every test under internal/ and cmd/, and the root

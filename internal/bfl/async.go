@@ -130,6 +130,7 @@ func RunAsync(ctx context.Context, cfg Config) (_ *AsyncResult, err error) {
 		return nil, err
 	}
 	defer e.leave(&err)
+	e.verifyRound = e.cfg.Rounds // commits land between rounds; fire never passes the last
 	// Registration is the clock's first event, at the first cadence
 	// boundary; it commits whatever the time budget says.
 	clock := vclock.New()
@@ -168,7 +169,7 @@ func RunAsync(ctx context.Context, cfg Config) (_ *AsyncResult, err error) {
 			inbox:     map[string]asyncArrival{},
 		})
 		a.res.PeerNames[i] = p.name
-		a.res.InitialAccuracy[i] = p.testAcc(e.w.initialKey, e.w.initial)
+		a.res.InitialAccuracy[i] = p.testAcc(e.w.initialKey, fl.Vector(e.w.initial))
 		meanTrain += p.simTrainMs
 	}
 	// The staleness half-life is the fleet's full round timescale —
@@ -387,7 +388,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 		return fmt.Errorf("bfl: %s round %d merge: %w", p.name, p.round, err)
 	}
 	p.adopted, p.adoptedKey = merged, fl.MergeKey(kept, coef)
-	acc := p.testAcc(p.adoptedKey, merged)
+	acc := p.testAcc(p.adoptedKey, fl.Vector(merged))
 
 	var rejected []string
 	for _, u := range fres.Rejected {
@@ -434,7 +435,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 		})
 	}
 
-	a.passMemo(len(slices.MinFunc(a.res.Rounds, func(x, y []AsyncRound) int { return len(x) - len(y) }))) // all peers fired these, after the record filed under p.round
+	a.passMemo(min(len(slices.MinFunc(a.res.Rounds, func(x, y []AsyncRound) int { return len(x) - len(y) })), a.cfg.Rounds-1)) // all peers fired these, after the record filed under p.round; the last is verifyRound
 	if p.round < a.cfg.Rounds && !closeOut && !a.pastBudget() {
 		a.clock.Schedule(now, p.idx, func() error { return a.startRound(p) })
 	}

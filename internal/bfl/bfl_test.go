@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"waitornot/internal/chain"
 	"waitornot/internal/core"
 	"waitornot/internal/fl"
 	"waitornot/internal/ledger"
@@ -259,7 +260,7 @@ func TestAllSubmissionsRejectedFallsBackToOwnModel(t *testing.T) {
 		pbft, _ := ledger.Lookup("pbft")
 		ledger.MustRegister(name, "pbft with a rigged verifier (test only)", func(cfg ledger.Config) (ledger.Backend, error) {
 			calls := 0
-			cfg.Verify = func([]float32) float64 {
+			cfg.Verify = func([]*chain.Transaction) float64 {
 				calls++
 				if calls <= cfg.Peers+1 {
 					return 0.9

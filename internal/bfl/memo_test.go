@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -115,7 +116,7 @@ func TestMemoTrainsEachModelOnce(t *testing.T) {
 		defer w.memo.mu.Unlock()
 		for k, en := range w.memo.rounds[round] {
 			if k.set == nil {
-				continue // a transaction, digest or decoding: TestMemoSignsEachTransactionOnce
+				continue // a chain-side product or an adopted vector: TestMemoSignsEachTransactionOnce, TestMemoScoresEachSubmissionOnce
 			}
 			select {
 			case <-en.done:
@@ -226,7 +227,7 @@ func TestMemoFailureReachesWaiters(t *testing.T) {
 		inserted, started, computed := make(chan struct{}), make(chan struct{}), make(chan any, 1)
 		go func() {
 			defer func() { computed <- recover() }()
-			w.memo.do(round, key, w.initial, func(en *memoEntry) {
+			w.memo.do(round, key, fl.Vector(w.initial), func(en *memoEntry) {
 				close(inserted)
 				<-started
 				tc.fill(en)
@@ -553,4 +554,205 @@ func TestMemoSignsEachTransactionOnce(t *testing.T) {
 		return
 	}
 	t.Fatal("no submission is shared between the first and the last run")
+}
+
+// TestMemoRefusesOutOfRangeRound: a run on a shared world that asks
+// the memo for round Rounds+1 fails with an error naming it, and the
+// sibling runs started after it finish: the memo never indexes a round
+// it lacks while holding its lock.
+func TestMemoRefusesOutOfRangeRound(t *testing.T) {
+	cfgs := ladderConfigs(1)[:3]
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Share(len(cfgs))
+	bad := cfgs[0]
+	bad.World = w
+	within(t, 60*time.Second, func() {
+		r, err := NewRoundEngine(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := r.CommitStepMs()
+		if err := r.RegisterAt(step); err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= bad.Rounds+1; round++ {
+			_, err = r.RunRoundAt(context.Background(), round, float64(2*round)*step, float64(2*round+1)*step)
+			if round <= bad.Rounds && err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), "memo round 3") {
+			t.Errorf("round %d returned %v, want the memo's out-of-range error", bad.Rounds+1, err)
+		}
+	})
+	errs := make([]error, len(cfgs)-1)
+	within(t, 60*time.Second, func() {
+		par.ForEach(2, len(errs), func(i int) error {
+			c := cfgs[i+1]
+			c.World = w
+			_, errs[i] = Run(context.Background(), c)
+			return nil
+		})
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !memoEmpty(w.memo) {
+		t.Error("the memo holds entries after the last run landed")
+	}
+}
+
+// TestMemoScoresEachSubmissionOnce: the ladder-sweep grid at seed 1 on
+// one shared world. pbft's verification scores each distinct
+// submission transaction its three cells commit once, and each
+// distinct accepted batch's mean once (a batch of one is its
+// submission's score); the twelve cells decode each distinct committed
+// submission once, pbft's verification and the read-back together.
+func TestMemoScoresEachSubmissionOnce(t *testing.T) {
+	cfgs := ladderConfigs(1)
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Share(len(cfgs))
+	var mu sync.Mutex
+	scored, means, decoded := map[*memoEntry]bool{}, map[*memoEntry]bool{}, map[*memoEntry]bool{}
+	engines := make([]*RoundEngine, len(cfgs))
+	par.ForEach(2, len(cfgs), func(i int) error {
+		c := cfgs[i]
+		c.World = w
+		c.Events = func(ev event.Event) {
+			// The run has not passed the round it commits, so every
+			// entry it used is in the round's table.
+			b, ok := ev.(event.BlockCommitted)
+			if !ok {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			w.memo.mu.Lock()
+			defer w.memo.mu.Unlock()
+			for k, en := range w.memo.rounds[b.Round] {
+				switch {
+				case k.verify && k.label == "":
+					scored[en] = true
+				case k.verify:
+					means[en] = true
+				case k.tx != nil:
+					decoded[en] = true
+				}
+			}
+		}
+		var err error
+		if engines[i], err = runDecentralized(context.Background(), c); err != nil {
+			t.Errorf("%s/%s: %v", c.Backend, c.Policy.Name(), err)
+		}
+		return nil
+	})
+	if t.Failed() {
+		return
+	}
+	subs, pbftSubs, batches := map[*chain.Transaction]bool{}, map[*chain.Transaction]bool{}, map[string]bool{}
+	for i, cfg := range cfgs {
+		be := engines[i].e.be
+		for _, tx := range be.CommittedTxs(0) {
+			if call, _ := contract.CallOf(tx); call.Method == "submit" {
+				subs[tx] = true
+				if cfg.Backend == "pbft" {
+					pbftSubs[tx] = true
+				}
+			}
+		}
+		for round := 1; cfg.Backend == "pbft" && round <= cfg.Rounds; round++ {
+			var batch string
+			accepted := contract.SubmissionsAt(be.StateView(0), uint64(round))
+			for _, s := range accepted {
+				batch += string(s.TxHash[:])
+			}
+			if len(accepted) > 1 {
+				batches[fmt.Sprint(round, batch)] = true
+			}
+		}
+	}
+	t.Logf("%d submissions scored (%d committed by pbft), %d batch means, %d decoded (%d committed)",
+		len(scored), len(pbftSubs), len(means), len(decoded), len(subs))
+	if len(scored) != len(pbftSubs) {
+		t.Errorf("pbft scored %d submissions, want the %d distinct ones its cells commit", len(scored), len(pbftSubs))
+	}
+	if len(means) != len(batches) {
+		t.Errorf("pbft scored %d batch means, want the %d distinct accepted batches", len(means), len(batches))
+	}
+	if len(decoded) != len(subs) {
+		t.Errorf("%d submissions decoded, want the %d distinct ones committed", len(decoded), len(subs))
+	}
+	if !memoEmpty(w.memo) {
+		t.Error("the memo holds entries after the last run landed")
+	}
+}
+
+// TestSharedAdoptedVectorsReadOnly: on the ladder-sweep grid at seed 1,
+// sharing one world, the runs adopt one vector per (round, merge key),
+// and nobody writes it: each is hashed when it is first seen filed and
+// hashed again once its round's table is released.
+func TestSharedAdoptedVectorsReadOnly(t *testing.T) {
+	cfgs := ladderConfigs(1)
+	w, err := NewWorld(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	hashOf, roundOf, checked := map[*memoEntry][32]byte{}, map[*memoEntry]int{}, map[*memoEntry]bool{}
+	recheck := func() { // with both locks held
+		for en, r := range roundOf {
+			if !checked[en] && w.memo.rounds[r] == nil {
+				if nn.HashWeights(en.vec) != hashOf[en] {
+					t.Errorf("round %d: a shared adopted vector changed before its round was released", r)
+				}
+				checked[en] = true
+			}
+		}
+	}
+	decisions := 0
+	_, errs := runShared(context.Background(), w, cfgs, 2, func(_ int, ev event.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		w.memo.mu.Lock()
+		defer w.memo.mu.Unlock()
+		switch ev := ev.(type) {
+		case event.AggregationDecided:
+			decisions++
+			for k, en := range w.memo.rounds[ev.Round] {
+				select {
+				case <-en.done:
+				default:
+					continue // another run is averaging it
+				}
+				if _, ok := hashOf[en]; k.mean && !ok {
+					hashOf[en], roundOf[en] = nn.HashWeights(en.vec), ev.Round
+				}
+			}
+		case event.RoundStart:
+			recheck()
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.memo.mu.Lock()
+	recheck()
+	w.memo.mu.Unlock()
+	t.Logf("%d decisions adopted %d shared vectors", decisions, len(hashOf))
+	if len(hashOf) == 0 || len(hashOf) >= decisions {
+		t.Errorf("%d decisions adopted %d shared vectors, want fewer, and some", decisions, len(hashOf))
+	}
+	if len(checked) != len(hashOf) {
+		t.Errorf("%d of %d shared vectors checked at release", len(checked), len(hashOf))
+	}
 }

@@ -471,6 +471,7 @@ type engine struct {
 	// end so retained heap does not grow.
 	roundUpdates []*fl.Update
 	memoNext     int                   // the first round of the world's memo not passed
+	verifyRound  int                   // the memo round pbft's verification files under
 	failed       atomic.Pointer[error] // a failed shared score met
 }
 
@@ -513,7 +514,7 @@ func upTo(n int) []int {
 // Hyper, round, adopted key); unnamed adopted weights train unnamed.
 func (e *engine) train(p *peerState, round int) (*fl.Update, error) {
 	from := p.adoptedKey
-	en := e.w.memo.do(round, memoKey{set: p.client.Train, hyper: e.cfg.Hyper, weights: from}, p.adopted, func(en *memoEntry) {
+	en := e.w.memo.do(round, memoKey{set: p.client.Train, hyper: e.cfg.Hyper, weights: from}, fl.Vector(p.adopted), func(en *memoEntry) {
 		err := p.client.Adopt(p.adopted)
 		if err == nil {
 			en.up = p.client.LocalTrain(round)
@@ -529,14 +530,51 @@ func (e *engine) train(p *peerState, round int) (*fl.Update, error) {
 // scorer is eval over set, filed under the first round this run has
 // not passed. A failed shared score aborts the run; leave returns it.
 func (e *engine) scorer(set *dataset.Set, eval fl.Evaluator) fl.Evaluator {
-	return func(key fl.Key, weights []float32) float64 {
-		en := e.w.memo.do(e.memoNext, memoKey{set: set, weights: key}, weights, func(en *memoEntry) { en.acc, en.err = eval(key, weights), nil })
-		if en.err != nil {
-			e.failed.Store(&en.err)
-			panic(en.err)
-		}
-		return en.acc
+	return func(key fl.Key, weights func() []float32) float64 {
+		return e.must(e.w.memo.do(e.memoNext, memoKey{set: set, weights: key}, weights, func(en *memoEntry) { en.acc, en.err = eval(key, weights), nil })).acc
 	}
+}
+
+// must is en unless it failed, in which case it aborts the run with
+// en's error, which leave returns.
+func (e *engine) must(en *memoEntry) *memoEntry {
+	if en.err != nil {
+		e.failed.Store(&en.err)
+		panic(en.err)
+	}
+	return en
+}
+
+// verify is pbft's model verification (ledger.Config.Verify): the
+// world's held-out score of the model subs carry, decoded through the
+// read-back's entries. Runs sharing the world score each submission,
+// and each accepted batch's mean, once, filed under verifyRound.
+func (e *engine) verify(subs []*chain.Transaction) float64 {
+	k := memoKey{tx: subs[0], verify: true}
+	for _, tx := range subs[1:] {
+		h := tx.Hash()
+		k.label += string(h[:])
+	}
+	return e.must(e.w.memo.do(e.verifyRound, k, nil, func(en *memoEntry) {
+		decode := func(tx *chain.Transaction) ([]float32, error) { return e.decode(e.verifyRound, tx) }
+		en.acc, en.err = ledger.ScoreMean(subs, decode, e.w.verify), nil
+	})).acc
+}
+
+// decode is the weight vector submission tx carries: runs sharing the
+// world decode each once, pbft's verification and readUpdates alike,
+// and share it read-only.
+func (e *engine) decode(round int, tx *chain.Transaction) ([]float32, error) {
+	en := e.w.memo.do(round, memoKey{tx: tx}, nil, func(en *memoEntry) { en.vec, en.err = ledger.DecodeSubmission(tx) })
+	return en.vec, en.err
+}
+
+// average is a chosen combination's weights (core.Aggregator.Average
+// on a shared world): the runs sharing it average each once a round
+// and share it read-only.
+func (e *engine) average(round int, key fl.Key, picked []*fl.Update) ([]float32, error) {
+	en := e.w.memo.do(round, memoKey{weights: key, mean: true}, nil, func(en *memoEntry) { en.vec, en.err = fl.FedAvg(picked) })
+	return en.vec, en.err
 }
 
 // passMemo passes the rounds up to r, releasing those all runs passed.
@@ -617,7 +655,7 @@ func (e *engine) setup() error {
 		Alloc:   alloc,
 		Proc:    vm,
 		Sealers: sealers,
-		Verify:  w.verify,
+		Verify:  e.verify,
 	})
 	if err != nil {
 		return err
@@ -657,6 +695,9 @@ func (e *engine) setup() error {
 		p.testAcc = e.scorer(test, w.scratch.Evaluator(test))
 		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(sel, w.scratch.Evaluator(sel)), root.Derive("ties-"+name))
 		p.agg.Workers, p.agg.Scratch = workers, w.scratch
+		if w.memo != nil {
+			p.agg.Average = e.average
+		}
 		if subsampled {
 			p.agg.MaxComboPeers = maxSubsampleCombo
 		}
@@ -743,6 +784,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	nPart := len(peers)
 
 	e.passMemo(round - 1) // scores are filed under round from here
+	e.verifyRound = round
 	sink.Emit(event.RoundStart{Round: round})
 	// 1. Local training (each peer from its adopted weights). Peers
 	// train concurrently: each owns its model and RNG stream, and
@@ -837,7 +879,7 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 			Included:       len(included),
 			WaitMs:         waitMs,
 			ChosenCombo:    chosenLabel,
-			ChosenAccuracy: p.testAcc(decision.Chosen.Key, decision.Chosen.Weights),
+			ChosenAccuracy: p.testAcc(decision.Chosen.Key, fl.Vector(decision.Chosen.Weights)),
 			Rejected:       decision.RejectedClients,
 		}
 		stats.ComputeMs, stats.PropagateMs, stats.CommitMs, stats.IdleMs = simnet.WaitTerms(sends[at[len(at)-1]], intervalMs, waitMs)
@@ -998,8 +1040,7 @@ func (e *engine) readUpdates(round int, trained []*fl.Update) ([]*fl.Update, err
 			return nil, fmt.Errorf("submission tx %s not on canonical chain", sub.TxHash.Short())
 		}
 		call, _ := contract.CallOf(tx)
-		blob, ok := call.SubmitBlob()
-		if !ok {
+		if _, ok := call.SubmitBlob(); !ok {
 			return nil, fmt.Errorf("carried payload malformed for %s", sub.TxHash.Short())
 		}
 		if call.BlobHash() != sub.WeightsHash {
@@ -1013,14 +1054,10 @@ func (e *engine) readUpdates(round int, trained []*fl.Update) ([]*fl.Update, err
 		if i := slices.IndexFunc(trained, func(t *fl.Update) bool { return t.Client == name }); i >= 0 {
 			u.Key = trained[i].Key
 		}
-		en := e.w.memo.do(round, memoKey{weights: u.Key, tx: tx}, nil, func(en *memoEntry) {
-			en.up = &fl.Update{}
-			en.up.Weights, en.err = nn.DecodeWeights(blob)
-		})
-		if en.err != nil {
-			return nil, fmt.Errorf("weights blob corrupt for %s: %w", sub.TxHash.Short(), en.err)
+		var err error
+		if u.Weights, err = e.decode(round, tx); err != nil {
+			return nil, fmt.Errorf("weights blob corrupt for %s: %w", sub.TxHash.Short(), err)
 		}
-		u.Weights = en.up.Weights
 		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })

@@ -129,7 +129,7 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 		chosen = append(chosen, label)
 		accs := make([]float64, len(clients))
 		err = par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
-			accs[i] = w.scratch.Evaluator(clients[i].Test)(fl.Key{}, global)
+			accs[i] = w.scratch.Evaluator(clients[i].Test)(fl.Key{}, fl.Vector(global))
 			return nil
 		})
 		if err != nil {

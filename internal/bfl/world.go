@@ -157,7 +157,10 @@ type memo struct {
 // the transaction from signs at nonce (a registration naming the
 // initial weights, a submission the update it carries, or a record of
 // label, n and the weights adopted), the digest of the named weights,
-// or the decoding of a committed tx.
+// or the decoding of a committed tx; with verify, pbft's score of the
+// vector tx carries or, label holding the rest of its accepted batch's
+// transaction hashes, of the batch's mean. With mean it is the adopted
+// vector the weights' merge key names.
 type memoKey struct {
 	set     *dataset.Set
 	hyper   fl.Hyper
@@ -167,13 +170,16 @@ type memoKey struct {
 	label   string
 	n       int
 	tx      *chain.Transaction
+	verify  bool
+	mean    bool
 }
 
-// memoEntry is a result once done is closed; up and tx are shared
+// memoEntry is a result once done is closed; up, vec and tx are shared
 // read-only.
 type memoEntry struct {
 	done chan struct{}
 	up   *fl.Update
+	vec  []float32
 	acc  float64
 	tx   *chain.Transaction
 	sum  chain.Hash
@@ -182,15 +188,20 @@ type memoEntry struct {
 
 // do is round's entry for k, the weights it names, filled by the first
 // caller while the others wait (a fill that panics leaves them an
-// error). Unnamed weights are only filled.
-func (m *memo) do(round int, k memoKey, weights []float32, fill func(*memoEntry)) *memoEntry {
+// error). A key naming neither weights nor a transaction is only
+// filled; a round outside the memo is an error, never a lookup.
+func (m *memo) do(round int, k memoKey, weights func() []float32, fill func(*memoEntry)) *memoEntry {
 	en := &memoEntry{}
-	if m == nil || k.weights == (fl.Key{}) {
+	if m == nil || k.weights == (fl.Key{}) && k.tx == nil {
 		fill(en)
 		return en
 	}
+	if round < 0 || round >= len(m.rounds) {
+		en.err = fmt.Errorf("bfl: memo round %d outside 0..%d", round, len(m.rounds)-1)
+		return en
+	}
 	if m.seen != nil && k.set != nil {
-		m.seen(round, k, weights)
+		m.seen(round, k, weights())
 	}
 	m.mu.Lock()
 	if m.rounds[round] == nil {
@@ -232,12 +243,12 @@ func (w *World) heldOutSet() *dataset.Set {
 	return w.heldOut
 }
 
-// verify is pbft's model verification: accuracy on the held-out set
-// (NaN for a vector of another length), the set drawn on first use,
-// since only pbft verifies (in Commit).
+// verify is the score pbft's model verification (engine.verify) takes:
+// accuracy on the held-out set (NaN for a vector of another length),
+// the set drawn on first use, since only pbft verifies (in Commit).
 func (w *World) verify(weights []float32) float64 {
 	if len(weights) != len(w.initial) {
 		return math.NaN()
 	}
-	return w.scratch.Evaluator(w.heldOutSet())(fl.Key{}, weights)
+	return w.scratch.Evaluator(w.heldOutSet())(fl.Key{}, fl.Vector(weights))
 }

@@ -111,7 +111,7 @@ func (f Filter) Apply(self string, updates []*fl.Update, eval fl.Evaluator) *Fil
 	res := &FilterResult{Scores: make(map[string]float64, len(updates))}
 	best := 0.0
 	for _, u := range updates {
-		score := eval(u.Key, u.Weights)
+		score := eval(u.Key, fl.Vector(u.Weights))
 		res.Scores[u.Client] = score
 		if score > best {
 			best = score
@@ -149,7 +149,8 @@ type Decision struct {
 	// Weights stay nil.
 	ComboResults []fl.ComboResult
 	// Chosen is the adopted combination, with its weight vector
-	// materialized (freshly allocated — callers retain it) and keyed.
+	// materialized (by Aggregator.Average: callers may retain it but
+	// not write it) and keyed.
 	Chosen fl.ComboResult
 }
 
@@ -170,6 +171,10 @@ type Aggregator struct {
 	Workers int
 	// Scratch lends the search its averagers; nil: Decide builds one.
 	Scratch *fl.Scratch
+	// Average materializes the chosen combination's weights, picked's
+	// FedAvg, which key names (NewAggregator's: a fresh fl.FedAvg);
+	// what it returns may be shared read-only across aggregators.
+	Average func(round int, key fl.Key, picked []*fl.Update) ([]float32, error)
 	// MaxComboPeers, when > 0, caps the personalized combination
 	// search: if more than this many updates survive the filter, the
 	// aggregator skips enumeration (quadratic in the kept count) and
@@ -187,7 +192,8 @@ type Aggregator struct {
 // them randomly"). The policy argument is unread: the caller fires the
 // wait policy before Decide, which aggregates whatever it is handed.
 func NewAggregator(self string, _ Policy, filter Filter, eval fl.Evaluator, rng *xrand.RNG) *Aggregator {
-	return &Aggregator{Self: self, Filter: filter, Eval: eval, rng: rng}
+	return &Aggregator{Self: self, Filter: filter, Eval: eval, rng: rng,
+		Average: func(_ int, _ fl.Key, picked []*fl.Update) ([]float32, error) { return fl.FedAvg(picked) }}
 }
 
 // Decide filters the available updates, enumerates the paper's model
@@ -226,18 +232,18 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 		for i := range all {
 			all[i] = i
 		}
-		w, err := fl.FedAvg(kept)
+		k := fl.MergeKey(kept, nil)
+		w, err := a.Average(round, k, kept)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s round %d: %w", a.Self, round, err)
 		}
-		k := fl.MergeKey(kept, nil)
 		d := &Decision{
 			Round:       round,
 			KeptClients: keptNames,
 			Waited:      len(updates),
 			Expected:    expected,
 			WaitTime:    waited,
-			Chosen:      fl.ComboResult{Combo: all, Accuracy: a.Eval(k, w), Weights: w, Key: k},
+			Chosen:      fl.ComboResult{Combo: all, Accuracy: a.Eval(k, fl.Vector(w)), Weights: w, Key: k},
 		}
 		for _, u := range fres.Rejected {
 			d.RejectedClients = append(d.RejectedClients, u.Client)
@@ -283,15 +289,14 @@ func (a *Aggregator) Decide(round int, updates []*fl.Update, waited time.Duratio
 	}
 	// Materialize only the winner's weights: same inputs and
 	// accumulation order as the search's scratch pass, so the vector is
-	// bit-identical — but freshly allocated, because the decision (and
+	// bit-identical — but not in a scratch, because the decision (and
 	// the peer that adopts it) retains it across rounds.
 	chosen := results[choice]
 	picked := chosen.Combo.Pick(kept)
-	w, err := fl.FedAvg(picked)
-	if err != nil {
+	chosen.Key = fl.MergeKey(picked, nil)
+	if chosen.Weights, err = a.Average(round, chosen.Key, picked); err != nil {
 		return nil, fmt.Errorf("core: %s round %d: %w", a.Self, round, err)
 	}
-	chosen.Weights, chosen.Key = w, fl.MergeKey(picked, nil)
 
 	d := &Decision{
 		Round:        round,

@@ -59,7 +59,7 @@ func upd(name string, w ...float32) *fl.Update {
 
 // scoreByFirstWeight scores a weight vector by its first element —
 // a transparent stand-in for selection-set accuracy.
-func scoreByFirstWeight(_ fl.Key, w []float32) float64 { return float64(w[0]) }
+func scoreByFirstWeight(_ fl.Key, w func() []float32) float64 { return float64(w()[0]) }
 
 func TestFilterAlwaysKeepsSelf(t *testing.T) {
 	// A scores far more than the margin below the best (B), and stays.
@@ -132,7 +132,7 @@ func TestDecideEvaluatorCalls(t *testing.T) {
 	}
 	for _, tc := range cases {
 		calls := 0
-		eval := func(k fl.Key, w []float32) float64 { calls++; return scoreByFirstWeight(k, w) }
+		eval := func(k fl.Key, w func() []float32) float64 { calls++; return scoreByFirstWeight(k, w) }
 		agg := NewAggregator("A", Policy{}, tc.filter, eval, xrand.New(1))
 		agg.MaxComboPeers = 8
 		d, err := agg.Decide(1, tc.updates, 0, len(tc.updates))
@@ -150,7 +150,7 @@ func TestDecideEvaluatorCalls(t *testing.T) {
 		}
 		if tc.combos > 0 {
 			self := d.ComboResults[0]
-			if !reflect.DeepEqual(self.Combo, fl.Combo{0}) || self.Accuracy != scoreByFirstWeight(fl.Key{}, tc.updates[0].Weights) {
+			if !reflect.DeepEqual(self.Combo, fl.Combo{0}) || self.Accuracy != scoreByFirstWeight(fl.Key{}, fl.Vector(tc.updates[0].Weights)) {
 				t.Errorf("%s: first row %v scores %v, want {A} at A's own score", tc.name, self.Combo, self.Accuracy)
 			}
 		}

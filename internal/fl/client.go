@@ -96,8 +96,8 @@ func (c *Client) LocalTrain(round int) *Update {
 // set, reusing the client's model as scratch space: not safe for
 // concurrent use, and no run calls it (runs score through a Scratch).
 func (c *Client) SelectionEvaluator() Evaluator {
-	return func(_ Key, weights []float32) float64 {
-		if err := c.Model.SetWeightVector(weights); err != nil {
+	return func(_ Key, weights func() []float32) float64 {
+		if err := c.Model.SetWeightVector(weights()); err != nil {
 			panic(err)
 		}
 		return nn.Evaluate(c.Model, c.Selection.X, c.Selection.Y, 64)

@@ -255,8 +255,12 @@ func (c Combo) Pick(updates []*Update) []*Update {
 
 // Evaluator scores a weight vector, typically classification accuracy on
 // a held-out selection set. Higher is better. key names the weights
-// (zero: unnamed); only a memoizing evaluator reads it.
-type Evaluator func(key Key, weights []float32) float64
+// (zero: unnamed); weights builds them, so a memoizing evaluator that
+// holds key's score already need not.
+type Evaluator func(key Key, weights func() []float32) float64
+
+// Vector hands an Evaluator weights already built.
+func Vector(w []float32) func() []float32 { return func() []float32 { return w } }
 
 // Scratch lends the models and averagers that scoring weights takes,
 // for one architecture: a mutex-guarded free list, shared by every
@@ -276,11 +280,11 @@ func NewScratch(id nn.ModelID) *Scratch { return &Scratch{id: id} }
 // Evaluator is accuracy on s, each call loading the weights into a
 // borrowed model. It is safe for concurrent use.
 func (sc *Scratch) Evaluator(s *dataset.Set) Evaluator {
-	return func(_ Key, weights []float32) float64 {
+	return func(_ Key, weights func() []float32) float64 {
 		// Zero weights, never read: every call overwrites them first.
 		m := sc.models.take(func() *nn.Model { return sc.id.Build(nil) })
 		defer sc.models.give(m)
-		if err := m.SetWeightVector(weights); err != nil {
+		if err := m.SetWeightVector(weights()); err != nil {
 			panic(err)
 		}
 		return nn.Evaluate(m, s.X, s.Y, 64)
@@ -314,7 +318,7 @@ func (l *freeList[T]) give(v T) {
 // ComboResult records one evaluated combination. The combination
 // searches score combos through borrowed scratch accumulators and
 // leave Weights nil — only a chosen combination's weights are
-// materialized (recomputed with the allocating FedAvg, which is
+// materialized (recomputed outside the scratch by FedAvg, which is
 // bit-identical: same inputs, same accumulation order).
 type ComboResult struct {
 	Combo    Combo
@@ -323,23 +327,32 @@ type ComboResult struct {
 	Accuracy float64
 }
 
-// EvaluateCombos aggregates each combo with FedAvg, in an averager
-// borrowed per combination, and scores it with eval on up to workers
-// goroutines (eval must then be safe for concurrent use). Results land
-// in the combos' order and carry accuracies only (Weights nil). Each
-// score is a pure function of the combination's weights, so the
-// results are bit-identical at any worker count.
+// EvaluateCombos scores each combo's FedAvg with eval on up to workers
+// goroutines (eval must then be safe for concurrent use), averaging a
+// combination, in an averager borrowed for it, only if eval asks for
+// its weights. Results land in the combos' order and carry accuracies
+// only (Weights nil). Each score is a pure function of the
+// combination's weights, so the results are bit-identical at any
+// worker count.
 func (sc *Scratch) EvaluateCombos(updates []*Update, combos []Combo, eval Evaluator, workers int) ([]ComboResult, error) {
-	return par.Map(workers, len(combos), func(i int) (ComboResult, error) {
-		c := combos[i]
-		picked := c.Pick(updates)
-		a := sc.avgs.take(func() *Averager { return new(Averager) })
-		defer sc.avgs.give(a)
-		w, err := a.FedAvg(picked)
-		if err != nil {
-			return ComboResult{}, fmt.Errorf("fl: combo %v: %w", c, err)
+	// Every combination of valid updates averages without error.
+	for _, u := range updates {
+		if u.NumSamples <= 0 || len(u.Weights) != len(updates[0].Weights) {
+			return nil, fmt.Errorf("fl: update %q (%d samples, %d weights) cannot be averaged", u.Client, u.NumSamples, len(u.Weights))
 		}
-		return ComboResult{Combo: c, Accuracy: eval(MergeKey(picked, nil), w)}, nil
+	}
+	return par.Map(workers, len(combos), func(i int) (ComboResult, error) {
+		picked := combos[i].Pick(updates)
+		var a *Averager
+		acc := eval(MergeKey(picked, nil), func() []float32 {
+			a = sc.avgs.take(func() *Averager { return new(Averager) })
+			w, _ := a.FedAvg(picked)
+			return w
+		})
+		if a != nil {
+			sc.avgs.give(a)
+		}
+		return ComboResult{Combo: combos[i], Accuracy: acc}, nil
 	})
 }
 

@@ -195,7 +195,7 @@ func TestEvaluateCombosAndBest(t *testing.T) {
 	ups := []*Update{upd("A", 1, 0), upd("B", 1, 10), upd("C", 1, 20)}
 	// Score = the aggregated scalar itself: best combo is {C} alone... but
 	// BestCombo must consider all given combos.
-	eval := func(_ Key, w []float32) float64 { return float64(w[0]) }
+	eval := func(_ Key, w func() []float32) float64 { return float64(w()[0]) }
 	results, err := new(Scratch).EvaluateCombos(ups, AllCombos(3), eval, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestClientLocalTrainProducesUpdate(t *testing.T) {
 		t.Fatal("training did not change weights")
 	}
 	// Evaluators stay in [0,1].
-	if acc := c.SelectionEvaluator()(Key{}, u.Weights); acc < 0 || acc > 1 {
+	if acc := c.SelectionEvaluator()(Key{}, Vector(u.Weights)); acc < 0 || acc > 1 {
 		t.Fatalf("selection accuracy %v", acc)
 	}
 }
@@ -287,7 +287,7 @@ func TestNewAccuracyEvaluatorBounds(t *testing.T) {
 	s := dataset.Generate(dataset.DefaultConfig(), 40, root)
 	eval := NewScratch(nn.ModelSimpleNN).Evaluator(s)
 	w := nn.NewSimpleNN(root.Derive("m")).WeightVector()
-	if acc := eval(Key{}, w); acc < 0 || acc > 1 {
+	if acc := eval(Key{}, Vector(w)); acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %v", acc)
 	}
 }
@@ -306,7 +306,7 @@ func TestNewAccuracyEvaluatorScratchUnread(t *testing.T) {
 			if err := seeded.SetWeightVector(w); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := eval(Key{}, w), nn.Evaluate(seeded, s.X, s.Y, 64); got != want {
+			if got, want := eval(Key{}, Vector(w)), nn.Evaluate(seeded, s.X, s.Y, 64); got != want {
 				t.Fatalf("%s %s: nil-built scratch scores %v, seeded scratch %v", id, label, got, want)
 			}
 		}
@@ -322,7 +322,7 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 		upd("C", 3, 2, 2), upd("D", 1, 3, 1),
 	}
 	combos := AllCombos(4)
-	eval := func(_ Key, w []float32) float64 { return float64(w[0])*10 + float64(w[1]) }
+	eval := func(_ Key, w func() []float32) float64 { return float64(w()[0])*10 + float64(w()[1]) }
 	sc := new(Scratch)
 	seq, err := sc.EvaluateCombos(ups, combos, eval, 1)
 	if err != nil {
@@ -344,7 +344,7 @@ func TestEvaluateCombosWithMatchesSequential(t *testing.T) {
 
 func TestEvaluateCombosWithErrors(t *testing.T) {
 	ups := []*Update{upd("A", 1, 1, 0), upd("B", 0, 0, 1)} // B invalid
-	eval := func(_ Key, w []float32) float64 { return 0 }
+	eval := func(Key, func() []float32) float64 { return 0 }
 	for _, workers := range []int{1, 2} {
 		if _, err := new(Scratch).EvaluateCombos(ups, AllCombos(2), eval, workers); err == nil {
 			t.Fatalf("workers=%d: invalid update not surfaced by the search", workers)
@@ -369,7 +369,7 @@ func TestScratchLendsAtMostN(t *testing.T) {
 	want := make([][]float64, len(sets))
 	for s, set := range sets {
 		for _, w := range weights {
-			want[s] = append(want[s], seqScratch.Evaluator(set)(Key{}, w))
+			want[s] = append(want[s], seqScratch.Evaluator(set)(Key{}, Vector(w)))
 		}
 	}
 	if n := len(seqScratch.models.free); n != 1 {
@@ -386,7 +386,7 @@ func TestScratchLendsAtMostN(t *testing.T) {
 				for s, set := range sets {
 					eval := sc.Evaluator(set)
 					for k, w := range weights {
-						if got := eval(Key{}, w); got != want[s][k] {
+						if got := eval(Key{}, Vector(w)); got != want[s][k] {
 							t.Errorf("goroutine %d set %d weights %d: scored %v, sequential pass %v", g, s, k, got, want[s][k])
 						}
 					}

@@ -76,12 +76,17 @@ type Config struct {
 	// 0 = backend default). Independent of Peers — the committee is a
 	// latency-model parameter; the ledger keeps one state either way.
 	Validators int
-	// Verify scores a submitted model's weight vector on the
-	// consortium's validation set — higher is better, NaN means the
-	// vector cannot be scored. Backends with model verification (pbft)
+	// Verify scores submitted models on the consortium's validation set
+	// — higher is better, NaN means unscorable. It is handed submission
+	// transactions, not vectors: one, for the model it carries, or an
+	// accepted batch, for the committed model, their unweighted mean (as
+	// ScoreMean). A corrupt weight blob or a non-finite vector scores
+	// NaN. The score is a function of the transactions' bytes, so a
+	// caller may key it by them. Backends with model verification (pbft)
 	// reject submissions scoring more than a fixed margin below the
-	// round's best; nil disables verification.
-	Verify func(weights []float32) float64
+	// round's best; nil disables verification, leaving only the blob and
+	// finiteness checks.
+	Verify func(subs []*chain.Transaction) float64
 }
 
 // Validate rejects configs no backend can honour.

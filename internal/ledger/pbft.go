@@ -97,18 +97,26 @@ func newPBFT(cfg Config) (*pbftBackend, error) {
 // batch it actually carried.
 func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	// Model verification over the leader's pending submissions (in
-	// pool order, which is deterministic): score each decodable weight
-	// vector on the validation set, reject below-margin outliers.
+	// pool order, which is deterministic): score each on the validation
+	// set, reject below-margin outliers.
 	pending := be.pool.Pending()
 	var subTxs []*chain.Transaction
-	var batch [][]float32
 	for _, tx := range pending {
-		if w, ok := submissionWeights(tx); ok {
+		if isSubmission(tx) {
 			subTxs = append(subTxs, tx)
-			batch = append(batch, w)
 		}
 	}
-	verdicts := pbftVerify(batch, be.cfg.Verify, be.refScore, pbftVerifyMargin)
+	verify := be.cfg.Verify
+	if verify == nil { // verification off: the structural checks alone
+		verify = func(subs []*chain.Transaction) float64 {
+			return ScoreMean(subs, DecodeSubmission, func([]float32) float64 { return 0 })
+		}
+	}
+	scores := make([]float64, len(subTxs))
+	for i := range subTxs {
+		scores[i] = verify(subTxs[i : i+1])
+	}
+	verdicts := pbftVerify(scores, be.refScore, pbftVerifyMargin)
 	be.vproc.reject = make(map[chain.Hash]bool, len(subTxs))
 	for i, ok := range verdicts {
 		if !ok {
@@ -129,7 +137,7 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 		inBlock[tx.Hash()] = true
 	}
 	var rejected []chain.Hash
-	var accepted [][]float32
+	var accepted []*chain.Transaction
 	updates := 0
 	for i, tx := range subTxs {
 		h := tx.Hash()
@@ -138,16 +146,15 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 		}
 		updates++
 		if verdicts[i] {
-			accepted = append(accepted, batch[i])
+			accepted = append(accepted, tx)
 		} else {
 			rejected = append(rejected, h)
 		}
 	}
 	if len(accepted) > 0 && be.cfg.Verify != nil {
-		// Advance the committed model and cache its score: the next
-		// batch must also beat it by the margin.
-		ref := fedAvg(accepted)
-		be.refScore = be.cfg.Verify(ref)
+		// Advance the committed model to the accepted batch's mean and
+		// cache its score: the next batch must also beat it by the margin.
+		be.refScore = be.cfg.Verify(accepted)
 	}
 
 	c := commitOf(b)
@@ -165,89 +172,88 @@ func (be *pbftBackend) Commit(leader int, timeMs uint64) (Commit, error) {
 	return c, nil
 }
 
-// submissionWeights recognizes model-submission transactions and
-// decodes their weight vector. The second return is true for any
-// submission-shaped call — a corrupt weight blob yields (nil, true) so
-// verification rejects it rather than letting it onto the contract.
-func submissionWeights(tx *chain.Transaction) ([]float32, bool) {
-	if tx.To != contract.AggregationAddress {
-		return nil, false
-	}
+// isSubmission recognizes model-submission transactions — any
+// submission-shaped call, so that verification rejects a corrupt weight
+// blob rather than letting it onto the contract.
+func isSubmission(tx *chain.Transaction) bool {
+	call, _ := contract.CallOf(tx)
+	_, ok := call.SubmitBlob()
+	return ok && tx.To == contract.AggregationAddress
+}
+
+// DecodeSubmission is the weight vector a model-submission transaction
+// carries, or an error when its call or weight blob is malformed.
+func DecodeSubmission(tx *chain.Transaction) ([]float32, error) {
 	call, _ := contract.CallOf(tx)
 	blob, ok := call.SubmitBlob()
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("ledger: %s is not a submission", tx.Hash().Short())
 	}
-	w, err := nn.DecodeWeights(blob)
-	if err != nil {
-		return nil, true
-	}
-	return w, true
+	return nn.DecodeWeights(blob)
 }
 
-// pbftVerify is the model-verification rule: score every candidate
-// weight vector with the consortium's validation evaluator (higher is
-// better) and reject any scoring more than margin below the round's
-// best — the best being the batch's top score or the committed model's
-// (refScore; NaN while nothing is committed), whichever is higher.
-// Candidates that are corrupt (nil), non-finite, or that the evaluator
-// cannot score (NaN) are always rejected. With no evaluator configured
-// every well-formed candidate is accepted — verification off. The rule
-// is a pure deterministic function of its inputs, so every validator,
-// and every replay at any Parallelism, reaches identical verdicts.
-func pbftVerify(batch [][]float32, verify func([]float32) float64, refScore, margin float64) []bool {
-	accept := make([]bool, len(batch))
-	if len(batch) == 0 {
-		return accept
-	}
-	if verify == nil {
-		for i, w := range batch {
-			accept[i] = w != nil && finite(w)
+// ScoreMean is Config.Verify's score of subs, each decoded by decode,
+// under score: NaN when one fails to decode or is non-finite, else the
+// score of the one vector or of several vectors' unweighted mean.
+func ScoreMean(subs []*chain.Transaction, decode func(*chain.Transaction) ([]float32, error), score func([]float32) float64) float64 {
+	vecs := make([][]float32, len(subs))
+	for i, tx := range subs {
+		w, err := decode(tx)
+		if err != nil || !finite(w) {
+			return math.NaN()
 		}
-		return accept
+		vecs[i] = w
 	}
-	scores := make([]float64, len(batch))
-	best := math.NaN()
-	if !math.IsNaN(refScore) {
-		best = refScore
+	if len(vecs) == 1 {
+		return score(vecs[0])
 	}
-	for i, w := range batch {
-		scores[i] = math.NaN()
-		if w != nil && finite(w) {
-			scores[i] = verify(w)
-		}
-		if !math.IsNaN(scores[i]) && (math.IsNaN(best) || scores[i] > best) {
-			best = scores[i]
+	return score(fedAvg(vecs))
+}
+
+// pbftVerify is the model-verification rule over the candidates'
+// scores (higher is better; NaN for a corrupt, non-finite or
+// unscorable candidate, always rejected): reject any scoring more than
+// margin below the round's best — the batch's top score or the
+// committed model's (refScore; NaN while nothing is committed),
+// whichever is higher. The rule is a pure deterministic function of its
+// inputs, so every validator, and every replay at any Parallelism,
+// reaches identical verdicts.
+func pbftVerify(scores []float64, refScore, margin float64) []bool {
+	best := refScore
+	for _, s := range scores {
+		if !math.IsNaN(s) && (math.IsNaN(best) || s > best) {
+			best = s
 		}
 	}
-	for i := range batch {
-		accept[i] = !math.IsNaN(scores[i]) && scores[i] >= best-margin
+	accept := make([]bool, len(scores))
+	for i, s := range scores {
+		accept[i] = !math.IsNaN(s) && s >= best-margin
 	}
 	return accept
 }
 
-// finite reports whether every component is a finite float.
+// finite reports whether every component is a finite float: v-v is
+// exactly 0 for those, NaN for an infinity or a NaN.
 func finite(w []float32) bool {
 	for _, v := range w {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if v-v != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// fedAvg is the plain unweighted mean the committed model advances by.
+// fedAvg is the plain unweighted mean the committed model advances by:
+// each weight the float64 sum over the batch, in order, divided by its
+// size.
 func fedAvg(batch [][]float32) []float32 {
 	out := make([]float32, len(batch[0]))
-	sums := make([]float64, len(batch[0]))
-	for _, w := range batch {
-		for j, v := range w {
-			sums[j] += float64(v)
-		}
-	}
 	for j := range out {
-		out[j] = float32(sums[j] / float64(len(batch)))
+		var sum float64
+		for _, w := range batch {
+			sum += float64(w[j])
+		}
+		out[j] = float32(sum / float64(len(batch)))
 	}
 	return out
 }

@@ -37,6 +37,12 @@ func rawSubmitTx(t *testing.T, cfg ledger.Config, k *keys.Key, nonce, round uint
 	return tx
 }
 
+// verifyBy is a Config.Verify scoring the decoded submissions with
+// score.
+func verifyBy(score func([]float32) float64) func([]*chain.Transaction) float64 {
+	return func(subs []*chain.Transaction) float64 { return ledger.ScoreMean(subs, ledger.DecodeSubmission, score) }
+}
+
 // submittersAt is the set of senders the contract recorded for a round
 // in the given peer's replicated state.
 func submittersAt(be ledger.Backend, peer int, round uint64) map[keys.Address]bool {
@@ -93,7 +99,7 @@ func TestPBFTLatencyDefaults(t *testing.T) {
 // reference score rejects a later sole-member batch that regresses.
 func TestPBFTVerificationGate(t *testing.T) {
 	cfg, ks := testCfg(3)
-	cfg.Verify = func(w []float32) float64 { return float64(w[0]) }
+	cfg.Verify = verifyBy(func(w []float32) float64 { return float64(w[0]) })
 	be, err := ledger.New("pbft", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +179,10 @@ func TestPBFTVerificationGate(t *testing.T) {
 func TestPBFTCommitsTheBatchMean(t *testing.T) {
 	cfg, ks := testCfg(2)
 	var scored [][]float32
-	cfg.Verify = func(w []float32) float64 {
+	cfg.Verify = verifyBy(func(w []float32) float64 {
 		scored = append(scored, slices.Clone(w))
 		return float64(w[0])
-	}
+	})
 	be, err := ledger.New("pbft", cfg)
 	if err != nil {
 		t.Fatal(err)

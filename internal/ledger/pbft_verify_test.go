@@ -8,6 +8,9 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"waitornot/internal/chain"
+	"waitornot/internal/nn"
 )
 
 // scoreFirst is the stub evaluator the unit cases use: a vector's
@@ -17,6 +20,26 @@ func scoreFirst(w []float32) float64 {
 		return math.NaN()
 	}
 	return float64(w[0])
+}
+
+// scoresOf is what Config.Verify hands pbftVerify for each candidate
+// alone: ScoreMean under verify, or with no evaluator under the
+// backend's verification-off score, 0 for every well-formed vector.
+func scoresOf(batch [][]float32, verify func([]float32) float64) []float64 {
+	if verify == nil {
+		verify = func([]float32) float64 { return 0 }
+	}
+	scores := make([]float64, len(batch))
+	for i, w := range batch {
+		decoded := func(*chain.Transaction) ([]float32, error) {
+			if w == nil {
+				return nil, nn.ErrCorruptWeights
+			}
+			return w, nil
+		}
+		scores[i] = ScoreMean(make([]*chain.Transaction, 1), decoded, verify)
+	}
+	return scores
 }
 
 func TestPBFTVerifyRule(t *testing.T) {
@@ -45,7 +68,7 @@ func TestPBFTVerifyRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := pbftVerify(tc.batch, tc.verify, tc.ref, pbftVerifyMargin)
+			got := pbftVerify(scoresOf(tc.batch, tc.verify), tc.ref, pbftVerifyMargin)
 			if len(got) != len(tc.want) {
 				t.Fatalf("%d verdicts for %d candidates", len(got), len(tc.want))
 			}
@@ -103,8 +126,8 @@ func FuzzPBFTVerify(f *testing.F) {
 			}
 			return s / float64(len(w))
 		}
-		a := pbftVerify(batch, verify, ref, margin)
-		b := pbftVerify(batch, verify, ref, margin)
+		a := pbftVerify(scoresOf(batch, verify), ref, margin)
+		b := pbftVerify(scoresOf(batch, verify), ref, margin)
 		if len(a) != len(batch) || len(b) != len(batch) {
 			t.Fatalf("%d candidates, %d/%d verdicts", len(batch), len(a), len(b))
 		}
@@ -116,7 +139,9 @@ func FuzzPBFTVerify(f *testing.F) {
 				t.Fatalf("corrupt or non-finite candidate %d accepted", i)
 			}
 		}
-		off := pbftVerify(batch, nil, ref, margin)
+		// Verification off never advances the reference and keeps the
+		// backend's margin.
+		off := pbftVerify(scoresOf(batch, nil), math.NaN(), pbftVerifyMargin)
 		for i, ok := range off {
 			if want := batch[i] != nil && finite(batch[i]); ok != want {
 				t.Fatalf("no-evaluator verdict %d = %v, want %v", i, ok, want)

@@ -362,7 +362,7 @@ func newOrchestrator(ctx context.Context, cfg Config) (*orchestrator, error) {
 	evalSet := dataset.GenerateSets(defaulted.Parallelism, dataset.DefaultConfig(),
 		[]dataset.Draw{{N: defaulted.TestPerPeer, RNG: root.Derive("shard-global-eval")}})[0]
 	o.eval = fl.NewScratch(defaulted.Model).Evaluator(evalSet)
-	o.res.InitialAccuracy = o.eval(fl.Key{}, o.initial)
+	o.res.InitialAccuracy = o.eval(fl.Key{}, fl.Vector(o.initial))
 
 	// Staleness half-life for async merges: the fleet-mean merge-epoch
 	// span (cadence x one round's two commits).
@@ -443,7 +443,7 @@ func (o *orchestrator) epochEnd(s *shardRun, now float64) error {
 	if err != nil {
 		return err
 	}
-	acc := o.eval(fl.Key{}, model)
+	acc := o.eval(fl.Key{}, fl.Vector(model))
 	s.model, s.modelVc = model, now
 	o.sink.Emit(event.ShardModelCommitted{
 		Shard:     s.idx,
@@ -525,7 +525,7 @@ func (o *orchestrator) syncMerge(s *shardRun, now float64) error {
 		Shard:     -1,
 		Mode:      MergeSync.String(),
 		Included:  len(updates),
-		Accuracy:  o.eval(fl.Key{}, global),
+		Accuracy:  o.eval(fl.Key{}, fl.Vector(global)),
 		WaitMs:    o.fleetWaitMs(),
 		VirtualMs: now,
 	})
@@ -569,7 +569,7 @@ func (o *orchestrator) asyncMerge(s *shardRun, now float64) error {
 		Shard:     s.idx,
 		Mode:      MergeAsync.String(),
 		Included:  published,
-		Accuracy:  o.eval(fl.Key{}, global),
+		Accuracy:  o.eval(fl.Key{}, fl.Vector(global)),
 		WaitMs:    o.fleetWaitMs(),
 		VirtualMs: now,
 	})
