@@ -24,10 +24,12 @@
 #                  adopting one shared vector per round and merge key),
 #                  TestMemo (twelve ladder runs on one world's memo,
 #                  sharing their trainings, scores, signed transactions,
-#                  read-backs and pbft's verification scores),
+#                  read-backs and pbft's verification scores, and a solo
+#                  fleet run whose decide workers share its own world's
+#                  one-run memo),
 #                  TestBarrieredHeterogeneity (the round's arrival
 #                  draws at Parallelism 1 and 8) and
-#                  TestReferenceRound/seed-1 (one seed's 35 cells, two
+#                  TestReferenceRound/seed-1 (one seed's 36 cells, two
 #                  at a time, on their Shared worlds while the
 #                  chain-free references read the same worlds; no
 #                  other test the pattern names has subtests for its
@@ -221,7 +223,10 @@ campaign-smoke:
 # on the ladder grid and an async one; the shared-transaction path —
 # each registration, submission and record signed once for every
 # cell, each committed submission decoded once, every cell's chain
-# equal to its solo run's, a tampered copy refused; ~15 s) and TestBarrieredHeterogeneity (the
+# equal to its solo run's, a tampered copy refused; and
+# TestMemoSoloRunAveragesOnce: a solo run Shares the world it builds,
+# so its decide workers take the memo mutex to average and digest each
+# adopted vector once, a 20-client poa fleet at Parallelism 2; ~17 s) and TestBarrieredHeterogeneity (the
 # barriered round's Compute draws on the coordinator, twelve poa runs
 # at Parallelism 1 and 8; ~5 s); ~45 s on 2 cores —
 # only these, because the whole package takes over two minutes under

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -342,8 +343,8 @@ func TestMemoKeysHyperparameters(t *testing.T) {
 // coefficients in every merge key), each on one shared world: every
 // vector looked up under one key hashes alike, so every hit under the
 // key is a hit under the weights' hash too, and on these grids the
-// converse holds as well. An unshared world names nothing, so a run on
-// it builds no key.
+// converse holds as well. A world never Shared names nothing, so a run
+// on it builds no key; Shared by one run, it keys as for many.
 func TestMemoKeysNeverConfuse(t *testing.T) {
 	filtered := ladderConfigs(1)
 	for i := range filtered {
@@ -358,8 +359,11 @@ func TestMemoKeysNeverConfuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.Share(1); w.initialKey != (fl.Key{}) || w.memo != nil {
-			t.Fatal("an unshared world names its initial weights")
+		if w.initialKey != (fl.Key{}) || w.memo != nil {
+			t.Fatal("a world never Shared names its initial weights or keeps a memo")
+		}
+		if w.Share(1); w.initialKey == (fl.Key{}) || w.memo == nil || w.memo.runs != 1 {
+			t.Fatal("a world Shared by its one run does not name its initial weights in a one-run memo")
 		}
 		w.Share(len(grid.cfgs))
 		// hashKey is what the memo keyed a lookup by before provenance.
@@ -754,5 +758,100 @@ func TestSharedAdoptedVectorsReadOnly(t *testing.T) {
 	}
 	if len(checked) != len(hashOf) {
 		t.Errorf("%d of %d shared vectors checked at release", len(checked), len(hashOf))
+	}
+}
+
+// TestMemoSoloRunAveragesOnce: a run that builds its own world is that
+// world's one run. At the fleet-poa shape (20 clients, 9 sampled a
+// round, each keeping all 9 updates, past the 8-update combination cap,
+// so adopting their FedAvg), the run averages each adopted vector and
+// digests it for the aggregation record once per (round, merge key) —
+// once a round here — though each participant asks for it; and it is
+// deeply equal to the same run on a world never Shared, whose peers
+// average and digest for themselves.
+func TestMemoSoloRunAveragesOnce(t *testing.T) {
+	h := fl.DefaultHyper(nn.ModelSimpleNN)
+	h.LR, h.LocalEpochs = 0.3, 1
+	cfg := Config{Peers: 20, ClientFraction: 0.45, Rounds: 3, Seed: 1, TrainPerPeer: 64, SelectionSize: 16,
+		TestPerPeer: 40, Hyper: h, Backend: "poa", CommitLatency: true, Parallelism: 2}
+
+	r, err := NewRoundEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := r.e.w.memo
+	if m == nil || m.runs != 1 || r.e.w.initialKey == (fl.Key{}) {
+		t.Fatal("a run that builds its own world keeps no one-run memo")
+	}
+	var asked atomic.Int64
+	for _, p := range r.e.peers {
+		average := p.agg.Average
+		p.agg.Average = func(round int, key fl.Key, picked []*fl.Update) ([]float32, error) {
+			asked.Add(1)
+			return average(round, key, picked)
+		}
+	}
+	got, err := func() (_ *Result, err error) {
+		defer r.e.leave(&err)
+		step := r.CommitStepMs()
+		if err := r.RegisterAt(step); err != nil {
+			return nil, err
+		}
+		for round := 1; round <= cfg.Rounds; round++ {
+			asked.Store(0)
+			if _, err := r.RunRoundAt(context.Background(), round, float64(2*round)*step, float64(2*round+1)*step); err != nil {
+				return nil, err
+			}
+			// The round is not passed until the next one starts, so its
+			// table holds every fill it made.
+			merged := map[fl.Key]bool{}
+			for _, s := range r.e.roundParticipants(round) {
+				merged[r.e.peers[s].adoptedKey] = true
+			}
+			averaged, digested := 0, 0
+			m.mu.Lock()
+			for k := range m.rounds[round] {
+				switch {
+				case k.mean:
+					averaged++
+				case k == memoKey{weights: k.weights}: // recordTx's digest
+					digested++
+				}
+			}
+			m.mu.Unlock()
+			t.Logf("round %d: %d participants asked for %d averages; %d averaged, %d digested, %d merge keys",
+				round, len(r.e.roundParticipants(round)), asked.Load(), averaged, digested, len(merged))
+			if averaged != len(merged) || digested != len(merged) || len(merged) != 1 {
+				t.Errorf("round %d: %d averages and %d digests for %d merge keys, want one each for the round's one key",
+					round, averaged, digested, len(merged))
+			}
+			if asked.Load() <= int64(averaged) {
+				t.Errorf("round %d: %d averages asked for, %d made: the peers shared nothing", round, asked.Load(), averaged)
+			}
+		}
+		return r.Finish(), nil
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !memoEmpty(m) {
+		t.Error("the memo holds entries after the run landed")
+	}
+
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := cfg
+	alone.World = w
+	want, err := Run(context.Background(), alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.memo != nil {
+		t.Fatal("a run on a handed world Shared it")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the solo run differs from the same run on a world never Shared")
 	}
 }

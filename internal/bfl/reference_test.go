@@ -440,8 +440,9 @@ const refDeadline = 41 * time.Millisecond
 // peer C is fully label-flipped (filter 0.15, commit latency on, a
 // network jitter), a second learning rate on the IID world, a filter
 // of 0.02 on the skewed world (so that every seed rejects), and a
-// fleet-poa-shaped subsampled poa fleet. Each world is Shared by its
-// cells; a reference serves every cell it is the same run for.
+// fleet-poa-shaped subsampled poa fleet, on a world never Shared and
+// again on the world it builds itself. Each other world is Shared by
+// its cells; a reference serves every cell it is the same run for.
 func refGrid(t *testing.T, seed uint64) []*refCell {
 	h := fl.DefaultHyper(nn.ModelSimpleNN)
 	h.LR, h.BatchSize, h.LocalEpochs = 0.02, 16, 5
@@ -528,10 +529,14 @@ func refGrid(t *testing.T, seed uint64) []*refCell {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fleet twice: on w, never Shared, and building its own world,
+	// Shared by its one run; the reference reads w, an equal world.
+	solo := &refCell{name: "fleet/poa/wait-all/solo", cfg: fleet}
 	fleet.World = w
 	c := &refCell{name: "fleet/poa/wait-all", cfg: fleet}
 	c.ref = refOf(refKey{w: w, h: h, every: refInterval["poa"]}, fleet)
-	return append(cells, c)
+	solo.ref = c.ref
+	return append(cells, c, solo)
 }
 
 // TestReferenceRound holds the barriered engine to the reference round

@@ -569,9 +569,9 @@ func (e *engine) decode(round int, tx *chain.Transaction) ([]float32, error) {
 	return en.vec, en.err
 }
 
-// average is a chosen combination's weights (core.Aggregator.Average
-// on a shared world): the runs sharing it average each once a round
-// and share it read-only.
+// average is a chosen combination's weights (core.Aggregator.Average):
+// the peers of every run sharing the world average each once a round
+// and share it read-only; without a memo each averages its own.
 func (e *engine) average(round int, key fl.Key, picked []*fl.Update) ([]float32, error) {
 	en := e.w.memo.do(round, memoKey{weights: key, mean: true}, nil, func(en *memoEntry) { en.vec, en.err = fl.FedAvg(picked) })
 	return en.vec, en.err
@@ -694,10 +694,7 @@ func (e *engine) setup() error {
 		}
 		p.testAcc = e.scorer(test, w.scratch.Evaluator(test))
 		p.agg = core.NewAggregator(name, cfg.Policy, cfg.Filter, e.scorer(sel, w.scratch.Evaluator(sel)), root.Derive("ties-"+name))
-		p.agg.Workers, p.agg.Scratch = workers, w.scratch
-		if w.memo != nil {
-			p.agg.Average = e.average
-		}
+		p.agg.Workers, p.agg.Scratch, p.agg.Average = workers, w.scratch, e.average
 		if subsampled {
 			p.agg.MaxComboPeers = maxSubsampleCombo
 		}

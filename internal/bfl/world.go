@@ -29,7 +29,7 @@ type World struct {
 	initialKey       fl.Key // names initial once shared; zero: no key is built
 	heldOutOnce      sync.Once
 	heldOut          *dataset.Set
-	memo             *memo       // set by Share; nil: every run computes its own
+	memo             *memo       // set by Share; nil (a Block, a world never Shared): each run computes its own
 	scratch          *fl.Scratch // lent to every scorer of every run and Block
 }
 
@@ -38,7 +38,11 @@ type World struct {
 // World is a function of (the list below).
 func (c Config) ResolveWorld() (*World, error) {
 	if c.World == nil {
-		return NewWorld(c)
+		w, err := NewWorld(c)
+		if err == nil {
+			w.Share(1) // its only run
+		}
+		return w, err
 	}
 	a, b := reflect.ValueOf(c.World.cfg), reflect.ValueOf(c.withDefaults())
 	for _, f := range []string{"Seed", "Model", "Peers", "Rounds", "TrainPerPeer", "SelectionSize",
@@ -131,15 +135,14 @@ func Backbone(workers int) []float32 {
 	return model.WeightVector()
 }
 
-// Share readies the world for n runs at once: above one, they train
-// each (shard, hyperparameters, weights) and score each (set, weights)
-// once a round, sharing the result, the weights named by provenance key
-// (DESIGN §5). Blocks share nothing.
+// Share readies the world for n runs at once (one: the run that built
+// it): they train each (shard, hyperparameters, weights), score each
+// (set, weights) and average each merge key once a round, sharing the
+// result, the weights named by provenance key (DESIGN §5). Blocks share
+// nothing.
 func (w *World) Share(n int) {
-	if n > 1 {
-		w.initialKey = fl.Key{1}
-		w.memo = &memo{runs: n, rounds: make([]map[memoKey]*memoEntry, w.cfg.Rounds+1), passed: make([]int, w.cfg.Rounds+1)}
-	}
+	w.initialKey = fl.Key{1}
+	w.memo = &memo{runs: n, rounds: make([]map[memoKey]*memoEntry, w.cfg.Rounds+1), passed: make([]int, w.cfg.Rounds+1)}
 }
 
 // memo is a shared world's single-flight store, a table per round.
