@@ -10,14 +10,16 @@
 #                  internal/dataset, internal/xrand and internal/shard —
 #                  the pool and the task set, the transaction memo's
 #                  atomics, the only block store, the scratch free list
-#                  every scorer borrows from, the one-sample-per-item
+#                  every training (vanilla's included) and every scorer
+#                  borrows from, the one-sample-per-item
 #                  generation pass with its stream jump-ahead and
 #                  two hierarchies on one
 #                  world — and the internal/bfl Async tests (async
 #                  training off the clock), TestWorld (one World read
 #                  by eleven concurrent runs), TestRunVanilla (the
-#                  vanilla arm's borrowed scratch), TestSubmitPool (the
-#                  submit stage's encode/sign pool),
+#                  vanilla arm's trainings and scores on the borrowed
+#                  scratch), TestSubmitPool (the submit stage's
+#                  encode/sign pool),
 #                  TestSharedDecodedUpdatesReadOnly (the decide pool
 #                  sharing the round's read-back updates),
 #                  TestSharedAdoptedVectorsReadOnly (twelve ladder runs
@@ -85,7 +87,7 @@ COVER_OUT ?= cover.out
 # benchmark/ exceed this. The same value is recorded in
 # .github/workflows/ci.yml (env on the make step); a change that grows
 # the tree raises both in its own diff, one that shrinks it lowers them.
-SIZE_MAX ?= 13963
+SIZE_MAX ?= 13962
 SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Fuzz smoke budget per target (a real campaign runs

@@ -380,7 +380,7 @@ func (a *asyncEngine) fire(p *asyncPeer, closeOut bool) error {
 	}
 	coef := fl.StalenessWeights(kept, keptAges, a.halfLife)
 	// Merge into the peer's reused scratch. Adopting the alias is safe:
-	// the next round's training task reads it once, in Adopt, and this
+	// the next round's training reads it once, in Scratch.Train, and this
 	// peer's next fire — the only thing that overwrites the scratch —
 	// runs on the clock only after trainDone has joined that task.
 	merged, err := p.avg.WeightedFedAvg(kept, coef)

@@ -133,7 +133,7 @@ func (r *reference) round(round int) {
 	sends := make([]simnet.Send, len(slots))
 	for k, s := range slots {
 		c := r.clients[s]
-		if err := c.Adopt(r.adopted[s]); err != nil {
+		if err := c.Model.SetWeightVector(r.adopted[s]); err != nil {
 			panic(err)
 		}
 		ups[k] = c.LocalTrain(round)

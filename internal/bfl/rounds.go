@@ -68,7 +68,7 @@ func (r *RoundEngine) BackendName() string { return r.e.be.Name() }
 func (r *RoundEngine) TotalSamples() int {
 	total := 0
 	for _, p := range r.e.peers {
-		total += p.samples
+		total += p.client.Train.Len()
 	}
 	return total
 }
@@ -119,7 +119,7 @@ func (r *RoundEngine) SetPolicy(p core.Policy) {
 func (r *RoundEngine) Updates() []*fl.Update {
 	out := make([]*fl.Update, len(r.e.peers))
 	for i, p := range r.e.peers {
-		out[i] = &fl.Update{Client: p.name, Weights: p.adopted, NumSamples: p.samples}
+		out[i] = &fl.Update{Client: p.name, Weights: p.adopted, NumSamples: p.client.Train.Len()}
 	}
 	return out
 }

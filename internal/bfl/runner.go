@@ -119,9 +119,9 @@ type Config struct {
 	// (async included), per-peer aggregation decisions, and the
 	// per-peer combination searches. 0 means runtime.NumCPU(); 1
 	// restores the exact sequential schedule. Every peer trains from
-	// its own model and pre-derived RNG stream and every result lands
-	// in an index-addressed slot or is joined at one fixed event, so
-	// results are bit-identical at any setting (see internal/par).
+	// its adopted weights and pre-derived RNG stream and every result
+	// lands in an index-addressed slot or is joined at one fixed event,
+	// so results are bit-identical at any setting (see internal/par).
 	Parallelism int
 	// Events, when non-nil, receives the typed event stream (round
 	// boundaries, per-peer training, on-chain submissions, aggregation
@@ -318,9 +318,6 @@ type peerState struct {
 	// adoptedKey its provenance key.
 	adopted    []float32
 	adoptedKey fl.Key
-	// samples is the peer's training-shard size, fixed at setup — the
-	// FedAvg weight of everything this peer contributes upward.
-	samples int
 	// simTrainMs is the training-duration model used for arrival
 	// times (samples x epochs x multiply-adds / rate x straggler).
 	simTrainMs float64
@@ -515,14 +512,10 @@ func upTo(n int) []int {
 func (e *engine) train(p *peerState, round int) (*fl.Update, error) {
 	from := p.adoptedKey
 	en := e.w.memo.do(round, memoKey{set: p.client.Train, hyper: e.cfg.Hyper, weights: from}, fl.Vector(p.adopted), func(en *memoEntry) {
-		err := p.client.Adopt(p.adopted)
-		if err == nil {
-			en.up = p.client.LocalTrain(round)
-			if from != (fl.Key{}) {
-				en.up.Key = sha256.Sum256(fmt.Appendf(from[:], "%s %v %d", p.name, e.cfg.Hyper, round))
-			}
+		en.up, en.err = e.w.scratch.Train(p.client, p.adopted, round)
+		if en.err == nil && from != (fl.Key{}) {
+			en.up.Key = sha256.Sum256(fmt.Appendf(from[:], "%s %v %d", p.name, e.cfg.Hyper, round))
 		}
-		en.err = err
 	})
 	return en.up, en.err
 }
@@ -666,16 +659,12 @@ func (e *engine) setup() error {
 	// derives by label from the root (which is never advanced), and each
 	// item writes only its own slot, so the fleet is identical at any
 	// Parallelism.
-	workers := par.Workers(cfg.Parallelism)
+	workers, mulAdds := par.Workers(cfg.Parallelism), float64(w.scratch.MulAdds())
 	peers := make([]*peerState, len(active))
 	if err := par.ForEach(workers, len(active), func(s int) error {
 		gi := active[s]
 		name := fl.ClientName(gi)
-		// Zero weights, never read: a client's model is read only by
-		// LocalTrain, which both engines run right after Adopt.
-		model := cfg.Model.Build(nil)
 		train, sel, test := w.train[s], w.sel[s], w.test[s]
-		client := fl.NewClient(name, model, train, sel, test, cfg.Hyper, root.Derive("train-"+name))
 		straggler := 1.0
 		if cfg.StragglerFactor != nil {
 			straggler = cfg.StragglerFactor[gi]
@@ -683,11 +672,10 @@ func (e *engine) setup() error {
 		p := &peerState{
 			name:       name,
 			key:        peerKeys[s],
-			client:     client,
+			client:     fl.NewClient(name, nil, train, sel, test, cfg.Hyper, root.Derive("train-"+name)),
 			adopted:    w.initial,
 			adoptedKey: w.initialKey,
-			samples:    train.Len(),
-			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * (float64(model.MulAdds()) / mulAddsPerMs) * straggler,
+			simTrainMs: float64(train.Len()*cfg.Hyper.LocalEpochs) * (mulAdds / mulAddsPerMs) * straggler,
 		}
 		if !cfg.Compute.IsZero() || !cfg.Network.IsZero() {
 			p.arrive = root.Derive("arrive-" + name)
@@ -784,8 +772,8 @@ func (e *engine) runRound(ctx context.Context, res *Result, round int, subTs, de
 	e.verifyRound = round
 	sink.Emit(event.RoundStart{Round: round})
 	// 1. Local training (each peer from its adopted weights). Peers
-	// train concurrently: each owns its model and RNG stream, and
-	// each writes only its own result slot.
+	// train concurrently, each in a borrowed model on its own RNG
+	// stream, and each writes only its own result slot.
 	updates := make([]*fl.Update, nPart)
 	if err := par.ForEachCtx(ctx, workers, nPart, func(i int) (err error) {
 		updates[i], err = e.train(peers[i], round)

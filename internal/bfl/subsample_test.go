@@ -334,8 +334,8 @@ func TestFullFractionFleetMatchesClassicIdentities(t *testing.T) {
 		if !reflect.DeepEqual(f.client.Test, c.client.Test) {
 			t.Fatalf("peer %s: test sets differ", c.name)
 		}
-		if f.samples != c.samples || f.simTrainMs != c.simTrainMs {
-			t.Fatalf("peer %s: shard size / modeled duration (%d, %g) vs classic (%d, %g)", c.name, f.samples, f.simTrainMs, c.samples, c.simTrainMs)
+		if fn, cn := f.client.Train.Len(), c.client.Train.Len(); fn != cn || f.simTrainMs != c.simTrainMs {
+			t.Fatalf("peer %s: shard size / modeled duration (%d, %g) vs classic (%d, %g)", c.name, fn, f.simTrainMs, cn, c.simTrainMs)
 		}
 		if reflect.DeepEqual(f.client.Train, c.client.Train) {
 			t.Fatalf("peer %s: training shards are identical — the regimes' one difference is gone; update ROADMAP item 5 and Config.ClientFraction's doc", c.name)

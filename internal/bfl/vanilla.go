@@ -32,7 +32,7 @@ type VanillaResult struct {
 // under the paper's two aggregation types, one arm each: "consider"
 // scores every combination on the world's held-out set and adopts the
 // best, "not consider" is plain FedAvg of everyone. Both arms train the
-// same streams, so they are paired, and at round 1 "not consider" is
+// same clients, so they are paired, and at round 1 "not consider" is
 // the decentralized run's full-set combination. The fields that shape
 // only a decentralized round (policy, filter, backend, stragglers,
 // timing, client subsampling) play no part: the baseline trains every
@@ -49,14 +49,16 @@ func RunVanilla(ctx context.Context, cfg Config) (*VanillaResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &VanillaResult{ClientNames: make([]string, cfg.Peers)}
-	for i := range res.ClientNames {
-		res.ClientNames[i] = fl.ClientName(i)
+	res, root := &VanillaResult{ClientNames: make([]string, cfg.Peers)}, xrand.New(cfg.Seed)
+	clients := make([]*fl.Client, cfg.Peers)
+	for i := range clients {
+		name := fl.ClientName(i)
+		res.ClientNames[i], clients[i] = name, fl.NewClient(name, nil, w.train[i], w.sel[i], w.test[i], cfg.Hyper, root.Derive("train-"+name))
 	}
-	if res.Consider, res.ConsiderCombos, err = runArm(ctx, cfg, w, res.ClientNames, true); err != nil {
+	if res.Consider, res.ConsiderCombos, err = runArm(ctx, cfg, w, res.ClientNames, clients, true); err != nil {
 		return nil, err
 	}
-	if res.NotConsider, _, err = runArm(ctx, cfg, w, res.ClientNames, false); err != nil {
+	if res.NotConsider, _, err = runArm(ctx, cfg, w, res.ClientNames, clients, false); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -67,18 +69,13 @@ func RunVanilla(ctx context.Context, cfg Config) (*VanillaResult, error) {
 // the aggregator adopted each round. Events are emitted from this (the
 // coordinator's) goroutine only, at deterministic barriers, so the
 // stream is identical at every Parallelism.
-func runArm(ctx context.Context, cfg Config, w *World, names []string, consider bool) (accuracy [][]float64, chosen []string, err error) {
+func runArm(ctx context.Context, cfg Config, w *World, names []string, clients []*fl.Client, consider bool) (accuracy [][]float64, chosen []string, err error) {
 	arm := "not consider"
 	if consider {
 		arm = "consider"
 	}
-	sink, workers, root := cfg.Events, par.Workers(cfg.Parallelism), xrand.New(cfg.Seed)
-	clients := make([]*fl.Client, len(names))
+	sink, workers := cfg.Events, par.Workers(cfg.Parallelism)
 	accuracy = make([][]float64, len(names))
-	for i, name := range names {
-		// Zero weights, never read: every round Adopts first.
-		clients[i] = fl.NewClient(name, cfg.Model.Build(nil), w.train[i], w.sel[i], w.test[i], cfg.Hyper, root.Derive("train-"+name))
-	}
 	// The consider search scores on the held-out set through the
 	// world's scratch, so the 2^n-1 combination aggregations allocate
 	// nothing.
@@ -95,15 +92,12 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 			return nil, nil, err
 		}
 		sink.Emit(event.RoundStart{Round: round, Arm: arm})
-		// Each client trains from its own model, shard, and derived RNG
-		// stream, so the round parallelizes with bit-identical results.
+		// Each client trains from the global weights on its own shard and
+		// derived RNG stream, so the round parallelizes bit-identically.
 		updates := make([]*fl.Update, len(clients))
-		err := par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
-			if err := clients[i].Adopt(global); err != nil {
-				return err
-			}
-			updates[i] = clients[i].LocalTrain(round)
-			return nil
+		err := par.ForEachCtx(ctx, workers, len(clients), func(i int) (err error) {
+			updates[i], err = w.scratch.Train(clients[i], global, round)
+			return err
 		})
 		if err != nil {
 			return nil, nil, err
@@ -127,18 +121,16 @@ func runArm(ctx context.Context, cfg Config, w *World, names []string, consider 
 			return nil, nil, err
 		}
 		chosen = append(chosen, label)
-		accs := make([]float64, len(clients))
 		err = par.ForEachCtx(ctx, workers, len(clients), func(i int) error {
-			accs[i] = w.scratch.Evaluator(clients[i].Test)(fl.Key{}, fl.Vector(global))
+			accuracy[i] = append(accuracy[i], w.scratch.Evaluator(clients[i].Test)(fl.Key{}, fl.Vector(global)))
 			return nil
 		})
 		if err != nil {
 			return nil, nil, err
 		}
 		var meanAcc float64
-		for i, a := range accs {
-			accuracy[i] = append(accuracy[i], a)
-			meanAcc += a
+		for _, accs := range accuracy {
+			meanAcc += accs[round-1]
 		}
 		sink.Emit(event.AggregationDecided{
 			Round:       round,

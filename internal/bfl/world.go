@@ -30,7 +30,7 @@ type World struct {
 	heldOutOnce      sync.Once
 	heldOut          *dataset.Set
 	memo             *memo       // set by Share; nil (a Block, a world never Shared): each run computes its own
-	scratch          *fl.Scratch // lent to every scorer of every run and Block
+	scratch          *fl.Scratch // lent to every training and scorer of every run and Block
 }
 
 // ResolveWorld is the World a run of c reads: its own, or the one it

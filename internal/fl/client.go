@@ -39,9 +39,9 @@ func ClientName(i int) string {
 	return fmt.Sprintf("P%d", i)
 }
 
-// Client is one federated participant: a model, its training shard, a
-// small selection set used to score candidate aggregations, and a test
-// set used for reporting.
+// Client is one federated participant: its training shard, a small
+// selection set used to score candidate aggregations, and a test set
+// used for reporting. A run's clients hold no Model (Scratch.Train).
 type Client struct {
 	Name      string
 	Model     *nn.Model
@@ -50,46 +50,41 @@ type Client struct {
 	Test      *dataset.Set
 	Hyper     Hyper
 
-	rng     *xrand.RNG
-	opt     *nn.SGD
-	scratch nn.EpochScratch
+	rng *xrand.RNG
+	own *trainer // LocalTrain's
 }
 
 // NewClient builds a client. rng seeds the client's private shuffling
 // stream; pass a derived stream per client.
 func NewClient(name string, model *nn.Model, train, selection, test *dataset.Set, h Hyper, rng *xrand.RNG) *Client {
-	return &Client{
-		Name: name, Model: model,
-		Train: train, Selection: selection, Test: test,
-		Hyper: h, rng: rng,
-	}
+	return &Client{Name: name, Model: model, Train: train, Selection: selection, Test: test, Hyper: h, rng: rng}
 }
 
-// Adopt loads an aggregated weight vector into the client's model.
-func (c *Client) Adopt(weights []float32) error {
-	return c.Model.SetWeightVector(weights)
-}
-
-// LocalTrain runs the configured number of local epochs for round and
-// returns the resulting update. The optimizer is reset each round
-// (standard FedAvg: momentum does not leak across aggregations) but its
-// buffers — like the epoch scratch — persist across rounds.
+// LocalTrain runs the configured number of local epochs for round on
+// c.Model and returns the update, bit for bit Scratch.Train's.
 func (c *Client) LocalTrain(round int) *Update {
-	if c.opt == nil {
-		c.opt = nn.NewSGD(c.Hyper.LR, c.Hyper.Momentum, c.Hyper.WeightDecay)
-	} else {
-		c.opt.Reset()
+	if c.own == nil {
+		c.own = new(trainer)
 	}
+	return c.own.train(c, c.Model, round)
+}
+
+// trainer is the optimizer and epoch buffers a training takes. train
+// resets the optimizer (standard FedAvg: momentum does not leak across
+// aggregations), so any trainer, fresh or reused, gives the same bits.
+type trainer struct {
+	opt     nn.SGD
+	scratch nn.EpochScratch
+}
+
+// train is c's local training of round on m, from the weights m holds.
+func (t *trainer) train(c *Client, m *nn.Model, round int) *Update {
+	t.opt.LR, t.opt.Momentum, t.opt.WeightDecay = c.Hyper.LR, c.Hyper.Momentum, c.Hyper.WeightDecay
+	t.opt.Reset()
 	for e := 0; e < c.Hyper.LocalEpochs; e++ {
-		nn.TrainEpochScratch(c.Model, c.opt, c.Train.X, c.Train.Y, c.Hyper.BatchSize,
-			c.rng.Derive(fmt.Sprintf("round-%d-epoch-%d", round, e)), &c.scratch)
+		nn.TrainEpochScratch(m, &t.opt, c.Train.X, c.Train.Y, c.Hyper.BatchSize, c.rng.Derive(fmt.Sprintf("round-%d-epoch-%d", round, e)), &t.scratch)
 	}
-	return &Update{
-		Client:     c.Name,
-		Round:      round,
-		Weights:    c.Model.WeightVector(),
-		NumSamples: c.Train.Len(),
-	}
+	return &Update{Client: c.Name, Round: round, Weights: m.WeightVector(), NumSamples: c.Train.Len()}
 }
 
 // SelectionEvaluator returns an Evaluator over the client's selection

@@ -262,27 +262,51 @@ type Evaluator func(key Key, weights func() []float32) float64
 // Vector hands an Evaluator weights already built.
 func Vector(w []float32) func() []float32 { return func() []float32 { return w } }
 
-// Scratch lends the models and averagers that scoring weights takes,
-// for one architecture: a mutex-guarded free list, shared by every
-// scorer of a world. It builds a model or an averager only when all of
-// them are lent out, so n concurrent callers build at most n. A score
-// is a pure function of the weights and the set, so which scratch a
-// call borrows moves no bit. The zero Scratch lends averagers only.
+// Scratch lends the models, trainers and averagers that training and
+// scoring take, for one architecture, from mutex-guarded free lists a
+// world shares: each builds only when all of its kind are lent out, so
+// n concurrent callers build at most n. Trainings and scores are pure
+// functions of their inputs: the scratch moves no bit. The zero
+// Scratch lends averagers only.
 type Scratch struct {
-	id     nn.ModelID
-	models freeList[*nn.Model]
-	avgs   freeList[*Averager]
+	id       nn.ModelID
+	models   freeList[*nn.Model]
+	trainers freeList[*trainer]
+	avgs     freeList[*Averager]
 }
 
 // NewScratch is an empty Scratch for architecture id.
 func NewScratch(id nn.ModelID) *Scratch { return &Scratch{id: id} }
 
+// model borrows a model, whose weights every borrower overwrites.
+func (sc *Scratch) model() *nn.Model {
+	return sc.models.take(func() *nn.Model { return sc.id.Build(nil) })
+}
+
+// Train is c's local training of round from weights, in a borrowed model
+// and trainer (c.Model unused): LocalTrain's bits. Safe for concurrent use.
+func (sc *Scratch) Train(c *Client, weights []float32, round int) (*Update, error) {
+	m, t := sc.model(), sc.trainers.take(func() *trainer { return new(trainer) })
+	defer sc.models.give(m)
+	defer sc.trainers.give(t)
+	if err := m.SetWeightVector(weights); err != nil {
+		return nil, err
+	}
+	return t.train(c, m, round), nil
+}
+
+// MulAdds is the architecture's forward multiply-adds per sample.
+func (sc *Scratch) MulAdds() int {
+	m := sc.model()
+	defer sc.models.give(m)
+	return m.MulAdds()
+}
+
 // Evaluator is accuracy on s, each call loading the weights into a
 // borrowed model. It is safe for concurrent use.
 func (sc *Scratch) Evaluator(s *dataset.Set) Evaluator {
 	return func(_ Key, weights func() []float32) float64 {
-		// Zero weights, never read: every call overwrites them first.
-		m := sc.models.take(func() *nn.Model { return sc.id.Build(nil) })
+		m := sc.model()
 		defer sc.models.give(m)
 		if err := m.SetWeightVector(weights()); err != nil {
 			panic(err)

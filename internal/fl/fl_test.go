@@ -352,9 +352,14 @@ func TestEvaluateCombosWithErrors(t *testing.T) {
 	}
 }
 
-// TestScratchLendsAtMostN: n goroutines scoring through one Scratch at
-// once build at most n models, every score equals a sequential pass's
-// over a fresh Scratch, and the sequential pass builds one.
+// TestScratchLendsAtMostN: n goroutines interleaving trainings and
+// scores through one Scratch build at most n models and at most n
+// trainers; every score equals a sequential pass's over a fresh
+// Scratch, which builds one model, and every training equals, bit for
+// bit, a fresh client's LocalTrain on a model of its own. The clients'
+// shards differ in size and their Hyper in learning rate, so a trainer
+// moves between shapes and settings; one left with a previous
+// training's momentum fails the comparison.
 func TestScratchLendsAtMostN(t *testing.T) {
 	root := xrand.New(2)
 	sets := []*dataset.Set{
@@ -375,28 +380,82 @@ func TestScratchLendsAtMostN(t *testing.T) {
 	if n := len(seqScratch.models.free); n != 1 {
 		t.Fatalf("a sequential pass built %d models, want 1", n)
 	}
+
+	hyper := DefaultHyper(nn.ModelSimpleNN)
+	fast := hyper
+	fast.LR *= 4
+	client := func(name string, samples int, h Hyper) *Client {
+		return NewClient(name, nil, dataset.Generate(dataset.DefaultConfig(), samples, root.Derive("train-"+name)),
+			sets[0], sets[1], h, root.Derive("stream-"+name))
+	}
+	clients := []*Client{client("A", 64, hyper), client("B", 96, fast)}
+	const rounds = 2
+	wantUp := make([][][]*Update, len(clients)) // [client][weights][round-1]
+	for c, cl := range clients {
+		for _, w := range weights {
+			var ups []*Update
+			for round := 1; round <= rounds; round++ {
+				own := NewClient(cl.Name, nn.ModelSimpleNN.Build(nil), cl.Train, cl.Selection, cl.Test, cl.Hyper, root.Derive("stream-"+cl.Name))
+				if err := own.Model.SetWeightVector(w); err != nil {
+					t.Fatal(err)
+				}
+				ups = append(ups, own.LocalTrain(round))
+			}
+			wantUp[c] = append(wantUp[c], ups)
+		}
+	}
+
+	// Each goroutine walks the same operations from its own offset, so
+	// trainings and scores overlap in every mix.
 	const n = 4
 	sc := NewScratch(nn.ModelSimpleNN)
+	var ops []func(g int)
+	for s, set := range sets {
+		for k, w := range weights {
+			ops = append(ops, func(g int) {
+				if got := sc.Evaluator(set)(Key{}, Vector(w)); got != want[s][k] {
+					t.Errorf("goroutine %d set %d weights %d: scored %v, sequential pass %v", g, s, k, got, want[s][k])
+				}
+			})
+		}
+	}
+	for c, cl := range clients {
+		for k, w := range weights {
+			for round := 1; round <= rounds; round++ {
+				ops = append(ops, func(g int) {
+					got, err := sc.Train(cl, w, round)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if exp := wantUp[c][k][round-1]; !reflect.DeepEqual(got, exp) {
+						t.Errorf("goroutine %d client %s weights %d round %d: the borrowed training differs from LocalTrain on the client's own model", g, cl.Name, k, round)
+					}
+				})
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				for s, set := range sets {
-					eval := sc.Evaluator(set)
-					for k, w := range weights {
-						if got := eval(Key{}, Vector(w)); got != want[s][k] {
-							t.Errorf("goroutine %d set %d weights %d: scored %v, sequential pass %v", g, s, k, got, want[s][k])
-						}
-					}
+			for rep := 0; rep < 2; rep++ {
+				for i := range ops {
+					ops[(i+g*len(ops)/n)%len(ops)](g)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if _, err := sc.Train(clients[0], weights[0][:1], 1); err == nil {
+		t.Error("Train accepted a wrong-length weight vector")
+	}
 	if built := len(sc.models.free); built < 1 || built > n {
 		t.Fatalf("%d goroutines built %d models", n, built)
+	}
+	if built := len(sc.trainers.free); built < 1 || built > n {
+		t.Fatalf("%d goroutines built %d trainers", n, built)
 	}
 }
 

@@ -3,7 +3,7 @@ package nn
 import "waitornot/internal/tensor"
 
 // SGD is stochastic gradient descent with classical momentum and L2
-// weight decay. The zero value is unusable; use NewSGD.
+// weight decay: NewSGD, or a zero SGD with its three settings assigned.
 type SGD struct {
 	// LR is the learning rate.
 	LR float64
@@ -37,9 +37,9 @@ func (s *SGD) Step(params, grads []*tensor.Dense) {
 	}
 }
 
-// Reset clears momentum state (used when a client adopts a new
-// aggregated model between rounds). The velocity buffers are zeroed in
-// place so a long-lived optimizer does not reallocate every round.
+// Reset clears momentum state, so a training starts from none. The
+// velocity buffers are zeroed in place, so an optimizer reused across
+// trainings does not reallocate for each.
 func (s *SGD) Reset() {
 	for _, v := range s.velocity {
 		for j := range v {

@@ -54,7 +54,7 @@ func (id ModelID) Valid() bool { return id == ModelSimpleNN || id == ModelEffNet
 // Build constructs a freshly initialized instance of the architecture,
 // drawing initial weights from rng. Build(nil) draws nothing and leaves
 // every weight zero, for a model whose weights are overwritten
-// (SetWeightVector, Client.Adopt) before their first read.
+// (SetWeightVector) before their first read.
 func (id ModelID) Build(rng *xrand.RNG) *Model {
 	switch id {
 	case ModelSimpleNN:
